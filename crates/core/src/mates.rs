@@ -10,13 +10,18 @@
 //! `O(nm)` by bucketing candidates per weight (the best pair for a weight
 //! split is always the two lowest-penalty candidates of the buckets). For
 //! `m ≥ 3` a bounded depth-first search over the buckets is used.
+//!
+//! The integer constraint is evaluated first ([`select_mates`]): every
+//! candidate list is a subset of the simulator's mate pool, so when the
+//! pool's weights alone cannot satisfy Eq. 3 nothing is filtered, scored or
+//! sorted.
 
 use crate::config::SdPolicyConfig;
 use crate::penalty::{mate_penalty, shrink_increase};
 use cluster::JobId;
 use simkit::SimTime;
-use slurm_sim::SimState;
-use std::collections::BTreeMap;
+use slurm_sim::{timing, SimState};
+use std::cell::RefCell;
 
 /// A scored candidate mate.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,6 +42,50 @@ pub struct Selection {
     pub free_nodes: u32,
     /// The objective value `PI` (Eq. 1).
     pub performance_impact: f64,
+}
+
+/// Mate selection for a `target`-node job needing `mall_wall` seconds of
+/// co-residency (paper Listing 2): first Eq. 3 on the pool's weights; only
+/// if that can hold, the candidate scan and the minimum-PI pick.
+pub fn select_mates(
+    st: &SimState,
+    target: u32,
+    mall_wall: u64,
+    cutoff: f64,
+    cfg: &SdPolicyConfig,
+) -> Option<Selection> {
+    let free_nodes_available = st.cluster.empty_node_count();
+    if !weights_coverable(st, target, free_nodes_available, cfg) {
+        return None;
+    }
+    let _scan = timing::scope(&timing::MATE_SCAN);
+    let candidates = collect_candidates(st, mall_wall, cutoff, cfg);
+    pick_mates(&candidates, target, free_nodes_available, cfg)
+}
+
+/// Whether the mate pool's weights admit any solution of Eq. 3 for
+/// `target`, over every idle-node top-up [`pick_mates`] would try. A
+/// necessary condition for `pick_mates` to succeed on any candidate list
+/// drawn from the pool: `false` is final, `true` is a maybe.
+pub fn weights_coverable(
+    st: &SimState,
+    target: u32,
+    free_nodes_available: u32,
+    cfg: &SdPolicyConfig,
+) -> bool {
+    let free = usable_free(target, free_nodes_available, cfg);
+    (target - free..=target).any(|need| st.mate_weights_cover(need, cfg.max_mates))
+}
+
+/// Idle nodes that may count toward `target` (Eq. 3): none unless
+/// `include_free_nodes`, and never all of it — at least one mate takes part,
+/// otherwise it would be a static start.
+fn usable_free(target: u32, free_nodes_available: u32, cfg: &SdPolicyConfig) -> u32 {
+    if cfg.include_free_nodes {
+        free_nodes_available.min(target.saturating_sub(1))
+    } else {
+        0
+    }
 }
 
 /// Collects, filters and scores candidate mates for a job needing
@@ -117,11 +166,7 @@ pub fn pick_mates(
     if target == 0 || candidates.is_empty() {
         return None;
     }
-    let free = if cfg.include_free_nodes {
-        free_nodes_available.min(target.saturating_sub(1))
-    } else {
-        0
-    };
+    let free = usable_free(target, free_nodes_available, cfg);
     let mut best: Option<Selection> = None;
     // Using f idle nodes reduces the weight the mates must cover. Prefer
     // more idle nodes first (less shrink impact), but still compare by PI.
@@ -159,45 +204,86 @@ fn best_single(candidates: &[Candidate], need: u32) -> Option<(Vec<JobId>, f64)>
         .next() // list is penalty-sorted
 }
 
+/// The two cheapest candidates of one weight, as indices into the
+/// penalty-sorted candidate list.
+struct Bucket {
+    weight: u32,
+    first: usize,
+    second: Option<usize>,
+}
+
+thread_local! {
+    /// [`best_pair`]'s buckets, ascending by weight; kept between calls so a
+    /// pick allocates nothing but the selection it returns.
+    static BUCKETS: RefCell<Vec<Bucket>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Exact minimum over singles and pairs: bucket candidates by weight; the
 /// optimal pair for a split (w, need−w) is the cheapest candidate of each
 /// bucket (or the two cheapest of the same bucket when w = need−w).
 fn best_pair(candidates: &[Candidate], need: u32) -> Option<(Vec<JobId>, f64)> {
-    // weight → up to two cheapest candidates (list is penalty-sorted).
-    let mut buckets: BTreeMap<u32, [Option<&Candidate>; 2]> = BTreeMap::new();
-    for c in candidates {
-        let slot = buckets.entry(c.weight).or_insert([None, None]);
-        if slot[0].is_none() {
-            slot[0] = Some(c);
-        } else if slot[1].is_none() {
-            slot[1] = Some(c);
-        }
-    }
-    let mut best: Option<(Vec<JobId>, f64)> = None;
-    let mut consider = |mates: Vec<JobId>, pi: f64| {
-        if best.as_ref().is_none_or(|(_, b)| pi < *b) {
-            best = Some((mates, pi));
-        }
-    };
-    // Singles.
-    if let Some([Some(c), _]) = buckets.get(&need) {
-        consider(vec![c.id], c.penalty);
-    }
-    // Pairs.
-    for (&w1, slot1) in buckets.range(..=need / 2) {
-        let w2 = need - w1;
-        if w2 < w1 {
-            continue;
-        }
-        if w1 == w2 {
-            if let [Some(a), Some(b)] = slot1 {
-                consider(vec![a.id, b.id], a.penalty + b.penalty);
+    BUCKETS.with_borrow_mut(|buckets| {
+        buckets.clear();
+        for (i, c) in candidates.iter().enumerate() {
+            if c.weight > need {
+                continue;
             }
-        } else if let (Some(a), Some([Some(b), _])) = (slot1[0], buckets.get(&w2)) {
-            consider(vec![a.id, b.id], a.penalty + b.penalty);
+            match buckets.binary_search_by_key(&c.weight, |b| b.weight) {
+                // The list is penalty-sorted: first seen is cheapest.
+                Ok(at) => {
+                    buckets[at].second.get_or_insert(i);
+                }
+                Err(at) => buckets.insert(
+                    at,
+                    Bucket {
+                        weight: c.weight,
+                        first: i,
+                        second: None,
+                    },
+                ),
+            }
         }
-    }
-    best
+        let cheapest = |weight: u32| {
+            buckets
+                .binary_search_by_key(&weight, |b| b.weight)
+                .ok()
+                .map(|at| buckets[at].first)
+        };
+        // Cheapest combination so far; a later one must be strictly cheaper.
+        let mut best: Option<(usize, Option<usize>, f64)> = None;
+        let mut consider = |a: usize, b: Option<usize>| {
+            let pi = match b {
+                None => candidates[a].penalty,
+                Some(b) => candidates[a].penalty + candidates[b].penalty,
+            };
+            if best.is_none_or(|(_, _, best_pi)| pi < best_pi) {
+                best = Some((a, b, pi));
+            }
+        };
+        // Singles.
+        if let Some(a) = cheapest(need) {
+            consider(a, None);
+        }
+        // Pairs, by ascending lighter weight.
+        for b1 in buckets.iter().take_while(|b| b.weight <= need / 2) {
+            let w2 = need - b1.weight;
+            let partner = if w2 == b1.weight {
+                b1.second
+            } else {
+                cheapest(w2)
+            };
+            if partner.is_some() {
+                consider(b1.first, partner);
+            }
+        }
+        best.map(|(a, b, pi)| {
+            let mates = match b {
+                None => vec![candidates[a].id],
+                Some(b) => vec![candidates[a].id, candidates[b].id],
+            };
+            (mates, pi)
+        })
+    })
 }
 
 /// Bounded DFS for `m ≥ 3` (ablation configurations): candidates are
@@ -335,6 +421,68 @@ mod tests {
         let pair = best_pair(&sorted, 5).unwrap();
         let combo = best_combo(&sorted, 5, 2).unwrap();
         assert!((pair.1 - combo.1).abs() < 1e-12);
+    }
+
+    /// The pair search as first written (a `BTreeMap` of buckets, one `Vec`
+    /// per combination considered) — the oracle for the order in which
+    /// combinations are considered, which decides ties.
+    fn best_pair_reference(candidates: &[Candidate], need: u32) -> Option<(Vec<JobId>, f64)> {
+        use std::collections::BTreeMap;
+        let mut buckets: BTreeMap<u32, [Option<&Candidate>; 2]> = BTreeMap::new();
+        for c in candidates {
+            let slot = buckets.entry(c.weight).or_insert([None, None]);
+            if slot[0].is_none() {
+                slot[0] = Some(c);
+            } else if slot[1].is_none() {
+                slot[1] = Some(c);
+            }
+        }
+        let mut best: Option<(Vec<JobId>, f64)> = None;
+        let mut consider = |mates: Vec<JobId>, pi: f64| {
+            if best.as_ref().is_none_or(|(_, b)| pi < *b) {
+                best = Some((mates, pi));
+            }
+        };
+        if let Some([Some(c), _]) = buckets.get(&need) {
+            consider(vec![c.id], c.penalty);
+        }
+        for (&w1, slot1) in buckets.range(..=need / 2) {
+            let w2 = need - w1;
+            if w2 < w1 {
+                continue;
+            }
+            if w1 == w2 {
+                if let [Some(a), Some(b)] = slot1 {
+                    consider(vec![a.id, b.id], a.penalty + b.penalty);
+                }
+            } else if let (Some(a), Some([Some(b), _])) = (slot1[0], buckets.get(&w2)) {
+                consider(vec![a.id, b.id], a.penalty + b.penalty);
+            }
+        }
+        best
+    }
+
+    proptest::proptest! {
+        /// Same mates in the same order and the same PI bits as the
+        /// reference, with penalties coarse enough that ties are common.
+        #[test]
+        fn pair_search_matches_reference_including_ties(
+            raw in proptest::collection::vec((0u32..9, 0u32..6), 0..40),
+            need in 0u32..18,
+        ) {
+            let mut cands: Vec<Candidate> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(w, p))| cand(i as u64 + 1, w, p as f64 * 0.3))
+                .collect();
+            cands.sort_by(|a, b| a.penalty.partial_cmp(&b.penalty).unwrap());
+            let got = best_pair(&cands, need);
+            let want = best_pair_reference(&cands, need);
+            proptest::prop_assert_eq!(
+                got.as_ref().map(|(m, pi)| (m, pi.to_bits())),
+                want.as_ref().map(|(m, pi)| (m, pi.to_bits()))
+            );
+        }
     }
 
     #[test]

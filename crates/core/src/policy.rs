@@ -19,11 +19,11 @@
 //! that runs "for each job right after the static trial" (§3.1).
 
 use crate::config::SdPolicyConfig;
-use crate::mates::{collect_candidates, pick_mates};
+use crate::mates::select_mates;
 use crate::penalty::malleable_wall_time;
 use cluster::JobId;
 use simkit::SimTime;
-use slurm_sim::{backfill_pass, Availability, DirtyFlags, Scheduler, SimState};
+use slurm_sim::{backfill_pass, timing, Availability, DirtyFlags, Scheduler, SimState};
 
 /// The Slowdown Driven policy.
 #[derive(Debug, Clone)]
@@ -49,6 +49,7 @@ impl SdPolicy {
         if let Some(c) = self.pass_cutoff {
             return c;
         }
+        let _probe = timing::scope(&timing::CUTOFF);
         let c = self.cfg.max_slowdown.cutoff(st);
         self.pass_cutoff = Some(c);
         c
@@ -112,13 +113,12 @@ impl SdPolicy {
             return false;
         }
 
+        // The DynAVGSD cut-off latches here, at the pass's first trial to
+        // pass Listing 1's test — before Eq. 3 can prune the trial. Static
+        // starts later in the pass change the running set the average is
+        // taken over, so latching any later changes the schedule.
         let cutoff = self.cutoff(st);
-        let candidates = collect_candidates(st, mall_wall, cutoff, &self.cfg);
-        if candidates.is_empty() {
-            return false;
-        }
-        let free_avail = st.cluster.empty_node_count();
-        let Some(selection) = pick_mates(&candidates, req_nodes, free_avail, &self.cfg) else {
+        let Some(selection) = select_mates(st, req_nodes, mall_wall, cutoff, &self.cfg) else {
             return false;
         };
         if st

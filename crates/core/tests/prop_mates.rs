@@ -1,10 +1,12 @@
 //! Property tests for mate selection (Eqs. 1–3): the heuristic must respect
 //! every constraint and, for m ≤ 2, be *optimal* over the candidate list.
 
-use cluster::JobId;
+use cluster::{ClusterSpec, JobId};
+use drom::SharingFactor;
 use proptest::prelude::*;
-use sd_policy::mates::{pick_mates, Candidate};
+use sd_policy::mates::{collect_candidates, pick_mates, weights_coverable, Candidate};
 use sd_policy::SdPolicyConfig;
+use slurm_sim::{SimState, SlurmConfig, WorstCaseModel};
 
 fn arb_candidates() -> impl Strategy<Value = Vec<Candidate>> {
     prop::collection::vec((1u32..8, 0u32..1000), 1..24).prop_map(|raw| {
@@ -45,7 +47,74 @@ fn brute_force(cands: &[Candidate], target: u32, m: usize) -> Option<f64> {
     best
 }
 
+/// A machine running one malleable job per `(weight, req_time)` entry —
+/// each an eligible mate — with `idle` whole nodes left over.
+fn state_with_pool(pool: &[(u32, u64)], idle: u32) -> SimState {
+    let mut spec = ClusterSpec::ricc(); // 8-core nodes
+    spec.nodes = pool.iter().map(|&(w, _)| w).sum::<u32>() + idle;
+    let jobs = pool
+        .iter()
+        .enumerate()
+        .map(|(i, &(w, req))| {
+            swf::SwfJob::for_simulation(i as u64 + 1, i as u64, req, w as u64 * 8, req)
+        })
+        .collect();
+    let mut st = SimState::new(
+        spec,
+        SlurmConfig::default(),
+        &swf::Trace::new(Default::default(), jobs),
+        Box::new(WorstCaseModel),
+        SharingFactor::HALF,
+    );
+    while let Some(ev) = st.events.pop() {
+        st.now = ev.time;
+        st.dispatch(ev.payload);
+    }
+    for id in 1..=pool.len() as u64 {
+        assert!(st.start_static(JobId(id)));
+    }
+    assert_eq!(st.eligible_mates().len(), pool.len());
+    st
+}
+
 proptest! {
+    /// Eq. 3 on the pool's weights is a necessary condition for mate
+    /// selection: whenever it says "no", the full scan-and-pick finds
+    /// nothing on the same inputs — whatever the filters, the idle-node
+    /// option or `m`. With no filter biting and m ≤ 2 it is also sufficient.
+    #[test]
+    fn weight_check_never_prunes_a_feasible_scan(
+        pool in prop::collection::vec((1u32..6, 100u64..4000), 0..10),
+        idle in 0u32..4,
+        target in 1u32..14,
+        mall_wall in 1u64..3000,
+        cutoff_tenths in 10u32..60,
+    ) {
+        let st = state_with_pool(&pool, idle);
+        let free = st.cluster.empty_node_count();
+        for include_free_nodes in [false, true] {
+            for max_mates in [1, 2, 3] {
+                let cfg = SdPolicyConfig { include_free_nodes, max_mates, ..SdPolicyConfig::default() };
+                let coverable = weights_coverable(&st, target, free, &cfg);
+                for cutoff in [cutoff_tenths as f64 / 10.0, f64::INFINITY] {
+                    let cands = collect_candidates(&st, mall_wall, cutoff, &cfg);
+                    let picked = pick_mates(&cands, target, free, &cfg);
+                    prop_assert!(
+                        coverable || picked.is_none(),
+                        "pruned a feasible scan: {:?} (free {}, m {})", picked, include_free_nodes, max_mates
+                    );
+                }
+                // Every mate outlasts a 1 s co-residency and no penalty is
+                // cut off: the candidate list is the whole pool.
+                let all = collect_candidates(&st, 1, f64::INFINITY, &cfg);
+                prop_assert_eq!(all.len(), pool.len());
+                if max_mates <= 2 {
+                    prop_assert_eq!(coverable, pick_mates(&all, target, free, &cfg).is_some());
+                }
+            }
+        }
+    }
+
     /// The default (m = 2) search finds the brute-force optimum whenever one
     /// exists, and never fabricates a solution when none does.
     #[test]

@@ -14,6 +14,11 @@ use std::io::{BufRead, Write};
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request body (bytes).
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
+/// Upper bound on a response body the client will read (bytes). Responses
+/// grow with the session — `/v1/result` carries every finished job, ≈180 B
+/// each — so this is far above the request cap: room for over a million
+/// jobs, while still bounding the allocation a bad length could ask for.
+pub const MAX_RESPONSE_BYTES: usize = 256 * 1024 * 1024;
 
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq)]
@@ -298,7 +303,7 @@ pub fn read_response(r: &mut impl BufRead) -> Result<(u16, Vec<u8>), HttpError> 
             }
         }
     }
-    if content_length > MAX_BODY_BYTES {
+    if content_length > MAX_RESPONSE_BYTES {
         return Err(HttpError::TooLarge("response body"));
     }
     let mut body = vec![0u8; content_length];
@@ -396,6 +401,25 @@ mod tests {
         let (status, body) = read_response(&mut Cursor::new(wire)).unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, br#"{"ok":true}"#);
+    }
+
+    #[test]
+    fn responses_have_their_own_larger_bound() {
+        // A body over the request cap is an ordinary response…
+        let resp = Response::text(200, "r".repeat(MAX_BODY_BYTES + 1));
+        let mut wire = Vec::new();
+        resp.write_to(&mut wire, false).unwrap();
+        let (status, body) = read_response(&mut Cursor::new(wire)).unwrap();
+        assert_eq!((status, body.len()), (200, MAX_BODY_BYTES + 1));
+        // …and the response bound is checked before anything is allocated.
+        let head = format!(
+            "HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n",
+            MAX_RESPONSE_BYTES + 1
+        );
+        assert_eq!(
+            read_response(&mut Cursor::new(head.into_bytes())).unwrap_err(),
+            HttpError::TooLarge("response body")
+        );
     }
 
     #[test]

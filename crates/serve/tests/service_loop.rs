@@ -84,6 +84,31 @@ fn submit_query_advance_result_lifecycle() {
     assert_eq!(server_res, final_res, "client decode matches server state");
 }
 
+/// Responses are not bound by the 1 MiB *request* cap: `/v1/result` and
+/// `/v1/shutdown` carry ≈180 B per job and outgrow it near 5 700 jobs.
+#[test]
+fn result_and_shutdown_carry_ten_thousand_jobs() {
+    const JOBS: u64 = 10_000;
+    let (addr, h) = start(64, false);
+    let mut client = Client::connect(addr).unwrap();
+    for i in 0..JOBS {
+        submit(&mut client, 8, 10, i);
+    }
+    client.drain().unwrap();
+    let (status, body) = client.request("GET", "/v1/result", None).unwrap();
+    assert_eq!(status, 200);
+    assert!(
+        body.len() > sd_serve::http::MAX_BODY_BYTES,
+        "{} B would fit the request cap",
+        body.len()
+    );
+    let res = client.result().unwrap();
+    assert_eq!(res.outcomes.len() as u64, JOBS);
+    let last = client.shutdown().unwrap();
+    assert_eq!(last.outcomes, res.outcomes);
+    assert_eq!(h.join().unwrap().unwrap().outcomes.len() as u64, JOBS);
+}
+
 #[test]
 fn metrics_exposition_tracks_job_counters() {
     let (addr, h) = start(8, true);

@@ -50,7 +50,7 @@ impl SimState {
         self.tenant_charge_start(id);
         if self.cfg.self_check {
             self.cluster.validate().expect("cluster consistent");
-            self.self_check_avail();
+            self.self_check_caches();
         }
         true
     }
@@ -257,7 +257,7 @@ impl SimState {
             for &n in &nodes_sorted {
                 self.drom.validate_node(n).expect("masks disjoint");
             }
-            self.self_check_avail();
+            self.self_check_caches();
         }
         Ok(())
     }
@@ -410,7 +410,7 @@ impl SimState {
                 let n = self.job(id).running().unwrap().nodes[i];
                 self.drom.validate_node(n).expect("masks disjoint");
             }
-            self.self_check_avail();
+            self.self_check_caches();
         }
         true
     }
@@ -538,7 +538,7 @@ impl SimState {
         self.energy_reweigh(&touched);
         if self.cfg.self_check {
             self.cluster.validate().expect("cluster consistent");
-            self.self_check_avail();
+            self.self_check_caches();
         }
     }
 
@@ -734,6 +734,7 @@ impl SimState {
                 .mate_pool
                 .partition_point(|e| (e.base, e.id) < (base, id));
             self.mate_pool.insert(pos, entry);
+            self.pool_weights.insert(entry.weight);
         }
     }
 
@@ -745,7 +746,8 @@ impl SimState {
             .mate_pool
             .partition_point(|e| (e.base, e.id) < (base, id));
         if self.mate_pool.get(pos).is_some_and(|e| e.id == id) {
-            self.mate_pool.remove(pos);
+            let gone = self.mate_pool.remove(pos);
+            self.pool_weights.remove(gone.weight);
         } else {
             debug_assert!(
                 !self.mate_pool.iter().any(|e| e.id == id),

@@ -27,6 +27,7 @@ use cluster::{ClusterSpec, ClusterState, EnergyMeter, JobId, NodeId};
 use drom::{DromRegistry, NodeManager, SharingFactor};
 use simkit::{DetRng, EventQueue, SimTime};
 use std::collections::BTreeSet;
+use weights::PoolWeights;
 use workload::{AppModel, AppTrace};
 
 /// Simulation events.
@@ -129,6 +130,9 @@ pub struct SimState {
     /// Eligible mates kept sorted ascending by `(base, id)`. The base
     /// penalty is the fixed part of Eq. 4: `(wait + req)/req`.
     mate_pool: Vec<MateEntry>,
+    /// The multiset of `mate_pool`'s weights, answering Eq. 3 without a
+    /// scan ([`SimState::mate_weights_cover`]).
+    pool_weights: PoolWeights,
     /// Running jobs ordered by requested end — lets mate filtering prune
     /// finish-inside-infeasible trials without touching the job table.
     running_by_end: BTreeSet<(SimTime, JobId)>,
@@ -309,6 +313,7 @@ impl SimState {
             jobs,
             running: BTreeSet::new(),
             mate_pool: Vec::new(),
+            pool_weights: PoolWeights::default(),
             running_by_end: BTreeSet::new(),
             shrunk: BTreeSet::new(),
             releases: ReleaseMap::new(nodes),
@@ -382,6 +387,14 @@ impl SimState {
     /// policy for a concrete co-schedule.
     pub fn eligible_mates(&self) -> &[MateEntry] {
         &self.mate_pool
+    }
+
+    /// Eq. 3 on the whole pool: can between one and `max_mates` eligible
+    /// mates have weights summing to exactly `need`? Candidate lists are
+    /// subsets of the pool, so `false` means no mate scan can succeed
+    /// (exact for `max_mates ≤ 2`, a necessary bound beyond).
+    pub fn mate_weights_cover(&self, need: u32, max_mates: usize) -> bool {
+        self.pool_weights.covers(need, max_mates)
     }
 
     /// Availability profile at `now`, rebuilt from scratch (requested-time
@@ -458,9 +471,15 @@ impl SimState {
     }
 
 
-    /// Asserts the cached availability profile equals a fresh rebuild
-    /// (incremental mode; called from the `self_check` blocks).
-    fn self_check_avail(&mut self) {
+    /// Asserts the derived caches equal fresh rebuilds: the pool weight
+    /// index, and in incremental mode the availability profile (called from
+    /// the `self_check` blocks).
+    fn self_check_caches(&mut self) {
+        assert_eq!(
+            self.pool_weights,
+            PoolWeights::recount(&self.mate_pool),
+            "mate-pool weight index diverged from the pool"
+        );
         if !self.cfg.incremental {
             return;
         }
@@ -499,6 +518,9 @@ impl SimState {
             }
         }
         // Index invariants (DESIGN.md §9).
+        if self.pool_weights != PoolWeights::recount(&self.mate_pool) {
+            return Err("mate-pool weight index out of sync".into());
+        }
         if self.running_by_end.len() != self.running.len() {
             return Err("running_by_end index out of sync".into());
         }
@@ -554,6 +576,7 @@ mod energy;
 mod online;
 mod pass;
 mod persist;
+mod weights;
 
 #[cfg(test)]
 mod tests {
@@ -652,6 +675,33 @@ mod tests {
         assert!(newj.malleable_backfilled);
         // Mate no longer eligible while lending.
         assert!(st.eligible_mates().is_empty());
+    }
+
+    #[test]
+    fn weight_index_follows_the_pool_and_staleness_is_caught() {
+        let mut st = small_state(vec![
+            job(1, 0, 1000, 2, 1000),
+            job(2, 0, 1000, 1, 1000),
+            job(3, 0, 100, 2, 100),
+        ]);
+        drain_submits(&mut st);
+        assert!(!st.mate_weights_cover(2, 2), "empty pool covers nothing");
+        assert!(st.start_static(JobId(1)));
+        assert!(st.start_static(JobId(2)));
+        assert!(st.mate_weights_cover(2, 1) && st.mate_weights_cover(1, 1));
+        assert!(st.mate_weights_cover(3, 2) && !st.mate_weights_cover(3, 1));
+        assert!(!st.mate_weights_cover(4, 2), "2 + 2 needs two 2-node mates");
+        // A lending mate leaves the pool, and the index with it.
+        st.co_schedule(JobId(3), &[JobId(1)], 0).unwrap();
+        assert!(!st.mate_weights_cover(2, 2) && st.mate_weights_cover(1, 2));
+        assert!(st.deep_validate().is_ok());
+
+        // A stale index fails both validators.
+        st.pool_weights.insert(2);
+        assert!(st.deep_validate().unwrap_err().contains("weight index"));
+        let caught =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| st.self_check_caches()));
+        assert!(caught.is_err(), "self_check must panic on a stale index");
     }
 
     #[test]

@@ -591,6 +591,7 @@ impl SimState {
                 ranks_per_node: r.u32()?,
             });
         }
+        st.pool_weights = PoolWeights::recount(&mate_pool);
         st.mate_pool = mate_pool;
 
         // Cluster occupancy.
@@ -894,6 +895,20 @@ mod tests {
             // Second serialization is bit-identical: the image is canonical.
             assert_eq!(re.checkpoint_bytes(), st.checkpoint_bytes());
         }
+    }
+
+    #[test]
+    fn restore_rebuilds_the_pool_weight_index() {
+        let mut st = mid_run_state(true, AvailBackendKind::Profile);
+        // J1 is lending; a second running job puts an entry in the pool.
+        assert!(st.start_static(JobId(3)));
+        assert_eq!(st.eligible_mates().len(), 1);
+        let re = roundtrip(&st);
+        assert_eq!(re.pool_weights, st.pool_weights);
+        assert_ne!(re.pool_weights, PoolWeights::default());
+        assert!(re.mate_weights_cover(1, 2) && !re.mate_weights_cover(2, 2));
+        // The index is derived, not serialised: the image does not change.
+        assert_eq!(re.checkpoint_bytes(), st.checkpoint_bytes());
     }
 
     #[test]

@@ -92,6 +92,12 @@ pub static EARLIEST_START: FnTimer = FnTimer::new("earliest_start");
 /// One per pending job examined by a backfill pass (static trial +
 /// flexible/malleable fallback together).
 pub static BACKFILL_TRIAL: FnTimer = FnTimer::new("backfill_trial");
+/// SD-Policy mate scans that actually ran (candidate collection + mate
+/// pick together); trials pruned by the pool weight index never get here.
+pub static MATE_SCAN: FnTimer = FnTimer::new("mate_scan");
+/// The MAX_SLOWDOWN cut-off resolved once per pass — for DynAVGSD the
+/// O(running jobs) average-slowdown recompute.
+pub static CUTOFF: FnTimer = FnTimer::new("cutoff");
 /// Per-entry tenant quota admission checks.
 pub static QUOTA_CHECK: FnTimer = FnTimer::new("quota_check");
 /// Fair-share prefix reorders (decay + stable sort).
@@ -109,10 +115,12 @@ pub static SLOT_MERGE: FnTimer = FnTimer::new("slot_merge");
 /// every finer-grained probe nests under.
 pub static SCHED_PASS: FnTimer = FnTimer::new("sched_pass");
 
-const ALL: [&FnTimer; 8] = [
+const ALL: [&FnTimer; 10] = [
     &SCHED_PASS,
     &EARLIEST_START,
     &BACKFILL_TRIAL,
+    &MATE_SCAN,
+    &CUTOFF,
     &QUOTA_CHECK,
     &FAIR_SHARE_SORT,
     &SLOT_DESCEND,
@@ -194,6 +202,8 @@ pub fn stack_frames(name: &str) -> &'static [&'static str] {
         "quota_check" => &["sd", "sched_pass", "quota_check"],
         "backfill_trial" => &["sd", "sched_pass", "backfill_trial"],
         "earliest_start" => &["sd", "sched_pass", "backfill_trial", "earliest_start"],
+        "mate_scan" => &["sd", "sched_pass", "backfill_trial", "mate_scan"],
+        "cutoff" => &["sd", "sched_pass", "backfill_trial", "cutoff"],
         "slot_descend" => {
             &["sd", "sched_pass", "backfill_trial", "earliest_start", "slot_descend"]
         }
@@ -251,7 +261,7 @@ mod tests {
         }
         drop(scope(&QUOTA_CHECK));
         let rows = report();
-        assert_eq!(rows.len(), 8);
+        assert_eq!(rows.len(), 10);
         let es = rows.iter().find(|r| r.name == "earliest_start").unwrap();
         assert_eq!(es.count, 3);
         let qc = rows.iter().find(|r| r.name == "quota_check").unwrap();
@@ -276,11 +286,14 @@ mod tests {
 
     #[test]
     fn stack_rows_subtract_children_and_stay_rooted() {
-        // Synthetic snapshot: pass 100 ms, trials 60 ms, earliest 20 ms.
+        // Synthetic snapshot: pass 100 ms, trials 60 ms — of which earliest
+        // 20 ms, mate scans 15 ms, the cut-off 5 ms.
         let rows = vec![
             FnTiming { name: "sched_pass", count: 1, total_secs: 0.100 },
             FnTiming { name: "backfill_trial", count: 10, total_secs: 0.060 },
             FnTiming { name: "earliest_start", count: 10, total_secs: 0.020 },
+            FnTiming { name: "mate_scan", count: 3, total_secs: 0.015 },
+            FnTiming { name: "cutoff", count: 1, total_secs: 0.005 },
         ];
         let stacks = stack_rows(&rows);
         let find = |suffix: &str| {
@@ -291,8 +304,10 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(find("sched_pass"), 40_000, "pass self = 100 - 60 ms");
-        assert_eq!(find("backfill_trial"), 40_000, "trial self = 60 - 20 ms");
+        assert_eq!(find("backfill_trial"), 20_000, "trial self = 60 - 40 ms");
         assert_eq!(find("earliest_start"), 20_000);
+        assert_eq!(find("mate_scan"), 15_000);
+        assert_eq!(find("cutoff"), 5_000);
         assert!(stacks.iter().all(|(f, _)| f[0] == "sd"));
         // Every timer has a hierarchy entry (no frame falls back to other).
         for r in report() {
