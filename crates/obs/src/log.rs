@@ -399,6 +399,15 @@ fn wall_micros_now() -> u64 {
         .unwrap_or(0)
 }
 
+/// One JSON-lines record, newline included, in a single `write_all`: the
+/// sink only ever holds (and, when its buffer spills, the file only ever
+/// gains) whole lines, so a crash cannot leave a record without its newline.
+fn write_json_line(w: &mut impl std::io::Write, rec: &LogRecord) -> std::io::Result<()> {
+    let mut line = rec.to_json();
+    line.push('\n');
+    w.write_all(line.as_bytes())
+}
+
 /// Emit one record to every armed sink. Call through [`log_event!`], which
 /// performs the level check before paying for formatting.
 pub fn log_emit(level: Level, target: &str, message: &str, fields: &[(&str, String)]) {
@@ -420,7 +429,7 @@ pub fn log_emit(level: Level, target: &str, message: &str, fields: &[(&str, Stri
                 truncated: false,
             };
             if let Some(w) = lg.sink.lock().expect("log sink poisoned").as_mut() {
-                let _ = writeln!(w, "{}", rec.to_json());
+                let _ = write_json_line(w, &rec);
             }
         }
     }
@@ -576,6 +585,21 @@ mod tests {
         assert!(j.contains("\"level\":\"warn\""));
         assert!(j.contains("\"msg\":\"torn \\\"tail\\\"\""));
         assert!(j.contains("\"fields\":{\"bytes\":\"5\"}"));
+
+        // The sink gets the record and its newline in one write.
+        struct Writes(Vec<Vec<u8>>);
+        impl std::io::Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = Writes(Vec::new());
+        write_json_line(&mut sink, &r).unwrap();
+        assert_eq!(sink.0, vec![format!("{j}\n").into_bytes()]);
     }
 
     #[test]

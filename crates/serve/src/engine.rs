@@ -23,7 +23,9 @@ use crate::metrics::ServeHistograms;
 use crate::proto::SubmitRequest;
 use sd_durable::{DurableStore, FsyncPolicy};
 use simkit::SimTime;
-use slurm_sim::{Controller, DirtyFlags, Scheduler, SimResult, SimState, SubmitError, TraceRing};
+use slurm_sim::{
+    Controller, DirtyFlags, JobState, Scheduler, SimResult, SimState, SubmitError, TraceRing,
+};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -292,6 +294,44 @@ struct Durability {
     degraded: bool,
 }
 
+/// Running aggregates over the simulator's append-only outcome list, kept
+/// so a read folds only the outcomes completed since the previous read.
+/// Folding is the same additions in the same order as one pass over the
+/// whole list, so every sum — and every mean derived from it — is
+/// bit-identical to a from-scratch recompute. Derived state: starts empty
+/// on every boot (the first read after a recovery folds everything once)
+/// and is never serialised.
+struct OutcomeFold {
+    /// Outcomes already folded: `outcomes()[..seen]`.
+    seen: usize,
+    slowdown: f64,
+    response: f64,
+    wait: f64,
+    wait_hist: sched_metrics::Histogram,
+}
+
+impl OutcomeFold {
+    fn new() -> OutcomeFold {
+        OutcomeFold {
+            seen: 0,
+            slowdown: 0.0,
+            response: 0.0,
+            wait: 0.0,
+            wait_hist: sched_metrics::Histogram::wait_seconds(),
+        }
+    }
+
+    fn catch_up(&mut self, outcomes: &[slurm_sim::JobOutcome]) {
+        for o in &outcomes[self.seen..] {
+            self.slowdown += o.slowdown();
+            self.response += o.response() as f64;
+            self.wait += o.wait() as f64;
+            self.wait_hist.observe(o.wait() as f64);
+        }
+        self.seen = outcomes.len();
+    }
+}
+
 /// The engine: owns the controller, executes commands sequentially.
 pub struct Engine {
     ctl: Controller<Box<dyn Scheduler + Send>>,
@@ -310,6 +350,8 @@ pub struct Engine {
     trace: Option<Arc<TraceRing>>,
     /// Write-ahead log + checkpoints; `None` = in-memory only.
     dur: Option<Durability>,
+    /// Completed-job aggregates for [`Snapshot`], advanced only by reads.
+    fold: OutcomeFold,
 }
 
 /// Wraps the configured scheduler to time each pass into the service's
@@ -357,6 +399,7 @@ impl Engine {
             tenant_wire: Default::default(),
             trace: None,
             dur: None,
+            fold: OutcomeFold::new(),
         }
     }
 
@@ -813,12 +856,12 @@ impl Engine {
         }
         let job = self.ctl.state.job(cluster::JobId(id));
         let run = job.running();
-        let done = self
-            .ctl
-            .state
-            .outcomes()
-            .iter()
-            .find(|o| o.id.0 == id);
+        // Only a finished job has an outcome; for any other state the scan
+        // over every outcome would come back empty.
+        let done = match job.state {
+            JobState::Done => self.ctl.state.outcomes().iter().find(|o| o.id.0 == id),
+            _ => None,
+        };
         Ok(JobView {
             id,
             state: job.state_label(),
@@ -852,19 +895,10 @@ impl Engine {
         Ok(ExplainView { job, tracing, events, overwritten })
     }
 
-    fn snapshot(&self) -> Snapshot {
+    fn snapshot(&mut self) -> Snapshot {
         let st = &self.ctl.state;
         let outcomes = st.outcomes();
-        let mut slow = 0.0;
-        let mut resp = 0.0;
-        let mut wait = 0.0;
-        let mut wait_hist = sched_metrics::Histogram::wait_seconds();
-        for o in outcomes {
-            slow += o.slowdown();
-            resp += o.response() as f64;
-            wait += o.wait() as f64;
-            wait_hist.observe(o.wait() as f64);
-        }
+        self.fold.catch_up(outcomes);
         let n = outcomes.len().max(1) as f64;
         Snapshot {
             scheduler: self.ctl.scheduler.name(),
@@ -881,13 +915,13 @@ impl Engine {
             events_outstanding: st.events.len(),
             stats: st.stats.clone(),
             energy_joules: st.snapshot_energy(),
-            mean_slowdown: slow / n,
-            mean_response: resp / n,
-            mean_wait: wait / n,
+            mean_slowdown: self.fold.slowdown / n,
+            mean_response: self.fold.response / n,
+            mean_wait: self.fold.wait / n,
             makespan: st.last_end().since(st.first_submit().min(st.last_end())),
             submitted: self.submitted,
             tenants: self.tenant_snaps(),
-            wait_hist,
+            wait_hist: self.fold.wait_hist.clone(),
             wal: self.dur.as_ref().map(|d| WalStatus {
                 records_written: d.store.wal_records_written(),
                 records_replayed: d.replayed,
@@ -948,37 +982,42 @@ mod tests {
     use slurm_sim::{IdealModel, SlurmConfig};
     use std::sync::mpsc;
 
-    fn spawn_engine(mode: ClockMode) -> (Sender<Command>, std::thread::JoinHandle<SimResult>) {
+    /// An empty 8-node online state.
+    fn small_state() -> SimState {
         let mut spec = ClusterSpec::ricc();
         spec.nodes = 8;
-        let state = SimState::new_online(
+        SimState::new_online(
             spec,
             SlurmConfig::default(),
             Box::new(IdealModel),
             SharingFactor::HALF,
-        );
-        let engine = Engine::new(state, Box::new(SdPolicy::default()), mode);
+        )
+    }
+
+    fn spawn_engine(mode: ClockMode) -> (Sender<Command>, std::thread::JoinHandle<SimResult>) {
+        let engine = Engine::new(small_state(), Box::new(SdPolicy::default()), mode);
         let (tx, rx) = mpsc::channel();
         let h = std::thread::spawn(move || engine.run(rx));
         (tx, h)
     }
 
+    fn request(procs: u64, run: u64, at: u64) -> SubmitRequest {
+        SubmitRequest {
+            procs,
+            req_time: run * 2,
+            run_time: run,
+            submit: Some(at),
+            malleable: None,
+            trace_id: None,
+            tenant: None,
+            project: None,
+        }
+    }
+
     fn submit(tx: &Sender<Command>, procs: u64, run: u64, at: u64) -> Result<SubmitAck, EngineError> {
         let (rtx, rrx) = mpsc::channel();
-        tx.send(Command::Submit {
-            req: SubmitRequest {
-                procs,
-                req_time: run * 2,
-                run_time: run,
-                submit: Some(at),
-                malleable: None,
-                trace_id: None,
-                tenant: None,
-                project: None,
-            },
-            reply: rtx,
-        })
-        .unwrap();
+        tx.send(Command::Submit { req: request(procs, run, at), reply: rtx })
+            .unwrap();
         rrx.recv().unwrap()
     }
 
@@ -1249,6 +1288,99 @@ mod tests {
         h.join().unwrap();
         assert_eq!(recovered_result, reference, "recovery ≡ never crashed");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The aggregates of a snapshot, recomputed in one pass over every
+    /// outcome: the reference the engine's cursor must equal bit for bit.
+    fn aggregates_from_scratch(e: &Engine) -> (usize, f64, f64, f64, sched_metrics::Histogram) {
+        let outcomes = e.ctl.state.outcomes();
+        let (mut slow, mut resp, mut wait) = (0.0, 0.0, 0.0);
+        let mut hist = sched_metrics::Histogram::wait_seconds();
+        for o in outcomes {
+            slow += o.slowdown();
+            resp += o.response() as f64;
+            wait += o.wait() as f64;
+            hist.observe(o.wait() as f64);
+        }
+        let n = outcomes.len().max(1) as f64;
+        (outcomes.len(), slow / n, resp / n, wait / n, hist)
+    }
+
+    fn assert_snapshot_matches_recompute(e: &mut Engine, step: &str) {
+        let snap = e.snapshot();
+        let got = (
+            snap.completed,
+            snap.mean_slowdown,
+            snap.mean_response,
+            snap.mean_wait,
+            snap.wait_hist,
+        );
+        assert_eq!(got, aggregates_from_scratch(e), "{step}");
+    }
+
+    #[test]
+    fn snapshot_cursor_matches_from_scratch_recompute_across_recovery() {
+        /// One command through the engine's own dispatch (WAL append included).
+        fn step<T>(e: &mut Engine, build: impl FnOnce(Sender<Result<T, EngineError>>) -> Command) {
+            let (rtx, rrx) = mpsc::channel();
+            e.handle(build(rtx));
+            rrx.recv().unwrap().unwrap();
+        }
+        let submit_job = |e: &mut Engine, procs: u64, run: u64, at: u64| {
+            step(e, |reply| Command::Submit { req: request(procs, run, at), reply })
+        };
+        let dir = tmp_dir("fold");
+        let (mut e, _) = recover_engine(&dir);
+        assert_snapshot_matches_recompute(&mut e, "empty");
+        // Uneven widths and runtimes on 8 nodes: jobs queue, so waits and
+        // slowdowns are not all trivial.
+        for i in 0..12u64 {
+            submit_job(&mut e, 16 + 8 * (i % 4), 70 + 37 * i, i * 5);
+            assert_snapshot_matches_recompute(&mut e, "after a submit");
+        }
+        for to in [60, 61, 200, 450] {
+            step(&mut e, |reply| Command::Advance { to, reply });
+            assert_snapshot_matches_recompute(&mut e, "after an advance");
+            // A read between mutations must not disturb the next fold.
+            assert_snapshot_matches_recompute(&mut e, "repeated read");
+        }
+        step(&mut e, |reply| Command::Cancel { id: 12, reply });
+        assert_snapshot_matches_recompute(&mut e, "after a cancel");
+        let before_crash = e.fold.seen;
+        assert!(before_crash > 0 && before_crash < 11, "mid-session: {before_crash}");
+        drop(e); // crash: no shutdown checkpoint
+
+        let (mut e, status) = recover_engine(&dir);
+        assert_eq!(status.recovered, Some("clean"));
+        assert_eq!(e.fold.seen, 0, "the cursor is derived state: it restarts at 0");
+        assert_snapshot_matches_recompute(&mut e, "first read after recovery");
+        assert_eq!(e.fold.seen, before_crash);
+        submit_job(&mut e, 24, 90, 500);
+        assert_snapshot_matches_recompute(&mut e, "submit after recovery");
+        step(&mut e, |reply| Command::Drain { reply });
+        assert_snapshot_matches_recompute(&mut e, "drained");
+        assert_eq!(e.fold.seen, 12, "11 original completions + 1 after recovery");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn job_view_reads_outcomes_only_for_finished_jobs() {
+        let mut e = Engine::new(small_state(), Box::new(SdPolicy::default()), ClockMode::Virtual);
+        // Four machine-filling jobs: at t = 150 one is done, one running,
+        // one pending; the fourth is cancelled while pending.
+        for at in [0, 1, 2, 3] {
+            e.apply_submit(request(64, 100, at)).unwrap();
+        }
+        e.advance(150).unwrap();
+        e.cancel(4).unwrap();
+        let view = |id: u64| {
+            let v = e.job_view(id).unwrap();
+            (v.state, v.start, v.end)
+        };
+        assert_eq!(view(1), ("done", Some(0), Some(100)));
+        assert_eq!(view(2), ("running", Some(100), None));
+        assert_eq!(view(3), ("pending", None, None));
+        assert_eq!(view(4), ("cancelled", None, None));
     }
 
     #[test]

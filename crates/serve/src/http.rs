@@ -112,6 +112,10 @@ fn malformed(msg: impl Into<String>) -> HttpError {
 
 /// Reads one line terminated by `\n` (tolerating a preceding `\r`), bounded
 /// by the remaining head budget. `Ok(None)` = clean EOF before any byte.
+///
+/// Scans the reader's buffered slice for the newline. Only the part of the
+/// slice the budget still covers is looked at, so the accounting is per
+/// byte: a head of exactly `MAX_HEAD_BYTES` fits, one byte more does not.
 fn read_line(
     r: &mut impl BufRead,
     budget: &mut usize,
@@ -119,29 +123,32 @@ fn read_line(
 ) -> Result<Option<String>, HttpError> {
     let mut line = Vec::new();
     loop {
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte) {
-            Ok(0) => {
-                if line.is_empty() && first {
-                    return Ok(None);
-                }
-                return Err(HttpError::Disconnected);
+        let buf = r.fill_buf().map_err(|_| HttpError::Disconnected)?;
+        if buf.is_empty() {
+            if line.is_empty() && first {
+                return Ok(None);
             }
-            Ok(_) => {}
-            Err(_) => return Err(HttpError::Disconnected),
+            return Err(HttpError::Disconnected);
         }
         if *budget == 0 {
             return Err(HttpError::TooLarge("request head"));
         }
-        *budget -= 1;
-        if byte[0] == b'\n' {
+        let window = &buf[..buf.len().min(*budget)];
+        let newline = window.iter().position(|&b| b == b'\n');
+        let (text, taken) = match newline {
+            Some(i) => (&window[..i], i + 1),
+            None => (window, window.len()),
+        };
+        line.extend_from_slice(text);
+        r.consume(taken);
+        *budget -= taken;
+        if newline.is_some() {
             if line.last() == Some(&b'\r') {
                 line.pop();
             }
             let s = String::from_utf8(line).map_err(|_| malformed("non-UTF-8 header line"))?;
             return Ok(Some(s));
         }
-        line.push(byte[0]);
     }
 }
 
@@ -261,9 +268,14 @@ impl Response {
     }
 
     /// Writes the full response; `close` adds `Connection: close`.
+    ///
+    /// Head and body go out in one `write_all`: on an unbuffered,
+    /// `TCP_NODELAY` socket every `write` is a syscall and a segment, and a
+    /// reply should cost the peer one read, as the request cost us.
     pub fn write_to(&self, w: &mut impl Write, close: bool) -> std::io::Result<()> {
+        let mut wire = Vec::with_capacity(128 + self.body.len());
         write!(
-            w,
+            wire,
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n{}\r\n",
             self.status,
             self.reason(),
@@ -271,7 +283,8 @@ impl Response {
             self.body.len(),
             if close { "connection: close\r\n" } else { "" },
         )?;
-        w.write_all(&self.body)?;
+        wire.extend_from_slice(&self.body);
+        w.write_all(&wire)?;
         w.flush()
     }
 }
@@ -394,6 +407,34 @@ mod tests {
     }
 
     #[test]
+    fn head_budget_is_per_byte_however_the_reader_chunks_it() {
+        // A head of exactly MAX_HEAD_BYTES (terminators included) is legal;
+        // one byte more is not — whether the reader hands the head over
+        // whole or five bytes at a time (lines then straddle refills).
+        let head = |len: usize| {
+            let fixed = "GET / HTTP/1.1\r\nx: \r\n\r\n".len();
+            format!("GET / HTTP/1.1\r\nx: {}\r\n\r\n", "v".repeat(len - fixed))
+        };
+        for (len, fits) in [(MAX_HEAD_BYTES, true), (MAX_HEAD_BYTES + 1, false)] {
+            let wire = head(len);
+            assert_eq!(wire.len(), len);
+            let whole = parse(wire.as_bytes());
+            let dribbled = read_request(&mut std::io::BufReader::with_capacity(
+                5,
+                Cursor::new(wire.into_bytes()),
+            ));
+            assert_eq!(whole, dribbled);
+            match whole {
+                Ok(Some(req)) => assert!(fits && req.header("x").is_some()),
+                other => {
+                    assert!(!fits);
+                    assert_eq!(other.unwrap_err(), HttpError::TooLarge("request head"));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn response_roundtrips_through_client_reader() {
         let resp = Response::json(200, &crate::json::Json::obj().set("ok", true));
         let mut wire = Vec::new();
@@ -401,6 +442,69 @@ mod tests {
         let (status, body) = read_response(&mut Cursor::new(wire)).unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, br#"{"ok":true}"#);
+    }
+
+    /// A `Write` double that counts `write` calls and accepts at most `cap`
+    /// bytes per call (a socket may take fewer bytes than offered).
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+        cap: usize,
+    }
+
+    impl CountingWriter {
+        fn accepting(cap: usize) -> CountingWriter {
+            CountingWriter { bytes: Vec::new(), writes: 0, cap }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            let n = buf.len().min(self.cap);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The wire format is pinned byte for byte: these heads are what the
+    /// server has always sent, whatever `write_to` does internally.
+    #[test]
+    fn a_response_is_one_write_of_the_golden_bytes() {
+        let cases: [(Response, &str, &str); 3] = [
+            (
+                Response::text(200, ""),
+                "HTTP/1.1 200 OK\r\ncontent-type: text/plain; version=0.0.4\r\ncontent-length: 0\r\n\r\n",
+                "HTTP/1.1 200 OK\r\ncontent-type: text/plain; version=0.0.4\r\ncontent-length: 0\r\nconnection: close\r\n\r\n",
+            ),
+            (
+                Response { status: 201, content_type: "application/json", body: vec![b'j'; 99] },
+                "HTTP/1.1 201 Created\r\ncontent-type: application/json\r\ncontent-length: 99\r\n\r\n",
+                "HTTP/1.1 201 Created\r\ncontent-type: application/json\r\ncontent-length: 99\r\nconnection: close\r\n\r\n",
+            ),
+            (
+                Response { status: 418, content_type: "application/json", body: vec![b'r'; (1 << 20) + 1] },
+                "HTTP/1.1 418 Status\r\ncontent-type: application/json\r\ncontent-length: 1048577\r\n\r\n",
+                "HTTP/1.1 418 Status\r\ncontent-type: application/json\r\ncontent-length: 1048577\r\nconnection: close\r\n\r\n",
+            ),
+        ];
+        for (resp, keep_alive_head, close_head) in &cases {
+            for (close, head) in [(false, keep_alive_head), (true, close_head)] {
+                let golden = [head.as_bytes(), &resp.body].concat();
+                let mut whole = CountingWriter::accepting(usize::MAX);
+                resp.write_to(&mut whole, close).unwrap();
+                assert_eq!(whole.writes, 1, "{head:?}");
+                assert!(whole.bytes == golden, "{head:?}");
+                // A writer that takes 7 bytes at a time still gets them all.
+                let mut short = CountingWriter::accepting(7);
+                resp.write_to(&mut short, close).unwrap();
+                assert!(short.bytes == golden, "{head:?}");
+            }
+        }
     }
 
     #[test]

@@ -266,10 +266,6 @@ fn serve_connection(conn: TcpStream, shared: &Shared) {
     const IDLE_TICK: Duration = Duration::from_millis(500);
     const IDLE_TICKS_MAX: u32 = 60; // ≈30 s quiet → hang up
     let _ = conn.set_read_timeout(Some(IDLE_TICK));
-    let Ok(write_half) = conn.try_clone() else {
-        return;
-    };
-    let mut write_half = write_half;
     let mut reader = BufReader::new(conn);
     loop {
         // Wait for the next request head between requests, watching the
@@ -306,7 +302,7 @@ fn serve_connection(conn: TcpStream, shared: &Shared) {
                 shared.hists.request_seconds.observe(t0.elapsed().as_secs_f64());
                 shared.counters.count_status(resp.status);
                 let is_shutdown = req.method == "POST" && req.path == "/v1/shutdown";
-                if resp.write_to(&mut write_half, close).is_err() {
+                if resp.write_to(reader.get_mut(), close).is_err() {
                     return;
                 }
                 if is_shutdown && resp.status == 200 {
@@ -326,7 +322,7 @@ fn serve_connection(conn: TcpStream, shared: &Shared) {
                 };
                 let resp = Response::error(status, &e.to_string());
                 shared.counters.count_status(resp.status);
-                let _ = resp.write_to(&mut write_half, true);
+                let _ = resp.write_to(reader.get_mut(), true);
                 return;
             }
         }

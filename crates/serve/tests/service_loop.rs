@@ -109,6 +109,66 @@ fn result_and_shutdown_carry_ten_thousand_jobs() {
     assert_eq!(h.join().unwrap().unwrap().outcomes.len() as u64, JOBS);
 }
 
+/// The wire path over a real socket: a reply is one segment, so neither
+/// requests that arrive together nor a reader that dribbles may confuse it.
+#[test]
+fn pipelined_requests_and_a_dribbling_reader_over_a_real_socket() {
+    use sd_serve::http::{self, Request};
+    use std::io::{BufReader, Read as _, Write as _};
+
+    let (addr, h) = start(8, true);
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    let mut conn = BufReader::new(stream);
+
+    // Two requests in one client write; the second only makes sense after
+    // the first, so the replies prove both order and connection reuse.
+    let mut first = Request::new("POST", "/v1/jobs");
+    first.body = SubmitRequest {
+        procs: 16,
+        req_time: 200,
+        run_time: 100,
+        submit: Some(0),
+        malleable: None,
+        trace_id: None,
+        tenant: None,
+        project: None,
+    }
+    .encode()
+    .render()
+    .into_bytes();
+    let second = Request::new("GET", "/v1/jobs/1");
+    let both = [first.render(), second.render()].concat();
+    conn.get_mut().write_all(&both).unwrap();
+    let (status, body) = http::read_response(&mut conn).unwrap();
+    assert_eq!(status, 201);
+    assert_eq!(body, br#"{"id":1,"submit":0}"#);
+    let (status, body) = http::read_response(&mut conn).unwrap();
+    assert_eq!(status, 200);
+    let job = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+    assert_eq!(job.get("id").and_then(Json::as_u64), Some(1));
+    assert_eq!(job.get("state").and_then(Json::as_str), Some("pending"));
+
+    // Same connection, third request, read back one byte per `read` until
+    // the server hangs up (`connection: close`): the whole reply arrives.
+    let mut last = Request::new("GET", "/healthz");
+    last.headers.push(("connection".into(), "close".into()));
+    conn.get_mut().write_all(&last.render()).unwrap();
+    let mut stream = conn.into_inner();
+    let mut wire = Vec::new();
+    let mut byte = [0u8; 1];
+    while stream.read(&mut byte).unwrap() == 1 {
+        wire.push(byte[0]);
+    }
+    assert_eq!(
+        String::from_utf8(wire).unwrap(),
+        "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 11\r\n\
+         connection: close\r\n\r\n{\"ok\":true}"
+    );
+
+    Client::connect(addr).unwrap().shutdown().unwrap();
+    h.join().unwrap().expect("server returned a result");
+}
+
 #[test]
 fn metrics_exposition_tracks_job_counters() {
     let (addr, h) = start(8, true);
