@@ -32,8 +32,9 @@ const EXTRA_USAGE: &str = "run_scenario — execute a declarative scenario campa
   --write-builtin <dir>   write every built-in scenario as <dir>/<name>.scn
   --timing                print a wall-time/scheduler-work table plus the
                           per-function hot-path attribution (earliest_start,
-                          backfill trials, quota checks, fair-share sorts) to
-                          stderr (per-run wall is noisy unless --threads 1)
+                          backfill trials, job starts and ends, quota checks,
+                          fair-share sorts) to stderr (per-run wall is noisy
+                          unless --threads 1)
   --trace <path>          record every scheduler decision of the first run
                           point and write it as Chrome trace-event JSON
                           (open in Perfetto / chrome://tracing); prints a

@@ -1,44 +1,74 @@
 //! CPU affinity masks.
 //!
-//! A [`CpuMask`] is a dynamic bitset over the cores of one node. The DROM
-//! substrate manipulates these to express task→core pinning; the SD-Policy
-//! node-management layer (paper Listing 3) uses the socket helpers to keep
-//! co-scheduled jobs isolated on separate sockets.
+//! A [`CpuMask`] is a bitset over the cores of one node, stored inline: a
+//! fixed word array, so a mask is `Copy` and a node launch or teardown never
+//! touches the allocator. The DROM substrate manipulates these to express
+//! task→core pinning; the SD-Policy node-management layer (paper Listing 3)
+//! uses the socket helpers to keep co-scheduled jobs isolated on separate
+//! sockets.
 
 use std::fmt;
 
 const BITS: usize = 64;
+const WORDS: usize = 4;
+
+/// Set bit positions of `word`, ascending.
+pub(crate) fn bits(word: u64) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(word), |&w| Some(w & w.wrapping_sub(1)))
+        .take_while(|&w| w != 0)
+        .map(|w| w.trailing_zeros() as usize)
+}
+
+/// The lowest `n` bits of a word set (`n ≤ 64`).
+fn low_bits(n: usize) -> u64 {
+    if n >= BITS {
+        u64::MAX
+    } else {
+        (1 << n) - 1
+    }
+}
 
 /// A set of CPU core indices within one node.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+///
+/// Words beyond the node's width are always zero, so the derived `==` and
+/// `Hash` compare sets, not storage.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CpuMask {
-    words: Vec<u64>,
+    words: [u64; WORDS],
     ncores: usize,
 }
 
 impl CpuMask {
-    /// Empty mask for a node with `ncores` cores.
+    /// Widest node a mask can describe.
+    pub const MAX_CORES: usize = WORDS * BITS;
+
+    /// Empty mask for a node with `ncores` cores. Panics beyond
+    /// [`CpuMask::MAX_CORES`] (programming error; outside input goes through
+    /// [`CpuMask::from_words`]).
     pub fn empty(ncores: usize) -> CpuMask {
+        assert!(
+            ncores <= Self::MAX_CORES,
+            "{ncores} cores exceed the {}-core mask width",
+            Self::MAX_CORES
+        );
         CpuMask {
-            words: vec![0; ncores.div_ceil(BITS)],
+            words: [0; WORDS],
             ncores,
         }
     }
 
     /// Mask with every core of the node set.
     pub fn full(ncores: usize) -> CpuMask {
-        let mut m = CpuMask::empty(ncores);
-        for c in 0..ncores {
-            m.set(c);
-        }
-        m
+        CpuMask::range(ncores, 0, ncores)
     }
 
     /// Mask covering the half-open core range `[lo, hi)`.
     pub fn range(ncores: usize, lo: usize, hi: usize) -> CpuMask {
         let mut m = CpuMask::empty(ncores);
-        for c in lo..hi.min(ncores) {
-            m.set(c);
+        let hi = hi.min(ncores);
+        for (i, w) in m.words.iter_mut().enumerate() {
+            let base = i * BITS;
+            *w = low_bits(hi.saturating_sub(base)) & !low_bits(lo.saturating_sub(base));
         }
         m
     }
@@ -108,27 +138,30 @@ impl CpuMask {
 
     /// Iterates over set core indices in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.ncores).filter(move |&c| self.contains(c))
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &w)| bits(w).map(move |b| i * BITS + b))
     }
 
-    /// Raw bitset words (64 cores per word, ascending), for persistence.
+    /// Raw bitset words (64 cores per word, ascending; exactly as many as
+    /// the width needs), for persistence.
     pub fn words(&self) -> &[u64] {
-        &self.words
+        &self.words[..self.ncores.div_ceil(BITS)]
     }
 
-    /// Rebuilds a mask from raw words. `None` when the word count doesn't
-    /// match the width or a bit beyond `ncores` is set.
-    pub fn from_words(ncores: usize, words: Vec<u64>) -> Option<CpuMask> {
-        if words.len() != ncores.div_ceil(BITS) {
+    /// Rebuilds a mask from raw words. `None` when the width exceeds
+    /// [`CpuMask::MAX_CORES`], the word count doesn't match the width or a
+    /// bit beyond `ncores` is set.
+    pub fn from_words(ncores: usize, words: &[u64]) -> Option<CpuMask> {
+        if ncores > Self::MAX_CORES || words.len() != ncores.div_ceil(BITS) {
             return None;
         }
-        if let Some(last) = words.last() {
-            let tail_bits = ncores % BITS;
-            if tail_bits != 0 && *last >> tail_bits != 0 {
-                return None;
-            }
-        }
-        Some(CpuMask { words, ncores })
+        let mut m = CpuMask::empty(ncores);
+        m.words[..words.len()].copy_from_slice(words);
+        let mut stray = m;
+        stray.subtract(&CpuMask::full(ncores));
+        stray.is_empty().then_some(m)
     }
 
     /// The lowest `n` set cores as a new mask (used when shrinking a task to
@@ -205,15 +238,15 @@ mod tests {
         let b = CpuMask::range(16, 8, 16);
         assert!(a.is_disjoint(&b));
 
-        let mut u = a.clone();
+        let mut u = a;
         u.union_with(&b);
         assert_eq!(u.count(), 16);
 
-        let mut i = u.clone();
+        let mut i = u;
         i.intersect_with(&a);
         assert_eq!(i, a);
 
-        let mut s = u.clone();
+        let mut s = u;
         s.subtract(&a);
         assert_eq!(s, b);
     }

@@ -154,7 +154,7 @@ mod tests {
         assert_eq!(s0.count(), 24);
         assert_eq!(s1.count(), 24);
         assert!(s0.is_disjoint(&s1));
-        let mut all = s0.clone();
+        let mut all = s0;
         all.union_with(&s1);
         assert_eq!(all.count(), 48);
     }

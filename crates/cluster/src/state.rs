@@ -7,8 +7,8 @@
 //! whole-cluster counters consistent, and [`ClusterState::validate`] checks
 //! the invariants (used liberally by tests and `debug_assert!`s).
 
+use crate::cpumask::bits;
 use crate::spec::ClusterSpec;
-use std::collections::BTreeSet;
 
 /// Identifier of a job, assigned by the workload manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -82,21 +82,24 @@ impl std::error::Error for AllocError {}
 pub struct ClusterState {
     spec: ClusterSpec,
     nodes: Vec<NodeOccupancy>,
-    /// Completely idle nodes, ascending — maintained incrementally so the
-    /// scheduler's "first n idle nodes" never scans the whole machine.
-    idle: BTreeSet<NodeId>,
+    /// Completely idle nodes as a bitset (node `n` is bit `n % 64` of word
+    /// `n / 64`) — maintained incrementally, so marking a node busy or idle
+    /// is one word update and the scheduler's "first n idle nodes" walks
+    /// words, not the machine.
+    idle: Vec<u64>,
+    idle_count: u32,
     busy_cores: u64,
+}
+
+/// The idle-index word and bit of `node`.
+fn idle_bit(node: NodeId) -> (usize, u64) {
+    (node.0 as usize / 64, 1 << (node.0 % 64))
 }
 
 impl ClusterState {
     pub fn new(spec: ClusterSpec) -> Self {
-        let n = spec.nodes as usize;
-        ClusterState {
-            spec,
-            nodes: vec![NodeOccupancy::default(); n],
-            idle: (0..n as u32).map(NodeId).collect(),
-            busy_cores: 0,
-        }
+        let nodes = vec![NodeOccupancy::default(); spec.nodes as usize];
+        Self::from_occupancies(spec, nodes).expect("an empty machine is consistent")
     }
 
     pub fn spec(&self) -> &ClusterSpec {
@@ -105,7 +108,7 @@ impl ClusterState {
 
     /// Number of completely idle nodes.
     pub fn empty_node_count(&self) -> u32 {
-        self.idle.len() as u32
+        self.idle_count
     }
 
     /// Total busy cores across the machine.
@@ -130,7 +133,10 @@ impl ClusterState {
     /// Iterates over the ids of completely idle nodes, ascending (served
     /// from the idle index, not a machine scan).
     pub fn empty_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.idle.iter().copied()
+        self.idle
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &w)| bits(w).map(move |b| NodeId((i * 64 + b) as u32)))
     }
 
     /// Collects the first `n` idle nodes (ascending id) in O(n). Returns
@@ -139,7 +145,10 @@ impl ClusterState {
         if self.empty_node_count() < n {
             return None;
         }
-        Some(self.empty_nodes().take(n as usize).collect())
+        // Sized up front: the word walk has no useful size hint.
+        let mut first = Vec::with_capacity(n as usize);
+        first.extend(self.empty_nodes().take(n as usize));
+        Some(first)
     }
 
     /// Places `job` on each node in `nodes` with `cores` cores per node.
@@ -166,7 +175,9 @@ impl ClusterState {
         for &n in nodes {
             let occ = &mut self.nodes[n.0 as usize];
             if occ.is_empty() {
-                self.idle.remove(&n);
+                let (word, bit) = idle_bit(n);
+                self.idle[word] &= !bit;
+                self.idle_count -= 1;
             }
             occ.jobs.push((job, cores));
             occ.cores_used += cores;
@@ -210,7 +221,9 @@ impl ClusterState {
         occ.cores_used -= cores;
         self.busy_cores -= cores as u64;
         if occ.is_empty() {
-            self.idle.insert(node);
+            let (word, bit) = idle_bit(node);
+            self.idle[word] |= bit;
+            self.idle_count += 1;
         }
         Ok(cores)
     }
@@ -241,11 +254,14 @@ impl ClusterState {
                 spec.nodes
             ));
         }
-        let mut idle = BTreeSet::new();
+        let mut idle = vec![0u64; nodes.len().div_ceil(64)];
+        let mut idle_count = 0;
         let mut busy_cores = 0u64;
         for (i, occ) in nodes.iter().enumerate() {
             if occ.is_empty() {
-                idle.insert(NodeId(i as u32));
+                let (word, bit) = idle_bit(NodeId(i as u32));
+                idle[word] |= bit;
+                idle_count += 1;
             }
             busy_cores += occ.cores_used as u64;
         }
@@ -253,6 +269,7 @@ impl ClusterState {
             spec,
             nodes,
             idle,
+            idle_count,
             busy_cores,
         };
         cs.validate()?;
@@ -281,20 +298,25 @@ impl ClusterState {
                     return Err(format!("node {i}: {j} appears twice"));
                 }
             }
+            let (word, bit) = idle_bit(NodeId(i as u32));
+            let indexed = self.idle[word] & bit != 0;
             if occ.is_empty() {
                 empty += 1;
-                if !self.idle.contains(&NodeId(i as u32)) {
+                if !indexed {
                     return Err(format!("node {i}: idle but missing from index"));
                 }
-            } else if self.idle.contains(&NodeId(i as u32)) {
+            } else if indexed {
                 return Err(format!("node {i}: occupied but in the idle index"));
             }
             busy += sum as u64;
         }
-        if empty != self.empty_node_count() {
+        // Popcount too: a bit past the last node would surface as a phantom
+        // idle node in `empty_nodes`.
+        let set: u32 = self.idle.iter().map(|w| w.count_ones()).sum();
+        if empty != self.idle_count || empty != set {
             return Err(format!(
-                "idle index size {} != actual {empty}",
-                self.empty_node_count()
+                "idle index count {} / bits {set} != actual {empty}",
+                self.idle_count
             ));
         }
         if busy != self.busy_cores {

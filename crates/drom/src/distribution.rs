@@ -59,7 +59,7 @@ pub fn sockets_touched(spec: &NodeSpec, mask: &CpuMask) -> u32 {
 pub fn shrink_socket_first(spec: &NodeSpec, mask: &CpuMask, target: u32) -> CpuMask {
     let have = mask.count() as u32;
     if target >= have {
-        return mask.clone();
+        return *mask;
     }
     // Count the job's cores per socket.
     let mut per_socket: Vec<(u32, u32)> = (0..spec.sockets)
@@ -97,7 +97,7 @@ pub fn shrink_socket_first(spec: &NodeSpec, mask: &CpuMask, target: u32) -> CpuM
 /// Expands `mask` by `extra` cores taken from `available` (lowest first,
 /// preferring sockets the job already occupies for locality).
 pub fn expand_into(spec: &NodeSpec, mask: &CpuMask, available: &CpuMask, extra: u32) -> CpuMask {
-    let mut out = mask.clone();
+    let mut out = *mask;
     let mut remaining = extra;
     // First pass: same-socket cores.
     for c in available.iter() {

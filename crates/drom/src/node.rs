@@ -16,6 +16,7 @@ use crate::sharing::SharingFactor;
 use cluster::cpumask::CpuMask;
 use cluster::spec::NodeSpec;
 use cluster::state::{JobId, NodeId};
+use std::cmp::Ordering;
 
 /// A mask change produced by a node-level event, to be propagated to the
 /// simulator (rate recomputation) and the DROM registry (affinity change).
@@ -31,23 +32,15 @@ impl NodeUpdate {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Resident {
-    job: JobId,
-    mask: CpuMask,
-    malleable: bool,
-    handle: Option<DromHandle>,
-    /// For a co-launched job: the resident that lent it cores on this node.
-    lender: Option<JobId>,
-}
-
-/// One resident's persistent fields, for node-manager snapshots.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResidentSnapshot {
+/// One job resident on a node (every field is plain data, so this is also
+/// the persisted form).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Resident {
     pub job: JobId,
     pub mask: CpuMask,
     pub malleable: bool,
     pub handle: Option<DromHandle>,
+    /// For a co-launched job: the resident that lent it cores on this node.
     pub lender: Option<JobId>,
 }
 
@@ -106,19 +99,20 @@ impl NodeManager {
         malleable: bool,
     ) -> Option<CpuMask> {
         let free = self.free_mask();
-        if (free.count() as u32) < cores {
-            return None;
-        }
-        let mask = if self.residents.is_empty() && cores == self.spec.cores() {
-            CpuMask::full(self.spec.cores() as usize)
-        } else {
+        let mask = match (free.count() as u32).cmp(&cores) {
+            Ordering::Less => return None,
+            // Everything free is taken: a whole-node launch, usually.
+            Ordering::Equal => free,
             // Prefer socket-contiguous placement in the free space.
-            expand_into(&self.spec, &CpuMask::empty(self.spec.cores() as usize), &free, cores)
+            Ordering::Greater => {
+                let none = CpuMask::empty(self.spec.cores() as usize);
+                expand_into(&self.spec, &none, &free, cores)
+            }
         };
-        let handle = malleable.then(|| registry.attach(job, self.node, mask.clone()));
+        let handle = malleable.then(|| registry.attach(job, self.node, mask));
         self.residents.push(Resident {
             job,
-            mask: mask.clone(),
+            mask,
             malleable,
             handle,
             lender: None,
@@ -159,20 +153,20 @@ impl NodeManager {
 
         // Shrink the mate, socket-first for isolation.
         let new_mate_mask = shrink_socket_first(&self.spec, &self.residents[mate_idx].mask, keep);
-        let mut given = self.residents[mate_idx].mask.clone();
+        let mut given = self.residents[mate_idx].mask;
         given.subtract(&new_mate_mask);
         // The incoming job also gets any cores that were already free.
         given.union_with(&free);
 
-        self.residents[mate_idx].mask = new_mate_mask.clone();
+        self.residents[mate_idx].mask = new_mate_mask;
         if let Some(h) = self.residents[mate_idx].handle {
-            registry.set_mask(h, new_mate_mask.clone());
+            registry.set_mask(self.node, h, new_mate_mask);
         }
 
-        let handle = registry.attach(new_job, self.node, given.clone());
+        let handle = registry.attach(new_job, self.node, given);
         self.residents.push(Resident {
             job: new_job,
-            mask: given.clone(),
+            mask: given,
             malleable: true,
             handle: Some(handle),
             lender: Some(mate),
@@ -203,7 +197,7 @@ impl NodeManager {
         };
         let ended = self.residents.remove(idx);
         if let Some(h) = ended.handle {
-            registry.detach(h);
+            registry.detach(self.node, h);
         }
         let mut updates = Vec::new();
         let freed = ended.mask;
@@ -234,14 +228,14 @@ impl NodeManager {
                 continue;
             }
             let grown = expand_into(&self.spec, &self.residents[i].mask, &pool, share);
-            let mut taken = grown.clone();
+            let mut taken = grown;
             taken.subtract(&self.residents[i].mask);
             pool.subtract(&taken);
-            self.residents[i].mask = grown.clone();
+            self.residents[i].mask = grown;
             // A job that expanded back to (at least) what it lent is no
             // longer anyone's borrower.
             if let Some(h) = self.residents[i].handle {
-                registry.set_mask(h, grown.clone());
+                registry.set_mask(self.node, h, grown);
             }
             updates.push(NodeUpdate {
                 job: self.residents[i].job,
@@ -255,17 +249,8 @@ impl NodeManager {
     }
 
     /// Residents in arrival order, for persistence.
-    pub fn snapshot(&self) -> Vec<ResidentSnapshot> {
-        self.residents
-            .iter()
-            .map(|r| ResidentSnapshot {
-                job: r.job,
-                mask: r.mask.clone(),
-                malleable: r.malleable,
-                handle: r.handle,
-                lender: r.lender,
-            })
-            .collect()
+    pub fn snapshot(&self) -> &[Resident] {
+        &self.residents
     }
 
     /// Rebuilds a manager from a [`snapshot`](NodeManager::snapshot),
@@ -273,21 +258,12 @@ impl NodeManager {
     pub fn from_snapshot(
         node: NodeId,
         spec: NodeSpec,
-        residents: Vec<ResidentSnapshot>,
+        residents: Vec<Resident>,
     ) -> Result<NodeManager, String> {
         let nm = NodeManager {
             node,
             spec,
-            residents: residents
-                .into_iter()
-                .map(|r| Resident {
-                    job: r.job,
-                    mask: r.mask,
-                    malleable: r.malleable,
-                    handle: r.handle,
-                    lender: r.lender,
-                })
-                .collect(),
+            residents,
         };
         nm.validate()?;
         Ok(nm)

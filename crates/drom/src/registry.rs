@@ -15,7 +15,7 @@ use cluster::state::{JobId, NodeId};
 pub struct DromHandle(pub u64);
 
 /// A registered process entry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessEntry {
     pub handle: DromHandle,
     pub job: JobId,
@@ -37,22 +37,14 @@ impl ProcessEntry {
 /// The registry of all DROM-attached processes (one per node manager in the
 /// real system; global here for test convenience).
 ///
-/// Indexed for a machine-sized population: a handle → entry map serves
-/// `get`/`set_mask`/`poll`/`detach` in O(1), and a per-node handle list (in
-/// registration order, so every per-node view stays deterministic) serves
-/// `processes_on`/`poll_node`/`find` in O(residents). The old flat `Vec`
-/// made each of these a scan over *every* registered process in the system
-/// — the dominant cost of full-scale Curie replays, where tens of thousands
-/// of processes are attached at once.
+/// Entries live in per-node lists, in registration order, so every per-node
+/// view is deterministic and every operation is O(residents) — 1–3 entries.
+/// The handle operations take the node as well: the node manager that holds
+/// a handle knows which node it registered on, so no handle → entry map is
+/// needed.
 #[derive(Debug, Default)]
 pub struct DromRegistry {
-    entries: std::collections::HashMap<u64, ProcessEntry>,
-    /// Per node: handles in registration order (tiny vectors, 1–3 entries).
-    by_node: Vec<Vec<DromHandle>>,
-    /// Per node: how many residents have a mask staged. Lets the batched
-    /// [`DromRegistry::poll_nodes`] sweep skip untouched nodes in O(1)
-    /// instead of hashing every resident handle.
-    pending_on: Vec<u32>,
+    by_node: Vec<Vec<ProcessEntry>>,
     next_handle: u64,
 }
 
@@ -61,64 +53,49 @@ impl DromRegistry {
         Self::default()
     }
 
-    fn node_slot(&mut self, node: NodeId) -> &mut Vec<DromHandle> {
+    fn node_slot(&mut self, node: NodeId) -> &mut Vec<ProcessEntry> {
         let idx = node.0 as usize;
         if idx >= self.by_node.len() {
             self.by_node.resize_with(idx + 1, Vec::new);
-            self.pending_on.resize(idx + 1, 0);
         }
         &mut self.by_node[idx]
     }
 
-    fn pending_slot(&mut self, node: NodeId) -> &mut u32 {
-        let idx = node.0 as usize;
-        if idx >= self.pending_on.len() {
-            self.by_node.resize_with(idx + 1, Vec::new);
-            self.pending_on.resize(idx + 1, 0);
-        }
-        &mut self.pending_on[idx]
+    fn entry_mut(&mut self, node: NodeId, handle: DromHandle) -> Option<&mut ProcessEntry> {
+        self.by_node
+            .get_mut(node.0 as usize)?
+            .iter_mut()
+            .find(|e| e.handle == handle)
     }
 
     /// Registers a process with its launch-time mask (`DROM_run`).
     pub fn attach(&mut self, job: JobId, node: NodeId, mask: CpuMask) -> DromHandle {
         let handle = DromHandle(self.next_handle);
         self.next_handle += 1;
-        self.entries.insert(
-            handle.0,
-            ProcessEntry {
-                handle,
-                job,
-                node,
-                current: mask,
-                pending: None,
-            },
-        );
-        self.node_slot(node).push(handle);
+        self.node_slot(node).push(ProcessEntry {
+            handle,
+            job,
+            node,
+            current: mask,
+            pending: None,
+        });
         handle
     }
 
     /// Removes a process (`DROM_clean`). Returns the final mask it held.
-    pub fn detach(&mut self, handle: DromHandle) -> Option<CpuMask> {
-        let e = self.entries.remove(&handle.0)?;
-        if e.pending.is_some() {
-            *self.pending_slot(e.node) -= 1;
-        }
-        let slot = self.node_slot(e.node);
-        slot.retain(|&h| h != handle);
-        Some(e.current)
+    pub fn detach(&mut self, node: NodeId, handle: DromHandle) -> Option<CpuMask> {
+        let slot = self.by_node.get_mut(node.0 as usize)?;
+        let pos = slot.iter().position(|e| e.handle == handle)?;
+        Some(slot.remove(pos).current)
     }
 
     /// All processes on `node`, in registration order.
     pub fn processes_on(&self, node: NodeId) -> impl Iterator<Item = &ProcessEntry> {
-        self.by_node
-            .get(node.0 as usize)
-            .into_iter()
-            .flatten()
-            .map(|h| &self.entries[&h.0])
+        self.by_node.get(node.0 as usize).into_iter().flatten()
     }
 
-    pub fn get(&self, handle: DromHandle) -> Option<&ProcessEntry> {
-        self.entries.get(&handle.0)
+    pub fn get(&self, node: NodeId, handle: DromHandle) -> Option<&ProcessEntry> {
+        self.processes_on(node).find(|e| e.handle == handle)
     }
 
     /// Looks up the process of `job` on `node`.
@@ -127,54 +104,32 @@ impl DromRegistry {
     }
 
     /// Stages a new mask for a process (`DROM_setprocessmask`).
-    pub fn set_mask(&mut self, handle: DromHandle, mask: CpuMask) -> bool {
-        let Some(e) = self.entries.get_mut(&handle.0) else {
-            return false;
-        };
-        let node = e.node;
-        let newly = e.pending.is_none();
-        e.pending = Some(mask);
-        if newly {
-            *self.pending_slot(node) += 1;
-        }
-        true
+    pub fn set_mask(&mut self, node: NodeId, handle: DromHandle, mask: CpuMask) -> bool {
+        self.entry_mut(node, handle)
+            .map(|e| e.pending = Some(mask))
+            .is_some()
     }
 
     /// The process reaches a malleability point: applies any pending mask.
     /// Returns the new current mask if a change was applied.
-    pub fn poll(&mut self, handle: DromHandle) -> Option<&CpuMask> {
-        let e = self.entries.get_mut(&handle.0)?;
-        let node = e.node;
-        if e.pending.is_some() {
-            *self.pending_slot(node) -= 1;
-        }
-        let e = self.entries.get_mut(&handle.0).expect("looked up above");
-        if let Some(p) = e.pending.take() {
-            e.current = p;
-            Some(&e.current)
-        } else {
-            None
-        }
+    pub fn poll(&mut self, node: NodeId, handle: DromHandle) -> Option<CpuMask> {
+        let e = self.entry_mut(node, handle)?;
+        let applied = e.pending.take()?;
+        e.current = applied;
+        Some(applied)
     }
 
     /// Applies every pending mask on `node` (the simulator treats a
     /// reconfiguration broadcast as reaching all malleability points at
     /// once — DROM's measured overhead is negligible, paper §2.1).
     pub fn poll_node(&mut self, node: NodeId) -> usize {
-        if self.pending_on.get(node.0 as usize).copied().unwrap_or(0) == 0 {
-            return 0;
-        }
         let mut applied = 0;
-        if let Some(handles) = self.by_node.get(node.0 as usize) {
-            for h in handles {
-                let e = self.entries.get_mut(&h.0).expect("indexed handle exists");
-                if let Some(p) = e.pending.take() {
-                    e.current = p;
-                    applied += 1;
-                }
+        for e in self.by_node.get_mut(node.0 as usize).into_iter().flatten() {
+            if let Some(p) = e.pending.take() {
+                e.current = p;
+                applied += 1;
             }
         }
-        self.pending_on[node.0 as usize] = 0;
         applied
     }
 
@@ -182,8 +137,7 @@ impl DromRegistry {
     /// staged mask across `nodes` in a single sweep. This is the per-*job*
     /// batch the node managers stage into — `co_launch`/`finish` only stage;
     /// the simulator closes each reconfiguration with one `poll_nodes` call
-    /// per job operation instead of one broadcast per node, and the per-node
-    /// pending counters make untouched nodes free to skip.
+    /// per job operation instead of one broadcast per node.
     pub fn poll_nodes(&mut self, nodes: &[NodeId]) -> usize {
         nodes.iter().map(|&n| self.poll_node(n)).sum()
     }
@@ -191,39 +145,37 @@ impl DromRegistry {
     /// Snapshot for persistence: every entry grouped by node (ascending) in
     /// per-node registration order, plus the next handle value. That order
     /// is exactly what [`DromRegistry::from_snapshot`] needs to rebuild the
-    /// per-node indices deterministically.
+    /// per-node lists deterministically.
     pub fn snapshot(&self) -> (Vec<ProcessEntry>, u64) {
-        let mut out = Vec::with_capacity(self.entries.len());
-        for handles in &self.by_node {
-            for h in handles {
-                out.push(self.entries[&h.0].clone());
-            }
-        }
-        (out, self.next_handle)
+        (
+            self.by_node.iter().flatten().copied().collect(),
+            self.next_handle,
+        )
     }
 
-    /// Rebuilds a registry from a [`snapshot`](DromRegistry::snapshot).
+    /// Rebuilds a registry from a [`snapshot`](DromRegistry::snapshot). The
+    /// caller bounds each entry's `node` (the lists grow to the largest).
     pub fn from_snapshot(
         entries: Vec<ProcessEntry>,
         next_handle: u64,
     ) -> Result<DromRegistry, String> {
-        let mut r = DromRegistry::default();
-        for e in entries {
-            if e.handle.0 >= next_handle {
-                return Err(format!(
-                    "DROM entry handle {} >= next_handle {next_handle}",
-                    e.handle.0
-                ));
-            }
-            if e.pending.is_some() {
-                *r.pending_slot(e.node) += 1;
-            }
-            r.node_slot(e.node).push(e.handle);
-            if r.entries.insert(e.handle.0, e).is_some() {
-                return Err("duplicate DROM handle in snapshot".into());
-            }
+        let mut handles: Vec<u64> = entries.iter().map(|e| e.handle.0).collect();
+        handles.sort_unstable();
+        if handles.windows(2).any(|w| w[0] == w[1]) {
+            return Err("duplicate DROM handle in snapshot".into());
         }
-        r.next_handle = next_handle;
+        if let Some(&h) = handles.last().filter(|&&h| h >= next_handle) {
+            return Err(format!(
+                "DROM entry handle {h} >= next_handle {next_handle}"
+            ));
+        }
+        let mut r = DromRegistry {
+            by_node: Vec::new(),
+            next_handle,
+        };
+        for e in entries {
+            r.node_slot(e.node).push(e);
+        }
         Ok(r)
     }
 
@@ -251,6 +203,8 @@ impl DromRegistry {
 mod tests {
     use super::*;
 
+    const N0: NodeId = NodeId(0);
+
     fn mask(lo: usize, hi: usize) -> CpuMask {
         CpuMask::range(16, lo, hi)
     }
@@ -259,26 +213,26 @@ mod tests {
     fn attach_detach_lifecycle() {
         let mut r = DromRegistry::new();
         let h = r.attach(JobId(1), NodeId(0), mask(0, 16));
-        assert!(r.get(h).is_some());
+        assert!(r.get(N0, h).is_some());
         assert_eq!(r.processes_on(NodeId(0)).count(), 1);
-        let final_mask = r.detach(h).unwrap();
+        let final_mask = r.detach(N0, h).unwrap();
         assert_eq!(final_mask.count(), 16);
-        assert!(r.get(h).is_none());
-        assert!(r.detach(h).is_none(), "double detach is None");
+        assert!(r.get(N0, h).is_none());
+        assert!(r.detach(N0, h).is_none(), "double detach is None");
     }
 
     #[test]
     fn pending_masks_apply_at_malleability_point() {
         let mut r = DromRegistry::new();
         let h = r.attach(JobId(1), NodeId(0), mask(0, 16));
-        assert!(r.set_mask(h, mask(0, 8)));
+        assert!(r.set_mask(N0, h, mask(0, 8)));
         // Not yet applied:
-        assert_eq!(r.get(h).unwrap().current.count(), 16);
-        assert!(r.get(h).unwrap().has_pending());
+        assert_eq!(r.get(N0, h).unwrap().current.count(), 16);
+        assert!(r.get(N0, h).unwrap().has_pending());
         // Malleability point:
-        assert_eq!(r.poll(h).unwrap().count(), 8);
-        assert!(!r.get(h).unwrap().has_pending());
-        assert!(r.poll(h).is_none(), "no further change pending");
+        assert_eq!(r.poll(N0, h).unwrap().count(), 8);
+        assert!(!r.get(N0, h).unwrap().has_pending());
+        assert!(r.poll(N0, h).is_none(), "no further change pending");
     }
 
     #[test]
@@ -286,8 +240,8 @@ mod tests {
         let mut r = DromRegistry::new();
         let h1 = r.attach(JobId(1), NodeId(3), mask(0, 16));
         let h2 = r.attach(JobId(2), NodeId(3), mask(0, 0));
-        r.set_mask(h1, mask(0, 8));
-        r.set_mask(h2, mask(8, 16));
+        r.set_mask(NodeId(3), h1, mask(0, 8));
+        r.set_mask(NodeId(3), h2, mask(8, 16));
         assert_eq!(r.poll_node(NodeId(3)), 2);
         assert!(r.validate_node(NodeId(3)).is_ok());
     }
@@ -320,6 +274,6 @@ mod tests {
     #[test]
     fn set_mask_on_unknown_handle_is_false() {
         let mut r = DromRegistry::new();
-        assert!(!r.set_mask(DromHandle(99), mask(0, 1)));
+        assert!(!r.set_mask(N0, DromHandle(99), mask(0, 1)));
     }
 }

@@ -44,9 +44,12 @@ pub fn replay_state(
 pub fn infer_cluster(trace: &Trace) -> ClusterSpec {
     let nodes = trace.header.max_nodes().unwrap_or(0);
     let procs = trace.header.max_procs().unwrap_or(0);
+    // A header implying nodes wider than a CPU mask can describe (one huge
+    // SMP, or a mistyped MaxNodes) falls through to 16-core nodes by procs.
+    let max_width = cluster::CpuMask::MAX_CORES as u64;
     let (nodes, cores_per_node) = match (nodes, procs) {
-        (n, p) if n > 0 && p >= n => (n, (p / n).max(1)),
-        (n, _) if n > 0 => (n, 16),
+        (n, p) if n > 0 && p >= n && p / n <= max_width => (n, p / n),
+        (n, p) if n > 0 && p < n => (n, 16),
         (_, p) if p > 0 => (p.div_ceil(16), 16),
         _ => {
             // Last resort: size the machine to the biggest job.
@@ -99,6 +102,15 @@ mod tests {
             },
         ];
         Trace::new(header, jobs)
+    }
+
+    #[test]
+    fn infer_cluster_caps_node_width_at_the_mask_width() {
+        let mut header = SwfHeader::new();
+        header.set("MaxNodes", 1);
+        header.set("MaxProcs", 4096);
+        let spec = infer_cluster(&Trace::new(header, Vec::new()));
+        assert_eq!((spec.nodes, spec.node.cores()), (256, 16));
     }
 
     #[test]

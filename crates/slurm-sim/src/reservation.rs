@@ -39,24 +39,52 @@ impl ReleaseMap {
     /// Records that `node` is predicted to become empty at `when`
     /// (`None` = the node is empty now).
     pub fn set_release(&mut self, node: NodeId, when: Option<SimTime>) {
-        let slot = &mut self.node_release[node.0 as usize];
-        if *slot == when {
-            return;
+        let old = std::mem::replace(&mut self.node_release[node.0 as usize], when);
+        if old != when {
+            self.retally(old, when, 1);
         }
-        if let Some(old) = slot.take() {
-            self.busy -= 1;
+    }
+
+    /// [`ReleaseMap::set_release`] over a whole allocation. Returns the
+    /// distinct `(old, new, nodes)` transitions — virtually always one, since
+    /// a whole-job start or end moves every node the same way — after
+    /// applying each to the instant → count index once, not once per node.
+    pub fn set_releases(
+        &mut self,
+        updates: impl Iterator<Item = (NodeId, Option<SimTime>)>,
+    ) -> Vec<(Option<SimTime>, Option<SimTime>, u32)> {
+        let mut moved: Vec<(Option<SimTime>, Option<SimTime>, u32)> = Vec::new();
+        for (node, when) in updates {
+            let old = std::mem::replace(&mut self.node_release[node.0 as usize], when);
+            if old == when {
+                continue;
+            }
+            match moved.iter_mut().find(|g| g.0 == old && g.1 == when) {
+                Some(g) => g.2 += 1,
+                None => moved.push((old, when, 1)),
+            }
+        }
+        for &(old, new, nodes) in &moved {
+            self.retally(old, new, nodes);
+        }
+        moved
+    }
+
+    /// Moves `nodes` nodes from release instant `old` to `new` in the index.
+    fn retally(&mut self, old: Option<SimTime>, new: Option<SimTime>, nodes: u32) {
+        if let Some(old) = old {
+            self.busy -= nodes;
             match self.counts.get_mut(&old) {
-                Some(c) if *c > 1 => *c -= 1,
+                Some(c) if *c > nodes => *c -= nodes,
                 _ => {
                     self.counts.remove(&old);
                 }
             }
         }
-        if let Some(new) = when {
-            self.busy += 1;
-            *counts_entry(&mut self.counts, new) += 1;
+        if let Some(new) = new {
+            self.busy += nodes;
+            *self.counts.entry(new).or_insert(0) += nodes;
         }
-        *slot = when;
     }
 
     pub fn release_of(&self, node: NodeId) -> Option<SimTime> {
@@ -100,10 +128,6 @@ impl ReleaseMap {
     pub fn overdue(&self, now: SimTime) -> u32 {
         self.counts.range(..=now).map(|(_, &c)| c).sum()
     }
-}
-
-fn counts_entry(map: &mut BTreeMap<SimTime, u32>, key: SimTime) -> &mut u32 {
-    map.entry(key).or_insert(0)
 }
 
 /// Step function of free whole nodes over `[now, ∞)`.
@@ -528,6 +552,34 @@ mod tests {
         assert_eq!(rm.upcoming(SimTime(0)).collect::<Vec<_>>(), vec![(SimTime(200), 1)]);
         rm.set_release(NodeId(0), None);
         assert_eq!(rm.busy_count(), 0);
+    }
+
+    #[test]
+    fn batched_release_updates_equal_one_by_one() {
+        let t = |s| Some(SimTime(s));
+        let mut one = ReleaseMap::new(6);
+        for (n, when) in [(0, t(100)), (1, t(100)), (2, t(50)), (3, t(50))] {
+            one.set_release(NodeId(n), when);
+        }
+        let mut batch = one.clone();
+        // Two nodes 100 → 200, one 50 → 200, one 50 → idle, one unchanged
+        // (idle), one idle → 200: four distinct transitions.
+        let updates = [(0, t(200)), (1, t(200)), (2, t(200)), (3, None), (4, None), (5, t(200))];
+        for &(n, when) in &updates {
+            one.set_release(NodeId(n), when);
+        }
+        let moved = batch.set_releases(updates.iter().map(|&(n, when)| (NodeId(n), when)));
+        assert_eq!(
+            moved,
+            vec![(t(100), t(200), 2), (t(50), t(200), 1), (t(50), None, 1), (None, t(200), 1)]
+        );
+        assert_eq!(batch.node_releases(), one.node_releases());
+        assert_eq!(batch.busy_count(), one.busy_count());
+        assert_eq!(
+            batch.upcoming(SimTime(0)).collect::<Vec<_>>(),
+            one.upcoming(SimTime(0)).collect::<Vec<_>>()
+        );
+        assert_eq!(batch.upcoming(SimTime(0)).collect::<Vec<_>>(), vec![(SimTime(200), 4)]);
     }
 
     #[test]

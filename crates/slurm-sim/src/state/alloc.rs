@@ -10,6 +10,7 @@ impl SimState {
 
     /// Starts `id` on exclusive whole nodes if enough are free.
     pub fn start_static(&mut self, id: JobId) -> bool {
+        let _t = timing::scope(&timing::JOB_START);
         let spec = self.job(id).spec.clone();
         debug_assert!(self.job(id).is_pending(), "start of non-pending {id}");
         let Some(nodes) = self.cluster.take_empty_nodes(spec.req_nodes) else {
@@ -92,6 +93,7 @@ impl SimState {
         mates: &[JobId],
         free_nodes: u32,
     ) -> Result<(), CoScheduleError> {
+        let _t = timing::scope(&timing::JOB_START);
         let new_spec = self.job(new_id).spec.clone();
         if !self.job(new_id).is_pending() {
             return Err(CoScheduleError::NotPending);
@@ -432,6 +434,7 @@ impl SimState {
     // ------------------------------------------------------------------
 
     pub(super) fn complete_job(&mut self, id: JobId) {
+        let _t = timing::scope(&timing::JOB_END);
         let now = self.now;
         let (spec, run) = {
             let job = self.job_mut(id);
@@ -638,14 +641,19 @@ impl SimState {
     /// The predicted release instant of a node: max over its residents'
     /// requested ends; `None` when empty.
     pub(super) fn node_release(&self, n: NodeId) -> Option<SimTime> {
-        let occ = self.cluster.occupancy(n);
-        let mut latest: Option<SimTime> = None;
-        for &(j, _) in &occ.jobs {
-            if let Some(r) = self.job(j).running() {
-                latest = Some(latest.map_or(r.req_end, |l| l.max(r.req_end)));
-            }
-        }
-        latest
+        Self::release_among(&self.cluster, &self.jobs, n)
+    }
+
+    /// [`SimState::node_release`] over the two fields it reads, so a caller
+    /// can hold the release map mutably meanwhile.
+    fn release_among(cluster: &ClusterState, jobs: &[Job], n: NodeId) -> Option<SimTime> {
+        cluster
+            .occupancy(n)
+            .jobs
+            .iter()
+            .filter_map(|&(j, _)| jobs[(j.0 - 1) as usize].running())
+            .map(|r| r.req_end)
+            .max()
     }
 
     /// Recomputes a node's predicted release and, in incremental mode,
@@ -663,29 +671,18 @@ impl SimState {
     }
 
     /// [`SimState::update_release`] over a whole allocation: identical
-    /// transitions are grouped into one profile patch each (a whole-job
-    /// start or end moves every node the same way, so a W-node job costs
-    /// one O(len) patch instead of W).
+    /// transitions are grouped into one release-index update and one profile
+    /// patch each (a whole-job start or end moves every node the same way,
+    /// so a W-node job costs one O(len) patch instead of W).
     pub(super) fn update_releases(&mut self, nodes: &[NodeId]) {
-        // Distinct (old, new) transitions; virtually always a single entry.
-        let mut groups: Vec<(Option<SimTime>, Option<SimTime>, u32)> = Vec::new();
-        for &n in nodes {
-            let latest = self.node_release(n);
-            let old = self.releases.release_of(n);
-            if old == latest {
-                continue;
+        let (cluster, jobs) = (&self.cluster, &self.jobs);
+        let moved = self
+            .releases
+            .set_releases(nodes.iter().map(|&n| (n, Self::release_among(cluster, jobs, n))));
+        if self.cfg.incremental {
+            for (old, new, count) in moved {
+                self.avail.patch_release_many(self.now, old, new, count);
             }
-            self.releases.set_release(n, latest);
-            if !self.cfg.incremental {
-                continue;
-            }
-            match groups.iter_mut().find(|g| g.0 == old && g.1 == latest) {
-                Some(g) => g.2 += 1,
-                None => groups.push((old, latest, 1)),
-            }
-        }
-        for (old, new, count) in groups {
-            self.avail.patch_release_many(self.now, old, new, count);
         }
     }
 

@@ -18,7 +18,7 @@ use super::*;
 use crate::avail::AvailBackendKind;
 use cluster::cpumask::CpuMask;
 use cluster::NodeOccupancy;
-use drom::node::ResidentSnapshot;
+use drom::node::Resident;
 use drom::registry::ProcessEntry;
 use drom::DromHandle;
 use workload::AppId;
@@ -137,14 +137,16 @@ impl<'a> Reader<'a> {
     fn opt_time(&mut self) -> Result<Option<SimTime>, String> {
         Ok(self.opt_u64()?.map(SimTime))
     }
-    fn mask(&mut self) -> Result<CpuMask, String> {
-        let width = self.u32()? as usize;
-        let n = self.len()?;
-        let mut words = Vec::with_capacity(n);
-        for _ in 0..n {
-            words.push(self.u64()?);
+    /// A mask over a `cores`-wide node; any other width is rejected, since
+    /// mask arithmetic assumes both sides cover the same node.
+    fn mask(&mut self, cores: u32) -> Result<CpuMask, String> {
+        let width = self.u32()?;
+        if width != cores {
+            return Err(format!("CPU mask is {width} cores wide, nodes have {cores}"));
         }
-        CpuMask::from_words(width, words).ok_or_else(|| "malformed CPU mask".into())
+        let n = self.len()?;
+        let words = (0..n).map(|_| self.u64()).collect::<Result<Vec<u64>, String>>()?;
+        CpuMask::from_words(width as usize, &words).ok_or_else(|| "malformed CPU mask".into())
     }
     fn finish(self) -> Result<(), String> {
         if self.pos != self.data.len() {
@@ -331,7 +333,7 @@ impl SimState {
         for nm in &self.node_mgrs {
             let residents = nm.snapshot();
             w.len(residents.len());
-            for r in &residents {
+            for r in residents {
                 w.u64(r.job.0);
                 w.mask(&r.mask);
                 w.bool(r.malleable);
@@ -615,14 +617,21 @@ impl SimState {
         st.cluster = ClusterState::from_occupancies(st.spec.clone(), occs)?;
 
         // DROM registry.
+        let cores = st.spec.node.cores();
         let nentries = r.len()?;
         let mut entries = Vec::with_capacity(nentries);
         for _ in 0..nentries {
             let handle = DromHandle(r.u64()?);
             let job = JobId(r.u64()?);
             let node = NodeId(r.u32()?);
-            let current = r.mask()?;
-            let pending = if r.bool()? { Some(r.mask()?) } else { None };
+            if node.0 >= st.spec.nodes {
+                return Err(format!(
+                    "DROM entry on {node}, machine has {} nodes",
+                    st.spec.nodes
+                ));
+            }
+            let current = r.mask(cores)?;
+            let pending = if r.bool()? { Some(r.mask(cores)?) } else { None };
             entries.push(ProcessEntry {
                 handle,
                 job,
@@ -646,9 +655,9 @@ impl SimState {
             let nres = r.len()?;
             let mut residents = Vec::with_capacity(nres);
             for _ in 0..nres {
-                residents.push(ResidentSnapshot {
+                residents.push(Resident {
                     job: JobId(r.u64()?),
-                    mask: r.mask()?,
+                    mask: r.mask(cores)?,
                     malleable: r.bool()?,
                     handle: r.opt_u64()?.map(DromHandle),
                     lender: r.opt_u64()?.map(JobId),
@@ -970,6 +979,71 @@ mod tests {
         )
         .err().unwrap();
         assert!(err.contains("backend"), "{err}");
+    }
+
+    /// A hostile image: well-formed everywhere except one DROM `node` or one
+    /// mask `width`. (This layer has no checksum — the engine's frame CRC is
+    /// recomputed by whoever rewrites the file, so it protects nothing here.)
+    /// Each must come back as `Err`: `node = u32::MAX` used to size the
+    /// registry's per-node table (≈ 100 GB, an allocator abort), and a mask
+    /// of another width used to restore.
+    #[test]
+    fn poisoned_drom_node_or_mask_width_is_rejected() {
+        let mut st = mid_run_state(true, AvailBackendKind::Profile);
+        let staged = st.drom.snapshot().0[0];
+        st.drom.set_mask(staged.node, staged.handle, staged.current);
+        let bytes = st.checkpoint_bytes();
+
+        // Byte offset of the one place `pattern` occurs in the image.
+        let locate = |pattern: &[u8]| {
+            let at: Vec<usize> = (0..bytes.len() - pattern.len())
+                .filter(|&i| bytes[i..].starts_with(pattern))
+                .collect();
+            assert_eq!(at.len(), 1, "pattern must be unique in the image");
+            at[0]
+        };
+        let entry = st.drom.snapshot().0[0];
+        let mut head = Writer::default();
+        head.u64(entry.handle.0);
+        head.u64(entry.job.0);
+        head.u32(entry.node.0);
+        head.mask(&entry.current);
+        let entry_at = locate(&head.buf);
+        // After the current mask: the "has pending" byte, then its width.
+        let pending_width = entry_at + head.buf.len() + 1;
+        let resident = &st.node_mgrs[0].snapshot()[0];
+        let mut res = Writer::default();
+        res.u64(resident.job.0);
+        res.mask(&resident.mask);
+        res.bool(resident.malleable);
+        res.opt_u64(resident.handle.map(|h| h.0));
+        let resident_at = locate(&res.buf);
+
+        let poisoned = |at: usize, value: u32| {
+            let mut image = bytes.clone();
+            image[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            SimState::restore(
+                spec4(),
+                cfg(true, AvailBackendKind::Profile),
+                Box::new(WorstCaseModel),
+                SharingFactor::HALF,
+                &image,
+            )
+        };
+        // The locators point where they should: rewriting the real value is
+        // a no-op, and the image still restores.
+        assert!(poisoned(entry_at + 16, entry.node.0).is_ok());
+        assert!(poisoned(pending_width, 8).is_ok());
+        for node in [4, 5, u32::MAX] {
+            let err = poisoned(entry_at + 16, node).err().expect("node out of range");
+            assert!(err.contains("DROM entry"), "{err}");
+        }
+        for width_at in [entry_at + 20, pending_width, resident_at + 8] {
+            for width in [0, 7, 9, 64, 65, 256, 257, u32::MAX] {
+                let err = poisoned(width_at, width).err().expect("foreign mask width");
+                assert!(err.contains("cores wide"), "{width}: {err}");
+            }
+        }
     }
 
     #[test]

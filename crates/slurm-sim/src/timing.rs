@@ -6,8 +6,9 @@
 //! [`enable`] or the `SD_TIMING` environment variable; `run_scenario
 //! --timing` prints the report. This is the "measure before choosing the
 //! tree" groundwork for the slot-tree roadmap item: it attributes a pass's
-//! wall time to `earliest_start`, the backfill trials and the quota checks
-//! instead of one opaque total.
+//! wall time to `earliest_start`, the backfill trials, the quota checks and
+//! the node bookkeeping of each job start and end instead of one opaque
+//! total.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::time::Instant;
@@ -92,6 +93,14 @@ pub static EARLIEST_START: FnTimer = FnTimer::new("earliest_start");
 /// One per pending job examined by a backfill pass (static trial +
 /// flexible/malleable fallback together).
 pub static BACKFILL_TRIAL: FnTimer = FnTimer::new("backfill_trial");
+/// One per job start attempted (`start_static`, `co_schedule`): idle-node
+/// pick, per-node placement + DROM launch, release map, indexes. Fires
+/// *inside* a backfill trial, so `backfill_trial` minus this is what the
+/// scheduler itself spent deciding.
+pub static JOB_START: FnTimer = FnTimer::new("job_start");
+/// One per job completion, dispatched from the event loop outside any pass:
+/// per-node removal + DROM teardown, beneficiary expansion, release map.
+pub static JOB_END: FnTimer = FnTimer::new("job_end");
 /// SD-Policy mate scans that actually ran (candidate collection + mate
 /// pick together); trials pruned by the pool weight index never get here.
 pub static MATE_SCAN: FnTimer = FnTimer::new("mate_scan");
@@ -115,10 +124,12 @@ pub static SLOT_MERGE: FnTimer = FnTimer::new("slot_merge");
 /// every finer-grained probe nests under.
 pub static SCHED_PASS: FnTimer = FnTimer::new("sched_pass");
 
-const ALL: [&FnTimer; 10] = [
+const ALL: [&FnTimer; 12] = [
     &SCHED_PASS,
     &EARLIEST_START,
     &BACKFILL_TRIAL,
+    &JOB_START,
+    &JOB_END,
     &MATE_SCAN,
     &CUTOFF,
     &QUOTA_CHECK,
@@ -202,6 +213,8 @@ pub fn stack_frames(name: &str) -> &'static [&'static str] {
         "quota_check" => &["sd", "sched_pass", "quota_check"],
         "backfill_trial" => &["sd", "sched_pass", "backfill_trial"],
         "earliest_start" => &["sd", "sched_pass", "backfill_trial", "earliest_start"],
+        "job_start" => &["sd", "sched_pass", "backfill_trial", "job_start"],
+        "job_end" => &["sd", "dispatch", "job_end"],
         "mate_scan" => &["sd", "sched_pass", "backfill_trial", "mate_scan"],
         "cutoff" => &["sd", "sched_pass", "backfill_trial", "cutoff"],
         "slot_descend" => {
@@ -261,7 +274,7 @@ mod tests {
         }
         drop(scope(&QUOTA_CHECK));
         let rows = report();
-        assert_eq!(rows.len(), 10);
+        assert_eq!(rows.len(), 12);
         let es = rows.iter().find(|r| r.name == "earliest_start").unwrap();
         assert_eq!(es.count, 3);
         let qc = rows.iter().find(|r| r.name == "quota_check").unwrap();
@@ -287,13 +300,16 @@ mod tests {
     #[test]
     fn stack_rows_subtract_children_and_stay_rooted() {
         // Synthetic snapshot: pass 100 ms, trials 60 ms — of which earliest
-        // 20 ms, mate scans 15 ms, the cut-off 5 ms.
+        // 20 ms, mate scans 15 ms, the cut-off 5 ms, job starts 12 ms — and
+        // 30 ms of job ends outside any pass.
         let rows = vec![
             FnTiming { name: "sched_pass", count: 1, total_secs: 0.100 },
             FnTiming { name: "backfill_trial", count: 10, total_secs: 0.060 },
             FnTiming { name: "earliest_start", count: 10, total_secs: 0.020 },
             FnTiming { name: "mate_scan", count: 3, total_secs: 0.015 },
             FnTiming { name: "cutoff", count: 1, total_secs: 0.005 },
+            FnTiming { name: "job_start", count: 2, total_secs: 0.012 },
+            FnTiming { name: "job_end", count: 2, total_secs: 0.030 },
         ];
         let stacks = stack_rows(&rows);
         let find = |suffix: &str| {
@@ -304,7 +320,9 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(find("sched_pass"), 40_000, "pass self = 100 - 60 ms");
-        assert_eq!(find("backfill_trial"), 20_000, "trial self = 60 - 40 ms");
+        assert_eq!(find("backfill_trial"), 8_000, "trial self = 60 - 52 ms");
+        assert_eq!(find("job_start"), 12_000);
+        assert_eq!(find("job_end"), 30_000, "not charged to the pass");
         assert_eq!(find("earliest_start"), 20_000);
         assert_eq!(find("mate_scan"), 15_000);
         assert_eq!(find("cutoff"), 5_000);

@@ -43,6 +43,8 @@ fn main() {
     for u in &updates {
         println!("reconfig: {} -> {} cores", u.job, u.cores());
     }
+    // The node manager only stages masks; the malleability point applies them.
+    reg.poll_node(nm.node());
     dump("after co-scheduling job2", &nm, &reg);
     assert!(reg.validate_node(NodeId(0)).is_ok(), "masks stay disjoint");
 
@@ -52,6 +54,7 @@ fn main() {
     for u in &updates {
         println!("expand: {} -> {} cores", u.job, u.cores());
     }
+    reg.poll_node(nm.node());
     dump("after job2 finished (owner expanded)", &nm, &reg);
 
     // 4. The opposite ending: co-schedule job3, then finish the OWNER first.
@@ -59,10 +62,12 @@ fn main() {
     //    tasks, to increase node utilization").
     nm.co_launch(&mut reg, JobId(3), JobId(1), SharingFactor::HALF, 2)
         .unwrap();
+    reg.poll_node(nm.node());
     dump("job3 co-scheduled with job1", &nm, &reg);
     let updates = nm.finish(&mut reg, JobId(1));
     for u in &updates {
         println!("redistribute: {} -> {} cores", u.job, u.cores());
     }
+    reg.poll_node(nm.node());
     dump("after the owner (job1) finished", &nm, &reg);
 }

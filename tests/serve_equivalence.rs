@@ -182,6 +182,25 @@ fn wire_request(j: &SwfJob) -> SubmitRequest {
     }
 }
 
+/// Submits `jobs` in trace order in bursts of 25, advancing the clock to
+/// just before each later burst's first submit instant: everything strictly
+/// earlier is simulated, and the burst's own instant stays open (it may
+/// share a batch with a tie from the previous burst offline). Generated
+/// traces are sorted by (submit, id), so ids and event order stay identical
+/// to the offline replay.
+fn submit_in_bursts(client: &mut Client, jobs: &[SwfJob]) {
+    assert!(jobs.windows(2).all(|w| w[0].submit <= w[1].submit));
+    for (i, burst) in jobs.chunks(25).enumerate() {
+        if i > 0 {
+            let first = burst[0].submit.max(0) as u64;
+            client.advance(first.saturating_sub(1)).expect("advance between bursts");
+        }
+        for j in burst {
+            client.submit(&wire_request(j)).expect("burst submit");
+        }
+    }
+}
+
 /// Boots a server whose engine recovers from (or starts fresh in) `dir`.
 fn spawn_durable(
     dir: &std::path::Path,
@@ -221,6 +240,64 @@ fn crash_image(src: &std::path::Path, dst: &std::path::Path) {
     }
 }
 
+/// Session 1: submits `trace.jobs[..cut]` to a fresh durable engine in
+/// `live`, the clock following along (so checkpoints hold running and shrunk
+/// jobs, not just a queue), then "crashes" — `crash` captures checkpoint +
+/// WAL as a kill -9 would have left them.
+fn crashed_session(
+    live: &std::path::Path,
+    crash: &std::path::Path,
+    trace: &Trace,
+    cut: usize,
+    cluster: ClusterSpec,
+    cfg: SlurmConfig,
+) {
+    std::fs::create_dir_all(live).unwrap();
+    let (mut client, handle, status) = spawn_durable(live, cluster, cfg);
+    assert!(status.recovered.is_none(), "fresh directory");
+    submit_in_bursts(&mut client, &trace.jobs[..cut]);
+    crash_image(live, crash);
+    client.shutdown().expect("discard session 1");
+    handle.join().unwrap().unwrap();
+}
+
+/// Session 2: recovers the image in `crash`, resyncs, finishes the workload.
+fn recovered_session(
+    crash: &std::path::Path,
+    trace: &Trace,
+    cut: usize,
+    cluster: ClusterSpec,
+    cfg: SlurmConfig,
+    torn: bool,
+) -> SimResult {
+    let (mut client, handle, status) = spawn_durable(crash, cluster, cfg);
+    assert_eq!(
+        status.recovered,
+        Some(if torn { "torn_tail" } else { "clean" }),
+        "recovery mode (torn={torn})"
+    );
+    let stats = client.stats().expect("stats after recovery");
+    assert_eq!(
+        stats.get("jobs_total").and_then(Json::as_u64),
+        Some(cut as u64),
+        "every acknowledged submission survived the crash"
+    );
+    if torn {
+        let metrics = client.metrics().expect("metrics after recovery");
+        assert!(
+            metrics.contains("sd_serve_recovered{mode=\"torn_tail\"} 1"),
+            "torn-tail recovery is visible on /metrics"
+        );
+    }
+    for j in &trace.jobs[cut..] {
+        client.submit(&wire_request(j)).expect("second-half submit");
+    }
+    client.drain().expect("drain");
+    let recovered = client.shutdown().expect("final result");
+    handle.join().unwrap().unwrap();
+    recovered
+}
+
 /// Half a session, a crash, recovery, the other half — must equal the
 /// offline replay bit-for-bit.
 fn assert_recovery_equivalent(incremental: bool, backend: AvailBackendKind, torn: bool, tag: &str) {
@@ -235,23 +312,12 @@ fn assert_recovery_equivalent(incremental: bool, backend: AvailBackendKind, torn
     let reference = offline(&trace, cluster.clone(), cfg.clone(), true);
 
     let base = std::env::temp_dir().join(format!("sd-serve-eq-{}-{tag}", std::process::id()));
-    let live = base.join("live");
     let crash = base.join("crash");
     let _ = std::fs::remove_dir_all(&base);
-    std::fs::create_dir_all(&live).unwrap();
 
-    // Session 1: submit the first half, then "crash" — the image captures
-    // checkpoint + WAL as a kill -9 would have left them.
     let half = trace.jobs.len() / 2;
     assert!(half > 5, "enough traffic to cross a checkpoint");
-    let (mut client, handle, status) = spawn_durable(&live, cluster.clone(), cfg.clone());
-    assert!(status.recovered.is_none(), "fresh directory");
-    for j in &trace.jobs[..half] {
-        client.submit(&wire_request(j)).expect("first-half submit");
-    }
-    crash_image(&live, &crash);
-    client.shutdown().expect("discard session 1");
-    handle.join().unwrap().unwrap();
+    crashed_session(&base.join("live"), &crash, &trace, half, cluster.clone(), cfg.clone());
 
     if torn {
         // A torn tail: garbage past the last complete record, as a crash
@@ -264,32 +330,7 @@ fn assert_recovery_equivalent(incremental: bool, backend: AvailBackendKind, torn
         f.write_all(&[0xDE, 0xAD, 0xBE, 0xEF, 0x42]).unwrap();
     }
 
-    // Session 2: recover the image, resync, finish the workload.
-    let (mut client, handle, status) = spawn_durable(&crash, cluster, cfg);
-    assert_eq!(
-        status.recovered,
-        Some(if torn { "torn_tail" } else { "clean" }),
-        "recovery mode (torn={torn})"
-    );
-    let stats = client.stats().expect("stats after recovery");
-    assert_eq!(
-        stats.get("jobs_total").and_then(Json::as_u64),
-        Some(half as u64),
-        "every acknowledged submission survived the crash"
-    );
-    if torn {
-        let metrics = client.metrics().expect("metrics after recovery");
-        assert!(
-            metrics.contains("sd_serve_recovered{mode=\"torn_tail\"} 1"),
-            "torn-tail recovery is visible on /metrics"
-        );
-    }
-    for j in &trace.jobs[half..] {
-        client.submit(&wire_request(j)).expect("second-half submit");
-    }
-    client.drain().expect("drain");
-    let recovered = client.shutdown().expect("final result");
-    handle.join().unwrap().unwrap();
+    let recovered = recovered_session(&crash, &trace, half, cluster, cfg, torn);
     let _ = std::fs::remove_dir_all(&base);
 
     assert_eq!(
@@ -297,6 +338,41 @@ fn assert_recovery_equivalent(incremental: bool, backend: AvailBackendKind, torn
         "recovered session diverged from the offline replay \
          (incremental={incremental} backend={backend:?} torn={torn})"
     );
+}
+
+/// The on-disk format did not move under the inline `CpuMask` and the
+/// per-node DROM table: `tests/fixtures/pr15-crash-image/` is the crash image
+/// the PR 15 build left after `half + 3` submissions of this workload: a
+/// checkpoint taken mid-run (running jobs, shrunk mates, DROM entries) plus
+/// a two-submit log suffix. This build must write the same bytes, and must
+/// recover the old build's image into a session that finishes bit-identical
+/// to the offline replay.
+#[test]
+fn crash_image_written_by_the_previous_build_still_recovers() {
+    let w = PaperWorkload::W3Ricc;
+    let trace = w.generate(7, 0.02);
+    let cluster = w.cluster(0.02);
+    let cfg = SlurmConfig::default();
+    let cut = trace.jobs.len() / 2 + 3;
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr15-crash-image");
+
+    let base = std::env::temp_dir().join(format!("sd-serve-eq-{}-pr15-image", std::process::id()));
+    let (ours, theirs) = (base.join("crash"), base.join("fixture"));
+    let _ = std::fs::remove_dir_all(&base);
+    crashed_session(&base.join("live"), &ours, &trace, cut, cluster.clone(), cfg.clone());
+    for file in ["checkpoint.bin", "wal.log"] {
+        assert!(
+            std::fs::read(ours.join(file)).unwrap() == std::fs::read(fixture.join(file)).unwrap(),
+            "{file} differs from the one the previous build wrote"
+        );
+    }
+
+    crash_image(&fixture, &theirs);
+    let reference = offline(&trace, cluster.clone(), cfg.clone(), true);
+    let recovered = recovered_session(&theirs, &trace, cut, cluster, cfg, false);
+    let _ = std::fs::remove_dir_all(&base);
+    assert_eq!(recovered, reference, "the old image recovered into a different schedule");
+    assert!(reference.stats.started_malleable > 0, "the workload exercises DROM state");
 }
 
 #[test]
@@ -413,34 +489,7 @@ fn interleaved_advance_still_matches_offline_replay() {
         std::thread::spawn(move || server::run(engine, listener, ServerConfig { workers: 2, ..Default::default() }));
     let mut client = Client::connect(addr).unwrap();
 
-    // Generated traces are sorted by (submit, id) — submitting in trace
-    // order with interleaved advances keeps ids and event order identical.
-    let jobs = &trace.jobs;
-    assert!(jobs.windows(2).all(|w| w[0].submit <= w[1].submit));
-    for (i, chunk) in jobs.chunks(25).enumerate() {
-        if i > 0 {
-            let first = chunk[0].submit.max(0) as u64;
-            // Advance to just before the burst's first submit instant:
-            // everything strictly earlier is simulated, and the burst's own
-            // instant stays open (it may share a batch with a tie from the
-            // previous chunk offline).
-            client.advance(first.saturating_sub(1)).unwrap();
-        }
-        for j in chunk {
-            client
-                .submit(&SubmitRequest {
-                    procs: j.procs().unwrap(),
-                    req_time: j.requested_time().unwrap_or(0),
-                    run_time: j.runtime().unwrap(),
-                    submit: Some(j.submit.max(0) as u64),
-                    malleable: None,
-                    trace_id: Some(j.job_id),
-                    tenant: Some(j.user.max(0) as u64),
-                    project: Some(j.group.max(0) as u64),
-                })
-                .unwrap();
-        }
-    }
+    submit_in_bursts(&mut client, &trace.jobs);
     client.drain().unwrap();
     let online_res = client.shutdown().unwrap();
     handle.join().unwrap().unwrap();
