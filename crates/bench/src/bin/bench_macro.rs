@@ -13,10 +13,7 @@
 //! machine-independent `--min-speedup` gate checks the legacy/incremental
 //! ratio instead.
 
-use sd_bench::macrobench::{
-    ab_panel, check_regressions, cross_backend_mismatches, measure, panel, parse_check_map,
-    render_json,
-};
+use sd_bench::macrobench::{check_regressions, measure, panel, parse_check_map, render_json};
 use sd_bench::{CliArgs, CliError, USAGE};
 use sched_metrics::Table;
 
@@ -27,9 +24,6 @@ const EXTRA_USAGE: &str = "bench_macro — timed macro-benchmark of the schedule
   --check <file>       fail (exit 1) on >tolerance wall regression vs file
   --tolerance <pct>    regression tolerance percentage (default 25)
   --min-speedup <x>    fail if any sd-policy entry speeds up less than x
-  --ab-backends        run every entry under both availability backends
-                       (`name @profile` / `name @slottree`) and fail if any
-                       pair's schedules disagree
 ";
 
 fn fail(msg: &str) -> ! {
@@ -43,7 +37,6 @@ struct BenchCli {
     check: Option<String>,
     tolerance: f64,
     min_speedup: Option<f64>,
-    ab_backends: bool,
     common: CliArgs,
 }
 
@@ -53,7 +46,6 @@ fn parse_cli() -> BenchCli {
     let mut check = None;
     let mut tolerance = 25.0;
     let mut min_speedup = None;
-    let mut ab_backends = false;
     let mut rest = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -81,7 +73,6 @@ fn parse_cli() -> BenchCli {
                         .unwrap_or_else(|_| fail("bad --min-speedup")),
                 );
             }
-            "--ab-backends" => ab_backends = true,
             _ => rest.push(a),
         }
     }
@@ -93,17 +84,13 @@ fn parse_cli() -> BenchCli {
         }
         Err(CliError::Bad(msg)) => fail(&msg),
     };
-    common.require_supported("bench_macro", &["--out", "--backend"]);
-    if ab_backends && common.backend.is_some() {
-        fail("--ab-backends runs both backends; it conflicts with --backend");
-    }
+    common.require_supported("bench_macro", &["--out"]);
     BenchCli {
         iters,
         rev,
         check,
         tolerance,
         min_speedup,
-        ab_backends,
         common,
     }
 }
@@ -122,19 +109,7 @@ fn git_short_rev() -> String {
 fn main() {
     let cli = parse_cli();
     let rev = cli.rev.clone().unwrap_or_else(git_short_rev);
-    let entries = if cli.ab_backends {
-        ab_panel(cli.common.full)
-    } else {
-        let mut entries = panel(cli.common.full);
-        // `--backend` swaps the representation but keeps the entry names,
-        // so `--check` baselines stay comparable across backends.
-        if let Some(backend) = cli.common.backend {
-            for e in &mut entries {
-                e.backend = backend;
-            }
-        }
-        entries
-    };
+    let entries = panel(cli.common.full);
 
     eprintln!(
         "bench_macro: {} entries × {} iters × 2 modes (rev {rev})",
@@ -188,12 +163,6 @@ fn main() {
     if results.iter().any(|r| !r.results_match) {
         eprintln!("FAIL: legacy and incremental paths diverged");
         failed = true;
-    }
-    if cli.ab_backends {
-        for line in cross_backend_mismatches(&results) {
-            eprintln!("FAIL: {line}");
-            failed = true;
-        }
     }
     if let Some(min) = cli.min_speedup {
         for r in results.iter().filter(|r| r.entry.name.contains("sd")) {

@@ -132,7 +132,7 @@ fn parse_cli() -> ScenarioCli {
         }
         Err(CliError::Bad(msg)) => fail(&msg),
     };
-    common.require_supported("run_scenario", &["--threads", "--out", "--backend"]);
+    common.require_supported("run_scenario", &["--threads", "--out"]);
     if format.is_some() && common.out.is_none() {
         fail("--format requires --out");
     }
@@ -233,12 +233,6 @@ fn main() {
             scenario.scale = Some(1.0);
         } else if let Some(scale) = cli.common.scale {
             scenario.scale = Some(scale);
-        }
-        if let Some(backend) = cli.common.backend {
-            scenario.slurm.avail_backend = Some(match backend {
-                slurm_sim::AvailBackendKind::Profile => sd_scenario::AvailBackendDecl::Profile,
-                slurm_sim::AvailBackendKind::SlotTree => sd_scenario::AvailBackendDecl::SlotTree,
-            });
         }
     }
 

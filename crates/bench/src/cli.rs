@@ -8,7 +8,6 @@
 //!   generator (Workloads 3/4, see DESIGN.md §4)
 //! * `--threads <n>` — cap the sweep's worker threads (default: all cores)
 //! * `--out <path>` — write machine-readable output (JSON/CSV) to a file
-//! * `--backend <profile|slottree>` — availability backend (DESIGN.md §13)
 //!
 //! Unknown flags are reported as errors (exit code 2), never ignored;
 //! `--help`/`-h` prints the usage text and exits 0.
@@ -22,8 +21,6 @@ pub const USAGE: &str = "common flags:
   --swf <path>     replay a genuine SWF trace
   --threads <n>    cap parallel sweep threads (default: all cores)
   --out <path>     write JSON (.json) or CSV output to this file
-  --backend <b>    availability backend: profile | slottree (results are
-                   bit-identical; only scheduler wall time moves)
   --help, -h       show this help";
 
 /// How parsing can terminate without yielding arguments.
@@ -56,8 +53,6 @@ pub struct CliArgs {
     pub threads: Option<usize>,
     /// Output file for machine-readable results (JSON/CSV).
     pub out: Option<String>,
-    /// Availability backend override (`--backend profile|slottree`).
-    pub backend: Option<slurm_sim::AvailBackendKind>,
 }
 
 impl CliArgs {
@@ -93,12 +88,6 @@ impl CliArgs {
                 }
                 "--swf" => out.swf = Some(value("--swf")?),
                 "--out" => out.out = Some(value("--out")?),
-                "--backend" => {
-                    let v = value("--backend")?;
-                    out.backend = Some(slurm_sim::AvailBackendKind::parse(&v).ok_or_else(
-                        || CliError::Bad(format!("bad backend: {v} (profile|slottree)")),
-                    )?);
-                }
                 "--help" | "-h" => return Err(CliError::Help),
                 other => return Err(CliError::Bad(format!("unknown flag: {other}"))),
             }
@@ -151,9 +140,6 @@ impl CliArgs {
         }
         if self.swf.is_some() && !supported.contains(&"--swf") {
             return Some("--swf");
-        }
-        if self.backend.is_some() && !supported.contains(&"--backend") {
-            return Some("--backend");
         }
         None
     }
@@ -210,6 +196,11 @@ mod tests {
         assert!(matches!(parse(&["--scale"]), Err(CliError::Bad(_))));
         assert!(matches!(parse(&["--scale", "abc"]), Err(CliError::Bad(_))));
         assert!(matches!(parse(&["--bogus"]), Err(CliError::Bad(_))));
+        // The removed availability-backend flag is a typo like any other.
+        assert_eq!(
+            parse(&["--backend", "profile"]),
+            Err(CliError::Bad("unknown flag: --backend".into()))
+        );
         assert!(matches!(parse(&["--threads", "0"]), Err(CliError::Bad(_))));
         assert!(matches!(parse(&["--threads", "x"]), Err(CliError::Bad(_))));
     }
@@ -230,26 +221,7 @@ mod tests {
         let b = parse(&["--swf", "t.swf"]).unwrap();
         assert_eq!(b.unsupported(&[]), Some("--swf"));
         assert_eq!(b.unsupported(&["--swf"]), None);
-        let c = parse(&["--backend", "slottree"]).unwrap();
-        assert_eq!(c.unsupported(&[]), Some("--backend"));
-        assert_eq!(c.unsupported(&["--backend"]), None);
         assert_eq!(parse(&["--seed", "1"]).unwrap().unsupported(&[]), None);
-    }
-
-    #[test]
-    fn backend_flag_parses_and_validates() {
-        use slurm_sim::AvailBackendKind;
-        assert_eq!(parse(&[]).unwrap().backend, None);
-        assert_eq!(
-            parse(&["--backend", "profile"]).unwrap().backend,
-            Some(AvailBackendKind::Profile)
-        );
-        assert_eq!(
-            parse(&["--backend", "slottree"]).unwrap().backend,
-            Some(AvailBackendKind::SlotTree)
-        );
-        assert!(matches!(parse(&["--backend", "btree"]), Err(CliError::Bad(_))));
-        assert!(matches!(parse(&["--backend"]), Err(CliError::Bad(_))));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::runner::{PolicyKind, RunConfig};
 use sd_policy::{MaxSlowdown, SdPolicy, SdPolicyConfig};
-use slurm_sim::{AvailBackendKind, Controller, SimResult, SimState, StaticBackfill};
+use slurm_sim::{Controller, SimResult, SimState, StaticBackfill};
 use std::fmt::Write as _;
 use std::time::Instant;
 use workload::PaperWorkload;
@@ -30,9 +30,6 @@ pub struct BenchEntry {
     pub policy: PolicyKind,
     pub scale: f64,
     pub seed: u64,
-    /// Availability backend both modes run against. `--backend` keeps the
-    /// entry names unchanged so `--check` baselines stay comparable.
-    pub backend: AvailBackendKind,
 }
 
 /// Timing of one mode (legacy or incremental) over `iters` repetitions.
@@ -73,7 +70,6 @@ pub fn panel(full: bool) -> Vec<BenchEntry> {
             policy,
             scale,
             seed: 42,
-            backend: AvailBackendKind::default(),
         });
     };
     let sd = PolicyKind::Sd(MaxSlowdown::DynAvg);
@@ -93,62 +89,6 @@ pub fn panel(full: bool) -> Vec<BenchEntry> {
     out
 }
 
-/// The A/B panel (`--ab-backends`): every [`panel`] entry duplicated under
-/// both availability backends, names suffixed `@profile` / `@slottree`.
-/// Pairs must produce identical schedules — [`cross_backend_mismatches`]
-/// verifies the summaries after measurement.
-pub fn ab_panel(full: bool) -> Vec<BenchEntry> {
-    let mut out = Vec::new();
-    for base in panel(full) {
-        for backend in [AvailBackendKind::Profile, AvailBackendKind::SlotTree] {
-            let mut e = base.clone();
-            e.name = format!("{} @{}", base.name, backend.label());
-            e.backend = backend;
-            out.push(e);
-        }
-    }
-    out
-}
-
-/// Pairs A/B results by base name (the ` @backend` suffix stripped) and
-/// reports any pair whose schedules differ. Bit-level equality is the
-/// equivalence suites' job; this is the bench-side sanity net over the
-/// summary statistics the JSON records.
-pub fn cross_backend_mismatches(results: &[BenchResult]) -> Vec<String> {
-    let base_of = |name: &str| name.split(" @").next().unwrap_or(name).to_string();
-    let mut bad = Vec::new();
-    for (i, a) in results.iter().enumerate() {
-        for b in &results[i + 1..] {
-            if base_of(&a.entry.name) != base_of(&b.entry.name)
-                || a.entry.backend == b.entry.backend
-            {
-                continue;
-            }
-            if a.jobs != b.jobs
-                || a.makespan != b.makespan
-                || a.mean_slowdown.to_bits() != b.mean_slowdown.to_bits()
-                || a.malleable_started != b.malleable_started
-            {
-                bad.push(format!(
-                    "`{}` and `{}` disagree: jobs {}/{}, makespan {}/{}, \
-                     mean_slowdown {}/{}, malleable {}/{}",
-                    a.entry.name,
-                    b.entry.name,
-                    a.jobs,
-                    b.jobs,
-                    a.makespan,
-                    b.makespan,
-                    a.mean_slowdown,
-                    b.mean_slowdown,
-                    a.malleable_started,
-                    b.malleable_started,
-                ));
-            }
-        }
-    }
-    bad
-}
-
 /// Runs the simulation once against a pre-generated trace; only state
 /// construction and the controller loop are inside the timer, so the
 /// legacy/incremental ratio measures the scheduler hot path, not the
@@ -159,7 +99,6 @@ fn run_once(entry: &BenchEntry, trace: &swf::Trace, incremental: bool) -> (f64, 
         .with_seed(entry.seed);
     let mut slurm = cfg.slurm_config();
     slurm.incremental = incremental;
-    slurm.avail_backend = entry.backend;
     let model = cfg.model.instantiate();
     let spec = entry.workload.cluster(entry.scale);
     let t0 = Instant::now();
@@ -252,14 +191,13 @@ pub fn render_json(rev: &str, iters: usize, results: &[BenchResult]) -> String {
         let _ = write!(
             out,
             "    {{\"name\": \"{}\", \"workload\": \"{}\", \"policy\": \"{}\", \
-             \"backend\": \"{}\", \"scale\": {}, \"seed\": {}, \"jobs\": {}, \
+             \"scale\": {}, \"seed\": {}, \"jobs\": {}, \
              \"makespan\": {}, \"mean_slowdown\": {:.4}, \"malleable_started\": {}, \
              \"results_match\": {}, \"speedup\": {:.2},\n     \"legacy\": {},\n     \
              \"incremental\": {}}}",
             r.entry.name,
             r.entry.workload.short(),
             r.entry.policy.label(),
-            r.entry.backend.label(),
             r.entry.scale,
             r.entry.seed,
             r.jobs,
@@ -399,80 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn ab_panel_pairs_every_entry_across_backends() {
-        let ab = ab_panel(false);
-        assert_eq!(ab.len(), 2 * panel(false).len());
-        for pair in ab.chunks(2) {
-            assert_eq!(pair[0].backend, AvailBackendKind::Profile);
-            assert_eq!(pair[1].backend, AvailBackendKind::SlotTree);
-            assert!(pair[0].name.ends_with("@profile"), "{}", pair[0].name);
-            assert!(pair[1].name.ends_with("@slottree"), "{}", pair[1].name);
-            assert_eq!(
-                pair[0].name.split(" @").next(),
-                pair[1].name.split(" @").next()
-            );
-        }
-        let mut names: Vec<&str> = ab.iter().map(|e| e.name.as_str()).collect();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), ab.len());
-    }
-
-    #[test]
-    fn cross_backend_mismatch_detection() {
-        let mk = |name: &str, backend: AvailBackendKind, makespan: u64| BenchResult {
-            entry: BenchEntry {
-                name: name.into(),
-                workload: PaperWorkload::W3Ricc,
-                policy: PolicyKind::StaticBackfill,
-                scale: 0.02,
-                seed: 1,
-                backend,
-            },
-            jobs: 5,
-            makespan,
-            mean_slowdown: 1.5,
-            malleable_started: 0,
-            legacy: ModeTiming {
-                sim_s_min: 0.1,
-                sim_s_mean: 0.1,
-                sched_passes: 1,
-                passes_skipped: 0,
-                events: 1,
-                peak_profile_len: 1,
-            },
-            incremental: ModeTiming {
-                sim_s_min: 0.1,
-                sim_s_mean: 0.1,
-                sched_passes: 1,
-                passes_skipped: 0,
-                events: 1,
-                peak_profile_len: 1,
-            },
-            speedup: 1.0,
-            results_match: true,
-        };
-        let agree = vec![
-            mk("W3 sd ci @profile", AvailBackendKind::Profile, 100),
-            mk("W3 sd ci @slottree", AvailBackendKind::SlotTree, 100),
-        ];
-        assert!(cross_backend_mismatches(&agree).is_empty());
-        let disagree = vec![
-            mk("W3 sd ci @profile", AvailBackendKind::Profile, 100),
-            mk("W3 sd ci @slottree", AvailBackendKind::SlotTree, 101),
-        ];
-        let bad = cross_backend_mismatches(&disagree);
-        assert_eq!(bad.len(), 1);
-        assert!(bad[0].contains("makespan 100/101"), "{bad:?}");
-        // Different base names never pair.
-        let unrelated = vec![
-            mk("W3 sd ci @profile", AvailBackendKind::Profile, 100),
-            mk("W4 sd ci @slottree", AvailBackendKind::SlotTree, 999),
-        ];
-        assert!(cross_backend_mismatches(&unrelated).is_empty());
-    }
-
-    #[test]
     fn measure_reports_matching_modes_on_tiny_run() {
         // A very small W3 run: both paths must agree bit-for-bit.
         let entry = BenchEntry {
@@ -481,7 +345,6 @@ mod tests {
             policy: PolicyKind::Sd(MaxSlowdown::DynAvg),
             scale: 0.02,
             seed: 7,
-            backend: AvailBackendKind::Profile,
         };
         let r = measure(&entry, 1);
         assert!(r.results_match, "legacy and incremental paths diverged");
@@ -500,7 +363,6 @@ mod tests {
             policy: PolicyKind::StaticBackfill,
             scale: 0.02,
             seed: 1,
-            backend: AvailBackendKind::Profile,
         };
         let timing = ModeTiming {
             sim_s_min: 0.1234,

@@ -23,7 +23,7 @@ use crate::mates::select_mates;
 use crate::penalty::malleable_wall_time;
 use cluster::JobId;
 use simkit::SimTime;
-use slurm_sim::{backfill_pass, timing, Availability, DirtyFlags, Scheduler, SimState};
+use slurm_sim::{backfill_pass, timing, DirtyFlags, Profile, Scheduler, SimState};
 
 /// The Slowdown Driven policy.
 #[derive(Debug, Clone)]
@@ -64,12 +64,12 @@ impl SdPolicy {
     /// (trial budget, non-malleable) come first. An infeasible est
     /// (`SimTime::MAX`) bails before the trial budget is charged, exactly
     /// as the old always-computed flow never called the hook for such jobs.
-    fn try_malleable<A: Availability>(
+    fn try_malleable(
         &mut self,
         st: &mut SimState,
         id: JobId,
         est_static_start: Option<SimTime>,
-        profile: &mut A,
+        profile: &mut Profile,
     ) -> bool {
         if self.trials_this_pass >= self.cfg.max_trials_per_pass {
             return false;

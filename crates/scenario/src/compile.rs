@@ -3,17 +3,16 @@
 //! `slurm_sim::run_trace` (or the app-bound / SWF-replay paths).
 
 use crate::scenario::{
-    ArrivalKind, AvailBackendDecl, BackfillDecl, ClusterPreset, ModelDecl, PolicyKindDecl,
-    Scenario, SourceKind, TenantQueueDecl, TenantsDecl,
+    ArrivalKind, BackfillDecl, ClusterPreset, ModelDecl, PolicyKindDecl, Scenario, SourceKind,
+    TenantQueueDecl, TenantsDecl,
 };
 use cluster::ClusterSpec;
 use drom::SharingFactor;
 use sd_policy::{SdPolicy, SdPolicyConfig};
 use slurm_sim::replay::{infer_cluster, replay_state};
 use slurm_sim::{
-    AppAwareModel, AvailBackendKind, BackfillMode, Controller, IdealModel, QueuePolicy, Quota,
-    RateModel, SimResult, SimState, SlurmConfig, StaticBackfill, Tenant, TenantRegistry,
-    WorstCaseModel,
+    AppAwareModel, BackfillMode, Controller, IdealModel, QueuePolicy, Quota, RateModel, SimResult,
+    SimState, SlurmConfig, StaticBackfill, Tenant, TenantRegistry, WorstCaseModel,
 };
 use workload::{ArrivalModel, PaperWorkload};
 
@@ -29,8 +28,8 @@ pub struct RunPoint {
 
 /// Expands the sweep cross-product in a fixed order (seed, scale, sharing,
 /// malleable fraction, MAXSD, backfill depth, arrival contrast, tenant
-/// count, tenant skew, quota fraction, availability backend — outermost to
-/// innermost), so campaign output ordering is deterministic.
+/// count, tenant skew, quota fraction — outermost to innermost), so
+/// campaign output ordering is deterministic.
 pub fn expand(s: &Scenario) -> Vec<RunPoint> {
     use std::fmt::Write as _;
     let seeds: Vec<u64> = if s.sweep.seed.is_empty() {
@@ -83,11 +82,6 @@ pub fn expand(s: &Scenario) -> Vec<RunPoint> {
     } else {
         s.sweep.quota_fraction.iter().map(|&v| Some(v)).collect()
     };
-    let backends: Vec<Option<AvailBackendDecl>> = if s.sweep.avail_backend.is_empty() {
-        vec![s.slurm.avail_backend]
-    } else {
-        s.sweep.avail_backend.iter().map(|&v| Some(v)).collect()
-    };
 
     let mut out = Vec::with_capacity(s.sweep.run_count());
     for &seed in &seeds {
@@ -100,7 +94,6 @@ pub fn expand(s: &Scenario) -> Vec<RunPoint> {
                                 for &tcount in &tenant_counts {
                                     for &tskew in &tenant_skews {
                                         for &qf in &quota_fractions {
-                                          for &backend in &backends {
                                             let mut resolved = s.clone();
                                             resolved.sweep = Default::default();
                                             resolved.seed = seed;
@@ -109,7 +102,6 @@ pub fn expand(s: &Scenario) -> Vec<RunPoint> {
                                             resolved.policy.maxsd = maxsd;
                                             resolved.slurm.malleable_fraction = fraction;
                                             resolved.slurm.backfill_depth = depth;
-                                            resolved.slurm.avail_backend = backend;
                                             resolved.workload.day_night_contrast = contrast;
                                             if let Some(t) = resolved.tenants.as_mut() {
                                                 if let Some(c) = tcount {
@@ -180,17 +172,10 @@ pub fn expand(s: &Scenario) -> Vec<RunPoint> {
                                                     qf.expect("swept fraction is set")
                                                 ));
                                             }
-                                            if !s.sweep.avail_backend.is_empty() {
-                                                push(format!(
-                                                    "avail_backend={}",
-                                                    backend.expect("swept backend is set")
-                                                ));
-                                            }
                                             out.push(RunPoint {
                                                 scenario: resolved,
                                                 variant,
                                             });
-                                          }
                                         }
                                     }
                                 }
@@ -259,12 +244,6 @@ fn slurm_config(s: &Scenario, big_trace: bool) -> SlurmConfig {
     }
     if let Some(ranks) = s.slurm.ranks_per_node {
         cfg.ranks_per_node = ranks;
-    }
-    if let Some(backend) = s.slurm.avail_backend {
-        cfg.avail_backend = match backend {
-            AvailBackendDecl::Profile => AvailBackendKind::Profile,
-            AvailBackendDecl::SlotTree => AvailBackendKind::SlotTree,
-        };
     }
     cfg.malleable_fraction = s.slurm.malleable_fraction;
     // The malleability draw forks from the scenario seed so seed sweeps
@@ -390,16 +369,13 @@ fn run_state(
 /// consults it) and the malleable fraction (it only flags jobs the static
 /// scheduler treats identically) — are canonicalised, so every variant of a
 /// `maxsd`/`sharing`/`malleable_fraction` sweep shares one baseline run.
-/// The availability backend is canonicalised away too: both backends
-/// produce bit-identical results, so an `avail_backend` sweep shares one
-/// baseline. Campaign exports normalise each row against its twin's result.
+/// Campaign exports normalise each row against its twin's result.
 pub fn baseline_point(p: &RunPoint) -> RunPoint {
     let mut s = p.scenario.clone();
     s.policy.kind = PolicyKindDecl::Static;
     s.policy.maxsd = crate::scenario::MaxSdDecl::Dyn;
     s.policy.sharing = 0.5;
     s.slurm.malleable_fraction = 1.0;
-    s.slurm.avail_backend = None;
     RunPoint {
         scenario: s,
         // The variant tag is canonicalised away too: two variants that differ
@@ -722,35 +698,6 @@ mod tests {
         assert_eq!(a.result.outcomes, b.result.outcomes);
         assert_eq!(a.result.energy_joules, b.result.energy_joules);
         assert_eq!(a.result.leftover_pending, 0);
-    }
-
-    #[test]
-    fn expand_avail_backend_axis() {
-        let mut s = tiny(SourceKind::Ricc);
-        s.sweep.seed = vec![1, 2];
-        s.sweep.avail_backend = vec![AvailBackendDecl::Profile, AvailBackendDecl::SlotTree];
-        let pts = expand(&s);
-        assert_eq!(pts.len(), 4);
-        assert_eq!(pts[0].variant, "seed=1 avail_backend=profile");
-        assert_eq!(pts[1].variant, "seed=1 avail_backend=slottree");
-        assert_eq!(
-            pts[1].scenario.slurm.avail_backend,
-            Some(AvailBackendDecl::SlotTree)
-        );
-        // Baselines ignore the backend axis: both points share one twin.
-        assert_eq!(baseline_point(&pts[0]), baseline_point(&pts[1]));
-    }
-
-    #[test]
-    fn avail_backends_produce_identical_results() {
-        let mut s = tiny(SourceKind::Ricc);
-        s.sweep.avail_backend = vec![AvailBackendDecl::Profile, AvailBackendDecl::SlotTree];
-        let pts = expand(&s);
-        let a = execute(&pts[0]).unwrap();
-        let b = execute(&pts[1]).unwrap();
-        assert_eq!(a.result.outcomes, b.result.outcomes);
-        assert_eq!(a.result.energy_joules, b.result.energy_joules);
-        assert_eq!(a.result.stats.started_malleable, b.result.stats.started_malleable);
     }
 
     #[test]

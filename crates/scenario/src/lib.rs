@@ -50,7 +50,7 @@ pub use compile::{baseline_point, execute, execute_traced, expand, RunError, Run
 pub use format::ParseError;
 pub use registry::{builtin_scenarios, find_builtin};
 pub use scenario::{
-    ArrivalKind, AvailBackendDecl, BackfillDecl, ClusterDecl, ClusterPreset, MaxSdDecl, ModelDecl,
-    PolicyDecl, PolicyKindDecl, Scenario, SlurmDecl, SourceKind, SweepDecl, TenantQueueDecl,
-    TenantsDecl, WorkloadDecl,
+    ArrivalKind, BackfillDecl, ClusterDecl, ClusterPreset, MaxSdDecl, ModelDecl, PolicyDecl,
+    PolicyKindDecl, Scenario, SlurmDecl, SourceKind, SweepDecl, TenantQueueDecl, TenantsDecl,
+    WorkloadDecl,
 };

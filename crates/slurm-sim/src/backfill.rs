@@ -8,8 +8,8 @@
 //! static trial" of each job); finally record a reservation (conservative:
 //! every job; EASY: queue head only).
 
-use crate::avail::{AvailBackend, Availability};
 use crate::config::BackfillMode;
+use crate::reservation::Profile;
 use crate::state::{DirtyFlags, SimState};
 use crate::timing;
 use cluster::JobId;
@@ -67,11 +67,11 @@ pub type FlexStarted = bool;
 /// "never trial an impossible job" accounting). This laziness is what keeps
 /// deep EASY passes (full Curie: `bf_max_job_test = 200`) from paying an
 /// O(profile) walk per examined job; the common case is one O(1)
-/// [`Availability::can_start_now`] probe.
+/// [`Profile::can_start_now`] probe.
 ///
 /// On a `true` return the pass profile must account for the taken idle
 /// nodes: in incremental mode the hook itself applies the in-place
-/// [`Availability::reserve`] delta (shared mate nodes keep their release —
+/// [`Profile::reserve`] delta (shared mate nodes keep their release —
 /// the finish-inside constraint caps the borrower's requested end at the
 /// mates'); on the legacy path the profile is rebuilt from scratch and the
 /// waiting jobs' reservations are replayed.
@@ -82,27 +82,14 @@ pub type FlexStarted = bool;
 /// it to take only nodes no pending job is counting on. Callers should hand
 /// the buffer back via [`SimState::recycle_pass_profile`] so the next pass
 /// reuses its allocations.
-pub fn backfill_pass<F>(st: &mut SimState, flexible: F) -> AvailBackend
+pub fn backfill_pass<F>(st: &mut SimState, mut flexible: F) -> Profile
 where
-    F: FnMut(&mut SimState, JobId, Option<SimTime>, &mut AvailBackend) -> FlexStarted,
+    F: FnMut(&mut SimState, JobId, Option<SimTime>, &mut Profile) -> FlexStarted,
 {
     let mut profile = st.take_pass_profile();
-    backfill_pass_with(st, &mut profile, flexible);
-    profile
-}
-
-/// The pass skeleton behind [`backfill_pass`], generic over the
-/// [`Availability`] backend: every query/mutation goes through the trait,
-/// so both the step-function profile and the slot tree (and any future
-/// backend) run the byte-for-byte identical decision sequence.
-pub fn backfill_pass_with<A, F>(st: &mut SimState, profile: &mut A, mut flexible: F)
-where
-    A: Availability,
-    F: FnMut(&mut SimState, JobId, Option<SimTime>, &mut A) -> FlexStarted,
-{
     if st.queue.is_empty() {
         st.stats.peak_profile_len = st.stats.peak_profile_len.max(profile.len());
-        return;
+        return profile;
     }
     let depth = st.cfg.backfill_depth;
     let mode = st.cfg.backfill_mode;
@@ -132,9 +119,8 @@ where
         }
         let _trial = timing::scope(&timing::BACKFILL_TRIAL);
         if !incremental {
-            // Legacy flow: full est for every examined job. (The est query
-            // itself went through `earliest_start_legacy` until the
-            // `Availability` trait landed; the linear sweep is equivalent —
+            // Legacy flow: full est for every examined job. (The linear
+            // sweep is equivalent to the original candidate probing —
             // pinned by the oracle property test in `reservation.rs`.)
             let est = profile.earliest_start(req_nodes, req_time, st.now);
             if est == st.now {
@@ -151,8 +137,8 @@ where
                 }
                 continue;
             }
-            if est > st.now && est != SimTime::MAX && flexible(st, id, Some(est), profile) {
-                profile.rebuild(st.now, st.cluster.empty_node_count(), st.releases());
+            if est > st.now && est != SimTime::MAX && flexible(st, id, Some(est), &mut profile) {
+                profile = st.build_profile();
                 for &(s, d, n) in &waiting_resv {
                     profile.reserve(s, d, n);
                 }
@@ -218,7 +204,7 @@ where
                 continue; // cannot ever run (larger than the machine)
             }
             debug_assert!(est > st.now, "can_start_now said otherwise");
-            if flexible(st, id, Some(est), profile) {
+            if flexible(st, id, Some(est), &mut profile) {
                 continue; // hook applied the in-place delta
             }
             profile.reserve(est, req_time, req_nodes);
@@ -229,7 +215,7 @@ where
         } else {
             // EASY non-head: no reservation either way; the hook computes
             // the est itself only if it mounts a trial.
-            if !flexible(st, id, None, profile) {
+            if !flexible(st, id, None, &mut profile) {
                 st.trace.emit(
                     st.now.secs(),
                     TraceKind::BackfillRejected { job: id.0, reason: RejectReason::NoFitNow },
@@ -240,6 +226,7 @@ where
     st.stats.peak_profile_len = st.stats.peak_profile_len.max(profile.len());
     st.recycle_resv_scratch(waiting_resv);
     st.recycle_prefix_scratch(prefix);
+    profile
 }
 
 /// The paper's baseline: plain (static) backfill, no malleability.

@@ -1,6 +1,5 @@
 //! Simulator configuration (the knobs a SLURM admin would set).
 
-use crate::avail::AvailBackendKind;
 use crate::tenant::{QueuePolicy, TenantRegistry};
 
 /// How the baseline backfill plans ahead.
@@ -39,13 +38,6 @@ pub struct SlurmConfig {
     /// results are bit-identical either way (enforced by tests); the legacy
     /// path exists as the macro-benchmark baseline and equivalence oracle.
     pub incremental: bool,
-    /// Which availability representation the run schedules against
-    /// (DESIGN.md §13). Both backends produce bit-identical results
-    /// (enforced by the backend equivalence suite); the knob trades query
-    /// cost against write cost — the step-function profile wins when
-    /// every query follows a reservation write, the slot tree when deep
-    /// passes issue many queries between writes.
-    pub avail_backend: AvailBackendKind,
     /// The tenant table (identities, weights, quotas). Empty — the default —
     /// disables all tenant accounting and quota checks; the simulator is
     /// then bit-identical to the untenanted build.
@@ -65,7 +57,6 @@ impl Default for SlurmConfig {
             malleable_seed: 0xD20,
             self_check: false,
             incremental: true,
-            avail_backend: AvailBackendKind::default(),
             tenants: TenantRegistry::default(),
             queue_policy: QueuePolicy::Fifo,
         }

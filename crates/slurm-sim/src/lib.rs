@@ -11,8 +11,6 @@
 //!   baseline** every experiment normalises against,
 //! * [`reservation`] — the availability profile ("map of job reservations in
 //!   time", §3.1) and the incrementally maintained release map,
-//! * [`avail`] / [`slot_tree`] — the pluggable availability-backend trait
-//!   and the OAR-style slot-tree backend (DESIGN.md §13),
 //! * [`rate`] — pluggable malleable-runtime models (paper Eq. 5/6 and the
 //!   app-behaviour model for the real-run reproduction),
 //! * [`tenant`] — multi-tenant identities, quotas and the fair-share queue
@@ -24,7 +22,6 @@
 //! the [`Scheduler`] trait and the `flexible` hook of
 //! [`backfill::backfill_pass`].
 
-pub mod avail;
 pub mod backfill;
 pub mod config;
 pub mod controller;
@@ -34,13 +31,11 @@ pub mod rate;
 pub mod replay;
 pub mod reservation;
 pub mod result;
-pub mod slot_tree;
 pub mod state;
 pub mod tenant;
 pub mod timing;
 
-pub use avail::{AvailBackend, AvailBackendKind, Availability};
-pub use backfill::{backfill_pass, backfill_pass_with, Scheduler, StaticBackfill};
+pub use backfill::{backfill_pass, Scheduler, StaticBackfill};
 pub use config::{BackfillMode, SlurmConfig};
 pub use controller::{run_trace, Controller};
 pub use job::{Job, JobOutcome, JobSpec, JobState, RunningJob};
@@ -48,7 +43,6 @@ pub use queue::{PendingQueue, QueueEntry};
 pub use rate::{AppAwareModel, IdealModel, RateInputs, RateModel, WorstCaseModel};
 pub use reservation::{Profile, ReleaseMap};
 pub use result::SimResult;
-pub use slot_tree::SlotTree;
 pub use state::{CoScheduleError, DirtyFlags, Event, MateEntry, SimState, SimStats, SubmitError};
 pub use tenant::{QueuePolicy, Quota, Tenant, TenantRegistry, TenantUsage, NO_TENANT_SLOT};
 // Decision tracing (DESIGN.md §12) — re-exported so downstream crates can

@@ -188,12 +188,6 @@ impl Profile {
         self.times[0]
     }
 
-    /// The raw `(times, free)` slot arrays — read-only view for backends
-    /// that index the canonical slot list (see `slot_tree`).
-    pub(crate) fn steps(&self) -> (&[SimTime], &[i64]) {
-        (&self.times, &self.free)
-    }
-
     /// Free nodes at instant `t` (clamped to the profile's domain).
     pub fn free_at(&self, t: SimTime) -> i64 {
         match self.times.binary_search(&t) {
@@ -300,10 +294,9 @@ impl Profile {
     }
 
     /// The original candidate-probing `earliest_start` (`O(len²)` worst
-    /// case). Dead on the hot path since the `Availability` trait landed —
-    /// every backend answers through its own `earliest_start` — so it
-    /// survives only as the oracle for the equivalence property test
-    /// below.
+    /// case). Dead on the hot path — both pass flows answer through the
+    /// linear sweep — so it survives only as the oracle for the
+    /// equivalence property test below.
     #[cfg(test)]
     fn earliest_start_legacy(&self, nodes: u32, duration: u64, after: SimTime) -> SimTime {
         let need = nodes as i64;

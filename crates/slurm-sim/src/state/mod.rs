@@ -15,7 +15,6 @@
 //! by backfill profiles, and the energy meter. `cfg.self_check` re-validates
 //! the cluster after each mutation.
 
-use crate::avail::{AvailBackend, Availability};
 use crate::config::SlurmConfig;
 use crate::job::{Job, JobOutcome, JobSpec, JobState, RunningJob};
 use crate::queue::{PendingQueue, QueueEntry};
@@ -85,11 +84,10 @@ pub struct DirtyFlags {
 
 /// Reusable buffers for the scheduling pass: the pass availability and the
 /// per-pass vectors live here between passes so the hot loop never
-/// allocates. Generic over the availability backend; [`SimState`] pins it
-/// to the runtime-selected [`AvailBackend`].
+/// allocates.
 #[derive(Debug, Default)]
-struct PassScratch<A: Availability = AvailBackend> {
-    profile: A,
+struct PassScratch {
+    profile: Profile,
     resv: Vec<(SimTime, u64, u32)>,
     prefix: Vec<crate::queue::QueueEntry>,
 }
@@ -140,11 +138,10 @@ pub struct SimState {
     /// (maintained at every reconfiguration; ascending id).
     shrunk: BTreeSet<JobId>,
     releases: ReleaseMap,
-    /// Cached availability (backend per `cfg.avail_backend`), patched on
-    /// every release change (incremental mode). Its canonical step view
-    /// always equals `Profile::build(now', empty, releases)` for the
-    /// instant `now'` it was last advanced to.
-    avail: AvailBackend,
+    /// Cached availability, patched on every release change (incremental
+    /// mode). It always equals `Profile::build(now', empty, releases)` for
+    /// the instant `now'` it was last advanced to.
+    avail: Profile,
     dirty: DirtyFlags,
     scratch: PassScratch,
     pub events: EventQueue<Event>,
@@ -299,7 +296,6 @@ impl SimState {
         let mut meter = EnergyMeter::new(node_power, nodes);
         meter.start(first_submit);
         let tenant_usage = vec![TenantUsage::default(); cfg.tenants.len()];
-        let backend = cfg.avail_backend;
         SimState {
             now: SimTime::ZERO,
             cluster: ClusterState::new(spec.clone()),
@@ -317,7 +313,7 @@ impl SimState {
             running_by_end: BTreeSet::new(),
             shrunk: BTreeSet::new(),
             releases: ReleaseMap::new(nodes),
-            avail: AvailBackend::flat(backend, SimTime::ZERO, nodes),
+            avail: Profile::flat(SimTime::ZERO, nodes),
             dirty: DirtyFlags::default(),
             scratch: PassScratch::default(),
             events,
@@ -405,10 +401,10 @@ impl SimState {
         Profile::build(self.now, self.cluster.empty_node_count(), &self.releases)
     }
 
-    /// The incrementally maintained availability, advanced to `now`. Its
-    /// canonical step view equals [`SimState::build_profile`] by
-    /// construction (asserted under `self_check` and by property tests).
-    pub fn availability(&mut self) -> &AvailBackend {
+    /// The incrementally maintained availability, advanced to `now`. It
+    /// equals [`SimState::build_profile`] by construction (asserted under
+    /// `self_check` and by property tests).
+    pub fn availability(&mut self) -> &Profile {
         self.avail.advance_to(self.now);
         &self.avail
     }
@@ -486,7 +482,7 @@ impl SimState {
         let fresh = self.build_profile();
         let now = self.now;
         assert_eq!(
-            self.availability().as_steps(),
+            self.availability(),
             &fresh,
             "cached availability diverged from rebuild at {now:?}"
         );
@@ -563,7 +559,7 @@ impl SimState {
         if self.cfg.incremental {
             let mut cached = self.avail.clone();
             cached.advance_to(self.now);
-            if cached.as_steps() != &self.build_profile() {
+            if cached != self.build_profile() {
                 return Err("cached availability diverged from rebuild".into());
             }
         }

@@ -7,30 +7,20 @@ use super::*;
 impl SimState {
 
     /// Takes the reusable pass-availability buffer, filled with the current
-    /// availability: a snapshot of the cache in incremental mode (no
-    /// BTreeMap walk, allocations reused), a fresh rebuild on the legacy
-    /// path. The buffer's backend follows `cfg.avail_backend`.
-    pub fn take_pass_profile(&mut self) -> AvailBackend {
-        let mut p = std::mem::take(&mut self.scratch.profile);
-        p.ensure_kind(self.cfg.avail_backend);
-        if self.cfg.incremental {
-            p.snapshot_from(self.availability());
-        } else {
-            p.rebuild(self.now, self.cluster.empty_node_count(), &self.releases);
+    /// availability: a copy of the cache in incremental mode (no BTreeMap
+    /// walk, allocations reused), a fresh rebuild on the legacy path.
+    pub fn take_pass_profile(&mut self) -> Profile {
+        if !self.cfg.incremental {
+            return self.build_profile();
         }
+        let mut p = std::mem::take(&mut self.scratch.profile);
+        p.clone_from(self.availability());
         p
     }
 
     /// Returns a pass availability for reuse by the next pass.
-    pub fn recycle_pass_profile(&mut self, p: AvailBackend) {
+    pub fn recycle_pass_profile(&mut self, p: Profile) {
         self.scratch.profile = p;
-    }
-
-    /// The release map backing availability rebuilds — lets a generic
-    /// pass rebuild its buffer mid-pass (the legacy flow after a
-    /// malleable start).
-    pub(crate) fn releases(&self) -> &ReleaseMap {
-        &self.releases
     }
 
     pub(crate) fn take_resv_scratch(&mut self) -> Vec<(SimTime, u64, u32)> {

@@ -15,7 +15,6 @@
 //! given, and this module owns what those bytes mean.
 
 use super::*;
-use crate::avail::AvailBackendKind;
 use cluster::cpumask::CpuMask;
 use cluster::NodeOccupancy;
 use drom::node::Resident;
@@ -196,10 +195,9 @@ impl SimState {
         w.u32(self.spec.nodes);
         w.u32(self.spec.node.cores());
         w.bool(self.cfg.incremental);
-        w.u8(match self.cfg.avail_backend {
-            AvailBackendKind::Profile => 0,
-            AvailBackendKind::SlotTree => 1,
-        });
+        // Availability backend tag: only the step-function profile (0) is
+        // left; the byte stays so the image format does not change.
+        w.u8(0);
         w.u32(self.cfg.tenants.len() as u32);
 
         w.time(self.now);
@@ -453,17 +451,14 @@ impl SimState {
                 cfg.incremental
             ));
         }
-        let backend = match r.u8()? {
-            0 => AvailBackendKind::Profile,
-            1 => AvailBackendKind::SlotTree,
+        match r.u8()? {
+            0 => {}
+            1 => {
+                return Err(
+                    "checkpoint was taken with the removed slot-tree availability backend".into(),
+                )
+            }
             b => return Err(format!("unknown availability backend tag {b}")),
-        };
-        if backend != cfg.avail_backend {
-            return Err(format!(
-                "checkpoint was taken with the {} backend, config says {}",
-                backend.label(),
-                cfg.avail_backend.label()
-            ));
         }
         let tenant_count = r.u32()? as usize;
         if tenant_count != cfg.tenants.len() {
@@ -788,10 +783,7 @@ impl SimState {
         // Availability cache: rebuilt canonically at `now` — equal (by the
         // incremental-maintenance invariant) to the advanced cache the
         // uninterrupted run would hold.
-        let free_now = st.cluster.empty_node_count();
-        let mut avail = AvailBackend::new(st.cfg.avail_backend);
-        avail.rebuild(st.now, free_now, &st.releases);
-        st.avail = avail;
+        st.avail = st.build_profile();
         st.scratch = PassScratch::default();
 
         // The meter was constructed by `new_online` with a fresh start; the
@@ -813,11 +805,10 @@ mod tests {
         spec
     }
 
-    fn cfg(incremental: bool, backend: AvailBackendKind) -> SlurmConfig {
+    fn cfg(incremental: bool) -> SlurmConfig {
         SlurmConfig {
             self_check: true,
             incremental,
-            avail_backend: backend,
             ..SlurmConfig::default()
         }
     }
@@ -826,10 +817,10 @@ mod tests {
         swf::SwfJob::for_simulation(id, submit, run, nodes * 8, req)
     }
 
-    fn mid_run_state(incremental: bool, backend: AvailBackendKind) -> SimState {
+    fn mid_run_state(incremental: bool) -> SimState {
         let mut st = SimState::new_online(
             spec4(),
-            cfg(incremental, backend),
+            cfg(incremental),
             Box::new(WorstCaseModel),
             SharingFactor::HALF,
         );
@@ -887,12 +878,8 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_and_validates() {
-        for (inc, backend) in [
-            (false, AvailBackendKind::Profile),
-            (true, AvailBackendKind::Profile),
-            (true, AvailBackendKind::SlotTree),
-        ] {
-            let st = mid_run_state(inc, backend);
+        for inc in [false, true] {
+            let st = mid_run_state(inc);
             let re = roundtrip(&st);
             re.deep_validate().expect("restored state valid");
             assert_eq!(re.now, st.now);
@@ -908,7 +895,7 @@ mod tests {
 
     #[test]
     fn restore_rebuilds_the_pool_weight_index() {
-        let mut st = mid_run_state(true, AvailBackendKind::Profile);
+        let mut st = mid_run_state(true);
         // J1 is lending; a second running job puts an entry in the pool.
         assert!(st.start_static(JobId(3)));
         assert_eq!(st.eligible_mates().len(), 1);
@@ -922,22 +909,17 @@ mod tests {
 
     #[test]
     fn restored_run_finishes_identically() {
-        for (inc, backend) in [
-            (false, AvailBackendKind::Profile),
-            (true, AvailBackendKind::Profile),
-            (false, AvailBackendKind::SlotTree),
-            (true, AvailBackendKind::SlotTree),
-        ] {
-            let st = mid_run_state(inc, backend);
+        for inc in [false, true] {
+            let st = mid_run_state(inc);
             let re = roundtrip(&st);
             let (out_a, stats_a, joules_a, last_a) = run_to_end(st);
             let (out_b, stats_b, joules_b, last_b) = run_to_end(re);
-            assert_eq!(out_a, out_b, "outcomes diverged ({inc}, {backend:?})");
-            assert_eq!(stats_a, stats_b, "stats diverged ({inc}, {backend:?})");
+            assert_eq!(out_a, out_b, "outcomes diverged (incremental={inc})");
+            assert_eq!(stats_a, stats_b, "stats diverged (incremental={inc})");
             assert_eq!(
                 joules_a.to_bits(),
                 joules_b.to_bits(),
-                "energy diverged ({inc}, {backend:?})"
+                "energy diverged (incremental={inc})"
             );
             assert_eq!(last_a, last_b);
         }
@@ -945,7 +927,7 @@ mod tests {
 
     #[test]
     fn fingerprint_mismatches_are_rejected() {
-        let st = mid_run_state(true, AvailBackendKind::Profile);
+        let st = mid_run_state(true);
         let bytes = st.checkpoint_bytes();
         // Wrong machine size.
         let mut big = spec4();
@@ -962,23 +944,42 @@ mod tests {
         // Wrong hot-path setting.
         let err = SimState::restore(
             spec4(),
-            cfg(false, AvailBackendKind::Profile),
+            cfg(false),
             Box::new(WorstCaseModel),
             st.sharing(),
             &bytes,
         )
         .err().unwrap();
         assert!(err.contains("incremental"), "{err}");
-        // Wrong backend.
-        let err = SimState::restore(
-            spec4(),
-            cfg(true, AvailBackendKind::SlotTree),
-            Box::new(WorstCaseModel),
-            st.sharing(),
-            &bytes,
-        )
-        .err().unwrap();
-        assert!(err.contains("backend"), "{err}");
+    }
+
+    /// The one availability-backend byte is still written (as 0) so images
+    /// keep their layout. An image carrying the removed slot-tree tag, or
+    /// any other value, is refused by name rather than restored or panicked
+    /// on.
+    #[test]
+    fn dead_or_unknown_backend_tag_is_rejected() {
+        let st = mid_run_state(true);
+        let bytes = st.checkpoint_bytes();
+        // magic, version, nodes, cores (u32 each), then the incremental flag.
+        let tag_at = 4 * 4 + 1;
+        assert_eq!(bytes[tag_at], 0);
+        let with_tag = |tag: u8| {
+            let mut image = bytes.clone();
+            image[tag_at] = tag;
+            SimState::restore(
+                spec4(),
+                cfg(true),
+                Box::new(WorstCaseModel),
+                SharingFactor::HALF,
+                &image,
+            )
+        };
+        assert!(with_tag(0).is_ok());
+        let err = with_tag(1).err().expect("slot-tree image");
+        assert!(err.contains("removed slot-tree"), "{err}");
+        let err = with_tag(7).err().expect("unknown tag");
+        assert!(err.contains("unknown availability backend tag 7"), "{err}");
     }
 
     /// A hostile image: well-formed everywhere except one DROM `node` or one
@@ -989,7 +990,7 @@ mod tests {
     /// of another width used to restore.
     #[test]
     fn poisoned_drom_node_or_mask_width_is_rejected() {
-        let mut st = mid_run_state(true, AvailBackendKind::Profile);
+        let mut st = mid_run_state(true);
         let staged = st.drom.snapshot().0[0];
         st.drom.set_mask(staged.node, staged.handle, staged.current);
         let bytes = st.checkpoint_bytes();
@@ -1024,7 +1025,7 @@ mod tests {
             image[at..at + 4].copy_from_slice(&value.to_le_bytes());
             SimState::restore(
                 spec4(),
-                cfg(true, AvailBackendKind::Profile),
+                cfg(true),
                 Box::new(WorstCaseModel),
                 SharingFactor::HALF,
                 &image,
@@ -1048,12 +1049,12 @@ mod tests {
 
     #[test]
     fn corrupt_or_truncated_bytes_error_cleanly() {
-        let st = mid_run_state(true, AvailBackendKind::Profile);
+        let st = mid_run_state(true);
         let bytes = st.checkpoint_bytes();
         let try_restore = |data: &[u8]| {
             SimState::restore(
                 spec4(),
-                cfg(true, AvailBackendKind::Profile),
+                cfg(true),
                 Box::new(WorstCaseModel),
                 SharingFactor::HALF,
                 data,

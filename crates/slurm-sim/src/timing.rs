@@ -4,11 +4,9 @@
 //! cheap global counter + wall-time accumulator, always compiled in but dormant
 //! until enabled (one relaxed atomic load per probe when off). Enable with
 //! [`enable`] or the `SD_TIMING` environment variable; `run_scenario
-//! --timing` prints the report. This is the "measure before choosing the
-//! tree" groundwork for the slot-tree roadmap item: it attributes a pass's
-//! wall time to `earliest_start`, the backfill trials, the quota checks and
-//! the node bookkeeping of each job start and end instead of one opaque
-//! total.
+//! --timing` prints the report. It attributes a pass's wall time to
+//! `earliest_start`, the backfill trials, the quota checks and the node
+//! bookkeeping of each job start and end instead of one opaque total.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::time::Instant;
@@ -111,20 +109,11 @@ pub static CUTOFF: FnTimer = FnTimer::new("cutoff");
 pub static QUOTA_CHECK: FnTimer = FnTimer::new("quota_check");
 /// Fair-share prefix reorders (decay + stable sort).
 pub static FAIR_SHARE_SORT: FnTimer = FnTimer::new("fair_share_sort");
-/// Slot-tree annotation descends (one per phase-A/phase-B jump inside a
-/// `SlotTree::earliest_start` query).
-pub static SLOT_DESCEND: FnTimer = FnTimer::new("slot_descend");
-/// Slot-tree slot splits: reservation writes and release patches against
-/// the slot list (each marks the annotation tree stale).
-pub static SLOT_SPLIT: FnTimer = FnTimer::new("slot_split");
-/// Slot-tree annotation re-merges (the lazy O(n) bottom-up rebuild the
-/// first query after a mutation pays).
-pub static SLOT_MERGE: FnTimer = FnTimer::new("slot_merge");
 /// One whole scheduler pass (the controller's `run_pass`) — the root frame
 /// every finer-grained probe nests under.
 pub static SCHED_PASS: FnTimer = FnTimer::new("sched_pass");
 
-const ALL: [&FnTimer; 12] = [
+const ALL: [&FnTimer; 9] = [
     &SCHED_PASS,
     &EARLIEST_START,
     &BACKFILL_TRIAL,
@@ -134,9 +123,6 @@ const ALL: [&FnTimer; 12] = [
     &CUTOFF,
     &QUOTA_CHECK,
     &FAIR_SHARE_SORT,
-    &SLOT_DESCEND,
-    &SLOT_SPLIT,
-    &SLOT_MERGE,
 ];
 
 /// RAII probe: measures from construction to drop when timing is enabled,
@@ -203,9 +189,9 @@ pub fn delta(before: &[FnTiming], after: &[FnTiming]) -> Vec<FnTiming> {
 /// The nominal call hierarchy of each probe, root-first, for
 /// collapsed-stack export. "Nominal" because probes measure inclusive wall
 /// time wherever they fire: `earliest_start` also runs outside backfill
-/// trials and `slot_split` also fires on release patches, but attributing
-/// each probe to its dominant caller keeps the flamegraph honest for the
-/// hot path that matters (the ROADMAP's `backfill_trial` wall).
+/// trials, but attributing each probe to its dominant caller keeps the
+/// flamegraph honest for the hot path that matters (the ROADMAP's
+/// `backfill_trial` wall).
 pub fn stack_frames(name: &str) -> &'static [&'static str] {
     match name {
         "sched_pass" => &["sd", "sched_pass"],
@@ -217,11 +203,6 @@ pub fn stack_frames(name: &str) -> &'static [&'static str] {
         "job_end" => &["sd", "dispatch", "job_end"],
         "mate_scan" => &["sd", "sched_pass", "backfill_trial", "mate_scan"],
         "cutoff" => &["sd", "sched_pass", "backfill_trial", "cutoff"],
-        "slot_descend" => {
-            &["sd", "sched_pass", "backfill_trial", "earliest_start", "slot_descend"]
-        }
-        "slot_merge" => &["sd", "sched_pass", "backfill_trial", "earliest_start", "slot_merge"],
-        "slot_split" => &["sd", "sched_pass", "backfill_trial", "slot_split"],
         _ => &["sd", "other"],
     }
 }
@@ -274,7 +255,7 @@ mod tests {
         }
         drop(scope(&QUOTA_CHECK));
         let rows = report();
-        assert_eq!(rows.len(), 12);
+        assert_eq!(rows.len(), 9);
         let es = rows.iter().find(|r| r.name == "earliest_start").unwrap();
         assert_eq!(es.count, 3);
         let qc = rows.iter().find(|r| r.name == "quota_check").unwrap();

@@ -58,9 +58,8 @@ pub mod prelude {
     pub use sd_scenario::{builtin_scenarios, execute, expand, Scenario, SourceKind};
     pub use simkit::{DetRng, SimTime};
     pub use slurm_sim::{
-        run_trace, AppAwareModel, AvailBackend, AvailBackendKind, Availability, Controller,
-        IdealModel, QueuePolicy, Quota, Scheduler, SimResult, SimState, SlurmConfig,
-        StaticBackfill, Tenant, TenantRegistry, WorstCaseModel,
+        run_trace, AppAwareModel, Controller, IdealModel, QueuePolicy, Quota, Scheduler,
+        SimResult, SimState, SlurmConfig, StaticBackfill, Tenant, TenantRegistry, WorstCaseModel,
     };
     pub use swf::{SwfJob, Trace};
     pub use workload::{AppTrace, PaperWorkload};

@@ -14,14 +14,12 @@ fn run(
     sd: bool,
     incremental: bool,
     self_check: bool,
-    backend: AvailBackendKind,
 ) -> SimResult {
     let trace = w.generate(seed, scale);
     let cluster = w.cluster(scale);
     let cfg = SlurmConfig {
         incremental,
         self_check,
-        avail_backend: backend,
         ..SlurmConfig::default()
     };
     if sd {
@@ -46,8 +44,8 @@ fn run(
 }
 
 fn assert_equivalent(w: PaperWorkload, scale: f64, seed: u64, sd: bool) {
-    let legacy = run(w, scale, seed, sd, false, false, AvailBackendKind::Profile);
-    let incr = run(w, scale, seed, sd, true, false, AvailBackendKind::Profile);
+    let legacy = run(w, scale, seed, sd, false, false);
+    let incr = run(w, scale, seed, sd, true, false);
     assert_eq!(
         legacy.outcomes, incr.outcomes,
         "{w:?} sd={sd} seed={seed}: outcomes diverged"
@@ -159,48 +157,12 @@ fn single_tenant_fair_share_is_bit_identical_to_untenanted() {
     }
 }
 
-/// The availability *backend* is a pure representation choice (DESIGN.md
-/// §13): the slot tree and the step-function profile must yield bit-identical
-/// schedules under **both** hot paths. Pin the full
-/// {profile, slottree} × {legacy, incremental} matrix against a single
-/// reference run on the CI panels for both policies.
-#[test]
-fn backend_matrix_is_bit_identical() {
-    for (w, scale) in [
-        (PaperWorkload::W3Ricc, 0.05),
-        (PaperWorkload::W4Curie, 0.01),
-    ] {
-        for sd in [true, false] {
-            let reference = run(w, scale, 42, sd, false, false, AvailBackendKind::Profile);
-            for backend in [AvailBackendKind::Profile, AvailBackendKind::SlotTree] {
-                for incremental in [false, true] {
-                    if backend == AvailBackendKind::Profile && !incremental {
-                        continue; // the reference itself
-                    }
-                    let got = run(w, scale, 42, sd, incremental, false, backend);
-                    let tag = format!(
-                        "{w:?} sd={sd} backend={} incremental={incremental}",
-                        backend.label()
-                    );
-                    assert_eq!(reference.outcomes, got.outcomes, "{tag}: outcomes");
-                    assert_eq!(reference.makespan, got.makespan, "{tag}: makespan");
-                    assert_eq!(reference.energy_joules, got.energy_joules, "{tag}: energy");
-                    assert_eq!(
-                        reference.stats.started_malleable, got.stats.started_malleable,
-                        "{tag}: malleable starts"
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// The cached availability profile is re-validated against a full rebuild
 /// after every mutation when `self_check` is on — run a malleability-heavy
 /// workload end-to-end with the tripwire armed.
 #[test]
 fn self_check_validates_profile_cache_end_to_end() {
-    let res = run(PaperWorkload::W3Ricc, 0.02, 7, true, true, true, AvailBackendKind::Profile);
+    let res = run(PaperWorkload::W3Ricc, 0.02, 7, true, true, true);
     assert_eq!(res.leftover_pending, 0);
     assert!(res.stats.started_malleable > 0, "malleable path exercised");
     assert!(res.stats.relocations > 0, "relocation path exercised");

@@ -8,8 +8,8 @@
 //! The recovery variant (DESIGN.md §14) extends the obligation through a
 //! crash: a session that loses its process mid-traffic and recovers from
 //! checkpoint + WAL must still finish bit-identical to the offline replay —
-//! for both `incremental` settings and both availability backends, and even
-//! when the WAL carries a torn tail.
+//! for both `incremental` settings, and even when the WAL carries a torn
+//! tail.
 
 use sd_sched::prelude::*;
 use sd_serve::engine::{ClockMode, Engine};
@@ -300,13 +300,12 @@ fn recovered_session(
 
 /// Half a session, a crash, recovery, the other half — must equal the
 /// offline replay bit-for-bit.
-fn assert_recovery_equivalent(incremental: bool, backend: AvailBackendKind, torn: bool, tag: &str) {
+fn assert_recovery_equivalent(incremental: bool, torn: bool, tag: &str) {
     let w = PaperWorkload::W3Ricc;
     let trace = w.generate(7, 0.02);
     let cluster = w.cluster(0.02);
     let cfg = SlurmConfig {
         incremental,
-        avail_backend: backend,
         ..SlurmConfig::default()
     };
     let reference = offline(&trace, cluster.clone(), cfg.clone(), true);
@@ -336,7 +335,7 @@ fn assert_recovery_equivalent(incremental: bool, backend: AvailBackendKind, torn
     assert_eq!(
         recovered, reference,
         "recovered session diverged from the offline replay \
-         (incremental={incremental} backend={backend:?} torn={torn})"
+         (incremental={incremental} torn={torn})"
     );
 }
 
@@ -376,18 +375,15 @@ fn crash_image_written_by_the_previous_build_still_recovers() {
 }
 
 #[test]
-fn recovered_session_matches_offline_replay_across_hot_paths_and_backends() {
+fn recovered_session_matches_offline_replay_across_hot_paths() {
     for incremental in [true, false] {
-        for backend in [AvailBackendKind::Profile, AvailBackendKind::SlotTree] {
-            let tag = format!("i{}-{backend:?}", u8::from(incremental));
-            assert_recovery_equivalent(incremental, backend, false, &tag);
-        }
+        assert_recovery_equivalent(incremental, false, &format!("i{}", u8::from(incremental)));
     }
 }
 
 #[test]
 fn torn_wal_tail_recovery_still_matches_offline_replay() {
-    assert_recovery_equivalent(true, AvailBackendKind::default(), true, "torn");
+    assert_recovery_equivalent(true, true, "torn");
 }
 
 #[test]
