@@ -8,10 +8,7 @@
 //! * [`cli`] — the tiny flag parser shared by the binaries
 //!   (`--scale`, `--seed`, `--full`, `--swf <file>`, `--threads`, `--out`),
 //! * [`validate`] — the paper-expectations harness behind the
-//!   `sd_validate` binary (machine-checkable claims vs the static baseline),
-//! * [`macrobench`] — the timed end-to-end panel behind the `bench_macro`
-//!   binary (`BENCH_<rev>.json` perf trajectory, legacy-vs-incremental A/B,
-//!   CI regression gate).
+//!   `sd_validate` binary (machine-checkable claims vs the static baseline).
 //!
 //! Every binary prints the paper's rows/series next to the measured values
 //! so EXPERIMENTS.md can record paper-vs-measured directly. The
@@ -19,7 +16,6 @@
 //! `sd-scenario` files/campaigns over the same [`runner::sweep_with`] pool.
 
 pub mod cli;
-pub mod macrobench;
 pub mod runner;
 pub mod validate;
 

@@ -21,10 +21,9 @@ use simkit::SimTime;
 pub trait Scheduler {
     fn schedule(&mut self, st: &mut SimState);
 
-    /// Whether a pass could act given what the event batch changed. Only
-    /// consulted in incremental mode; returning `false` must be *provably*
-    /// equivalent to running the pass (same `SimResult`) — the default is
-    /// the old controller's behaviour (any change ⇒ pass).
+    /// Whether a pass could act given what the event batch changed.
+    /// Returning `false` must be *provably* equivalent to running the pass
+    /// (same `SimResult`); the default never skips (any change ⇒ pass).
     fn pass_needed(&self, st: &SimState, dirty: DirtyFlags) -> bool {
         let _ = st;
         dirty.queue || dirty.capacity
@@ -63,18 +62,18 @@ pub type FlexStarted = bool;
 /// static start anyway (conservative reservations, the EASY head); it is
 /// `None` for EASY non-head jobs, where the est is only needed *if* the
 /// hook actually mounts a malleable trial — the hook resolves it lazily
-/// from the profile (and must bail on `SimTime::MAX`, preserving the old
-/// "never trial an impossible job" accounting). This laziness is what keeps
-/// deep EASY passes (full Curie: `bf_max_job_test = 200`) from paying an
-/// O(profile) walk per examined job; the common case is one O(1)
-/// [`Profile::can_start_now`] probe.
+/// from the profile (and must bail on `SimTime::MAX`: an impossible job is
+/// never trialled). This laziness is what keeps deep EASY passes (full
+/// Curie: `bf_max_job_test = 200`) from paying an O(profile) walk per
+/// examined job; the common case is one O(1) [`Profile::can_start_now`]
+/// probe.
 ///
 /// On a `true` return the pass profile must account for the taken idle
-/// nodes: in incremental mode the hook itself applies the in-place
-/// [`Profile::reserve`] delta (shared mate nodes keep their release —
-/// the finish-inside constraint caps the borrower's requested end at the
-/// mates'); on the legacy path the profile is rebuilt from scratch and the
-/// waiting jobs' reservations are replayed.
+/// nodes: the hook itself applies the in-place [`Profile::reserve`] delta
+/// (shared mate nodes keep their release — the finish-inside constraint
+/// caps the borrower's requested end at the mates'). Under
+/// `cfg.self_check` the result is compared with a rebuild from the release
+/// map plus a replay of this pass's reservations.
 ///
 /// Returns the end-of-pass availability (current starts and the waiting
 /// jobs' reservations applied) so callers can make further
@@ -93,12 +92,11 @@ where
     }
     let depth = st.cfg.backfill_depth;
     let mode = st.cfg.backfill_mode;
-    let incremental = st.cfg.incremental;
-    // Reservations made for still-waiting jobs this pass; on the legacy path
-    // they are re-applied after a malleable start forces a profile rebuild.
-    // (Started jobs are reflected in the release map, so they must NOT be
-    // re-applied.)
-    let mut waiting_resv = st.take_resv_scratch();
+    // Reservations made for still-waiting jobs this pass: what the
+    // `self_check` oracle replays on top of a rebuilt profile. (Started
+    // jobs are reflected in the release map, so they must NOT be replayed.)
+    let self_check = st.cfg.self_check;
+    let mut waiting_resv = Vec::new();
     let mut head_reserved = false;
 
     let mut prefix = st.take_prefix_scratch();
@@ -118,61 +116,6 @@ where
             continue;
         }
         let _trial = timing::scope(&timing::BACKFILL_TRIAL);
-        if !incremental {
-            // Legacy flow: full est for every examined job. (The linear
-            // sweep is equivalent to the original candidate probing —
-            // pinned by the oracle property test in `reservation.rs`.)
-            let est = profile.earliest_start(req_nodes, req_time, st.now);
-            if est == st.now {
-                if st.start_static(id) {
-                    profile.reserve(st.now, req_time, req_nodes);
-                } else {
-                    st.trace.emit(
-                        st.now.secs(),
-                        TraceKind::BackfillRejected {
-                            job: id.0,
-                            reason: RejectReason::Fragmentation,
-                        },
-                    );
-                }
-                continue;
-            }
-            if est > st.now && est != SimTime::MAX && flexible(st, id, Some(est), &mut profile) {
-                profile = st.build_profile();
-                for &(s, d, n) in &waiting_resv {
-                    profile.reserve(s, d, n);
-                }
-                continue;
-            }
-            if est == SimTime::MAX {
-                st.trace.emit(
-                    st.now.secs(),
-                    TraceKind::BackfillRejected { job: id.0, reason: RejectReason::NeverFits },
-                );
-                continue; // cannot ever run (larger than the machine)
-            }
-            let reserve = match mode {
-                BackfillMode::Conservative => true,
-                BackfillMode::Easy => !head_reserved,
-            };
-            if reserve {
-                profile.reserve(est, req_time, req_nodes);
-                waiting_resv.push((est, req_time, req_nodes));
-                head_reserved = true;
-                st.trace.emit(
-                    st.now.secs(),
-                    TraceKind::EasyReserved { job: id.0, est: est.secs() },
-                );
-            } else {
-                st.trace.emit(
-                    st.now.secs(),
-                    TraceKind::BackfillRejected { job: id.0, reason: RejectReason::NoFitNow },
-                );
-            }
-            continue;
-        }
-
-        // Incremental flow — same decisions, lazily computed.
         if profile.can_start_now(req_nodes, req_time, st.now) {
             if st.start_static(id) {
                 profile.reserve(st.now, req_time, req_nodes);
@@ -194,7 +137,9 @@ where
             BackfillMode::Conservative => true,
             BackfillMode::Easy => !head_reserved,
         };
-        if reserve_wanted {
+        // EASY non-head: no reservation either way, so no est here; the
+        // hook computes one itself only if it mounts a trial.
+        let est = if reserve_wanted {
             let est = profile.earliest_start(req_nodes, req_time, st.now);
             if est == SimTime::MAX {
                 st.trace.emit(
@@ -204,29 +149,59 @@ where
                 continue; // cannot ever run (larger than the machine)
             }
             debug_assert!(est > st.now, "can_start_now said otherwise");
-            if flexible(st, id, Some(est), &mut profile) {
-                continue; // hook applied the in-place delta
-            }
-            profile.reserve(est, req_time, req_nodes);
-            waiting_resv.push((est, req_time, req_nodes));
-            head_reserved = true;
-            st.trace
-                .emit(st.now.secs(), TraceKind::EasyReserved { job: id.0, est: est.secs() });
+            Some(est)
         } else {
-            // EASY non-head: no reservation either way; the hook computes
-            // the est itself only if it mounts a trial.
-            if !flexible(st, id, None, &mut profile) {
-                st.trace.emit(
-                    st.now.secs(),
-                    TraceKind::BackfillRejected { job: id.0, reason: RejectReason::NoFitNow },
-                );
+            None
+        };
+        if flexible(st, id, est, &mut profile) {
+            // The hook applied the in-place delta.
+            if self_check {
+                assert_delta_equals_rebuild(st, &profile, &waiting_resv);
             }
+            continue;
+        }
+        match est {
+            Some(est) => {
+                profile.reserve(est, req_time, req_nodes);
+                if self_check {
+                    waiting_resv.push((est, req_time, req_nodes));
+                }
+                head_reserved = true;
+                st.trace
+                    .emit(st.now.secs(), TraceKind::EasyReserved { job: id.0, est: est.secs() });
+            }
+            None => st.trace.emit(
+                st.now.secs(),
+                TraceKind::BackfillRejected { job: id.0, reason: RejectReason::NoFitNow },
+            ),
         }
     }
     st.stats.peak_profile_len = st.stats.peak_profile_len.max(profile.len());
-    st.recycle_resv_scratch(waiting_resv);
     st.recycle_prefix_scratch(prefix);
     profile
+}
+
+/// The `self_check` oracle for the flexible hook's in-place delta: the pass
+/// profile must equal the availability rebuilt from the release map with
+/// the waiting jobs' reservations replayed on top. [`Profile::reserve`]
+/// leaves redundant step points, so both sides are compared compacted.
+fn assert_delta_equals_rebuild(
+    st: &SimState,
+    profile: &Profile,
+    waiting_resv: &[(SimTime, u64, u32)],
+) {
+    let mut rebuilt = st.build_profile();
+    for &(start, duration, nodes) in waiting_resv {
+        rebuilt.reserve(start, duration, nodes);
+    }
+    rebuilt.compact();
+    let mut patched = profile.clone();
+    patched.compact();
+    assert_eq!(
+        patched, rebuilt,
+        "pass profile after a malleable start diverged from rebuild + replay at {:?}",
+        st.now
+    );
 }
 
 /// The paper's baseline: plain (static) backfill, no malleability.

@@ -44,13 +44,12 @@ impl<S: Scheduler> Controller<S> {
                 changed |= self.state.dispatch(ev.payload);
             }
             if changed {
-                // Pass gating (incremental mode): skip the pass when the
-                // scheduler proves it could not act on what changed. The
-                // dirty flags are consumed either way so they always cover
-                // exactly the batches since the last pass opportunity.
+                // Pass gating: skip the pass when the scheduler proves it
+                // could not act on what changed. The dirty flags are
+                // consumed either way so they always cover exactly the
+                // batches since the last pass opportunity.
                 let dirty = self.state.take_dirty();
-                if !self.state.cfg.incremental || self.scheduler.pass_needed(&self.state, dirty)
-                {
+                if self.scheduler.pass_needed(&self.state, dirty) {
                     self.run_pass();
                 } else {
                     self.state.stats.passes_skipped += 1;
@@ -94,7 +93,7 @@ impl<S: Scheduler> Controller<S> {
         if dirty == crate::state::DirtyFlags::default() {
             return;
         }
-        if !self.state.cfg.incremental || self.scheduler.pass_needed(&self.state, dirty) {
+        if self.scheduler.pass_needed(&self.state, dirty) {
             self.run_pass();
         } else {
             self.state.stats.passes_skipped += 1;

@@ -293,10 +293,8 @@ impl Profile {
         true
     }
 
-    /// The original candidate-probing `earliest_start` (`O(len²)` worst
-    /// case). Dead on the hot path — both pass flows answer through the
-    /// linear sweep — so it survives only as the oracle for the
-    /// equivalence property test below.
+    /// The candidate-probing `earliest_start` (`O(len²)` worst case): the
+    /// oracle for the equivalence property test below.
     #[cfg(test)]
     fn earliest_start_legacy(&self, nodes: u32, duration: u64, after: SimTime) -> SimTime {
         let need = nodes as i64;
@@ -676,10 +674,11 @@ mod tests {
 
     proptest::proptest! {
         /// The O(len) forward-sweep `earliest_start` returns exactly what
-        /// the original candidate-probing implementation returns, on
-        /// profiles with arbitrary releases *and* reservations (dips
-        /// included). The oracle lives here as `#[cfg(test)]` so it can
-        /// never creep back onto the hot path.
+        /// the candidate-probing implementation returns, on profiles with
+        /// arbitrary releases *and* reservations (dips included), and
+        /// `can_start_now` — which decides every static start — is exactly
+        /// `earliest_start == after`. The oracle lives here as
+        /// `#[cfg(test)]` so it can never creep onto the hot path.
         #[test]
         fn linear_earliest_start_matches_legacy_oracle(
             releases in proptest::collection::vec((1u64..800, 1u32..4), 0..16),
@@ -705,6 +704,11 @@ mod tests {
                 p.earliest_start(nodes, duration, SimTime(after)),
                 p.earliest_start_legacy(nodes, duration, SimTime(after)),
                 "sweep and probe disagree on {:?}", p
+            );
+            proptest::prop_assert_eq!(
+                p.can_start_now(nodes, duration, SimTime(after)),
+                p.earliest_start(nodes, duration, SimTime(after)) == SimTime(after),
+                "the start-now probe and the sweep disagree on {:?}", p
             );
         }
     }

@@ -265,24 +265,10 @@ impl SimState {
     }
 
     /// Running malleable-backfilled jobs currently shrunk below full width —
-    /// the candidates for [`SimState::relocate_borrower`] (ascending id).
-    /// Incremental mode serves this from an index maintained at every
-    /// reconfiguration; the legacy path keeps the original running-set scan
-    /// as the perf baseline (both orders are ascending — identical output).
+    /// the candidates for [`SimState::relocate_borrower`] (ascending id),
+    /// served from an index maintained at every reconfiguration.
     pub fn shrunk_borrowers(&self) -> Vec<JobId> {
-        if self.cfg.incremental {
-            self.shrunk.iter().copied().collect()
-        } else {
-            self.running
-                .iter()
-                .copied()
-                .filter(|&id| {
-                    self.job(id)
-                        .running()
-                        .is_some_and(|r| r.malleable_backfilled && !r.at_full_allocation())
-                })
-                .collect()
-        }
+        self.shrunk.iter().copied().collect()
     }
 
     /// Whether any shrunk borrower exists (O(1); pass gating).
@@ -656,8 +642,8 @@ impl SimState {
             .max()
     }
 
-    /// Recomputes a node's predicted release and, in incremental mode,
-    /// patches the cached availability profile with the delta.
+    /// Recomputes a node's predicted release and patches the cached
+    /// availability profile with the delta.
     pub(super) fn update_release(&mut self, n: NodeId) {
         let latest = self.node_release(n);
         let old = self.releases.release_of(n);
@@ -665,9 +651,7 @@ impl SimState {
             return;
         }
         self.releases.set_release(n, latest);
-        if self.cfg.incremental {
-            self.avail.patch_release(self.now, old, latest);
-        }
+        self.avail.patch_release(self.now, old, latest);
     }
 
     /// [`SimState::update_release`] over a whole allocation: identical
@@ -679,10 +663,8 @@ impl SimState {
         let moved = self
             .releases
             .set_releases(nodes.iter().map(|&n| (n, Self::release_among(cluster, jobs, n))));
-        if self.cfg.incremental {
-            for (old, new, count) in moved {
-                self.avail.patch_release_many(self.now, old, new, count);
-            }
+        for (old, new, count) in moved {
+            self.avail.patch_release_many(self.now, old, new, count);
         }
     }
 

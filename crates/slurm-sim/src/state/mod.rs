@@ -56,8 +56,7 @@ pub struct SimStats {
     /// resource manager).
     pub relocations: u64,
     pub sched_passes: u64,
-    /// Event batches whose pass was provably a no-op and was skipped
-    /// (incremental mode only; always 0 on the legacy path).
+    /// Event batches whose pass was provably a no-op and was skipped.
     pub passes_skipped: u64,
     /// Jobs withdrawn via [`SimState::cancel_job`] (always 0 for offline
     /// trace replays — cancellation only exists on the online path).
@@ -88,7 +87,6 @@ pub struct DirtyFlags {
 #[derive(Debug, Default)]
 struct PassScratch {
     profile: Profile,
-    resv: Vec<(SimTime, u64, u32)>,
     prefix: Vec<crate::queue::QueueEntry>,
 }
 
@@ -138,9 +136,9 @@ pub struct SimState {
     /// (maintained at every reconfiguration; ascending id).
     shrunk: BTreeSet<JobId>,
     releases: ReleaseMap,
-    /// Cached availability, patched on every release change (incremental
-    /// mode). It always equals `Profile::build(now', empty, releases)` for
-    /// the instant `now'` it was last advanced to.
+    /// Cached availability, patched on every release change. It always
+    /// equals `Profile::build(now', empty, releases)` for the instant `now'`
+    /// it was last advanced to.
     avail: Profile,
     dirty: DirtyFlags,
     scratch: PassScratch,
@@ -394,9 +392,10 @@ impl SimState {
     }
 
     /// Availability profile at `now`, rebuilt from scratch (requested-time
-    /// based). In incremental mode this is the *slow path*: passes use the
-    /// cached [`SimState::availability`]; this rebuild remains the
-    /// validation oracle (`self_check`, [`SimState::deep_validate`], tests).
+    /// based). This is the *slow path*: passes use the cached
+    /// [`SimState::availability`]; the rebuild is the validation oracle
+    /// (`self_check`, [`SimState::deep_validate`], tests) and what a restore
+    /// starts from.
     pub fn build_profile(&self) -> Profile {
         Profile::build(self.now, self.cluster.empty_node_count(), &self.releases)
     }
@@ -468,17 +467,14 @@ impl SimState {
 
 
     /// Asserts the derived caches equal fresh rebuilds: the pool weight
-    /// index, and in incremental mode the availability profile (called from
-    /// the `self_check` blocks).
+    /// index and the availability profile (called from the `self_check`
+    /// blocks).
     fn self_check_caches(&mut self) {
         assert_eq!(
             self.pool_weights,
             PoolWeights::recount(&self.mate_pool),
             "mate-pool weight index diverged from the pool"
         );
-        if !self.cfg.incremental {
-            return;
-        }
         let fresh = self.build_profile();
         let now = self.now;
         assert_eq!(
@@ -556,12 +552,10 @@ impl SimState {
                 }
             }
         }
-        if self.cfg.incremental {
-            let mut cached = self.avail.clone();
-            cached.advance_to(self.now);
-            if cached != self.build_profile() {
-                return Err("cached availability diverged from rebuild".into());
-            }
+        let mut cached = self.avail.clone();
+        cached.advance_to(self.now);
+        if cached != self.build_profile() {
+            return Err("cached availability diverged from rebuild".into());
         }
         Ok(())
     }

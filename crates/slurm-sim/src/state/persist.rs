@@ -194,9 +194,10 @@ impl SimState {
         // Configuration fingerprint (checked on restore).
         w.u32(self.spec.nodes);
         w.u32(self.spec.node.cores());
-        w.bool(self.cfg.incremental);
-        // Availability backend tag: only the step-function profile (0) is
-        // left; the byte stays so the image format does not change.
+        // Hot-path byte, then availability backend tag: one hot path
+        // (incremental, `true`) and one backend (the step-function profile,
+        // 0) are left; both bytes stay so the image format does not change.
+        w.bool(true);
         w.u8(0);
         w.u32(self.cfg.tenants.len() as u32);
 
@@ -444,12 +445,8 @@ impl SimState {
                 spec.node.cores()
             ));
         }
-        let incremental = r.bool()?;
-        if incremental != cfg.incremental {
-            return Err(format!(
-                "checkpoint was taken with incremental={incremental}, config says {}",
-                cfg.incremental
-            ));
+        if !r.bool()? {
+            return Err("checkpoint was taken on the removed legacy hot path".into());
         }
         match r.u8()? {
             0 => {}
@@ -805,10 +802,9 @@ mod tests {
         spec
     }
 
-    fn cfg(incremental: bool) -> SlurmConfig {
+    fn cfg() -> SlurmConfig {
         SlurmConfig {
             self_check: true,
-            incremental,
             ..SlurmConfig::default()
         }
     }
@@ -817,10 +813,10 @@ mod tests {
         swf::SwfJob::for_simulation(id, submit, run, nodes * 8, req)
     }
 
-    fn mid_run_state(incremental: bool) -> SimState {
+    fn mid_run_state() -> SimState {
         let mut st = SimState::new_online(
             spec4(),
-            cfg(incremental),
+            cfg(),
             Box::new(WorstCaseModel),
             SharingFactor::HALF,
         );
@@ -878,24 +874,22 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_and_validates() {
-        for inc in [false, true] {
-            let st = mid_run_state(inc);
-            let re = roundtrip(&st);
-            re.deep_validate().expect("restored state valid");
-            assert_eq!(re.now, st.now);
-            assert_eq!(re.job_count(), st.job_count());
-            assert_eq!(re.running_count(), st.running_count());
-            assert_eq!(re.queue.len(), st.queue.len());
-            assert_eq!(re.stats, st.stats);
-            assert_eq!(re.first_submit(), st.first_submit());
-            // Second serialization is bit-identical: the image is canonical.
-            assert_eq!(re.checkpoint_bytes(), st.checkpoint_bytes());
-        }
+        let st = mid_run_state();
+        let re = roundtrip(&st);
+        re.deep_validate().expect("restored state valid");
+        assert_eq!(re.now, st.now);
+        assert_eq!(re.job_count(), st.job_count());
+        assert_eq!(re.running_count(), st.running_count());
+        assert_eq!(re.queue.len(), st.queue.len());
+        assert_eq!(re.stats, st.stats);
+        assert_eq!(re.first_submit(), st.first_submit());
+        // Second serialization is bit-identical: the image is canonical.
+        assert_eq!(re.checkpoint_bytes(), st.checkpoint_bytes());
     }
 
     #[test]
     fn restore_rebuilds_the_pool_weight_index() {
-        let mut st = mid_run_state(true);
+        let mut st = mid_run_state();
         // J1 is lending; a second running job puts an entry in the pool.
         assert!(st.start_static(JobId(3)));
         assert_eq!(st.eligible_mates().len(), 1);
@@ -909,25 +903,19 @@ mod tests {
 
     #[test]
     fn restored_run_finishes_identically() {
-        for inc in [false, true] {
-            let st = mid_run_state(inc);
-            let re = roundtrip(&st);
-            let (out_a, stats_a, joules_a, last_a) = run_to_end(st);
-            let (out_b, stats_b, joules_b, last_b) = run_to_end(re);
-            assert_eq!(out_a, out_b, "outcomes diverged (incremental={inc})");
-            assert_eq!(stats_a, stats_b, "stats diverged (incremental={inc})");
-            assert_eq!(
-                joules_a.to_bits(),
-                joules_b.to_bits(),
-                "energy diverged (incremental={inc})"
-            );
-            assert_eq!(last_a, last_b);
-        }
+        let st = mid_run_state();
+        let re = roundtrip(&st);
+        let (out_a, stats_a, joules_a, last_a) = run_to_end(st);
+        let (out_b, stats_b, joules_b, last_b) = run_to_end(re);
+        assert_eq!(out_a, out_b, "outcomes diverged");
+        assert_eq!(stats_a, stats_b, "stats diverged");
+        assert_eq!(joules_a.to_bits(), joules_b.to_bits(), "energy diverged");
+        assert_eq!(last_a, last_b);
     }
 
     #[test]
     fn fingerprint_mismatches_are_rejected() {
-        let st = mid_run_state(true);
+        let st = mid_run_state();
         let bytes = st.checkpoint_bytes();
         // Wrong machine size.
         let mut big = spec4();
@@ -941,45 +929,52 @@ mod tests {
         )
         .err().unwrap();
         assert!(err.contains("machine"), "{err}");
-        // Wrong hot-path setting.
+        // Wrong tenant table.
+        let mut tenanted = cfg();
+        tenanted.tenants.add(crate::tenant::Tenant::unlimited(1, 0));
         let err = SimState::restore(
             spec4(),
-            cfg(false),
+            tenanted,
             Box::new(WorstCaseModel),
             st.sharing(),
             &bytes,
         )
         .err().unwrap();
-        assert!(err.contains("incremental"), "{err}");
+        assert!(err.contains("tenants"), "{err}");
     }
 
-    /// The one availability-backend byte is still written (as 0) so images
-    /// keep their layout. An image carrying the removed slot-tree tag, or
-    /// any other value, is refused by name rather than restored or panicked
-    /// on.
+    /// The hot-path byte and the availability-backend byte are still
+    /// written (as `true` and 0) so images keep their layout. An image
+    /// taken on the removed legacy path or with the removed slot-tree tag,
+    /// or carrying any other value in either byte, is refused by name
+    /// rather than restored or panicked on.
     #[test]
     fn dead_or_unknown_backend_tag_is_rejected() {
-        let st = mid_run_state(true);
+        let st = mid_run_state();
         let bytes = st.checkpoint_bytes();
-        // magic, version, nodes, cores (u32 each), then the incremental flag.
-        let tag_at = 4 * 4 + 1;
-        assert_eq!(bytes[tag_at], 0);
-        let with_tag = |tag: u8| {
+        // magic, version, nodes, cores (u32 each), then the two bytes.
+        let (path_at, tag_at) = (4 * 4, 4 * 4 + 1);
+        assert_eq!(bytes[path_at..=tag_at], [1, 0]);
+        let patched = |at: usize, value: u8| {
             let mut image = bytes.clone();
-            image[tag_at] = tag;
+            image[at] = value;
             SimState::restore(
                 spec4(),
-                cfg(true),
+                cfg(),
                 Box::new(WorstCaseModel),
                 SharingFactor::HALF,
                 &image,
             )
         };
-        assert!(with_tag(0).is_ok());
-        let err = with_tag(1).err().expect("slot-tree image");
+        assert!(patched(tag_at, 0).is_ok());
+        let err = patched(tag_at, 1).err().expect("slot-tree image");
         assert!(err.contains("removed slot-tree"), "{err}");
-        let err = with_tag(7).err().expect("unknown tag");
+        let err = patched(tag_at, 7).err().expect("unknown tag");
         assert!(err.contains("unknown availability backend tag 7"), "{err}");
+        let err = patched(path_at, 0).err().expect("legacy-path image");
+        assert!(err.contains("removed legacy hot path"), "{err}");
+        let err = patched(path_at, 7).err().expect("not a bool");
+        assert!(err.contains("bad bool byte 7"), "{err}");
     }
 
     /// A hostile image: well-formed everywhere except one DROM `node` or one
@@ -990,7 +985,7 @@ mod tests {
     /// of another width used to restore.
     #[test]
     fn poisoned_drom_node_or_mask_width_is_rejected() {
-        let mut st = mid_run_state(true);
+        let mut st = mid_run_state();
         let staged = st.drom.snapshot().0[0];
         st.drom.set_mask(staged.node, staged.handle, staged.current);
         let bytes = st.checkpoint_bytes();
@@ -1025,7 +1020,7 @@ mod tests {
             image[at..at + 4].copy_from_slice(&value.to_le_bytes());
             SimState::restore(
                 spec4(),
-                cfg(true),
+                cfg(),
                 Box::new(WorstCaseModel),
                 SharingFactor::HALF,
                 &image,
@@ -1049,12 +1044,12 @@ mod tests {
 
     #[test]
     fn corrupt_or_truncated_bytes_error_cleanly() {
-        let st = mid_run_state(true);
+        let st = mid_run_state();
         let bytes = st.checkpoint_bytes();
         let try_restore = |data: &[u8]| {
             SimState::restore(
                 spec4(),
-                cfg(true),
+                cfg(),
                 Box::new(WorstCaseModel),
                 SharingFactor::HALF,
                 data,

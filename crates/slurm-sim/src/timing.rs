@@ -85,8 +85,7 @@ impl FnTimer {
     }
 }
 
-/// `earliest_start` probes (both the legacy profile walk and the
-/// incremental linear sweep).
+/// `earliest_start` probes (the linear sweep over the pass profile).
 pub static EARLIEST_START: FnTimer = FnTimer::new("earliest_start");
 /// One per pending job examined by a backfill pass (static trial +
 /// flexible/malleable fallback together).

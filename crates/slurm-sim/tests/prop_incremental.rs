@@ -1,7 +1,7 @@
-//! Property tests for the incremental hot path (DESIGN.md §9): the cached
-//! availability profile must be indistinguishable from a full rebuild.
-//! (The linear-sweep vs. legacy-probe property moved into `reservation.rs`
-//! unit tests when the quadratic probe was demoted to a test-only oracle.)
+//! Property tests for the incrementally maintained availability cache
+//! (DESIGN.md §9): it must be indistinguishable from a full rebuild. (The
+//! linear-sweep vs. candidate-probe property lives in `reservation.rs`,
+//! next to its test-only oracle.)
 
 use cluster::NodeId;
 use proptest::prelude::*;
