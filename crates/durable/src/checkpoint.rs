@@ -19,7 +19,7 @@
 //! (power loss before the rename landed, manual tampering) decodes to `None`
 //! and recovery falls back to replaying the full WAL.
 
-use crate::crc::Crc32;
+use crate::codec::{seq_checksum, Reader, Writer};
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -36,47 +36,32 @@ pub struct Checkpoint {
     pub payload: Vec<u8>,
 }
 
-fn checksum(applied_seq: u64, payload: &[u8]) -> u32 {
-    let mut crc = Crc32::new();
-    crc.update(&applied_seq.to_le_bytes());
-    crc.update(payload);
-    crc.finish()
-}
-
 /// Serialize a checkpoint image (pure; used by the writer and by tests).
 pub fn encode(applied_seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER + payload.len());
-    buf.extend_from_slice(&MAGIC.to_le_bytes());
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&applied_seq.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&checksum(applied_seq, payload).to_le_bytes());
-    buf.extend_from_slice(payload);
+    let mut w = Writer::new(&mut buf);
+    w.u32(MAGIC);
+    w.u32(VERSION);
+    w.u64(applied_seq);
+    w.u32(payload.len() as u32);
+    w.u32(seq_checksum(applied_seq, payload));
+    w.bytes(payload);
     buf
 }
 
 /// Decode a checkpoint image; `None` on any corruption. Total and panic-free
 /// on arbitrary bytes.
 pub fn decode(data: &[u8]) -> Option<Checkpoint> {
-    if data.len() < HEADER {
+    let mut r = Reader::new(data);
+    if r.u32().ok()? != MAGIC || r.u32().ok()? != VERSION {
         return None;
     }
-    let magic = u32::from_le_bytes(data[0..4].try_into().unwrap());
-    let version = u32::from_le_bytes(data[4..8].try_into().unwrap());
-    if magic != MAGIC || version != VERSION {
-        return None;
-    }
-    let applied_seq = u64::from_le_bytes(data[8..16].try_into().unwrap());
-    let len = u32::from_le_bytes(data[16..20].try_into().unwrap()) as usize;
-    let stored_crc = u32::from_le_bytes(data[20..24].try_into().unwrap());
-    if data.len() - HEADER != len {
-        return None;
-    }
-    let payload = &data[HEADER..];
-    if checksum(applied_seq, payload) != stored_crc {
-        return None;
-    }
-    Some(Checkpoint {
+    let applied_seq = r.u64().ok()?;
+    let len = r.u32().ok()? as usize;
+    let stored_crc = r.u32().ok()?;
+    let payload = r.take(len).ok()?;
+    r.finish().ok()?;
+    (seq_checksum(applied_seq, payload) == stored_crc).then(|| Checkpoint {
         applied_seq,
         payload: payload.to_vec(),
     })
@@ -121,6 +106,11 @@ mod tests {
         let cp = decode(&image).expect("valid image decodes");
         assert_eq!(cp.applied_seq, 42);
         assert_eq!(cp.payload, b"state bytes");
+        // The image's bytes, as `6f73e6f` wrote them.
+        let mut golden = vec![b'K', b'C', b'D', b'S', 1, 0, 0, 0, 42, 0, 0, 0, 0, 0, 0, 0];
+        golden.extend_from_slice(&[11, 0, 0, 0, 0x35, 0x6d, 0x60, 0xd3]);
+        golden.extend_from_slice(b"state bytes");
+        assert_eq!(image, golden);
     }
 
     #[test]

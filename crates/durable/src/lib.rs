@@ -1,12 +1,14 @@
 //! `sd-durable` — crash tolerance for the online scheduling service.
 //!
 //! Dependency-free (like `sd-trace`): a checksummed, length-prefixed
-//! write-ahead log ([`wal`]), atomic checkpoints ([`checkpoint`]), and the
+//! write-ahead log ([`wal`]), atomic checkpoints ([`checkpoint`]), the
 //! directory-level store + recovery protocol that ties them together
-//! ([`store`]). The payload encoding is owned by the caller (`sd-serve`);
-//! this crate only guarantees that whatever bytes were appended come back in
-//! order, that a torn or bit-flipped tail is cleanly discarded (never a
-//! panic), and that checkpoint installation is atomic.
+//! ([`store`]), and the byte codec ([`codec`]) that these headers and every
+//! payload above them are written and read with. What a payload *means* is
+//! owned by the caller (`sd-serve`, `slurm-sim`); this crate guarantees
+//! that whatever bytes were appended come back in order, that a torn or
+//! bit-flipped tail is cleanly discarded (never a panic), and that
+//! checkpoint installation is atomic.
 //!
 //! The recovery claim the service builds on top: the scheduler is a
 //! deterministic single-writer state machine over a virtual clock, so
@@ -15,6 +17,7 @@
 //! at the workspace root, and by the chaos harness in `sd-loadgen --soak`).
 
 pub mod checkpoint;
+pub mod codec;
 pub mod crc;
 pub mod store;
 pub mod wal;

@@ -19,7 +19,7 @@
 //! expected artifact of `kill -9` / power loss mid-append and is never an
 //! error — the scanner cannot panic on any input.
 
-use crate::crc::Crc32;
+use crate::codec::{seq_checksum, Reader, Writer};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -87,49 +87,40 @@ pub struct ScanOutcome {
 
 /// Encode one frame into `buf` (single `write` syscall per append).
 pub fn encode_frame(buf: &mut Vec<u8>, seq: u64, payload: &[u8]) {
-    let seq_bytes = seq.to_le_bytes();
-    let mut crc = Crc32::new();
-    crc.update(&seq_bytes);
-    crc.update(payload);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc.finish().to_le_bytes());
-    buf.extend_from_slice(&seq_bytes);
-    buf.extend_from_slice(payload);
+    let mut w = Writer::new(buf);
+    w.u32(payload.len() as u32);
+    w.u32(seq_checksum(seq, payload));
+    w.u64(seq);
+    w.bytes(payload);
+}
+
+/// The next frame, or `None` when what is left is short, oversized or
+/// fails its checksum.
+fn read_frame(r: &mut Reader<'_>) -> Option<WalRecord> {
+    let len = r.u32().ok()?;
+    let stored_crc = r.u32().ok()?;
+    let seq = r.u64().ok()?;
+    if len > MAX_RECORD_LEN {
+        return None;
+    }
+    let payload = r.take(len as usize).ok()?;
+    (seq_checksum(seq, payload) == stored_crc).then(|| WalRecord { seq, payload: payload.to_vec() })
 }
 
 /// Longest-valid-prefix scan over an in-memory log image. Pure, total, and
 /// panic-free on arbitrary bytes (property-tested in `tests/corruption.rs`).
 pub fn scan_bytes(data: &[u8]) -> ScanOutcome {
     let mut records = Vec::new();
-    let mut off = 0usize;
-    loop {
-        let rest = data.len() - off;
-        if rest < FRAME_HEADER {
-            break;
-        }
-        let len = u32::from_le_bytes(data[off..off + 4].try_into().unwrap());
-        if len > MAX_RECORD_LEN || (len as usize) > rest - FRAME_HEADER {
-            break;
-        }
-        let stored_crc = u32::from_le_bytes(data[off + 4..off + 8].try_into().unwrap());
-        let seq_bytes: [u8; 8] = data[off + 8..off + 16].try_into().unwrap();
-        let payload = &data[off + FRAME_HEADER..off + FRAME_HEADER + len as usize];
-        let mut crc = Crc32::new();
-        crc.update(&seq_bytes);
-        crc.update(payload);
-        if crc.finish() != stored_crc {
-            break;
-        }
-        records.push(WalRecord {
-            seq: u64::from_le_bytes(seq_bytes),
-            payload: payload.to_vec(),
-        });
-        off += FRAME_HEADER + len as usize;
+    let mut r = Reader::new(data);
+    let mut valid = 0;
+    while let Some(record) = read_frame(&mut r) {
+        records.push(record);
+        valid = data.len() - r.remaining();
     }
     ScanOutcome {
         records,
-        valid_bytes: off as u64,
-        torn_tail: off < data.len(),
+        valid_bytes: valid as u64,
+        torn_tail: valid < data.len(),
     }
 }
 
@@ -235,6 +226,11 @@ mod tests {
         assert_eq!(out.records[0].payload, b"alpha");
         assert_eq!(out.records[1].payload, b"");
         assert_eq!(out.records[2].payload, vec![0u8; 100]);
+        // The frame's bytes, as `6f73e6f` wrote them.
+        assert_eq!(
+            log_image(&[(3, b"alpha")]),
+            [5, 0, 0, 0, 0x3b, 0xe4, 0x7c, 0xa4, 3, 0, 0, 0, 0, 0, 0, 0, b'a', b'l', b'p', b'h', b'a']
+        );
     }
 
     #[test]
@@ -269,7 +265,7 @@ mod tests {
     #[test]
     fn huge_length_prefix_is_rejected_not_allocated() {
         let mut image = log_image(&[(1, b"ok")]);
-        image.extend_from_slice(&u32::MAX.to_le_bytes());
+        image.extend_from_slice(&[0xFF; 4]); // len = u32::MAX
         image.extend_from_slice(&[0u8; 12]);
         let out = scan_bytes(&image);
         assert_eq!(out.records.len(), 1);

@@ -1,14 +1,15 @@
 //! # sd-obs — operational observability primitives
 //!
-//! Dependency-free building blocks shared by the service, the campaign
-//! runner and the dashboards (DESIGN.md §15):
+//! Building blocks shared by the service, the campaign runner and the
+//! dashboards (DESIGN.md §15); the only dependency is `sd-trace`, for its
+//! seqlock ring:
 //!
 //! * [`log`] — structured leveled logging: the [`log_event!`] macro feeds a
-//!   bounded lock-free ring ([`LogRing`], the seqlock design of
-//!   `sd-trace::TraceRing` generalised to variable-length records) plus an
-//!   optional stderr echo and a JSON-lines file sink. Readers tail the ring
-//!   by cursor without ever blocking the writer — that is what lets
-//!   `GET /v1/logs` be served off the scheduler hot path.
+//!   bounded lock-free ring ([`LogRing`], the 51-word instance of
+//!   `sd_trace::ring::SeqRing`) plus an optional stderr echo and a
+//!   JSON-lines file sink. Readers tail the ring by cursor without ever
+//!   blocking the writer — that is what lets `GET /v1/logs` be served off
+//!   the scheduler hot path.
 //! * [`profile`] — Brendan-Gregg collapsed-stack rendering for the
 //!   per-function timing accumulated by `slurm_sim::timing`
 //!   (`stack;frames;joined value` lines — loadable in inferno and

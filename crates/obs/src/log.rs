@@ -1,23 +1,21 @@
 //! Structured leveled logging into a bounded lock-free ring.
 //!
-//! The ring reuses the seqlock discipline of `sd-trace::TraceRing`,
-//! generalised to variable-length records: each slot carries a stamp word
-//! (odd = mid-write, `2i + 2` = slot stably holds record `i`), a meta word
-//! (level, payload length, truncation flag), wall/virtual timestamps and a
-//! fixed block of payload words holding the `\x1f`-separated
-//! `target, message, key\x1evalue…` text. Writers serialise through one
-//! atomic flag (any thread may log); readers never block — a record
-//! overwritten or caught mid-write is *counted dropped*, never returned
-//! torn. That contract is property-tested in `tests/prop_log_ring.rs`.
+//! The ring is `sd_trace::ring::SeqRing` (DESIGN.md §12) with 51-word
+//! slots: a meta word (level, text length, truncation flag), wall/virtual
+//! timestamps and 48 text words holding the `\x1f`-separated
+//! `target, message, key\x1evalue…` text. Any thread may log; readers
+//! never block — a record overwritten or caught mid-write is *counted
+//! dropped*, never returned torn. `tests/prop_log_ring.rs` property-tests
+//! that contract through the text packing.
 //!
 //! On top of the ring sits the process-global [`Logger`] behind the
 //! [`log_event!`] macro: one relaxed atomic load when the level is off,
 //! ring + optional stderr echo + optional JSON-lines file sink when on.
 
 use crate::json_escape;
+use sd_trace::ring::SeqRing;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::atomic::fence;
 use std::sync::{Mutex, OnceLock};
 use std::time::SystemTime;
 
@@ -125,78 +123,41 @@ pub struct LogTail {
     pub dropped: u64,
 }
 
-/// Payload capacity per slot in 8-byte words (384 bytes of encoded text).
-const DATA_WORDS: usize = 48;
-const DATA_BYTES: usize = DATA_WORDS * 8;
-/// Unit separator between target / message / fields in the encoded payload.
+/// Text capacity per slot in 8-byte words (384 bytes of encoded text).
+const TEXT_WORDS: usize = 48;
+const TEXT_BYTES: usize = TEXT_WORDS * 8;
+/// Words before the text: meta (bits 0..=31 text byte length, bits 32..=39
+/// level, bit 40 truncated), wall microseconds, virtual seconds.
+const HEADER_WORDS: usize = 3;
+const SLOT_WORDS: usize = HEADER_WORDS + TEXT_WORDS;
+/// Unit separator between target / message / fields in the encoded text.
 const SEP: u8 = 0x1f;
 /// Separator between a field key and its value.
 const KV: u8 = 0x1e;
 
-struct Slot {
-    stamp: AtomicU64,
-    /// bits 0..=31 payload byte length, bits 32..=39 level, bit 40 truncated.
-    meta: AtomicU64,
-    wall_micros: AtomicU64,
-    virt_secs: AtomicU64,
-    data: [AtomicU64; DATA_WORDS],
-}
-
-impl Slot {
-    fn empty() -> Slot {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: AtomicU64 = AtomicU64::new(0);
-        Slot {
-            stamp: AtomicU64::new(0),
-            meta: AtomicU64::new(0),
-            wall_micros: AtomicU64::new(0),
-            virt_secs: AtomicU64::new(0),
-            data: [ZERO; DATA_WORDS],
-        }
-    }
-}
-
-/// The stamp a slot stably holding record `i` carries. Strictly increasing
-/// across laps and never 0 (the empty-slot stamp) or odd (mid-write).
-fn stable_stamp(i: u64) -> u64 {
-    2 * i + 2
-}
-
 /// Bounded multi-producer (serialised) / multi-consumer (lock-free) ring of
-/// structured log records.
+/// structured log records: the 51-word instance of [`SeqRing`].
 pub struct LogRing {
-    slots: Box<[Slot]>,
-    mask: u64,
-    /// Records written so far == the next record's sequence number.
-    head: AtomicU64,
-    /// Writer serialisation flag: producers spin (the write section is a
-    /// few dozen relaxed stores) instead of interleaving slot updates.
-    writing: AtomicBool,
+    ring: SeqRing<SLOT_WORDS>,
 }
 
 impl LogRing {
     /// Capacity is rounded up to a power of two and clamped to `8..=2^20`.
     pub fn new(capacity: usize) -> LogRing {
-        let cap = capacity.clamp(8, 1 << 20).next_power_of_two();
-        LogRing {
-            slots: (0..cap).map(|_| Slot::empty()).collect(),
-            mask: (cap - 1) as u64,
-            head: AtomicU64::new(0),
-            writing: AtomicBool::new(false),
-        }
+        LogRing { ring: SeqRing::new(capacity.clamp(8, 1 << 20)) }
     }
 
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
     /// Records written so far (== the cursor one past the newest record).
     pub fn head(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
+        self.ring.head()
     }
 
     /// Encode and append one record. Any thread may call this; concurrent
-    /// writers serialise on the internal flag.
+    /// writers serialise inside the ring.
     pub fn push(
         &self,
         level: Level,
@@ -216,106 +177,62 @@ impl LogRing {
             buf.push(KV);
             buf.extend_from_slice(v.as_bytes());
         }
-        let truncated = buf.len() > DATA_BYTES;
-        buf.truncate(DATA_BYTES);
-        let len = buf.len();
-        buf.resize(len.div_ceil(8) * 8, 0);
-        let meta = len as u64
+        let truncated = buf.len() > TEXT_BYTES;
+        buf.truncate(TEXT_BYTES);
+        let meta = buf.len() as u64
             | (level as u64) << 32
             | if truncated { 1u64 << 40 } else { 0 };
 
-        while self
-            .writing
-            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            std::hint::spin_loop();
+        let mut words = [0u64; SLOT_WORDS];
+        words[..HEADER_WORDS].copy_from_slice(&[meta, wall_micros, virt_secs]);
+        for (w, chunk) in words[HEADER_WORDS..].iter_mut().zip(buf.chunks(8)) {
+            let mut padded = [0u8; 8];
+            padded[..chunk.len()].copy_from_slice(chunk);
+            *w = u64::from_le_bytes(padded);
         }
-        let i = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(i & self.mask) as usize];
-        slot.stamp.store(2 * i + 1, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        slot.meta.store(meta, Ordering::Relaxed);
-        slot.wall_micros.store(wall_micros, Ordering::Relaxed);
-        slot.virt_secs.store(virt_secs, Ordering::Relaxed);
-        for (w, chunk) in slot.data.iter().zip(buf.chunks(8)) {
-            w.store(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")), Ordering::Relaxed);
-        }
-        fence(Ordering::SeqCst);
-        slot.stamp.store(stable_stamp(i), Ordering::Relaxed);
-        self.head.store(i + 1, Ordering::Release);
-        self.writing.store(false, Ordering::Release);
+        // Only the words this record uses are stored.
+        self.ring.push(&words[..HEADER_WORDS + buf.len().div_ceil(8)]);
     }
 
     /// Tail up to `limit` records from `cursor`. Records the writer lapped
     /// (or overwrote mid-read) are counted in `dropped`, never returned
     /// torn or out of order. `next` resumes the tail.
     pub fn read_since(&self, cursor: u64, limit: usize) -> LogTail {
-        let head = self.head.load(Ordering::Acquire);
-        let capacity = self.slots.len() as u64;
-        let oldest = head.saturating_sub(capacity);
-        let lo = cursor.max(oldest).min(head);
-        let mut dropped = lo - cursor.min(lo);
-        let hi = head.min(lo + limit as u64);
-        let mut records = Vec::with_capacity((hi - lo) as usize);
-        for i in lo..hi {
-            match self.read_slot(i) {
-                Some(r) => records.push(r),
-                None => dropped += 1,
-            }
-        }
-        LogTail { records, next: hi, dropped }
+        let tail = self.ring.read_since(cursor, limit, decode_record);
+        LogTail { records: tail.items, next: tail.next, dropped: tail.dropped }
     }
+}
 
-    /// Seqlock read of one record; `None` when the slot no longer (or does
-    /// not yet stably) hold record `i`.
-    fn read_slot(&self, i: u64) -> Option<LogRecord> {
-        let slot = &self.slots[(i & self.mask) as usize];
-        let want = stable_stamp(i);
-        let before = slot.stamp.load(Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        if before != want {
-            return None;
-        }
-        let meta = slot.meta.load(Ordering::Relaxed);
-        let wall_micros = slot.wall_micros.load(Ordering::Relaxed);
-        let virt_secs = slot.virt_secs.load(Ordering::Relaxed);
-        let len = (meta & 0xFFFF_FFFF) as usize;
-        if len > DATA_BYTES {
-            return None; // torn meta from a lapped writer
-        }
-        let mut bytes = Vec::with_capacity(len.div_ceil(8) * 8);
-        for w in slot.data.iter().take(len.div_ceil(8)) {
-            bytes.extend_from_slice(&w.load(Ordering::Relaxed).to_le_bytes());
-        }
-        bytes.truncate(len);
-        fence(Ordering::SeqCst);
-        if slot.stamp.load(Ordering::Relaxed) != want {
-            return None;
-        }
-        let level = Level::from_u8(((meta >> 32) & 0xFF) as u8);
-        let truncated = meta & (1 << 40) != 0;
-        let mut parts = bytes.split(|&b| b == SEP);
-        let target = String::from_utf8_lossy(parts.next().unwrap_or(&[])).into_owned();
-        let message = String::from_utf8_lossy(parts.next().unwrap_or(&[])).into_owned();
-        let fields = parts
-            .map(|p| {
-                let mut kv = p.splitn(2, |&b| b == KV);
-                let k = String::from_utf8_lossy(kv.next().unwrap_or(&[])).into_owned();
-                let v = String::from_utf8_lossy(kv.next().unwrap_or(&[])).into_owned();
-                (k, v)
-            })
-            .collect();
-        Some(LogRecord {
-            seq: i,
-            wall_micros,
-            virt_secs,
-            level,
-            target,
-            message,
-            fields,
-            truncated,
+/// Unpacks one stable slot; text words past the record's length are
+/// leftovers of older records and are not looked at.
+fn decode_record(seq: u64, words: &[u64; SLOT_WORDS]) -> LogRecord {
+    let (meta, wall_micros, virt_secs) = (words[0], words[1], words[2]);
+    let len = (meta & 0xFFFF_FFFF) as usize;
+    let bytes: Vec<u8> = words[HEADER_WORDS..]
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .take(len)
+        .collect();
+    let mut parts = bytes.split(|&b| b == SEP);
+    let target = String::from_utf8_lossy(parts.next().unwrap_or(&[])).into_owned();
+    let message = String::from_utf8_lossy(parts.next().unwrap_or(&[])).into_owned();
+    let fields = parts
+        .map(|p| {
+            let mut kv = p.splitn(2, |&b| b == KV);
+            let k = String::from_utf8_lossy(kv.next().unwrap_or(&[])).into_owned();
+            let v = String::from_utf8_lossy(kv.next().unwrap_or(&[])).into_owned();
+            (k, v)
         })
+        .collect();
+    LogRecord {
+        seq,
+        wall_micros,
+        virt_secs,
+        level: Level::from_u8(((meta >> 32) & 0xFF) as u8),
+        target,
+        message,
+        fields,
+        truncated: meta & (1 << 40) != 0,
     }
 }
 
@@ -510,33 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn wrap_drops_oldest_and_counts_them() {
-        let ring = LogRing::new(8);
-        for i in 0..20u64 {
-            ring.push(Level::Debug, 0, 0, "t", &format!("m{i}"), &[]);
-        }
-        let tail = ring.read_since(0, 100);
-        assert_eq!(tail.dropped, 12, "capacity 8, 20 written");
-        assert_eq!(tail.records.len(), 8);
-        assert_eq!(tail.records[0].seq, 12);
-        assert_eq!(tail.records.last().unwrap().message, "m19");
-    }
-
-    #[test]
-    fn cursor_resumes_where_tail_left_off() {
-        let ring = LogRing::new(16);
-        for i in 0..5u64 {
-            ring.push(Level::Info, 0, 0, "t", &format!("m{i}"), &[]);
-        }
-        let t1 = ring.read_since(0, 3);
-        assert_eq!(t1.records.len(), 3);
-        assert_eq!(t1.next, 3);
-        let t2 = ring.read_since(t1.next, 100);
-        assert_eq!(t2.records.len(), 2);
-        assert_eq!(t2.records[0].message, "m3");
-    }
-
-    #[test]
     fn oversize_record_truncates_and_flags() {
         let ring = LogRing::new(8);
         let big = "x".repeat(1000);
@@ -600,28 +490,5 @@ mod tests {
         let mut sink = Writes(Vec::new());
         write_json_line(&mut sink, &r).unwrap();
         assert_eq!(sink.0, vec![format!("{j}\n").into_bytes()]);
-    }
-
-    #[test]
-    fn concurrent_tailing_never_tears() {
-        let ring = std::sync::Arc::new(LogRing::new(32));
-        let w = {
-            let ring = ring.clone();
-            std::thread::spawn(move || {
-                for i in 0..4000u64 {
-                    ring.push(Level::Info, i, i, "w", &format!("msg {i}"), &[]);
-                }
-            })
-        };
-        let mut cursor = 0u64;
-        while cursor < 3000 {
-            let tail = ring.read_since(cursor, 64);
-            for r in &tail.records {
-                assert_eq!(r.message, format!("msg {}", r.seq), "torn record");
-                assert_eq!(r.wall_micros, r.seq);
-            }
-            cursor = tail.next;
-        }
-        w.join().unwrap();
     }
 }

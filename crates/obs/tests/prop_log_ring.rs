@@ -9,15 +9,16 @@ use sd_obs::{Level, LogRing};
 use std::sync::Arc;
 
 proptest! {
-    /// Single-threaded wrap: for any capacity/writes/cursor/limit, a tail
+    /// Single-threaded wrap: for any capacity/writes/cursor/limit — cursors
+    /// past the head and limits up to `usize::MAX` included — a tail
     /// returns exactly the still-resident span, in order, with the lost
     /// prefix counted.
     #[test]
     fn tail_is_exact_without_concurrency(
         cap in 3usize..9,            // ring capacity 8..256 after rounding
         writes in 0u64..700,
-        cursor in 0u64..800,
-        limit in 0usize..700,
+        cursor in prop_oneof![0u64..800, u64::MAX - 2..=u64::MAX],
+        limit in prop_oneof![0usize..700, usize::MAX - 2..=usize::MAX],
     ) {
         let ring = LogRing::new(1 << cap);
         let capacity = ring.capacity() as u64;
@@ -27,7 +28,7 @@ proptest! {
         let tail = ring.read_since(cursor, limit);
         let oldest = writes.saturating_sub(capacity);
         let lo = cursor.max(oldest).min(writes);
-        let hi = writes.min(lo + limit as u64);
+        let hi = writes.min(lo.saturating_add(limit as u64));
         prop_assert_eq!(tail.dropped, lo - cursor.min(lo));
         prop_assert_eq!(tail.next, hi);
         prop_assert_eq!(tail.records.len() as u64, hi - lo);

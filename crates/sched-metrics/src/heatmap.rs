@@ -6,6 +6,7 @@
 //! (Fig. 5) and wait time (Fig. 6) — values > 1 mean SD-Policy improved the
 //! category.
 
+use crate::histogram::le_bucket;
 use simkit::Welford;
 use slurm_sim::JobOutcome;
 
@@ -45,11 +46,11 @@ impl HeatmapSpec {
     }
 
     pub fn node_bucket(&self, nodes: u32) -> usize {
-        self.node_edges.partition_point(|&e| e < nodes)
+        le_bucket(&self.node_edges, nodes)
     }
 
     pub fn runtime_bucket(&self, runtime: u64) -> usize {
-        self.runtime_edges.partition_point(|&e| e < runtime)
+        le_bucket(&self.runtime_edges, runtime)
     }
 
     /// Label of node bucket `i`, e.g. `"3-4"` or `">64"`.

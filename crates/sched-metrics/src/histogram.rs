@@ -11,6 +11,17 @@
 
 use crate::percentiles::Percentiles;
 
+/// The one bucket rule (Prometheus `le`): the index of the first of the
+/// ascending upper `bounds` that is `>= v`, or `bounds.len()` — the
+/// overflow bucket — when `v` is above them all. A value equal to a bound
+/// counts into that bound's bucket.
+pub fn le_bucket<T: PartialOrd + Copy>(bounds: &[T], v: T) -> usize {
+    bounds.partition_point(|&b| b < v)
+}
+
+/// Plain counters behind `&mut self`. `sd_serve::metrics::AtomicHistogram`
+/// is the other storage — relaxed atomics behind `&self`, for writers on
+/// several threads — and places values with the same [`le_bucket`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     bounds: Vec<f64>,
@@ -54,7 +65,7 @@ impl Histogram {
     }
 
     pub fn observe(&mut self, v: f64) {
-        let idx = self.bounds.partition_point(|&b| b < v);
+        let idx = le_bucket(&self.bounds, v);
         self.counts[idx] += 1;
         self.count += 1;
         self.sum += v;

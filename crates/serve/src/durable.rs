@@ -3,11 +3,11 @@
 //! (service counters + the canonical [`slurm_sim::SimState`] image).
 //!
 //! `sd-durable` owns framing, checksums and the recovery protocol; this
-//! module owns what the framed bytes *mean*. Both encodings are tiny
-//! hand-rolled little-endian formats — same dependency-free stance as the
-//! rest of the crate.
+//! module owns what the framed bytes *mean* — the field order of each
+//! payload, written and read through `sd_durable::codec`.
 
 use crate::proto::SubmitRequest;
+use sd_durable::codec::{Reader, Writer};
 
 /// One durably logged command. Only deterministic state mutations are
 /// logged: reads, and submissions refused by the (wall-clock) rate limiter,
@@ -25,110 +25,62 @@ const TAG_CANCEL: u8 = 1;
 const TAG_ADVANCE: u8 = 2;
 const TAG_DRAIN: u8 = 3;
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_opt(buf: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => buf.push(0),
-        Some(x) => {
-            buf.push(1);
-            put_u64(buf, x);
-        }
-    }
-}
-
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.data.len() - self.pos < n {
-            return Err(format!("record truncated at offset {}", self.pos));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn opt(&mut self) -> Result<Option<u64>, String> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            b => Err(format!("bad option byte {b}")),
-        }
-    }
-    fn done(&self) -> Result<(), String> {
-        if self.pos != self.data.len() {
-            return Err("trailing bytes in record".into());
-        }
-        Ok(())
-    }
-}
-
 impl WalCmd {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64);
+        let mut w = Writer::new(&mut buf);
         match self {
             WalCmd::Submit(r) => {
-                buf.push(TAG_SUBMIT);
-                put_u64(&mut buf, r.procs);
-                put_u64(&mut buf, r.req_time);
-                put_u64(&mut buf, r.run_time);
-                put_opt(&mut buf, r.submit);
+                w.u8(TAG_SUBMIT);
+                w.u64(r.procs);
+                w.u64(r.req_time);
+                w.u64(r.run_time);
+                w.opt_u64(r.submit);
                 match r.malleable {
-                    None => buf.push(2),
-                    Some(b) => buf.push(b as u8),
+                    None => w.u8(2),
+                    Some(b) => w.bool(b),
                 }
-                put_opt(&mut buf, r.trace_id);
-                put_opt(&mut buf, r.tenant);
-                put_opt(&mut buf, r.project);
+                w.opt_u64(r.trace_id);
+                w.opt_u64(r.tenant);
+                w.opt_u64(r.project);
             }
             WalCmd::Cancel(id) => {
-                buf.push(TAG_CANCEL);
-                put_u64(&mut buf, *id);
+                w.u8(TAG_CANCEL);
+                w.u64(*id);
             }
             WalCmd::Advance(to) => {
-                buf.push(TAG_ADVANCE);
-                put_u64(&mut buf, *to);
+                w.u8(TAG_ADVANCE);
+                w.u64(*to);
             }
-            WalCmd::Drain => buf.push(TAG_DRAIN),
+            WalCmd::Drain => w.u8(TAG_DRAIN),
         }
         buf
     }
 
     pub fn decode(bytes: &[u8]) -> Result<WalCmd, String> {
-        let mut c = Cursor { data: bytes, pos: 0 };
-        let cmd = match c.u8()? {
+        let mut r = Reader::new(bytes);
+        let cmd = match r.u8()? {
             TAG_SUBMIT => WalCmd::Submit(SubmitRequest {
-                procs: c.u64()?,
-                req_time: c.u64()?,
-                run_time: c.u64()?,
-                submit: c.opt()?,
-                malleable: match c.u8()? {
+                procs: r.u64()?,
+                req_time: r.u64()?,
+                run_time: r.u64()?,
+                submit: r.opt_u64()?,
+                malleable: match r.u8()? {
                     0 => Some(false),
                     1 => Some(true),
                     2 => None,
                     b => return Err(format!("bad malleable byte {b}")),
                 },
-                trace_id: c.opt()?,
-                tenant: c.opt()?,
-                project: c.opt()?,
+                trace_id: r.opt_u64()?,
+                tenant: r.opt_u64()?,
+                project: r.opt_u64()?,
             }),
-            TAG_CANCEL => WalCmd::Cancel(c.u64()?),
-            TAG_ADVANCE => WalCmd::Advance(c.u64()?),
+            TAG_CANCEL => WalCmd::Cancel(r.u64()?),
+            TAG_ADVANCE => WalCmd::Advance(r.u64()?),
             TAG_DRAIN => WalCmd::Drain,
             t => return Err(format!("unknown WAL command tag {t}")),
         };
-        c.done()?;
+        r.finish()?;
         Ok(cmd)
     }
 }
@@ -154,39 +106,37 @@ const VERSION: u32 = 1;
 impl EngineCheckpoint {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64 + self.state.len());
-        buf.extend_from_slice(&MAGIC.to_le_bytes());
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        put_u64(&mut buf, self.floor);
-        put_u64(&mut buf, self.submitted);
-        put_u64(&mut buf, self.tenant_wire.len() as u64);
+        let mut w = Writer::new(&mut buf);
+        w.u32(MAGIC);
+        w.u32(VERSION);
+        w.u64(self.floor);
+        w.u64(self.submitted);
+        w.len(self.tenant_wire.len());
         for &(t, s, r) in &self.tenant_wire {
-            put_u64(&mut buf, t);
-            put_u64(&mut buf, s);
-            put_u64(&mut buf, r);
+            w.u64(t);
+            w.u64(s);
+            w.u64(r);
         }
-        put_u64(&mut buf, self.state.len() as u64);
-        buf.extend_from_slice(&self.state);
+        w.len(self.state.len());
+        w.bytes(&self.state);
         buf
     }
 
     pub fn decode(bytes: &[u8]) -> Result<EngineCheckpoint, String> {
-        let mut c = Cursor { data: bytes, pos: 0 };
-        if c.u64()? != (u64::from(VERSION) << 32 | u64::from(MAGIC)) {
+        let mut r = Reader::new(bytes);
+        if (r.u32()?, r.u32()?) != (MAGIC, VERSION) {
             return Err("not an engine checkpoint (bad magic/version)".into());
         }
-        let floor = c.u64()?;
-        let submitted = c.u64()?;
-        let rows = c.u64()? as usize;
-        if rows > bytes.len() {
-            return Err("tenant row count exceeds payload".into());
-        }
+        let floor = r.u64()?;
+        let submitted = r.u64()?;
+        let rows = r.len(24)?;
         let mut tenant_wire = Vec::with_capacity(rows);
         for _ in 0..rows {
-            tenant_wire.push((c.u64()?, c.u64()?, c.u64()?));
+            tenant_wire.push((r.u64()?, r.u64()?, r.u64()?));
         }
-        let n = c.u64()? as usize;
-        let state = c.take(n)?.to_vec();
-        c.done()?;
+        let n = r.len(1)?;
+        let state = r.take(n)?.to_vec();
+        r.finish()?;
         Ok(EngineCheckpoint { floor, submitted, tenant_wire, state })
     }
 }
@@ -208,6 +158,10 @@ mod tests {
         }
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
     #[test]
     fn wal_commands_round_trip() {
         let cmds = [
@@ -224,6 +178,30 @@ mod tests {
         for cmd in cmds {
             let bytes = cmd.encode();
             assert_eq!(WalCmd::decode(&bytes).unwrap(), cmd);
+        }
+        // The bytes `6f73e6f` wrote for each command.
+        let all_some = SubmitRequest { malleable: Some(true), project: Some(9), ..submit() };
+        let all_none = SubmitRequest {
+            submit: None,
+            trace_id: None,
+            tenant: None,
+            ..submit()
+        };
+        for (cmd, golden) in [
+            (
+                WalCmd::Submit(all_some),
+                "00 4000000000000000 100e000000000000 0807000000000000 012a00000000000000 01 \
+                 010700000000000000 010300000000000000 010900000000000000",
+            ),
+            (
+                WalCmd::Submit(all_none),
+                "00 4000000000000000 100e000000000000 0807000000000000 00 02 00 00 00",
+            ),
+            (WalCmd::Cancel(9), "01 0900000000000000"),
+            (WalCmd::Advance(1_000_000), "02 40420f0000000000"),
+            (WalCmd::Drain, "03"),
+        ] {
+            assert_eq!(hex(&cmd.encode()), golden.replace(' ', ""), "{cmd:?}");
         }
     }
 
@@ -252,6 +230,15 @@ mod tests {
         };
         let bytes = cp.encode();
         assert_eq!(EngineCheckpoint::decode(&bytes).unwrap(), cp);
+        // The bytes `6f73e6f` wrote for this checkpoint.
+        assert_eq!(
+            hex(&bytes),
+            "43454453 01000000 f401000000000000 0c00000000000000 0200000000000000 \
+             0000000000000000 0400000000000000 0000000000000000 \
+             0300000000000000 0800000000000000 0200000000000000 \
+             0500000000000000 0102030405"
+                .replace(' ', "")
+        );
         assert!(EngineCheckpoint::decode(&bytes[..bytes.len() - 1]).is_err());
         assert!(EngineCheckpoint::decode(b"junk").is_err());
     }

@@ -49,8 +49,9 @@ pub const DURATION_BOUNDS_S: [f64; 14] = [
     0.025, 0.05, 0.1, 1.0,
 ];
 
-/// A fixed-bucket histogram writable from any thread (relaxed atomics) —
-/// the wall-clock counterpart of `sched_metrics::Histogram`.
+/// A fixed-bucket histogram writable from any thread (relaxed atomics):
+/// `sched_metrics::Histogram`'s bucket rule over lock-free storage, which
+/// `&mut self` counters cannot give the HTTP workers and the engine.
 #[derive(Debug)]
 pub struct AtomicHistogram {
     /// Per-bucket counts; the last entry is the `+Inf` overflow bucket.
@@ -69,10 +70,7 @@ impl Default for AtomicHistogram {
 
 impl AtomicHistogram {
     pub fn observe(&self, secs: f64) {
-        let idx = DURATION_BOUNDS_S
-            .iter()
-            .position(|&b| secs <= b)
-            .unwrap_or(DURATION_BOUNDS_S.len());
+        let idx = sched_metrics::histogram::le_bucket(&DURATION_BOUNDS_S, secs);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.sum_nanos
             .fetch_add((secs.max(0.0) * 1e9) as u64, Ordering::Relaxed);
@@ -393,6 +391,18 @@ mod tests {
         assert!(text.contains("sd_serve_pass_duration_seconds_count 1"));
         assert!(text.contains("sd_serve_job_wait_seconds_count 2"));
         assert!(text.contains("sd_serve_job_wait_seconds_sum 50005"));
+        // One bucket rule: on, just below and just above every bound, the
+        // atomic storage and `sched_metrics::Histogram` agree.
+        let atomic = AtomicHistogram::default();
+        let mut plain = sched_metrics::Histogram::new(DURATION_BOUNDS_S.to_vec());
+        for b in DURATION_BOUNDS_S {
+            for v in [b, b * (1.0 - f64::EPSILON), b * (1.0 + f64::EPSILON)] {
+                atomic.observe(v);
+                plain.observe(v);
+            }
+        }
+        assert_eq!(atomic.counts(), plain.counts());
+        assert_eq!(atomic.counts()[0], 2, "a value equal to a bound is in that bound's bucket");
         // Buckets are cumulative: every later bucket ≥ the first one.
         let counts: Vec<u64> = text
             .lines()

@@ -9,8 +9,8 @@
 //!   simultaneous events, the property that makes whole-simulation runs
 //!   bit-reproducible,
 //! * [`DetRng`] — seedable, forkable deterministic random streams,
-//! * [`stats`] — streaming (Welford) accumulators and histograms used by the
-//!   metric collectors.
+//! * [`stats`] — streaming (Welford) accumulators used by the metric
+//!   collectors.
 //!
 //! The engine is intentionally minimal: schedulers own their run loop and use
 //! the queue directly, which keeps borrow patterns simple and the hot loop
@@ -25,5 +25,5 @@ pub mod time;
 pub use engine::Engine;
 pub use event::{EventQueue, ScheduledEvent};
 pub use rng::DetRng;
-pub use stats::{Histogram, Welford};
+pub use stats::Welford;
 pub use time::{SimTime, DAY, HOUR, MINUTE};

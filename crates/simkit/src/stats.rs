@@ -110,65 +110,6 @@ impl Welford {
     }
 }
 
-/// Fixed-bucket histogram over `[0, +inf)` with caller-supplied edges.
-///
-/// Bucket `i` covers `[edges[i-1], edges[i])`, bucket 0 covers `[0, edges[0])`
-/// and the final bucket is the overflow `[edges.last(), +inf)`.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    edges: Vec<f64>,
-    counts: Vec<u64>,
-}
-
-impl Histogram {
-    /// `edges` must be strictly increasing and non-empty.
-    pub fn new(edges: Vec<f64>) -> Self {
-        assert!(!edges.is_empty(), "histogram needs at least one edge");
-        assert!(
-            edges.windows(2).all(|w| w[0] < w[1]),
-            "histogram edges must be strictly increasing"
-        );
-        let buckets = edges.len() + 1;
-        Histogram {
-            edges,
-            counts: vec![0; buckets],
-        }
-    }
-
-    /// Power-of-two edges `1, 2, 4, …, 2^(k-1)` (useful for job-size buckets).
-    pub fn pow2(k: usize) -> Self {
-        Histogram::new((0..k).map(|i| (1u64 << i) as f64).collect())
-    }
-
-    pub fn add(&mut self, x: f64) {
-        let idx = self.bucket_of(x);
-        self.counts[idx] += 1;
-    }
-
-    /// Index of the bucket `x` falls into.
-    pub fn bucket_of(&self, x: f64) -> usize {
-        match self
-            .edges
-            .binary_search_by(|e| e.partial_cmp(&x).unwrap_or(std::cmp::Ordering::Less))
-        {
-            Ok(i) => i + 1, // exactly on an edge -> right bucket (left-closed)
-            Err(i) => i,
-        }
-    }
-
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    pub fn edges(&self) -> &[f64] {
-        &self.edges
-    }
-
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,32 +174,5 @@ mod tests {
         e.merge(&a);
         assert_eq!(e.count(), 2);
         assert!((e.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_bucketing() {
-        let mut h = Histogram::new(vec![1.0, 10.0, 100.0]);
-        for x in [0.5, 0.9, 1.0, 5.0, 99.0, 100.0, 1e6] {
-            h.add(x);
-        }
-        assert_eq!(h.counts(), &[2, 2, 1, 2]);
-        assert_eq!(h.total(), 7);
-    }
-
-    #[test]
-    fn pow2_histogram_edges() {
-        let h = Histogram::pow2(4);
-        assert_eq!(h.edges(), &[1.0, 2.0, 4.0, 8.0]);
-        assert_eq!(h.bucket_of(0.0), 0);
-        assert_eq!(h.bucket_of(1.0), 1);
-        assert_eq!(h.bucket_of(3.0), 2);
-        assert_eq!(h.bucket_of(8.0), 4);
-        assert_eq!(h.bucket_of(1000.0), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn histogram_rejects_bad_edges() {
-        let _ = Histogram::new(vec![1.0, 1.0]);
     }
 }

@@ -10,12 +10,14 @@
 //! model, sharing factor) is *not* serialized — a small fingerprint guards
 //! against restoring a checkpoint under a different configuration.
 //!
-//! The codec is a tiny hand-rolled little-endian byte format, deliberately
-//! dependency-free: `sd-durable` frames and checksums whatever bytes it is
-//! given, and this module owns what those bytes mean.
+//! Values are written and read through `sd_durable::codec` (little-endian,
+//! counts guarded against the remaining input); `sd-durable` frames and
+//! checksums whatever bytes it is given, and this module owns the field
+//! order — what those bytes mean.
 
 use super::*;
 use cluster::cpumask::CpuMask;
+use sd_durable::codec::{Reader, Writer};
 use cluster::NodeOccupancy;
 use drom::node::Resident;
 use drom::registry::ProcessEntry;
@@ -26,137 +28,42 @@ const MAGIC: u32 = 0x5344_5353; // "SDSS"
 const VERSION: u32 = 1;
 
 // ----------------------------------------------------------------------
-// Byte codec
+// Domain helpers over the shared codec
 // ----------------------------------------------------------------------
 
-#[derive(Default)]
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn time(&mut self, t: SimTime) {
-        self.u64(t.0);
-    }
-    fn len(&mut self, n: usize) {
-        self.u64(n as u64);
-    }
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-        }
-    }
-    fn opt_time(&mut self, v: Option<SimTime>) {
-        self.opt_u64(v.map(|t| t.0));
-    }
-    fn mask(&mut self, m: &CpuMask) {
-        self.u32(m.width() as u32);
-        self.len(m.words().len());
-        for &w in m.words() {
-            self.u64(w);
-        }
+fn put_mask(w: &mut Writer<'_>, m: &CpuMask) {
+    w.u32(m.width() as u32);
+    w.len(m.words().len());
+    for &word in m.words() {
+        w.u64(word);
     }
 }
 
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
+/// A mask over a `cores`-wide node; any other width is rejected, since
+/// mask arithmetic assumes both sides cover the same node.
+fn read_mask(r: &mut Reader<'_>, cores: u32) -> Result<CpuMask, String> {
+    let width = r.u32()?;
+    if width != cores {
+        return Err(format!("CPU mask is {width} cores wide, nodes have {cores}"));
+    }
+    let n = r.len(8)?;
+    let words = (0..n).map(|_| r.u64()).collect::<Result<Vec<u64>, String>>()?;
+    CpuMask::from_words(width as usize, &words).ok_or_else(|| "malformed CPU mask".into())
 }
 
-impl<'a> Reader<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Reader { data, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.data.len() - self.pos < n {
-            return Err(format!(
-                "checkpoint truncated: need {n} bytes at offset {}",
-                self.pos
-            ));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-    fn bool(&mut self) -> Result<bool, String> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(format!("bad bool byte {b}")),
-        }
-    }
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn time(&mut self) -> Result<SimTime, String> {
-        Ok(SimTime(self.u64()?))
-    }
-    /// Length prefix, sanity-capped so corrupt bytes can't trigger a huge
-    /// allocation (every element is ≥ 1 byte, so a valid length never
-    /// exceeds the remaining input).
-    fn len(&mut self) -> Result<usize, String> {
-        let n = self.u64()?;
-        let left = (self.data.len() - self.pos) as u64;
-        if n > left {
-            return Err(format!("length {n} exceeds remaining {left} bytes"));
-        }
-        Ok(n as usize)
-    }
-    fn opt_u64(&mut self) -> Result<Option<u64>, String> {
-        Ok(if self.bool()? { Some(self.u64()?) } else { None })
-    }
-    fn opt_time(&mut self) -> Result<Option<SimTime>, String> {
-        Ok(self.opt_u64()?.map(SimTime))
-    }
-    /// A mask over a `cores`-wide node; any other width is rejected, since
-    /// mask arithmetic assumes both sides cover the same node.
-    fn mask(&mut self, cores: u32) -> Result<CpuMask, String> {
-        let width = self.u32()?;
-        if width != cores {
-            return Err(format!("CPU mask is {width} cores wide, nodes have {cores}"));
-        }
-        let n = self.len()?;
-        let words = (0..n).map(|_| self.u64()).collect::<Result<Vec<u64>, String>>()?;
-        CpuMask::from_words(width as usize, &words).ok_or_else(|| "malformed CPU mask".into())
-    }
-    fn finish(self) -> Result<(), String> {
-        if self.pos != self.data.len() {
-            return Err(format!(
-                "{} trailing bytes after checkpoint payload",
-                self.data.len() - self.pos
-            ));
-        }
-        Ok(())
-    }
-}
+/// Smallest encoding of one element of each counted sequence — what
+/// [`Reader::len`] divides the remaining input by before a `Vec` is sized.
+const MASK_MIN: usize = 4 + 8; // width, word count
+const JOB_MIN: usize = 8 + 8 + 4 + 8 + 8 + 8 + 1 + 4 + 1 + 4 + 4 + 1; // spec + state tag
+const NODE_AND_CORES_MIN: usize = 4 + 4; // one `nodes` entry and its `cores` entry
+const QUEUE_ENTRY_MIN: usize = 8 + 4 + 8 + 4;
+const EVENT_MIN: usize = 8 + 1 + 8 + 8; // time, tag, job, seq (`End` adds a gen)
+const MATE_ENTRY_MIN: usize = 8 + 8 + 8 + 8 + 8 + 4 + 4;
+const OCCUPANT_MIN: usize = 8 + 4;
+const DROM_ENTRY_MIN: usize = 8 + 8 + 4 + MASK_MIN + 1;
+const RESIDENT_MIN: usize = 8 + MASK_MIN + 1 + 1 + 1;
+const OUTCOME_MIN: usize = 8 + 8 + 8 + 8 + 4 + 8 + 8 + 8 + 1 + 1 + 1 + 4;
+const TENANT_USAGE_MIN: usize = 4 + 8 + 8 + 8 + 8 + 8 + 8 + 8;
 
 fn app_to_u8(a: AppId) -> u8 {
     match a {
@@ -188,7 +95,8 @@ impl SimState {
     /// Cold path only (checkpoints between batches) — never called from
     /// the scheduling hot loop.
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::default();
+        let mut buf = Vec::new();
+        let mut w = Writer::new(&mut buf);
         w.u32(MAGIC);
         w.u32(VERSION);
         // Configuration fingerprint (checked on restore).
@@ -201,14 +109,14 @@ impl SimState {
         w.u8(0);
         w.u32(self.cfg.tenants.len() as u32);
 
-        w.time(self.now);
+        w.u64(self.now.0);
 
         // Job table (index == id - 1).
         w.len(self.jobs.len());
         for job in &self.jobs {
             let s = &job.spec;
             w.u64(s.id.0);
-            w.time(s.submit);
+            w.u64(s.submit.0);
             w.u32(s.req_nodes);
             w.u64(s.req_procs);
             w.u64(s.req_time);
@@ -225,7 +133,7 @@ impl SimState {
                 JobState::Pending => w.u8(0),
                 JobState::Running(r) => {
                     w.u8(1);
-                    w.time(r.start);
+                    w.u64(r.start.0);
                     w.len(r.nodes.len());
                     for &n in &r.nodes {
                         w.u32(n.0);
@@ -236,9 +144,9 @@ impl SimState {
                     w.u32(r.full_cores);
                     w.f64(r.work_done);
                     w.f64(r.rate);
-                    w.time(r.last_banked);
+                    w.u64(r.last_banked.0);
                     w.u64(r.end_gen);
-                    w.time(r.req_end);
+                    w.u64(r.req_end.0);
                     w.len(r.mates.len());
                     for &m in &r.mates {
                         w.u64(m.0);
@@ -271,7 +179,7 @@ impl SimState {
         let (events, next_seq) = self.events.snapshot();
         w.len(events.len());
         for (t, ev, seq) in events {
-            w.time(t);
+            w.u64(t.0);
             match ev {
                 Event::Submit(j) => {
                     w.u8(0);
@@ -294,7 +202,7 @@ impl SimState {
             w.u64(e.id.0);
             w.u64(e.wait);
             w.u64(e.req_time);
-            w.time(e.req_end);
+            w.u64(e.req_end.0);
             w.u32(e.weight);
             w.u32(e.ranks_per_node);
         }
@@ -316,12 +224,12 @@ impl SimState {
             w.u64(e.handle.0);
             w.u64(e.job.0);
             w.u32(e.node.0);
-            w.mask(&e.current);
+            put_mask(&mut w, &e.current);
             match &e.pending {
                 None => w.bool(false),
                 Some(m) => {
                     w.bool(true);
-                    w.mask(m);
+                    put_mask(&mut w, m);
                 }
             }
         }
@@ -334,7 +242,7 @@ impl SimState {
             w.len(residents.len());
             for r in residents {
                 w.u64(r.job.0);
-                w.mask(&r.mask);
+                put_mask(&mut w, &r.mask);
                 w.bool(r.malleable);
                 w.opt_u64(r.handle.map(|h| h.0));
                 w.opt_u64(r.lender.map(|j| j.0));
@@ -344,7 +252,7 @@ impl SimState {
         // Release map (counts/busy re-derived on restore).
         w.len(self.releases.node_releases().len());
         for &rel in self.releases.node_releases() {
-            w.opt_time(rel);
+            w.opt_u64(rel.map(|t| t.0));
         }
 
         // Stats.
@@ -370,9 +278,9 @@ impl SimState {
         w.len(self.outcomes.len());
         for o in &self.outcomes {
             w.u64(o.id.0);
-            w.time(o.submit);
-            w.time(o.start);
-            w.time(o.end);
+            w.u64(o.submit.0);
+            w.u64(o.start.0);
+            w.u64(o.end.0);
             w.u32(o.nodes);
             w.u64(o.procs);
             w.u64(o.req_time);
@@ -388,7 +296,7 @@ impl SimState {
 
         // Energy meter + incremental weighted-busy accumulator.
         let (last_time, meter_busy, joules, started) = self.meter.snapshot();
-        w.time(last_time);
+        w.u64(last_time.0);
         w.f64(meter_busy);
         w.f64(joules);
         w.bool(started);
@@ -400,16 +308,16 @@ impl SimState {
             w.u32(u.running_width);
             w.u64(u.committed_node_seconds);
             w.f64(u.usage);
-            w.time(u.last_decay);
+            w.u64(u.last_decay.0);
             w.u64(u.submitted);
             w.u64(u.started);
             w.u64(u.completed);
             w.u64(u.quota_skipped);
         }
 
-        w.time(self.first_submit);
-        w.time(self.last_end);
-        w.buf
+        w.u64(self.first_submit.0);
+        w.u64(self.last_end.0);
+        buf
     }
 
     // ------------------------------------------------------------------
@@ -466,10 +374,10 @@ impl SimState {
         }
 
         let mut st = SimState::new_online(spec, cfg, rate_model, sharing);
-        st.now = r.time()?;
+        st.now = SimTime(r.u64()?);
 
         // Job table.
-        let njobs = r.len()?;
+        let njobs = r.len(JOB_MIN)?;
         let mut jobs = Vec::with_capacity(njobs);
         for i in 0..njobs {
             let id = JobId(r.u64()?);
@@ -478,7 +386,7 @@ impl SimState {
             }
             let spec = JobSpec {
                 id,
-                submit: r.time()?,
+                submit: SimTime(r.u64()?),
                 req_nodes: r.u32()?,
                 req_procs: r.u64()?,
                 req_time: r.u64()?,
@@ -495,8 +403,8 @@ impl SimState {
             let state = match r.u8()? {
                 0 => JobState::Pending,
                 1 => {
-                    let start = r.time()?;
-                    let width = r.len()?;
+                    let start = SimTime(r.u64()?);
+                    let width = r.len(NODE_AND_CORES_MIN)?;
                     let mut nodes = Vec::with_capacity(width);
                     for _ in 0..width {
                         nodes.push(NodeId(r.u32()?));
@@ -508,14 +416,14 @@ impl SimState {
                     let full_cores = r.u32()?;
                     let work_done = r.f64()?;
                     let rate = r.f64()?;
-                    let last_banked = r.time()?;
+                    let last_banked = SimTime(r.u64()?);
                     let end_gen = r.u64()?;
-                    let req_end = r.time()?;
-                    let mut mates = Vec::with_capacity(r.len()?);
+                    let req_end = SimTime(r.u64()?);
+                    let mut mates = Vec::with_capacity(r.len(8)?);
                     for _ in 0..mates.capacity() {
                         mates.push(JobId(r.u64()?));
                     }
-                    let mut lent_to = Vec::with_capacity(r.len()?);
+                    let mut lent_to = Vec::with_capacity(r.len(8)?);
                     for _ in 0..lent_to.capacity() {
                         lent_to.push(JobId(r.u64()?));
                     }
@@ -545,7 +453,7 @@ impl SimState {
         st.jobs = jobs;
 
         // Pending queue (re-pushed: slot seqs normalise, order preserved).
-        let nqueue = r.len()?;
+        let nqueue = r.len(QUEUE_ENTRY_MIN)?;
         let mut queue = PendingQueue::new();
         for _ in 0..nqueue {
             let job = JobId(r.u64()?);
@@ -555,10 +463,10 @@ impl SimState {
         st.queue = queue;
 
         // Event queue.
-        let nevents = r.len()?;
+        let nevents = r.len(EVENT_MIN)?;
         let mut entries = Vec::with_capacity(nevents);
         for _ in 0..nevents {
-            let t = r.time()?;
+            let t = SimTime(r.u64()?);
             let ev = match r.u8()? {
                 0 => Event::Submit(JobId(r.u64()?)),
                 1 => Event::End {
@@ -572,7 +480,7 @@ impl SimState {
         st.events = EventQueue::from_snapshot(entries, r.u64()?);
 
         // Mate pool.
-        let nmates = r.len()?;
+        let nmates = r.len(MATE_ENTRY_MIN)?;
         let mut mate_pool = Vec::with_capacity(nmates);
         for _ in 0..nmates {
             mate_pool.push(MateEntry {
@@ -580,7 +488,7 @@ impl SimState {
                 id: JobId(r.u64()?),
                 wait: r.u64()?,
                 req_time: r.u64()?,
-                req_end: r.time()?,
+                req_end: SimTime(r.u64()?),
                 weight: r.u32()?,
                 ranks_per_node: r.u32()?,
             });
@@ -589,10 +497,10 @@ impl SimState {
         st.mate_pool = mate_pool;
 
         // Cluster occupancy.
-        let nnodes = r.len()?;
+        let nnodes = r.len(8)?; // each node is at least a count
         let mut occs = Vec::with_capacity(nnodes);
         for _ in 0..nnodes {
-            let njobs = r.len()?;
+            let njobs = r.len(OCCUPANT_MIN)?;
             let mut occ_jobs = Vec::with_capacity(njobs);
             let mut used = 0u32;
             for _ in 0..njobs {
@@ -610,7 +518,7 @@ impl SimState {
 
         // DROM registry.
         let cores = st.spec.node.cores();
-        let nentries = r.len()?;
+        let nentries = r.len(DROM_ENTRY_MIN)?;
         let mut entries = Vec::with_capacity(nentries);
         for _ in 0..nentries {
             let handle = DromHandle(r.u64()?);
@@ -622,8 +530,8 @@ impl SimState {
                     st.spec.nodes
                 ));
             }
-            let current = r.mask(cores)?;
-            let pending = if r.bool()? { Some(r.mask(cores)?) } else { None };
+            let current = read_mask(&mut r, cores)?;
+            let pending = if r.bool()? { Some(read_mask(&mut r, cores)?) } else { None };
             entries.push(ProcessEntry {
                 handle,
                 job,
@@ -635,7 +543,7 @@ impl SimState {
         st.drom = DromRegistry::from_snapshot(entries, r.u64()?)?;
 
         // Node managers.
-        let nmgrs = r.len()?;
+        let nmgrs = r.len(8)?; // each manager is at least a count
         if nmgrs != st.spec.nodes as usize {
             return Err(format!(
                 "checkpoint has {nmgrs} node managers, machine has {}",
@@ -644,12 +552,12 @@ impl SimState {
         }
         let mut node_mgrs = Vec::with_capacity(nmgrs);
         for i in 0..nmgrs {
-            let nres = r.len()?;
+            let nres = r.len(RESIDENT_MIN)?;
             let mut residents = Vec::with_capacity(nres);
             for _ in 0..nres {
                 residents.push(Resident {
                     job: JobId(r.u64()?),
-                    mask: r.mask(cores)?,
+                    mask: read_mask(&mut r, cores)?,
                     malleable: r.bool()?,
                     handle: r.opt_u64()?.map(DromHandle),
                     lender: r.opt_u64()?.map(JobId),
@@ -664,7 +572,7 @@ impl SimState {
         st.node_mgrs = node_mgrs;
 
         // Release map.
-        let nrel = r.len()?;
+        let nrel = r.len(1)?; // each slot is at least a presence byte
         if nrel != st.spec.nodes as usize {
             return Err(format!(
                 "checkpoint has {nrel} release slots, machine has {}",
@@ -673,7 +581,7 @@ impl SimState {
         }
         let mut releases = Vec::with_capacity(nrel);
         for _ in 0..nrel {
-            releases.push(r.opt_time()?);
+            releases.push(r.opt_u64()?.map(SimTime));
         }
         st.releases = ReleaseMap::from_releases(&releases);
 
@@ -697,14 +605,14 @@ impl SimState {
         };
 
         // Outcomes.
-        let nout = r.len()?;
+        let nout = r.len(OUTCOME_MIN)?;
         let mut outcomes = Vec::with_capacity(nout);
         for _ in 0..nout {
             outcomes.push(JobOutcome {
                 id: JobId(r.u64()?),
-                submit: r.time()?,
-                start: r.time()?,
-                end: r.time()?,
+                submit: SimTime(r.u64()?),
+                start: SimTime(r.u64()?),
+                end: SimTime(r.u64()?),
                 nodes: r.u32()?,
                 procs: r.u64()?,
                 req_time: r.u64()?,
@@ -721,7 +629,7 @@ impl SimState {
         st.outcomes = outcomes;
 
         // Energy meter + weighted busy.
-        let last_time = r.time()?;
+        let last_time = SimTime(r.u64()?);
         let meter_busy = r.f64()?;
         let joules = r.f64()?;
         let started = r.bool()?;
@@ -736,7 +644,7 @@ impl SimState {
         st.weighted_busy = r.f64()?;
 
         // Tenant accounting.
-        let ntenants = r.len()?;
+        let ntenants = r.len(TENANT_USAGE_MIN)?;
         if ntenants != st.cfg.tenants.len() {
             return Err(format!(
                 "checkpoint has {ntenants} tenant slots, config registers {}",
@@ -749,7 +657,7 @@ impl SimState {
                 running_width: r.u32()?,
                 committed_node_seconds: r.u64()?,
                 usage: r.f64()?,
-                last_decay: r.time()?,
+                last_decay: SimTime(r.u64()?),
                 submitted: r.u64()?,
                 started: r.u64()?,
                 completed: r.u64()?,
@@ -758,8 +666,8 @@ impl SimState {
         }
         st.tenant_usage = usage;
 
-        st.first_submit = r.time()?;
-        st.last_end = r.time()?;
+        st.first_submit = SimTime(r.u64()?);
+        st.last_end = SimTime(r.u64()?);
         r.finish()?;
 
         // Derived indices: running sets and the shrunk-borrower index come
@@ -884,7 +792,14 @@ mod tests {
         assert_eq!(re.stats, st.stats);
         assert_eq!(re.first_submit(), st.first_submit());
         // Second serialization is bit-identical: the image is canonical.
-        assert_eq!(re.checkpoint_bytes(), st.checkpoint_bytes());
+        let image = st.checkpoint_bytes();
+        assert_eq!(re.checkpoint_bytes(), image);
+        // And it is the image `6f73e6f` wrote for this state: length and
+        // FNV-1a digest recorded there.
+        let fnv = image.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((image.len(), fnv), (1345, 0x0aab_5cea_85d8_a155));
     }
 
     #[test]
@@ -999,25 +914,28 @@ mod tests {
             at[0]
         };
         let entry = st.drom.snapshot().0[0];
-        let mut head = Writer::default();
+        let mut head_bytes = Vec::new();
+        let mut head = Writer::new(&mut head_bytes);
         head.u64(entry.handle.0);
         head.u64(entry.job.0);
         head.u32(entry.node.0);
-        head.mask(&entry.current);
-        let entry_at = locate(&head.buf);
+        put_mask(&mut head, &entry.current);
+        let entry_at = locate(&head_bytes);
         // After the current mask: the "has pending" byte, then its width.
-        let pending_width = entry_at + head.buf.len() + 1;
+        let pending_width = entry_at + head_bytes.len() + 1;
         let resident = &st.node_mgrs[0].snapshot()[0];
-        let mut res = Writer::default();
+        let mut res_bytes = Vec::new();
+        let mut res = Writer::new(&mut res_bytes);
         res.u64(resident.job.0);
-        res.mask(&resident.mask);
+        put_mask(&mut res, &resident.mask);
         res.bool(resident.malleable);
         res.opt_u64(resident.handle.map(|h| h.0));
-        let resident_at = locate(&res.buf);
+        let resident_at = locate(&res_bytes);
 
         let poisoned = |at: usize, value: u32| {
-            let mut image = bytes.clone();
-            image[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            let mut image = bytes[..at].to_vec();
+            Writer::new(&mut image).u32(value);
+            image.extend_from_slice(&bytes[at + 4..]);
             SimState::restore(
                 spec4(),
                 cfg(),
@@ -1063,5 +981,13 @@ mod tests {
         let mut long = bytes.clone();
         long.extend_from_slice(&[0; 3]);
         assert!(try_restore(&long).is_err());
+        // A job count as large as the bytes that follow it — one job per
+        // byte — is refused at the count, before a table is sized by it.
+        let count_at = 4 * 4 + 2 + 4 + 8; // fingerprint, two tag bytes, tenants, now
+        let mut hostile = bytes[..count_at].to_vec();
+        Writer::new(&mut hostile).len(bytes.len() - count_at - 8);
+        hostile.extend_from_slice(&bytes[count_at + 8..]);
+        let err = try_restore(&hostile).err().expect("hostile job count");
+        assert!(err.contains("exceeds"), "{err}");
     }
 }

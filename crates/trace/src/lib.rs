@@ -6,9 +6,11 @@
 //! * [`TraceEvent`] / [`TraceKind`] — typed, fixed-size decision records
 //!   (pass begin/end, started, EASY-reserved, backfill-rejected-with-reason,
 //!   quota-skipped, shrunk, expanded, relocated, cancelled, completed),
-//! * [`TraceRing`] — a bounded ring of events with **lock-free readers**
-//!   (seqlock per slot, every word an atomic — readers never block the
-//!   scheduler thread, torn reads are detected and dropped),
+//! * [`ring::SeqRing`] — the bounded seqlock ring of fixed-width word
+//!   records with **lock-free readers** (every word an atomic — readers
+//!   never block the writer, torn reads are detected and dropped);
+//!   [`TraceRing`] is its 4-word instance and `sd_obs::LogRing` its
+//!   51-word one,
 //! * [`TraceSink`] — the probe handle embedded in `SimState`: dormant it is
 //!   a `None` check, armed it is one relaxed atomic load per probe (the
 //!   same idiom as `slurm_sim::timing`),
@@ -23,8 +25,11 @@
 //! the ring's creation instant); every other field is virtual time or a job
 //! identifier, so the virtual-time stream is deterministic by construction.
 
+pub mod ring;
+
+use crate::ring::SeqRing;
 use std::fmt;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -269,38 +274,14 @@ pub struct TraceEvent {
     pub kind: TraceKind,
 }
 
-/// One ring slot: a per-slot sequence word plus four payload words, all
-/// atomics so concurrent tailing needs no `unsafe`. For event index `i`
-/// the sequence word holds `2i + 1` while the writer is mid-store and
-/// `2i + 2` once the payload is stable; readers accept a slot only when
-/// the stable stamp for the exact index they want brackets the payload
-/// loads, so overwrites and in-flight writes read as "dropped", never torn.
-#[derive(Default)]
-struct Slot {
-    seq: AtomicU64,
-    time: AtomicU64,
-    w1: AtomicU64,
-    w2: AtomicU64,
-    w3: AtomicU64,
-}
-
-fn stable_stamp(index: u64) -> u64 {
-    2 * index + 2
-}
-
-/// Bounded lock-free trace ring. Single logical writer (the scheduler
+/// Bounded lock-free trace ring: the 4-word (`t`, `w1`, `w2`, `w3`)
+/// instance of [`ring::SeqRing`]. Single logical writer (the scheduler
 /// thread owning `SimState`), any number of concurrent readers. When the
 /// ring wraps, the oldest events are overwritten; readers learn how many
 /// they missed via [`TraceTail::dropped`].
 pub struct TraceRing {
     enabled: AtomicBool,
-    /// Total events ever pushed; also the next event's sequence number.
-    head: AtomicU64,
-    /// Writer claim flag — uncontended in the single-writer design, kept
-    /// so a second writer spins instead of corrupting slots.
-    writing: AtomicBool,
-    mask: u64,
-    slots: Box<[Slot]>,
+    ring: SeqRing<4>,
     epoch: Instant,
 }
 
@@ -308,7 +289,7 @@ impl fmt::Debug for TraceRing {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TraceRing")
             .field("capacity", &self.capacity())
-            .field("head", &self.head.load(Ordering::Relaxed))
+            .field("head", &self.pushed())
             .field("enabled", &self.enabled())
             .finish()
     }
@@ -329,20 +310,15 @@ impl TraceRing {
     /// Create a ring holding at least `capacity` events (rounded up to a
     /// power of two, minimum 8), enabled from the start.
     pub fn new(capacity: usize) -> TraceRing {
-        let cap = capacity.clamp(8, 1 << 24).next_power_of_two();
-        let slots: Vec<Slot> = (0..cap).map(|_| Slot::default()).collect();
         TraceRing {
             enabled: AtomicBool::new(true),
-            head: AtomicU64::new(0),
-            writing: AtomicBool::new(false),
-            mask: (cap - 1) as u64,
-            slots: slots.into_boxed_slice(),
+            ring: SeqRing::new(capacity.clamp(8, 1 << 24)),
             epoch: Instant::now(),
         }
     }
 
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
     pub fn enable(&self) {
@@ -361,7 +337,7 @@ impl TraceRing {
     /// Total events ever pushed (== the sequence number the next event
     /// will get).
     pub fn pushed(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
+        self.ring.head()
     }
 
     /// How many events have been overwritten since creation.
@@ -377,63 +353,20 @@ impl TraceRing {
 
     /// Append one event. Readers tailing concurrently never block this.
     pub fn push(&self, t: u64, kind: TraceKind) {
-        while self
-            .writing
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            std::hint::spin_loop();
-        }
-        let i = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(i & self.mask) as usize];
         let (w1, w2, w3) = kind.encode();
-        // Seqlock write: odd stamp, full fence, payload, full fence, even
-        // stamp. The fences give the store-store ordering the stamp
-        // protocol needs on weakly-ordered targets.
-        slot.seq.store(2 * i + 1, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        slot.time.store(t, Ordering::Relaxed);
-        slot.w1.store(w1, Ordering::Relaxed);
-        slot.w2.store(w2, Ordering::Relaxed);
-        slot.w3.store(w3, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        slot.seq.store(stable_stamp(i), Ordering::Relaxed);
-        self.head.store(i + 1, Ordering::Release);
-        self.writing.store(false, Ordering::Release);
+        self.ring.push(&[t, w1, w2, w3]);
     }
 
     /// Read up to `limit` events starting at sequence number `cursor`.
     /// Events older than `head - capacity` are gone and counted in
     /// [`TraceTail::dropped`].
     pub fn read_since(&self, cursor: u64, limit: usize) -> TraceTail {
-        let head = self.pushed();
-        let oldest = head.saturating_sub(self.capacity() as u64);
-        let lo = cursor.max(oldest).min(head);
-        let hi = head.min(lo.saturating_add(limit as u64));
-        let mut dropped = lo - cursor.min(lo);
-        let mut events = Vec::with_capacity((hi - lo) as usize);
-        for i in lo..hi {
-            let slot = &self.slots[(i & self.mask) as usize];
-            let want = stable_stamp(i);
-            let s1 = slot.seq.load(Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            if s1 != want {
-                dropped += 1; // overwritten (or mid-write) while we read
-                continue;
-            }
-            let t = slot.time.load(Ordering::Relaxed);
-            let w1 = slot.w1.load(Ordering::Relaxed);
-            let w2 = slot.w2.load(Ordering::Relaxed);
-            let w3 = slot.w3.load(Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            let s2 = slot.seq.load(Ordering::Relaxed);
-            if s2 != want {
-                dropped += 1;
-                continue;
-            }
-            events.push(TraceEvent { seq: i, t, kind: TraceKind::decode(w1, w2, w3) });
-        }
-        TraceTail { events, next: hi, dropped }
+        let tail = self.ring.read_since(cursor, limit, |seq, &[t, w1, w2, w3]| TraceEvent {
+            seq,
+            t,
+            kind: TraceKind::decode(w1, w2, w3),
+        });
+        TraceTail { events: tail.items, next: tail.next, dropped: tail.dropped }
     }
 
     /// Everything still held in the ring, oldest first.
@@ -575,7 +508,6 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::{prop_assert, prop_assert_eq, proptest};
 
     fn ev(i: u64) -> TraceKind {
         TraceKind::Submitted { job: i }
@@ -605,54 +537,12 @@ mod tests {
         }
         let got = ring.snapshot();
         assert_eq!(got.len(), kinds.len());
+        assert_eq!((ring.pushed(), ring.overwritten()), (kinds.len() as u64, 0));
         for (i, (e, k)) in got.iter().zip(kinds.iter()).enumerate() {
             assert_eq!(e.seq, i as u64);
             assert_eq!(e.t, i as u64);
             assert_eq!(&e.kind, k, "kind {i} did not round-trip");
         }
-    }
-
-    #[test]
-    fn wraparound_keeps_newest_and_counts_overwritten() {
-        let ring = TraceRing::new(8);
-        assert_eq!(ring.capacity(), 8);
-        for i in 0..20u64 {
-            ring.push(i, ev(i));
-        }
-        assert_eq!(ring.pushed(), 20);
-        assert_eq!(ring.overwritten(), 12);
-        let tail = ring.read_since(0, usize::MAX);
-        assert_eq!(tail.dropped, 12);
-        assert_eq!(tail.next, 20);
-        let seqs: Vec<u64> = tail.events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, (12..20).collect::<Vec<u64>>());
-        for e in &tail.events {
-            assert_eq!(e.kind, ev(e.seq));
-        }
-        // Cursor resume: nothing new yet.
-        let again = ring.read_since(tail.next, usize::MAX);
-        assert!(again.events.is_empty());
-        assert_eq!(again.dropped, 0);
-        assert_eq!(again.next, 20);
-    }
-
-    #[test]
-    fn cursor_and_limit_page_through() {
-        let ring = TraceRing::new(64);
-        for i in 0..10u64 {
-            ring.push(i, ev(i));
-        }
-        let mut cursor = 0;
-        let mut seen = Vec::new();
-        loop {
-            let tail = ring.read_since(cursor, 3);
-            if tail.events.is_empty() {
-                break;
-            }
-            seen.extend(tail.events.iter().map(|e| e.seq));
-            cursor = tail.next;
-        }
-        assert_eq!(seen, (0..10).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -707,75 +597,5 @@ mod tests {
         assert!(json.contains("\"ts\":10000000"));
         assert!(json.contains("\"reason\":\"no_fit_now\""));
         assert!(json.contains("\"wall_us\":40"));
-    }
-
-    #[test]
-    fn concurrent_tailing_never_tears() {
-        use std::sync::atomic::AtomicBool;
-        let ring = Arc::new(TraceRing::new(16));
-        let stop = Arc::new(AtomicBool::new(false));
-        let readers: Vec<_> = (0..3)
-            .map(|_| {
-                let ring = ring.clone();
-                let stop = stop.clone();
-                std::thread::spawn(move || {
-                    let mut cursor = 0;
-                    let mut seen = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let tail = ring.read_since(cursor, 64);
-                        for e in &tail.events {
-                            // Payload must always match the seq it claims.
-                            assert_eq!(e.kind, TraceKind::Submitted { job: e.seq });
-                            assert_eq!(e.t, e.seq);
-                        }
-                        seen += tail.events.len() as u64 + tail.dropped;
-                        cursor = tail.next;
-                    }
-                    (seen, cursor)
-                })
-            })
-            .collect();
-        const N: u64 = 20_000;
-        for i in 0..N {
-            ring.push(i, ev(i));
-        }
-        stop.store(true, Ordering::Relaxed);
-        for r in readers {
-            let (seen, cursor) = r.join().unwrap();
-            assert!(cursor <= N);
-            assert_eq!(seen, cursor, "events + dropped must cover the cursor range");
-        }
-        assert_eq!(ring.pushed(), N);
-    }
-
-    proptest! {
-        // Any push count / capacity / cursor: the tail reports exactly the
-        // still-held suffix, dropped covers the gap, payloads match seqs.
-        fn prop_ring_tail_consistent(
-            cap_pow in 3u32..10,
-            pushes in 0usize..2_000,
-            cursor in 0u64..4_000,
-        ) {
-            let cap = 1usize << cap_pow;
-            let ring = TraceRing::new(cap);
-            for i in 0..pushes as u64 {
-                ring.push(i, TraceKind::Submitted { job: i });
-            }
-            prop_assert_eq!(ring.pushed(), pushes as u64);
-            prop_assert_eq!(
-                ring.overwritten(),
-                (pushes as u64).saturating_sub(cap as u64)
-            );
-            let tail = ring.read_since(cursor, usize::MAX);
-            let oldest = (pushes as u64).saturating_sub(cap as u64);
-            let lo = cursor.max(oldest).min(pushes as u64);
-            prop_assert_eq!(tail.next, pushes as u64);
-            prop_assert_eq!(tail.dropped, lo - cursor.min(lo));
-            prop_assert_eq!(tail.events.len() as u64, pushes as u64 - lo);
-            for (off, e) in tail.events.iter().enumerate() {
-                prop_assert_eq!(e.seq, lo + off as u64);
-                prop_assert!(e.kind == TraceKind::Submitted { job: e.seq });
-            }
-        }
     }
 }

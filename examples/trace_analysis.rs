@@ -47,19 +47,20 @@ fn main() {
     print_stats(&cleaned);
 
     // Per-size histogram (powers of two), like the archive's summary pages.
-    let mut hist = simkit::Histogram::pow2(12);
+    // Buckets are `le`, as everywhere in this repo: a job of exactly 2^k
+    // procs counts under the bound 2^k, so bucket i holds (2^(i-1), 2^i].
+    let mut hist = sched_metrics::Histogram::new((0..12).map(|i| (1u64 << i) as f64).collect());
     for j in &trace.jobs {
         if let Some(p) = j.procs() {
-            hist.add(p as f64);
+            hist.observe(p as f64);
         }
     }
-    println!("\njob-size histogram (procs, power-of-two buckets):");
+    println!("\njob-size histogram (procs, power-of-two upper bounds):");
     for (i, count) in hist.counts().iter().enumerate() {
         if *count > 0 {
-            let label = if i == 0 {
-                "<1".to_string()
-            } else {
-                format!("{}", 1u64 << (i - 1))
+            let label = match hist.bounds().get(i) {
+                Some(b) => format!("<={b}"),
+                None => format!(">{}", 1u64 << 11),
             };
             println!("  {label:>6}: {count}");
         }
