@@ -12,24 +12,32 @@
 //!
 //! Running the same scenario twice with the same `--seed` produces
 //! byte-identical output files.
+//!
+//! Every SD run gets a static-backfill twin, printed as its own row. A
+//! campaign that is one SD run beside its twin also prints what only that
+//! pair can show — the per-category static/SD ratio heatmaps (the paper's
+//! Figs. 4–6), the per-day series (Fig. 7), the count of malleable jobs
+//! that beat their resource-proportional runtime (Fig. 9) and, for the
+//! real-run workload, the application mix (Table 2) — and a CSV `--out`
+//! gains `.heatmap.csv` / `.daily.csv` companions.
 
+use sched_metrics::heatmap::HeatMetric;
 use sched_metrics::{
-    campaign_csv, campaign_json, tenant_csv, tenant_summaries, CampaignDeltas, CampaignRow,
-    Summary, Table,
+    campaign_csv, campaign_json, daily_csv, heatmap_csv, tenant_csv, tenant_summaries,
+    CampaignDeltas, CampaignRow, DailySeries, Heatmap, HeatmapSpec, RatioHeatmap, Summary, Table,
 };
-use sd_bench::{sweep_with, CliArgs, CliError, USAGE};
+use sd_bench::{sweep_with, CliArgs, CliError};
 use sd_scenario::{
     baseline_point, builtin_scenarios, execute, execute_traced, expand, find_builtin, Campaign,
-    PolicyKindDecl, RunPoint, Scenario, ScenarioOutcome,
+    PolicyKindDecl, RunPoint, Scenario, ScenarioOutcome, SourceKind,
 };
 
-const EXTRA_USAGE: &str = "run_scenario — execute a declarative scenario campaign
+const USAGE: &str = "run_scenario — execute a declarative scenario campaign
 
   --scenario <name|path>  built-in scenario name or a scenario file
   --campaign <path>       run every scenario named by a .campaign file
   --list                  list the built-in scenarios and exit
   --format <json|csv>     output format for --out (default: by extension)
-  --write-builtin <dir>   write every built-in scenario as <dir>/<name>.scn
   --timing                print a wall-time/scheduler-work table plus the
                           per-function hot-path attribution (earliest_start,
                           backfill trials, job starts and ends, quota checks,
@@ -45,10 +53,20 @@ const EXTRA_USAGE: &str = "run_scenario — execute a declarative scenario campa
   --log-level <lvl>       stderr log verbosity: error|warn|info|debug|trace
                           (default info)
   --log-json <path>       mirror every emitted log record to a JSON-lines file
-";
+  --scale <f64>           workload/system scale (default: the scenario's, else
+                          the workload's CI size; the real-run workload is
+                          fixed-size)
+  --full                  paper-scale run (scale = 1.0)
+  --seed <u64>            base RNG seed (default: the scenario's)
+  --threads <n>           cap parallel sweep threads (default: all cores)
+  --out <path>            write JSON (.json) or CSV output to this file
+  --help, -h              show this help";
+
+/// The common flags this binary honours.
+const COMMON: [&str; 5] = ["--scale", "--full", "--seed", "--threads", "--out"];
 
 fn fail(msg: &str) -> ! {
-    eprintln!("{msg}\n\n{EXTRA_USAGE}\n{USAGE}");
+    eprintln!("{msg}\n\n{USAGE}");
     std::process::exit(2);
 }
 
@@ -57,7 +75,6 @@ struct ScenarioCli {
     campaign: Option<String>,
     list: bool,
     format: Option<String>,
-    write_builtin: Option<String>,
     timing: bool,
     trace: Option<String>,
     flame: Option<String>,
@@ -69,7 +86,6 @@ fn parse_cli() -> ScenarioCli {
     let mut campaign = None;
     let mut list = false;
     let mut format = None;
-    let mut write_builtin = None;
     let mut timing = false;
     let mut trace = None;
     let mut flame = None;
@@ -117,22 +133,17 @@ fn parse_cli() -> ScenarioCli {
                 Some(v) => fail(&format!("--format must be json or csv, got {v}")),
                 None => fail("--format needs a value"),
             },
-            "--write-builtin" => match it.next() {
-                Some(v) => write_builtin = Some(v),
-                None => fail("--write-builtin needs a directory"),
-            },
             _ => rest.push(a),
         }
     }
-    let common = match CliArgs::parse(rest) {
+    let common = match CliArgs::parse(rest, &COMMON) {
         Ok(c) => c,
         Err(CliError::Help) => {
-            println!("{EXTRA_USAGE}\n{USAGE}");
+            println!("{USAGE}");
             std::process::exit(0);
         }
         Err(CliError::Bad(msg)) => fail(&msg),
     };
-    common.require_supported("run_scenario", &["--threads", "--out"]);
     if format.is_some() && common.out.is_none() {
         fail("--format requires --out");
     }
@@ -144,7 +155,6 @@ fn parse_cli() -> ScenarioCli {
         campaign,
         list,
         format,
-        write_builtin,
         timing,
         trace,
         flame,
@@ -162,17 +172,6 @@ fn list_builtins() {
         ]);
     }
     println!("{}", t.render());
-}
-
-fn write_builtins(dir: &str) {
-    let dir = std::path::Path::new(dir);
-    std::fs::create_dir_all(dir).unwrap_or_else(|e| fail(&format!("creating {dir:?}: {e}")));
-    for s in builtin_scenarios() {
-        let path = dir.join(format!("{}.scn", s.name));
-        std::fs::write(&path, s.render())
-            .unwrap_or_else(|e| fail(&format!("writing {path:?}: {e}")));
-        println!("wrote {}", path.display());
-    }
 }
 
 fn resolve_scenario(arg: &str) -> Scenario {
@@ -194,10 +193,6 @@ fn main() {
     let cli = parse_cli();
     if cli.list {
         list_builtins();
-        return;
-    }
-    if let Some(dir) = &cli.write_builtin {
-        write_builtins(dir);
         return;
     }
     let mut scenarios: Vec<Scenario> = match (&cli.scenario, &cli.campaign) {
@@ -229,10 +224,10 @@ fn main() {
         if let Some(seed) = cli.common.seed {
             scenario.seed = seed;
         }
-        if cli.common.full {
-            scenario.scale = Some(1.0);
-        } else if let Some(scale) = cli.common.scale {
-            scenario.scale = Some(scale);
+        // The real-run workload is fixed-size: a campaign-wide `--scale`
+        // leaves it alone, as the file format does.
+        if scenario.workload.source != SourceKind::RealRun {
+            scenario.scale = cli.common.effective_scale().or(scenario.scale);
         }
     }
 
@@ -423,41 +418,30 @@ fn main() {
                 scale: o.scale,
                 summary,
                 deltas,
-                tenants: tenant_summaries(&o.result),
+                // The generators stamp a user id on every job whether or not
+                // it is read as a tenant; only a [tenants] scenario does.
+                tenants: (points[i].scenario.tenants.as_ref())
+                    .map_or_else(Vec::new, |_| tenant_summaries(&o.result)),
             }
         })
         .collect();
 
-    let mut t = Table::new(&[
-        "variant", "policy", "jobs", "makespan", "resp(s)", "slowdown", "util", "malleable",
-        "Δslow%", "Δmksp%",
-    ]);
-    for r in &rows {
-        let (dslow, dmksp) = match &r.deltas {
-            Some(d) => (
-                format!("{:+.1}", d.d_slowdown_pct),
-                format!("{:+.2}", d.d_makespan_pct),
-            ),
-            None => ("-".to_string(), "-".to_string()),
-        };
-        t.row(vec![
-            if r.variant.is_empty() {
-                "-".to_string()
-            } else {
-                r.variant.clone()
-            },
-            r.summary.label.clone(),
-            format!("{}", r.summary.jobs),
-            format!("{}", r.summary.makespan),
-            format!("{:.0}", r.summary.mean_response),
-            format!("{:.1}", r.summary.mean_slowdown),
-            format!("{:.2}", r.summary.utilization),
-            format!("{}", r.summary.malleable_started),
-            dslow,
-            dmksp,
-        ]);
+    let mut t = Table::new(&SUMMARY_HEADER);
+    let mut twin_shown = vec![false; baseline_outcomes.len()];
+    for (i, r) in rows.iter().enumerate() {
+        // A static twin's own row goes above the first run normalised to it.
+        if let Some(b) = baseline_idx[i].filter(|&b| !twin_shown[b]) {
+            twin_shown[b] = true;
+            t.row(summary_row("(static twin)", &baseline_outcomes[b], &baseline_summaries[b], None));
+        }
+        t.row(summary_row(&r.variant, &point_outcomes[i], &r.summary, r.deltas.as_ref()));
     }
     println!("{}", t.render());
+
+    let detail = match (points.as_slice(), baseline_idx.as_slice()) {
+        ([p], [Some(b)]) => Some(Detail::print(p, &point_outcomes[0], &baseline_outcomes[*b])),
+        _ => None,
+    };
 
     let tenanted = rows.iter().any(|r| !r.tenants.is_empty());
     if tenanted {
@@ -546,17 +530,184 @@ fn main() {
         };
         std::fs::write(out, &payload).unwrap_or_else(|e| fail(&format!("writing {out}: {e}")));
         eprintln!("wrote {out} ({} rows)", rows.len());
-        // CSV is fixed-width per row, so the per-tenant breakdown goes to a
-        // long-format companion file (JSON embeds it inline).
-        if !as_json && tenanted {
-            let companion = match out.strip_suffix(".csv") {
-                Some(stem) => format!("{stem}.tenants.csv"),
-                None => format!("{out}.tenants.csv"),
-            };
-            let payload = tenant_csv(&rows);
-            std::fs::write(&companion, &payload)
-                .unwrap_or_else(|e| fail(&format!("writing {companion}: {e}")));
-            eprintln!("wrote {companion}");
+        // CSV is fixed-width per row, so the per-tenant breakdown (JSON
+        // embeds it inline) and a single run's per-category and per-day
+        // detail go to long-format companion files.
+        if !as_json {
+            let mut companions = Vec::new();
+            if tenanted {
+                companions.push(("tenants", tenant_csv(&rows)));
+            }
+            if let Some(d) = &detail {
+                companions.push(("heatmap", heatmap_csv(&d.ratios)));
+                companions.push(("daily", daily_csv(&d.static_daily, &d.sd_daily)));
+            }
+            for (kind, payload) in companions {
+                let companion = format!("{}.{kind}.csv", out.strip_suffix(".csv").unwrap_or(out));
+                std::fs::write(&companion, &payload)
+                    .unwrap_or_else(|e| fail(&format!("writing {companion}: {e}")));
+                eprintln!("wrote {companion}");
+            }
         }
     }
+}
+
+const SUMMARY_HEADER: [&str; 17] = [
+    "scenario", "variant", "policy", "system(n/c)", "maxjob(n/c)", "jobs", "makespan", "resp(s)",
+    "slowdown", "util", "kWh", "malleable", "mates", "Δmksp%", "Δresp%", "Δslow%", "ΔkWh%",
+];
+
+/// One line of the summary table; `deltas` is `None` on a static twin's row.
+fn summary_row(
+    variant: &str,
+    o: &ScenarioOutcome,
+    s: &Summary,
+    deltas: Option<&CampaignDeltas>,
+) -> Vec<String> {
+    let cores_per_node = o.total_cores / u64::from(o.total_nodes.max(1));
+    let max_job = o.result.outcomes.iter().map(|j| j.nodes).max().unwrap_or(0);
+    let mut row = vec![
+        o.scenario.clone(),
+        if variant.is_empty() { "-".to_string() } else { variant.to_string() },
+        s.label.clone(),
+        format!("{}/{}", o.total_nodes, o.total_cores),
+        format!("{}/{}", max_job, u64::from(max_job) * cores_per_node),
+        format!("{}", s.jobs),
+        format!("{}", s.makespan),
+        format!("{:.0}", s.mean_response),
+        format!("{:.1}", s.mean_slowdown),
+        format!("{:.2}", s.utilization),
+        format!("{:.0}", s.energy_kwh),
+        format!("{}", s.malleable_started),
+        format!("{}", s.unique_mates),
+    ];
+    match deltas {
+        Some(d) => row.extend([
+            format!("{:+.2}", d.d_makespan_pct),
+            format!("{:+.1}", d.d_response_pct),
+            format!("{:+.1}", d.d_slowdown_pct),
+            format!("{:+.1}", d.d_energy_pct),
+        ]),
+        None => row.extend(vec!["-".to_string(); 4]),
+    }
+    row
+}
+
+/// What one SD run beside its static twin shows beyond its summary row,
+/// kept for the CSV companions.
+struct Detail {
+    /// Static/SD ratio per job category, one map per [`HeatMetric`].
+    ratios: Vec<RatioHeatmap>,
+    static_daily: DailySeries,
+    sd_daily: DailySeries,
+}
+
+impl Detail {
+    fn print(p: &RunPoint, sd: &ScenarioOutcome, twin: &ScenarioOutcome) -> Detail {
+        let (sd_jobs, static_jobs) = (&sd.result.outcomes, &twin.result.outcomes);
+
+        let spec = HeatmapSpec::paper_style(sd.total_nodes);
+        let titles = [
+            "slowdown ratio static/SD per job category (> 1 = SD better)",
+            "runtime ratio static/SD (< 1 = SD stretched runtimes)",
+            "wait-time ratio static/SD (> 1 = SD better)",
+        ];
+        let of = |jobs| HeatMetric::ALL.map(|m| Heatmap::build(spec.clone(), m, jobs));
+        let (static_maps, sd_maps) = (of(static_jobs), of(sd_jobs));
+        let mut ratios = Vec::new();
+        for ((base, sd_map), title) in static_maps.iter().zip(&sd_maps).zip(titles) {
+            let ratio = RatioHeatmap::compute(base, sd_map);
+            println!("=== {title} ===\n\n{}", ratio.render());
+            ratios.push(ratio);
+        }
+        // Cell population, so sparse categories can be discounted.
+        let population = &static_maps[0];
+        let mut header = vec!["runtime\\nodes".to_string()];
+        header.extend((0..spec.node_buckets()).map(|n| spec.node_label(n)));
+        let header: Vec<&str> = header.iter().map(String::as_str).collect();
+        let mut t = Table::new(&header);
+        for r in 0..spec.runtime_buckets() {
+            let mut row = vec![spec.runtime_label(r)];
+            row.extend((0..spec.node_buckets()).map(|n| format!("{}", population.cell_count(r, n))));
+            t.row(row);
+        }
+        println!("=== jobs per category ===\n\n{}", t.render());
+
+        let static_daily = DailySeries::compute(static_jobs);
+        let sd_daily = DailySeries::compute(sd_jobs);
+        let mut t = Table::new(&[
+            "day", "static slowdown", "SD slowdown", "malleable starts", "jobs done",
+        ]);
+        for d in 0..static_daily.days().max(sd_daily.days()) {
+            t.row(vec![
+                format!("{d}"),
+                format!("{:.1}", static_daily.slowdown.get(d).copied().unwrap_or(0.0)),
+                format!("{:.1}", sd_daily.slowdown.get(d).copied().unwrap_or(0.0)),
+                format!("{}", sd_daily.malleable_started.get(d).copied().unwrap_or(0)),
+                format!("{}", sd_daily.completed.get(d).copied().unwrap_or(0)),
+            ]);
+        }
+        println!("=== per day ===\n\n{}", t.render());
+        println!(
+            "peak daily slowdown: static {:.1} vs SD {:.1}",
+            static_daily.peak_slowdown(),
+            sd_daily.peak_slowdown()
+        );
+        let stats = &sd.result.stats;
+        let pct = |n: u64| 100.0 * n as f64 / sd_jobs.len().max(1) as f64;
+        println!(
+            "malleable-scheduled jobs: {} ({:.1}%), mates: {} ({:.1}%)",
+            stats.started_malleable,
+            pct(stats.started_malleable),
+            stats.unique_mates,
+            pct(stats.unique_mates),
+        );
+        // A job started on a SharingFactor share of its nodes' cores would,
+        // scaling linearly, run 1/share times its static runtime; beating
+        // that means co-scheduling cost less than the cores it gave up.
+        let malleable = sd_jobs.iter().filter(|j| j.malleable_backfilled);
+        let better = malleable
+            .clone()
+            .filter(|j| (j.runtime() as f64) < j.static_runtime as f64 / p.scenario.policy.sharing)
+            .count();
+        println!(
+            "malleable-scheduled jobs with better-than-proportional runtime: {better}/{}",
+            malleable.count()
+        );
+
+        if p.scenario.workload.source == SourceKind::RealRun {
+            print_app_mix(sd_jobs);
+        }
+        Detail {
+            ratios,
+            static_daily,
+            sd_daily,
+        }
+    }
+}
+
+/// The application mix of an app-bound run beside the application models'
+/// parameters (the paper's Table 2; `share` is the paper's percentage).
+fn print_app_mix(jobs: &[slurm_sim::JobOutcome]) {
+    let mut t = Table::new(&[
+        "application", "jobs", "% workload", "paper %", "mean nodes", "mean runtime(s)",
+        "CPU util", "mem util", "serial frac", "speedup@48",
+    ]);
+    for app in &workload::APPS {
+        let mine: Vec<_> = jobs.iter().filter(|j| j.app == Some(app.id)).collect();
+        let n = mine.len().max(1) as f64;
+        t.row(vec![
+            app.name.to_string(),
+            format!("{}", mine.len()),
+            format!("{:.1}%", 100.0 * mine.len() as f64 / jobs.len().max(1) as f64),
+            format!("{:.1}%", app.share * 100.0),
+            format!("{:.1}", mine.iter().map(|j| f64::from(j.nodes)).sum::<f64>() / n),
+            format!("{:.0}", mine.iter().map(|j| j.static_runtime as f64).sum::<f64>() / n),
+            format!("{:.2}", app.cpu_util),
+            format!("{:.2}", app.mem_util),
+            format!("{:.3}", app.serial_fraction),
+            format!("{:.1}", app.speedup(48)),
+        ]);
+    }
+    println!("\n=== application mix ===\n\n{}", t.render());
 }

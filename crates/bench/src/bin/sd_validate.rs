@@ -11,17 +11,22 @@
 //! file errors. The report is deterministic for a given expectation file.
 
 use sd_bench::validate::{evaluate, parse_expectations, report};
-use sd_bench::{CliArgs, CliError, USAGE};
+use sd_bench::{CliArgs, CliError};
 
-const EXTRA_USAGE: &str = "sd_validate — check the paper's directional expectations
+const USAGE: &str = "sd_validate — check the paper's directional expectations
 
   --file <path>     expectation file (default: scenarios/expectations.exp)
   --claim <name>    only evaluate this claim (repeatable)
   --list            list the claims and exit without running
-";
+  --threads <n>     cap parallel run threads (default: all cores)
+  --help, -h        show this help";
+
+/// The common flags this binary honours: a claim fixes its own workload,
+/// scale and seed panel, so only the thread cap applies.
+const COMMON: [&str; 1] = ["--threads"];
 
 fn fail(msg: &str) -> ! {
-    eprintln!("{msg}\n\n{EXTRA_USAGE}\n{USAGE}");
+    eprintln!("{msg}\n\n{USAGE}");
     std::process::exit(2);
 }
 
@@ -45,15 +50,14 @@ fn main() {
             _ => rest.push(a),
         }
     }
-    let common = match CliArgs::parse(rest) {
+    let common = match CliArgs::parse(rest, &COMMON) {
         Ok(c) => c,
         Err(CliError::Help) => {
-            println!("{EXTRA_USAGE}\n{USAGE}");
+            println!("{USAGE}");
             std::process::exit(0);
         }
         Err(CliError::Bad(msg)) => fail(&msg),
     };
-    common.require_supported("sd_validate", &["--threads"]);
 
     let text = std::fs::read_to_string(&file)
         .unwrap_or_else(|e| fail(&format!("reading {file}: {e}")));

@@ -1,44 +1,16 @@
-//! Minimal command-line parsing for the experiment binaries.
-//!
-//! Flags (all optional):
-//! * `--scale <f64>` — workload/system scale (default: per-workload CI size)
-//! * `--full` — paper-scale run (`scale = 1.0`)
-//! * `--seed <u64>` — RNG seed (default 42)
-//! * `--swf <path>` — replay a genuine SWF trace instead of the synthetic
-//!   generator (Workloads 3/4, see DESIGN.md §4)
-//! * `--threads <n>` — cap the sweep's worker threads (default: all cores)
-//! * `--out <path>` — write machine-readable output (JSON/CSV) to a file
-//!
-//! Unknown flags are reported as errors (exit code 2), never ignored;
-//! `--help`/`-h` prints the usage text and exits 0.
-
-/// Usage text shared by every binary (binaries with extra flags print their
-/// own header above this).
-pub const USAGE: &str = "common flags:
-  --scale <f64>    workload/system scale (default: per-workload CI size)
-  --full           paper-scale run (scale = 1.0)
-  --seed <u64>     RNG seed (default 42)
-  --swf <path>     replay a genuine SWF trace
-  --threads <n>    cap parallel sweep threads (default: all cores)
-  --out <path>     write JSON (.json) or CSV output to this file
-  --help, -h       show this help";
+//! Minimal command-line parsing for the flags `run_scenario` and
+//! `sd_validate` have in common. Each binary names the flags it honours
+//! (and describes them in its own usage text); any other flag — including
+//! one the other binary accepts — is reported as `unknown flag` (exit
+//! code 2), never accepted and ignored. `--help`/`-h` is always understood.
 
 /// How parsing can terminate without yielding arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CliError {
-    /// `--help`/`-h` was given: print usage, exit 0.
+    /// `--help`/`-h` was given: print the binary's usage, exit 0.
     Help,
     /// A real parse error: print message + usage, exit 2.
     Bad(String),
-}
-
-impl std::fmt::Display for CliError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CliError::Help => write!(f, "{USAGE}"),
-            CliError::Bad(msg) => write!(f, "{msg}"),
-        }
-    }
 }
 
 /// Parsed command-line arguments.
@@ -46,9 +18,9 @@ impl std::fmt::Display for CliError {
 pub struct CliArgs {
     pub scale: Option<f64>,
     pub full: bool,
-    /// `--seed` as given; `None` when absent (see [`CliArgs::effective_seed`]).
+    /// `--seed` as given; `None` when absent, so an explicit `--seed 42`
+    /// is distinguishable from the default.
     pub seed: Option<u64>,
-    pub swf: Option<String>,
     /// Worker-thread cap for parallel sweeps (None = machine parallelism).
     pub threads: Option<usize>,
     /// Output file for machine-readable results (JSON/CSV).
@@ -56,11 +28,21 @@ pub struct CliArgs {
 }
 
 impl CliArgs {
-    /// Parses from an iterator of arguments (without the program name).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<CliArgs, CliError> {
+    /// Parses from an iterator of arguments (without the program name),
+    /// accepting only the common flags listed in `accepted`.
+    pub fn parse<I: IntoIterator<Item = String>>(
+        args: I,
+        accepted: &[&str],
+    ) -> Result<CliArgs, CliError> {
         let mut out = CliArgs::default();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
+            if matches!(a.as_str(), "--help" | "-h") {
+                return Err(CliError::Help);
+            }
+            if !accepted.contains(&a.as_str()) {
+                return Err(CliError::Bad(format!("unknown flag: {a}")));
+            }
             let mut value = |flag: &str| {
                 it.next()
                     .ok_or_else(|| CliError::Bad(format!("{flag} needs a value")))
@@ -69,87 +51,42 @@ impl CliArgs {
                 "--full" => out.full = true,
                 "--scale" => {
                     let v = value("--scale")?;
-                    out.scale =
-                        Some(v.parse().map_err(|_| CliError::Bad(format!("bad scale: {v}")))?);
+                    out.scale = Some(
+                        v.parse()
+                            .map_err(|_| CliError::Bad(format!("bad scale: {v}")))?,
+                    );
                 }
                 "--seed" => {
                     let v = value("--seed")?;
-                    out.seed =
-                        Some(v.parse().map_err(|_| CliError::Bad(format!("bad seed: {v}")))?);
+                    out.seed = Some(
+                        v.parse()
+                            .map_err(|_| CliError::Bad(format!("bad seed: {v}")))?,
+                    );
                 }
                 "--threads" => {
                     let v = value("--threads")?;
-                    let n: usize =
-                        v.parse().map_err(|_| CliError::Bad(format!("bad thread count: {v}")))?;
+                    let n: usize = v
+                        .parse()
+                        .map_err(|_| CliError::Bad(format!("bad thread count: {v}")))?;
                     if n == 0 {
                         return Err(CliError::Bad("--threads must be at least 1".into()));
                     }
                     out.threads = Some(n);
                 }
-                "--swf" => out.swf = Some(value("--swf")?),
                 "--out" => out.out = Some(value("--out")?),
-                "--help" | "-h" => return Err(CliError::Help),
                 other => return Err(CliError::Bad(format!("unknown flag: {other}"))),
             }
         }
         Ok(out)
     }
 
-    /// Parses the real process arguments; prints usage and exits 0 on
-    /// `--help`, prints the error + usage and exits 2 on anything malformed.
-    pub fn from_env() -> CliArgs {
-        match Self::parse(std::env::args().skip(1)) {
-            Ok(a) => a,
-            Err(CliError::Help) => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            Err(CliError::Bad(msg)) => {
-                eprintln!("{msg}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// The effective scale: `--full` → 1.0, else `--scale`, else the
-    /// workload default.
-    pub fn effective_scale(&self, default: f64) -> f64 {
+    /// The scale the command line asks for: `--full` → 1.0, else `--scale`,
+    /// else `None` (the scenario's own).
+    pub fn effective_scale(&self) -> Option<f64> {
         if self.full {
-            1.0
+            Some(1.0)
         } else {
-            self.scale.unwrap_or(default)
-        }
-    }
-
-    /// The effective RNG seed (default 42). Kept as an `Option` internally
-    /// so callers can distinguish an explicit `--seed 42` from the default.
-    pub fn effective_seed(&self) -> u64 {
-        self.seed.unwrap_or(42)
-    }
-
-    /// The first common flag this binary does not implement, if any.
-    /// `supported` lists the optional flags it honours (`"--out"`,
-    /// `"--threads"`, `"--swf"`); `--scale`/`--full`/`--seed` are
-    /// universal and never rejected.
-    pub fn unsupported(&self, supported: &[&str]) -> Option<&'static str> {
-        if self.out.is_some() && !supported.contains(&"--out") {
-            return Some("--out");
-        }
-        if self.threads.is_some() && !supported.contains(&"--threads") {
-            return Some("--threads");
-        }
-        if self.swf.is_some() && !supported.contains(&"--swf") {
-            return Some("--swf");
-        }
-        None
-    }
-
-    /// Exits with code 2 if a flag this binary does not implement was
-    /// given — accepted-but-ignored flags would silently lie to the user.
-    pub fn require_supported(&self, bin: &str, supported: &[&str]) {
-        if let Some(flag) = self.unsupported(supported) {
-            eprintln!("{bin} does not support {flag}\n{USAGE}");
-            std::process::exit(2);
+            self.scale
         }
     }
 }
@@ -158,37 +95,36 @@ impl CliArgs {
 mod tests {
     use super::*;
 
+    const ALL: [&str; 5] = ["--scale", "--full", "--seed", "--threads", "--out"];
+
     fn parse(args: &[&str]) -> Result<CliArgs, CliError> {
-        CliArgs::parse(args.iter().map(|s| s.to_string()))
+        CliArgs::parse(args.iter().map(|s| s.to_string()), &ALL)
     }
 
     #[test]
     fn defaults() {
         let a = parse(&[]).unwrap();
         assert_eq!(a, CliArgs::default());
-        assert_eq!(a.effective_scale(0.1), 0.1);
+        assert_eq!(a.effective_scale(), None);
     }
 
     #[test]
     fn all_flags() {
         let a = parse(&[
-            "--scale", "0.5", "--seed", "7", "--swf", "x.swf", "--threads", "3", "--out",
-            "res.json",
+            "--scale", "0.5", "--seed", "7", "--threads", "3", "--out", "res.json",
         ])
         .unwrap();
         assert_eq!(a.scale, Some(0.5));
         assert_eq!(a.seed, Some(7));
-        assert_eq!(a.effective_seed(), 7);
-        assert_eq!(a.swf.as_deref(), Some("x.swf"));
         assert_eq!(a.threads, Some(3));
         assert_eq!(a.out.as_deref(), Some("res.json"));
-        assert_eq!(a.effective_scale(0.1), 0.5);
+        assert_eq!(a.effective_scale(), Some(0.5));
     }
 
     #[test]
     fn full_overrides_scale() {
         let a = parse(&["--scale", "0.5", "--full"]).unwrap();
-        assert_eq!(a.effective_scale(0.1), 1.0);
+        assert_eq!(a.effective_scale(), Some(1.0));
     }
 
     #[test]
@@ -196,11 +132,13 @@ mod tests {
         assert!(matches!(parse(&["--scale"]), Err(CliError::Bad(_))));
         assert!(matches!(parse(&["--scale", "abc"]), Err(CliError::Bad(_))));
         assert!(matches!(parse(&["--bogus"]), Err(CliError::Bad(_))));
-        // The removed availability-backend flag is a typo like any other.
-        assert_eq!(
-            parse(&["--backend", "profile"]),
-            Err(CliError::Bad("unknown flag: --backend".into()))
-        );
+        // Removed flags are typos like any other.
+        for gone in ["--backend", "--swf"] {
+            assert_eq!(
+                parse(&[gone, "x"]),
+                Err(CliError::Bad(format!("unknown flag: {gone}")))
+            );
+        }
         assert!(matches!(parse(&["--threads", "0"]), Err(CliError::Bad(_))));
         assert!(matches!(parse(&["--threads", "x"]), Err(CliError::Bad(_))));
     }
@@ -208,27 +146,29 @@ mod tests {
     #[test]
     fn explicit_default_seed_is_distinguishable() {
         assert_eq!(parse(&[]).unwrap().seed, None);
-        assert_eq!(parse(&[]).unwrap().effective_seed(), 42);
         assert_eq!(parse(&["--seed", "42"]).unwrap().seed, Some(42));
     }
 
     #[test]
     fn unsupported_flags_are_detected() {
-        let a = parse(&["--out", "x.json", "--threads", "2"]).unwrap();
-        assert_eq!(a.unsupported(&[]), Some("--out"));
-        assert_eq!(a.unsupported(&["--out"]), Some("--threads"));
-        assert_eq!(a.unsupported(&["--out", "--threads"]), None);
-        let b = parse(&["--swf", "t.swf"]).unwrap();
-        assert_eq!(b.unsupported(&[]), Some("--swf"));
-        assert_eq!(b.unsupported(&["--swf"]), None);
-        assert_eq!(parse(&["--seed", "1"]).unwrap().unsupported(&[]), None);
+        // A binary that honours only `--threads` rejects the rest at parse
+        // time instead of accepting and ignoring them.
+        let only_threads =
+            |args: &[&str]| CliArgs::parse(args.iter().map(|s| s.to_string()), &["--threads"]);
+        assert_eq!(only_threads(&["--threads", "2"]).unwrap().threads, Some(2));
+        for flag in ["--scale", "--full", "--seed", "--out"] {
+            assert_eq!(
+                only_threads(&[flag, "1"]),
+                Err(CliError::Bad(format!("unknown flag: {flag}")))
+            );
+        }
     }
 
     #[test]
     fn help_is_distinguished_from_errors() {
         assert_eq!(parse(&["--help"]), Err(CliError::Help));
         assert_eq!(parse(&["-h"]), Err(CliError::Help));
-        assert!(CliError::Help.to_string().contains("--threads"));
-        assert_eq!(CliError::Bad("x".into()).to_string(), "x");
+        // Help wins over a flag the binary does not honour.
+        assert_eq!(parse(&["--help", "--bogus"]), Err(CliError::Help));
     }
 }

@@ -1,25 +1,19 @@
 //! # sd-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §5 for the
-//! index). This library holds the shared machinery:
+//! Two binaries. `run_scenario` executes declarative `sd-scenario` files
+//! and campaigns — every table and figure of the paper is a shipped file
+//! under `scenarios/` (DESIGN.md §7 has the index) — and `sd_validate`
+//! checks the paper's claims against the static baseline. This library
+//! holds what they share:
 //!
-//! * [`runner`] — configure + execute a simulation (workload × policy ×
-//!   runtime model × scale) and parallel sweeps over configurations,
-//! * [`cli`] — the tiny flag parser shared by the binaries
-//!   (`--scale`, `--seed`, `--full`, `--swf <file>`, `--threads`, `--out`),
-//! * [`validate`] — the paper-expectations harness behind the
-//!   `sd_validate` binary (machine-checkable claims vs the static baseline).
-//!
-//! Every binary prints the paper's rows/series next to the measured values
-//! so EXPERIMENTS.md can record paper-vs-measured directly. The
-//! `run_scenario` binary goes beyond the paper: it executes declarative
-//! `sd-scenario` files/campaigns over the same [`runner::sweep_with`] pool.
+//! * [`runner`] — the parallel, order-preserving worker pool,
+//! * [`cli`] — the parser for the flags both accept, each binary naming
+//!   the ones it honours,
+//! * [`validate`] — the paper-expectations harness behind `sd_validate`.
 
 pub mod cli;
 pub mod runner;
 pub mod validate;
 
-pub use cli::{CliArgs, CliError, USAGE};
-pub use runner::{
-    default_scale, run_config, sweep, sweep_with, ModelKind, PolicyKind, RunConfig,
-};
+pub use cli::{CliArgs, CliError};
+pub use runner::sweep_with;

@@ -137,10 +137,12 @@ pub struct ClaimResult {
 /// `seeds`, `scale`, `model` and `maxsd` for claims that do not set them.
 pub fn parse_expectations(text: &str) -> Result<Vec<Claim>, ParseError> {
     let doc = parse_raw_with(text, true)?;
-    let mut default_seeds: Vec<u64> = vec![42];
-    let mut default_scale: Option<f64> = None;
-    let mut default_model = ModelDecl::Ideal;
-    let mut default_maxsd = MaxSdDecl::Dyn;
+    let mut defaults = Defaults {
+        seeds: vec![42],
+        scale: None,
+        model: ModelDecl::Ideal,
+        maxsd: MaxSdDecl::Dyn,
+    };
     let mut claims = Vec::new();
 
     for sec in &doc.sections {
@@ -148,26 +150,22 @@ pub fn parse_expectations(text: &str) -> Result<Vec<Claim>, ParseError> {
             "defaults" => {
                 for e in &sec.entries {
                     match e.key.as_str() {
-                        "seeds" => default_seeds = parse_seed_list(sec, "seeds")?,
-                        "scale" => default_scale = Some(parse_f64(e)?),
-                        "model" => default_model = ModelDecl::parse_str(&e.value, e.line)?,
-                        "maxsd" => default_maxsd = MaxSdDecl::parse_str(&e.value, e.line)?,
+                        "seeds" => defaults.seeds = parse_seed_list(sec, "seeds")?,
+                        "scale" => defaults.scale = Some(parse_f64(e)?),
+                        "model" => defaults.model = ModelDecl::parse_str(&e.value, e.line)?,
+                        "maxsd" => defaults.maxsd = MaxSdDecl::parse_str(&e.value, e.line)?,
                         k => {
                             return Err(ParseError::new(
                                 e.line,
-                                format!("unknown key `{k}` in [defaults] (seeds|scale|model|maxsd)"),
+                                format!(
+                                    "unknown key `{k}` in [defaults] (seeds|scale|model|maxsd)"
+                                ),
                             ))
                         }
                     }
                 }
             }
-            "claim" => claims.push(parse_claim(
-                sec,
-                &default_seeds,
-                default_scale,
-                default_model,
-                default_maxsd,
-            )?),
+            "claim" => claims.push(parse_claim(sec, &defaults)?),
             other => {
                 return Err(ParseError::new(
                     sec.line,
@@ -182,7 +180,10 @@ pub fn parse_expectations(text: &str) -> Result<Vec<Claim>, ParseError> {
     let mut seen = std::collections::BTreeSet::new();
     for c in &claims {
         if !seen.insert(c.name.clone()) {
-            return Err(ParseError::new(1, format!("duplicate claim name `{}`", c.name)));
+            return Err(ParseError::new(
+                1,
+                format!("duplicate claim name `{}`", c.name),
+            ));
         }
     }
     Ok(claims)
@@ -205,20 +206,22 @@ fn parse_seed_list(sec: &RawSection, key: &str) -> Result<Vec<u64>, ParseError> 
         .collect()
 }
 
-fn parse_claim(
-    sec: &RawSection,
-    default_seeds: &[u64],
-    default_scale: Option<f64>,
-    default_model: ModelDecl,
-    default_maxsd: MaxSdDecl,
-) -> Result<Claim, ParseError> {
+/// What a `[defaults]` section supplies to the claims below it.
+struct Defaults {
+    seeds: Vec<u64>,
+    scale: Option<f64>,
+    model: ModelDecl,
+    maxsd: MaxSdDecl,
+}
+
+fn parse_claim(sec: &RawSection, defaults: &Defaults) -> Result<Claim, ParseError> {
     let mut name = None;
     let mut source = String::new();
     let mut workload = None;
-    let mut scale = default_scale;
-    let mut seeds = default_seeds.to_vec();
-    let mut model = default_model;
-    let mut maxsd = default_maxsd;
+    let mut scale = defaults.scale;
+    let mut seeds = defaults.seeds.clone();
+    let mut model = defaults.model;
+    let mut maxsd = defaults.maxsd;
     let mut metric = None;
     let mut max_pct = None;
     let mut min_pct = None;
@@ -305,8 +308,8 @@ fn parse_claim(
         }
     };
     let name = name.ok_or_else(|| ParseError::new(sec.line, "[claim] needs `name`"))?;
-    let workload =
-        workload.ok_or_else(|| ParseError::new(sec.line, format!("claim `{name}` needs `workload`")))?;
+    let workload = workload
+        .ok_or_else(|| ParseError::new(sec.line, format!("claim `{name}` needs `workload`")))?;
     if workload == SourceKind::Swf {
         return Err(ParseError::new(
             sec.line,
@@ -322,8 +325,8 @@ fn parse_claim(
             ),
         ));
     }
-    let metric =
-        metric.ok_or_else(|| ParseError::new(sec.line, format!("claim `{name}` needs `metric`")))?;
+    let metric = metric
+        .ok_or_else(|| ParseError::new(sec.line, format!("claim `{name}` needs `metric`")))?;
     if max_pct.is_none() && min_pct.is_none() {
         return Err(ParseError::new(
             sec.line,
@@ -473,8 +476,8 @@ pub fn evaluate(claims: &[Claim], threads: Option<usize>) -> Result<Vec<ClaimRes
             deltas.push((v / b - 1.0) * 100.0);
         }
         let mean_pct = deltas.iter().sum::<f64>() / deltas.len() as f64;
-        let pass = c.max_pct.is_none_or(|hi| mean_pct <= hi)
-            && c.min_pct.is_none_or(|lo| mean_pct >= lo);
+        let pass =
+            c.max_pct.is_none_or(|hi| mean_pct <= hi) && c.min_pct.is_none_or(|lo| mean_pct >= lo);
         out.push(ClaimResult {
             claim: c.clone(),
             deltas,
@@ -626,10 +629,7 @@ max_pct = 10
         assert_eq!(t.queue, TenantQueueDecl::FairShare);
         assert_eq!(claims[0].metric, Metric::TenantShare);
         // Tenanted and untenanted claims never dedup onto the same run.
-        assert_ne!(
-            key_for(&claims[0], 1, true).tenancy,
-            "-".to_string()
-        );
+        assert_ne!(key_for(&claims[0], 1, true).tenancy, "-".to_string());
 
         let orphan = "
 [claim]
@@ -693,9 +693,7 @@ min_pct = 900
         assert!(claims.len() >= 10, "paper file has {} claims", claims.len());
         // Every paper workload is covered.
         for w in ["cirne", "cirne_ideal", "ricc", "curie", "real_run"] {
-            let covered = claims.iter().any(|c| {
-                key_for(c, 1, true).workload == w
-            });
+            let covered = claims.iter().any(|c| key_for(c, 1, true).workload == w);
             assert!(covered, "no claim covers workload {w}");
         }
     }

@@ -1,0 +1,116 @@
+//! The two binaries, driven as a user drives them: what a flag does, what
+//! the reports contain, which files `--out` leaves behind.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn run(bin: &str, args: &str) -> Output {
+    let args = args.split(' ').filter(|a| !a.is_empty());
+    Command::new(bin).args(args).output().expect("binary runs")
+}
+
+/// Runs `run_scenario <args> [--out <out>]` to success; returns its stdout.
+fn run_scenario(args: &str, out: Option<&Path>) -> String {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_scenario"));
+    cmd.args(args.split(' '));
+    if let Some(path) = out {
+        cmd.arg("--out").arg(path);
+    }
+    let done = cmd.output().expect("run_scenario runs");
+    let stderr = String::from_utf8_lossy(&done.stderr);
+    assert!(done.status.success(), "{stderr}");
+    String::from_utf8(done.stdout).expect("utf-8 report")
+}
+
+/// A fresh directory under cargo's per-target scratch space.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("cli-{tag}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+#[test]
+fn only_a_tenants_scenario_exports_and_prints_tenants() {
+    let dir = scratch("tenants");
+    // The generators stamp a user id on every job; `bursty` declares no
+    // [tenants], so none of them is a tenant.
+    let plain = dir.join("bursty.json");
+    let stdout = run_scenario("--scenario bursty --scale 0.02 --seed 7", Some(&plain));
+    let json = std::fs::read_to_string(&plain).unwrap();
+    assert_eq!(json.matches("\"tenants\": []}").count(), 1, "{json}");
+    assert!(!json.contains("\"tenant\":"), "{json}");
+    assert!(!stdout.contains("tenant"), "{stdout}");
+
+    // A [tenants] scenario is as it was at `cebf291`.
+    let mix = dir.join("mix.json");
+    let stdout = run_scenario("--scenario tenant-mix-sweep --scale 0.02", Some(&mix));
+    let json = std::fs::read_to_string(&mix).unwrap();
+    assert_eq!(json.matches("\"scenario\": \"tenant-mix-sweep\"").count(), 6);
+    let first_tenant = "\"d_energy_pct\": 1.5919, \"tenants\": [{\"tenant\": 1, \"jobs\": 74, \
+                        \"job_share\": 0.2925, \"mean_wait\": 1711.6216, ";
+    assert!(json.contains(first_tenant), "{json}");
+    assert!(stdout.contains("tenant  jobs  share"), "{stdout}");
+}
+
+#[test]
+fn one_sd_run_prints_its_detail_and_a_csv_out_gains_companions() {
+    let dir = scratch("detail");
+    let stdout = run_scenario("--scenario bursty --scale 0.02", Some(&dir.join("one.csv")));
+    for section in [
+        "(static twin)",
+        "slowdown ratio static/SD",
+        "jobs per category",
+        "per day",
+        "better-than-proportional runtime",
+    ] {
+        assert!(stdout.contains(section), "no `{section}` in:\n{stdout}");
+    }
+    assert!(!stdout.contains("application mix"), "bursty has no apps");
+    let heat = std::fs::read_to_string(dir.join("one.heatmap.csv")).unwrap();
+    let header = "metric,runtime_class,node_bucket,ratio,count\nslowdown,";
+    assert!(heat.starts_with(header), "{heat}");
+    assert!(heat.contains("\nruntime,") && heat.contains("\nwait,"));
+    let daily = std::fs::read_to_string(dir.join("one.daily.csv")).unwrap();
+    let header = "day,static_slowdown,sd_slowdown,malleable_starts,completed\n0,";
+    assert!(daily.starts_with(header), "{daily}");
+    assert!(!dir.join("one.tenants.csv").exists());
+
+    // The real-run workload adds the application mix.
+    let stdout = run_scenario("--scenario w5-realrun", None);
+    let core_neuron = "CoreNeuron    708       35.4%    35.5%";
+    assert!(stdout.contains("application mix") && stdout.contains(core_neuron), "{stdout}");
+
+    // A sweep is not one run: rows and one shared twin, no companions.
+    let stdout = run_scenario("--scenario maxsd-sweep --scale 0.02", Some(&dir.join("sweep.csv")));
+    assert_eq!(stdout.matches("(static twin)").count(), 1, "{stdout}");
+    assert!(!stdout.contains("per day"), "{stdout}");
+    assert!(!dir.join("sweep.heatmap.csv").exists() && !dir.join("sweep.daily.csv").exists());
+}
+
+#[test]
+fn a_flag_a_binary_would_ignore_is_an_unknown_flag() {
+    let validate = env!("CARGO_BIN_EXE_sd_validate");
+    for flag in ["--scale 0.0001", "--seed 999", "--full", "--out x.json"] {
+        let out = run(validate, &format!("{flag} --claim w5-energy"));
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let name = flag.split(' ').next().unwrap();
+        assert!(stderr.starts_with(&format!("unknown flag: {name}")), "{stderr}");
+        // The usage beside the error offers only what is honoured.
+        assert!(stderr.contains("--threads") && !stderr.contains("--out <path>"), "{stderr}");
+    }
+    let help = run(validate, "--help");
+    assert_eq!(help.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&help.stdout);
+    assert!(stdout.contains("--claim") && stdout.contains("--threads"), "{stdout}");
+    assert!(!stdout.contains("--scale") && !stdout.contains("--swf"), "{stdout}");
+
+    let scenario = env!("CARGO_BIN_EXE_run_scenario");
+    let out = run(scenario, "--scenario bursty --swf trace.swf");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).starts_with("unknown flag: --swf"));
+    let help = run(scenario, "--help");
+    let stdout = String::from_utf8_lossy(&help.stdout);
+    assert!(stdout.contains("--out <path>") && !stdout.contains("--swf"), "{stdout}");
+}

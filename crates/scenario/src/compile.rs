@@ -199,6 +199,7 @@ pub struct ScenarioOutcome {
     pub policy_label: String,
     pub seed: u64,
     pub scale: f64,
+    pub total_nodes: u32,
     pub total_cores: u64,
     pub result: SimResult,
 }
@@ -224,9 +225,15 @@ fn rate_model(decl: ModelDecl) -> Box<dyn RateModel> {
     }
 }
 
-/// The SLURM config for a resolved scenario. Mirrors the figure binaries'
-/// heuristic (EASY backfill once a Curie-scale run gets big) unless the
-/// scenario pins the mode explicitly.
+/// Whether a synthetic run is big enough to need the O(R+Q) EASY pass: the
+/// Curie-like trace above 15 % scale. Everything else uses the more
+/// faithful conservative profile.
+fn is_big_trace(w: PaperWorkload, scale: f64) -> bool {
+    matches!(w, PaperWorkload::W4Curie) && scale > 0.15
+}
+
+/// The SLURM config for a resolved scenario: EASY backfill for a big trace,
+/// conservative otherwise, unless the scenario pins the mode explicitly.
 fn slurm_config(s: &Scenario, big_trace: bool) -> SlurmConfig {
     let mut cfg = if big_trace {
         SlurmConfig::large_scale()
@@ -323,8 +330,8 @@ fn finish<S: slurm_sim::Scheduler>(
     s: &Scenario,
     variant: &str,
     scale: f64,
-    total_cores: u64,
 ) -> ScenarioOutcome {
+    let (total_nodes, total_cores) = (state.spec().nodes, state.spec().total_cores());
     let result = Controller::new(state, scheduler).run();
     ScenarioOutcome {
         scenario: s.name.clone(),
@@ -335,6 +342,7 @@ fn finish<S: slurm_sim::Scheduler>(
         },
         seed: s.seed,
         scale,
+        total_nodes,
         total_cores,
         result,
     }
@@ -346,35 +354,39 @@ fn run_state(
     s: &Scenario,
     variant: &str,
     scale: f64,
-    cores: u64,
 ) -> ScenarioOutcome {
     if let Some(ring) = ring {
         state.attach_trace(ring);
     }
     match s.policy.kind {
-        PolicyKindDecl::Static => finish(state, StaticBackfill, s, variant, scale, cores),
+        PolicyKindDecl::Static => finish(state, StaticBackfill, s, variant, scale),
         PolicyKindDecl::Sd => {
             let cfg = SdPolicyConfig {
                 max_slowdown: s.policy.maxsd.to_policy(),
+                max_mates: s.policy.max_mates,
+                include_free_nodes: s.policy.include_free_nodes,
                 ..SdPolicyConfig::default()
             };
-            finish(state, SdPolicy::new(cfg), s, variant, scale, cores)
+            finish(state, SdPolicy::new(cfg), s, variant, scale)
         }
     }
 }
 
 /// The static-backfill twin of a run point: the same workload, machine,
 /// seed and scale under [`PolicyKindDecl::Static`]. Axes static backfill
-/// never reads — the MAXSD cut-off, the SharingFactor (only `co_launch`
-/// consults it) and the malleable fraction (it only flags jobs the static
-/// scheduler treats identically) — are canonicalised, so every variant of a
+/// never reads — the MAXSD cut-off, the mate limit, the free-nodes option,
+/// the SharingFactor (only `co_launch` consults it) and the malleable
+/// fraction (it only flags jobs the static scheduler treats identically) —
+/// are canonicalised, so every variant of a
 /// `maxsd`/`sharing`/`malleable_fraction` sweep shares one baseline run.
 /// Campaign exports normalise each row against its twin's result.
 pub fn baseline_point(p: &RunPoint) -> RunPoint {
     let mut s = p.scenario.clone();
-    s.policy.kind = PolicyKindDecl::Static;
-    s.policy.maxsd = crate::scenario::MaxSdDecl::Dyn;
-    s.policy.sharing = 0.5;
+    s.policy = crate::scenario::PolicyDecl {
+        kind: PolicyKindDecl::Static,
+        model: s.policy.model,
+        ..Default::default()
+    };
     s.slurm.malleable_fraction = 1.0;
     RunPoint {
         scenario: s,
@@ -413,10 +425,9 @@ fn execute_inner(
         SourceKind::RealRun => {
             let apps = PaperWorkload::generate_apps(s.seed);
             let spec = ClusterSpec::mn4_real_run();
-            let cores = spec.total_cores();
             let cfg = slurm_config(s, false);
             let state = SimState::with_apps(spec, cfg, &apps, model, sharing);
-            Ok(run_state(state, ring.clone(), s, &p.variant, scale, cores))
+            Ok(run_state(state, ring, s, &p.variant, scale))
         }
         SourceKind::Swf => {
             let path = s.workload.path.as_deref().expect("validated at parse time");
@@ -429,7 +440,6 @@ fn execute_inner(
                     spec.nodes = n;
                 }
             }
-            let cores = spec.total_cores();
             let big = trace.len() > 50_000;
             let cfg = slurm_config(s, big);
             let (state, kept) = replay_state(trace, spec, cfg, model, sharing);
@@ -439,7 +449,7 @@ fn execute_inner(
                     s.name
                 )));
             }
-            Ok(run_state(state, ring.clone(), s, &p.variant, scale, cores))
+            Ok(run_state(state, ring, s, &p.variant, scale))
         }
         _ => {
             let w = s
@@ -495,15 +505,13 @@ fn execute_inner(
                 (spec.total_cores() / gen.cores_per_node.max(1) as u64).max(1) as u32;
             gen = gen.with_system_nodes(capacity_nodes);
 
-            let cores = spec.total_cores();
-            let big = matches!(w, PaperWorkload::W4Curie) && scale > 0.15;
             let trace = gen.generate(s.seed);
-            let mut cfg = slurm_config(s, big);
+            let mut cfg = slurm_config(s, is_big_trace(w, scale));
             if let Some(t) = &s.tenants {
                 apply_tenancy(&mut cfg, t, &trace, &spec);
             }
             let state = SimState::new(spec, cfg, &trace, model, sharing);
-            Ok(run_state(state, ring.clone(), s, &p.variant, scale, cores))
+            Ok(run_state(state, ring, s, &p.variant, scale))
         }
     }
 }
@@ -591,6 +599,35 @@ mod tests {
         let out = execute(&expand(&s)[0]).unwrap();
         assert_eq!(out.policy_label, "static");
         assert_eq!(out.result.stats.started_malleable, 0);
+    }
+
+    #[test]
+    fn policy_knobs_reach_the_scheduler() {
+        // Free nodes only matter once the machine is big enough to have some
+        // idle beside a candidate mate: 0.1 is the smallest such scale.
+        let mut one = tiny(SourceKind::Ricc);
+        one.policy.max_mates = 1;
+        let mut free = tiny(SourceKind::Ricc).at_scale(0.1);
+        free.policy.include_free_nodes = true;
+        let malleable = |p: &RunPoint| execute(p).unwrap().result.stats.started_malleable;
+        for s in [one, free] {
+            let mut plain = s.clone();
+            plain.policy = Default::default();
+            let (p, plain) = (expand(&s).remove(0), expand(&plain).remove(0));
+            assert_ne!(malleable(&p), malleable(&plain), "{:?}", s.policy);
+            // Static backfill reads neither knob: the twins coincide.
+            assert_eq!(baseline_point(&p), baseline_point(&plain));
+        }
+    }
+
+    #[test]
+    fn w4_large_scale_switches_to_easy() {
+        let w4 = tiny(SourceKind::Curie);
+        assert!(is_big_trace(PaperWorkload::W4Curie, 0.5));
+        assert!(!is_big_trace(PaperWorkload::W4Curie, 0.02));
+        assert!(!is_big_trace(PaperWorkload::W3Ricc, 1.0));
+        assert_eq!(slurm_config(&w4, true).backfill_mode, BackfillMode::Easy);
+        assert_eq!(slurm_config(&w4, false).backfill_mode, BackfillMode::Conservative);
     }
 
     #[test]

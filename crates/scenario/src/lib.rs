@@ -13,8 +13,11 @@
 //!   (`parse(render(s)) == s`),
 //! * [`compile`] — sweep expansion into [`RunPoint`]s and execution through
 //!   the simulator,
-//! * [`registry`] — built-in scenarios: the five paper workloads plus
-//!   bursty / diurnal / mixed-malleability / oversubscription studies.
+//! * [`registry`] — built-in scenarios: the `.scn` files under `scenarios/`
+//!   (the paper's workloads, figures and tables, the ablation study, and
+//!   bursty / diurnal / mixed-malleability / oversubscription / tenant-mix
+//!   studies),
+//! * [`campaign`] — `.campaign` files naming several scenarios to run as one.
 //!
 //! ```
 //! use sd_scenario::{expand, execute, Scenario};

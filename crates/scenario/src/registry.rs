@@ -1,149 +1,70 @@
-//! Built-in scenarios: the paper's five workloads plus studies the
-//! hand-coded figure binaries cannot express — bursty campaigns, diurnal
-//! load, mixed static/malleable populations, an oversubscribed machine.
-//!
-//! The same scenarios ship as text files under `scenarios/` at the
-//! repository root (written by `run_scenario --write-builtin <dir>`); a test
-//! keeps the two in sync.
+//! Built-in scenarios: every `.scn` file under `scenarios/` at the
+//! repository root, compiled into the library. The text files are the
+//! single source — the paper's five workloads and each of its figures and
+//! tables, the ablation study, and the studies beyond the paper (bursty
+//! campaigns, diurnal load, mixed static/malleable populations, an
+//! oversubscribed machine, tenant mixes). Shipping a new one is adding the
+//! file and its name below; a test fails on a file that is not listed.
 
-use crate::scenario::{
-    ArrivalKind, MaxSdDecl, ModelDecl, Scenario, SourceKind, TenantQueueDecl, TenantsDecl,
-};
+use crate::scenario::Scenario;
 
-fn paper(name: &str, description: &str, source: SourceKind) -> Scenario {
-    let mut s = Scenario::new(name, source);
-    s.description = description.to_string();
-    s
+macro_rules! shipped {
+    ($($name:literal),* $(,)?) => {
+        [$(($name, include_str!(concat!("../../../scenarios/", $name, ".scn")))),*]
+    };
 }
+
+/// The shipped scenario files as `(name, text)`, in presentation order.
+const FILES: [(&str, &str); 28] = shipped![
+    "w1-cirne",
+    "w2-cirne-ideal",
+    "w3-ricc",
+    "w4-curie",
+    "w5-realrun",
+    "maxsd-sweep-w1",
+    "maxsd-sweep",
+    "maxsd-sweep-w3",
+    "maxsd-sweep-w4",
+    "w4-maxsd10",
+    "w1-worst-case",
+    "w2-worst-case",
+    "w3-worst-case",
+    "w4-worst-case",
+    "ablation-max-mates-1",
+    "ablation-max-mates-3",
+    "ablation-free-nodes",
+    "ablation-sharing-sweep",
+    "ablation-backfill-conservative",
+    "ablation-backfill-easy",
+    "malleable-fraction-sweep",
+    "swf-replay",
+    "bursty",
+    "diurnal",
+    "oversubscribed",
+    "backfill-depth-sweep",
+    "arrival-contrast-sweep",
+    "tenant-mix-sweep",
+];
 
 /// All built-in scenarios, in presentation order.
 pub fn builtin_scenarios() -> Vec<Scenario> {
-    let mut w5 = paper(
-        "w5-realrun",
-        "Paper Workload 5: real-run applications on the 49-node MN4 subset",
-        SourceKind::RealRun,
-    );
-    w5.policy.model = ModelDecl::AppAware;
-
-    let mut all = vec![
-        paper(
-            "w1-cirne",
-            "Paper Workload 1: Cirne model, ANL arrivals, user estimates",
-            SourceKind::Cirne,
-        ),
-        paper(
-            "w2-cirne-ideal",
-            "Paper Workload 2: Cirne model with exact runtime estimates",
-            SourceKind::CirneIdeal,
-        ),
-        paper(
-            "w3-ricc",
-            "Paper Workload 3: RICC-like trace, many small jobs",
-            SourceKind::Ricc,
-        ),
-        paper(
-            "w4-curie",
-            "Paper Workload 4: CEA-Curie-like trace (the big workload)",
-            SourceKind::Curie,
-        ),
-        w5,
-    ];
-
-    // ----- beyond the paper -----
-
-    let mut bursty = paper(
-        "bursty",
-        "Campaign bursts: 70% of submissions arrive in ~18-job batches, half the jobs rigid",
-        SourceKind::Ricc,
-    );
-    bursty.workload.arrivals = Some(ArrivalKind::Uniform);
-    bursty.workload.batch_p = Some(0.7);
-    bursty.workload.batch_mean = Some(18.0);
-    bursty.slurm.malleable_fraction = 0.5;
-    all.push(bursty);
-
-    let mut diurnal = paper(
-        "diurnal",
-        "Hard day/night cycle (6x daytime intensity, quiet weekends) on the Cirne model",
-        SourceKind::Cirne,
-    );
-    diurnal.workload.arrivals = Some(ArrivalKind::DayNight);
-    diurnal.workload.day_night_contrast = Some(6.0);
-    diurnal.workload.weekend_factor = Some(0.25);
-    all.push(diurnal);
-
-    let mut fraction = paper(
-        "malleable-fraction-sweep",
-        "How much malleability is enough: sweep the malleable-job fraction on W3",
-        SourceKind::Ricc,
-    );
-    fraction.sweep.malleable_fraction = vec![0.0, 0.25, 0.5, 0.75, 1.0];
-    all.push(fraction);
-
-    let mut oversub = paper(
-        "oversubscribed",
-        "Curie-like machine under ~2.2x the paper's offered load",
-        SourceKind::Curie,
-    );
-    oversub.workload.mean_interarrival = Some(50.0);
-    oversub.scale = Some(0.02);
-    all.push(oversub);
-
-    let mut maxsd = paper(
-        "maxsd-sweep",
-        "The paper's Figs. 1-3 cut-off sweep as one declarative campaign (W2)",
-        SourceKind::CirneIdeal,
-    );
-    maxsd.sweep.maxsd = vec![
-        MaxSdDecl::Value(5.0),
-        MaxSdDecl::Value(10.0),
-        MaxSdDecl::Value(50.0),
-        MaxSdDecl::Infinite,
-        MaxSdDecl::Dyn,
-    ];
-    all.push(maxsd);
-
-    let mut depth = paper(
-        "backfill-depth-sweep",
-        "Scheduler-cost axis: sweep bf_max_job_test from shallow to deep on W3",
-        SourceKind::Ricc,
-    );
-    depth.sweep.backfill_depth = vec![10, 25, 50, 100, 200, 400];
-    all.push(depth);
-
-    let mut contrast = paper(
-        "arrival-contrast-sweep",
-        "Arrival-contrast axis: flat through hard day/night bursts on the Cirne model",
-        SourceKind::Cirne,
-    );
-    contrast.workload.arrivals = Some(ArrivalKind::DayNight);
-    contrast.sweep.day_night_contrast = vec![1.0, 2.0, 4.0, 8.0];
-    all.push(contrast);
-
-    let mut tenants = paper(
-        "tenant-mix-sweep",
-        "Multi-tenant axis: Zipf popularity skew and quota pressure under fair-share on W3",
-        SourceKind::Ricc,
-    );
-    tenants.tenants = Some(TenantsDecl {
-        queue: TenantQueueDecl::FairShare,
-        ..TenantsDecl::new(4)
-    });
-    tenants.sweep.tenant_skew = vec![0.0, 1.0, 2.0];
-    tenants.sweep.quota_fraction = vec![0.5, 1.0];
-    all.push(tenants);
-
-    all
+    FILES.iter().map(|(_, text)| parse_shipped(text)).collect()
 }
 
-/// Looks up a built-in scenario by name.
+/// Looks up a built-in scenario by name (a file is named after its scenario).
 pub fn find_builtin(name: &str) -> Option<Scenario> {
-    builtin_scenarios().into_iter().find(|s| s.name == name)
+    let (_, text) = FILES.iter().find(|(file, _)| *file == name)?;
+    Some(parse_shipped(text))
+}
+
+fn parse_shipped(text: &str) -> Scenario {
+    Scenario::parse(text).expect("a shipped scenario file parses")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Campaign;
     use crate::compile::{execute, expand};
 
     #[test]
@@ -169,30 +90,40 @@ mod tests {
 
     #[test]
     fn shipped_scenario_files_match_the_registry() {
-        // `scenarios/` at the repo root is written by
-        // `run_scenario --write-builtin scenarios`; re-run that after
-        // changing the registry.
         let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
-        for s in builtin_scenarios() {
-            let path = dir.join(format!("{}.scn", s.name));
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("{}: {e} (regenerate with --write-builtin)", s.name));
-            assert_eq!(text, s.render(), "{} file is stale", s.name);
-            assert_eq!(Scenario::parse(&text).unwrap(), s, "{}", s.name);
-        }
-        // Count only `.scn` files: the directory also ships the
-        // `sd-validate` expectation file(s).
-        let on_disk = std::fs::read_dir(&dir)
+        let mut paths: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .path()
-                    .extension()
-                    .is_some_and(|x| x == "scn")
-            })
-            .count();
-        assert_eq!(on_disk, builtin_scenarios().len(), "no orphan .scn files");
+            .map(|e| e.unwrap().path())
+            .collect();
+        paths.sort();
+        let mut scn = 0;
+        for path in &paths {
+            let text = std::fs::read_to_string(path).unwrap();
+            let stem = path.file_stem().unwrap().to_str().unwrap();
+            match path.extension().and_then(|x| x.to_str()) {
+                Some("scn") => {
+                    scn += 1;
+                    let s = Scenario::parse(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+                    assert_eq!(s.name, stem, "{path:?} is named after its scenario");
+                    assert!(FILES.contains(&(stem, text.as_str())), "{path:?} is not registered");
+                }
+                Some("campaign") => {
+                    let c = Campaign::parse(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+                    assert_eq!(c.name, stem, "{path:?} is named after its campaign");
+                    let members = c.resolve(&dir).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+                    assert!(members.iter().all(|m| !expand(m).is_empty()), "{path:?}");
+                }
+                // Expectation files belong to `sd_validate`, which parses
+                // the shipped ones in its own tests.
+                Some("exp") => {}
+                _ => panic!("{path:?}: not a .scn, .campaign or .exp file"),
+            }
+        }
+        assert_eq!(
+            scn,
+            FILES.len(),
+            "a registered file is missing from scenarios/"
+        );
     }
 
     #[test]
@@ -202,10 +133,9 @@ mod tests {
     }
 
     #[test]
-    fn bursty_is_outside_the_figure_binaries_envelope() {
-        // The hand-coded binaries only run the paper presets: always
-        // malleable_fraction = 1.0, never overridden batching. `bursty`
-        // needs both knobs at once.
+    fn bursty_is_outside_the_paper_figures_envelope() {
+        // The paper's figures always run malleable_fraction = 1.0 and the
+        // generators' own batching. `bursty` overrides both at once.
         let s = find_builtin("bursty").unwrap();
         assert!(s.slurm.malleable_fraction < 1.0);
         assert!(s.workload.batch_p.is_some());
@@ -219,6 +149,8 @@ mod tests {
         let s = find_builtin("malleable-fraction-sweep").unwrap();
         let pts = expand(&s);
         assert_eq!(pts.len(), 5);
-        assert!(pts.iter().all(|p| p.variant.starts_with("malleable_fraction=")));
+        assert!(pts
+            .iter()
+            .all(|p| p.variant.starts_with("malleable_fraction=")));
     }
 }

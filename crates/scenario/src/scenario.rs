@@ -304,15 +304,22 @@ pub struct PolicyDecl {
     pub model: ModelDecl,
     /// SharingFactor in `[0, 1)`.
     pub sharing: f64,
+    /// Maximum mates per co-schedule, the paper's `m` (≥ 1).
+    pub max_mates: usize,
+    /// Let idle nodes count toward the weight constraint (paper §3.2.4).
+    pub include_free_nodes: bool,
 }
 
 impl Default for PolicyDecl {
     fn default() -> Self {
+        let sd = sd_policy::SdPolicyConfig::default();
         PolicyDecl {
             kind: PolicyKindDecl::Sd,
             maxsd: MaxSdDecl::Dyn,
             model: ModelDecl::Ideal,
             sharing: 0.5,
+            max_mates: sd.max_mates,
+            include_free_nodes: sd.include_free_nodes,
         }
     }
 }
@@ -683,6 +690,19 @@ impl Scenario {
                     check_unit_range("sharing", v, e.line, false)?;
                     self.policy.sharing = v;
                 }
+                "max_mates" => {
+                    let n = parse_usize(e)?;
+                    if n == 0 {
+                        return Err(ParseError::new(e.line, "`max_mates` must be at least 1"));
+                    }
+                    self.policy.max_mates = n;
+                }
+                "include_free_nodes" => {
+                    self.policy.include_free_nodes = e.value.parse().map_err(|_| {
+                        let msg = format!("`include_free_nodes`: expected true or false, got `{}`", e.value);
+                        ParseError::new(e.line, msg)
+                    })?
+                }
                 k => return Err(unknown_key(k, "policy", e.line)),
             }
         }
@@ -1048,6 +1068,12 @@ impl Scenario {
             if self.policy.sharing != d.sharing {
                 let _ = writeln!(out, "sharing = {}", self.policy.sharing);
             }
+            if self.policy.max_mates != d.max_mates {
+                let _ = writeln!(out, "max_mates = {}", self.policy.max_mates);
+            }
+            if self.policy.include_free_nodes != d.include_free_nodes {
+                let _ = writeln!(out, "include_free_nodes = {}", self.policy.include_free_nodes);
+            }
         }
 
         if self.slurm != SlurmDecl::default() {
@@ -1233,6 +1259,8 @@ kind = sd
 maxsd = 10
 model = worst_case
 sharing = 0.25
+max_mates = 3
+include_free_nodes = true
 
 [slurm]
 backfill = easy
@@ -1271,6 +1299,8 @@ tenant_skew = [0, 1]
         assert_eq!(s.workload.arrivals, Some(ArrivalKind::DayNight));
         assert_eq!(s.policy.maxsd, MaxSdDecl::Value(10.0));
         assert_eq!(s.policy.model, ModelDecl::WorstCase);
+        assert_eq!(s.policy.max_mates, 3);
+        assert!(s.policy.include_free_nodes);
         assert_eq!(s.slurm.backfill, Some(BackfillDecl::Easy));
         assert!((s.slurm.malleable_fraction - 0.5).abs() < 1e-12);
         assert_eq!(s.sweep.maxsd, vec![MaxSdDecl::Value(5.0), MaxSdDecl::Infinite, MaxSdDecl::Dyn]);
@@ -1380,6 +1410,9 @@ tenant_skew = [0, 1]
         };
         assert!(Scenario::parse(&base("[policy]\nsharing = 1.0\n")).is_err());
         assert!(Scenario::parse(&base("[policy]\nmaxsd = 0.5\n")).is_err());
+        let e = Scenario::parse(&base("[policy]\nsharing = 0.25\nmax_mates = 0\n")).unwrap_err();
+        assert_eq!(e.line, 7, "the max_mates entry is on line 7: {e}");
+        assert!(Scenario::parse(&base("[policy]\ninclude_free_nodes = yes\n")).is_err());
         assert!(Scenario::parse(&base("[slurm]\nmalleable_fraction = 1.5\n")).is_err());
         assert!(Scenario::parse(&base("[workload2]\n")).is_err());
         let e = Scenario::parse(&base("[sweep]\nscale = [0.1, -1]\n")).unwrap_err();

@@ -82,6 +82,8 @@ fn arb_scenario() -> BoxedStrategy<Scenario> {
             Just(ModelDecl::AppAware),
         ],
         (0u32..100).prop_map(|v| v as f64 / 100.0), // sharing in [0, 1)
+        1usize..6,                                  // max_mates ≥ 1
+        any::<bool>(),                              // include_free_nodes
     );
     let slurm = (
         prop_oneof![
@@ -118,7 +120,7 @@ fn arb_scenario() -> BoxedStrategy<Scenario> {
             s.workload.weekend_factor = weekend;
             s.workload.batch_p = batch_p;
             s.workload.batch_mean = batch_mean;
-            let (is_static, maxsd, model, sharing) = policy;
+            let (is_static, maxsd, model, sharing, max_mates, include_free_nodes) = policy;
             s.policy.kind = if is_static {
                 PolicyKindDecl::Static
             } else {
@@ -127,6 +129,8 @@ fn arb_scenario() -> BoxedStrategy<Scenario> {
             s.policy.maxsd = maxsd;
             s.policy.model = model;
             s.policy.sharing = sharing;
+            s.policy.max_mates = max_mates;
+            s.policy.include_free_nodes = include_free_nodes;
             (
                 s.slurm.backfill,
                 s.slurm.backfill_depth,

@@ -1,6 +1,6 @@
-//! CSV/JSON export of figures, series and scenario campaigns.
+//! CSV/JSON export of figures and scenario campaigns.
 //!
-//! The experiment binaries print human-readable tables; these writers emit
+//! `run_scenario` prints human-readable tables; these writers emit
 //! machine-readable CSV/JSON so the paper's plots can be regenerated with
 //! any plotting tool. Output is plain `std::fmt::Write` — no serialisation
 //! dependency needed. All writers are deterministic: fixed key order, fixed
@@ -12,24 +12,28 @@ use crate::summary::{Summary, TenantSummary};
 use crate::timeseries::DailySeries;
 use std::fmt::Write as _;
 
-/// CSV of a ratio heatmap: `runtime_class,node_bucket,ratio,count`.
-pub fn heatmap_csv(h: &RatioHeatmap) -> String {
-    let mut out = String::from("runtime_class,node_bucket,ratio,count\n");
-    for r in 0..h.spec.runtime_buckets() {
-        for n in 0..h.spec.node_buckets() {
-            let idx = r * h.spec.node_buckets() + n;
-            let ratio = h.ratios[idx]
-                .map(|x| format!("{x:.4}"))
-                .unwrap_or_default();
-            writeln!(
-                out,
-                "{},{},{},{}",
-                h.spec.runtime_label(r),
-                h.spec.node_label(n),
-                ratio,
-                h.counts[idx]
-            )
-            .expect("string write");
+/// CSV of ratio heatmaps (Figs. 4–6's data), one block of cells per map:
+/// `metric,runtime_class,node_bucket,ratio,count`.
+pub fn heatmap_csv(maps: &[RatioHeatmap]) -> String {
+    let mut out = String::from("metric,runtime_class,node_bucket,ratio,count\n");
+    for h in maps {
+        for r in 0..h.spec.runtime_buckets() {
+            for n in 0..h.spec.node_buckets() {
+                let idx = r * h.spec.node_buckets() + n;
+                let ratio = h.ratios[idx]
+                    .map(|x| format!("{x:.4}"))
+                    .unwrap_or_default();
+                writeln!(
+                    out,
+                    "{},{},{},{},{}",
+                    h.metric.label(),
+                    h.spec.runtime_label(r),
+                    h.spec.node_label(n),
+                    ratio,
+                    h.counts[idx]
+                )
+                .expect("string write");
+            }
         }
     }
     out
@@ -51,19 +55,6 @@ pub fn daily_csv(baseline: &DailySeries, sd: &DailySeries) -> String {
             sd.completed.get(d).copied().unwrap_or(0),
         )
         .expect("string write");
-    }
-    out
-}
-
-/// Generic CSV from a header and rows of numbers (normalised-metric sweeps).
-pub fn series_csv(header: &[&str], rows: &[Vec<f64>]) -> String {
-    let mut out = String::new();
-    out.push_str(&header.join(","));
-    out.push('\n');
-    for row in rows {
-        let cells: Vec<String> = row.iter().map(|x| format!("{x:.6}")).collect();
-        out.push_str(&cells.join(","));
-        out.push('\n');
     }
     out
 }
@@ -351,15 +342,6 @@ mod tests {
     use crate::heatmap::{HeatMetric, Heatmap, HeatmapSpec};
 
     #[test]
-    fn series_csv_shape() {
-        let csv = series_csv(&["a", "b"], &[vec![1.0, 2.0], vec![3.0, 4.5]]);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], "a,b");
-        assert!(lines[2].starts_with("3.000000,4.5"));
-    }
-
-    #[test]
     fn daily_csv_includes_all_days() {
         let base = DailySeries {
             slowdown: vec![1.0, 2.0],
@@ -541,13 +523,14 @@ mod tests {
         let h = Heatmap::new(spec.clone(), HeatMetric::Slowdown);
         let h2 = Heatmap::new(spec.clone(), HeatMetric::Slowdown);
         let ratio = crate::heatmap::RatioHeatmap::compute(&h, &h2);
-        let csv = heatmap_csv(&ratio);
-        // header + runtime_buckets × node_buckets rows
+        let csv = heatmap_csv(&[ratio.clone(), ratio]);
+        // header + one runtime_buckets × node_buckets block per map
         assert_eq!(
             csv.lines().count(),
-            1 + spec.runtime_buckets() * spec.node_buckets()
+            1 + 2 * spec.runtime_buckets() * spec.node_buckets()
         );
         // Empty cells serialise with an empty ratio field.
+        assert!(csv.lines().nth(1).unwrap().starts_with("slowdown,"));
         assert!(csv.lines().nth(1).unwrap().contains(",,0"));
     }
 }

@@ -96,6 +96,17 @@ pub enum HeatMetric {
 }
 
 impl HeatMetric {
+    /// The three metrics, in figure order (Fig. 4, 5, 6).
+    pub const ALL: [HeatMetric; 3] = [HeatMetric::Slowdown, HeatMetric::Runtime, HeatMetric::WaitTime];
+
+    pub fn label(self) -> &'static str {
+        match self {
+            HeatMetric::Slowdown => "slowdown",
+            HeatMetric::Runtime => "runtime",
+            HeatMetric::WaitTime => "wait",
+        }
+    }
+
     fn of(self, o: &JobOutcome) -> f64 {
         match self {
             HeatMetric::Slowdown => o.slowdown(),

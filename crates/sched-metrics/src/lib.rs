@@ -7,15 +7,13 @@
 //! * [`heatmap`] — job-category bucketing by requested nodes × runtime class
 //!   and the static/SD ratio heatmaps of Figs. 4–6,
 //! * [`timeseries`] — per-day slowdown and malleable-start series (Fig. 7),
-//! * [`normalize`] — "normalized to static backfill" helpers (Figs. 1–3, 8),
-//! * [`table`] — plain-text table rendering for the experiment binaries,
+//! * [`table`] — plain-text table rendering for `run_scenario` and the examples,
 //! * [`export`] — deterministic CSV/JSON writers (figures + scenario
 //!   campaigns).
 
 pub mod export;
 pub mod heatmap;
 pub mod histogram;
-pub mod normalize;
 pub mod percentiles;
 pub mod summary;
 pub mod table;
@@ -23,12 +21,11 @@ pub mod timeseries;
 pub mod tracesum;
 
 pub use export::{
-    campaign_csv, campaign_json, daily_csv, heatmap_csv, series_csv, tenant_csv, CampaignDeltas,
+    campaign_csv, campaign_json, daily_csv, heatmap_csv, tenant_csv, CampaignDeltas,
     CampaignRow,
 };
 pub use heatmap::{Heatmap, HeatmapSpec, RatioHeatmap};
 pub use histogram::Histogram;
-pub use normalize::{improvement_pct, normalized};
 pub use percentiles::Percentiles;
 pub use summary::{tenant_summaries, Summary, TenantSummary};
 pub use table::Table;

@@ -30,7 +30,7 @@ fn main() {
     );
 
     // The static-backfill baseline is the same scenario with the policy
-    // swapped out — one field, not a new binary.
+    // swapped out — one field.
     let mut baseline = scenario.clone();
     baseline.policy.kind = PolicyKindDecl::Static;
     baseline.sweep.maxsd.clear();
@@ -56,7 +56,7 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
-    println!("half the jobs are rigid (malleable_fraction = 0.5) — a mix no");
-    println!("hand-coded figure binary exercises; the cut-off still trades");
-    println!("mate protection against malleability exactly as in Figs. 1-3.");
+    println!("half the jobs are rigid (malleable_fraction = 0.5) — a mix none of");
+    println!("the paper's figures exercises; the cut-off still trades mate");
+    println!("protection against malleability exactly as in Figs. 1-3.");
 }

@@ -1,7 +1,8 @@
 //! End-to-end SWF replay over a checked-in fixture: parse → clean →
 //! simulate with both schedulers. This is the offline stand-in for the
 //! ROADMAP's "real trace replay untested end-to-end" item — the code path
-//! is identical to feeding a genuine archive file through `replay_swf`.
+//! is identical to feeding a genuine archive file through a `source = swf`
+//! scenario (`scenarios/swf-replay.scn`).
 
 use sd_sched::prelude::*;
 use sd_sched::slurm_sim::replay::{infer_cluster, replay_state};
