@@ -28,9 +28,10 @@ use sched_metrics::{
 };
 use sd_bench::{sweep_with, CliArgs, CliError};
 use sd_scenario::{
-    baseline_point, builtin_scenarios, execute, execute_traced, expand, find_builtin, Campaign,
-    PolicyKindDecl, RunPoint, Scenario, ScenarioOutcome, SourceKind,
+    baseline_point, builtin_scenarios, execute, execute_traced, expand, find_builtin, run_key,
+    Campaign, PolicyKindDecl, RunPoint, Scenario, ScenarioOutcome, SourceKind,
 };
+use std::collections::HashMap;
 
 const USAGE: &str = "run_scenario — execute a declarative scenario campaign
 
@@ -234,10 +235,12 @@ fn main() {
     let points: Vec<RunPoint> = scenarios.iter().flat_map(expand).collect();
 
     // Every SD point gets a static-backfill twin so each campaign row can
-    // carry Δ-vs-static columns; a `maxsd` sweep's variants share one
-    // baseline (the cut-off is canonicalised away). Points that *are*
-    // static runs serve as their own baseline (`None`).
+    // carry Δ-vs-static columns. Twins with one `run_key` are one run: a
+    // `maxsd` sweep's variants share theirs (the cut-off is canonicalised
+    // away), and so do a campaign's members on the same workload. Points
+    // that *are* static runs serve as their own baseline (`None`).
     let mut baselines: Vec<RunPoint> = Vec::new();
+    let mut twin_of: HashMap<String, usize> = HashMap::new();
     let mut baseline_idx: Vec<Option<usize>> = Vec::with_capacity(points.len());
     for p in &points {
         if p.scenario.policy.kind == PolicyKindDecl::Static {
@@ -245,13 +248,10 @@ fn main() {
             continue;
         }
         let b = baseline_point(p);
-        let idx = baselines
-            .iter()
-            .position(|x| *x == b)
-            .unwrap_or_else(|| {
-                baselines.push(b);
-                baselines.len() - 1
-            });
+        let idx = *twin_of.entry(run_key(&b.scenario)).or_insert_with(|| {
+            baselines.push(b);
+            baselines.len() - 1
+        });
         baseline_idx.push(Some(idx));
     }
 

@@ -12,6 +12,7 @@
 
 use sd_bench::validate::{evaluate, parse_expectations, report};
 use sd_bench::{CliArgs, CliError};
+use sd_scenario::Vocab;
 
 const USAGE: &str = "sd_validate — check the paper's directional expectations
 
@@ -77,8 +78,8 @@ fn main() {
             println!(
                 "{:24} {:12} {:10} [{} seed{}]  {}",
                 c.name,
-                format!("{:?}", c.workload).to_lowercase(),
-                c.metric.label(),
+                format!("{:?}", c.scenario.workload.source).to_lowercase(),
+                c.metric.word(),
                 c.seeds.len(),
                 if c.seeds.len() == 1 { "" } else { "s" },
                 c.source

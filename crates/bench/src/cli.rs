@@ -4,6 +4,8 @@
 //! one the other binary accepts — is reported as `unknown flag` (exit
 //! code 2), never accepted and ignored. `--help`/`-h` is always understood.
 
+use sd_scenario::{find_key, Scenario, SourceKind};
+
 /// How parsing can terminate without yielding arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CliError {
@@ -11,6 +13,17 @@ pub enum CliError {
     Help,
     /// A real parse error: print message + usage, exit 2.
     Bad(String),
+}
+
+/// Reads a flag's value as the scenario key it overrides is read from a
+/// file — same parser, same range check — into a scratch scenario.
+fn through_key(flag: &str, name: &str, value: &str) -> Result<Scenario, CliError> {
+    let key = find_key("scenario", name).expect("the flag overrides a [scenario] key");
+    let mut scratch = Scenario::new("cli", SourceKind::Ricc);
+    match key.set(&mut scratch, value, 0) {
+        Ok(()) => Ok(scratch),
+        Err(e) => Err(CliError::Bad(format!("bad {flag}: {}", e.msg))),
+    }
 }
 
 /// Parsed command-line arguments.
@@ -49,20 +62,8 @@ impl CliArgs {
             };
             match a.as_str() {
                 "--full" => out.full = true,
-                "--scale" => {
-                    let v = value("--scale")?;
-                    out.scale = Some(
-                        v.parse()
-                            .map_err(|_| CliError::Bad(format!("bad scale: {v}")))?,
-                    );
-                }
-                "--seed" => {
-                    let v = value("--seed")?;
-                    out.seed = Some(
-                        v.parse()
-                            .map_err(|_| CliError::Bad(format!("bad seed: {v}")))?,
-                    );
-                }
+                "--scale" => out.scale = through_key("--scale", "scale", &value("--scale")?)?.scale,
+                "--seed" => out.seed = Some(through_key("--seed", "seed", &value("--seed")?)?.seed),
                 "--threads" => {
                     let v = value("--threads")?;
                     let n: usize = v
@@ -131,6 +132,12 @@ mod tests {
     fn errors_are_reported() {
         assert!(matches!(parse(&["--scale"]), Err(CliError::Bad(_))));
         assert!(matches!(parse(&["--scale", "abc"]), Err(CliError::Bad(_))));
+        // A value the `.scn` parser refuses is refused here, in its words.
+        for bad in ["-1", "0", "nan", "inf"] {
+            let want = format!("bad --scale: `scale` must be > 0, got {bad}");
+            assert_eq!(parse(&["--scale", bad]), Err(CliError::Bad(want)));
+        }
+        assert!(matches!(parse(&["--seed", "-7"]), Err(CliError::Bad(_))));
         assert!(matches!(parse(&["--bogus"]), Err(CliError::Bad(_))));
         // Removed flags are typos like any other.
         for gone in ["--backend", "--swf"] {

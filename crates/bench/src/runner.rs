@@ -42,12 +42,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sd_scenario::{execute, expand, MaxSdDecl, Scenario, SourceKind};
+    use sd_scenario::{execute, expand, Scenario, SourceKind};
 
     #[test]
     fn sweep_matches_individual_runs() {
-        let mut s = Scenario::new("t", SourceKind::Ricc).at_scale(0.02);
-        s.sweep.maxsd = vec![MaxSdDecl::Value(10.0), MaxSdDecl::Dyn];
+        let mut s = Scenario::new("t", SourceKind::Ricc);
+        s.scale = Some(0.02);
+        s.sweep.set("maxsd", &["10", "dyn"], 0).unwrap();
         let points = expand(&s);
         let swept = sweep_with(&points, None, execute);
         assert_eq!(swept.len(), 2);

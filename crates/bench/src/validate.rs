@@ -16,15 +16,19 @@
 //! original fidelity regression stayed hidden.
 //!
 //! The file reuses the scenario format (`#` comments, `[claim]` sections,
-//! `key = value`) and the scenario vocabulary for `workload`, `model` and
-//! `maxsd`, so one grammar describes both experiments and their expected
-//! outcomes.
+//! `key = value`), and what a claim says about the run — workload, scale,
+//! model, cut-off, tenancy — it says with the scenario format's own keys
+//! ([`SCENARIO_KEYS`]), each read through its row of `sd_scenario::KEYS`:
+//! one grammar and one set of range checks describe both experiments and
+//! their expected outcomes.
 
 use crate::runner::sweep_with;
-use sd_scenario::format::{parse_f64, parse_list, parse_raw_with, parse_u64, RawSection};
+use sd_scenario::format::{
+    parse_f64, parse_list, parse_raw_with, unknown_key, RawEntry, RawSection,
+};
 use sd_scenario::{
-    execute, MaxSdDecl, ModelDecl, ParseError, PolicyKindDecl, RunPoint, Scenario, SourceKind,
-    TenantQueueDecl, TenantsDecl,
+    baseline_point, execute, find_key, run_key, Key, ParseError, RunPoint, Scenario, SourceKind,
+    Vocab,
 };
 use slurm_sim::SimResult;
 use std::collections::BTreeMap;
@@ -42,36 +46,18 @@ pub enum Metric {
     TenantShare,
 }
 
+impl Vocab for Metric {
+    const WORDS: &'static [(&'static str, Self)] = &[
+        ("slowdown", Metric::Slowdown),
+        ("response", Metric::Response),
+        ("wait", Metric::Wait),
+        ("makespan", Metric::Makespan),
+        ("energy", Metric::Energy),
+        ("tenant_share", Metric::TenantShare),
+    ];
+}
+
 impl Metric {
-    fn parse_str(v: &str, line: usize) -> Result<Self, ParseError> {
-        match v {
-            "slowdown" => Ok(Metric::Slowdown),
-            "response" => Ok(Metric::Response),
-            "wait" => Ok(Metric::Wait),
-            "makespan" => Ok(Metric::Makespan),
-            "energy" => Ok(Metric::Energy),
-            "tenant_share" => Ok(Metric::TenantShare),
-            v => Err(ParseError::new(
-                line,
-                format!(
-                    "`metric`: unknown metric `{v}` \
-                     (slowdown|response|wait|makespan|energy|tenant_share)"
-                ),
-            )),
-        }
-    }
-
-    pub fn label(self) -> &'static str {
-        match self {
-            Metric::Slowdown => "slowdown",
-            Metric::Response => "response",
-            Metric::Wait => "wait",
-            Metric::Makespan => "makespan",
-            Metric::Energy => "energy",
-            Metric::TenantShare => "tenant_share",
-        }
-    }
-
     fn extract(self, res: &SimResult) -> f64 {
         match self {
             Metric::Slowdown => res.mean_slowdown(),
@@ -107,15 +93,11 @@ pub struct Claim {
     pub name: String,
     /// Paper anchor (free text): `Table 2`, `Fig. 3`, `real-run headline`.
     pub source: String,
-    pub workload: SourceKind,
-    /// `None` → the workload's default CI scale.
-    pub scale: Option<f64>,
+    /// The SD run the claim is about, seed aside: workload, scale, runtime
+    /// model, MAXSD cut-off and tenancy, each read through the scenario
+    /// format's own key. Its static twin is [`baseline_point`].
+    pub scenario: Scenario,
     pub seeds: Vec<u64>,
-    pub model: ModelDecl,
-    pub maxsd: MaxSdDecl,
-    /// `Some` runs both policies under a tenanted configuration ([tenants]
-    /// section: the count/skew/quota knobs of the scenario layer).
-    pub tenants: Option<TenantsDecl>,
     pub metric: Metric,
     /// Mean Δ% must be ≤ this (e.g. `0` = "must not regress the sign").
     pub max_pct: Option<f64>,
@@ -133,39 +115,53 @@ pub struct ClaimResult {
     pub pass: bool,
 }
 
+/// The keys of a `[claim]` that are scenario keys under another name, as
+/// `(claim key, section, scenario key)`. They are applied in this order,
+/// `tenants` ahead of the keys that only tune a tenancy.
+pub const SCENARIO_KEYS: [(&str, &str, &str); 8] = [
+    ("workload", "workload", "source"),
+    ("scale", "scenario", "scale"),
+    ("model", "policy", "model"),
+    ("maxsd", "policy", "maxsd"),
+    ("tenants", "tenants", "count"),
+    ("tenant_skew", "tenants", "skew"),
+    ("quota_fraction", "tenants", "quota_fraction"),
+    ("tenant_queue", "tenants", "queue"),
+];
+
+/// What `[defaults]` may set for the claims below it.
+pub const DEFAULTS_KEYS: [&str; 4] = ["seeds", "scale", "model", "maxsd"];
+
+/// A claim's own keys.
+pub const CLAIM_KEYS: [&str; 7] = ["name", "source", "seeds", "seed", "metric", "max_pct", "min_pct"];
+
+fn scenario_key(alias: &str) -> Option<&'static Key> {
+    let (_, section, name) = SCENARIO_KEYS.iter().find(|(a, _, _)| *a == alias)?;
+    Some(find_key(section, name).expect("every alias names a scenario key"))
+}
+
 /// Parses an expectation file. An optional `[defaults]` section provides
 /// `seeds`, `scale`, `model` and `maxsd` for claims that do not set them.
 pub fn parse_expectations(text: &str) -> Result<Vec<Claim>, ParseError> {
     let doc = parse_raw_with(text, true)?;
-    let mut defaults = Defaults {
-        seeds: vec![42],
-        scale: None,
-        model: ModelDecl::Ideal,
-        maxsd: MaxSdDecl::Dyn,
-    };
+    let mut default_seeds = vec![42];
+    let mut defaults = Scenario::new("validate", SourceKind::Ricc);
     let mut claims = Vec::new();
 
     for sec in &doc.sections {
         match sec.name.as_str() {
             "defaults" => {
                 for e in &sec.entries {
-                    match e.key.as_str() {
-                        "seeds" => defaults.seeds = parse_seed_list(sec, "seeds")?,
-                        "scale" => defaults.scale = Some(parse_f64(e)?),
-                        "model" => defaults.model = ModelDecl::parse_str(&e.value, e.line)?,
-                        "maxsd" => defaults.maxsd = MaxSdDecl::parse_str(&e.value, e.line)?,
-                        k => {
-                            return Err(ParseError::new(
-                                e.line,
-                                format!(
-                                    "unknown key `{k}` in [defaults] (seeds|scale|model|maxsd)"
-                                ),
-                            ))
-                        }
+                    if !DEFAULTS_KEYS.contains(&e.key.as_str()) {
+                        return Err(unknown_key(&e.key, "defaults", &DEFAULTS_KEYS, e.line));
+                    }
+                    match scenario_key(&e.key) {
+                        Some(key) => key.set(&mut defaults, &e.value, e.line)?,
+                        None => default_seeds = parse_seeds(e)?,
                     }
                 }
             }
-            "claim" => claims.push(parse_claim(sec, &defaults)?),
+            "claim" => claims.push(parse_claim(sec, &default_seeds, &defaults)?),
             other => {
                 return Err(ParseError::new(
                     sec.line,
@@ -189,134 +185,80 @@ pub fn parse_expectations(text: &str) -> Result<Vec<Claim>, ParseError> {
     Ok(claims)
 }
 
-fn parse_seed_list(sec: &RawSection, key: &str) -> Result<Vec<u64>, ParseError> {
-    let e = sec
-        .get(key)
-        .expect("caller checked the key exists in this section");
-    let items = parse_list(e)?;
+/// A seed panel: a `[a, b]` list (or one bare seed) read through the
+/// scenario format's `seed` key.
+fn parse_seeds(e: &RawEntry) -> Result<Vec<u64>, ParseError> {
+    let items = if e.key == "seeds" { parse_list(e)? } else { vec![e.value.clone()] };
     if items.is_empty() {
         return Err(ParseError::new(e.line, "`seeds`: list must not be empty"));
     }
+    let key = find_key("scenario", "seed").expect("the format has a seed");
+    let mut scratch = Scenario::new("validate", SourceKind::Ricc);
     items
         .iter()
-        .map(|v| {
-            v.parse::<u64>()
-                .map_err(|_| ParseError::new(e.line, format!("`seeds`: bad seed `{v}`")))
-        })
+        .map(|v| key.set(&mut scratch, v, e.line).map(|()| scratch.seed))
         .collect()
 }
 
-/// What a `[defaults]` section supplies to the claims below it.
-struct Defaults {
-    seeds: Vec<u64>,
-    scale: Option<f64>,
-    model: ModelDecl,
-    maxsd: MaxSdDecl,
-}
-
-fn parse_claim(sec: &RawSection, defaults: &Defaults) -> Result<Claim, ParseError> {
+fn parse_claim(
+    sec: &RawSection,
+    default_seeds: &[u64],
+    defaults: &Scenario,
+) -> Result<Claim, ParseError> {
     let mut name = None;
     let mut source = String::new();
-    let mut workload = None;
-    let mut scale = defaults.scale;
-    let mut seeds = defaults.seeds.clone();
-    let mut model = defaults.model;
-    let mut maxsd = defaults.maxsd;
+    let mut seeds = default_seeds.to_vec();
     let mut metric = None;
     let mut max_pct = None;
     let mut min_pct = None;
-    let mut tenants: Option<u32> = None;
-    let mut tenant_skew: Option<(f64, usize)> = None;
-    let mut quota_fraction: Option<(f64, usize)> = None;
-    let mut tenant_queue: Option<(TenantQueueDecl, usize)> = None;
 
     for e in &sec.entries {
         match e.key.as_str() {
             "name" => name = Some(e.value.clone()),
             "source" => source = e.value.clone(),
-            "workload" => workload = Some(SourceKind::parse_str(&e.value, e.line)?),
-            "scale" => scale = Some(parse_f64(e)?),
-            "seeds" => seeds = parse_seed_list(sec, "seeds")?,
-            "seed" => seeds = vec![parse_u64(e)?],
-            "model" => model = ModelDecl::parse_str(&e.value, e.line)?,
-            "maxsd" => maxsd = MaxSdDecl::parse_str(&e.value, e.line)?,
-            "metric" => metric = Some(Metric::parse_str(&e.value, e.line)?),
+            "seeds" | "seed" => seeds = parse_seeds(e)?,
+            "metric" => metric = Some(Metric::parse(e)?),
             "max_pct" => max_pct = Some(parse_f64(e)?),
             "min_pct" => min_pct = Some(parse_f64(e)?),
-            "tenants" => {
-                let n = parse_u64(e)? as u32;
-                if n == 0 {
-                    return Err(ParseError::new(e.line, "`tenants`: must be at least 1"));
-                }
-                tenants = Some(n);
-            }
-            "tenant_skew" => tenant_skew = Some((parse_f64(e)?, e.line)),
-            "quota_fraction" => quota_fraction = Some((parse_f64(e)?, e.line)),
-            "tenant_queue" => {
-                let q = match e.value.as_str() {
-                    "fifo" => TenantQueueDecl::Fifo,
-                    "fair_share" => TenantQueueDecl::FairShare,
-                    v => {
-                        return Err(ParseError::new(
-                            e.line,
-                            format!("`tenant_queue`: unknown queue policy `{v}` (fifo|fair_share)"),
-                        ))
-                    }
-                };
-                tenant_queue = Some((q, e.line));
-            }
-            k => {
-                return Err(ParseError::new(
-                    e.line,
-                    format!(
-                        "unknown key `{k}` in [claim] (name|source|workload|scale|seeds|seed|\
-                         model|maxsd|metric|max_pct|min_pct|tenants|tenant_skew|quota_fraction|\
-                         tenant_queue)"
-                    ),
-                ))
+            k if scenario_key(k).is_some() => {}
+            _ => {
+                let aliases = SCENARIO_KEYS.iter().map(|(a, _, _)| *a);
+                let known: Vec<&str> = CLAIM_KEYS.into_iter().chain(aliases).collect();
+                return Err(unknown_key(&e.key, "claim", &known, e.line));
             }
         }
     }
-    let tenants = match tenants {
-        Some(count) => {
-            let mut t = TenantsDecl::new(count);
-            if let Some((v, _)) = tenant_skew {
-                t.skew = v;
-            }
-            if let Some((v, _)) = quota_fraction {
-                t.quota_fraction = v;
-            }
-            if let Some((q, _)) = tenant_queue {
-                t.queue = q;
-            }
-            Some(t)
+    let mut scenario = defaults.clone();
+    for (alias, section, name) in SCENARIO_KEYS {
+        if let Some(e) = sec.get(alias) {
+            let key = find_key(section, name).expect("every alias names a scenario key");
+            key.set(&mut scenario, &e.value, e.line)?;
         }
-        None => {
-            for (key, line) in [
-                ("tenant_skew", tenant_skew.map(|(_, l)| l)),
-                ("quota_fraction", quota_fraction.map(|(_, l)| l)),
-                ("tenant_queue", tenant_queue.map(|(_, l)| l)),
-            ] {
-                if let Some(line) = line {
-                    return Err(ParseError::new(
-                        line,
-                        format!("`{key}` requires a `tenants` count on the claim"),
-                    ));
-                }
-            }
-            None
+    }
+    if scenario.tenants.is_none() {
+        // A tenancy key only tunes a tenancy that `tenants` declared.
+        let orphan = sec.entries.iter().find(|e| {
+            scenario_key(&e.key).is_some_and(|k| k.section == "tenants")
+        });
+        if let Some(e) = orphan {
+            return Err(ParseError::new(
+                e.line,
+                format!("`{}` requires a `tenants` count on the claim", e.key),
+            ));
         }
-    };
+    }
     let name = name.ok_or_else(|| ParseError::new(sec.line, "[claim] needs `name`"))?;
-    let workload = workload
-        .ok_or_else(|| ParseError::new(sec.line, format!("claim `{name}` needs `workload`")))?;
+    if sec.get("workload").is_none() {
+        return Err(ParseError::new(sec.line, format!("claim `{name}` needs `workload`")));
+    }
+    let workload = scenario.workload.source;
     if workload == SourceKind::Swf {
         return Err(ParseError::new(
             sec.line,
             format!("claim `{name}`: `swf` replay cannot back a paper claim"),
         ));
     }
-    if tenants.is_some() && workload == SourceKind::RealRun {
+    if scenario.tenants.is_some() && workload == SourceKind::RealRun {
         return Err(ParseError::new(
             sec.line,
             format!(
@@ -344,111 +286,49 @@ fn parse_claim(sec: &RawSection, defaults: &Defaults) -> Result<Claim, ParseErro
     Ok(Claim {
         name,
         source,
-        workload,
-        scale,
+        scenario,
         seeds,
-        model,
-        maxsd,
-        tenants,
         metric,
         max_pct,
         min_pct,
     })
 }
 
-/// Key identifying one deduplicated simulation run across claims.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct RunKey {
-    workload: &'static str,
-    /// Bit pattern keeps the f64 orderable/exact.
-    scale_bits: u64,
-    seed: u64,
-    model: &'static str,
-    /// `static` or the MAXSD label.
-    policy: String,
-    /// Canonical tenancy label (`-` when untenanted) so tenanted and
-    /// untenanted claims never share a run.
-    tenancy: String,
-}
-
-fn scenario_for(claim: &Claim, seed: u64, sd: bool) -> Scenario {
-    let mut s = Scenario::new("validate", claim.workload);
-    s.description = format!("sd-validate claim {}", claim.name);
-    s.seed = seed;
-    s.scale = claim.scale;
-    s.policy.kind = if sd {
-        PolicyKindDecl::Sd
+/// The claim's SD run (`sd`) or its static twin at one panel seed.
+fn point_for(claim: &Claim, seed: u64, sd: bool) -> RunPoint {
+    let mut scenario = claim.scenario.clone();
+    scenario.seed = seed;
+    let point = RunPoint { scenario, variant: String::new() };
+    if sd {
+        point
     } else {
-        PolicyKindDecl::Static
-    };
-    s.policy.maxsd = claim.maxsd;
-    s.policy.model = claim.model;
-    s.tenants = claim.tenants.clone();
-    s
-}
-
-fn key_for(claim: &Claim, seed: u64, sd: bool) -> RunKey {
-    let scenario = scenario_for(claim, seed, sd);
-    RunKey {
-        workload: match claim.workload {
-            SourceKind::Cirne => "cirne",
-            SourceKind::CirneIdeal => "cirne_ideal",
-            SourceKind::Ricc => "ricc",
-            SourceKind::Curie => "curie",
-            SourceKind::RealRun => "real_run",
-            SourceKind::Swf => "swf",
-        },
-        scale_bits: scenario.effective_scale().to_bits(),
-        seed,
-        model: match claim.model {
-            ModelDecl::Ideal => "ideal",
-            ModelDecl::WorstCase => "worst_case",
-            ModelDecl::AppAware => "app_aware",
-        },
-        policy: if sd {
-            format!("{:?}", claim.maxsd)
-        } else {
-            "static".to_string()
-        },
-        tenancy: match &claim.tenants {
-            Some(t) => format!(
-                "{}:{}:{}:{:?}:{}",
-                t.count,
-                t.skew.to_bits(),
-                t.quota_fraction.to_bits(),
-                t.queue,
-                t.half_life
-            ),
-            None => "-".to_string(),
-        },
+        baseline_point(&point)
     }
 }
 
-/// Evaluates every claim: deduplicates the needed simulation runs, executes
-/// them through the scenario engine on the shared thread pool, and checks
-/// each claim's Δ window. Returns results in file order.
-pub fn evaluate(claims: &[Claim], threads: Option<usize>) -> Result<Vec<ClaimResult>, String> {
-    // Collect the unique runs all claims need.
-    let mut keyed: BTreeMap<RunKey, Scenario> = BTreeMap::new();
+/// The distinct runs the claims need, by [`run_key`]: claims that differ
+/// only in metric or window share both runs, and claims that differ only in
+/// cut-off share the static one.
+fn needed_runs(claims: &[Claim]) -> BTreeMap<String, RunPoint> {
+    let mut needed = BTreeMap::new();
     for c in claims {
         for &seed in &c.seeds {
             for sd in [false, true] {
-                keyed
-                    .entry(key_for(c, seed, sd))
-                    .or_insert_with(|| scenario_for(c, seed, sd));
+                let point = point_for(c, seed, sd);
+                needed.entry(run_key(&point.scenario)).or_insert(point);
             }
         }
     }
-    let keys: Vec<RunKey> = keyed.keys().cloned().collect();
-    let points: Vec<RunPoint> = keyed
-        .values()
-        .map(|s| RunPoint {
-            scenario: s.clone(),
-            variant: String::new(),
-        })
-        .collect();
+    needed
+}
+
+/// Evaluates every claim: executes the runs they need through the scenario
+/// engine on the shared thread pool, and checks each claim's Δ window.
+/// Returns results in file order.
+pub fn evaluate(claims: &[Claim], threads: Option<usize>) -> Result<Vec<ClaimResult>, String> {
+    let (keys, points): (Vec<String>, Vec<RunPoint>) = needed_runs(claims).into_iter().unzip();
     let outcomes = sweep_with(&points, threads, execute);
-    let mut results: BTreeMap<RunKey, SimResult> = BTreeMap::new();
+    let mut results: BTreeMap<String, SimResult> = BTreeMap::new();
     for (key, outcome) in keys.into_iter().zip(outcomes) {
         match outcome {
             Ok(o) => {
@@ -462,15 +342,15 @@ pub fn evaluate(claims: &[Claim], threads: Option<usize>) -> Result<Vec<ClaimRes
     for c in claims {
         let mut deltas = Vec::with_capacity(c.seeds.len());
         for &seed in &c.seeds {
-            let base = &results[&key_for(c, seed, false)];
-            let sd = &results[&key_for(c, seed, true)];
+            let base = &results[&run_key(&point_for(c, seed, false).scenario)];
+            let sd = &results[&run_key(&point_for(c, seed, true).scenario)];
             let b = c.metric.extract(base);
             let v = c.metric.extract(sd);
             if b == 0.0 {
                 return Err(format!(
                     "claim `{}`: zero baseline for {} (seed {seed})",
                     c.name,
-                    c.metric.label()
+                    c.metric.word()
                 ));
             }
             deltas.push((v / b - 1.0) * 100.0);
@@ -504,8 +384,8 @@ pub fn report(results: &[ClaimResult]) -> String {
         t.row(vec![
             c.name.clone(),
             c.source.clone(),
-            c.metric.label().to_string(),
-            format!("{}", MaxSdLabel(c.maxsd)),
+            c.metric.word().to_string(),
+            c.scenario.policy.maxsd.to_policy().label(),
             window,
             format!("{:+.2}", r.mean_pct),
             format!("{}", c.seeds.len()),
@@ -515,21 +395,10 @@ pub fn report(results: &[ClaimResult]) -> String {
     t.render()
 }
 
-struct MaxSdLabel(MaxSdDecl);
-
-impl std::fmt::Display for MaxSdLabel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.0 {
-            MaxSdDecl::Value(v) => write!(f, "MAXSD {v}"),
-            MaxSdDecl::Infinite => write!(f, "MAXSD inf"),
-            MaxSdDecl::Dyn => write!(f, "DynAVGSD"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sd_scenario::{MaxSdDecl, TenantQueueDecl, TenantsDecl};
 
     const MINIMAL: &str = "
 [defaults]
@@ -552,7 +421,7 @@ max_pct = 0
         assert_eq!(c.metric, Metric::Slowdown);
         assert_eq!(c.max_pct, Some(0.0));
         assert_eq!(c.min_pct, None);
-        assert_eq!(c.maxsd, MaxSdDecl::Dyn);
+        assert_eq!(c.scenario.policy.maxsd, MaxSdDecl::Dyn);
     }
 
     #[test]
@@ -624,12 +493,17 @@ metric = tenant_share
 max_pct = 10
 ";
         let claims = parse_expectations(ok).unwrap();
-        let t = claims[0].tenants.as_ref().unwrap();
+        let t = claims[0].scenario.tenants.as_ref().unwrap();
         assert_eq!((t.count, t.skew, t.quota_fraction), (3, 1.5, 0.5));
         assert_eq!(t.queue, TenantQueueDecl::FairShare);
         assert_eq!(claims[0].metric, Metric::TenantShare);
         // Tenanted and untenanted claims never dedup onto the same run.
-        assert_ne!(key_for(&claims[0], 1, true).tenancy, "-".to_string());
+        let mut untenanted = claims[0].clone();
+        untenanted.scenario.tenants = None;
+        for sd in [false, true] {
+            let (a, b) = (point_for(&claims[0], 1, sd), point_for(&untenanted, 1, sd));
+            assert_ne!(run_key(&a.scenario), run_key(&b.scenario));
+        }
 
         let orphan = "
 [claim]
@@ -652,6 +526,62 @@ max_pct = 0
 ";
         let err = parse_expectations(real_run).unwrap_err();
         assert!(err.msg.contains("synthetic"), "{err}");
+    }
+
+    /// A two-tenant RICC claim whose line 7 is `entry`, which may be the
+    /// workload or the tenant count itself.
+    fn claim_with(entry: &str) -> String {
+        let sets = |key: &str| entry.starts_with(&format!("{key} ="));
+        let workload = if sets("workload") { "source = filler" } else { "workload = ricc" };
+        let tenants = if sets("tenants") { "" } else { "tenants = 2" };
+        format!("\n[claim]\nname = x\n{workload}\nmetric = slowdown\n{tenants}\n{entry}\nmax_pct = 0\n")
+    }
+
+    #[test]
+    fn a_claim_value_the_scenario_format_refuses_is_refused() {
+        // Four of these parsed at `0e3432f`: the claim parser had its own,
+        // unchecked copy of each key (`4294967297 as u32` is 1).
+        for (entry, why) in [
+            ("scale = -1", "`scale` must be > 0, got -1"),
+            ("tenant_skew = -3", "`skew` must be ≥ 0, got -3"),
+            ("quota_fraction = 0", "`quota_fraction` must be > 0, got 0"),
+            ("tenants = 0", "`count` must be at least 1, got 0"),
+            ("tenants = 4294967297", "`count`: not an integer: 4294967297"),
+            ("tenant_queue = lottery", "`queue`: unknown value `lottery` (fifo|fair_share)"),
+            ("maxsd = 0.5", "`maxsd` must be a number > 1, `inf` or `dyn`, got 0.5"),
+        ] {
+            let err = parse_expectations(&claim_with(entry)).unwrap_err();
+            assert_eq!((err.line, err.msg.as_str()), (7, why), "{entry}");
+        }
+        // [defaults] reads its scenario keys the same way.
+        for entry in ["scale = -1", "maxsd = 0.5", "model = perfect", "seeds = [1, x]"] {
+            let text = format!("[defaults]\nseeds = [1]\n{entry}\n{}", claim_with("scale = 1"));
+            assert_eq!(parse_expectations(&text).unwrap_err().line, 3, "{entry}");
+        }
+        assert_eq!(parse_expectations(&claim_with("seed = -1")).unwrap_err().line, 7);
+    }
+
+    #[test]
+    fn a_claim_key_takes_exactly_what_its_scenario_key_takes() {
+        let pool = [
+            "-3", "-1", "0", "0.5", "1", "1.5", "2", "4294967297", "1e400", "nan", "inf", "dyn",
+            "x", "lottery", "fair_share", "ideal", "curie",
+        ];
+        for (alias, _, _) in SCENARIO_KEYS {
+            let key = scenario_key(alias).unwrap();
+            for v in pool {
+                let mut scratch = Scenario::new("validate", SourceKind::Ricc);
+                scratch.tenants = Some(TenantsDecl::new(2));
+                let direct = key.set(&mut scratch, v, 7);
+                match parse_expectations(&claim_with(&format!("{alias} = {v}"))) {
+                    Ok(claims) => {
+                        assert_eq!(direct, Ok(()), "{alias} = {v} accepted");
+                        assert_eq!(key.get(&claims[0].scenario), key.get(&scratch), "{alias} = {v}");
+                    }
+                    Err(e) => assert_eq!(Err(e), direct, "{alias} = {v}"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -693,8 +623,12 @@ min_pct = 900
         assert!(claims.len() >= 10, "paper file has {} claims", claims.len());
         // Every paper workload is covered.
         for w in ["cirne", "cirne_ideal", "ricc", "curie", "real_run"] {
-            let covered = claims.iter().any(|c| key_for(c, 1, true).workload == w);
+            let source = find_key("workload", "source").unwrap();
+            let covered = claims.iter().any(|c| source.get(&c.scenario).as_deref() == Some(w));
             assert!(covered, "no claim covers workload {w}");
         }
+        // 30 claims × 5 seeds × 2 policies share runs down to what the
+        // hand-built key deduplicated them to at `0e3432f`.
+        assert_eq!(needed_runs(&claims).len(), 110);
     }
 }

@@ -114,3 +114,54 @@ fn a_flag_a_binary_would_ignore_is_an_unknown_flag() {
     let stdout = String::from_utf8_lossy(&help.stdout);
     assert!(stdout.contains("--out <path>") && !stdout.contains("--swf"), "{stdout}");
 }
+
+#[test]
+fn a_cli_override_is_checked_as_the_key_it_overrides() {
+    // `--scale -1` ran, and printed `scale -1`, at `0e3432f`.
+    let scenario = env!("CARGO_BIN_EXE_run_scenario");
+    for bad in ["-1", "0", "nan"] {
+        let out = run(scenario, &format!("--scenario bursty --scale {bad}"));
+        assert_eq!(out.status.code(), Some(2), "--scale {bad}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let want = format!("bad --scale: `scale` must be > 0, got {bad}\n");
+        assert!(stderr.starts_with(&want), "{stderr}");
+    }
+    let out = run(scenario, "--scenario bursty --seed 1.5");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).starts_with("bad --seed: `seed`: not an integer"));
+
+    // A claim is read through the same keys: the parent listed this file.
+    let dir = scratch("bad-exp");
+    let exp = dir.join("bad.exp");
+    std::fs::write(&exp, "[claim]\nname = x\nworkload = ricc\nscale = -1\nmetric = slowdown\nmax_pct = 0\n")
+        .unwrap();
+    let out = run(env!("CARGO_BIN_EXE_sd_validate"), &format!("--file {} --list", exp.display()));
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("bad.exp: line 4: `scale` must be > 0, got -1"), "{stderr}");
+}
+
+#[test]
+fn a_campaign_runs_each_distinct_static_twin_once() {
+    // Thirteen of the ablation campaign's fourteen runs are normalised to
+    // the same W3 static run and one to its EASY-backfill variant; the
+    // parent ran the former seven times, once per member.
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_scenario"));
+    cmd.args("--campaign ../../scenarios/paper-ablation.campaign --scale 0.02 --threads 2".split(' '));
+    let done = cmd.output().expect("run_scenario runs");
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&done.stdout), String::from_utf8_lossy(&done.stderr));
+    assert!(done.status.success(), "{stderr}");
+    assert!(stderr.contains("\n14 runs + 2 shared baselines\n"), "{stderr}");
+    let twins: Vec<&str> = stdout.lines().filter(|l| l.contains("(static twin)")).collect();
+    assert_eq!(twins.len(), 2, "{stdout}");
+    // Each stands above the first run that uses it.
+    assert!(twins[0].starts_with("w3-ricc ") && twins[0].contains(" 353069 "), "{stdout}");
+    assert!(twins[1].starts_with("ablation-backfill-easy ") && twins[1].contains(" 353077 "), "{stdout}");
+    let rows: Vec<&str> = stdout.lines().collect();
+    let at = |needle: &str| rows.iter().position(|l| l.starts_with(needle)).unwrap();
+    assert_eq!(rows[at("w3-ricc ") + 1].split_whitespace().nth(1), Some("-"), "{stdout}");
+    assert!(rows[at("ablation-backfill-easy ") + 1].starts_with("ablation-backfill-easy "));
+    // Every run still carries its Δ against its twin.
+    assert_eq!(rows.iter().filter(|l| l.contains("DynAVGSD")).count(), 14, "{stdout}");
+}

@@ -15,7 +15,7 @@
 //! Members are built-in scenario names first, file paths (relative to the
 //! campaign file) second.
 
-use crate::format::{parse_list, parse_raw, ParseError};
+use crate::format::{parse_list, parse_raw, unknown_key, ParseError};
 use crate::registry::find_builtin;
 use crate::scenario::Scenario;
 use std::path::Path;
@@ -58,10 +58,8 @@ impl Campaign {
                     }
                 }
                 k => {
-                    return Err(ParseError::new(
-                        e.line,
-                        format!("unknown key `{k}` in [campaign] (name|description|scenarios)"),
-                    ))
+                    let known = ["name", "description", "scenarios"];
+                    return Err(unknown_key(k, "campaign", &known, e.line));
                 }
             }
         }

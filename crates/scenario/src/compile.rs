@@ -3,8 +3,8 @@
 //! `slurm_sim::run_trace` (or the app-bound / SWF-replay paths).
 
 use crate::scenario::{
-    ArrivalKind, BackfillDecl, ClusterPreset, ModelDecl, PolicyKindDecl, Scenario, SourceKind,
-    TenantQueueDecl, TenantsDecl,
+    axis_key, ArrivalKind, BackfillDecl, ClusterPreset, ModelDecl, PolicyKindDecl, Scenario,
+    SourceKind, TenantQueueDecl, TenantsDecl,
 };
 use cluster::ClusterSpec;
 use drom::SharingFactor;
@@ -26,165 +26,29 @@ pub struct RunPoint {
     pub variant: String,
 }
 
-/// Expands the sweep cross-product in a fixed order (seed, scale, sharing,
-/// malleable fraction, MAXSD, backfill depth, arrival contrast, tenant
-/// count, tenant skew, quota fraction — outermost to innermost), so
-/// campaign output ordering is deterministic.
+/// Expands the sweep cross-product, the first swept axis of
+/// [`crate::scenario::AXES`] outermost, so campaign output ordering is
+/// deterministic. Each point is the scenario with every swept key set to
+/// one of its values; the label is the values' canonical text.
 pub fn expand(s: &Scenario) -> Vec<RunPoint> {
-    use std::fmt::Write as _;
-    let seeds: Vec<u64> = if s.sweep.seed.is_empty() {
-        vec![s.seed]
-    } else {
-        s.sweep.seed.clone()
-    };
-    let scales: Vec<Option<f64>> = if s.sweep.scale.is_empty() {
-        vec![s.scale]
-    } else {
-        s.sweep.scale.iter().map(|&v| Some(v)).collect()
-    };
-    let sharings: Vec<f64> = if s.sweep.sharing.is_empty() {
-        vec![s.policy.sharing]
-    } else {
-        s.sweep.sharing.clone()
-    };
-    let fractions: Vec<f64> = if s.sweep.malleable_fraction.is_empty() {
-        vec![s.slurm.malleable_fraction]
-    } else {
-        s.sweep.malleable_fraction.clone()
-    };
-    let maxsds = if s.sweep.maxsd.is_empty() {
-        vec![s.policy.maxsd]
-    } else {
-        s.sweep.maxsd.clone()
-    };
-    let depths: Vec<Option<usize>> = if s.sweep.backfill_depth.is_empty() {
-        vec![s.slurm.backfill_depth]
-    } else {
-        s.sweep.backfill_depth.iter().map(|&v| Some(v)).collect()
-    };
-    let contrasts: Vec<Option<f64>> = if s.sweep.day_night_contrast.is_empty() {
-        vec![s.workload.day_night_contrast]
-    } else {
-        s.sweep.day_night_contrast.iter().map(|&v| Some(v)).collect()
-    };
-    let tenant_counts: Vec<Option<u32>> = if s.sweep.tenant_count.is_empty() {
-        vec![None]
-    } else {
-        s.sweep.tenant_count.iter().map(|&v| Some(v)).collect()
-    };
-    let tenant_skews: Vec<Option<f64>> = if s.sweep.tenant_skew.is_empty() {
-        vec![None]
-    } else {
-        s.sweep.tenant_skew.iter().map(|&v| Some(v)).collect()
-    };
-    let quota_fractions: Vec<Option<f64>> = if s.sweep.quota_fraction.is_empty() {
-        vec![None]
-    } else {
-        s.sweep.quota_fraction.iter().map(|&v| Some(v)).collect()
-    };
-
-    let mut out = Vec::with_capacity(s.sweep.run_count());
-    for &seed in &seeds {
-        for &scale in &scales {
-            for &sharing in &sharings {
-                for &fraction in &fractions {
-                    for &maxsd in &maxsds {
-                        for &depth in &depths {
-                            for &contrast in &contrasts {
-                                for &tcount in &tenant_counts {
-                                    for &tskew in &tenant_skews {
-                                        for &qf in &quota_fractions {
-                                            let mut resolved = s.clone();
-                                            resolved.sweep = Default::default();
-                                            resolved.seed = seed;
-                                            resolved.scale = scale;
-                                            resolved.policy.sharing = sharing;
-                                            resolved.policy.maxsd = maxsd;
-                                            resolved.slurm.malleable_fraction = fraction;
-                                            resolved.slurm.backfill_depth = depth;
-                                            resolved.workload.day_night_contrast = contrast;
-                                            if let Some(t) = resolved.tenants.as_mut() {
-                                                if let Some(c) = tcount {
-                                                    t.count = c;
-                                                }
-                                                if let Some(k) = tskew {
-                                                    t.skew = k;
-                                                }
-                                                if let Some(f) = qf {
-                                                    t.quota_fraction = f;
-                                                }
-                                            }
-                                            let mut variant = String::new();
-                                            let mut push = |part: String| {
-                                                if !variant.is_empty() {
-                                                    variant.push(' ');
-                                                }
-                                                variant.push_str(&part);
-                                            };
-                                            if !s.sweep.seed.is_empty() {
-                                                push(format!("seed={seed}"));
-                                            }
-                                            if !s.sweep.scale.is_empty() {
-                                                let mut p = String::new();
-                                                let _ = write!(
-                                                    p,
-                                                    "scale={}",
-                                                    scale.expect("swept scale is set")
-                                                );
-                                                push(p);
-                                            }
-                                            if !s.sweep.sharing.is_empty() {
-                                                push(format!("sharing={sharing}"));
-                                            }
-                                            if !s.sweep.malleable_fraction.is_empty() {
-                                                push(format!("malleable_fraction={fraction}"));
-                                            }
-                                            if !s.sweep.maxsd.is_empty() {
-                                                push(format!("maxsd={maxsd}"));
-                                            }
-                                            if !s.sweep.backfill_depth.is_empty() {
-                                                push(format!(
-                                                    "backfill_depth={}",
-                                                    depth.expect("swept depth is set")
-                                                ));
-                                            }
-                                            if !s.sweep.day_night_contrast.is_empty() {
-                                                push(format!(
-                                                    "day_night_contrast={}",
-                                                    contrast.expect("swept contrast is set")
-                                                ));
-                                            }
-                                            if !s.sweep.tenant_count.is_empty() {
-                                                push(format!(
-                                                    "tenant_count={}",
-                                                    tcount.expect("swept count is set")
-                                                ));
-                                            }
-                                            if !s.sweep.tenant_skew.is_empty() {
-                                                push(format!(
-                                                    "tenant_skew={}",
-                                                    tskew.expect("swept skew is set")
-                                                ));
-                                            }
-                                            if !s.sweep.quota_fraction.is_empty() {
-                                                push(format!(
-                                                    "quota_fraction={}",
-                                                    qf.expect("swept fraction is set")
-                                                ));
-                                            }
-                                            out.push(RunPoint {
-                                                scenario: resolved,
-                                                variant,
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+    let axes = s.sweep.axes();
+    let mut base = s.clone();
+    base.sweep = Default::default();
+    let runs = s.sweep.run_count();
+    let mut out = Vec::with_capacity(runs);
+    for n in 0..runs {
+        let mut scenario = base.clone();
+        let mut labels = Vec::with_capacity(axes.len());
+        // `n` read as a mixed-radix number, one digit per axis.
+        let mut stride = runs;
+        for (axis, values) in axes {
+            stride /= values.len();
+            let value = &values[n / stride % values.len()];
+            let key = axis_key(axis).expect("a sweep holds only known axes");
+            key.set(&mut scenario, value, 0).expect("sweep values are checked when declared");
+            labels.push(format!("{axis}={value}"));
         }
+        out.push(RunPoint { scenario, variant: labels.join(" ") });
     }
     out
 }
@@ -396,6 +260,28 @@ pub fn baseline_point(p: &RunPoint) -> RunPoint {
     }
 }
 
+/// What tells two runs apart: the canonical render of a resolved scenario
+/// without what cannot change a [`SimResult`] — its name, its description
+/// and its `[slo]` section — and with the two defaults a run resolves
+/// spelled out: the scale, and for a generated trace the backfill planner
+/// `slurm_config` picks. Points with equal keys produce equal results, so a
+/// campaign runs each key once.
+pub fn run_key(s: &Scenario) -> String {
+    let mut s = s.clone();
+    s.name.clear();
+    s.description.clear();
+    s.slos.clear();
+    let scale = s.effective_scale();
+    s.scale = Some(scale);
+    if let Some(w) = s.workload.source.paper_workload() {
+        s.slurm.backfill = Some(match slurm_config(&s, is_big_trace(w, scale)).backfill_mode {
+            BackfillMode::Easy => BackfillDecl::Easy,
+            BackfillMode::Conservative => BackfillDecl::Conservative,
+        });
+    }
+    s.render()
+}
+
 /// Executes one resolved run point. Deterministic: the same point always
 /// produces the same [`SimResult`].
 pub fn execute(p: &RunPoint) -> Result<ScenarioOutcome, RunError> {
@@ -539,9 +425,10 @@ mod tests {
     #[test]
     fn expand_cross_product_and_labels() {
         let mut s = tiny(SourceKind::Ricc);
-        s.sweep.seed = vec![1, 2];
-        s.sweep.malleable_fraction = vec![0.0, 1.0];
-        s.sweep.maxsd = vec![MaxSdDecl::Value(5.0), MaxSdDecl::Infinite, MaxSdDecl::Dyn];
+        // Declared out of expansion order, as a file may.
+        s.sweep.set("maxsd", &[MaxSdDecl::Value(5.0), MaxSdDecl::Infinite, MaxSdDecl::Dyn], 0).unwrap();
+        s.sweep.set("seed", &[1, 2], 0).unwrap();
+        s.sweep.set("malleable_fraction", &["0.0", "1e0"], 0).unwrap();
         let pts = expand(&s);
         assert_eq!(pts.len(), 2 * 2 * 3);
         assert_eq!(pts[0].variant, "seed=1 malleable_fraction=0 maxsd=5");
@@ -607,7 +494,8 @@ mod tests {
         // idle beside a candidate mate: 0.1 is the smallest such scale.
         let mut one = tiny(SourceKind::Ricc);
         one.policy.max_mates = 1;
-        let mut free = tiny(SourceKind::Ricc).at_scale(0.1);
+        let mut free = tiny(SourceKind::Ricc);
+        free.scale = Some(0.1);
         free.policy.include_free_nodes = true;
         let malleable = |p: &RunPoint| execute(p).unwrap().result.stats.started_malleable;
         for s in [one, free] {
@@ -674,8 +562,8 @@ mod tests {
     fn expand_tenant_axes() {
         let mut s = tiny(SourceKind::Ricc);
         s.tenants = Some(TenantsDecl::new(2));
-        s.sweep.tenant_count = vec![2, 4];
-        s.sweep.quota_fraction = vec![0.5, 1.0];
+        s.sweep.set("tenant_count", &[2, 4], 0).unwrap();
+        s.sweep.set("quota_fraction", &[0.5, 1.0], 0).unwrap();
         let pts = expand(&s);
         assert_eq!(pts.len(), 4);
         assert_eq!(pts[0].variant, "tenant_count=2 quota_fraction=0.5");

@@ -36,6 +36,12 @@ impl ParseError {
     }
 }
 
+/// The error for a key its section does not have; names the ones it has.
+pub fn unknown_key(key: &str, section: &str, known: &[&str], line: usize) -> ParseError {
+    let msg = format!("unknown key `{key}` in [{section}] ({})", known.join("|"));
+    ParseError::new(line, msg)
+}
+
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "line {}: {}", self.line, self.msg)
@@ -155,19 +161,7 @@ pub fn parse_f64(e: &RawEntry) -> Result<f64, ParseError> {
         .map_err(|_| ParseError::new(e.line, format!("`{}`: not a number: {}", e.key, e.value)))
 }
 
-pub fn parse_u64(e: &RawEntry) -> Result<u64, ParseError> {
-    e.value
-        .parse()
-        .map_err(|_| ParseError::new(e.line, format!("`{}`: not an integer: {}", e.key, e.value)))
-}
-
-pub fn parse_u32(e: &RawEntry) -> Result<u32, ParseError> {
-    e.value
-        .parse()
-        .map_err(|_| ParseError::new(e.line, format!("`{}`: not an integer: {}", e.key, e.value)))
-}
-
-pub fn parse_usize(e: &RawEntry) -> Result<usize, ParseError> {
+pub fn parse_int<T: std::str::FromStr>(e: &RawEntry) -> Result<T, ParseError> {
     e.value
         .parse()
         .map_err(|_| ParseError::new(e.line, format!("`{}`: not an integer: {}", e.key, e.value)))
@@ -189,12 +183,6 @@ pub fn parse_list(e: &RawEntry) -> Result<Vec<String>, ParseError> {
         return Ok(Vec::new());
     }
     Ok(inner.split(',').map(|s| s.trim().to_string()).collect())
-}
-
-/// Renders a list value canonically (`[a, b, c]`).
-pub fn render_list<T: fmt::Display>(items: &[T]) -> String {
-    let parts: Vec<String> = items.iter().map(|i| i.to_string()).collect();
-    format!("[{}]", parts.join(", "))
 }
 
 #[cfg(test)]
@@ -250,7 +238,6 @@ mod tests {
         assert_eq!(parse_list(&entry("[]")).unwrap(), Vec::<String>::new());
         let err = parse_list(&entry("0.5, 1.0")).unwrap_err();
         assert_eq!(err.line, 9);
-        assert_eq!(render_list(&[5, 10]), "[5, 10]");
     }
 
     #[test]
@@ -263,6 +250,6 @@ mod tests {
         let err = parse_f64(&e).unwrap_err();
         assert_eq!(err.line, 4);
         assert!(err.msg.contains("scale"));
-        assert_eq!(parse_u64(&RawEntry { value: "7".into(), ..e.clone() }).unwrap(), 7);
+        assert_eq!(parse_int::<u64>(&RawEntry { value: "7".into(), ..e.clone() }).unwrap(), 7);
     }
 }

@@ -9,10 +9,11 @@
 //!
 //! * [`format`] — the tiny section/key-value text format (line-precise
 //!   errors, no dependencies),
-//! * [`scenario`] — the typed [`Scenario`] model: parse, validate, render
-//!   (`parse(render(s)) == s`),
-//! * [`compile`] — sweep expansion into [`RunPoint`]s and execution through
-//!   the simulator,
+//! * [`scenario`] — the typed [`Scenario`] model and [`KEYS`], the table
+//!   that declares each key of the format once: parse, validate, render
+//!   (`parse(render(s)) == s`) and sweep validation all loop over it,
+//! * [`compile`] — sweep expansion into [`RunPoint`]s, execution through
+//!   the simulator, and [`run_key`], what tells two runs apart,
 //! * [`registry`] — built-in scenarios: the `.scn` files under `scenarios/`
 //!   (the paper's workloads, figures and tables, the ablation study, and
 //!   bursty / diurnal / mixed-malleability / oversubscription / tenant-mix
@@ -49,11 +50,13 @@ pub mod registry;
 pub mod scenario;
 
 pub use campaign::Campaign;
-pub use compile::{baseline_point, execute, execute_traced, expand, RunError, RunPoint, ScenarioOutcome};
+pub use compile::{
+    baseline_point, execute, execute_traced, expand, run_key, RunError, RunPoint, ScenarioOutcome,
+};
 pub use format::ParseError;
 pub use registry::{builtin_scenarios, find_builtin};
 pub use scenario::{
-    ArrivalKind, BackfillDecl, ClusterDecl, ClusterPreset, MaxSdDecl, ModelDecl, PolicyDecl,
-    PolicyKindDecl, Scenario, SlurmDecl, SourceKind, SweepDecl, TenantQueueDecl, TenantsDecl,
-    WorkloadDecl,
+    axis_key, find_key, ArrivalKind, BackfillDecl, ClusterDecl, ClusterPreset, Key, MaxSdDecl,
+    ModelDecl, PolicyDecl, PolicyKindDecl, Scenario, SlurmDecl, SourceKind, SweepDecl,
+    TenantQueueDecl, TenantsDecl, Vocab, WorkloadDecl, AXES, KEYS,
 };

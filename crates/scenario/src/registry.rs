@@ -136,10 +136,11 @@ mod tests {
     fn bursty_is_outside_the_paper_figures_envelope() {
         // The paper's figures always run malleable_fraction = 1.0 and the
         // generators' own batching. `bursty` overrides both at once.
-        let s = find_builtin("bursty").unwrap();
+        let mut s = find_builtin("bursty").unwrap();
         assert!(s.slurm.malleable_fraction < 1.0);
         assert!(s.workload.batch_p.is_some());
-        let out = execute(&expand(&s.at_scale(0.02))[0]).unwrap();
+        s.scale = Some(0.02);
+        let out = execute(&expand(&s)[0]).unwrap();
         assert!(out.result.outcomes.len() >= 300);
         assert_eq!(out.result.leftover_pending, 0);
     }

@@ -2,13 +2,46 @@
 //! binary. Parsed from the [`crate::format`] text form, rendered back
 //! canonically (`parse(render(s)) == s`), validated with line-precise
 //! errors, and compiled onto the simulator by [`crate::compile`].
+//!
+//! Every key of the format is declared once, as a row of [`KEYS`]: its
+//! section, its name, the `[sweep]` axis it is swept under, how its text is
+//! checked and stored and how it is written back. Parsing, rendering, sweep
+//! validation and expansion, `sd_validate`'s claim keys and the CLI
+//! overrides all loop over that table.
 
 use crate::format::{
-    parse_f64, parse_list, parse_raw, parse_u32, parse_u64, parse_usize, render_list, ParseError,
-    RawEntry, RawSection,
+    parse_f64, parse_int, parse_list, parse_raw, unknown_key, ParseError, RawEntry, RawSection,
 };
 use std::fmt;
+use std::sync::LazyLock;
 use workload::PaperWorkload;
+
+/// A closed vocabulary: the words a key accepts and the values they name,
+/// in the order an error lists them.
+pub trait Vocab: Copy + PartialEq + 'static {
+    const WORDS: &'static [(&'static str, Self)];
+
+    fn parse(e: &RawEntry) -> Result<Self, ParseError> {
+        match Self::WORDS.iter().find(|(w, _)| *w == e.value) {
+            Some(&(_, v)) => Ok(v),
+            None => {
+                let hint: Vec<&str> = Self::WORDS.iter().map(|(w, _)| *w).collect();
+                let msg = format!("`{}`: unknown value `{}` ({})", e.key, e.value, hint.join("|"));
+                Err(ParseError::new(e.line, msg))
+            }
+        }
+    }
+
+    /// The word that names this value.
+    fn word(self) -> &'static str {
+        let found = Self::WORDS.iter().find(|(_, v)| *v == self);
+        found.expect("every variant is in its vocabulary").0
+    }
+}
+
+fn word<V: Vocab>(v: V) -> String {
+    v.word().to_string()
+}
 
 /// Which machine preset a scenario runs on. `Auto` derives the machine from
 /// the workload source (the paper's Table 1 pairing).
@@ -26,30 +59,14 @@ pub enum ClusterPreset {
     Mn4RealRun,
 }
 
-impl ClusterPreset {
-    fn parse(e: &RawEntry) -> Result<Self, ParseError> {
-        match e.value.as_str() {
-            "auto" => Ok(ClusterPreset::Auto),
-            "mn4" => Ok(ClusterPreset::Mn4),
-            "ricc" => Ok(ClusterPreset::Ricc),
-            "curie" => Ok(ClusterPreset::Curie),
-            "mn4_real_run" => Ok(ClusterPreset::Mn4RealRun),
-            v => Err(ParseError::new(
-                e.line,
-                format!("`preset`: unknown cluster preset `{v}` (auto|mn4|ricc|curie|mn4_real_run)"),
-            )),
-        }
-    }
-
-    fn render(self) -> &'static str {
-        match self {
-            ClusterPreset::Auto => "auto",
-            ClusterPreset::Mn4 => "mn4",
-            ClusterPreset::Ricc => "ricc",
-            ClusterPreset::Curie => "curie",
-            ClusterPreset::Mn4RealRun => "mn4_real_run",
-        }
-    }
+impl Vocab for ClusterPreset {
+    const WORDS: &'static [(&'static str, Self)] = &[
+        ("auto", ClusterPreset::Auto),
+        ("mn4", ClusterPreset::Mn4),
+        ("ricc", ClusterPreset::Ricc),
+        ("curie", ClusterPreset::Curie),
+        ("mn4_real_run", ClusterPreset::Mn4RealRun),
+    ];
 }
 
 /// Machine declaration: a preset plus an optional node-count override.
@@ -76,42 +93,18 @@ pub enum SourceKind {
     Swf,
 }
 
+impl Vocab for SourceKind {
+    const WORDS: &'static [(&'static str, Self)] = &[
+        ("cirne", SourceKind::Cirne),
+        ("cirne_ideal", SourceKind::CirneIdeal),
+        ("ricc", SourceKind::Ricc),
+        ("curie", SourceKind::Curie),
+        ("real_run", SourceKind::RealRun),
+        ("swf", SourceKind::Swf),
+    ];
+}
+
 impl SourceKind {
-    fn parse(e: &RawEntry) -> Result<Self, ParseError> {
-        Self::parse_str(&e.value, e.line)
-    }
-
-    /// Parses the `source` vocabulary from a bare string (shared with the
-    /// `sd-validate` expectation files).
-    pub fn parse_str(v: &str, line: usize) -> Result<Self, ParseError> {
-        match v {
-            "cirne" => Ok(SourceKind::Cirne),
-            "cirne_ideal" => Ok(SourceKind::CirneIdeal),
-            "ricc" => Ok(SourceKind::Ricc),
-            "curie" => Ok(SourceKind::Curie),
-            "real_run" => Ok(SourceKind::RealRun),
-            "swf" => Ok(SourceKind::Swf),
-            v => Err(ParseError::new(
-                line,
-                format!(
-                    "`source`: unknown workload source `{v}` \
-                     (cirne|cirne_ideal|ricc|curie|real_run|swf)"
-                ),
-            )),
-        }
-    }
-
-    fn render(self) -> &'static str {
-        match self {
-            SourceKind::Cirne => "cirne",
-            SourceKind::CirneIdeal => "cirne_ideal",
-            SourceKind::Ricc => "ricc",
-            SourceKind::Curie => "curie",
-            SourceKind::RealRun => "real_run",
-            SourceKind::Swf => "swf",
-        }
-    }
-
     /// The paper workload backing a synthetic source (None for SWF replay).
     pub fn paper_workload(self) -> Option<PaperWorkload> {
         match self {
@@ -136,26 +129,12 @@ pub enum ArrivalKind {
     DayNight,
 }
 
-impl ArrivalKind {
-    fn parse(e: &RawEntry) -> Result<Self, ParseError> {
-        match e.value.as_str() {
-            "anl" => Ok(ArrivalKind::Anl),
-            "uniform" => Ok(ArrivalKind::Uniform),
-            "day_night" => Ok(ArrivalKind::DayNight),
-            v => Err(ParseError::new(
-                e.line,
-                format!("`arrivals`: unknown pattern `{v}` (anl|uniform|day_night)"),
-            )),
-        }
-    }
-
-    fn render(self) -> &'static str {
-        match self {
-            ArrivalKind::Anl => "anl",
-            ArrivalKind::Uniform => "uniform",
-            ArrivalKind::DayNight => "day_night",
-        }
-    }
+impl Vocab for ArrivalKind {
+    const WORDS: &'static [(&'static str, Self)] = &[
+        ("anl", ArrivalKind::Anl),
+        ("uniform", ArrivalKind::Uniform),
+        ("day_night", ArrivalKind::DayNight),
+    ];
 }
 
 /// Workload declaration: source plus optional generator overrides. The
@@ -190,14 +169,9 @@ impl WorkloadDecl {
         }
     }
 
+    /// Whether anything but the source and the SWF path is set.
     fn has_generator_tweaks(&self) -> bool {
-        self.jobs.is_some()
-            || self.mean_interarrival.is_some()
-            || self.arrivals.is_some()
-            || self.day_night_contrast.is_some()
-            || self.weekend_factor.is_some()
-            || self.batch_p.is_some()
-            || self.batch_mean.is_some()
+        *self != WorkloadDecl { path: self.path.clone(), ..WorkloadDecl::new(self.source) }
     }
 }
 
@@ -210,24 +184,12 @@ pub enum MaxSdDecl {
 }
 
 impl MaxSdDecl {
-    /// Parses the `maxsd` vocabulary (`number | inf | dyn`); shared with the
-    /// `sd-validate` expectation files.
-    pub fn parse_str(v: &str, line: usize) -> Result<Self, ParseError> {
-        match v {
+    /// Parses the cut-off vocabulary: `number | inf | dyn`.
+    fn parse(e: &RawEntry) -> Result<Self, ParseError> {
+        match e.value.as_str() {
             "inf" => Ok(MaxSdDecl::Infinite),
             "dyn" => Ok(MaxSdDecl::Dyn),
-            v => {
-                let x: f64 = v.parse().map_err(|_| {
-                    ParseError::new(line, format!("`maxsd`: expected a number, `inf` or `dyn`, got `{v}`"))
-                })?;
-                if !(x > 1.0 && x.is_finite()) {
-                    return Err(ParseError::new(
-                        line,
-                        format!("`maxsd`: cut-off must be a finite number > 1, got {x}"),
-                    ));
-                }
-                Ok(MaxSdDecl::Value(x))
-            }
+            _ => Ok(MaxSdDecl::Value(float(e, |v| v > 1.0, "a number > 1, `inf` or `dyn`")?)),
         }
     }
 
@@ -260,6 +222,11 @@ pub enum PolicyKindDecl {
     Sd,
 }
 
+impl Vocab for PolicyKindDecl {
+    const WORDS: &'static [(&'static str, Self)] =
+        &[("static", PolicyKindDecl::Static), ("sd", PolicyKindDecl::Sd)];
+}
+
 /// Which runtime model drives malleable execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelDecl {
@@ -268,32 +235,12 @@ pub enum ModelDecl {
     AppAware,
 }
 
-impl ModelDecl {
-    fn parse(e: &RawEntry) -> Result<Self, ParseError> {
-        Self::parse_str(&e.value, e.line)
-    }
-
-    /// Parses the `model` vocabulary from a bare string (shared with the
-    /// `sd-validate` expectation files).
-    pub fn parse_str(v: &str, line: usize) -> Result<Self, ParseError> {
-        match v {
-            "ideal" => Ok(ModelDecl::Ideal),
-            "worst_case" => Ok(ModelDecl::WorstCase),
-            "app_aware" => Ok(ModelDecl::AppAware),
-            v => Err(ParseError::new(
-                line,
-                format!("`model`: unknown runtime model `{v}` (ideal|worst_case|app_aware)"),
-            )),
-        }
-    }
-
-    fn render(self) -> &'static str {
-        match self {
-            ModelDecl::Ideal => "ideal",
-            ModelDecl::WorstCase => "worst_case",
-            ModelDecl::AppAware => "app_aware",
-        }
-    }
+impl Vocab for ModelDecl {
+    const WORDS: &'static [(&'static str, Self)] = &[
+        ("ideal", ModelDecl::Ideal),
+        ("worst_case", ModelDecl::WorstCase),
+        ("app_aware", ModelDecl::AppAware),
+    ];
 }
 
 /// Scheduler + runtime-model declaration.
@@ -331,6 +278,11 @@ pub enum BackfillDecl {
     Conservative,
 }
 
+impl Vocab for BackfillDecl {
+    const WORDS: &'static [(&'static str, Self)] =
+        &[("easy", BackfillDecl::Easy), ("conservative", BackfillDecl::Conservative)];
+}
+
 /// SLURM-side knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlurmDecl {
@@ -362,24 +314,9 @@ pub enum TenantQueueDecl {
     FairShare,
 }
 
-impl TenantQueueDecl {
-    fn parse(e: &RawEntry) -> Result<Self, ParseError> {
-        match e.value.as_str() {
-            "fifo" => Ok(TenantQueueDecl::Fifo),
-            "fair_share" => Ok(TenantQueueDecl::FairShare),
-            v => Err(ParseError::new(
-                e.line,
-                format!("`queue`: unknown queue policy `{v}` (fifo|fair_share)"),
-            )),
-        }
-    }
-
-    fn render(self) -> &'static str {
-        match self {
-            TenantQueueDecl::Fifo => "fifo",
-            TenantQueueDecl::FairShare => "fair_share",
-        }
-    }
+impl Vocab for TenantQueueDecl {
+    const WORDS: &'static [(&'static str, Self)] =
+        &[("fifo", TenantQueueDecl::Fifo), ("fair_share", TenantQueueDecl::FairShare)];
 }
 
 /// Fair-share decay half-life default: one day, the classic SLURM
@@ -417,54 +354,485 @@ impl TenantsDecl {
     }
 }
 
-/// The sweep axes: each non-empty axis multiplies the campaign's run count.
+/// One key of the scenario format: the only place its name, its range
+/// check and its text form are written down.
+pub struct Key {
+    pub section: &'static str,
+    pub name: &'static str,
+    /// Its section cannot be written without it, and it is always rendered.
+    pub required: bool,
+    /// The `[sweep]` axis that varies this key (one of [`AXES`]).
+    pub axis: Option<&'static str>,
+    /// Parses the entry's value, applies the key's one range check and
+    /// stores it.
+    write: fn(&mut Scenario, &RawEntry) -> Result<(), ParseError>,
+    /// The stored value's canonical text; `None` while it is unset. An
+    /// `f64`'s `Display` reads back bit-exactly, so the text loses nothing.
+    read: fn(&Scenario) -> Option<String>,
+}
+
+impl Key {
+    const fn new(
+        section: &'static str,
+        name: &'static str,
+        write: fn(&mut Scenario, &RawEntry) -> Result<(), ParseError>,
+        read: fn(&Scenario) -> Option<String>,
+    ) -> Key {
+        Key { section, name, required: false, axis: None, write, read }
+    }
+
+    const fn required(mut self) -> Key {
+        self.required = true;
+        self
+    }
+
+    const fn swept(mut self, axis: &'static str) -> Key {
+        self.axis = Some(axis);
+        self
+    }
+
+    /// Checks `value` as this key's section would and stores it in `s`;
+    /// `line` is where the value was written, for the error.
+    pub fn set(&self, s: &mut Scenario, value: &str, line: usize) -> Result<(), ParseError> {
+        let entry = RawEntry { key: self.name.to_string(), value: value.to_string(), line };
+        (self.write)(s, &entry)
+    }
+
+    /// The canonical text of this key in `s`; `None` when it is unset or at
+    /// its default (a required key has no default).
+    pub fn get(&self, s: &Scenario) -> Option<String> {
+        (self.read)(s).filter(|v| self.required || Some(v) != (self.read)(&FRESH).as_ref())
+    }
+}
+
+/// What a key's text is compared with to decide whether it is written: a
+/// new scenario with a new `[tenants]` section. Sweep values are checked
+/// on a copy of it.
+static FRESH: LazyLock<Scenario> = LazyLock::new(|| {
+    let mut s = Scenario::new("", SourceKind::Ricc);
+    s.tenants = Some(TenantsDecl::new(1));
+    s
+});
+
+fn text<T: ToString>(v: T) -> String {
+    v.to_string()
+}
+
+fn must_be(e: &RawEntry, what: &str) -> ParseError {
+    ParseError::new(e.line, format!("`{}` must be {what}, got {}", e.key, e.value))
+}
+
+/// A finite number that `ok` accepts; `what` says so in the error.
+fn float(e: &RawEntry, ok: fn(f64) -> bool, what: &str) -> Result<f64, ParseError> {
+    let v = parse_f64(e)?;
+    if v.is_finite() && ok(v) {
+        Ok(v)
+    } else {
+        Err(must_be(e, what))
+    }
+}
+
+fn positive(e: &RawEntry) -> Result<f64, ParseError> {
+    float(e, |v| v > 0.0, "> 0")
+}
+
+fn fraction(e: &RawEntry) -> Result<f64, ParseError> {
+    float(e, |v| (0.0..=1.0).contains(&v), "in [0, 1]")
+}
+
+fn at_least_one<T: std::str::FromStr + Default + PartialEq>(e: &RawEntry) -> Result<T, ParseError> {
+    let n: T = parse_int(e)?;
+    if n == T::default() {
+        return Err(must_be(e, "at least 1"));
+    }
+    Ok(n)
+}
+
+/// Runs `f` on the `[tenants]` section if there is one: every tenants key
+/// but `count` overrides a section, none of them makes one.
+fn on_tenants(s: &mut Scenario, f: impl FnOnce(&mut TenantsDecl)) {
+    if let Some(t) = &mut s.tenants {
+        f(t);
+    }
+}
+
+/// Every key of the format, in render order.
+pub static KEYS: [Key; 30] = [
+    Key::new(
+        "scenario",
+        "name",
+        |s, e| {
+            let ok = |c: char| c.is_ascii_alphanumeric() || c == '-' || c == '_';
+            if e.value.is_empty() || !e.value.chars().all(ok) {
+                return Err(must_be(e, "non-empty [A-Za-z0-9_-]+"));
+            }
+            s.name = e.value.clone();
+            Ok(())
+        },
+        |s| Some(s.name.clone()),
+    )
+    .required(),
+    Key::new(
+        "scenario",
+        "description",
+        |s, e| {
+            s.description = e.value.clone();
+            Ok(())
+        },
+        |s| Some(s.description.clone()),
+    ),
+    Key::new(
+        "scenario",
+        "seed",
+        |s, e| {
+            s.seed = parse_int(e)?;
+            Ok(())
+        },
+        |s| Some(text(s.seed)),
+    )
+    .swept("seed"),
+    Key::new(
+        "scenario",
+        "scale",
+        |s, e| {
+            s.scale = Some(positive(e)?);
+            Ok(())
+        },
+        |s| s.scale.map(text),
+    )
+    .swept("scale"),
+    Key::new(
+        "cluster",
+        "preset",
+        |s, e| {
+            s.cluster.preset = Vocab::parse(e)?;
+            Ok(())
+        },
+        |s| Some(word(s.cluster.preset)),
+    ),
+    Key::new(
+        "cluster",
+        "nodes",
+        |s, e| {
+            s.cluster.nodes = Some(at_least_one(e)?);
+            Ok(())
+        },
+        |s| s.cluster.nodes.map(text),
+    ),
+    Key::new(
+        "workload",
+        "source",
+        |s, e| {
+            s.workload.source = Vocab::parse(e)?;
+            Ok(())
+        },
+        |s| Some(word(s.workload.source)),
+    )
+    .required(),
+    Key::new(
+        "workload",
+        "path",
+        |s, e| {
+            s.workload.path = Some(e.value.clone());
+            Ok(())
+        },
+        |s| s.workload.path.clone(),
+    ),
+    Key::new(
+        "workload",
+        "jobs",
+        |s, e| {
+            s.workload.jobs = Some(at_least_one(e)?);
+            Ok(())
+        },
+        |s| s.workload.jobs.map(text),
+    ),
+    Key::new(
+        "workload",
+        "mean_interarrival",
+        |s, e| {
+            s.workload.mean_interarrival = Some(positive(e)?);
+            Ok(())
+        },
+        |s| s.workload.mean_interarrival.map(text),
+    ),
+    Key::new(
+        "workload",
+        "arrivals",
+        |s, e| {
+            s.workload.arrivals = Some(Vocab::parse(e)?);
+            Ok(())
+        },
+        |s| s.workload.arrivals.map(word),
+    ),
+    Key::new(
+        "workload",
+        "day_night_contrast",
+        |s, e| {
+            s.workload.day_night_contrast = Some(float(e, |v| v >= 1.0, "≥ 1")?);
+            Ok(())
+        },
+        |s| s.workload.day_night_contrast.map(text),
+    )
+    .swept("day_night_contrast"),
+    Key::new(
+        "workload",
+        "weekend_factor",
+        |s, e| {
+            s.workload.weekend_factor = Some(fraction(e)?);
+            Ok(())
+        },
+        |s| s.workload.weekend_factor.map(text),
+    ),
+    Key::new(
+        "workload",
+        "batch_p",
+        |s, e| {
+            s.workload.batch_p = Some(fraction(e)?);
+            Ok(())
+        },
+        |s| s.workload.batch_p.map(text),
+    ),
+    Key::new(
+        "workload",
+        "batch_mean",
+        |s, e| {
+            s.workload.batch_mean = Some(float(e, |v| v >= 0.0, "≥ 0")?);
+            Ok(())
+        },
+        |s| s.workload.batch_mean.map(text),
+    ),
+    Key::new(
+        "policy",
+        "kind",
+        |s, e| {
+            s.policy.kind = Vocab::parse(e)?;
+            Ok(())
+        },
+        |s| Some(word(s.policy.kind)),
+    ),
+    Key::new(
+        "policy",
+        "maxsd",
+        |s, e| {
+            s.policy.maxsd = MaxSdDecl::parse(e)?;
+            Ok(())
+        },
+        |s| Some(text(s.policy.maxsd)),
+    )
+    .swept("maxsd"),
+    Key::new(
+        "policy",
+        "model",
+        |s, e| {
+            s.policy.model = Vocab::parse(e)?;
+            Ok(())
+        },
+        |s| Some(word(s.policy.model)),
+    ),
+    Key::new(
+        "policy",
+        "sharing",
+        |s, e| {
+            s.policy.sharing = float(e, |v| (0.0..1.0).contains(&v), "in [0, 1)")?;
+            Ok(())
+        },
+        |s| Some(text(s.policy.sharing)),
+    )
+    .swept("sharing"),
+    Key::new(
+        "policy",
+        "max_mates",
+        |s, e| {
+            s.policy.max_mates = at_least_one(e)?;
+            Ok(())
+        },
+        |s| Some(text(s.policy.max_mates)),
+    ),
+    Key::new(
+        "policy",
+        "include_free_nodes",
+        |s, e| {
+            s.policy.include_free_nodes = e.value.parse().map_err(|_| must_be(e, "true or false"))?;
+            Ok(())
+        },
+        |s| Some(text(s.policy.include_free_nodes)),
+    ),
+    Key::new(
+        "slurm",
+        "backfill",
+        |s, e| {
+            s.slurm.backfill = Some(Vocab::parse(e)?);
+            Ok(())
+        },
+        |s| s.slurm.backfill.map(word),
+    ),
+    Key::new(
+        "slurm",
+        "backfill_depth",
+        |s, e| {
+            s.slurm.backfill_depth = Some(at_least_one(e)?);
+            Ok(())
+        },
+        |s| s.slurm.backfill_depth.map(text),
+    )
+    .swept("backfill_depth"),
+    Key::new(
+        "slurm",
+        "malleable_fraction",
+        |s, e| {
+            s.slurm.malleable_fraction = fraction(e)?;
+            Ok(())
+        },
+        |s| Some(text(s.slurm.malleable_fraction)),
+    )
+    .swept("malleable_fraction"),
+    Key::new(
+        "slurm",
+        "ranks_per_node",
+        |s, e| {
+            s.slurm.ranks_per_node = Some(at_least_one(e)?);
+            Ok(())
+        },
+        |s| s.slurm.ranks_per_node.map(text),
+    ),
+    // `count` is what makes a `[tenants]` section: setting it on a scenario
+    // without one starts one at the other keys' defaults.
+    Key::new(
+        "tenants",
+        "count",
+        |s, e| {
+            let n = at_least_one(e)?;
+            match &mut s.tenants {
+                Some(t) => t.count = n,
+                None => s.tenants = Some(TenantsDecl::new(n)),
+            }
+            Ok(())
+        },
+        |s| s.tenants.as_ref().map(|t| text(t.count)),
+    )
+    .required()
+    .swept("tenant_count"),
+    Key::new(
+        "tenants",
+        "skew",
+        |s, e| {
+            let v = float(e, |v| v >= 0.0, "≥ 0")?;
+            on_tenants(s, |t| t.skew = v);
+            Ok(())
+        },
+        |s| s.tenants.as_ref().map(|t| text(t.skew)),
+    )
+    .swept("tenant_skew"),
+    Key::new(
+        "tenants",
+        "quota_fraction",
+        |s, e| {
+            let v = positive(e)?;
+            on_tenants(s, |t| t.quota_fraction = v);
+            Ok(())
+        },
+        |s| s.tenants.as_ref().map(|t| text(t.quota_fraction)),
+    )
+    .swept("quota_fraction"),
+    Key::new(
+        "tenants",
+        "queue",
+        |s, e| {
+            let v = Vocab::parse(e)?;
+            on_tenants(s, |t| t.queue = v);
+            Ok(())
+        },
+        |s| s.tenants.as_ref().map(|t| word(t.queue)),
+    ),
+    Key::new(
+        "tenants",
+        "half_life",
+        |s, e| {
+            let v = parse_int(e)?;
+            on_tenants(s, |t| t.half_life = v);
+            Ok(())
+        },
+        |s| s.tenants.as_ref().map(|t| text(t.half_life)),
+    ),
+];
+
+/// The `[sweep]` axes in expansion order, outermost first. This is neither
+/// the order a file lists them in nor the order of [`KEYS`]; campaign row
+/// order rides on it.
+pub const AXES: [&str; 10] = [
+    "seed",
+    "scale",
+    "sharing",
+    "malleable_fraction",
+    "maxsd",
+    "backfill_depth",
+    "day_night_contrast",
+    "tenant_count",
+    "tenant_skew",
+    "quota_fraction",
+];
+
+/// The row for `name` in `[section]`.
+pub fn find_key(section: &str, name: &str) -> Option<&'static Key> {
+    KEYS.iter().find(|k| k.section == section && k.name == name)
+}
+
+/// The row a `[sweep]` axis varies.
+pub fn axis_key(axis: &str) -> Option<&'static Key> {
+    KEYS.iter().find(|k| k.axis == Some(axis))
+}
+
+/// The sweep axes: each one multiplies the campaign's run count. Values are
+/// held as the canonical text of what was parsed (`0.50` is `0.5`), each
+/// checked by the swept key's own [`Key::set`], so labels and exports print
+/// the value and never the file's token.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SweepDecl {
-    pub malleable_fraction: Vec<f64>,
-    pub maxsd: Vec<MaxSdDecl>,
-    pub seed: Vec<u64>,
-    pub scale: Vec<f64>,
-    pub sharing: Vec<f64>,
-    /// SLURM `bf_max_job_test` values (scheduler-cost axis).
-    pub backfill_depth: Vec<usize>,
-    /// Day/night intensity ratios (arrival-contrast axis; requires
-    /// `arrivals = day_night`).
-    pub day_night_contrast: Vec<f64>,
-    /// Tenant population sizes (requires a `[tenants]` section).
-    pub tenant_count: Vec<u32>,
-    /// Zipf popularity exponents (requires a `[tenants]` section).
-    pub tenant_skew: Vec<f64>,
-    /// Per-tenant budget fractions (requires a `[tenants]` section).
-    pub quota_fraction: Vec<f64>,
+    /// `(axis, values)`, non-empty, in [`AXES`] order.
+    axes: Vec<(&'static str, Vec<String>)>,
 }
 
 impl SweepDecl {
+    /// Sweeps `axis` over `values`, replacing what it held; an empty list
+    /// un-sweeps it. `line` is where the list was written (0 from code).
+    pub fn set<V: ToString>(&mut self, axis: &str, values: &[V], line: usize) -> Result<(), ParseError> {
+        let rank = |a: &str| AXES.iter().position(|x| *x == a);
+        let Some((at, key)) = rank(axis).zip(axis_key(axis)) else {
+            return Err(unknown_key(axis, "sweep", &AXES, line));
+        };
+        let mut scratch = FRESH.clone();
+        let mut canonical = Vec::with_capacity(values.len());
+        for v in values {
+            key.set(&mut scratch, &v.to_string(), line)?;
+            canonical.push((key.read)(&scratch).expect("a key that was just set reads back"));
+        }
+        self.axes.retain(|(a, _)| *a != axis);
+        if !canonical.is_empty() {
+            self.axes.push((AXES[at], canonical));
+            self.axes.sort_by_key(|(a, _)| rank(a));
+        }
+        Ok(())
+    }
+
+    /// The swept axes and their values, in expansion order.
+    pub fn axes(&self) -> &[(&'static str, Vec<String>)] {
+        &self.axes
+    }
+
+    /// The values `axis` is swept over; empty when it is not swept.
+    pub fn values(&self, axis: &str) -> &[String] {
+        let found = self.axes.iter().find(|(a, _)| *a == axis);
+        found.map_or(&[], |(_, v)| v.as_slice())
+    }
+
     pub fn is_empty(&self) -> bool {
-        self.malleable_fraction.is_empty()
-            && self.maxsd.is_empty()
-            && self.seed.is_empty()
-            && self.scale.is_empty()
-            && self.sharing.is_empty()
-            && self.backfill_depth.is_empty()
-            && self.day_night_contrast.is_empty()
-            && self.tenant_count.is_empty()
-            && self.tenant_skew.is_empty()
-            && self.quota_fraction.is_empty()
+        self.axes.is_empty()
     }
 
     /// Number of runs the cross-product expands to.
     pub fn run_count(&self) -> usize {
-        let n = |v: usize| v.max(1);
-        n(self.malleable_fraction.len())
-            * n(self.maxsd.len())
-            * n(self.seed.len())
-            * n(self.scale.len())
-            * n(self.sharing.len())
-            * n(self.backfill_depth.len())
-            * n(self.day_night_contrast.len())
-            * n(self.tenant_count.len())
-            * n(self.tenant_skew.len())
-            * n(self.quota_fraction.len())
+        self.axes.iter().map(|(_, v)| v.len()).product()
     }
 }
 
@@ -508,14 +876,6 @@ impl Scenario {
         }
     }
 
-    /// A copy pinned to an explicit scale (CLI `--scale` override, tests).
-    pub fn at_scale(&self, scale: f64) -> Scenario {
-        let mut s = self.clone();
-        s.scale = Some(scale);
-        s.sweep.scale.clear();
-        s
-    }
-
     /// The effective scale (explicit, or the source's CI default).
     pub fn effective_scale(&self) -> f64 {
         self.scale.unwrap_or_else(|| {
@@ -535,253 +895,53 @@ impl Scenario {
         let meta = doc
             .section("scenario")
             .ok_or_else(|| ParseError::new(1, "missing [scenario] section"))?;
-        let mut s = {
-            let name_entry = meta
-                .get("name")
-                .ok_or_else(|| ParseError::new(meta.line, "[scenario] needs a `name`"))?;
-            check_name(&name_entry.value, name_entry.line)?;
-            // Source is needed up front to build the struct; default W3-like
-            // only until [workload] is read (it is required below).
-            Scenario::new(&name_entry.value, SourceKind::Ricc)
-        };
-        let mut saw_workload = false;
+        // The placeholder name and source last until the required keys of
+        // [scenario] and [workload] are read.
+        let mut s = Scenario::new("", SourceKind::Ricc);
         for section in &doc.sections {
             match section.name.as_str() {
-                "scenario" => s.parse_meta(section)?,
-                "cluster" => s.parse_cluster(section)?,
-                "workload" => {
-                    saw_workload = true;
-                    s.parse_workload(section)?;
-                }
-                "policy" => s.parse_policy(section)?,
-                "slurm" => s.parse_slurm(section)?,
-                "tenants" => s.parse_tenants(section)?,
                 "slo" => s.parse_slo(section)?,
-                "sweep" => s.parse_sweep(section)?,
-                other => {
-                    return Err(ParseError::new(
-                        section.line,
-                        format!(
-                            "unknown section [{other}] \
-                             (scenario|cluster|workload|policy|slurm|tenants|slo|sweep)"
-                        ),
-                    ))
+                "sweep" => {
+                    for e in &section.entries {
+                        s.sweep.set(&e.key, &parse_list(e)?, e.line)?;
+                    }
                 }
+                _ => s.parse_section(section)?,
             }
         }
-        if !saw_workload {
+        if doc.section("workload").is_none() {
             return Err(ParseError::new(meta.line, "missing [workload] section"));
         }
         s.cross_validate(&doc)?;
         Ok(s)
     }
 
-    fn parse_meta(&mut self, sec: &RawSection) -> Result<(), ParseError> {
+    /// Reads one section through its rows of [`KEYS`]: the required keys
+    /// first (the others may lean on them), then the rest in file order.
+    fn parse_section(&mut self, sec: &RawSection) -> Result<(), ParseError> {
+        let keys: Vec<&Key> = KEYS.iter().filter(|k| k.section == sec.name).collect();
+        let names: Vec<&str> = keys.iter().map(|k| k.name).collect();
+        if keys.is_empty() {
+            let mut sections: Vec<&str> = KEYS.iter().map(|k| k.section).collect();
+            sections.dedup();
+            let msg = format!("unknown section [{}] ({}|slo|sweep)", sec.name, sections.join("|"));
+            return Err(ParseError::new(sec.line, msg));
+        }
+        for k in keys.iter().filter(|k| k.required) {
+            let e = sec.get(k.name).ok_or_else(|| {
+                ParseError::new(sec.line, format!("[{}] needs a `{}`", sec.name, k.name))
+            })?;
+            (k.write)(self, e)?;
+        }
         for e in &sec.entries {
-            match e.key.as_str() {
-                "name" => {} // consumed above
-                "description" => self.description = e.value.clone(),
-                "seed" => self.seed = parse_u64(e)?,
-                "scale" => {
-                    let v = parse_f64(e)?;
-                    check_positive("scale", v, e.line)?;
-                    self.scale = Some(v);
-                }
-                k => return Err(unknown_key(k, "scenario", e.line)),
+            let k = keys
+                .iter()
+                .find(|k| k.name == e.key)
+                .ok_or_else(|| unknown_key(&e.key, &sec.name, &names, e.line))?;
+            if !k.required {
+                (k.write)(self, e)?;
             }
         }
-        Ok(())
-    }
-
-    fn parse_cluster(&mut self, sec: &RawSection) -> Result<(), ParseError> {
-        for e in &sec.entries {
-            match e.key.as_str() {
-                "preset" => self.cluster.preset = ClusterPreset::parse(e)?,
-                "nodes" => {
-                    let n = parse_u32(e)?;
-                    if n == 0 {
-                        return Err(ParseError::new(e.line, "`nodes` must be at least 1"));
-                    }
-                    self.cluster.nodes = Some(n);
-                }
-                k => return Err(unknown_key(k, "cluster", e.line)),
-            }
-        }
-        Ok(())
-    }
-
-    fn parse_workload(&mut self, sec: &RawSection) -> Result<(), ParseError> {
-        let src = sec
-            .get("source")
-            .ok_or_else(|| ParseError::new(sec.line, "[workload] needs a `source`"))?;
-        self.workload.source = SourceKind::parse(src)?;
-        for e in &sec.entries {
-            match e.key.as_str() {
-                "source" => {}
-                "path" => self.workload.path = Some(e.value.clone()),
-                "jobs" => {
-                    let n = parse_usize(e)?;
-                    if n == 0 {
-                        return Err(ParseError::new(e.line, "`jobs` must be at least 1"));
-                    }
-                    self.workload.jobs = Some(n);
-                }
-                "mean_interarrival" => {
-                    let v = parse_f64(e)?;
-                    check_positive("mean_interarrival", v, e.line)?;
-                    self.workload.mean_interarrival = Some(v);
-                }
-                "arrivals" => self.workload.arrivals = Some(ArrivalKind::parse(e)?),
-                "day_night_contrast" => {
-                    let v = parse_f64(e)?;
-                    if !(v >= 1.0 && v.is_finite()) {
-                        return Err(ParseError::new(
-                            e.line,
-                            format!("`day_night_contrast` must be ≥ 1, got {v}"),
-                        ));
-                    }
-                    self.workload.day_night_contrast = Some(v);
-                }
-                "weekend_factor" => {
-                    let v = parse_f64(e)?;
-                    check_unit_range("weekend_factor", v, e.line, true)?;
-                    self.workload.weekend_factor = Some(v);
-                }
-                "batch_p" => {
-                    let v = parse_f64(e)?;
-                    check_unit_range("batch_p", v, e.line, true)?;
-                    self.workload.batch_p = Some(v);
-                }
-                "batch_mean" => {
-                    let v = parse_f64(e)?;
-                    if !(v >= 0.0 && v.is_finite()) {
-                        return Err(ParseError::new(
-                            e.line,
-                            format!("`batch_mean` must be ≥ 0, got {v}"),
-                        ));
-                    }
-                    self.workload.batch_mean = Some(v);
-                }
-                k => return Err(unknown_key(k, "workload", e.line)),
-            }
-        }
-        Ok(())
-    }
-
-    fn parse_policy(&mut self, sec: &RawSection) -> Result<(), ParseError> {
-        for e in &sec.entries {
-            match e.key.as_str() {
-                "kind" => {
-                    self.policy.kind = match e.value.as_str() {
-                        "static" => PolicyKindDecl::Static,
-                        "sd" => PolicyKindDecl::Sd,
-                        v => {
-                            return Err(ParseError::new(
-                                e.line,
-                                format!("`kind`: unknown policy `{v}` (static|sd)"),
-                            ))
-                        }
-                    }
-                }
-                "maxsd" => self.policy.maxsd = MaxSdDecl::parse_str(&e.value, e.line)?,
-                "model" => self.policy.model = ModelDecl::parse(e)?,
-                "sharing" => {
-                    let v = parse_f64(e)?;
-                    check_unit_range("sharing", v, e.line, false)?;
-                    self.policy.sharing = v;
-                }
-                "max_mates" => {
-                    let n = parse_usize(e)?;
-                    if n == 0 {
-                        return Err(ParseError::new(e.line, "`max_mates` must be at least 1"));
-                    }
-                    self.policy.max_mates = n;
-                }
-                "include_free_nodes" => {
-                    self.policy.include_free_nodes = e.value.parse().map_err(|_| {
-                        let msg = format!("`include_free_nodes`: expected true or false, got `{}`", e.value);
-                        ParseError::new(e.line, msg)
-                    })?
-                }
-                k => return Err(unknown_key(k, "policy", e.line)),
-            }
-        }
-        Ok(())
-    }
-
-    fn parse_slurm(&mut self, sec: &RawSection) -> Result<(), ParseError> {
-        for e in &sec.entries {
-            match e.key.as_str() {
-                "backfill" => {
-                    self.slurm.backfill = Some(match e.value.as_str() {
-                        "easy" => BackfillDecl::Easy,
-                        "conservative" => BackfillDecl::Conservative,
-                        v => {
-                            return Err(ParseError::new(
-                                e.line,
-                                format!("`backfill`: unknown mode `{v}` (easy|conservative)"),
-                            ))
-                        }
-                    })
-                }
-                "backfill_depth" => {
-                    let n = parse_usize(e)?;
-                    if n == 0 {
-                        return Err(ParseError::new(e.line, "`backfill_depth` must be ≥ 1"));
-                    }
-                    self.slurm.backfill_depth = Some(n);
-                }
-                "malleable_fraction" => {
-                    let v = parse_f64(e)?;
-                    check_unit_range("malleable_fraction", v, e.line, true)?;
-                    self.slurm.malleable_fraction = v;
-                }
-                "ranks_per_node" => {
-                    let n = parse_u32(e)?;
-                    if n == 0 {
-                        return Err(ParseError::new(e.line, "`ranks_per_node` must be ≥ 1"));
-                    }
-                    self.slurm.ranks_per_node = Some(n);
-                }
-                k => return Err(unknown_key(k, "slurm", e.line)),
-            }
-        }
-        Ok(())
-    }
-
-    fn parse_tenants(&mut self, sec: &RawSection) -> Result<(), ParseError> {
-        let count_entry = sec
-            .get("count")
-            .ok_or_else(|| ParseError::new(sec.line, "[tenants] needs a `count`"))?;
-        let count = parse_u32(count_entry)?;
-        if count == 0 {
-            return Err(ParseError::new(count_entry.line, "`count` must be at least 1"));
-        }
-        let mut t = TenantsDecl::new(count);
-        for e in &sec.entries {
-            match e.key.as_str() {
-                "count" => {}
-                "skew" => {
-                    let v = parse_f64(e)?;
-                    if !(v >= 0.0 && v.is_finite()) {
-                        return Err(ParseError::new(
-                            e.line,
-                            format!("`skew` must be ≥ 0, got {v}"),
-                        ));
-                    }
-                    t.skew = v;
-                }
-                "quota_fraction" => {
-                    let v = parse_f64(e)?;
-                    check_positive("quota_fraction", v, e.line)?;
-                    t.quota_fraction = v;
-                }
-                "queue" => t.queue = TenantQueueDecl::parse(e)?,
-                "half_life" => t.half_life = parse_u64(e)?,
-                k => return Err(unknown_key(k, "tenants", e.line)),
-            }
-        }
-        self.tenants = Some(t);
         Ok(())
     }
 
@@ -807,96 +967,6 @@ impl Scenario {
             let spec = sd_obs::SloSpec::parse(&e.key, v)
                 .map_err(|msg| ParseError::new(e.line, msg))?;
             self.slos.push(spec);
-        }
-        Ok(())
-    }
-
-    fn parse_sweep(&mut self, sec: &RawSection) -> Result<(), ParseError> {
-        for e in &sec.entries {
-            let items = parse_list(e)?;
-            match e.key.as_str() {
-                "malleable_fraction" => {
-                    for it in &items {
-                        let v: f64 = it.parse().map_err(|_| list_num_err(e, it))?;
-                        check_unit_range("malleable_fraction", v, e.line, true)?;
-                        self.sweep.malleable_fraction.push(v);
-                    }
-                }
-                "maxsd" => {
-                    for it in &items {
-                        self.sweep.maxsd.push(MaxSdDecl::parse_str(it, e.line)?);
-                    }
-                }
-                "seed" => {
-                    for it in &items {
-                        self.sweep.seed.push(it.parse().map_err(|_| list_num_err(e, it))?);
-                    }
-                }
-                "scale" => {
-                    for it in &items {
-                        let v: f64 = it.parse().map_err(|_| list_num_err(e, it))?;
-                        check_positive("scale", v, e.line)?;
-                        self.sweep.scale.push(v);
-                    }
-                }
-                "sharing" => {
-                    for it in &items {
-                        let v: f64 = it.parse().map_err(|_| list_num_err(e, it))?;
-                        check_unit_range("sharing", v, e.line, false)?;
-                        self.sweep.sharing.push(v);
-                    }
-                }
-                "backfill_depth" => {
-                    for it in &items {
-                        let v: usize = it.parse().map_err(|_| list_num_err(e, it))?;
-                        if v == 0 {
-                            return Err(ParseError::new(e.line, "`backfill_depth` must be ≥ 1"));
-                        }
-                        self.sweep.backfill_depth.push(v);
-                    }
-                }
-                "day_night_contrast" => {
-                    for it in &items {
-                        let v: f64 = it.parse().map_err(|_| list_num_err(e, it))?;
-                        if !(v >= 1.0 && v.is_finite()) {
-                            return Err(ParseError::new(
-                                e.line,
-                                format!("`day_night_contrast` must be ≥ 1, got {v}"),
-                            ));
-                        }
-                        self.sweep.day_night_contrast.push(v);
-                    }
-                }
-                "tenant_count" => {
-                    for it in &items {
-                        let v: u32 = it.parse().map_err(|_| list_num_err(e, it))?;
-                        if v == 0 {
-                            return Err(ParseError::new(e.line, "`tenant_count` must be ≥ 1"));
-                        }
-                        self.sweep.tenant_count.push(v);
-                    }
-                }
-                "tenant_skew" => {
-                    for it in &items {
-                        let v: f64 = it.parse().map_err(|_| list_num_err(e, it))?;
-                        if !(v >= 0.0 && v.is_finite()) {
-                            return Err(ParseError::new(
-                                e.line,
-                                format!("`tenant_skew` must be ≥ 0, got {v}"),
-                            ));
-                        }
-                        self.sweep.tenant_skew.push(v);
-                    }
-                }
-                "quota_fraction" => {
-                    for it in &items {
-                        let v: f64 = it.parse().map_err(|_| list_num_err(e, it))?;
-                        check_positive("quota_fraction", v, e.line)?;
-                        self.sweep.quota_fraction.push(v);
-                    }
-                }
-                k => return Err(unknown_key(k, "sweep", e.line)),
-            }
         }
         Ok(())
     }
@@ -937,7 +1007,7 @@ impl Scenario {
                         "the real-run workload always runs on the 49-node MN4 subset",
                     ));
                 }
-                if self.scale.is_some() || !self.sweep.scale.is_empty() {
+                if self.scale.is_some() || !self.sweep.values("scale").is_empty() {
                     return Err(ParseError::new(
                         line_of("scenario", "scale"),
                         "the real-run workload is fixed-size; `scale` does not apply",
@@ -961,7 +1031,7 @@ impl Scenario {
                 "`day_night_contrast` requires `arrivals = day_night`",
             ));
         }
-        if !self.sweep.day_night_contrast.is_empty()
+        if !self.sweep.values("day_night_contrast").is_empty()
             && self.workload.arrivals != Some(ArrivalKind::DayNight)
         {
             return Err(ParseError::new(
@@ -969,7 +1039,7 @@ impl Scenario {
                 "a `day_night_contrast` sweep requires `arrivals = day_night`",
             ));
         }
-        if self.policy.kind == PolicyKindDecl::Static && !self.sweep.maxsd.is_empty() {
+        if self.policy.kind == PolicyKindDecl::Static && !self.sweep.values("maxsd").is_empty() {
             return Err(ParseError::new(
                 line_of("sweep", "maxsd"),
                 "a `maxsd` sweep needs `kind = sd`",
@@ -985,13 +1055,13 @@ impl Scenario {
             ));
         }
         if self.tenants.is_none() {
-            for key in ["tenant_count", "tenant_skew", "quota_fraction"] {
-                if doc.section("sweep").and_then(|s| s.get(key)).is_some() {
-                    return Err(ParseError::new(
-                        line_of("sweep", key),
-                        format!("a `{key}` sweep requires a [tenants] section"),
-                    ));
-                }
+            let mut tenant_axes =
+                KEYS.iter().filter(|k| k.section == "tenants").filter_map(|k| k.axis);
+            if let Some(axis) = tenant_axes.find(|a| !self.sweep.values(a).is_empty()) {
+                return Err(ParseError::new(
+                    line_of("sweep", axis),
+                    format!("a `{axis}` sweep requires a [tenants] section"),
+                ));
             }
         }
         Ok(())
@@ -1000,120 +1070,20 @@ impl Scenario {
     // ----- rendering -----
 
     /// Renders the canonical text form: `Scenario::parse(s.render()) == s`.
-    /// Optional fields are emitted only when set; defaulted sections are
-    /// omitted entirely.
+    /// A key is written when [`Key::get`] has text for it, a section when
+    /// one of its keys is.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(out, "[scenario]");
-        let _ = writeln!(out, "name = {}", self.name);
-        if !self.description.is_empty() {
-            let _ = writeln!(out, "description = {}", self.description);
-        }
-        let _ = writeln!(out, "seed = {}", self.seed);
-        if let Some(scale) = self.scale {
-            let _ = writeln!(out, "scale = {scale}");
-        }
-
-        if self.cluster != ClusterDecl::default() {
-            let _ = writeln!(out, "\n[cluster]");
-            if self.cluster.preset != ClusterPreset::Auto {
-                let _ = writeln!(out, "preset = {}", self.cluster.preset.render());
+        let mut section = "";
+        for k in &KEYS {
+            let Some(v) = k.get(self) else { continue };
+            if k.section != section {
+                section = k.section;
+                let gap = if out.is_empty() { "" } else { "\n" };
+                let _ = writeln!(out, "{gap}[{section}]");
             }
-            if let Some(n) = self.cluster.nodes {
-                let _ = writeln!(out, "nodes = {n}");
-            }
-        }
-
-        let w = &self.workload;
-        let _ = writeln!(out, "\n[workload]");
-        let _ = writeln!(out, "source = {}", w.source.render());
-        if let Some(p) = &w.path {
-            let _ = writeln!(out, "path = {p}");
-        }
-        if let Some(n) = w.jobs {
-            let _ = writeln!(out, "jobs = {n}");
-        }
-        if let Some(v) = w.mean_interarrival {
-            let _ = writeln!(out, "mean_interarrival = {v}");
-        }
-        if let Some(a) = w.arrivals {
-            let _ = writeln!(out, "arrivals = {}", a.render());
-        }
-        if let Some(v) = w.day_night_contrast {
-            let _ = writeln!(out, "day_night_contrast = {v}");
-        }
-        if let Some(v) = w.weekend_factor {
-            let _ = writeln!(out, "weekend_factor = {v}");
-        }
-        if let Some(v) = w.batch_p {
-            let _ = writeln!(out, "batch_p = {v}");
-        }
-        if let Some(v) = w.batch_mean {
-            let _ = writeln!(out, "batch_mean = {v}");
-        }
-
-        if self.policy != PolicyDecl::default() {
-            let _ = writeln!(out, "\n[policy]");
-            let d = PolicyDecl::default();
-            if self.policy.kind != d.kind {
-                let _ = writeln!(out, "kind = static");
-            }
-            if self.policy.maxsd != d.maxsd {
-                let _ = writeln!(out, "maxsd = {}", self.policy.maxsd);
-            }
-            if self.policy.model != d.model {
-                let _ = writeln!(out, "model = {}", self.policy.model.render());
-            }
-            if self.policy.sharing != d.sharing {
-                let _ = writeln!(out, "sharing = {}", self.policy.sharing);
-            }
-            if self.policy.max_mates != d.max_mates {
-                let _ = writeln!(out, "max_mates = {}", self.policy.max_mates);
-            }
-            if self.policy.include_free_nodes != d.include_free_nodes {
-                let _ = writeln!(out, "include_free_nodes = {}", self.policy.include_free_nodes);
-            }
-        }
-
-        if self.slurm != SlurmDecl::default() {
-            let _ = writeln!(out, "\n[slurm]");
-            if let Some(b) = self.slurm.backfill {
-                let _ = writeln!(
-                    out,
-                    "backfill = {}",
-                    match b {
-                        BackfillDecl::Easy => "easy",
-                        BackfillDecl::Conservative => "conservative",
-                    }
-                );
-            }
-            if let Some(n) = self.slurm.backfill_depth {
-                let _ = writeln!(out, "backfill_depth = {n}");
-            }
-            if self.slurm.malleable_fraction != 1.0 {
-                let _ = writeln!(out, "malleable_fraction = {}", self.slurm.malleable_fraction);
-            }
-            if let Some(n) = self.slurm.ranks_per_node {
-                let _ = writeln!(out, "ranks_per_node = {n}");
-            }
-        }
-
-        if let Some(t) = &self.tenants {
-            let _ = writeln!(out, "\n[tenants]");
-            let _ = writeln!(out, "count = {}", t.count);
-            if t.skew != 0.0 {
-                let _ = writeln!(out, "skew = {}", t.skew);
-            }
-            if t.quota_fraction != 1.0 {
-                let _ = writeln!(out, "quota_fraction = {}", t.quota_fraction);
-            }
-            if t.queue != TenantQueueDecl::Fifo {
-                let _ = writeln!(out, "queue = {}", t.queue.render());
-            }
-            if t.half_life != DEFAULT_HALF_LIFE {
-                let _ = writeln!(out, "half_life = {}", t.half_life);
-            }
+            let _ = writeln!(out, "{} = {v}", k.name);
         }
 
         if !self.slos.is_empty() {
@@ -1132,100 +1102,12 @@ impl Scenario {
 
         if !self.sweep.is_empty() {
             let _ = writeln!(out, "\n[sweep]");
-            if !self.sweep.malleable_fraction.is_empty() {
-                let _ = writeln!(
-                    out,
-                    "malleable_fraction = {}",
-                    render_list(&self.sweep.malleable_fraction)
-                );
-            }
-            if !self.sweep.maxsd.is_empty() {
-                let _ = writeln!(out, "maxsd = {}", render_list(&self.sweep.maxsd));
-            }
-            if !self.sweep.seed.is_empty() {
-                let _ = writeln!(out, "seed = {}", render_list(&self.sweep.seed));
-            }
-            if !self.sweep.scale.is_empty() {
-                let _ = writeln!(out, "scale = {}", render_list(&self.sweep.scale));
-            }
-            if !self.sweep.sharing.is_empty() {
-                let _ = writeln!(out, "sharing = {}", render_list(&self.sweep.sharing));
-            }
-            if !self.sweep.backfill_depth.is_empty() {
-                let _ = writeln!(
-                    out,
-                    "backfill_depth = {}",
-                    render_list(&self.sweep.backfill_depth)
-                );
-            }
-            if !self.sweep.day_night_contrast.is_empty() {
-                let _ = writeln!(
-                    out,
-                    "day_night_contrast = {}",
-                    render_list(&self.sweep.day_night_contrast)
-                );
-            }
-            if !self.sweep.tenant_count.is_empty() {
-                let _ = writeln!(out, "tenant_count = {}", render_list(&self.sweep.tenant_count));
-            }
-            if !self.sweep.tenant_skew.is_empty() {
-                let _ = writeln!(out, "tenant_skew = {}", render_list(&self.sweep.tenant_skew));
-            }
-            if !self.sweep.quota_fraction.is_empty() {
-                let _ = writeln!(
-                    out,
-                    "quota_fraction = {}",
-                    render_list(&self.sweep.quota_fraction)
-                );
+            for (axis, values) in self.sweep.axes() {
+                let _ = writeln!(out, "{axis} = [{}]", values.join(", "));
             }
         }
         out
     }
-}
-
-fn unknown_key(key: &str, section: &str, line: usize) -> ParseError {
-    ParseError::new(line, format!("unknown key `{key}` in [{section}]"))
-}
-
-fn list_num_err(e: &RawEntry, item: &str) -> ParseError {
-    ParseError::new(e.line, format!("`{}`: not a number: {item}", e.key))
-}
-
-fn check_name(name: &str, line: usize) -> Result<(), ParseError> {
-    if name.is_empty()
-        || !name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-    {
-        return Err(ParseError::new(
-            line,
-            format!("`name` must be non-empty [A-Za-z0-9_-]+, got `{name}`"),
-        ));
-    }
-    Ok(())
-}
-
-fn check_positive(key: &str, v: f64, line: usize) -> Result<(), ParseError> {
-    if !(v > 0.0 && v.is_finite()) {
-        return Err(ParseError::new(line, format!("`{key}` must be > 0, got {v}")));
-    }
-    Ok(())
-}
-
-fn check_unit_range(key: &str, v: f64, line: usize, inclusive_one: bool) -> Result<(), ParseError> {
-    let ok = if inclusive_one {
-        (0.0..=1.0).contains(&v)
-    } else {
-        (0.0..1.0).contains(&v)
-    };
-    if !ok {
-        let range = if inclusive_one { "[0, 1]" } else { "[0, 1)" };
-        return Err(ParseError::new(
-            line,
-            format!("`{key}` must be in {range}, got {v}"),
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1303,14 +1185,14 @@ tenant_skew = [0, 1]
         assert!(s.policy.include_free_nodes);
         assert_eq!(s.slurm.backfill, Some(BackfillDecl::Easy));
         assert!((s.slurm.malleable_fraction - 0.5).abs() < 1e-12);
-        assert_eq!(s.sweep.maxsd, vec![MaxSdDecl::Value(5.0), MaxSdDecl::Infinite, MaxSdDecl::Dyn]);
+        assert_eq!(s.sweep.values("maxsd"), ["5", "inf", "dyn"]);
         let t = s.tenants.as_ref().unwrap();
         assert_eq!(t.count, 4);
         assert!((t.skew - 1.5).abs() < 1e-12);
         assert!((t.quota_fraction - 0.5).abs() < 1e-12);
         assert_eq!(t.queue, TenantQueueDecl::FairShare);
         assert_eq!(t.half_life, 3600);
-        assert_eq!(s.sweep.tenant_skew, vec![0.0, 1.0]);
+        assert_eq!(s.sweep.values("tenant_skew"), ["0", "1"]);
         assert_eq!(s.sweep.run_count(), 3 * 3 * 2 * 2);
         assert_eq!(s.slos.len(), 2);
         assert_eq!(s.slos[0].kind, sd_obs::SloKind::WaitQuantile);
@@ -1350,7 +1232,7 @@ tenant_skew = [0, 1]
             );
             let e = Scenario::parse(&text).unwrap_err();
             assert_eq!(e.line, 6, "{e}");
-            assert_eq!(e.msg, format!("unknown key `{key}` in [{section}]"));
+            assert!(e.msg.starts_with(&format!("unknown key `{key}` in [{section}] (")), "{e}");
         }
     }
 
@@ -1480,11 +1362,104 @@ tenant_skew = [0, 1]
     }
 
     #[test]
+    fn the_table_is_the_format() {
+        assert_eq!(KEYS.len(), 30);
+        for (i, k) in KEYS.iter().enumerate() {
+            assert!(std::ptr::eq(find_key(k.section, k.name).unwrap(), k), "{} twice", k.name);
+            // `render` opens a section once: its rows are adjacent.
+            let later = KEYS[i + 1..].iter().position(|x| x.section == k.section);
+            assert!(later.is_none_or(|at| at == 0), "[{}] is split", k.section);
+        }
+        // The axes are the swept rows, each once.
+        let mut swept: Vec<&str> = KEYS.iter().filter_map(|k| k.axis).collect();
+        let mut axes = AXES.to_vec();
+        swept.sort();
+        axes.sort();
+        assert_eq!(swept, axes);
+        assert!(AXES.iter().all(|a| axis_key(a).is_some()));
+    }
+
+    #[test]
+    fn a_new_scenario_writes_only_its_required_keys() {
+        let s = Scenario::new("x", SourceKind::Ricc);
+        let written: Vec<&str> =
+            KEYS.iter().filter(|k| k.get(&s).is_some()).map(|k| k.name).collect();
+        assert_eq!(written, ["name", "source"]);
+        assert_eq!(s.render(), "[scenario]\nname = x\n\n[workload]\nsource = ricc\n");
+        // A new [tenants] section adds its required key and nothing else.
+        let written: Vec<&str> =
+            KEYS.iter().filter(|k| k.get(&FRESH).is_some()).map(|k| k.name).collect();
+        assert_eq!(written, ["name", "source", "count"]);
+    }
+
+    /// Text a key might be handed: numbers around every bound, a word of
+    /// every vocabulary, junk.
+    const POOL: [&str; 22] = [
+        "-3", "-1", "-0", "0", "0.5", "0.50", "1", "1.0", "1e1", "1.5", "2", "4294967296",
+        "4294967297", "1e400", "nan", "inf", "dyn", "x", "lottery", "fair_share", "true", "day_night",
+    ];
+
+    #[test]
+    fn a_sweep_takes_exactly_what_the_swept_key_takes() {
+        for key in KEYS.iter() {
+            let Some(axis) = key.axis else { continue };
+            for v in POOL {
+                let text = format!(
+                    "[scenario]\nname = x\n[workload]\nsource = ricc\narrivals = day_night\n\
+                     [tenants]\ncount = 2\n[sweep]\n{axis} = [{v}]\n"
+                );
+                // The key's verdict, as its own section would give it on line 9.
+                let mut scratch = FRESH.clone();
+                let in_section = key.set(&mut scratch, v, 9);
+                match Scenario::parse(&text) {
+                    Ok(s) => {
+                        assert_eq!(in_section, Ok(()), "{axis} = [{v}] accepted");
+                        // Held as the parsed value's text, not the file's token.
+                        assert_eq!(s.sweep.values(axis), [(key.read)(&scratch).unwrap()]);
+                    }
+                    Err(e) => assert_eq!(Err(e), in_section, "{axis} = [{v}]"),
+                }
+            }
+        }
+        let s = Scenario::parse(
+            "[scenario]\nname = x\n[workload]\nsource = ricc\n[sweep]\nmalleable_fraction = [0.50, 1e0]\nmaxsd = [1e1]\n",
+        )
+        .unwrap();
+        assert_eq!(s.sweep.values("malleable_fraction"), ["0.5", "1"]);
+        assert_eq!(s.sweep.values("maxsd"), ["10"]);
+        assert_eq!(s.sweep.axes()[0].0, "malleable_fraction", "held in expansion order");
+    }
+
+    #[test]
+    fn every_vocabulary_word_reads_back() {
+        fn check<V: Vocab + std::fmt::Debug>() {
+            for (w, v) in V::WORDS {
+                let e = RawEntry { key: "k".into(), value: w.to_string(), line: 1 };
+                assert_eq!(V::parse(&e).unwrap(), *v);
+                assert_eq!(word(*v), *w);
+            }
+            let e = RawEntry { key: "k".into(), value: "nope".into(), line: 3 };
+            let err = V::parse(&e).unwrap_err();
+            let hint: Vec<&str> = V::WORDS.iter().map(|(w, _)| *w).collect();
+            assert_eq!(err.line, 3);
+            assert!(err.msg.ends_with(&format!("({})", hint.join("|"))), "{err}");
+        }
+        check::<ClusterPreset>();
+        check::<SourceKind>();
+        check::<ArrivalKind>();
+        check::<PolicyKindDecl>();
+        check::<ModelDecl>();
+        check::<BackfillDecl>();
+        check::<TenantQueueDecl>();
+    }
+
+    #[test]
     fn maxsd_display_roundtrips() {
+        let parse = |v: &str| MaxSdDecl::parse(&RawEntry { key: "maxsd".into(), value: v.into(), line: 1 });
         for m in [MaxSdDecl::Value(7.5), MaxSdDecl::Infinite, MaxSdDecl::Dyn] {
             let s = m.to_string();
-            assert_eq!(MaxSdDecl::parse_str(&s, 1).unwrap(), m);
+            assert_eq!(parse(&s).unwrap(), m);
         }
-        assert!(MaxSdDecl::parse_str("1.0", 1).is_err(), "cut-off ≤ 1 rejected");
+        assert!(parse("1.0").is_err(), "cut-off ≤ 1 rejected");
     }
 }

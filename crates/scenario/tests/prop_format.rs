@@ -1,152 +1,92 @@
 //! Property tests for the scenario format: parse ∘ render is the identity
 //! on valid scenarios, unknown keys are rejected with the offending line
 //! number, and sweep expansion matches the declared cross-product.
+//!
+//! The generator walks the key table: every key of `KEYS` may be set,
+//! every axis of `AXES` may be swept, so a key added to the table is in
+//! these properties once `value` can spell a value for it.
 
 use proptest::prelude::*;
-use sd_scenario::{
-    expand, ArrivalKind, BackfillDecl, ClusterPreset, MaxSdDecl, ModelDecl, PolicyKindDecl,
-    Scenario, SourceKind,
-};
+use sd_scenario::{axis_key, expand, ArrivalKind, Key, PolicyKindDecl, Scenario, SourceKind, AXES, KEYS};
 
-fn arb_source() -> BoxedStrategy<SourceKind> {
-    prop_oneof![
-        Just(SourceKind::Cirne),
-        Just(SourceKind::CirneIdeal),
-        Just(SourceKind::Ricc),
-        Just(SourceKind::Curie),
-    ]
-    .boxed()
-}
-
-fn arb_maxsd() -> BoxedStrategy<MaxSdDecl> {
-    prop_oneof![
-        (2u32..100).prop_map(|v| MaxSdDecl::Value(v as f64)),
-        (11u32..500).prop_map(|v| MaxSdDecl::Value(v as f64 / 10.0)),
-        Just(MaxSdDecl::Infinite),
-        Just(MaxSdDecl::Dyn),
-    ]
-    .boxed()
-}
-
-fn arb_opt_f64(lo: u32, hi: u32, denom: f64) -> BoxedStrategy<Option<f64>> {
-    prop_oneof![
-        Just(None),
-        (lo..=hi).prop_map(move |v| Some(v as f64 / denom)),
-    ]
-    .boxed()
-}
-
-/// A valid scenario assembled from independently drawn parts. Only the
-/// synthetic sources appear: `real_run`/`swf` carry extra invariants that
+/// A valid value for `key`, picked by `r`. Only the synthetic sources
+/// appear (and so no `path`): `real_run`/`swf` carry extra invariants that
 /// are exercised by unit tests instead.
+fn value(key: &Key, r: u64) -> Option<String> {
+    let pick = |words: &[&str]| words[r as usize % words.len()].to_string();
+    let int = |lo: u64, hi: u64| (lo + r % (hi - lo + 1)).to_string();
+    let ratio = |lo: u64, hi: u64, denom: f64| ((lo + r % (hi - lo + 1)) as f64 / denom).to_string();
+    Some(match (key.section, key.name) {
+        ("scenario", "name") => format!("scn-{}", r % 10_000),
+        ("scenario", "description") => format!("generated study #{}", r % 100),
+        ("scenario", "seed") | ("tenants", "half_life") => r.to_string(),
+        ("scenario", "scale") => ratio(1, 400, 100.0),
+        ("cluster", "preset") => pick(&["auto", "mn4", "ricc", "curie"]),
+        ("cluster", "nodes") => int(1, 3999),
+        ("workload", "source") => pick(&["cirne", "cirne_ideal", "ricc", "curie"]),
+        ("workload", "path") => return None,
+        ("workload", "jobs") => int(1, 19_999),
+        ("workload", "mean_interarrival") => ratio(1, 10_000, 10.0),
+        ("workload", "arrivals") => pick(&["anl", "uniform", "day_night"]),
+        ("workload", "day_night_contrast") => ratio(10, 199, 10.0),
+        ("workload", "weekend_factor" | "batch_p") => ratio(0, 100, 100.0),
+        ("workload", "batch_mean") => ratio(0, 300, 10.0),
+        ("policy", "kind") => pick(&["static", "sd"]),
+        ("policy", "maxsd") => match r % 4 {
+            0 => "inf".to_string(),
+            1 => "dyn".to_string(),
+            2 => int(2, 99),
+            _ => ratio(11, 499, 10.0),
+        },
+        ("policy", "model") => pick(&["ideal", "worst_case", "app_aware"]),
+        ("policy", "sharing") => ratio(0, 99, 100.0),
+        ("policy", "max_mates") => int(1, 5),
+        ("policy", "include_free_nodes") => pick(&["true", "false"]),
+        ("slurm", "backfill") => pick(&["easy", "conservative"]),
+        ("slurm", "backfill_depth") => int(1, 499),
+        ("slurm", "malleable_fraction") => ratio(0, 100, 100.0),
+        ("slurm", "ranks_per_node") => int(1, 8),
+        ("tenants", "count") => int(1, 16),
+        ("tenants", "skew") => ratio(0, 30, 10.0),
+        ("tenants", "quota_fraction") => ratio(1, 200, 100.0),
+        ("tenants", "queue") => pick(&["fifo", "fair_share"]),
+        other => panic!("no generator for {other:?}: a new key needs one here"),
+    })
+}
+
+/// A valid scenario built by setting keys and sweeping axes through the
+/// table, from a fixed budget of raw draws.
 fn arb_scenario() -> BoxedStrategy<Scenario> {
-    let meta = (
-        0u32..10_000,
-        prop_oneof![
-            Just(String::new()),
-            (0u32..100).prop_map(|i| format!("generated study #{i}")),
-        ],
-        any::<u64>(),
-        arb_opt_f64(1, 400, 100.0),
-        arb_source(),
-    );
-    let cluster = (
-        prop_oneof![
-            Just(ClusterPreset::Auto),
-            Just(ClusterPreset::Mn4),
-            Just(ClusterPreset::Ricc),
-            Just(ClusterPreset::Curie),
-        ],
-        prop_oneof![Just(None), (1u32..4000).prop_map(Some)],
-    );
-    let workload = (
-        prop_oneof![Just(None), (1usize..20_000).prop_map(Some)],
-        arb_opt_f64(1, 10_000, 10.0), // mean_interarrival
-        prop_oneof![
-            Just(None),
-            Just(Some(ArrivalKind::Anl)),
-            Just(Some(ArrivalKind::Uniform)),
-            Just(Some(ArrivalKind::DayNight)),
-        ],
-        (10u32..200).prop_map(|v| v as f64 / 10.0), // contrast ≥ 1
-        arb_opt_f64(0, 100, 100.0),                 // weekend_factor
-        arb_opt_f64(0, 100, 100.0),                 // batch_p
-        arb_opt_f64(0, 300, 10.0),                  // batch_mean
-    );
-    let policy = (
-        any::<bool>(),
-        arb_maxsd(),
-        prop_oneof![
-            Just(ModelDecl::Ideal),
-            Just(ModelDecl::WorstCase),
-            Just(ModelDecl::AppAware),
-        ],
-        (0u32..100).prop_map(|v| v as f64 / 100.0), // sharing in [0, 1)
-        1usize..6,                                  // max_mates ≥ 1
-        any::<bool>(),                              // include_free_nodes
-    );
-    let slurm = (
-        prop_oneof![
-            Just(None),
-            Just(Some(BackfillDecl::Easy)),
-            Just(Some(BackfillDecl::Conservative)),
-        ],
-        prop_oneof![Just(None), (1usize..500).prop_map(Some)],
-        (0u32..=100).prop_map(|v| v as f64 / 100.0), // malleable_fraction
-        prop_oneof![Just(None), (1u32..9).prop_map(Some)],
-    );
-    let sweep = (
-        prop::collection::vec((0u32..=100).prop_map(|v| v as f64 / 100.0), 0..4),
-        prop::collection::vec(arb_maxsd(), 0..4),
-        prop::collection::vec(any::<u64>(), 0..3),
-        prop::collection::vec((1u32..400).prop_map(|v| v as f64 / 100.0), 0..3),
-        prop::collection::vec((0u32..100).prop_map(|v| v as f64 / 100.0), 0..3),
-    );
-    (meta, cluster, workload, policy, slurm, sweep)
-        .prop_map(|(meta, cluster, workload, policy, slurm, sweep)| {
-            let (name_i, description, seed, scale, source) = meta;
-            let mut s = Scenario::new(&format!("scn-{name_i}"), source);
-            s.description = description;
-            s.seed = seed;
-            s.scale = scale;
-            (s.cluster.preset, s.cluster.nodes) = cluster;
-            let (jobs, mean, arrivals, contrast, weekend, batch_p, batch_mean) = workload;
-            s.workload.jobs = jobs;
-            s.workload.mean_interarrival = mean;
-            s.workload.arrivals = arrivals;
-            if arrivals == Some(ArrivalKind::DayNight) {
-                s.workload.day_night_contrast = Some(contrast);
+    let draws = 2 * KEYS.len() + 4 * AXES.len();
+    prop::collection::vec(any::<u64>(), draws)
+        .prop_map(|draws| {
+            let mut draws = draws.into_iter();
+            let mut next = || draws.next().expect("the budget covers every key and axis");
+            let mut s = Scenario::new("x", SourceKind::Ricc);
+            for key in KEYS.iter() {
+                // `[tenants]` is an optional section, its required key with it.
+                let wanted = next() % 3 != 0 || (key.required && key.section != "tenants");
+                if let Some(v) = value(key, next()).filter(|_| wanted) {
+                    key.set(&mut s, &v, 0).expect("a generated value is valid");
+                }
             }
-            s.workload.weekend_factor = weekend;
-            s.workload.batch_p = batch_p;
-            s.workload.batch_mean = batch_mean;
-            let (is_static, maxsd, model, sharing, max_mates, include_free_nodes) = policy;
-            s.policy.kind = if is_static {
-                PolicyKindDecl::Static
-            } else {
-                PolicyKindDecl::Sd
-            };
-            s.policy.maxsd = maxsd;
-            s.policy.model = model;
-            s.policy.sharing = sharing;
-            s.policy.max_mates = max_mates;
-            s.policy.include_free_nodes = include_free_nodes;
-            (
-                s.slurm.backfill,
-                s.slurm.backfill_depth,
-                s.slurm.malleable_fraction,
-                s.slurm.ranks_per_node,
-            ) = slurm;
-            (
-                s.sweep.malleable_fraction,
-                s.sweep.maxsd,
-                s.sweep.seed,
-                s.sweep.scale,
-                s.sweep.sharing,
-            ) = sweep;
-            if s.policy.kind == PolicyKindDecl::Static {
-                // A maxsd sweep requires the SD policy (validated at parse).
-                s.sweep.maxsd.clear();
+            let day_night = s.workload.arrivals == Some(ArrivalKind::DayNight);
+            if !day_night {
+                s.workload.day_night_contrast = None;
+            }
+            for axis in AXES {
+                let key = axis_key(axis).expect("every axis varies a key");
+                let values: Vec<String> =
+                    (0..next() % 4).map(|_| value(key, next()).expect("axes are spellable")).collect();
+                // The cross-section rules a parsed sweep must satisfy.
+                let applies = match axis {
+                    "maxsd" => s.policy.kind == PolicyKindDecl::Sd,
+                    "day_night_contrast" => day_night,
+                    _ => key.section != "tenants" || s.tenants.is_some(),
+                };
+                if applies {
+                    s.sweep.set(axis, &values, 0).expect("a generated value is valid");
+                }
             }
             s
         })
@@ -187,6 +127,18 @@ proptest! {
         prop_assert_eq!(points.len(), s.sweep.run_count());
         for p in &points {
             prop_assert!(p.scenario.sweep.is_empty());
+            // One `axis=value` per swept axis, and the point holds that value.
+            let labels: Vec<&str> = p.variant.split(' ').filter(|l| !l.is_empty()).collect();
+            prop_assert_eq!(labels.len(), s.sweep.axes().len());
+            for (label, (axis, values)) in labels.iter().zip(s.sweep.axes()) {
+                let (name, value) = label.split_once('=').expect("axis=value");
+                prop_assert_eq!(name, *axis);
+                prop_assert!(values.iter().any(|v| v == value), "{}", label);
+                let key = axis_key(axis).expect("every axis varies a key");
+                let mut applied = p.scenario.clone();
+                key.set(&mut applied, value, 0).expect("a swept value is valid");
+                prop_assert_eq!(&applied, &p.scenario, "{} is not what the point holds", label);
+            }
         }
         if s.sweep.is_empty() {
             prop_assert_eq!(points.len(), 1);

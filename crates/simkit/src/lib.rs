@@ -12,17 +12,15 @@
 //! * [`stats`] — streaming (Welford) accumulators used by the metric
 //!   collectors.
 //!
-//! The engine is intentionally minimal: schedulers own their run loop and use
-//! the queue directly, which keeps borrow patterns simple and the hot loop
-//! free of dynamic dispatch.
+//! There is no engine type: schedulers own their run loop and use the queue
+//! directly, which keeps borrow patterns simple and the hot loop free of
+//! dynamic dispatch.
 
-pub mod engine;
 pub mod event;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::Engine;
 pub use event::{EventQueue, ScheduledEvent};
 pub use rng::DetRng;
 pub use stats::Welford;

@@ -15,11 +15,10 @@ fn main() {
     scenario.workload.batch_p = Some(0.6);
     scenario.workload.batch_mean = Some(12.0);
     scenario.slurm.malleable_fraction = 0.5;
-    scenario.sweep.maxsd = vec![
-        MaxSdDecl::Value(5.0),
-        MaxSdDecl::Value(10.0),
-        MaxSdDecl::Infinite,
-    ];
+    // An axis takes its values as the file would spell them, or as anything
+    // that prints that way; each is checked as the `[policy] maxsd` key is.
+    let cutoffs = [MaxSdDecl::Value(5.0), MaxSdDecl::Value(10.0), MaxSdDecl::Infinite];
+    scenario.sweep.set("maxsd", &cutoffs, 0).expect("valid cut-offs");
 
     // The scenario is data: it can be rendered, diffed, checked in, and
     // parsed back identically.
@@ -33,7 +32,7 @@ fn main() {
     // swapped out — one field.
     let mut baseline = scenario.clone();
     baseline.policy.kind = PolicyKindDecl::Static;
-    baseline.sweep.maxsd.clear();
+    baseline.sweep = Default::default();
     let base_out = execute(&expand(&baseline)[0]).expect("baseline runs");
     let base = Summary::from_result("static", &base_out.result, base_out.total_cores);
 
