@@ -51,4 +51,4 @@ pub mod policy;
 
 pub use config::SdPolicyConfig;
 pub use maxsd::MaxSlowdown;
-pub use policy::SdPolicy;
+pub use policy::{MemoHits, SdPolicy};

@@ -122,16 +122,28 @@ pub fn collect_candidates(
     // entries carry every filter/score input (denormalised at insertion),
     // so the scan never touches the job table.
     let scan_limit = cfg.candidate_cap.saturating_mul(4).max(16);
+    // The Eq. 6 stretch is a function of `(ranks_per_node, mall_wall)` only
+    // (`None`: nothing can be freed): recomputed when an entry's ranks
+    // differ from the previous one's — once per scan on a uniform trace.
+    let mut last: Option<(u32, Option<u64>)> = None;
     for e in st.eligible_mates().iter().take(scan_limit) {
         // Finish-inside-mate constraint (requested-time based, §3.2.4).
         if e.req_end < new_end {
             continue;
         }
-        let keep = st.sharing().keep_cores(full, e.ranks_per_node);
-        if keep >= full {
+        let increase = match last {
+            Some((ranks, increase)) if ranks == e.ranks_per_node => increase,
+            _ => {
+                let keep = st.sharing().keep_cores(full, e.ranks_per_node);
+                let increase =
+                    (keep < full).then(|| shrink_increase(keep as f64 / full as f64, mall_wall));
+                last = Some((e.ranks_per_node, increase));
+                increase
+            }
+        };
+        let Some(increase) = increase else {
             continue; // nothing can be freed
-        }
-        let increase = shrink_increase(keep as f64 / full as f64, mall_wall);
+        };
         let p = mate_penalty(e.wait, increase, e.req_time);
         if p >= cutoff {
             continue;

@@ -25,6 +25,25 @@ use cluster::JobId;
 use simkit::SimTime;
 use slurm_sim::{backfill_pass, timing, DirtyFlags, Profile, Scheduler, SimState};
 
+/// What a trial's verdict depends on besides the state no trial changes:
+/// `(req_nodes, req_time, ranks_per_node)`.
+type Shape = (u32, u64, u32);
+
+/// The memo's epoch: jobs started so far. Everything a verdict reads besides
+/// the job's [`Shape`] moves only when this does, or between passes.
+fn starts(st: &SimState) -> u64 {
+    st.stats.started_static + st.stats.started_malleable
+}
+
+/// Trials answered from the per-pass memo instead of recomputed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoHits {
+    /// Lazily resolved `earliest_start` answers (EASY non-head jobs only).
+    pub est: u64,
+    /// `select_mates` verdicts of "no mates".
+    pub mates: u64,
+}
+
 /// The Slowdown Driven policy.
 #[derive(Debug, Clone)]
 pub struct SdPolicy {
@@ -33,6 +52,15 @@ pub struct SdPolicy {
     /// every time the controller is not busy", §3.2.2).
     pass_cutoff: Option<f64>,
     trials_this_pass: usize,
+    /// [`starts`] when the memo below was last cleared. Between two starts
+    /// of one pass a trial's verdict is a pure function of the job's
+    /// [`Shape`] (DESIGN.md §2), so each question is asked once.
+    memo_epoch: u64,
+    /// Lazily resolved static starts, `SimTime::MAX` ("never fits") included.
+    est_memo: Vec<(Shape, SimTime)>,
+    /// Shapes for which `select_mates` found nothing.
+    no_mates_memo: Vec<Shape>,
+    memo_hits: MemoHits,
 }
 
 impl SdPolicy {
@@ -41,7 +69,17 @@ impl SdPolicy {
             cfg,
             pass_cutoff: None,
             trials_this_pass: 0,
+            memo_epoch: 0,
+            est_memo: Vec::new(),
+            no_mates_memo: Vec::new(),
+            memo_hits: MemoHits::default(),
         }
+    }
+
+    /// Memo hits since construction (a test and diagnostics read-out; not
+    /// part of any result).
+    pub fn memo_hits(&self) -> MemoHits {
+        self.memo_hits
     }
 
     /// Cut-off for this pass, computing the DynAVGSD feedback lazily.
@@ -55,6 +93,12 @@ impl SdPolicy {
         c
     }
 
+    fn clear_memo(&mut self, epoch: u64) {
+        self.memo_epoch = epoch;
+        self.est_memo.clear();
+        self.no_mates_memo.clear();
+    }
+
     /// The malleable trial for one job that failed the static trial.
     /// Returns `true` when the job was started through co-scheduling.
     ///
@@ -62,8 +106,13 @@ impl SdPolicy {
     /// est for its own bookkeeping (EASY non-head); it is resolved here,
     /// *only* for jobs that actually reach a trial — the cheap disqualifiers
     /// (trial budget, non-malleable) come first. An infeasible est
-    /// (`SimTime::MAX`) bails before the trial budget is charged, exactly
-    /// as the old always-computed flow never called the hook for such jobs.
+    /// (`SimTime::MAX`) bails before the trial budget is charged: an
+    /// impossible job is never trialled.
+    ///
+    /// Both expensive answers — the lazy est and a `select_mates` that finds
+    /// nothing — are memoised per [`Shape`] until the next start; a hit is
+    /// charged to the budget exactly as the recomputation would be, and
+    /// under `self_check` it is recomputed and compared.
     fn try_malleable(
         &mut self,
         st: &mut SimState,
@@ -81,10 +130,33 @@ impl SdPolicy {
         if !malleable {
             return false;
         }
+        if starts(st) != self.memo_epoch {
+            self.clear_memo(starts(st));
+        }
+        let shape = (req_nodes, req_time, ranks);
         let est_static_start = match est_static_start {
             Some(e) => e,
             None => {
-                let e = profile.earliest_start(req_nodes, req_time, st.now);
+                let e = match self.est_memo.iter().find(|(s, _)| *s == shape) {
+                    Some(&(_, e)) => {
+                        self.memo_hits.est += 1;
+                        timing::count(&timing::TRIAL_MEMO_HIT);
+                        if st.cfg.self_check {
+                            assert_eq!(
+                                profile.earliest_start(req_nodes, req_time, st.now),
+                                e,
+                                "memoised est of {shape:?} went stale inside a pass at {:?}",
+                                st.now
+                            );
+                        }
+                        e
+                    }
+                    None => {
+                        let e = profile.earliest_start(req_nodes, req_time, st.now);
+                        self.est_memo.push((shape, e));
+                        e
+                    }
+                };
                 if e == SimTime::MAX {
                     return false;
                 }
@@ -118,7 +190,21 @@ impl SdPolicy {
         // starts later in the pass change the running set the average is
         // taken over, so latching any later changes the schedule.
         let cutoff = self.cutoff(st);
+        if self.no_mates_memo.contains(&shape) {
+            self.memo_hits.mates += 1;
+            timing::count(&timing::TRIAL_MEMO_HIT);
+            if st.cfg.self_check {
+                assert_eq!(
+                    select_mates(st, req_nodes, mall_wall, cutoff, &self.cfg),
+                    None,
+                    "memoised \"no mates\" of {shape:?} went stale inside a pass at {:?}",
+                    st.now
+                );
+            }
+            return false;
+        }
         let Some(selection) = select_mates(st, req_nodes, mall_wall, cutoff, &self.cfg) else {
+            self.no_mates_memo.push(shape);
             return false;
         };
         if st
@@ -149,6 +235,7 @@ impl Scheduler for SdPolicy {
     fn schedule(&mut self, st: &mut SimState) {
         self.pass_cutoff = None; // refresh DynAVGSD feedback per pass
         self.trials_this_pass = 0;
+        self.clear_memo(starts(st));
         let mut profile = backfill_pass(st, |st, id, est, profile| {
             self.try_malleable(st, id, est, profile)
         });
@@ -168,8 +255,9 @@ impl Scheduler for SdPolicy {
                     let left = (job.spec.req_time as f64 - run.work_done).ceil();
                     (run.nodes.len() as u32, (left.max(1.0)) as u64)
                 };
-                let start_now = profile.earliest_start(width, remaining, st.now);
-                if st.cluster.empty_node_count() < width || start_now != st.now {
+                if st.cluster.empty_node_count() < width
+                    || !profile.can_start_now(width, remaining, st.now)
+                {
                     continue;
                 }
                 if st.relocate_borrower(id) {
@@ -203,7 +291,9 @@ mod tests {
     use crate::maxsd::MaxSlowdown;
     use cluster::ClusterSpec;
     use drom::SharingFactor;
-    use slurm_sim::{run_trace, SlurmConfig, StaticBackfill, WorstCaseModel};
+    use slurm_sim::{
+        run_trace, BackfillMode, Controller, SlurmConfig, StaticBackfill, WorstCaseModel,
+    };
     use swf::{SwfJob, Trace};
 
     fn spec(nodes: u32) -> ClusterSpec {
@@ -448,5 +538,95 @@ mod tests {
         // mates::tests and the integration suite.)
         assert_eq!(res.outcomes.len(), 3);
         assert_eq!(res.leftover_pending, 0);
+    }
+
+    /// The jobs' first 10 s — J1's start, then the one pass over everything
+    /// submitted at t = 10 — under SD-Policy without a cut-off, `self_check`
+    /// on, handed back with the scheduler still attached.
+    fn controller_at_10(
+        jobs: Vec<SwfJob>,
+        nodes: u32,
+        backfill_mode: BackfillMode,
+    ) -> Controller<SdPolicy> {
+        let state = SimState::new(
+            spec(nodes),
+            SlurmConfig {
+                self_check: true,
+                backfill_mode,
+                ..SlurmConfig::default()
+            },
+            &Trace::new(Default::default(), jobs),
+            Box::new(WorstCaseModel),
+            SharingFactor::HALF,
+        );
+        let policy = SdPolicy::new(SdPolicyConfig {
+            max_slowdown: MaxSlowdown::Infinite,
+            ..SdPolicyConfig::default()
+        });
+        let mut ctl = Controller::new(state, policy);
+        ctl.step_until(Some(SimTime(10)));
+        ctl
+    }
+
+    #[test]
+    fn memo_does_not_survive_a_start() {
+        // 3 nodes, J1 holds one. One pass at t = 10 sees A, B, C in order:
+        // A (3 nodes) finds no mates — the pool's weights {1} cannot make 3;
+        // B (2 nodes) starts on the idle pair and joins the pool, {1, 2};
+        // C has A's shape and must now be co-scheduled with J1 + B.
+        let ctl = controller_at_10(
+            vec![
+                job(1, 0, 10_000, 1, 10_000),
+                job(2, 10, 100, 3, 100),     // A
+                job(3, 10, 9_000, 2, 9_000), // B: over before A's reservation
+                job(4, 10, 100, 3, 100),     // C
+            ],
+            3,
+            BackfillMode::Conservative,
+        );
+        assert_eq!(ctl.state.stats.started_static, 2, "J1 and B");
+        assert_eq!(ctl.state.stats.started_malleable, 1);
+        let c = ctl.state.job(JobId(4)).running();
+        let c = c.expect("C runs in the pass that started B");
+        assert!(c.malleable_backfilled);
+        assert_eq!(c.mates, vec![JobId(1), JobId(3)]);
+        assert_eq!(ctl.scheduler.memo_hits(), MemoHits::default());
+    }
+
+    #[test]
+    fn memo_hit_is_charged_to_the_trial_budget() {
+        // The twin: B is 3 wide and cannot start, so nothing moves between
+        // A and the 32 further jobs of A's shape. A and B are computed and
+        // charged; of the 32, thirty are answered from the memo and charged
+        // up to the budget (32), and the last two are never trialled.
+        let mut jobs = vec![
+            job(1, 0, 10_000, 1, 10_000),
+            job(2, 10, 100, 3, 100),     // A
+            job(3, 10, 9_000, 3, 9_000), // B
+        ];
+        jobs.extend((4..36).map(|id| job(id, 10, 100, 3, 100)));
+        let ctl = controller_at_10(jobs, 3, BackfillMode::Conservative);
+        assert_eq!(ctl.scheduler.cfg.max_trials_per_pass, 32);
+        assert_eq!(ctl.state.stats.started_malleable, 0);
+        assert_eq!(ctl.scheduler.memo_hits(), MemoHits { est: 0, mates: 30 });
+    }
+
+    #[test]
+    fn never_fits_hit_is_not_charged() {
+        // Requests are clamped to the machine at submit, so a pass profile
+        // answers `SimTime::MAX` only when it is narrower than the machine;
+        // hand the hook one. Forty 3-node jobs wait behind J1 on 3 nodes;
+        // against a 2-node profile the first resolves "never", 39 read it
+        // back, and none of them touches the trial budget.
+        let mut jobs = vec![job(1, 0, 10_000, 1, 10_000)];
+        jobs.extend((2..42).map(|id| job(id, 10, 100, 3, 100)));
+        let mut ctl = controller_at_10(jobs, 3, BackfillMode::Easy);
+        let mut profile = Profile::flat(SimTime(10), 2);
+        let mut policy = SdPolicy::default();
+        for id in 2..42 {
+            assert!(!policy.try_malleable(&mut ctl.state, JobId(id), None, &mut profile));
+        }
+        assert_eq!(policy.memo_hits(), MemoHits { est: 39, mates: 0 });
+        assert_eq!(policy.trials_this_pass, 0);
     }
 }

@@ -359,6 +359,8 @@ mod tests {
         assert!(text.contains("sd_serve_http_requests_total{class=\"4xx\"} 1"));
         assert!(text.contains("sd_serve_http_requests_total{class=\"5xx\"} 1"));
         assert!(text.contains("sd_serve_timing_calls_total{function=\"earliest_start\"}"));
+        // The count-only probe is a series like the timed ones.
+        assert!(text.contains("sd_serve_timing_calls_total{function=\"trial_memo_hit\"}"));
         // Every HELP has a TYPE and at least one sample.
         let helps = text.matches("# HELP").count();
         let types = text.matches("# TYPE").count();

@@ -111,8 +111,12 @@ pub static FAIR_SHARE_SORT: FnTimer = FnTimer::new("fair_share_sort");
 /// One whole scheduler pass (the controller's `run_pass`) — the root frame
 /// every finer-grained probe nests under.
 pub static SCHED_PASS: FnTimer = FnTimer::new("sched_pass");
+/// SD-Policy trials answered from the per-pass verdict memo instead of an
+/// `earliest_start` sweep or a mate scan. Work, not time: fed through
+/// [`count`], so its `total_secs` stays zero.
+pub static TRIAL_MEMO_HIT: FnTimer = FnTimer::new("trial_memo_hit");
 
-const ALL: [&FnTimer; 9] = [
+const ALL: [&FnTimer; 10] = [
     &SCHED_PASS,
     &EARLIEST_START,
     &BACKFILL_TRIAL,
@@ -122,6 +126,7 @@ const ALL: [&FnTimer; 9] = [
     &CUTOFF,
     &QUOTA_CHECK,
     &FAIR_SHARE_SORT,
+    &TRIAL_MEMO_HIT,
 ];
 
 /// RAII probe: measures from construction to drop when timing is enabled,
@@ -142,6 +147,14 @@ impl Drop for TimedScope {
 pub fn scope(timer: &'static FnTimer) -> TimedScope {
     TimedScope {
         armed: enabled().then(|| (Instant::now(), timer)),
+    }
+}
+
+/// Counts one occurrence on `timer` without reading the clock (no-op unless
+/// [`enabled`]) — for events too frequent and too short to time.
+pub fn count(timer: &'static FnTimer) {
+    if enabled() {
+        timer.count.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -202,6 +215,7 @@ pub fn stack_frames(name: &str) -> &'static [&'static str] {
         "job_end" => &["sd", "dispatch", "job_end"],
         "mate_scan" => &["sd", "sched_pass", "backfill_trial", "mate_scan"],
         "cutoff" => &["sd", "sched_pass", "backfill_trial", "cutoff"],
+        "trial_memo_hit" => &["sd", "sched_pass", "backfill_trial", "trial_memo_hit"],
         _ => &["sd", "other"],
     }
 }
@@ -246,15 +260,21 @@ mod tests {
         disable();
         reset();
         drop(scope(&EARLIEST_START));
+        count(&TRIAL_MEMO_HIT);
         assert_eq!(EARLIEST_START.snapshot().count, 0, "dormant when off");
+        assert_eq!(TRIAL_MEMO_HIT.snapshot().count, 0, "dormant when off");
 
         enable();
         for _ in 0..3 {
             drop(scope(&EARLIEST_START));
         }
         drop(scope(&QUOTA_CHECK));
+        count(&TRIAL_MEMO_HIT);
+        count(&TRIAL_MEMO_HIT);
         let rows = report();
-        assert_eq!(rows.len(), 9);
+        assert_eq!(rows.len(), 10);
+        let hit = rows.iter().find(|r| r.name == "trial_memo_hit").unwrap();
+        assert_eq!((hit.count, hit.total_secs), (2, 0.0), "never timed");
         let es = rows.iter().find(|r| r.name == "earliest_start").unwrap();
         assert_eq!(es.count, 3);
         let qc = rows.iter().find(|r| r.name == "quota_check").unwrap();
@@ -290,6 +310,7 @@ mod tests {
             FnTiming { name: "cutoff", count: 1, total_secs: 0.005 },
             FnTiming { name: "job_start", count: 2, total_secs: 0.012 },
             FnTiming { name: "job_end", count: 2, total_secs: 0.030 },
+            FnTiming { name: "trial_memo_hit", count: 7, total_secs: 0.0 },
         ];
         let stacks = stack_rows(&rows);
         let find = |suffix: &str| {
@@ -306,6 +327,7 @@ mod tests {
         assert_eq!(find("earliest_start"), 20_000);
         assert_eq!(find("mate_scan"), 15_000);
         assert_eq!(find("cutoff"), 5_000);
+        assert_eq!(find("trial_memo_hit"), 0, "a count weighs nothing in a flamegraph");
         assert!(stacks.iter().all(|(f, _)| f[0] == "sd"));
         // Every timer has a hierarchy entry (no frame falls back to other).
         for r in report() {

@@ -11,7 +11,7 @@
 //! and every pass it ran the gated controller either ran or skipped.
 
 use sd_sched::prelude::*;
-use sd_sched::slurm_sim::{AppAwareModel, DirtyFlags};
+use sd_sched::slurm_sim::{AppAwareModel, BackfillMode, DirtyFlags};
 use PaperWorkload::{W1Cirne, W2CirneIdeal, W3Ricc, W4Curie, W5RealRun};
 
 /// The ungated reference: runs every pass the controller offers.
@@ -31,13 +31,13 @@ impl<S: Scheduler> Scheduler for AlwaysPass<S> {
     }
 }
 
-fn replay<S: Scheduler>(
+fn controller<S: Scheduler>(
     w: PaperWorkload,
     scale: f64,
     seed: u64,
     cfg: SlurmConfig,
     scheduler: S,
-) -> SimResult {
+) -> Controller<S> {
     let state = if w == W5RealRun {
         let apps = PaperWorkload::generate_apps(seed);
         SimState::with_apps(w.cluster(scale), cfg, &apps, Box::new(AppAwareModel), SharingFactor::HALF)
@@ -45,7 +45,7 @@ fn replay<S: Scheduler>(
         let trace = w.generate(seed, scale);
         SimState::new(w.cluster(scale), cfg, &trace, Box::new(IdealModel), SharingFactor::HALF)
     };
-    Controller::new(state, scheduler).run()
+    Controller::new(state, scheduler)
 }
 
 /// FNV-1a over the schedule: every outcome's `(id, submit, start, end,
@@ -87,8 +87,8 @@ fn gated_and_ungated<S: Scheduler + Clone>(
     scheduler: S,
 ) -> (SimResult, SimResult) {
     (
-        replay(w, scale, seed, SlurmConfig::default(), scheduler.clone()),
-        replay(w, scale, seed, SlurmConfig::default(), AlwaysPass(scheduler)),
+        controller(w, scale, seed, SlurmConfig::default(), scheduler.clone()).run(),
+        controller(w, scale, seed, SlurmConfig::default(), AlwaysPass(scheduler)).run(),
     )
 }
 
@@ -205,16 +205,31 @@ fn single_tenant_fair_share_is_bit_identical_to_untenanted() {
 /// (conservative hands the hook an est, EASY lets it resolve one lazily),
 /// and with idle nodes joining the co-schedule (the only case in which a
 /// malleable start changes the pass profile at all).
+///
+/// The same switch arms the trial memo's oracle — every hit recomputes and
+/// compares — so each cell must also be seen to hit: conservative only the
+/// `select_mates` half (it never asks the hook for an est), EASY both. W5
+/// rides along because its co-schedules turn over fastest: with the memo's
+/// clear-on-start removed, it is the W5 cells whose oracle fires.
 #[test]
 fn self_check_validates_profile_cache_end_to_end() {
-    for base in [SlurmConfig::default(), SlurmConfig::large_scale()] {
-        for include_free_nodes in [false, true] {
-            let cfg = SlurmConfig { self_check: true, ..base.clone() };
-            let policy = SdPolicy::new(SdPolicyConfig { include_free_nodes, ..SdPolicyConfig::default() });
-            let res = replay(W3Ricc, 0.02, 7, cfg, policy);
-            assert_eq!(res.leftover_pending, 0);
-            assert!(res.stats.started_malleable > 0, "malleable path exercised");
-            assert!(res.stats.relocations > 0, "relocation path exercised");
+    for (w, scale, seed) in [(W3Ricc, 0.02, 7), (W5RealRun, W5RealRun.default_ci_scale(), 42)] {
+        for base in [SlurmConfig::default(), SlurmConfig::large_scale()] {
+            for include_free_nodes in [false, true] {
+                let cfg = SlurmConfig { self_check: true, ..base.clone() };
+                let easy = cfg.backfill_mode == BackfillMode::Easy;
+                let cell = format!("{w:?} easy={easy} include_free_nodes={include_free_nodes}");
+                let policy = SdPolicy::new(SdPolicyConfig { include_free_nodes, ..SdPolicyConfig::default() });
+                let mut ctl = controller(w, scale, seed, cfg, policy);
+                ctl.step_until(None);
+                let hits = ctl.scheduler.memo_hits();
+                assert!(hits.mates > 0, "{cell}: the mates memo never hit");
+                assert_eq!(hits.est > 0, easy, "{cell}: {} est memo hits", hits.est);
+                let res = ctl.into_result();
+                assert_eq!(res.leftover_pending, 0, "{cell}");
+                assert!(res.stats.started_malleable > 0, "{cell}: malleable path exercised");
+                assert!(res.stats.relocations > 0, "{cell}: relocation path exercised");
+            }
         }
     }
 }
