@@ -139,36 +139,40 @@ where
         };
         // EASY non-head: no reservation either way, so no est here; the
         // hook computes one itself only if it mounts a trial.
-        let est = if reserve_wanted {
-            let est = profile.earliest_start(req_nodes, req_time, st.now);
-            if est == SimTime::MAX {
+        let slot = if reserve_wanted {
+            let slot = profile.earliest_slot(req_nodes, req_time, st.now);
+            if slot.start == SimTime::MAX {
                 st.trace.emit(
                     st.now.secs(),
                     TraceKind::BackfillRejected { job: id.0, reason: RejectReason::NeverFits },
                 );
                 continue; // cannot ever run (larger than the machine)
             }
-            debug_assert!(est > st.now, "can_start_now said otherwise");
-            Some(est)
+            debug_assert!(slot.start > st.now, "can_start_now said otherwise");
+            Some(slot)
         } else {
             None
         };
-        if flexible(st, id, est, &mut profile) {
+        // The hook changes the profile only when it starts the job, and then
+        // no reservation follows — so `slot` is still valid below.
+        if flexible(st, id, slot.map(|s| s.start), &mut profile) {
             // The hook applied the in-place delta.
             if self_check {
                 assert_delta_equals_rebuild(st, &profile, &waiting_resv);
             }
             continue;
         }
-        match est {
-            Some(est) => {
-                profile.reserve(est, req_time, req_nodes);
+        match slot {
+            Some(slot) => {
+                profile.reserve_slot(slot, req_time, req_nodes);
                 if self_check {
-                    waiting_resv.push((est, req_time, req_nodes));
+                    waiting_resv.push((slot.start, req_time, req_nodes));
                 }
                 head_reserved = true;
-                st.trace
-                    .emit(st.now.secs(), TraceKind::EasyReserved { job: id.0, est: est.secs() });
+                st.trace.emit(
+                    st.now.secs(),
+                    TraceKind::EasyReserved { job: id.0, est: slot.start.secs() },
+                );
             }
             None => st.trace.emit(
                 st.now.secs(),
@@ -176,15 +180,21 @@ where
             ),
         }
     }
+    if self_check {
+        assert_delta_equals_rebuild(st, &profile, &waiting_resv);
+    }
     st.stats.peak_profile_len = st.stats.peak_profile_len.max(profile.len());
     st.recycle_prefix_scratch(prefix);
     profile
 }
 
-/// The `self_check` oracle for the flexible hook's in-place delta: the pass
-/// profile must equal the availability rebuilt from the release map with
-/// the waiting jobs' reservations replayed on top. [`Profile::reserve`]
-/// leaves redundant step points, so both sides are compared compacted.
+/// The `self_check` oracle for the pass profile's in-place deltas — the
+/// flexible hook's after each malleable start, and every slot-placed
+/// reservation at the end of the pass: the pass profile must equal the
+/// availability rebuilt from the release map with the waiting jobs'
+/// reservations replayed on top through the searching [`Profile::reserve`].
+/// Reservations leave redundant step points, so both sides are compared
+/// compacted.
 fn assert_delta_equals_rebuild(
     st: &SimState,
     profile: &Profile,
@@ -199,7 +209,7 @@ fn assert_delta_equals_rebuild(
     patched.compact();
     assert_eq!(
         patched, rebuilt,
-        "pass profile after a malleable start diverged from rebuild + replay at {:?}",
+        "pass profile diverged from rebuild + replay at {:?}",
         st.now
     );
 }

@@ -140,6 +140,18 @@ pub struct Profile {
     free: Vec<i64>,
 }
 
+/// A window [`Profile::earliest_slot`] found, with the indices its sweep
+/// walked to. Valid only until the profile next changes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slot {
+    /// The earliest start (`SimTime::MAX` if the job never fits).
+    pub start: SimTime,
+    /// The segment holding `start` (0 when `start` is at or before the origin).
+    pub seg: usize,
+    /// The first step at or after `start + duration`, or the profile's length.
+    pub end: usize,
+}
+
 /// An empty placeholder (no domain). Only used as the resting value of
 /// reusable pass buffers; every real profile starts from [`Profile::build`],
 /// [`Profile::flat`] or a `clone_from` of a live profile.
@@ -188,23 +200,28 @@ impl Profile {
         self.times[0]
     }
 
+    /// Index of the segment holding `t` (clamped to the profile's domain).
+    /// O(1) at or before the origin — where every pass query is asked, since
+    /// the pass profile is advanced to `now` — and a binary search otherwise.
+    fn segment_of(&self, t: SimTime) -> usize {
+        if t <= self.times[0] {
+            return 0;
+        }
+        match self.times.binary_search(&t) {
+            Ok(i) => i,
+            Err(i) => i - 1,
+        }
+    }
+
     /// Free nodes at instant `t` (clamped to the profile's domain).
     pub fn free_at(&self, t: SimTime) -> i64 {
-        match self.times.binary_search(&t) {
-            Ok(i) => self.free[i],
-            Err(0) => self.free[0],
-            Err(i) => self.free[i - 1],
-        }
+        self.free[self.segment_of(t)]
     }
 
     /// Minimum free nodes over `[start, start + duration)`.
     pub fn min_free_in(&self, start: SimTime, duration: u64) -> i64 {
         let end = start.after(duration.max(1));
-        let mut idx = match self.times.binary_search(&start) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        };
+        let mut idx = self.segment_of(start);
         let mut min = self.free[idx];
         idx += 1;
         while idx < self.times.len() && self.times[idx] < end {
@@ -215,7 +232,14 @@ impl Profile {
     }
 
     /// Earliest instant ≥ `after` at which `nodes` stay free for
-    /// `duration` seconds.
+    /// `duration` seconds (`SimTime::MAX` if never): the start of
+    /// [`Profile::earliest_slot`].
+    pub fn earliest_start(&self, nodes: u32, duration: u64, after: SimTime) -> SimTime {
+        self.earliest_slot(nodes, duration, after).start
+    }
+
+    /// [`Profile::earliest_start`] plus the indices its sweep walked to, so
+    /// [`Profile::reserve_slot`] can splice the window without searching.
     ///
     /// Single forward sweep over the step points (`O(len)`): a candidate
     /// start (`after` or a later step point) is carried along and abandoned
@@ -223,38 +247,46 @@ impl Profile {
     /// viable step point becomes the new candidate. Equivalent to probing
     /// every candidate with [`Profile::min_free_in`] (the quadratic
     /// `earliest_start_legacy`, kept below as a test-only oracle).
-    pub fn earliest_start(&self, nodes: u32, duration: u64, after: SimTime) -> SimTime {
+    pub(crate) fn earliest_slot(&self, nodes: u32, duration: u64, after: SimTime) -> Slot {
         let _t = crate::timing::scope(&crate::timing::EARLIEST_START);
         let need = nodes as i64;
         let dur = duration.max(1);
-        let n = self.times.len();
-        // Segment containing `after` (clamped to the profile's domain).
-        let init = match self.times.binary_search(&after) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        };
+        let times = &self.times[..];
+        let free = &self.free[..times.len()];
+        let n = times.len();
+        let init = self.segment_of(after);
         let mut i = init;
         'candidates: loop {
             // Phase A: find the next viable segment — its step point (or
             // `after` itself for the initial segment) is the candidate.
-            while self.free[i] < need {
+            while free[i] < need {
                 i += 1;
                 if i >= n {
                     // Ran out of steps without a viable candidate: the job
                     // never fits (bigger than the machine).
-                    return SimTime::MAX;
+                    return Slot {
+                        start: SimTime::MAX,
+                        seg: n - 1,
+                        end: n,
+                    };
                 }
             }
-            let cand = if i == init { after } else { self.times[i] };
+            let cand = if i == init { after } else { times[i] };
             let close = cand.after(dur);
             // Phase B: capacity must hold until the window closes.
             let mut j = i + 1;
             loop {
-                if j >= n || self.times[j] >= close {
-                    return cand;
+                if j >= n || times[j] >= close {
+                    // A window closing at or before the origin (`after`
+                    // earlier than it) ends before step 0, not after it.
+                    let end = if close <= times[0] { 0 } else { j };
+                    return Slot {
+                        start: cand,
+                        seg: i,
+                        end,
+                    };
                 }
-                if self.free[j] < need {
+                if free[j] < need {
                     // The blocking segment invalidates every candidate up to
                     // its step point; restart the search from it.
                     i = j;
@@ -274,11 +306,7 @@ impl Profile {
     pub fn can_start_now(&self, nodes: u32, duration: u64, now: SimTime) -> bool {
         let need = nodes as i64;
         let dur = duration.max(1);
-        let mut i = match self.times.binary_search(&now) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        };
+        let mut i = self.segment_of(now);
         if self.free[i] < need {
             return false;
         }
@@ -326,35 +354,75 @@ impl Profile {
     }
 
     /// Subtracts `nodes` over `[start, start + duration)` (a reservation or
-    /// an actual start).
-    ///
-    /// Hot path: both split points are spliced in with a single tail shift
-    /// per vector (instead of two independent `Vec::insert` memmoves), then
-    /// the subtraction touches only the window's segments.
+    /// an actual start), locating both window boundaries by binary search.
     pub fn reserve(&mut self, start: SimTime, duration: u64, nodes: u32) {
         let end = start.after(duration.max(1));
         let t0 = self.times[0];
-        // Where the two boundaries sit in the current arrays, and whether a
-        // step must be materialised (instants at/before the domain start are
-        // clamped, exactly like the original split_at).
-        let (ins_start, s_idx) = if start <= t0 {
+        // Instants at/before the domain start are clamped to step 0.
+        let boundary = |found: Result<usize, usize>| match found {
+            Ok(i) => (false, i),
+            Err(i) => (true, i),
+        };
+        let s = if start <= t0 {
             (false, 0)
         } else {
-            match self.times.binary_search(&start) {
-                Ok(i) => (false, i),
-                Err(i) => (true, i),
-            }
+            boundary(self.times.binary_search(&start))
         };
-        let (ins_end, e_idx) = if end == SimTime::MAX {
+        let e = if end == SimTime::MAX {
             (false, usize::MAX)
         } else if end <= t0 {
             (false, 0)
         } else {
-            match self.times.binary_search(&end) {
-                Ok(i) => (false, i),
-                Err(i) => (true, i),
-            }
+            boundary(self.times.binary_search(&end))
         };
+        self.splice_and_subtract(start, end, s, e, nodes);
+    }
+
+    /// [`Profile::reserve`] of the window [`Profile::earliest_slot`] found,
+    /// spliced at `slot.seg` / `slot.end` without searching. The slot must
+    /// come from this profile as it is now: a profile changed since the
+    /// sweep is a caller bug, refused with a panic rather than re-searched.
+    pub(crate) fn reserve_slot(&mut self, slot: Slot, duration: u64, nodes: u32) {
+        let Slot {
+            start,
+            seg,
+            end: e_idx,
+        } = slot;
+        let end = start.after(duration.max(1));
+        let (times, n) = (&self.times, self.times.len());
+        assert!(
+            seg < n
+                && e_idx <= n
+                && (seg == 0 || times[seg] <= start)
+                && (seg + 1 == n || start < times[seg + 1])
+                && (e_idx == 0 || times[e_idx - 1] < end)
+                && (e_idx == n || end <= times[e_idx]),
+            "stale slot {slot:?} for a {duration} s window on a {n}-step profile"
+        );
+        let ins_start = start > times[seg];
+        let e = if end == SimTime::MAX {
+            (false, usize::MAX)
+        } else {
+            (e_idx > 0 && (e_idx == n || times[e_idx] != end), e_idx)
+        };
+        self.splice_and_subtract(start, end, (ins_start, seg + ins_start as usize), e, nodes);
+    }
+
+    /// Subtracts `nodes` over `[start, end)`, given where each boundary
+    /// sits in the current arrays — `(insert a step, index)`, the index
+    /// being `binary_search`'s, or `usize::MAX` for an end at `SimTime::MAX`.
+    ///
+    /// Hot path: both split points are spliced in with a single tail shift
+    /// per vector (instead of two independent `Vec::insert` memmoves), then
+    /// the subtraction touches only the window's segments.
+    fn splice_and_subtract(
+        &mut self,
+        start: SimTime,
+        end: SimTime,
+        (ins_start, s_idx): (bool, usize),
+        (ins_end, e_idx): (bool, usize),
+        nodes: u32,
+    ) {
         // Materialise the splits — at most one tail shift per vector — and
         // derive the final half-open window of indices to subtract over.
         let window = match (ins_start, ins_end) {
@@ -398,19 +466,6 @@ impl Profile {
         };
         for f in &mut self.free[window] {
             *f -= nodes as i64;
-        }
-    }
-
-    fn split_at(&mut self, t: SimTime) {
-        if t < self.times[0] {
-            return;
-        }
-        match self.times.binary_search(&t) {
-            Ok(_) => {}
-            Err(i) => {
-                self.times.insert(i, t);
-                self.free.insert(i, self.free[i - 1]);
-            }
         }
     }
 
@@ -478,10 +533,17 @@ impl Profile {
         self.compact();
     }
 
-    /// Adds `delta` free nodes over `[t, ∞)`.
+    /// Adds `delta` free nodes over `[t, ∞)` (from the origin if `t` is
+    /// before it), materialising a step at `t` when there is none.
     fn add_from(&mut self, t: SimTime, delta: i64) {
-        self.split_at(t);
-        let from = self.times.partition_point(|&x| x < t);
+        let from = match self.times.binary_search(&t) {
+            Ok(i) | Err(i @ 0) => i,
+            Err(i) => {
+                self.times.insert(i, t);
+                self.free.insert(i, self.free[i - 1]);
+                i
+            }
+        };
         for f in &mut self.free[from..] {
             *f += delta;
         }
@@ -672,7 +734,100 @@ mod tests {
         assert_eq!(p.free_at(SimTime(100)), 4);
     }
 
+    #[test]
+    #[should_panic(expected = "stale slot")]
+    fn slot_taken_before_an_intervening_reserve_is_refused() {
+        let mut p = Profile::flat(SimTime(0), 4);
+        p.reserve(SimTime(0), 100, 4);
+        let slot = p.earliest_slot(2, 50, SimTime(0));
+        assert_eq!((slot.start, slot.seg, slot.end), (SimTime(100), 1, 2));
+        // A search would still place the job at 100; the slot's `end` now
+        // points at the new step at 120, so it is refused instead.
+        p.reserve(SimTime(120), 10, 1);
+        p.reserve_slot(slot, 50, 2);
+    }
+
+    /// The segment `binary_search` maps `t` to: what `segment_of` must return.
+    fn searched_segment(p: &Profile, t: SimTime) -> usize {
+        match p.times.binary_search(&t) {
+            Ok(i) => i,
+            Err(0) => 0,
+            Err(i) => i - 1,
+        }
+    }
+
     proptest::proptest! {
+        /// A chain of jobs reserved through `earliest_slot` + `reserve_slot`
+        /// leaves arrays identical — not merely equal after compaction:
+        /// `peak_profile_len` reads them — to the same chain reserved
+        /// through `earliest_start` + `reserve`. Releases sit on a 10 s grid
+        /// so windows often end exactly on a step; `after` is drawn before
+        /// the origin, at it, on a step, anywhere (mostly mid-segment) and
+        /// past the last step; windows end on the next step, on the grid,
+        /// past the last step and at `SimTime::MAX`.
+        #[test]
+        fn slot_reservations_equal_searched_reservations(
+            releases in proptest::collection::vec((1u64..80, 1u32..4), 0..16),
+            resvs in proptest::collection::vec((0u64..900, 1u64..300, 1u32..5), 0..10),
+            free_now in 0u32..8,
+            chain in proptest::collection::vec((1u32..10, 0u8..5, 0u8..5, 0u64..1000), 1..=40),
+        ) {
+            const ORIGIN: u64 = 100;
+            let mut rm = ReleaseMap::new(64);
+            let mut nid = 0u32;
+            for &(t, c) in &releases {
+                for _ in 0..c {
+                    rm.set_release(NodeId(nid), Some(SimTime(ORIGIN + 10 * t)));
+                    nid += 1;
+                }
+            }
+            let mut searched = Profile::build(SimTime(ORIGIN), free_now, &rm);
+            for &(s, d, n) in &resvs {
+                searched.reserve(SimTime(s), d, n);
+            }
+            let mut slotted = searched.clone();
+            for &(nodes, after_kind, dur_kind, raw) in &chain {
+                let times = &searched.times;
+                let last = *times.last().unwrap();
+                let after = match after_kind {
+                    0 => SimTime(raw % ORIGIN),
+                    1 => SimTime(ORIGIN),
+                    2 => times[raw as usize % times.len()],
+                    3 => SimTime(ORIGIN + raw),
+                    _ => last.after(1 + raw),
+                };
+                let duration = match dur_kind {
+                    0 => match times.iter().find(|&&t| t > after) {
+                        Some(&t) => t.since(after),
+                        None => 1 + raw,
+                    },
+                    1 => 10 * (1 + raw % 60),
+                    2 => 1 + raw % 600,
+                    3 => last.since(after) + 1 + raw % 50,
+                    _ => u64::MAX,
+                };
+                let slot = slotted.earliest_slot(nodes, duration, after);
+                let est = searched.earliest_start(nodes, duration, after);
+                proptest::prop_assert_eq!(slot.start, est, "on {:?}", searched);
+                if est == SimTime::MAX {
+                    continue;
+                }
+                let close = est.after(duration.max(1));
+                for t in [after, est, close] {
+                    proptest::prop_assert_eq!(slotted.segment_of(t), searched_segment(&slotted, t));
+                }
+                proptest::prop_assert_eq!(slot.seg, searched_segment(&slotted, est));
+                proptest::prop_assert_eq!(slot.end, slotted.times.partition_point(|&t| t < close));
+                searched.reserve(est, duration, nodes);
+                slotted.reserve_slot(slot, duration, nodes);
+                proptest::prop_assert_eq!(
+                    &slotted, &searched,
+                    "({} nodes, {} s, after {:?}) landed elsewhere", nodes, duration, after
+                );
+            }
+        }
+
+
         /// The O(len) forward-sweep `earliest_start` returns exactly what
         /// the candidate-probing implementation returns, on profiles with
         /// arbitrary releases *and* reservations (dips included), and
