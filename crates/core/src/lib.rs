@@ -10,8 +10,8 @@
 //!   (worst-case runtime model) and co-schedules the job onto shrunk *mates*
 //!   only when the predicted slowdown improves.
 //! * [`mates`] — Listing 2 / Eqs. 1–3: the NP-complete mate-selection
-//!   problem and the paper's heuristic (penalty-sorted candidate list capped
-//!   at `nm`, combinations of at most `m` mates, Σ weights = W).
+//!   problem and the paper's heuristic (the `nm` lowest-penalty candidates,
+//!   combinations of at most `m` mates, Σ weights = W).
 //! * [`penalty`] — Eq. 4: `p = (wait + increase + req)/req`.
 //! * [`maxsd`] — the MAX_SLOWDOWN cut-off: static values (MAXSD 5/10/50/∞)
 //!   and the feedback-driven `DynAVGSD` variant.

@@ -4,12 +4,14 @@
 //! `pᵢ < P` (Eq. 2, the MAX_SLOWDOWN cut-off) and `Σ xᵢ·wᵢ = W` (Eq. 3,
 //! whole-node weights). Selecting mates is NP-complete; the paper's
 //! heuristic sorts candidates by penalty, truncates to `nm`, and tries
-//! combinations of at most `m` mates (with `m = 2` found optimal).
+//! combinations of at most `m` mates (with `m = 2` found optimal). Here the
+//! truncation keeps the `nm` cheapest by `(penalty, id)` — the set the sort
+//! would keep — and leaves them unordered: no pick depends on the order.
 //!
 //! For `m ≤ 2` the exact optimum over the truncated list is found in
 //! `O(nm)` by bucketing candidates per weight (the best pair for a weight
 //! split is always the two lowest-penalty candidates of the buckets). For
-//! `m ≥ 3` a bounded depth-first search over the buckets is used.
+//! `m ≥ 3` a bounded depth-first search over a sorted copy is used.
 //!
 //! The integer constraint is evaluated first ([`select_mates`]): every
 //! candidate list is a subset of the simulator's mate pool, so when the
@@ -19,9 +21,9 @@
 use crate::config::SdPolicyConfig;
 use crate::penalty::{mate_penalty, shrink_increase};
 use cluster::JobId;
-use simkit::SimTime;
 use slurm_sim::{timing, SimState};
 use std::cell::RefCell;
+use std::cmp::Ordering;
 
 /// A scored candidate mate.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,6 +33,15 @@ pub struct Candidate {
     pub weight: u32,
     /// Eq. 4 penalty for the concrete co-schedule being considered.
     pub penalty: f64,
+}
+
+/// The candidates' cost order: penalty, ties broken by id. Penalties are
+/// finite and ids unique, so this is a total order.
+fn by_cost(a: &Candidate, b: &Candidate) -> Ordering {
+    a.penalty
+        .partial_cmp(&b.penalty)
+        .unwrap_or(Ordering::Equal)
+        .then(a.id.cmp(&b.id))
 }
 
 /// The chosen mate set (plus optional idle nodes).
@@ -97,7 +108,8 @@ fn usable_free(target: u32, free_nodes_available: u32, cfg: &SdPolicyConfig) -> 
 /// * the finish-inside constraint: the new job's requested end
 ///   (`now + mall_wall`) must not exceed the mate's requested end;
 /// * the cut-off `pᵢ < P` (Eq. 2);
-/// * the `nm` cap on the candidate list.
+/// * the `nm` cap on the candidate list: the `nm` cheapest by
+///   `(penalty, id)` are kept, in no particular order.
 pub fn collect_candidates(
     st: &SimState,
     mall_wall: u64,
@@ -118,9 +130,10 @@ pub fn collect_candidates(
     // The pool is sorted by base penalty ((wait+req)/req); the full Eq. 4
     // penalty adds increase/req, so pool order is a good (not perfect)
     // visiting order. We scan a bounded multiple of the cap, score exactly,
-    // then sort and truncate — the paper's sort-then-truncate. The pool
-    // entries carry every filter/score input (denormalised at insertion),
-    // so the scan never touches the job table.
+    // then keep the cap's worth of cheapest — the set the paper's
+    // sort-then-truncate keeps. The pool entries carry every filter/score
+    // input (denormalised at insertion), so the scan never touches the job
+    // table.
     let scan_limit = cfg.candidate_cap.saturating_mul(4).max(16);
     // The Eq. 6 stretch is a function of `(ranks_per_node, mall_wall)` only
     // (`None`: nothing can be freed): recomputed when an entry's ranks
@@ -154,19 +167,27 @@ pub fn collect_candidates(
             penalty: p,
         });
     }
-    out.sort_by(|a, b| {
-        a.penalty
-            .partial_cmp(&b.penalty)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.id.cmp(&b.id))
-    });
-    out.truncate(cfg.candidate_cap);
+    keep_cheapest(&mut out, cfg.candidate_cap);
     out
+}
+
+/// Truncates `cands` to its `nm` cheapest by [`by_cost`] — the same set a
+/// sort followed by a truncation keeps, since the order is total — without
+/// sorting them.
+fn keep_cheapest(cands: &mut Vec<Candidate>, nm: usize) {
+    if cands.len() > nm {
+        if nm > 0 {
+            cands.select_nth_unstable_by(nm - 1, by_cost);
+        }
+        cands.truncate(nm);
+    }
 }
 
 /// Finds the minimum-PI combination of ≤ `max_mates` candidates whose
 /// weights sum to exactly `target` (Eq. 3), optionally topping up with idle
-/// nodes. Returns `None` when no combination exists.
+/// nodes. Returns `None` when no combination exists. The candidates may come
+/// in any order; ties are broken by [`by_cost`], so the answer does not
+/// depend on it.
 pub fn pick_mates(
     candidates: &[Candidate],
     target: u32,
@@ -210,12 +231,12 @@ fn best_single(candidates: &[Candidate], need: u32) -> Option<(Vec<JobId>, f64)>
     candidates
         .iter()
         .filter(|c| c.weight == need)
+        .min_by(|a, b| by_cost(a, b))
         .map(|c| (vec![c.id], c.penalty))
-        .next() // list is penalty-sorted
 }
 
-/// The two cheapest candidates of one weight, as indices into the
-/// penalty-sorted candidate list.
+/// The two cheapest candidates of one weight by [`by_cost`], as indices
+/// into the candidate list.
 struct Bucket {
     weight: u32,
     first: usize,
@@ -239,9 +260,14 @@ fn best_pair(candidates: &[Candidate], need: u32) -> Option<(Vec<JobId>, f64)> {
                 continue;
             }
             match buckets.binary_search_by_key(&c.weight, |b| b.weight) {
-                // The list is penalty-sorted: first seen is cheapest.
                 Ok(at) => {
-                    buckets[at].second.get_or_insert(i);
+                    let b = &mut buckets[at];
+                    if by_cost(c, &candidates[b.first]).is_lt() {
+                        b.second = Some(b.first);
+                        b.first = i;
+                    } else if b.second.is_none_or(|s| by_cost(c, &candidates[s]).is_lt()) {
+                        b.second = Some(i);
+                    }
                 }
                 Err(at) => buckets.insert(
                     at,
@@ -296,9 +322,10 @@ fn best_pair(candidates: &[Candidate], need: u32) -> Option<(Vec<JobId>, f64)> {
     })
 }
 
-/// Bounded DFS for `m ≥ 3` (ablation configurations): candidates are
-/// penalty-sorted, so the first complete combination per branch is cheap and
-/// pruning on the running PI keeps the search small for `nm ≤ 64`.
+/// Bounded DFS for `m ≥ 3` (ablation configurations) over a copy of the
+/// candidates sorted by [`by_cost`]: the first complete combination per
+/// branch is cheap and pruning on the running PI keeps the search small for
+/// `nm ≤ 64`.
 fn best_combo(candidates: &[Candidate], need: u32, max_mates: usize) -> Option<(Vec<JobId>, f64)> {
     fn dfs(
         cands: &[Candidate],
@@ -333,16 +360,12 @@ fn best_combo(candidates: &[Candidate], need: u32, max_mates: usize) -> Option<(
             acc.pop();
         }
     }
+    let mut sorted = candidates.to_vec();
+    sorted.sort_by(by_cost);
     let mut best = None;
     let mut acc = Vec::with_capacity(max_mates);
-    dfs(candidates, 0, need, max_mates, &mut acc, 0.0, &mut best);
+    dfs(&sorted, 0, need, max_mates, &mut acc, 0.0, &mut best);
     best
-}
-
-/// Wall-clock end instant of a co-schedule beginning now (helper shared
-/// with the policy; exposed for tests).
-pub fn mall_end(now: SimTime, mall_wall: u64) -> SimTime {
-    now.after(mall_wall)
 }
 
 #[cfg(test)]
@@ -380,13 +403,10 @@ mod tests {
 
     #[test]
     fn same_weight_pair_uses_two_cheapest() {
+        // In no order: the cheapest (2) comes second, the dearest (3) last.
         let cands = vec![cand(1, 3, 2.0), cand(2, 3, 1.0), cand(3, 3, 3.0)];
-        // Candidates must be penalty-sorted (collect_candidates guarantees).
-        let mut sorted = cands.clone();
-        sorted.sort_by(|a, b| a.penalty.partial_cmp(&b.penalty).unwrap());
-        let sel = pick_mates(&sorted, 6, 0, &cfg()).unwrap();
-        assert_eq!(sel.mates.len(), 2);
-        assert!(sel.mates.contains(&JobId(2)) && sel.mates.contains(&JobId(1)));
+        let sel = pick_mates(&cands, 6, 0, &cfg()).unwrap();
+        assert_eq!(sel.mates, vec![JobId(2), JobId(1)], "cheapest first");
         assert!((sel.performance_impact - 3.0).abs() < 1e-12);
     }
 
@@ -426,10 +446,8 @@ mod tests {
             cand(4, 2, 2.5),
             cand(5, 3, 0.9),
         ];
-        let mut sorted = cands.clone();
-        sorted.sort_by(|a, b| a.penalty.partial_cmp(&b.penalty).unwrap());
-        let pair = best_pair(&sorted, 5).unwrap();
-        let combo = best_combo(&sorted, 5, 2).unwrap();
+        let pair = best_pair(&cands, 5).unwrap();
+        let combo = best_combo(&cands, 5, 2).unwrap();
         assert!((pair.1 - combo.1).abs() < 1e-12);
     }
 
@@ -480,19 +498,98 @@ mod tests {
             raw in proptest::collection::vec((0u32..9, 0u32..6), 0..40),
             need in 0u32..18,
         ) {
-            let mut cands: Vec<Candidate> = raw
+            let cands: Vec<Candidate> = raw
                 .iter()
                 .enumerate()
                 .map(|(i, &(w, p))| cand(i as u64 + 1, w, p as f64 * 0.3))
                 .collect();
-            cands.sort_by(|a, b| a.penalty.partial_cmp(&b.penalty).unwrap());
+            // The search takes any order; the reference wants cost order.
+            let mut sorted = cands.clone();
+            sorted.sort_by(by_cost);
             let got = best_pair(&cands, need);
-            let want = best_pair_reference(&cands, need);
+            let want = best_pair_reference(&sorted, need);
             proptest::prop_assert_eq!(
                 got.as_ref().map(|(m, pi)| (m, pi.to_bits())),
                 want.as_ref().map(|(m, pi)| (m, pi.to_bits()))
             );
         }
+
+        /// The unsorted top-`nm` and the order-free pick give what sorting,
+        /// truncating and taking the first seen gave: the same mates in the
+        /// same order, the same idle nodes and the same PI bits. Ids are
+        /// shuffled against list order and penalties are coarse, so ties
+        /// are common; lists run shorter and longer than `nm`.
+        #[test]
+        fn unsorted_top_nm_pick_matches_sort_truncate_pick(
+            raw in proptest::collection::vec((1u32..7, 0u32..6), 0..40),
+            id_step in 1u64..97,
+            nm in 1usize..16,
+            target in 1u32..14,
+            free_available in 0u32..4,
+            max_mates in 1usize..4,
+            include_free in 0u8..2,
+        ) {
+            // `i * id_step mod 97` is a permutation of the positions.
+            let cands: Vec<Candidate> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(w, p))| cand(i as u64 * id_step % 97 + 1, w, p as f64 * 0.3))
+                .collect();
+            let cfg = SdPolicyConfig {
+                max_mates,
+                include_free_nodes: include_free == 1,
+                candidate_cap: nm,
+                ..cfg()
+            };
+            let mut top = cands.clone();
+            keep_cheapest(&mut top, nm);
+            let got = pick_mates(&top, target, free_available, &cfg);
+            let mut sorted = cands.clone();
+            sorted.sort_by(by_cost);
+            sorted.truncate(nm);
+            let want = pick_sorted_reference(&sorted, target, free_available, &cfg);
+            let bits = |s: &Option<Selection>| {
+                s.as_ref().map(|s| (s.mates.clone(), s.free_nodes, s.performance_impact.to_bits()))
+            };
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+            top.sort_by(by_cost);
+            proptest::prop_assert_eq!(top, sorted, "top-nm is the sort's prefix");
+        }
+    }
+
+    /// [`pick_mates`] as it was while its input came sorted by cost: the
+    /// first candidate seen of a weight is taken as its cheapest.
+    fn pick_sorted_reference(
+        sorted: &[Candidate],
+        target: u32,
+        free_nodes_available: u32,
+        cfg: &SdPolicyConfig,
+    ) -> Option<Selection> {
+        if target == 0 || sorted.is_empty() {
+            return None;
+        }
+        let mut best: Option<Selection> = None;
+        for used_free in (0..=usable_free(target, free_nodes_available, cfg)).rev() {
+            let need = target - used_free;
+            let found = match cfg.max_mates {
+                0 => None,
+                1 => sorted.iter().find(|c| c.weight == need).map(|c| (vec![c.id], c.penalty)),
+                2 => best_pair_reference(sorted, need),
+                // Sorting a sorted list is the identity: this is the DFS
+                // over the caller's order.
+                m => best_combo(sorted, need, m),
+            };
+            if let Some((mates, pi)) = found {
+                if best.as_ref().is_none_or(|b| pi < b.performance_impact) {
+                    best = Some(Selection {
+                        mates,
+                        free_nodes: used_free,
+                        performance_impact: pi,
+                    });
+                }
+            }
+        }
+        best
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! 2. a **dynamic value** (`DynAVGSD`): the average slowdown of the running
 //!    jobs, refreshed "every time the controller is not busy" — here, once
 //!    per scheduling pass — using real durations, which is what gives the
-//!    variant its extra precision on Workload 2.
+//!    variant its extra precision on Workload 2. The simulator keeps the sum
+//!    where each running job's end is armed and where the job leaves, so the
+//!    read is O(1) rather than a walk over the running jobs.
 
-use simkit::SimTime;
 use slurm_sim::SimState;
 
 /// The cut-off policy for mate penalties.
@@ -57,27 +58,13 @@ impl MaxSlowdown {
 }
 
 /// Average *estimated final* slowdown of the currently running jobs, using
-/// real durations: `((now − submit) + remaining_wall) / static_runtime`.
+/// real durations: `(end − submit) / static_runtime`, where `end` is the
+/// instant the job's completion is armed for. O(1): the simulator keeps the
+/// sum where each end is armed ([`SimState::running_slowdown`]).
 ///
 /// Returns `+∞` when nothing is running (nothing to protect, no filter).
 pub fn running_avg_slowdown(st: &SimState) -> f64 {
-    let now = st.now;
-    let mut sum = 0.0;
-    let mut n = 0u64;
-    for id in st.running_ids() {
-        let job = st.job(id);
-        let Some(run) = job.running() else { continue };
-        let total = job.spec.static_runtime;
-        let predicted_end = run.predicted_end(now, total);
-        let end = if predicted_end == SimTime::MAX {
-            continue;
-        } else {
-            predicted_end
-        };
-        let response = end.since(job.spec.submit) as f64;
-        sum += response / total.max(1) as f64;
-        n += 1;
-    }
+    let (sum, n) = st.running_slowdown();
     if n == 0 {
         f64::INFINITY
     } else {

@@ -16,8 +16,7 @@
 //! The real DROM talks to OpenMP/OmpSs runtimes via shared memory; here the
 //! "applications" are simulated jobs, so a mask change is applied at the next
 //! malleability point, which the simulator reaches instantaneously (the
-//! measured DROM overhead is negligible — paper §2.1). A configurable
-//! `reconfig_latency` is still plumbed through for sensitivity studies.
+//! measured DROM overhead is negligible — paper §2.1).
 
 pub mod distribution;
 pub mod node;

@@ -67,6 +67,12 @@ impl JobSpec {
             project: j.group.max(0) as u32,
         })
     }
+
+    /// The slowdown the job would finish with if it ended at `end`: response
+    /// time over static runtime, as [`JobOutcome::slowdown`] computes it.
+    pub fn slowdown_ending_at(&self, end: SimTime) -> f64 {
+        end.since(self.submit) as f64 / self.static_runtime.max(1) as f64
+    }
 }
 
 /// Dynamic state of a job that is currently executing.
@@ -87,6 +93,11 @@ pub struct RunningJob {
     pub last_banked: SimTime,
     /// Generation counter for end events (stale events are ignored).
     pub end_gen: u64,
+    /// Instant of the live `End` event (generation `end_gen`), or
+    /// `SimTime::MAX` before the first arming and while the rate is 0.
+    /// Set only where the event is armed; not serialised — a restore reads
+    /// it back from the event queue.
+    pub armed_end: SimTime,
     /// Requested-time-based predicted end, used by profiles/reservations and
     /// the finish-inside-mates constraint. Extended when the job is shrunk.
     pub req_end: SimTime,
@@ -117,6 +128,7 @@ impl RunningJob {
             rate: 1.0,
             last_banked: now,
             end_gen: 0,
+            armed_end: SimTime::MAX,
             req_end: now.after(req_time),
             mates: Vec::new(),
             lent_to: Vec::new(),

@@ -460,6 +460,7 @@ impl SimState {
     pub(super) fn release_running(&mut self, id: JobId, spec: &JobSpec, run: RunningJob) {
         let now = self.now;
         self.running.remove(&id);
+        self.slowdown.sub(spec, run.armed_end);
         self.running_by_end.remove(&(run.req_end, id));
         self.shrunk.remove(&id);
         self.pool_remove_keyed(Self::pool_key(spec, run.start), id);
@@ -613,14 +614,20 @@ impl SimState {
         self.rate_model.rate(&inputs).clamp(0.0, 1.0)
     }
 
-    /// Arms (or re-arms) the end event for `id` at its predicted completion.
+    /// Arms (or re-arms) the end event for `id` at its predicted completion,
+    /// moving the job's DynAVGSD term from its previous armed end to this one.
     pub(super) fn arm_end(&mut self, id: JobId) {
         let now = self.now;
-        let total = self.job(id).spec.static_runtime;
-        let run = self.job(id).running().expect("arm end of running job");
-        let when = run.predicted_end(now, total);
+        let Job { spec, state } = &mut self.jobs[(id.0 - 1) as usize];
+        let JobState::Running(run) = state else {
+            panic!("arm end of non-running {id}");
+        };
+        let when = run.predicted_end(now, spec.static_runtime);
         let gen = run.end_gen;
         debug_assert!(when != SimTime::MAX, "job would never finish");
+        let was = std::mem::replace(&mut run.armed_end, when);
+        self.slowdown.sub(spec, was);
+        self.slowdown.add(spec, when);
         self.events.push(when, Event::End { job: id, gen });
     }
 

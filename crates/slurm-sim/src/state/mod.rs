@@ -111,6 +111,55 @@ pub struct MateEntry {
     pub ranks_per_node: u32,
 }
 
+/// 2^64: the fixed-point scale of [`SlowdownSum`].
+const TWO_64: f64 = 18_446_744_073_709_551_616.0;
+
+/// DynAVGSD's inputs (paper §3.2.2), kept where they change: the sum over
+/// running jobs of [`JobSpec::slowdown_ending_at`] their armed end, and how
+/// many terms it holds. A job's term is added and removed only where its
+/// end is armed ([`SimState::arm_end`]) and where it leaves
+/// ([`SimState::release_running`]); a job at rate 0 never ends and has none.
+///
+/// The sum is `i128` fixed point at 2^-64, exact for every term in
+/// [2^-11, 2^63): it does not depend on the order of its updates, so the
+/// incremental sum, a recount and a restored state agree bit for bit.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct SlowdownSum {
+    fixed: i128,
+    n: u64,
+}
+
+impl SlowdownSum {
+    /// `spec`'s term if it ends at `end`; `None` for `SimTime::MAX`.
+    fn term(spec: &JobSpec, end: SimTime) -> Option<i128> {
+        if end == SimTime::MAX {
+            return None;
+        }
+        let x = spec.slowdown_ending_at(end);
+        debug_assert!((0.0..TWO_64 / 2.0).contains(&x), "slowdown term {x} out of range");
+        // Integer and fraction apart: a direct f64 → i128 cast is a
+        // library call. Both steps are exact (the fraction of an f64 is an
+        // f64, and the scale is a power of two).
+        let int = x as i64;
+        let frac = ((x - int as f64) * TWO_64) as u64;
+        Some(((int as i128) << 64) + frac as i128)
+    }
+
+    fn add(&mut self, spec: &JobSpec, end: SimTime) {
+        if let Some(t) = Self::term(spec, end) {
+            self.fixed += t;
+            self.n += 1;
+        }
+    }
+
+    fn sub(&mut self, spec: &JobSpec, end: SimTime) {
+        if let Some(t) = Self::term(spec, end) {
+            self.fixed -= t;
+            self.n -= 1;
+        }
+    }
+}
+
 /// Full simulator state. See module docs.
 pub struct SimState {
     pub now: SimTime,
@@ -135,6 +184,8 @@ pub struct SimState {
     /// Running malleable-backfilled jobs currently below full width
     /// (maintained at every reconfiguration; ascending id).
     shrunk: BTreeSet<JobId>,
+    /// DynAVGSD's sum over the running jobs' armed ends.
+    slowdown: SlowdownSum,
     releases: ReleaseMap,
     /// Cached availability, patched on every release change. It always
     /// equals `Profile::build(now', empty, releases)` for the instant `now'`
@@ -310,6 +361,7 @@ impl SimState {
             pool_weights: PoolWeights::default(),
             running_by_end: BTreeSet::new(),
             shrunk: BTreeSet::new(),
+            slowdown: SlowdownSum::default(),
             releases: ReleaseMap::new(nodes),
             avail: Profile::flat(SimTime::ZERO, nodes),
             dirty: DirtyFlags::default(),
@@ -362,8 +414,32 @@ impl SimState {
         self.running.len()
     }
 
-    pub fn running_ids(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.running.iter().copied()
+    /// DynAVGSD's inputs in O(1): the sum of the running jobs' slowdowns
+    /// at their armed ends (`(end − submit) / static_runtime` each) and the
+    /// number of terms. A job at rate 0 never ends and is in neither.
+    /// Under `cfg.self_check` every read is checked against a recount.
+    pub fn running_slowdown(&self) -> (f64, u64) {
+        if self.cfg.self_check {
+            assert_eq!(
+                self.slowdown,
+                self.recount_slowdown(),
+                "DynAVGSD sum diverged from a recount at {:?}",
+                self.now
+            );
+        }
+        (self.slowdown.fixed as f64 / TWO_64, self.slowdown.n)
+    }
+
+    /// [`SlowdownSum`] rebuilt from scratch over the running set.
+    fn recount_slowdown(&self) -> SlowdownSum {
+        let mut sum = SlowdownSum::default();
+        for &id in &self.running {
+            let job = self.job(id);
+            if let Some(run) = job.running() {
+                sum.add(&job.spec, run.armed_end);
+            }
+        }
+        sum
     }
 
     pub fn outcomes(&self) -> &[JobOutcome] {
@@ -531,6 +607,28 @@ impl SimState {
         }
         if self.shrunk.iter().any(|id| !self.running.contains(id)) {
             return Err("shrunk index holds a non-running job".into());
+        }
+        // Each running job's armed end is the instant of its one live end
+        // event, and the DynAVGSD sum is the recount over those ends.
+        let mut live_ends = 0;
+        for (t, ev, _) in self.events.snapshot().0 {
+            let Event::End { job, gen } = ev else { continue };
+            let run = job.0.checked_sub(1).and_then(|i| self.jobs.get(i as usize)?.running());
+            if let Some(r) = run.filter(|r| r.end_gen == gen) {
+                if r.armed_end != t {
+                    return Err(format!("{job} armed end {:?} vs live event {t:?}", r.armed_end));
+                }
+                live_ends += 1;
+            }
+        }
+        if live_ends != self.running.len() {
+            return Err(format!(
+                "{live_ends} live end events for {} running jobs",
+                self.running.len()
+            ));
+        }
+        if self.slowdown != self.recount_slowdown() {
+            return Err("DynAVGSD sum out of sync with the armed ends".into());
         }
         if self.releases.busy_count() + self.cluster.empty_node_count() != self.spec.nodes {
             return Err("release-map busy counter out of sync".into());

@@ -436,6 +436,7 @@ impl SimState {
                         rate,
                         last_banked,
                         end_gen,
+                        armed_end: SimTime::MAX, // read from the event queue below
                         req_end,
                         mates,
                         lent_to,
@@ -476,6 +477,16 @@ impl SimState {
                 b => return Err(format!("unknown event tag {b}")),
             };
             entries.push((t, ev, r.u64()?));
+        }
+        // A running job's armed end is not serialised: it is the instant of
+        // its live end event. (Recomputing `predicted_end(now)` instead can
+        // land a second away at a rate below 1.)
+        for &(t, ev, _) in &entries {
+            let Event::End { job, gen } = ev else { continue };
+            let run = job.0.checked_sub(1).and_then(|i| st.jobs.get_mut(i as usize)?.running_mut());
+            if let Some(run) = run.filter(|r| r.end_gen == gen) {
+                run.armed_end = t;
+            }
         }
         st.events = EventQueue::from_snapshot(entries, r.u64()?);
 
@@ -670,8 +681,8 @@ impl SimState {
         st.last_end = SimTime(r.u64()?);
         r.finish()?;
 
-        // Derived indices: running sets and the shrunk-borrower index come
-        // straight from the job table.
+        // Derived indices: running sets, the shrunk-borrower index and the
+        // DynAVGSD sum come straight from the job table.
         st.running.clear();
         st.running_by_end.clear();
         st.shrunk.clear();
@@ -684,6 +695,7 @@ impl SimState {
                 }
             }
         }
+        st.slowdown = st.recount_slowdown();
 
         // Availability cache: rebuilt canonically at `now` — equal (by the
         // incremental-maintenance invariant) to the advanced cache the
