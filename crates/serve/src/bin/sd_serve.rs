@@ -250,7 +250,6 @@ fn main() {
         sd_obs::attach_json_sink(path)
             .unwrap_or_else(|e| fail(&format!("opening --log-json {}: {e}", path.display())));
     }
-    slurm_sim::timing::init_from_env();
     // Continuous profiling: the service holds one always-armed window so
     // `GET /v1/profile` has cumulative totals to fall back on; windowed
     // requests still diff around their own arm/disarm pair.

@@ -294,6 +294,20 @@ struct Durability {
     degraded: bool,
 }
 
+impl Durability {
+    fn status(&self) -> WalStatus {
+        WalStatus {
+            records_written: self.store.wal_records_written(),
+            records_replayed: self.replayed,
+            checkpoints_written: self.store.checkpoints_written(),
+            recovery_seconds: self.recovery_seconds,
+            recovered: self.recovered,
+            wal_bytes: self.store.wal_bytes(),
+            wal_segment_age_seconds: self.store.wal_segment_age_seconds(),
+        }
+    }
+}
+
 /// Running aggregates over the simulator's append-only outcome list, kept
 /// so a read folds only the outcomes completed since the previous read.
 /// Folding is the same additions in the same order as one pass over the
@@ -478,15 +492,7 @@ impl Engine {
         engine.checkpoint_now();
         let d = engine.dur.as_mut().unwrap();
         d.recovery_seconds = t0.elapsed().as_secs_f64();
-        let status = WalStatus {
-            records_written: d.store.wal_records_written(),
-            records_replayed: d.replayed,
-            checkpoints_written: d.store.checkpoints_written(),
-            recovery_seconds: d.recovery_seconds,
-            recovered: d.recovered,
-            wal_bytes: d.store.wal_bytes(),
-            wal_segment_age_seconds: d.store.wal_segment_age_seconds(),
-        };
+        let status = d.status();
         Ok((engine, status))
     }
 
@@ -922,15 +928,7 @@ impl Engine {
             submitted: self.submitted,
             tenants: self.tenant_snaps(),
             wait_hist: self.fold.wait_hist.clone(),
-            wal: self.dur.as_ref().map(|d| WalStatus {
-                records_written: d.store.wal_records_written(),
-                records_replayed: d.replayed,
-                checkpoints_written: d.store.checkpoints_written(),
-                recovery_seconds: d.recovery_seconds,
-                recovered: d.recovered,
-                wal_bytes: d.store.wal_bytes(),
-                wal_segment_age_seconds: d.store.wal_segment_age_seconds(),
-            }),
+            wal: self.dur.as_ref().map(Durability::status),
         }
     }
 

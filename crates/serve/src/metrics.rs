@@ -231,8 +231,8 @@ pub fn render(
         snap.wait_hist.sum(),
     );
 
-    // The simulator's per-function timing probes (dormant unless enabled
-    // with SD_TIMING / slurm_sim::timing::enable) as labelled counters.
+    // The simulator's per-function timing probes (armed by `sd_serve` for
+    // its whole life) as labelled counters.
     let timing = slurm_sim::timing::report();
     let _ = writeln!(out, "# HELP sd_serve_timing_seconds_total Wall seconds attributed to instrumented hot functions.");
     let _ = writeln!(out, "# TYPE sd_serve_timing_seconds_total counter");

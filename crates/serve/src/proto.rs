@@ -7,6 +7,7 @@ use crate::json::{Json, JsonError};
 use cluster::JobId;
 use simkit::SimTime;
 use slurm_sim::{JobOutcome, SimResult, SimStats};
+use workload::AppId;
 
 /// A job submission, as posted to `POST /v1/jobs`.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,21 +109,6 @@ impl SubmitRequest {
 // SimResult over the wire
 // ---------------------------------------------------------------------
 
-/// Applications cross the wire as their index in [`workload::APPS`].
-fn app_index(a: workload::AppId) -> u64 {
-    workload::APPS
-        .iter()
-        .position(|m| m.id == a)
-        .expect("every AppId appears in APPS") as u64
-}
-
-fn app_from_index(i: u64) -> Result<workload::AppId, String> {
-    workload::APPS
-        .get(i as usize)
-        .map(|m| m.id)
-        .ok_or_else(|| format!("unknown app index {i}"))
-}
-
 fn encode_outcome(o: &JobOutcome) -> Json {
     Json::obj()
         .set("id", o.id.0)
@@ -135,7 +121,8 @@ fn encode_outcome(o: &JobOutcome) -> Json {
         .set("static_runtime", o.static_runtime)
         .set("malleable_backfilled", o.malleable_backfilled)
         .set("was_mate", o.was_mate)
-        .set("app", o.app.map(app_index))
+        // An application crosses the wire as its index in `workload::APPS`.
+        .set("app", o.app.map(|a| a.index() as u64))
         .set("tenant", u64::from(o.tenant))
 }
 
@@ -164,9 +151,11 @@ fn decode_outcome(v: &Json) -> Result<JobOutcome, String> {
         tenant: num("tenant")? as u32,
         app: match v.get("app") {
             None | Some(Json::Null) => None,
-            Some(x) => Some(app_from_index(
-                x.as_u64().ok_or("outcome field `app` not an integer")?,
-            )?),
+            Some(x) => {
+                let i = x.as_u64().ok_or("outcome field `app` not an integer")?;
+                let app = usize::try_from(i).ok().and_then(AppId::from_index);
+                Some(app.ok_or_else(|| format!("unknown app index {i}"))?)
+            }
         },
     })
 }

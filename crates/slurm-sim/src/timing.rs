@@ -3,10 +3,11 @@
 //! The OAR simulator's `auto_bench_fct` idiom: every hot function gets a
 //! cheap global counter + wall-time accumulator, always compiled in but dormant
 //! until enabled (one relaxed atomic load per probe when off). Enable with
-//! [`enable`] or the `SD_TIMING` environment variable; `run_scenario
-//! --timing` prints the report. It attributes a pass's wall time to
-//! `earliest_start`, the backfill trials, the quota checks and the node
-//! bookkeeping of each job start and end instead of one opaque total.
+//! [`enable`], or hold an [`arm`] window as `sd-serve` does for its whole
+//! life; `run_scenario --timing` prints the report. It attributes a pass's
+//! wall time to `earliest_start`, the backfill trials, the quota checks and
+//! the node bookkeeping of each job start and end instead of one opaque
+//! total.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::time::Instant;
@@ -41,13 +42,6 @@ pub fn disarm() {
 
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed) || ARMED.load(Ordering::Relaxed) > 0
-}
-
-/// Enables probes when the `SD_TIMING` environment variable is set.
-pub fn init_from_env() {
-    if std::env::var_os("SD_TIMING").is_some_and(|v| v != "0") {
-        enable();
-    }
 }
 
 /// One instrumented function: invocation count + summed wall nanoseconds.

@@ -29,6 +29,19 @@ pub enum AppId {
     Alya,
 }
 
+impl AppId {
+    /// This application's position in [`APPS`], which lists them in
+    /// declaration order: how checkpoint images and the wire number it.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// The application at position `i` in [`APPS`], if any.
+    pub fn from_index(i: usize) -> Option<AppId> {
+        APPS.get(i).map(|m| m.id)
+    }
+}
+
 /// Static characterisation of an application.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppModel {
@@ -152,6 +165,15 @@ mod tests {
     fn shares_sum_to_one() {
         let total: f64 = APPS.iter().map(|a| a.share).sum();
         assert!((total - 1.0).abs() < 1e-9, "total {total}");
+    }
+
+    #[test]
+    fn index_is_the_position_in_apps() {
+        for (i, app) in APPS.iter().enumerate() {
+            assert_eq!(app.id.index(), i, "{}", app.name);
+            assert_eq!(AppId::from_index(i), Some(app.id));
+        }
+        assert_eq!(AppId::from_index(APPS.len()), None);
     }
 
     #[test]
