@@ -5,6 +5,10 @@
 use crate::http::{self, Request};
 use crate::json::Json;
 use crate::proto::{self, SubmitRequest};
+use crate::server::{
+    ADVANCE, CANCEL, DRAIN, EXPLAIN, HEALTHZ, JOB, LOGS, METRICS, PROFILE, RESULT, SHUTDOWN, SLO,
+    STATS, SUBMIT, TRACE,
+};
 use slurm_sim::SimResult;
 use std::io::{BufReader, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -178,12 +182,12 @@ impl Client {
     // ----- typed endpoints -----
 
     pub fn health(&mut self) -> Result<(), ClientError> {
-        self.request_json("GET", "/healthz", None).map(|_| ())
+        self.request_json(HEALTHZ.method, HEALTHZ.path, None).map(|_| ())
     }
 
     /// Submits a job; returns `(id, effective submit time)`.
     pub fn submit(&mut self, req: &SubmitRequest) -> Result<(u64, u64), ClientError> {
-        let v = self.request_json("POST", "/v1/jobs", Some(&req.encode()))?;
+        let v = self.request_json(SUBMIT.method, SUBMIT.path, Some(&req.encode()))?;
         let id = v
             .get("id")
             .and_then(Json::as_u64)
@@ -193,21 +197,20 @@ impl Client {
     }
 
     pub fn cancel(&mut self, id: u64) -> Result<(), ClientError> {
-        self.request_json("POST", &format!("/v1/jobs/{id}/cancel"), None)
-            .map(|_| ())
+        self.request_json(CANCEL.method, &CANCEL.with_id(id), None).map(|_| ())
     }
 
     pub fn job(&mut self, id: u64) -> Result<Json, ClientError> {
-        self.request_json("GET", &format!("/v1/jobs/{id}"), None)
+        self.request_json(JOB.method, &JOB.with_id(id), None)
     }
 
     pub fn stats(&mut self) -> Result<Json, ClientError> {
-        self.request_json("GET", "/v1/stats", None)
+        self.request_json(STATS.method, STATS.path, None)
     }
 
     /// Raw Prometheus exposition text.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        let (status, bytes) = self.request("GET", "/metrics", None)?;
+        let (status, bytes) = self.request(METRICS.method, METRICS.path, None)?;
         if status != 200 {
             return Err(ClientError::Status(status, String::from_utf8_lossy(&bytes).into()));
         }
@@ -216,12 +219,13 @@ impl Client {
 
     /// Tails the decision trace from cursor `since` (≤ `limit` events).
     pub fn trace(&mut self, since: u64, limit: u64) -> Result<Json, ClientError> {
-        self.request_json("GET", &format!("/v1/trace?since={since}&limit={limit}"), None)
+        let path = format!("{}?since={since}&limit={limit}", TRACE.path);
+        self.request_json(TRACE.method, &path, None)
     }
 
     /// Full decision history of one job.
     pub fn explain(&mut self, id: u64) -> Result<Json, ClientError> {
-        self.request_json("GET", &format!("/v1/explain/{id}"), None)
+        self.request_json(EXPLAIN.method, &EXPLAIN.with_id(id), None)
     }
 
     /// Tails the structured log ring from cursor `since` (≤ `limit`
@@ -233,25 +237,26 @@ impl Client {
         level: Option<&str>,
         target: Option<&str>,
     ) -> Result<Json, ClientError> {
-        let mut path = format!("/v1/logs?since={since}&limit={limit}");
+        let mut path = format!("{}?since={since}&limit={limit}", LOGS.path);
         if let Some(l) = level {
             path.push_str(&format!("&level={l}"));
         }
         if let Some(t) = target {
             path.push_str(&format!("&target={t}"));
         }
-        self.request_json("GET", &path, None)
+        self.request_json(LOGS.method, &path, None)
     }
 
     /// Current SLO evaluations (404 → `Status` error when none declared).
     pub fn slo(&mut self) -> Result<Json, ClientError> {
-        self.request_json("GET", "/v1/slo", None)
+        self.request_json(SLO.method, SLO.path, None)
     }
 
     /// Collapsed-stack profile over a `seconds`-long window (flamegraph
     /// input; blocks for the window).
     pub fn profile(&mut self, seconds: u64) -> Result<String, ClientError> {
-        let (status, bytes) = self.request("GET", &format!("/v1/profile?seconds={seconds}"), None)?;
+        let path = format!("{}?seconds={seconds}", PROFILE.path);
+        let (status, bytes) = self.request(PROFILE.method, &path, None)?;
         if status != 200 {
             return Err(ClientError::Status(status, String::from_utf8_lossy(&bytes).into()));
         }
@@ -260,11 +265,7 @@ impl Client {
 
     /// Advances the virtual clock; returns the new clock position.
     pub fn advance(&mut self, to: u64) -> Result<u64, ClientError> {
-        let v = self.request_json(
-            "POST",
-            "/v1/clock/advance",
-            Some(&Json::obj().set("to", to)),
-        )?;
+        let v = self.request_json(ADVANCE.method, ADVANCE.path, Some(&Json::obj().set("to", to)))?;
         v.get("now")
             .and_then(Json::as_u64)
             .ok_or_else(|| ClientError::Protocol("advance ack without now".into()))
@@ -272,7 +273,7 @@ impl Client {
 
     /// Runs the virtual clock until the event queue drains.
     pub fn drain(&mut self) -> Result<u64, ClientError> {
-        let v = self.request_json("POST", "/v1/drain", None)?;
+        let v = self.request_json(DRAIN.method, DRAIN.path, None)?;
         v.get("now")
             .and_then(Json::as_u64)
             .ok_or_else(|| ClientError::Protocol("drain ack without now".into()))
@@ -280,13 +281,13 @@ impl Client {
 
     /// Read-only result of the run so far.
     pub fn result(&mut self) -> Result<SimResult, ClientError> {
-        let v = self.request_json("GET", "/v1/result", None)?;
+        let v = self.request_json(RESULT.method, RESULT.path, None)?;
         proto::decode_result(&v).map_err(ClientError::Protocol)
     }
 
     /// Stops the server; returns its final result.
     pub fn shutdown(&mut self) -> Result<SimResult, ClientError> {
-        let v = self.request_json("POST", "/v1/shutdown", None)?;
+        let v = self.request_json(SHUTDOWN.method, SHUTDOWN.path, None)?;
         proto::decode_result(&v).map_err(ClientError::Protocol)
     }
 }

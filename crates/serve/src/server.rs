@@ -7,8 +7,9 @@
 //!   acceptor ──sync_channel(bounded)──▶ worker × N ──mpsc──▶ engine (1)
 //! ```
 //!
-//! Workers parse HTTP, translate to [`Command`]s and block on a per-request
-//! reply channel; the engine executes commands strictly sequentially, so the
+//! Workers parse HTTP, answer each request from the one [`ROUTES`] table
+//! (mostly by sending a [`Command`]) and block on a per-request reply
+//! channel; the engine executes commands strictly sequentially, so the
 //! simulator state has exactly one writer and no locks. Back-pressure is
 //! structural: the connection channel is bounded, and each worker pipelines
 //! at most one in-flight command.
@@ -24,7 +25,7 @@ use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Server configuration (the engine is built by the caller).
@@ -75,6 +76,237 @@ struct Shared {
     slo_statuses: Mutex<Vec<SloStatus>>,
 }
 
+/// One endpoint: a method, a path pattern in which `{id}` captures one
+/// segment, and the handler that answers it.
+pub struct Route {
+    pub method: &'static str,
+    pub path: &'static str,
+    handler: fn(&Call) -> Answer,
+}
+
+impl Route {
+    const fn new(method: &'static str, path: &'static str, handler: fn(&Call) -> Answer) -> Route {
+        Route { method, path, handler }
+    }
+
+    /// What `path` has where the pattern has `{id}` ("" without one), or
+    /// `None` when the path does not fit. Compares in place, allocating nothing.
+    fn capture<'p>(&self, path: &'p str) -> Option<&'p str> {
+        let Some((head, tail)) = self.path.split_once("{id}") else {
+            return (self.path == path).then_some("");
+        };
+        let id = path.strip_prefix(head)?.strip_suffix(tail)?;
+        (!id.contains('/')).then_some(id)
+    }
+
+    /// The path naming job `id` on this route.
+    pub(crate) fn with_id(&self, id: u64) -> String {
+        self.path.replace("{id}", &id.to_string())
+    }
+}
+
+/// A handler's reply: both sides go on the wire, `Err` is `?`'s early exit.
+type Answer = Result<Response, Response>;
+
+/// Every endpoint the server answers, in DESIGN.md §10's order. Dispatch,
+/// its 404/405 split and the client's paths all follow from this table.
+pub static ROUTES: [Route; 18] = [
+    SUBMIT, CANCEL, DELETE_JOB, JOB, EXPLAIN, QUEUE, CLUSTER, STATS, ADVANCE, DRAIN, RESULT,
+    SHUTDOWN, METRICS, HEALTHZ, TRACE, LOGS, SLO, PROFILE,
+];
+
+pub(crate) const SUBMIT: Route = Route::new("POST", "/v1/jobs", |c| {
+    let body = proto::body_json(&c.req.body).map_err(|e| Response::error(400, &e))?;
+    let sub = SubmitRequest::decode(&body).map_err(|e| Response::error(400, &e))?;
+    // Availability accounting: 2xx is good; 429/5xx burn the submit
+    // SLO budget. Client errors (malformed bodies, clock conflicts)
+    // never reach here or map to 4xx≠429 and count neither way.
+    let refused = |r: Response| {
+        if r.status == 429 || r.status >= 500 {
+            c.shared.counters.submit_refused.fetch_add(1, Ordering::Relaxed);
+        }
+        r
+    };
+    let ack = call(c.shared, |reply| Command::Submit { req: sub, reply })
+        .map_err(&refused)?
+        .map_err(|e| refused(engine_error(e)))?;
+    c.shared.counters.submit_ok.fetch_add(1, Ordering::Relaxed);
+    Ok(Response::json(201, &Json::obj().set("id", ack.id).set("submit", ack.submit)))
+});
+
+pub(crate) const CANCEL: Route = Route::new("POST", "/v1/jobs/{id}/cancel", cancel);
+const DELETE_JOB: Route = Route::new("DELETE", "/v1/jobs/{id}", cancel);
+
+/// Both cancel routes: withdraws a pending or a running job.
+fn cancel(c: &Call) -> Answer {
+    let id = c.id()?;
+    call(c.shared, |reply| Command::Cancel { id, reply })?.map_err(engine_error)?;
+    Ok(Response::json(200, &Json::obj().set("cancelled", id)))
+}
+
+pub(crate) const JOB: Route = Route::new("GET", "/v1/jobs/{id}", |c| {
+    let id = c.id()?;
+    let view = call(c.shared, |reply| Command::JobInfo { id, reply })?.map_err(engine_error)?;
+    Ok(Response::json(200, &job_json(&view)))
+});
+
+pub(crate) const EXPLAIN: Route = Route::new("GET", "/v1/explain/{id}", |c| {
+    let id = c.id()?;
+    let view = call(c.shared, |reply| Command::Explain { id, reply })?.map_err(engine_error)?;
+    let decisions: Vec<Json> = view.events.iter().map(event_json).collect();
+    Ok(Response::json(
+        200,
+        &Json::obj()
+            .set("job", job_json(&view.job))
+            .set("tracing", view.tracing)
+            .set("overwritten", view.overwritten)
+            .set("decisions", decisions),
+    ))
+});
+
+const QUEUE: Route = Route::new("GET", "/v1/queue", |c| {
+    let (total, entries) = call(c.shared, |reply| Command::Queue { limit: 100, reply })?;
+    let items: Vec<Json> = entries
+        .iter()
+        .map(|e| {
+            Json::obj()
+                .set("id", e.id)
+                .set("req_nodes", e.req_nodes)
+                .set("req_time", e.req_time)
+        })
+        .collect();
+    Ok(Response::json(200, &Json::obj().set("pending", total).set("head", items)))
+});
+
+const CLUSTER: Route = Route::new("GET", "/v1/cluster", |c| {
+    let snap = call(c.shared, |reply| Command::Stats { reply })?;
+    Ok(Response::json(
+        200,
+        &Json::obj()
+            .set("nodes", snap.nodes)
+            .set("cores_per_node", snap.cores_per_node)
+            .set("busy_cores", snap.busy_cores)
+            .set("empty_nodes", snap.empty_nodes)
+            .set("running", snap.running),
+    ))
+});
+
+pub(crate) const STATS: Route = Route::new("GET", "/v1/stats", |c| {
+    let snap = call(c.shared, |reply| Command::Stats { reply })?;
+    Ok(Response::json(200, &snapshot_json(&snap)))
+});
+
+pub(crate) const ADVANCE: Route = Route::new("POST", "/v1/clock/advance", |c| {
+    let body = proto::body_json(&c.req.body).map_err(|e| Response::error(400, &e))?;
+    let to = body
+        .get("to")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| Response::error(400, "`to` must be a non-negative integer"))?;
+    let now = call(c.shared, |reply| Command::Advance { to, reply })?.map_err(engine_error)?;
+    Ok(Response::json(200, &Json::obj().set("now", now)))
+});
+
+pub(crate) const DRAIN: Route = Route::new("POST", "/v1/drain", |c| {
+    let now = call(c.shared, |reply| Command::Drain { reply })?.map_err(engine_error)?;
+    Ok(Response::json(200, &Json::obj().set("now", now).set("idle", true)))
+});
+
+pub(crate) const RESULT: Route = Route::new("GET", "/v1/result", |c| {
+    let res = call(c.shared, |reply| Command::Result { reply })?;
+    Ok(Response::json(200, &proto::encode_result(&res)))
+});
+
+pub(crate) const SHUTDOWN: Route = Route::new("POST", "/v1/shutdown", |c| {
+    let res = stop_engine(c.shared)?;
+    Ok(Response::json(200, &proto::encode_result(&res)))
+});
+
+pub(crate) const METRICS: Route = Route::new("GET", "/metrics", |c| {
+    let snap = call(c.shared, |reply| Command::Stats { reply })?;
+    let slos = lock(&c.shared.slo_statuses).clone();
+    let text = crate::metrics::render(&snap, &c.shared.counters, &c.shared.hists, &slos);
+    Ok(Response::text(200, text))
+});
+
+pub(crate) const HEALTHZ: Route =
+    Route::new("GET", "/healthz", |_| Ok(Response::json(200, &Json::obj().set("ok", true))));
+
+/// Tails the decision ring lock-free right here — no engine round-trip, so
+/// trace reads never queue behind scheduling work.
+pub(crate) const TRACE: Route = Route::new("GET", "/v1/trace", |c| {
+    let Some(ring) = &c.shared.trace else {
+        return Err(Response::error(404, "tracing is not enabled (start the server with --trace)"));
+    };
+    let (since, limit) = c.tail_window()?;
+    let tail = ring.read_since(since, limit);
+    let events: Vec<Json> = tail.events.iter().map(event_json).collect();
+    Ok(Response::json(
+        200,
+        &Json::obj()
+            .set("next", tail.next)
+            .set("dropped", tail.dropped)
+            .set("pushed", ring.pushed())
+            .set("capacity", ring.capacity() as u64)
+            .set("events", events),
+    ))
+});
+
+/// Tails the global log ring lock-free: like `/v1/trace`, log reads never
+/// queue behind scheduling work.
+pub(crate) const LOGS: Route = Route::new("GET", "/v1/logs", |c| {
+    let (since, limit) = c.tail_window()?;
+    let bad_level = || Response::error(400, "`level` must be error|warn|info|debug|trace");
+    let level = c.query("level").map(|s| sd_obs::Level::parse(s).ok_or_else(bad_level));
+    let level = level.transpose()?;
+    let target = c.query("target");
+    let tail = sd_obs::read_since(since, limit);
+    let records: Vec<Json> = tail
+        .records
+        .iter()
+        .filter(|r| level.is_none_or(|l| r.level <= l))
+        .filter(|r| target.is_none_or(|t| r.target == t))
+        .map(log_record_json)
+        .collect();
+    Ok(Response::json(
+        200,
+        &Json::obj()
+            .set("next", tail.next)
+            .set("dropped", tail.dropped)
+            .set("head", sd_obs::ring_head())
+            .set("records", records),
+    ))
+});
+
+pub(crate) const SLO: Route = Route::new("GET", "/v1/slo", |c| {
+    let items: Vec<Json> = lock(&c.shared.slo_statuses).iter().map(slo_json).collect();
+    if items.is_empty() {
+        return Err(Response::error(404, "no SLOs declared (start the server with --slo)"));
+    }
+    Ok(Response::json(200, &Json::obj().set("slos", items)))
+});
+
+/// Windowed continuous profiling: snapshot the per-function timing
+/// counters, arm the probes for `seconds`, diff, and render Brendan-Gregg
+/// collapsed stacks. Blocks this worker for the window — bounded, and the
+/// pool has more.
+pub(crate) const PROFILE: Route = Route::new("GET", "/v1/profile", |c| {
+    let seconds = c.query_u64("seconds")?.unwrap_or(1).clamp(1, 30);
+    let before = slurm_sim::timing::report();
+    slurm_sim::timing::arm();
+    std::thread::sleep(Duration::from_secs(seconds));
+    slurm_sim::timing::disarm();
+    let after = slurm_sim::timing::report();
+    let window = slurm_sim::timing::delta(&before, &after);
+    // A quiet window (no passes ran) falls back to the cumulative
+    // totals so the profile is never empty once traffic has flowed.
+    let rows = if window.iter().all(|r| r.count == 0) { after } else { window };
+    let stacks: Vec<sd_obs::StackSample> = slurm_sim::timing::stack_rows(&rows)
+        .into_iter()
+        .map(|(frames, v)| sd_obs::StackSample::new(frames, v))
+        .collect();
+    Ok(Response::text(200, sd_obs::collapsed(&stacks)))
+});
+
 /// Runs the service until a client posts `/v1/shutdown` (or the listener
 /// dies). Blocks the calling thread; returns the final [`SimResult`] as the
 /// engine saw it at shutdown.
@@ -99,7 +331,7 @@ pub fn run(
         slo_statuses: Mutex::new(Vec::new()),
     };
 
-    std::thread::scope(|s| {
+    let listener_died = std::thread::scope(|s| {
         s.spawn(|| engine.run(cmd_rx));
         for _ in 0..workers {
             s.spawn(|| worker_loop(&conn_rx, &shared));
@@ -139,29 +371,24 @@ pub fn run(
             }
         }
         drop(conn_tx); // workers drain and exit
-        if !shared.stop.load(Ordering::SeqCst) {
-            // The listener died without a client shutdown. The engine would
-            // otherwise block forever in recv() (its Sender lives in
-            // `shared`, which outlives the scope) — poke it loose with a
-            // synthetic shutdown whose reply nobody reads.
-            let (tx, _rx) = mpsc::channel();
-            let _ = shared.cmd_tx.send(Command::Shutdown { reply: tx });
+        // A listener that died before any shutdown leaves the engine blocked
+        // in recv() (its Sender lives in `shared`, outliving the scope).
+        let died = !shared.stop.load(Ordering::SeqCst);
+        if died {
+            let _ = stop_engine(&shared);
         }
+        died
     });
 
-    shared
-        .final_result
-        .into_inner()
-        .expect("final-result mutex poisoned")
-        .ok_or_else(|| std::io::Error::other("listener died before a shutdown request"))
+    match shared.final_result.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        Some(res) if !listener_died => Ok(res),
+        _ => Err(std::io::Error::other("listener died before a shutdown request")),
+    }
 }
 
 /// Polls the process signal latch; on SIGTERM/SIGINT performs the same
-/// shutdown a client's `POST /v1/shutdown` would. The engine executes
-/// commands strictly sequentially, so the `Shutdown` enqueued here drains
-/// everything already accepted before the final snapshot (and, with a WAL,
-/// the final checkpoint) is taken. Exits when the server stops for any
-/// reason, so the scope always joins.
+/// shutdown a client's `POST /v1/shutdown` would. Exits when the server
+/// stops for any reason, so the scope always joins.
 fn signal_watcher(shared: &Shared) {
     while !crate::signals::triggered() {
         if shared.stop.load(Ordering::SeqCst) {
@@ -170,21 +397,8 @@ fn signal_watcher(shared: &Shared) {
         std::thread::sleep(Duration::from_millis(50));
     }
     sd_obs::log_event!(Info, "serve", "termination signal received; draining and shutting down");
-    let (rtx, rrx) = mpsc::channel();
-    if shared.cmd_tx.send(Command::Shutdown { reply: rtx }).is_ok() {
-        // A disconnect means a concurrent client shutdown beat us to the
-        // engine and our command was dropped unprocessed — fine either way.
-        if let Ok(res) = rrx.recv() {
-            let mut slot = shared
-                .final_result
-                .lock()
-                .expect("final-result mutex poisoned");
-            if slot.is_none() {
-                *slot = Some(res);
-            }
-        }
-    }
-    finish_shutdown(shared);
+    // An `Err`: a client's shutdown reached the engine first and stops us.
+    let _ = stop_engine(shared);
 }
 
 /// Burn-rate sampler: once per wall second, feeds each tracker the current
@@ -194,9 +408,7 @@ fn signal_watcher(shared: &Shared) {
 /// round-trip per tick. Exits when the server stops or the engine is gone.
 fn slo_sampler(specs: Vec<SloSpec>, shared: &Shared) {
     let mut trackers: Vec<SloTracker> = specs.into_iter().map(SloTracker::new).collect();
-    let needs_snapshot = trackers
-        .iter()
-        .any(|t| t.spec().kind == SloKind::WaitQuantile);
+    let needs_snapshot = trackers.iter().any(|t| t.spec().kind == SloKind::WaitQuantile);
     let start = Instant::now();
     loop {
         for _ in 0..4 {
@@ -205,13 +417,14 @@ fn slo_sampler(specs: Vec<SloSpec>, shared: &Shared) {
             }
             std::thread::sleep(Duration::from_millis(250));
         }
-        let snap = if needs_snapshot {
+        // Empty when no wait objective reads it.
+        let wait = if needs_snapshot {
             match call(shared, |reply| Command::Stats { reply }) {
-                Ok(s) => Some(s),
+                Ok(s) => s.wait_hist,
                 Err(_) => return, // engine gone
             }
         } else {
-            None
+            sched_metrics::Histogram::new(Vec::new())
         };
         let t = start.elapsed().as_secs();
         for tracker in &mut trackers {
@@ -227,8 +440,7 @@ fn slo_sampler(specs: Vec<SloSpec>, shared: &Shared) {
                     tracker.spec().threshold,
                 ),
                 SloKind::WaitQuantile => {
-                    let h = &snap.as_ref().expect("snapshot fetched above").wait_hist;
-                    good_within(h.bounds(), h.counts(), tracker.spec().threshold)
+                    good_within(wait.bounds(), wait.counts(), tracker.spec().threshold)
                 }
             };
             tracker.record(t, good, total);
@@ -240,16 +452,13 @@ fn slo_sampler(specs: Vec<SloSpec>, shared: &Shared) {
                     slo = s.name, budget = s.budget_remaining, burn_fast = s.burn_fast);
             }
         }
-        *shared.slo_statuses.lock().expect("slo mutex poisoned") = statuses;
+        *lock(&shared.slo_statuses) = statuses;
     }
 }
 
 fn worker_loop(conn_rx: &Mutex<mpsc::Receiver<TcpStream>>, shared: &Shared) {
     loop {
-        let conn = {
-            let rx = conn_rx.lock().expect("connection channel poisoned");
-            rx.recv()
-        };
+        let conn = lock(conn_rx).recv();
         match conn {
             Ok(c) => serve_connection(c, shared),
             Err(_) => return, // acceptor gone
@@ -298,18 +507,14 @@ fn serve_connection(conn: TcpStream, shared: &Shared) {
             Ok(Some(req)) => {
                 let close = req.wants_close() || shared.stop.load(Ordering::SeqCst);
                 let t0 = Instant::now();
-                let resp = route(&req, shared);
+                let resp = dispatch(&req, shared);
                 shared.hists.request_seconds.observe(t0.elapsed().as_secs_f64());
                 shared.counters.count_status(resp.status);
-                let is_shutdown = req.method == "POST" && req.path == "/v1/shutdown";
-                if resp.write_to(reader.get_mut(), close).is_err() {
-                    return;
-                }
-                if is_shutdown && resp.status == 200 {
-                    finish_shutdown(shared);
-                    return;
-                }
-                if close {
+                // Once the server is stopping, every worker hangs up after its reply.
+                if resp.write_to(reader.get_mut(), close).is_err()
+                    || close
+                    || shared.stop.load(Ordering::SeqCst)
+                {
                     return;
                 }
             }
@@ -329,283 +534,96 @@ fn serve_connection(conn: TcpStream, shared: &Shared) {
     }
 }
 
-/// After the shutdown response is on the wire: raise the stop flag and poke
-/// the acceptor loose with a throwaway connection to our own socket.
-fn finish_shutdown(shared: &Shared) {
+/// Stops the engine (for `/v1/shutdown`, a signal or a dead listener): it
+/// drains what was queued before, checkpoints and answers the first caller
+/// only. Keeps the result for [`run`], raises the stop flag and pokes the
+/// acceptor loose with a throwaway connection to our own socket.
+fn stop_engine(shared: &Shared) -> Result<SimResult, Response> {
+    let res = call(shared, |reply| Command::Shutdown { reply })?;
+    *lock(&shared.final_result) = Some(res.clone());
     shared.stop.store(true, Ordering::SeqCst);
     let _ = TcpStream::connect_timeout(&shared.addr, Duration::from_secs(1));
+    Ok(res)
 }
 
 /// One round-trip to the engine.
 fn call<T>(shared: &Shared, build: impl FnOnce(Sender<T>) -> Command) -> Result<T, Response> {
     let (tx, rx) = mpsc::channel();
-    shared
-        .cmd_tx
-        .send(build(tx))
-        .map_err(|_| Response::error(503, "scheduler is shutting down"))?;
-    rx.recv()
-        .map_err(|_| Response::error(503, "scheduler is shutting down"))
+    let reply = shared.cmd_tx.send(build(tx)).ok().and_then(|()| rx.recv().ok());
+    reply.ok_or_else(|| Response::error(503, "scheduler is shutting down"))
+}
+
+/// Every lock here is held only to store or clone a whole value or to take
+/// from a channel, so none can be poisoned half-written: recover the guard.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn engine_error(e: EngineError) -> Response {
     let status = match &e {
-        EngineError::Clock(_) | EngineError::WrongMode(_) => 409,
+        EngineError::Clock(_) | EngineError::WrongMode(_) | EngineError::NotPending(_) => 409,
         EngineError::Rejected(_) => 400,
         EngineError::NoSuchJob(_) => 404,
-        EngineError::NotPending(_) => 409,
         EngineError::RateLimited(_) => 429,
     };
     Response::error(status, &e.to_string())
 }
 
-fn route(req: &Request, shared: &Shared) -> Response {
-    match route_inner(req, shared) {
-        Ok(r) | Err(r) => r,
+/// Answers one request from [`ROUTES`]: 404 when no pattern fits the path,
+/// 405 when one fits but not with this method, else that row's handler.
+fn dispatch(req: &Request, shared: &Shared) -> Response {
+    let mut path_known = false;
+    for route in &ROUTES {
+        if let Some(capture) = route.capture(&req.path) {
+            if route.method == req.method {
+                let (Ok(resp) | Err(resp)) = (route.handler)(&Call { req, shared, capture });
+                return resp;
+            }
+            path_known = true;
+        }
+    }
+    if path_known {
+        Response::error(405, "method not allowed for this path")
+    } else {
+        Response::error(404, "no such endpoint")
     }
 }
 
-fn route_inner(req: &Request, shared: &Shared) -> Result<Response, Response> {
-    let path = req.path.as_str();
-    let method = req.method.as_str();
-    match (method, path) {
-        ("GET", "/healthz") => Ok(Response::json(200, &Json::obj().set("ok", true))),
-        ("GET", "/metrics") => {
-            let snap = call(shared, |reply| Command::Stats { reply })?;
-            let slos = shared
-                .slo_statuses
-                .lock()
-                .expect("slo mutex poisoned")
-                .clone();
-            Ok(Response::text(
-                200,
-                crate::metrics::render(&snap, &shared.counters, &shared.hists, &slos),
-            ))
-        }
-        ("GET", "/v1/trace") => {
-            // Tail the ring lock-free right here — no engine round-trip, so
-            // trace reads never queue behind scheduling work.
-            let Some(ring) = &shared.trace else {
-                return Err(Response::error(
-                    404,
-                    "tracing is not enabled (start the server with --trace)",
-                ));
-            };
-            let since = query_u64(req, "since")?.unwrap_or(0);
-            let limit = query_u64(req, "limit")?.unwrap_or(1_000).min(10_000) as usize;
-            let tail = ring.read_since(since, limit);
-            let events: Vec<Json> = tail.events.iter().map(event_json).collect();
-            Ok(Response::json(
-                200,
-                &Json::obj()
-                    .set("next", tail.next)
-                    .set("dropped", tail.dropped)
-                    .set("pushed", ring.pushed())
-                    .set("capacity", ring.capacity() as u64)
-                    .set("events", events),
-            ))
-        }
-        ("GET", "/v1/logs") => {
-            // Tail the global log ring lock-free — like /v1/trace, log reads
-            // never queue behind scheduling work.
-            let since = query_u64(req, "since")?.unwrap_or(0);
-            let limit = query_u64(req, "limit")?.unwrap_or(1_000).min(10_000) as usize;
-            let level = match query_str(req, "level") {
-                None => None,
-                Some(s) => Some(sd_obs::Level::parse(&s).ok_or_else(|| {
-                    Response::error(400, "`level` must be error|warn|info|debug|trace")
-                })?),
-            };
-            let target = query_str(req, "target");
-            let tail = sd_obs::read_since(since, limit);
-            let records: Vec<Json> = tail
-                .records
-                .iter()
-                .filter(|r| level.is_none_or(|l| r.level <= l))
-                .filter(|r| target.as_deref().is_none_or(|t| r.target == t))
-                .map(log_record_json)
-                .collect();
-            Ok(Response::json(
-                200,
-                &Json::obj()
-                    .set("next", tail.next)
-                    .set("dropped", tail.dropped)
-                    .set("head", sd_obs::ring_head())
-                    .set("records", records),
-            ))
-        }
-        ("GET", "/v1/slo") => {
-            let statuses = shared
-                .slo_statuses
-                .lock()
-                .expect("slo mutex poisoned")
-                .clone();
-            if statuses.is_empty() {
-                return Err(Response::error(
-                    404,
-                    "no SLOs declared (start the server with --slo)",
-                ));
-            }
-            let items: Vec<Json> = statuses.iter().map(slo_json).collect();
-            Ok(Response::json(200, &Json::obj().set("slos", items)))
-        }
-        ("GET", "/v1/profile") => {
-            // Windowed continuous profiling: snapshot the per-function
-            // timing counters, arm the probes for `seconds`, diff, and
-            // render Brendan-Gregg collapsed stacks. Blocks this worker for
-            // the window — bounded, and the pool has more.
-            let seconds = query_u64(req, "seconds")?.unwrap_or(1).clamp(1, 30);
-            let before = slurm_sim::timing::report();
-            slurm_sim::timing::arm();
-            std::thread::sleep(Duration::from_secs(seconds));
-            slurm_sim::timing::disarm();
-            let after = slurm_sim::timing::report();
-            let window = slurm_sim::timing::delta(&before, &after);
-            // A quiet window (no passes ran) falls back to the cumulative
-            // totals so the profile is never empty once traffic has flowed.
-            let rows = if window.iter().all(|r| r.count == 0) { after } else { window };
-            let stacks: Vec<sd_obs::StackSample> = slurm_sim::timing::stack_rows(&rows)
-                .into_iter()
-                .map(|(frames, v)| sd_obs::StackSample::new(frames, v))
-                .collect();
-            Ok(Response::text(200, sd_obs::collapsed(&stacks)))
-        }
-        ("GET", "/v1/stats") => {
-            let snap = call(shared, |reply| Command::Stats { reply })?;
-            Ok(Response::json(200, &snapshot_json(&snap)))
-        }
-        ("GET", "/v1/cluster") => {
-            let snap = call(shared, |reply| Command::Stats { reply })?;
-            Ok(Response::json(
-                200,
-                &Json::obj()
-                    .set("nodes", snap.nodes)
-                    .set("cores_per_node", snap.cores_per_node)
-                    .set("busy_cores", snap.busy_cores)
-                    .set("empty_nodes", snap.empty_nodes)
-                    .set("running", snap.running),
-            ))
-        }
-        ("GET", "/v1/queue") => {
-            let (total, entries) = call(shared, |reply| Command::Queue { limit: 100, reply })?;
-            let items: Vec<Json> = entries
-                .iter()
-                .map(|e| {
-                    Json::obj()
-                        .set("id", e.id)
-                        .set("req_nodes", e.req_nodes)
-                        .set("req_time", e.req_time)
-                })
-                .collect();
-            Ok(Response::json(
-                200,
-                &Json::obj().set("pending", total).set("head", items),
-            ))
-        }
-        ("POST", "/v1/jobs") => {
-            let body = proto::body_json(&req.body).map_err(|e| Response::error(400, &e))?;
-            let sub = SubmitRequest::decode(&body).map_err(|e| Response::error(400, &e))?;
-            // Availability accounting: 2xx is good; 429/5xx burn the submit
-            // SLO budget. Client errors (malformed bodies, clock conflicts)
-            // never reach here or map to 4xx≠429 and count neither way.
-            let refused = |r: Response| {
-                if r.status == 429 || r.status >= 500 {
-                    shared.counters.submit_refused.fetch_add(1, Ordering::Relaxed);
-                }
-                r
-            };
-            let ack = call(shared, |reply| Command::Submit { req: sub, reply })
-                .map_err(&refused)?
-                .map_err(|e| refused(engine_error(e)))?;
-            shared.counters.submit_ok.fetch_add(1, Ordering::Relaxed);
-            Ok(Response::json(
-                201,
-                &Json::obj().set("id", ack.id).set("submit", ack.submit),
-            ))
-        }
-        ("POST", "/v1/clock/advance") => {
-            let body = proto::body_json(&req.body).map_err(|e| Response::error(400, &e))?;
-            let to = body
-                .get("to")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| Response::error(400, "`to` must be a non-negative integer"))?;
-            let now = call(shared, |reply| Command::Advance { to, reply })?
-                .map_err(engine_error)?;
-            Ok(Response::json(200, &Json::obj().set("now", now)))
-        }
-        ("POST", "/v1/drain") => {
-            let now = call(shared, |reply| Command::Drain { reply })?.map_err(engine_error)?;
-            Ok(Response::json(200, &Json::obj().set("now", now).set("idle", true)))
-        }
-        ("GET", "/v1/result") => {
-            let res = call(shared, |reply| Command::Result { reply })?;
-            Ok(Response::json(200, &proto::encode_result(&res)))
-        }
-        ("POST", "/v1/shutdown") => {
-            let res = call(shared, |reply| Command::Shutdown { reply })?;
-            *shared
-                .final_result
-                .lock()
-                .expect("final-result mutex poisoned") = Some(res.clone());
-            Ok(Response::json(200, &proto::encode_result(&res)))
-        }
-        _ => {
-            // /v1/jobs/{id} family.
-            if let Some(rest) = path.strip_prefix("/v1/jobs/") {
-                return route_job(method, rest, shared);
-            }
-            if let Some(rest) = path.strip_prefix("/v1/explain/") {
-                if method != "GET" {
-                    return Err(Response::error(405, "method not allowed for this path"));
-                }
-                let id: u64 = rest
-                    .parse()
-                    .map_err(|_| Response::error(400, "job id must be an integer"))?;
-                let view = call(shared, |reply| Command::Explain { id, reply })?
-                    .map_err(engine_error)?;
-                let decisions: Vec<Json> = view.events.iter().map(event_json).collect();
-                return Ok(Response::json(
-                    200,
-                    &Json::obj()
-                        .set("job", job_json(&view.job))
-                        .set("tracing", view.tracing)
-                        .set("overwritten", view.overwritten)
-                        .set("decisions", decisions),
-                ));
-            }
-            if matches!(
-                path,
-                "/healthz" | "/metrics" | "/v1/stats" | "/v1/cluster" | "/v1/queue" | "/v1/jobs"
-                    | "/v1/clock/advance" | "/v1/drain" | "/v1/result" | "/v1/shutdown"
-                    | "/v1/trace" | "/v1/logs" | "/v1/slo" | "/v1/profile"
-            ) {
-                return Err(Response::error(405, "method not allowed for this path"));
-            }
-            Err(Response::error(404, "no such endpoint"))
-        }
+/// A request as its handler sees it.
+struct Call<'a> {
+    req: &'a Request,
+    shared: &'a Shared,
+    /// The segment the route's `{id}` captured; empty when it has none.
+    capture: &'a str,
+}
+
+impl Call<'_> {
+    /// The captured `{id}`; a 400 when it is not a `u64`.
+    fn id(&self) -> Result<u64, Response> {
+        self.capture.parse().map_err(|_| Response::error(400, "job id must be an integer"))
     }
-}
 
-/// First value of a `?key=value` query parameter parsed as u64; `Ok(None)`
-/// when absent, 400 when present but malformed.
-fn query_u64(req: &Request, key: &str) -> Result<Option<u64>, Response> {
-    let Some(v) = req.query.split('&').find_map(|kv| {
-        let (k, v) = kv.split_once('=')?;
-        (k == key).then_some(v)
-    }) else {
-        return Ok(None);
-    };
-    v.parse()
-        .map(Some)
-        .map_err(|_| Response::error(400, &format!("`{key}` must be a non-negative integer")))
-}
+    /// The first value of query parameter `key`, undecoded (plain tokens).
+    fn query(&self, key: &str) -> Option<&str> {
+        self.req.query.split('&').find_map(|kv| {
+            let (k, v) = kv.split_once('=')?;
+            (k == key).then_some(v)
+        })
+    }
 
-/// First value of a `?key=value` query parameter as a string (no decoding;
-/// log targets and level names are plain tokens).
-fn query_str(req: &Request, key: &str) -> Option<String> {
-    req.query.split('&').find_map(|kv| {
-        let (k, v) = kv.split_once('=')?;
-        (k == key).then(|| v.to_string())
-    })
+    /// Query parameter `key` as a `u64`: `None` when absent, 400 if malformed.
+    fn query_u64(&self, key: &str) -> Result<Option<u64>, Response> {
+        let malformed = || Response::error(400, &format!("`{key}` must be a non-negative integer"));
+        self.query(key).map(|v| v.parse().map_err(|_| malformed())).transpose()
+    }
+
+    /// A ring tail's `since` cursor (default 0) and `limit` (default 1 000,
+    /// at most 10 000).
+    fn tail_window(&self) -> Result<(u64, usize), Response> {
+        let since = self.query_u64("since")?.unwrap_or(0);
+        let limit = self.query_u64("limit")?.unwrap_or(1_000).min(10_000) as usize;
+        Ok((since, limit))
+    }
 }
 
 /// One structured log record as a JSON object (mirrors
@@ -657,28 +675,6 @@ fn event_json(ev: &TraceEvent) -> Json {
         };
     }
     o
-}
-
-fn route_job(method: &str, rest: &str, shared: &Shared) -> Result<Response, Response> {
-    let (id_text, action) = match rest.split_once('/') {
-        Some((id, act)) => (id, Some(act)),
-        None => (rest, None),
-    };
-    let id: u64 = id_text
-        .parse()
-        .map_err(|_| Response::error(400, "job id must be an integer"))?;
-    match (method, action) {
-        ("GET", None) => {
-            let view = call(shared, |reply| Command::JobInfo { id, reply })?
-                .map_err(engine_error)?;
-            Ok(Response::json(200, &job_json(&view)))
-        }
-        ("DELETE", None) | ("POST", Some("cancel")) => {
-            call(shared, |reply| Command::Cancel { id, reply })?.map_err(engine_error)?;
-            Ok(Response::json(200, &Json::obj().set("cancelled", id)))
-        }
-        _ => Err(Response::error(405, "method not allowed for this path")),
-    }
 }
 
 fn job_json(view: &JobView) -> Json {
@@ -749,4 +745,31 @@ fn snapshot_json(snap: &Snapshot) -> Json {
                 })
                 .collect::<Vec<_>>(),
         )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every status the server sends has its reason phrase, never the
+    /// `Status` fallback: the fixed ones and each arm of `engine_error`.
+    #[test]
+    fn every_emitted_status_has_a_reason_phrase() {
+        let emitted = [200, 201, 400, 404, 405, 409, 413, 429, 503];
+        let engine = [
+            EngineError::Clock(String::new()),
+            EngineError::Rejected(String::new()),
+            EngineError::NoSuchJob(1),
+            EngineError::NotPending(1),
+            EngineError::RateLimited(1),
+            EngineError::WrongMode(""),
+        ];
+        for e in engine {
+            let status = engine_error(e).status;
+            assert!(emitted.contains(&status), "{status} is missing from the list");
+        }
+        for status in emitted {
+            assert_ne!(Response::error(status, "").reason(), "Status", "{status}");
+        }
+    }
 }

@@ -1,6 +1,6 @@
 //! Fuzz-style corpus of malformed wire input against a *live* server: every
-//! entry must be answered with a 4xx (or a clean close), the server must
-//! never panic, and it must keep serving well-formed requests afterwards.
+//! entry must be answered with its pinned 4xx (or a clean close), the server
+//! must never panic, and it must keep serving well-formed requests afterwards.
 
 use drom::SharingFactor;
 use sd_policy::SdPolicy;
@@ -45,50 +45,45 @@ fn poke(addr: SocketAddr, payload: &[u8]) -> String {
         .to_string()
 }
 
-const CORPUS: &[&[u8]] = &[
-    b"",
-    b"\r\n\r\n",
-    b"GARBAGE\r\n\r\n",
-    b"get /healthz HTTP/1.1\r\n\r\n",
-    b"GET healthz HTTP/1.1\r\n\r\n",
-    b"GET /healthz SPDY/3\r\n\r\n",
-    b"GET /healthz HTTP/1.1 bonus\r\n\r\n",
-    b"GET /healthz\r\n\r\n",
-    b"GET /healthz HTTP/1.1\r\nno-colon-here\r\n\r\n",
-    b"POST /v1/jobs HTTP/1.1\r\ncontent-length: -5\r\n\r\n",
-    b"POST /v1/jobs HTTP/1.1\r\ncontent-length: 99999999999999\r\n\r\n",
-    b"POST /v1/jobs HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
-    b"POST /v1/jobs HTTP/1.1\r\ncontent-length: 7\r\n\r\nnotjson",
-    b"POST /v1/jobs HTTP/1.1\r\ncontent-length: 2\r\n\r\n{}",
-    b"POST /v1/jobs HTTP/1.1\r\ncontent-length: 22\r\n\r\n{\"procs\": \"sixteen\"}..",
-    b"POST /v1/clock/advance HTTP/1.1\r\ncontent-length: 11\r\n\r\n{\"to\": -10}",
-    b"GET /v1/jobs/not-a-number HTTP/1.1\r\n\r\n",
-    b"GET /v1/jobs/0 HTTP/1.1\r\n\r\n",
-    b"GET /totally/unknown HTTP/1.1\r\n\r\n",
-    b"PATCH /healthz HTTP/1.1\r\n\r\n",
-    b"DELETE /v1/drain HTTP/1.1\r\n\r\n",
-    b"\xff\xfe\xfd\xfc\r\n\r\n",
-    b"\x00\x01\x02\x03\x04\r\n\r\n",
-    b"POST /v1/jobs HTTP/1.1\r\ncontent-length: 4\r\n\r\n[[[[",
-    b"GET /../../etc/passwd HTTP/1.1\r\n\r\n",
+/// Each payload and the status it is answered with (`None`: a clean close).
+const CORPUS: &[(&[u8], Option<u16>)] = &[
+    (b"", None),
+    (b"\r\n\r\n", Some(400)),
+    (b"GARBAGE\r\n\r\n", Some(400)),
+    (b"get /healthz HTTP/1.1\r\n\r\n", Some(400)),
+    (b"GET healthz HTTP/1.1\r\n\r\n", Some(400)),
+    (b"GET /healthz SPDY/3\r\n\r\n", Some(400)),
+    (b"GET /healthz HTTP/1.1 bonus\r\n\r\n", Some(400)),
+    (b"GET /healthz\r\n\r\n", Some(400)),
+    (b"GET /healthz HTTP/1.1\r\nno-colon-here\r\n\r\n", Some(400)),
+    (b"POST /v1/jobs HTTP/1.1\r\ncontent-length: -5\r\n\r\n", Some(400)),
+    (b"POST /v1/jobs HTTP/1.1\r\ncontent-length: 99999999999999\r\n\r\n", Some(413)),
+    (b"POST /v1/jobs HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n", Some(400)),
+    (b"POST /v1/jobs HTTP/1.1\r\ncontent-length: 7\r\n\r\nnotjson", Some(400)),
+    (b"POST /v1/jobs HTTP/1.1\r\ncontent-length: 2\r\n\r\n{}", Some(400)),
+    (b"POST /v1/jobs HTTP/1.1\r\ncontent-length: 22\r\n\r\n{\"procs\": \"sixteen\"}..", Some(400)),
+    (b"POST /v1/clock/advance HTTP/1.1\r\ncontent-length: 11\r\n\r\n{\"to\": -10}", Some(400)),
+    (b"GET /v1/jobs/not-a-number HTTP/1.1\r\n\r\n", Some(400)),
+    (b"GET /v1/jobs/0 HTTP/1.1\r\n\r\n", Some(404)),
+    (b"GET /totally/unknown HTTP/1.1\r\n\r\n", Some(404)),
+    (b"PATCH /healthz HTTP/1.1\r\n\r\n", Some(405)),
+    (b"DELETE /v1/drain HTTP/1.1\r\n\r\n", Some(405)),
+    (b"\xff\xfe\xfd\xfc\r\n\r\n", Some(400)),
+    (b"\x00\x01\x02\x03\x04\r\n\r\n", Some(400)),
+    (b"POST /v1/jobs HTTP/1.1\r\ncontent-length: 4\r\n\r\n[[[[", Some(400)),
+    (b"GET /../../etc/passwd HTTP/1.1\r\n\r\n", Some(404)),
 ];
 
 #[test]
 fn malformed_input_always_4xx_never_a_crash() {
     let (addr, handle) = start_server();
 
-    for (i, payload) in CORPUS.iter().enumerate() {
+    for (i, (payload, want)) in CORPUS.iter().enumerate() {
         let status = poke(addr, payload);
-        if payload.is_empty() || *payload == b"\r\n\r\n" {
-            // Pure close / stray CRLF: a clean drop or a 4xx are both fine.
-            assert!(
-                status.is_empty() || status.starts_with("HTTP/1.1 4"),
-                "corpus[{i}]: {status:?}"
-            );
-            continue;
-        }
-        assert!(
-            status.starts_with("HTTP/1.1 4"),
+        let code = status.split(' ').nth(1).and_then(|c| c.parse::<u16>().ok());
+        assert_eq!(
+            code,
+            *want,
             "corpus[{i}] {:?} answered {status:?}",
             String::from_utf8_lossy(payload)
         );
