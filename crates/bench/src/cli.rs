@@ -4,7 +4,7 @@
 //! one the other binary accepts — is reported as `unknown flag` (exit
 //! code 2), never accepted and ignored. `--help`/`-h` is always understood.
 
-use sd_scenario::{find_key, Scenario, SourceKind};
+use sd_scenario::{Scenario, SourceKind};
 
 /// How parsing can terminate without yielding arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,12 +18,9 @@ pub enum CliError {
 /// Reads a flag's value as the scenario key it overrides is read from a
 /// file — same parser, same range check — into a scratch scenario.
 fn through_key(flag: &str, name: &str, value: &str) -> Result<Scenario, CliError> {
-    let key = find_key("scenario", name).expect("the flag overrides a [scenario] key");
     let mut scratch = Scenario::new("cli", SourceKind::Ricc);
-    match key.set(&mut scratch, value, 0) {
-        Ok(()) => Ok(scratch),
-        Err(e) => Err(CliError::Bad(format!("bad {flag}: {}", e.msg))),
-    }
+    scratch.set_flag(flag, "scenario", name, value).map_err(CliError::Bad)?;
+    Ok(scratch)
 }
 
 /// Parsed command-line arguments.

@@ -6,13 +6,13 @@
 //! checks the paper's claims against the static baseline. This library
 //! holds what they share:
 //!
-//! * [`runner`] — the parallel, order-preserving worker pool,
-//! * [`cli`] — the parser for the flags both accept, each binary naming
+//! * `runner` — the parallel, order-preserving worker pool,
+//! * `cli` — the parser for the flags both accept, each binary naming
 //!   the ones it honours,
 //! * [`validate`] — the paper-expectations harness behind `sd_validate`.
 
-pub mod cli;
-pub mod runner;
+mod cli;
+mod runner;
 pub mod validate;
 
 pub use cli::{CliArgs, CliError};

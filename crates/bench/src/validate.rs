@@ -100,9 +100,9 @@ pub struct Claim {
     pub seeds: Vec<u64>,
     pub metric: Metric,
     /// Mean Δ% must be ≤ this (e.g. `0` = "must not regress the sign").
-    pub max_pct: Option<f64>,
+    pub(crate) max_pct: Option<f64>,
     /// Mean Δ% must be ≥ this (rough-magnitude floor).
-    pub min_pct: Option<f64>,
+    pub(crate) min_pct: Option<f64>,
 }
 
 /// Verdict for one evaluated claim.
@@ -111,7 +111,7 @@ pub struct ClaimResult {
     pub claim: Claim,
     /// Per-seed Δ%, panel order.
     pub deltas: Vec<f64>,
-    pub mean_pct: f64,
+    pub(crate) mean_pct: f64,
     pub pass: bool,
 }
 

@@ -12,13 +12,13 @@
 //! * [`cpumask`] — per-core bitmask used at node level by the DROM substrate,
 //! * [`state`] — dynamic occupancy: which job holds how many cores on which
 //!   node ([`ClusterState`]), the ground truth the scheduler works against,
-//! * [`power`] — energy integration over occupancy changes ([`EnergyMeter`]).
+//! * `power` — energy integration over occupancy changes ([`EnergyMeter`]).
 //!
 //! Core *counts* live here; core *identities* (which exact cores a task is
 //! pinned to) are the `drom` crate's business.
 
 pub mod cpumask;
-pub mod power;
+mod power;
 pub mod spec;
 pub mod state;
 

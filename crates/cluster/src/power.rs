@@ -20,7 +20,7 @@ pub struct PowerModel {
 
 impl PowerModel {
     /// MN4-like node: ~200 W idle, ~6 W per busy core (48 cores → ~490 W full).
-    pub fn mn4_node() -> PowerModel {
+    pub(crate) fn mn4_node() -> PowerModel {
         PowerModel {
             idle_watts: 200.0,
             core_watts: 6.0,
@@ -89,7 +89,7 @@ impl EnergyMeter {
     }
 
     /// Current machine power in watts.
-    pub fn instant_power(&self) -> f64 {
+    pub(crate) fn instant_power(&self) -> f64 {
         self.nodes as f64 * self.model.idle_watts + self.model.core_watts * self.weighted_busy
     }
 

@@ -1,6 +1,5 @@
 //! Machine descriptions and presets for the systems evaluated in the paper.
 
-use crate::cpumask::CpuMask;
 use crate::power::PowerModel;
 
 /// Immutable description of one compute node.
@@ -8,8 +7,6 @@ use crate::power::PowerModel;
 pub struct NodeSpec {
     pub sockets: u32,
     pub cores_per_socket: u32,
-    /// Main memory in GiB (used by the application models).
-    pub memory_gib: u32,
     pub power: PowerModel,
 }
 
@@ -17,14 +14,6 @@ impl NodeSpec {
     /// Total cores on the node.
     pub fn cores(&self) -> u32 {
         self.sockets * self.cores_per_socket
-    }
-
-    /// CPU mask for socket `s` (cores are numbered socket-major, matching
-    /// how SLURM's task/affinity lays out block distributions).
-    pub fn socket_mask(&self, s: u32) -> CpuMask {
-        assert!(s < self.sockets, "socket {s} out of range {}", self.sockets);
-        let lo = (s * self.cores_per_socket) as usize;
-        CpuMask::range(self.cores() as usize, lo, lo + self.cores_per_socket as usize)
     }
 
     /// Socket index a core belongs to.
@@ -73,18 +62,9 @@ impl ClusterSpec {
             NodeSpec {
                 sockets: 2,
                 cores_per_socket: 24,
-                memory_gib: 96,
                 power: PowerModel::mn4_node(),
             },
         )
-    }
-
-    /// The Cirne-model system of Workloads 1–2: 1024 nodes / 49152 cores
-    /// (48-core nodes, MN4-like).
-    pub fn cirne_system() -> ClusterSpec {
-        let mut c = Self::marenostrum4(1024);
-        c.name = "Cirne-1024".into();
-        c
     }
 
     /// RICC (Workload 3): 1024 nodes / 8192 cores → 8-core nodes (2 × 4).
@@ -95,7 +75,6 @@ impl ClusterSpec {
             NodeSpec {
                 sockets: 2,
                 cores_per_socket: 4,
-                memory_gib: 12,
                 power: PowerModel {
                     idle_watts: 120.0,
                     core_watts: 15.0,
@@ -113,7 +92,6 @@ impl ClusterSpec {
             NodeSpec {
                 sockets: 2,
                 cores_per_socket: 8,
-                memory_gib: 64,
                 power: PowerModel {
                     idle_watts: 150.0,
                     core_watts: 12.0,
@@ -140,23 +118,11 @@ mod tests {
 
     #[test]
     fn preset_sizes_match_table1() {
-        assert_eq!(ClusterSpec::cirne_system().total_cores(), 49_152);
+        // Workloads 1–2 run on 1024 MN4-like nodes.
+        assert_eq!(ClusterSpec::marenostrum4(1024).total_cores(), 49_152);
         assert_eq!(ClusterSpec::ricc().total_cores(), 8_192);
         assert_eq!(ClusterSpec::cea_curie().total_cores(), 80_640);
         assert_eq!(ClusterSpec::mn4_real_run().total_cores(), 2_352);
-    }
-
-    #[test]
-    fn socket_masks_partition_the_node() {
-        let node = ClusterSpec::marenostrum4(1).node;
-        let s0 = node.socket_mask(0);
-        let s1 = node.socket_mask(1);
-        assert_eq!(s0.count(), 24);
-        assert_eq!(s1.count(), 24);
-        assert!(s0.is_disjoint(&s1));
-        let mut all = s0;
-        all.union_with(&s1);
-        assert_eq!(all.count(), 48);
     }
 
     #[test]
@@ -176,11 +142,5 @@ mod tests {
         assert_eq!(c.nodes_for_procs(17), 2);
         assert_eq!(c.nodes_for_procs(79_808), 4_988); // Table 1 max job
         assert_eq!(c.nodes_for_procs(u64::MAX), 5_040, "clamped to machine");
-    }
-
-    #[test]
-    #[should_panic(expected = "socket 2 out of range")]
-    fn socket_mask_bounds_checked() {
-        ClusterSpec::ricc().node.socket_mask(2);
     }
 }

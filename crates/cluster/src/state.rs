@@ -125,11 +125,6 @@ impl ClusterState {
         &self.nodes[node.0 as usize]
     }
 
-    /// Free cores on `node`.
-    pub fn free_cores(&self, node: NodeId) -> u32 {
-        self.spec.node.cores() - self.nodes[node.0 as usize].cores_used
-    }
-
     /// Iterates over the ids of completely idle nodes, ascending (served
     /// from the idle index, not a machine scan).
     pub fn empty_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
@@ -370,13 +365,13 @@ mod tests {
         cs.place(JobId(1), &[NodeId(0)], 8).unwrap();
         cs.set_cores(JobId(1), NodeId(0), 4).unwrap(); // shrink the mate
         cs.place(JobId(2), &[NodeId(0)], 4).unwrap(); // co-schedule
-        assert_eq!(cs.free_cores(NodeId(0)), 0);
+        assert_eq!(cs.occupancy(NodeId(0)).cores_used, 8, "node full");
         assert_eq!(cs.occupancy(NodeId(0)).jobs.len(), 2);
         assert!(cs.validate().is_ok());
 
         cs.remove(JobId(2), &[NodeId(0)]).unwrap();
         cs.set_cores(JobId(1), NodeId(0), 8).unwrap(); // expand back
-        assert_eq!(cs.free_cores(NodeId(0)), 0);
+        assert_eq!(cs.occupancy(NodeId(0)).cores_used, 8, "node full");
         assert!(cs.validate().is_ok());
     }
 

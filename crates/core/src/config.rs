@@ -10,21 +10,9 @@ pub struct SdPolicyConfig {
     /// Maximum mates per co-schedule, the paper's `m`. "From our evaluation
     /// … we did not see improvements … increasing m over two."
     pub max_mates: usize,
-    /// Candidate-list cap, the paper's `nm`: only the `nm` lowest-penalty
-    /// mates are considered.
-    pub candidate_cap: usize,
     /// "Options such as including free nodes to reduce fragmentation … are
     /// supported": allow idle nodes to count toward the weight constraint.
     pub include_free_nodes: bool,
-    /// Maximum flexible (malleable) trials per scheduling pass; bounds
-    /// scheduler latency on deep queues, like SLURM's `bf_max_job_start`.
-    pub max_trials_per_pass: usize,
-    /// The expand half of the resource manager: once the queue is drained,
-    /// move shrunk borrowers onto idle whole nodes at full width (DMR-style
-    /// node reconfiguration), returning their mates to full rate. Without it
-    /// co-scheduled pairs stay shrunk while the machine idles — the
-    /// makespan/energy regression.
-    pub expand_on_idle: bool,
 }
 
 impl Default for SdPolicyConfig {
@@ -32,10 +20,7 @@ impl Default for SdPolicyConfig {
         SdPolicyConfig {
             max_slowdown: MaxSlowdown::DynAvg,
             max_mates: 2,
-            candidate_cap: 64,
             include_free_nodes: false,
-            max_trials_per_pass: 32,
-            expand_on_idle: true,
         }
     }
 }

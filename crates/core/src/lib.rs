@@ -4,7 +4,7 @@
 //! Resource Management for Malleable Jobs"* (D'Amico, Jokanovic, Corbalan —
 //! ICPP 2019), implemented against the `slurm-sim` substrate:
 //!
-//! * [`policy`] — Listing 1: the scheduling algorithm. For every queued job
+//! * `policy` — Listing 1: the scheduling algorithm. For every queued job
 //!   the static backfill trial runs first; when it fails, the policy
 //!   estimates `static_end` (from the reservation profile) and `mall_end`
 //!   (worst-case runtime model) and co-schedules the job onto shrunk *mates*
@@ -13,7 +13,7 @@
 //!   problem and the paper's heuristic (the `nm` lowest-penalty candidates,
 //!   combinations of at most `m` mates, Σ weights = W).
 //! * [`penalty`] — Eq. 4: `p = (wait + increase + req)/req`.
-//! * [`maxsd`] — the MAX_SLOWDOWN cut-off: static values (MAXSD 5/10/50/∞)
+//! * `maxsd` — the MAX_SLOWDOWN cut-off: static values (MAXSD 5/10/50/∞)
 //!   and the feedback-driven `DynAVGSD` variant.
 //! * [`models`] — §3.4: the ideal (Eq. 5) and worst-case (Eq. 6) runtime
 //!   models (implementation shared with the simulator), plus closed-form
@@ -42,12 +42,12 @@
 //! assert_eq!(result.leftover_pending, 0);
 //! ```
 
-pub mod config;
+mod config;
 pub mod mates;
-pub mod maxsd;
+mod maxsd;
 pub mod models;
 pub mod penalty;
-pub mod policy;
+mod policy;
 
 pub use config::SdPolicyConfig;
 pub use maxsd::MaxSlowdown;

@@ -25,6 +25,10 @@ use slurm_sim::{timing, SimState};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 
+/// Candidate-list cap, the paper's `nm`: only the `nm` lowest-penalty mates
+/// are considered.
+pub const CANDIDATE_CAP: usize = 64;
+
 /// A scored candidate mate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
@@ -108,13 +112,16 @@ fn usable_free(target: u32, free_nodes_available: u32, cfg: &SdPolicyConfig) -> 
 /// * the finish-inside constraint: the new job's requested end
 ///   (`now + mall_wall`) must not exceed the mate's requested end;
 /// * the cut-off `pᵢ < P` (Eq. 2);
-/// * the `nm` cap on the candidate list: the `nm` cheapest by
+/// * the `nm` cap on the candidate list: the [`CANDIDATE_CAP`] cheapest by
 ///   `(penalty, id)` are kept, in no particular order.
+///
+/// No filter reads the policy configuration; it stays a parameter because
+/// the `sdbench` mate-scan probe calls this with the policy's own.
 pub fn collect_candidates(
     st: &SimState,
     mall_wall: u64,
     cutoff: f64,
-    cfg: &SdPolicyConfig,
+    _cfg: &SdPolicyConfig,
 ) -> Vec<Candidate> {
     let now = st.now;
     let new_end = now.after(mall_wall);
@@ -126,7 +133,7 @@ pub fn collect_candidates(
         return Vec::new();
     }
     let full = st.spec().node.cores();
-    let mut out: Vec<Candidate> = Vec::with_capacity(cfg.candidate_cap.min(64));
+    let mut out: Vec<Candidate> = Vec::with_capacity(CANDIDATE_CAP);
     // The pool is sorted by base penalty ((wait+req)/req); the full Eq. 4
     // penalty adds increase/req, so pool order is a good (not perfect)
     // visiting order. We scan a bounded multiple of the cap, score exactly,
@@ -134,7 +141,7 @@ pub fn collect_candidates(
     // sort-then-truncate keeps. The pool entries carry every filter/score
     // input (denormalised at insertion), so the scan never touches the job
     // table.
-    let scan_limit = cfg.candidate_cap.saturating_mul(4).max(16);
+    let scan_limit = CANDIDATE_CAP * 4;
     // The Eq. 6 stretch is a function of `(ranks_per_node, mall_wall)` only
     // (`None`: nothing can be freed): recomputed when an entry's ranks
     // differ from the previous one's — once per scan on a uniform trace.
@@ -167,7 +174,7 @@ pub fn collect_candidates(
             penalty: p,
         });
     }
-    keep_cheapest(&mut out, cfg.candidate_cap);
+    keep_cheapest(&mut out, CANDIDATE_CAP);
     out
 }
 
@@ -186,7 +193,7 @@ fn keep_cheapest(cands: &mut Vec<Candidate>, nm: usize) {
 /// Finds the minimum-PI combination of ≤ `max_mates` candidates whose
 /// weights sum to exactly `target` (Eq. 3), optionally topping up with idle
 /// nodes. Returns `None` when no combination exists. The candidates may come
-/// in any order; ties are broken by [`by_cost`], so the answer does not
+/// in any order; ties are broken by `by_cost`, so the answer does not
 /// depend on it.
 pub fn pick_mates(
     candidates: &[Candidate],
@@ -538,7 +545,6 @@ mod tests {
             let cfg = SdPolicyConfig {
                 max_mates,
                 include_free_nodes: include_free == 1,
-                candidate_cap: nm,
                 ..cfg()
             };
             let mut top = cands.clone();

@@ -63,7 +63,7 @@ impl MaxSlowdown {
 /// sum where each end is armed ([`SimState::running_slowdown`]).
 ///
 /// Returns `+∞` when nothing is running (nothing to protect, no filter).
-pub fn running_avg_slowdown(st: &SimState) -> f64 {
+pub(crate) fn running_avg_slowdown(st: &SimState) -> f64 {
     let (sum, n) = st.running_slowdown();
     if n == 0 {
         f64::INFINITY

@@ -13,7 +13,7 @@
 /// * `increase` — estimated runtime stretch from lending cores,
 /// * `req_time` — the mate's user-requested wall time (the only duration the
 ///   scheduler can know — paper §3.2.2).
-pub fn mate_penalty(wait: u64, increase: u64, req_time: u64) -> f64 {
+pub(crate) fn mate_penalty(wait: u64, increase: u64, req_time: u64) -> f64 {
     let req = req_time.max(1) as f64;
     (wait as f64 + increase as f64 + req) / req
 }
@@ -22,7 +22,7 @@ pub fn mate_penalty(wait: u64, increase: u64, req_time: u64) -> f64 {
 /// `keep_fraction` of its nodes' cores for `overlap` seconds: during the
 /// window it progresses at `keep_fraction`, so it must run an extra
 /// `(1 − keep_fraction) · overlap` afterwards.
-pub fn shrink_increase(keep_fraction: f64, overlap: u64) -> u64 {
+pub(crate) fn shrink_increase(keep_fraction: f64, overlap: u64) -> u64 {
     let f = keep_fraction.clamp(0.0, 1.0);
     ((1.0 - f) * overlap as f64).ceil() as u64
 }

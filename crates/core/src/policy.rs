@@ -25,6 +25,10 @@ use cluster::JobId;
 use simkit::SimTime;
 use slurm_sim::{backfill_pass, timing, DirtyFlags, Profile, Scheduler, SimState};
 
+/// Maximum flexible (malleable) trials per scheduling pass; bounds scheduler
+/// latency on deep queues, like SLURM's `bf_max_job_start`.
+pub const MAX_TRIALS_PER_PASS: usize = 32;
+
 /// What a trial's verdict depends on besides the state no trial changes:
 /// `(req_nodes, req_time, ranks_per_node)`.
 type Shape = (u32, u64, u32);
@@ -120,7 +124,7 @@ impl SdPolicy {
         est_static_start: Option<SimTime>,
         profile: &mut Profile,
     ) -> bool {
-        if self.trials_this_pass >= self.cfg.max_trials_per_pass {
+        if self.trials_this_pass >= MAX_TRIALS_PER_PASS {
             return false;
         }
         let (malleable, req_time, req_nodes, ranks) = {
@@ -239,12 +243,15 @@ impl Scheduler for SdPolicy {
         let mut profile = backfill_pass(st, |st, id, est, profile| {
             self.try_malleable(st, id, est, profile)
         });
-        // Expand side: idle whole nodes that no pending job is counting on
-        // (per the end-of-pass profile, reservations included) can host
-        // shrunk borrowers at full width, returning their mates to full
-        // rate. Relocation is itself a backfill decision: the borrower's
-        // remaining *requested* wall time must fit before any reservation.
-        if self.cfg.expand_on_idle && st.cluster.empty_node_count() > 0 {
+        // Expand side, the resource manager's other half: idle whole nodes
+        // that no pending job is counting on (per the end-of-pass profile,
+        // reservations included) host shrunk borrowers at full width
+        // (DMR-style node reconfiguration), returning their mates to full
+        // rate; otherwise co-scheduled pairs would stay shrunk while the
+        // machine idles. Relocation is itself a backfill decision: the
+        // borrower's remaining *requested* wall time must fit before any
+        // reservation.
+        if st.cluster.empty_node_count() > 0 {
             for id in st.shrunk_borrowers() {
                 let (width, remaining) = {
                     let job = st.job(id);
@@ -275,9 +282,7 @@ impl Scheduler for SdPolicy {
         dirty.queue
             || (dirty.capacity
                 && (!st.queue.is_empty()
-                    || (self.cfg.expand_on_idle
-                        && st.has_shrunk_borrowers()
-                        && st.cluster.empty_node_count() > 0)))
+                    || (st.has_shrunk_borrowers() && st.cluster.empty_node_count() > 0)))
     }
 
     fn name(&self) -> &'static str {
@@ -606,7 +611,7 @@ mod tests {
         ];
         jobs.extend((4..36).map(|id| job(id, 10, 100, 3, 100)));
         let ctl = controller_at_10(jobs, 3, BackfillMode::Conservative);
-        assert_eq!(ctl.scheduler.cfg.max_trials_per_pass, 32);
+        assert_eq!(MAX_TRIALS_PER_PASS, 32);
         assert_eq!(ctl.state.stats.started_malleable, 0);
         assert_eq!(ctl.scheduler.memo_hits(), MemoHits { est: 0, mates: 30 });
     }

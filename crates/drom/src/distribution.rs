@@ -4,8 +4,8 @@
 //! locality and reduce interference between jobs" and "maintains running and
 //! new processes balanced in the number of cores per task".
 //!
-//! All functions are pure: they map a node spec plus per-job core budgets to
-//! disjoint [`CpuMask`]s, so they are easy to property-test.
+//! All functions are pure: they map a node spec plus core budgets and masks
+//! to new [`CpuMask`]s, so they are easy to property-test.
 
 use cluster::cpumask::CpuMask;
 use cluster::spec::NodeSpec;
@@ -13,7 +13,7 @@ use cluster::spec::NodeSpec;
 /// Splits `total` cores into `parts` budgets differing by at most one
 /// (balanced distribution). The first `total % parts` budgets get the extra
 /// core — deterministic, so placement is reproducible.
-pub fn balanced_budgets(total: u32, parts: u32) -> Vec<u32> {
+pub(crate) fn balanced_budgets(total: u32, parts: u32) -> Vec<u32> {
     assert!(parts > 0, "cannot split across zero jobs");
     let base = total / parts;
     let extra = (total % parts) as usize;
@@ -22,31 +22,9 @@ pub fn balanced_budgets(total: u32, parts: u32) -> Vec<u32> {
         .collect()
 }
 
-/// Assigns disjoint socket-aligned masks for the given per-job core budgets.
-///
-/// Budgets are laid out left-to-right over the node's cores. Because cores
-/// are numbered socket-major, a job whose budget equals a socket size lands
-/// exactly on one socket — the isolation the paper found optimal. Budgets
-/// must sum to at most the node's core count.
-pub fn socket_aligned_masks(spec: &NodeSpec, budgets: &[u32]) -> Vec<CpuMask> {
-    let ncores = spec.cores() as usize;
-    let total: u32 = budgets.iter().sum();
-    assert!(
-        total <= spec.cores(),
-        "budgets ({total}) exceed node cores ({})",
-        spec.cores()
-    );
-    let mut masks = Vec::with_capacity(budgets.len());
-    let mut cursor = 0usize;
-    for &b in budgets {
-        masks.push(CpuMask::range(ncores, cursor, cursor + b as usize));
-        cursor += b as usize;
-    }
-    masks
-}
-
-/// Number of distinct sockets a mask touches.
-pub fn sockets_touched(spec: &NodeSpec, mask: &CpuMask) -> u32 {
+/// Number of distinct sockets a mask touches: the tests' isolation check.
+#[cfg(test)]
+pub(crate) fn sockets_touched(spec: &NodeSpec, mask: &CpuMask) -> u32 {
     let mut touched = vec![false; spec.sockets as usize];
     for c in mask.iter() {
         touched[spec.socket_of(c as u32) as usize] = true;
@@ -56,7 +34,7 @@ pub fn sockets_touched(spec: &NodeSpec, mask: &CpuMask) -> u32 {
 
 /// Shrinks `mask` to `target` cores, preferring to vacate whole sockets
 /// (keeps the sockets where the job already has the most cores).
-pub fn shrink_socket_first(spec: &NodeSpec, mask: &CpuMask, target: u32) -> CpuMask {
+pub(crate) fn shrink_socket_first(spec: &NodeSpec, mask: &CpuMask, target: u32) -> CpuMask {
     let have = mask.count() as u32;
     if target >= have {
         return *mask;
@@ -96,7 +74,12 @@ pub fn shrink_socket_first(spec: &NodeSpec, mask: &CpuMask, target: u32) -> CpuM
 
 /// Expands `mask` by `extra` cores taken from `available` (lowest first,
 /// preferring sockets the job already occupies for locality).
-pub fn expand_into(spec: &NodeSpec, mask: &CpuMask, available: &CpuMask, extra: u32) -> CpuMask {
+pub(crate) fn expand_into(
+    spec: &NodeSpec,
+    mask: &CpuMask,
+    available: &CpuMask,
+    extra: u32,
+) -> CpuMask {
     let mut out = *mask;
     let mut remaining = extra;
     // First pass: same-socket cores.
@@ -143,23 +126,6 @@ mod tests {
         assert_eq!(balanced_budgets(48, 2), vec![24, 24]);
         assert_eq!(balanced_budgets(48, 5), vec![10, 10, 10, 9, 9]);
         assert_eq!(balanced_budgets(3, 5), vec![1, 1, 1, 0, 0]);
-    }
-
-    #[test]
-    fn socket_aligned_masks_are_disjoint_and_isolated() {
-        let spec = mn4();
-        let masks = socket_aligned_masks(&spec, &[24, 24]);
-        assert!(masks[0].is_disjoint(&masks[1]));
-        assert_eq!(sockets_touched(&spec, &masks[0]), 1);
-        assert_eq!(sockets_touched(&spec, &masks[1]), 1);
-        assert_eq!(masks[0], spec.socket_mask(0));
-        assert_eq!(masks[1], spec.socket_mask(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed node cores")]
-    fn overcommitted_budgets_panic() {
-        socket_aligned_masks(&mn4(), &[40, 40]);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //!
 //! * [`registry`] — the DROM "space": processes register, expose their CPU
 //!   masks, and pick up pending mask changes at *malleability points*,
-//! * [`sharing`] — the `SharingFactor` rule: how many cores a running job can
+//! * `sharing` — the `SharingFactor` rule: how many cores a running job can
 //!   lose on a shared node, floored at one core per MPI rank,
-//! * [`distribution`] — pure core-distribution algorithms (socket-isolated,
+//! * `distribution` — pure core-distribution algorithms (socket-isolated,
 //!   balanced) used by the node manager to compute task→core affinities,
 //! * [`node`] — the per-node manager implementing the paper's Listing 3:
 //!   shrink residents on a co-launch, return cores to their owner at job end,
@@ -18,10 +18,10 @@
 //! malleability point, which the simulator reaches instantaneously (the
 //! measured DROM overhead is negligible — paper §2.1).
 
-pub mod distribution;
+mod distribution;
 pub mod node;
 pub mod registry;
-pub mod sharing;
+mod sharing;
 
 pub use node::{NodeManager, NodeUpdate};
 pub use registry::{DromHandle, DromRegistry, ProcessEntry};

@@ -1,7 +1,7 @@
 //! Per-node resource manager (paper Listing 3, slurmd + task/affinity).
 //!
 //! Tracks the jobs resident on one node, computes their task→core
-//! distribution through [`crate::distribution`], and implements the paper's
+//! distribution through `crate::distribution`, and implements the paper's
 //! ownership rules:
 //!
 //! 1. at a malleable co-launch the shrunk resident becomes the **owner** of
@@ -23,7 +23,7 @@ use std::cmp::Ordering;
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeUpdate {
     pub job: JobId,
-    pub new_mask: CpuMask,
+    pub(crate) new_mask: CpuMask,
 }
 
 impl NodeUpdate {
@@ -65,10 +65,6 @@ impl NodeManager {
         self.node
     }
 
-    pub fn resident_count(&self) -> usize {
-        self.residents.len()
-    }
-
     pub fn is_empty(&self) -> bool {
         self.residents.is_empty()
     }
@@ -80,11 +76,6 @@ impl NodeManager {
             free.subtract(&r.mask);
         }
         free
-    }
-
-    /// Current mask of `job`, if resident.
-    pub fn mask_of(&self, job: JobId) -> Option<&CpuMask> {
-        self.residents.iter().find(|r| r.job == job).map(|r| &r.mask)
     }
 
     /// Launches a job on `cores` free cores (static path). Registers it with
@@ -343,7 +334,7 @@ mod tests {
         assert_eq!(crate::distribution::sockets_touched(&spec, &ups[0].new_mask), 1);
         assert_eq!(crate::distribution::sockets_touched(&spec, &ups[1].new_mask), 1);
         // Masks are staged until the per-job broadcast closes the batch.
-        assert!(reg.find(JobId(1), NodeId(0)).unwrap().has_pending());
+        assert!(reg.find(JobId(1), NodeId(0)).unwrap().pending.is_some());
         assert_eq!(reg.poll_nodes(&[NodeId(0)]), 1);
         assert!(reg.validate_node(NodeId(0)).is_ok());
     }
@@ -367,7 +358,7 @@ mod tests {
         assert_eq!(ups.len(), 1);
         assert_eq!(ups[0].job, JobId(1));
         assert_eq!(ups[0].cores(), 48, "owner expanded back to the full node");
-        assert_eq!(nm.resident_count(), 1);
+        assert_eq!(nm.residents.len(), 1);
     }
 
     #[test]
@@ -440,10 +431,8 @@ mod tests {
         assert_eq!(ups[0].cores(), 12);
         assert_eq!(ups[1].cores(), 12);
         // Masks across all three jobs cover the node exactly once.
-        let total: usize = [JobId(1), JobId(2), JobId(3)]
-            .iter()
-            .map(|&j| nm.mask_of(j).unwrap().count())
-            .sum();
+        assert_eq!(nm.residents.len(), 3);
+        let total: usize = nm.residents.iter().map(|r| r.mask.count()).sum();
         assert_eq!(total, 48);
     }
 }

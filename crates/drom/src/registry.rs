@@ -27,13 +27,6 @@ pub struct ProcessEntry {
     pub pending: Option<CpuMask>,
 }
 
-impl ProcessEntry {
-    /// True when a reconfiguration is waiting for a malleability point.
-    pub fn has_pending(&self) -> bool {
-        self.pending.is_some()
-    }
-}
-
 /// The registry of all DROM-attached processes (one per node manager in the
 /// real system; global here for test convenience).
 ///
@@ -228,10 +221,10 @@ mod tests {
         assert!(r.set_mask(N0, h, mask(0, 8)));
         // Not yet applied:
         assert_eq!(r.get(N0, h).unwrap().current.count(), 16);
-        assert!(r.get(N0, h).unwrap().has_pending());
+        assert!(r.get(N0, h).unwrap().pending.is_some());
         // Malleability point:
         assert_eq!(r.poll(N0, h).unwrap().count(), 8);
-        assert!(!r.get(N0, h).unwrap().has_pending());
+        assert!(r.get(N0, h).unwrap().pending.is_none());
         assert!(r.poll(N0, h).is_none(), "no further change pending");
     }
 

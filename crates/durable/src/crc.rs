@@ -25,7 +25,7 @@ static TABLE: [u32; 256] = make_table();
 /// Incremental CRC-32 over multiple slices (a frame checksums the sequence
 /// number and the payload without concatenating them first).
 #[derive(Debug, Clone)]
-pub struct Crc32(u32);
+pub(crate) struct Crc32(u32);
 
 impl Crc32 {
     pub fn new() -> Self {

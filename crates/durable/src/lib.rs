@@ -3,7 +3,7 @@
 //! Dependency-free (like `sd-trace`): a checksummed, length-prefixed
 //! write-ahead log ([`wal`]), atomic checkpoints ([`checkpoint`]), the
 //! directory-level store + recovery protocol that ties them together
-//! ([`store`]), and the byte codec ([`codec`]) that these headers and every
+//! (`store`), and the byte codec ([`codec`]) that these headers and every
 //! payload above them are written and read with. What a payload *means* is
 //! owned by the caller (`sd-serve`, `slurm-sim`); this crate guarantees
 //! that whatever bytes were appended come back in order, that a torn or
@@ -18,11 +18,11 @@
 
 pub mod checkpoint;
 pub mod codec;
-pub mod crc;
-pub mod store;
+mod crc;
+mod store;
 pub mod wal;
 
 pub use checkpoint::Checkpoint;
 pub use crc::crc32;
 pub use store::{DurableStore, Recovery, WAL_FILE};
-pub use wal::{scan_bytes, FsyncPolicy, ScanOutcome, WalRecord, WalWriter};
+pub use wal::{scan_bytes, FsyncPolicy, ScanOutcome, WalRecord};

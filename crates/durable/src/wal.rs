@@ -28,7 +28,7 @@ use std::path::Path;
 pub const FRAME_HEADER: usize = 16;
 
 /// Sanity cap so a garbage length prefix cannot trigger a huge allocation.
-pub const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
+pub(crate) const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
 
 /// When appended records are flushed to stable storage.
 ///
@@ -125,7 +125,7 @@ pub fn scan_bytes(data: &[u8]) -> ScanOutcome {
 }
 
 /// Scan a log file; a missing file is an empty log.
-pub fn scan_file(path: &Path) -> io::Result<ScanOutcome> {
+pub(crate) fn scan_file(path: &Path) -> io::Result<ScanOutcome> {
     let mut data = Vec::new();
     match File::open(path) {
         Ok(mut f) => {
@@ -139,7 +139,7 @@ pub fn scan_file(path: &Path) -> io::Result<ScanOutcome> {
 
 /// Appender positioned at the end of the valid prefix.
 #[derive(Debug)]
-pub struct WalWriter {
+pub(crate) struct WalWriter {
     file: File,
     policy: FsyncPolicy,
     buf: Vec<u8>,

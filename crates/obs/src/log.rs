@@ -8,11 +8,11 @@
 //! dropped*, never returned torn. `tests/prop_log_ring.rs` property-tests
 //! that contract through the text packing.
 //!
-//! On top of the ring sits the process-global [`Logger`] behind the
+//! On top of the ring sits the process-global `Logger` behind the
 //! [`log_event!`] macro: one relaxed atomic load when the level is off,
 //! ring + optional stderr echo + optional JSON-lines file sink when on.
 
-use crate::json_escape;
+use crate::push_json_str;
 use sd_trace::ring::SeqRing;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -87,21 +87,24 @@ impl LogRecord {
     /// the JSON-lines sink format.
     pub fn to_json(&self) -> String {
         let mut out = format!(
-            "{{\"seq\":{},\"wall_us\":{},\"virt_s\":{},\"level\":\"{}\",\"target\":\"{}\",\"msg\":\"{}\"",
+            "{{\"seq\":{},\"wall_us\":{},\"virt_s\":{},\"level\":\"{}\",\"target\":",
             self.seq,
             self.wall_micros,
             self.virt_secs,
             self.level.label(),
-            json_escape(&self.target),
-            json_escape(&self.message),
         );
+        push_json_str(&mut out, &self.target);
+        out.push_str(",\"msg\":");
+        push_json_str(&mut out, &self.message);
         if !self.fields.is_empty() {
             out.push_str(",\"fields\":{");
             for (i, (k, v)) in self.fields.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)));
+                push_json_str(&mut out, k);
+                out.push(':');
+                push_json_str(&mut out, v);
             }
             out.push('}');
         }
@@ -237,7 +240,7 @@ fn decode_record(seq: u64, words: &[u64; SLOT_WORDS]) -> LogRecord {
 }
 
 /// Process-global logger state behind [`log_event!`].
-pub struct Logger {
+pub(crate) struct Logger {
     ring: LogRing,
     ring_level: AtomicU8,
     stderr_level: AtomicU8,
@@ -251,7 +254,7 @@ static LOGGER: OnceLock<Logger> = OnceLock::new();
 /// Default ring capacity: 16 Ki records (~7 MiB), allocated on first log.
 const DEFAULT_RING: usize = 1 << 14;
 
-pub fn logger() -> &'static Logger {
+pub(crate) fn logger() -> &'static Logger {
     LOGGER.get_or_init(|| Logger {
         ring: LogRing::new(DEFAULT_RING),
         ring_level: AtomicU8::new(Level::Info as u8),
@@ -271,10 +274,6 @@ pub fn set_ring_level(l: Level) {
 /// matching the chattiness of the `eprintln!` sites this replaced).
 pub fn set_stderr_level(l: Level) {
     logger().stderr_level.store(l as u8, Ordering::Relaxed);
-}
-
-pub fn stderr_level() -> Level {
-    Level::from_u8(logger().stderr_level.load(Ordering::Relaxed))
 }
 
 /// Publishes the engine's virtual clock so records carry both timelines.

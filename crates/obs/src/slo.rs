@@ -8,7 +8,7 @@
 //! budget in ~2 days (the classic page-worthy threshold). Following the
 //! SRE-workbook multi-window rule, [`SloStatus::breached`] fires when the
 //! budget is exhausted outright or when *both* the fast and the slow
-//! window burn above [`BURN_PAGE_THRESHOLD`] — the fast window gives
+//! window burn above `BURN_PAGE_THRESHOLD` — the fast window gives
 //! detection latency, the slow window de-flaps it.
 //!
 //! Trackers consume *cumulative* `(good, total)` counters (monotone, the
@@ -19,11 +19,11 @@
 use std::collections::VecDeque;
 
 /// Both burn windows above this rate ⇒ the SLO is breached (page).
-pub const BURN_PAGE_THRESHOLD: f64 = 14.4;
+pub(crate) const BURN_PAGE_THRESHOLD: f64 = 14.4;
 
 /// Default fast / slow burn windows in seconds (5 min / 1 h).
-pub const DEFAULT_FAST_WINDOW: u64 = 300;
-pub const DEFAULT_SLOW_WINDOW: u64 = 3600;
+pub(crate) const DEFAULT_FAST_WINDOW: u64 = 300;
+pub(crate) const DEFAULT_SLOW_WINDOW: u64 = 3600;
 
 /// What the objective measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

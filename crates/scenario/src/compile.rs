@@ -3,16 +3,16 @@
 //! `slurm_sim::run_trace` (or the app-bound / SWF-replay paths).
 
 use crate::scenario::{
-    axis_key, ArrivalKind, BackfillDecl, ClusterPreset, ModelDecl, PolicyKindDecl, Scenario,
-    SourceKind, TenantQueueDecl, TenantsDecl,
+    axis_key, ArrivalKind, BackfillDecl, ClusterPreset, ModelDecl, PolicyDecl, PolicyKindDecl,
+    Scenario, SourceKind, TenantQueueDecl, TenantsDecl,
 };
 use cluster::ClusterSpec;
 use drom::SharingFactor;
 use sd_policy::{SdPolicy, SdPolicyConfig};
 use slurm_sim::replay::{infer_cluster, replay_state};
 use slurm_sim::{
-    AppAwareModel, BackfillMode, Controller, IdealModel, QueuePolicy, Quota, RateModel, SimResult,
-    SimState, SlurmConfig, StaticBackfill, Tenant, TenantRegistry, WorstCaseModel,
+    AppAwareModel, BackfillMode, Controller, IdealModel, QueuePolicy, Quota, RateModel, Scheduler,
+    SimResult, SimState, SlurmConfig, StaticBackfill, Tenant, TenantRegistry, WorstCaseModel,
 };
 use workload::{ArrivalModel, PaperWorkload};
 
@@ -81,12 +81,24 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-fn rate_model(decl: ModelDecl) -> Box<dyn RateModel> {
-    match decl {
+/// The runtime model and the scheduler a `[policy]` section declares — the
+/// one place either is built from a declaration, for `run_scenario` and
+/// `sd-serve` alike.
+pub fn build_policy(p: &PolicyDecl) -> (Box<dyn RateModel>, Box<dyn Scheduler + Send>) {
+    let model: Box<dyn RateModel> = match p.model {
         ModelDecl::Ideal => Box::new(IdealModel),
         ModelDecl::WorstCase => Box::new(WorstCaseModel),
         ModelDecl::AppAware => Box::new(AppAwareModel),
-    }
+    };
+    let scheduler: Box<dyn Scheduler + Send> = match p.kind {
+        PolicyKindDecl::Static => Box::new(StaticBackfill),
+        PolicyKindDecl::Sd => Box::new(SdPolicy::new(SdPolicyConfig {
+            max_slowdown: p.maxsd.to_policy(),
+            max_mates: p.max_mates,
+            include_free_nodes: p.include_free_nodes,
+        })),
+    };
+    (model, scheduler)
 }
 
 /// Whether a synthetic run is big enough to need the O(R+Q) EASY pass: the
@@ -172,9 +184,10 @@ fn apply_tenancy(cfg: &mut SlurmConfig, t: &TenantsDecl, trace: &swf::Trace, spe
     cfg.tenants = registry;
 }
 
-/// A preset machine. `nodes = None` keeps the preset's native node count
-/// (full RICC/Curie, the fixed 49-node MN4 subset, 1024 MN4 nodes).
-fn preset_spec(preset: ClusterPreset, nodes: Option<u32>) -> Option<ClusterSpec> {
+/// A preset machine; `None` for [`ClusterPreset::Auto`], whose machine
+/// follows the workload. `nodes = None` keeps the preset's native node
+/// count (full RICC/Curie, the fixed 49-node MN4 subset, 1024 MN4 nodes).
+pub fn preset_spec(preset: ClusterPreset, nodes: Option<u32>) -> Option<ClusterSpec> {
     let mut spec = match preset {
         ClusterPreset::Auto => return None,
         ClusterPreset::Mn4 => ClusterSpec::marenostrum4(1024),
@@ -188,13 +201,17 @@ fn preset_spec(preset: ClusterPreset, nodes: Option<u32>) -> Option<ClusterSpec>
     Some(spec)
 }
 
-fn finish<S: slurm_sim::Scheduler>(
-    state: SimState,
-    scheduler: S,
+fn run_state(
+    mut state: SimState,
+    scheduler: Box<dyn Scheduler + Send>,
+    ring: Option<std::sync::Arc<slurm_sim::TraceRing>>,
     s: &Scenario,
     variant: &str,
     scale: f64,
 ) -> ScenarioOutcome {
+    if let Some(ring) = ring {
+        state.attach_trace(ring);
+    }
     let (total_nodes, total_cores) = (state.spec().nodes, state.spec().total_cores());
     let result = Controller::new(state, scheduler).run();
     ScenarioOutcome {
@@ -209,30 +226,6 @@ fn finish<S: slurm_sim::Scheduler>(
         total_nodes,
         total_cores,
         result,
-    }
-}
-
-fn run_state(
-    mut state: SimState,
-    ring: Option<std::sync::Arc<slurm_sim::TraceRing>>,
-    s: &Scenario,
-    variant: &str,
-    scale: f64,
-) -> ScenarioOutcome {
-    if let Some(ring) = ring {
-        state.attach_trace(ring);
-    }
-    match s.policy.kind {
-        PolicyKindDecl::Static => finish(state, StaticBackfill, s, variant, scale),
-        PolicyKindDecl::Sd => {
-            let cfg = SdPolicyConfig {
-                max_slowdown: s.policy.maxsd.to_policy(),
-                max_mates: s.policy.max_mates,
-                include_free_nodes: s.policy.include_free_nodes,
-                ..SdPolicyConfig::default()
-            };
-            finish(state, SdPolicy::new(cfg), s, variant, scale)
-        }
     }
 }
 
@@ -305,7 +298,7 @@ fn execute_inner(
     let s = &p.scenario;
     let scale = s.effective_scale();
     let sharing = SharingFactor::new(s.policy.sharing);
-    let model = rate_model(s.policy.model);
+    let (model, scheduler) = build_policy(&s.policy);
 
     match s.workload.source {
         SourceKind::RealRun => {
@@ -313,7 +306,7 @@ fn execute_inner(
             let spec = ClusterSpec::mn4_real_run();
             let cfg = slurm_config(s, false);
             let state = SimState::with_apps(spec, cfg, &apps, model, sharing);
-            Ok(run_state(state, ring, s, &p.variant, scale))
+            Ok(run_state(state, scheduler, ring, s, &p.variant, scale))
         }
         SourceKind::Swf => {
             let path = s.workload.path.as_deref().expect("validated at parse time");
@@ -335,7 +328,7 @@ fn execute_inner(
                     s.name
                 )));
             }
-            Ok(run_state(state, ring, s, &p.variant, scale))
+            Ok(run_state(state, scheduler, ring, s, &p.variant, scale))
         }
         _ => {
             let w = s
@@ -397,7 +390,7 @@ fn execute_inner(
                 apply_tenancy(&mut cfg, t, &trace, &spec);
             }
             let state = SimState::new(spec, cfg, &trace, model, sharing);
-            Ok(run_state(state, ring, s, &p.variant, scale))
+            Ok(run_state(state, scheduler, ring, s, &p.variant, scale))
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The raw scenario file format: `#` comments, `[section]` headers and
 //! `key = value` entries, every entry tagged with its 1-based line number so
-//! the typed layer ([`crate::scenario`]) can reject unknown or out-of-range
+//! the typed layer (`crate::scenario`) can reject unknown or out-of-range
 //! keys with a precise location.
 //!
 //! ```text
@@ -88,11 +88,11 @@ impl RawDoc {
 /// Parses the raw section/key-value structure. Duplicate sections and
 /// duplicate keys within a section are errors (a scenario is a description,
 /// not a script — last-wins semantics would hide typos).
-pub fn parse_raw(text: &str) -> Result<RawDoc, ParseError> {
+pub(crate) fn parse_raw(text: &str) -> Result<RawDoc, ParseError> {
     parse_raw_with(text, false)
 }
 
-/// Like [`parse_raw`], but optionally allowing a section name to repeat —
+/// Like `parse_raw`, but optionally allowing a section name to repeat —
 /// list-like documents (the `sd-validate` expectation files' `[claim]`
 /// records) use repetition; scenario files stay strict.
 pub fn parse_raw_with(text: &str, allow_repeated_sections: bool) -> Result<RawDoc, ParseError> {
@@ -161,7 +161,7 @@ pub fn parse_f64(e: &RawEntry) -> Result<f64, ParseError> {
         .map_err(|_| ParseError::new(e.line, format!("`{}`: not a number: {}", e.key, e.value)))
 }
 
-pub fn parse_int<T: std::str::FromStr>(e: &RawEntry) -> Result<T, ParseError> {
+pub(crate) fn parse_int<T: std::str::FromStr>(e: &RawEntry) -> Result<T, ParseError> {
     e.value
         .parse()
         .map_err(|_| ParseError::new(e.line, format!("`{}`: not an integer: {}", e.key, e.value)))

@@ -9,16 +9,16 @@
 //!
 //! * [`format`] — the tiny section/key-value text format (line-precise
 //!   errors, no dependencies),
-//! * [`scenario`] — the typed [`Scenario`] model and [`KEYS`], the table
+//! * `scenario` — the typed [`Scenario`] model and [`KEYS`], the table
 //!   that declares each key of the format once: parse, validate, render
 //!   (`parse(render(s)) == s`) and sweep validation all loop over it,
 //! * [`compile`] — sweep expansion into [`RunPoint`]s, execution through
 //!   the simulator, and [`run_key`], what tells two runs apart,
-//! * [`registry`] — built-in scenarios: the `.scn` files under `scenarios/`
+//! * `registry` — built-in scenarios: the `.scn` files under `scenarios/`
 //!   (the paper's workloads, figures and tables, the ablation study, and
 //!   bursty / diurnal / mixed-malleability / oversubscription / tenant-mix
 //!   studies),
-//! * [`campaign`] — `.campaign` files naming several scenarios to run as one.
+//! * `campaign` — `.campaign` files naming several scenarios to run as one.
 //!
 //! ```
 //! use sd_scenario::{expand, execute, Scenario};
@@ -43,11 +43,11 @@
 //! assert_eq!(outcome.result.leftover_pending, 0);
 //! ```
 
-pub mod campaign;
+mod campaign;
 pub mod compile;
 pub mod format;
-pub mod registry;
-pub mod scenario;
+mod registry;
+mod scenario;
 
 pub use campaign::Campaign;
 pub use compile::{

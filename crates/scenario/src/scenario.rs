@@ -106,7 +106,7 @@ impl Vocab for SourceKind {
 
 impl SourceKind {
     /// The paper workload backing a synthetic source (None for SWF replay).
-    pub fn paper_workload(self) -> Option<PaperWorkload> {
+    pub(crate) fn paper_workload(self) -> Option<PaperWorkload> {
         match self {
             SourceKind::Cirne => Some(PaperWorkload::W1Cirne),
             SourceKind::CirneIdeal => Some(PaperWorkload::W2CirneIdeal),
@@ -321,7 +321,7 @@ impl Vocab for TenantQueueDecl {
 
 /// Fair-share decay half-life default: one day, the classic SLURM
 /// `PriorityDecayHalfLife` starting point.
-pub const DEFAULT_HALF_LIFE: u64 = 86_400;
+pub(crate) const DEFAULT_HALF_LIFE: u64 = 86_400;
 
 /// Multi-tenancy declaration: the tenant population stamped onto the
 /// synthetic trace, the per-tenant quota, and the queue order.
@@ -874,6 +874,20 @@ impl Scenario {
             slos: Vec::new(),
             sweep: SweepDecl::default(),
         }
+    }
+
+    /// Sets `[section] name` from a command-line flag's value the way the
+    /// `.scn` parser sets it from a file: the row's check, and on failure
+    /// its message as `bad <flag>: <message>`.
+    pub fn set_flag(
+        &mut self,
+        flag: &str,
+        section: &str,
+        name: &str,
+        value: &str,
+    ) -> Result<(), String> {
+        let key = find_key(section, name).expect("a flag stands for a key of the format");
+        key.set(self, value, 0).map_err(|e| format!("bad {flag}: {}", e.msg))
     }
 
     /// The effective scale (explicit, or the source's CI default).

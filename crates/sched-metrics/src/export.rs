@@ -10,6 +10,7 @@
 use crate::heatmap::RatioHeatmap;
 use crate::summary::{Summary, TenantSummary};
 use crate::timeseries::DailySeries;
+use sd_obs::push_json_str;
 use std::fmt::Write as _;
 
 /// CSV of ratio heatmaps (Figs. 4–6's data), one block of cells per map:
@@ -68,7 +69,7 @@ pub struct CampaignDeltas {
     pub d_makespan_pct: f64,
     pub d_response_pct: f64,
     pub d_slowdown_pct: f64,
-    pub d_wait_pct: f64,
+    pub(crate) d_wait_pct: f64,
     pub d_energy_pct: f64,
 }
 
@@ -164,25 +165,6 @@ fn campaign_values(r: &CampaignRow) -> [f64; 11] {
     ]
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Formats an `f64` for export: integers without a trailing `.0`, everything
 /// else with Rust's shortest-roundtrip `Display` (deterministic). Non-finite
 /// values become `null` — `NaN`/`inf` are not valid JSON.
@@ -211,21 +193,20 @@ fn round4(v: f64) -> f64 {
 pub fn campaign_json(rows: &[CampaignRow]) -> String {
     let mut out = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
-        let mut obj = format!(
-            "  {{\"scenario\": \"{}\", \"variant\": \"{}\", \"policy\": \"{}\", \
-             \"seed\": {}, \"scale\": {}",
-            json_escape(&r.scenario),
-            json_escape(&r.variant),
-            json_escape(&r.summary.label),
-            r.seed,
-            fmt_num(r.scale),
-        );
+        let mut obj = String::from("  {\"scenario\": ");
+        push_json_str(&mut obj, &r.scenario);
+        obj.push_str(", \"variant\": ");
+        push_json_str(&mut obj, &r.variant);
+        obj.push_str(", \"policy\": ");
+        push_json_str(&mut obj, &r.summary.label);
+        let _ = write!(obj, ", \"seed\": {}, \"scale\": {}", r.seed, fmt_num(r.scale));
         for (k, v) in CAMPAIGN_FIELDS.iter().zip(campaign_values(r)) {
             let _ = write!(obj, ", \"{k}\": {}", fmt_num(v));
         }
         match &r.deltas {
             Some(d) => {
-                let _ = write!(obj, ", \"baseline\": \"{}\"", json_escape(&d.vs));
+                obj.push_str(", \"baseline\": ");
+                push_json_str(&mut obj, &d.vs);
                 for (k, v) in DELTA_FIELDS.iter().zip(delta_values(d)) {
                     let _ = write!(obj, ", \"{k}\": {}", fmt_num(round4(v)));
                 }

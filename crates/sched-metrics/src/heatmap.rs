@@ -15,9 +15,9 @@ use slurm_sim::JobOutcome;
 pub struct HeatmapSpec {
     /// Upper bounds (inclusive) of node buckets; a final open bucket catches
     /// the rest. E.g. `[1, 2, 4, …]`.
-    pub node_edges: Vec<u32>,
+    pub(crate) node_edges: Vec<u32>,
     /// Upper bounds (inclusive) of runtime classes in seconds.
-    pub runtime_edges: Vec<u64>,
+    pub(crate) runtime_edges: Vec<u64>,
 }
 
 impl HeatmapSpec {
@@ -49,7 +49,7 @@ impl HeatmapSpec {
         le_bucket(&self.node_edges, nodes)
     }
 
-    pub fn runtime_bucket(&self, runtime: u64) -> usize {
+    pub(crate) fn runtime_bucket(&self, runtime: u64) -> usize {
         le_bucket(&self.runtime_edges, runtime)
     }
 
@@ -153,10 +153,6 @@ impl Heatmap {
 
     pub fn cell(&self, runtime_bucket: usize, node_bucket: usize) -> &Welford {
         &self.cells[runtime_bucket * self.spec.node_buckets() + node_bucket]
-    }
-
-    pub fn cell_mean(&self, runtime_bucket: usize, node_bucket: usize) -> f64 {
-        self.cell(runtime_bucket, node_bucket).mean()
     }
 
     pub fn cell_count(&self, runtime_bucket: usize, node_bucket: usize) -> u64 {
@@ -290,7 +286,7 @@ mod tests {
         h.add(&outcome(1, 100, 100, 0)); // slowdown 2
         h.add(&outcome(1, 100, 300, 0)); // slowdown 4
         assert_eq!(h.cell_count(0, 0), 2);
-        assert!((h.cell_mean(0, 0) - 3.0).abs() < 1e-9);
+        assert!((h.cell(0, 0).mean() - 3.0).abs() < 1e-9);
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl Histogram {
 
     /// Log-spaced bounds from `lo` to `hi` (inclusive-ish), `per_decade`
     /// buckets per decade — the shape used for latencies and waits.
-    pub fn log_spaced(lo: f64, hi: f64, per_decade: u32) -> Histogram {
+    pub(crate) fn log_spaced(lo: f64, hi: f64, per_decade: u32) -> Histogram {
         debug_assert!(lo > 0.0 && hi > lo && per_decade > 0);
         let step = 10f64.powf(1.0 / per_decade as f64);
         let mut bounds = Vec::new();

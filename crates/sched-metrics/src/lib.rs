@@ -2,23 +2,23 @@
 //!
 //! Turns `slurm_sim::SimResult` values into the paper's figures and tables:
 //!
-//! * [`summary`] — the headline aggregates (§4's metric definitions:
+//! * `summary` — the headline aggregates (§4's metric definitions:
 //!   makespan, average response time, average slowdown, energy),
 //! * [`heatmap`] — job-category bucketing by requested nodes × runtime class
 //!   and the static/SD ratio heatmaps of Figs. 4–6,
-//! * [`timeseries`] — per-day slowdown and malleable-start series (Fig. 7),
-//! * [`table`] — plain-text table rendering for `run_scenario` and the examples,
-//! * [`export`] — deterministic CSV/JSON writers (figures + scenario
+//! * `timeseries` — per-day slowdown and malleable-start series (Fig. 7),
+//! * `table` — plain-text table rendering for `run_scenario` and the examples,
+//! * `export` — deterministic CSV/JSON writers (figures + scenario
 //!   campaigns).
 
-pub mod export;
+mod export;
 pub mod heatmap;
 pub mod histogram;
-pub mod percentiles;
-pub mod summary;
-pub mod table;
-pub mod timeseries;
-pub mod tracesum;
+mod percentiles;
+mod summary;
+mod table;
+pub(crate) mod timeseries;
+pub(crate) mod tracesum;
 
 pub use export::{
     campaign_csv, campaign_json, daily_csv, heatmap_csv, tenant_csv, CampaignDeltas,

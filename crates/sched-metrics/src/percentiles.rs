@@ -1,10 +1,8 @@
 //! Distribution views of the per-job metrics.
 //!
 //! Averages hide the fairness story the paper tells in §4.2 (SD-Policy
-//! "generates a more fair distribution of the slowdown"); percentiles and
-//! tail ratios make it visible.
-
-use slurm_sim::JobOutcome;
+//! "generates a more fair distribution of the slowdown"); percentiles make
+//! it visible.
 
 /// Percentile summary of one per-job metric.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,34 +38,11 @@ impl Percentiles {
             max: *values.last().unwrap(),
         })
     }
-
-    /// Slowdown percentiles of a run.
-    pub fn of_slowdown(outcomes: &[JobOutcome]) -> Option<Percentiles> {
-        let mut v: Vec<f64> = outcomes.iter().map(|o| o.slowdown()).collect();
-        Percentiles::compute(&mut v)
-    }
-
-    /// Wait-time percentiles of a run (seconds).
-    pub fn of_wait(outcomes: &[JobOutcome]) -> Option<Percentiles> {
-        let mut v: Vec<f64> = outcomes.iter().map(|o| o.wait() as f64).collect();
-        Percentiles::compute(&mut v)
-    }
-
-    /// Tail-to-median ratio — a single-number fairness indicator.
-    pub fn tail_ratio(&self) -> f64 {
-        if self.p50 <= 0.0 {
-            0.0
-        } else {
-            self.p99 / self.p50
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cluster::JobId;
-    use simkit::SimTime;
 
     #[test]
     fn percentiles_of_known_sequence() {
@@ -97,36 +72,5 @@ mod tests {
         let p = Percentiles::compute(&mut v).unwrap();
         assert_eq!(p.p50, 3.0);
         assert_eq!(p.max, 5.0);
-    }
-
-    #[test]
-    fn outcome_views() {
-        let outcome = |wait: u64, rt: u64| JobOutcome {
-            id: JobId(1),
-            submit: SimTime(0),
-            start: SimTime(wait),
-            end: SimTime(wait + rt),
-            nodes: 1,
-            procs: 8,
-            req_time: rt,
-            static_runtime: rt,
-            malleable_backfilled: false,
-            was_mate: false,
-            app: None,
-            tenant: 0,
-        };
-        let outs = vec![outcome(0, 100), outcome(300, 100), outcome(100, 100)];
-        let sd = Percentiles::of_slowdown(&outs).unwrap();
-        assert_eq!(sd.p50, 2.0); // slowdowns 1, 2, 4
-        assert_eq!(sd.max, 4.0);
-        let w = Percentiles::of_wait(&outs).unwrap();
-        assert_eq!(w.p50, 100.0);
-        assert!(sd.tail_ratio() > 1.0);
-    }
-
-    #[test]
-    fn tail_ratio_guards_zero_median() {
-        let p = Percentiles { p50: 0.0, p90: 1.0, p99: 2.0, max: 3.0 };
-        assert_eq!(p.tail_ratio(), 0.0);
     }
 }

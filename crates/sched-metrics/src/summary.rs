@@ -19,14 +19,14 @@ pub struct Summary {
     pub mean_slowdown: f64,
     pub mean_wait: f64,
     /// Bounded slowdown (runtime floored at 10 s) — robustness companion.
-    pub mean_bounded_slowdown: f64,
+    pub(crate) mean_bounded_slowdown: f64,
     pub energy_kwh: f64,
     /// Machine utilisation: consumed core-seconds / (makespan × cores).
     pub utilization: f64,
     pub malleable_started: u64,
     pub unique_mates: u64,
     /// Standard deviation of slowdown (spread/fairness indicator).
-    pub slowdown_stddev: f64,
+    pub(crate) slowdown_stddev: f64,
 }
 
 impl Summary {

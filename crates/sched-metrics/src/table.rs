@@ -65,16 +65,6 @@ impl Table {
     }
 }
 
-/// Formats a float with 2 decimals (experiment-table convention).
-pub fn f2(x: f64) -> String {
-    format!("{x:.2}")
-}
-
-/// Formats a percentage with sign, e.g. `+7.0%` / `-3.2%`.
-pub fn pct(x: f64) -> String {
-    format!("{x:+.1}%")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,12 +88,5 @@ mod tests {
     #[should_panic(expected = "row width")]
     fn row_width_checked() {
         Table::new(&["a", "b"]).row(vec!["x".into()]);
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(f2(1.234), "1.23");
-        assert_eq!(pct(7.04), "+7.0%");
-        assert_eq!(pct(-3.25), "-3.2%");
     }
 }

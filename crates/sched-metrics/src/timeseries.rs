@@ -53,10 +53,6 @@ impl DailySeries {
     pub fn peak_slowdown(&self) -> f64 {
         self.slowdown.iter().cloned().fold(0.0, f64::max)
     }
-
-    pub fn total_malleable(&self) -> u64 {
-        self.malleable_started.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +103,7 @@ mod tests {
             outcome(2, 1, 2, true),
             outcome(3, 1, 2, false),
         ]);
-        assert_eq!(s.total_malleable(), 2);
+        assert_eq!(s.malleable_started.iter().sum::<u64>(), 2);
         // Starts happened on day 1 (start = end − 100 s, same day here).
         assert_eq!(s.malleable_started[1], 2);
     }

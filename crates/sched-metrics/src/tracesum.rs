@@ -10,7 +10,7 @@ use sd_trace::{TraceEvent, TraceKind};
 use std::collections::HashMap;
 
 /// Stable order for the decision-mix table (every kind a ring can hold).
-pub const KIND_NAMES: [&str; 12] = [
+pub(crate) const KIND_NAMES: [&str; 12] = [
     "pass_begin",
     "pass_end",
     "submitted",
@@ -31,22 +31,22 @@ pub const KIND_NAMES: [&str; 12] = [
 pub struct WaitDecomposition {
     /// Dominant signal: an EASY/conservative reservation was parked ahead
     /// of or for the job — it queued behind the profile.
-    pub reserved_s: f64,
+    pub(crate) reserved_s: f64,
     /// Dominant signal: the tenant's quota blocked it.
-    pub quota_s: f64,
+    pub(crate) quota_s: f64,
     /// Dominant signal: backfill rejected it (no fit now / never fits /
     /// fragmentation).
-    pub no_fit_s: f64,
+    pub(crate) no_fit_s: f64,
     /// The job waited but no decision about it survived in the stream
     /// (e.g. the ring wrapped) — kept separate so the three causes above
     /// always mean what they say.
-    pub unattributed_s: f64,
+    pub(crate) unattributed_s: f64,
     /// Jobs that started with a non-zero wait.
-    pub waited_jobs: u64,
+    pub(crate) waited_jobs: u64,
 }
 
 impl WaitDecomposition {
-    pub fn total_s(&self) -> f64 {
+    pub(crate) fn total_s(&self) -> f64 {
         self.reserved_s + self.quota_s + self.no_fit_s + self.unattributed_s
     }
 }
@@ -58,9 +58,9 @@ pub struct TraceSummary {
     /// Completed scheduler passes (`pass_end` events).
     pub passes: u64,
     /// Jobs started during passes (sum of `pass_end.started`).
-    pub started_in_passes: u64,
+    pub(crate) started_in_passes: u64,
     /// `(kind name, count)` in [`KIND_NAMES`] order, zero-count kinds kept.
-    pub decision_mix: Vec<(&'static str, u64)>,
+    pub(crate) decision_mix: Vec<(&'static str, u64)>,
     pub wait: WaitDecomposition,
 }
 

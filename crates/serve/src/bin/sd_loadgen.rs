@@ -9,8 +9,10 @@
 //! the end-state `/v1/stats` deltas. `--min-rate` / `--expect-completed`
 //! turn the report into assertions (non-zero exit) for CI.
 
+use sd_scenario::{Scenario, SourceKind};
 use sd_serve::loadgen::{self, LoadgenOptions};
 use sd_serve::soak::{self, SoakOptions};
+use workload::PaperWorkload;
 
 const USAGE: &str = "sd-loadgen — drive live traffic through sd-serve
 
@@ -51,9 +53,10 @@ fn fail(msg: &str) -> ! {
 
 fn main() {
     let mut addr: Option<String> = None;
-    let mut workload = "w3".to_string();
-    let mut scale = 0.05f64;
-    let mut seed = 42u64;
+    let mut workload = PaperWorkload::W3Ricc;
+    // `--scale` and `--seed` are read as the `.scn` keys they stand for.
+    let mut gen = Scenario::new("sd-loadgen", SourceKind::Ricc);
+    gen.scale = Some(0.05);
     let mut swf_path: Option<String> = None;
     let mut jobs_cap: Option<usize> = None;
     let mut opts = LoadgenOptions::default();
@@ -73,9 +76,19 @@ fn main() {
         };
         match a.as_str() {
             "--addr" => addr = Some(value("--addr")),
-            "--workload" => workload = value("--workload"),
-            "--scale" => scale = value("--scale").parse().unwrap_or_else(|_| fail("bad --scale")),
-            "--seed" => seed = value("--seed").parse().unwrap_or_else(|_| fail("bad --seed")),
+            "--workload" => {
+                let v = value("--workload");
+                workload = PaperWorkload::by_short(&v)
+                    .unwrap_or_else(|| fail(&format!("unknown --workload {v} (w1|w2|w3|w4)")));
+            }
+            "--scale" => {
+                let v = value("--scale");
+                gen.set_flag("--scale", "scenario", "scale", &v).unwrap_or_else(|e| fail(&e));
+            }
+            "--seed" => {
+                let v = value("--seed");
+                gen.set_flag("--seed", "scenario", "seed", &v).unwrap_or_else(|e| fail(&e));
+            }
             "--swf" => swf_path = Some(value("--swf")),
             "--jobs" => jobs_cap = Some(value("--jobs").parse().unwrap_or_else(|_| fail("bad --jobs"))),
             "--tenants" => {
@@ -134,16 +147,7 @@ fn main() {
                 .unwrap_or_else(|e| fail(&format!("{path}: {e:?}")));
             trace.jobs
         }
-        None => {
-            let w = match workload.as_str() {
-                "w1" => workload::PaperWorkload::W1Cirne,
-                "w2" => workload::PaperWorkload::W2CirneIdeal,
-                "w3" => workload::PaperWorkload::W3Ricc,
-                "w4" => workload::PaperWorkload::W4Curie,
-                v => fail(&format!("unknown --workload {v} (w1|w2|w3|w4)")),
-            };
-            w.generate(seed, scale).jobs
-        }
+        None => workload.generate(gen.seed, gen.effective_scale()).jobs,
     };
     if let Some(cap) = jobs_cap {
         jobs.truncate(cap);
@@ -168,12 +172,12 @@ fn main() {
             server_bin,
             server_args: vec![
                 "--cluster".into(),
-                workload.clone(),
+                workload.short().to_lowercase(),
                 "--scale".into(),
-                scale.to_string(),
+                gen.effective_scale().to_string(),
             ],
             wal_dir,
-            seed,
+            seed: gen.seed,
             rate: opts.rate,
         };
         sd_obs::log_event!(

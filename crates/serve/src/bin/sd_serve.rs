@@ -14,13 +14,11 @@
 use cluster::ClusterSpec;
 use drom::SharingFactor;
 use sd_durable::FsyncPolicy;
-use sd_policy::{MaxSlowdown, SdPolicy, SdPolicyConfig};
+use sd_scenario::compile::{build_policy, preset_spec};
+use sd_scenario::{ClusterPreset, Scenario, SourceKind, Vocab};
 use sd_serve::engine::{ClockMode, Engine};
 use sd_serve::server::{self, ServerConfig};
-use slurm_sim::{
-    AppAwareModel, IdealModel, RateModel, Scheduler, SimState, SlurmConfig, StaticBackfill,
-    WorstCaseModel,
-};
+use slurm_sim::{SimState, SlurmConfig};
 use workload::PaperWorkload;
 
 const USAGE: &str = "sd-serve — online scheduling service (HTTP/JSON)
@@ -30,13 +28,15 @@ const USAGE: &str = "sd-serve — online scheduling service (HTTP/JSON)
   --mode <virtual|realtime>   clock mode (default virtual)
   --compression <x>      realtime: simulated seconds per wall second (default 60)
   --cluster <w1|w2|w3|w4|ricc|curie|mn4|mn4_real_run>  machine preset (default w3)
-  --scale <f64>          machine scale for w* presets (default 0.05)
-  --nodes <n>            override the node count
+  --scale <f64>          machine scale for w* presets, > 0 (default 0.05)
+  --nodes <n>            override the node count (at least 1)
   --policy <sd|static>   scheduler (default sd)
-  --maxsd <x|inf|dyn>    SD-Policy cut-off (default dyn)
+  --maxsd <x|inf|dyn>    SD-Policy cut-off, x > 1 (default dyn)
   --model <ideal|worst_case|app_aware>  runtime model (default ideal)
   --sharing <f64>        sharing factor in [0,1) (default 0.5)
   --malleable-fraction <f64>  fraction of draw-decided malleable jobs (default 1)
+                         (these eight are read as the `.scn` keys they stand
+                         for: a value a scenario file may not hold exits 2)
   --tenant-rate <id=rps> per-tenant submit rate limit in submissions per wall
                          second (repeatable; unlisted tenants are unlimited)
   --trace                enable decision tracing (GET /v1/trace, /v1/explain/{id})
@@ -68,14 +68,12 @@ struct Cli {
     port: u16,
     workers: usize,
     mode: ClockMode,
-    cluster: String,
-    scale: f64,
-    nodes: Option<u32>,
-    policy: String,
-    maxsd: String,
-    model: String,
-    sharing: f64,
-    malleable_fraction: f64,
+    /// The `w1..w4` machine, used unless `machine.cluster.preset` names one.
+    workload: PaperWorkload,
+    /// What the machine and policy flags set, each through its row of
+    /// `sd_scenario::KEYS`: `[scenario] scale`, `[cluster]`, `[policy]` and
+    /// `[slurm] malleable_fraction`.
+    machine: Scenario,
     tenant_rates: Vec<(u64, f64)>,
     trace: bool,
     trace_capacity: usize,
@@ -87,19 +85,20 @@ struct Cli {
     slos: Vec<sd_obs::SloSpec>,
 }
 
+/// Sets the key `flag` stands for, or exits 2 with the row's message.
+fn set(s: &mut Scenario, flag: &str, section: &str, name: &str, value: &str) {
+    s.set_flag(flag, section, name, value).unwrap_or_else(|e| fail(&e));
+}
+
 fn parse_cli() -> Cli {
+    let mut machine = Scenario::new("sd-serve", SourceKind::Ricc);
+    machine.scale = Some(0.05);
     let mut cli = Cli {
         port: 0,
         workers: 4,
         mode: ClockMode::Virtual,
-        cluster: "w3".into(),
-        scale: 0.05,
-        nodes: None,
-        policy: "sd".into(),
-        maxsd: "dyn".into(),
-        model: "ideal".into(),
-        sharing: 0.5,
-        malleable_fraction: 1.0,
+        workload: PaperWorkload::W3Ricc,
+        machine,
         tenant_rates: Vec::new(),
         trace: false,
         trace_capacity: 65_536,
@@ -139,17 +138,27 @@ fn parse_cli() -> Cli {
                     fail("--compression must be > 0");
                 }
             }
-            "--cluster" => cli.cluster = value("--cluster"),
-            "--scale" => cli.scale = value("--scale").parse().unwrap_or_else(|_| fail("bad --scale")),
-            "--nodes" => cli.nodes = Some(value("--nodes").parse().unwrap_or_else(|_| fail("bad --nodes"))),
-            "--policy" => cli.policy = value("--policy"),
-            "--maxsd" => cli.maxsd = value("--maxsd"),
-            "--model" => cli.model = value("--model"),
-            "--sharing" => cli.sharing = value("--sharing").parse().unwrap_or_else(|_| fail("bad --sharing")),
+            "--cluster" => {
+                let v = value("--cluster");
+                let s = &mut cli.machine;
+                match PaperWorkload::by_short(&v) {
+                    Some(w) => (cli.workload, s.cluster.preset) = (w, ClusterPreset::Auto),
+                    None => s.set_flag("--cluster", "cluster", "preset", &v).unwrap_or_else(|e| {
+                        fail(&format!("{e}, or a workload's machine (w1|w2|w3|w4)"))
+                    }),
+                }
+            }
+            "--scale" => set(&mut cli.machine, "--scale", "scenario", "scale", &value("--scale")),
+            "--nodes" => set(&mut cli.machine, "--nodes", "cluster", "nodes", &value("--nodes")),
+            "--policy" => set(&mut cli.machine, "--policy", "policy", "kind", &value("--policy")),
+            "--maxsd" => set(&mut cli.machine, "--maxsd", "policy", "maxsd", &value("--maxsd")),
+            "--model" => set(&mut cli.machine, "--model", "policy", "model", &value("--model")),
+            "--sharing" => {
+                set(&mut cli.machine, "--sharing", "policy", "sharing", &value("--sharing"))
+            }
             "--malleable-fraction" => {
-                cli.malleable_fraction = value("--malleable-fraction")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --malleable-fraction"))
+                let v = value("--malleable-fraction");
+                set(&mut cli.machine, "--malleable-fraction", "slurm", "malleable_fraction", &v)
             }
             "--tenant-rate" => {
                 let v = value("--tenant-rate");
@@ -222,19 +231,13 @@ fn parse_cli() -> Cli {
     cli
 }
 
+/// The machine: a named preset at its native size, else the workload's own
+/// machine at `--scale`; `--nodes` overrides either node count.
 fn cluster_spec(cli: &Cli) -> ClusterSpec {
-    let mut spec = match cli.cluster.as_str() {
-        "w1" => PaperWorkload::W1Cirne.cluster(cli.scale),
-        "w2" => PaperWorkload::W2CirneIdeal.cluster(cli.scale),
-        "w3" => PaperWorkload::W3Ricc.cluster(cli.scale),
-        "w4" => PaperWorkload::W4Curie.cluster(cli.scale),
-        "ricc" => ClusterSpec::ricc(),
-        "curie" => ClusterSpec::cea_curie(),
-        "mn4" => ClusterSpec::marenostrum4(1024),
-        "mn4_real_run" => ClusterSpec::mn4_real_run(),
-        v => fail(&format!("unknown --cluster preset {v}")),
-    };
-    if let Some(n) = cli.nodes {
+    let s = &cli.machine;
+    let mut spec = preset_spec(s.cluster.preset, None)
+        .unwrap_or_else(|| cli.workload.cluster(s.effective_scale()));
+    if let Some(n) = s.cluster.nodes {
         spec.nodes = n;
     }
     spec
@@ -255,38 +258,14 @@ fn main() {
     // requests still diff around their own arm/disarm pair.
     slurm_sim::timing::arm();
     let spec = cluster_spec(&cli);
-    if !(0.0..1.0).contains(&cli.sharing) {
-        fail("--sharing must be in [0, 1)");
-    }
-    if !(0.0..=1.0).contains(&cli.malleable_fraction) {
-        fail("--malleable-fraction must be in [0, 1]");
-    }
-    let model: Box<dyn RateModel> = match cli.model.as_str() {
-        "ideal" => Box::new(IdealModel),
-        "worst_case" => Box::new(WorstCaseModel),
-        "app_aware" => Box::new(AppAwareModel),
-        v => fail(&format!("unknown --model {v}")),
-    };
+    let policy = &cli.machine.policy;
+    let (model, scheduler) = build_policy(policy);
+    let sharing = SharingFactor::new(policy.sharing);
+    // Not `compile`'s SLURM config: its malleability seed follows a
+    // scenario seed, and the service keeps the default draw.
     let cfg = SlurmConfig {
-        malleable_fraction: cli.malleable_fraction,
+        malleable_fraction: cli.machine.slurm.malleable_fraction,
         ..SlurmConfig::default()
-    };
-    let scheduler: Box<dyn Scheduler + Send> = match cli.policy.as_str() {
-        "static" => Box::new(StaticBackfill),
-        "sd" => {
-            let maxsd = match cli.maxsd.as_str() {
-                "dyn" => MaxSlowdown::DynAvg,
-                "inf" => MaxSlowdown::Infinite,
-                v => MaxSlowdown::Static(
-                    v.parse().unwrap_or_else(|_| fail("bad --maxsd")),
-                ),
-            };
-            Box::new(SdPolicy::new(SdPolicyConfig {
-                max_slowdown: maxsd,
-                ..SdPolicyConfig::default()
-            }))
-        }
-        v => fail(&format!("unknown --policy {v}")),
     };
 
     // Crash tolerance: recover checkpoint + WAL (and collapse the log into a
@@ -304,7 +283,7 @@ fn main() {
                 spec.clone(),
                 cfg,
                 model,
-                SharingFactor::new(cli.sharing),
+                sharing,
                 scheduler,
             )
             .unwrap_or_else(|e| fail(&format!("WAL recovery failed: {e}")));
@@ -329,8 +308,7 @@ fn main() {
             engine
         }
         None => {
-            let state =
-                SimState::new_online(spec.clone(), cfg, model, SharingFactor::new(cli.sharing));
+            let state = SimState::new_online(spec.clone(), cfg, model, sharing);
             Engine::new(state, scheduler, cli.mode)
         }
     };
@@ -370,7 +348,7 @@ fn main() {
         "machine: {} × {}-core nodes | policy: {} | clock: {:?} | workers: {}",
         spec.nodes,
         spec.node.cores(),
-        cli.policy,
+        policy.kind.word(),
         cli.mode,
         cli.workers,
     );

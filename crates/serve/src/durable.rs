@@ -93,7 +93,7 @@ impl WalCmd {
 /// restarts full — a crash must never carry over throttling debt) and the
 /// trace ring (diagnostics, rebuilt empty).
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct EngineCheckpoint {
+pub(crate) struct EngineCheckpoint {
     pub floor: u64,
     pub submitted: u64,
     pub tenant_wire: Vec<(u64, u64, u64)>,

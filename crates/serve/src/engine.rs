@@ -61,7 +61,7 @@ pub struct Snapshot {
     pub pending: usize,
     pub running: usize,
     pub completed: usize,
-    pub events_outstanding: usize,
+    pub(crate) events_outstanding: usize,
     pub stats: slurm_sim::SimStats,
     pub energy_joules: f64,
     /// Completed-job aggregates so far (campaign-style).
@@ -76,7 +76,7 @@ pub struct Snapshot {
     pub tenants: Vec<TenantSnap>,
     /// Submit→start wait of completed jobs, bucketed (virtual seconds) —
     /// rendered as the `sd_serve_job_wait_seconds` histogram.
-    pub wait_hist: sched_metrics::Histogram,
+    pub(crate) wait_hist: sched_metrics::Histogram,
     /// Durability counters; `None` when running without `--wal`.
     pub wal: Option<WalStatus>,
 }

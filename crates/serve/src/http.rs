@@ -11,14 +11,14 @@
 use std::io::{BufRead, Write};
 
 /// Upper bound on the request line + headers (bytes).
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request body (bytes).
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 /// Upper bound on a response body the client will read (bytes). Responses
 /// grow with the session — `/v1/result` carries every finished job, ≈180 B
 /// each — so this is far above the request cap: room for over a million
 /// jobs, while still bounding the allocation a bad length could ask for.
-pub const MAX_RESPONSE_BYTES: usize = 256 * 1024 * 1024;
+pub(crate) const MAX_RESPONSE_BYTES: usize = 256 * 1024 * 1024;
 
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,7 +55,7 @@ impl Request {
     }
 
     /// Whether the client asked to drop the connection after this exchange.
-    pub fn wants_close(&self) -> bool {
+    pub(crate) fn wants_close(&self) -> bool {
         self.header("connection")
             .is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
@@ -226,7 +226,7 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Option<Request>, HttpError> 
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
     pub status: u16,
-    pub content_type: &'static str,
+    pub(crate) content_type: &'static str,
     pub body: Vec<u8>,
 }
 

@@ -12,10 +12,11 @@
 //! * **The parser never panics** on arbitrary bytes (fuzz corpus test); it
 //!   reports a byte offset instead, and recursion is depth-limited.
 
+use sd_obs::push_json_str;
 use std::fmt::Write as _;
 
 /// Maximum nesting depth accepted by [`Json::parse`].
-pub const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,7 +120,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(v) => render_num(*v, out),
-            Json::Str(s) => render_str(s, out),
+            Json::Str(s) => push_json_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -136,7 +137,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    render_str(k, out);
+                    push_json_str(out, k);
                     out.push(':');
                     v.render_into(out);
                 }
@@ -225,24 +226,6 @@ fn render_num(v: f64, out: &mut String) {
     } else {
         let _ = write!(out, "{v}");
     }
-}
-
-fn render_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {

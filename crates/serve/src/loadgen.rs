@@ -52,10 +52,9 @@ impl Default for LoadgenOptions {
 
 /// Per-tenant slice of a loadgen run.
 #[derive(Debug)]
-pub struct TenantLoad {
+pub(crate) struct TenantLoad {
     pub tenant: u64,
     pub submitted: u64,
-    pub rejected: u64,
     /// Submissions refused with 429 (per-tenant rate limit).
     pub rate_limited: u64,
     /// Achieved submissions per wall-second for this tenant alone.
@@ -75,9 +74,9 @@ pub struct LoadgenReport {
     pub retries: u64,
     /// Per-tenant breakdown, ascending by tenant id (one entry even for
     /// untenanted runs, where everything lands on tenant 0).
-    pub per_tenant: Vec<TenantLoad>,
+    pub(crate) per_tenant: Vec<TenantLoad>,
     /// Wall seconds spent in the submission phase.
-    pub submit_wall_s: f64,
+    pub(crate) submit_wall_s: f64,
     /// Achieved submissions per wall-second.
     pub achieved_rate: f64,
     /// Per-request latency percentiles, milliseconds — interpolated from
@@ -87,10 +86,10 @@ pub struct LoadgenReport {
     /// behind those percentiles; `--latency-out` writes its CSV.
     pub latency_hist: Histogram,
     /// Wall seconds the final drain took (0 when not draining).
-    pub drain_wall_s: f64,
+    pub(crate) drain_wall_s: f64,
     /// `/v1/stats` before the run and after the drain.
-    pub stats_before: Json,
-    pub stats_after: Json,
+    pub(crate) stats_before: Json,
+    pub(crate) stats_after: Json,
     /// Prometheus exposition captured after the drain (before shutdown).
     pub metrics_text: String,
     /// The server's final result (only with `shutdown`).
@@ -176,7 +175,6 @@ pub fn run(
 
     struct TenantAcc {
         submitted: u64,
-        rejected: u64,
         rate_limited: u64,
         latency: Histogram,
     }
@@ -184,7 +182,6 @@ pub fn run(
         fn default() -> Self {
             TenantAcc {
                 submitted: 0,
-                rejected: 0,
                 rate_limited: 0,
                 latency: Histogram::latency_ms(),
             }
@@ -236,13 +233,9 @@ pub fn run(
             Err(ClientError::Status(429, _)) => {
                 rejected += 1;
                 rate_limited += 1;
-                acc.rejected += 1;
                 acc.rate_limited += 1;
             }
-            Err(ClientError::Status(_, _)) => {
-                rejected += 1;
-                acc.rejected += 1;
-            }
+            Err(ClientError::Status(_, _)) => rejected += 1,
             Err(e) => return Err(e),
         }
         let ms = r0.elapsed().as_secs_f64() * 1e3;
@@ -255,7 +248,6 @@ pub fn run(
         .map(|(tenant, a)| TenantLoad {
             tenant,
             submitted: a.submitted,
-            rejected: a.rejected,
             rate_limited: a.rate_limited,
             achieved_rate: if submit_wall_s > 0.0 {
                 a.submitted as f64 / submit_wall_s

@@ -18,21 +18,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Request-level counters maintained by the HTTP workers.
 #[derive(Debug, Default)]
 pub struct HttpCounters {
-    pub requests_2xx: AtomicU64,
-    pub requests_4xx: AtomicU64,
-    pub requests_5xx: AtomicU64,
-    pub connections: AtomicU64,
+    pub(crate) requests_2xx: AtomicU64,
+    pub(crate) requests_4xx: AtomicU64,
+    pub(crate) requests_5xx: AtomicU64,
+    pub(crate) connections: AtomicU64,
     /// `POST /v1/jobs` acceptances (2xx) — the "good" side of the submit
     /// availability SLO.
-    pub submit_ok: AtomicU64,
+    pub(crate) submit_ok: AtomicU64,
     /// `POST /v1/jobs` refusals attributable to the service (429 rate
     /// limits and 5xx); client errors (malformed bodies, clock violations)
     /// do not burn the availability budget.
-    pub submit_refused: AtomicU64,
+    pub(crate) submit_refused: AtomicU64,
 }
 
 impl HttpCounters {
-    pub fn count_status(&self, status: u16) {
+    pub(crate) fn count_status(&self, status: u16) {
         let c = match status {
             200..=299 => &self.requests_2xx,
             400..=499 => &self.requests_4xx,
@@ -44,7 +44,7 @@ impl HttpCounters {
 
 /// Upper bounds (seconds) for the wall-clock duration histograms: 10 µs to
 /// 1 s in a 1-2.5-5 ladder, `+Inf` implicit.
-pub const DURATION_BOUNDS_S: [f64; 14] = [
+pub(crate) const DURATION_BOUNDS_S: [f64; 14] = [
     0.000_01, 0.000_025, 0.000_05, 0.000_1, 0.000_25, 0.000_5, 0.001, 0.002_5, 0.005, 0.01,
     0.025, 0.05, 0.1, 1.0,
 ];
@@ -85,7 +85,7 @@ impl AtomicHistogram {
             .collect()
     }
 
-    pub fn sum_secs(&self) -> f64 {
+    pub(crate) fn sum_secs(&self) -> f64 {
         self.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9
     }
 }
@@ -95,14 +95,14 @@ impl AtomicHistogram {
 #[derive(Debug, Default)]
 pub struct ServeHistograms {
     /// Wall time spent routing one HTTP request (engine round-trip included).
-    pub request_seconds: AtomicHistogram,
+    pub(crate) request_seconds: AtomicHistogram,
     /// Wall time of one scheduler pass (`Scheduler::schedule` call).
-    pub pass_seconds: AtomicHistogram,
+    pub(crate) pass_seconds: AtomicHistogram,
 }
 
 /// Escapes a label value per the exposition format: backslash, double
 /// quote and newline must be backslash-escaped inside `label="..."`.
-pub fn escape_label(v: &str) -> String {
+pub(crate) fn escape_label(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {

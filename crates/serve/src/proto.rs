@@ -91,7 +91,7 @@ impl SubmitRequest {
 
     /// The SWF record this submission denotes, under a given id and with the
     /// effective submit instant filled in.
-    pub fn to_swf(&self, id: u64, submit: u64) -> swf::SwfJob {
+    pub(crate) fn to_swf(&self, id: u64, submit: u64) -> swf::SwfJob {
         let mut j = swf::SwfJob::for_simulation(
             id,
             submit,
@@ -262,7 +262,7 @@ pub fn decode_result(v: &Json) -> Result<SimResult, String> {
 
 /// Parses a JSON request body into a value, with a protocol-level error
 /// string on failure.
-pub fn body_json(body: &[u8]) -> Result<Json, String> {
+pub(crate) fn body_json(body: &[u8]) -> Result<Json, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
     Json::parse(text).map_err(|e: JsonError| e.to_string())
 }

@@ -39,7 +39,7 @@ pub fn install() {
 pub fn install() {}
 
 /// True once any installed signal has fired. Sticky.
-pub fn triggered() -> bool {
+pub(crate) fn triggered() -> bool {
     TRIGGERED.load(Ordering::SeqCst)
 }
 

@@ -52,7 +52,7 @@ pub struct SoakReport {
     pub submitted: u64,
     /// Submission attempts that died with the server mid-kill and were
     /// resubmitted after resync.
-    pub resubmitted: u64,
+    pub(crate) resubmitted: u64,
     /// Wall time of the whole campaign.
     pub wall: Duration,
     /// The two final results that were compared equal.

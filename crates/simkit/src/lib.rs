@@ -9,19 +9,19 @@
 //!   simultaneous events, the property that makes whole-simulation runs
 //!   bit-reproducible,
 //! * [`DetRng`] — seedable, forkable deterministic random streams,
-//! * [`stats`] — streaming (Welford) accumulators used by the metric
+//! * `stats` — streaming (Welford) accumulators used by the metric
 //!   collectors.
 //!
 //! There is no engine type: schedulers own their run loop and use the queue
 //! directly, which keeps borrow patterns simple and the hot loop free of
 //! dynamic dispatch.
 
-pub mod event;
-pub mod rng;
-pub mod stats;
-pub mod time;
+mod event;
+mod rng;
+mod stats;
+mod time;
 
 pub use event::{EventQueue, ScheduledEvent};
 pub use rng::DetRng;
 pub use stats::Welford;
-pub use time::{SimTime, DAY, HOUR, MINUTE};
+pub use time::{SimTime, DAY, HOUR};

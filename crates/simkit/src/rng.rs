@@ -60,7 +60,7 @@ impl DetRng {
 
     /// Next 64 bits of the stream (xoshiro256++).
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let out = self.s[0]
             .wrapping_add(self.s[3])
             .rotate_left(23)
@@ -73,20 +73,6 @@ impl DetRng {
         self.s[2] ^= t;
         self.s[3] = self.s[3].rotate_left(45);
         out
-    }
-
-    /// Next 32 bits of the stream.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills `dest` with random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
     }
 
     /// Uniform in `[0, 1)`.
@@ -238,13 +224,5 @@ mod tests {
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
         assert!(r.chance(2.0), "clamped above 1");
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut r = DetRng::new(42);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0), "13 zero bytes is astronomically unlikely");
     }
 }

@@ -9,7 +9,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// One minute in seconds.
-pub const MINUTE: u64 = 60;
+pub(crate) const MINUTE: u64 = 60;
 /// One hour in seconds.
 pub const HOUR: u64 = 3600;
 /// One day in seconds.
@@ -93,19 +93,6 @@ impl fmt::Display for SimTime {
     }
 }
 
-/// Formats a duration in seconds as a short human string (`2d04h`, `3h05m`, `42s`).
-pub fn fmt_duration(secs: u64) -> String {
-    if secs >= DAY {
-        format!("{}d{:02}h", secs / DAY, (secs % DAY) / HOUR)
-    } else if secs >= HOUR {
-        format!("{}h{:02}m", secs / HOUR, (secs % HOUR) / MINUTE)
-    } else if secs >= MINUTE {
-        format!("{}m{:02}s", secs / MINUTE, secs % MINUTE)
-    } else {
-        format!("{secs}s")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,14 +124,6 @@ mod tests {
         assert_eq!(SimTime(0).to_string(), "00:00:00");
         assert_eq!(SimTime(3661).to_string(), "01:01:01");
         assert_eq!(SimTime(DAY + 60).to_string(), "1d 00:01:00");
-    }
-
-    #[test]
-    fn duration_formatting() {
-        assert_eq!(fmt_duration(42), "42s");
-        assert_eq!(fmt_duration(125), "2m05s");
-        assert_eq!(fmt_duration(2 * HOUR + 300), "2h05m");
-        assert_eq!(fmt_duration(2 * DAY + 4 * HOUR), "2d04h");
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
 }
 
 /// Outcome of the flexible hook for one job.
-pub type FlexStarted = bool;
+pub(crate) type FlexStarted = bool;
 
 /// Runs one backfill pass. `flexible(st, job, est_static_start, profile)`
 /// may start `job` by other means (malleable co-scheduling) and must return

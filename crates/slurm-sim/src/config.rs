@@ -58,7 +58,7 @@ impl Default for SlurmConfig {
 impl SlurmConfig {
     /// The malleability adoption fraction for a job of `(tenant, project)`:
     /// the tenant's override when registered, the global knob otherwise.
-    pub fn malleable_fraction_for(&self, tenant: u32, project: u32) -> f64 {
+    pub(crate) fn malleable_fraction_for(&self, tenant: u32, project: u32) -> f64 {
         if self.tenants.is_empty() {
             return self.malleable_fraction;
         }

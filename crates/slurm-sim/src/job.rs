@@ -41,7 +41,7 @@ impl JobSpec {
     /// Builds a spec from an SWF record, rounding to whole nodes.
     ///
     /// Returns `None` for records that cannot be simulated.
-    pub fn from_swf(
+    pub(crate) fn from_swf(
         j: &swf::SwfJob,
         spec: &cluster::ClusterSpec,
         malleable: bool,
@@ -90,9 +90,9 @@ pub struct RunningJob {
     /// Current progress rate (1.0 = full speed).
     pub rate: f64,
     /// Instant `work_done` was last banked.
-    pub last_banked: SimTime,
+    pub(crate) last_banked: SimTime,
     /// Generation counter for end events (stale events are ignored).
-    pub end_gen: u64,
+    pub(crate) end_gen: u64,
     /// Instant of the live `End` event (generation `end_gen`), or
     /// `SimTime::MAX` before the first arming and while the rate is 0.
     /// Set only where the event is armed; not serialised — a restore reads
@@ -104,15 +104,15 @@ pub struct RunningJob {
     /// Jobs this one was co-scheduled with (it is the *backfilled* job).
     pub mates: Vec<JobId>,
     /// Jobs this one lent cores to (it is a *mate*).
-    pub lent_to: Vec<JobId>,
+    pub(crate) lent_to: Vec<JobId>,
     /// True if the job ever ran shrunk (for metrics).
-    pub ever_shrunk: bool,
+    pub(crate) ever_shrunk: bool,
     /// True if this job was started through malleable backfill.
     pub malleable_backfilled: bool,
     /// Contribution currently registered with the energy meter
     /// (`cores × cpu-utilisation`); maintained by the simulator's
     /// incremental energy accounting.
-    pub energy_weight: f64,
+    pub(crate) energy_weight: f64,
 }
 
 impl RunningJob {
@@ -178,20 +178,13 @@ impl RunningJob {
         }
     }
 
-    /// Fraction of its full width the job holds on each node.
-    pub fn node_fractions(&self) -> impl Iterator<Item = f64> + '_ {
-        self.cores
-            .iter()
-            .map(move |&c| c as f64 / self.full_cores as f64)
-    }
-
     /// Total cores currently held.
     pub fn total_cores(&self) -> u64 {
         self.cores.iter().map(|&c| c as u64).sum()
     }
 
     /// Whether the job currently holds its full allocation everywhere.
-    pub fn at_full_allocation(&self) -> bool {
+    pub(crate) fn at_full_allocation(&self) -> bool {
         self.cores.iter().all(|&c| c == self.full_cores)
     }
 }
@@ -224,19 +217,15 @@ impl Job {
         }
     }
 
-    pub fn running_mut(&mut self) -> Option<&mut RunningJob> {
+    pub(crate) fn running_mut(&mut self) -> Option<&mut RunningJob> {
         match &mut self.state {
             JobState::Running(r) => Some(r),
             _ => None,
         }
     }
 
-    pub fn is_pending(&self) -> bool {
+    pub(crate) fn is_pending(&self) -> bool {
         matches!(self.state, JobState::Pending)
-    }
-
-    pub fn is_cancelled(&self) -> bool {
-        matches!(self.state, JobState::Cancelled)
     }
 
     /// Lifecycle phase as a wire-friendly label.
@@ -371,8 +360,6 @@ mod tests {
     fn node_fractions_reflect_mixed_allocations() {
         let mut j = rj(0);
         j.cores = vec![4, 8];
-        let fr: Vec<f64> = j.node_fractions().collect();
-        assert_eq!(fr, vec![0.5, 1.0]);
         assert!(!j.at_full_allocation());
         assert_eq!(j.total_cores(), 12);
     }

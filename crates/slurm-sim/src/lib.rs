@@ -3,34 +3,34 @@
 //! Event-driven re-implementation of the scheduling-relevant surface of
 //! SLURM plus the BSC SLURM simulator the paper evaluates with:
 //!
-//! * [`controller`] — slurmctld's main loop: event batching, scheduler
+//! * `controller` — slurmctld's main loop: event batching, scheduler
 //!   invocation, result collection,
 //! * [`state`] — the machine ground truth and the primitive operations
 //!   (static start, malleable co-schedule, completion with owner-return),
-//! * [`backfill`] — the shared backfill pass and the **static-backfill
+//! * `backfill` — the shared backfill pass and the **static-backfill
 //!   baseline** every experiment normalises against,
-//! * [`reservation`] — the availability profile ("map of job reservations in
+//! * `reservation` — the availability profile ("map of job reservations in
 //!   time", §3.1) and the incrementally maintained release map,
 //! * [`rate`] — pluggable malleable-runtime models (paper Eq. 5/6 and the
 //!   app-behaviour model for the real-run reproduction),
 //! * [`tenant`] — multi-tenant identities, quotas and the fair-share queue
 //!   order enforced inside the backfill pass,
 //! * [`timing`] — opt-in per-function hot-path timing attribution,
-//! * [`job`], [`queue`], [`config`], [`result`] — supporting types.
+//! * `job`, `queue`, `config`, `result` — supporting types.
 //!
 //! The SD-Policy itself lives in the `sd-policy` crate and plugs in through
 //! the [`Scheduler`] trait and the `flexible` hook of
 //! [`backfill::backfill_pass`].
 
-pub mod backfill;
-pub mod config;
-pub mod controller;
-pub mod job;
-pub mod queue;
+mod backfill;
+mod config;
+mod controller;
+mod job;
+mod queue;
 pub mod rate;
 pub mod replay;
-pub mod reservation;
-pub mod result;
+mod reservation;
+mod result;
 pub mod state;
 pub mod tenant;
 pub mod timing;

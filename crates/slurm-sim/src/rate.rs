@@ -33,14 +33,14 @@ pub struct RateInputs<'a> {
 
 impl RateInputs<'_> {
     /// Total assigned / total sized-for cores.
-    pub fn used_fraction(&self) -> f64 {
+    pub(crate) fn used_fraction(&self) -> f64 {
         let used: u64 = self.cores.iter().map(|&c| c as u64).sum();
         let full = self.full_cores as u64 * self.cores.len().max(1) as u64;
         (used as f64 / full as f64).clamp(0.0, 1.0)
     }
 
     /// Fraction on the least-served node.
-    pub fn min_fraction(&self) -> f64 {
+    pub(crate) fn min_fraction(&self) -> f64 {
         self.cores
             .iter()
             .map(|&c| c as f64 / self.full_cores as f64)
@@ -101,20 +101,14 @@ impl RateModel for AppAwareModel {
             // Full allocation: only contention can slow the job (it has no
             // neighbours in that case by construction, but a co-resident on
             // a *subset* of nodes is possible while expanding).
-            return if inp.neighbour_mem > 0.0 {
-                1.0 / (1.0 + workload::apps::MEM_CONTENTION_BETA * app.mem_util * inp.neighbour_mem)
-            } else {
-                1.0
-            };
+            return app.contention(inp.neighbour_mem);
         }
         // Shrunk: the effective cores on the weakest node set the pace
         // (statically balanced ranks), but imperfect scaling means the job
         // loses less than proportionally.
         let cores = (min_frac * inp.full_cores as f64).round().max(1.0) as u32;
         let shrink = app.shrink_rate(cores, inp.full_cores);
-        let contention = 1.0
-            / (1.0 + workload::apps::MEM_CONTENTION_BETA * app.mem_util * inp.neighbour_mem);
-        (shrink * contention).clamp(0.0, 1.0)
+        (shrink * app.contention(inp.neighbour_mem)).clamp(0.0, 1.0)
     }
     fn name(&self) -> &'static str {
         "app-aware"

@@ -18,7 +18,7 @@ use swf::Trace;
 /// renumbers ids densely (the simulator's job-table requirement).
 ///
 /// Returns the number of jobs surviving the cleaning.
-pub fn prepare_trace(trace: &mut Trace, spec: &ClusterSpec, max_req_time: u64) -> usize {
+pub(crate) fn prepare_trace(trace: &mut Trace, spec: &ClusterSpec, max_req_time: u64) -> usize {
     swf::filter::clean_like_curie(trace, max_req_time);
     swf::filter::clamp_to_system(trace, spec.total_cores());
     swf::filter::rebase_and_renumber(trace);

@@ -49,7 +49,7 @@ impl ReleaseMap {
     /// distinct `(old, new, nodes)` transitions — virtually always one, since
     /// a whole-job start or end moves every node the same way — after
     /// applying each to the instant → count index once, not once per node.
-    pub fn set_releases(
+    pub(crate) fn set_releases(
         &mut self,
         updates: impl Iterator<Item = (NodeId, Option<SimTime>)>,
     ) -> Vec<(Option<SimTime>, Option<SimTime>, u32)> {
@@ -98,7 +98,7 @@ impl ReleaseMap {
 
     /// `(instant, nodes)` pairs in ascending order, skipping instants not
     /// after `now` (those nodes are effectively free already).
-    pub fn upcoming(&self, now: SimTime) -> impl Iterator<Item = (SimTime, u32)> + '_ {
+    pub(crate) fn upcoming(&self, now: SimTime) -> impl Iterator<Item = (SimTime, u32)> + '_ {
         self.counts
             .range((
                 std::ops::Bound::Excluded(now),
@@ -108,13 +108,13 @@ impl ReleaseMap {
     }
 
     /// Per-node predicted releases in node order, for persistence.
-    pub fn node_releases(&self) -> &[Option<SimTime>] {
+    pub(crate) fn node_releases(&self) -> &[Option<SimTime>] {
         &self.node_release
     }
 
     /// Rebuilds a map from per-node releases; the instant→count index and
     /// the busy counter are re-derived.
-    pub fn from_releases(node_release: &[Option<SimTime>]) -> ReleaseMap {
+    pub(crate) fn from_releases(node_release: &[Option<SimTime>]) -> ReleaseMap {
         let mut rm = ReleaseMap::new(node_release.len() as u32);
         for (i, &when) in node_release.iter().enumerate() {
             rm.set_release(NodeId(i as u32), when);
@@ -125,7 +125,7 @@ impl ReleaseMap {
     /// Nodes whose predicted release is at or before `now` (late jobs —
     /// running past their request would be killed by real SLURM; the
     /// simulator keeps them and treats them as "releasing imminently").
-    pub fn overdue(&self, now: SimTime) -> u32 {
+    pub(crate) fn overdue(&self, now: SimTime) -> u32 {
         self.counts.range(..=now).map(|(_, &c)| c).sum()
     }
 }
@@ -233,7 +233,7 @@ impl Profile {
 
     /// Earliest instant ≥ `after` at which `nodes` stay free for
     /// `duration` seconds (`SimTime::MAX` if never): the start of
-    /// [`Profile::earliest_slot`].
+    /// `Profile::earliest_slot`.
     pub fn earliest_start(&self, nodes: u32, duration: u64, after: SimTime) -> SimTime {
         self.earliest_slot(nodes, duration, after).start
     }
@@ -511,7 +511,7 @@ impl Profile {
     /// allocated node identically, so the simulator groups them into one
     /// O(len) patch instead of one per node (full-Curie jobs span dozens of
     /// nodes).
-    pub fn patch_release_many(
+    pub(crate) fn patch_release_many(
         &mut self,
         now: SimTime,
         old: Option<SimTime>,

@@ -45,7 +45,7 @@ impl SimResult {
     }
 
     /// A read-only result of the run *so far* — the state keeps running.
-    /// Identical to [`SimResult::from_state`] at the same instant (the
+    /// Identical to `SimResult::from_state` at the same instant (the
     /// energy meter is finalised on a copy); outcomes are cloned.
     pub fn snapshot(st: &SimState, scheduler: &'static str) -> SimResult {
         let first = Self::anchored_first_submit(st);

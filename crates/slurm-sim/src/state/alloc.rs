@@ -63,7 +63,7 @@ impl SimState {
     /// Planned rate (worst-case) the new job would get if co-scheduled with
     /// these mates, and the freed cores per node. Used by the policy to
     /// compute `mall_end` before committing.
-    pub fn plan_co_schedule(&self, mates: &[JobId]) -> Option<(f64, u32)> {
+    pub(crate) fn plan_co_schedule(&self, mates: &[JobId]) -> Option<(f64, u32)> {
         let full = self.spec.node.cores();
         let mut min_freed = u32::MAX;
         for &m in mates {
@@ -405,7 +405,7 @@ impl SimState {
 
     /// Whether `id` currently qualifies as a mate: running, malleable, at
     /// full allocation and not already involved in a co-schedule.
-    pub fn is_eligible_mate(&self, id: JobId) -> bool {
+    pub(crate) fn is_eligible_mate(&self, id: JobId) -> bool {
         let j = self.job(id);
         if !j.spec.malleable {
             return false;

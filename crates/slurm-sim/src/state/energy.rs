@@ -74,14 +74,14 @@ impl SimState {
     }
 
     /// Finalises the meter and returns total joules.
-    pub fn finish_energy(&mut self) -> f64 {
+    pub(crate) fn finish_energy(&mut self) -> f64 {
         let end = self.last_end;
         self.meter.finish(end)
     }
 
     /// Energy of the run so far without finalising the live meter (the
     /// online service's read-only result snapshots). Equals what
-    /// [`SimState::finish_energy`] would return right now.
+    /// `SimState::finish_energy` would return right now.
     pub fn snapshot_energy(&self) -> f64 {
         self.meter.clone().finish(self.last_end)
     }

@@ -448,7 +448,7 @@ impl SimState {
 
     /// Moves the outcome list out (avoids cloning 200 K records at the end
     /// of a run).
-    pub fn take_outcomes(&mut self) -> Vec<JobOutcome> {
+    pub(crate) fn take_outcomes(&mut self) -> Vec<JobOutcome> {
         std::mem::take(&mut self.outcomes)
     }
 
@@ -472,12 +472,12 @@ impl SimState {
     /// [`SimState::availability`]; the rebuild is the validation oracle
     /// (`self_check`, [`SimState::deep_validate`], tests) and what a restore
     /// starts from.
-    pub fn build_profile(&self) -> Profile {
+    pub(crate) fn build_profile(&self) -> Profile {
         Profile::build(self.now, self.cluster.empty_node_count(), &self.releases)
     }
 
     /// The incrementally maintained availability, advanced to `now`. It
-    /// equals [`SimState::build_profile`] by construction (asserted under
+    /// equals `SimState::build_profile` by construction (asserted under
     /// `self_check` and by property tests).
     pub fn availability(&mut self) -> &Profile {
         self.avail.advance_to(self.now);
@@ -493,7 +493,7 @@ impl SimState {
 
     /// What changed since the flags were last taken (the controller clears
     /// them after every event batch).
-    pub fn take_dirty(&mut self) -> DirtyFlags {
+    pub(crate) fn take_dirty(&mut self) -> DirtyFlags {
         std::mem::take(&mut self.dirty)
     }
 
@@ -1076,7 +1076,7 @@ mod tests {
         st.start_static(JobId(1));
         st.now = SimTime(40);
         assert!(st.cancel_job(JobId(1)));
-        assert!(st.job(JobId(1)).is_cancelled());
+        assert!(matches!(st.job(JobId(1)).state, JobState::Cancelled));
         assert_eq!(st.running_count(), 0);
         assert_eq!(st.cluster.busy_cores(), 0);
         assert!(st.outcomes().is_empty(), "cancellation records no outcome");

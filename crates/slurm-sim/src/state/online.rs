@@ -6,7 +6,7 @@ use super::*;
 impl SimState {
 
     /// Adds a job after construction and arms its submit event — the online
-    /// twin of the constructor's trace loop: same [`JobSpec::from_swf`]
+    /// twin of the constructor's trace loop: same `JobSpec::from_swf`
     /// conversion, same dense renumbering, same malleability draw (forked
     /// from the record's own id), so feeding a trace job-by-job builds a
     /// byte-identical simulation to building it up front.

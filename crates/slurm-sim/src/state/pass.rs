@@ -8,7 +8,7 @@ impl SimState {
 
     /// Takes the reusable pass-availability buffer, filled with a copy of
     /// the cached availability (no BTreeMap walk, allocations reused).
-    pub fn take_pass_profile(&mut self) -> Profile {
+    pub(crate) fn take_pass_profile(&mut self) -> Profile {
         let mut p = std::mem::take(&mut self.scratch.profile);
         p.clone_from(self.availability());
         p
@@ -34,7 +34,7 @@ impl SimState {
     /// queue reordered by usage-decayed fair-share priority and truncated to
     /// `depth`. The reorder is a stable sort on `usage/weight`, so ties —
     /// including the entire queue under a single tenant — keep FIFO order.
-    pub fn fill_pass_prefix(&mut self, depth: usize, prefix: &mut Vec<QueueEntry>) {
+    pub(crate) fn fill_pass_prefix(&mut self, depth: usize, prefix: &mut Vec<QueueEntry>) {
         match self.cfg.queue_policy {
             QueuePolicy::Fifo => prefix.extend(self.queue.prefix(depth)),
             QueuePolicy::FairShare { half_life } => {
@@ -61,7 +61,7 @@ impl SimState {
     /// Whether starting this entry now would exceed its tenant's quota.
     /// Counts the skip (globally and per tenant) when it would. O(1), and a
     /// constant-time `false` for untenanted entries.
-    pub fn quota_blocks(&mut self, e: &QueueEntry) -> bool {
+    pub(crate) fn quota_blocks(&mut self, e: &QueueEntry) -> bool {
         if e.tslot == NO_TENANT_SLOT {
             return false;
         }

@@ -188,11 +188,11 @@ pub struct TenantUsage {
     /// Requested nodes of this tenant's currently running jobs.
     pub running_width: u32,
     /// Cumulative requested node-seconds charged at start (never refunded).
-    pub committed_node_seconds: u64,
+    pub(crate) committed_node_seconds: u64,
     /// Decayed fair-share usage (node-seconds, halving per half-life).
     pub usage: f64,
     /// Virtual instant `usage` was last decayed to.
-    pub last_decay: SimTime,
+    pub(crate) last_decay: SimTime,
     pub submitted: u64,
     pub started: u64,
     pub completed: u64,
@@ -217,7 +217,7 @@ impl Default for TenantUsage {
 
 impl TenantUsage {
     /// Decays `usage` to `now`: `usage ×= 2^(−Δt/half_life)`.
-    pub fn decay_to(&mut self, now: SimTime, half_life: u64) {
+    pub(crate) fn decay_to(&mut self, now: SimTime, half_life: u64) {
         if now <= self.last_decay {
             return;
         }
@@ -229,7 +229,7 @@ impl TenantUsage {
     }
 
     /// Would starting a `req_nodes × req_time` job exceed `quota`?
-    pub fn would_exceed(&self, quota: &Quota, req_nodes: u32, req_time: u64) -> bool {
+    pub(crate) fn would_exceed(&self, quota: &Quota, req_nodes: u32, req_time: u64) -> bool {
         if let Some(cap) = quota.max_running_width {
             if self.running_width + req_nodes > cap {
                 return true;
@@ -245,7 +245,7 @@ impl TenantUsage {
     }
 
     /// Charges a starting job against this tenant.
-    pub fn charge_start(&mut self, req_nodes: u32, req_time: u64) {
+    pub(crate) fn charge_start(&mut self, req_nodes: u32, req_time: u64) {
         let charge = req_nodes as u64 * req_time;
         self.running_width += req_nodes;
         self.committed_node_seconds += charge;
@@ -255,7 +255,7 @@ impl TenantUsage {
 
     /// Releases a finished/cancelled job's running width (the node-second
     /// charge is deliberately not refunded).
-    pub fn release_width(&mut self, req_nodes: u32) {
+    pub(crate) fn release_width(&mut self, req_nodes: u32) {
         debug_assert!(self.running_width >= req_nodes, "width released twice");
         self.running_width = self.running_width.saturating_sub(req_nodes);
     }

@@ -80,18 +80,18 @@ impl FnTimer {
 }
 
 /// `earliest_start` probes (the linear sweep over the pass profile).
-pub static EARLIEST_START: FnTimer = FnTimer::new("earliest_start");
+pub(crate) static EARLIEST_START: FnTimer = FnTimer::new("earliest_start");
 /// One per pending job examined by a backfill pass (static trial +
 /// flexible/malleable fallback together).
-pub static BACKFILL_TRIAL: FnTimer = FnTimer::new("backfill_trial");
+pub(crate) static BACKFILL_TRIAL: FnTimer = FnTimer::new("backfill_trial");
 /// One per job start attempted (`start_static`, `co_schedule`): idle-node
 /// pick, per-node placement + DROM launch, release map, indexes. Fires
 /// *inside* a backfill trial, so `backfill_trial` minus this is what the
 /// scheduler itself spent deciding.
-pub static JOB_START: FnTimer = FnTimer::new("job_start");
+pub(crate) static JOB_START: FnTimer = FnTimer::new("job_start");
 /// One per job completion, dispatched from the event loop outside any pass:
 /// per-node removal + DROM teardown, beneficiary expansion, release map.
-pub static JOB_END: FnTimer = FnTimer::new("job_end");
+pub(crate) static JOB_END: FnTimer = FnTimer::new("job_end");
 /// SD-Policy mate scans that actually ran (candidate collection + mate
 /// pick together); trials pruned by the pool weight index never get here.
 pub static MATE_SCAN: FnTimer = FnTimer::new("mate_scan");
@@ -99,12 +99,12 @@ pub static MATE_SCAN: FnTimer = FnTimer::new("mate_scan");
 /// O(running jobs) average-slowdown recompute.
 pub static CUTOFF: FnTimer = FnTimer::new("cutoff");
 /// Per-entry tenant quota admission checks.
-pub static QUOTA_CHECK: FnTimer = FnTimer::new("quota_check");
+pub(crate) static QUOTA_CHECK: FnTimer = FnTimer::new("quota_check");
 /// Fair-share prefix reorders (decay + stable sort).
-pub static FAIR_SHARE_SORT: FnTimer = FnTimer::new("fair_share_sort");
+pub(crate) static FAIR_SHARE_SORT: FnTimer = FnTimer::new("fair_share_sort");
 /// One whole scheduler pass (the controller's `run_pass`) — the root frame
 /// every finer-grained probe nests under.
-pub static SCHED_PASS: FnTimer = FnTimer::new("sched_pass");
+pub(crate) static SCHED_PASS: FnTimer = FnTimer::new("sched_pass");
 /// SD-Policy trials answered from the per-pass verdict memo instead of an
 /// `earliest_start` sweep or a mate scan. Work, not time: fed through
 /// [`count`], so its `total_secs` stays zero.
@@ -198,7 +198,7 @@ pub fn delta(before: &[FnTiming], after: &[FnTiming]) -> Vec<FnTiming> {
 /// trials, but attributing each probe to its dominant caller keeps the
 /// flamegraph honest for the hot path that matters (the ROADMAP's
 /// `backfill_trial` wall).
-pub fn stack_frames(name: &str) -> &'static [&'static str] {
+pub(crate) fn stack_frames(name: &str) -> &'static [&'static str] {
     match name {
         "sched_pass" => &["sd", "sched_pass"],
         "fair_share_sort" => &["sd", "sched_pass", "fair_share_sort"],

@@ -10,12 +10,12 @@ use crate::parse::Trace;
 use crate::record::SwfJob;
 
 /// Keeps only jobs of the given partition (SWF field 16).
-pub fn keep_partition(trace: &mut Trace, partition: i64) {
+pub(crate) fn keep_partition(trace: &mut Trace, partition: i64) {
     trace.jobs.retain(|j| j.partition == partition);
 }
 
 /// The partition with the most jobs, if any ("primary partition").
-pub fn primary_partition(trace: &Trace) -> Option<i64> {
+pub(crate) fn primary_partition(trace: &Trace) -> Option<i64> {
     let mut counts: std::collections::HashMap<i64, usize> = std::collections::HashMap::new();
     for j in &trace.jobs {
         *counts.entry(j.partition).or_default() += 1;
@@ -28,7 +28,7 @@ pub fn primary_partition(trace: &Trace) -> Option<i64> {
 
 /// Drops records that cannot be replayed (no runtime or no size, zero
 /// runtime, or non-positive processor counts).
-pub fn drop_unusable(trace: &mut Trace) -> usize {
+pub(crate) fn drop_unusable(trace: &mut Trace) -> usize {
     let before = trace.len();
     trace
         .jobs
@@ -38,7 +38,7 @@ pub fn drop_unusable(trace: &mut Trace) -> usize {
 
 /// Caps requested times at `max` seconds and guarantees
 /// `req_time >= run_time` (a scheduler would have killed the job otherwise).
-pub fn sanitize_estimates(trace: &mut Trace, max: u64) {
+pub(crate) fn sanitize_estimates(trace: &mut Trace, max: u64) {
     for j in &mut trace.jobs {
         if j.run_time < 0 {
             continue;

@@ -12,7 +12,7 @@ pub struct SwfHeader {
     /// `Key → Value` pairs in sorted order (deterministic output).
     pub fields: BTreeMap<String, String>,
     /// Comment lines that were not `Key: Value` shaped.
-    pub freeform: Vec<String>,
+    pub(crate) freeform: Vec<String>,
 }
 
 impl SwfHeader {
@@ -21,7 +21,7 @@ impl SwfHeader {
     }
 
     /// Parses one header line (without the leading `;`).
-    pub fn add_line(&mut self, line: &str) {
+    pub(crate) fn add_line(&mut self, line: &str) {
         let line = line.trim();
         if line.is_empty() {
             return;
@@ -60,13 +60,8 @@ impl SwfHeader {
         self.get_u64("MaxProcs")
     }
 
-    /// `UnixStartTime` field, if present.
-    pub fn unix_start_time(&self) -> Option<u64> {
-        self.get_u64("UnixStartTime")
-    }
-
     /// Serialises the header back into `;` comment lines.
-    pub fn to_lines(&self) -> Vec<String> {
+    pub(crate) fn to_lines(&self) -> Vec<String> {
         let mut out: Vec<String> = self
             .fields
             .iter()
@@ -89,7 +84,6 @@ mod tests {
         h.add_line("UnixStartTime: 1234567");
         assert_eq!(h.max_procs(), Some(80640));
         assert_eq!(h.max_nodes(), Some(5040));
-        assert_eq!(h.unix_start_time(), Some(1234567));
     }
 
     #[test]

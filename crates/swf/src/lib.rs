@@ -12,17 +12,17 @@
 //! traces *through this crate's types*; if the genuine archives are available
 //! the experiment binaries accept them directly via `--swf <file>`.
 
-pub mod error;
+mod error;
 pub mod filter;
-pub mod header;
-pub mod parse;
-pub mod record;
-pub mod stats;
+mod header;
+mod parse;
+mod record;
+mod stats;
 pub mod write;
 
 pub use error::SwfError;
 pub use header::SwfHeader;
-pub use parse::{parse_file, parse_reader, parse_str, Trace};
+pub use parse::{parse_file, parse_str, Trace};
 pub use record::{JobStatus, SwfJob};
 pub use stats::TraceStats;
 pub use write::{write_string, write_to};

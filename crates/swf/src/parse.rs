@@ -33,7 +33,7 @@ impl Trace {
     }
 
     /// Sorts records by submit time (stable), as replaying requires.
-    pub fn sort_by_submit(&mut self) {
+    pub(crate) fn sort_by_submit(&mut self) {
         self.jobs.sort_by_key(|j| j.submit);
     }
 }
@@ -51,7 +51,7 @@ fn parse_f64(tok: &str) -> Option<f64> {
 }
 
 /// Parses a single 18-field data line. `line_no` is only used for errors.
-pub fn parse_line(line: &str, line_no: usize) -> Result<SwfJob, SwfError> {
+pub(crate) fn parse_line(line: &str, line_no: usize) -> Result<SwfJob, SwfError> {
     let toks: Vec<&str> = line.split_whitespace().collect();
     if toks.len() < 18 {
         return Err(SwfError::FieldCount {
@@ -100,7 +100,10 @@ pub fn parse_line(line: &str, line_no: usize) -> Result<SwfJob, SwfError> {
 ///
 /// With `lenient == true`, malformed data lines are skipped (counted in the
 /// returned tuple); with `false` the first malformed line aborts the parse.
-pub fn parse_reader<R: BufRead>(reader: R, lenient: bool) -> Result<(Trace, usize), SwfError> {
+pub(crate) fn parse_reader<R: BufRead>(
+    reader: R,
+    lenient: bool,
+) -> Result<(Trace, usize), SwfError> {
     let mut header = SwfHeader::new();
     let mut jobs = Vec::new();
     let mut skipped = 0usize;

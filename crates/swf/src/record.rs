@@ -166,7 +166,7 @@ impl SwfJob {
     }
 
     /// True when the record carries everything needed to simulate it.
-    pub fn is_simulatable(&self) -> bool {
+    pub(crate) fn is_simulatable(&self) -> bool {
         self.submit >= 0 && self.runtime().is_some() && self.procs().is_some()
     }
 }

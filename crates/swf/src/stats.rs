@@ -1,7 +1,6 @@
 //! Trace summary statistics (the columns of the paper's Table 1).
 
 use crate::parse::Trace;
-use crate::record::SwfJob;
 
 /// Aggregate statistics of a trace, computed from the *recorded* fields
 /// (i.e. what the original system observed, not a re-simulation).
@@ -70,13 +69,6 @@ impl TraceStats {
     }
 }
 
-/// Recorded slowdown of one job, if derivable.
-pub fn job_slowdown(j: &SwfJob) -> Option<f64> {
-    let rt = j.runtime()?;
-    let w = j.wait_time()?;
-    Some((w + rt) as f64 / rt.max(1) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,8 +121,9 @@ mod tests {
 
     #[test]
     fn slowdown_floors_runtime() {
-        let j = job(1, 0, 10, 0, 1);
-        assert_eq!(job_slowdown(&j), Some(10.0));
+        // A zero-second job that waited 10 s has slowdown 10, not infinity.
+        let trace = Trace::new(Default::default(), vec![job(1, 0, 10, 0, 1)]);
+        assert_eq!(TraceStats::compute(&trace).mean_slowdown, 10.0);
     }
 
     #[test]

@@ -182,7 +182,7 @@ impl TraceKind {
 
     /// Like [`fields`](Self::fields) but with wall-clock fields removed —
     /// the deterministic subset rendered by [`render_virtual`].
-    pub fn virtual_fields(&self) -> Vec<(&'static str, FieldVal)> {
+    pub(crate) fn virtual_fields(&self) -> Vec<(&'static str, FieldVal)> {
         self.fields()
             .into_iter()
             .filter(|(k, _)| *k != "wall_ns")

@@ -103,7 +103,7 @@ pub const APPS: [AppModel; 5] = [
 
 /// Coupling strength of the memory-contention term (calibrated so a
 /// STREAM/STREAM pairing loses ~25 % and a PILS/STREAM pairing ~3 %).
-pub const MEM_CONTENTION_BETA: f64 = 0.30;
+const MEM_CONTENTION_BETA: f64 = 0.30;
 
 impl AppModel {
     pub fn by_id(id: AppId) -> &'static AppModel {
@@ -114,11 +114,6 @@ impl AppModel {
     pub fn speedup(&self, cores: u32) -> f64 {
         let n = cores.max(1) as f64;
         1.0 / (self.serial_fraction + (1.0 - self.serial_fraction) / n)
-    }
-
-    /// Parallel efficiency at `cores`.
-    pub fn efficiency(&self, cores: u32) -> f64 {
-        self.speedup(cores) / cores.max(1) as f64
     }
 
     /// Progress-rate factor of this job when it holds `cores` of the `full`
@@ -134,24 +129,16 @@ impl AppModel {
         (self.speedup(cores) / self.speedup(full)).clamp(0.0, 1.0)
     }
 
-    /// Multiplicative slowdown from sharing a node with `neighbour`
-    /// (memory-bandwidth contention): `1/(1 + β·mem_self·mem_other)`.
-    pub fn contention_factor(&self, neighbour: &AppModel) -> f64 {
-        1.0 / (1.0 + MEM_CONTENTION_BETA * self.mem_util * neighbour.mem_util)
-    }
-
-    /// Combined co-scheduling rate: shrink benefit × contention penalty.
-    pub fn co_schedule_rate(&self, cores: u32, full: u32, neighbour: Option<&AppModel>) -> f64 {
-        let base = self.shrink_rate(cores, full);
-        match neighbour {
-            Some(n) => base * self.contention_factor(n),
-            None => base,
-        }
+    /// Multiplicative slowdown from sharing a node with a neighbour whose
+    /// memory-bandwidth pressure is `neighbour_mem`:
+    /// `1/(1 + β·mem_self·mem_other)`, exactly 1 without one (`0.0`).
+    pub fn contention(&self, neighbour_mem: f64) -> f64 {
+        1.0 / (1.0 + MEM_CONTENTION_BETA * self.mem_util * neighbour_mem)
     }
 }
 
 /// Draws an application id according to the Table 2 shares.
-pub fn sample_app(rng: &mut simkit::DetRng) -> AppId {
+pub(crate) fn sample_app(rng: &mut simkit::DetRng) -> AppId {
     let weights: Vec<f64> = APPS.iter().map(|a| a.share).collect();
     APPS[rng.weighted_index(&weights)].id
 }
@@ -212,22 +199,12 @@ mod tests {
     fn contention_hits_memory_bound_pairs_hardest() {
         let stream = AppModel::by_id(AppId::Stream);
         let pils = AppModel::by_id(AppId::Pils);
-        let ss = stream.contention_factor(stream);
-        let sp = stream.contention_factor(pils);
-        let pp = pils.contention_factor(pils);
+        let ss = stream.contention(stream.mem_util);
+        let sp = stream.contention(pils.mem_util);
+        let pp = pils.contention(pils.mem_util);
         assert!(ss < sp, "stream+stream worse than stream+pils");
         assert!(pp > 0.99, "compute-bound pairs barely contend");
         assert!((0.7..0.85).contains(&ss), "stream pair factor {ss}");
-    }
-
-    #[test]
-    fn co_schedule_rate_composes() {
-        let cn = AppModel::by_id(AppId::CoreNeuron);
-        let stream = AppModel::by_id(AppId::Stream);
-        let solo = cn.co_schedule_rate(24, 48, None);
-        let shared = cn.co_schedule_rate(24, 48, Some(stream));
-        assert!(shared < solo);
-        assert!(shared > 0.5 * 0.7, "still well above worst case");
     }
 
     #[test]

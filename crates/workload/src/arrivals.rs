@@ -11,7 +11,7 @@ use simkit::{DetRng, DAY, HOUR};
 
 /// Hour-of-day relative intensity profile (ANL-like: low at night, ramping
 /// from 8 h, peak 10 h–17 h, tapering in the evening). Mean is ~1.0.
-pub const ANL_HOURLY: [f64; 24] = [
+pub(crate) const ANL_HOURLY: [f64; 24] = [
     0.35, 0.30, 0.25, 0.22, 0.20, 0.22, 0.35, 0.60, 1.10, 1.60, 1.90, 2.00, 1.85, 1.90, 1.95,
     1.85, 1.70, 1.50, 1.20, 0.95, 0.80, 0.65, 0.50, 0.40,
 ];
@@ -22,7 +22,7 @@ pub struct ArrivalModel {
     /// Mean interarrival time in seconds at intensity 1.0.
     pub mean_interarrival: f64,
     /// Relative intensity per hour of day (24 entries).
-    pub hourly: [f64; 24],
+    pub(crate) hourly: [f64; 24],
     /// Multiplier applied on Saturdays/Sundays (day 5 and 6 of the week;
     /// the trace starts on a Monday by convention).
     pub weekend_factor: f64,

@@ -12,7 +12,7 @@ use crate::dist::LogNormal;
 use crate::synth::{EstimateModel, SizeStage, SyntheticTraceModel};
 
 /// Workload 1: Cirne model with user-style (inaccurate) estimates.
-pub fn workload1(scale: f64) -> SyntheticTraceModel {
+pub(crate) fn workload1(scale: f64) -> SyntheticTraceModel {
     base(scale, EstimateModel::UserFactor { max_factor: 8.0 }, "Cirne")
 }
 

@@ -13,7 +13,7 @@ use crate::synth::{EstimateModel, SizeStage, SyntheticTraceModel};
 
 /// Workload 4 preset. `scale` scales jobs and system together
 /// (`scale = 1.0` reproduces the full 198 K-job eight-month run).
-pub fn workload4(scale: f64) -> SyntheticTraceModel {
+pub(crate) fn workload4(scale: f64) -> SyntheticTraceModel {
     let scale = scale.clamp(0.002, 2.0);
     let system_nodes = ((5040.0 * scale) as u32).max(24);
     let max_job = ((4988.0 * scale) as u32).clamp(4, system_nodes);

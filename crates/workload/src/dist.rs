@@ -5,21 +5,20 @@
 //! bit-for-bit across toolchain updates for the experiments to be
 //! comparable. All samplers draw from [`simkit::DetRng`].
 //!
-//! The set matches what supercomputer workload models need: log-uniform and
-//! two-stage log-uniform (Cirne–Berman sizes), log-normal (runtimes),
-//! gamma/hyper-gamma (Lublin–Feitelson runtimes), Weibull and exponential
-//! (interarrival gaps).
+//! The set is what the generators draw from: log-uniform (job sizes within
+//! a size class), log-normal (runtimes) and exponential (interarrival gaps),
+//! plus the standard normal the log-normal is built on.
 
 use simkit::DetRng;
 
 /// A distribution that can draw `f64` samples.
-pub trait Sampler {
+pub(crate) trait Sampler {
     fn sample(&self, rng: &mut DetRng) -> f64;
 }
 
 /// Standard normal via Box–Muller (stateless variant).
 #[inline]
-pub fn standard_normal(rng: &mut DetRng) -> f64 {
+pub(crate) fn standard_normal(rng: &mut DetRng) -> f64 {
     // Avoid u1 == 0 (log singularity).
     let u1 = loop {
         let u = rng.f64();
@@ -31,39 +30,21 @@ pub fn standard_normal(rng: &mut DetRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// Normal distribution `N(mean, sd²)`.
-#[derive(Debug, Clone, Copy)]
-pub struct Normal {
-    pub mean: f64,
-    pub sd: f64,
-}
-
-impl Sampler for Normal {
-    fn sample(&self, rng: &mut DetRng) -> f64 {
-        self.mean + self.sd * standard_normal(rng)
-    }
-}
-
 /// Log-normal: `exp(N(mu, sigma²))`.
 #[derive(Debug, Clone, Copy)]
 pub struct LogNormal {
-    pub mu: f64,
-    pub sigma: f64,
+    pub(crate) mu: f64,
+    pub(crate) sigma: f64,
 }
 
 impl LogNormal {
     /// Parameterises from the desired median and the multiplicative spread
     /// (sigma in log-space).
-    pub fn from_median(median: f64, sigma: f64) -> LogNormal {
+    pub(crate) fn from_median(median: f64, sigma: f64) -> LogNormal {
         LogNormal {
             mu: median.ln(),
             sigma,
         }
-    }
-
-    /// Theoretical mean `exp(mu + sigma²/2)`.
-    pub fn mean(&self) -> f64 {
-        (self.mu + self.sigma * self.sigma / 2.0).exp()
     }
 }
 
@@ -75,7 +56,7 @@ impl Sampler for LogNormal {
 
 /// Exponential with the given mean (`1/rate`).
 #[derive(Debug, Clone, Copy)]
-pub struct Exponential {
+pub(crate) struct Exponential {
     pub mean: f64,
 }
 
@@ -91,86 +72,9 @@ impl Sampler for Exponential {
     }
 }
 
-/// Weibull with shape `k` and scale `lambda`.
-#[derive(Debug, Clone, Copy)]
-pub struct Weibull {
-    pub shape: f64,
-    pub scale: f64,
-}
-
-impl Sampler for Weibull {
-    fn sample(&self, rng: &mut DetRng) -> f64 {
-        let u = loop {
-            let u = rng.f64();
-            if u > f64::EPSILON {
-                break u;
-            }
-        };
-        self.scale * (-u.ln()).powf(1.0 / self.shape)
-    }
-}
-
-/// Gamma with shape `k` and scale `theta` (Marsaglia–Tsang method).
-#[derive(Debug, Clone, Copy)]
-pub struct Gamma {
-    pub shape: f64,
-    pub scale: f64,
-}
-
-impl Sampler for Gamma {
-    fn sample(&self, rng: &mut DetRng) -> f64 {
-        let k = self.shape;
-        if k < 1.0 {
-            // Boost: gamma(k) = gamma(k+1) · U^(1/k)
-            let g = Gamma {
-                shape: k + 1.0,
-                scale: self.scale,
-            }
-            .sample(rng);
-            let u = rng.f64().max(f64::EPSILON);
-            return g * u.powf(1.0 / k);
-        }
-        let d = k - 1.0 / 3.0;
-        let c = 1.0 / (9.0 * d).sqrt();
-        loop {
-            let x = standard_normal(rng);
-            let v = (1.0 + c * x).powi(3);
-            if v <= 0.0 {
-                continue;
-            }
-            let u = rng.f64();
-            if u < 1.0 - 0.0331 * x.powi(4) {
-                return d * v * self.scale;
-            }
-            if u.max(f64::MIN_POSITIVE).ln() < 0.5 * x * x + d * (1.0 - v + v.ln()) {
-                return d * v * self.scale;
-            }
-        }
-    }
-}
-
-/// Mixture of two gammas (Lublin–Feitelson "hyper-gamma" runtimes):
-/// with probability `p` draw from `g1`, else `g2`.
-#[derive(Debug, Clone, Copy)]
-pub struct HyperGamma {
-    pub p: f64,
-    pub g1: Gamma,
-    pub g2: Gamma,
-}
-
-impl Sampler for HyperGamma {
-    fn sample(&self, rng: &mut DetRng) -> f64 {
-        if rng.chance(self.p) {
-            self.g1.sample(rng)
-        } else {
-            self.g2.sample(rng)
-        }
-    }
-}
-
 /// Log-uniform over `[lo, hi]`: `exp(U(ln lo, ln hi))`.
 #[derive(Debug, Clone, Copy)]
-pub struct LogUniform {
+pub(crate) struct LogUniform {
     pub lo: f64,
     pub hi: f64,
 }
@@ -182,45 +86,9 @@ impl Sampler for LogUniform {
     }
 }
 
-/// Cirne–Berman **two-stage log-uniform**: with probability `p` draw
-/// log-uniform from `[lo, mid]`, else from `[mid, hi]`. Captures the
-/// "mass of small jobs plus a tail of large ones" shape of job sizes.
-#[derive(Debug, Clone, Copy)]
-pub struct TwoStageLogUniform {
-    pub p: f64,
-    pub lo: f64,
-    pub mid: f64,
-    pub hi: f64,
-}
-
-impl Sampler for TwoStageLogUniform {
-    fn sample(&self, rng: &mut DetRng) -> f64 {
-        let (lo, hi) = if rng.chance(self.p) {
-            (self.lo, self.mid)
-        } else {
-            (self.mid, self.hi)
-        };
-        LogUniform { lo, hi }.sample(rng)
-    }
-}
-
-/// Clamps an inner sampler to `[lo, hi]`.
-#[derive(Debug, Clone, Copy)]
-pub struct Clamped<S> {
-    pub inner: S,
-    pub lo: f64,
-    pub hi: f64,
-}
-
-impl<S: Sampler> Sampler for Clamped<S> {
-    fn sample(&self, rng: &mut DetRng) -> f64 {
-        self.inner.sample(rng).clamp(self.lo, self.hi)
-    }
-}
-
 /// Rounds a sampled value up to the next "round" user estimate, mimicking
 /// how users request 30 min / 1 h / 2 h / … wall-times.
-pub fn round_up_to_common_limit(secs: f64) -> u64 {
+pub(crate) fn round_up_to_common_limit(secs: f64) -> u64 {
     const LIMITS: &[u64] = &[
         300, 600, 1800, 3600, 7200, 14_400, 21_600, 43_200, 86_400, 172_800, 345_600, 604_800,
     ];
@@ -253,9 +121,13 @@ mod tests {
 
     #[test]
     fn normal_moments() {
-        let (mean, var) = sample_stats(&Normal { mean: 5.0, sd: 2.0 }, 50_000);
-        assert!((mean - 5.0).abs() < 0.05, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.15, "var {var}");
+        let mut r = rng();
+        let mut w = simkit::Welford::new();
+        for _ in 0..50_000 {
+            w.add(standard_normal(&mut r));
+        }
+        assert!(w.mean().abs() < 0.025, "mean {}", w.mean());
+        assert!((w.variance() - 1.0).abs() < 0.0375, "var {}", w.variance());
     }
 
     #[test]
@@ -266,8 +138,10 @@ mod tests {
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = samples[10_000];
         assert!((median / 100.0 - 1.0).abs() < 0.05, "median {median}");
+        // The theoretical mean is exp(mu + sigma²/2).
+        let want = (ln.mu + ln.sigma * ln.sigma / 2.0).exp();
         let (mean, _) = sample_stats(&ln, 50_000);
-        assert!((mean / ln.mean() - 1.0).abs() < 0.05, "mean {mean} vs {}", ln.mean());
+        assert!((mean / want - 1.0).abs() < 0.05, "mean {mean} vs {want}");
     }
 
     #[test]
@@ -275,61 +149,6 @@ mod tests {
         let (mean, var) = sample_stats(&Exponential { mean: 42.0 }, 50_000);
         assert!((mean / 42.0 - 1.0).abs() < 0.05, "mean {mean}");
         assert!((var / (42.0 * 42.0) - 1.0).abs() < 0.15, "var {var}");
-    }
-
-    #[test]
-    fn weibull_shape_one_is_exponential() {
-        let (mean, _) = sample_stats(
-            &Weibull {
-                shape: 1.0,
-                scale: 10.0,
-            },
-            50_000,
-        );
-        assert!((mean / 10.0 - 1.0).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
-    fn gamma_moments() {
-        // mean = k·theta, var = k·theta²
-        let g = Gamma {
-            shape: 3.0,
-            scale: 2.0,
-        };
-        let (mean, var) = sample_stats(&g, 50_000);
-        assert!((mean - 6.0).abs() < 0.1, "mean {mean}");
-        assert!((var - 12.0).abs() < 0.6, "var {var}");
-    }
-
-    #[test]
-    fn gamma_small_shape_positive() {
-        let g = Gamma {
-            shape: 0.4,
-            scale: 1.0,
-        };
-        let mut r = rng();
-        for _ in 0..10_000 {
-            assert!(g.sample(&mut r) >= 0.0);
-        }
-        let (mean, _) = sample_stats(&g, 50_000);
-        assert!((mean - 0.4).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
-    fn hypergamma_mixes() {
-        let hg = HyperGamma {
-            p: 0.5,
-            g1: Gamma {
-                shape: 1.0,
-                scale: 1.0,
-            },
-            g2: Gamma {
-                shape: 1.0,
-                scale: 100.0,
-            },
-        };
-        let (mean, _) = sample_stats(&hg, 50_000);
-        assert!((mean - 50.5).abs() < 2.5, "mean {mean}");
     }
 
     #[test]
@@ -346,36 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn two_stage_respects_split() {
-        let ts = TwoStageLogUniform {
-            p: 0.8,
-            lo: 1.0,
-            mid: 8.0,
-            hi: 512.0,
-        };
-        let mut r = rng();
-        let small = (0..20_000)
-            .filter(|_| ts.sample(&mut r) <= 8.0)
-            .count() as f64
-            / 20_000.0;
-        assert!((small - 0.8).abs() < 0.02, "small fraction {small}");
-    }
-
-    #[test]
-    fn clamped_stays_in_range() {
-        let c = Clamped {
-            inner: Normal { mean: 0.0, sd: 10.0 },
-            lo: -1.0,
-            hi: 1.0,
-        };
-        let mut r = rng();
-        for _ in 0..1000 {
-            let x = c.sample(&mut r);
-            assert!((-1.0..=1.0).contains(&x));
-        }
-    }
-
-    #[test]
     fn round_up_limits() {
         assert_eq!(round_up_to_common_limit(1.0), 300);
         assert_eq!(round_up_to_common_limit(301.0), 600);
@@ -386,17 +175,14 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic() {
-        let g = Gamma {
-            shape: 2.0,
-            scale: 3.0,
-        };
+        let ln = LogNormal::from_median(100.0, 0.5);
         let a: Vec<f64> = {
             let mut r = DetRng::new(1);
-            (0..10).map(|_| g.sample(&mut r)).collect()
+            (0..10).map(|_| ln.sample(&mut r)).collect()
         };
         let b: Vec<f64> = {
             let mut r = DetRng::new(1);
-            (0..10).map(|_| g.sample(&mut r)).collect()
+            (0..10).map(|_| ln.sample(&mut r)).collect()
         };
         assert_eq!(a, b);
     }

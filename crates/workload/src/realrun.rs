@@ -6,7 +6,7 @@
 //! [`AppId`] so the simulator can apply the application-aware rate and power
 //! models — our substitution for executing the binaries on MareNostrum4.
 
-use crate::apps::{sample_app, AppId, AppModel};
+use crate::apps::{sample_app, AppId};
 use crate::arrivals::ArrivalModel;
 use crate::dist::LogNormal;
 use crate::synth::{EstimateModel, SizeStage, SyntheticTraceModel};
@@ -21,26 +21,8 @@ pub struct AppTrace {
     pub apps: Vec<AppId>,
 }
 
-impl AppTrace {
-    pub fn app_of(&self, idx: usize) -> &'static AppModel {
-        AppModel::by_id(self.apps[idx])
-    }
-
-    /// Job mix as `(app, count)` pairs (Table 2 check).
-    pub fn mix(&self) -> Vec<(AppId, usize)> {
-        let mut counts: Vec<(AppId, usize)> = crate::apps::APPS
-            .iter()
-            .map(|a| (a.id, 0usize))
-            .collect();
-        for &a in &self.apps {
-            counts.iter_mut().find(|(id, _)| *id == a).unwrap().1 += 1;
-        }
-        counts
-    }
-}
-
 /// The Cirne-derived model scaled to the 49-node MN4 subset.
-pub fn workload5_model() -> SyntheticTraceModel {
+pub(crate) fn workload5_model() -> SyntheticTraceModel {
     SyntheticTraceModel {
         name: "Cirne_real_run",
         n_jobs: 2_000,
@@ -82,7 +64,7 @@ pub fn workload5_model() -> SyntheticTraceModel {
 /// submissions. Applications whose Table 2 profile constrains size/duration
 /// are matched to fitting jobs (Alya = "small nodes, high time", NEST/
 /// CoreNeuron = any, PILS/STREAM = "small/med time").
-pub fn workload5(seed: u64) -> AppTrace {
+pub(crate) fn workload5(seed: u64) -> AppTrace {
     let model = workload5_model();
     let trace = model.generate(seed);
     let mut rng = DetRng::new(seed).fork(77);
@@ -138,9 +120,8 @@ mod tests {
     #[test]
     fn mix_tracks_table2_shares() {
         let at = workload5(42);
-        let mix = at.mix();
         let frac = |id: AppId| {
-            mix.iter().find(|(a, _)| *a == id).unwrap().1 as f64 / at.apps.len() as f64
+            at.apps.iter().filter(|&&a| a == id).count() as f64 / at.apps.len() as f64
         };
         assert!((frac(AppId::Pils) - 0.305).abs() < 0.06, "{}", frac(AppId::Pils));
         assert!((frac(AppId::Stream) - 0.308).abs() < 0.06);

@@ -12,7 +12,7 @@ use crate::dist::LogNormal;
 use crate::synth::{EstimateModel, SizeStage, SyntheticTraceModel};
 
 /// Workload 3 preset. `scale` scales jobs and system together.
-pub fn workload3(scale: f64) -> SyntheticTraceModel {
+pub(crate) fn workload3(scale: f64) -> SyntheticTraceModel {
     let scale = scale.clamp(0.01, 4.0);
     let system_nodes = ((1024.0 * scale) as u32).max(16);
     let max_job = ((72.0 * scale) as u32).clamp(4, system_nodes);

@@ -25,14 +25,6 @@ pub enum PaperWorkload {
 }
 
 impl PaperWorkload {
-    pub const ALL: [PaperWorkload; 5] = [
-        PaperWorkload::W1Cirne,
-        PaperWorkload::W2CirneIdeal,
-        PaperWorkload::W3Ricc,
-        PaperWorkload::W4Curie,
-        PaperWorkload::W5RealRun,
-    ];
-
     /// The four simulator workloads (Figs. 1–3, 8).
     pub const SIMULATED: [PaperWorkload; 4] = [
         PaperWorkload::W1Cirne,
@@ -59,6 +51,13 @@ impl PaperWorkload {
             PaperWorkload::W4Curie => "W4",
             PaperWorkload::W5RealRun => "W5",
         }
+    }
+
+    /// The simulator workload whose [`short`](Self::short) name is `word`,
+    /// in either case (`w3` is [`PaperWorkload::W3Ricc`]) — the one table
+    /// behind every `w1..w4` flag.
+    pub fn by_short(word: &str) -> Option<PaperWorkload> {
+        Self::SIMULATED.into_iter().find(|w| w.short().eq_ignore_ascii_case(word))
     }
 
     /// The default CI-sized scale for this workload: a few thousand jobs,
@@ -157,9 +156,17 @@ mod tests {
 
     #[test]
     fn labels_are_distinct() {
-        let mut labels: Vec<&str> = PaperWorkload::ALL.iter().map(|w| w.short()).collect();
+        let all = [PaperWorkload::W5RealRun].into_iter().chain(PaperWorkload::SIMULATED);
+        let mut labels: Vec<&str> = all.map(|w| w.short()).collect();
         labels.sort();
         labels.dedup();
         assert_eq!(labels.len(), 5);
+        // Each simulator workload is found by its short name, in either case.
+        for w in PaperWorkload::SIMULATED {
+            assert_eq!(PaperWorkload::by_short(w.short()), Some(w));
+            assert_eq!(PaperWorkload::by_short(&w.short().to_lowercase()), Some(w));
+        }
+        assert_eq!(PaperWorkload::by_short("w5"), None, "not a simulator workload");
+        assert_eq!(PaperWorkload::by_short("ricc"), None);
     }
 }

@@ -34,7 +34,7 @@ pub enum EstimateModel {
 /// (1..=N) with Zipf(`skew`) popularity — a few heavy tenants and a long
 /// tail, the shape shared accounting databases show in practice.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TenantMix {
+pub(crate) struct TenantMix {
     /// Number of distinct tenants; ids are `1..=tenants`.
     pub tenants: u32,
     /// Zipf exponent: 0 = uniform popularity, larger = more skewed.
@@ -61,18 +61,18 @@ pub struct SyntheticTraceModel {
     /// Size classes (weights need not sum to 1; they are normalised).
     pub stages: Vec<SizeStage>,
     /// Probability a parallel job size is rounded to a power of two.
-    pub pow2_preference: f64,
+    pub(crate) pow2_preference: f64,
     /// Runtime distribution (seconds) of *production* jobs, before size
     /// correlation and clamping.
     pub runtime: LogNormal,
     /// Fraction of jobs that are short debug/test runs — production logs are
     /// strongly bimodal, and this mass of tiny jobs is what produces the
     /// thousands-scale average slowdowns of the paper's Table 1.
-    pub short_fraction: f64,
+    pub(crate) short_fraction: f64,
     /// Log-uniform runtime range of the short-job mode, seconds.
-    pub short_range: (f64, f64),
+    pub(crate) short_range: (f64, f64),
     /// Runtime multiplier exponent on node count: `rt × nodes^alpha`.
-    pub size_runtime_alpha: f64,
+    pub(crate) size_runtime_alpha: f64,
     pub runtime_min: u64,
     pub runtime_max: u64,
     pub estimates: EstimateModel,
@@ -83,7 +83,7 @@ pub struct SyntheticTraceModel {
     /// Optional tenant identity mix. `None` keeps the legacy synthetic user
     /// stamp (`id % 97`) byte-identical; `Some` draws each job's SWF user
     /// from an independent RNG stream, leaving every other field untouched.
-    pub tenant_mix: Option<TenantMix>,
+    pub(crate) tenant_mix: Option<TenantMix>,
 }
 
 impl SyntheticTraceModel {
@@ -114,19 +114,13 @@ impl SyntheticTraceModel {
         self
     }
 
-    /// Overrides the estimate model.
-    pub fn with_estimates(mut self, estimates: EstimateModel) -> Self {
-        self.estimates = estimates;
-        self
-    }
-
     /// Resizes the machine; size stages are clamped to it at sampling time.
     pub fn with_system_nodes(mut self, nodes: u32) -> Self {
         self.system_nodes = nodes.max(1);
         self
     }
 
-    /// Stamps jobs with a Zipf-skewed tenant mix (see [`TenantMix`]).
+    /// Stamps jobs with a Zipf-skewed tenant mix (see `TenantMix`).
     pub fn with_tenant_mix(mut self, tenants: u32, skew: f64) -> Self {
         self.tenant_mix = Some(TenantMix {
             tenants: tenants.max(1),
@@ -402,11 +396,11 @@ mod tests {
 
     #[test]
     fn builder_knobs_apply() {
-        let m = tiny_model()
+        let exact = SyntheticTraceModel { estimates: EstimateModel::Exact, ..tiny_model() };
+        let m = exact
             .with_jobs(123)
             .with_mean_interarrival(17.0)
             .with_batching(0.9, 12.0)
-            .with_estimates(EstimateModel::Exact)
             .with_system_nodes(32);
         assert_eq!(m.n_jobs, 123);
         assert!((m.arrivals.mean_interarrival - 17.0).abs() < 1e-12);
