@@ -31,6 +31,7 @@ use sd_scenario::{
     baseline_point, builtin_scenarios, execute, execute_traced, expand, find_builtin, run_key,
     Campaign, PolicyKindDecl, RunPoint, Scenario, ScenarioOutcome, SourceKind,
 };
+use slurm_sim::timing::{self, FnTiming};
 use std::collections::HashMap;
 
 const USAGE: &str = "run_scenario — execute a declarative scenario campaign
@@ -69,6 +70,25 @@ const COMMON: [&str; 5] = ["--scale", "--full", "--seed", "--threads", "--out"];
 fn fail(msg: &str) -> ! {
     eprintln!("{msg}\n\n{USAGE}");
     std::process::exit(2);
+}
+
+/// Runs one point: its result, its wall seconds and, when `profiled`, the
+/// hot-path probe rows it counted on this thread (empty otherwise).
+fn timed<R>(profiled: bool, run: impl FnOnce() -> R) -> (R, f64, Vec<FnTiming>) {
+    if profiled {
+        timing::reset();
+        timing::enable();
+    }
+    let t0 = std::time::Instant::now();
+    let r = run();
+    let wall = t0.elapsed().as_secs_f64();
+    let rows = if profiled {
+        timing::disable();
+        timing::report()
+    } else {
+        Vec::new()
+    };
+    (r, wall, rows)
 }
 
 struct ScenarioCli {
@@ -275,12 +295,7 @@ fn main() {
 
     let mut work: Vec<RunPoint> = points.clone();
     work.extend(baselines.iter().cloned());
-    if cli.timing || cli.flame.is_some() {
-        // Hot-path probes are process-global; with --threads > 1 the
-        // per-function totals aggregate across concurrent runs.
-        slurm_sim::timing::reset();
-        slurm_sim::timing::enable();
-    }
+    let profiled = cli.timing || cli.flame.is_some();
     // `--trace` arms decision tracing for the first run point only (a
     // campaign-wide ring would interleave concurrent runs); it executes
     // before the sweep so the stream is single-run and deterministic.
@@ -291,25 +306,31 @@ fn main() {
     let mut results = Vec::with_capacity(work.len());
     let swept: &[RunPoint] = match &ring {
         Some(ring) => {
-            let t0 = std::time::Instant::now();
-            results.push((execute_traced(&work[0], ring.clone()), t0.elapsed().as_secs_f64()));
+            results.push(timed(profiled, || execute_traced(&work[0], ring.clone())));
             &work[1..]
         }
         None => &work,
     };
-    results.extend(sweep_with(swept, cli.common.threads, |p| {
-        let t0 = std::time::Instant::now();
-        (execute(p), t0.elapsed().as_secs_f64())
-    }));
+    results.extend(sweep_with(swept, cli.common.threads, |p| timed(profiled, || execute(p))));
     let mut outcomes: Vec<ScenarioOutcome> = Vec::with_capacity(results.len());
     let mut walls: Vec<f64> = Vec::with_capacity(results.len());
-    for (r, wall) in results {
+    // Every run's probe rows, summed in run order.
+    let mut probes: Vec<FnTiming> = Vec::new();
+    for (r, wall, rows) in results {
         match r {
             Ok(o) => {
                 outcomes.push(o);
                 walls.push(wall);
             }
             Err(e) => fail(&format!("run failed: {e}")),
+        }
+        if probes.is_empty() {
+            probes = rows;
+        } else {
+            for (sum, row) in probes.iter_mut().zip(rows) {
+                sum.count += row.count;
+                sum.total_secs += row.total_secs;
+            }
         }
     }
     if let (Some(path), Some(ring)) = (&cli.trace, &ring) {
@@ -357,10 +378,7 @@ fn main() {
         // %-of-wall column attributes each probe against the campaign's
         // total wall time (summed across runs, like the probe totals).
         let total_wall: f64 = walls.iter().sum();
-        let fns: Vec<_> = slurm_sim::timing::report()
-            .into_iter()
-            .filter(|f| f.count > 0)
-            .collect();
+        let fns: Vec<_> = probes.iter().filter(|f| f.count > 0).collect();
         if fns.is_empty() {
             eprintln!("(no hot-path probes fired)");
         } else {
@@ -382,13 +400,7 @@ fn main() {
         }
     }
     if let Some(path) = &cli.flame {
-        let samples: Vec<sd_obs::StackSample> = slurm_sim::timing::stack_rows(
-            &slurm_sim::timing::report(),
-        )
-        .into_iter()
-        .map(|(frames, micros)| sd_obs::StackSample::new(frames, micros))
-        .collect();
-        let text = sd_obs::collapsed(&samples);
+        let text = timing::collapsed(&probes);
         if text.is_empty() {
             eprintln!("warning: {path}: no probe fired, flamegraph would be empty");
         }

@@ -165,3 +165,26 @@ fn a_campaign_runs_each_distinct_static_twin_once() {
     // Every run still carries its Δ against its twin.
     assert_eq!(rows.iter().filter(|l| l.contains("DynAVGSD")).count(), 14, "{stdout}");
 }
+
+#[test]
+fn timing_counts_each_run_alone_whatever_the_thread_count() {
+    // Probes count per thread, so concurrent runs no longer share totals:
+    // the summed calls column reads the same under one thread and four.
+    let calls = |threads: u32| {
+        let args = format!("--scenario bursty --scale 0.02 --seed 7 --timing --threads {threads}");
+        let done = run(env!("CARGO_BIN_EXE_run_scenario"), &args);
+        let stderr = String::from_utf8_lossy(&done.stderr).into_owned();
+        assert!(done.status.success(), "{stderr}");
+        let table = stderr.split("function ").nth(1).expect("a function table");
+        let rows: Vec<(String, u64)> = (table.lines().skip(2))
+            .take_while(|l| !l.is_empty())
+            .map(|l| {
+                let mut cols = l.split_whitespace();
+                (cols.next().unwrap().to_string(), cols.next().unwrap().parse().unwrap())
+            })
+            .collect();
+        assert!(rows.iter().any(|(f, n)| f == "backfill_trial" && *n > 0), "{stderr}");
+        rows
+    };
+    assert_eq!(calls(1), calls(4));
+}

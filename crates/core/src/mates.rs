@@ -21,7 +21,7 @@
 use crate::config::SdPolicyConfig;
 use crate::penalty::{mate_penalty, shrink_increase};
 use cluster::JobId;
-use slurm_sim::{timing, SimState};
+use slurm_sim::{timing::{self, Probe}, SimState};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 
@@ -73,7 +73,7 @@ pub fn select_mates(
     if !weights_coverable(st, target, free_nodes_available, cfg) {
         return None;
     }
-    let _scan = timing::scope(&timing::MATE_SCAN);
+    let _scan = timing::scope(Probe::MateScan);
     let candidates = collect_candidates(st, mall_wall, cutoff, cfg);
     pick_mates(&candidates, target, free_nodes_available, cfg)
 }

@@ -23,7 +23,7 @@ use crate::mates::select_mates;
 use crate::penalty::malleable_wall_time;
 use cluster::JobId;
 use simkit::SimTime;
-use slurm_sim::{backfill_pass, timing, DirtyFlags, Profile, Scheduler, SimState};
+use slurm_sim::{backfill_pass, timing::{self, Probe}, DirtyFlags, Profile, Scheduler, SimState};
 
 /// Maximum flexible (malleable) trials per scheduling pass; bounds scheduler
 /// latency on deep queues, like SLURM's `bf_max_job_start`.
@@ -91,7 +91,7 @@ impl SdPolicy {
         if let Some(c) = self.pass_cutoff {
             return c;
         }
-        let _probe = timing::scope(&timing::CUTOFF);
+        let _probe = timing::scope(Probe::Cutoff);
         let c = self.cfg.max_slowdown.cutoff(st);
         self.pass_cutoff = Some(c);
         c
@@ -144,7 +144,7 @@ impl SdPolicy {
                 let e = match self.est_memo.iter().find(|(s, _)| *s == shape) {
                     Some(&(_, e)) => {
                         self.memo_hits.est += 1;
-                        timing::count(&timing::TRIAL_MEMO_HIT);
+                        timing::count(Probe::TrialMemoHit);
                         if st.cfg.self_check {
                             assert_eq!(
                                 profile.earliest_start(req_nodes, req_time, st.now),
@@ -196,7 +196,7 @@ impl SdPolicy {
         let cutoff = self.cutoff(st);
         if self.no_mates_memo.contains(&shape) {
             self.memo_hits.mates += 1;
-            timing::count(&timing::TRIAL_MEMO_HIT);
+            timing::count(Probe::TrialMemoHit);
             if st.cfg.self_check {
                 assert_eq!(
                     select_mates(st, req_nodes, mall_wall, cutoff, &self.cfg),

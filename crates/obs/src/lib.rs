@@ -10,23 +10,17 @@
 //!   JSON-lines file sink. Readers tail the ring by cursor without ever
 //!   blocking the writer — that is what lets `GET /v1/logs` be served off
 //!   the scheduler hot path.
-//! * `profile` — Brendan-Gregg collapsed-stack rendering for the
-//!   per-function timing accumulated by `slurm_sim::timing`
-//!   (`stack;frames;joined value` lines — loadable in inferno and
-//!   speedscope).
 //! * `slo` — declarative service-level objectives with multi-window
 //!   burn-rate math over cumulative good/total counters, the engine behind
 //!   `[slo]` scenario sections, `GET /v1/slo` and `sd-loadgen --slo-gate`.
 
 mod log;
-mod profile;
 mod slo;
 
 pub use crate::log::{
     attach_json_sink, flush_sink, log_emit, log_enabled, read_since, ring_head, set_ring_level,
     set_stderr_level, set_virtual_now, Level, LogRecord, LogRing, LogTail,
 };
-pub use crate::profile::{collapsed, StackSample};
 pub use crate::slo::{good_within, SloKind, SloSpec, SloStatus, SloTracker, KNOWN_KEYS};
 
 /// Appends `s` to `out` as a JSON string: quoted, with quotes, backslashes

@@ -253,9 +253,10 @@ fn main() {
         sd_obs::attach_json_sink(path)
             .unwrap_or_else(|e| fail(&format!("opening --log-json {}: {e}", path.display())));
     }
-    // Continuous profiling: the service holds one always-armed window so
-    // `GET /v1/profile` has cumulative totals to fall back on; windowed
-    // requests still diff around their own arm/disarm pair.
+    // Continuous profiling: the service holds one always-armed window, so
+    // the engine thread counts from boot, `/metrics` shows its totals and
+    // `GET /v1/profile` has them to fall back on; windowed requests diff
+    // two engine snapshots around their own arm/disarm pair.
     slurm_sim::timing::arm();
     let spec = cluster_spec(&cli);
     let policy = &cli.machine.policy;

@@ -23,6 +23,7 @@ use crate::metrics::ServeHistograms;
 use crate::proto::SubmitRequest;
 use sd_durable::{DurableStore, FsyncPolicy};
 use simkit::SimTime;
+use slurm_sim::timing::{self, FnTiming};
 use slurm_sim::{
     Controller, DirtyFlags, JobState, Scheduler, SimResult, SimState, SubmitError, TraceRing,
 };
@@ -79,6 +80,9 @@ pub struct Snapshot {
     pub(crate) wait_hist: sched_metrics::Histogram,
     /// Durability counters; `None` when running without `--wal`.
     pub wal: Option<WalStatus>,
+    /// The engine thread's hot-path probe counters (`timing::report()`
+    /// taken on that thread): they count while an `arm` window is open.
+    pub timing: Vec<FnTiming>,
 }
 
 /// One tenant's slice of the service counters: wire-side submission counts
@@ -306,6 +310,28 @@ impl Durability {
             wal_segment_age_seconds: self.store.wal_segment_age_seconds(),
         }
     }
+
+    /// Installs `payload` as the checkpoint covering every logged record and
+    /// resets the record counter. A failure degrades durability loudly.
+    fn install(&mut self, payload: &[u8]) {
+        // Seqs start at 1, so `next_seq - 1` is the last logged (= applied)
+        // record; 0 = "nothing beyond the checkpoint".
+        let applied = self.next_seq - 1;
+        if let Err(e) = self.store.install_checkpoint(applied, payload) {
+            if !self.degraded {
+                sd_obs::log_event!(
+                    Error,
+                    "wal",
+                    "checkpoint failed ({e}); crash recovery is no longer guaranteed";
+                    applied = applied
+                );
+            }
+            self.degraded = true;
+        } else {
+            sd_obs::log_event!(Debug, "wal", "checkpoint installed"; applied = applied);
+        }
+        self.records_since_checkpoint = 0;
+    }
 }
 
 /// Running aggregates over the simulator's append-only outcome list, kept
@@ -477,7 +503,7 @@ impl Engine {
             engine.apply_replayed(cmd);
             replayed += 1;
         }
-        engine.dur = Some(Durability {
+        let mut d = Durability {
             store,
             checkpoint_every: checkpoint_every.max(1),
             records_since_checkpoint: 0,
@@ -486,13 +512,13 @@ impl Engine {
             recovery_seconds: 0.0,
             recovered,
             degraded: false,
-        });
+        };
         // Collapse the replayed log so a crash during this session never
         // replays the previous session's records on top of them again.
-        engine.checkpoint_now();
-        let d = engine.dur.as_mut().unwrap();
+        d.install(&engine.checkpoint_payload());
         d.recovery_seconds = t0.elapsed().as_secs_f64();
         let status = d.status();
+        engine.dur = Some(d);
         Ok((engine, status))
     }
 
@@ -708,28 +734,9 @@ impl Engine {
     /// Installs a checkpoint covering everything applied so far and resets
     /// the record counter. No-op without `--wal`.
     fn checkpoint_now(&mut self) {
-        if self.dur.is_none() {
-            return;
-        }
-        let payload = self.checkpoint_payload();
-        let d = self.dur.as_mut().unwrap();
-        // Seqs start at 1, so `next_seq - 1` is the last logged (= applied)
-        // record; 0 = "nothing beyond the checkpoint".
-        let applied = d.next_seq - 1;
-        if let Err(e) = d.store.install_checkpoint(applied, &payload) {
-            if !d.degraded {
-                sd_obs::log_event!(
-                    Error,
-                    "wal",
-                    "checkpoint failed ({e}); crash recovery is no longer guaranteed";
-                    applied = applied
-                );
-            }
-            d.degraded = true;
-        } else {
-            sd_obs::log_event!(Debug, "wal", "checkpoint installed"; applied = applied);
-        }
-        d.records_since_checkpoint = 0;
+        let Some(mut d) = self.dur.take() else { return };
+        d.install(&self.checkpoint_payload());
+        self.dur = Some(d);
     }
 
     /// Checkpoints when the per-`checkpoint_every` budget is used up.
@@ -929,6 +936,7 @@ impl Engine {
             tenants: self.tenant_snaps(),
             wait_hist: self.fold.wait_hist.clone(),
             wal: self.dur.as_ref().map(Durability::status),
+            timing: timing::report(),
         }
     }
 
@@ -1044,6 +1052,33 @@ mod tests {
         assert_eq!(res.leftover_pending, 0);
         let joined = h.join().unwrap();
         assert_eq!(joined, res, "shutdown snapshot equals the final result");
+    }
+
+    #[test]
+    fn stats_carry_the_engine_threads_own_probes() {
+        // An armed window reaches the engine thread, which counts on its own
+        // counters and publishes them in its snapshot; this thread's stay 0.
+        timing::reset();
+        timing::arm();
+        let (tx, h) = spawn_engine(ClockMode::Virtual);
+        for i in 0..4u64 {
+            submit(&tx, 64, 100, i).unwrap();
+        }
+        drain(&tx);
+        let (rtx, rrx) = mpsc::channel();
+        tx.send(Command::Stats { reply: rtx }).unwrap();
+        let snap = rrx.recv().unwrap();
+        timing::disarm();
+        shutdown(&tx);
+        h.join().unwrap();
+        let trials = |rows: &[FnTiming]| rows.iter().find(|r| r.name == "backfill_trial").unwrap().count;
+        assert!(trials(&snap.timing) > 0, "{:?}", snap.timing);
+        assert_eq!(trials(&timing::report()), 0);
+        // `/metrics` renders those rows, the count-only probe among them.
+        let text = crate::metrics::render(&snap, &Default::default(), &Default::default(), &[]);
+        let line = format!("sd_serve_timing_calls_total{{function=\"backfill_trial\"}} {}\n", trials(&snap.timing));
+        assert!(text.contains(&line), "{text}");
+        assert!(text.contains("sd_serve_timing_calls_total{function=\"trial_memo_hit\"}"));
     }
 
     #[test]

@@ -111,23 +111,16 @@ fn malformed(msg: impl Into<String>) -> HttpError {
 }
 
 /// Reads one line terminated by `\n` (tolerating a preceding `\r`), bounded
-/// by the remaining head budget. `Ok(None)` = clean EOF before any byte.
+/// by the remaining head budget. EOF before the newline is `Disconnected`.
 ///
 /// Scans the reader's buffered slice for the newline. Only the part of the
 /// slice the budget still covers is looked at, so the accounting is per
 /// byte: a head of exactly `MAX_HEAD_BYTES` fits, one byte more does not.
-fn read_line(
-    r: &mut impl BufRead,
-    budget: &mut usize,
-    first: bool,
-) -> Result<Option<String>, HttpError> {
+fn read_line(r: &mut impl BufRead, budget: &mut usize) -> Result<String, HttpError> {
     let mut line = Vec::new();
     loop {
         let buf = r.fill_buf().map_err(|_| HttpError::Disconnected)?;
         if buf.is_empty() {
-            if line.is_empty() && first {
-                return Ok(None);
-            }
             return Err(HttpError::Disconnected);
         }
         if *budget == 0 {
@@ -146,8 +139,7 @@ fn read_line(
             if line.last() == Some(&b'\r') {
                 line.pop();
             }
-            let s = String::from_utf8(line).map_err(|_| malformed("non-UTF-8 header line"))?;
-            return Ok(Some(s));
+            return String::from_utf8(line).map_err(|_| malformed("non-UTF-8 header line"));
         }
     }
 }
@@ -155,10 +147,11 @@ fn read_line(
 /// Reads one request from the stream. `Ok(None)` means the peer closed
 /// cleanly between requests (keep-alive teardown).
 pub fn read_request(r: &mut impl BufRead) -> Result<Option<Request>, HttpError> {
-    let mut budget = MAX_HEAD_BYTES;
-    let Some(request_line) = read_line(r, &mut budget, true)? else {
+    if r.fill_buf().map_err(|_| HttpError::Disconnected)?.is_empty() {
         return Ok(None);
-    };
+    }
+    let mut budget = MAX_HEAD_BYTES;
+    let request_line = read_line(r, &mut budget)?;
     let mut parts = request_line.split(' ');
     let method = parts.next().unwrap_or_default();
     let target = parts.next().ok_or_else(|| malformed("request line needs a target"))?;
@@ -182,7 +175,7 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Option<Request>, HttpError> 
 
     let mut headers = Vec::new();
     loop {
-        let line = read_line(r, &mut budget, false)?.expect("EOF mapped to Disconnected");
+        let line = read_line(r, &mut budget)?;
         if line.is_empty() {
             break;
         }
@@ -293,7 +286,7 @@ impl Response {
 /// Client side: reads one response (status + headers + sized body).
 pub fn read_response(r: &mut impl BufRead) -> Result<(u16, Vec<u8>), HttpError> {
     let mut budget = MAX_HEAD_BYTES;
-    let status_line = read_line(r, &mut budget, false)?.expect("EOF is Disconnected");
+    let status_line = read_line(r, &mut budget)?;
     let mut parts = status_line.split(' ');
     if !matches!(parts.next(), Some("HTTP/1.1" | "HTTP/1.0")) {
         return Err(malformed("bad status line"));
@@ -304,7 +297,7 @@ pub fn read_response(r: &mut impl BufRead) -> Result<(u16, Vec<u8>), HttpError> 
         .ok_or_else(|| malformed("bad status code"))?;
     let mut content_length = 0usize;
     loop {
-        let line = read_line(r, &mut budget, false)?.expect("EOF is Disconnected");
+        let line = read_line(r, &mut budget)?;
         if line.is_empty() {
             break;
         }

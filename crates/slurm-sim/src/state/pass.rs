@@ -38,7 +38,7 @@ impl SimState {
         match self.cfg.queue_policy {
             QueuePolicy::Fifo => prefix.extend(self.queue.prefix(depth)),
             QueuePolicy::FairShare { half_life } => {
-                let _t = timing::scope(&timing::FAIR_SHARE_SORT);
+                let _t = timing::scope(Probe::FairShareSort);
                 prefix.extend(self.queue.prefix(usize::MAX));
                 let now = self.now;
                 for u in &mut self.tenant_usage {
@@ -65,7 +65,7 @@ impl SimState {
         if e.tslot == NO_TENANT_SLOT {
             return false;
         }
-        let _t = timing::scope(&timing::QUOTA_CHECK);
+        let _t = timing::scope(Probe::QuotaCheck);
         let quota = self.cfg.tenants.get(e.tslot).quota;
         let usage = &mut self.tenant_usage[e.tslot as usize];
         let blocked = usage.would_exceed(&quota, e.req_nodes, e.req_time);

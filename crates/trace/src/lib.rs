@@ -13,7 +13,7 @@
 //!   51-word one,
 //! * [`TraceSink`] — the probe handle embedded in `SimState`: dormant it is
 //!   a `None` check, armed it is one relaxed atomic load per probe (the
-//!   same idiom as `slurm_sim::timing`),
+//!   dormant-until-enabled idiom of `slurm_sim::timing`),
 //! * [`render_virtual`] — the canonical virtual-time rendering (wall-clock
 //!   fields excluded) pinned byte-identical across runs by the determinism
 //!   tests,
