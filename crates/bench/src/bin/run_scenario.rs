@@ -513,16 +513,18 @@ fn main() {
                         continue;
                     }
                 };
-                let bad_fraction = if total == 0 { 0.0 } else { 1.0 - good as f64 / total as f64 };
-                let allowed = (1.0 - spec.objective).max(f64::EPSILON);
-                let budget = 1.0 - bad_fraction / allowed;
+                // The whole run is one cumulative sample: the verdict is the
+                // live server's rule (budget exhausted at ≤ 0).
+                let mut tracker = sd_obs::SloTracker::new(spec.clone());
+                tracker.record(0, good, total);
+                let s = tracker.status();
                 st.row(vec![
                     variant,
-                    spec.name.clone(),
-                    format!("{good}"),
-                    format!("{total}"),
-                    format!("{:+.1}%", budget * 100.0),
-                    if budget >= 0.0 { "ok".into() } else { "BREACHED".into() },
+                    s.name,
+                    format!("{}", s.good),
+                    format!("{}", s.total),
+                    format!("{:+.1}%", s.budget_remaining * 100.0),
+                    if s.breached { "BREACHED".into() } else { "ok".into() },
                 ]);
             }
         }

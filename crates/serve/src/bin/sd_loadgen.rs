@@ -11,6 +11,7 @@
 
 use sd_scenario::{Scenario, SourceKind};
 use sd_serve::loadgen::{self, LoadgenOptions};
+use sd_serve::metrics::{sample_value, COMPLETED, PENDING, SUBMITTED};
 use sd_serve::soak::{self, SoakOptions};
 use workload::PaperWorkload;
 
@@ -245,14 +246,14 @@ fn main() {
         }
     }
     if let Some(want) = expect_completed {
-        let got = report.delta("completed");
+        let got = report.delta(COMPLETED.key);
         if (got - want as f64).abs() > 0.5 {
             sd_obs::log_event!(Error, "loadgen", "FAIL: {got} jobs completed, expected {want}");
             failed = true;
         }
         // Cross-check the Prometheus exposition against the same truth.
-        for counter in ["sd_serve_jobs_completed_total", "sd_serve_jobs_submitted_total"] {
-            match report.metric(counter) {
+        for counter in [COMPLETED.series, SUBMITTED.series] {
+            match sample_value(&report.metrics_text, counter) {
                 Some(v) if (v - want as f64).abs() <= 0.5 => {}
                 other => {
                     sd_obs::log_event!(Error, "loadgen", "FAIL: /metrics {counter} = {other:?}, expected {want}");
@@ -260,7 +261,7 @@ fn main() {
                 }
             }
         }
-        if report.metric("sd_serve_jobs_pending") != Some(0.0) {
+        if sample_value(&report.metrics_text, PENDING.series) != Some(0.0) {
             sd_obs::log_event!(Error, "loadgen", "FAIL: /metrics reports pending jobs after drain");
             failed = true;
         }

@@ -5,13 +5,16 @@
 //! sd-top --addr 127.0.0.1:8080 --once     # one plain frame (scripts/CI)
 //! ```
 //!
-//! Each frame polls `/v1/stats`, `/metrics` and `/v1/slo` and renders
-//! throughput, queue depth, tenant shares, a pass-latency sparkline, WAL
-//! lag and SLO error-budget bars with plain ANSI escapes — no terminal
-//! library, works in any VT100-ish emulator.
+//! Each frame polls `/v1/stats` and `/v1/slo` (and `/metrics` for the
+//! pass-duration histogram only) and renders throughput, queue depth,
+//! tenant shares, a pass-latency sparkline, WAL lag and SLO error-budget
+//! bars with plain ANSI escapes — no terminal library, works in any
+//! VT100-ish emulator. Snapshot numbers are read by their
+//! [`sd_serve::metrics`] rows' keys.
 
 use sd_serve::client::Client;
 use sd_serve::json::Json;
+use sd_serve::metrics;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -50,15 +53,6 @@ fn sparkline(values: &VecDeque<f64>) -> String {
 fn bar(frac: f64, width: usize) -> String {
     let filled = (frac.clamp(0.0, 1.0) * width as f64).round() as usize;
     format!("[{}{}]", "#".repeat(filled), "-".repeat(width - filled))
-}
-
-/// First sample value of an unlabelled series in exposition text.
-fn metric(text: &str, name: &str) -> Option<f64> {
-    text.lines().find_map(|l| {
-        let rest = l.strip_prefix(name)?;
-        let rest = rest.strip_prefix(' ')?;
-        rest.parse().ok()
-    })
 }
 
 fn u64_of(v: &Json, key: &str) -> u64 {
@@ -136,11 +130,12 @@ fn main() {
         let slo = client.slo().ok(); // 404 when no SLOs are declared
 
         let now = Instant::now();
-        let completed = u64_of(&stats, "completed");
-        let submitted = u64_of(&stats, "submitted");
-        let pass_sum = metric(&metrics_text, "sd_serve_pass_duration_seconds_sum").unwrap_or(0.0);
+        let completed = u64_of(&stats, metrics::COMPLETED.key);
+        let submitted = u64_of(&stats, metrics::SUBMITTED.key);
+        let pass_sum =
+            metrics::sample_value(&metrics_text, "sd_serve_pass_duration_seconds_sum").unwrap_or(0.0);
         let pass_count =
-            metric(&metrics_text, "sd_serve_pass_duration_seconds_count").unwrap_or(0.0);
+            metrics::sample_value(&metrics_text, "sd_serve_pass_duration_seconds_count").unwrap_or(0.0);
         let (done_rate, submit_rate, pass_mean_ms) = match &prev {
             Some(p) => {
                 let dt = now.duration_since(p.at).as_secs_f64().max(1e-9);
@@ -167,58 +162,55 @@ fn main() {
         out.push_str(&format!(
             "sd-top — {addr}  scheduler={}  t={}s  frame {}\n\n",
             stats.get("scheduler").and_then(Json::as_str).unwrap_or("?"),
-            u64_of(&stats, "now"),
+            u64_of(&stats, metrics::NOW.key),
             frame + 1,
         ));
         out.push_str(&format!(
             "jobs     submitted {:>8}  pending {:>6}  running {:>6}  completed {:>8}\n",
             submitted,
-            u64_of(&stats, "pending"),
-            u64_of(&stats, "running"),
+            u64_of(&stats, metrics::PENDING.key),
+            u64_of(&stats, metrics::RUNNING.key),
             completed,
         ));
         out.push_str(&format!(
             "rates    submit {submit_rate:>8.1}/s  complete {done_rate:>8.1}/s\n"
         ));
+        let cores = f64_of(&stats, metrics::NODES.key) * f64_of(&stats, metrics::CORES_PER_NODE.key);
         out.push_str(&format!(
             "cluster  busy cores {:>8}  empty nodes {:>5}  util {}\n",
-            u64_of(&stats, "busy_cores"),
-            u64_of(&stats, "empty_nodes"),
-            bar(
-                f64_of(&stats, "busy_cores")
-                    / (f64_of(&stats, "nodes") * 8.0).max(1.0),
-                20
-            ),
+            u64_of(&stats, metrics::BUSY_CORES.key),
+            u64_of(&stats, metrics::EMPTY_NODES.key),
+            bar(f64_of(&stats, metrics::BUSY_CORES.key) / cores.max(1.0), 20),
         ));
         out.push_str(&format!(
             "passes   run {:>8}  skipped {:>8}  mean {:>7.3} ms  {}\n",
-            u64_of(&stats, "sched_passes"),
-            u64_of(&stats, "passes_skipped"),
+            u64_of(&stats, metrics::SCHED_PASSES.key),
+            u64_of(&stats, metrics::PASSES_SKIPPED.key),
             pass_mean_ms,
             sparkline(&pass_means),
         ));
-        if let Some(bytes) = metric(&metrics_text, "sd_serve_wal_bytes") {
+        if let Some(bytes) = stats.get(metrics::WAL_BYTES.key).and_then(Json::as_f64) {
             out.push_str(&format!(
-                "wal      {bytes:>8.0} B unsnapshotted  segment age {:>6.1}s  checkpoints {:>4.0}\n",
-                metric(&metrics_text, "sd_serve_wal_segment_age_seconds").unwrap_or(0.0),
-                metric(&metrics_text, "sd_serve_checkpoints_written_total").unwrap_or(0.0),
+                "wal      {bytes:>8.0} B unsnapshotted  segment age {:>6.1}s  checkpoints {:>4}\n",
+                f64_of(&stats, metrics::WAL_SEGMENT_AGE.key),
+                u64_of(&stats, metrics::CHECKPOINTS_WRITTEN.key),
             ));
         }
         if let Some(tenants) = stats.get("tenants").and_then(Json::as_arr) {
             if !tenants.is_empty() {
-                let total: f64 = tenants.iter().map(|t| f64_of(t, "running_width")).sum();
+                let total: f64 = tenants.iter().map(|t| f64_of(t, metrics::TENANT_RUNNING_WIDTH.key)).sum();
                 out.push_str("\ntenant      share                  submitted  limited  completed\n");
                 for t in tenants {
-                    let width = f64_of(t, "running_width");
+                    let width = f64_of(t, metrics::TENANT_RUNNING_WIDTH.key);
                     let share = if total > 0.0 { width / total } else { 0.0 };
                     out.push_str(&format!(
                         "{:>6}      {} {:>4.0}%  {:>9}  {:>7}  {:>9}\n",
                         u64_of(t, "tenant"),
                         bar(share, 16),
                         share * 100.0,
-                        u64_of(t, "submitted"),
-                        u64_of(t, "rate_limited"),
-                        u64_of(t, "completed"),
+                        u64_of(t, metrics::TENANT_SUBMITTED.key),
+                        u64_of(t, metrics::TENANT_RATE_LIMITED.key),
+                        u64_of(t, metrics::TENANT_COMPLETED.key),
                     ));
                 }
             }

@@ -11,8 +11,8 @@
 //!   a **real-time mode** with a configurable time-compression factor,
 //! * [`server`] — bounded `std::thread::scope` worker pool feeding the
 //!   engine through channels (single-writer hot path, no locks),
-//! * [`metrics`] — Prometheus text exposition of the `sched_metrics`-style
-//!   aggregates plus the PR 4 pass/skip counters,
+//! * [`metrics`] — one row table of the engine snapshot's numbers, rendered
+//!   as `/v1/stats`, `/v1/cluster` and the Prometheus exposition,
 //! * [`client`] / [`loadgen`] — the loopback client and the `sd-loadgen`
 //!   traffic replayer (throughput, latency percentiles, metric deltas),
 //! * [`durable`] / [`signals`] / [`soak`] — crash tolerance (DESIGN.md §14):

@@ -11,6 +11,7 @@
 
 use crate::client::{Client, ClientError};
 use crate::json::Json;
+use crate::metrics::{COMPLETED, ENERGY_JOULES, PASSES_SKIPPED, SCHED_PASSES, STARTED_MALLEABLE};
 use crate::proto::SubmitRequest;
 use sched_metrics::{Histogram, Percentiles};
 use std::net::SocketAddr;
@@ -144,11 +145,11 @@ impl LoadgenReport {
         if self.drain_wall_s > 0.0 {
             let _ = writeln!(out, "drain wall       {:.3} s", self.drain_wall_s);
         }
-        let _ = writeln!(out, "Δ completed      {:+.0}", self.delta("completed"));
-        let _ = writeln!(out, "Δ malleable      {:+.0}", self.delta("started_malleable"));
-        let _ = writeln!(out, "Δ sched passes   {:+.0}", self.delta("sched_passes"));
-        let _ = writeln!(out, "Δ passes skipped {:+.0}", self.delta("passes_skipped"));
-        let _ = writeln!(out, "Δ energy (J)     {:+.3e}", self.delta("energy_joules"));
+        let _ = writeln!(out, "Δ completed      {:+.0}", self.delta(COMPLETED.key));
+        let _ = writeln!(out, "Δ malleable      {:+.0}", self.delta(STARTED_MALLEABLE.key));
+        let _ = writeln!(out, "Δ sched passes   {:+.0}", self.delta(SCHED_PASSES.key));
+        let _ = writeln!(out, "Δ passes skipped {:+.0}", self.delta(PASSES_SKIPPED.key));
+        let _ = writeln!(out, "Δ energy (J)     {:+.3e}", self.delta(ENERGY_JOULES.key));
         if let Some(r) = &self.final_result {
             let _ = writeln!(
                 out,
@@ -292,15 +293,4 @@ pub fn run(
         metrics_text,
         final_result,
     })
-}
-
-impl LoadgenReport {
-    /// The value of one Prometheus sample in the captured `/metrics` text.
-    pub fn metric(&self, name: &str) -> Option<f64> {
-        self.metrics_text.lines().find_map(|l| {
-            let rest = l.strip_prefix(name)?;
-            let rest = rest.strip_prefix(' ')?;
-            rest.trim().parse().ok()
-        })
-    }
 }

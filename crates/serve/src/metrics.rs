@@ -1,19 +1,142 @@
-//! Prometheus text exposition for `GET /metrics`.
+//! The service's reported numbers: `GET /v1/stats`, `GET /v1/cluster` and
+//! the Prometheus text exposition of `GET /metrics`.
 //!
-//! Gauges and counters come from the engine's [`Snapshot`] (authoritative,
-//! read under the single-writer scheduler thread) plus the HTTP-layer
-//! request counters. Plain text format 0.0.4: `# HELP`/`# TYPE` pairs and
-//! one sample per line — scrapeable by any Prometheus without extra deps.
+//! Every plain number of the engine's [`Snapshot`] is one [`Row`] of
+//! [`ROWS`] (and every number of a [`TenantSnap`] one row of
+//! [`TENANT_ROWS`]): its `/v1/stats` key, its `/metrics` series, its type
+//! and HELP text, and how to read it. Both views loop over the same rows, so
+//! a number is in both or in neither. Hand-written beside them: the HTTP
+//! counters, the histograms, the timing probes, the SLO block and
+//! `recovered{mode}` — none of them a plain snapshot number.
 //!
-//! Three histogram-typed series ride along: HTTP request latency and
-//! scheduler pass duration (wall clock, observed lock-free into
-//! [`ServeHistograms`] by the workers/engine) and the submit→start wait of
-//! started jobs (virtual time, rebuilt from outcomes at snapshot time so
-//! the simulation result stays wall-clock-free).
+//! Plain text format 0.0.4: `# HELP`/`# TYPE` pairs and one sample per
+//! line — scrapeable by any Prometheus without extra deps. Three
+//! histogram-typed series ride along: HTTP request latency and scheduler
+//! pass duration (wall clock, observed lock-free into [`ServeHistograms`]
+//! by the workers/engine) and the submit→start wait of started jobs
+//! (virtual time, rebuilt from outcomes at snapshot time so the simulation
+//! result stays wall-clock-free).
 
-use crate::engine::Snapshot;
+use crate::engine::{ClockMode, Snapshot, TenantSnap};
+use crate::json::Json;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// One reported number of a `T` (the [`Snapshot`] or one [`TenantSnap`]).
+pub struct Row<T> {
+    /// Its `/v1/stats` key.
+    pub key: &'static str,
+    /// Its `/metrics` series.
+    pub series: &'static str,
+    /// `counter` or `gauge`.
+    pub kind: &'static str,
+    pub help: &'static str,
+    /// `None` leaves the number out of both views (the WAL rows without
+    /// `--wal`).
+    pub read: fn(&T) -> Option<f64>,
+}
+
+impl<T> Row<T> {
+    const fn counter(key: &'static str, series: &'static str, help: &'static str, read: fn(&T) -> Option<f64>) -> Row<T> {
+        Row { key, series, kind: "counter", help, read }
+    }
+
+    const fn gauge(key: &'static str, series: &'static str, help: &'static str, read: fn(&T) -> Option<f64>) -> Row<T> {
+        Row { key, series, kind: "gauge", help, read }
+    }
+}
+
+pub const NOW: Row<Snapshot> = Row::gauge("now", "sd_serve_sim_now_seconds", "Virtual clock position.", |s| Some(s.now as f64));
+pub const SUBMITTED: Row<Snapshot> = Row::counter("submitted", "sd_serve_jobs_submitted_total", "Jobs accepted over the API.", |s| Some(s.submitted as f64));
+pub(crate) const JOBS_TOTAL: Row<Snapshot> = Row::gauge("jobs_total", "sd_serve_jobs_total", "Jobs known to the simulator.", |s| Some(s.jobs_total as f64));
+pub const PENDING: Row<Snapshot> = Row::gauge("pending", "sd_serve_jobs_pending", "Jobs waiting in the queue.", |s| Some(s.pending as f64));
+pub const RUNNING: Row<Snapshot> = Row::gauge("running", "sd_serve_jobs_running", "Jobs currently executing.", |s| Some(s.running as f64));
+pub const COMPLETED: Row<Snapshot> = Row::counter("completed", "sd_serve_jobs_completed_total", "Jobs that finished.", |s| Some(s.completed as f64));
+const CANCELLED: Row<Snapshot> = Row::counter("cancelled", "sd_serve_jobs_cancelled_total", "Jobs withdrawn.", |s| Some(s.stats.cancelled as f64));
+const QUOTA_SKIPPED: Row<Snapshot> = Row::counter("quota_skipped", "sd_serve_quota_skipped_total", "Backfill trials skipped by tenant quotas.", |s| Some(s.stats.quota_skipped as f64));
+const STARTED_STATIC: Row<Snapshot> = Row::counter("started_static", "sd_serve_started_static_total", "Exclusive whole-node starts.", |s| Some(s.stats.started_static as f64));
+pub(crate) const STARTED_MALLEABLE: Row<Snapshot> = Row::counter("started_malleable", "sd_serve_started_malleable_total", "Malleable co-scheduled starts.", |s| Some(s.stats.started_malleable as f64));
+const UNIQUE_MATES: Row<Snapshot> = Row::counter("unique_mates", "sd_serve_unique_mates_total", "Distinct jobs shrunk as mates.", |s| Some(s.stats.unique_mates as f64));
+const SHRINK_EVENTS: Row<Snapshot> = Row::counter("shrink_events", "sd_serve_shrink_events_total", "Mate shrink operations.", |s| Some(s.stats.shrink_events as f64));
+const EXPAND_EVENTS: Row<Snapshot> = Row::counter("expand_events", "sd_serve_expand_events_total", "Expand-back operations.", |s| Some(s.stats.expand_events as f64));
+const RELOCATIONS: Row<Snapshot> = Row::counter("relocations", "sd_serve_relocations_total", "Shrunk borrowers moved to idle nodes.", |s| Some(s.stats.relocations as f64));
+pub const SCHED_PASSES: Row<Snapshot> = Row::counter("sched_passes", "sd_serve_sched_passes_total", "Scheduling passes executed.", |s| Some(s.stats.sched_passes as f64));
+pub const PASSES_SKIPPED: Row<Snapshot> = Row::counter("passes_skipped", "sd_serve_sched_passes_skipped_total", "Passes skipped by no-op gating.", |s| Some(s.stats.passes_skipped as f64));
+const EVENTS_DISPATCHED: Row<Snapshot> = Row::counter("events_dispatched", "sd_serve_events_dispatched_total", "Simulation events dispatched.", |s| Some(s.stats.events_dispatched as f64));
+const EVENTS_OUTSTANDING: Row<Snapshot> = Row::gauge("events_outstanding", "sd_serve_events_outstanding", "Events still scheduled.", |s| Some(s.events_outstanding as f64));
+const PEAK_PROFILE_LEN: Row<Snapshot> = Row::gauge("peak_profile_len", "sd_serve_peak_profile_len", "Largest availability-profile length seen.", |s| Some(s.stats.peak_profile_len as f64));
+pub const BUSY_CORES: Row<Snapshot> = Row::gauge("busy_cores", "sd_serve_busy_cores", "Cores currently allocated.", |s| Some(s.busy_cores as f64));
+pub const EMPTY_NODES: Row<Snapshot> = Row::gauge("empty_nodes", "sd_serve_empty_nodes", "Completely idle nodes.", |s| Some(f64::from(s.empty_nodes)));
+pub const NODES: Row<Snapshot> = Row::gauge("nodes", "sd_serve_cluster_nodes", "Machine size in nodes.", |s| Some(f64::from(s.nodes)));
+pub const CORES_PER_NODE: Row<Snapshot> = Row::gauge("cores_per_node", "sd_serve_cores_per_node", "Cores per node.", |s| Some(f64::from(s.cores_per_node)));
+pub(crate) const ENERGY_JOULES: Row<Snapshot> = Row::counter("energy_joules", "sd_serve_energy_joules_total", "Energy integral over the makespan window.", |s| Some(s.energy_joules));
+const MEAN_SLOWDOWN: Row<Snapshot> = Row::gauge("mean_slowdown", "sd_serve_mean_slowdown", "Mean slowdown of completed jobs.", |s| Some(s.mean_slowdown));
+const MEAN_RESPONSE: Row<Snapshot> = Row::gauge("mean_response", "sd_serve_mean_response_seconds", "Mean response time of completed jobs.", |s| Some(s.mean_response));
+const MEAN_WAIT: Row<Snapshot> = Row::gauge("mean_wait", "sd_serve_mean_wait_seconds", "Mean submit-to-start wait of completed jobs.", |s| Some(s.mean_wait));
+const MAKESPAN: Row<Snapshot> = Row::gauge("makespan", "sd_serve_makespan_seconds", "First submit to last end, so far.", |s| Some(s.makespan as f64));
+const WAL_RECORDS_WRITTEN: Row<Snapshot> = Row::counter("wal_records_written", "sd_serve_wal_records_written_total", "Commands appended to the write-ahead log since boot.", |s| s.wal.as_ref().map(|w| w.records_written as f64));
+const WAL_RECORDS_REPLAYED: Row<Snapshot> = Row::counter("wal_records_replayed", "sd_serve_wal_records_replayed_total", "WAL records replayed during boot recovery.", |s| s.wal.as_ref().map(|w| w.records_replayed as f64));
+pub const CHECKPOINTS_WRITTEN: Row<Snapshot> = Row::counter("checkpoints_written", "sd_serve_checkpoints_written_total", "Checkpoints installed since boot.", |s| s.wal.as_ref().map(|w| w.checkpoints_written as f64));
+const RECOVERY_SECONDS: Row<Snapshot> = Row::gauge("recovery_seconds", "sd_serve_recovery_duration_seconds", "Wall time of boot recovery (restore + replay).", |s| s.wal.as_ref().map(|w| w.recovery_seconds));
+pub const WAL_BYTES: Row<Snapshot> = Row::gauge("wal_bytes", "sd_serve_wal_bytes", "Current on-disk size of the write-ahead log.", |s| s.wal.as_ref().map(|w| w.wal_bytes as f64));
+pub const WAL_SEGMENT_AGE: Row<Snapshot> = Row::gauge("wal_segment_age_seconds", "sd_serve_wal_segment_age_seconds", "Age of the oldest un-checkpointed WAL record.", |s| s.wal.as_ref().map(|w| w.wal_segment_age_seconds));
+
+/// Every snapshot number, in `/v1/stats` and `/metrics` order.
+pub static ROWS: [Row<Snapshot>; 34] = [
+    NOW, SUBMITTED, JOBS_TOTAL, PENDING, RUNNING, COMPLETED, CANCELLED, QUOTA_SKIPPED,
+    STARTED_STATIC, STARTED_MALLEABLE, UNIQUE_MATES, SHRINK_EVENTS, EXPAND_EVENTS, RELOCATIONS,
+    SCHED_PASSES, PASSES_SKIPPED, EVENTS_DISPATCHED, EVENTS_OUTSTANDING, PEAK_PROFILE_LEN,
+    BUSY_CORES, EMPTY_NODES, NODES, CORES_PER_NODE, ENERGY_JOULES, MEAN_SLOWDOWN, MEAN_RESPONSE,
+    MEAN_WAIT, MAKESPAN, WAL_RECORDS_WRITTEN, WAL_RECORDS_REPLAYED, CHECKPOINTS_WRITTEN,
+    RECOVERY_SECONDS, WAL_BYTES, WAL_SEGMENT_AGE,
+];
+
+/// The `GET /v1/cluster` body.
+pub(crate) static CLUSTER: [Row<Snapshot>; 5] = [NODES, CORES_PER_NODE, BUSY_CORES, EMPTY_NODES, RUNNING];
+
+pub const TENANT_SUBMITTED: Row<TenantSnap> = Row::counter("submitted", "sd_serve_tenant_submitted_total", "Jobs accepted per tenant.", |t| Some(t.submitted as f64));
+pub const TENANT_RATE_LIMITED: Row<TenantSnap> = Row::counter("rate_limited", "sd_serve_tenant_rate_limited_total", "Submissions refused by the per-tenant rate limit.", |t| Some(t.rate_limited as f64));
+const TENANT_STARTED: Row<TenantSnap> = Row::counter("started", "sd_serve_tenant_started_total", "Jobs started per tenant.", |t| Some(t.started as f64));
+pub const TENANT_COMPLETED: Row<TenantSnap> = Row::counter("completed", "sd_serve_tenant_completed_total", "Jobs completed per tenant.", |t| Some(t.completed as f64));
+const TENANT_QUOTA_SKIPPED: Row<TenantSnap> = Row::counter("quota_skipped", "sd_serve_tenant_quota_skipped_total", "Backfill trials skipped by this tenant's quota.", |t| Some(t.quota_skipped as f64));
+pub const TENANT_RUNNING_WIDTH: Row<TenantSnap> = Row::gauge("running_width", "sd_serve_tenant_running_width", "Requested nodes currently running per tenant.", |t| Some(t.running_width as f64));
+
+/// Every per-tenant number, in `/v1/stats` and `/metrics` order; `/metrics`
+/// labels each sample `{tenant="…"}`.
+pub static TENANT_ROWS: [Row<TenantSnap>; 6] = [
+    TENANT_SUBMITTED, TENANT_RATE_LIMITED, TENANT_STARTED, TENANT_COMPLETED, TENANT_QUOTA_SKIPPED,
+    TENANT_RUNNING_WIDTH,
+];
+
+/// `obj` with one field per row that `v` has a number for.
+pub(crate) fn fields<T>(rows: &[Row<T>], v: &T, mut obj: Json) -> Json {
+    for r in rows {
+        if let Some(x) = (r.read)(v) {
+            obj = obj.set(r.key, x);
+        }
+    }
+    obj
+}
+
+/// The `GET /v1/stats` body: scheduler and clock, every row, then one
+/// object per tenant.
+pub(crate) fn stats_json(snap: &Snapshot) -> Json {
+    let clock = match snap.clock {
+        ClockMode::Virtual => Json::from("virtual"),
+        ClockMode::Realtime { compression } => {
+            Json::obj().set("mode", "realtime").set("compression", compression)
+        }
+    };
+    let head = Json::obj().set("scheduler", snap.scheduler).set("clock", clock);
+    let tenants = snap.tenants.iter().map(|t| fields(&TENANT_ROWS, t, Json::obj().set("tenant", t.tenant)));
+    fields(&ROWS, snap, head).set("tenants", tenants.collect::<Vec<_>>())
+}
+
+/// The value of the first sample of unlabelled series `name` in
+/// exposition `text`.
+pub fn sample_value(text: &str, name: &str) -> Option<f64> {
+    text.lines().find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.trim().parse().ok())
+}
 
 /// Request-level counters maintained by the HTTP workers.
 #[derive(Debug, Default)]
@@ -115,9 +238,13 @@ pub(crate) fn escape_label(v: &str) -> String {
     out
 }
 
-fn sample(out: &mut String, name: &str, help: &str, kind: &str, value: impl std::fmt::Display) {
+fn header(out: &mut String, name: &str, help: &str, kind: &str) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+fn sample(out: &mut String, name: &str, help: &str, kind: &str, value: impl std::fmt::Display) {
+    header(out, name, help, kind);
     let _ = writeln!(out, "{name} {value}");
 }
 
@@ -126,8 +253,7 @@ fn sample(out: &mut String, name: &str, help: &str, kind: &str, value: impl std:
 /// overflow bucket appended after `bounds`.
 fn histogram(out: &mut String, name: &str, help: &str, bounds: &[f64], counts: &[u64], sum: f64) {
     debug_assert_eq!(counts.len(), bounds.len() + 1);
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
+    header(out, name, help, "histogram");
     let mut cum = 0u64;
     for (i, &c) in counts.iter().enumerate() {
         cum += c;
@@ -156,36 +282,13 @@ pub fn render(
     slos: &[sd_obs::SloStatus],
 ) -> String {
     let mut out = String::with_capacity(2048);
-    let s = &snap.stats;
-    sample(&mut out, "sd_serve_sim_now_seconds", "Virtual clock position.", "gauge", snap.now);
-    sample(&mut out, "sd_serve_jobs_submitted_total", "Jobs accepted over the API.", "counter", snap.submitted);
-    sample(&mut out, "sd_serve_jobs_total", "Jobs known to the simulator.", "gauge", snap.jobs_total);
-    sample(&mut out, "sd_serve_jobs_pending", "Jobs waiting in the queue.", "gauge", snap.pending);
-    sample(&mut out, "sd_serve_jobs_running", "Jobs currently executing.", "gauge", snap.running);
-    sample(&mut out, "sd_serve_jobs_completed_total", "Jobs that finished.", "counter", snap.completed);
-    sample(&mut out, "sd_serve_jobs_cancelled_total", "Jobs withdrawn.", "counter", s.cancelled);
-    sample(&mut out, "sd_serve_quota_skipped_total", "Backfill trials skipped by tenant quotas.", "counter", s.quota_skipped);
-    sample(&mut out, "sd_serve_started_static_total", "Exclusive whole-node starts.", "counter", s.started_static);
-    sample(&mut out, "sd_serve_started_malleable_total", "Malleable co-scheduled starts.", "counter", s.started_malleable);
-    sample(&mut out, "sd_serve_unique_mates_total", "Distinct jobs shrunk as mates.", "counter", s.unique_mates);
-    sample(&mut out, "sd_serve_shrink_events_total", "Mate shrink operations.", "counter", s.shrink_events);
-    sample(&mut out, "sd_serve_expand_events_total", "Expand-back operations.", "counter", s.expand_events);
-    sample(&mut out, "sd_serve_relocations_total", "Shrunk borrowers moved to idle nodes.", "counter", s.relocations);
-    sample(&mut out, "sd_serve_sched_passes_total", "Scheduling passes executed.", "counter", s.sched_passes);
-    sample(&mut out, "sd_serve_sched_passes_skipped_total", "Passes skipped by no-op gating.", "counter", s.passes_skipped);
-    sample(&mut out, "sd_serve_events_dispatched_total", "Simulation events dispatched.", "counter", s.events_dispatched);
-    sample(&mut out, "sd_serve_events_outstanding", "Events still scheduled.", "gauge", snap.events_outstanding);
-    sample(&mut out, "sd_serve_peak_profile_len", "Largest availability-profile length seen.", "gauge", s.peak_profile_len);
-    sample(&mut out, "sd_serve_busy_cores", "Cores currently allocated.", "gauge", snap.busy_cores);
-    sample(&mut out, "sd_serve_empty_nodes", "Completely idle nodes.", "gauge", snap.empty_nodes);
-    sample(&mut out, "sd_serve_cluster_nodes", "Machine size in nodes.", "gauge", snap.nodes);
-    sample(&mut out, "sd_serve_energy_joules_total", "Energy integral over the makespan window.", "counter", format_args!("{}", snap.energy_joules));
-    sample(&mut out, "sd_serve_mean_slowdown", "Mean slowdown of completed jobs.", "gauge", format_args!("{}", snap.mean_slowdown));
-    sample(&mut out, "sd_serve_mean_response_seconds", "Mean response time of completed jobs.", "gauge", format_args!("{}", snap.mean_response));
-    sample(&mut out, "sd_serve_makespan_seconds", "First submit to last end, so far.", "gauge", snap.makespan);
+    for r in &ROWS {
+        if let Some(v) = (r.read)(snap) {
+            sample(&mut out, r.series, r.help, r.kind, v);
+        }
+    }
 
-    let _ = writeln!(out, "# HELP sd_serve_http_requests_total HTTP requests by status class.");
-    let _ = writeln!(out, "# TYPE sd_serve_http_requests_total counter");
+    header(&mut out, "sd_serve_http_requests_total", "HTTP requests by status class.", "counter");
     for (class, v) in [
         ("2xx", &http.requests_2xx),
         ("4xx", &http.requests_4xx),
@@ -199,8 +302,7 @@ pub fn render(
     }
     sample(&mut out, "sd_serve_http_connections_total", "Accepted TCP connections.", "counter", http.connections.load(Ordering::Relaxed));
 
-    let _ = writeln!(out, "# HELP sd_serve_submit_requests_total Submit attempts by outcome (ok = accepted, refused = 429/5xx).");
-    let _ = writeln!(out, "# TYPE sd_serve_submit_requests_total counter");
+    header(&mut out, "sd_serve_submit_requests_total", "Submit attempts by outcome (ok = accepted, refused = 429/5xx).", "counter");
     for (result, v) in [("ok", &http.submit_ok), ("refused", &http.submit_refused)] {
         let _ = writeln!(
             out,
@@ -233,45 +335,33 @@ pub fn render(
 
     // The engine thread's per-function timing probes (armed by `sd_serve`
     // for its whole life) as labelled counters.
-    let _ = writeln!(out, "# HELP sd_serve_timing_seconds_total Wall seconds attributed to instrumented hot functions.");
-    let _ = writeln!(out, "# TYPE sd_serve_timing_seconds_total counter");
+    header(&mut out, "sd_serve_timing_seconds_total", "Wall seconds attributed to instrumented hot functions.", "counter");
     for f in &snap.timing {
         let _ = writeln!(out, "sd_serve_timing_seconds_total{{function=\"{}\"}} {}", escape_label(f.name), f.total_secs);
     }
-    let _ = writeln!(out, "# HELP sd_serve_timing_calls_total Invocations of instrumented hot functions.");
-    let _ = writeln!(out, "# TYPE sd_serve_timing_calls_total counter");
+    header(&mut out, "sd_serve_timing_calls_total", "Invocations of instrumented hot functions.", "counter");
     for f in &snap.timing {
         let _ = writeln!(out, "sd_serve_timing_calls_total{{function=\"{}\"}} {}", escape_label(f.name), f.count);
     }
 
     if !slos.is_empty() {
-        let _ = writeln!(out, "# HELP sd_serve_slo_error_budget_remaining Fraction of the SLO error budget left (1 = untouched, <= 0 = exhausted).");
-        let _ = writeln!(out, "# TYPE sd_serve_slo_error_budget_remaining gauge");
+        header(&mut out, "sd_serve_slo_error_budget_remaining", "Fraction of the SLO error budget left (1 = untouched, <= 0 = exhausted).", "gauge");
         for s in slos {
             let _ = writeln!(out, "sd_serve_slo_error_budget_remaining{{slo=\"{}\"}} {}", escape_label(&s.name), s.budget_remaining);
         }
-        let _ = writeln!(out, "# HELP sd_serve_slo_burn_rate Error-budget burn rate by evaluation window (1 = exactly on budget).");
-        let _ = writeln!(out, "# TYPE sd_serve_slo_burn_rate gauge");
+        header(&mut out, "sd_serve_slo_burn_rate", "Error-budget burn rate by evaluation window (1 = exactly on budget).", "gauge");
         for s in slos {
             let _ = writeln!(out, "sd_serve_slo_burn_rate{{slo=\"{}\",window=\"fast\"}} {}", escape_label(&s.name), s.burn_fast);
             let _ = writeln!(out, "sd_serve_slo_burn_rate{{slo=\"{}\",window=\"slow\"}} {}", escape_label(&s.name), s.burn_slow);
         }
-        let _ = writeln!(out, "# HELP sd_serve_slo_breached Whether the SLO is currently breached (budget exhausted or both windows page-level burning).");
-        let _ = writeln!(out, "# TYPE sd_serve_slo_breached gauge");
+        header(&mut out, "sd_serve_slo_breached", "Whether the SLO is currently breached (budget exhausted or both windows page-level burning).", "gauge");
         for s in slos {
             let _ = writeln!(out, "sd_serve_slo_breached{{slo=\"{}\"}} {}", escape_label(&s.name), u64::from(s.breached));
         }
     }
 
     if let Some(w) = &snap.wal {
-        sample(&mut out, "sd_serve_wal_records_written_total", "Commands appended to the write-ahead log since boot.", "counter", w.records_written);
-        sample(&mut out, "sd_serve_wal_records_replayed_total", "WAL records replayed during boot recovery.", "counter", w.records_replayed);
-        sample(&mut out, "sd_serve_checkpoints_written_total", "Checkpoints installed since boot.", "counter", w.checkpoints_written);
-        sample(&mut out, "sd_serve_recovery_duration_seconds", "Wall time of boot recovery (restore + replay).", "gauge", format_args!("{}", w.recovery_seconds));
-        sample(&mut out, "sd_serve_wal_bytes", "Current on-disk size of the write-ahead log.", "gauge", w.wal_bytes);
-        sample(&mut out, "sd_serve_wal_segment_age_seconds", "Age of the oldest un-checkpointed WAL record.", "gauge", format_args!("{}", w.wal_segment_age_seconds));
-        let _ = writeln!(out, "# HELP sd_serve_recovered Whether this boot recovered prior state, by recovery mode.");
-        let _ = writeln!(out, "# TYPE sd_serve_recovered gauge");
+        header(&mut out, "sd_serve_recovered", "Whether this boot recovered prior state, by recovery mode.", "gauge");
         for mode in ["clean", "torn_tail"] {
             let v = u64::from(w.recovered == Some(mode));
             let _ = writeln!(out, "sd_serve_recovered{{mode=\"{mode}\"}} {v}");
@@ -279,32 +369,12 @@ pub fn render(
     }
 
     if !snap.tenants.is_empty() {
-        for (name, help, get) in [
-            (
-                "sd_serve_tenant_submitted_total",
-                "Jobs accepted per tenant.",
-                (|t| t.submitted) as fn(&crate::engine::TenantSnap) -> u64,
-            ),
-            (
-                "sd_serve_tenant_rate_limited_total",
-                "Submissions refused by the per-tenant rate limit.",
-                |t| t.rate_limited,
-            ),
-            (
-                "sd_serve_tenant_completed_total",
-                "Jobs completed per tenant.",
-                |t| t.completed,
-            ),
-            (
-                "sd_serve_tenant_quota_skipped_total",
-                "Backfill trials skipped by this tenant's quota.",
-                |t| t.quota_skipped,
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
+        for r in &TENANT_ROWS {
+            header(&mut out, r.series, r.help, r.kind);
             for t in &snap.tenants {
-                let _ = writeln!(out, "{name}{{tenant=\"{}\"}} {}", t.tenant, get(t));
+                if let Some(v) = (r.read)(t) {
+                    let _ = writeln!(out, "{}{{tenant=\"{}\"}} {v}", r.series, t.tenant);
+                }
             }
         }
     }

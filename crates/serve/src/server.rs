@@ -14,10 +14,10 @@
 //! structural: the connection channel is bounded, and each worker pipelines
 //! at most one in-flight command.
 
-use crate::engine::{ClockMode, Command, Engine, EngineError, JobView, Snapshot};
+use crate::engine::{Command, Engine, EngineError, JobView};
 use crate::http::{self, HttpError, Request, Response};
 use crate::json::Json;
-use crate::metrics::{HttpCounters, ServeHistograms, DURATION_BOUNDS_S};
+use crate::metrics::{self, HttpCounters, ServeHistograms, DURATION_BOUNDS_S};
 use crate::proto::{self, SubmitRequest};
 use sd_obs::{good_within, SloKind, SloSpec, SloStatus, SloTracker};
 use slurm_sim::{timing, FieldVal, SimResult, TraceEvent, TraceRing};
@@ -180,20 +180,12 @@ const QUEUE: Route = Route::new("GET", "/v1/queue", |c| {
 
 const CLUSTER: Route = Route::new("GET", "/v1/cluster", |c| {
     let snap = call(c.shared, |reply| Command::Stats { reply })?;
-    Ok(Response::json(
-        200,
-        &Json::obj()
-            .set("nodes", snap.nodes)
-            .set("cores_per_node", snap.cores_per_node)
-            .set("busy_cores", snap.busy_cores)
-            .set("empty_nodes", snap.empty_nodes)
-            .set("running", snap.running),
-    ))
+    Ok(Response::json(200, &metrics::fields(&metrics::CLUSTER, &snap, Json::obj())))
 });
 
 pub(crate) const STATS: Route = Route::new("GET", "/v1/stats", |c| {
     let snap = call(c.shared, |reply| Command::Stats { reply })?;
-    Ok(Response::json(200, &snapshot_json(&snap)))
+    Ok(Response::json(200, &metrics::stats_json(&snap)))
 });
 
 pub(crate) const ADVANCE: Route = Route::new("POST", "/v1/clock/advance", |c| {
@@ -224,7 +216,7 @@ pub(crate) const SHUTDOWN: Route = Route::new("POST", "/v1/shutdown", |c| {
 pub(crate) const METRICS: Route = Route::new("GET", "/metrics", |c| {
     let snap = call(c.shared, |reply| Command::Stats { reply })?;
     let slos = lock(&c.shared.slo_statuses).clone();
-    let text = crate::metrics::render(&snap, &c.shared.counters, &c.shared.hists, &slos);
+    let text = metrics::render(&snap, &c.shared.counters, &c.shared.hists, &slos);
     Ok(Response::text(200, text))
 });
 
@@ -685,62 +677,6 @@ fn job_json(view: &JobView) -> Json {
         .set("end", view.end)
         .set("cores", view.cores)
         .set("rate", view.rate.map(Json::Num))
-}
-
-fn snapshot_json(snap: &Snapshot) -> Json {
-    let s = &snap.stats;
-    Json::obj()
-        .set("scheduler", snap.scheduler)
-        .set(
-            "clock",
-            match snap.clock {
-                ClockMode::Virtual => Json::from("virtual"),
-                ClockMode::Realtime { compression } => Json::obj()
-                    .set("mode", "realtime")
-                    .set("compression", compression),
-            },
-        )
-        .set("now", snap.now)
-        .set("jobs_total", snap.jobs_total)
-        .set("submitted", snap.submitted)
-        .set("pending", snap.pending)
-        .set("running", snap.running)
-        .set("completed", snap.completed)
-        .set("cancelled", s.cancelled)
-        .set("quota_skipped", s.quota_skipped)
-        .set("events_outstanding", snap.events_outstanding)
-        .set("started_static", s.started_static)
-        .set("started_malleable", s.started_malleable)
-        .set("unique_mates", s.unique_mates)
-        .set("relocations", s.relocations)
-        .set("sched_passes", s.sched_passes)
-        .set("passes_skipped", s.passes_skipped)
-        .set("events_dispatched", s.events_dispatched)
-        .set("peak_profile_len", s.peak_profile_len)
-        .set("mean_slowdown", snap.mean_slowdown)
-        .set("mean_response", snap.mean_response)
-        .set("mean_wait", snap.mean_wait)
-        .set("makespan", snap.makespan)
-        .set("energy_joules", snap.energy_joules)
-        .set("busy_cores", snap.busy_cores)
-        .set("empty_nodes", snap.empty_nodes)
-        .set("nodes", snap.nodes)
-        .set(
-            "tenants",
-            snap.tenants
-                .iter()
-                .map(|t| {
-                    Json::obj()
-                        .set("tenant", t.tenant)
-                        .set("submitted", t.submitted)
-                        .set("rate_limited", t.rate_limited)
-                        .set("started", t.started)
-                        .set("completed", t.completed)
-                        .set("quota_skipped", t.quota_skipped)
-                        .set("running_width", t.running_width)
-                })
-                .collect::<Vec<_>>(),
-        )
 }
 
 #[cfg(test)]

@@ -165,7 +165,7 @@ fn connect(addr: SocketAddr) -> Result<Client, ClientError> {
 fn applied_jobs(client: &mut Client) -> Result<usize, ClientError> {
     let stats = client.stats()?;
     Ok(stats
-        .get("jobs_total")
+        .get(crate::metrics::JOBS_TOTAL.key)
         .and_then(Json::as_u64)
         .unwrap_or(0) as usize)
 }
