@@ -26,23 +26,34 @@ pub use crate::slo::{good_within, SloKind, SloSpec, SloStatus, SloTracker, KNOWN
 /// Appends `s` to `out` as a JSON string: quoted, with quotes, backslashes
 /// and control characters escaped. The one JSON string writer — the log
 /// sink, `/v1/logs`, the service's wire JSON and the campaign exports all
-/// write through it — and it allocates nothing beyond `out`'s growth.
+/// write through it — and it allocates nothing beyond `out`'s growth. Runs
+/// of bytes that need no escape are copied with one `push_str`.
 pub fn push_json_str(out: &mut String, s: &str) {
-    use std::fmt::Write as _;
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Every byte that needs an escape is ASCII, so each cut below falls on
+    // a character boundary.
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[plain..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        plain = i + 1;
     }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 
@@ -60,5 +71,6 @@ mod tests {
         assert_eq!(json("a\"b\\c\nd"), "x\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json("\u{1}\r\t"), "x\"\\u0001\\r\\t\"");
         assert_eq!(json("plain é"), "x\"plain é\"");
+        assert_eq!(json("é\u{1f}ü\"\u{7f}"), "x\"é\\u001fü\\\"\u{7f}\"");
     }
 }

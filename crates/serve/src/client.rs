@@ -99,13 +99,16 @@ impl Client {
     }
 
     fn ensure(&mut self) -> Result<&mut BufReader<TcpStream>, ClientError> {
-        if self.conn.is_none() {
-            let stream = TcpStream::connect_timeout(&self.addr, Duration::from_secs(5))?;
-            stream.set_nodelay(true)?;
-            stream.set_read_timeout(Some(Duration::from_secs(120)))?;
-            self.conn = Some(BufReader::new(stream));
-        }
-        Ok(self.conn.as_mut().expect("just ensured"))
+        let conn = match self.conn.take() {
+            Some(conn) => conn,
+            None => {
+                let stream = TcpStream::connect_timeout(&self.addr, Duration::from_secs(5))?;
+                stream.set_nodelay(true)?;
+                stream.set_read_timeout(Some(Duration::from_secs(120)))?;
+                BufReader::new(stream)
+            }
+        };
+        Ok(self.conn.insert(conn))
     }
 
     fn exchange_once(&mut self, wire: &[u8]) -> Result<(u16, Vec<u8>), ClientError> {

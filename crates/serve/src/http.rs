@@ -45,12 +45,11 @@ impl Request {
         }
     }
 
-    /// First value of a header (name matched case-insensitively).
+    /// First value of a header (name matched case-insensitively, in place).
     pub fn header(&self, name: &str) -> Option<&str> {
-        let want = name.to_ascii_lowercase();
         self.headers
             .iter()
-            .find(|(k, _)| *k == want)
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 
@@ -225,10 +224,15 @@ pub struct Response {
 
 impl Response {
     pub fn json(status: u16, v: &crate::json::Json) -> Response {
+        Response::json_body(status, v.render())
+    }
+
+    /// A JSON reply whose body is already rendered.
+    pub fn json_body(status: u16, body: String) -> Response {
         Response {
             status,
             content_type: "application/json",
-            body: v.render().into_bytes(),
+            body: body.into_bytes(),
         }
     }
 
@@ -242,7 +246,9 @@ impl Response {
 
     /// Standard error body: `{"error": "..."}`.
     pub fn error(status: u16, msg: &str) -> Response {
-        Response::json(status, &crate::json::Json::obj().set("error", msg))
+        Response::json_body(status, crate::json::write_object(|w| {
+            w.field("error", msg);
+        }))
     }
 
     pub fn reason(&self) -> &'static str {

@@ -1,14 +1,22 @@
 //! Dependency-free JSON: a small value model, a strict recursive-descent
-//! parser and a deterministic renderer.
+//! parser and a push-style writer.
 //!
 //! Design points that matter for the service:
 //!
+//! * **Replies are written, not built.** [`JsonWriter`] appends objects,
+//!   arrays, keys and scalars straight to the reply text and places the
+//!   commas itself; the server writes every reply through it. The [`Json`]
+//!   tree is for parsing, client request bodies and
+//!   [`crate::proto::encode_result`], and [`Json::render`] walks the tree
+//!   through the same writer, so numbers and strings are formatted in one
+//!   place.
 //! * **Objects preserve insertion order** (a `Vec` of pairs, not a map), so
 //!   every encoder in [`crate::proto`] renders byte-identically run to run.
-//! * **Numbers are `f64` parsed with `str::parse`** and rendered with Rust's
-//!   shortest-roundtrip `Display`, so `parse(render(x)) == x` bit-for-bit —
-//!   the virtual-clock equivalence test moves `energy_joules` through the
-//!   wire and still compares with `==`.
+//! * **Numbers are `f64` parsed with `str::parse`** and rendered as integer
+//!   digits when integral (below 1e15) or with Rust's shortest-roundtrip
+//!   `Display`, so `parse(render(x)) == x` bit-for-bit — the virtual-clock
+//!   equivalence test moves `energy_joules` through the wire and still
+//!   compares with `==`.
 //! * **The parser never panics** on arbitrary bytes (fuzz corpus test); it
 //!   reports a byte offset instead, and recursion is depth-limited.
 
@@ -110,40 +118,25 @@ impl Json {
     /// Deterministic text form (insertion order, shortest-roundtrip floats,
     /// non-finite numbers as `null`).
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
+        let mut w = JsonWriter::default();
+        self.write(&mut w);
+        w.out
     }
 
-    fn render_into(&self, out: &mut String) {
+    fn write(&self, w: &mut JsonWriter) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => render_num(*v, out),
-            Json::Str(s) => push_json_str(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.render_into(out);
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Num(v) => w.num(*v),
+            Json::Str(s) => w.str(s),
+            Json::Arr(items) => w.array(|w| items.iter().for_each(|v| v.write(w))),
+            Json::Obj(fields) => w.object(|w| {
+                for (k, v) in fields {
+                    w.key(k);
+                    v.write(w);
                 }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_json_str(out, k);
-                    out.push(':');
-                    v.render_into(out);
-                }
-                out.push('}');
-            }
-        }
+            }),
+        };
     }
 
     // ----- parsing -----
@@ -218,14 +211,174 @@ impl<T: Into<Json>> From<Option<T>> for Json {
     }
 }
 
+/// Writes one JSON document in document order: each key and value writes
+/// the comma before it when a sibling precedes it, so callers never do.
+#[derive(Default)]
+pub(crate) struct JsonWriter {
+    out: String,
+    /// Whether the next key or value follows a sibling.
+    comma: bool,
+}
+
+impl JsonWriter {
+    fn sep(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    fn raw(&mut self, text: &str) -> &mut Self {
+        self.sep();
+        self.out.push_str(text);
+        self
+    }
+
+    fn nest(&mut self, open: &str, close: char, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.raw(open).comma = false;
+        body(self);
+        self.out.push(close);
+        self.comma = true;
+        self
+    }
+
+    /// An object whose members `body` writes.
+    pub(crate) fn object(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.nest("{", '}', body)
+    }
+
+    /// An array whose elements `body` writes.
+    pub(crate) fn array(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.nest("[", ']', body)
+    }
+
+    /// A member's key; its value is the next thing written.
+    pub(crate) fn key(&mut self, k: &str) -> &mut Self {
+        self.sep();
+        push_json_str(&mut self.out, k);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    pub(crate) fn num(&mut self, v: f64) -> &mut Self {
+        self.sep();
+        render_num(v, &mut self.out);
+        self
+    }
+
+    pub(crate) fn str(&mut self, s: &str) -> &mut Self {
+        self.sep();
+        push_json_str(&mut self.out, s);
+        self
+    }
+
+    pub(crate) fn bool(&mut self, b: bool) -> &mut Self {
+        self.raw(if b { "true" } else { "false" })
+    }
+
+    pub(crate) fn null(&mut self) -> &mut Self {
+        self.raw("null")
+    }
+
+    /// One member: `k` and the scalar `v`.
+    pub(crate) fn field(&mut self, k: &str, v: impl Scalar) -> &mut Self {
+        self.key(k);
+        v.write(self);
+        self
+    }
+}
+
+/// The text of the object whose members `body` writes.
+pub(crate) fn write_object(body: impl FnOnce(&mut JsonWriter)) -> String {
+    let mut w = JsonWriter::default();
+    w.object(body);
+    w.out
+}
+
+/// A value [`JsonWriter::field`] writes: a number (through `f64`, as
+/// [`Json::from`] stores it), a string, a bool, or `None` as `null`.
+pub(crate) trait Scalar {
+    fn write(self, w: &mut JsonWriter);
+}
+
+macro_rules! scalar_as_f64 {
+    ($($t:ty),*) => {$(
+        impl Scalar for $t {
+            fn write(self, w: &mut JsonWriter) {
+                w.num(self as f64);
+            }
+        }
+    )*};
+}
+scalar_as_f64!(f64, u64, u32, usize);
+
+impl Scalar for bool {
+    fn write(self, w: &mut JsonWriter) {
+        w.bool(self);
+    }
+}
+
+impl Scalar for &str {
+    fn write(self, w: &mut JsonWriter) {
+        w.str(self);
+    }
+}
+
+impl<T: Scalar> Scalar for Option<T> {
+    fn write(self, w: &mut JsonWriter) {
+        match self {
+            Some(v) => v.write(w),
+            None => {
+                w.null();
+            }
+        }
+    }
+}
+
+/// JSON's number rule. NaN and the infinities are not JSON and print
+/// `null`; a finite integral value below 1e15 in magnitude prints as
+/// integer digits (`-0.0` as `0`); any other value prints by `Display`.
 fn render_num(v: f64, out: &mut String) {
     if !v.is_finite() {
-        out.push_str("null"); // NaN/inf are not JSON
+        out.push_str("null");
     } else if v == v.trunc() && v.abs() < 1e15 {
-        let _ = write!(out, "{}", v as i64);
+        if v < 0.0 {
+            out.push('-');
+        }
+        push_u64(out, v.abs() as u64);
     } else {
         let _ = write!(out, "{v}");
     }
+}
+
+/// `/metrics`' number rule: exactly the bytes of `f64`'s `Display`. An
+/// integral value below 2⁵³ in magnitude takes the digit loop, which
+/// prints the same (`-0.0` keeps its sign, `-0`, as `Display` does).
+pub(crate) fn push_f64(out: &mut String, v: f64) {
+    if v == v.trunc() && v.abs() < 9_007_199_254_740_992.0 {
+        if v.is_sign_negative() {
+            out.push('-');
+        }
+        push_u64(out, v.abs() as u64);
+    } else {
+        let _ = write!(out, "{v}");
+    }
+}
+
+/// Appends the decimal digits of `n`.
+pub(crate) fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 struct Parser<'a> {
@@ -459,7 +612,7 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits are ASCII");
+            .map_err(|_| self.err("number is not ASCII"))?;
         let v: f64 = text
             .parse()
             .map_err(|_| self.err(format!("unparsable number `{text}`")))?;
@@ -535,6 +688,81 @@ mod tests {
             Json::parse("\"\\ud83d\\ude00\"").unwrap(),
             Json::Str("😀".to_string())
         );
+    }
+
+    #[test]
+    fn the_writer_places_every_comma() {
+        let text = write_object(|w| {
+            w.field("a", 1u64).key("b").array(|w| {
+                w.num(-2.5).null().object(|_| {}).array(|w| {
+                    w.str("x");
+                });
+            });
+            w.field("c", None::<u64>).field("d", Some(true)).key("e").object(|w| {
+                w.field("f", "g\"h");
+            });
+        });
+        assert_eq!(text, r#"{"a":1,"b":[-2.5,null,{},["x"]],"c":null,"d":true,"e":{"f":"g\"h"}}"#);
+    }
+
+    /// `render_num` before the digit loop: the rule JSON numbers keep.
+    fn old_render_num(v: f64) -> String {
+        if !v.is_finite() {
+            "null".into()
+        } else if v == v.trunc() && v.abs() < 1e15 {
+            format!("{}", v as i64)
+        } else {
+            format!("{v}")
+        }
+    }
+
+    /// Both number rules against their references: JSON against the old
+    /// `render_num`, `/metrics` against `Display`.
+    fn assert_number_rules(v: f64) {
+        assert_eq!(Json::Num(v).render(), old_render_num(v), "JSON {v:?}");
+        let mut metrics = String::new();
+        push_f64(&mut metrics, v);
+        assert_eq!(metrics, format!("{v}"), "/metrics {v:?}");
+    }
+
+    #[test]
+    fn numbers_at_the_rule_edges_print_as_before() {
+        let p53 = 9_007_199_254_740_992.0_f64;
+        let above = |v: f64| f64::from_bits(v.to_bits() + 1);
+        for v in [
+            0.0, -0.0, 1.0, -1.0, 7.0, 0.5, -2.5, 0.1 + 0.2, 1.0 / 3.0, 123_456_789.125,
+            1e15 - 1.0, 1e15, -1e15, above(1e15), 1e16, 1e21, 1e300, -1e300,
+            p53 - 1.0, p53, above(p53), -p53, -(p53 - 1.0), (p53 as u64 + 1) as f64,
+            u64::MAX as f64, i64::MIN as f64, f64::MIN_POSITIVE, 5e-324, -5e-324,
+            f64::MAX, f64::MIN, f64::EPSILON, f64::NAN, -f64::NAN, f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_number_rules(v);
+        }
+        for n in [0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX - 1, u64::MAX] {
+            let mut s = String::new();
+            push_u64(&mut s, n);
+            assert_eq!(s, n.to_string());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn numbers_print_as_before(
+            bits in proptest::prelude::any::<u64>(),
+            int in proptest::prelude::any::<i64>(),
+            small in -2_000_000_000_000_000i64..2_000_000_000_000_000,
+            frac in -1.0e17f64..1.0e17,
+        ) {
+            for v in [f64::from_bits(bits), int as f64, small as f64, -(small as f64), frac, frac.trunc()] {
+                assert_number_rules(v);
+            }
+            let mut s = String::new();
+            push_u64(&mut s, bits);
+            proptest::prop_assert_eq!(s, bits.to_string());
+        }
     }
 
     #[test]

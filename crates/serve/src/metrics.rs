@@ -18,7 +18,7 @@
 //! result stays wall-clock-free).
 
 use crate::engine::{ClockMode, Snapshot, TenantSnap};
-use crate::json::Json;
+use crate::json::{self, push_f64, push_u64, JsonWriter};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -108,28 +108,38 @@ pub static TENANT_ROWS: [Row<TenantSnap>; 6] = [
     TENANT_RUNNING_WIDTH,
 ];
 
-/// `obj` with one field per row that `v` has a number for.
-pub(crate) fn fields<T>(rows: &[Row<T>], v: &T, mut obj: Json) -> Json {
+/// One member per row that `v` has a number for.
+pub(crate) fn fields<T>(w: &mut JsonWriter, rows: &[Row<T>], v: &T) {
     for r in rows {
         if let Some(x) = (r.read)(v) {
-            obj = obj.set(r.key, x);
+            w.field(r.key, x);
         }
     }
-    obj
 }
 
 /// The `GET /v1/stats` body: scheduler and clock, every row, then one
 /// object per tenant.
-pub(crate) fn stats_json(snap: &Snapshot) -> Json {
-    let clock = match snap.clock {
-        ClockMode::Virtual => Json::from("virtual"),
-        ClockMode::Realtime { compression } => {
-            Json::obj().set("mode", "realtime").set("compression", compression)
-        }
-    };
-    let head = Json::obj().set("scheduler", snap.scheduler).set("clock", clock);
-    let tenants = snap.tenants.iter().map(|t| fields(&TENANT_ROWS, t, Json::obj().set("tenant", t.tenant)));
-    fields(&ROWS, snap, head).set("tenants", tenants.collect::<Vec<_>>())
+pub(crate) fn stats_json(snap: &Snapshot) -> String {
+    json::write_object(|w| {
+        w.field("scheduler", snap.scheduler).key("clock");
+        match snap.clock {
+            ClockMode::Virtual => w.str("virtual"),
+            ClockMode::Realtime { compression } => {
+                w.object(|w| {
+                    w.field("mode", "realtime").field("compression", compression);
+                })
+            }
+        };
+        fields(w, &ROWS, snap);
+        w.key("tenants").array(|w| {
+            for t in &snap.tenants {
+                w.object(|w| {
+                    w.field("tenant", t.tenant);
+                    fields(w, &TENANT_ROWS, t);
+                });
+            }
+        });
+    })
 }
 
 /// The value of the first sample of unlabelled series `name` in
@@ -239,13 +249,26 @@ pub(crate) fn escape_label(v: &str) -> String {
 }
 
 fn header(out: &mut String, name: &str, help: &str, kind: &str) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
+    for part in ["# HELP ", name, " ", help, "\n# TYPE ", name, " ", kind, "\n"] {
+        out.push_str(part);
+    }
 }
 
-fn sample(out: &mut String, name: &str, help: &str, kind: &str, value: impl std::fmt::Display) {
+/// One sample line: the concatenated `series` (labels included), a space
+/// and `v` as `f64` `Display` prints it. Counters pass `as f64`, as the
+/// row table does (the same digits below 2⁵³).
+fn line(out: &mut String, series: &[&str], v: f64) {
+    for part in series {
+        out.push_str(part);
+    }
+    out.push(' ');
+    push_f64(out, v);
+    out.push('\n');
+}
+
+fn sample(out: &mut String, name: &str, help: &str, kind: &str, v: f64) {
     header(out, name, help, kind);
-    let _ = writeln!(out, "{name} {value}");
+    line(out, &[name], v);
 }
 
 /// One histogram exposition block: cumulative `_bucket{le=...}` samples,
@@ -257,14 +280,17 @@ fn histogram(out: &mut String, name: &str, help: &str, bounds: &[f64], counts: &
     let mut cum = 0u64;
     for (i, &c) in counts.iter().enumerate() {
         cum += c;
-        if i < bounds.len() {
-            let _ = writeln!(out, "{name}_bucket{{le=\"{}\"}} {cum}", bounds[i]);
-        } else {
-            let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cum}");
+        out.push_str(name);
+        match bounds.get(i) {
+            Some(b) => {
+                let _ = write!(out, "_bucket{{le=\"{b}\"}}");
+            }
+            None => out.push_str("_bucket{le=\"+Inf\"}"),
         }
+        line(out, &[], cum as f64);
     }
-    let _ = writeln!(out, "{name}_sum {sum}");
-    let _ = writeln!(out, "{name}_count {cum}");
+    line(out, &[name, "_sum"], sum);
+    line(out, &[name, "_count"], cum as f64);
 }
 
 fn atomic_histogram(out: &mut String, name: &str, help: &str, h: &AtomicHistogram) {
@@ -281,7 +307,7 @@ pub fn render(
     hists: &ServeHistograms,
     slos: &[sd_obs::SloStatus],
 ) -> String {
-    let mut out = String::with_capacity(2048);
+    let mut out = String::with_capacity(4096 + 1024 * snap.tenants.len());
     for r in &ROWS {
         if let Some(v) = (r.read)(snap) {
             sample(&mut out, r.series, r.help, r.kind, v);
@@ -294,22 +320,13 @@ pub fn render(
         ("4xx", &http.requests_4xx),
         ("5xx", &http.requests_5xx),
     ] {
-        let _ = writeln!(
-            out,
-            "sd_serve_http_requests_total{{class=\"{class}\"}} {}",
-            v.load(Ordering::Relaxed)
-        );
+        line(&mut out, &["sd_serve_http_requests_total{class=\"", class, "\"}"], v.load(Ordering::Relaxed) as f64);
     }
-    sample(&mut out, "sd_serve_http_connections_total", "Accepted TCP connections.", "counter", http.connections.load(Ordering::Relaxed));
+    sample(&mut out, "sd_serve_http_connections_total", "Accepted TCP connections.", "counter", http.connections.load(Ordering::Relaxed) as f64);
 
     header(&mut out, "sd_serve_submit_requests_total", "Submit attempts by outcome (ok = accepted, refused = 429/5xx).", "counter");
     for (result, v) in [("ok", &http.submit_ok), ("refused", &http.submit_refused)] {
-        let _ = writeln!(
-            out,
-            "sd_serve_submit_requests_total{{result=\"{}\"}} {}",
-            escape_label(result),
-            v.load(Ordering::Relaxed)
-        );
+        line(&mut out, &["sd_serve_submit_requests_total{result=\"", result, "\"}"], v.load(Ordering::Relaxed) as f64);
     }
 
     atomic_histogram(
@@ -337,34 +354,34 @@ pub fn render(
     // for its whole life) as labelled counters.
     header(&mut out, "sd_serve_timing_seconds_total", "Wall seconds attributed to instrumented hot functions.", "counter");
     for f in &snap.timing {
-        let _ = writeln!(out, "sd_serve_timing_seconds_total{{function=\"{}\"}} {}", escape_label(f.name), f.total_secs);
+        line(&mut out, &["sd_serve_timing_seconds_total{function=\"", &escape_label(f.name), "\"}"], f.total_secs);
     }
     header(&mut out, "sd_serve_timing_calls_total", "Invocations of instrumented hot functions.", "counter");
     for f in &snap.timing {
-        let _ = writeln!(out, "sd_serve_timing_calls_total{{function=\"{}\"}} {}", escape_label(f.name), f.count);
+        line(&mut out, &["sd_serve_timing_calls_total{function=\"", &escape_label(f.name), "\"}"], f.count as f64);
     }
 
     if !slos.is_empty() {
         header(&mut out, "sd_serve_slo_error_budget_remaining", "Fraction of the SLO error budget left (1 = untouched, <= 0 = exhausted).", "gauge");
         for s in slos {
-            let _ = writeln!(out, "sd_serve_slo_error_budget_remaining{{slo=\"{}\"}} {}", escape_label(&s.name), s.budget_remaining);
+            line(&mut out, &["sd_serve_slo_error_budget_remaining{slo=\"", &escape_label(&s.name), "\"}"], s.budget_remaining);
         }
         header(&mut out, "sd_serve_slo_burn_rate", "Error-budget burn rate by evaluation window (1 = exactly on budget).", "gauge");
         for s in slos {
-            let _ = writeln!(out, "sd_serve_slo_burn_rate{{slo=\"{}\",window=\"fast\"}} {}", escape_label(&s.name), s.burn_fast);
-            let _ = writeln!(out, "sd_serve_slo_burn_rate{{slo=\"{}\",window=\"slow\"}} {}", escape_label(&s.name), s.burn_slow);
+            let slo = escape_label(&s.name);
+            line(&mut out, &["sd_serve_slo_burn_rate{slo=\"", &slo, "\",window=\"fast\"}"], s.burn_fast);
+            line(&mut out, &["sd_serve_slo_burn_rate{slo=\"", &slo, "\",window=\"slow\"}"], s.burn_slow);
         }
         header(&mut out, "sd_serve_slo_breached", "Whether the SLO is currently breached (budget exhausted or both windows page-level burning).", "gauge");
         for s in slos {
-            let _ = writeln!(out, "sd_serve_slo_breached{{slo=\"{}\"}} {}", escape_label(&s.name), u64::from(s.breached));
+            line(&mut out, &["sd_serve_slo_breached{slo=\"", &escape_label(&s.name), "\"}"], f64::from(u8::from(s.breached)));
         }
     }
 
     if let Some(w) = &snap.wal {
         header(&mut out, "sd_serve_recovered", "Whether this boot recovered prior state, by recovery mode.", "gauge");
         for mode in ["clean", "torn_tail"] {
-            let v = u64::from(w.recovered == Some(mode));
-            let _ = writeln!(out, "sd_serve_recovered{{mode=\"{mode}\"}} {v}");
+            line(&mut out, &["sd_serve_recovered{mode=\"", mode, "\"}"], f64::from(u8::from(w.recovered == Some(mode))));
         }
     }
 
@@ -373,7 +390,10 @@ pub fn render(
             header(&mut out, r.series, r.help, r.kind);
             for t in &snap.tenants {
                 if let Some(v) = (r.read)(t) {
-                    let _ = writeln!(out, "{}{{tenant=\"{}\"}} {v}", r.series, t.tenant);
+                    out.push_str(r.series);
+                    out.push_str("{tenant=\"");
+                    push_u64(&mut out, t.tenant);
+                    line(&mut out, &["\"}"], v);
                 }
             }
         }

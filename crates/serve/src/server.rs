@@ -16,7 +16,7 @@
 
 use crate::engine::{Command, Engine, EngineError, JobView};
 use crate::http::{self, HttpError, Request, Response};
-use crate::json::Json;
+use crate::json::{self, Json, JsonWriter};
 use crate::metrics::{self, HttpCounters, ServeHistograms, DURATION_BOUNDS_S};
 use crate::proto::{self, SubmitRequest};
 use sd_obs::{good_within, SloKind, SloSpec, SloStatus, SloTracker};
@@ -131,7 +131,9 @@ pub(crate) const SUBMIT: Route = Route::new("POST", "/v1/jobs", |c| {
         .map_err(&refused)?
         .map_err(|e| refused(engine_error(e)))?;
     c.shared.counters.submit_ok.fetch_add(1, Ordering::Relaxed);
-    Ok(Response::json(201, &Json::obj().set("id", ack.id).set("submit", ack.submit)))
+    Ok(reply(201, |w| {
+        w.field("id", ack.id).field("submit", ack.submit);
+    }))
 });
 
 pub(crate) const CANCEL: Route = Route::new("POST", "/v1/jobs/{id}/cancel", cancel);
@@ -141,51 +143,48 @@ const DELETE_JOB: Route = Route::new("DELETE", "/v1/jobs/{id}", cancel);
 fn cancel(c: &Call) -> Answer {
     let id = c.id()?;
     call(c.shared, |reply| Command::Cancel { id, reply })?.map_err(engine_error)?;
-    Ok(Response::json(200, &Json::obj().set("cancelled", id)))
+    Ok(reply(200, |w| {
+        w.field("cancelled", id);
+    }))
 }
 
 pub(crate) const JOB: Route = Route::new("GET", "/v1/jobs/{id}", |c| {
     let id = c.id()?;
     let view = call(c.shared, |reply| Command::JobInfo { id, reply })?.map_err(engine_error)?;
-    Ok(Response::json(200, &job_json(&view)))
+    Ok(reply(200, |w| job_fields(w, &view)))
 });
 
 pub(crate) const EXPLAIN: Route = Route::new("GET", "/v1/explain/{id}", |c| {
     let id = c.id()?;
     let view = call(c.shared, |reply| Command::Explain { id, reply })?.map_err(engine_error)?;
-    let decisions: Vec<Json> = view.events.iter().map(event_json).collect();
-    Ok(Response::json(
-        200,
-        &Json::obj()
-            .set("job", job_json(&view.job))
-            .set("tracing", view.tracing)
-            .set("overwritten", view.overwritten)
-            .set("decisions", decisions),
-    ))
+    Ok(reply(200, |w| {
+        w.key("job").object(|w| job_fields(w, &view.job));
+        w.field("tracing", view.tracing).field("overwritten", view.overwritten);
+        w.key("decisions").array(|w| view.events.iter().for_each(|ev| event(w, ev)));
+    }))
 });
 
 const QUEUE: Route = Route::new("GET", "/v1/queue", |c| {
     let (total, entries) = call(c.shared, |reply| Command::Queue { limit: 100, reply })?;
-    let items: Vec<Json> = entries
-        .iter()
-        .map(|e| {
-            Json::obj()
-                .set("id", e.id)
-                .set("req_nodes", e.req_nodes)
-                .set("req_time", e.req_time)
-        })
-        .collect();
-    Ok(Response::json(200, &Json::obj().set("pending", total).set("head", items)))
+    Ok(reply(200, |w| {
+        w.field("pending", total).key("head").array(|w| {
+            for e in &entries {
+                w.object(|w| {
+                    w.field("id", e.id).field("req_nodes", e.req_nodes).field("req_time", e.req_time);
+                });
+            }
+        });
+    }))
 });
 
 const CLUSTER: Route = Route::new("GET", "/v1/cluster", |c| {
     let snap = call(c.shared, |reply| Command::Stats { reply })?;
-    Ok(Response::json(200, &metrics::fields(&metrics::CLUSTER, &snap, Json::obj())))
+    Ok(reply(200, |w| metrics::fields(w, &metrics::CLUSTER, &snap)))
 });
 
 pub(crate) const STATS: Route = Route::new("GET", "/v1/stats", |c| {
     let snap = call(c.shared, |reply| Command::Stats { reply })?;
-    Ok(Response::json(200, &metrics::stats_json(&snap)))
+    Ok(Response::json_body(200, metrics::stats_json(&snap)))
 });
 
 pub(crate) const ADVANCE: Route = Route::new("POST", "/v1/clock/advance", |c| {
@@ -195,12 +194,16 @@ pub(crate) const ADVANCE: Route = Route::new("POST", "/v1/clock/advance", |c| {
         .and_then(Json::as_u64)
         .ok_or_else(|| Response::error(400, "`to` must be a non-negative integer"))?;
     let now = call(c.shared, |reply| Command::Advance { to, reply })?.map_err(engine_error)?;
-    Ok(Response::json(200, &Json::obj().set("now", now)))
+    Ok(reply(200, |w| {
+        w.field("now", now);
+    }))
 });
 
 pub(crate) const DRAIN: Route = Route::new("POST", "/v1/drain", |c| {
     let now = call(c.shared, |reply| Command::Drain { reply })?.map_err(engine_error)?;
-    Ok(Response::json(200, &Json::obj().set("now", now).set("idle", true)))
+    Ok(reply(200, |w| {
+        w.field("now", now).field("idle", true);
+    }))
 });
 
 pub(crate) const RESULT: Route = Route::new("GET", "/v1/result", |c| {
@@ -220,8 +223,11 @@ pub(crate) const METRICS: Route = Route::new("GET", "/metrics", |c| {
     Ok(Response::text(200, text))
 });
 
-pub(crate) const HEALTHZ: Route =
-    Route::new("GET", "/healthz", |_| Ok(Response::json(200, &Json::obj().set("ok", true))));
+pub(crate) const HEALTHZ: Route = Route::new("GET", "/healthz", |_| {
+    Ok(reply(200, |w| {
+        w.field("ok", true);
+    }))
+});
 
 /// Tails the decision ring lock-free right here — no engine round-trip, so
 /// trace reads never queue behind scheduling work.
@@ -231,16 +237,11 @@ pub(crate) const TRACE: Route = Route::new("GET", "/v1/trace", |c| {
     };
     let (since, limit) = c.tail_window()?;
     let tail = ring.read_since(since, limit);
-    let events: Vec<Json> = tail.events.iter().map(event_json).collect();
-    Ok(Response::json(
-        200,
-        &Json::obj()
-            .set("next", tail.next)
-            .set("dropped", tail.dropped)
-            .set("pushed", ring.pushed())
-            .set("capacity", ring.capacity() as u64)
-            .set("events", events),
-    ))
+    Ok(reply(200, |w| {
+        w.field("next", tail.next).field("dropped", tail.dropped);
+        w.field("pushed", ring.pushed()).field("capacity", ring.capacity());
+        w.key("events").array(|w| tail.events.iter().for_each(|ev| event(w, ev)));
+    }))
 });
 
 /// Tails the global log ring lock-free: like `/v1/trace`, log reads never
@@ -252,29 +253,25 @@ pub(crate) const LOGS: Route = Route::new("GET", "/v1/logs", |c| {
     let level = level.transpose()?;
     let target = c.query("target");
     let tail = sd_obs::read_since(since, limit);
-    let records: Vec<Json> = tail
+    let records = tail
         .records
         .iter()
         .filter(|r| level.is_none_or(|l| r.level <= l))
-        .filter(|r| target.is_none_or(|t| r.target == t))
-        .map(log_record_json)
-        .collect();
-    Ok(Response::json(
-        200,
-        &Json::obj()
-            .set("next", tail.next)
-            .set("dropped", tail.dropped)
-            .set("head", sd_obs::ring_head())
-            .set("records", records),
-    ))
+        .filter(|r| target.is_none_or(|t| r.target == t));
+    Ok(reply(200, |w| {
+        w.field("next", tail.next).field("dropped", tail.dropped).field("head", sd_obs::ring_head());
+        w.key("records").array(|w| records.for_each(|r| log_record(w, r)));
+    }))
 });
 
 pub(crate) const SLO: Route = Route::new("GET", "/v1/slo", |c| {
-    let items: Vec<Json> = lock(&c.shared.slo_statuses).iter().map(slo_json).collect();
-    if items.is_empty() {
+    let statuses = lock(&c.shared.slo_statuses);
+    if statuses.is_empty() {
         return Err(Response::error(404, "no SLOs declared (start the server with --slo)"));
     }
-    Ok(Response::json(200, &Json::obj().set("slos", items)))
+    Ok(reply(200, |w| {
+        w.key("slos").array(|w| statuses.iter().for_each(|s| slo(w, s)));
+    }))
 });
 
 /// Windowed continuous profiling: take the engine's per-function timing
@@ -614,69 +611,59 @@ impl Call<'_> {
     }
 }
 
-/// One structured log record as a JSON object (mirrors
-/// `sd_obs::LogRecord::to_json`, built on the server's own JSON tree).
-fn log_record_json(r: &sd_obs::LogRecord) -> Json {
-    let mut fields = Json::obj();
-    for (k, v) in &r.fields {
-        fields = fields.set(k.as_str(), v.as_str());
-    }
-    Json::obj()
-        .set("seq", r.seq)
-        .set("wall_us", r.wall_micros)
-        .set("virt_s", r.virt_secs)
-        .set("level", r.level.label())
-        .set("target", r.target.as_str())
-        .set("msg", r.message.as_str())
-        .set("fields", fields)
-        .set("truncated", r.truncated)
+/// A JSON reply whose object members `body` writes.
+fn reply(status: u16, body: impl FnOnce(&mut JsonWriter)) -> Response {
+    Response::json_body(status, json::write_object(body))
 }
 
-fn slo_json(s: &SloStatus) -> Json {
-    Json::obj()
-        .set("slo", s.name.as_str())
-        .set("kind", s.kind.label())
-        .set("objective", s.objective)
-        .set("threshold", s.threshold)
-        .set("good", s.good)
-        .set("total", s.total)
-        .set("bad_fraction", s.bad_fraction)
-        .set("budget_remaining", s.budget_remaining)
-        .set("burn_fast", s.burn_fast)
-        .set("burn_slow", s.burn_slow)
-        .set("fast_window", s.fast_window)
-        .set("slow_window", s.slow_window)
-        .set("breached", s.breached)
+/// One structured log record as a JSON object (the keys of
+/// `sd_obs::LogRecord::to_json`, with `fields` and `truncated` always
+/// present).
+fn log_record(w: &mut JsonWriter, r: &sd_obs::LogRecord) {
+    w.object(|w| {
+        w.field("seq", r.seq).field("wall_us", r.wall_micros).field("virt_s", r.virt_secs);
+        w.field("level", r.level.label()).field("target", r.target.as_str());
+        w.field("msg", r.message.as_str()).key("fields").object(|w| {
+            for (k, v) in &r.fields {
+                w.field(k, v.as_str());
+            }
+        });
+        w.field("truncated", r.truncated);
+    });
+}
+
+fn slo(w: &mut JsonWriter, s: &SloStatus) {
+    w.object(|w| {
+        w.field("slo", s.name.as_str()).field("kind", s.kind.label());
+        w.field("objective", s.objective).field("threshold", s.threshold);
+        w.field("good", s.good).field("total", s.total).field("bad_fraction", s.bad_fraction);
+        w.field("budget_remaining", s.budget_remaining);
+        w.field("burn_fast", s.burn_fast).field("burn_slow", s.burn_slow);
+        w.field("fast_window", s.fast_window).field("slow_window", s.slow_window);
+        w.field("breached", s.breached);
+    });
 }
 
 /// One trace event as a JSON object (`seq`, `t`, `event`, then the typed
 /// payload fields).
-fn event_json(ev: &TraceEvent) -> Json {
-    let mut o = Json::obj()
-        .set("seq", ev.seq)
-        .set("t", ev.t)
-        .set("event", ev.kind.name());
-    for (k, v) in ev.kind.fields() {
-        o = match v {
-            FieldVal::U64(n) => o.set(k, n),
-            FieldVal::Str(s) => o.set(k, s),
-        };
-    }
-    o
+fn event(w: &mut JsonWriter, ev: &TraceEvent) {
+    w.object(|w| {
+        w.field("seq", ev.seq).field("t", ev.t).field("event", ev.kind.name());
+        for (k, v) in ev.kind.fields() {
+            match v {
+                FieldVal::U64(n) => w.field(k, n),
+                FieldVal::Str(s) => w.field(k, s),
+            };
+        }
+    });
 }
 
-fn job_json(view: &JobView) -> Json {
-    Json::obj()
-        .set("id", view.id)
-        .set("state", view.state)
-        .set("submit", view.submit)
-        .set("req_nodes", view.req_nodes)
-        .set("req_time", view.req_time)
-        .set("malleable", view.malleable)
-        .set("start", view.start)
-        .set("end", view.end)
-        .set("cores", view.cores)
-        .set("rate", view.rate.map(Json::Num))
+/// The members of a job's status object.
+fn job_fields(w: &mut JsonWriter, view: &JobView) {
+    w.field("id", view.id).field("state", view.state).field("submit", view.submit);
+    w.field("req_nodes", view.req_nodes).field("req_time", view.req_time);
+    w.field("malleable", view.malleable).field("start", view.start).field("end", view.end);
+    w.field("cores", view.cores).field("rate", view.rate);
 }
 
 #[cfg(test)]
@@ -703,5 +690,52 @@ mod tests {
         for status in emitted {
             assert_ne!(Response::error(status, "").reason(), "Status", "{status}");
         }
+    }
+
+    /// `/v1/logs` and `/v1/slo` carry wall-clock values no session can
+    /// replay, so their objects are pinned here, as the tree renderer
+    /// wrote them.
+    #[test]
+    fn log_and_slo_objects_keep_their_bytes() {
+        let record = sd_obs::LogRecord {
+            seq: 7,
+            wall_micros: 1_760_000_000_123_456,
+            virt_secs: 42,
+            level: sd_obs::Level::Warn,
+            target: "wal".into(),
+            message: "append \"failed\"".into(),
+            fields: vec![("seq".into(), "9".into()), ("at".into(), "x\ny".into())],
+            truncated: true,
+        };
+        let status = SloStatus {
+            name: "submit_availability".into(),
+            kind: SloKind::Availability,
+            objective: 0.999,
+            threshold: 0.0,
+            good: 990,
+            total: 1000,
+            bad_fraction: 0.01,
+            budget_remaining: -9.0,
+            burn_fast: 10.0,
+            burn_slow: 2.5,
+            fast_window: 300,
+            slow_window: 3600,
+            breached: true,
+        };
+        let text = json::write_object(|w| {
+            w.key("records").array(|w| log_record(w, &record));
+            w.key("slos").array(|w| slo(w, &status));
+        });
+        assert_eq!(
+            text,
+            concat!(
+                r#"{"records":[{"seq":7,"wall_us":1760000000123456,"virt_s":42,"level":"warn","#,
+                r#""target":"wal","msg":"append \"failed\"","fields":{"seq":"9","at":"x\ny"},"#,
+                r#""truncated":true}],"slos":[{"slo":"submit_availability","kind":"availability","#,
+                r#""objective":0.999,"threshold":0,"good":990,"total":1000,"bad_fraction":0.01,"#,
+                r#""budget_remaining":-9,"burn_fast":10,"burn_slow":2.5,"fast_window":300,"#,
+                r#""slow_window":3600,"breached":true}]}"#,
+            )
+        );
     }
 }
