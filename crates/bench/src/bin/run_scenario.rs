@@ -39,7 +39,6 @@ const USAGE: &str = "run_scenario — execute a declarative scenario campaign
   --scenario <name|path>  built-in scenario name or a scenario file
   --campaign <path>       run every scenario named by a .campaign file
   --list                  list the built-in scenarios and exit
-  --format <json|csv>     output format for --out (default: by extension)
   --timing                print a wall-time/scheduler-work table plus the
                           per-function hot-path attribution (earliest_start,
                           backfill trials, job starts and ends, quota checks,
@@ -61,7 +60,8 @@ const USAGE: &str = "run_scenario — execute a declarative scenario campaign
   --full                  paper-scale run (scale = 1.0)
   --seed <u64>            base RNG seed (default: the scenario's)
   --threads <n>           cap parallel sweep threads (default: all cores)
-  --out <path>            write JSON (.json) or CSV output to this file
+  --out <path>            write the runs to this file: CSV if it ends in
+                          .csv, JSON otherwise
   --help, -h              show this help";
 
 /// The common flags this binary honours.
@@ -95,7 +95,6 @@ struct ScenarioCli {
     scenario: Option<String>,
     campaign: Option<String>,
     list: bool,
-    format: Option<String>,
     timing: bool,
     trace: Option<String>,
     flame: Option<String>,
@@ -106,7 +105,6 @@ fn parse_cli() -> ScenarioCli {
     let mut scenario = None;
     let mut campaign = None;
     let mut list = false;
-    let mut format = None;
     let mut timing = false;
     let mut trace = None;
     let mut flame = None;
@@ -148,12 +146,6 @@ fn parse_cli() -> ScenarioCli {
                 }
                 None => fail("--log-json needs a path"),
             },
-            "--format" => match it.next().as_deref() {
-                Some("json") => format = Some("json".to_string()),
-                Some("csv") => format = Some("csv".to_string()),
-                Some(v) => fail(&format!("--format must be json or csv, got {v}")),
-                None => fail("--format needs a value"),
-            },
             _ => rest.push(a),
         }
     }
@@ -165,9 +157,6 @@ fn parse_cli() -> ScenarioCli {
         }
         Err(CliError::Bad(msg)) => fail(&msg),
     };
-    if format.is_some() && common.out.is_none() {
-        fail("--format requires --out");
-    }
     if scenario.is_some() && campaign.is_some() {
         fail("--scenario and --campaign are mutually exclusive");
     }
@@ -175,7 +164,6 @@ fn parse_cli() -> ScenarioCli {
         scenario,
         campaign,
         list,
-        format,
         timing,
         trace,
         flame,
@@ -532,11 +520,7 @@ fn main() {
     }
 
     if let Some(out) = &cli.common.out {
-        let as_json = match cli.format.as_deref() {
-            Some("json") => true,
-            Some("csv") => false,
-            _ => !out.ends_with(".csv"),
-        };
+        let as_json = !out.ends_with(".csv");
         let payload = if as_json {
             campaign_json(&rows)
         } else {

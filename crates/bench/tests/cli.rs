@@ -107,12 +107,18 @@ fn a_flag_a_binary_would_ignore_is_an_unknown_flag() {
     assert!(!stdout.contains("--scale") && !stdout.contains("--swf"), "{stdout}");
 
     let scenario = env!("CARGO_BIN_EXE_run_scenario");
-    let out = run(scenario, "--scenario bursty --swf trace.swf");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).starts_with("unknown flag: --swf"));
+    // `--format` is gone: the `--out` extension picks JSON or CSV.
+    for flag in ["--swf trace.swf", "--format csv"] {
+        let out = run(scenario, &format!("--scenario bursty {flag}"));
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let name = flag.split(' ').next().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with(&format!("unknown flag: {name}")), "{stderr}");
+    }
     let help = run(scenario, "--help");
     let stdout = String::from_utf8_lossy(&help.stdout);
     assert!(stdout.contains("--out <path>") && !stdout.contains("--swf"), "{stdout}");
+    assert!(!stdout.contains("--format"), "{stdout}");
 }
 
 #[test]

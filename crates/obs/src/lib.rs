@@ -22,6 +22,7 @@ pub use crate::log::{
     set_stderr_level, set_virtual_now, Level, LogRecord, LogRing, LogTail,
 };
 pub use crate::slo::{good_within, SloKind, SloSpec, SloStatus, SloTracker, KNOWN_KEYS};
+use std::fmt::Write as _;
 
 /// Appends `s` to `out` as a JSON string: quoted, with quotes, backslashes
 /// and control characters escaped. The one JSON string writer — the log
@@ -57,6 +58,42 @@ pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Appends `v` as a JSON number — the one JSON number rule, shared by the
+/// service's wire JSON and the campaign exports. NaN and the infinities are
+/// not JSON and print `null`; a finite integral value below 1e15 in
+/// magnitude prints as integer digits (`-0.0` as `0`); any other value
+/// prints by `f64`'s shortest-roundtrip `Display`, so parsing the text gives
+/// `v` back bit for bit.
+#[inline]
+pub fn push_json_num(out: &mut String, v: f64) {
+    if !v.is_finite() {
+        out.push_str("null");
+    } else if v == v.trunc() && v.abs() < 1e15 {
+        if v < 0.0 {
+            out.push('-');
+        }
+        push_u64(out, v.abs() as u64);
+    } else {
+        let _ = write!(out, "{v}");
+    }
+}
+
+/// Appends the decimal digits of `n`.
+#[inline]
+pub fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,5 +109,20 @@ mod tests {
         assert_eq!(json("\u{1}\r\t"), "x\"\\u0001\\r\\t\"");
         assert_eq!(json("plain é"), "x\"plain é\"");
         assert_eq!(json("é\u{1f}ü\"\u{7f}"), "x\"é\\u001fü\\\"\u{7f}\"");
+    }
+
+    #[test]
+    fn json_num_rule() {
+        let num = |v: f64| {
+            let mut out = String::new();
+            push_json_num(&mut out, v);
+            out
+        };
+        assert_eq!(num(5000.0), "5000");
+        assert_eq!(num(0.05), "0.05");
+        assert_eq!(num(-1.5), "-1.5");
+        assert_eq!(num(-0.0), "0");
+        assert_eq!(num(f64::NAN), "null", "NaN is not valid JSON");
+        assert_eq!(num(f64::INFINITY), "null");
     }
 }

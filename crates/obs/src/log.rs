@@ -282,7 +282,7 @@ pub fn set_virtual_now(secs: u64) {
 }
 
 /// Is anything listening at this level? One relaxed load per sink — the
-/// whole disabled-path cost of a [`log_event!`] call site.
+/// whole disabled-path cost of a [`log_event!`](crate::log_event!) call site.
 pub fn log_enabled(l: Level) -> bool {
     let lg = logger();
     let v = l as u8;
@@ -324,7 +324,7 @@ fn write_json_line(w: &mut impl std::io::Write, rec: &LogRecord) -> std::io::Res
     w.write_all(line.as_bytes())
 }
 
-/// Emit one record to every armed sink. Call through [`log_event!`], which
+/// Emit one record to every armed sink. Call through [`log_event!`](crate::log_event!), which
 /// performs the level check before paying for formatting.
 pub fn log_emit(level: Level, target: &str, message: &str, fields: &[(&str, String)]) {
     let lg = logger();

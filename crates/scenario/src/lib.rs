@@ -7,7 +7,7 @@
 //! `sd-bench` executes campaigns over scoped worker threads and exports
 //! deterministic JSON/CSV.
 //!
-//! * [`format`] — the tiny section/key-value text format (line-precise
+//! * [`format`](mod@format) — the tiny section/key-value text format (line-precise
 //!   errors, no dependencies),
 //! * `scenario` — the typed [`Scenario`] model and [`KEYS`], the table
 //!   that declares each key of the format once: parse, validate, render

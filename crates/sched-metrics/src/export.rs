@@ -10,7 +10,7 @@
 use crate::heatmap::RatioHeatmap;
 use crate::summary::{Summary, TenantSummary};
 use crate::timeseries::DailySeries;
-use sd_obs::push_json_str;
+use sd_obs::{push_json_num, push_json_str};
 use std::fmt::Write as _;
 
 /// CSV of ratio heatmaps (Figs. 4–6's data), one block of cells per map:
@@ -165,17 +165,9 @@ fn campaign_values(r: &CampaignRow) -> [f64; 11] {
     ]
 }
 
-/// Formats an `f64` for export: integers without a trailing `.0`, everything
-/// else with Rust's shortest-roundtrip `Display` (deterministic). Non-finite
-/// values become `null` — `NaN`/`inf` are not valid JSON.
-fn fmt_num(v: f64) -> String {
-    if !v.is_finite() {
-        "null".to_string()
-    } else if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
+/// A tenant row's fractional columns, in export order.
+fn tenant_values(t: &TenantSummary) -> [(&'static str, f64); 3] {
+    [("job_share", t.job_share), ("mean_wait", t.mean_wait), ("mean_slowdown", t.mean_slowdown)]
 }
 
 /// Rounds to 4 decimals — Δ columns are percentages; full f64 precision is
@@ -199,16 +191,19 @@ pub fn campaign_json(rows: &[CampaignRow]) -> String {
         push_json_str(&mut obj, &r.variant);
         obj.push_str(", \"policy\": ");
         push_json_str(&mut obj, &r.summary.label);
-        let _ = write!(obj, ", \"seed\": {}, \"scale\": {}", r.seed, fmt_num(r.scale));
+        let _ = write!(obj, ", \"seed\": {}, \"scale\": ", r.seed);
+        push_json_num(&mut obj, r.scale);
         for (k, v) in CAMPAIGN_FIELDS.iter().zip(campaign_values(r)) {
-            let _ = write!(obj, ", \"{k}\": {}", fmt_num(v));
+            let _ = write!(obj, ", \"{k}\": ");
+            push_json_num(&mut obj, v);
         }
         match &r.deltas {
             Some(d) => {
                 obj.push_str(", \"baseline\": ");
                 push_json_str(&mut obj, &d.vs);
                 for (k, v) in DELTA_FIELDS.iter().zip(delta_values(d)) {
-                    let _ = write!(obj, ", \"{k}\": {}", fmt_num(round4(v)));
+                    let _ = write!(obj, ", \"{k}\": ");
+                    push_json_num(&mut obj, round4(v));
                 }
             }
             None => {
@@ -220,18 +215,13 @@ pub fn campaign_json(rows: &[CampaignRow]) -> String {
         }
         let _ = write!(obj, ", \"tenants\": [");
         for (j, t) in r.tenants.iter().enumerate() {
-            let _ = write!(
-                obj,
-                "{}{{\"tenant\": {}, \"jobs\": {}, \"job_share\": {}, \
-                 \"mean_wait\": {}, \"mean_slowdown\": {}, \"node_seconds\": {}}}",
-                if j == 0 { "" } else { ", " },
-                t.tenant,
-                t.jobs,
-                fmt_num(round4(t.job_share)),
-                fmt_num(round4(t.mean_wait)),
-                fmt_num(round4(t.mean_slowdown)),
-                t.node_seconds,
-            );
+            let sep = if j == 0 { "" } else { ", " };
+            let _ = write!(obj, "{sep}{{\"tenant\": {}, \"jobs\": {}", t.tenant, t.jobs);
+            for (k, v) in tenant_values(t) {
+                let _ = write!(obj, ", \"{k}\": ");
+                push_json_num(&mut obj, round4(v));
+            }
+            let _ = write!(obj, ", \"node_seconds\": {}}}", t.node_seconds);
         }
         obj.push(']');
         obj.push('}');
@@ -261,16 +251,16 @@ pub fn campaign_csv(rows: &[CampaignRow]) -> String {
     for r in rows {
         let _ = write!(
             out,
-            "{},{},{},{},{}",
+            "{},{},{},{},",
             r.scenario.replace(',', ";"),
             r.variant.replace(',', ";"),
             r.summary.label.replace(',', ";"),
             r.seed,
-            fmt_num(r.scale)
         );
+        push_json_num(&mut out, r.scale);
         for v in campaign_values(r) {
             out.push(',');
-            out.push_str(&fmt_num(v));
+            push_json_num(&mut out, v);
         }
         match &r.deltas {
             Some(d) => {
@@ -278,7 +268,7 @@ pub fn campaign_csv(rows: &[CampaignRow]) -> String {
                 out.push_str(&d.vs.replace(',', ";"));
                 for v in delta_values(d) {
                     out.push(',');
-                    out.push_str(&fmt_num(round4(v)));
+                    push_json_num(&mut out, round4(v));
                 }
             }
             None => out.push_str(",,,,,,"),
@@ -298,20 +288,21 @@ pub fn tenant_csv(rows: &[CampaignRow]) -> String {
     );
     for r in rows {
         for t in &r.tenants {
-            let _ = writeln!(
+            let _ = write!(
                 out,
-                "{},{},{},{},{},{},{},{},{},{}",
+                "{},{},{},{},{},{}",
                 r.scenario.replace(',', ";"),
                 r.variant.replace(',', ";"),
                 r.summary.label.replace(',', ";"),
                 r.seed,
                 t.tenant,
                 t.jobs,
-                fmt_num(round4(t.job_share)),
-                fmt_num(round4(t.mean_wait)),
-                fmt_num(round4(t.mean_slowdown)),
-                t.node_seconds,
             );
+            for (_, v) in tenant_values(t) {
+                out.push(',');
+                push_json_num(&mut out, round4(v));
+            }
+            let _ = writeln!(out, ",{}", t.node_seconds);
         }
     }
     out
@@ -477,15 +468,6 @@ mod tests {
         assert_eq!(d.d_makespan_pct, 0.0);
         assert_eq!(d.d_slowdown_pct, 0.0);
         assert_eq!(d.d_energy_pct, 0.0);
-    }
-
-    #[test]
-    fn fmt_num_roundtrip_friendly() {
-        assert_eq!(fmt_num(5000.0), "5000");
-        assert_eq!(fmt_num(0.05), "0.05");
-        assert_eq!(fmt_num(-1.5), "-1.5");
-        assert_eq!(fmt_num(f64::NAN), "null", "NaN is not valid JSON");
-        assert_eq!(fmt_num(f64::INFINITY), "null");
     }
 
     #[test]

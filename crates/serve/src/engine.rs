@@ -931,7 +931,7 @@ impl Engine {
             mean_slowdown: self.fold.slowdown / n,
             mean_response: self.fold.response / n,
             mean_wait: self.fold.wait / n,
-            makespan: st.last_end().since(st.first_submit().min(st.last_end())),
+            makespan: st.makespan(),
             submitted: self.submitted,
             tenants: self.tenant_snaps(),
             wait_hist: self.fold.wait_hist.clone(),

@@ -3,13 +3,14 @@
 //!
 //! Design points that matter for the service:
 //!
-//! * **Replies are written, not built.** [`JsonWriter`] appends objects,
+//! * **Replies are written, not built.** `JsonWriter` appends objects,
 //!   arrays, keys and scalars straight to the reply text and places the
 //!   commas itself; the server writes every reply through it. The [`Json`]
 //!   tree is for parsing, client request bodies and
 //!   [`crate::proto::encode_result`], and [`Json::render`] walks the tree
-//!   through the same writer, so numbers and strings are formatted in one
-//!   place.
+//!   through the same writer. Numbers and strings go through
+//!   [`sd_obs::push_json_num`] and [`sd_obs::push_json_str`], the rules the
+//!   campaign exports and the log sink share.
 //! * **Objects preserve insertion order** (a `Vec` of pairs, not a map), so
 //!   every encoder in [`crate::proto`] renders byte-identically run to run.
 //! * **Numbers are `f64` parsed with `str::parse`** and rendered as integer
@@ -20,7 +21,7 @@
 //! * **The parser never panics** on arbitrary bytes (fuzz corpus test); it
 //!   reports a byte offset instead, and recursion is depth-limited.
 
-use sd_obs::push_json_str;
+use sd_obs::{push_json_num, push_json_str, push_u64};
 use std::fmt::Write as _;
 
 /// Maximum nesting depth accepted by [`Json::parse`].
@@ -263,7 +264,7 @@ impl JsonWriter {
 
     pub(crate) fn num(&mut self, v: f64) -> &mut Self {
         self.sep();
-        render_num(v, &mut self.out);
+        push_json_num(&mut self.out, v);
         self
     }
 
@@ -336,22 +337,6 @@ impl<T: Scalar> Scalar for Option<T> {
     }
 }
 
-/// JSON's number rule. NaN and the infinities are not JSON and print
-/// `null`; a finite integral value below 1e15 in magnitude prints as
-/// integer digits (`-0.0` as `0`); any other value prints by `Display`.
-fn render_num(v: f64, out: &mut String) {
-    if !v.is_finite() {
-        out.push_str("null");
-    } else if v == v.trunc() && v.abs() < 1e15 {
-        if v < 0.0 {
-            out.push('-');
-        }
-        push_u64(out, v.abs() as u64);
-    } else {
-        let _ = write!(out, "{v}");
-    }
-}
-
 /// `/metrics`' number rule: exactly the bytes of `f64`'s `Display`. An
 /// integral value below 2⁵³ in magnitude takes the digit loop, which
 /// prints the same (`-0.0` keeps its sign, `-0`, as `Display` does).
@@ -364,21 +349,6 @@ pub(crate) fn push_f64(out: &mut String, v: f64) {
     } else {
         let _ = write!(out, "{v}");
     }
-}
-
-/// Appends the decimal digits of `n`.
-pub(crate) fn push_u64(out: &mut String, mut n: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 struct Parser<'a> {
@@ -705,7 +675,8 @@ mod tests {
         assert_eq!(text, r#"{"a":1,"b":[-2.5,null,{},["x"]],"c":null,"d":true,"e":{"f":"g\"h"}}"#);
     }
 
-    /// `render_num` before the digit loop: the rule JSON numbers keep.
+    /// The JSON number rule as written before the digit loop, which
+    /// `sd_obs::push_json_num` keeps.
     fn old_render_num(v: f64) -> String {
         if !v.is_finite() {
             "null".into()
@@ -716,8 +687,8 @@ mod tests {
         }
     }
 
-    /// Both number rules against their references: JSON against the old
-    /// `render_num`, `/metrics` against `Display`.
+    /// Both number rules against their references: JSON against
+    /// `old_render_num`, `/metrics` against `Display`.
     fn assert_number_rules(v: f64) {
         assert_eq!(Json::Num(v).render(), old_render_num(v), "JSON {v:?}");
         let mut metrics = String::new();

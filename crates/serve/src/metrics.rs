@@ -18,7 +18,8 @@
 //! result stays wall-clock-free).
 
 use crate::engine::{ClockMode, Snapshot, TenantSnap};
-use crate::json::{self, push_f64, push_u64, JsonWriter};
+use crate::json::{self, push_f64, JsonWriter};
+use sd_obs::push_u64;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 

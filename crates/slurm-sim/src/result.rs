@@ -28,42 +28,39 @@ pub struct SimResult {
 }
 
 impl SimResult {
+    /// The result of a finished run; the outcomes are moved, not cloned.
     pub(crate) fn from_state(mut st: SimState, scheduler: &'static str) -> SimResult {
-        let energy = st.finish_energy();
-        let first = Self::anchored_first_submit(&st);
-        SimResult {
-            scheduler,
-            first_submit: first,
-            last_end: st.last_end(),
-            makespan: st.last_end().since(first),
-            energy_joules: energy,
-            leftover_pending: st.queue.len(),
-            leftover_running: st.running_count(),
-            stats: st.stats.clone(),
-            outcomes: st.take_outcomes(),
-        }
+        let outcomes = st.take_outcomes();
+        Self::with_outcomes(&st, scheduler, outcomes)
     }
 
     /// A read-only result of the run *so far* — the state keeps running.
-    /// Identical to `SimResult::from_state` at the same instant (the
-    /// energy meter is finalised on a copy); outcomes are cloned.
+    /// Identical to `SimResult::from_state` at the same instant; the
+    /// outcomes are cloned.
     pub fn snapshot(st: &SimState, scheduler: &'static str) -> SimResult {
-        let first = Self::anchored_first_submit(st);
+        Self::with_outcomes(st, scheduler, st.outcomes().to_vec())
+    }
+
+    fn with_outcomes(
+        st: &SimState,
+        scheduler: &'static str,
+        outcomes: Vec<JobOutcome>,
+    ) -> SimResult {
         SimResult {
             scheduler,
-            first_submit: first,
+            outcomes,
+            stats: st.stats.clone(),
+            first_submit: Self::anchored_first_submit(st),
             last_end: st.last_end(),
-            makespan: st.last_end().since(first),
+            makespan: st.makespan(),
             energy_joules: st.snapshot_energy(),
             leftover_pending: st.queue.len(),
             leftover_running: st.running_count(),
-            stats: st.stats.clone(),
-            outcomes: st.outcomes().to_vec(),
         }
     }
 
-    /// An online state that never saw a submission keeps the `SimTime::MAX`
-    /// "unanchored" sentinel; report it as the epoch, like an empty trace.
+    /// A state that never saw a submission keeps the `SimTime::MAX`
+    /// "unanchored" sentinel; report it as the epoch.
     fn anchored_first_submit(st: &SimState) -> SimTime {
         if st.first_submit() == SimTime::MAX {
             SimTime::ZERO

@@ -73,15 +73,10 @@ impl SimState {
         // them, cross-validates under self_check and registers the level.
     }
 
-    /// Finalises the meter and returns total joules.
-    pub(crate) fn finish_energy(&mut self) -> f64 {
-        let end = self.last_end;
-        self.meter.finish(end)
-    }
-
-    /// Energy of the run so far without finalising the live meter (the
-    /// online service's read-only result snapshots). Equals what
-    /// `SimState::finish_energy` would return right now.
+    /// Energy of the run so far, joules: the meter integrated up to the
+    /// last end. It is finalised on a copy, so the live meter keeps running
+    /// and the value equals finalising the meter itself; a finished run and
+    /// a service snapshot both read their energy here.
     pub fn snapshot_energy(&self) -> f64 {
         self.meter.clone().finish(self.last_end)
     }

@@ -214,8 +214,8 @@ pub struct SimState {
 /// Error from an online job submission.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The record cannot be simulated (zero runtime, no processor count…) —
-    /// the same records the offline constructor silently drops.
+    /// The record cannot be simulated (zero runtime, no processor count…);
+    /// the trace constructors drop such records.
     Unusable,
     /// The submit instant lies before the simulation clock.
     InPast { submit: SimTime, now: SimTime },
@@ -261,8 +261,11 @@ impl std::fmt::Display for CoScheduleError {
 impl std::error::Error for CoScheduleError {}
 
 impl SimState {
-    /// Builds the state from a trace. Jobs are made malleable according to
-    /// `cfg.malleable_fraction` (deterministic per-id draw).
+    /// Builds the state from a trace: the empty machine of
+    /// [`SimState::new_online`], then every record admitted through
+    /// [`SimState::submit_job`] in trace order — one admission path, so an
+    /// offline replay and a served session of the same records agree by
+    /// construction. Records the simulator cannot run are dropped.
     pub fn new(
         spec: ClusterSpec,
         cfg: SlurmConfig,
@@ -270,27 +273,28 @@ impl SimState {
         rate_model: Box<dyn RateModel>,
         sharing: SharingFactor,
     ) -> SimState {
-        Self::build(spec, cfg, trace, None, rate_model, sharing)
+        let mut st = Self::empty(spec, cfg, rate_model, sharing, trace.len());
+        for sj in &trace.jobs {
+            let _ = st.submit_job(sj, None);
+        }
+        st
     }
 
     /// An empty machine accepting jobs *online* through
     /// [`SimState::submit_job`] — the state behind the `sd-serve` daemon.
     /// `first_submit` stays unanchored (`SimTime::MAX`) until the first
-    /// submission so the makespan/energy window matches what an offline
-    /// build of the same workload would use.
+    /// submission, which anchors the makespan/energy window.
     pub fn new_online(
         spec: ClusterSpec,
         cfg: SlurmConfig,
         rate_model: Box<dyn RateModel>,
         sharing: SharingFactor,
     ) -> SimState {
-        let empty = swf::Trace::new(Default::default(), Vec::new());
-        let mut st = Self::build(spec, cfg, &empty, None, rate_model, sharing);
-        st.first_submit = SimTime::MAX;
-        st
+        Self::empty(spec, cfg, rate_model, sharing, 0)
     }
 
-    /// Like [`SimState::new`] but binds applications (Workload 5).
+    /// Like [`SimState::new`] but binds applications (Workload 5): each
+    /// admitted job takes the app of its trace record.
     pub fn with_apps(
         spec: ClusterSpec,
         cfg: SlurmConfig,
@@ -298,52 +302,29 @@ impl SimState {
         rate_model: Box<dyn RateModel>,
         sharing: SharingFactor,
     ) -> SimState {
-        Self::build(spec, cfg, &apps.trace, Some(&apps.apps), rate_model, sharing)
+        let mut st = Self::empty(spec, cfg, rate_model, sharing, apps.trace.len());
+        for (idx, sj) in apps.trace.jobs.iter().enumerate() {
+            if let Ok(id) = st.submit_job(sj, None) {
+                st.job_mut(id).spec.app = Some(apps.apps[idx]);
+            }
+        }
+        st
     }
 
-    fn build(
+    /// An idle machine with room for `jobs` submissions.
+    fn empty(
         spec: ClusterSpec,
         cfg: SlurmConfig,
-        trace: &swf::Trace,
-        apps: Option<&[workload::AppId]>,
         rate_model: Box<dyn RateModel>,
         sharing: SharingFactor,
+        jobs: usize,
     ) -> SimState {
-        let rng = DetRng::new(cfg.malleable_seed);
-        let mut jobs = Vec::with_capacity(trace.len());
-        let mut events = EventQueue::with_capacity(trace.len() * 2);
-        let mut first_submit = SimTime::MAX;
-        for (idx, sj) in trace.jobs.iter().enumerate() {
-            // Per-tenant malleability adoption: a registered tenant's
-            // override replaces the global fraction (identical when the
-            // registry is empty — the draw structure never changes).
-            let fraction =
-                cfg.malleable_fraction_for(sj.user.max(0) as u32, sj.group.max(0) as u32);
-            let malleable = fraction >= 1.0 || rng.fork(sj.job_id).chance(fraction);
-            let Some(mut js) = JobSpec::from_swf(sj, &spec, malleable, cfg.ranks_per_node) else {
-                continue;
-            };
-            // Job table index must equal id-1; traces are renumbered 1..=N.
-            js.id = JobId(jobs.len() as u64 + 1);
-            if let Some(apps) = apps {
-                js.app = Some(apps[idx]);
-            }
-            first_submit = first_submit.min(js.submit);
-            events.push(js.submit, Event::Submit(js.id));
-            jobs.push(Job {
-                spec: js,
-                state: JobState::Pending,
-            });
-        }
-        if first_submit == SimTime::MAX {
-            first_submit = SimTime::ZERO;
-        }
         let nodes = spec.nodes;
-        let node_power = spec.node.power;
-        // Measure energy over the makespan window (first arrival → last
-        // end), matching the paper's definitions for both metrics.
-        let mut meter = EnergyMeter::new(node_power, nodes);
-        meter.start(first_submit);
+        // Energy is measured over the makespan window (first arrival → last
+        // end), matching the paper's definitions for both metrics; the first
+        // submission moves the start there.
+        let mut meter = EnergyMeter::new(spec.node.power, nodes);
+        meter.start(SimTime::ZERO);
         let tenant_usage = vec![TenantUsage::default(); cfg.tenants.len()];
         SimState {
             now: SimTime::ZERO,
@@ -355,7 +336,7 @@ impl SimState {
             spec,
             cfg,
             queue: PendingQueue::new(),
-            jobs,
+            jobs: Vec::with_capacity(jobs),
             running: BTreeSet::new(),
             mate_pool: Vec::new(),
             pool_weights: PoolWeights::default(),
@@ -366,7 +347,7 @@ impl SimState {
             avail: Profile::flat(SimTime::ZERO, nodes),
             dirty: DirtyFlags::default(),
             scratch: PassScratch::default(),
-            events,
+            events: EventQueue::with_capacity(jobs * 2),
             outcomes: Vec::new(),
             meter,
             weighted_busy: 0.0,
@@ -374,7 +355,7 @@ impl SimState {
             sharing,
             stats: SimStats::default(),
             tenant_usage,
-            first_submit,
+            first_submit: SimTime::MAX,
             last_end: SimTime::ZERO,
             trace: sd_trace::TraceSink::detached(),
         }
@@ -897,7 +878,7 @@ mod tests {
             st.now = ev.time;
             st.dispatch(ev.payload);
         }
-        let joules = st.finish_energy();
+        let joules = st.snapshot_energy();
         // 4 nodes idle 120 W for 100 s + 32 cores × 15 W × 100 s.
         let expected = 4.0 * 120.0 * 100.0 + 32.0 * 15.0 * 100.0;
         assert!((joules - expected).abs() < 1e-6, "joules {joules}");
@@ -984,7 +965,7 @@ mod tests {
             st.now = ev.time.max(st.now);
             st.dispatch(ev.payload);
         }
-        let joules = st.finish_energy();
+        let joules = st.snapshot_energy();
         // Timeline (RICC nodes: 120 W idle, 15 W/core):
         //   0–100:   2 nodes busy, 16 weighted-busy cores (shared pair).
         //   100–450: 4 nodes busy, 32 cores (J1 full + relocated J2 full;
@@ -1045,6 +1026,49 @@ mod tests {
     }
 
     #[test]
+    fn empty_trace_and_idle_session_give_equal_results() {
+        // No job ever arrives: both constructors report the epoch as the
+        // first submit, a zero makespan and the same energy bits.
+        let mut spec = ClusterSpec::ricc();
+        spec.nodes = 4;
+        let cfg = SlurmConfig {
+            self_check: true,
+            ..SlurmConfig::default()
+        };
+        let online = SimState::new_online(spec, cfg, Box::new(WorstCaseModel), SharingFactor::HALF);
+        let offline = crate::SimResult::from_state(small_state(Vec::new()), "t");
+        let online = crate::SimResult::from_state(online, "t");
+        assert_eq!(offline, online);
+        assert_eq!(offline.first_submit, SimTime::ZERO);
+        assert_eq!(offline.makespan, 0);
+        assert_eq!(offline.energy_joules.to_bits(), online.energy_joules.to_bits());
+    }
+
+    #[test]
+    fn with_apps_binds_each_job_the_app_of_its_record() {
+        // Record 0 cannot run (run time 0) and is dropped, so dense job 1
+        // is record 1 and carries apps[1], not apps[0].
+        use workload::AppId;
+        let mut spec = ClusterSpec::ricc();
+        spec.nodes = 4;
+        let jobs = vec![job(1, 0, 0, 1, 10), job(2, 5, 100, 1, 100), job(3, 9, 50, 1, 100)];
+        let apps = AppTrace {
+            trace: swf::Trace::new(Default::default(), jobs),
+            apps: vec![AppId::Pils, AppId::Stream, AppId::Nest],
+        };
+        let st = SimState::with_apps(
+            spec,
+            SlurmConfig::default(),
+            &apps,
+            Box::new(WorstCaseModel),
+            SharingFactor::HALF,
+        );
+        assert_eq!(st.job_count(), 2);
+        assert_eq!(st.job(JobId(1)).spec.app, Some(AppId::Stream));
+        assert_eq!(st.job(JobId(2)).spec.app, Some(AppId::Nest));
+    }
+
+    #[test]
     fn cancel_before_and_after_arrival() {
         let mut st = small_state(vec![job(1, 0, 100, 1, 100), job(2, 50, 100, 1, 100)]);
         // Cancel job 2 before its submit event fires: the stale event must
@@ -1090,7 +1114,7 @@ mod tests {
         }
         assert!(st.outcomes().is_empty());
         // Energy: 2 nodes × 16 cores busy for 40 s, idle power over 0–40.
-        let joules = st.finish_energy();
+        let joules = st.snapshot_energy();
         let expected = 4.0 * 120.0 * 40.0 + 16.0 * 15.0 * 40.0;
         assert!((joules - expected).abs() < 1e-6, "joules {joules}");
     }
@@ -1123,7 +1147,7 @@ mod tests {
         let o1 = &st.outcomes()[0];
         // Mate: 100 s at rate 0.5 (50 work) + 950 remaining at full → 1050.
         assert_eq!(o1.end, SimTime(1050));
-        let joules = st.finish_energy();
+        let joules = st.snapshot_energy();
         // 0–100: shared pair = 16 weighted cores; 100–1050: mate full = 16.
         let expected = 4.0 * 120.0 * 1050.0 + 15.0 * (16.0 * 100.0 + 16.0 * 950.0);
         assert!((joules - expected).abs() < 1e-6, "joules {joules}");

@@ -1,20 +1,22 @@
-//! Online (service-mode) mutations: out-of-band job submission and
-//! cancellation, mirroring offline trace replay exactly.
+//! Online (service-mode) mutations: job submission and cancellation.
+//! [`SimState::submit_job`] is the one way a job enters the simulator — the
+//! trace constructors call it once per record — so an offline replay and a
+//! served session of the same records build the same state.
 
 use super::*;
 
 impl SimState {
 
-    /// Adds a job after construction and arms its submit event — the online
-    /// twin of the constructor's trace loop: same `JobSpec::from_swf`
-    /// conversion, same dense renumbering, same malleability draw (forked
-    /// from the record's own id), so feeding a trace job-by-job builds a
-    /// byte-identical simulation to building it up front.
+    /// Admits a job and arms its submit event — the one admission path:
+    /// [`SimState::new`] and [`SimState::with_apps`] call it once per trace
+    /// record, the service once per request. The record is converted by
+    /// `JobSpec::from_swf`, numbered densely (job table index = id − 1), made
+    /// malleable by a draw forked from the record's own id, and the
+    /// makespan/energy window is anchored at the earliest submit seen.
     ///
-    /// The record's submit time must not lie in the past (`>= now`); jobs
-    /// the simulator cannot run are rejected like the constructor drops them.
-    /// `malleable` overrides the configured fraction draw (`None` = draw,
-    /// exactly as the constructor would).
+    /// The record's submit time must not lie in the past (`>= now`); records
+    /// the simulator cannot run are rejected. `malleable` overrides the
+    /// configured fraction draw (`None` = draw).
     pub fn submit_job(
         &mut self,
         sj: &swf::SwfJob,
@@ -27,6 +29,8 @@ impl SimState {
             });
         }
         let malleable = malleable.unwrap_or_else(|| {
+            // A registered tenant's adoption override replaces the global
+            // fraction; the draw itself is the same either way.
             let fraction = self
                 .cfg
                 .malleable_fraction_for(sj.user.max(0) as u32, sj.group.max(0) as u32);

@@ -91,4 +91,11 @@ impl SimState {
         self.last_end
     }
 
+    /// The paper's makespan, `last_end − first_submit` in seconds, saturating
+    /// at 0: it is 0 until a job ends, and while no submission has anchored
+    /// `first_submit`. [`crate::SimResult`] and the service read it here.
+    pub fn makespan(&self) -> u64 {
+        self.last_end.since(self.first_submit)
+    }
+
 }

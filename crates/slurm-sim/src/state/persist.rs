@@ -651,7 +651,7 @@ mod tests {
                 st.start_static(id);
             }
         }
-        let joules = st.finish_energy();
+        let joules = st.snapshot_energy();
         let last = st.last_end();
         (st.take_outcomes(), st.stats.clone(), joules, last)
     }
