@@ -1,7 +1,14 @@
-//! The scheduler thread: single writer over the simulation.
+//! The scheduler's state machine: single writer over the simulation.
 //!
-//! Every HTTP worker translates its request into a [`Command`] and sends it
-//! over one mpsc channel; this loop is the only code that ever touches the
+//! [`Engine`]'s public methods are the service's whole API, one per
+//! [`Command`] variant. Each mutating method is the whole live body: rate
+//! gate (submit only), WAL append, effect, periodic checkpoint.
+//! [`Engine::recover`] replays the WAL through the same methods, so a
+//! recovered engine is the engine that never crashed (DESIGN.md §14).
+//!
+//! [`Command`] is their channel form. Every HTTP worker sends one over one
+//! mpsc channel and [`Engine::run`] answers it with the method of the same
+//! name, so the engine thread is the only code that ever touches the
 //! [`SimState`]/[`Controller`]. That keeps the scheduler hot path
 //! single-writer by construction — no locks around the availability-profile
 //! cache, the queue index or the energy meter (DESIGN.md §10).
@@ -49,7 +56,7 @@ pub struct SubmitAck {
 }
 
 /// Queue/cluster/campaign snapshot used by `/v1/*` reads and `/metrics`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     pub scheduler: &'static str,
     pub now: u64,
@@ -106,7 +113,7 @@ pub struct TenantSnap {
 }
 
 /// Per-job status for `GET /v1/jobs/{id}`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobView {
     pub id: u64,
     pub state: &'static str,
@@ -121,7 +128,7 @@ pub struct JobView {
 }
 
 /// One pending-queue entry for `GET /v1/queue`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueueView {
     pub id: u64,
     pub req_nodes: u32,
@@ -130,7 +137,7 @@ pub struct QueueView {
 
 /// The decision chain of one job for `GET /v1/explain/{id}`: its current
 /// status plus every trace event that mentions it, oldest first.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExplainView {
     pub job: JobView,
     /// Whether a trace ring is attached (without one the history is empty).
@@ -173,7 +180,8 @@ impl std::fmt::Display for EngineError {
     }
 }
 
-/// Commands from the HTTP workers. Each carries its own reply channel.
+/// The channel form of [`Engine`]'s methods, sent by the HTTP workers: each
+/// variant carries the method's arguments and a sender for its return value.
 pub enum Command {
     Submit {
         req: SubmitRequest,
@@ -374,7 +382,7 @@ impl OutcomeFold {
 
 /// The engine: owns the controller, executes commands sequentially.
 pub struct Engine {
-    ctl: Controller<Box<dyn Scheduler + Send>>,
+    ctl: Controller<TimedScheduler>,
     mode: ClockMode,
     /// Virtual mode: highest instant the clock was advanced to. Submissions
     /// must not land before it (they would rewrite already-simulated past).
@@ -395,7 +403,8 @@ pub struct Engine {
 }
 
 /// Wraps the configured scheduler to time each pass into the service's
-/// wall-clock histograms (`sd_serve_pass_duration_seconds`).
+/// wall-clock histograms (`sd_serve_pass_duration_seconds`); a private set
+/// until [`Engine::with_histograms`] attaches the server's.
 struct TimedScheduler {
     inner: Box<dyn Scheduler + Send>,
     hists: Arc<ServeHistograms>,
@@ -417,20 +426,10 @@ impl Scheduler for TimedScheduler {
     }
 }
 
-/// Placeholder used only while swapping the scheduler box in
-/// [`Engine::with_histograms`]; never scheduled.
-struct NeverScheduled;
-
-impl Scheduler for NeverScheduled {
-    fn schedule(&mut self, _st: &mut SimState) {
-        unreachable!("placeholder scheduler must be replaced before use");
-    }
-}
-
 impl Engine {
     pub fn new(state: SimState, scheduler: Box<dyn Scheduler + Send>, mode: ClockMode) -> Engine {
         Engine {
-            ctl: Controller::new(state, scheduler),
+            ctl: Controller::new(state, TimedScheduler { inner: scheduler, hists: Arc::default() }),
             mode,
             floor: SimTime::ZERO,
             epoch: Instant::now(),
@@ -444,10 +443,19 @@ impl Engine {
     }
 
     /// Builds a crash-tolerant virtual-clock engine: opens (or creates) the
-    /// durable store at `dir`, restores the checkpointed state, replays the
-    /// outstanding WAL records through the exact command paths the live
-    /// service uses, and installs a fresh checkpoint so the next boot starts
-    /// from a collapsed log. Returns the engine plus a recovery summary.
+    /// durable store at `dir`, restores the checkpointed state, replays each
+    /// outstanding WAL record by calling the public method live traffic
+    /// called, and installs a fresh checkpoint so the next boot starts from a
+    /// collapsed log. Returns the engine plus a recovery summary.
+    ///
+    /// During replay the WAL append and the rate gate are inert by
+    /// construction: the store is attached only after the loop, and rate
+    /// limits are installed by [`Engine::with_tenant_rates`] after this
+    /// returns. A replayed record is therefore neither logged twice nor
+    /// throttled (a 429 was never logged), and refusals that were logged
+    /// replay to the same refusals. Replayed commands also emit the live
+    /// methods' debug log events; their virtual time is the one published
+    /// before recovery, not the record's.
     ///
     /// The WAL requires the deterministic virtual clock: realtime replay
     /// would re-time events against a different wall clock.
@@ -500,7 +508,12 @@ impl Engine {
         for record in &rec.records {
             let cmd = WalCmd::decode(&record.payload)
                 .map_err(|e| format!("undecodable WAL record seq {}: {e}", record.seq))?;
-            engine.apply_replayed(cmd);
+            let _ = match cmd {
+                WalCmd::Submit(req) => engine.submit(req).map(drop),
+                WalCmd::Cancel(id) => engine.cancel(id),
+                WalCmd::Advance(to) => engine.advance(to).map(drop),
+                WalCmd::Drain => engine.drain().map(drop),
+            };
             replayed += 1;
         }
         let mut d = Durability {
@@ -543,8 +556,7 @@ impl Engine {
 
     /// Times every scheduler pass into `hists.pass_seconds`.
     pub fn with_histograms(mut self, hists: Arc<ServeHistograms>) -> Engine {
-        let inner = std::mem::replace(&mut self.ctl.scheduler, Box::new(NeverScheduled));
-        self.ctl.scheduler = Box::new(TimedScheduler { inner, hists });
+        self.ctl.scheduler.hists = hists;
         self
     }
 
@@ -562,8 +574,9 @@ impl Engine {
         SimTime((elapsed * compression) as u64)
     }
 
-    /// Runs the command loop to completion. Returns the final result (also
-    /// sent to the `Shutdown` requester, if that is how the loop ended).
+    /// Runs the command loop to completion, answering each [`Command`] with
+    /// the method of the same name. Returns the final result (also sent to
+    /// the `Shutdown` requester, if that is how the loop ended).
     pub fn run(mut self, rx: Receiver<Command>) -> SimResult {
         self.epoch = Instant::now();
         loop {
@@ -589,7 +602,8 @@ impl Engine {
                     }
                 }
             };
-            let stop = self.handle(cmd);
+            let stop = matches!(cmd, Command::Shutdown { .. });
+            self.handle(cmd);
             // Log records carry the virtual instant; publish it after every
             // command so concurrently-emitted records stamp the right time.
             sd_obs::set_virtual_now(self.virtual_now().secs());
@@ -610,72 +624,145 @@ impl Engine {
         }
     }
 
-    /// Executes one command; `true` = shutdown.
-    fn handle(&mut self, cmd: Command) -> bool {
+    /// Answers one command with the method of the same name.
+    fn handle(&mut self, cmd: Command) {
+        // A requester that hung up no longer wants the answer.
+        fn send<T>(reply: Sender<T>, value: T) {
+            let _ = reply.send(value);
+        }
         match cmd {
-            Command::Submit { req, reply } => {
-                let _ = reply.send(self.submit(req));
-            }
-            Command::Cancel { id, reply } => {
-                self.log(&WalCmd::Cancel(id));
-                let r = self.cancel(id);
-                self.maybe_checkpoint();
-                let _ = reply.send(r);
-            }
-            Command::JobInfo { id, reply } => {
-                let _ = reply.send(self.job_view(id));
-            }
-            Command::Explain { id, reply } => {
-                let _ = reply.send(self.explain(id));
-            }
-            Command::Queue { limit, reply } => {
-                let st = &self.ctl.state;
-                let entries = st
-                    .queue
-                    .prefix(limit)
-                    .map(|e| QueueView {
-                        id: e.job.0,
-                        req_nodes: e.req_nodes,
-                        req_time: e.req_time,
-                    })
-                    .collect();
-                let _ = reply.send((st.queue.len(), entries));
-            }
-            Command::Stats { reply } => {
-                let _ = reply.send(self.snapshot());
-            }
-            Command::Advance { to, reply } => {
-                self.log(&WalCmd::Advance(to));
-                let r = self.advance(to);
-                self.maybe_checkpoint();
-                let _ = reply.send(r);
-            }
-            Command::Drain { reply } => {
-                if self.mode == ClockMode::Virtual {
-                    self.log(&WalCmd::Drain);
-                    self.ctl.step_until(None);
-                    self.maybe_checkpoint();
-                    let _ = reply.send(Ok(self.virtual_now().secs()));
-                } else {
-                    let _ = reply.send(Err(EngineError::WrongMode(
-                        "drain requires the virtual clock",
-                    )));
-                }
-            }
-            Command::Result { reply } => {
-                let name = self.ctl.scheduler.name();
-                let _ = reply.send(SimResult::snapshot(&self.ctl.state, name));
-            }
-            Command::Shutdown { reply } => {
-                // Final checkpoint: a restart after a graceful stop resumes
-                // from the exact shutdown state with an empty log.
-                self.checkpoint_now();
-                let name = self.ctl.scheduler.name();
-                let _ = reply.send(SimResult::snapshot(&self.ctl.state, name));
-                return true;
+            Command::Submit { req, reply } => send(reply, self.submit(req)),
+            Command::Cancel { id, reply } => send(reply, self.cancel(id)),
+            Command::JobInfo { id, reply } => send(reply, self.job_view(id)),
+            Command::Explain { id, reply } => send(reply, self.explain(id)),
+            Command::Queue { limit, reply } => send(reply, self.queue(limit)),
+            Command::Stats { reply } => send(reply, self.snapshot()),
+            Command::Advance { to, reply } => send(reply, self.advance(to)),
+            Command::Drain { reply } => send(reply, self.drain()),
+            Command::Result { reply } => send(reply, self.result()),
+            Command::Shutdown { reply } => send(reply, self.shutdown()),
+        }
+    }
+
+    /// Admits one job. The wall-clock rate gate runs before the log, so a
+    /// 429 is never logged; every other refusal is, and replays to itself.
+    pub fn submit(&mut self, req: SubmitRequest) -> Result<SubmitAck, EngineError> {
+        let tenant = req.tenant.unwrap_or(0);
+        if let Some(bucket) = self.tenant_rates.get_mut(&tenant) {
+            if !bucket.allow() {
+                self.tenant_wire.entry(tenant).or_default().rate_limited += 1;
+                return Err(EngineError::RateLimited(tenant));
             }
         }
-        false
+        self.log(&WalCmd::Submit(req.clone()));
+        let (min, default) = match self.mode {
+            ClockMode::Virtual => {
+                let min = self.min_virtual_submit();
+                (min, min.max(self.floor))
+            }
+            ClockMode::Realtime { .. } => (self.ctl.state.now, self.realtime_target()),
+        };
+        let ack = match req.submit {
+            Some(t) if SimTime(t) < min => Err(EngineError::Clock(format!(
+                "submit time {t} is at or before an already-simulated instant \
+                 (earliest accepted: {})",
+                min.secs()
+            ))),
+            at => {
+                let submit = at.unwrap_or(default.secs());
+                // Dense id = next job-table slot (SimState assigns the same);
+                // the malleability draw forks from the client's trace identity
+                // when given, matching the offline constructor on the same trace.
+                let id = self.ctl.state.job_count() as u64 + 1;
+                let sj = req.to_swf(req.trace_id.unwrap_or(id), submit);
+                match self.ctl.state.submit_job(&sj, req.malleable) {
+                    Ok(id) => {
+                        self.submitted += 1;
+                        self.tenant_wire.entry(tenant).or_default().submitted += 1;
+                        sd_obs::log_event!(Debug, "engine", "submit accepted";
+                            id = id.0, tenant = tenant, submit = submit);
+                        Ok(SubmitAck { id: id.0, submit })
+                    }
+                    Err(SubmitError::Unusable) => Err(EngineError::Rejected(
+                        "job record cannot be simulated (check procs/run_time)".into(),
+                    )),
+                    Err(e @ SubmitError::InPast { .. }) => Err(EngineError::Clock(e.to_string())),
+                }
+            }
+        };
+        if let Err(e) = &ack {
+            sd_obs::log_event!(Debug, "engine", "submit refused: {e}"; tenant = tenant);
+        }
+        self.maybe_checkpoint();
+        ack
+    }
+
+    /// Cancels a pending or running job.
+    pub fn cancel(&mut self, id: u64) -> Result<(), EngineError> {
+        self.log(&WalCmd::Cancel(id));
+        let r = if id == 0 || id as usize > self.ctl.state.job_count() {
+            Err(EngineError::NoSuchJob(id))
+        } else if self.ctl.state.cancel_job(cluster::JobId(id)) {
+            // A dropped queue entry can unblock backfill immediately; run a
+            // (gated) pass now instead of waiting for the next event batch.
+            self.ctl.pass_now();
+            Ok(())
+        } else {
+            Err(EngineError::NotPending(id))
+        };
+        self.maybe_checkpoint();
+        r
+    }
+
+    /// Virtual mode: processes every event batch with `time <= to`; returns
+    /// the clock. Realtime mode is refused before the log.
+    pub fn advance(&mut self, to: u64) -> Result<u64, EngineError> {
+        if self.mode != ClockMode::Virtual {
+            return Err(EngineError::WrongMode(
+                "advance requires the virtual clock (realtime advances itself)",
+            ));
+        }
+        self.log(&WalCmd::Advance(to));
+        self.ctl.step_until(Some(SimTime(to)));
+        self.floor = self.floor.max(SimTime(to));
+        sd_obs::log_event!(Debug, "engine", "clock advanced"; to = to);
+        self.maybe_checkpoint();
+        Ok(self.virtual_now().secs())
+    }
+
+    /// Virtual mode: runs the event loop until nothing remains; returns the
+    /// final clock. Realtime mode is refused before the log.
+    pub fn drain(&mut self) -> Result<u64, EngineError> {
+        if self.mode != ClockMode::Virtual {
+            return Err(EngineError::WrongMode("drain requires the virtual clock"));
+        }
+        self.log(&WalCmd::Drain);
+        self.ctl.step_until(None);
+        self.maybe_checkpoint();
+        Ok(self.virtual_now().secs())
+    }
+
+    /// The pending-queue length and its first `limit` entries.
+    pub fn queue(&self, limit: usize) -> (usize, Vec<QueueView>) {
+        let queue = &self.ctl.state.queue;
+        let head = queue
+            .prefix(limit)
+            .map(|e| QueueView { id: e.job.0, req_nodes: e.req_nodes, req_time: e.req_time })
+            .collect();
+        (queue.len(), head)
+    }
+
+    /// The result of the run so far (complete once drained).
+    pub fn result(&self) -> SimResult {
+        SimResult::snapshot(&self.ctl.state, self.ctl.scheduler.name())
+    }
+
+    /// Installs a final checkpoint, so a restart after a graceful stop
+    /// resumes from this exact state with an empty log, and returns the
+    /// result. [`Engine::run`] stops after it.
+    pub fn shutdown(&mut self) -> SimResult {
+        self.checkpoint_now();
+        self.result()
     }
 
     /// Earliest legal submit instant (virtual mode). Every batch at an
@@ -750,120 +837,8 @@ impl Engine {
         }
     }
 
-    /// Re-applies one recovered WAL command. Replay goes through the same
-    /// code paths live traffic does, minus the WAL append (the record is
-    /// already on disk) and minus the rate limiter (refusals were never
-    /// logged, and throttling is a wall-clock concern).
-    fn apply_replayed(&mut self, cmd: WalCmd) {
-        match cmd {
-            WalCmd::Submit(req) => {
-                let _ = self.apply_submit(req);
-            }
-            WalCmd::Cancel(id) => {
-                let _ = self.cancel(id);
-            }
-            WalCmd::Advance(to) => {
-                let _ = self.advance(to);
-            }
-            WalCmd::Drain => self.ctl.step_until(None),
-        }
-    }
-
-    fn submit(&mut self, req: SubmitRequest) -> Result<SubmitAck, EngineError> {
-        let tenant = req.tenant.unwrap_or(0);
-        if let Some(bucket) = self.tenant_rates.get_mut(&tenant) {
-            if !bucket.allow() {
-                self.tenant_wire.entry(tenant).or_default().rate_limited += 1;
-                return Err(EngineError::RateLimited(tenant));
-            }
-        }
-        // Log after the (non-deterministic, wall-clock) rate gate but before
-        // any effect: replay then reproduces exactly the accepted traffic.
-        self.log(&WalCmd::Submit(req.clone()));
-        let ack = self.apply_submit(req);
-        match &ack {
-            Ok(a) => {
-                sd_obs::log_event!(Debug, "engine", "submit accepted";
-                    id = a.id, tenant = tenant, submit = a.submit);
-            }
-            Err(e) => {
-                sd_obs::log_event!(Debug, "engine", "submit refused: {e}"; tenant = tenant);
-            }
-        }
-        self.maybe_checkpoint();
-        ack
-    }
-
-    fn apply_submit(&mut self, req: SubmitRequest) -> Result<SubmitAck, EngineError> {
-        let tenant = req.tenant.unwrap_or(0);
-        let (min, default) = match self.mode {
-            ClockMode::Virtual => {
-                let min = self.min_virtual_submit();
-                (min, min.max(self.floor))
-            }
-            ClockMode::Realtime { .. } => {
-                let target = self.realtime_target();
-                (self.ctl.state.now, target)
-            }
-        };
-        let submit = match req.submit {
-            Some(t) => {
-                if SimTime(t) < min {
-                    return Err(EngineError::Clock(format!(
-                        "submit time {t} is at or before an already-simulated instant \
-                         (earliest accepted: {})",
-                        min.secs()
-                    )));
-                }
-                t
-            }
-            None => default.secs(),
-        };
-        // Dense id = next job-table slot (SimState assigns the same); the
-        // malleability draw forks from the client's trace identity when
-        // given, matching the offline constructor on the same trace.
-        let id = self.ctl.state.job_count() as u64 + 1;
-        let sj = req.to_swf(req.trace_id.unwrap_or(id), submit);
-        match self.ctl.state.submit_job(&sj, req.malleable) {
-            Ok(id) => {
-                self.submitted += 1;
-                self.tenant_wire.entry(tenant).or_default().submitted += 1;
-                Ok(SubmitAck { id: id.0, submit })
-            }
-            Err(SubmitError::Unusable) => Err(EngineError::Rejected(
-                "job record cannot be simulated (check procs/run_time)".into(),
-            )),
-            Err(e @ SubmitError::InPast { .. }) => Err(EngineError::Clock(e.to_string())),
-        }
-    }
-
-    fn cancel(&mut self, id: u64) -> Result<(), EngineError> {
-        if id == 0 || id as usize > self.ctl.state.job_count() {
-            return Err(EngineError::NoSuchJob(id));
-        }
-        if self.ctl.state.cancel_job(cluster::JobId(id)) {
-            // A dropped queue entry can unblock backfill immediately; run a
-            // (gated) pass now instead of waiting for the next event batch.
-            self.ctl.pass_now();
-            Ok(())
-        } else {
-            Err(EngineError::NotPending(id))
-        }
-    }
-
-    fn advance(&mut self, to: u64) -> Result<u64, EngineError> {
-        if self.mode != ClockMode::Virtual {
-            return Err(EngineError::WrongMode(
-                "advance requires the virtual clock (realtime advances itself)",
-            ));
-        }
-        self.ctl.step_until(Some(SimTime(to)));
-        self.floor = self.floor.max(SimTime(to));
-        sd_obs::log_event!(Debug, "engine", "clock advanced"; to = to);
-        Ok(self.virtual_now().secs())
-    }
-
-    fn job_view(&self, id: u64) -> Result<JobView, EngineError> {
+    /// One job's status.
+    pub fn job_view(&self, id: u64) -> Result<JobView, EngineError> {
         if id == 0 || id as usize > self.ctl.state.job_count() {
             return Err(EngineError::NoSuchJob(id));
         }
@@ -892,7 +867,7 @@ impl Engine {
     }
 
     /// The job's status plus every decision about it still in the ring.
-    fn explain(&self, id: u64) -> Result<ExplainView, EngineError> {
+    pub fn explain(&self, id: u64) -> Result<ExplainView, EngineError> {
         let job = self.job_view(id)?;
         let (tracing, events, overwritten) = match &self.trace {
             None => (false, Vec::new(), 0),
@@ -908,7 +883,9 @@ impl Engine {
         Ok(ExplainView { job, tracing, events, overwritten })
     }
 
-    fn snapshot(&mut self) -> Snapshot {
+    /// Queue, cluster and campaign figures; folds the outcomes completed
+    /// since the previous read.
+    pub fn snapshot(&mut self) -> Snapshot {
         let st = &self.ctl.state;
         let outcomes = st.outcomes();
         self.fold.catch_up(outcomes);
@@ -988,23 +965,31 @@ mod tests {
     use slurm_sim::{IdealModel, SlurmConfig};
     use std::sync::mpsc;
 
-    /// An empty 8-node online state.
-    fn small_state() -> SimState {
+    /// An 8-node machine.
+    fn spec() -> ClusterSpec {
         let mut spec = ClusterSpec::ricc();
         spec.nodes = 8;
-        SimState::new_online(
-            spec,
-            SlurmConfig::default(),
-            Box::new(IdealModel),
-            SharingFactor::HALF,
-        )
+        spec
     }
 
-    fn spawn_engine(mode: ClockMode) -> (Sender<Command>, std::thread::JoinHandle<SimResult>) {
-        let engine = Engine::new(small_state(), Box::new(SdPolicy::default()), mode);
+    /// An SD-Policy engine over an empty 8-node machine.
+    fn engine(mode: ClockMode) -> Engine {
+        let (model, sharing) = (Box::new(IdealModel), SharingFactor::HALF);
+        let state = SimState::new_online(spec(), SlurmConfig::default(), model, sharing);
+        Engine::new(state, Box::new(SdPolicy::default()), mode)
+    }
+
+    /// Runs `engine` on its own thread, as the server does.
+    fn spawn(engine: Engine) -> (Sender<Command>, std::thread::JoinHandle<SimResult>) {
         let (tx, rx) = mpsc::channel();
-        let h = std::thread::spawn(move || engine.run(rx));
-        (tx, h)
+        (tx, std::thread::spawn(move || engine.run(rx)))
+    }
+
+    /// Sends one command to a running engine and waits for the reply.
+    fn call<T>(tx: &Sender<Command>, build: impl FnOnce(Sender<T>) -> Command) -> T {
+        let (reply, answer) = mpsc::channel();
+        tx.send(build(reply)).unwrap();
+        answer.recv().unwrap()
     }
 
     fn request(procs: u64, run: u64, at: u64) -> SubmitRequest {
@@ -1020,38 +1005,16 @@ mod tests {
         }
     }
 
-    fn submit(tx: &Sender<Command>, procs: u64, run: u64, at: u64) -> Result<SubmitAck, EngineError> {
-        let (rtx, rrx) = mpsc::channel();
-        tx.send(Command::Submit { req: request(procs, run, at), reply: rtx })
-            .unwrap();
-        rrx.recv().unwrap()
-    }
-
-    fn drain(tx: &Sender<Command>) -> u64 {
-        let (rtx, rrx) = mpsc::channel();
-        tx.send(Command::Drain { reply: rtx }).unwrap();
-        rrx.recv().unwrap().unwrap()
-    }
-
-    fn shutdown(tx: &Sender<Command>) -> SimResult {
-        let (rtx, rrx) = mpsc::channel();
-        tx.send(Command::Shutdown { reply: rtx }).unwrap();
-        rrx.recv().unwrap()
-    }
-
     #[test]
     fn virtual_session_submits_drains_and_reports() {
-        let (tx, h) = spawn_engine(ClockMode::Virtual);
+        let mut e = engine(ClockMode::Virtual);
         for i in 0..5u64 {
-            let ack = submit(&tx, 8, 100, i * 10).unwrap();
-            assert_eq!(ack.id, i + 1);
+            assert_eq!(e.submit(request(8, 100, i * 10)).unwrap().id, i + 1);
         }
-        drain(&tx);
-        let res = shutdown(&tx);
+        e.drain().unwrap();
+        let res = e.shutdown();
         assert_eq!(res.outcomes.len(), 5);
         assert_eq!(res.leftover_pending, 0);
-        let joined = h.join().unwrap();
-        assert_eq!(joined, res, "shutdown snapshot equals the final result");
     }
 
     #[test]
@@ -1060,16 +1023,14 @@ mod tests {
         // counters and publishes them in its snapshot; this thread's stay 0.
         timing::reset();
         timing::arm();
-        let (tx, h) = spawn_engine(ClockMode::Virtual);
+        let (tx, h) = spawn(engine(ClockMode::Virtual));
         for i in 0..4u64 {
-            submit(&tx, 64, 100, i).unwrap();
+            call(&tx, |reply| Command::Submit { req: request(64, 100, i), reply }).unwrap();
         }
-        drain(&tx);
-        let (rtx, rrx) = mpsc::channel();
-        tx.send(Command::Stats { reply: rtx }).unwrap();
-        let snap = rrx.recv().unwrap();
+        call(&tx, |reply| Command::Drain { reply }).unwrap();
+        let snap = call(&tx, |reply| Command::Stats { reply });
         timing::disarm();
-        shutdown(&tx);
+        drop(tx);
         h.join().unwrap();
         let trials = |rows: &[FnTiming]| rows.iter().find(|r| r.name == "backfill_trial").unwrap().count;
         assert!(trials(&snap.timing) > 0, "{:?}", snap.timing);
@@ -1083,140 +1044,76 @@ mod tests {
 
     #[test]
     fn clock_rejects_already_simulated_instants() {
-        let (tx, h) = spawn_engine(ClockMode::Virtual);
-        submit(&tx, 8, 50, 100).unwrap();
-        let (rtx, rrx) = mpsc::channel();
-        tx.send(Command::Advance { to: 500, reply: rtx }).unwrap();
-        assert_eq!(rrx.recv().unwrap().unwrap(), 500);
+        let mut e = engine(ClockMode::Virtual);
+        e.submit(request(8, 50, 100)).unwrap();
+        assert_eq!(e.advance(500), Ok(500));
         // The job ran 100→150, so batches exist at 100 and 150: instants up
         // to and *including* 150 are closed (a new event there would split
         // an offline batch in two)…
         for at in [0, 100, 149, 150] {
-            let err = submit(&tx, 8, 50, at).unwrap_err();
+            let err = e.submit(request(8, 50, at)).unwrap_err();
             assert!(matches!(err, EngineError::Clock(_)), "t={at}: {err:?}");
         }
         // …while unprocessed instants stay open, even below the advance
         // floor — offline would order those batches identically.
-        submit(&tx, 8, 50, 151).unwrap();
-        submit(&tx, 8, 50, 300).unwrap();
-        submit(&tx, 8, 50, 500).unwrap();
-        drain(&tx);
-        let res = shutdown(&tx);
-        h.join().unwrap();
-        assert_eq!(res.outcomes.len(), 4);
+        for at in [151, 300, 500] {
+            e.submit(request(8, 50, at)).unwrap();
+        }
+        e.drain().unwrap();
+        assert_eq!(e.shutdown().outcomes.len(), 4);
     }
 
     #[test]
     fn cancel_covers_pending_and_running_but_not_done() {
-        let (tx, h) = spawn_engine(ClockMode::Virtual);
+        let mut e = engine(ClockMode::Virtual);
         // Two machine-filling jobs: the second stays queued at t=0.
-        submit(&tx, 64, 1000, 0).unwrap();
-        submit(&tx, 64, 1000, 0).unwrap();
-        let (rtx, rrx) = mpsc::channel();
-        tx.send(Command::Advance { to: 0, reply: rtx }).unwrap();
-        rrx.recv().unwrap().unwrap();
-
-        let cancel = |id: u64| {
-            let (rtx, rrx) = mpsc::channel();
-            tx.send(Command::Cancel { id, reply: rtx }).unwrap();
-            rrx.recv().unwrap()
-        };
-        assert_eq!(cancel(2), Ok(()), "pending");
-        assert_eq!(cancel(2), Err(EngineError::NotPending(2)), "already gone");
-        assert_eq!(cancel(1), Ok(()), "running jobs are cancellable too");
-        assert_eq!(cancel(99), Err(EngineError::NoSuchJob(99)));
+        e.submit(request(64, 1000, 0)).unwrap();
+        e.submit(request(64, 1000, 0)).unwrap();
+        e.advance(0).unwrap();
+        assert_eq!(e.cancel(2), Ok(()), "pending");
+        assert_eq!(e.cancel(2), Err(EngineError::NotPending(2)), "already gone");
+        assert_eq!(e.cancel(1), Ok(()), "running jobs are cancellable too");
+        assert_eq!(e.cancel(99), Err(EngineError::NoSuchJob(99)));
         // A third job runs to completion and can no longer be cancelled.
-        submit(&tx, 8, 50, 1).unwrap();
-        drain(&tx);
-        assert_eq!(cancel(3), Err(EngineError::NotPending(3)), "done");
-        let res = shutdown(&tx);
-        h.join().unwrap();
+        e.submit(request(8, 50, 1)).unwrap();
+        e.drain().unwrap();
+        assert_eq!(e.cancel(3), Err(EngineError::NotPending(3)), "done");
+        let res = e.shutdown();
         assert_eq!(res.outcomes.len(), 1, "cancelled jobs record no outcome");
         assert_eq!(res.stats.cancelled, 2);
     }
 
     #[test]
     fn tenant_rate_limit_rejects_burst_and_counts() {
-        let mut spec = ClusterSpec::ricc();
-        spec.nodes = 8;
-        let state = SimState::new_online(
-            spec,
-            SlurmConfig::default(),
-            Box::new(IdealModel),
-            SharingFactor::HALF,
-        );
         // Tenant 2: one-token bucket at a negligible refill rate.
-        let engine = Engine::new(state, Box::new(SdPolicy::default()), ClockMode::Virtual)
-            .with_tenant_rates(&[(2, 1e-6)]);
-        let (tx, rx) = mpsc::channel();
-        let h = std::thread::spawn(move || engine.run(rx));
-
-        let submit_as = |tenant: Option<u64>, at: u64| {
-            let (rtx, rrx) = mpsc::channel();
-            tx.send(Command::Submit {
-                req: SubmitRequest {
-                    procs: 8,
-                    req_time: 100,
-                    run_time: 50,
-                    submit: Some(at),
-                    malleable: None,
-                    trace_id: None,
-                    tenant,
-                    project: None,
-                },
-                reply: rtx,
-            })
-            .unwrap();
-            rrx.recv().unwrap()
-        };
-        submit_as(Some(2), 0).unwrap();
+        let mut e = engine(ClockMode::Virtual).with_tenant_rates(&[(2, 1e-6)]);
+        let as_tenant = |tenant, at| SubmitRequest { tenant, ..request(8, 50, at) };
+        e.submit(as_tenant(Some(2), 0)).unwrap();
         assert_eq!(
-            submit_as(Some(2), 1).unwrap_err(),
+            e.submit(as_tenant(Some(2), 1)).unwrap_err(),
             EngineError::RateLimited(2),
             "burst capacity 1: the second submit is refused"
         );
         // Unlimited tenants are unaffected.
-        submit_as(Some(1), 2).unwrap();
-        submit_as(None, 3).unwrap();
-
-        let (rtx, rrx) = mpsc::channel();
-        tx.send(Command::Stats { reply: rtx }).unwrap();
-        let snap = rrx.recv().unwrap();
+        e.submit(as_tenant(Some(1), 2)).unwrap();
+        e.submit(as_tenant(None, 3)).unwrap();
+        let snap = e.snapshot();
         let row = |t: u64| snap.tenants.iter().find(|r| r.tenant == t).unwrap();
         assert_eq!((row(2).submitted, row(2).rate_limited), (1, 1));
         assert_eq!((row(1).submitted, row(1).rate_limited), (1, 0));
         assert_eq!(row(0).submitted, 1);
-        shutdown(&tx);
-        h.join().unwrap();
     }
 
     #[test]
     fn explain_returns_decision_chain_from_trace() {
-        let mut spec = ClusterSpec::ricc();
-        spec.nodes = 8;
-        let state = SimState::new_online(
-            spec,
-            SlurmConfig::default(),
-            Box::new(IdealModel),
-            SharingFactor::HALF,
-        );
-        let ring = Arc::new(TraceRing::new(4096));
-        let engine = Engine::new(state, Box::new(SdPolicy::default()), ClockMode::Virtual)
-            .with_trace(ring)
+        let mut e = engine(ClockMode::Virtual)
+            .with_trace(Arc::new(TraceRing::new(4096)))
             .with_histograms(Arc::new(ServeHistograms::default()));
-        let (tx, rx) = mpsc::channel();
-        let h = std::thread::spawn(move || engine.run(rx));
         // Job 1 fills the machine; job 2 queues behind it.
-        submit(&tx, 64, 1000, 0).unwrap();
-        submit(&tx, 64, 1000, 1).unwrap();
-        drain(&tx);
-
-        let explain = |id: u64| {
-            let (rtx, rrx) = mpsc::channel();
-            tx.send(Command::Explain { id, reply: rtx }).unwrap();
-            rrx.recv().unwrap()
-        };
-        let v = explain(2).unwrap();
+        e.submit(request(64, 1000, 0)).unwrap();
+        e.submit(request(64, 1000, 1)).unwrap();
+        e.drain().unwrap();
+        let v = e.explain(2).unwrap();
         assert!(v.tracing);
         assert_eq!(v.overwritten, 0);
         assert_eq!(v.job.id, 2);
@@ -1227,15 +1124,10 @@ mod tests {
         // Every event mentions the job, in ascending seq order.
         assert!(v.events.iter().all(|e| e.kind.involves(2)));
         assert!(v.events.windows(2).all(|w| w[0].seq < w[1].seq));
-        assert!(explain(99).is_err());
-        // The pass timer observed at least one pass.
-        let (rtx, rrx) = mpsc::channel();
-        tx.send(Command::Stats { reply: rtx }).unwrap();
-        let snap = rrx.recv().unwrap();
+        assert!(e.explain(99).is_err());
+        let snap = e.snapshot();
         assert!(snap.stats.sched_passes > 0);
         assert!(!snap.wait_hist.is_empty(), "completed jobs feed the wait histogram");
-        shutdown(&tx);
-        h.join().unwrap();
     }
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -1251,75 +1143,97 @@ mod tests {
     }
 
     /// Durable engine over `dir` with a deliberately small checkpoint cadence
-    /// so tests exercise both periodic checkpoints and log replay.
+    /// (every 3 records) so tests exercise both periodic checkpoints and log
+    /// replay.
     fn recover_engine(dir: &std::path::Path) -> (Engine, WalStatus) {
-        let mut spec = ClusterSpec::ricc();
-        spec.nodes = 8;
-        Engine::recover(
-            dir,
-            FsyncPolicy::Never,
-            3,
-            spec,
-            SlurmConfig::default(),
-            Box::new(IdealModel),
-            SharingFactor::HALF,
-            Box::new(SdPolicy::default()),
-        )
-        .unwrap()
+        recover_engine_every(dir, 3)
     }
 
-    fn advance(tx: &Sender<Command>, to: u64) -> u64 {
-        let (rtx, rrx) = mpsc::channel();
-        tx.send(Command::Advance { to, reply: rtx }).unwrap();
-        rrx.recv().unwrap().unwrap()
+    fn recover_engine_every(dir: &std::path::Path, records: u64) -> (Engine, WalStatus) {
+        let (model, sharing) = (Box::new(IdealModel), SharingFactor::HALF);
+        let scheduler = Box::new(SdPolicy::default());
+        Engine::recover(dir, FsyncPolicy::Never, records, spec(), SlurmConfig::default(), model, sharing, scheduler)
+            .unwrap()
     }
 
     #[test]
     fn crash_recovery_resumes_bit_identically() {
         let dir = tmp_dir("crash");
-        // Session 1: accepted traffic hits the WAL, then the process
-        // "crashes" — the engine is dropped without Shutdown, so no final
-        // checkpoint is written.
-        {
-            let (engine, status) = recover_engine(&dir);
-            assert!(status.recovered.is_none(), "fresh directory");
-            let (tx, rx) = mpsc::channel();
-            let h = std::thread::spawn(move || engine.run(rx));
+        let traffic = |e: &mut Engine| {
             for i in 0..4u64 {
-                submit(&tx, 16, 200, i * 10).unwrap();
+                e.submit(request(16, 200, i * 10)).unwrap();
             }
-            advance(&tx, 120);
-            drop(tx);
-            h.join().unwrap();
-        }
+            e.advance(120).unwrap();
+        };
+        let finish = |e: &mut Engine| {
+            e.submit(request(16, 200, 500)).unwrap();
+            e.drain().unwrap();
+            e.shutdown()
+        };
+        // Session 1: accepted traffic hits the WAL, then the process
+        // "crashes" — the engine is dropped without a shutdown, so no final
+        // checkpoint is written.
+        let (mut e, status) = recover_engine(&dir);
+        assert!(status.recovered.is_none(), "fresh directory");
+        traffic(&mut e);
+        drop(e);
         // Session 2: recover and finish the run.
-        let (engine, status) = recover_engine(&dir);
+        let (mut e, status) = recover_engine(&dir);
         assert_eq!(status.recovered, Some("clean"));
         assert!(status.records_replayed > 0, "{status:?}");
-        let (tx, rx) = mpsc::channel();
-        let h = std::thread::spawn(move || engine.run(rx));
-        let (rtx, rrx) = mpsc::channel();
-        tx.send(Command::Stats { reply: rtx }).unwrap();
-        let snap = rrx.recv().unwrap();
-        let wal = snap.wal.expect("durable engine exposes WAL status");
+        let wal = e.snapshot().wal.expect("durable engine exposes WAL status");
         assert_eq!(wal.records_replayed, status.records_replayed);
         assert!(wal.checkpoints_written >= 1, "recovery collapses the log");
-        submit(&tx, 16, 200, 500).unwrap();
-        drain(&tx);
-        let recovered_result = shutdown(&tx);
-        h.join().unwrap();
-
+        let recovered = finish(&mut e);
         // Reference: identical traffic against an engine that never crashed.
-        let (tx, h) = spawn_engine(ClockMode::Virtual);
-        for i in 0..4u64 {
-            submit(&tx, 16, 200, i * 10).unwrap();
-        }
-        advance(&tx, 120);
-        submit(&tx, 16, 200, 500).unwrap();
-        drain(&tx);
-        let reference = shutdown(&tx);
-        h.join().unwrap();
-        assert_eq!(recovered_result, reference, "recovery ≡ never crashed");
+        let mut reference = engine(ClockMode::Virtual);
+        traffic(&mut reference);
+        assert_eq!(recovered, finish(&mut reference), "recovery ≡ never crashed");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn logged_refusals_replay_to_the_same_refusals() {
+        let as_tenant = |tenant, at| SubmitRequest { tenant: Some(tenant), ..request(8, 50, at) };
+        let session = |e: &mut Engine| {
+            vec![
+                e.submit(as_tenant(2, 0)).map(drop),
+                e.submit(as_tenant(2, 1)).map(drop), // 429: refused before the log
+                e.submit(as_tenant(1, 2)).map(drop),
+                e.submit(as_tenant(1, 3)).map(drop),
+                e.advance(100).map(drop),
+                // The periodic checkpoint falls here, after the fourth record:
+                // it holds the 429's count, and the refusals below are replayed.
+                e.submit(request(8, 50, 40)).map(drop), // 409: an already-simulated instant
+                e.cancel(99),                           // unknown id
+                e.cancel(1),                            // finished job
+            ]
+        };
+        let dir = tmp_dir("refusals");
+        let (e, _) = recover_engine_every(&dir, 4);
+        let mut e = e.with_tenant_rates(&[(2, 1e-6)]);
+        let replies = session(&mut e);
+        let refusals: Vec<_> = replies.iter().filter_map(|r| r.clone().err()).collect();
+        assert!(
+            matches!(
+                refusals[..],
+                [
+                    EngineError::RateLimited(2),
+                    EngineError::Clock(_),
+                    EngineError::NoSuchJob(99),
+                    EngineError::NotPending(1)
+                ]
+            ),
+            "{refusals:?}"
+        );
+        assert_eq!(e.snapshot().wal.unwrap().records_written, 7, "every command but the 429 is logged");
+        drop(e); // crash: no shutdown checkpoint
+
+        let (recovered, status) = recover_engine_every(&dir, 4);
+        assert_eq!(status.records_replayed, 3, "the three logged refusals, not the 429");
+        let mut twin = engine(ClockMode::Virtual).with_tenant_rates(&[(2, 1e-6)]);
+        assert_eq!(session(&mut twin), replies);
+        assert!(recovered.checkpoint_payload() == twin.checkpoint_payload(), "recovery ≡ never crashed");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1353,31 +1267,22 @@ mod tests {
 
     #[test]
     fn snapshot_cursor_matches_from_scratch_recompute_across_recovery() {
-        /// One command through the engine's own dispatch (WAL append included).
-        fn step<T>(e: &mut Engine, build: impl FnOnce(Sender<Result<T, EngineError>>) -> Command) {
-            let (rtx, rrx) = mpsc::channel();
-            e.handle(build(rtx));
-            rrx.recv().unwrap().unwrap();
-        }
-        let submit_job = |e: &mut Engine, procs: u64, run: u64, at: u64| {
-            step(e, |reply| Command::Submit { req: request(procs, run, at), reply })
-        };
         let dir = tmp_dir("fold");
         let (mut e, _) = recover_engine(&dir);
         assert_snapshot_matches_recompute(&mut e, "empty");
         // Uneven widths and runtimes on 8 nodes: jobs queue, so waits and
         // slowdowns are not all trivial.
         for i in 0..12u64 {
-            submit_job(&mut e, 16 + 8 * (i % 4), 70 + 37 * i, i * 5);
+            e.submit(request(16 + 8 * (i % 4), 70 + 37 * i, i * 5)).unwrap();
             assert_snapshot_matches_recompute(&mut e, "after a submit");
         }
         for to in [60, 61, 200, 450] {
-            step(&mut e, |reply| Command::Advance { to, reply });
+            e.advance(to).unwrap();
             assert_snapshot_matches_recompute(&mut e, "after an advance");
             // A read between mutations must not disturb the next fold.
             assert_snapshot_matches_recompute(&mut e, "repeated read");
         }
-        step(&mut e, |reply| Command::Cancel { id: 12, reply });
+        e.cancel(12).unwrap();
         assert_snapshot_matches_recompute(&mut e, "after a cancel");
         let before_crash = e.fold.seen;
         assert!(before_crash > 0 && before_crash < 11, "mid-session: {before_crash}");
@@ -1388,9 +1293,9 @@ mod tests {
         assert_eq!(e.fold.seen, 0, "the cursor is derived state: it restarts at 0");
         assert_snapshot_matches_recompute(&mut e, "first read after recovery");
         assert_eq!(e.fold.seen, before_crash);
-        submit_job(&mut e, 24, 90, 500);
+        e.submit(request(24, 90, 500)).unwrap();
         assert_snapshot_matches_recompute(&mut e, "submit after recovery");
-        step(&mut e, |reply| Command::Drain { reply });
+        e.drain().unwrap();
         assert_snapshot_matches_recompute(&mut e, "drained");
         assert_eq!(e.fold.seen, 12, "11 original completions + 1 after recovery");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1398,11 +1303,11 @@ mod tests {
 
     #[test]
     fn job_view_reads_outcomes_only_for_finished_jobs() {
-        let mut e = Engine::new(small_state(), Box::new(SdPolicy::default()), ClockMode::Virtual);
+        let mut e = engine(ClockMode::Virtual);
         // Four machine-filling jobs: at t = 150 one is done, one running,
         // one pending; the fourth is cancelled while pending.
         for at in [0, 1, 2, 3] {
-            e.apply_submit(request(64, 100, at)).unwrap();
+            e.submit(request(64, 100, at)).unwrap();
         }
         e.advance(150).unwrap();
         e.cancel(4).unwrap();
@@ -1419,15 +1324,10 @@ mod tests {
     #[test]
     fn torn_wal_tail_is_discarded_without_panic() {
         let dir = tmp_dir("torn");
-        {
-            let (engine, _) = recover_engine(&dir);
-            let (tx, rx) = mpsc::channel();
-            let h = std::thread::spawn(move || engine.run(rx));
-            submit(&tx, 8, 100, 0).unwrap();
-            submit(&tx, 8, 100, 1).unwrap();
-            drop(tx);
-            h.join().unwrap();
-        }
+        let (mut e, _) = recover_engine(&dir);
+        e.submit(request(8, 100, 0)).unwrap();
+        e.submit(request(8, 100, 1)).unwrap();
+        drop(e);
         // A torn append: half a frame of garbage at the log tail.
         use std::io::Write as _;
         let mut f = std::fs::OpenOptions::new()
@@ -1436,76 +1336,74 @@ mod tests {
             .unwrap();
         f.write_all(&[0x13, 0x37, 0xFF]).unwrap();
         drop(f);
-        let (engine, status) = recover_engine(&dir);
+        let (mut e, status) = recover_engine(&dir);
         assert_eq!(status.recovered, Some("torn_tail"));
         assert_eq!(status.records_replayed, 2, "valid prefix fully replayed");
-        let (tx, rx) = mpsc::channel();
-        let h = std::thread::spawn(move || engine.run(rx));
-        drain(&tx);
-        let res = shutdown(&tx);
-        h.join().unwrap();
-        assert_eq!(res.outcomes.len(), 2);
+        e.drain().unwrap();
+        assert_eq!(e.shutdown().outcomes.len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn graceful_shutdown_checkpoint_collapses_log() {
         let dir = tmp_dir("grace");
-        {
-            let (engine, _) = recover_engine(&dir);
-            let (tx, rx) = mpsc::channel();
-            let h = std::thread::spawn(move || engine.run(rx));
-            submit(&tx, 8, 100, 0).unwrap();
-            drain(&tx);
-            shutdown(&tx);
-            h.join().unwrap();
-        }
-        let (engine, status) = recover_engine(&dir);
+        let (mut e, _) = recover_engine(&dir);
+        e.submit(request(8, 100, 0)).unwrap();
+        e.drain().unwrap();
+        e.shutdown();
+        drop(e);
+        let (mut e, status) = recover_engine(&dir);
         assert_eq!(status.recovered, Some("clean"));
         assert_eq!(status.records_replayed, 0, "shutdown checkpoint collapsed the log");
-        let (tx, rx) = mpsc::channel();
-        let h = std::thread::spawn(move || engine.run(rx));
-        let res = shutdown(&tx);
-        h.join().unwrap();
-        assert_eq!(res.outcomes.len(), 1, "completed work survives restarts");
+        assert_eq!(e.shutdown().outcomes.len(), 1, "completed work survives restarts");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn realtime_mode_processes_events_from_wall_clock() {
-        let (tx, h) = spawn_engine(ClockMode::Realtime {
-            compression: 10_000.0,
-        });
+        let (tx, h) = spawn(engine(ClockMode::Realtime { compression: 10_000.0 }));
         // Submit "now"; 100 sim-seconds pass in 10 ms of wall time.
-        let (rtx, rrx) = mpsc::channel();
-        tx.send(Command::Submit {
-            req: SubmitRequest {
-                procs: 8,
-                req_time: 200,
-                run_time: 100,
-                submit: None,
-                malleable: None,
-                trace_id: None,
-                tenant: None,
-                project: None,
-            },
-            reply: rtx,
-        })
-        .unwrap();
-        rrx.recv().unwrap().unwrap();
+        let req = SubmitRequest { submit: None, ..request(8, 100, 0) };
+        call(&tx, |reply| Command::Submit { req, reply }).unwrap();
+        let advance = call(&tx, |reply| Command::Advance { to: 5, reply });
+        assert!(matches!(advance, Err(EngineError::WrongMode(_))), "{advance:?}");
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             std::thread::sleep(Duration::from_millis(20));
-            let (rtx, rrx) = mpsc::channel();
-            tx.send(Command::Stats { reply: rtx }).unwrap();
-            let snap = rrx.recv().unwrap();
+            let snap = call(&tx, |reply| Command::Stats { reply });
             if snap.completed == 1 {
                 break;
             }
             assert!(Instant::now() < deadline, "job never completed: {snap:?}");
         }
-        let res = shutdown(&tx);
-        h.join().unwrap();
+        let res = call(&tx, |reply| Command::Shutdown { reply });
+        assert_eq!(h.join().unwrap(), res);
         assert_eq!(res.outcomes.len(), 1);
+    }
+
+    #[test]
+    fn every_command_answers_what_its_method_returns() {
+        // One thread drives all ten variants through `run`; a twin fed the
+        // same sequence by direct calls must return the same values.
+        let traced = || engine(ClockMode::Virtual).with_trace(Arc::new(TraceRing::new(1024)));
+        let mut twin = traced();
+        let (tx, h) = spawn(traced());
+        for at in [0, 1] {
+            let live = call(&tx, |reply| Command::Submit { req: request(64, 1000, at), reply });
+            assert_eq!(live, twin.submit(request(64, 1000, at)));
+        }
+        assert_eq!(call(&tx, |reply| Command::Advance { to: 10, reply }), twin.advance(10));
+        assert_eq!(call(&tx, |reply| Command::JobInfo { id: 2, reply }), twin.job_view(2));
+        assert_eq!(call(&tx, |reply| Command::Explain { id: 1, reply }), twin.explain(1));
+        assert_eq!(call(&tx, |reply| Command::Queue { limit: 10, reply }), twin.queue(10));
+        assert_eq!(call(&tx, |reply| Command::Cancel { id: 2, reply }), twin.cancel(2));
+        // Probe counters belong to the thread that ran the pass.
+        let untimed = |s: Snapshot| Snapshot { timing: Vec::new(), ..s };
+        assert_eq!(untimed(call(&tx, |reply| Command::Stats { reply })), untimed(twin.snapshot()));
+        assert_eq!(call(&tx, |reply| Command::Drain { reply }), twin.drain());
+        assert_eq!(call(&tx, |reply| Command::Result { reply }), twin.result());
+        let last = call(&tx, |reply| Command::Shutdown { reply });
+        assert_eq!(last, twin.shutdown());
+        assert_eq!(h.join().unwrap(), last, "the loop stops on shutdown and returns its result");
     }
 }
