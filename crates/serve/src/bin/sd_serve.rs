@@ -44,7 +44,6 @@ const USAGE: &str = "sd-serve — online scheduling service (HTTP/JSON)
   --wal <dir>            crash tolerance: write-ahead log + checkpoints in
                          <dir>; on restart the service recovers the exact
                          pre-crash state before accepting traffic
-                         (virtual clock only)
   --checkpoint-every <n> records between checkpoints (default 256)
   --wal-fsync <always|checkpoint|never>  fsync policy for WAL appends
                          (default checkpoint; checkpoints always fsync)
@@ -131,12 +130,10 @@ fn parse_cli() -> Cli {
                 v => fail(&format!("--mode must be virtual or realtime, got {v}")),
             },
             "--compression" => {
-                compression = value("--compression")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --compression"));
-                if compression <= 0.0 || compression.is_nan() {
-                    fail("--compression must be > 0");
-                }
+                let v = value("--compression").parse().ok();
+                compression = v
+                    .filter(|c: &f64| *c > 0.0 && c.is_finite())
+                    .unwrap_or_else(|| fail("--compression must be a finite number > 0"));
             }
             "--cluster" => {
                 let v = value("--cluster");
@@ -274,9 +271,6 @@ fn main() {
     // pre-crash state is fully rebuilt.
     let engine = match &cli.wal {
         Some(dir) => {
-            if cli.mode != ClockMode::Virtual {
-                fail("--wal requires the virtual clock (realtime replay is not deterministic)");
-            }
             let (engine, status) = Engine::recover(
                 dir,
                 cli.wal_fsync,
@@ -310,14 +304,14 @@ fn main() {
         }
         None => {
             let state = SimState::new_online(spec.clone(), cfg, model, sharing);
-            Engine::new(state, scheduler, cli.mode)
+            Engine::new(state, scheduler, ClockMode::Virtual)
         }
     };
     let hists = std::sync::Arc::new(sd_serve::metrics::ServeHistograms::default());
     let ring = cli
         .trace
         .then(|| std::sync::Arc::new(slurm_sim::TraceRing::new(cli.trace_capacity)));
-    let mut engine = engine.with_histograms(hists.clone());
+    let mut engine = engine.with_clock(cli.mode).with_histograms(hists.clone());
     if let Some(r) = &ring {
         engine = engine.with_trace(r.clone());
         sd_obs::log_event!(Info, "serve", "decision tracing on";

@@ -13,17 +13,20 @@
 //! single-writer by construction — no locks around the availability-profile
 //! cache, the queue index or the energy meter (DESIGN.md §10).
 //!
-//! Two clock modes share one code path ([`Controller::step_until`], the same
-//! loop `Controller::run` uses offline):
+//! The engine has one clock, virtual: it moves only on `advance` and
+//! `drain` ([`Controller::step_until`], the same loop `Controller::run`
+//! uses offline), so the methods are a pure function of their command
+//! sequence. [`ClockMode`] says who sends the advances:
 //!
-//! * **Virtual** (deterministic): the clock only advances when a client asks
-//!   (`/v1/clock/advance`, `/v1/drain`). Submissions carry explicit virtual
-//!   timestamps; a scripted session therefore feeds the simulator the exact
-//!   event sequence an offline replay would build up front, and produces a
+//! * **Virtual** (deterministic): a client (`/v1/clock/advance`,
+//!   `/v1/drain`). Submissions carry explicit virtual timestamps; a
+//!   scripted session therefore feeds the simulator the exact event
+//!   sequence an offline replay would build up front, and produces a
 //!   bit-identical [`SimResult`] (pinned by `tests/serve_equivalence.rs`).
-//! * **Realtime**: the clock tracks the wall clock scaled by a compression
-//!   factor (sim-seconds per wall-second); due events are processed as their
-//!   instants pass, and submissions default to "now".
+//! * **Realtime**: the server's ticker, to the wall clock scaled by a
+//!   compression factor (sim-seconds per wall-second); submissions default
+//!   to the last tick. Ticks are logged lazily, ahead of the next logged
+//!   mutation, so idle ticks cost no disk.
 
 use crate::durable::{EngineCheckpoint, WalCmd};
 use crate::metrics::ServeHistograms;
@@ -34,9 +37,9 @@ use slurm_sim::timing::{self, FnTiming};
 use slurm_sim::{
     Controller, DirtyFlags, JobState, Scheduler, SimResult, SimState, SubmitError, TraceRing,
 };
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How the service clock advances.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -162,8 +165,6 @@ pub enum EngineError {
     NotPending(u64),
     /// The tenant exceeded its configured submit rate (HTTP 429).
     RateLimited(u64),
-    /// Operation requires the other clock mode.
-    WrongMode(&'static str),
 }
 
 impl std::fmt::Display for EngineError {
@@ -175,7 +176,6 @@ impl std::fmt::Display for EngineError {
             EngineError::RateLimited(t) => {
                 write!(f, "tenant {t} exceeded its submit rate limit")
             }
-            EngineError::WrongMode(m) => write!(f, "{m}"),
         }
     }
 }
@@ -207,13 +207,13 @@ pub enum Command {
     Stats {
         reply: Sender<Snapshot>,
     },
-    /// Virtual mode: process every event batch with `time <= to`.
+    /// Process every event batch with `time <= to`.
     Advance {
         to: u64,
         reply: Sender<Result<u64, EngineError>>,
     },
-    /// Virtual mode: run the event loop until nothing remains; replies with
-    /// the final clock.
+    /// Run the event loop until nothing remains; replies with the final
+    /// clock.
     Drain {
         reply: Sender<Result<u64, EngineError>>,
     },
@@ -298,6 +298,10 @@ struct Durability {
     records_since_checkpoint: u64,
     /// Next WAL sequence number (global, resumes across restarts).
     next_seq: u64,
+    /// The floor of a realtime tick that changed the state since the last
+    /// record or checkpoint: [`Engine::log`] writes it as an `Advance`
+    /// ahead of the next logged mutation.
+    unlogged_floor: Option<u64>,
     replayed: u64,
     recovery_seconds: f64,
     recovered: Option<&'static str>,
@@ -319,8 +323,29 @@ impl Durability {
         }
     }
 
-    /// Installs `payload` as the checkpoint covering every logged record and
-    /// resets the record counter. A failure degrades durability loudly.
+    /// Appends one record. An append failure cannot be surfaced to the
+    /// already-running simulation, so it degrades durability loudly instead
+    /// of crashing.
+    fn append(&mut self, cmd: &WalCmd) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.records_since_checkpoint += 1;
+        if let Err(e) = self.store.append(seq, &cmd.encode()) {
+            if !self.degraded {
+                sd_obs::log_event!(
+                    Error,
+                    "wal",
+                    "append failed ({e}); crash recovery is no longer guaranteed";
+                    seq = seq
+                );
+            }
+            self.degraded = true;
+        }
+    }
+
+    /// Installs `payload` as the checkpoint covering every applied command,
+    /// unlogged ticks included, and resets the record counter. A failure
+    /// degrades durability loudly.
     fn install(&mut self, payload: &[u8]) {
         // Seqs start at 1, so `next_seq - 1` is the last logged (= applied)
         // record; 0 = "nothing beyond the checkpoint".
@@ -339,6 +364,7 @@ impl Durability {
             sd_obs::log_event!(Debug, "wal", "checkpoint installed"; applied = applied);
         }
         self.records_since_checkpoint = 0;
+        self.unlogged_floor = None;
     }
 }
 
@@ -384,11 +410,9 @@ impl OutcomeFold {
 pub struct Engine {
     ctl: Controller<TimedScheduler>,
     mode: ClockMode,
-    /// Virtual mode: highest instant the clock was advanced to. Submissions
-    /// must not land before it (they would rewrite already-simulated past).
+    /// Highest instant the clock was advanced to: where an unstamped
+    /// submission lands (at the earliest).
     floor: SimTime,
-    /// Realtime mode: wall anchor of sim t = 0.
-    epoch: Instant,
     submitted: u64,
     /// Per-tenant submit rate limits (wall clock), empty = unlimited.
     tenant_rates: std::collections::HashMap<u64, TokenBucket>,
@@ -432,7 +456,6 @@ impl Engine {
             ctl: Controller::new(state, TimedScheduler { inner: scheduler, hists: Arc::default() }),
             mode,
             floor: SimTime::ZERO,
-            epoch: Instant::now(),
             submitted: 0,
             tenant_rates: Default::default(),
             tenant_wire: Default::default(),
@@ -442,11 +465,11 @@ impl Engine {
         }
     }
 
-    /// Builds a crash-tolerant virtual-clock engine: opens (or creates) the
-    /// durable store at `dir`, restores the checkpointed state, replays each
-    /// outstanding WAL record by calling the public method live traffic
-    /// called, and installs a fresh checkpoint so the next boot starts from a
-    /// collapsed log. Returns the engine plus a recovery summary.
+    /// Builds a crash-tolerant engine: opens (or creates) the durable store at
+    /// `dir`, restores the checkpointed state, replays each outstanding WAL
+    /// record by calling the public method live traffic called, and installs a
+    /// fresh checkpoint so the next boot starts from a collapsed log. Returns
+    /// the engine plus a recovery summary.
     ///
     /// During replay the WAL append and the rate gate are inert by
     /// construction: the store is attached only after the loop, and rate
@@ -457,8 +480,8 @@ impl Engine {
     /// methods' debug log events; their virtual time is the one published
     /// before recovery, not the record's.
     ///
-    /// The WAL requires the deterministic virtual clock: realtime replay
-    /// would re-time events against a different wall clock.
+    /// Replay runs on the virtual clock, since every instant is in the log;
+    /// [`Engine::with_clock`] sets the mode the session then serves in.
     #[allow(clippy::too_many_arguments)]
     pub fn recover(
         dir: &std::path::Path,
@@ -473,38 +496,21 @@ impl Engine {
         let t0 = Instant::now();
         let (store, rec) = DurableStore::open(dir, policy)
             .map_err(|e| format!("open WAL store at {}: {e}", dir.display()))?;
-        let recovered = if rec.is_fresh() {
-            None
-        } else if rec.torn_tail {
-            Some("torn_tail")
-        } else {
-            Some("clean")
+        let recovered = (!rec.is_fresh()).then_some(if rec.torn_tail { "torn_tail" } else { "clean" });
+        let cp = rec.checkpoint.as_deref().map(EngineCheckpoint::decode).transpose();
+        let cp = cp.map_err(|e| format!("corrupt engine checkpoint: {e}"))?;
+        let state = match &cp {
+            Some(cp) => SimState::restore(spec, cfg, rate_model, sharing, &cp.state)
+                .map_err(|e| format!("restore checkpointed state: {e}"))?,
+            None => SimState::new_online(spec, cfg, rate_model, sharing),
         };
-        let mut engine = match &rec.checkpoint {
-            Some(bytes) => {
-                let cp = EngineCheckpoint::decode(bytes)
-                    .map_err(|e| format!("corrupt engine checkpoint: {e}"))?;
-                let state = SimState::restore(spec, cfg, rate_model, sharing, &cp.state)
-                    .map_err(|e| format!("restore checkpointed state: {e}"))?;
-                let mut e = Engine::new(state, scheduler, ClockMode::Virtual);
-                e.floor = SimTime(cp.floor);
-                e.submitted = cp.submitted;
-                e.tenant_wire = cp
-                    .tenant_wire
-                    .into_iter()
-                    .map(|(t, s, r)| {
-                        (t, TenantWire { submitted: s, rate_limited: r })
-                    })
-                    .collect();
-                e
-            }
-            None => Engine::new(
-                SimState::new_online(spec, cfg, rate_model, sharing),
-                scheduler,
-                ClockMode::Virtual,
-            ),
-        };
-        let mut replayed = 0u64;
+        let mut engine = Engine::new(state, scheduler, ClockMode::Virtual);
+        if let Some(cp) = cp {
+            engine.floor = SimTime(cp.floor);
+            engine.submitted = cp.submitted;
+            let wire = |(t, submitted, rate_limited)| (t, TenantWire { submitted, rate_limited });
+            engine.tenant_wire = cp.tenant_wire.into_iter().map(wire).collect();
+        }
         for record in &rec.records {
             let cmd = WalCmd::decode(&record.payload)
                 .map_err(|e| format!("undecodable WAL record seq {}: {e}", record.seq))?;
@@ -514,14 +520,14 @@ impl Engine {
                 WalCmd::Advance(to) => engine.advance(to).map(drop),
                 WalCmd::Drain => engine.drain().map(drop),
             };
-            replayed += 1;
         }
         let mut d = Durability {
             store,
             checkpoint_every: checkpoint_every.max(1),
             records_since_checkpoint: 0,
             next_seq: rec.next_seq,
-            replayed,
+            unlogged_floor: None,
+            replayed: rec.records.len() as u64,
             recovery_seconds: 0.0,
             recovered,
             degraded: false,
@@ -554,6 +560,12 @@ impl Engine {
         self
     }
 
+    /// Sets the clock mode: who sends the advances, and how they are logged.
+    pub fn with_clock(mut self, mode: ClockMode) -> Engine {
+        self.mode = mode;
+        self
+    }
+
     /// Times every scheduler pass into `hists.pass_seconds`.
     pub fn with_histograms(mut self, hists: Arc<ServeHistograms>) -> Engine {
         self.ctl.scheduler.hists = hists;
@@ -565,43 +577,12 @@ impl Engine {
         self.ctl.state.now.max(self.floor)
     }
 
-    /// Realtime: the sim instant the wall clock has reached.
-    fn realtime_target(&self) -> SimTime {
-        let ClockMode::Realtime { compression } = self.mode else {
-            unreachable!("realtime_target in virtual mode");
-        };
-        let elapsed = self.epoch.elapsed().as_secs_f64();
-        SimTime((elapsed * compression) as u64)
-    }
-
     /// Runs the command loop to completion, answering each [`Command`] with
     /// the method of the same name. Returns the final result (also sent to
     /// the `Shutdown` requester, if that is how the loop ended).
     pub fn run(mut self, rx: Receiver<Command>) -> SimResult {
-        self.epoch = Instant::now();
-        loop {
-            let cmd = match self.mode {
-                ClockMode::Virtual => match rx.recv() {
-                    Ok(c) => c,
-                    Err(_) => break, // every client handle dropped
-                },
-                ClockMode::Realtime { compression } => {
-                    // Catch the clock up, then wait for either the next
-                    // command or the next due event.
-                    let target = self.realtime_target();
-                    self.ctl.step_until(Some(target));
-                    self.floor = self.floor.max(target);
-                    let timeout = self
-                        .next_event_wall_delay(compression)
-                        .unwrap_or(Duration::from_millis(200))
-                        .min(Duration::from_millis(200));
-                    match rx.recv_timeout(timeout) {
-                        Ok(c) => c,
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-            };
+        // `recv` fails once every client handle is dropped.
+        while let Ok(cmd) = rx.recv() {
             let stop = matches!(cmd, Command::Shutdown { .. });
             self.handle(cmd);
             // Log records carry the virtual instant; publish it after every
@@ -612,16 +593,6 @@ impl Engine {
             }
         }
         self.ctl.into_result()
-    }
-
-    fn next_event_wall_delay(&self, compression: f64) -> Option<Duration> {
-        // peek_time needs &mut (lazy cancellation); approximate with the
-        // queue emptiness check and a short poll otherwise.
-        if self.ctl.state.events.is_empty() {
-            None
-        } else {
-            Some(Duration::from_millis((50.0 / compression.max(1e-9)) as u64).max(Duration::from_millis(5)))
-        }
     }
 
     /// Answers one command with the method of the same name.
@@ -655,13 +626,7 @@ impl Engine {
             }
         }
         self.log(&WalCmd::Submit(req.clone()));
-        let (min, default) = match self.mode {
-            ClockMode::Virtual => {
-                let min = self.min_virtual_submit();
-                (min, min.max(self.floor))
-            }
-            ClockMode::Realtime { .. } => (self.ctl.state.now, self.realtime_target()),
-        };
+        let min = self.min_virtual_submit();
         let ack = match req.submit {
             Some(t) if SimTime(t) < min => Err(EngineError::Clock(format!(
                 "submit time {t} is at or before an already-simulated instant \
@@ -669,7 +634,7 @@ impl Engine {
                 min.secs()
             ))),
             at => {
-                let submit = at.unwrap_or(default.secs());
+                let submit = at.unwrap_or(min.max(self.floor).secs());
                 // Dense id = next job-table slot (SimState assigns the same);
                 // the malleability draw forks from the client's trace identity
                 // when given, matching the offline constructor on the same trace.
@@ -714,28 +679,31 @@ impl Engine {
         r
     }
 
-    /// Virtual mode: processes every event batch with `time <= to`; returns
-    /// the clock. Realtime mode is refused before the log.
+    /// Processes every event batch with `time <= to`; returns the clock. A
+    /// client's advance is logged before it is applied. A realtime tick that
+    /// changed the floor or the state is only noted; the WAL gets it ahead of
+    /// the next logged mutation, so idle ticks cost no disk. One
+    /// `Advance(t_k)` replays what ticks `t_1 … t_k` did: `step_until` composes.
     pub fn advance(&mut self, to: u64) -> Result<u64, EngineError> {
-        if self.mode != ClockMode::Virtual {
-            return Err(EngineError::WrongMode(
-                "advance requires the virtual clock (realtime advances itself)",
-            ));
+        let tick = self.mode != ClockMode::Virtual;
+        if !tick {
+            self.log(&WalCmd::Advance(to));
         }
-        self.log(&WalCmd::Advance(to));
+        let before = (self.floor, self.ctl.state.stats.events_dispatched);
         self.ctl.step_until(Some(SimTime(to)));
         self.floor = self.floor.max(SimTime(to));
-        sd_obs::log_event!(Debug, "engine", "clock advanced"; to = to);
+        let moved = before != (self.floor, self.ctl.state.stats.events_dispatched);
+        if !tick {
+            sd_obs::log_event!(Debug, "engine", "clock advanced"; to = to);
+        } else if let Some(d) = self.dur.as_mut().filter(|_| moved) {
+            d.unlogged_floor = Some(self.floor.secs());
+        }
         self.maybe_checkpoint();
         Ok(self.virtual_now().secs())
     }
 
-    /// Virtual mode: runs the event loop until nothing remains; returns the
-    /// final clock. Realtime mode is refused before the log.
+    /// Runs the event loop until nothing remains; returns the final clock.
     pub fn drain(&mut self) -> Result<u64, EngineError> {
-        if self.mode != ClockMode::Virtual {
-            return Err(EngineError::WrongMode("drain requires the virtual clock"));
-        }
         self.log(&WalCmd::Drain);
         self.ctl.step_until(None);
         self.maybe_checkpoint();
@@ -765,12 +733,11 @@ impl Engine {
         self.result()
     }
 
-    /// Earliest legal submit instant (virtual mode). Every batch at an
-    /// instant ≤ `state.now` has already run, so a new event there would
-    /// split what offline is one batch into two (diverging the pass
-    /// accounting): the bound is exclusive of `now` once anything has been
-    /// dispatched. Instants between `now` and the advance floor hold no
-    /// processed batches and stay legal.
+    /// Earliest legal submit instant. Every batch at an instant ≤ `state.now`
+    /// has already run, so a new event there would split what offline is one
+    /// batch into two (diverging the pass accounting): the bound is exclusive
+    /// of `now` once anything has been dispatched. Instants between `now` and
+    /// the advance floor hold no processed batches and stay legal.
     fn min_virtual_submit(&self) -> SimTime {
         let now = self.ctl.state.now;
         if self.ctl.state.stats.events_dispatched > 0 {
@@ -780,26 +747,15 @@ impl Engine {
         }
     }
 
-    /// Appends one command to the WAL (no-op without `--wal`). Called
-    /// *before* the command is applied — the log is a total order of
-    /// effects. An append failure cannot be surfaced to the already-running
-    /// simulation, so it degrades durability loudly instead of crashing.
+    /// Appends one command to the WAL (no-op without `--wal`), after the
+    /// noted tick if one is pending. Called *before* the command is applied
+    /// — the log is a total order of effects.
     fn log(&mut self, cmd: &WalCmd) {
         let Some(d) = self.dur.as_mut() else { return };
-        let seq = d.next_seq;
-        d.next_seq += 1;
-        d.records_since_checkpoint += 1;
-        if let Err(e) = d.store.append(seq, &cmd.encode()) {
-            if !d.degraded {
-                sd_obs::log_event!(
-                    Error,
-                    "wal",
-                    "append failed ({e}); crash recovery is no longer guaranteed";
-                    seq = seq
-                );
-            }
-            d.degraded = true;
+        if let Some(floor) = d.unlogged_floor.take() {
+            d.append(&WalCmd::Advance(floor));
         }
+        d.append(cmd);
     }
 
     /// Serialises the full durable image: engine counters + the canonical
@@ -1359,26 +1315,100 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    const REALTIME: ClockMode = ClockMode::Realtime { compression: 1.0 };
+
+    /// A submit without a time: it lands at the clock's current instant.
+    fn unstamped(procs: u64, run: u64) -> SubmitRequest {
+        SubmitRequest { submit: None, ..request(procs, run, 0) }
+    }
+
     #[test]
-    fn realtime_mode_processes_events_from_wall_clock() {
-        let (tx, h) = spawn(engine(ClockMode::Realtime { compression: 10_000.0 }));
-        // Submit "now"; 100 sim-seconds pass in 10 ms of wall time.
-        let req = SubmitRequest { submit: None, ..request(8, 100, 0) };
-        call(&tx, |reply| Command::Submit { req, reply }).unwrap();
-        let advance = call(&tx, |reply| Command::Advance { to: 5, reply });
-        assert!(matches!(advance, Err(EngineError::WrongMode(_))), "{advance:?}");
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            std::thread::sleep(Duration::from_millis(20));
-            let snap = call(&tx, |reply| Command::Stats { reply });
-            if snap.completed == 1 {
-                break;
+    fn realtime_admits_submits_by_the_virtual_rule() {
+        // Every batch at an instant ≤ `state.now` has already run, so a new
+        // event there would split that batch in two: once anything has been
+        // dispatched, `state.now` is closed in realtime as in virtual.
+        let mut e = engine(REALTIME);
+        assert_eq!(e.submit(request(8, 100, 0)).unwrap().submit, 0);
+        e.advance(50).unwrap(); // a tick: the job starts at 0
+        let err = e.submit(request(8, 100, 0)).unwrap_err();
+        assert!(matches!(err, EngineError::Clock(_)), "{err:?}");
+        // An unstamped submit lands at max(now + 1, floor): the last tick…
+        assert_eq!(e.submit(unstamped(8, 100)).unwrap().submit, 50);
+        // …or just past `now` when a tick stopped on a processed batch.
+        e.advance(100).unwrap(); // job 1 ends at 100
+        assert_eq!(e.ctl.state.now, SimTime(100));
+        assert_eq!(e.submit(unstamped(8, 100)).unwrap().submit, 101);
+    }
+
+    #[test]
+    fn one_advance_replays_the_ticks_before_it() {
+        // `step_until` composes: the reason a realtime WAL may keep only the
+        // last tick before each logged mutation.
+        let session = |ticks: &[u64]| {
+            let mut e = engine(REALTIME);
+            for i in 0..6u64 {
+                e.submit(request(16 + 8 * (i % 3), 40 + 30 * i, i * 7)).unwrap();
             }
-            assert!(Instant::now() < deadline, "job never completed: {snap:?}");
+            for &to in ticks {
+                e.advance(to).unwrap();
+            }
+            e.checkpoint_payload()
+        };
+        let every_3s: Vec<u64> = (0..=100).map(|k| 3 * k).collect();
+        assert!(session(&every_3s) == session(&[300]));
+    }
+
+    #[test]
+    fn a_durable_realtime_session_logs_ticks_lazily_and_recovers() {
+        // Ticks are direct advances. Returns the records written after each
+        // step (0 throughout without a WAL).
+        fn session(e: &mut Engine) -> Vec<u64> {
+            let written = |e: &mut Engine| e.snapshot().wal.map_or(0, |w| w.records_written);
+            let tick = |e: &mut Engine, to: u64| assert_eq!(e.advance(to), Ok(to));
+            let mut log = Vec::new();
+            [10, 20, 30].into_iter().for_each(|to| tick(e, to));
+            log.push(written(e));
+            e.submit(unstamped(16, 100)).unwrap();
+            log.push(written(e));
+            e.submit(unstamped(16, 100)).unwrap();
+            log.push(written(e));
+            (31..=40).for_each(|to| tick(e, to)); // jobs 1 and 2 start at 30
+            e.cancel(2).unwrap();
+            log.push(written(e));
+            (41..=191).step_by(10).for_each(|to| tick(e, to)); // job 1 ends at 130
+            assert_eq!(e.submit(unstamped(8, 100)).unwrap().submit, 191);
+            log.push(written(e));
+            // This tick leaves the floor where it was but starts job 3, so it
+            // is logged too: replay must find job 3 running when cancelled.
+            tick(e, 191);
+            assert_eq!(e.job_view(3).unwrap().state, "running");
+            e.cancel(3).unwrap();
+            log.push(written(e));
+            (0..5).for_each(|_| tick(e, 250));
+            log.push(written(e));
+            log
         }
-        let res = call(&tx, |reply| Command::Shutdown { reply });
-        assert_eq!(h.join().unwrap(), res);
-        assert_eq!(res.outcomes.len(), 1);
+        let dir = tmp_dir("ticks");
+        let mut e = recover_engine(&dir).0.with_clock(REALTIME);
+        // Idle ticks write nothing; a mutation after a moved floor writes the
+        // `Advance`, then itself; one with no tick since writes itself alone.
+        assert_eq!(session(&mut e), [0, 2, 3, 5, 7, 9, 9]);
+        drop(e); // crash: no shutdown checkpoint, the last ticks unlogged
+
+        let (recovered, status) = recover_engine(&dir);
+        let mut recovered = recovered.with_clock(REALTIME);
+        assert_eq!(status.records_replayed, 2, "Advance(191), Cancel(3)");
+        recovered.advance(250).unwrap();
+        let mut twin = engine(REALTIME);
+        session(&mut twin);
+        assert!(recovered.checkpoint_payload() == twin.checkpoint_payload(), "recovery ≡ never crashed");
+        // A checkpoint covers the tick to 250: the next mutation is alone.
+        recovered.shutdown();
+        let written = |e: &mut Engine| e.snapshot().wal.unwrap().records_written;
+        let before = written(&mut recovered);
+        assert_eq!(recovered.cancel(1), Err(EngineError::NotPending(1)));
+        assert_eq!(written(&mut recovered), before + 1);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

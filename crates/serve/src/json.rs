@@ -27,6 +27,10 @@ use std::fmt::Write as _;
 /// Maximum nesting depth accepted by [`Json::parse`].
 pub(crate) const MAX_DEPTH: usize = 64;
 
+/// The largest integer [`Json::as_u64`] accepts, 2⁵³: every integer up to
+/// it is exact in an `f64`.
+pub const MAX_U64: u64 = 1 << 53;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -83,10 +87,10 @@ impl Json {
         }
     }
 
-    /// Non-negative integer view (exact for values below 2⁵³).
+    /// Non-negative integer view, up to [`MAX_U64`].
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(v) if *v >= 0.0 && v.trunc() == *v && *v <= 9.007_199_254_740_992e15 => {
+            Json::Num(v) if *v >= 0.0 && v.trunc() == *v && *v <= MAX_U64 as f64 => {
                 Some(*v as u64)
             }
             _ => None,

@@ -12,9 +12,10 @@
 //! channel; the engine executes commands strictly sequentially, so the
 //! simulator state has exactly one writer and no locks. Back-pressure is
 //! structural: the connection channel is bounded, and each worker pipelines
-//! at most one in-flight command.
+//! at most one in-flight command. In a realtime session one more thread, the
+//! ticker, sends the engine its clock advances.
 
-use crate::engine::{Command, Engine, EngineError, JobView};
+use crate::engine::{ClockMode, Command, Engine, EngineError, JobView};
 use crate::http::{self, HttpError, Request, Response};
 use crate::json::{self, Json, JsonWriter};
 use crate::metrics::{self, HttpCounters, ServeHistograms, DURATION_BOUNDS_S};
@@ -65,6 +66,8 @@ impl Default for ServerConfig {
 
 struct Shared {
     cmd_tx: Sender<Command>,
+    /// The engine's clock mode at boot.
+    clock: ClockMode,
     counters: HttpCounters,
     stop: AtomicBool,
     final_result: Mutex<Option<SimResult>>,
@@ -193,6 +196,7 @@ pub(crate) const ADVANCE: Route = Route::new("POST", "/v1/clock/advance", |c| {
         .get("to")
         .and_then(Json::as_u64)
         .ok_or_else(|| Response::error(400, "`to` must be a non-negative integer"))?;
+    c.virtual_only("advance requires the virtual clock (realtime advances itself)")?;
     let now = call(c.shared, |reply| Command::Advance { to, reply })?.map_err(engine_error)?;
     Ok(reply(200, |w| {
         w.field("now", now);
@@ -200,6 +204,7 @@ pub(crate) const ADVANCE: Route = Route::new("POST", "/v1/clock/advance", |c| {
 });
 
 pub(crate) const DRAIN: Route = Route::new("POST", "/v1/drain", |c| {
+    c.virtual_only("drain requires the virtual clock")?;
     let now = call(c.shared, |reply| Command::Drain { reply })?.map_err(engine_error)?;
     Ok(reply(200, |w| {
         w.field("now", now).field("idle", true);
@@ -294,9 +299,11 @@ pub(crate) const PROFILE: Route = Route::new("GET", "/v1/profile", |c| {
 
 /// Runs the service until a client posts `/v1/shutdown` (or the listener
 /// dies). Blocks the calling thread; returns the final [`SimResult`] as the
-/// engine saw it at shutdown.
+/// engine saw it at shutdown. A realtime engine's clock is moved by a
+/// ticker thread from the instant the engine boots at, so a recovered
+/// session resumes its clock where it stopped.
 pub fn run(
-    engine: Engine,
+    mut engine: Engine,
     listener: TcpListener,
     cfg: ServerConfig,
 ) -> std::io::Result<SimResult> {
@@ -305,8 +312,10 @@ pub fn run(
     let workers = cfg.workers.max(1);
     let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(workers * 2);
     let conn_rx = Mutex::new(conn_rx);
+    let boot = engine.snapshot();
     let shared = Shared {
         cmd_tx,
+        clock: boot.clock,
         counters: HttpCounters::default(),
         stop: AtomicBool::new(false),
         final_result: Mutex::new(None),
@@ -327,6 +336,10 @@ pub fn run(
         if !cfg.slos.is_empty() {
             let slos = cfg.slos.clone();
             s.spawn(|| slo_sampler(slos, &shared));
+        }
+        if let ClockMode::Realtime { compression } = boot.clock {
+            let shared = &shared;
+            s.spawn(move || ticker(shared, boot.now, compression));
         }
         // Acceptor: this thread. Unblocked at shutdown by a self-connection.
         // Transient accept errors (ECONNABORTED from a reset handshake,
@@ -384,6 +397,30 @@ fn signal_watcher(shared: &Shared) {
     sd_obs::log_event!(Info, "serve", "termination signal received; draining and shutting down");
     // An `Err`: a client's shutdown reached the engine first and stops us.
     let _ = stop_engine(shared);
+}
+
+/// Moves a realtime session's clock: every 50 ms ÷ `compression` (within
+/// 5–200 ms) of wall time, advances the engine to [`tick_target`]. Exits
+/// when the server stops or the engine is gone.
+fn ticker(shared: &Shared, anchor: u64, compression: f64) {
+    let period = Duration::from_micros((50_000.0 / compression) as u64)
+        .clamp(Duration::from_millis(5), Duration::from_millis(200));
+    let boot = Instant::now();
+    while !shared.stop.load(Ordering::SeqCst) {
+        std::thread::sleep(period);
+        let to = tick_target(anchor, boot.elapsed(), compression);
+        if call(shared, |reply| Command::Advance { to, reply }).is_err() {
+            return; // engine gone
+        }
+    }
+}
+
+/// `anchor` plus `elapsed` × `compression`, saturating (`as` too) and
+/// capped at the largest instant the wire accepts, so no compression can
+/// push the clock past what a client can submit at.
+fn tick_target(anchor: u64, elapsed: Duration, compression: f64) -> u64 {
+    let advanced = (elapsed.as_secs_f64() * compression) as u64;
+    anchor.saturating_add(advanced).min(json::MAX_U64)
 }
 
 /// Burn-rate sampler: once per wall second, feeds each tracker the current
@@ -546,7 +583,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 fn engine_error(e: EngineError) -> Response {
     let status = match &e {
-        EngineError::Clock(_) | EngineError::WrongMode(_) | EngineError::NotPending(_) => 409,
+        EngineError::Clock(_) | EngineError::NotPending(_) => 409,
         EngineError::Rejected(_) => 400,
         EngineError::NoSuchJob(_) => 404,
         EngineError::RateLimited(_) => 429,
@@ -583,6 +620,12 @@ struct Call<'a> {
 }
 
 impl Call<'_> {
+    /// A 409 carrying `refusal` in a realtime session: its clock is the ticker's.
+    fn virtual_only(&self, refusal: &str) -> Result<(), Response> {
+        let virtual_clock = self.shared.clock == ClockMode::Virtual;
+        virtual_clock.then_some(()).ok_or_else(|| Response::error(409, refusal))
+    }
+
     /// The captured `{id}`; a 400 when it is not a `u64`.
     fn id(&self) -> Result<u64, Response> {
         self.capture.parse().map_err(|_| Response::error(400, "job id must be an integer"))
@@ -681,7 +724,6 @@ mod tests {
             EngineError::NoSuchJob(1),
             EngineError::NotPending(1),
             EngineError::RateLimited(1),
-            EngineError::WrongMode(""),
         ];
         for e in engine {
             let status = engine_error(e).status;
@@ -690,6 +732,18 @@ mod tests {
         for status in emitted {
             assert_ne!(Response::error(status, "").reason(), "Status", "{status}");
         }
+    }
+
+    /// The tick target saturates at the largest instant the wire accepts, so
+    /// even an absurd compression yields an instant a submit can carry.
+    #[test]
+    fn tick_target_saturates_at_the_wire_bound() {
+        let secs = Duration::from_secs;
+        assert_eq!(tick_target(100, secs(2), 2.5), 105);
+        assert_eq!(tick_target(100, Duration::ZERO, 1e300), 100);
+        assert_eq!(tick_target(0, secs(1), 1e300), json::MAX_U64);
+        assert_eq!(tick_target(json::MAX_U64 - 1, secs(1), 60.0), json::MAX_U64);
+        assert_eq!(tick_target(0, Duration::from_millis(1), f64::INFINITY), json::MAX_U64);
     }
 
     /// `/v1/logs` and `/v1/slo` carry wall-clock values no session can

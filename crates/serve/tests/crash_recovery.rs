@@ -120,6 +120,52 @@ fn sigterm_with_wal_lands_a_final_checkpoint() {
 }
 
 #[test]
+fn realtime_sigterm_with_wal_lands_a_final_checkpoint() {
+    let wal = tmp_dir("realtime-wal");
+    let wal_s = wal.display().to_string();
+    let args = ["--port", "0", "--nodes", "8", "--mode", "realtime", "--compression", "600", "--wal", &wal_s];
+    let (mut child, addr) = spawn_server(&args);
+    let mut client = Client::connect(addr).expect("connect");
+    for _ in 0..5 {
+        let req = SubmitRequest {
+            procs: 4,
+            req_time: 600,
+            run_time: 300,
+            submit: None,
+            malleable: None,
+            trace_id: None,
+            tenant: None,
+            project: None,
+        };
+        client.submit(&req).expect("submit");
+    }
+    let clock = |stats: &Json| stats.get("now").and_then(Json::as_u64).expect("now");
+    let before = clock(&client.stats().expect("stats"));
+    sigterm(&child);
+    let status = child.wait().expect("wait");
+    assert!(status.success(), "SIGTERM must exit 0, got {status:?}");
+
+    // The shutdown checkpoint covers the unlogged ticks: the restart resumes
+    // the clock where it stopped, in realtime, with every submission.
+    let (mut child2, addr2) = spawn_server(&args);
+    let mut client2 = Client::connect(addr2).expect("reconnect");
+    let stats = client2.stats().expect("stats");
+    assert_eq!(stats.get("jobs_total").and_then(Json::as_u64), Some(5));
+    let mode = stats.get("clock").and_then(|c| c.get("mode")).and_then(Json::as_str);
+    assert_eq!(mode, Some("realtime"));
+    assert!(clock(&stats) >= before, "the clock resumed at {} < {before}", clock(&stats));
+    let metrics = client2.metrics().expect("metrics");
+    assert!(metrics.contains("sd_serve_recovered{mode=\"clean\"} 1"), "{metrics}");
+    assert!(
+        metrics.contains("sd_serve_wal_records_replayed_total 0"),
+        "the final checkpoint left nothing to replay:\n{metrics}"
+    );
+    client2.shutdown().expect("shutdown");
+    let _ = child2.wait();
+    let _ = std::fs::remove_dir_all(&wal);
+}
+
+#[test]
 fn kill9_soak_recovers_bit_identically() {
     let jobs = workload::PaperWorkload::W3Ricc.generate(7, 0.02).jobs;
     assert!(jobs.len() > 50, "enough traffic to kill into");

@@ -11,6 +11,29 @@ fn sd_serve() -> Command {
     Command::new(env!("CARGO_BIN_EXE_sd_serve"))
 }
 
+/// Starts the server with `args`: its exit code and first stdout line. A
+/// refused value stops it before it binds; one that binds anyway is shut
+/// down, and its listen line reported.
+fn start(args: &[&str]) -> (Option<i32>, String) {
+    let mut child = sd_serve()
+        .args(["--port", "0"])
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn sd_serve");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("read stdout");
+    if let Some(addr) = first.trim().strip_prefix("sd-serve listening on ") {
+        let mut client = Client::connect(addr.parse().expect("address")).expect("connect");
+        client.shutdown().expect("shutdown");
+    }
+    std::io::copy(&mut stdout, &mut std::io::sink()).expect("drain stdout");
+    let status = child.wait().expect("wait");
+    (status.code(), first.trim_end().to_string())
+}
+
 #[test]
 fn values_the_scn_parser_refuses_exit_2_with_the_rows_message() {
     let cases: [(&[&str], &str); 6] = [
@@ -23,29 +46,21 @@ fn values_the_scn_parser_refuses_exit_2_with_the_rows_message() {
     ];
     let mut wrong = Vec::new();
     for (args, msg) in cases {
-        // A refused value stops the server before it binds; one that binds
-        // anyway is shut down and reported.
-        let mut child = sd_serve()
-            .args(["--port", "0"])
-            .args(args)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn sd_serve");
-        let mut stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
-        let mut first = String::new();
-        stdout.read_line(&mut first).expect("read stdout");
-        if let Some(addr) = first.trim().strip_prefix("sd-serve listening on ") {
-            let mut client = Client::connect(addr.parse().expect("address")).expect("connect");
-            client.shutdown().expect("shutdown");
-        }
-        std::io::copy(&mut stdout, &mut std::io::sink()).expect("drain stdout");
-        let status = child.wait().expect("wait");
-        if (status.code(), first.trim_end()) != (Some(2), msg) {
-            wrong.push(format!("{args:?}: exit {:?}, {first:?}", status.code()));
+        let got = start(args);
+        if got != (Some(2), msg.to_string()) {
+            wrong.push(format!("{args:?}: exit {:?}, {:?}", got.0, got.1));
         }
     }
     assert!(wrong.is_empty(), "{wrong:#?}");
+}
+
+#[test]
+fn a_compression_the_clock_cannot_follow_exits_2() {
+    // An infinite compression would pin the realtime clock at its cap.
+    for v in ["inf", "-inf", "nan", "0", "-1"] {
+        let want = (Some(2), "--compression must be a finite number > 0".to_string());
+        assert_eq!(start(&["--mode", "realtime", "--compression", v]), want, "{v}");
+    }
 }
 
 /// Runs `bin` with `args` to completion: exit code and first stdout line.

@@ -430,3 +430,51 @@ fn loadgen_reports_throughput_and_deltas() {
     assert!(rendered.contains("achieved rate"), "{rendered}");
     h.join().unwrap();
 }
+
+#[test]
+fn realtime_sessions_are_moved_by_the_servers_ticker() {
+    // 10 000 sim-seconds per wall second: a 100 s job completes in ~10 ms.
+    let mut spec = cluster::ClusterSpec::ricc();
+    spec.nodes = 8;
+    let state =
+        SimState::new_online(spec, SlurmConfig::default(), Box::new(IdealModel), SharingFactor::HALF);
+    let realtime = ClockMode::Realtime { compression: 10_000.0 };
+    let engine = Engine::new(state, Box::new(SdPolicy::default()), realtime);
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let h = std::thread::spawn(move || server::run(engine, listener, ServerConfig::default()));
+    let mut client = Client::connect(addr).unwrap();
+    let req = SubmitRequest {
+        procs: 8,
+        req_time: 200,
+        run_time: 100,
+        submit: None,
+        malleable: None,
+        trace_id: None,
+        tenant: None,
+        project: None,
+    };
+    client.submit(&req).expect("an unstamped submit lands at the last tick");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    loop {
+        let stats = client.stats().unwrap();
+        if stats.get("completed").and_then(Json::as_u64) == Some(1) {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "the job never completed: {stats:?}");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    // The clock routes belong to the ticker.
+    let to = Json::obj().set("to", 10u64);
+    let refusals = [
+        ("/v1/clock/advance", Some(&to), "advance requires the virtual clock (realtime advances itself)"),
+        ("/v1/drain", None, "drain requires the virtual clock"),
+    ];
+    for (path, body, msg) in refusals {
+        let (status, bytes) = client.request("POST", path, body).unwrap();
+        let want = format!(r#"{{"error":"{msg}"}}"#);
+        assert_eq!((status, String::from_utf8(bytes).unwrap()), (409, want), "{path}");
+    }
+    assert_eq!(client.shutdown().unwrap().outcomes.len(), 1);
+    h.join().unwrap().expect("clean shutdown");
+}
