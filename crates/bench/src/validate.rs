@@ -23,6 +23,7 @@
 //! their expected outcomes.
 
 use crate::runner::sweep_with;
+use sched_metrics::tenant_summaries;
 use sd_scenario::format::{
     parse_f64, parse_list, parse_raw_with, unknown_key, RawEntry, RawSection,
 };
@@ -70,20 +71,16 @@ impl Metric {
     }
 }
 
-/// Largest per-tenant share of the run's consumed node-seconds; 1.0 when
-/// every outcome is on the anonymous tenant 0 (or the run is empty).
+/// Largest per-tenant share of the run's consumed node-seconds, read off
+/// [`tenant_summaries`]; 1.0 when every outcome is on the anonymous tenant 0
+/// (or the run consumed nothing).
 fn dominant_tenant_share(res: &SimResult) -> f64 {
-    let mut by_tenant: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut total: u64 = 0;
-    for o in &res.outcomes {
-        let ns = o.nodes as u64 * o.runtime();
-        *by_tenant.entry(o.tenant).or_default() += ns;
-        total += ns;
+    let tenants = tenant_summaries(res);
+    let total: u64 = tenants.iter().map(|t| t.node_seconds).sum();
+    match tenants.iter().map(|t| t.node_seconds).max() {
+        Some(max) if total > 0 => max as f64 / total as f64,
+        _ => 1.0,
     }
-    if total == 0 {
-        return 1.0;
-    }
-    by_tenant.values().max().copied().unwrap_or(0) as f64 / total as f64
 }
 
 /// One paper claim: a workload/policy configuration, a metric, and the

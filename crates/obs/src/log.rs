@@ -83,8 +83,9 @@ pub struct LogRecord {
 }
 
 impl LogRecord {
-    /// One JSON object (no trailing newline) — the `/v1/logs` element and
-    /// the JSON-lines sink format.
+    /// One JSON object (no trailing newline) — the JSON-lines sink format.
+    /// `fields` and `truncated` appear only when non-empty / true; the
+    /// server's `/v1/logs` elements use the same keys but always carry both.
     pub fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"seq\":{},\"wall_us\":{},\"virt_s\":{},\"level\":\"{}\",\"target\":",

@@ -7,7 +7,7 @@
 //! category.
 
 use crate::histogram::le_bucket;
-use simkit::Welford;
+use simkit::Mean;
 use slurm_sim::JobOutcome;
 
 /// Bucketing specification: node-count and runtime class edges.
@@ -121,12 +121,12 @@ impl HeatMetric {
 pub struct Heatmap {
     pub spec: HeatmapSpec,
     pub metric: HeatMetric,
-    cells: Vec<Welford>, // row-major: runtime bucket × node bucket
+    cells: Vec<Mean>, // row-major: runtime bucket × node bucket
 }
 
 impl Heatmap {
     pub fn new(spec: HeatmapSpec, metric: HeatMetric) -> Heatmap {
-        let cells = vec![Welford::new(); spec.node_buckets() * spec.runtime_buckets()];
+        let cells = vec![Mean::default(); spec.node_buckets() * spec.runtime_buckets()];
         Heatmap {
             spec,
             metric,
@@ -151,7 +151,7 @@ impl Heatmap {
         self.cells[idx].add(self.metric.of(o));
     }
 
-    pub fn cell(&self, runtime_bucket: usize, node_bucket: usize) -> &Welford {
+    pub fn cell(&self, runtime_bucket: usize, node_bucket: usize) -> &Mean {
         &self.cells[runtime_bucket * self.spec.node_buckets() + node_bucket]
     }
 

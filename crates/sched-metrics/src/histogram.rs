@@ -9,14 +9,21 @@
 //! error is bounded by the bucket width instead of depending on sample
 //! count like sorted-vector percentiles do.
 
-use crate::percentiles::Percentiles;
-
 /// The one bucket rule (Prometheus `le`): the index of the first of the
 /// ascending upper `bounds` that is `>= v`, or `bounds.len()` — the
 /// overflow bucket — when `v` is above them all. A value equal to a bound
 /// counts into that bound's bucket.
 pub fn le_bucket<T: PartialOrd + Copy>(bounds: &[T], v: T) -> usize {
     bounds.partition_point(|&b| b < v)
+}
+
+/// p50/p90/p99/max of one per-job metric, read off a [`Histogram`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Percentiles {
+    pub p50: f64,
+    pub p90: f64,
+    pub p99: f64,
+    pub max: f64,
 }
 
 /// Plain counters behind `&mut self`. `sd_serve::metrics::AtomicHistogram`
@@ -144,8 +151,7 @@ impl Histogram {
         self.max
     }
 
-    /// p50/p90/p99/max from the buckets (`None` when empty) — drop-in for
-    /// the sorted-vector [`Percentiles::compute`].
+    /// p50/p90/p99/max from the buckets; `None` when empty.
     pub fn percentiles(&self) -> Option<Percentiles> {
         if self.count == 0 {
             return None;

@@ -3,7 +3,9 @@
 //! Turns `slurm_sim::SimResult` values into the paper's figures and tables:
 //!
 //! * `summary` — the headline aggregates (§4's metric definitions:
-//!   makespan, average response time, average slowdown, energy),
+//!   makespan, average response time, average slowdown, energy); every
+//!   average here, per tenant, per heatmap cell and per day folds through
+//!   [`simkit::Mean`], the sum `SimResult` and `/v1/stats` use,
 //! * [`heatmap`] — job-category bucketing by requested nodes × runtime class
 //!   and the static/SD ratio heatmaps of Figs. 4–6,
 //! * `timeseries` — per-day slowdown and malleable-start series (Fig. 7),
@@ -14,7 +16,6 @@
 mod export;
 pub mod heatmap;
 pub mod histogram;
-mod percentiles;
 mod summary;
 mod table;
 pub(crate) mod timeseries;
@@ -25,8 +26,7 @@ pub use export::{
     CampaignRow,
 };
 pub use heatmap::{Heatmap, HeatmapSpec, RatioHeatmap};
-pub use histogram::Histogram;
-pub use percentiles::Percentiles;
+pub use histogram::{Histogram, Percentiles};
 pub use summary::{tenant_summaries, Summary, TenantSummary};
 pub use table::Table;
 pub use timeseries::DailySeries;

@@ -6,7 +6,7 @@
 //! * **Average slowdown**: mean of `response / static execution time`.
 //! * **Energy**: integral of the power model over the makespan.
 
-use simkit::Welford;
+use simkit::Mean;
 use slurm_sim::SimResult;
 
 /// Aggregate view of one run.
@@ -33,10 +33,10 @@ impl Summary {
     /// Computes the summary; `total_cores` is the machine size for the
     /// utilisation figure.
     pub fn from_result(label: &str, res: &SimResult, total_cores: u64) -> Summary {
-        let mut resp = Welford::new();
-        let mut sd = Welford::new();
-        let mut bsd = Welford::new();
-        let mut wait = Welford::new();
+        let mut resp = Mean::default();
+        let mut sd = Mean::default();
+        let mut bsd = Mean::default();
+        let mut wait = Mean::default();
         let mut core_seconds = 0.0;
         for o in &res.outcomes {
             resp.add(o.response() as f64);
@@ -46,6 +46,10 @@ impl Summary {
             wait.add(o.wait() as f64);
             core_seconds += o.runtime() as f64 * o.procs.min(o.nodes as u64 * 10_000) as f64;
         }
+        // Population variance: a second pass around the mean, 0 below two jobs.
+        let mean_slowdown = sd.mean();
+        let sd_var: Mean =
+            res.outcomes.iter().map(|o| (o.slowdown() - mean_slowdown).powi(2)).collect();
         let util = if res.makespan == 0 || total_cores == 0 {
             0.0
         } else {
@@ -56,14 +60,14 @@ impl Summary {
             jobs: res.outcomes.len(),
             makespan: res.makespan,
             mean_response: resp.mean(),
-            mean_slowdown: sd.mean(),
+            mean_slowdown,
             mean_wait: wait.mean(),
             mean_bounded_slowdown: bsd.mean(),
             energy_kwh: res.energy_kwh(),
             utilization: util,
             malleable_started: res.stats.started_malleable,
             unique_mates: res.stats.unique_mates,
-            slowdown_stddev: sd.stddev(),
+            slowdown_stddev: sd_var.mean().sqrt(),
         }
     }
 }
@@ -86,25 +90,22 @@ pub struct TenantSummary {
 /// omit the section without a separate flag.
 pub fn tenant_summaries(res: &SimResult) -> Vec<TenantSummary> {
     use std::collections::BTreeMap;
-    let mut acc: BTreeMap<u32, (usize, Welford, Welford, u64)> = BTreeMap::new();
+    let mut acc: BTreeMap<u32, (Mean, Mean, u64)> = BTreeMap::new();
     for o in &res.outcomes {
-        let e = acc
-            .entry(o.tenant)
-            .or_insert_with(|| (0, Welford::new(), Welford::new(), 0));
-        e.0 += 1;
-        e.1.add(o.wait() as f64);
-        e.2.add(o.slowdown());
-        e.3 += o.nodes as u64 * o.runtime();
+        let e = acc.entry(o.tenant).or_default();
+        e.0.add(o.wait() as f64);
+        e.1.add(o.slowdown());
+        e.2 += o.nodes as u64 * o.runtime();
     }
     if acc.keys().all(|&t| t == 0) {
         return Vec::new();
     }
     let total = res.outcomes.len().max(1) as f64;
     acc.into_iter()
-        .map(|(tenant, (jobs, wait, sd, node_seconds))| TenantSummary {
+        .map(|(tenant, (wait, sd, node_seconds))| TenantSummary {
             tenant,
-            jobs,
-            job_share: jobs as f64 / total,
+            jobs: wait.count() as usize,
+            job_share: wait.count() as f64 / total,
             mean_wait: wait.mean(),
             mean_slowdown: sd.mean(),
             node_seconds,
@@ -167,6 +168,25 @@ mod tests {
         assert!((s.energy_kwh - 2.0).abs() < 1e-9);
         // core-seconds: 100·8 + 200·8 = 2400; capacity 400·8 = 3200.
         assert!((s.utilization - 0.75).abs() < 1e-9);
+    }
+
+    #[test]
+    fn slowdown_stddev_is_the_population_spread_around_the_mean() {
+        // static runtime 1, so each job's slowdown is its response time.
+        let res = result(
+            [2, 4, 4, 4, 5, 5, 7, 9]
+                .iter()
+                .enumerate()
+                .map(|(i, &r)| outcome(i as u64, 0, 0, r, 1, 1))
+                .collect(),
+            9,
+        );
+        let s = Summary::from_result("t", &res, 1);
+        assert_eq!(s.mean_slowdown, 5.0);
+        assert_eq!(s.slowdown_stddev, 2.0);
+        assert_eq!(s.mean_slowdown.to_bits(), res.mean_slowdown().to_bits());
+        let one = Summary::from_result("t", &result(vec![outcome(1, 0, 0, 7, 1, 1)], 7), 1);
+        assert_eq!(one.slowdown_stddev, 0.0);
     }
 
     #[test]

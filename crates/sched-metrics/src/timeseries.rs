@@ -5,7 +5,7 @@
 //! (columns). Jobs are attributed to the day they **complete** (slowdown is
 //! only known then); malleable starts to the day they **start**.
 
-use simkit::Welford;
+use simkit::Mean;
 use slurm_sim::JobOutcome;
 
 /// Daily aggregates over one run.
@@ -27,7 +27,7 @@ impl DailySeries {
             .max()
             .map(|d| d as usize + 1)
             .unwrap_or(0);
-        let mut acc = vec![Welford::new(); last_day];
+        let mut acc = vec![Mean::default(); last_day];
         let mut malleable = vec![0u64; last_day];
         for o in outcomes {
             let d = o.end.day() as usize;

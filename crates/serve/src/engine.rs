@@ -32,7 +32,7 @@ use crate::durable::{EngineCheckpoint, WalCmd};
 use crate::metrics::ServeHistograms;
 use crate::proto::SubmitRequest;
 use sd_durable::{DurableStore, FsyncPolicy};
-use simkit::SimTime;
+use simkit::{Mean, SimTime};
 use slurm_sim::timing::{self, FnTiming};
 use slurm_sim::{
     Controller, DirtyFlags, JobState, Scheduler, SimResult, SimState, SubmitError, TraceRing,
@@ -378,9 +378,9 @@ impl Durability {
 struct OutcomeFold {
     /// Outcomes already folded: `outcomes()[..seen]`.
     seen: usize,
-    slowdown: f64,
-    response: f64,
-    wait: f64,
+    slowdown: Mean,
+    response: Mean,
+    wait: Mean,
     wait_hist: sched_metrics::Histogram,
 }
 
@@ -388,18 +388,18 @@ impl OutcomeFold {
     fn new() -> OutcomeFold {
         OutcomeFold {
             seen: 0,
-            slowdown: 0.0,
-            response: 0.0,
-            wait: 0.0,
+            slowdown: Mean::default(),
+            response: Mean::default(),
+            wait: Mean::default(),
             wait_hist: sched_metrics::Histogram::wait_seconds(),
         }
     }
 
     fn catch_up(&mut self, outcomes: &[slurm_sim::JobOutcome]) {
         for o in &outcomes[self.seen..] {
-            self.slowdown += o.slowdown();
-            self.response += o.response() as f64;
-            self.wait += o.wait() as f64;
+            self.slowdown.add(o.slowdown());
+            self.response.add(o.response() as f64);
+            self.wait.add(o.wait() as f64);
             self.wait_hist.observe(o.wait() as f64);
         }
         self.seen = outcomes.len();
@@ -845,7 +845,6 @@ impl Engine {
         let st = &self.ctl.state;
         let outcomes = st.outcomes();
         self.fold.catch_up(outcomes);
-        let n = outcomes.len().max(1) as f64;
         Snapshot {
             scheduler: self.ctl.scheduler.name(),
             now: self.virtual_now().secs(),
@@ -861,9 +860,9 @@ impl Engine {
             events_outstanding: st.events.len(),
             stats: st.stats.clone(),
             energy_joules: st.snapshot_energy(),
-            mean_slowdown: self.fold.slowdown / n,
-            mean_response: self.fold.response / n,
-            mean_wait: self.fold.wait / n,
+            mean_slowdown: self.fold.slowdown.mean(),
+            mean_response: self.fold.response.mean(),
+            mean_wait: self.fold.wait.mean(),
             makespan: st.makespan(),
             submitted: self.submitted,
             tenants: self.tenant_snaps(),

@@ -9,8 +9,7 @@
 //!   simultaneous events, the property that makes whole-simulation runs
 //!   bit-reproducible,
 //! * [`DetRng`] — seedable, forkable deterministic random streams,
-//! * `stats` — streaming (Welford) accumulators used by the metric
-//!   collectors.
+//! * [`Mean`] — the running-sum mean every reported average folds through.
 //!
 //! There is no engine type: schedulers own their run loop and use the queue
 //! directly, which keeps borrow patterns simple and the hot loop free of
@@ -23,5 +22,5 @@ mod time;
 
 pub use event::{EventQueue, ScheduledEvent};
 pub use rng::DetRng;
-pub use stats::Welford;
+pub use stats::Mean;
 pub use time::{SimTime, DAY, HOUR};

@@ -2,7 +2,7 @@
 
 use crate::job::JobOutcome;
 use crate::state::{SimState, SimStats};
-use simkit::SimTime;
+use simkit::{Mean, SimTime};
 
 /// Everything a run produced. Rich analysis (heatmaps, daily series,
 /// normalisation against a baseline) lives in the `sched-metrics` crate;
@@ -71,36 +71,22 @@ impl SimResult {
 
     /// Average response time (s).
     pub fn mean_response(&self) -> f64 {
-        mean(self.outcomes.iter().map(|o| o.response() as f64))
+        self.outcomes.iter().map(|o| o.response() as f64).collect::<Mean>().mean()
     }
 
     /// Average slowdown (response / static runtime — the paper's metric).
     pub fn mean_slowdown(&self) -> f64 {
-        mean(self.outcomes.iter().map(|o| o.slowdown()))
+        self.outcomes.iter().map(|o| o.slowdown()).collect::<Mean>().mean()
     }
 
     /// Average wait time (s).
     pub fn mean_wait(&self) -> f64 {
-        mean(self.outcomes.iter().map(|o| o.wait() as f64))
+        self.outcomes.iter().map(|o| o.wait() as f64).collect::<Mean>().mean()
     }
 
     /// Energy in kWh.
     pub fn energy_kwh(&self) -> f64 {
         self.energy_joules / 3.6e6
-    }
-}
-
-fn mean(it: impl Iterator<Item = f64>) -> f64 {
-    let mut n = 0u64;
-    let mut sum = 0.0;
-    for x in it {
-        sum += x;
-        n += 1;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
     }
 }
 

@@ -110,24 +110,25 @@ mod tests {
         DetRng::new(0xC0FFEE)
     }
 
+    /// Mean and population variance, two passes.
+    fn moments(xs: &[f64]) -> (f64, f64) {
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        (mean, xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n)
+    }
+
     fn sample_stats<S: Sampler>(s: &S, n: usize) -> (f64, f64) {
         let mut r = rng();
-        let mut w = simkit::Welford::new();
-        for _ in 0..n {
-            w.add(s.sample(&mut r));
-        }
-        (w.mean(), w.variance())
+        moments(&(0..n).map(|_| s.sample(&mut r)).collect::<Vec<_>>())
     }
 
     #[test]
     fn normal_moments() {
         let mut r = rng();
-        let mut w = simkit::Welford::new();
-        for _ in 0..50_000 {
-            w.add(standard_normal(&mut r));
-        }
-        assert!(w.mean().abs() < 0.025, "mean {}", w.mean());
-        assert!((w.variance() - 1.0).abs() < 0.0375, "var {}", w.variance());
+        let xs: Vec<f64> = (0..50_000).map(|_| standard_normal(&mut r)).collect();
+        let (mean, var) = moments(&xs);
+        assert!(mean.abs() < 0.025, "mean {mean}");
+        assert!((var - 1.0).abs() < 0.0375, "var {var}");
     }
 
     #[test]

@@ -471,3 +471,49 @@ fn interleaved_advance_still_matches_offline_replay() {
 
     assert_eq!(online_res, offline_res, "interleaved session diverged");
 }
+
+#[test]
+fn served_stats_equal_the_offline_summary_bit_for_bit() {
+    // Every reported average folds through `simkit::Mean`, so `/v1/stats`,
+    // `SimResult::mean_*` and the campaign row's `Summary` agree to the bit
+    // for the same outcomes — not merely to a tolerance.
+    let w = PaperWorkload::W3Ricc;
+    let trace = w.generate(7, 0.03);
+    let cluster = w.cluster(0.03);
+    let cores = cluster.total_cores();
+    let off = offline(&trace, cluster.clone(), SlurmConfig::default(), true);
+    assert!(off.mean_wait() > 0.0, "the session queues: waits are non-trivial");
+    let summary = Summary::from_result("sd", &off, cores);
+
+    let state = SimState::new_online(
+        cluster,
+        SlurmConfig::default(),
+        Box::new(IdealModel),
+        SharingFactor::HALF,
+    );
+    let engine = Engine::new(
+        state,
+        Box::new(SdPolicy::default()) as Box<dyn Scheduler + Send>,
+        ClockMode::Virtual,
+    );
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server::run(engine, listener, ServerConfig::default()));
+    let mut client = Client::connect(addr).unwrap();
+    submit_in_bursts(&mut client, &trace.jobs);
+    client.drain().unwrap();
+    let stats = client.stats().unwrap();
+    let served = client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+    assert_eq!(served, off, "the session is the offline replay");
+
+    let stat = |key: &str| stats.get(key).and_then(Json::as_f64).expect(key).to_bits();
+    for (key, summary_mean, result_mean) in [
+        ("mean_slowdown", summary.mean_slowdown, off.mean_slowdown()),
+        ("mean_response", summary.mean_response, off.mean_response()),
+        ("mean_wait", summary.mean_wait, off.mean_wait()),
+    ] {
+        assert_eq!(stat(key), summary_mean.to_bits(), "{key}: /v1/stats vs Summary");
+        assert_eq!(stat(key), result_mean.to_bits(), "{key}: /v1/stats vs SimResult");
+    }
+}
