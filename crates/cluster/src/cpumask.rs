@@ -97,7 +97,7 @@ impl CpuMask {
 
     /// Number of cores set.
     pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     pub fn is_empty(&self) -> bool {

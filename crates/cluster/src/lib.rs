@@ -10,12 +10,12 @@
 //!   with presets for the machines in the paper (MareNostrum4, CEA Curie,
 //!   RICC, and the Cirne-model system),
 //! * [`cpumask`] — per-core bitmask used at node level by the DROM substrate,
-//! * [`state`] — dynamic occupancy: which job holds how many cores on which
-//!   node ([`ClusterState`]), the ground truth the scheduler works against,
+//! * [`state`] — whole-machine occupancy counters ([`ClusterState`]): the
+//!   idle-node index and the busy-core count the scheduler queries,
 //! * `power` — energy integration over occupancy changes ([`EnergyMeter`]).
 //!
-//! Core *counts* live here; core *identities* (which exact cores a task is
-//! pinned to) are the `drom` crate's business.
+//! Machine-wide *counts* live here; each node's residents and the exact
+//! cores they are pinned to are the `drom` crate's node table.
 
 pub mod cpumask;
 mod power;
@@ -25,4 +25,4 @@ pub mod state;
 pub use cpumask::CpuMask;
 pub use power::{EnergyMeter, PowerModel};
 pub use spec::{ClusterSpec, NodeSpec};
-pub use state::{AllocError, ClusterState, JobId, NodeId, NodeOccupancy};
+pub use state::{AllocError, ClusterState, JobId, NodeId};

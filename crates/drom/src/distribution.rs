@@ -1,26 +1,13 @@
-//! Core-distribution algorithms for the node manager (paper §3.3, Listing 3).
+//! Core-distribution algorithms for the node table (paper §3.3, Listing 3).
 //!
 //! "Cores distribution keeps jobs in separate sockets to improve data
-//! locality and reduce interference between jobs" and "maintains running and
-//! new processes balanced in the number of cores per task".
+//! locality and reduce interference between jobs".
 //!
-//! All functions are pure: they map a node spec plus core budgets and masks
+//! Both functions are pure: they map a node spec plus core budgets and masks
 //! to new [`CpuMask`]s, so they are easy to property-test.
 
 use cluster::cpumask::CpuMask;
 use cluster::spec::NodeSpec;
-
-/// Splits `total` cores into `parts` budgets differing by at most one
-/// (balanced distribution). The first `total % parts` budgets get the extra
-/// core — deterministic, so placement is reproducible.
-pub(crate) fn balanced_budgets(total: u32, parts: u32) -> Vec<u32> {
-    assert!(parts > 0, "cannot split across zero jobs");
-    let base = total / parts;
-    let extra = (total % parts) as usize;
-    (0..parts as usize)
-        .map(|i| base + u32::from(i < extra))
-        .collect()
-}
 
 /// Number of distinct sockets a mask touches: the tests' isolation check.
 #[cfg(test)]
@@ -119,13 +106,6 @@ mod tests {
 
     fn mn4() -> NodeSpec {
         ClusterSpec::marenostrum4(1).node // 2 × 24
-    }
-
-    #[test]
-    fn balanced_budgets_differ_by_at_most_one() {
-        assert_eq!(balanced_budgets(48, 2), vec![24, 24]);
-        assert_eq!(balanced_budgets(48, 5), vec![10, 10, 10, 9, 9]);
-        assert_eq!(balanced_budgets(3, 5), vec![1, 1, 1, 0, 0]);
     }
 
     #[test]

@@ -1,25 +1,36 @@
-//! Per-node resource manager (paper Listing 3, slurmd + task/affinity).
+//! The node table (paper Listing 3: slurmd + task/affinity + DROM).
 //!
-//! Tracks the jobs resident on one node, computes their task→core
-//! distribution through `crate::distribution`, and implements the paper's
-//! ownership rules:
+//! One record per node, indexed by node id, holds the node's residents
+//! inline: job, core mask, malleability, DROM handle and lender. It is the
+//! only per-node resident list: occupancy core counts are mask popcounts,
+//! and the DROM process entries are the residents that carry a handle
+//! (`crate::registry`). Every mutation keeps [`ClusterState`]'s idle index
+//! and busy-core count in step in the same pass over the nodes, and
+//! implements the paper's ownership rules:
 //!
 //! 1. at a malleable co-launch the shrunk resident becomes the **owner** of
 //!    the cores lent to the incoming job;
 //! 2. when the incoming job ends, its cores return to the owner (expand);
 //! 3. when the owner ends first, its remaining cores are distributed to the
 //!    still-running residents "to increase node utilization".
+//!
+//! A mask change is applied where it is made: DROM's malleability point is
+//! reached before the mutation returns (its overhead is negligible, paper
+//! §2.1), so nothing is ever staged.
+//!
+//! SD-Policy's eligibility rule allows at most two residents per node: a
+//! mate runs alone at full width, and it lends to one borrower at a time.
+//! A record therefore holds two slots, and a third resident is refused.
 
 use crate::distribution::{expand_into, shrink_socket_first};
-use crate::registry::{DromHandle, DromRegistry};
+use crate::registry::{DromHandle, ProcessEntry};
 use crate::sharing::SharingFactor;
 use cluster::cpumask::CpuMask;
 use cluster::spec::NodeSpec;
-use cluster::state::{JobId, NodeId};
-use std::cmp::Ordering;
+use cluster::state::{AllocError, ClusterState, JobId, NodeId};
 
 /// A mask change produced by a node-level event, to be propagated to the
-/// simulator (rate recomputation) and the DROM registry (affinity change).
+/// simulator (rate recomputation).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeUpdate {
     pub job: JobId,
@@ -44,242 +55,102 @@ pub struct Resident {
     pub lender: Option<JobId>,
 }
 
-/// Manager of one node's residents and their core masks.
-#[derive(Debug)]
-pub struct NodeManager {
-    node: NodeId,
-    spec: NodeSpec,
-    residents: Vec<Resident>,
+/// Most residents one node holds: a full-width mate and its borrower.
+const MAX_RESIDENTS: usize = 2;
+
+/// One node's residents, inline, in arrival order.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeRecord {
+    len: u8,
+    slots: [Resident; MAX_RESIDENTS],
 }
 
-impl NodeManager {
-    pub fn new(node: NodeId, spec: NodeSpec) -> Self {
-        NodeManager {
-            node,
-            spec,
-            residents: Vec::new(),
+impl NodeRecord {
+    fn new(width: usize) -> NodeRecord {
+        let vacant = Resident {
+            job: JobId(0),
+            mask: CpuMask::empty(width),
+            malleable: false,
+            handle: None,
+            lender: None,
+        };
+        NodeRecord {
+            len: 0,
+            slots: [vacant; MAX_RESIDENTS],
         }
     }
 
-    pub fn node(&self) -> NodeId {
-        self.node
+    /// The residents, in arrival order.
+    pub fn residents(&self) -> &[Resident] {
+        &self.slots[..self.len as usize]
     }
 
     pub fn is_empty(&self) -> bool {
-        self.residents.is_empty()
+        self.len == 0
+    }
+
+    /// Cores `job` holds here.
+    pub fn cores_of(&self, job: JobId) -> Option<u32> {
+        let r = self.residents().iter().find(|r| r.job == job)?;
+        Some(r.mask.count() as u32)
+    }
+
+    /// Cores held by all residents.
+    pub fn cores_used(&self) -> u32 {
+        self.residents().iter().map(|r| r.mask.count() as u32).sum()
     }
 
     /// Mask of cores not held by any resident.
-    pub fn free_mask(&self) -> CpuMask {
-        let mut free = CpuMask::full(self.spec.cores() as usize);
-        for r in &self.residents {
+    fn free_mask(&self, width: usize) -> CpuMask {
+        let mut free = CpuMask::full(width);
+        for r in self.residents() {
             free.subtract(&r.mask);
         }
         free
     }
 
-    /// Launches a job on `cores` free cores (static path). Registers it with
-    /// DROM when `malleable` so it can be reconfigured later.
-    ///
-    /// Returns the assigned mask, or `None` if the free cores don't suffice.
-    pub fn launch(
-        &mut self,
-        registry: &mut DromRegistry,
-        job: JobId,
-        cores: u32,
-        malleable: bool,
-    ) -> Option<CpuMask> {
-        let free = self.free_mask();
-        let mask = match (free.count() as u32).cmp(&cores) {
-            Ordering::Less => return None,
-            // Everything free is taken: a whole-node launch, usually.
-            Ordering::Equal => free,
-            // Prefer socket-contiguous placement in the free space.
-            Ordering::Greater => {
-                let none = CpuMask::empty(self.spec.cores() as usize);
-                expand_into(&self.spec, &none, &free, cores)
+    fn push(&mut self, r: Resident) {
+        self.slots[self.len as usize] = r;
+        self.len += 1;
+    }
+
+    /// Removes `job`, keeping the others in arrival order.
+    fn take(&mut self, job: JobId) -> Option<Resident> {
+        let i = self.residents().iter().position(|r| r.job == job)?;
+        let gone = self.slots[i];
+        self.slots.copy_within(i + 1..self.len as usize, i);
+        self.len -= 1;
+        Some(gone)
+    }
+
+    /// At most two residents, one job each, on disjoint non-empty masks of
+    /// the node's width.
+    fn check(residents: &[Resident], node: NodeId, width: usize) -> Result<(), String> {
+        if residents.len() > MAX_RESIDENTS {
+            return Err(format!(
+                "{node} has {} residents; at most {MAX_RESIDENTS} (a mate and its borrower)",
+                residents.len()
+            ));
+        }
+        for (i, a) in residents.iter().enumerate() {
+            if a.mask.width() != width {
+                return Err(format!(
+                    "{} on {node}: mask is {} cores wide",
+                    a.job,
+                    a.mask.width()
+                ));
             }
-        };
-        let handle = malleable.then(|| registry.attach(job, self.node, mask));
-        self.residents.push(Resident {
-            job,
-            mask,
-            malleable,
-            handle,
-            lender: None,
-        });
-        debug_assert!(self.validate().is_ok(), "{:?}", self.validate());
-        Some(mask)
-    }
-
-    /// Co-launches `new_job` by shrinking the resident `mate` according to
-    /// the sharing factor (paper: "node managers calculate tasks-to-cores
-    /// distribution among jobs, keeping jobs balanced and isolated").
-    ///
-    /// `mate_ranks` is the mate's MPI-rank count on this node (shrink floor).
-    /// Returns the updates: the mate's shrunken mask and the new job's mask.
-    ///
-    /// The mate's shrink is only *staged* in the DROM registry; the caller
-    /// applies the whole job's reconfiguration in one
-    /// [`DromRegistry::poll_nodes`] broadcast over the full allocation.
-    pub fn co_launch(
-        &mut self,
-        registry: &mut DromRegistry,
-        new_job: JobId,
-        mate: JobId,
-        sharing: SharingFactor,
-        mate_ranks: u32,
-    ) -> Option<Vec<NodeUpdate>> {
-        let free = self.free_mask();
-        let mate_idx = self.residents.iter().position(|r| r.job == mate)?;
-        if !self.residents[mate_idx].malleable {
-            return None;
-        }
-        let mate_cores = self.residents[mate_idx].mask.count() as u32;
-        let keep = sharing.keep_cores(mate_cores, mate_ranks);
-        let freed = mate_cores - keep;
-        if freed == 0 && free.is_empty() {
-            return None;
-        }
-
-        // Shrink the mate, socket-first for isolation.
-        let new_mate_mask = shrink_socket_first(&self.spec, &self.residents[mate_idx].mask, keep);
-        let mut given = self.residents[mate_idx].mask;
-        given.subtract(&new_mate_mask);
-        // The incoming job also gets any cores that were already free.
-        given.union_with(&free);
-
-        self.residents[mate_idx].mask = new_mate_mask;
-        if let Some(h) = self.residents[mate_idx].handle {
-            registry.set_mask(self.node, h, new_mate_mask);
-        }
-
-        let handle = registry.attach(new_job, self.node, given);
-        self.residents.push(Resident {
-            job: new_job,
-            mask: given,
-            malleable: true,
-            handle: Some(handle),
-            lender: Some(mate),
-        });
-        // The shrunk mate's mask stays *staged*: the caller closes the whole
-        // job's reconfiguration with one `DromRegistry::poll_nodes` broadcast
-        // over the full allocation (per-job batching) instead of one
-        // malleability point per node.
-        debug_assert!(self.validate().is_ok(), "{:?}", self.validate());
-        Some(vec![
-            NodeUpdate {
-                job: mate,
-                new_mask: new_mate_mask,
-            },
-            NodeUpdate {
-                job: new_job,
-                new_mask: given,
-            },
-        ])
-    }
-
-    /// Removes `job` from the node, applying the paper's end-of-job rules.
-    /// Returns the mask updates for the residents that expanded (staged in
-    /// the registry; the caller broadcasts [`DromRegistry::poll_nodes`]).
-    pub fn finish(&mut self, registry: &mut DromRegistry, job: JobId) -> Vec<NodeUpdate> {
-        let Some(idx) = self.residents.iter().position(|r| r.job == job) else {
-            return Vec::new();
-        };
-        let ended = self.residents.remove(idx);
-        if let Some(h) = ended.handle {
-            registry.detach(self.node, h);
-        }
-        let mut updates = Vec::new();
-        let freed = ended.mask;
-
-        // Rule 1: the ended job borrowed cores — return them to the owner.
-        let beneficiaries: Vec<usize> = if let Some(owner) = ended.lender {
-            if let Some(i) = self.residents.iter().position(|r| r.job == owner) {
-                vec![i]
-            } else {
-                self.malleable_residents()
-            }
-        } else {
-            // Rule 2/3: an owner (or plain resident) ended — distribute to
-            // the remaining malleable residents.
-            self.malleable_residents()
-        };
-
-        if beneficiaries.is_empty() {
-            return updates; // cores simply become free
-        }
-
-        // Split the freed cores among beneficiaries (usually exactly one).
-        let shares =
-            crate::distribution::balanced_budgets(freed.count() as u32, beneficiaries.len() as u32);
-        let mut pool = freed;
-        for (&i, &share) in beneficiaries.iter().zip(shares.iter()) {
-            if share == 0 {
-                continue;
-            }
-            let grown = expand_into(&self.spec, &self.residents[i].mask, &pool, share);
-            let mut taken = grown;
-            taken.subtract(&self.residents[i].mask);
-            pool.subtract(&taken);
-            self.residents[i].mask = grown;
-            // A job that expanded back to (at least) what it lent is no
-            // longer anyone's borrower.
-            if let Some(h) = self.residents[i].handle {
-                registry.set_mask(self.node, h, grown);
-            }
-            updates.push(NodeUpdate {
-                job: self.residents[i].job,
-                new_mask: grown,
-            });
-        }
-        // Expansions stay staged, like `co_launch`'s shrink: the simulator
-        // broadcasts one `poll_nodes` over the ended job's allocation.
-        debug_assert!(self.validate().is_ok(), "{:?}", self.validate());
-        updates
-    }
-
-    /// Residents in arrival order, for persistence.
-    pub fn snapshot(&self) -> &[Resident] {
-        &self.residents
-    }
-
-    /// Rebuilds a manager from a [`snapshot`](NodeManager::snapshot),
-    /// validating mask disjointness.
-    pub fn from_snapshot(
-        node: NodeId,
-        spec: NodeSpec,
-        residents: Vec<Resident>,
-    ) -> Result<NodeManager, String> {
-        let nm = NodeManager {
-            node,
-            spec,
-            residents,
-        };
-        nm.validate()?;
-        Ok(nm)
-    }
-
-    fn malleable_residents(&self) -> Vec<usize> {
-        self.residents
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.malleable)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Checks mask disjointness and non-emptiness for all residents.
-    pub fn validate(&self) -> Result<(), String> {
-        for (i, a) in self.residents.iter().enumerate() {
             if a.mask.is_empty() {
-                return Err(format!("{} has empty mask on {}", a.job, self.node));
+                return Err(format!("{} has empty mask on {node}", a.job));
             }
-            for b in &self.residents[i + 1..] {
+            for b in &residents[i + 1..] {
+                if a.job == b.job {
+                    return Err(format!("{} appears twice on {node}", a.job));
+                }
                 if !a.mask.is_disjoint(&b.mask) {
                     return Err(format!(
-                        "{} and {} overlap on {}: {:?} / {:?}",
-                        a.job, b.job, self.node, a.mask, b.mask
+                        "{} and {} overlap on {node}: {:?} / {:?}",
+                        a.job, b.job, a.mask, b.mask
                     ));
                 }
             }
@@ -288,42 +159,362 @@ impl NodeManager {
     }
 }
 
+/// Every node's residents, indexed by node id.
+#[derive(Debug, Clone)]
+pub struct NodeTable {
+    spec: NodeSpec,
+    records: Vec<NodeRecord>,
+    /// Next DROM handle: one machine-wide counter, in registration order.
+    next_handle: u64,
+}
+
+impl NodeTable {
+    pub fn new(nodes: u32, spec: NodeSpec) -> NodeTable {
+        let record = NodeRecord::new(spec.cores() as usize);
+        NodeTable {
+            records: vec![record; nodes as usize],
+            spec,
+            next_handle: 0,
+        }
+    }
+
+    pub fn record(&self, node: NodeId) -> &NodeRecord {
+        &self.records[node.0 as usize]
+    }
+
+    /// Records in node order, for persistence.
+    pub fn records(&self) -> &[NodeRecord] {
+        &self.records
+    }
+
+    /// The next handle [`NodeTable::launch`] or [`NodeTable::co_launch`]
+    /// registers with DROM.
+    pub fn next_handle(&self) -> u64 {
+        self.next_handle
+    }
+
+    /// Mask of cores not held by any resident of `node`.
+    pub fn free_mask(&self, node: NodeId) -> CpuMask {
+        self.record(node).free_mask(self.spec.cores() as usize)
+    }
+
+    fn width(&self) -> usize {
+        self.spec.cores() as usize
+    }
+
+    /// Launches `job` on `cores` cores of each idle node in `nodes`, in
+    /// one pass, registering it with DROM on each node when `malleable` so
+    /// it can be reconfigured later. All-or-nothing: refused (and nothing
+    /// touched) when a node is busy or `cores` is 0 or wider than a node.
+    ///
+    /// Returns the mask, the same on every node: the lowest `cores` cores
+    /// (the whole node at full width).
+    pub fn launch(
+        &mut self,
+        cluster: &mut ClusterState,
+        nodes: &[NodeId],
+        job: JobId,
+        cores: u32,
+        malleable: bool,
+    ) -> Result<CpuMask, AllocError> {
+        cluster.place(nodes, cores)?;
+        let mask = CpuMask::range(self.width(), 0, cores as usize);
+        for &n in nodes {
+            let handle = malleable.then(|| {
+                self.next_handle += 1;
+                DromHandle(self.next_handle - 1)
+            });
+            let record = &mut self.records[n.0 as usize];
+            debug_assert!(record.is_empty(), "{n} idle but not empty");
+            record.push(Resident {
+                job,
+                mask,
+                malleable,
+                handle,
+                lender: None,
+            });
+        }
+        Ok(mask)
+    }
+
+    /// Co-launches `new_job` on `node` by shrinking the resident `mate`
+    /// according to the sharing factor (paper: "node managers calculate
+    /// tasks-to-cores distribution among jobs, keeping jobs balanced and
+    /// isolated"). The new job also takes any cores that were already
+    /// free.
+    ///
+    /// `mate_ranks` is the mate's MPI-rank count on this node (shrink
+    /// floor). Returns the mate's shrunken mask and the new job's, or
+    /// `None` (nothing touched) when the mate is absent, rigid or already
+    /// sharing the node, or nothing can be freed.
+    pub fn co_launch(
+        &mut self,
+        cluster: &mut ClusterState,
+        node: NodeId,
+        new_job: JobId,
+        mate: JobId,
+        sharing: SharingFactor,
+        mate_ranks: u32,
+    ) -> Option<[NodeUpdate; 2]> {
+        let width = self.width();
+        let record = &mut self.records[node.0 as usize];
+        if record.len as usize >= MAX_RESIDENTS {
+            return None;
+        }
+        let free = record.free_mask(width);
+        let m = record.slots[..record.len as usize]
+            .iter_mut()
+            .find(|r| r.job == mate)?;
+        if !m.malleable {
+            return None;
+        }
+        let mate_cores = m.mask.count() as u32;
+        let keep = sharing.keep_cores(mate_cores, mate_ranks);
+        if keep == mate_cores && free.is_empty() {
+            return None;
+        }
+        // Shrink the mate, socket-first for isolation.
+        let kept = shrink_socket_first(&self.spec, &m.mask, keep);
+        let mut given = m.mask;
+        given.subtract(&kept);
+        given.union_with(&free);
+        m.mask = kept;
+        let handle = DromHandle(self.next_handle);
+        self.next_handle += 1;
+        record.push(Resident {
+            job: new_job,
+            mask: given,
+            malleable: true,
+            handle: Some(handle),
+            lender: Some(mate),
+        });
+        cluster.reshape(mate_cores, keep + given.count() as u32);
+        Some([
+            NodeUpdate {
+                job: mate,
+                new_mask: kept,
+            },
+            NodeUpdate {
+                job: new_job,
+                new_mask: given,
+            },
+        ])
+    }
+
+    /// Removes `job` from `node`, applying the paper's end-of-job rules:
+    /// the co-resident takes the freed cores when it lent them (rule 2) or
+    /// is malleable (rule 3), and its grown mask is returned; otherwise the
+    /// cores become free, and an emptied node turns idle. Refused (nothing
+    /// touched) when `job` is not there.
+    ///
+    /// `#[inline]` across the crate boundary: it runs once per node of
+    /// every ending job, and the call cost a third of its time.
+    #[inline]
+    pub fn finish(
+        &mut self,
+        cluster: &mut ClusterState,
+        node: NodeId,
+        job: JobId,
+    ) -> Result<Option<NodeUpdate>, AllocError> {
+        let record = &mut self.records[node.0 as usize];
+        let ended = record.take(job).ok_or(AllocError::NotPlaced { node })?;
+        let cores = ended.mask.count() as u32;
+        let expanded = match record.slots[..record.len as usize].first_mut() {
+            Some(other) if other.malleable || ended.lender == Some(other.job) => {
+                other.mask = expand_into(&self.spec, &other.mask, &ended.mask, cores);
+                Some(NodeUpdate {
+                    job: other.job,
+                    new_mask: other.mask,
+                })
+            }
+            _ => None,
+        };
+        if record.is_empty() {
+            cluster.remove_from_node(node, cores)?;
+        } else if expanded.is_none() {
+            cluster.reshape(cores, 0);
+        }
+        Ok(expanded)
+    }
+
+    /// Checks every record and that `cluster`'s counters describe the
+    /// table: a node is idle exactly when it has no resident, and the busy
+    /// cores are the masks' popcounts. DROM handles are unique and below
+    /// the next one.
+    pub fn validate(&self, cluster: &ClusterState) -> Result<(), String> {
+        cluster.validate()?;
+        let (width, mut busy) = (self.width(), 0u64);
+        let mut handles = Vec::new();
+        for (i, record) in self.records.iter().enumerate() {
+            let node = NodeId(i as u32);
+            NodeRecord::check(record.residents(), node, width)?;
+            if record.is_empty() != cluster.is_idle(node) {
+                return Err(format!(
+                    "{node}: {} residents, idle index says {}",
+                    record.len,
+                    if cluster.is_idle(node) {
+                        "idle"
+                    } else {
+                        "busy"
+                    }
+                ));
+            }
+            busy += u64::from(record.cores_used());
+            handles.extend(record.residents().iter().filter_map(|r| r.handle));
+        }
+        if busy != cluster.busy_cores() {
+            return Err(format!(
+                "busy_cores counter {} != actual {busy}",
+                cluster.busy_cores()
+            ));
+        }
+        Self::check_handles(handles, self.next_handle)
+    }
+
+    fn check_handles(mut handles: Vec<DromHandle>, next: u64) -> Result<(), String> {
+        handles.sort_unstable();
+        if handles.windows(2).any(|w| w[0] == w[1]) {
+            return Err("duplicate DROM handle in snapshot".into());
+        }
+        match handles.last() {
+            Some(h) if h.0 >= next => {
+                Err(format!("DROM entry handle {} >= next_handle {next}", h.0))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Rebuilds a table from the checkpoint's three per-node sections: the
+    /// occupancy `(job, cores)` lists, the DROM process entries with the
+    /// next handle, and the residents. Any node on which they disagree, or
+    /// that holds more than two residents, is refused by name.
+    pub fn restore(
+        spec: NodeSpec,
+        occupancy: Vec<Vec<(JobId, u32)>>,
+        mut processes: Vec<ProcessEntry>,
+        next_handle: u64,
+        residents: Vec<Vec<Resident>>,
+    ) -> Result<NodeTable, String> {
+        let nodes = residents.len();
+        if occupancy.len() != nodes {
+            return Err(format!(
+                "checkpoint has {} occupancy lists for {nodes} nodes",
+                occupancy.len()
+            ));
+        }
+        if let Some(e) = processes.iter().find(|e| e.node.0 as usize >= nodes) {
+            return Err(format!(
+                "DROM entry on {}, machine has {nodes} nodes",
+                e.node
+            ));
+        }
+        Self::check_handles(processes.iter().map(|e| e.handle).collect(), next_handle)?;
+        // Stable: each node's entries keep their registration order.
+        processes.sort_by_key(|e| e.node);
+        let mut procs = processes.iter().peekable();
+        let mut table = NodeTable::new(nodes as u32, spec);
+        let width = table.width();
+        for (i, (occ, res)) in occupancy.iter().zip(&residents).enumerate() {
+            let node = NodeId(i as u32);
+            NodeRecord::check(res, node, width)?;
+            let counts = res.iter().map(|r| (r.job, r.mask.count() as u32));
+            if !occ.iter().copied().eq(counts) {
+                return Err(format!(
+                    "{node}: occupancy {occ:?} disagrees with the resident masks"
+                ));
+            }
+            for r in res {
+                let Some(handle) = r.handle else { continue };
+                let agrees = procs.next_if(|e| e.node == node).is_some_and(|e| {
+                    (e.handle, e.job, e.current) == (handle, r.job, r.mask)
+                        && e.pending.is_none_or(|p| p == r.mask)
+                });
+                if !agrees {
+                    return Err(format!(
+                        "{node}: DROM entry for {} disagrees with its resident",
+                        r.job
+                    ));
+                }
+            }
+            if procs.peek().is_some_and(|e| e.node == node) {
+                return Err(format!("{node}: DROM entry without a resident"));
+            }
+            let record = &mut table.records[i];
+            res.iter().for_each(|&r| record.push(r));
+        }
+        table.next_handle = next_handle;
+        Ok(table)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cluster::spec::ClusterSpec;
 
-    fn mgr() -> (NodeManager, DromRegistry) {
+    const N0: NodeId = NodeId(0);
+
+    /// One MareNostrum4 node (2 × 24 cores) and its counters.
+    fn table() -> (NodeTable, ClusterState) {
+        let spec = ClusterSpec::marenostrum4(1);
         (
-            NodeManager::new(NodeId(0), ClusterSpec::marenostrum4(1).node),
-            DromRegistry::new(),
+            NodeTable::new(1, spec.node.clone()),
+            ClusterState::new(spec),
         )
+    }
+
+    fn valid(t: &NodeTable, cs: &ClusterState) {
+        t.validate(cs).expect("table and counters agree");
     }
 
     #[test]
     fn exclusive_launch_gets_full_node() {
-        let (mut nm, mut reg) = mgr();
-        let mask = nm.launch(&mut reg, JobId(1), 48, true).unwrap();
+        let (mut t, mut cs) = table();
+        let mask = t.launch(&mut cs, &[N0], JobId(1), 48, true).unwrap();
         assert_eq!(mask.count(), 48);
-        assert_eq!(reg.processes_on(NodeId(0)).count(), 1);
-        assert!(nm.free_mask().is_empty());
+        assert_eq!(t.processes_on(N0).count(), 1);
+        assert!(t.free_mask(N0).is_empty());
+        assert_eq!(cs.busy_cores(), 48);
+        valid(&t, &cs);
     }
 
+    /// A busy node, a zero-core or an over-wide request is refused whole:
+    /// no node of the group is touched.
     #[test]
     fn launch_fails_without_room() {
-        let (mut nm, mut reg) = mgr();
-        nm.launch(&mut reg, JobId(1), 48, false).unwrap();
-        assert!(nm.launch(&mut reg, JobId(2), 1, false).is_none());
+        let spec = ClusterSpec::marenostrum4(2);
+        let (mut t, mut cs) = (
+            NodeTable::new(2, spec.node.clone()),
+            ClusterState::new(spec),
+        );
+        t.launch(&mut cs, &[N0], JobId(1), 48, false).unwrap();
+        let busy = AllocError::AlreadyPlaced { node: N0 };
+        assert_eq!(
+            t.launch(&mut cs, &[N0], JobId(2), 1, false),
+            Err(busy.clone())
+        );
+        assert_eq!(
+            t.launch(&mut cs, &[NodeId(1), N0], JobId(2), 1, false),
+            Err(busy)
+        );
+        assert_eq!(
+            t.launch(&mut cs, &[NodeId(1)], JobId(2), 0, false),
+            Err(AllocError::ZeroCores)
+        );
+        assert!(t
+            .launch(&mut cs, &[NodeId(1)], JobId(2), 49, false)
+            .is_err());
+        assert!(t.record(NodeId(1)).is_empty() && cs.is_idle(NodeId(1)));
+        valid(&t, &cs);
     }
 
     #[test]
     fn co_launch_splits_socket_wise() {
-        let (mut nm, mut reg) = mgr();
-        nm.launch(&mut reg, JobId(1), 48, true).unwrap();
-        let ups = nm
-            .co_launch(&mut reg, JobId(2), JobId(1), SharingFactor::HALF, 2)
+        let (mut t, mut cs) = table();
+        t.launch(&mut cs, &[N0], JobId(1), 48, true).unwrap();
+        let ups = t
+            .co_launch(&mut cs, N0, JobId(2), JobId(1), SharingFactor::HALF, 2)
             .unwrap();
-        assert_eq!(ups.len(), 2);
         assert_eq!(ups[0].job, JobId(1));
         assert_eq!(ups[0].cores(), 24);
         assert_eq!(ups[1].job, JobId(2));
@@ -331,108 +522,187 @@ mod tests {
         assert!(ups[0].new_mask.is_disjoint(&ups[1].new_mask));
         // Isolation: each job sits on exactly one socket.
         let spec = ClusterSpec::marenostrum4(1).node;
-        assert_eq!(crate::distribution::sockets_touched(&spec, &ups[0].new_mask), 1);
-        assert_eq!(crate::distribution::sockets_touched(&spec, &ups[1].new_mask), 1);
-        // Masks are staged until the per-job broadcast closes the batch.
-        assert!(reg.find(JobId(1), NodeId(0)).unwrap().pending.is_some());
-        assert_eq!(reg.poll_nodes(&[NodeId(0)]), 1);
-        assert!(reg.validate_node(NodeId(0)).is_ok());
+        assert_eq!(
+            crate::distribution::sockets_touched(&spec, &ups[0].new_mask),
+            1
+        );
+        assert_eq!(
+            crate::distribution::sockets_touched(&spec, &ups[1].new_mask),
+            1
+        );
+        // The node's occupancy is the two masks: the node stays full.
+        assert_eq!(t.record(N0).cores_of(JobId(1)), Some(24));
+        assert_eq!(t.record(N0).cores_used(), 48);
+        assert_eq!(cs.busy_cores(), 48);
+        valid(&t, &cs);
     }
 
     #[test]
     fn co_launch_rejects_static_mate() {
-        let (mut nm, mut reg) = mgr();
-        nm.launch(&mut reg, JobId(1), 48, false).unwrap();
-        assert!(nm
-            .co_launch(&mut reg, JobId(2), JobId(1), SharingFactor::HALF, 1)
+        let (mut t, mut cs) = table();
+        t.launch(&mut cs, &[N0], JobId(1), 48, false).unwrap();
+        assert!(t
+            .co_launch(&mut cs, N0, JobId(2), JobId(1), SharingFactor::HALF, 1)
             .is_none());
     }
 
     #[test]
     fn new_job_end_returns_cores_to_owner() {
-        let (mut nm, mut reg) = mgr();
-        nm.launch(&mut reg, JobId(1), 48, true).unwrap();
-        nm.co_launch(&mut reg, JobId(2), JobId(1), SharingFactor::HALF, 2)
+        let (mut t, mut cs) = table();
+        t.launch(&mut cs, &[N0], JobId(1), 48, true).unwrap();
+        t.co_launch(&mut cs, N0, JobId(2), JobId(1), SharingFactor::HALF, 2)
             .unwrap();
-        let ups = nm.finish(&mut reg, JobId(2));
-        assert_eq!(ups.len(), 1);
-        assert_eq!(ups[0].job, JobId(1));
-        assert_eq!(ups[0].cores(), 48, "owner expanded back to the full node");
-        assert_eq!(nm.residents.len(), 1);
+        let up = t.finish(&mut cs, N0, JobId(2)).unwrap().unwrap();
+        assert_eq!(up.job, JobId(1));
+        assert_eq!(up.cores(), 48, "owner expanded back to the full node");
+        assert_eq!(t.record(N0).residents().len(), 1);
+        assert_eq!(cs.busy_cores(), 48);
+        valid(&t, &cs);
     }
 
     #[test]
     fn owner_end_redistributes_to_new_job() {
-        let (mut nm, mut reg) = mgr();
-        nm.launch(&mut reg, JobId(1), 48, true).unwrap();
-        nm.co_launch(&mut reg, JobId(2), JobId(1), SharingFactor::HALF, 2)
+        let (mut t, mut cs) = table();
+        t.launch(&mut cs, &[N0], JobId(1), 48, true).unwrap();
+        t.co_launch(&mut cs, N0, JobId(2), JobId(1), SharingFactor::HALF, 2)
             .unwrap();
         // Owner (mate) finishes before the co-scheduled job.
-        let ups = nm.finish(&mut reg, JobId(1));
-        assert_eq!(ups.len(), 1);
-        assert_eq!(ups[0].job, JobId(2));
-        assert_eq!(ups[0].cores(), 48, "survivor takes the whole node");
-        assert!(nm.validate().is_ok());
+        let up = t.finish(&mut cs, N0, JobId(1)).unwrap().unwrap();
+        assert_eq!(up.job, JobId(2));
+        assert_eq!(up.cores(), 48, "survivor takes the whole node");
+        valid(&t, &cs);
     }
 
     #[test]
     fn plain_finish_frees_cores() {
-        let (mut nm, mut reg) = mgr();
-        nm.launch(&mut reg, JobId(1), 24, false).unwrap();
-        let ups = nm.finish(&mut reg, JobId(1));
-        assert!(ups.is_empty());
-        assert!(nm.is_empty());
-        assert_eq!(nm.free_mask().count(), 48);
+        let (mut t, mut cs) = table();
+        t.launch(&mut cs, &[N0], JobId(1), 24, false).unwrap();
+        assert_eq!(
+            t.finish(&mut cs, N0, JobId(1)),
+            Ok(None),
+            "a rigid job's cores free up"
+        );
+        assert!(t.record(N0).is_empty());
+        assert_eq!(t.free_mask(N0).count(), 48);
+        assert!(cs.is_idle(N0) && cs.busy_cores() == 0);
+        valid(&t, &cs);
     }
 
     #[test]
     fn finish_unknown_job_is_noop() {
-        let (mut nm, mut reg) = mgr();
-        assert!(nm.finish(&mut reg, JobId(77)).is_empty());
+        let (mut t, mut cs) = table();
+        let absent = AllocError::NotPlaced { node: N0 };
+        assert_eq!(t.finish(&mut cs, N0, JobId(77)), Err(absent));
+        valid(&t, &cs);
     }
 
     #[test]
     fn co_launch_absorbs_already_free_cores() {
-        let (mut nm, mut reg) = mgr();
-        nm.launch(&mut reg, JobId(1), 24, true).unwrap(); // half the node busy
-        let ups = nm
-            .co_launch(&mut reg, JobId(2), JobId(1), SharingFactor::HALF, 2)
+        let (mut t, mut cs) = table();
+        t.launch(&mut cs, &[N0], JobId(1), 24, true).unwrap(); // half the node busy
+        let ups = t
+            .co_launch(&mut cs, N0, JobId(2), JobId(1), SharingFactor::HALF, 2)
             .unwrap();
         // Mate keeps 12, new job gets 12 freed + 24 already free = 36.
         assert_eq!(ups[0].cores(), 12);
         assert_eq!(ups[1].cores(), 36);
-        assert!(nm.free_mask().is_empty());
+        assert!(t.free_mask(N0).is_empty());
+        assert_eq!(cs.busy_cores(), 48);
+        valid(&t, &cs);
     }
 
     #[test]
     fn rank_floor_respected_in_co_launch() {
-        let (mut nm, mut reg) = mgr();
-        nm.launch(&mut reg, JobId(1), 48, true).unwrap();
-        let ups = nm
-            .co_launch(&mut reg, JobId(2), JobId(1), SharingFactor::new(0.9), 40)
+        let (mut t, mut cs) = table();
+        t.launch(&mut cs, &[N0], JobId(1), 48, true).unwrap();
+        let ups = t
+            .co_launch(&mut cs, N0, JobId(2), JobId(1), SharingFactor::new(0.9), 40)
             .unwrap();
         assert_eq!(ups[0].cores(), 40, "mate floor = its 40 ranks");
         assert_eq!(ups[1].cores(), 8);
     }
 
     #[test]
-    fn three_way_sharing_remains_disjoint() {
-        let (mut nm, mut reg) = mgr();
-        nm.launch(&mut reg, JobId(1), 48, true).unwrap();
-        nm.co_launch(&mut reg, JobId(2), JobId(1), SharingFactor::HALF, 2)
+    fn third_resident_is_refused() {
+        let (mut t, mut cs) = table();
+        t.launch(&mut cs, &[N0], JobId(1), 48, true).unwrap();
+        t.co_launch(&mut cs, N0, JobId(2), JobId(1), SharingFactor::HALF, 2)
             .unwrap();
-        // A third job shrinks job 2 (mates can themselves be shrunk when
-        // "more than two mates per node" is enabled).
-        let ups = nm
-            .co_launch(&mut reg, JobId(3), JobId(2), SharingFactor::HALF, 2)
+        // The borrower is malleable, but the node already holds a mate and
+        // its borrower: a third job is refused and nothing moves.
+        let before = *t.record(N0);
+        for mate in [JobId(1), JobId(2)] {
+            assert!(t
+                .co_launch(&mut cs, N0, JobId(3), mate, SharingFactor::HALF, 2)
+                .is_none());
+        }
+        assert_eq!(t.record(N0).residents(), before.residents());
+        assert_eq!(t.next_handle(), 2);
+        valid(&t, &cs);
+    }
+
+    /// A table's three checkpoint sections.
+    type Sections = (
+        Vec<Vec<(JobId, u32)>>,
+        Vec<ProcessEntry>,
+        Vec<Vec<Resident>>,
+    );
+
+    fn sections(t: &NodeTable) -> Sections {
+        let res: Vec<Vec<Resident>> = t.records().iter().map(|r| r.residents().to_vec()).collect();
+        let occ = res
+            .iter()
+            .map(|rs| rs.iter().map(|r| (r.job, r.mask.count() as u32)).collect())
+            .collect();
+        (occ, t.processes().collect(), res)
+    }
+
+    #[test]
+    fn restore_cross_checks_the_three_sections() {
+        let (mut t, mut cs) = table();
+        t.launch(&mut cs, &[N0], JobId(1), 48, true).unwrap();
+        t.co_launch(&mut cs, N0, JobId(2), JobId(1), SharingFactor::HALF, 2)
             .unwrap();
-        assert!(nm.validate().is_ok());
-        assert_eq!(ups[0].job, JobId(2));
-        assert_eq!(ups[0].cores(), 12);
-        assert_eq!(ups[1].cores(), 12);
-        // Masks across all three jobs cover the node exactly once.
-        assert_eq!(nm.residents.len(), 3);
-        let total: usize = nm.residents.iter().map(|r| r.mask.count()).sum();
-        assert_eq!(total, 48);
+        let spec = ClusterSpec::marenostrum4(1).node;
+        let restore =
+            |(occ, procs, res): (_, _, _)| NodeTable::restore(spec.clone(), occ, procs, 2, res);
+        let re = restore(sections(&t)).expect("a table's own sections restore");
+        assert_eq!(sections(&re), sections(&t));
+
+        // One fewer core in the occupancy than in the mask.
+        let mut s = sections(&t);
+        s.0[0][0].1 = 23;
+        assert!(restore(s).unwrap_err().contains("n0: occupancy"));
+        // A DROM entry whose mask is not its resident's.
+        let mut s = sections(&t);
+        s.1[0].current = s.1[1].current;
+        assert!(restore(s).unwrap_err().contains("n0: DROM entry for job1"));
+        // A staged mask is accepted only once applied.
+        let mut s = sections(&t);
+        s.1[0].pending = Some(s.1[0].current);
+        assert!(restore(s).is_ok());
+        let mut s = sections(&t);
+        s.1[0].pending = Some(s.1[1].current);
+        assert!(restore(s).is_err());
+        // An entry with no resident, and a resident with no entry.
+        let mut s = sections(&t);
+        s.1.push(ProcessEntry {
+            handle: DromHandle(1),
+            ..s.1[0]
+        });
+        assert!(restore(s).is_err(), "duplicate handle");
+        let mut s = sections(&t);
+        s.1.pop();
+        assert!(restore(s).unwrap_err().contains("DROM entry for job2"));
+        // A third resident.
+        let mut s = sections(&t);
+        let third = Resident {
+            job: JobId(3),
+            handle: None,
+            ..s.2[0][0]
+        };
+        s.2[0].push(third);
+        s.0[0].push((JobId(3), 24));
+        assert!(restore(s).unwrap_err().contains("n0 has 3 residents"));
     }
 }

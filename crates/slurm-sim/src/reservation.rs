@@ -46,29 +46,33 @@ impl ReleaseMap {
         }
     }
 
-    /// [`ReleaseMap::set_release`] over a whole allocation. Returns the
-    /// distinct `(old, new, nodes)` transitions — virtually always one, since
-    /// a whole-job start or end moves every node the same way — after
-    /// applying each to the instant → count index once, not once per node.
+    /// [`ReleaseMap::set_release`] over a whole allocation, in one pass.
+    /// Consecutive nodes making the same `(old, new)` move — a whole-job
+    /// start or end moves every node the same way — are retallied once, and
+    /// `moved(old, new, nodes)` hears each such run once (the simulator
+    /// patches its availability profile with it).
     pub(crate) fn set_releases(
         &mut self,
-        updates: impl Iterator<Item = (NodeId, Option<SimTime>)>,
-    ) -> Vec<(Option<SimTime>, Option<SimTime>, u32)> {
-        let mut moved: Vec<(Option<SimTime>, Option<SimTime>, u32)> = Vec::new();
+        updates: impl IntoIterator<Item = (NodeId, Option<SimTime>)>,
+        mut moved: impl FnMut(Option<SimTime>, Option<SimTime>, u32),
+    ) {
+        let mut run: (Option<SimTime>, Option<SimTime>, u32) = (None, None, 0);
         for (node, when) in updates {
             let old = std::mem::replace(&mut self.node_release[node.0 as usize], when);
             if old == when {
                 continue;
             }
-            match moved.iter_mut().find(|g| g.0 == old && g.1 == when) {
-                Some(g) => g.2 += 1,
-                None => moved.push((old, when, 1)),
+            if run.2 > 0 && (run.0, run.1) != (old, when) {
+                self.retally(run.0, run.1, run.2);
+                moved(run.0, run.1, run.2);
+                run.2 = 0;
             }
+            run = (old, when, run.2 + 1);
         }
-        for &(old, new, nodes) in &moved {
-            self.retally(old, new, nodes);
+        if run.2 > 0 {
+            self.retally(run.0, run.1, run.2);
+            moved(run.0, run.1, run.2);
         }
-        moved
     }
 
     /// Moves `nodes` nodes from release instant `old` to `new` in the index.
@@ -622,7 +626,11 @@ mod tests {
         for &(n, when) in &updates {
             one.set_release(NodeId(n), when);
         }
-        let moved = batch.set_releases(updates.iter().map(|&(n, when)| (NodeId(n), when)));
+        let mut moved = Vec::new();
+        batch.set_releases(
+            updates.iter().map(|&(n, when)| (NodeId(n), when)),
+            |old, new, nodes| moved.push((old, new, nodes)),
+        );
         assert_eq!(
             moved,
             vec![(t(100), t(200), 2), (t(50), t(200), 1), (t(50), None, 1), (None, t(200), 1)]

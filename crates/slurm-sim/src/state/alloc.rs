@@ -17,24 +17,18 @@ impl SimState {
             return false;
         };
         let full = self.spec.node.cores();
-        self.cluster
-            .place(id, &nodes, full)
-            .expect("empty nodes accept a full-width placement");
-        for &n in &nodes {
-            let mask = self.node_mgrs[n.0 as usize]
-                .launch(&mut self.drom, id, full, spec.malleable)
-                .expect("empty node accepts launch");
-            debug_assert_eq!(mask.count() as u32, full);
-        }
+        self.nodes
+            .launch(&mut self.cluster, &nodes, id, full, spec.malleable)
+            .expect("empty nodes accept a full-width launch");
         let cores = vec![full; nodes.len()];
-        let mut run = RunningJob::new(self.now, nodes.clone(), cores, full, spec.req_time);
+        let mut run = RunningJob::new(self.now, nodes, cores, full, spec.req_time);
         run.rate = 1.0;
         let req_end = run.req_end;
+        self.release_group(&run.nodes, Some(req_end));
         self.job_mut(id).state = JobState::Running(run);
         self.running.insert(id);
         self.running_by_end.insert((req_end, id));
         self.arm_end(id);
-        self.update_releases(&nodes);
         self.queue.remove(id);
         self.refresh_eligibility(id);
         self.energy_reweigh(&[id]);
@@ -50,7 +44,7 @@ impl SimState {
         );
         self.tenant_charge_start(id);
         if self.cfg.self_check {
-            self.cluster.validate().expect("cluster consistent");
+            self.nodes.validate(&self.cluster).expect("node table consistent");
             self.self_check_caches();
         }
         true
@@ -122,37 +116,33 @@ impl SimState {
         // "in the SD-Policy case, we use the worst case model").
         let new_wall = (new_spec.req_time as f64 / plan_rate).ceil() as u64;
 
+        // The new job's requested end uses the planned (worst-case) rate.
+        let new_req_end = self.now.after(new_wall);
         let mut new_nodes: Vec<NodeId> = Vec::with_capacity(new_spec.req_nodes as usize);
         let mut new_cores: Vec<u32> = Vec::with_capacity(new_spec.req_nodes as usize);
 
         for &m in mates {
-            let (m_nodes, m_ranks) = {
-                let mj = self.job(m);
-                (
-                    mj.running().unwrap().nodes.clone(),
-                    mj.spec.ranks_per_node,
-                )
+            let shared = new_nodes.len();
+            let mate_end = {
+                let Job { spec, state } = &mut self.jobs[(m.0 - 1) as usize];
+                let JobState::Running(run) = state else {
+                    unreachable!("eligible mates run");
+                };
+                let (sharing, ranks) = (self.sharing, spec.ranks_per_node);
+                for (i, &n) in run.nodes.iter().enumerate() {
+                    let [kept, given] = self
+                        .nodes
+                        .co_launch(&mut self.cluster, n, new_id, m, sharing, ranks)
+                        .ok_or(CoScheduleError::NoFreedCores(m))?;
+                    run.cores[i] = kept.cores();
+                    new_nodes.push(n);
+                    new_cores.push(given.cores());
+                }
+                run.req_end
             };
-            for &n in &m_nodes {
-                let updates = self.node_mgrs[n.0 as usize]
-                    .co_launch(&mut self.drom, new_id, m, self.sharing, m_ranks)
-                    .ok_or(CoScheduleError::NoFreedCores(m))?;
-                // updates[0] = mate's shrunken mask, updates[1] = new job's.
-                let keep = updates[0].cores();
-                let given = updates[1].cores();
-                self.cluster
-                    .set_cores(m, n, keep)
-                    .expect("shrink within capacity");
-                self.cluster
-                    .place(new_id, &[n], given)
-                    .expect("freed cores accept the new job");
-                new_nodes.push(n);
-                new_cores.push(given);
-                // Update the mate's per-node core record.
-                let run = self.jobs[(m.0 - 1) as usize].running_mut().unwrap();
-                let idx = run.nodes.binary_search(&n).expect("mate owns node");
-                run.cores[idx] = keep;
-            }
+            // The mate ran alone on these nodes; they now release when the
+            // later of the pair does.
+            self.release_group(&new_nodes[shared..], Some(mate_end.max(new_req_end)));
             // Re-rate the mate. Its requested end (wall-clock limit) stays
             // fixed: SLURM never extends a job's time limit on shrink — the
             // stretch eats the job's own over-request slack, and §3.2.4's
@@ -186,11 +176,6 @@ impl SimState {
             self.refresh_borrower_index(m);
         }
 
-        // One malleability broadcast for the whole co-schedule: every mate's
-        // staged shrink across every shared node applies here, per *job*
-        // (`new_nodes` holds exactly the shared nodes at this point).
-        self.drom.poll_nodes(&new_nodes);
-
         // Optional free nodes: the new job takes the same per-node width as
         // on the shared nodes (keeps the allocation balanced, constraint 3).
         if free_nodes > 0 {
@@ -198,16 +183,12 @@ impl SimState {
                 .cluster
                 .take_empty_nodes(free_nodes)
                 .expect("checked empty count above");
-            for &n in &idle {
-                self.cluster
-                    .place(new_id, &[n], plan_freed)
-                    .expect("idle node accepts placement");
-                self.node_mgrs[n.0 as usize]
-                    .launch(&mut self.drom, new_id, plan_freed, true)
-                    .expect("idle node accepts launch");
-                new_nodes.push(n);
-                new_cores.push(plan_freed);
-            }
+            self.nodes
+                .launch(&mut self.cluster, &idle, new_id, plan_freed, true)
+                .expect("idle nodes accept the launch");
+            self.release_group(&idle, Some(new_req_end));
+            new_nodes.extend_from_slice(&idle);
+            new_cores.resize(new_nodes.len(), plan_freed);
         }
 
         // Sort the new job's allocation for binary-searchable node lookups.
@@ -215,18 +196,11 @@ impl SimState {
         paired.sort_by_key(|&(n, _)| n);
         let (nodes_sorted, cores_sorted): (Vec<NodeId>, Vec<u32>) = paired.into_iter().unzip();
 
-        let mut run = RunningJob::new(
-            self.now,
-            nodes_sorted.clone(),
-            cores_sorted,
-            full,
-            new_spec.req_time,
-        );
+        let mut run =
+            RunningJob::new(self.now, nodes_sorted, cores_sorted, full, new_spec.req_time);
         run.mates = mates.to_vec();
         run.malleable_backfilled = true;
-        // Requested end uses the planned (worst-case) rate.
-        run.req_end = self.now.after(new_wall);
-        let new_req_end = run.req_end;
+        run.req_end = new_req_end;
         self.job_mut(new_id).state = JobState::Running(run);
         self.running.insert(new_id);
         self.running_by_end.insert((new_req_end, new_id));
@@ -238,7 +212,6 @@ impl SimState {
             .unwrap()
             .set_rate(now, rate);
         self.arm_end(new_id);
-        self.update_releases(&nodes_sorted);
         self.queue.remove(new_id);
         let mut reweigh: Vec<JobId> = mates.to_vec();
         reweigh.push(new_id);
@@ -255,10 +228,7 @@ impl SimState {
         );
         self.tenant_charge_start(new_id);
         if self.cfg.self_check {
-            self.cluster.validate().expect("cluster consistent");
-            for &n in &nodes_sorted {
-                self.drom.validate_node(n).expect("masks disjoint");
-            }
+            self.nodes.validate(&self.cluster).expect("node table consistent");
             self.self_check_caches();
         }
         Ok(())
@@ -305,55 +275,25 @@ impl SimState {
         let width = old_nodes.len() as u32;
 
         // Leave the shared nodes; former mates expand into the cores.
-        let mut touched: Vec<JobId> = Vec::new();
-        for &n in &old_nodes {
-            self.cluster
-                .remove_from_node(id, n)
-                .expect("borrower occupies its nodes");
-            let updates = self.node_mgrs[n.0 as usize].finish(&mut self.drom, id);
-            for up in updates {
-                let cores = up.cores();
-                self.cluster
-                    .set_cores(up.job, n, cores)
-                    .expect("expansion within capacity");
-                let other = self.jobs[(up.job.0 - 1) as usize]
-                    .running_mut()
-                    .expect("beneficiary is running");
-                let idx = other.nodes.binary_search(&n).expect("owns node");
-                other.cores[idx] = cores;
-                if !touched.contains(&up.job) {
-                    touched.push(up.job);
-                }
-            }
-        }
-        // Close the departure's reconfiguration batch: one broadcast over
-        // the vacated allocation applies every staged expansion.
-        self.drom.poll_nodes(&old_nodes);
-        self.update_releases(&old_nodes);
+        let touched = self.leave(id, &old_nodes);
         for &m in &mates {
             if let Some(other) = self.jobs[(m.0 - 1) as usize].running_mut() {
                 other.lent_to.retain(|&x| x != id);
             }
         }
 
-        // Take the idle nodes at full width.
+        // Take the idle nodes at full width (ascending, like every
+        // allocation: `take_empty_nodes` walks the idle index upwards).
         let full = self.spec.node.cores();
-        let mut new_nodes = self
+        let new_nodes = self
             .cluster
             .take_empty_nodes(width)
             .expect("checked empty count above");
-        self.cluster
-            .place(id, &new_nodes, full)
-            .expect("empty nodes accept a full-width placement");
-        for &n in &new_nodes {
-            self.node_mgrs[n.0 as usize]
-                .launch(&mut self.drom, id, full, true)
-                .expect("empty node accepts launch");
-        }
-        new_nodes.sort();
-        // Releases first (reads occupancy + req_end only), while the node
-        // list is still ours — it moves into the run just below.
-        self.update_releases(&new_nodes);
+        self.nodes
+            .launch(&mut self.cluster, &new_nodes, id, full, true)
+            .expect("empty nodes accept a full-width launch");
+        let req_end = self.job(id).running().unwrap().req_end;
+        self.release_group(&new_nodes, Some(req_end));
         {
             let run = self.jobs[(id.0 - 1) as usize].running_mut().unwrap();
             run.cores.fill(full); // same width, now full everywhere
@@ -365,39 +305,13 @@ impl SimState {
         self.refresh_eligibility(id);
         self.refresh_borrower_index(id);
 
-        // Re-rate the expanded former mates.
-        for &t in &touched {
-            let rate = self.compute_rate(t);
-            self.jobs[(t.0 - 1) as usize]
-                .running_mut()
-                .unwrap()
-                .set_rate(now, rate);
-            self.stats.expand_events += 1;
-            self.trace.emit(
-                self.now.secs(),
-                sd_trace::TraceKind::Expanded {
-                    job: t.0,
-                    nodes: self.job(t).running().unwrap().nodes.len() as u32,
-                },
-            );
-            self.arm_end(t);
-            self.refresh_eligibility(t);
-            self.refresh_borrower_index(t);
-            for i in 0..self.job(t).running().unwrap().nodes.len() {
-                let n = self.job(t).running().unwrap().nodes[i];
-                self.update_release(n);
-            }
-        }
+        self.expand(&touched);
         self.energy_reweigh_iter(touched.iter().copied().chain(std::iter::once(id)));
         self.stats.relocations += 1;
         self.trace
             .emit(self.now.secs(), sd_trace::TraceKind::Relocated { job: id.0, nodes: width });
         if self.cfg.self_check {
-            self.cluster.validate().expect("cluster consistent");
-            for i in 0..width as usize {
-                let n = self.job(id).running().unwrap().nodes[i];
-                self.drom.validate_node(n).expect("masks disjoint");
-            }
+            self.nodes.validate(&self.cluster).expect("node table consistent");
             self.self_check_caches();
         }
         true
@@ -458,39 +372,13 @@ impl SimState {
     /// map and the energy meter. The caller has already replaced the job's
     /// state and handled outcome/last-end bookkeeping.
     pub(super) fn release_running(&mut self, id: JobId, spec: &JobSpec, run: RunningJob) {
-        let now = self.now;
         self.running.remove(&id);
         self.slowdown.sub(spec, run.armed_end);
         self.running_by_end.remove(&(run.req_end, id));
         self.shrunk.remove(&id);
         self.pool_remove_keyed(Self::pool_key(spec, run.start), id);
 
-        // Free the cluster first so beneficiaries can expand into the cores.
-        let mut touched: Vec<JobId> = Vec::new();
-        for &n in &run.nodes {
-            self.cluster
-                .remove_from_node(id, n)
-                .expect("running job occupies its nodes");
-            let updates = self.node_mgrs[n.0 as usize].finish(&mut self.drom, id);
-            for up in updates {
-                let cores = up.cores();
-                self.cluster
-                    .set_cores(up.job, n, cores)
-                    .expect("expansion within capacity");
-                let other = self.jobs[(up.job.0 - 1) as usize]
-                    .running_mut()
-                    .expect("beneficiary is running");
-                let idx = other.nodes.binary_search(&n).expect("owns node");
-                other.cores[idx] = cores;
-                if !touched.contains(&up.job) {
-                    touched.push(up.job);
-                }
-            }
-        }
-        // Per-job batch: apply every expansion staged across the ended
-        // job's allocation in one broadcast (skips nodes with no residents).
-        self.drom.poll_nodes(&run.nodes);
-        self.update_releases(&run.nodes);
+        let touched = self.leave(id, &run.nodes);
 
         // Unlink this job from partners' bookkeeping.
         for &m in run.mates.iter().chain(run.lent_to.iter()) {
@@ -500,39 +388,62 @@ impl SimState {
             }
         }
 
-        // Re-rate everyone whose allocation changed.
-        for &t in &touched {
-            let rate = self.compute_rate(t);
-            self.jobs[(t.0 - 1) as usize]
-                .running_mut()
-                .unwrap()
-                .set_rate(now, rate);
-            self.stats.expand_events += 1;
-            self.trace.emit(
-                self.now.secs(),
-                sd_trace::TraceKind::Expanded {
-                    job: t.0,
-                    nodes: self.job(t).running().unwrap().nodes.len() as u32,
-                },
-            );
-            self.arm_end(t);
-            self.refresh_eligibility(t);
-            self.refresh_borrower_index(t);
-            // The beneficiary's predicted release may have moved.
-            for i in 0..self.job(t).running().unwrap().nodes.len() {
-                let n = self.job(t).running().unwrap().nodes[i];
-                self.update_release(n);
-            }
-        }
+        self.expand(&touched);
         self.energy_sub_job(run.energy_weight);
         self.energy_reweigh(&touched);
         if self.cfg.self_check {
-            self.cluster.validate().expect("cluster consistent");
+            self.nodes.validate(&self.cluster).expect("node table consistent");
             self.self_check_caches();
         }
     }
 
+    /// Takes `id` off every node of `alloc` in one pass: the table frees
+    /// its cores, the co-resident that takes them has its per-node count
+    /// updated, and each node's predicted release becomes that of whoever
+    /// is left on it — nobody, after an exclusive end. Returns the jobs
+    /// that expanded, in the order they were first met.
+    fn leave(&mut self, id: JobId, alloc: &[NodeId]) -> Vec<JobId> {
+        let mut touched: Vec<JobId> = Vec::new();
+        let Self { nodes, cluster, jobs, releases, avail, now, .. } = self;
+        let updates = alloc.iter().map(|&n| {
+            let expanded = nodes.finish(cluster, n, id);
+            if let Some(up) = expanded.expect("a running job occupies its nodes") {
+                let other = jobs[(up.job.0 - 1) as usize]
+                    .running_mut()
+                    .expect("beneficiary is running");
+                let i = other.nodes.binary_search(&n).expect("owns node");
+                other.cores[i] = up.cores();
+                if !touched.contains(&up.job) {
+                    touched.push(up.job);
+                }
+            }
+            let left = nodes.record(n).residents().iter();
+            let left = left.filter_map(|r| jobs[(r.job.0 - 1) as usize].running());
+            (n, left.map(|r| r.req_end).max())
+        });
+        releases.set_releases(updates, |old, new, count| {
+            avail.patch_release_many(*now, old, new, count)
+        });
+        touched
+    }
 
+    /// Re-rates the jobs that expanded into freed cores (their requested
+    /// ends, and so their nodes' releases, do not move).
+    fn expand(&mut self, touched: &[JobId]) {
+        let now = self.now;
+        for &t in touched {
+            let rate = self.compute_rate(t);
+            let run = self.jobs[(t.0 - 1) as usize].running_mut().unwrap();
+            run.set_rate(now, rate);
+            let nodes = run.nodes.len() as u32;
+            self.stats.expand_events += 1;
+            self.trace
+                .emit(now.secs(), sd_trace::TraceKind::Expanded { job: t.0, nodes });
+            self.arm_end(t);
+            self.refresh_eligibility(t);
+            self.refresh_borrower_index(t);
+        }
+    }
 
     /// Per-tenant accounting rows, parallel to the registry's slots.
     pub fn tenant_usage(&self) -> &[TenantUsage] {
@@ -593,7 +504,7 @@ impl SimState {
         let run = job.running().expect("rate of running job");
         let mut neighbour_mem = 0.0_f64;
         for &n in &run.nodes {
-            for &(other, _) in &self.cluster.occupancy(n).jobs {
+            for other in self.nodes.record(n).residents().iter().map(|r| r.job) {
                 if other == id {
                     continue;
                 }
@@ -631,48 +542,14 @@ impl SimState {
         self.events.push(when, Event::End { job: id, gen });
     }
 
-    /// The predicted release instant of a node: max over its residents'
-    /// requested ends; `None` when empty.
-    pub(super) fn node_release(&self, n: NodeId) -> Option<SimTime> {
-        Self::release_among(&self.cluster, &self.jobs, n)
-    }
-
-    /// [`SimState::node_release`] over the two fields it reads, so a caller
-    /// can hold the release map mutably meanwhile.
-    fn release_among(cluster: &ClusterState, jobs: &[Job], n: NodeId) -> Option<SimTime> {
-        cluster
-            .occupancy(n)
-            .jobs
-            .iter()
-            .filter_map(|&(j, _)| jobs[(j.0 - 1) as usize].running())
-            .map(|r| r.req_end)
-            .max()
-    }
-
-    /// Recomputes a node's predicted release and patches the cached
-    /// availability profile with the delta.
-    pub(super) fn update_release(&mut self, n: NodeId) {
-        let latest = self.node_release(n);
-        let old = self.releases.release_of(n);
-        if old == latest {
-            return;
-        }
-        self.releases.set_release(n, latest);
-        self.avail.patch_release(self.now, old, latest);
-    }
-
-    /// [`SimState::update_release`] over a whole allocation: identical
-    /// transitions are grouped into one release-index update and one profile
-    /// patch each (a whole-job start or end moves every node the same way,
-    /// so a W-node job costs one O(len) patch instead of W).
-    pub(super) fn update_releases(&mut self, nodes: &[NodeId]) {
-        let (cluster, jobs) = (&self.cluster, &self.jobs);
-        let moved = self
-            .releases
-            .set_releases(nodes.iter().map(|&n| (n, Self::release_among(cluster, jobs, n))));
-        for (old, new, count) in moved {
-            self.avail.patch_release_many(self.now, old, new, count);
-        }
+    /// Sets every node of `group`'s predicted release to `when` — an
+    /// exclusive start moves the whole group from idle at once — and patches
+    /// the cached availability with each distinct move.
+    fn release_group(&mut self, group: &[NodeId], when: Option<SimTime>) {
+        let (avail, now) = (&mut self.avail, self.now);
+        self.releases.set_releases(group.iter().map(|&n| (n, when)), |old, new, count| {
+            avail.patch_release_many(now, old, new, count)
+        });
     }
 
     /// Re-evaluates whether `id` belongs in the shrunk-borrower index.

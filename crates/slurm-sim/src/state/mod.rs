@@ -1,8 +1,9 @@
 //! The simulator state and its primitive operations.
 //!
-//! [`SimState`] owns the machine (cluster occupancy, DROM registry, node
-//! managers), the job table, the queue, the event queue and the energy
-//! meter. Schedulers mutate it only through the high-level operations:
+//! [`SimState`] owns the machine (the node table and the idle/busy
+//! counters it keeps in step), the job table, the queue, the event queue
+//! and the energy meter. Schedulers mutate it only through the high-level
+//! operations:
 //!
 //! * [`SimState::start_static`] — exclusive whole-node start,
 //! * [`SimState::co_schedule`] — SD-Policy's malleable start: shrink the
@@ -10,10 +11,12 @@
 //! * job completion (driven by the controller) with owner-return /
 //!   redistribution semantics.
 //!
-//! Every operation keeps five structures consistent: cluster occupancy, DROM
-//! masks, per-job running state (the work integrator), the release map used
-//! by backfill profiles, and the energy meter. `cfg.self_check` re-validates
-//! the cluster after each mutation.
+//! Every operation keeps four structures consistent: the node table (each
+//! node's residents, their core masks and DROM handles, plus the idle index
+//! and busy-core count), per-job running state (the work integrator), the
+//! release map used by backfill profiles, and the energy meter. A start or
+//! an end makes one pass over its nodes' records. `cfg.self_check`
+//! re-validates the table after each mutation.
 
 use crate::config::SlurmConfig;
 use crate::job::{Job, JobOutcome, JobSpec, JobState, RunningJob};
@@ -23,7 +26,7 @@ use crate::reservation::{Profile, ReleaseMap};
 use crate::tenant::{fair_share_sort, QueuePolicy, TenantUsage, NO_TENANT_SLOT};
 use crate::timing::{self, Probe};
 use cluster::{ClusterSpec, ClusterState, EnergyMeter, JobId, NodeId};
-use drom::{DromRegistry, NodeManager, SharingFactor};
+use drom::{NodeTable, SharingFactor};
 use simkit::{DetRng, EventQueue, SimTime};
 use std::collections::BTreeSet;
 use weights::PoolWeights;
@@ -165,9 +168,10 @@ pub struct SimState {
     pub now: SimTime,
     pub cfg: SlurmConfig,
     spec: ClusterSpec,
+    /// Idle nodes and busy cores, kept in step by `nodes`.
     pub cluster: ClusterState,
-    pub drom: DromRegistry,
-    node_mgrs: Vec<NodeManager>,
+    /// Every node's residents: the one per-node table.
+    pub nodes: NodeTable,
     pub queue: PendingQueue,
     jobs: Vec<Job>,
     /// Ids of running jobs, ascending (deterministic iteration).
@@ -329,10 +333,7 @@ impl SimState {
         SimState {
             now: SimTime::ZERO,
             cluster: ClusterState::new(spec.clone()),
-            drom: DromRegistry::new(),
-            node_mgrs: (0..nodes)
-                .map(|i| NodeManager::new(NodeId(i), spec.node.clone()))
-                .collect(),
+            nodes: NodeTable::new(nodes, spec.node.clone()),
             spec,
             cfg,
             queue: PendingQueue::new(),
@@ -543,19 +544,28 @@ impl SimState {
 
     /// Validates the full cross-structure consistency (tests).
     pub fn deep_validate(&self) -> Result<(), String> {
-        self.cluster.validate()?;
+        // At most two residents per node, disjoint masks, counters in step.
+        self.nodes.validate(&self.cluster)?;
+        let mut placed = 0;
         for &id in &self.running {
             let r = self.job(id).running().ok_or("running set stale")?;
             for (i, &n) in r.nodes.iter().enumerate() {
                 let c = self
-                    .cluster
-                    .occupancy(n)
+                    .nodes
+                    .record(n)
                     .cores_of(id)
                     .ok_or_else(|| format!("{id} missing on {n}"))?;
                 if c != r.cores[i] {
                     return Err(format!("{id} cores mismatch on {n}: {c} vs {}", r.cores[i]));
                 }
             }
+            placed += r.nodes.len();
+        }
+        // Every running job is on each of its nodes and no job is twice on
+        // a node, so equal totals leave no resident unaccounted for.
+        let residents: usize = self.nodes.records().iter().map(|r| r.residents().len()).sum();
+        if residents != placed {
+            return Err(format!("{residents} residents for {placed} running placements"));
         }
         for e in &self.mate_pool {
             if !self.is_eligible_mate(e.id) {
@@ -1135,10 +1145,9 @@ mod tests {
         assert!(mate.lent_to.is_empty(), "partner link dropped");
         assert!(st.shrunk_borrowers().is_empty(), "borrower index cleaned");
         assert!(st.is_eligible_mate(JobId(1)), "pair dissolved");
-        // DROM masks on the shared nodes are consistent post-expansion.
-        for n in [cluster::NodeId(0), cluster::NodeId(1)] {
-            st.drom.validate_node(n).expect("masks disjoint");
-        }
+        // Masks on the shared nodes are consistent post-expansion.
+        st.nodes.validate(&st.cluster).expect("masks disjoint");
+        assert_eq!(st.nodes.record(cluster::NodeId(0)).residents().len(), 1);
         while let Some(ev) = st.events.pop() {
             st.now = ev.time.max(st.now);
             st.dispatch(ev.payload);

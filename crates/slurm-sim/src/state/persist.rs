@@ -19,10 +19,7 @@
 
 use super::*;
 use cluster::cpumask::CpuMask;
-use cluster::NodeOccupancy;
-use drom::node::Resident;
-use drom::registry::ProcessEntry;
-use drom::DromHandle;
+use drom::{DromHandle, ProcessEntry, Resident};
 use sd_durable::codec::{Reader, Writer};
 use workload::AppId;
 
@@ -372,16 +369,19 @@ impl SimState {
         // Mate pool, in its maintained `(base, id)` order.
         self.mate_pool.put(w);
 
-        // Cluster occupancy: per node, its `(job, cores)` list.
-        w.len(self.cluster.occupancies().len());
-        self.cluster.occupancies().iter().for_each(|occ| occ.jobs.put(w));
-
-        // DROM registry entries, then the next handle.
-        self.drom.snapshot().put(w);
-
-        // Node managers: per node, its residents.
-        w.len(self.node_mgrs.len());
-        self.node_mgrs.iter().for_each(|nm| put_seq(w, nm.snapshot()));
+        // Three views of the node table, each in its historical layout.
+        // Occupancy: per node, its residents' `(job, cores)`.
+        let records = self.nodes.records();
+        w.len(records.len());
+        for rec in records {
+            w.len(rec.residents().len());
+            rec.residents().iter().for_each(|r| (r.job, r.mask.count() as u32).put(w));
+        }
+        // DROM: the registered residents, grouped by node, then the next handle.
+        (self.nodes.processes().collect::<Vec<_>>(), self.nodes.next_handle()).put(w);
+        // Residents: per node, in arrival order.
+        w.len(records.len());
+        records.iter().for_each(|rec| put_seq(w, rec.residents()));
 
         // Release map (counts/busy re-derived on restore).
         put_seq(w, self.releases.node_releases());
@@ -486,33 +486,20 @@ impl SimState {
         st.mate_pool = r.get()?;
         st.pool_weights = PoolWeights::recount(&st.mate_pool);
 
-        // Cluster occupancy.
-        let n = r.r.len(Vec::<(JobId, u32)>::MIN)?;
-        let mut occs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let jobs: Vec<(JobId, u32)> = r.get()?;
-            let cores_used = jobs.iter().map(|&(_, c)| c).sum();
-            occs.push(NodeOccupancy { jobs, cores_used });
+        // The node table's three sections, cross-checked node by node.
+        let occupancy: Vec<Vec<(JobId, u32)>> = r.get()?;
+        let (processes, next_handle): (Vec<ProcessEntry>, u64) = r.get()?;
+        let residents: Vec<Vec<Resident>> = r.get()?;
+        if residents.len() != nodes as usize {
+            return Err(format!(
+                "checkpoint has {} resident lists, machine has {nodes}",
+                residents.len()
+            ));
         }
-        st.cluster = ClusterState::from_occupancies(st.spec.clone(), occs)?;
-
-        // DROM registry.
-        let entries: Vec<ProcessEntry> = r.get()?;
-        if let Some(e) = entries.iter().find(|e| e.node.0 >= nodes) {
-            return Err(format!("DROM entry on {}, machine has {nodes} nodes", e.node));
-        }
-        st.drom = DromRegistry::from_snapshot(entries, r.get()?)?;
-
-        // Node managers.
-        let nmgrs = r.r.len(Vec::<Resident>::MIN)?;
-        if nmgrs != nodes as usize {
-            return Err(format!("checkpoint has {nmgrs} node managers, machine has {nodes}"));
-        }
-        let mut node_mgrs = Vec::with_capacity(nmgrs);
-        for i in 0..nodes {
-            node_mgrs.push(NodeManager::from_snapshot(NodeId(i), st.spec.node.clone(), r.get()?)?);
-        }
-        st.node_mgrs = node_mgrs;
+        let node = st.spec.node.clone();
+        st.nodes = NodeTable::restore(node, occupancy, processes, next_handle, residents)?;
+        let cores = st.nodes.records().iter().map(|rec| rec.cores_used());
+        st.cluster = ClusterState::from_node_cores(st.spec.clone(), cores)?;
 
         // Release map.
         let releases: Vec<Option<SimTime>> = r.get()?;
@@ -768,6 +755,19 @@ mod tests {
         assert!(err.contains("bad bool byte 7"), "{err}");
     }
 
+    /// Byte offset of the one place `pattern` occurs in `bytes`.
+    fn locate(bytes: &[u8], pattern: &[u8]) -> usize {
+        let at: Vec<usize> = (0..bytes.len() - pattern.len())
+            .filter(|&i| bytes[i..].starts_with(pattern))
+            .collect();
+        assert_eq!(at.len(), 1, "pattern must be unique in the image");
+        at[0]
+    }
+
+    fn restore_image(image: &[u8]) -> Result<SimState, String> {
+        SimState::restore(spec4(), cfg(), Box::new(WorstCaseModel), SharingFactor::HALF, image)
+    }
+
     /// A hostile image: well-formed everywhere except one DROM `node` or one
     /// mask `width`. (This layer has no checksum — the engine's frame CRC is
     /// recomputed by whoever rewrites the file, so it protects nothing here.)
@@ -776,49 +776,43 @@ mod tests {
     /// of another width used to restore.
     #[test]
     fn poisoned_drom_node_or_mask_width_is_rejected() {
-        let mut st = mid_run_state();
-        let staged = st.drom.snapshot().0[0];
-        st.drom.set_mask(staged.node, staged.handle, staged.current);
-        let bytes = st.checkpoint_bytes();
-
-        // Byte offset of the one place `pattern` occurs in the image.
-        let locate = |pattern: &[u8]| {
-            let at: Vec<usize> = (0..bytes.len() - pattern.len())
-                .filter(|&i| bytes[i..].starts_with(pattern))
-                .collect();
-            assert_eq!(at.len(), 1, "pattern must be unique in the image");
-            at[0]
-        };
-        let entry = st.drom.snapshot().0[0];
+        let st = mid_run_state();
+        let entry = st.nodes.processes().next().expect("a registered process");
         let mut head_bytes = Vec::new();
         let mut head = Writer::new(&mut head_bytes);
         head.u64(entry.handle.0);
         head.u64(entry.job.0);
         head.u32(entry.node.0);
         entry.current.put(&mut head);
-        let entry_at = locate(&head_bytes);
+        // The image with that entry's mask also staged, as an image written
+        // between a shrink and its malleability point would hold it: the
+        // "has pending" byte after the current mask, then the mask.
+        let bytes = {
+            let plain = st.checkpoint_bytes();
+            let at = locate(&plain, &head_bytes) + head_bytes.len();
+            assert_eq!(plain[at], 0, "nothing is staged");
+            let mut image = plain[..at].to_vec();
+            Some(entry.current).put(&mut Writer::new(&mut image));
+            image.extend_from_slice(&plain[at + 1..]);
+            image
+        };
+        let entry_at = locate(&bytes, &head_bytes);
         // After the current mask: the "has pending" byte, then its width.
         let pending_width = entry_at + head_bytes.len() + 1;
-        let resident = &st.node_mgrs[0].snapshot()[0];
+        let resident = &st.nodes.record(NodeId(0)).residents()[0];
         let mut res_bytes = Vec::new();
         let mut res = Writer::new(&mut res_bytes);
         res.u64(resident.job.0);
         resident.mask.put(&mut res);
         res.bool(resident.malleable);
         res.opt_u64(resident.handle.map(|h| h.0));
-        let resident_at = locate(&res_bytes);
+        let resident_at = locate(&bytes, &res_bytes);
 
         let poisoned = |at: usize, value: u32| {
             let mut image = bytes[..at].to_vec();
             Writer::new(&mut image).u32(value);
             image.extend_from_slice(&bytes[at + 4..]);
-            SimState::restore(
-                spec4(),
-                cfg(),
-                Box::new(WorstCaseModel),
-                SharingFactor::HALF,
-                &image,
-            )
+            restore_image(&image)
         };
         // The locators point where they should: rewriting the real value is
         // a no-op, and the image still restores.
@@ -834,6 +828,47 @@ mod tests {
                 assert!(err.contains("cores wide"), "{width}: {err}");
             }
         }
+    }
+
+    /// The occupancy, DROM and resident sections are three views of one
+    /// node table. An image in which they disagree on a node, or that puts
+    /// a third resident on one, is refused, and the error names the node.
+    #[test]
+    fn disagreeing_node_sections_are_rejected() {
+        let st = mid_run_state();
+        let bytes = st.checkpoint_bytes();
+        // Node 0's first resident: job 1, the mate, shrunk to 4 cores.
+        let resident = st.nodes.record(NodeId(0)).residents()[0];
+        assert_eq!((resident.job, resident.mask.count()), (JobId(1), 4));
+        let mut res_bytes = Vec::new();
+        resident.put(&mut Writer::new(&mut res_bytes));
+        let resident_at = locate(&bytes, &res_bytes);
+        let entry = st.nodes.find(JobId(1), NodeId(0)).expect("the mate is registered");
+        let mut head_bytes = Vec::new();
+        (entry.handle, entry.job, entry.node, entry.current).put(&mut Writer::new(&mut head_bytes));
+        let entry_at = locate(&bytes, &head_bytes);
+
+        // A mask's one word follows its width (u32) and word count (u64):
+        // clearing its lowest core leaves 3 where the other views say 4.
+        let drop_a_core = |word_at: usize| {
+            let mut image = bytes.clone();
+            let word = u64::from_le_bytes(image[word_at..word_at + 8].try_into().unwrap());
+            image[word_at..word_at + 8].copy_from_slice(&(word & (word - 1)).to_le_bytes());
+            restore_image(&image).err().expect("the views disagree")
+        };
+        let err = drop_a_core(resident_at + 8 + 4 + 8);
+        assert!(err.contains("n0: occupancy"), "{err}");
+        let err = drop_a_core(entry_at + 8 + 8 + 4 + 4 + 8);
+        assert!(err.contains("n0: DROM entry for job1"), "{err}");
+
+        // Node 0's resident count (the u64 before its first resident) says
+        // three, and a third resident follows.
+        let mut image = bytes[..resident_at - 8].to_vec();
+        Writer::new(&mut image).len(3);
+        image.extend_from_slice(&res_bytes);
+        image.extend_from_slice(&bytes[resident_at..]);
+        let err = restore_image(&image).err().expect("three residents");
+        assert!(err.contains("n0 has 3 residents"), "{err}");
     }
 
     #[test]
@@ -919,10 +954,10 @@ mod tests {
         exact(Vec::<(JobId, u32)>::new());
 
         let words = |m: &CpuMask| 8 * m.words().len();
-        let mut entry = st.drom.snapshot().0[0];
+        let mut entry = st.nodes.processes().next().expect("a registered process");
         entry.pending = None;
         assert_eq!(size(&entry), ProcessEntry::MIN + words(&entry.current));
-        let mut resident = st.node_mgrs[0].snapshot()[0];
+        let mut resident = st.nodes.record(NodeId(0)).residents()[0];
         (resident.handle, resident.lender) = (None, None);
         assert_eq!(size(&resident), Resident::MIN + words(&resident.mask));
         assert_eq!(size(&resident.mask), CpuMask::MIN + words(&resident.mask));

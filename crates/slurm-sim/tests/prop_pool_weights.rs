@@ -4,7 +4,9 @@
 //!   the pool after every operation, and the cover query answers exactly
 //!   what a brute-force search over the pool's weights answers;
 //! * the DynAVGSD sum (§3.2.2) equals a recount over the running jobs'
-//!   armed ends after every operation, and survives a checkpoint.
+//!   armed ends after every operation, and survives a checkpoint;
+//! * no node ever holds more than two residents (a full-width mate and its
+//!   borrower), and `checkpoint → restore → checkpoint` is byte-stable.
 
 use cluster::{ClusterSpec, JobId};
 use drom::SharingFactor;
@@ -51,10 +53,12 @@ fn brute_cover(weights: &[u32], need: u32, m: usize) -> bool {
     })
 }
 
-/// A mate set from the pool for `job`: weights summing to its width, every
-/// mate's requested end covering the borrower's worst-case (half-rate) end.
-fn mates_for(st: &SimState, job: JobId) -> Option<Vec<JobId>> {
+/// A mate set from the pool for `job`: weights summing to its width less
+/// `free` idle nodes, every mate's requested end covering the borrower's
+/// worst-case (half-rate) end.
+fn mates_for(st: &SimState, job: JobId, free: u32) -> Option<Vec<JobId>> {
     let spec = &st.job(job).spec;
+    let need = spec.req_nodes.checked_sub(free)?;
     let end = st.now.after(2 * spec.req_time);
     let pool: Vec<_> = st
         .eligible_mates()
@@ -62,11 +66,11 @@ fn mates_for(st: &SimState, job: JobId) -> Option<Vec<JobId>> {
         .filter(|e| e.req_end >= end)
         .collect();
     for (i, a) in pool.iter().enumerate() {
-        if a.weight == spec.req_nodes {
+        if a.weight == need {
             return Some(vec![a.id]);
         }
         for b in &pool[i + 1..] {
-            if a.weight + b.weight == spec.req_nodes {
+            if a.weight + b.weight == need {
                 return Some(vec![a.id, b.id]);
             }
         }
@@ -94,6 +98,19 @@ fn check(st: &SimState) -> Result<(), TestCaseError> {
         // Beyond pairs the query is a necessary bound: never a false "no".
         prop_assert!(st.mate_weights_cover(need, 3) || !brute_cover(&weights, need, 3));
     }
+    for (n, rec) in st.nodes.records().iter().enumerate() {
+        prop_assert!(rec.residents().len() <= 2, "node {} holds {:?}", n, rec.residents());
+    }
+    let image = st.checkpoint_bytes();
+    let re = SimState::restore(
+        st.spec().clone(),
+        st.cfg.clone(),
+        Box::new(WorstCaseModel),
+        st.sharing(),
+        &image,
+    )
+    .map_err(TestCaseError::fail)?;
+    prop_assert!(re.checkpoint_bytes() == image, "checkpoint → restore → checkpoint moved");
     Ok(())
 }
 
@@ -122,11 +139,13 @@ fn apply(st: &mut SimState, (kind, a, b): (u8, u64, u64)) {
                 st.start_static(id);
             }
         }
-        // Malleable start onto mates drawn from the pool.
+        // Malleable start onto mates drawn from the pool, one in two also
+        // taking an idle node (the free-nodes option).
         5 | 6 => {
             if let Some(id) = pick(&queued) {
-                if let Some(mates) = mates_for(st, id) {
-                    let _ = st.co_schedule(id, &mates, 0);
+                let free = u32::from(kind == 6 && st.cluster.empty_node_count() > 0);
+                if let Some(mates) = mates_for(st, id, free) {
+                    let _ = st.co_schedule(id, &mates, free);
                 }
             }
         }

@@ -10,9 +10,11 @@
 
 use sd_sched::prelude::*;
 
-fn dump(label: &str, nm: &NodeManager, reg: &DromRegistry) {
+const NODE: NodeId = NodeId(0);
+
+fn dump(label: &str, table: &NodeTable) {
     println!("--- {label} ---");
-    for entry in reg.processes_on(nm.node()) {
+    for entry in table.processes_on(NODE) {
         println!(
             "  {}: {:?} ({} cores)",
             entry.job,
@@ -20,54 +22,72 @@ fn dump(label: &str, nm: &NodeManager, reg: &DromRegistry) {
             entry.current.count()
         );
     }
-    println!("  free: {:?}\n", nm.free_mask());
+    println!("  free: {:?}\n", table.free_mask(NODE));
 }
 
 fn main() {
     // One MN4 node: 2 sockets × 24 cores.
     let spec = ClusterSpec::marenostrum4(1);
-    let mut nm = NodeManager::new(NodeId(0), spec.node.clone());
-    let mut reg = DromRegistry::new();
+    let mut table = NodeTable::new(1, spec.node.clone());
+    let mut cluster = ClusterState::new(spec);
 
     // 1. A malleable job launches exclusively: full node.
-    nm.launch(&mut reg, JobId(1), 48, true).expect("empty node");
-    dump("job1 running exclusively", &nm, &reg);
+    table
+        .launch(&mut cluster, &[NODE], JobId(1), 48, true)
+        .expect("empty node");
+    dump("job1 running exclusively", &table);
 
     // 2. SD-Policy co-schedules job2: job1 shrinks to one socket (the
     //    SharingFactor 0.5 the paper uses on two-socket nodes), job2 takes
-    //    the other socket. DROM applies the masks at the next malleability
-    //    point.
-    let updates = nm
-        .co_launch(&mut reg, JobId(2), JobId(1), SharingFactor::HALF, 2)
+    //    the other socket. DROM applies both masks before `co_launch`
+    //    returns: the malleability point is reached at once.
+    let updates = table
+        .co_launch(
+            &mut cluster,
+            NODE,
+            JobId(2),
+            JobId(1),
+            SharingFactor::HALF,
+            2,
+        )
         .expect("job1 is malleable");
     for u in &updates {
         println!("reconfig: {} -> {} cores", u.job, u.cores());
     }
-    // The node manager only stages masks; the malleability point applies them.
-    reg.poll_node(nm.node());
-    dump("after co-scheduling job2", &nm, &reg);
-    assert!(reg.validate_node(NodeId(0)).is_ok(), "masks stay disjoint");
+    dump("after co-scheduling job2", &table);
+    table.validate(&cluster).expect("masks stay disjoint");
 
     // 3. Job2 (the backfilled job) finishes first: its cores return to the
     //    owner — job1 expands back to the full node.
-    let updates = nm.finish(&mut reg, JobId(2));
-    for u in &updates {
+    let expanded = table.finish(&mut cluster, NODE, JobId(2));
+    if let Some(u) = expanded.expect("job2 runs here") {
         println!("expand: {} -> {} cores", u.job, u.cores());
     }
-    reg.poll_node(nm.node());
-    dump("after job2 finished (owner expanded)", &nm, &reg);
+    dump("after job2 finished (owner expanded)", &table);
 
     // 4. The opposite ending: co-schedule job3, then finish the OWNER first.
     //    Job3 inherits the freed cores ("distributed to remaining running
     //    tasks, to increase node utilization").
-    nm.co_launch(&mut reg, JobId(3), JobId(1), SharingFactor::HALF, 2)
-        .unwrap();
-    reg.poll_node(nm.node());
-    dump("job3 co-scheduled with job1", &nm, &reg);
-    let updates = nm.finish(&mut reg, JobId(1));
-    for u in &updates {
+    table
+        .co_launch(
+            &mut cluster,
+            NODE,
+            JobId(3),
+            JobId(1),
+            SharingFactor::HALF,
+            2,
+        )
+        .expect("job1 is alone at full width again");
+    dump("job3 co-scheduled with job1", &table);
+    let expanded = table.finish(&mut cluster, NODE, JobId(1));
+    if let Some(u) = expanded.expect("job1 runs here") {
         println!("redistribute: {} -> {} cores", u.job, u.cores());
     }
-    reg.poll_node(nm.node());
-    dump("after the owner (job1) finished", &nm, &reg);
+    dump("after the owner (job1) finished", &table);
+    assert_eq!(
+        table.free_mask(NODE).count(),
+        0,
+        "job3 holds the whole node"
+    );
+    table.validate(&cluster).expect("masks stay disjoint");
 }
