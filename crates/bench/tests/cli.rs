@@ -100,15 +100,21 @@ fn a_flag_a_binary_would_ignore_is_an_unknown_flag() {
         // The usage beside the error offers only what is honoured.
         assert!(stderr.contains("--threads") && !stderr.contains("--out <path>"), "{stderr}");
     }
-    let help = run(validate, "--help");
-    assert_eq!(help.status.code(), Some(0));
-    let stdout = String::from_utf8_lossy(&help.stdout);
-    assert!(stdout.contains("--claim") && stdout.contains("--threads"), "{stdout}");
-    assert!(!stdout.contains("--scale") && !stdout.contains("--swf"), "{stdout}");
+    // Help wins over a flag the binary does not honour, in either binary.
+    for args in ["--help", "-h", "--help --bogus"] {
+        let help = run(validate, args);
+        assert_eq!(help.status.code(), Some(0), "{args}");
+        let stdout = String::from_utf8_lossy(&help.stdout);
+        assert!(stdout.contains("--claim") && stdout.contains("--threads"), "{stdout}");
+        assert!(!stdout.contains("--scale") && !stdout.contains("--swf"), "{stdout}");
+        let help = run(env!("CARGO_BIN_EXE_run_scenario"), args);
+        assert_eq!(help.status.code(), Some(0), "{args}");
+    }
 
     let scenario = env!("CARGO_BIN_EXE_run_scenario");
-    // `--format` is gone: the `--out` extension picks JSON or CSV.
-    for flag in ["--swf trace.swf", "--format csv"] {
+    // `--format` is gone: the `--out` extension picks JSON or CSV. Removed
+    // flags are typos like any other.
+    for flag in ["--swf trace.swf", "--format csv", "--backend x", "--bogus"] {
         let out = run(scenario, &format!("--scenario bursty {flag}"));
         assert_eq!(out.status.code(), Some(2), "{flag}");
         let name = flag.split(' ').next().unwrap();
@@ -132,9 +138,46 @@ fn a_cli_override_is_checked_as_the_key_it_overrides() {
         let want = format!("bad --scale: `scale` must be > 0, got {bad}\n");
         assert!(stderr.starts_with(&want), "{stderr}");
     }
-    let out = run(scenario, "--scenario bursty --seed 1.5");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).starts_with("bad --seed: `seed`: not an integer"));
+    for (args, want) in [
+        ("--scale inf", "bad --scale: `scale` must be > 0, got inf"),
+        ("--scale abc", "bad --scale: "),
+        ("--scale", "--scale needs a value"),
+        ("--seed 1.5", "bad --seed: `seed`: not an integer"),
+        ("--seed -7", "bad --seed: "),
+    ] {
+        let out = run(scenario, &format!("--scenario bursty {args}"));
+        assert_eq!(out.status.code(), Some(2), "{args}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with(want), "{args}: {stderr}");
+    }
+    // The thread cap is checked alike by both binaries.
+    for bin in [scenario, env!("CARGO_BIN_EXE_sd_validate")] {
+        for (args, want) in
+            [("--threads 0", "--threads must be at least 1"), ("--threads x", "bad thread count: x")]
+        {
+            let out = run(bin, args);
+            assert_eq!(out.status.code(), Some(2), "{args}");
+            assert!(String::from_utf8_lossy(&out.stderr).starts_with(want), "{args}");
+        }
+    }
+
+    // An accepted override replaces the key; without one the file's value
+    // stands, and `--full` wins over `--scale`.
+    let dir = scratch("overrides");
+    let scn = dir.join("tiny.scn");
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/tiny.swf");
+    std::fs::write(&scn, format!("[scenario]\nname = tiny\nseed = 5\n\n[workload]\nsource = swf\npath = {fixture}\n"))
+        .unwrap();
+    for (flags, want) in [
+        ("", "\"seed\": 5, \"scale\": 1,"),
+        ("--seed 42 --scale 0.5", "\"seed\": 42, \"scale\": 0.5,"),
+        ("--scale 0.5 --full", "\"seed\": 5, \"scale\": 1,"),
+    ] {
+        let json = dir.join("tiny.json");
+        run_scenario(format!("--scenario {} {flags}", scn.display()).trim_end(), Some(&json));
+        let json = std::fs::read_to_string(&json).unwrap();
+        assert!(json.contains(want), "{flags}: {json}");
+    }
 
     // A claim is read through the same keys: the parent listed this file.
     let dir = scratch("bad-exp");

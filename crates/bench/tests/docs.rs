@@ -1,10 +1,13 @@
-//! DESIGN.md names every key of the scenario and expectation formats; these
-//! tests keep what it names equal to what the parsers' tables hold.
+//! DESIGN.md names every key of the scenario and expectation formats and
+//! the simulator's indexed structures; these tests keep what it names equal
+//! to what the parsers' tables and the sources hold, and keep the two long
+//! documents from growing.
 
 use sd_bench::validate::{CLAIM_KEYS, DEFAULTS_KEYS, SCENARIO_KEYS};
 use sd_scenario::{AXES, KEYS};
 
 const DESIGN: &str = include_str!("../../../DESIGN.md");
+const README: &str = include_str!("../../../README.md");
 
 /// The `` `words` `` of a stretch of DESIGN.md, parenthesised asides (where
 /// vocabularies and defaults are spelled) left out.
@@ -63,4 +66,45 @@ fn section_8_names_every_claim_key() {
     let defaults = DESIGN.split("A `[defaults]` section supplies").nth(1).expect("the sentence");
     let defaults = defaults.split("for\nclaims").next().expect("its end");
     assert_eq!(named(defaults), DEFAULTS_KEYS);
+}
+
+/// Every identifier in the `.rs` files under `dir`, recursively.
+fn identifiers(dir: &std::path::Path, out: &mut std::collections::BTreeSet<String>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("readable entry").path();
+        if path.is_dir() {
+            identifiers(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = std::fs::read_to_string(&path).expect("utf-8 source");
+            let words = text.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+            out.extend(words.filter(|w| !w.is_empty()).map(str::to_string));
+        }
+    }
+}
+
+#[test]
+fn section_9_indexes_name_structures_that_exist() {
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut known = std::collections::BTreeSet::new();
+    for krate in ["slurm-sim", "cluster", "drom"] {
+        identifiers(&crates.join(krate).join("src"), &mut known);
+    }
+    let rows = table("| structure | invariant |");
+    assert!(rows.len() >= 5, "the index table has rows");
+    for (structure, _) in rows {
+        for name in named(structure) {
+            for ident in name.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+                let missing = !ident.is_empty() && !known.contains(ident);
+                assert!(!missing, "DESIGN.md §9 names `{name}`: no `{ident}` in the sources");
+            }
+        }
+    }
+}
+
+#[test]
+fn readme_and_design_do_not_grow() {
+    for (doc, text, budget) in [("README.md", README, 400), ("DESIGN.md", DESIGN, 1396)] {
+        let lines = text.lines().count();
+        assert!(lines <= budget, "{doc} has {lines} lines, budget {budget}");
+    }
 }

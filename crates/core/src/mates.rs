@@ -125,9 +125,9 @@ pub fn collect_candidates(
 ) -> Vec<Candidate> {
     let now = st.now;
     let new_end = now.after(mall_wall);
-    // Index prune: the running-by-end index knows the latest requested end
-    // among *all* running jobs (a superset of the mate pool). If even that
-    // falls short of the new job's end, the finish-inside constraint
+    // Index prune: the release map's last instant is the latest requested
+    // end among *all* running jobs (a superset of the mate pool). If even
+    // that falls short of the new job's end, the finish-inside constraint
     // rejects every candidate — skip the scan-and-score entirely.
     if st.latest_running_req_end().is_none_or(|latest| latest < new_end) {
         return Vec::new();

@@ -29,7 +29,10 @@ pub struct SlurmConfig {
     pub malleable_fraction: f64,
     /// Seed for the per-job malleability draw when `malleable_fraction < 1`.
     pub malleable_seed: u64,
-    /// Run `ClusterState::validate` after every mutation (tests/debug).
+    /// Check every incrementally kept structure against a rebuild as it is
+    /// used: the node table, the cached and per-pass availability, the
+    /// mate-pool weight index, the weighted-busy and DynAVGSD sums and the
+    /// policy's trial memo (tests/debug).
     pub self_check: bool,
     /// The tenant table (identities, weights, quotas). Empty — the default —
     /// disables all tenant accounting and quota checks; the simulator is

@@ -99,7 +99,8 @@ pub struct RunningJob {
     /// it back from the event queue.
     pub armed_end: SimTime,
     /// Requested-time-based predicted end, used by profiles/reservations and
-    /// the finish-inside-mates constraint. Extended when the job is shrunk.
+    /// the finish-inside-mates constraint. Fixed while the job runs: a
+    /// shrink stretches the run, never the time limit.
     pub req_end: SimTime,
     /// Jobs this one was co-scheduled with (it is the *backfilled* job).
     pub mates: Vec<JobId>,

@@ -24,8 +24,6 @@ pub struct ReleaseMap {
     node_release: Vec<Option<SimTime>>,
     /// release instant → number of nodes releasing then.
     counts: BTreeMap<SimTime, u32>,
-    /// Busy nodes tracked (maintained counter; the BTreeMap is never summed).
-    busy: u32,
 }
 
 impl ReleaseMap {
@@ -33,7 +31,6 @@ impl ReleaseMap {
         ReleaseMap {
             node_release: vec![None; nodes as usize],
             counts: BTreeMap::new(),
-            busy: 0,
         }
     }
 
@@ -78,7 +75,6 @@ impl ReleaseMap {
     /// Moves `nodes` nodes from release instant `old` to `new` in the index.
     fn retally(&mut self, old: Option<SimTime>, new: Option<SimTime>, nodes: u32) {
         if let Some(old) = old {
-            self.busy -= nodes;
             match self.counts.get_mut(&old) {
                 Some(c) if *c > nodes => *c -= nodes,
                 _ => {
@@ -87,7 +83,6 @@ impl ReleaseMap {
             }
         }
         if let Some(new) = new {
-            self.busy += nodes;
             *self.counts.entry(new).or_insert(0) += nodes;
         }
     }
@@ -96,9 +91,9 @@ impl ReleaseMap {
         self.node_release[node.0 as usize]
     }
 
-    /// Busy nodes tracked (O(1): a counter kept by [`ReleaseMap::set_release`]).
-    pub fn busy_count(&self) -> u32 {
-        self.busy
+    /// The latest predicted release, `None` when every node is empty.
+    pub fn last(&self) -> Option<SimTime> {
+        self.counts.keys().next_back().copied()
     }
 
     /// `(instant, nodes)` pairs in ascending order, skipping instants not
@@ -117,8 +112,8 @@ impl ReleaseMap {
         &self.node_release
     }
 
-    /// Rebuilds a map from per-node releases; the instant→count index and
-    /// the busy counter are re-derived.
+    /// Rebuilds a map from per-node releases; the instant→count index is
+    /// re-derived.
     pub(crate) fn from_releases(node_release: &[Option<SimTime>]) -> ReleaseMap {
         let mut rm = ReleaseMap::new(node_release.len() as u32);
         for (i, &when) in node_release.iter().enumerate() {
@@ -596,7 +591,7 @@ mod tests {
         rm.set_release(NodeId(0), Some(SimTime(100)));
         rm.set_release(NodeId(1), Some(SimTime(100)));
         rm.set_release(NodeId(2), Some(SimTime(50)));
-        assert_eq!(rm.busy_count(), 3);
+        assert_eq!(rm.last(), Some(SimTime(100)));
         let ups: Vec<_> = rm.upcoming(SimTime(0)).collect();
         assert_eq!(ups, vec![(SimTime(50), 1), (SimTime(100), 2)]);
     }
@@ -609,7 +604,7 @@ mod tests {
         assert_eq!(rm.release_of(NodeId(0)), Some(SimTime(200)));
         assert_eq!(rm.upcoming(SimTime(0)).collect::<Vec<_>>(), vec![(SimTime(200), 1)]);
         rm.set_release(NodeId(0), None);
-        assert_eq!(rm.busy_count(), 0);
+        assert_eq!(rm.last(), None);
     }
 
     #[test]
@@ -636,7 +631,7 @@ mod tests {
             vec![(t(100), t(200), 2), (t(50), t(200), 1), (t(50), None, 1), (None, t(200), 1)]
         );
         assert_eq!(batch.node_releases(), one.node_releases());
-        assert_eq!(batch.busy_count(), one.busy_count());
+        assert_eq!(batch.last(), one.last());
         assert_eq!(
             batch.upcoming(SimTime(0)).collect::<Vec<_>>(),
             one.upcoming(SimTime(0)).collect::<Vec<_>>()

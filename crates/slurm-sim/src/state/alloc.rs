@@ -23,11 +23,9 @@ impl SimState {
         let cores = vec![full; nodes.len()];
         let mut run = RunningJob::new(self.now, nodes, cores, full, spec.req_time);
         run.rate = 1.0;
-        let req_end = run.req_end;
-        self.release_group(&run.nodes, Some(req_end));
+        self.release_group(&run.nodes, Some(run.req_end));
         self.job_mut(id).state = JobState::Running(run);
-        self.running.insert(id);
-        self.running_by_end.insert((req_end, id));
+        self.running += 1;
         self.arm_end(id);
         self.queue.remove(id);
         self.refresh_eligibility(id);
@@ -202,8 +200,7 @@ impl SimState {
         run.malleable_backfilled = true;
         run.req_end = new_req_end;
         self.job_mut(new_id).state = JobState::Running(run);
-        self.running.insert(new_id);
-        self.running_by_end.insert((new_req_end, new_id));
+        self.running += 1;
         self.refresh_borrower_index(new_id);
         let rate = self.compute_rate(new_id);
         let now = self.now;
@@ -372,9 +369,8 @@ impl SimState {
     /// map and the energy meter. The caller has already replaced the job's
     /// state and handled outcome/last-end bookkeeping.
     pub(super) fn release_running(&mut self, id: JobId, spec: &JobSpec, run: RunningJob) {
-        self.running.remove(&id);
+        self.running -= 1;
         self.slowdown.sub(spec, run.armed_end);
-        self.running_by_end.remove(&(run.req_end, id));
         self.shrunk.remove(&id);
         self.pool_remove_keyed(Self::pool_key(spec, run.start), id);
 

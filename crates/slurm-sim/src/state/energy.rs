@@ -40,13 +40,8 @@ impl SimState {
         }
         if self.cfg.self_check {
             let rescan: f64 = self
-                .running
-                .iter()
-                .map(|&id| {
-                    let job = self.job(id);
-                    job.running()
-                        .map_or(0.0, |r| Self::job_weight(r.total_cores(), job.spec.app))
-                })
+                .running_jobs()
+                .map(|(job, r)| Self::job_weight(r.total_cores(), job.spec.app))
                 .sum();
             assert!(
                 (rescan - self.weighted_busy).abs() < 1e-6,
@@ -59,8 +54,8 @@ impl SimState {
     }
 
     /// Removes a completed job's contribution. The caller passes the final
-    /// tracked weight from the torn-down [`RunningJob`] — the job is no
-    /// longer in the running set, so the incremental path cannot see it.
+    /// tracked weight from the torn-down [`RunningJob`] — the job no longer
+    /// runs, so the incremental path cannot see it.
     pub(super) fn energy_sub_job(&mut self, last_weight: f64) {
         self.weighted_busy -= last_weight;
         // Anything beyond float drift means a core change bypassed

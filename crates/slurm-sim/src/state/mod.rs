@@ -174,17 +174,14 @@ pub struct SimState {
     pub nodes: NodeTable,
     pub queue: PendingQueue,
     jobs: Vec<Job>,
-    /// Ids of running jobs, ascending (deterministic iteration).
-    running: BTreeSet<JobId>,
+    /// How many jobs of `jobs` are running.
+    running: usize,
     /// Eligible mates kept sorted ascending by `(base, id)`. The base
     /// penalty is the fixed part of Eq. 4: `(wait + req)/req`.
     mate_pool: Vec<MateEntry>,
     /// The multiset of `mate_pool`'s weights, answering Eq. 3 without a
     /// scan ([`SimState::mate_weights_cover`]).
     pool_weights: PoolWeights,
-    /// Running jobs ordered by requested end — lets mate filtering prune
-    /// finish-inside-infeasible trials without touching the job table.
-    running_by_end: BTreeSet<(SimTime, JobId)>,
     /// Running malleable-backfilled jobs currently below full width
     /// (maintained at every reconfiguration; ascending id).
     shrunk: BTreeSet<JobId>,
@@ -338,10 +335,9 @@ impl SimState {
             cfg,
             queue: PendingQueue::new(),
             jobs: Vec::with_capacity(jobs),
-            running: BTreeSet::new(),
+            running: 0,
             mate_pool: Vec::new(),
             pool_weights: PoolWeights::default(),
-            running_by_end: BTreeSet::new(),
             shrunk: BTreeSet::new(),
             slowdown: SlowdownSum::default(),
             releases: ReleaseMap::new(nodes),
@@ -393,7 +389,12 @@ impl SimState {
     }
 
     pub fn running_count(&self) -> usize {
-        self.running.len()
+        self.running
+    }
+
+    /// Every running job with its running state, ascending by id.
+    fn running_jobs(&self) -> impl Iterator<Item = (&Job, &RunningJob)> {
+        self.jobs.iter().filter_map(|j| Some((j, j.running()?)))
     }
 
     /// DynAVGSD's inputs in O(1): the sum of the running jobs' slowdowns
@@ -412,14 +413,11 @@ impl SimState {
         (self.slowdown.fixed as f64 / TWO_64, self.slowdown.n)
     }
 
-    /// [`SlowdownSum`] rebuilt from scratch over the running set.
+    /// [`SlowdownSum`] rebuilt from scratch over the running jobs.
     fn recount_slowdown(&self) -> SlowdownSum {
         let mut sum = SlowdownSum::default();
-        for &id in &self.running {
-            let job = self.job(id);
-            if let Some(run) = job.running() {
-                sum.add(&job.spec, run.armed_end);
-            }
+        for (job, run) in self.running_jobs() {
+            sum.add(&job.spec, run.armed_end);
         }
         sum
     }
@@ -466,11 +464,13 @@ impl SimState {
         &self.avail
     }
 
-    /// Running jobs ordered by requested end; `None` when idle. Lets the
-    /// policy prune malleable trials whose finish-inside constraint no
-    /// running job can satisfy, without scanning the job table.
+    /// The latest requested end among the running jobs; `None` when idle.
+    /// A node releases at the latest `req_end` of its residents, so this is
+    /// the release map's last instant. Lets the policy prune malleable
+    /// trials whose finish-inside constraint no running job can satisfy,
+    /// without scanning the job table.
     pub fn latest_running_req_end(&self) -> Option<SimTime> {
-        self.running_by_end.iter().next_back().map(|&(t, _)| t)
+        self.releases.last()
     }
 
     /// What changed since the flags were last taken (the controller clears
@@ -546,9 +546,9 @@ impl SimState {
     pub fn deep_validate(&self) -> Result<(), String> {
         // At most two residents per node, disjoint masks, counters in step.
         self.nodes.validate(&self.cluster)?;
-        let mut placed = 0;
-        for &id in &self.running {
-            let r = self.job(id).running().ok_or("running set stale")?;
+        let (mut running, mut placed, mut shrunk) = (0, 0, 0);
+        for (job, r) in self.running_jobs() {
+            let id = job.spec.id;
             for (i, &n) in r.nodes.iter().enumerate() {
                 let c = self
                     .nodes
@@ -559,13 +559,36 @@ impl SimState {
                     return Err(format!("{id} cores mismatch on {n}: {c} vs {}", r.cores[i]));
                 }
             }
+            running += 1;
             placed += r.nodes.len();
+            let is_shrunk = r.malleable_backfilled && !r.at_full_allocation();
+            if is_shrunk != self.shrunk.contains(&id) {
+                return Err(format!("{id} shrunk-borrower index stale"));
+            }
+            shrunk += usize::from(is_shrunk);
+        }
+        if running != self.running {
+            return Err(format!("running count {} for {running} running jobs", self.running));
+        }
+        if shrunk != self.shrunk.len() {
+            return Err("shrunk index holds a non-running job".into());
         }
         // Every running job is on each of its nodes and no job is twice on
         // a node, so equal totals leave no resident unaccounted for.
         let residents: usize = self.nodes.records().iter().map(|r| r.residents().len()).sum();
         if residents != placed {
             return Err(format!("{residents} residents for {placed} running placements"));
+        }
+        // A node releases when the last of its residents' requested ends
+        // passes, and an idle node has no release.
+        for (i, rec) in self.nodes.records().iter().enumerate() {
+            let n = NodeId(i as u32);
+            let ends = rec.residents().iter().filter_map(|r| self.job(r.job).running());
+            let ends = ends.map(|r| r.req_end.secs()).max();
+            let release = self.releases.release_of(n).map(SimTime::secs);
+            if release != ends {
+                return Err(format!("{n}: release {release:?}, residents end at {ends:?}"));
+            }
         }
         for e in &self.mate_pool {
             if !self.is_eligible_mate(e.id) {
@@ -580,25 +603,6 @@ impl SimState {
         if self.pool_weights != PoolWeights::recount(&self.mate_pool) {
             return Err("mate-pool weight index out of sync".into());
         }
-        if self.running_by_end.len() != self.running.len() {
-            return Err("running_by_end index out of sync".into());
-        }
-        for &(end, id) in &self.running_by_end {
-            let r = self.job(id).running().ok_or("running_by_end stale id")?;
-            if r.req_end != end {
-                return Err(format!("{id} req_end index stale: {end:?} vs {:?}", r.req_end));
-            }
-        }
-        for &id in &self.running {
-            let r = self.job(id).running().expect("checked above");
-            let shrunk = r.malleable_backfilled && !r.at_full_allocation();
-            if shrunk != self.shrunk.contains(&id) {
-                return Err(format!("{id} shrunk-borrower index stale"));
-            }
-        }
-        if self.shrunk.iter().any(|id| !self.running.contains(id)) {
-            return Err("shrunk index holds a non-running job".into());
-        }
         // Each running job's armed end is the instant of its one live end
         // event, and the DynAVGSD sum is the recount over those ends.
         let mut live_ends = 0;
@@ -612,22 +616,16 @@ impl SimState {
                 live_ends += 1;
             }
         }
-        if live_ends != self.running.len() {
-            return Err(format!(
-                "{live_ends} live end events for {} running jobs",
-                self.running.len()
-            ));
+        if live_ends != self.running {
+            return Err(format!("{live_ends} live end events for {running} running jobs"));
         }
         if self.slowdown != self.recount_slowdown() {
             return Err("DynAVGSD sum out of sync with the armed ends".into());
         }
-        if self.releases.busy_count() + self.cluster.empty_node_count() != self.spec.nodes {
-            return Err("release-map busy counter out of sync".into());
-        }
         if !self.cfg.tenants.is_empty() {
             let mut widths = vec![0u32; self.tenant_usage.len()];
-            for &id in &self.running {
-                let s = &self.job(id).spec;
+            for (job, _) in self.running_jobs() {
+                let s = &job.spec;
                 if let Some(slot) = self.cfg.tenants.slot(s.tenant, s.project) {
                     widths[slot as usize] += s.req_nodes;
                 }

@@ -3,12 +3,13 @@
 //!
 //! [`SimState::checkpoint_bytes`] captures every order-sensitive primary
 //! structure field-for-field (floats via `to_bits`, so the round trip is
-//! bit-exact); [`SimState::restore`] rebuilds the derived indices
-//! (running sets, release counts, the availability cache, pass scratch)
-//! canonically and re-validates the whole state. Configuration that the
-//! caller re-supplies on restart (cluster spec, scheduler config, rate
-//! model, sharing factor) is *not* serialized — a small fingerprint guards
-//! against restoring a checkpoint under a different configuration.
+//! bit-exact); [`SimState::restore`] rebuilds the derived indices (the
+//! running count, the shrunk set, release counts, the availability cache,
+//! pass scratch) canonically and re-validates the whole state.
+//! Configuration that the caller re-supplies on restart (cluster spec,
+//! scheduler config, rate model, sharing factor) is *not* serialized — a
+//! small fingerprint guards against restoring a checkpoint under a
+//! different configuration.
 //!
 //! Values are written and read through `sd_durable::codec` (little-endian,
 //! counts guarded against the remaining input); `sd-durable` frames and
@@ -532,20 +533,13 @@ impl SimState {
         (st.first_submit, st.last_end) = r.get()?;
         r.r.finish()?;
 
-        // Derived indices: running sets, the shrunk-borrower index and the
-        // DynAVGSD sum come straight from the job table.
-        st.running.clear();
-        st.running_by_end.clear();
-        st.shrunk.clear();
-        for job in &st.jobs {
-            if let JobState::Running(rj) = &job.state {
-                st.running.insert(job.spec.id);
-                st.running_by_end.insert((rj.req_end, job.spec.id));
-                if rj.malleable_backfilled && !rj.at_full_allocation() {
-                    st.shrunk.insert(job.spec.id);
-                }
-            }
-        }
+        // Derived indices: the running count, the shrunk-borrower index and
+        // the DynAVGSD sum come straight from the job table.
+        st.running = st.running_jobs().count();
+        st.shrunk = (st.running_jobs())
+            .filter(|(_, r)| r.malleable_backfilled && !r.at_full_allocation())
+            .map(|(job, _)| job.spec.id)
+            .collect();
         st.slowdown = st.recount_slowdown();
 
         // Availability cache: rebuilt canonically at `now` — equal (by the
@@ -869,6 +863,30 @@ mod tests {
         image.extend_from_slice(&bytes[resident_at..]);
         let err = restore_image(&image).err().expect("three residents");
         assert!(err.contains("n0 has 3 residents"), "{err}");
+    }
+
+    /// Each node releases at the latest requested end of its residents. An
+    /// image that moves a release onto another node — same instants, so
+    /// the count of busy nodes still matches — is refused by node.
+    #[test]
+    fn misplaced_node_releases_are_rejected() {
+        let st = mid_run_state();
+        let bytes = st.checkpoint_bytes();
+        let section = |releases: &[Option<SimTime>]| {
+            let mut out = Vec::new();
+            releases.to_vec().put(&mut Writer::new(&mut out));
+            out
+        };
+        let releases = section(st.releases.node_releases());
+        let at = locate(&bytes, &releases);
+        let t = Some(SimTime(1005));
+        assert_eq!(st.releases.node_releases(), [t, t, None, None]);
+        // Node 1's release moved onto idle node 2.
+        let mut image = bytes[..at].to_vec();
+        image.extend_from_slice(&section(&[t, None, t, None]));
+        image.extend_from_slice(&bytes[at + releases.len()..]);
+        let err = restore_image(&image).err().expect("a release on the wrong node");
+        assert!(err.contains("n1: release None, residents end at Some(1005)"), "{err}");
     }
 
     #[test]

@@ -32,7 +32,8 @@ proptest! {
                 cached.patch_release(now, old, new);
             }
             cached.advance_to(now);
-            let free_now = nodes - rm.busy_count();
+            let busy = (0..nodes).filter(|&n| rm.release_of(NodeId(n)).is_some()).count();
+            let free_now = nodes - busy as u32;
             let fresh = Profile::build(now, free_now, &rm);
             prop_assert_eq!(&cached, &fresh, "diverged after op on {:?} at {:?}", nid, now);
         }
@@ -40,7 +41,7 @@ proptest! {
 
     /// `reserve` (single-splice implementation) leaves the same step
     /// function as a naive subtract-over-window on a cloned profile, and
-    /// `busy_count` matches the number of busy nodes.
+    /// `last` is the latest release set.
     #[test]
     fn reserve_windows_compose_with_releases(
         releases in prop::collection::vec((1u64..500, 1u32..3), 0..12),
@@ -49,15 +50,13 @@ proptest! {
     ) {
         let mut rm = ReleaseMap::new(64);
         let mut nid = 0u32;
-        let mut busy = 0u32;
         for &(t, c) in &releases {
             for _ in 0..c {
                 rm.set_release(NodeId(nid), Some(SimTime(t)));
                 nid += 1;
-                busy += 1;
             }
         }
-        prop_assert_eq!(rm.busy_count(), busy);
+        prop_assert_eq!(rm.last(), releases.iter().map(|&(t, _)| SimTime(t)).max());
         let mut p = Profile::build(SimTime(0), 8, &rm);
         // Model: free_at(t) after reservations == build's free minus the sum
         // of reservations whose window covers t.
