@@ -251,7 +251,7 @@ fn main() {
             .unwrap_or_else(|e| fail(&format!("opening --log-json {}: {e}", path.display())));
     }
     // Continuous profiling: the service holds one always-armed window, so
-    // the engine thread counts from boot, `/metrics` shows its totals and
+    // the engine counts from boot on any worker, `/metrics` shows its totals and
     // `GET /v1/profile` has them to fall back on; windowed requests diff
     // two engine snapshots around their own arm/disarm pair.
     slurm_sim::timing::arm();

@@ -1,17 +1,12 @@
 //! The scheduler's state machine: single writer over the simulation.
 //!
-//! [`Engine`]'s public methods are the service's whole API, one per
-//! [`Command`] variant. Each mutating method is the whole live body: rate
-//! gate (submit only), WAL append, effect, periodic checkpoint.
+//! [`Engine`]'s public methods are the service's whole API. The server's
+//! workers call them under one lock, one caller at a time, each call ending
+//! in `Engine::settle` (DESIGN.md §10); [`Command`] is their channel form,
+//! answered by [`Engine::run`]. Each mutating method is the whole live body:
+//! rate gate (submit only), WAL append, effect, periodic checkpoint.
 //! [`Engine::recover`] replays the WAL through the same methods, so a
 //! recovered engine is the engine that never crashed (DESIGN.md §14).
-//!
-//! [`Command`] is their channel form. Every HTTP worker sends one over one
-//! mpsc channel and [`Engine::run`] answers it with the method of the same
-//! name, so the engine thread is the only code that ever touches the
-//! [`SimState`]/[`Controller`]. That keeps the scheduler hot path
-//! single-writer by construction — no locks around the availability-profile
-//! cache, the queue index or the energy meter (DESIGN.md §10).
 //!
 //! The engine has one clock, virtual: it moves only on `advance` and
 //! `drain` ([`Controller::step_until`], the same loop `Controller::run`
@@ -90,8 +85,8 @@ pub struct Snapshot {
     pub(crate) wait_hist: sched_metrics::Histogram,
     /// Durability counters; `None` when running without `--wal`.
     pub wal: Option<WalStatus>,
-    /// The engine thread's hot-path probe counters (`timing::report()`
-    /// taken on that thread): they count while an `arm` window is open.
+    /// The engine's hot-path probe counters, as `Engine::settle` folded them
+    /// in from every calling thread: they count while an `arm` window is open.
     pub timing: Vec<FnTiming>,
 }
 
@@ -180,7 +175,7 @@ impl std::fmt::Display for EngineError {
     }
 }
 
-/// The channel form of [`Engine`]'s methods, sent by the HTTP workers: each
+/// The channel form of [`Engine`]'s methods, answered by [`Engine::run`]: each
 /// variant carries the method's arguments and a sender for its return value.
 pub enum Command {
     Submit {
@@ -424,6 +419,8 @@ pub struct Engine {
     dur: Option<Durability>,
     /// Completed-job aggregates for [`Snapshot`], advanced only by reads.
     fold: OutcomeFold,
+    /// Probe counters folded in by [`Engine::settle`].
+    probes: Vec<FnTiming>,
 }
 
 /// Wraps the configured scheduler to time each pass into the service's
@@ -462,6 +459,7 @@ impl Engine {
             trace: None,
             dur: None,
             fold: OutcomeFold::new(),
+            probes: Vec::new(),
         }
     }
 
@@ -585,14 +583,18 @@ impl Engine {
         while let Ok(cmd) = rx.recv() {
             let stop = matches!(cmd, Command::Shutdown { .. });
             self.handle(cmd);
-            // Log records carry the virtual instant; publish it after every
-            // command so concurrently-emitted records stamp the right time.
-            sd_obs::set_virtual_now(self.virtual_now().secs());
+            self.settle();
             if stop {
                 break;
             }
         }
         self.ctl.into_result()
+    }
+
+    /// Ends a call: folds the caller's probe counters in, publishes the virtual instant.
+    pub(crate) fn settle(&mut self) {
+        timing::accumulate(&mut self.probes, timing::take());
+        sd_obs::set_virtual_now(self.virtual_now().secs());
     }
 
     /// Answers one command with the method of the same name.
@@ -868,7 +870,7 @@ impl Engine {
             tenants: self.tenant_snaps(),
             wait_hist: self.fold.wait_hist.clone(),
             wal: self.dur.as_ref().map(Durability::status),
-            timing: timing::report(),
+            timing: self.probes.clone(),
         }
     }
 

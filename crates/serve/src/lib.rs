@@ -5,13 +5,13 @@
 //!
 //! * [`http`] / [`json`] / [`proto`] — the wire: framing, values, typed
 //!   request/response encodings (all round-trip, floats bit-for-bit),
-//! * [`engine`] — the single scheduler thread over one **deterministic
+//! * [`engine`] — the scheduler's state machine over one **deterministic
 //!   virtual clock** (a scripted session is bit-identical to the offline
 //!   replay — `tests/serve_equivalence.rs`), moved by clients or, in
 //!   **real-time mode**, by the server's ticker at a compression factor,
-//! * [`server`] — bounded `std::thread::scope` worker pool feeding the
-//!   engine through channels (single-writer hot path, no locks), and the
-//!   realtime ticker,
+//! * [`server`] — bounded `std::thread::scope` worker pool calling the
+//!   engine under one lock (one writer at a time, no locks inside the
+//!   hot path), and the realtime ticker,
 //! * [`metrics`] — one row table of the engine snapshot's numbers, rendered
 //!   as `/v1/stats`, `/v1/cluster` and the Prometheus exposition,
 //! * [`client`] / [`loadgen`] — the loopback client and the `sd-loadgen`

@@ -228,7 +228,7 @@ impl AtomicHistogram {
 /// (request latency), the engine's pass timer and the `/metrics` renderer.
 #[derive(Debug, Default)]
 pub struct ServeHistograms {
-    /// Wall time spent routing one HTTP request (engine round-trip included).
+    /// Wall time spent routing one HTTP request (the engine call included).
     pub(crate) request_seconds: AtomicHistogram,
     /// Wall time of one scheduler pass (`Scheduler::schedule` call).
     pub(crate) pass_seconds: AtomicHistogram,
@@ -351,8 +351,8 @@ pub fn render(
         snap.wait_hist.sum(),
     );
 
-    // The engine thread's per-function timing probes (armed by `sd_serve`
-    // for its whole life) as labelled counters.
+    // The engine's per-function timing probes, folded from every worker that
+    // called it (armed by `sd_serve` for its whole life), as labelled counters.
     header(&mut out, "sd_serve_timing_seconds_total", "Wall seconds attributed to instrumented hot functions.", "counter");
     for f in &snap.timing {
         line(&mut out, &["sd_serve_timing_seconds_total{function=\"", &escape_label(f.name), "\"}"], f.total_secs);

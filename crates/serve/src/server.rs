@@ -1,21 +1,16 @@
-//! The HTTP server: a bounded `std::thread::scope` worker pool in front of
-//! the single scheduler thread.
-//!
-//! Concurrency shape (DESIGN.md §10):
+//! The HTTP server: a bounded `std::thread::scope` worker pool over one
+//! engine behind one lock (DESIGN.md §10):
 //!
 //! ```text
-//!   acceptor ──sync_channel(bounded)──▶ worker × N ──mpsc──▶ engine (1)
+//!   acceptor ──sync_channel(bounded)──▶ worker × N ──Mutex──▶ engine
 //! ```
 //!
-//! Workers parse HTTP, answer each request from the one [`ROUTES`] table
-//! (mostly by sending a [`Command`]) and block on a per-request reply
-//! channel; the engine executes commands strictly sequentially, so the
-//! simulator state has exactly one writer and no locks. Back-pressure is
-//! structural: the connection channel is bounded, and each worker pipelines
-//! at most one in-flight command. In a realtime session one more thread, the
-//! ticker, sends the engine its clock advances.
+//! Workers parse HTTP and answer each request from the one [`ROUTES`] table,
+//! mostly with one [`Engine`] call through `with_engine`: one caller at a
+//! time, so the simulator has one writer and its commands one serial order.
+//! In a realtime session the ticker advances the clock the same way.
 
-use crate::engine::{ClockMode, Command, Engine, EngineError, JobView};
+use crate::engine::{ClockMode, Engine, EngineError, JobView};
 use crate::http::{self, HttpError, Request, Response};
 use crate::json::{self, Json, JsonWriter};
 use crate::metrics::{self, HttpCounters, ServeHistograms, DURATION_BOUNDS_S};
@@ -25,14 +20,14 @@ use slurm_sim::{timing, FieldVal, SimResult, TraceEvent, TraceRing};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Server configuration (the engine is built by the caller).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// HTTP worker threads (the scheduler thread is extra).
+    /// HTTP worker threads; each calls the engine itself, under its lock.
     pub workers: usize,
     /// Decision-trace ring backing `/v1/trace` — share the same `Arc` the
     /// engine was built with (`Engine::with_trace`).
@@ -41,9 +36,8 @@ pub struct ServerConfig {
     /// `Engine::with_histograms` so pass durations land in the same place.
     pub hists: Arc<ServeHistograms>,
     /// Watch the process signal latch ([`crate::signals`]): on SIGTERM or
-    /// SIGINT, drain in-flight commands, shut the engine down cleanly
-    /// (final checkpoint included when a WAL is attached) and return the
-    /// final result as if a client had posted `/v1/shutdown`. The caller
+    /// SIGINT, shut the engine down as `/v1/shutdown` would (final checkpoint
+    /// included when a WAL is attached) and return its result. The caller
     /// must also run [`crate::signals::install`].
     pub signal_stop: bool,
     /// Declared service-level objectives. Non-empty spawns the burn-rate
@@ -65,7 +59,8 @@ impl Default for ServerConfig {
 }
 
 struct Shared {
-    cmd_tx: Sender<Command>,
+    /// `None` once [`stop_engine`] took it.
+    engine: Mutex<Option<Engine>>,
     /// The engine's clock mode at boot.
     clock: ClockMode,
     counters: HttpCounters,
@@ -130,7 +125,7 @@ pub(crate) const SUBMIT: Route = Route::new("POST", "/v1/jobs", |c| {
         }
         r
     };
-    let ack = call(c.shared, |reply| Command::Submit { req: sub, reply })
+    let ack = with_engine(c.shared, |e| e.submit(sub))
         .map_err(&refused)?
         .map_err(|e| refused(engine_error(e)))?;
     c.shared.counters.submit_ok.fetch_add(1, Ordering::Relaxed);
@@ -145,7 +140,7 @@ const DELETE_JOB: Route = Route::new("DELETE", "/v1/jobs/{id}", cancel);
 /// Both cancel routes: withdraws a pending or a running job.
 fn cancel(c: &Call) -> Answer {
     let id = c.id()?;
-    call(c.shared, |reply| Command::Cancel { id, reply })?.map_err(engine_error)?;
+    with_engine(c.shared, |e| e.cancel(id))?.map_err(engine_error)?;
     Ok(reply(200, |w| {
         w.field("cancelled", id);
     }))
@@ -153,13 +148,13 @@ fn cancel(c: &Call) -> Answer {
 
 pub(crate) const JOB: Route = Route::new("GET", "/v1/jobs/{id}", |c| {
     let id = c.id()?;
-    let view = call(c.shared, |reply| Command::JobInfo { id, reply })?.map_err(engine_error)?;
+    let view = with_engine(c.shared, |e| e.job_view(id))?.map_err(engine_error)?;
     Ok(reply(200, |w| job_fields(w, &view)))
 });
 
 pub(crate) const EXPLAIN: Route = Route::new("GET", "/v1/explain/{id}", |c| {
     let id = c.id()?;
-    let view = call(c.shared, |reply| Command::Explain { id, reply })?.map_err(engine_error)?;
+    let view = with_engine(c.shared, |e| e.explain(id))?.map_err(engine_error)?;
     Ok(reply(200, |w| {
         w.key("job").object(|w| job_fields(w, &view.job));
         w.field("tracing", view.tracing).field("overwritten", view.overwritten);
@@ -168,7 +163,7 @@ pub(crate) const EXPLAIN: Route = Route::new("GET", "/v1/explain/{id}", |c| {
 });
 
 const QUEUE: Route = Route::new("GET", "/v1/queue", |c| {
-    let (total, entries) = call(c.shared, |reply| Command::Queue { limit: 100, reply })?;
+    let (total, entries) = with_engine(c.shared, |e| e.queue(100))?;
     Ok(reply(200, |w| {
         w.field("pending", total).key("head").array(|w| {
             for e in &entries {
@@ -181,12 +176,12 @@ const QUEUE: Route = Route::new("GET", "/v1/queue", |c| {
 });
 
 const CLUSTER: Route = Route::new("GET", "/v1/cluster", |c| {
-    let snap = call(c.shared, |reply| Command::Stats { reply })?;
+    let snap = with_engine(c.shared, Engine::snapshot)?;
     Ok(reply(200, |w| metrics::fields(w, &metrics::CLUSTER, &snap)))
 });
 
 pub(crate) const STATS: Route = Route::new("GET", "/v1/stats", |c| {
-    let snap = call(c.shared, |reply| Command::Stats { reply })?;
+    let snap = with_engine(c.shared, Engine::snapshot)?;
     Ok(Response::json_body(200, metrics::stats_json(&snap)))
 });
 
@@ -197,7 +192,7 @@ pub(crate) const ADVANCE: Route = Route::new("POST", "/v1/clock/advance", |c| {
         .and_then(Json::as_u64)
         .ok_or_else(|| Response::error(400, "`to` must be a non-negative integer"))?;
     c.virtual_only("advance requires the virtual clock (realtime advances itself)")?;
-    let now = call(c.shared, |reply| Command::Advance { to, reply })?.map_err(engine_error)?;
+    let now = with_engine(c.shared, |e| e.advance(to))?.map_err(engine_error)?;
     Ok(reply(200, |w| {
         w.field("now", now);
     }))
@@ -205,14 +200,14 @@ pub(crate) const ADVANCE: Route = Route::new("POST", "/v1/clock/advance", |c| {
 
 pub(crate) const DRAIN: Route = Route::new("POST", "/v1/drain", |c| {
     c.virtual_only("drain requires the virtual clock")?;
-    let now = call(c.shared, |reply| Command::Drain { reply })?.map_err(engine_error)?;
+    let now = with_engine(c.shared, Engine::drain)?.map_err(engine_error)?;
     Ok(reply(200, |w| {
         w.field("now", now).field("idle", true);
     }))
 });
 
 pub(crate) const RESULT: Route = Route::new("GET", "/v1/result", |c| {
-    let res = call(c.shared, |reply| Command::Result { reply })?;
+    let res = with_engine(c.shared, |e| e.result())?;
     Ok(Response::json(200, &proto::encode_result(&res)))
 });
 
@@ -222,7 +217,7 @@ pub(crate) const SHUTDOWN: Route = Route::new("POST", "/v1/shutdown", |c| {
 });
 
 pub(crate) const METRICS: Route = Route::new("GET", "/metrics", |c| {
-    let snap = call(c.shared, |reply| Command::Stats { reply })?;
+    let snap = with_engine(c.shared, Engine::snapshot)?;
     let slos = lock(&c.shared.slo_statuses).clone();
     let text = metrics::render(&snap, &c.shared.counters, &c.shared.hists, &slos);
     Ok(Response::text(200, text))
@@ -234,8 +229,8 @@ pub(crate) const HEALTHZ: Route = Route::new("GET", "/healthz", |_| {
     }))
 });
 
-/// Tails the decision ring lock-free right here — no engine round-trip, so
-/// trace reads never queue behind scheduling work.
+/// Tails the decision ring lock-free right here — not under the engine's
+/// lock, so trace reads never queue behind scheduling work.
 pub(crate) const TRACE: Route = Route::new("GET", "/v1/trace", |c| {
     let Some(ring) = &c.shared.trace else {
         return Err(Response::error(404, "tracing is not enabled (start the server with --trace)"));
@@ -285,11 +280,11 @@ pub(crate) const SLO: Route = Route::new("GET", "/v1/slo", |c| {
 /// window — bounded, and the pool has more.
 pub(crate) const PROFILE: Route = Route::new("GET", "/v1/profile", |c| {
     let seconds = c.query_u64("seconds")?.unwrap_or(1).clamp(1, 30);
-    let before = call(c.shared, |reply| Command::Stats { reply })?.timing;
+    let before = with_engine(c.shared, Engine::snapshot)?.timing;
     timing::arm();
     std::thread::sleep(Duration::from_secs(seconds));
     timing::disarm();
-    let after = call(c.shared, |reply| Command::Stats { reply })?.timing;
+    let after = with_engine(c.shared, Engine::snapshot)?.timing;
     let window = timing::delta(&before, &after);
     // A quiet window (no passes ran) falls back to the cumulative
     // totals so the profile is never empty once traffic has flowed.
@@ -308,13 +303,12 @@ pub fn run(
     cfg: ServerConfig,
 ) -> std::io::Result<SimResult> {
     let addr = listener.local_addr()?;
-    let (cmd_tx, cmd_rx) = mpsc::channel::<Command>();
     let workers = cfg.workers.max(1);
     let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(workers * 2);
     let conn_rx = Mutex::new(conn_rx);
     let boot = engine.snapshot();
     let shared = Shared {
-        cmd_tx,
+        engine: Mutex::new(Some(engine)),
         clock: boot.clock,
         counters: HttpCounters::default(),
         stop: AtomicBool::new(false),
@@ -326,7 +320,6 @@ pub fn run(
     };
 
     let listener_died = std::thread::scope(|s| {
-        s.spawn(|| engine.run(cmd_rx));
         for _ in 0..workers {
             s.spawn(|| worker_loop(&conn_rx, &shared));
         }
@@ -369,8 +362,7 @@ pub fn run(
             }
         }
         drop(conn_tx); // workers drain and exit
-        // A listener that died before any shutdown leaves the engine blocked
-        // in recv() (its Sender lives in `shared`, outliving the scope).
+        // A listener that died before any shutdown still checkpoints the engine.
         let died = !shared.stop.load(Ordering::SeqCst);
         if died {
             let _ = stop_engine(&shared);
@@ -409,7 +401,7 @@ fn ticker(shared: &Shared, anchor: u64, compression: f64) {
     while !shared.stop.load(Ordering::SeqCst) {
         std::thread::sleep(period);
         let to = tick_target(anchor, boot.elapsed(), compression);
-        if call(shared, |reply| Command::Advance { to, reply }).is_err() {
+        if with_engine(shared, |e| e.advance(to)).is_err() {
             return; // engine gone
         }
     }
@@ -426,8 +418,8 @@ fn tick_target(anchor: u64, elapsed: Duration, compression: f64) -> u64 {
 /// Burn-rate sampler: once per wall second, feeds each tracker the current
 /// cumulative good/total counters for its kind and publishes the evaluated
 /// statuses. Availability and pass duration read lock-free atomics; the
-/// wait quantile needs the engine's wait histogram, one read-only `Stats`
-/// round-trip per tick. Exits when the server stops or the engine is gone.
+/// wait quantile reads the engine's wait histogram from one snapshot per
+/// tick. Exits when the server stops or the engine is gone.
 fn slo_sampler(specs: Vec<SloSpec>, shared: &Shared) {
     let mut trackers: Vec<SloTracker> = specs.into_iter().map(SloTracker::new).collect();
     let needs_snapshot = trackers.iter().any(|t| t.spec().kind == SloKind::WaitQuantile);
@@ -441,10 +433,8 @@ fn slo_sampler(specs: Vec<SloSpec>, shared: &Shared) {
         }
         // Empty when no wait objective reads it.
         let wait = if needs_snapshot {
-            match call(shared, |reply| Command::Stats { reply }) {
-                Ok(s) => s.wait_hist,
-                Err(_) => return, // engine gone
-            }
+            let Ok(snap) = with_engine(shared, Engine::snapshot) else { return }; // engine gone
+            snap.wait_hist
         } else {
             sched_metrics::Histogram::new(Vec::new())
         };
@@ -481,10 +471,8 @@ fn slo_sampler(specs: Vec<SloSpec>, shared: &Shared) {
 fn worker_loop(conn_rx: &Mutex<mpsc::Receiver<TcpStream>>, shared: &Shared) {
     loop {
         let conn = lock(conn_rx).recv();
-        match conn {
-            Ok(c) => serve_connection(c, shared),
-            Err(_) => return, // acceptor gone
-        }
+        let Ok(conn) = conn else { return }; // acceptor gone
+        serve_connection(conn, shared);
     }
 }
 
@@ -556,27 +544,35 @@ fn serve_connection(conn: TcpStream, shared: &Shared) {
     }
 }
 
-/// Stops the engine (for `/v1/shutdown`, a signal or a dead listener): it
-/// drains what was queued before, checkpoints and answers the first caller
-/// only. Keeps the result for [`run`], raises the stop flag and pokes the
-/// acceptor loose with a throwaway connection to our own socket.
+/// Stops the engine (for `/v1/shutdown`, a signal or a dead listener): takes
+/// it out of its lock, so later calls get a 503, and checkpoints it. Keeps
+/// the result for [`run`], raises the stop flag and pokes the acceptor loose
+/// with a throwaway connection to our own socket.
 fn stop_engine(shared: &Shared) -> Result<SimResult, Response> {
-    let res = call(shared, |reply| Command::Shutdown { reply })?;
+    let taken = shared.engine.lock().ok().and_then(|mut slot| slot.take());
+    let res = taken.ok_or_else(engine_gone)?.shutdown();
     *lock(&shared.final_result) = Some(res.clone());
     shared.stop.store(true, Ordering::SeqCst);
     let _ = TcpStream::connect_timeout(&shared.addr, Duration::from_secs(1));
     Ok(res)
 }
 
-/// One round-trip to the engine.
-fn call<T>(shared: &Shared, build: impl FnOnce(Sender<T>) -> Command) -> Result<T, Response> {
-    let (tx, rx) = mpsc::channel();
-    let reply = shared.cmd_tx.send(build(tx)).ok().and_then(|()| rx.recv().ok());
-    reply.ok_or_else(|| Response::error(503, "scheduler is shutting down"))
+/// One engine call under its lock, settled before release. A 503 once
+/// [`stop_engine`] took the engine, or once a panic mid-call poisoned the lock.
+fn with_engine<T>(shared: &Shared, f: impl FnOnce(&mut Engine) -> T) -> Result<T, Response> {
+    let mut slot = shared.engine.lock().map_err(|_| engine_gone())?;
+    let engine = slot.as_mut().ok_or_else(engine_gone)?;
+    let out = f(engine);
+    engine.settle();
+    Ok(out)
 }
 
-/// Every lock here is held only to store or clone a whole value or to take
-/// from a channel, so none can be poisoned half-written: recover the guard.
+fn engine_gone() -> Response {
+    Response::error(503, "scheduler is shutting down")
+}
+
+/// Every lock but the engine's only stores or clones a whole value or takes
+/// from a channel, so no panic leaves one half-written: recover the guard.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -732,6 +728,63 @@ mod tests {
         for status in emitted {
             assert_ne!(Response::error(status, "").reason(), "Status", "{status}");
         }
+    }
+
+    /// A `Shared` around an empty 8-node engine; `addr` is `listener`'s.
+    fn shared(listener: &TcpListener) -> Shared {
+        let mut spec = cluster::ClusterSpec::ricc();
+        spec.nodes = 8;
+        let model = Box::new(slurm_sim::IdealModel);
+        let state = slurm_sim::SimState::new_online(spec, Default::default(), model, drom::SharingFactor::HALF);
+        let engine = Engine::new(state, Box::new(slurm_sim::StaticBackfill), ClockMode::Virtual);
+        Shared {
+            engine: Mutex::new(Some(engine)),
+            clock: ClockMode::Virtual,
+            counters: HttpCounters::default(),
+            stop: AtomicBool::new(false),
+            final_result: Mutex::new(None),
+            addr: listener.local_addr().unwrap(),
+            trace: None,
+            hists: Arc::default(),
+            slo_statuses: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn status<T>(answer: Result<T, Response>) -> Option<u16> {
+        answer.err().map(|r| r.status)
+    }
+
+    /// A panic inside an engine call poisons the lock: every later call,
+    /// the shutdown's included, is a 503 and never sees the state it left.
+    #[test]
+    fn a_poisoned_engine_answers_503() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let shared = shared(&listener);
+        assert_eq!(with_engine(&shared, |e| e.queue(1).0).ok(), Some(0));
+        let call = std::panic::AssertUnwindSafe(|| {
+            with_engine(&shared, |e| {
+                e.advance(10).unwrap();
+                panic!("a half-applied call");
+            })
+        });
+        assert!(std::panic::catch_unwind(call).is_err());
+        assert_eq!(status(with_engine(&shared, |e| e.queue(1))), Some(503));
+        assert_eq!(status(with_engine(&shared, Engine::snapshot)), Some(503));
+        assert_eq!(status(stop_engine(&shared)), Some(503));
+        assert!(!shared.stop.load(Ordering::SeqCst), "no result, so no stop");
+    }
+
+    /// Shutdown takes the engine: the first caller gets the result, every
+    /// later call a 503 at once.
+    #[test]
+    fn calls_after_shutdown_answer_503() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let shared = shared(&listener);
+        let res = stop_engine(&shared).expect("the first shutdown gets the result");
+        assert_eq!(lock(&shared.final_result).as_ref(), Some(&res));
+        assert!(shared.stop.load(Ordering::SeqCst));
+        assert_eq!(status(with_engine(&shared, |e| e.advance(1))), Some(503));
+        assert_eq!(status(stop_engine(&shared)), Some(503));
     }
 
     /// The tick target saturates at the largest instant the wire accepts, so

@@ -2,10 +2,10 @@
 //!
 //! `install` registers a handler for SIGTERM and SIGINT that does the only
 //! async-signal-safe thing possible: set a global flag. The server's signal
-//! watcher (`ServerConfig::signal_stop`) polls the latch and converts it
-//! into an ordinary engine `Shutdown` command — in-flight HTTP commands
-//! drain (the engine is strictly sequential), a final checkpoint lands when
-//! a WAL is attached, and the process exits 0.
+//! watcher (`ServerConfig::signal_stop`) polls the latch and shuts the
+//! engine down as `/v1/shutdown` would — after the call holding the engine's
+//! lock, a final checkpoint lands when a WAL is attached, and the process
+//! exits 0.
 //!
 //! No dependency on `libc`: the two syscalls needed (`signal`, `raise`) are
 //! declared directly. On non-unix targets the latch exists but `install`

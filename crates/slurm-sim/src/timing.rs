@@ -7,11 +7,12 @@
 //! [`disable`], [`reset`] and [`report`] act on the calling thread, so a run
 //! that does all four on its own thread reads exactly its own numbers. An
 //! [`arm`] window is process-wide instead — `sd-serve` holds one for its
-//! whole life, so the engine thread counts and publishes its own
-//! [`report`]. `run_scenario --timing` prints the report and
-//! [`collapsed`] renders it as folded stacks. It attributes a pass's wall
-//! time to `earliest_start`, the backfill trials, the quota checks and the
-//! node bookkeeping of each job start and end instead of one opaque total.
+//! whole life, and each worker that calls the engine folds its share into
+//! the engine's total with [`take`] and [`accumulate`]. `run_scenario
+//! --timing` prints the report and [`collapsed`] renders it as folded
+//! stacks. It attributes a pass's wall time to `earliest_start`, the
+//! backfill trials, the quota checks and the node bookkeeping of each job
+//! start and end instead of one opaque total.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -221,6 +222,28 @@ pub fn reset() {
     });
 }
 
+/// The calling thread's [`report`], after which its counters are zeroed:
+/// the share a thread hands over to a total kept elsewhere.
+pub fn take() -> Vec<FnTiming> {
+    let rows = report();
+    reset();
+    rows
+}
+
+/// Adds index-aligned [`report`] rows into `total`; an empty `total`
+/// becomes `rows`. Panics if the rows are not aligned.
+pub fn accumulate(total: &mut Vec<FnTiming>, rows: Vec<FnTiming>) {
+    if total.is_empty() {
+        *total = rows;
+        return;
+    }
+    for (t, r) in total.iter_mut().zip(rows) {
+        assert_eq!(t.name, r.name, "accumulate over unlike snapshots");
+        t.count += r.count;
+        t.total_secs += r.total_secs;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,6 +278,22 @@ mod tests {
     // The only test that touches the process-wide switch: every assertion
     // that a probe stayed dormant lives here, so no other test's window can
     // open in the middle of one.
+    #[test]
+    fn take_hands_the_threads_counters_over_once() {
+        reset();
+        enable();
+        drop(scope(Probe::QuotaCheck));
+        let mut total = Vec::new();
+        accumulate(&mut total, take());
+        drop(scope(Probe::QuotaCheck));
+        count(Probe::TrialMemoHit);
+        disable();
+        accumulate(&mut total, take());
+        assert!(report().iter().all(|r| r.count == 0), "take zeroes the thread");
+        let n = |name| total.iter().find(|r| r.name == name).unwrap().count;
+        assert_eq!((n("quota_check"), n("trial_memo_hit")), (2, 1));
+    }
+
     #[test]
     fn dormant_probes_fire_only_inside_an_arm_window() {
         disable();

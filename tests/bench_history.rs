@@ -3,10 +3,14 @@
 //! `{workload, metric, parent, change}`; `parent` and `change` are either a
 //! bare number (the one-run-per-side records `pr20.json` and `pr21.json`)
 //! or the `{q1, median, q3}` quartiles of paired runs, which every record
-//! from `pr38.json` on must use. The test prints, per workload and
-//! end-to-end metric (the `end_to_end` names of `BENCHMARK.json`), each
-//! record's `change.median / parent.median` in record order and their
-//! running product:
+//! from `pr38.json` on must use. Time and throughput compare only as paired
+//! ratios (the same binary runs at different speeds on a shared machine),
+//! so for those end-to-end metrics (the `end_to_end` names of
+//! `BENCHMARK.json`) the test prints each record's
+//! `change.median / parent.median` in record order and their running
+//! product. `peak_rss_mb` and a record's `deterministic_counts` do not
+//! depend on speed: for those it prints each record's absolute values,
+//! parent → change.
 //!
 //! ```sh
 //! cargo test --test bench_history -- --nocapture
@@ -18,6 +22,9 @@ use std::path::Path;
 
 /// First record number that must carry quartiles on both sides.
 const QUARTILES_FROM: u32 = 38;
+
+/// End-to-end metrics read as absolute medians instead of a chained ratio.
+const ABSOLUTE: [&str; 1] = ["peak_rss_mb"];
 
 fn read_json(path: &Path) -> Json {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
@@ -70,6 +77,8 @@ fn every_record_has_the_row_schema_and_the_chain_is_printed() {
     assert!(!files.is_empty(), "bench-history/ holds records");
     // (workload, metric) → [(N, change/parent)], in record order.
     let mut chains: BTreeMap<(String, String), Vec<(u32, f64)>> = BTreeMap::new();
+    // (workload, metric) → [(N, "parent→change")], in record order.
+    let mut absolute: BTreeMap<(String, String), Vec<(u32, String)>> = BTreeMap::new();
     for (n, path) in &files {
         let file = path.display();
         let doc = read_json(path);
@@ -107,18 +116,27 @@ fn every_record_has_the_row_schema_and_the_chain_is_printed() {
             if !end_to_end.contains(&metric) {
                 continue;
             }
-            // A file may repeat a (workload, metric) for a second seed; the
-            // chain follows the first row, the seed-42 panel.
-            let chain = chains
-                .entry((workload.to_string(), metric.to_string()))
-                .or_default();
+            // A file may repeat a (workload, metric) for a second seed; both
+            // readings follow the first row, the seed-42 panel.
+            let key = (workload.to_string(), metric.to_string());
+            if ABSOLUTE.contains(&metric) {
+                let steps = absolute.entry(key).or_default();
+                if steps.last().is_none_or(|(last, _)| last != n) {
+                    steps.push((*n, format!("{parent:.1}→{change:.1}")));
+                }
+                continue;
+            }
+            let chain = chains.entry(key).or_default();
             if chain.last().is_none_or(|&(last, _)| last != *n) {
                 chain.push((*n, change / parent));
             }
         }
+        for (key, step) in deterministic_counts(&doc, &file.to_string()) {
+            absolute.entry(key).or_default().push((*n, step));
+        }
     }
 
-    println!("change.median / parent.median per record, chained (running product):");
+    println!("change.median / parent.median per record, chained (running product), time and throughput:");
     for ((workload, metric), chain) in &chains {
         let steps: Vec<String> = chain
             .iter()
@@ -130,5 +148,36 @@ fn every_record_has_the_row_schema_and_the_chain_is_printed() {
             steps.join(", ")
         );
     }
+    println!("absolute values per record, parent→change (speed-independent):");
+    for ((workload, metric), steps) in &absolute {
+        let steps: Vec<String> = steps.iter().map(|(n, s)| format!("pr{n} {s}")).collect();
+        println!("{workload:<12} {metric:<34} [{}]", steps.join(", "));
+    }
     assert!(!chains.is_empty(), "some row reports an end-to-end metric");
+    assert!(!absolute.is_empty(), "some row reports peak_rss_mb");
+}
+
+/// A record's `deterministic_counts.workloads` as ((workload, metric),
+/// "parent→change") with each value as written; empty when the record has
+/// none. Panics when a count lacks either side.
+fn deterministic_counts(doc: &Json, file: &str) -> Vec<((String, String), String)> {
+    let Some(Json::Obj(workloads)) = doc.get("deterministic_counts").and_then(|d| d.get("workloads")) else {
+        return Vec::new();
+    };
+    let mut out = Vec::new();
+    for (workload, counts) in workloads {
+        let Json::Obj(counts) = counts else {
+            panic!("{file}: deterministic counts of {workload} are not an object")
+        };
+        for (metric, v) in counts {
+            let side = |k: &str| {
+                v.get(k)
+                    .unwrap_or_else(|| panic!("{file}: {workload}/{metric} has no `{k}`"))
+                    .render()
+            };
+            let step = format!("{}→{}", side("parent"), side("change"));
+            out.push(((workload.clone(), metric.clone()), step));
+        }
+    }
+    out
 }

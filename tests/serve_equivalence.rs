@@ -517,3 +517,119 @@ fn served_stats_equal_the_offline_summary_bit_for_bit() {
         assert_eq!(stat(key), result_mean.to_bits(), "{key}: /v1/stats vs SimResult");
     }
 }
+
+/// Boots a virtual-clock SD-Policy server with `workers` HTTP workers.
+fn spawn_virtual(
+    cluster: ClusterSpec,
+    workers: usize,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<Result<SimResult, std::io::Error>>) {
+    let state = SimState::new_online(cluster, SlurmConfig::default(), Box::new(IdealModel), SharingFactor::HALF);
+    let engine = Engine::new(state, Box::new(SdPolicy::default()), ClockMode::Virtual);
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server::run(engine, listener, ServerConfig { workers, ..Default::default() }));
+    (addr, handle)
+}
+
+#[test]
+fn concurrent_reads_leave_the_interleaved_session_equal_to_offline() {
+    // Three readers poll every read route while one writer plays the
+    // interleaved session: the engine's lock serialises them with the
+    // writer's commands, so every read answers and the schedule is the
+    // offline one to the bit. The writer starts once every reader has
+    // started, and each reader reads at least once.
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+    let w = PaperWorkload::W3Ricc;
+    let trace = w.generate(11, 0.02);
+    let cluster = w.cluster(0.02);
+    let offline_res = offline(&trace, cluster.clone(), SlurmConfig::default(), true);
+    let (addr, handle) = spawn_virtual(cluster, 4);
+    let (drained, polling) = (AtomicBool::new(false), Barrier::new(4));
+    std::thread::scope(|s| {
+        let readers: Vec<_> = (0..3)
+            .map(|_| {
+                s.spawn(|| {
+                    polling.wait();
+                    let mut client = Client::connect(addr).unwrap();
+                    let mut get = |path: &str| {
+                        let (status, body) = client.request("GET", path, None).unwrap();
+                        assert_eq!(status, 200, "GET {path}: {}", String::from_utf8_lossy(&body));
+                        body
+                    };
+                    for reads in 0u64.. {
+                        let stats = Json::parse(std::str::from_utf8(&get("/v1/stats")).unwrap()).unwrap();
+                        get("/metrics");
+                        get("/v1/queue");
+                        let jobs = stats.get("jobs_total").and_then(Json::as_u64).unwrap();
+                        if jobs > 0 {
+                            get(&format!("/v1/jobs/{}", reads % jobs + 1));
+                        }
+                        if drained.load(Ordering::SeqCst) {
+                            break;
+                        }
+                    }
+                })
+            })
+            .collect();
+        polling.wait();
+        let mut client = Client::connect(addr).unwrap();
+        submit_in_bursts(&mut client, &trace.jobs);
+        client.drain().unwrap();
+        drained.store(true, Ordering::SeqCst);
+        readers.into_iter().for_each(|r| r.join().unwrap());
+    });
+    let online_res = Client::connect(addr).unwrap().shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+    assert_eq!(online_res.outcomes, offline_res.outcomes, "reads moved the schedule");
+    assert_eq!(online_res.energy_joules.to_bits(), offline_res.energy_joules.to_bits());
+    assert_eq!(online_res, offline_res);
+}
+
+/// The `sd_serve_timing_calls_total` samples of a `/metrics` text.
+fn probe_calls(metrics: &str) -> Vec<(String, u64)> {
+    metrics
+        .lines()
+        .filter_map(|l| l.strip_prefix("sd_serve_timing_calls_total{function=\""))
+        .map(|l| {
+            let (name, count) = l.split_once("\"} ").unwrap();
+            (name.to_string(), count.parse().unwrap())
+        })
+        .collect()
+}
+
+/// Plays the interleaved session with a fresh connection per request, so
+/// the requests spread over the workers, and returns the probe calls the
+/// server reports once drained.
+fn probe_calls_with_workers(trace: &Trace, cluster: ClusterSpec, workers: usize) -> Vec<(String, u64)> {
+    let (addr, handle) = spawn_virtual(cluster, workers);
+    let fresh = || Client::new(addr);
+    for (i, burst) in trace.jobs.chunks(25).enumerate() {
+        if i > 0 {
+            fresh().advance((burst[0].submit.max(0) as u64).saturating_sub(1)).unwrap();
+        }
+        for j in burst {
+            fresh().submit(&wire_request(j)).unwrap();
+        }
+    }
+    fresh().drain().unwrap();
+    let calls = probe_calls(&fresh().metrics().unwrap());
+    fresh().shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+    calls
+}
+
+#[test]
+fn probe_counters_follow_the_engine_across_workers() {
+    // Each call folds its worker's probe counters into the engine's total,
+    // so one worker or four report the same per-probe call counts.
+    let w = PaperWorkload::W3Ricc;
+    let trace = w.generate(11, 0.02);
+    slurm_sim::timing::arm();
+    let one = probe_calls_with_workers(&trace, w.cluster(0.02), 1);
+    let four = probe_calls_with_workers(&trace, w.cluster(0.02), 4);
+    slurm_sim::timing::disarm();
+    let trials = one.iter().find(|(name, _)| name == "backfill_trial").map(|&(_, n)| n);
+    assert!(trials > Some(0), "the session ran backfill trials: {one:?}");
+    assert_eq!(one, four, "per-probe call counts depend on the worker count");
+}
