@@ -13,7 +13,7 @@ const BITS: usize = 64;
 const WORDS: usize = 4;
 
 /// Set bit positions of `word`, ascending.
-pub(crate) fn bits(word: u64) -> impl Iterator<Item = usize> {
+pub fn bits(word: u64) -> impl Iterator<Item = usize> {
     std::iter::successors(Some(word), |&w| Some(w & w.wrapping_sub(1)))
         .take_while(|&w| w != 0)
         .map(|w| w.trailing_zeros() as usize)

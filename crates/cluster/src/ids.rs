@@ -1,0 +1,51 @@
+//! Job and node identifiers, and the error a refused placement returns.
+//! Occupancy itself — who holds which cores of which node, which nodes are
+//! idle, how many cores are busy — is the node table's (`drom::NodeTable`).
+
+/// Identifier of a job, assigned by the workload manager.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct JobId(pub u64);
+
+impl std::fmt::Display for JobId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "job{}", self.0)
+    }
+}
+
+/// Index of a node within the cluster.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct NodeId(pub u32);
+
+impl std::fmt::Display for NodeId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "n{}", self.0)
+    }
+}
+
+/// Errors from placement operations.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AllocError {
+    /// More cores requested than a node has.
+    Insufficient { node: NodeId, free: u32, want: u32 },
+    /// The node is already occupied.
+    AlreadyPlaced { node: NodeId },
+    /// Nothing to remove: the node is idle, or the job is not on it.
+    NotPlaced { node: NodeId },
+    /// Core count must be ≥ 1.
+    ZeroCores,
+}
+
+impl std::fmt::Display for AllocError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AllocError::Insufficient { node, free, want } => {
+                write!(f, "{node}: want {want} cores, only {free} free")
+            }
+            AllocError::AlreadyPlaced { node } => write!(f, "{node} is already occupied"),
+            AllocError::NotPlaced { node } => write!(f, "nothing to remove from {node}"),
+            AllocError::ZeroCores => write!(f, "zero cores requested"),
+        }
+    }
+}
+
+impl std::error::Error for AllocError {}

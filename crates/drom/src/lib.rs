@@ -4,9 +4,10 @@
 //! paper's reference \[5\]) that SD-Policy uses for node-level malleability:
 //!
 //! * [`node`] — the node table, one record per node holding its residents
-//!   inline, implementing the paper's Listing 3: shrink a resident on a
-//!   co-launch, return cores to their owner at job end, redistribute when an
-//!   owner finishes first,
+//!   inline and its predicted release, plus the idle-node index and the
+//!   busy-core count, implementing the paper's Listing 3: shrink a resident
+//!   on a co-launch, return cores to their owner at job end, redistribute
+//!   when an owner finishes first,
 //! * [`registry`] — the DROM "space" as a view of that table: malleable
 //!   residents register, and expose their handles and CPU masks,
 //! * `sharing` — the `SharingFactor` rule: how many cores a running job can

@@ -1,12 +1,13 @@
 //! The node table (paper Listing 3: slurmd + task/affinity + DROM).
 //!
 //! One record per node, indexed by node id, holds the node's residents
-//! inline: job, core mask, malleability, DROM handle and lender. It is the
-//! only per-node resident list: occupancy core counts are mask popcounts,
-//! and the DROM process entries are the residents that carry a handle
-//! (`crate::registry`). Every mutation keeps [`ClusterState`]'s idle index
-//! and busy-core count in step in the same pass over the nodes, and
-//! implements the paper's ownership rules:
+//! inline — job, core mask, malleability, DROM handle and lender — and the
+//! instant the node is predicted to empty. It is the only per-node
+//! structure: occupancy core counts are mask popcounts, the DROM process
+//! entries are the residents that carry a handle (`crate::registry`), and
+//! the table's own idle-node bitset and busy-core count change in the same
+//! pass over the nodes that changes the records. Every mutation implements
+//! the paper's ownership rules:
 //!
 //! 1. at a malleable co-launch the shrunk resident becomes the **owner** of
 //!    the cores lent to the incoming job;
@@ -25,9 +26,10 @@
 use crate::distribution::{expand_into, shrink_socket_first};
 use crate::registry::{DromHandle, ProcessEntry};
 use crate::sharing::SharingFactor;
-use cluster::cpumask::CpuMask;
+use cluster::cpumask::{bits, CpuMask};
+use cluster::ids::{AllocError, JobId, NodeId};
 use cluster::spec::NodeSpec;
-use cluster::state::{AllocError, ClusterState, JobId, NodeId};
+use simkit::SimTime;
 
 /// A mask change produced by a node-level event, to be propagated to the
 /// simulator (rate recomputation).
@@ -49,6 +51,7 @@ impl NodeUpdate {
 pub struct Resident {
     pub job: JobId,
     pub mask: CpuMask,
+    /// Registered with DROM: exactly when `handle` is set.
     pub malleable: bool,
     pub handle: Option<DromHandle>,
     /// For a co-launched job: the resident that lent it cores on this node.
@@ -58,11 +61,15 @@ pub struct Resident {
 /// Most residents one node holds: a full-width mate and its borrower.
 const MAX_RESIDENTS: usize = 2;
 
-/// One node's residents, inline, in arrival order.
+/// One node's residents, inline, in arrival order, and its release.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeRecord {
     len: u8,
     slots: [Resident; MAX_RESIDENTS],
+    /// When the node is predicted to empty: the latest requested end of
+    /// its residents, `None` when idle. The simulator, which knows the
+    /// requested ends, sets it ([`NodeTable::set_release`]).
+    release: Option<SimTime>,
 }
 
 impl NodeRecord {
@@ -77,6 +84,7 @@ impl NodeRecord {
         NodeRecord {
             len: 0,
             slots: [vacant; MAX_RESIDENTS],
+            release: None,
         }
     }
 
@@ -87,6 +95,11 @@ impl NodeRecord {
 
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The predicted instant the node empties (`None` = idle).
+    pub fn release(&self) -> Option<SimTime> {
+        self.release
     }
 
     /// Cores `job` holds here.
@@ -124,7 +137,7 @@ impl NodeRecord {
     }
 
     /// At most two residents, one job each, on disjoint non-empty masks of
-    /// the node's width.
+    /// the node's width, each malleable exactly when it holds a DROM handle.
     fn check(residents: &[Resident], node: NodeId, width: usize) -> Result<(), String> {
         if residents.len() > MAX_RESIDENTS {
             return Err(format!(
@@ -143,6 +156,12 @@ impl NodeRecord {
             if a.mask.is_empty() {
                 return Err(format!("{} has empty mask on {node}", a.job));
             }
+            if a.malleable != a.handle.is_some() {
+                return Err(format!(
+                    "{} on {node}: malleable {} with DROM handle {:?}",
+                    a.job, a.malleable, a.handle
+                ));
+            }
             for b in &residents[i + 1..] {
                 if a.job == b.job {
                     return Err(format!("{} appears twice on {node}", a.job));
@@ -159,21 +178,41 @@ impl NodeRecord {
     }
 }
 
-/// Every node's residents, indexed by node id.
+/// The idle-index word and bit of `node`.
+fn idle_bit(node: NodeId) -> (usize, u64) {
+    (node.0 as usize / 64, 1 << (node.0 % 64))
+}
+
+/// Every node's residents, indexed by node id, with the machine-wide
+/// counts the scheduler asks for without touching a node.
 #[derive(Debug, Clone)]
 pub struct NodeTable {
     spec: NodeSpec,
     records: Vec<NodeRecord>,
+    /// Completely idle nodes as a bitset (node `n` is bit `n % 64` of word
+    /// `n / 64`), so the scheduler's "first n idle nodes" walks words, not
+    /// the machine.
+    idle: Vec<u64>,
+    idle_count: u32,
+    busy_cores: u64,
     /// Next DROM handle: one machine-wide counter, in registration order.
     next_handle: u64,
 }
 
 impl NodeTable {
+    /// `nodes` idle nodes.
     pub fn new(nodes: u32, spec: NodeSpec) -> NodeTable {
         let record = NodeRecord::new(spec.cores() as usize);
+        let mut idle = vec![0u64; (nodes as usize).div_ceil(64)];
+        for (word, bit) in (0..nodes).map(|n| idle_bit(NodeId(n))) {
+            idle[word] |= bit;
+        }
         NodeTable {
             records: vec![record; nodes as usize],
             spec,
+            idle,
+            idle_count: nodes,
+            busy_cores: 0,
             next_handle: 0,
         }
     }
@@ -193,6 +232,49 @@ impl NodeTable {
         self.next_handle
     }
 
+    /// Number of completely idle nodes.
+    pub fn empty_node_count(&self) -> u32 {
+        self.idle_count
+    }
+
+    /// Total busy cores across the machine.
+    pub fn busy_cores(&self) -> u64 {
+        self.busy_cores
+    }
+
+    /// Whether `node` is completely idle.
+    pub fn is_idle(&self, node: NodeId) -> bool {
+        let (word, bit) = idle_bit(node);
+        self.idle[word] & bit != 0
+    }
+
+    /// The ids of completely idle nodes, ascending (served from the idle
+    /// index, not a machine scan).
+    pub fn empty_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.idle
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &w)| bits(w).map(move |b| NodeId((i * 64 + b) as u32)))
+    }
+
+    /// The first `n` idle nodes (ascending id) in O(n), or `None` when
+    /// fewer than `n` are idle — the static placement test.
+    pub fn take_empty_nodes(&self, n: u32) -> Option<Vec<NodeId>> {
+        if self.idle_count < n {
+            return None;
+        }
+        // Sized up front: the word walk has no useful size hint.
+        let mut first = Vec::with_capacity(n as usize);
+        first.extend(self.empty_nodes().take(n as usize));
+        Some(first)
+    }
+
+    /// Sets `node`'s predicted release and returns the one it replaces.
+    #[inline]
+    pub fn set_release(&mut self, node: NodeId, when: Option<SimTime>) -> Option<SimTime> {
+        std::mem::replace(&mut self.records[node.0 as usize].release, when)
+    }
+
     /// Mask of cores not held by any resident of `node`.
     pub fn free_mask(&self, node: NodeId) -> CpuMask {
         self.record(node).free_mask(self.spec.cores() as usize)
@@ -202,28 +284,40 @@ impl NodeTable {
         self.spec.cores() as usize
     }
 
-    /// Launches `job` on `cores` cores of each idle node in `nodes`, in
-    /// one pass, registering it with DROM on each node when `malleable` so
-    /// it can be reconfigured later. All-or-nothing: refused (and nothing
-    /// touched) when a node is busy or `cores` is 0 or wider than a node.
+    /// Launches `job` on `cores` cores of each idle node in `nodes`,
+    /// registering it with DROM on each node when `malleable` so it can be
+    /// reconfigured later. All-or-nothing: refused (and nothing touched)
+    /// when a node is busy or `cores` is 0 or wider than a node.
     ///
     /// Returns the mask, the same on every node: the lowest `cores` cores
     /// (the whole node at full width).
     pub fn launch(
         &mut self,
-        cluster: &mut ClusterState,
         nodes: &[NodeId],
         job: JobId,
         cores: u32,
         malleable: bool,
     ) -> Result<CpuMask, AllocError> {
-        cluster.place(nodes, cores)?;
+        if cores == 0 {
+            return Err(AllocError::ZeroCores);
+        }
+        let width = self.spec.cores();
+        for &node in nodes {
+            if !self.is_idle(node) {
+                return Err(AllocError::AlreadyPlaced { node });
+            }
+            if cores > width {
+                return Err(AllocError::Insufficient { node, free: width, want: cores });
+            }
+        }
         let mask = CpuMask::range(self.width(), 0, cores as usize);
         for &n in nodes {
             let handle = malleable.then(|| {
                 self.next_handle += 1;
                 DromHandle(self.next_handle - 1)
             });
+            let (word, bit) = idle_bit(n);
+            self.idle[word] &= !bit;
             let record = &mut self.records[n.0 as usize];
             debug_assert!(record.is_empty(), "{n} idle but not empty");
             record.push(Resident {
@@ -234,6 +328,8 @@ impl NodeTable {
                 lender: None,
             });
         }
+        self.idle_count -= nodes.len() as u32;
+        self.busy_cores += u64::from(cores) * nodes.len() as u64;
         Ok(mask)
     }
 
@@ -249,7 +345,6 @@ impl NodeTable {
     /// sharing the node, or nothing can be freed.
     pub fn co_launch(
         &mut self,
-        cluster: &mut ClusterState,
         node: NodeId,
         new_job: JobId,
         mate: JobId,
@@ -288,7 +383,8 @@ impl NodeTable {
             handle: Some(handle),
             lender: Some(mate),
         });
-        cluster.reshape(mate_cores, keep + given.count() as u32);
+        // The mate's cores change hands; the node's free ones become busy.
+        self.busy_cores += free.count() as u64;
         Some([
             NodeUpdate {
                 job: mate,
@@ -305,17 +401,13 @@ impl NodeTable {
     /// the co-resident takes the freed cores when it lent them (rule 2) or
     /// is malleable (rule 3), and its grown mask is returned; otherwise the
     /// cores become free, and an emptied node turns idle. Refused (nothing
-    /// touched) when `job` is not there.
+    /// touched) when `job` is not there. The node's release is the
+    /// caller's to update.
     ///
     /// `#[inline]` across the crate boundary: it runs once per node of
     /// every ending job, and the call cost a third of its time.
     #[inline]
-    pub fn finish(
-        &mut self,
-        cluster: &mut ClusterState,
-        node: NodeId,
-        job: JobId,
-    ) -> Result<Option<NodeUpdate>, AllocError> {
+    pub fn finish(&mut self, node: NodeId, job: JobId) -> Result<Option<NodeUpdate>, AllocError> {
         let record = &mut self.records[node.0 as usize];
         let ended = record.take(job).ok_or(AllocError::NotPlaced { node })?;
         let cores = ended.mask.count() as u32;
@@ -327,46 +419,51 @@ impl NodeTable {
                     new_mask: other.mask,
                 })
             }
-            _ => None,
+            _ => {
+                self.busy_cores -= u64::from(cores);
+                None
+            }
         };
         if record.is_empty() {
-            cluster.remove_from_node(node, cores)?;
-        } else if expanded.is_none() {
-            cluster.reshape(cores, 0);
+            let (word, bit) = idle_bit(node);
+            self.idle[word] |= bit;
+            self.idle_count += 1;
         }
         Ok(expanded)
     }
 
-    /// Checks every record and that `cluster`'s counters describe the
-    /// table: a node is idle exactly when it has no resident, and the busy
-    /// cores are the masks' popcounts. DROM handles are unique and below
-    /// the next one.
-    pub fn validate(&self, cluster: &ClusterState) -> Result<(), String> {
-        cluster.validate()?;
-        let (width, mut busy) = (self.width(), 0u64);
+    /// Checks every record, and that the idle index and busy-core count
+    /// describe them: a node's bit is set exactly when it has no resident,
+    /// no bit is set past the last node, and the busy cores are the masks'
+    /// popcounts. DROM handles are unique and below the next one.
+    pub fn validate(&self) -> Result<(), String> {
+        let (width, mut busy, mut idle) = (self.width(), 0u64, 0u32);
         let mut handles = Vec::new();
         for (i, record) in self.records.iter().enumerate() {
             let node = NodeId(i as u32);
             NodeRecord::check(record.residents(), node, width)?;
-            if record.is_empty() != cluster.is_idle(node) {
+            if record.is_empty() != self.is_idle(node) {
                 return Err(format!(
                     "{node}: {} residents, idle index says {}",
                     record.len,
-                    if cluster.is_idle(node) {
-                        "idle"
-                    } else {
-                        "busy"
-                    }
+                    if self.is_idle(node) { "idle" } else { "busy" }
                 ));
             }
+            idle += u32::from(record.is_empty());
             busy += u64::from(record.cores_used());
             handles.extend(record.residents().iter().filter_map(|r| r.handle));
         }
-        if busy != cluster.busy_cores() {
+        // Popcount, not the node walk above: a bit past the last node would
+        // surface as a phantom idle node in `empty_nodes`.
+        let set: u32 = self.idle.iter().map(|w| w.count_ones()).sum();
+        if (set, self.idle_count) != (idle, idle) {
             return Err(format!(
-                "busy_cores counter {} != actual {busy}",
-                cluster.busy_cores()
+                "idle index count {} / bits {set} for {idle} idle nodes",
+                self.idle_count
             ));
+        }
+        if busy != self.busy_cores {
+            return Err(format!("busy_cores counter {} != actual {busy}", self.busy_cores));
         }
         Self::check_handles(handles, self.next_handle)
     }
@@ -384,10 +481,11 @@ impl NodeTable {
         }
     }
 
-    /// Rebuilds a table from the checkpoint's three per-node sections: the
+    /// Rebuilds a table from the checkpoint's three resident sections: the
     /// occupancy `(job, cores)` lists, the DROM process entries with the
     /// next handle, and the residents. Any node on which they disagree, or
-    /// that holds more than two residents, is refused by name.
+    /// that holds more than two residents, is refused by name. Releases
+    /// are left `None` for the caller to set.
     pub fn restore(
         spec: NodeSpec,
         occupancy: Vec<Vec<(JobId, u32)>>,
@@ -427,7 +525,6 @@ impl NodeTable {
                 let Some(handle) = r.handle else { continue };
                 let agrees = procs.next_if(|e| e.node == node).is_some_and(|e| {
                     (e.handle, e.job, e.current) == (handle, r.job, r.mask)
-                        && e.pending.is_none_or(|p| p == r.mask)
                 });
                 if !agrees {
                     return Err(format!(
@@ -439,8 +536,15 @@ impl NodeTable {
             if procs.peek().is_some_and(|e| e.node == node) {
                 return Err(format!("{node}: DROM entry without a resident"));
             }
+            if res.is_empty() {
+                continue;
+            }
             let record = &mut table.records[i];
             res.iter().for_each(|&r| record.push(r));
+            let (word, bit) = idle_bit(node);
+            table.idle[word] &= !bit;
+            table.idle_count -= 1;
+            table.busy_cores += u64::from(record.cores_used());
         }
         table.next_handle = next_handle;
         Ok(table)
@@ -454,67 +558,49 @@ mod tests {
 
     const N0: NodeId = NodeId(0);
 
-    /// One MareNostrum4 node (2 × 24 cores) and its counters.
-    fn table() -> (NodeTable, ClusterState) {
-        let spec = ClusterSpec::marenostrum4(1);
-        (
-            NodeTable::new(1, spec.node.clone()),
-            ClusterState::new(spec),
-        )
+    /// One MareNostrum4 node (2 × 24 cores).
+    fn table() -> NodeTable {
+        NodeTable::new(1, ClusterSpec::marenostrum4(1).node)
     }
 
-    fn valid(t: &NodeTable, cs: &ClusterState) {
-        t.validate(cs).expect("table and counters agree");
+    fn valid(t: &NodeTable) {
+        t.validate().expect("records and counters agree");
     }
 
     #[test]
     fn exclusive_launch_gets_full_node() {
-        let (mut t, mut cs) = table();
-        let mask = t.launch(&mut cs, &[N0], JobId(1), 48, true).unwrap();
+        let mut t = table();
+        let mask = t.launch(&[N0], JobId(1), 48, true).unwrap();
         assert_eq!(mask.count(), 48);
         assert_eq!(t.processes_on(N0).count(), 1);
         assert!(t.free_mask(N0).is_empty());
-        assert_eq!(cs.busy_cores(), 48);
-        valid(&t, &cs);
+        assert_eq!(t.busy_cores(), 48);
+        valid(&t);
     }
 
     /// A busy node, a zero-core or an over-wide request is refused whole:
     /// no node of the group is touched.
     #[test]
     fn launch_fails_without_room() {
-        let spec = ClusterSpec::marenostrum4(2);
-        let (mut t, mut cs) = (
-            NodeTable::new(2, spec.node.clone()),
-            ClusterState::new(spec),
-        );
-        t.launch(&mut cs, &[N0], JobId(1), 48, false).unwrap();
+        let mut t = NodeTable::new(2, ClusterSpec::marenostrum4(2).node);
+        t.launch(&[N0], JobId(1), 48, false).unwrap();
         let busy = AllocError::AlreadyPlaced { node: N0 };
-        assert_eq!(
-            t.launch(&mut cs, &[N0], JobId(2), 1, false),
-            Err(busy.clone())
-        );
-        assert_eq!(
-            t.launch(&mut cs, &[NodeId(1), N0], JobId(2), 1, false),
-            Err(busy)
-        );
-        assert_eq!(
-            t.launch(&mut cs, &[NodeId(1)], JobId(2), 0, false),
-            Err(AllocError::ZeroCores)
-        );
-        assert!(t
-            .launch(&mut cs, &[NodeId(1)], JobId(2), 49, false)
-            .is_err());
-        assert!(t.record(NodeId(1)).is_empty() && cs.is_idle(NodeId(1)));
-        valid(&t, &cs);
+        assert_eq!(t.launch(&[N0], JobId(2), 1, false), Err(busy.clone()));
+        assert_eq!(t.launch(&[NodeId(1), N0], JobId(2), 1, false), Err(busy));
+        assert_eq!(t.launch(&[NodeId(1)], JobId(2), 0, false), Err(AllocError::ZeroCores));
+        let wide = AllocError::Insufficient { node: NodeId(1), free: 48, want: 49 };
+        assert_eq!(t.launch(&[NodeId(1)], JobId(2), 49, false), Err(wide));
+        assert_eq!(t.take_empty_nodes(2), None, "one node is idle");
+        assert_eq!(t.take_empty_nodes(1), Some(vec![NodeId(1)]));
+        assert!(t.record(NodeId(1)).is_empty() && t.is_idle(NodeId(1)));
+        valid(&t);
     }
 
     #[test]
     fn co_launch_splits_socket_wise() {
-        let (mut t, mut cs) = table();
-        t.launch(&mut cs, &[N0], JobId(1), 48, true).unwrap();
-        let ups = t
-            .co_launch(&mut cs, N0, JobId(2), JobId(1), SharingFactor::HALF, 2)
-            .unwrap();
+        let mut t = table();
+        t.launch(&[N0], JobId(1), 48, true).unwrap();
+        let ups = t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 2).unwrap();
         assert_eq!(ups[0].job, JobId(1));
         assert_eq!(ups[0].cores(), 24);
         assert_eq!(ups[1].job, JobId(2));
@@ -533,112 +619,97 @@ mod tests {
         // The node's occupancy is the two masks: the node stays full.
         assert_eq!(t.record(N0).cores_of(JobId(1)), Some(24));
         assert_eq!(t.record(N0).cores_used(), 48);
-        assert_eq!(cs.busy_cores(), 48);
-        valid(&t, &cs);
+        assert_eq!(t.busy_cores(), 48);
+        valid(&t);
     }
 
     #[test]
     fn co_launch_rejects_static_mate() {
-        let (mut t, mut cs) = table();
-        t.launch(&mut cs, &[N0], JobId(1), 48, false).unwrap();
-        assert!(t
-            .co_launch(&mut cs, N0, JobId(2), JobId(1), SharingFactor::HALF, 1)
-            .is_none());
+        let mut t = table();
+        t.launch(&[N0], JobId(1), 48, false).unwrap();
+        assert!(t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 1).is_none());
     }
 
     #[test]
     fn new_job_end_returns_cores_to_owner() {
-        let (mut t, mut cs) = table();
-        t.launch(&mut cs, &[N0], JobId(1), 48, true).unwrap();
-        t.co_launch(&mut cs, N0, JobId(2), JobId(1), SharingFactor::HALF, 2)
-            .unwrap();
-        let up = t.finish(&mut cs, N0, JobId(2)).unwrap().unwrap();
+        let mut t = table();
+        t.launch(&[N0], JobId(1), 48, true).unwrap();
+        t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 2).unwrap();
+        let up = t.finish(N0, JobId(2)).unwrap().unwrap();
         assert_eq!(up.job, JobId(1));
         assert_eq!(up.cores(), 48, "owner expanded back to the full node");
         assert_eq!(t.record(N0).residents().len(), 1);
-        assert_eq!(cs.busy_cores(), 48);
-        valid(&t, &cs);
+        assert_eq!(t.busy_cores(), 48);
+        valid(&t);
     }
 
     #[test]
     fn owner_end_redistributes_to_new_job() {
-        let (mut t, mut cs) = table();
-        t.launch(&mut cs, &[N0], JobId(1), 48, true).unwrap();
-        t.co_launch(&mut cs, N0, JobId(2), JobId(1), SharingFactor::HALF, 2)
-            .unwrap();
+        let mut t = table();
+        t.launch(&[N0], JobId(1), 48, true).unwrap();
+        t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 2).unwrap();
         // Owner (mate) finishes before the co-scheduled job.
-        let up = t.finish(&mut cs, N0, JobId(1)).unwrap().unwrap();
+        let up = t.finish(N0, JobId(1)).unwrap().unwrap();
         assert_eq!(up.job, JobId(2));
         assert_eq!(up.cores(), 48, "survivor takes the whole node");
-        valid(&t, &cs);
+        valid(&t);
     }
 
     #[test]
     fn plain_finish_frees_cores() {
-        let (mut t, mut cs) = table();
-        t.launch(&mut cs, &[N0], JobId(1), 24, false).unwrap();
-        assert_eq!(
-            t.finish(&mut cs, N0, JobId(1)),
-            Ok(None),
-            "a rigid job's cores free up"
-        );
+        let mut t = table();
+        t.launch(&[N0], JobId(1), 24, false).unwrap();
+        assert_eq!(t.finish(N0, JobId(1)), Ok(None), "a rigid job's cores free up");
         assert!(t.record(N0).is_empty());
         assert_eq!(t.free_mask(N0).count(), 48);
-        assert!(cs.is_idle(N0) && cs.busy_cores() == 0);
-        valid(&t, &cs);
+        assert!(t.is_idle(N0) && t.busy_cores() == 0);
+        valid(&t);
     }
 
     #[test]
     fn finish_unknown_job_is_noop() {
-        let (mut t, mut cs) = table();
+        let mut t = table();
         let absent = AllocError::NotPlaced { node: N0 };
-        assert_eq!(t.finish(&mut cs, N0, JobId(77)), Err(absent));
-        valid(&t, &cs);
+        assert_eq!(t.finish(N0, JobId(77)), Err(absent));
+        valid(&t);
     }
 
     #[test]
     fn co_launch_absorbs_already_free_cores() {
-        let (mut t, mut cs) = table();
-        t.launch(&mut cs, &[N0], JobId(1), 24, true).unwrap(); // half the node busy
-        let ups = t
-            .co_launch(&mut cs, N0, JobId(2), JobId(1), SharingFactor::HALF, 2)
-            .unwrap();
+        let mut t = table();
+        t.launch(&[N0], JobId(1), 24, true).unwrap(); // half the node busy
+        let ups = t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 2).unwrap();
         // Mate keeps 12, new job gets 12 freed + 24 already free = 36.
         assert_eq!(ups[0].cores(), 12);
         assert_eq!(ups[1].cores(), 36);
         assert!(t.free_mask(N0).is_empty());
-        assert_eq!(cs.busy_cores(), 48);
-        valid(&t, &cs);
+        assert_eq!(t.busy_cores(), 48);
+        valid(&t);
     }
 
     #[test]
     fn rank_floor_respected_in_co_launch() {
-        let (mut t, mut cs) = table();
-        t.launch(&mut cs, &[N0], JobId(1), 48, true).unwrap();
-        let ups = t
-            .co_launch(&mut cs, N0, JobId(2), JobId(1), SharingFactor::new(0.9), 40)
-            .unwrap();
+        let mut t = table();
+        t.launch(&[N0], JobId(1), 48, true).unwrap();
+        let ups = t.co_launch(N0, JobId(2), JobId(1), SharingFactor::new(0.9), 40).unwrap();
         assert_eq!(ups[0].cores(), 40, "mate floor = its 40 ranks");
         assert_eq!(ups[1].cores(), 8);
     }
 
     #[test]
     fn third_resident_is_refused() {
-        let (mut t, mut cs) = table();
-        t.launch(&mut cs, &[N0], JobId(1), 48, true).unwrap();
-        t.co_launch(&mut cs, N0, JobId(2), JobId(1), SharingFactor::HALF, 2)
-            .unwrap();
+        let mut t = table();
+        t.launch(&[N0], JobId(1), 48, true).unwrap();
+        t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 2).unwrap();
         // The borrower is malleable, but the node already holds a mate and
         // its borrower: a third job is refused and nothing moves.
         let before = *t.record(N0);
         for mate in [JobId(1), JobId(2)] {
-            assert!(t
-                .co_launch(&mut cs, N0, JobId(3), mate, SharingFactor::HALF, 2)
-                .is_none());
+            assert!(t.co_launch(N0, JobId(3), mate, SharingFactor::HALF, 2).is_none());
         }
         assert_eq!(t.record(N0).residents(), before.residents());
         assert_eq!(t.next_handle(), 2);
-        valid(&t, &cs);
+        valid(&t);
     }
 
     /// A table's three checkpoint sections.
@@ -659,15 +730,16 @@ mod tests {
 
     #[test]
     fn restore_cross_checks_the_three_sections() {
-        let (mut t, mut cs) = table();
-        t.launch(&mut cs, &[N0], JobId(1), 48, true).unwrap();
-        t.co_launch(&mut cs, N0, JobId(2), JobId(1), SharingFactor::HALF, 2)
-            .unwrap();
+        let mut t = table();
+        t.launch(&[N0], JobId(1), 48, true).unwrap();
+        t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 2).unwrap();
         let spec = ClusterSpec::marenostrum4(1).node;
         let restore =
             |(occ, procs, res): (_, _, _)| NodeTable::restore(spec.clone(), occ, procs, 2, res);
         let re = restore(sections(&t)).expect("a table's own sections restore");
         assert_eq!(sections(&re), sections(&t));
+        assert_eq!((re.empty_node_count(), re.busy_cores()), (0, 48));
+        valid(&re);
 
         // One fewer core in the occupancy than in the mask.
         let mut s = sections(&t);
@@ -677,13 +749,10 @@ mod tests {
         let mut s = sections(&t);
         s.1[0].current = s.1[1].current;
         assert!(restore(s).unwrap_err().contains("n0: DROM entry for job1"));
-        // A staged mask is accepted only once applied.
+        // A malleable flag that disagrees with the DROM handle.
         let mut s = sections(&t);
-        s.1[0].pending = Some(s.1[0].current);
-        assert!(restore(s).is_ok());
-        let mut s = sections(&t);
-        s.1[0].pending = Some(s.1[1].current);
-        assert!(restore(s).is_err());
+        s.2[0][1].malleable = false;
+        assert!(restore(s).unwrap_err().contains("job2 on n0: malleable false"));
         // An entry with no resident, and a resident with no entry.
         let mut s = sections(&t);
         s.1.push(ProcessEntry {

@@ -7,11 +7,12 @@
 //! it launches (it gets a [`DromHandle`] from one machine-wide counter),
 //! deregisters when it ends, and its mask is the one its process runs
 //! with. A mask change reaches the process's malleability point before the
-//! table's mutation returns, so no mask is ever left pending.
+//! table's mutation returns, so an entry has no staged mask (the checkpoint
+//! still writes an empty one).
 
 use crate::node::NodeTable;
 use cluster::cpumask::CpuMask;
-use cluster::state::{JobId, NodeId};
+use cluster::ids::{JobId, NodeId};
 
 /// Handle identifying a registered process (one job's task group on a node).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -23,13 +24,8 @@ pub struct ProcessEntry {
     pub handle: DromHandle,
     pub job: JobId,
     pub node: NodeId,
-    /// Mask the process is currently running with.
+    /// Mask the process is running with.
     pub current: CpuMask,
-    /// Mask staged for the next malleability point: always `None` in the
-    /// view (the table applies masks at once). The checkpoint format keeps
-    /// the field, and a restore accepts a staged mask only if it is the
-    /// resident's.
-    pub pending: Option<CpuMask>,
 }
 
 impl NodeTable {
@@ -41,7 +37,6 @@ impl NodeTable {
                 job: r.job,
                 node,
                 current: r.mask,
-                pending: None,
             })
         })
     }
@@ -63,46 +58,38 @@ mod tests {
     use super::*;
     use crate::node::Resident;
     use crate::SharingFactor;
-    use cluster::{ClusterSpec, ClusterState};
+    use cluster::ClusterSpec;
 
     const N0: NodeId = NodeId(0);
 
-    /// Two 16-core nodes (2 × 8) and their counters.
-    fn table() -> (NodeTable, ClusterState) {
-        let mut spec = ClusterSpec::cea_curie();
-        spec.nodes = 2;
-        (
-            NodeTable::new(2, spec.node.clone()),
-            ClusterState::new(spec),
-        )
+    /// Two 16-core nodes (2 × 8).
+    fn table() -> NodeTable {
+        NodeTable::new(2, ClusterSpec::cea_curie().node)
     }
 
     #[test]
     fn attach_detach_lifecycle() {
-        let (mut t, mut cs) = table();
-        t.launch(&mut cs, &[N0], JobId(1), 16, true).unwrap();
+        let mut t = table();
+        t.launch(&[N0], JobId(1), 16, true).unwrap();
         let e = t.find(JobId(1), N0).expect("a malleable launch registers");
         assert_eq!((e.handle, e.current.count()), (DromHandle(0), 16));
         assert_eq!(t.processes_on(N0).count(), 1);
-        t.finish(&mut cs, N0, JobId(1)).unwrap();
+        t.finish(N0, JobId(1)).unwrap();
         assert!(t.find(JobId(1), N0).is_none(), "finishing deregisters");
         // A rigid job never registers, and handles keep counting up.
-        t.launch(&mut cs, &[N0], JobId(2), 16, false).unwrap();
+        t.launch(&[N0], JobId(2), 16, false).unwrap();
         assert_eq!(t.processes_on(N0).count(), 0);
         assert_eq!(t.next_handle(), 1);
     }
 
     #[test]
     fn pending_masks_apply_at_malleability_point() {
-        let (mut t, mut cs) = table();
-        t.launch(&mut cs, &[N0], JobId(1), 16, true).unwrap();
-        let [kept, given] = t
-            .co_launch(&mut cs, N0, JobId(2), JobId(1), SharingFactor::HALF, 1)
-            .unwrap();
+        let mut t = table();
+        t.launch(&[N0], JobId(1), 16, true).unwrap();
+        let [kept, given] = t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 1).unwrap();
         // The shrink reached the mate's malleability point before
         // `co_launch` returned: it runs with its new mask, nothing staged.
-        let mate = t.find(JobId(1), N0).unwrap();
-        assert_eq!((mate.current, mate.pending), (kept.new_mask, None));
+        assert_eq!(t.find(JobId(1), N0).unwrap().current, kept.new_mask);
         let borrower = t.find(JobId(2), N0).unwrap();
         assert_eq!(
             (borrower.handle, borrower.current),
@@ -114,42 +101,37 @@ mod tests {
 
     #[test]
     fn poll_node_applies_all_pending() {
-        let (mut t, mut cs) = table();
-        t.launch(&mut cs, &[N0], JobId(1), 16, true).unwrap();
-        t.co_launch(&mut cs, N0, JobId(2), JobId(1), SharingFactor::HALF, 1)
-            .unwrap();
+        let mut t = table();
+        t.launch(&[N0], JobId(1), 16, true).unwrap();
+        t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 1).unwrap();
         // Both masks of the node changed in one mutation; neither is left
         // staged, and together they still cover the whole node, disjointly.
         let entries: Vec<ProcessEntry> = t.processes_on(N0).collect();
         assert_eq!(entries.len(), 2);
-        assert!(entries.iter().all(|e| e.pending.is_none()));
         assert!(entries[0].current.is_disjoint(&entries[1].current));
         assert_eq!(entries.iter().map(|e| e.current.count()).sum::<usize>(), 16);
-        assert!(t.validate(&cs).is_ok());
+        assert!(t.validate().is_ok());
     }
 
     #[test]
     fn set_mask_on_unknown_handle_is_false() {
-        let (mut t, mut cs) = table();
-        t.launch(&mut cs, &[N0], JobId(1), 16, true).unwrap();
+        let mut t = table();
+        t.launch(&[N0], JobId(1), 16, true).unwrap();
         let before: Vec<ProcessEntry> = t.processes_on(N0).collect();
         // A mask change aimed at a process that is not registered is
         // refused: no mask moves and no handle is spent.
-        assert!(t
-            .co_launch(&mut cs, N0, JobId(2), JobId(99), SharingFactor::HALF, 1)
-            .is_none());
-        assert!(t.finish(&mut cs, N0, JobId(99)).is_err());
+        assert!(t.co_launch(N0, JobId(2), JobId(99), SharingFactor::HALF, 1).is_none());
+        assert!(t.finish(N0, JobId(99)).is_err());
         assert!(t.find(JobId(99), N0).is_none());
         assert_eq!(t.processes_on(N0).collect::<Vec<_>>(), before);
         assert_eq!(t.next_handle(), 1);
-        assert!(t.validate(&cs).is_ok());
+        assert!(t.validate().is_ok());
     }
 
     #[test]
     fn find_by_job_and_node() {
-        let (mut t, mut cs) = table();
-        t.launch(&mut cs, &[N0, NodeId(1)], JobId(1), 4, true)
-            .unwrap();
+        let mut t = table();
+        t.launch(&[N0, NodeId(1)], JobId(1), 4, true).unwrap();
         assert!(t.find(JobId(1), NodeId(1)).is_some());
         assert!(t.find(JobId(2), N0).is_none());
         let all: Vec<(NodeId, DromHandle)> = t.processes().map(|e| (e.node, e.handle)).collect();
@@ -172,7 +154,6 @@ mod tests {
                     job: r.job,
                     node: N0,
                     current: r.mask,
-                    pending: None,
                 })
             })
             .collect();

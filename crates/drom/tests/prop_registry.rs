@@ -1,72 +1,118 @@
-//! Model-based property test: the DROM view of the node table against a
-//! plain handle → entry map, under arbitrary launch / co-launch / finish
-//! streams. After every operation the two hold the same entries in the same
-//! per-node registration order, every entry runs with its resident's mask
-//! and nothing is staged, and the table's checkpoint sections restore an
+//! Model-based property test: the node table against plain references,
+//! under arbitrary launch / co-launch / finish streams. After every
+//! operation the DROM view and a handle → entry map hold the same entries
+//! in the same per-node registration order, every entry runs with its
+//! resident's mask, the idle bitset answers every query like a
+//! `BTreeSet<NodeId>` of the nodes without residents, the busy-core count
+//! is the model's sum, and the table's checkpoint sections restore an
 //! equal table.
 
-use cluster::{ClusterSpec, ClusterState, JobId, NodeId};
+use cluster::{ClusterSpec, JobId, NodeId};
 use drom::{DromHandle, NodeTable, ProcessEntry, Resident, SharingFactor};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-const NODES: u32 = 6;
+/// Three idle-index words, the last one partly used.
+const NODES: u32 = 130;
+/// The CEA Curie node: 16 cores, 2 × 8.
+const WIDTH: u32 = 16;
 
 #[derive(Debug, Clone)]
 enum Op {
+    /// One all-or-nothing launch over `nodes`.
     Launch {
-        node: u32,
+        nodes: Vec<u32>,
         cores: u32,
         malleable: bool,
     },
-    /// `pick` selects the mate among the node's residents.
-    CoLaunch { node: u32, pick: usize, ranks: u32 },
-    /// `pick` selects the resident that ends.
-    Finish { node: u32, pick: usize },
+    /// `at` selects a busy node, `pick` the mate among its residents.
+    CoLaunch { at: usize, pick: usize, ranks: u32 },
+    /// `at` selects a busy node, `pick` the resident that ends.
+    Finish { at: usize, pick: usize },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u32..NODES, 0u32..18, any::<bool>()).prop_map(|(node, cores, malleable)| Op::Launch {
-            node,
-            cores,
-            malleable
-        }),
-        (0u32..NODES, 0usize..4, 1u32..12).prop_map(|(node, pick, ranks)| Op::CoLaunch {
-            node,
+        (prop::collection::vec(0u32..NODES, 1..40), 0u32..18, any::<bool>())
+            .prop_map(|(nodes, cores, malleable)| Op::Launch { nodes, cores, malleable }),
+        (any::<usize>(), 0usize..4, 1u32..12).prop_map(|(at, pick, ranks)| Op::CoLaunch {
+            at,
             pick,
             ranks
         }),
-        (0u32..NODES, 0usize..4).prop_map(|(node, pick)| Op::Finish { node, pick }),
+        (any::<usize>(), 0usize..4).prop_map(|(at, pick)| Op::Finish { at, pick }),
     ]
 }
 
+/// One resident as the model sees it.
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    job: JobId,
+    malleable: bool,
+    lender: Option<JobId>,
+}
+
 /// The reference: every registered process by handle (handles ascend with
-/// registration, so handle order *is* registration order), plus each
-/// node's residents as `(job, malleable)` in arrival order.
-#[derive(Default)]
+/// registration, so handle order *is* registration order), each node's
+/// residents in arrival order, and each node's busy cores.
 struct Model {
     entries: BTreeMap<u64, (JobId, NodeId)>,
-    residents: BTreeMap<u32, Vec<(JobId, bool)>>,
+    residents: Vec<Vec<Arrival>>,
+    cores: Vec<u32>,
     next_handle: u64,
 }
 
 impl Model {
+    fn new() -> Model {
+        Model {
+            entries: BTreeMap::new(),
+            residents: vec![Vec::new(); NODES as usize],
+            cores: vec![0; NODES as usize],
+            next_handle: 0,
+        }
+    }
+
     fn on(&self, node: NodeId) -> Vec<(DromHandle, JobId)> {
         let on_node = self.entries.iter().filter(|(_, e)| e.1 == node);
         on_node.map(|(&h, e)| (DromHandle(h), e.0)).collect()
     }
 
-    fn arrive(&mut self, node: NodeId, job: JobId, malleable: bool) {
-        self.residents
-            .entry(node.0)
-            .or_default()
-            .push((job, malleable));
-        if malleable {
-            self.entries.insert(self.next_handle, (job, node));
+    fn arrive(&mut self, node: NodeId, a: Arrival) {
+        self.residents[node.0 as usize].push(a);
+        if a.malleable {
+            self.entries.insert(self.next_handle, (a.job, node));
             self.next_handle += 1;
         }
     }
+
+    fn idle(&self) -> BTreeSet<NodeId> {
+        (0..NODES).filter(|&n| self.residents[n as usize].is_empty()).map(NodeId).collect()
+    }
+
+    /// The busy node `at` selects, if any.
+    fn busy(&self, at: usize) -> Option<NodeId> {
+        let busy: Vec<u32> = (0..NODES).filter(|&n| !self.residents[n as usize].is_empty()).collect();
+        busy.get(at % busy.len().max(1)).map(|&n| NodeId(n))
+    }
+}
+
+/// The idle index and the busy-core count answer as the model does: the
+/// idle set, its size and the "first n idle" placement test at the edges,
+/// across each word boundary and past the end.
+fn check_counters(t: &NodeTable, model: &Model) -> Result<(), TestCaseError> {
+    t.validate().map_err(TestCaseError::fail)?;
+    let reference: Vec<NodeId> = model.idle().into_iter().collect();
+    prop_assert_eq!(t.empty_node_count() as usize, reference.len());
+    prop_assert_eq!(t.empty_nodes().collect::<Vec<_>>(), reference.clone());
+    for n in (0..NODES).map(NodeId) {
+        prop_assert_eq!(t.is_idle(n), reference.binary_search(&n).is_ok());
+    }
+    prop_assert_eq!(t.busy_cores(), model.cores.iter().map(|&c| u64::from(c)).sum::<u64>());
+    for n in [0, 1, 63, 64, 65, reference.len(), reference.len() + 1] {
+        let expect = reference.get(..n).map(<[NodeId]>::to_vec);
+        prop_assert_eq!(t.take_empty_nodes(n as u32), expect);
+    }
+    Ok(())
 }
 
 /// The table's three checkpoint sections.
@@ -88,65 +134,77 @@ fn sections(t: &NodeTable) -> Sections {
 proptest! {
     #[test]
     fn registry_matches_map_reference(ops in prop::collection::vec(arb_op(), 1..120)) {
-        let mut spec = ClusterSpec::cea_curie(); // 16-core nodes, 2 × 8
-        spec.nodes = NODES;
-        let node_spec = spec.node.clone();
+        let node_spec = ClusterSpec::cea_curie().node;
         let mut t = NodeTable::new(NODES, node_spec.clone());
-        let mut cs = ClusterState::new(spec);
-        let mut model = Model::default();
+        let mut model = Model::new();
+        check_counters(&t, &model)?;
         let mut next_job = 1;
         for op in ops {
             match op {
-                Op::Launch { node, cores, malleable } => {
-                    let (n, job) = (NodeId(node), JobId(next_job));
+                Op::Launch { mut nodes, cores, malleable } => {
+                    nodes.sort_unstable();
+                    nodes.dedup();
+                    let ids: Vec<NodeId> = nodes.iter().map(|&n| NodeId(n)).collect();
+                    let job = JobId(next_job);
                     next_job += 1;
-                    let fits = model.residents.get(&node).is_none_or(Vec::is_empty)
-                        && (1..=16).contains(&cores);
-                    let launched = t.launch(&mut cs, &[n], job, cores, malleable);
+                    let fits = (1..=WIDTH).contains(&cores)
+                        && nodes.iter().all(|&n| model.residents[n as usize].is_empty());
+                    let launched = t.launch(&ids, job, cores, malleable);
                     prop_assert_eq!(launched.is_ok(), fits);
                     if fits {
-                        model.arrive(n, job, malleable);
+                        for n in ids {
+                            model.arrive(n, Arrival { job, malleable, lender: None });
+                            model.cores[n.0 as usize] = cores;
+                        }
                     }
                 }
-                Op::CoLaunch { node, pick, ranks } => {
-                    let (n, job) = (NodeId(node), JobId(next_job));
+                Op::CoLaunch { at, pick, ranks } => {
+                    let Some(n) = model.busy(at) else { continue };
+                    let job = JobId(next_job);
                     next_job += 1;
-                    let here = model.residents.get(&node).cloned().unwrap_or_default();
-                    let Some(&(mate, malleable)) = here.get(pick % here.len().max(1)) else {
-                        continue;
-                    };
+                    let here = &model.residents[n.0 as usize];
+                    let mate = here[pick % here.len()];
                     // A lone malleable mate lends when it can free a core
-                    // or the node has free ones.
-                    let mate_cores = t.record(n).cores_of(mate).unwrap();
+                    // or the node has free ones; the node is then full.
+                    let mate_cores = t.record(n).cores_of(mate.job).unwrap();
                     let keep = SharingFactor::HALF.keep_cores(mate_cores, ranks);
-                    let lends = malleable
+                    let lends = mate.malleable
                         && here.len() == 1
-                        && (keep < mate_cores || !t.free_mask(n).is_empty());
-                    let ups = t.co_launch(&mut cs, n, job, mate, SharingFactor::HALF, ranks);
+                        && (keep < mate_cores || mate_cores < WIDTH);
+                    let ups = t.co_launch(n, job, mate.job, SharingFactor::HALF, ranks);
                     prop_assert_eq!(ups.is_some(), lends);
                     if lends {
-                        model.arrive(n, job, true);
+                        let lender = Some(mate.job);
+                        model.arrive(n, Arrival { job, malleable: true, lender });
+                        model.cores[n.0 as usize] = WIDTH;
                     }
                 }
-                Op::Finish { node, pick } => {
-                    let here = model.residents.entry(node).or_default();
-                    let Some(&(job, _)) = here.get(pick % here.len().max(1)) else {
-                        prop_assert!(t.finish(&mut cs, NodeId(node), JobId(0)).is_err());
+                Op::Finish { at, pick } => {
+                    let Some(n) = model.busy(at) else {
+                        prop_assert!(t.finish(NodeId(at as u32 % NODES), JobId(0)).is_err());
                         continue;
                     };
-                    here.retain(|&(j, _)| j != job);
-                    model.entries.retain(|_, e| *e != (job, NodeId(node)));
-                    prop_assert!(t.finish(&mut cs, NodeId(node), job).is_ok());
+                    let here = &mut model.residents[n.0 as usize];
+                    let ended = here.remove(pick % here.len());
+                    model.entries.retain(|_, e| *e != (ended.job, n));
+                    // The one left takes the cores when it is malleable or
+                    // lent them; otherwise they free up.
+                    let heir = here.first().filter(|o| o.malleable || ended.lender == Some(o.job));
+                    let cores = t.record(n).cores_of(ended.job).unwrap();
+                    let expanded = t.finish(n, ended.job).map_err(|e| TestCaseError::fail(e.to_string()))?;
+                    prop_assert_eq!(expanded.map(|u| u.job), heir.map(|o| o.job));
+                    if heir.is_none() {
+                        model.cores[n.0 as usize] -= cores;
+                    }
                 }
             }
-            t.validate(&cs).map_err(TestCaseError::fail)?;
+            check_counters(&t, &model)?;
             prop_assert_eq!(t.next_handle(), model.next_handle, "handles count up from 0");
             for n in (0..NODES).map(NodeId) {
                 let seen: Vec<ProcessEntry> = t.processes_on(n).collect();
                 let listed: Vec<(DromHandle, JobId)> = seen.iter().map(|e| (e.handle, e.job)).collect();
                 prop_assert_eq!(listed, model.on(n));
                 for e in &seen {
-                    prop_assert_eq!(e.pending, None, "nothing is ever staged");
                     let r = t.record(n).residents().iter().find(|r| r.job == e.job).unwrap();
                     prop_assert_eq!((r.handle, r.mask), (Some(e.handle), e.current));
                     prop_assert_eq!(t.find(e.job, n), Some(*e));
@@ -156,6 +214,7 @@ proptest! {
             let rebuilt = NodeTable::restore(node_spec.clone(), occ, procs, t.next_handle(), res)
                 .map_err(TestCaseError::fail)?;
             prop_assert_eq!(sections(&rebuilt), sections(&t));
+            check_counters(&rebuilt, &model)?;
         }
 
         // What a hostile snapshot can get wrong is still rejected.
@@ -168,5 +227,17 @@ proptest! {
             let top = procs.iter().map(|e| e.handle.0).max().unwrap();
             prop_assert!(NodeTable::restore(node_spec, occ, procs, top, res).is_err(), "handle >= next");
         }
+
+        // Drain everything: the machine comes back to fully idle.
+        for n in (0..NODES).map(NodeId) {
+            while let Some(r) = t.record(n).residents().first() {
+                let job = r.job;
+                t.finish(n, job).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            }
+        }
+        prop_assert_eq!(t.busy_cores(), 0);
+        prop_assert_eq!(t.empty_node_count(), NODES);
+        prop_assert_eq!(t.empty_nodes().count(), NODES as usize);
+        t.validate().map_err(TestCaseError::fail)?;
     }
 }

@@ -3,9 +3,10 @@
 //! Two pieces:
 //!
 //! * [`ReleaseMap`] — incrementally maintained map from *predicted node
-//!   release instants* (based on requested times) to node counts. Updated in
-//!   `O(log n)` at every placement/end/reconfiguration so a scheduling pass
-//!   never scans the whole machine.
+//!   release instants* (based on requested times) to node counts. Each
+//!   node's own instant is in its `drom::NodeRecord`; this is their tally,
+//!   updated in `O(log n)` at every placement/end/reconfiguration so a
+//!   scheduling pass never scans the whole machine.
 //! * [`Profile`] — the per-pass step function of free whole nodes over
 //!   future time ("the map of jobs reservations in time", paper §3.1). Both
 //!   backfill variants and SD-Policy's `static_end` estimate query it via
@@ -13,49 +14,41 @@
 //!   back into it.
 
 use crate::timing::{self, Probe};
-use cluster::NodeId;
+use drom::NodeRecord;
 use simkit::SimTime;
 use std::collections::BTreeMap;
 
-/// Predicted release instants of busy nodes.
-#[derive(Debug, Clone)]
+/// How many busy nodes release at each predicted instant.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReleaseMap {
-    /// Per node: predicted instant it becomes empty (`None` = empty now).
-    node_release: Vec<Option<SimTime>>,
     /// release instant → number of nodes releasing then.
     counts: BTreeMap<SimTime, u32>,
 }
 
 impl ReleaseMap {
-    pub fn new(nodes: u32) -> Self {
-        ReleaseMap {
-            node_release: vec![None; nodes as usize],
-            counts: BTreeMap::new(),
+    /// The tally of the records' releases.
+    pub fn recount(records: &[NodeRecord]) -> ReleaseMap {
+        let mut rm = ReleaseMap::default();
+        for rec in records {
+            rm.retally(None, rec.release(), 1);
         }
+        rm
     }
 
-    /// Records that `node` is predicted to become empty at `when`
-    /// (`None` = the node is empty now).
-    pub fn set_release(&mut self, node: NodeId, when: Option<SimTime>) {
-        let old = std::mem::replace(&mut self.node_release[node.0 as usize], when);
-        if old != when {
-            self.retally(old, when, 1);
-        }
-    }
-
-    /// [`ReleaseMap::set_release`] over a whole allocation, in one pass.
-    /// Consecutive nodes making the same `(old, new)` move — a whole-job
-    /// start or end moves every node the same way — are retallied once, and
-    /// `moved(old, new, nodes)` hears each such run once (the simulator
-    /// patches its availability profile with it).
+    /// [`ReleaseMap::retally`] over a whole allocation's `(old, new)`
+    /// release moves, in one pass (the caller takes each old instant from
+    /// the node's record as it sets the new one). Consecutive nodes making
+    /// the same move — a whole-job start or end moves every node the same
+    /// way — are retallied once, and `moved(old, new, nodes)` hears each
+    /// such run once (the simulator patches its availability profile with
+    /// it).
     pub(crate) fn set_releases(
         &mut self,
-        updates: impl IntoIterator<Item = (NodeId, Option<SimTime>)>,
+        updates: impl IntoIterator<Item = (Option<SimTime>, Option<SimTime>)>,
         mut moved: impl FnMut(Option<SimTime>, Option<SimTime>, u32),
     ) {
         let mut run: (Option<SimTime>, Option<SimTime>, u32) = (None, None, 0);
-        for (node, when) in updates {
-            let old = std::mem::replace(&mut self.node_release[node.0 as usize], when);
+        for (old, when) in updates {
             if old == when {
                 continue;
             }
@@ -72,8 +65,9 @@ impl ReleaseMap {
         }
     }
 
-    /// Moves `nodes` nodes from release instant `old` to `new` in the index.
-    fn retally(&mut self, old: Option<SimTime>, new: Option<SimTime>, nodes: u32) {
+    /// Moves `nodes` nodes from release instant `old` to `new` (`None` =
+    /// the node is empty).
+    pub fn retally(&mut self, old: Option<SimTime>, new: Option<SimTime>, nodes: u32) {
         if let Some(old) = old {
             match self.counts.get_mut(&old) {
                 Some(c) if *c > nodes => *c -= nodes,
@@ -85,10 +79,6 @@ impl ReleaseMap {
         if let Some(new) = new {
             *self.counts.entry(new).or_insert(0) += nodes;
         }
-    }
-
-    pub fn release_of(&self, node: NodeId) -> Option<SimTime> {
-        self.node_release[node.0 as usize]
     }
 
     /// The latest predicted release, `None` when every node is empty.
@@ -105,21 +95,6 @@ impl ReleaseMap {
                 std::ops::Bound::Unbounded,
             ))
             .map(|(&t, &c)| (t, c))
-    }
-
-    /// Per-node predicted releases in node order, for persistence.
-    pub(crate) fn node_releases(&self) -> &[Option<SimTime>] {
-        &self.node_release
-    }
-
-    /// Rebuilds a map from per-node releases; the instant→count index is
-    /// re-derived.
-    pub(crate) fn from_releases(node_release: &[Option<SimTime>]) -> ReleaseMap {
-        let mut rm = ReleaseMap::new(node_release.len() as u32);
-        for (i, &when) in node_release.iter().enumerate() {
-            rm.set_release(NodeId(i as u32), when);
-        }
-        rm
     }
 
     /// Nodes whose predicted release is at or before `now` (late jobs —
@@ -585,12 +560,18 @@ impl Profile {
 mod tests {
     use super::*;
 
+    /// A map with `nodes` more nodes releasing at each instant.
+    fn tally(releases: &[(u64, u32)]) -> ReleaseMap {
+        let mut rm = ReleaseMap::default();
+        for &(t, nodes) in releases {
+            rm.retally(None, Some(SimTime(t)), nodes);
+        }
+        rm
+    }
+
     #[test]
     fn release_map_counts_nodes() {
-        let mut rm = ReleaseMap::new(4);
-        rm.set_release(NodeId(0), Some(SimTime(100)));
-        rm.set_release(NodeId(1), Some(SimTime(100)));
-        rm.set_release(NodeId(2), Some(SimTime(50)));
+        let rm = tally(&[(100, 1), (100, 1), (50, 1)]);
         assert_eq!(rm.last(), Some(SimTime(100)));
         let ups: Vec<_> = rm.upcoming(SimTime(0)).collect();
         assert_eq!(ups, vec![(SimTime(50), 1), (SimTime(100), 2)]);
@@ -598,62 +579,48 @@ mod tests {
 
     #[test]
     fn release_map_update_moves_node() {
-        let mut rm = ReleaseMap::new(2);
-        rm.set_release(NodeId(0), Some(SimTime(100)));
-        rm.set_release(NodeId(0), Some(SimTime(200)));
-        assert_eq!(rm.release_of(NodeId(0)), Some(SimTime(200)));
-        assert_eq!(rm.upcoming(SimTime(0)).collect::<Vec<_>>(), vec![(SimTime(200), 1)]);
-        rm.set_release(NodeId(0), None);
-        assert_eq!(rm.last(), None);
+        let mut rm = tally(&[(100, 2)]);
+        rm.retally(Some(SimTime(100)), Some(SimTime(200)), 1);
+        assert_eq!(
+            rm.upcoming(SimTime(0)).collect::<Vec<_>>(),
+            vec![(SimTime(100), 1), (SimTime(200), 1)]
+        );
+        rm.retally(Some(SimTime(100)), None, 1);
+        rm.retally(Some(SimTime(200)), None, 1);
+        assert_eq!((rm.last(), rm), (None, ReleaseMap::default()), "no empty counts left");
     }
 
     #[test]
     fn batched_release_updates_equal_one_by_one() {
         let t = |s| Some(SimTime(s));
-        let mut one = ReleaseMap::new(6);
-        for (n, when) in [(0, t(100)), (1, t(100)), (2, t(50)), (3, t(50))] {
-            one.set_release(NodeId(n), when);
-        }
+        let mut one = tally(&[(100, 2), (50, 2)]);
         let mut batch = one.clone();
         // Two nodes 100 → 200, one 50 → 200, one 50 → idle, one unchanged
         // (idle), one idle → 200: four distinct transitions.
-        let updates = [(0, t(200)), (1, t(200)), (2, t(200)), (3, None), (4, None), (5, t(200))];
-        for &(n, when) in &updates {
-            one.set_release(NodeId(n), when);
+        let updates = [(t(100), t(200)), (t(100), t(200)), (t(50), t(200)), (t(50), None), (None, None), (None, t(200))];
+        for &(old, new) in &updates {
+            one.retally(old, new, u32::from(old != new));
         }
         let mut moved = Vec::new();
-        batch.set_releases(
-            updates.iter().map(|&(n, when)| (NodeId(n), when)),
-            |old, new, nodes| moved.push((old, new, nodes)),
-        );
+        batch.set_releases(updates, |old, new, nodes| moved.push((old, new, nodes)));
         assert_eq!(
             moved,
             vec![(t(100), t(200), 2), (t(50), t(200), 1), (t(50), None, 1), (None, t(200), 1)]
         );
-        assert_eq!(batch.node_releases(), one.node_releases());
-        assert_eq!(batch.last(), one.last());
-        assert_eq!(
-            batch.upcoming(SimTime(0)).collect::<Vec<_>>(),
-            one.upcoming(SimTime(0)).collect::<Vec<_>>()
-        );
+        assert_eq!(batch, one);
         assert_eq!(batch.upcoming(SimTime(0)).collect::<Vec<_>>(), vec![(SimTime(200), 4)]);
     }
 
     #[test]
     fn overdue_nodes_counted() {
-        let mut rm = ReleaseMap::new(2);
-        rm.set_release(NodeId(0), Some(SimTime(10)));
-        rm.set_release(NodeId(1), Some(SimTime(50)));
+        let rm = tally(&[(10, 1), (50, 1)]);
         assert_eq!(rm.overdue(SimTime(20)), 1);
         assert_eq!(rm.upcoming(SimTime(20)).count(), 1);
     }
 
     #[test]
     fn profile_build_steps_up_at_releases() {
-        let mut rm = ReleaseMap::new(8);
-        rm.set_release(NodeId(0), Some(SimTime(100)));
-        rm.set_release(NodeId(1), Some(SimTime(100)));
-        rm.set_release(NodeId(2), Some(SimTime(300)));
+        let rm = tally(&[(100, 2), (300, 1)]);
         let p = Profile::build(SimTime(0), 5, &rm);
         assert_eq!(p.free_at(SimTime(0)), 5);
         assert_eq!(p.free_at(SimTime(99)), 5);
@@ -670,9 +637,7 @@ mod tests {
 
     #[test]
     fn earliest_start_waits_for_release() {
-        let mut rm = ReleaseMap::new(4);
-        rm.set_release(NodeId(0), Some(SimTime(500)));
-        rm.set_release(NodeId(1), Some(SimTime(500)));
+        let rm = tally(&[(500, 2)]);
         let p = Profile::build(SimTime(0), 2, &rm);
         assert_eq!(p.earliest_start(2, 100, SimTime(0)), SimTime(0));
         assert_eq!(p.earliest_start(3, 100, SimTime(0)), SimTime(500));
@@ -720,20 +685,14 @@ mod tests {
 
     #[test]
     fn overdue_release_modelled_imminent() {
-        let mut rm = ReleaseMap::new(2);
-        rm.set_release(NodeId(0), Some(SimTime(10)));
-        let p = Profile::build(SimTime(100), 1, &rm);
+        let p = Profile::build(SimTime(100), 1, &tally(&[(10, 1)]));
         assert_eq!(p.free_at(SimTime(100)), 1);
         assert_eq!(p.free_at(SimTime(101)), 2);
     }
 
     #[test]
     fn profile_build_merges_simultaneous_releases() {
-        let mut rm = ReleaseMap::new(4);
-        for n in 0..3 {
-            rm.set_release(NodeId(n), Some(SimTime(100)));
-        }
-        let p = Profile::build(SimTime(0), 1, &rm);
+        let p = Profile::build(SimTime(0), 1, &tally(&[(100, 1), (100, 2)]));
         assert_eq!(p.len(), 2);
         assert_eq!(p.free_at(SimTime(100)), 4);
     }
@@ -777,14 +736,8 @@ mod tests {
             chain in proptest::collection::vec((1u32..10, 0u8..5, 0u8..5, 0u64..1000), 1..=40),
         ) {
             const ORIGIN: u64 = 100;
-            let mut rm = ReleaseMap::new(64);
-            let mut nid = 0u32;
-            for &(t, c) in &releases {
-                for _ in 0..c {
-                    rm.set_release(NodeId(nid), Some(SimTime(ORIGIN + 10 * t)));
-                    nid += 1;
-                }
-            }
+            let shifted: Vec<(u64, u32)> = releases.iter().map(|&(t, c)| (ORIGIN + 10 * t, c)).collect();
+            let rm = tally(&shifted);
             let mut searched = Profile::build(SimTime(ORIGIN), free_now, &rm);
             for &(s, d, n) in &resvs {
                 searched.reserve(SimTime(s), d, n);
@@ -847,14 +800,7 @@ mod tests {
             duration in 1u64..600,
             after in 0u64..900,
         ) {
-            let mut rm = ReleaseMap::new(64);
-            let mut nid = 0u32;
-            for &(t, c) in &releases {
-                for _ in 0..c {
-                    rm.set_release(NodeId(nid), Some(SimTime(t)));
-                    nid += 1;
-                }
-            }
+            let rm = tally(&releases);
             let mut p = Profile::build(SimTime(0), free_now, &rm);
             for &(s, d, n) in &resvs {
                 p.reserve(SimTime(s), d, n);

@@ -17,8 +17,8 @@ impl SimState {
             return false;
         };
         let full = self.spec.node.cores();
-        self.nodes
-            .launch(&mut self.cluster, &nodes, id, full, spec.malleable)
+        self.cluster
+            .launch(&nodes, id, full, spec.malleable)
             .expect("empty nodes accept a full-width launch");
         let cores = vec![full; nodes.len()];
         let mut run = RunningJob::new(self.now, nodes, cores, full, spec.req_time);
@@ -42,7 +42,7 @@ impl SimState {
         );
         self.tenant_charge_start(id);
         if self.cfg.self_check {
-            self.nodes.validate(&self.cluster).expect("node table consistent");
+            self.cluster.validate().expect("node table consistent");
             self.self_check_caches();
         }
         true
@@ -129,8 +129,8 @@ impl SimState {
                 let (sharing, ranks) = (self.sharing, spec.ranks_per_node);
                 for (i, &n) in run.nodes.iter().enumerate() {
                     let [kept, given] = self
-                        .nodes
-                        .co_launch(&mut self.cluster, n, new_id, m, sharing, ranks)
+                        .cluster
+                        .co_launch(n, new_id, m, sharing, ranks)
                         .ok_or(CoScheduleError::NoFreedCores(m))?;
                     run.cores[i] = kept.cores();
                     new_nodes.push(n);
@@ -181,8 +181,8 @@ impl SimState {
                 .cluster
                 .take_empty_nodes(free_nodes)
                 .expect("checked empty count above");
-            self.nodes
-                .launch(&mut self.cluster, &idle, new_id, plan_freed, true)
+            self.cluster
+                .launch(&idle, new_id, plan_freed, true)
                 .expect("idle nodes accept the launch");
             self.release_group(&idle, Some(new_req_end));
             new_nodes.extend_from_slice(&idle);
@@ -225,7 +225,7 @@ impl SimState {
         );
         self.tenant_charge_start(new_id);
         if self.cfg.self_check {
-            self.nodes.validate(&self.cluster).expect("node table consistent");
+            self.cluster.validate().expect("node table consistent");
             self.self_check_caches();
         }
         Ok(())
@@ -286,8 +286,8 @@ impl SimState {
             .cluster
             .take_empty_nodes(width)
             .expect("checked empty count above");
-        self.nodes
-            .launch(&mut self.cluster, &new_nodes, id, full, true)
+        self.cluster
+            .launch(&new_nodes, id, full, true)
             .expect("empty nodes accept a full-width launch");
         let req_end = self.job(id).running().unwrap().req_end;
         self.release_group(&new_nodes, Some(req_end));
@@ -308,7 +308,7 @@ impl SimState {
         self.trace
             .emit(self.now.secs(), sd_trace::TraceKind::Relocated { job: id.0, nodes: width });
         if self.cfg.self_check {
-            self.nodes.validate(&self.cluster).expect("node table consistent");
+            self.cluster.validate().expect("node table consistent");
             self.self_check_caches();
         }
         true
@@ -388,7 +388,7 @@ impl SimState {
         self.energy_sub_job(run.energy_weight);
         self.energy_reweigh(&touched);
         if self.cfg.self_check {
-            self.nodes.validate(&self.cluster).expect("node table consistent");
+            self.cluster.validate().expect("node table consistent");
             self.self_check_caches();
         }
     }
@@ -400,9 +400,9 @@ impl SimState {
     /// that expanded, in the order they were first met.
     fn leave(&mut self, id: JobId, alloc: &[NodeId]) -> Vec<JobId> {
         let mut touched: Vec<JobId> = Vec::new();
-        let Self { nodes, cluster, jobs, releases, avail, now, .. } = self;
+        let Self { cluster, jobs, releases, avail, now, .. } = self;
         let updates = alloc.iter().map(|&n| {
-            let expanded = nodes.finish(cluster, n, id);
+            let expanded = cluster.finish(n, id);
             if let Some(up) = expanded.expect("a running job occupies its nodes") {
                 let other = jobs[(up.job.0 - 1) as usize]
                     .running_mut()
@@ -413,9 +413,10 @@ impl SimState {
                     touched.push(up.job);
                 }
             }
-            let left = nodes.record(n).residents().iter();
+            let left = cluster.record(n).residents().iter();
             let left = left.filter_map(|r| jobs[(r.job.0 - 1) as usize].running());
-            (n, left.map(|r| r.req_end).max())
+            let release = left.map(|r| r.req_end).max();
+            (cluster.set_release(n, release), release)
         });
         releases.set_releases(updates, |old, new, count| {
             avail.patch_release_many(*now, old, new, count)
@@ -500,7 +501,7 @@ impl SimState {
         let run = job.running().expect("rate of running job");
         let mut neighbour_mem = 0.0_f64;
         for &n in &run.nodes {
-            for other in self.nodes.record(n).residents().iter().map(|r| r.job) {
+            for other in self.cluster.record(n).residents().iter().map(|r| r.job) {
                 if other == id {
                     continue;
                 }
@@ -542,9 +543,10 @@ impl SimState {
     /// exclusive start moves the whole group from idle at once — and patches
     /// the cached availability with each distinct move.
     fn release_group(&mut self, group: &[NodeId], when: Option<SimTime>) {
-        let (avail, now) = (&mut self.avail, self.now);
-        self.releases.set_releases(group.iter().map(|&n| (n, when)), |old, new, count| {
-            avail.patch_release_many(now, old, new, count)
+        let Self { cluster, releases, avail, now, .. } = self;
+        let updates = group.iter().map(|&n| (cluster.set_release(n, when), when));
+        releases.set_releases(updates, |old, new, count| {
+            avail.patch_release_many(*now, old, new, count)
         });
     }
 

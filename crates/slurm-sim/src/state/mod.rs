@@ -1,9 +1,9 @@
 //! The simulator state and its primitive operations.
 //!
-//! [`SimState`] owns the machine (the node table and the idle/busy
-//! counters it keeps in step), the job table, the queue, the event queue
-//! and the energy meter. Schedulers mutate it only through the high-level
-//! operations:
+//! [`SimState`] owns the machine (the node table, with its idle index,
+//! busy-core count and per-node releases), the job table, the queue, the
+//! event queue and the energy meter. Schedulers mutate it only through the
+//! high-level operations:
 //!
 //! * [`SimState::start_static`] — exclusive whole-node start,
 //! * [`SimState::co_schedule`] — SD-Policy's malleable start: shrink the
@@ -12,11 +12,11 @@
 //!   redistribution semantics.
 //!
 //! Every operation keeps four structures consistent: the node table (each
-//! node's residents, their core masks and DROM handles, plus the idle index
-//! and busy-core count), per-job running state (the work integrator), the
-//! release map used by backfill profiles, and the energy meter. A start or
-//! an end makes one pass over its nodes' records. `cfg.self_check`
-//! re-validates the table after each mutation.
+//! node's residents, their core masks and DROM handles, and its predicted
+//! release, plus the idle index and busy-core count), per-job running state
+//! (the work integrator), the release tally used by backfill profiles, and
+//! the energy meter. A start or an end makes one pass over its nodes'
+//! records. `cfg.self_check` re-validates the table after each mutation.
 
 use crate::config::SlurmConfig;
 use crate::job::{Job, JobOutcome, JobSpec, JobState, RunningJob};
@@ -25,7 +25,7 @@ use crate::rate::{RateInputs, RateModel};
 use crate::reservation::{Profile, ReleaseMap};
 use crate::tenant::{fair_share_sort, QueuePolicy, TenantUsage, NO_TENANT_SLOT};
 use crate::timing::{self, Probe};
-use cluster::{ClusterSpec, ClusterState, EnergyMeter, JobId, NodeId};
+use cluster::{ClusterSpec, EnergyMeter, JobId, NodeId};
 use drom::{NodeTable, SharingFactor};
 use simkit::{DetRng, EventQueue, SimTime};
 use std::collections::BTreeSet;
@@ -168,10 +168,9 @@ pub struct SimState {
     pub now: SimTime,
     pub cfg: SlurmConfig,
     spec: ClusterSpec,
-    /// Idle nodes and busy cores, kept in step by `nodes`.
-    pub cluster: ClusterState,
-    /// Every node's residents: the one per-node table.
-    pub nodes: NodeTable,
+    /// Every node's residents and release, the idle index and the busy
+    /// cores: the one per-node table.
+    pub cluster: NodeTable,
     pub queue: PendingQueue,
     jobs: Vec<Job>,
     /// How many jobs of `jobs` are running.
@@ -329,8 +328,7 @@ impl SimState {
         let tenant_usage = vec![TenantUsage::default(); cfg.tenants.len()];
         SimState {
             now: SimTime::ZERO,
-            cluster: ClusterState::new(spec.clone()),
-            nodes: NodeTable::new(nodes, spec.node.clone()),
+            cluster: NodeTable::new(nodes, spec.node.clone()),
             spec,
             cfg,
             queue: PendingQueue::new(),
@@ -340,7 +338,7 @@ impl SimState {
             pool_weights: PoolWeights::default(),
             shrunk: BTreeSet::new(),
             slowdown: SlowdownSum::default(),
-            releases: ReleaseMap::new(nodes),
+            releases: ReleaseMap::default(),
             avail: Profile::flat(SimTime::ZERO, nodes),
             dirty: DirtyFlags::default(),
             scratch: PassScratch::default(),
@@ -545,13 +543,13 @@ impl SimState {
     /// Validates the full cross-structure consistency (tests).
     pub fn deep_validate(&self) -> Result<(), String> {
         // At most two residents per node, disjoint masks, counters in step.
-        self.nodes.validate(&self.cluster)?;
+        self.cluster.validate()?;
         let (mut running, mut placed, mut shrunk) = (0, 0, 0);
         for (job, r) in self.running_jobs() {
             let id = job.spec.id;
             for (i, &n) in r.nodes.iter().enumerate() {
                 let c = self
-                    .nodes
+                    .cluster
                     .record(n)
                     .cores_of(id)
                     .ok_or_else(|| format!("{id} missing on {n}"))?;
@@ -575,20 +573,33 @@ impl SimState {
         }
         // Every running job is on each of its nodes and no job is twice on
         // a node, so equal totals leave no resident unaccounted for.
-        let residents: usize = self.nodes.records().iter().map(|r| r.residents().len()).sum();
+        let residents: usize = self.cluster.records().iter().map(|r| r.residents().len()).sum();
         if residents != placed {
             return Err(format!("{residents} residents for {placed} running placements"));
         }
         // A node releases when the last of its residents' requested ends
-        // passes, and an idle node has no release.
-        for (i, rec) in self.nodes.records().iter().enumerate() {
+        // passes, and an idle node has no release. A resident is malleable
+        // exactly when its job is.
+        for (i, rec) in self.cluster.records().iter().enumerate() {
             let n = NodeId(i as u32);
-            let ends = rec.residents().iter().filter_map(|r| self.job(r.job).running());
-            let ends = ends.map(|r| r.req_end.secs()).max();
-            let release = self.releases.release_of(n).map(SimTime::secs);
+            let mut ends = None;
+            for r in rec.residents() {
+                let job = self.job(r.job);
+                if r.malleable != job.spec.malleable {
+                    return Err(format!(
+                        "{n}: {} resident says malleable {}, its job {}",
+                        r.job, r.malleable, job.spec.malleable
+                    ));
+                }
+                ends = ends.max(job.running().map(|run| run.req_end.secs()));
+            }
+            let release = rec.release().map(SimTime::secs);
             if release != ends {
                 return Err(format!("{n}: release {release:?}, residents end at {ends:?}"));
             }
+        }
+        if self.releases != ReleaseMap::recount(self.cluster.records()) {
+            return Err("release tally out of sync with the node releases".into());
         }
         for e in &self.mate_pool {
             if !self.is_eligible_mate(e.id) {
@@ -1144,8 +1155,8 @@ mod tests {
         assert!(st.shrunk_borrowers().is_empty(), "borrower index cleaned");
         assert!(st.is_eligible_mate(JobId(1)), "pair dissolved");
         // Masks on the shared nodes are consistent post-expansion.
-        st.nodes.validate(&st.cluster).expect("masks disjoint");
-        assert_eq!(st.nodes.record(cluster::NodeId(0)).residents().len(), 1);
+        st.cluster.validate().expect("masks disjoint");
+        assert_eq!(st.cluster.record(cluster::NodeId(0)).residents().len(), 1);
         while let Some(ev) = st.events.pop() {
             st.now = ev.time.max(st.now);
             st.dispatch(ev.payload);

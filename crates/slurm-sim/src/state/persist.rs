@@ -4,8 +4,8 @@
 //! [`SimState::checkpoint_bytes`] captures every order-sensitive primary
 //! structure field-for-field (floats via `to_bits`, so the round trip is
 //! bit-exact); [`SimState::restore`] rebuilds the derived indices (the
-//! running count, the shrunk set, release counts, the availability cache,
-//! pass scratch) canonically and re-validates the whole state.
+//! running count, the shrunk set, the release tally, the availability
+//! cache, pass scratch) canonically and re-validates the whole state.
 //! Configuration that the caller re-supplies on restart (cluster spec,
 //! scheduler config, rate model, sharing factor) is *not* serialized — a
 //! small fingerprint guards against restoring a checkpoint under a
@@ -231,10 +231,6 @@ record! {
         base: f64, id: JobId, wait: u64, req_time: u64, req_end: SimTime, weight: u32,
         ranks_per_node: u32,
     }
-    ProcessEntry {
-        handle: DromHandle, job: JobId, node: NodeId, current: CpuMask,
-        pending: Option<CpuMask>,
-    }
     Resident {
         job: JobId, mask: CpuMask, malleable: bool, handle: Option<DromHandle>,
         lender: Option<JobId>,
@@ -253,6 +249,26 @@ record! {
     TenantUsage {
         running_width: u32, committed_node_seconds: u64, usage: f64, last_decay: SimTime,
         submitted: u64, started: u64, completed: u64, quota_skipped: u64,
+    }
+}
+
+/// A DROM entry's fields, then the mask it has staged for its next
+/// malleability point. None is ever staged (a mask applies where it
+/// changes), so an empty one is written; an image holding a staged mask is
+/// accepted only when that mask is already the entry's.
+impl Persist for ProcessEntry {
+    const MIN: usize = <(DromHandle, JobId, NodeId, CpuMask)>::MIN + <Option<CpuMask>>::MIN;
+    fn put(&self, w: &mut Writer<'_>) {
+        let &ProcessEntry { handle, job, node, current } = self;
+        (handle, job, node, current).put(w);
+        None::<CpuMask>.put(w);
+    }
+    fn get(r: &mut Input<'_>) -> Result<Self, String> {
+        let (handle, job, node, current) = r.get()?;
+        if r.get::<Option<CpuMask>>()?.is_some_and(|staged| staged != current) {
+            return Err(format!("{node}: DROM entry for {job} has a staged mask it does not run"));
+        }
+        Ok(ProcessEntry { handle, job, node, current })
     }
 }
 
@@ -372,20 +388,22 @@ impl SimState {
 
         // Three views of the node table, each in its historical layout.
         // Occupancy: per node, its residents' `(job, cores)`.
-        let records = self.nodes.records();
+        let records = self.cluster.records();
         w.len(records.len());
         for rec in records {
             w.len(rec.residents().len());
             rec.residents().iter().for_each(|r| (r.job, r.mask.count() as u32).put(w));
         }
         // DROM: the registered residents, grouped by node, then the next handle.
-        (self.nodes.processes().collect::<Vec<_>>(), self.nodes.next_handle()).put(w);
+        (self.cluster.processes().collect::<Vec<_>>(), self.cluster.next_handle()).put(w);
         // Residents: per node, in arrival order.
         w.len(records.len());
         records.iter().for_each(|rec| put_seq(w, rec.residents()));
 
-        // Release map (counts/busy re-derived on restore).
-        put_seq(w, self.releases.node_releases());
+        // Each node's predicted release, in node order (the tally is
+        // re-derived on restore).
+        w.len(records.len());
+        records.iter().for_each(|rec| rec.release().put(w));
 
         // Stats, then the dirty flags: a checkpoint can land between a
         // dispatch and its pass, and the pending pass gate must survive.
@@ -498,11 +516,9 @@ impl SimState {
             ));
         }
         let node = st.spec.node.clone();
-        st.nodes = NodeTable::restore(node, occupancy, processes, next_handle, residents)?;
-        let cores = st.nodes.records().iter().map(|rec| rec.cores_used());
-        st.cluster = ClusterState::from_node_cores(st.spec.clone(), cores)?;
+        st.cluster = NodeTable::restore(node, occupancy, processes, next_handle, residents)?;
 
-        // Release map.
+        // Each node's release, then their tally.
         let releases: Vec<Option<SimTime>> = r.get()?;
         if releases.len() != nodes as usize {
             return Err(format!(
@@ -510,7 +526,10 @@ impl SimState {
                 releases.len()
             ));
         }
-        st.releases = ReleaseMap::from_releases(&releases);
+        for (i, when) in releases.into_iter().enumerate() {
+            st.cluster.set_release(NodeId(i as u32), when);
+        }
+        st.releases = ReleaseMap::recount(st.cluster.records());
 
         st.stats = r.get()?;
         st.dirty = r.get()?;
@@ -771,7 +790,7 @@ mod tests {
     #[test]
     fn poisoned_drom_node_or_mask_width_is_rejected() {
         let st = mid_run_state();
-        let entry = st.nodes.processes().next().expect("a registered process");
+        let entry = st.cluster.processes().next().expect("a registered process");
         let mut head_bytes = Vec::new();
         let mut head = Writer::new(&mut head_bytes);
         head.u64(entry.handle.0);
@@ -781,19 +800,23 @@ mod tests {
         // The image with that entry's mask also staged, as an image written
         // between a shrink and its malleability point would hold it: the
         // "has pending" byte after the current mask, then the mask.
-        let bytes = {
+        let staging = |staged: CpuMask| {
             let plain = st.checkpoint_bytes();
             let at = locate(&plain, &head_bytes) + head_bytes.len();
             assert_eq!(plain[at], 0, "nothing is staged");
             let mut image = plain[..at].to_vec();
-            Some(entry.current).put(&mut Writer::new(&mut image));
+            Some(staged).put(&mut Writer::new(&mut image));
             image.extend_from_slice(&plain[at + 1..]);
             image
         };
+        // Only a mask the process already runs with may be staged.
+        let err = restore_image(&staging(CpuMask::full(8))).err().expect("a staged mask");
+        assert!(err.contains("n0: DROM entry for job1 has a staged mask"), "{err}");
+        let bytes = staging(entry.current);
         let entry_at = locate(&bytes, &head_bytes);
         // After the current mask: the "has pending" byte, then its width.
         let pending_width = entry_at + head_bytes.len() + 1;
-        let resident = &st.nodes.record(NodeId(0)).residents()[0];
+        let resident = &st.cluster.record(NodeId(0)).residents()[0];
         let mut res_bytes = Vec::new();
         let mut res = Writer::new(&mut res_bytes);
         res.u64(resident.job.0);
@@ -832,12 +855,12 @@ mod tests {
         let st = mid_run_state();
         let bytes = st.checkpoint_bytes();
         // Node 0's first resident: job 1, the mate, shrunk to 4 cores.
-        let resident = st.nodes.record(NodeId(0)).residents()[0];
+        let resident = st.cluster.record(NodeId(0)).residents()[0];
         assert_eq!((resident.job, resident.mask.count()), (JobId(1), 4));
         let mut res_bytes = Vec::new();
         resident.put(&mut Writer::new(&mut res_bytes));
         let resident_at = locate(&bytes, &res_bytes);
-        let entry = st.nodes.find(JobId(1), NodeId(0)).expect("the mate is registered");
+        let entry = st.cluster.find(JobId(1), NodeId(0)).expect("the mate is registered");
         let mut head_bytes = Vec::new();
         (entry.handle, entry.job, entry.node, entry.current).put(&mut Writer::new(&mut head_bytes));
         let entry_at = locate(&bytes, &head_bytes);
@@ -877,16 +900,48 @@ mod tests {
             releases.to_vec().put(&mut Writer::new(&mut out));
             out
         };
-        let releases = section(st.releases.node_releases());
+        let ours: Vec<Option<SimTime>> = st.cluster.records().iter().map(|r| r.release()).collect();
+        let releases = section(&ours);
         let at = locate(&bytes, &releases);
         let t = Some(SimTime(1005));
-        assert_eq!(st.releases.node_releases(), [t, t, None, None]);
+        assert_eq!(ours, [t, t, None, None]);
         // Node 1's release moved onto idle node 2.
         let mut image = bytes[..at].to_vec();
         image.extend_from_slice(&section(&[t, None, t, None]));
         image.extend_from_slice(&bytes[at + releases.len()..]);
         let err = restore_image(&image).err().expect("a release on the wrong node");
         assert!(err.contains("n1: release None, residents end at Some(1005)"), "{err}");
+    }
+
+    /// A resident's malleable byte must agree with its DROM handle and with
+    /// its job. A borrower forged rigid would not expand when its mate ends,
+    /// so the recovered run would drift from the one that never crashed;
+    /// such an image is refused, and the error names the node.
+    #[test]
+    fn forged_malleable_byte_is_rejected() {
+        let st = mid_run_state();
+        let bytes = st.checkpoint_bytes();
+        // Node 0 holds job 1, the mate, and job 2, its borrower.
+        for &resident in st.cluster.record(NodeId(0)).residents() {
+            let encode = |r: Resident| {
+                let mut out = Vec::new();
+                r.put(&mut Writer::new(&mut out));
+                out
+            };
+            let plain = encode(resident);
+            let at = locate(&bytes, &plain);
+            let mut image = bytes.clone();
+            let flipped = Resident { malleable: !resident.malleable, ..resident };
+            image[at..at + plain.len()].copy_from_slice(&encode(flipped));
+            let err = restore_image(&image).err().expect("a flipped malleable byte");
+            let named = format!("{} on n0: malleable false", resident.job);
+            assert!(err.contains(&named), "{err}");
+        }
+        // The job table says rigid, the node table malleable.
+        let mut st = mid_run_state();
+        st.jobs[0].spec.malleable = false;
+        let err = restore_image(&st.checkpoint_bytes()).err().expect("a rigid mate");
+        assert!(err.contains("n0: job1 resident says malleable true, its job false"), "{err}");
     }
 
     #[test]
@@ -972,10 +1027,9 @@ mod tests {
         exact(Vec::<(JobId, u32)>::new());
 
         let words = |m: &CpuMask| 8 * m.words().len();
-        let mut entry = st.nodes.processes().next().expect("a registered process");
-        entry.pending = None;
+        let entry = st.cluster.processes().next().expect("a registered process");
         assert_eq!(size(&entry), ProcessEntry::MIN + words(&entry.current));
-        let mut resident = st.nodes.record(NodeId(0)).residents()[0];
+        let mut resident = st.cluster.record(NodeId(0)).residents()[0];
         (resident.handle, resident.lender) = (None, None);
         assert_eq!(size(&resident), Resident::MIN + words(&resident.mask));
         assert_eq!(size(&resident.mask), CpuMask::MIN + words(&resident.mask));

@@ -3,7 +3,6 @@
 //! linear-sweep vs. candidate-probe property lives in `reservation.rs`,
 //! next to its test-only oracle.)
 
-use cluster::NodeId;
 use proptest::prelude::*;
 use simkit::SimTime;
 use slurm_sim::{Profile, ReleaseMap};
@@ -18,24 +17,26 @@ proptest! {
         ops in prop::collection::vec((0u32..16, 0u64..1000, 0u64..50), 1..50),
     ) {
         let nodes = 16u32;
-        let mut rm = ReleaseMap::new(nodes);
+        // Each node's release (the node table's part), and their tally.
+        let mut model: Vec<Option<SimTime>> = vec![None; nodes as usize];
+        let mut rm = ReleaseMap::default();
         let mut cached = Profile::flat(SimTime::ZERO, nodes);
         let mut now = SimTime::ZERO;
         for &(node, when, dt) in &ops {
             now = now.after(dt); // time only moves forward
-            let nid = NodeId(node);
-            let old = rm.release_of(nid);
+            let old = model[node as usize];
             // Mix of clearing (job end) and (re)setting (start/extend).
             let new = if when % 3 == 0 { None } else { Some(SimTime(when)) };
             if old != new {
-                rm.set_release(nid, new);
+                model[node as usize] = new;
+                rm.retally(old, new, 1);
                 cached.patch_release(now, old, new);
             }
             cached.advance_to(now);
-            let busy = (0..nodes).filter(|&n| rm.release_of(NodeId(n)).is_some()).count();
+            let busy = model.iter().filter(|r| r.is_some()).count();
             let free_now = nodes - busy as u32;
             let fresh = Profile::build(now, free_now, &rm);
-            prop_assert_eq!(&cached, &fresh, "diverged after op on {:?} at {:?}", nid, now);
+            prop_assert_eq!(&cached, &fresh, "diverged after op on node {} at {:?}", node, now);
         }
     }
 
@@ -48,13 +49,9 @@ proptest! {
         resvs in prop::collection::vec((0u64..600, 1u64..200, 1u32..4), 1..12),
         probes in prop::collection::vec(0u64..900, 1..20),
     ) {
-        let mut rm = ReleaseMap::new(64);
-        let mut nid = 0u32;
+        let mut rm = ReleaseMap::default();
         for &(t, c) in &releases {
-            for _ in 0..c {
-                rm.set_release(NodeId(nid), Some(SimTime(t)));
-                nid += 1;
-            }
+            rm.retally(None, Some(SimTime(t)), c);
         }
         prop_assert_eq!(rm.last(), releases.iter().map(|&(t, _)| SimTime(t)).max());
         let mut p = Profile::build(SimTime(0), 8, &rm);

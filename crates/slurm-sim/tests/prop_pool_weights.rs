@@ -98,7 +98,7 @@ fn check(st: &SimState) -> Result<(), TestCaseError> {
         // Beyond pairs the query is a necessary bound: never a false "no".
         prop_assert!(st.mate_weights_cover(need, 3) || !brute_cover(&weights, need, 3));
     }
-    for (n, rec) in st.nodes.records().iter().enumerate() {
+    for (n, rec) in st.cluster.records().iter().enumerate() {
         prop_assert!(rec.residents().len() <= 2, "node {} holds {:?}", n, rec.residents());
     }
     let image = st.checkpoint_bytes();

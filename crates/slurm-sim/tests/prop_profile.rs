@@ -17,13 +17,9 @@ proptest! {
     ) {
         let total: u32 = free_now + releases.iter().map(|&(_, c)| c).sum::<u32>();
         prop_assume!(total < 64);
-        let mut rm = ReleaseMap::new(64);
-        let mut nid = 0u32;
+        let mut rm = ReleaseMap::default();
         for &(t, c) in &releases {
-            for _ in 0..c {
-                rm.set_release(cluster::NodeId(nid), Some(SimTime(t)));
-                nid += 1;
-            }
+            rm.retally(None, Some(SimTime(t)), c);
         }
         let p = Profile::build(SimTime(0), free_now, &rm);
         let t = p.earliest_start(nodes, duration, SimTime(0));
@@ -49,7 +45,7 @@ proptest! {
         jobs in prop::collection::vec((1u32..6, 1u64..300), 1..30),
         free in 4u32..10,
     ) {
-        let rm = ReleaseMap::new(16);
+        let rm = ReleaseMap::default();
         let mut p = Profile::build(SimTime(0), free, &rm);
         for (nodes, dur) in jobs {
             if nodes > free {
@@ -69,13 +65,9 @@ proptest! {
         releases in prop::collection::vec((1u64..100, 1u32..3), 0..10),
         probe in 0u64..120,
     ) {
-        let mut rm = ReleaseMap::new(32);
-        let mut nid = 0u32;
+        let mut rm = ReleaseMap::default();
         for &(t, c) in &releases {
-            for _ in 0..c {
-                rm.set_release(cluster::NodeId(nid), Some(SimTime(t)));
-                nid += 1;
-            }
+            rm.retally(None, Some(SimTime(t)), c);
         }
         let p = Profile::build(SimTime(0), 2, &rm);
         prop_assert_eq!(p.free_at(SimTime(probe)), p.min_free_in(SimTime(probe), 1));

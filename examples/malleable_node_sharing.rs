@@ -27,14 +27,10 @@ fn dump(label: &str, table: &NodeTable) {
 
 fn main() {
     // One MN4 node: 2 sockets × 24 cores.
-    let spec = ClusterSpec::marenostrum4(1);
-    let mut table = NodeTable::new(1, spec.node.clone());
-    let mut cluster = ClusterState::new(spec);
+    let mut table = NodeTable::new(1, ClusterSpec::marenostrum4(1).node);
 
     // 1. A malleable job launches exclusively: full node.
-    table
-        .launch(&mut cluster, &[NODE], JobId(1), 48, true)
-        .expect("empty node");
+    table.launch(&[NODE], JobId(1), 48, true).expect("empty node");
     dump("job1 running exclusively", &table);
 
     // 2. SD-Policy co-schedules job2: job1 shrinks to one socket (the
@@ -42,24 +38,17 @@ fn main() {
     //    the other socket. DROM applies both masks before `co_launch`
     //    returns: the malleability point is reached at once.
     let updates = table
-        .co_launch(
-            &mut cluster,
-            NODE,
-            JobId(2),
-            JobId(1),
-            SharingFactor::HALF,
-            2,
-        )
+        .co_launch(NODE, JobId(2), JobId(1), SharingFactor::HALF, 2)
         .expect("job1 is malleable");
     for u in &updates {
         println!("reconfig: {} -> {} cores", u.job, u.cores());
     }
     dump("after co-scheduling job2", &table);
-    table.validate(&cluster).expect("masks stay disjoint");
+    table.validate().expect("masks stay disjoint");
 
     // 3. Job2 (the backfilled job) finishes first: its cores return to the
     //    owner — job1 expands back to the full node.
-    let expanded = table.finish(&mut cluster, NODE, JobId(2));
+    let expanded = table.finish(NODE, JobId(2));
     if let Some(u) = expanded.expect("job2 runs here") {
         println!("expand: {} -> {} cores", u.job, u.cores());
     }
@@ -69,17 +58,10 @@ fn main() {
     //    Job3 inherits the freed cores ("distributed to remaining running
     //    tasks, to increase node utilization").
     table
-        .co_launch(
-            &mut cluster,
-            NODE,
-            JobId(3),
-            JobId(1),
-            SharingFactor::HALF,
-            2,
-        )
+        .co_launch(NODE, JobId(3), JobId(1), SharingFactor::HALF, 2)
         .expect("job1 is alone at full width again");
     dump("job3 co-scheduled with job1", &table);
-    let expanded = table.finish(&mut cluster, NODE, JobId(1));
+    let expanded = table.finish(NODE, JobId(1));
     if let Some(u) = expanded.expect("job1 runs here") {
         println!("redistribute: {} -> {} cores", u.job, u.cores());
     }
@@ -89,5 +71,5 @@ fn main() {
         0,
         "job3 holds the whole node"
     );
-    table.validate(&cluster).expect("masks stay disjoint");
+    table.validate().expect("masks stay disjoint");
 }

@@ -49,7 +49,7 @@ pub use workload;
 
 /// The most common imports for downstream users.
 pub mod prelude {
-    pub use cluster::{ClusterSpec, ClusterState, CpuMask, JobId, NodeId};
+    pub use cluster::{ClusterSpec, CpuMask, JobId, NodeId};
     pub use drom::{NodeTable, SharingFactor};
     pub use sched_metrics::{
         tenant_summaries, DailySeries, Heatmap, RatioHeatmap, Summary, TenantSummary,
