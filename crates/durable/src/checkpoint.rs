@@ -1,4 +1,5 @@
-//! Atomic, checksummed checkpoints.
+//! The checkpoint image's codec: a checksummed header around the caller's
+//! payload. Pure over bytes; the store installs the image atomically.
 //!
 //! On-disk grammar (all integers little-endian):
 //!
@@ -13,19 +14,15 @@
 //! a crash *between* installing the checkpoint and truncating the WAL cannot
 //! double-apply.
 //!
-//! Installation is atomic: write `checkpoint.tmp`, fsync it, `rename(2)` over
-//! `checkpoint.bin`, then best-effort fsync of the directory. A reader only
-//! ever sees the old or the new image, never a torn one; a corrupt file
-//! (power loss before the rename landed, manual tampering) decodes to `None`
-//! and recovery falls back to replaying the full WAL.
+//! Installation is atomic (`Storage::replace`): write `checkpoint.tmp`, fsync
+//! it, `rename(2)` over `checkpoint.bin`, then fsync the directory. A reader
+//! only ever sees the old or the new image, never a torn one. The log the
+//! image replaced is already truncated, so a file that exists but does not
+//! decode (tampering, a failing disk) has no fallback: recovery refuses it.
 
 use crate::codec::{seq_checksum, Reader, Writer};
-use std::fs::File;
-use std::io::{self, Read, Write};
-use std::path::Path;
 
 pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
-const TMP_FILE: &str = "checkpoint.tmp";
 const MAGIC: u32 = 0x5344_434B; // "SDCK"
 const VERSION: u32 = 1;
 const HEADER: usize = 24; // magic(4) + version(4) + applied_seq(8) + len(4) + crc(4)
@@ -67,35 +64,6 @@ pub fn decode(data: &[u8]) -> Option<Checkpoint> {
     })
 }
 
-/// Atomically install a checkpoint in `dir`.
-pub fn write(dir: &Path, applied_seq: u64, payload: &[u8]) -> io::Result<()> {
-    let tmp = dir.join(TMP_FILE);
-    let dst = dir.join(CHECKPOINT_FILE);
-    let image = encode(applied_seq, payload);
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&image)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, &dst)?;
-    // Durability of the rename itself: fsync the directory. Works on Linux;
-    // harmless to skip where unsupported.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
-}
-
-/// Load the checkpoint from `dir`; `None` when absent or corrupt.
-pub fn read(dir: &Path) -> Option<Checkpoint> {
-    let mut data = Vec::new();
-    File::open(dir.join(CHECKPOINT_FILE))
-        .ok()?
-        .read_to_end(&mut data)
-        .ok()?;
-    decode(&data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,15 +97,18 @@ mod tests {
 
     #[test]
     fn install_and_read_back() {
+        use crate::storage::{FsStorage, Storage};
         let dir = std::env::temp_dir().join(format!("sd-ckpt-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        assert!(read(&dir).is_none());
-        write(&dir, 3, b"v1").unwrap();
-        assert_eq!(read(&dir).unwrap().payload, b"v1");
-        write(&dir, 9, b"v2-longer-payload").unwrap();
-        let cp = read(&dir).unwrap();
+        let mut disk = FsStorage::open(&dir).unwrap();
+        let read = |disk: &mut FsStorage| decode(&disk.read(CHECKPOINT_FILE).unwrap()?);
+        assert!(read(&mut disk).is_none());
+        disk.replace(CHECKPOINT_FILE, &encode(3, b"v1")).unwrap();
+        assert_eq!(read(&mut disk).unwrap().payload, b"v1");
+        disk.replace(CHECKPOINT_FILE, &encode(9, b"v2-longer-payload")).unwrap();
+        let cp = read(&mut disk).unwrap();
         assert_eq!(cp.applied_seq, 9);
         assert_eq!(cp.payload, b"v2-longer-payload");
+        assert!(!dir.join("checkpoint.tmp").exists(), "the rename consumed the temporary file");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

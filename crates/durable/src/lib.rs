@@ -1,12 +1,15 @@
 //! `sd-durable` — crash tolerance for the online scheduling service.
 //!
 //! Dependency-free (like `sd-trace`): a checksummed, length-prefixed
-//! write-ahead log ([`wal`]), atomic checkpoints ([`checkpoint`]), the
-//! directory-level store + recovery protocol that ties them together
-//! (`store`), and the byte codec ([`codec`]) that these headers and every
-//! payload above them are written and read with. What a payload *means* is
-//! owned by the caller (`sd-serve`, `slurm-sim`); this crate guarantees
-//! that whatever bytes were appended come back in order, that a torn or
+//! write-ahead log ([`wal`]), checksummed checkpoint images
+//! ([`checkpoint`]), the directory-level store + recovery protocol that ties
+//! them together (`store`), and the byte codec ([`codec`]) that these
+//! headers and every payload above them are written and read with. The
+//! store makes every disk call through one [`Storage`] seam ([`FsStorage`]
+//! is the real one); the other modules are pure over bytes. What a payload
+//! *means* is owned by the caller (`sd-serve`, `slurm-sim`); this crate
+//! guarantees that every append that returned `Ok` comes back in order,
+//! that one that returned `Err` left the log as it was, that a torn or
 //! bit-flipped tail is cleanly discarded (never a panic), and that
 //! checkpoint installation is atomic.
 //!
@@ -19,10 +22,12 @@
 pub mod checkpoint;
 pub mod codec;
 mod crc;
+mod storage;
 mod store;
 pub mod wal;
 
 pub use checkpoint::Checkpoint;
 pub use crc::crc32;
-pub use store::{DurableStore, Recovery, WAL_FILE};
-pub use wal::{scan_bytes, FsyncPolicy, ScanOutcome, WalRecord};
+pub use storage::{FsStorage, Storage};
+pub use store::{DurableStore, FsyncPolicy, Recovery, WAL_FILE};
+pub use wal::{scan_bytes, ScanOutcome, WalRecord};

@@ -1,4 +1,5 @@
-//! The write-ahead log: length-prefixed, checksummed frames.
+//! The write-ahead log's codec: length-prefixed, checksummed frames. Pure
+//! over bytes; the store appends the frames and reads the log back.
 //!
 //! On-disk grammar (all integers little-endian):
 //!
@@ -9,9 +10,10 @@
 //! ```
 //!
 //! `seq` is a global monotone sequence number assigned by the single writer;
-//! it ties the log to the checkpoint (recovery skips frames whose `seq` is
-//! already covered by the checkpoint's `applied_seq`). The payload is opaque
-//! bytes — the service layer owns the record encoding.
+//! it ties the log to the checkpoint (recovery skips the frames the
+//! checkpoint's `applied_seq` covers, and the rest must follow it without a
+//! gap). The payload is opaque bytes — the service layer owns the record
+//! encoding.
 //!
 //! Recovery scans the longest valid prefix: the scan stops at the first frame
 //! that is short, oversized, or fails its checksum, and reports whether any
@@ -20,52 +22,12 @@
 //! error — the scanner cannot panic on any input.
 
 use crate::codec::{seq_checksum, Reader, Writer};
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::Path;
 
 /// Frame header size: len(4) + crc(4) + seq(8).
 pub const FRAME_HEADER: usize = 16;
 
 /// Sanity cap so a garbage length prefix cannot trigger a huge allocation.
 pub(crate) const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
-
-/// When appended records are flushed to stable storage.
-///
-/// Surviving `kill -9` (process death, OS survives) needs no fsync at all —
-/// written pages live in the page cache. The knob only matters for power
-/// loss / kernel panic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FsyncPolicy {
-    /// fsync after every append (power-loss durable per record, slowest).
-    Always,
-    /// fsync only when installing a checkpoint (default: the durability
-    /// boundary is the last checkpoint; tail records may be lost on power
-    /// failure but never on process death).
-    #[default]
-    Checkpoint,
-    /// never fsync (benchmarks and tests).
-    Never,
-}
-
-impl FsyncPolicy {
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "always" => Some(FsyncPolicy::Always),
-            "checkpoint" => Some(FsyncPolicy::Checkpoint),
-            "never" => Some(FsyncPolicy::Never),
-            _ => None,
-        }
-    }
-
-    pub fn label(&self) -> &'static str {
-        match self {
-            FsyncPolicy::Always => "always",
-            FsyncPolicy::Checkpoint => "checkpoint",
-            FsyncPolicy::Never => "never",
-        }
-    }
-}
 
 /// One recovered frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,14 +40,14 @@ pub struct WalRecord {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanOutcome {
     pub records: Vec<WalRecord>,
-    /// Bytes of the valid prefix; the file is truncated to this length
-    /// before the writer appends again.
+    /// Bytes of the valid prefix; the store cuts the log to this length
+    /// before it appends again.
     pub valid_bytes: u64,
     /// True when trailing bytes after the valid prefix were discarded.
     pub torn_tail: bool,
 }
 
-/// Encode one frame into `buf` (single `write` syscall per append).
+/// Encode one frame into `buf` (one `Storage::append` per record).
 pub fn encode_frame(buf: &mut Vec<u8>, seq: u64, payload: &[u8]) {
     let mut w = Writer::new(buf);
     w.u32(payload.len() as u32);
@@ -121,85 +83,6 @@ pub fn scan_bytes(data: &[u8]) -> ScanOutcome {
         records,
         valid_bytes: valid as u64,
         torn_tail: valid < data.len(),
-    }
-}
-
-/// Scan a log file; a missing file is an empty log.
-pub(crate) fn scan_file(path: &Path) -> io::Result<ScanOutcome> {
-    let mut data = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut data)?;
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e),
-    }
-    Ok(scan_bytes(&data))
-}
-
-/// Appender positioned at the end of the valid prefix.
-#[derive(Debug)]
-pub(crate) struct WalWriter {
-    file: File,
-    policy: FsyncPolicy,
-    buf: Vec<u8>,
-    records_written: u64,
-    bytes: u64,
-}
-
-impl WalWriter {
-    /// Open (creating if absent), truncate to `valid_bytes` — dropping any
-    /// torn tail so new appends never follow garbage — and seek to the end.
-    pub fn open(path: &Path, valid_bytes: u64, policy: FsyncPolicy) -> io::Result<WalWriter> {
-        let mut file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .write(true)
-            .truncate(false)
-            .open(path)?;
-        file.set_len(valid_bytes)?;
-        file.seek(SeekFrom::Start(valid_bytes))?;
-        Ok(WalWriter {
-            file,
-            policy,
-            buf: Vec::with_capacity(256),
-            records_written: 0,
-            bytes: valid_bytes,
-        })
-    }
-
-    pub fn append(&mut self, seq: u64, payload: &[u8]) -> io::Result<()> {
-        self.buf.clear();
-        encode_frame(&mut self.buf, seq, payload);
-        self.file.write_all(&self.buf)?;
-        if self.policy == FsyncPolicy::Always {
-            self.file.sync_data()?;
-        }
-        self.records_written += 1;
-        self.bytes += self.buf.len() as u64;
-        Ok(())
-    }
-
-    /// Truncate the log to empty (after a checkpoint has captured its
-    /// contents).
-    pub fn reset(&mut self) -> io::Result<()> {
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        if self.policy != FsyncPolicy::Never {
-            self.file.sync_data()?;
-        }
-        self.bytes = 0;
-        Ok(())
-    }
-
-    pub fn records_written(&self) -> u64 {
-        self.records_written
-    }
-
-    /// Current on-disk size of the log in bytes (valid prefix at open plus
-    /// every append since, zeroed by [`reset`]).
-    pub fn bytes(&self) -> u64 {
-        self.bytes
     }
 }
 
@@ -270,27 +153,5 @@ mod tests {
         let out = scan_bytes(&image);
         assert_eq!(out.records.len(), 1);
         assert!(out.torn_tail);
-    }
-
-    #[test]
-    fn writer_truncates_torn_tail_on_open() {
-        let dir = std::env::temp_dir().join(format!("sd-wal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal.log");
-        let mut image = log_image(&[(1, b"keep")]);
-        image.extend_from_slice(b"torn!");
-        std::fs::write(&path, &image).unwrap();
-
-        let scan = scan_file(&path).unwrap();
-        assert!(scan.torn_tail);
-        let mut w = WalWriter::open(&path, scan.valid_bytes, FsyncPolicy::Never).unwrap();
-        w.append(2, b"after").unwrap();
-        drop(w);
-
-        let out = scan_file(&path).unwrap();
-        assert!(!out.torn_tail);
-        assert_eq!(out.records.len(), 2);
-        assert_eq!(out.records[1].payload, b"after");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

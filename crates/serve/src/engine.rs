@@ -4,7 +4,8 @@
 //! workers call them under one lock, one caller at a time, each call ending
 //! in `Engine::settle` (DESIGN.md §10); [`Command`] is their channel form,
 //! answered by [`Engine::run`]. Each mutating method is the whole live body:
-//! rate gate (submit only), WAL append, effect, periodic checkpoint.
+//! rate gate (submit only), WAL append, effect, periodic checkpoint. A failed
+//! append refuses the command ([`EngineError::Storage`]) before its effect.
 //! [`Engine::recover`] replays the WAL through the same methods, so a
 //! recovered engine is the engine that never crashed (DESIGN.md §14).
 //!
@@ -160,6 +161,8 @@ pub enum EngineError {
     NotPending(u64),
     /// The tenant exceeded its configured submit rate (HTTP 429).
     RateLimited(u64),
+    /// The command's WAL append failed, so it was not applied (HTTP 503).
+    Storage(String),
 }
 
 impl std::fmt::Display for EngineError {
@@ -171,6 +174,7 @@ impl std::fmt::Display for EngineError {
             EngineError::RateLimited(t) => {
                 write!(f, "tenant {t} exceeded its submit rate limit")
             }
+            EngineError::Storage(e) => write!(f, "write-ahead log append failed, command not applied: {e}"),
         }
     }
 }
@@ -284,9 +288,10 @@ pub struct WalStatus {
 }
 
 /// Write-ahead durability attached to the engine (DESIGN.md §14). Every
-/// state-mutating command is logged *before* it is applied; a checkpoint is
-/// installed (collapsing the log) every `checkpoint_every` records and at
-/// shutdown.
+/// state-mutating command is logged *before* it is applied, and refused when
+/// its append fails; a checkpoint is installed (collapsing the log) every
+/// `checkpoint_every` records and at shutdown, and a failed one is retried
+/// after the next `checkpoint_every` records.
 struct Durability {
     store: DurableStore,
     checkpoint_every: u64,
@@ -300,9 +305,6 @@ struct Durability {
     replayed: u64,
     recovery_seconds: f64,
     recovered: Option<&'static str>,
-    /// A failed append or checkpoint makes recovery guarantees void; noted
-    /// once (loudly) and surfaced here rather than crashing the service.
-    degraded: bool,
 }
 
 impl Durability {
@@ -318,48 +320,37 @@ impl Durability {
         }
     }
 
-    /// Appends one record. An append failure cannot be surfaced to the
-    /// already-running simulation, so it degrades durability loudly instead
-    /// of crashing.
-    fn append(&mut self, cmd: &WalCmd) {
+    /// Appends one record; on `Err` the log and the seq are as they were, and
+    /// the caller refuses the command.
+    fn append(&mut self, cmd: &WalCmd) -> Result<(), EngineError> {
         let seq = self.next_seq;
+        if let Err(e) = self.store.append(seq, &cmd.encode()) {
+            sd_obs::log_event!(Error, "wal", "append failed ({e}); command refused"; seq = seq);
+            return Err(EngineError::Storage(e.to_string()));
+        }
         self.next_seq += 1;
         self.records_since_checkpoint += 1;
-        if let Err(e) = self.store.append(seq, &cmd.encode()) {
-            if !self.degraded {
-                sd_obs::log_event!(
-                    Error,
-                    "wal",
-                    "append failed ({e}); crash recovery is no longer guaranteed";
-                    seq = seq
-                );
-            }
-            self.degraded = true;
-        }
+        Ok(())
     }
 
     /// Installs `payload` as the checkpoint covering every applied command,
     /// unlogged ticks included, and resets the record counter. A failure
-    /// degrades durability loudly.
+    /// loses nothing — the log is truncated only once the image is in, so the
+    /// old checkpoint plus the log still recover everything — and the next
+    /// budget retries it. A pending tick stays pending then: logged after an
+    /// image that already holds it, it replays as a no-op.
     fn install(&mut self, payload: &[u8]) {
         // Seqs start at 1, so `next_seq - 1` is the last logged (= applied)
         // record; 0 = "nothing beyond the checkpoint".
         let applied = self.next_seq - 1;
-        if let Err(e) = self.store.install_checkpoint(applied, payload) {
-            if !self.degraded {
-                sd_obs::log_event!(
-                    Error,
-                    "wal",
-                    "checkpoint failed ({e}); crash recovery is no longer guaranteed";
-                    applied = applied
-                );
+        match self.store.install_checkpoint(applied, payload) {
+            Ok(()) => {
+                sd_obs::log_event!(Debug, "wal", "checkpoint installed"; applied = applied);
+                self.unlogged_floor = None;
             }
-            self.degraded = true;
-        } else {
-            sd_obs::log_event!(Debug, "wal", "checkpoint installed"; applied = applied);
+            Err(e) => sd_obs::log_event!(Error, "wal", "checkpoint failed ({e}); will retry"; applied = applied),
         }
         self.records_since_checkpoint = 0;
-        self.unlogged_floor = None;
     }
 }
 
@@ -528,7 +519,6 @@ impl Engine {
             replayed: rec.records.len() as u64,
             recovery_seconds: 0.0,
             recovered,
-            degraded: false,
         };
         // Collapse the replayed log so a crash during this session never
         // replays the previous session's records on top of them again.
@@ -618,7 +608,8 @@ impl Engine {
     }
 
     /// Admits one job. The wall-clock rate gate runs before the log, so a
-    /// 429 is never logged; every other refusal is, and replays to itself.
+    /// 429 is never logged; every refusal after a logged append replays to
+    /// itself.
     pub fn submit(&mut self, req: SubmitRequest) -> Result<SubmitAck, EngineError> {
         let tenant = req.tenant.unwrap_or(0);
         if let Some(bucket) = self.tenant_rates.get_mut(&tenant) {
@@ -627,7 +618,7 @@ impl Engine {
                 return Err(EngineError::RateLimited(tenant));
             }
         }
-        self.log(&WalCmd::Submit(req.clone()));
+        self.log(&WalCmd::Submit(req.clone()))?;
         let min = self.min_virtual_submit();
         let ack = match req.submit {
             Some(t) if SimTime(t) < min => Err(EngineError::Clock(format!(
@@ -666,7 +657,7 @@ impl Engine {
 
     /// Cancels a pending or running job.
     pub fn cancel(&mut self, id: u64) -> Result<(), EngineError> {
-        self.log(&WalCmd::Cancel(id));
+        self.log(&WalCmd::Cancel(id))?;
         let r = if id == 0 || id as usize > self.ctl.state.job_count() {
             Err(EngineError::NoSuchJob(id))
         } else if self.ctl.state.cancel_job(cluster::JobId(id)) {
@@ -689,7 +680,7 @@ impl Engine {
     pub fn advance(&mut self, to: u64) -> Result<u64, EngineError> {
         let tick = self.mode != ClockMode::Virtual;
         if !tick {
-            self.log(&WalCmd::Advance(to));
+            self.log(&WalCmd::Advance(to))?;
         }
         let before = (self.floor, self.ctl.state.stats.events_dispatched);
         self.ctl.step_until(Some(SimTime(to)));
@@ -706,7 +697,7 @@ impl Engine {
 
     /// Runs the event loop until nothing remains; returns the final clock.
     pub fn drain(&mut self) -> Result<u64, EngineError> {
-        self.log(&WalCmd::Drain);
+        self.log(&WalCmd::Drain)?;
         self.ctl.step_until(None);
         self.maybe_checkpoint();
         Ok(self.virtual_now().secs())
@@ -751,13 +742,15 @@ impl Engine {
 
     /// Appends one command to the WAL (no-op without `--wal`), after the
     /// noted tick if one is pending. Called *before* the command is applied
-    /// — the log is a total order of effects.
-    fn log(&mut self, cmd: &WalCmd) {
-        let Some(d) = self.dur.as_mut() else { return };
-        if let Some(floor) = d.unlogged_floor.take() {
-            d.append(&WalCmd::Advance(floor));
+    /// — the log is a total order of effects — and an `Err` refuses it: the
+    /// command is not applied, and a tick whose frame failed stays pending.
+    fn log(&mut self, cmd: &WalCmd) -> Result<(), EngineError> {
+        let Some(d) = self.dur.as_mut() else { return Ok(()) };
+        if let Some(floor) = d.unlogged_floor {
+            d.append(&WalCmd::Advance(floor))?;
+            d.unlogged_floor = None;
         }
-        d.append(cmd);
+        d.append(cmd)
     }
 
     /// Serialises the full durable image: engine counters + the canonical
@@ -912,6 +905,10 @@ impl Engine {
         rows.into_values().collect()
     }
 }
+
+#[cfg(test)]
+#[path = "../../durable/tests/fault/mod.rs"]
+mod fault; // the storage fault double of `sd-durable`'s own tests
 
 #[cfg(test)]
 mod tests {
@@ -1410,6 +1407,129 @@ mod tests {
         assert_eq!(recovered.cancel(1), Err(EngineError::NotPending(1)));
         assert_eq!(written(&mut recovered), before + 1);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One logged command of [`FAULTED_SESSION`]; `at: None` is unstamped.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Submit { procs: u64, run: u64, at: Option<u64> },
+        Cancel(u64),
+        Advance(u64),
+        Drain,
+    }
+
+    fn apply(e: &mut Engine, op: Op) -> Result<(), EngineError> {
+        match op {
+            Op::Submit { procs, run, at } => e.submit(SubmitRequest { submit: at, ..request(procs, run, 0) }).map(drop),
+            Op::Cancel(id) => e.cancel(id),
+            Op::Advance(to) => e.advance(to).map(drop),
+            Op::Drain => e.drain().map(drop),
+        }
+    }
+
+    /// Every kind of logged command, two logged refusals (an instant already
+    /// simulated, an unknown id) and, at three records per checkpoint,
+    /// periodic checkpoints between them. In realtime the advances are ticks,
+    /// and the unstamped submit lands where the tick before it left the floor.
+    const FAULTED_SESSION: [Op; 10] = [
+        Op::Submit { procs: 16, run: 200, at: Some(0) },
+        Op::Submit { procs: 64, run: 300, at: Some(5) },
+        Op::Advance(50),
+        Op::Submit { procs: 16, run: 200, at: None },
+        Op::Cancel(2),
+        Op::Submit { procs: 8, run: 50, at: Some(3) },
+        Op::Advance(250),
+        Op::Cancel(99),
+        Op::Submit { procs: 16, run: 100, at: Some(300) },
+        Op::Drain,
+    ];
+
+    /// The state an engine that never touched a disk reaches on the session's
+    /// commands that `keep` picks.
+    fn twin_payload(mode: ClockMode, keep: impl Fn(usize) -> bool) -> Vec<u8> {
+        let mut twin = engine(mode);
+        for (i, &op) in FAULTED_SESSION.iter().enumerate() {
+            if keep(i) {
+                let _ = apply(&mut twin, op);
+            }
+        }
+        twin.advance(250).unwrap();
+        twin.checkpoint_payload()
+    }
+
+    /// How a faulted session checkpoints: every `every` records, and at a
+    /// shutdown before the crash when `stop`.
+    #[derive(Debug, Clone, Copy)]
+    struct Cadence {
+        every: u64,
+        stop: bool,
+    }
+
+    /// Runs [`FAULTED_SESSION`] on a durable engine over `storage`, then
+    /// crashes. Returns which commands were refused for storage.
+    fn faulted_session(mode: ClockMode, storage: fault::Faulty, cadence: Cadence) -> Vec<bool> {
+        let Ok((store, rec)) = DurableStore::open_with(Box::new(storage), FsyncPolicy::Always) else {
+            return vec![true; FAULTED_SESSION.len()]; // no store, no command acked
+        };
+        let mut e = engine(mode);
+        e.dur = Some(Durability {
+            store,
+            checkpoint_every: cadence.every,
+            records_since_checkpoint: 0,
+            next_seq: rec.next_seq,
+            unlogged_floor: None,
+            replayed: 0,
+            recovery_seconds: 0.0,
+            recovered: None,
+        });
+        let refused = FAULTED_SESSION
+            .iter()
+            .map(|&op| matches!(apply(&mut e, op), Err(EngineError::Storage(_))))
+            .collect();
+        if cadence.stop {
+            e.shutdown();
+        }
+        refused
+    }
+
+    /// A failed append refuses its command, a failed checkpoint is retried,
+    /// and recovery brings back exactly the acknowledged commands — for each
+    /// storage fault at each call of a session, once or from that call on,
+    /// with periodic checkpoints, with a shutdown's before the crash, or with
+    /// none (which leaves every record in the log). The one
+    /// exception: when a fault persists, the first refused command's frame
+    /// may survive the failed cut-back, and its outcome is unknown.
+    #[test]
+    fn recovery_holds_exactly_the_acked_commands_under_every_storage_fault() {
+        let cadences = [(3, false), (3, true), (u64::MAX, false)].map(|(every, stop)| Cadence { every, stop });
+        for (mode, cadence) in [ClockMode::Virtual, REALTIME].into_iter().flat_map(|m| cadences.map(|c| (m, c))) {
+            let dir = tmp_dir("faults");
+            let counting = fault::Faulty::counting(&dir);
+            let calls = counting.calls();
+            assert!(faulted_session(mode, counting, cadence).iter().all(|&r| !r));
+            std::fs::remove_dir_all(&dir).unwrap();
+            let calls = calls.load(std::sync::atomic::Ordering::Relaxed);
+            for fault in fault::FAULTS {
+                let mut refusals = 0;
+                for from_on in [false, true] {
+                    for at in 0..calls {
+                        let case = format!("{mode:?} {cadence:?} {fault:?} at call {at}{}", if from_on { " on" } else { "" });
+                        let dir = tmp_dir("faults");
+                        let refused = faulted_session(mode, fault::Faulty::new(&dir, fault, at, from_on), cadence);
+                        let (mut recovered, _) = recover_engine(&dir);
+                        recovered.advance(250).unwrap();
+                        let got = recovered.checkpoint_payload();
+                        let acked = twin_payload(mode, |i| !refused[i]);
+                        let first = refused.iter().position(|&r| r);
+                        let unknown = from_on && first.is_some_and(|f| got == twin_payload(mode, |i| !refused[i] || i == f));
+                        assert!(got == acked || unknown, "{case}: refused {refused:?}");
+                        refusals += refused.iter().filter(|&&r| r).count();
+                        std::fs::remove_dir_all(&dir).unwrap();
+                    }
+                }
+                assert!(refusals > 0, "{mode:?} {cadence:?} {fault:?} never refused a command");
+            }
+        }
     }
 
     #[test]

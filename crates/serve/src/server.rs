@@ -583,6 +583,7 @@ fn engine_error(e: EngineError) -> Response {
         EngineError::Rejected(_) => 400,
         EngineError::NoSuchJob(_) => 404,
         EngineError::RateLimited(_) => 429,
+        EngineError::Storage(_) => 503,
     };
     Response::error(status, &e.to_string())
 }
@@ -720,6 +721,7 @@ mod tests {
             EngineError::NoSuchJob(1),
             EngineError::NotPending(1),
             EngineError::RateLimited(1),
+            EngineError::Storage(String::new()),
         ];
         for e in engine {
             let status = engine_error(e).status;
