@@ -2,7 +2,7 @@
 //! equivalence test and the CI smoke step. Keep-alive with transparent
 //! one-shot reconnect, typed wrappers over the JSON protocol.
 
-use crate::http::{self, Request};
+use crate::http;
 use crate::json::Json;
 use crate::proto::{self, SubmitRequest};
 use crate::server::{
@@ -10,7 +10,7 @@ use crate::server::{
     STATS, SUBMIT, TRACE,
 };
 use slurm_sim::SimResult;
-use std::io::{BufReader, Write as _};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -44,7 +44,11 @@ impl From<std::io::Error> for ClientError {
 /// A persistent connection to one `sd-serve` instance.
 pub struct Client {
     addr: SocketAddr,
+    /// The `host` header's value, formatted once.
+    host: String,
     conn: Option<BufReader<TcpStream>>,
+    /// The request being sent, rendered into a buffer kept across requests.
+    wire: Vec<u8>,
     /// Transport-failure retries allowed per request (beyond the free
     /// stale-keep-alive reconnect). 0 = fail fast.
     max_retries: u32,
@@ -57,7 +61,7 @@ pub struct Client {
 impl Client {
     pub fn connect(addr: SocketAddr) -> Result<Client, ClientError> {
         let mut c = Client::new(addr);
-        c.ensure()?;
+        connection(&mut c.conn, addr)?;
         Ok(c)
     }
 
@@ -67,7 +71,9 @@ impl Client {
     pub fn new(addr: SocketAddr) -> Client {
         Client {
             addr,
+            host: addr.to_string(),
             conn: None,
+            wire: Vec::new(),
             max_retries: 0,
             retries: 0,
             jitter: (u64::from(std::process::id()) << 17) ^ u64::from(addr.port()) ^ 0x9E37_79B9,
@@ -98,27 +104,22 @@ impl Client {
         Duration::from_secs_f64(base_ms as f64 * 1e-3 * (0.5 + frac))
     }
 
-    fn ensure(&mut self) -> Result<&mut BufReader<TcpStream>, ClientError> {
-        let conn = match self.conn.take() {
-            Some(conn) => conn,
-            None => {
-                let stream = TcpStream::connect_timeout(&self.addr, Duration::from_secs(5))?;
-                stream.set_nodelay(true)?;
-                stream.set_read_timeout(Some(Duration::from_secs(120)))?;
-                BufReader::new(stream)
+    /// Renders the request into `self.wire` with `http::write_request`: a
+    /// `host` header, and `content-type` plus the rendered body when there
+    /// is one. A `method` or `path` with a space or a control character is
+    /// refused: it would split the request line or inject header lines.
+    fn render(&mut self, method: &str, path: &str, body: Option<&Json>) -> Result<(), ClientError> {
+        for (what, s) in [("method", method), ("path", path)] {
+            if s.bytes().any(|b| b == b' ' || b.is_ascii_control()) {
+                return Err(ClientError::Protocol(format!("{what} {s:?} has a space or a control character")));
             }
-        };
-        Ok(self.conn.insert(conn))
-    }
-
-    fn exchange_once(&mut self, wire: &[u8]) -> Result<(u16, Vec<u8>), ClientError> {
-        let reader = self.ensure()?;
-        reader.get_mut().write_all(wire)?;
-        reader.get_mut().flush()?;
-        match http::read_response(reader) {
-            Ok(r) => Ok(r),
-            Err(e) => Err(ClientError::Protocol(e.to_string())),
         }
+        let body = body.map(Json::render).unwrap_or_default();
+        let headers = [("host", self.host.as_str()), ("content-type", "application/json")];
+        let headers = &headers[..if body.is_empty() { 1 } else { 2 }];
+        self.wire.clear();
+        http::write_request(&mut self.wire, method, path, "", headers.iter().copied(), body.as_bytes());
+        Ok(())
     }
 
     /// One request/response, reconnecting once if the pooled connection was
@@ -135,22 +136,16 @@ impl Client {
         path: &str,
         body: Option<&Json>,
     ) -> Result<(u16, Vec<u8>), ClientError> {
-        let mut req = Request::new(method, path);
-        req.headers.push(("host".into(), self.addr.to_string()));
-        if let Some(v) = body {
-            req.headers
-                .push(("content-type".into(), "application/json".into()));
-            req.body = v.render().into_bytes();
-        }
-        let wire = req.render();
+        self.render(method, path, body)?;
         // A failure on a pooled connection gets one immediate free retry on
         // a fresh socket — that is the ordinary server-side idle timeout,
         // not an outage.
         let mut free_retry = self.conn.is_some();
         let mut attempt = 0u32;
-        loop {
-            match self.exchange_once(&wire) {
-                Ok(r) => return Ok(r),
+        let answer = loop {
+            let sent = connection(&mut self.conn, self.addr).and_then(|c| exchange(c, &self.wire));
+            match sent {
+                Ok(r) => break Ok(r),
                 Err(e) => {
                     self.conn = None;
                     if free_retry {
@@ -158,14 +153,16 @@ impl Client {
                         continue;
                     }
                     if attempt >= self.max_retries {
-                        return Err(e);
+                        break Err(e);
                     }
                     attempt += 1;
                     self.retries += 1;
                     std::thread::sleep(self.backoff(attempt - 1));
                 }
             }
-        }
+        };
+        http::release_if_large(&mut self.wire);
+        answer
     }
 
     fn request_json(
@@ -175,7 +172,8 @@ impl Client {
         body: Option<&Json>,
     ) -> Result<Json, ClientError> {
         let (status, bytes) = self.request(method, path, body)?;
-        let text = String::from_utf8_lossy(&bytes).into_owned();
+        let text = String::from_utf8(bytes)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
         if !(200..300).contains(&status) {
             return Err(ClientError::Status(status, text));
         }
@@ -233,6 +231,9 @@ impl Client {
 
     /// Tails the structured log ring from cursor `since` (≤ `limit`
     /// records); `level` caps verbosity, `target` filters by subsystem.
+    /// Both are sent undecoded, as the server reads them, so each must be
+    /// a plain token (ASCII letters, digits, `-`, `_`, `.`); anything else
+    /// is refused before it is sent.
     pub fn logs(
         &mut self,
         since: u64,
@@ -241,11 +242,13 @@ impl Client {
         target: Option<&str>,
     ) -> Result<Json, ClientError> {
         let mut path = format!("{}?since={since}&limit={limit}", LOGS.path);
-        if let Some(l) = level {
-            path.push_str(&format!("&level={l}"));
-        }
-        if let Some(t) = target {
-            path.push_str(&format!("&target={t}"));
+        for (key, value) in [("level", level), ("target", target)] {
+            let Some(v) = value else { continue };
+            let plain = |b: u8| b.is_ascii_alphanumeric() || b"-_.".contains(&b);
+            if v.is_empty() || !v.bytes().all(plain) {
+                return Err(ClientError::Protocol(format!("`{key}` {v:?} is not a plain token")));
+            }
+            path.push_str(&format!("&{key}={v}"));
         }
         self.request_json(LOGS.method, &path, None)
     }
@@ -292,5 +295,141 @@ impl Client {
     pub fn shutdown(&mut self) -> Result<SimResult, ClientError> {
         let v = self.request_json(SHUTDOWN.method, SHUTDOWN.path, None)?;
         proto::decode_result(&v).map_err(ClientError::Protocol)
+    }
+}
+
+/// The pooled connection, opened first when there is none.
+fn connection(
+    conn: &mut Option<BufReader<TcpStream>>,
+    addr: SocketAddr,
+) -> Result<&mut BufReader<TcpStream>, ClientError> {
+    let open = match conn.take() {
+        Some(open) => open,
+        None => {
+            let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
+            stream.set_nodelay(true)?;
+            stream.set_read_timeout(Some(Duration::from_secs(120)))?;
+            BufReader::new(stream)
+        }
+    };
+    Ok(conn.insert(open))
+}
+
+/// Sends one rendered request in one write and reads the response.
+fn exchange<S: Read + Write>(conn: &mut BufReader<S>, wire: &[u8]) -> Result<(u16, Vec<u8>), ClientError> {
+    http::send(conn.get_mut(), wire)?;
+    http::read_response(conn).map_err(|e| ClientError::Protocol(e.to_string()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::Request;
+    use std::io::Cursor;
+
+    /// A connection double: answers from `reply`, and records what was
+    /// written and in how many `write` calls.
+    struct Peer {
+        reply: Cursor<Vec<u8>>,
+        sent: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Read for Peer {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reply.read(buf)
+        }
+    }
+
+    impl Write for Peer {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.sent.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The request twin of `http::tests::a_response_is_one_write_of_the_golden_bytes`:
+    /// what the client sends is `Request::render` of the same request and
+    /// these literal bytes, in one write.
+    #[test]
+    fn a_request_is_one_write_of_the_golden_bytes() {
+        let mut client = Client::new("127.0.0.1:7070".parse().unwrap());
+        let to = Json::obj().set("to", 100u64);
+        let cases: [(&str, &str, Option<&Json>, &str); 3] = [
+            ("GET", "/v1/jobs/7", None, "GET /v1/jobs/7 HTTP/1.1\r\nhost: 127.0.0.1:7070\r\n\r\n"),
+            (
+                "POST",
+                "/v1/clock/advance",
+                Some(&to),
+                "POST /v1/clock/advance HTTP/1.1\r\nhost: 127.0.0.1:7070\r\ncontent-type: application/json\r\ncontent-length: 10\r\n\r\n{\"to\":100}",
+            ),
+            ("POST", "/v1/drain", None, "POST /v1/drain HTTP/1.1\r\nhost: 127.0.0.1:7070\r\ncontent-length: 0\r\n\r\n"),
+        ];
+        for (method, path, body, golden) in cases {
+            let mut twin = Request::new(method, path);
+            twin.headers.push(("host".into(), "127.0.0.1:7070".into()));
+            if let Some(v) = body {
+                twin.headers.push(("content-type".into(), "application/json".into()));
+                twin.body = v.render().into_bytes();
+            }
+            assert_eq!(String::from_utf8(twin.render()).unwrap(), golden);
+            client.render(method, path, body).unwrap();
+            let reply = b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\n{}".to_vec();
+            let peer = Peer { reply: Cursor::new(reply), sent: Vec::new(), writes: 0 };
+            let mut conn = BufReader::new(peer);
+            assert_eq!(exchange(&mut conn, &client.wire).unwrap(), (200, b"{}".to_vec()));
+            let peer = conn.into_inner();
+            assert_eq!(peer.writes, 1, "{golden:?}");
+            assert_eq!(String::from_utf8(peer.sent).unwrap(), golden);
+        }
+    }
+
+    /// A space or a line break in a method, a path or a log filter never
+    /// reaches the wire: each is a `Protocol` error, and the first request
+    /// the server sees is the valid one sent after them.
+    #[test]
+    fn targets_that_would_break_the_request_line_are_refused_before_sending() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (seen_tx, seen) = std::sync::mpsc::channel();
+        let peer = std::thread::spawn(move || {
+            let (conn, _) = listener.accept().unwrap();
+            let mut conn = BufReader::new(conn);
+            loop {
+                let seen = match http::read_request(&mut conn) {
+                    Ok(Some(req)) => format!("{} {}", req.method, req.path),
+                    Ok(None) => return,
+                    Err(e) => e.to_string(),
+                };
+                seen_tx.send(seen).unwrap();
+                let reply = b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\n{}";
+                if conn.get_mut().write_all(reply).is_err() {
+                    return;
+                }
+            }
+        });
+        let mut client = Client::new(addr);
+        fn refused<T>(r: Result<T, ClientError>) -> bool {
+            matches!(r, Err(ClientError::Protocol(_)))
+        }
+        assert!(refused(client.request("GET", "/healthz\r\nx-injected: 1", None)));
+        assert!(refused(client.request("GET", "/healthz\nx-injected: 1", None)));
+        assert!(refused(client.request("GET", "/a b", None)));
+        assert!(refused(client.request("GET /x HTTP/1.1\r\n", "/healthz", None)));
+        assert!(refused(client.logs(0, 10, None, Some("a b"))));
+        assert!(refused(client.logs(0, 10, None, Some("wal\r\nx-injected: 1"))));
+        assert!(refused(client.logs(0, 10, Some("debug&target=wal"), None)));
+        assert!(refused(client.logs(0, 10, Some(""), None)));
+        assert_eq!(client.request("GET", "/healthz", None).unwrap(), (200, b"{}".to_vec()));
+        client.logs(0, 10, Some("debug"), Some("gate-test")).unwrap();
+        assert_eq!(seen.recv().unwrap(), "GET /healthz", "nothing was sent before it");
+        assert_eq!(seen.recv().unwrap(), "GET /v1/logs");
+        drop(client);
+        peer.join().unwrap();
     }
 }

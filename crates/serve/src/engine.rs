@@ -583,7 +583,7 @@ impl Engine {
 
     /// Ends a call: folds the caller's probe counters in, publishes the virtual instant.
     pub(crate) fn settle(&mut self) {
-        timing::accumulate(&mut self.probes, timing::take());
+        timing::take_into(&mut self.probes);
         sd_obs::set_virtual_now(self.virtual_now().secs());
     }
 

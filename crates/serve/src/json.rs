@@ -123,7 +123,7 @@ impl Json {
     /// Deterministic text form (insertion order, shortest-roundtrip floats,
     /// non-finite numbers as `null`).
     pub fn render(&self) -> String {
-        let mut w = JsonWriter::default();
+        let mut w = JsonWriter::new();
         self.write(&mut w);
         w.out
     }
@@ -218,7 +218,6 @@ impl<T: Into<Json>> From<Option<T>> for Json {
 
 /// Writes one JSON document in document order: each key and value writes
 /// the comma before it when a sibling precedes it, so callers never do.
-#[derive(Default)]
 pub(crate) struct JsonWriter {
     out: String,
     /// Whether the next key or value follows a sibling.
@@ -226,6 +225,15 @@ pub(crate) struct JsonWriter {
 }
 
 impl JsonWriter {
+    /// A writer whose buffer starts at the size a job status, a submit body,
+    /// an ack or an error needs, so those never grow it.
+    fn new() -> JsonWriter {
+        JsonWriter {
+            out: String::with_capacity(256),
+            comma: false,
+        }
+    }
+
     fn sep(&mut self) {
         if self.comma {
             self.out.push(',');
@@ -296,7 +304,7 @@ impl JsonWriter {
 
 /// The text of the object whose members `body` writes.
 pub(crate) fn write_object(body: impl FnOnce(&mut JsonWriter)) -> String {
-    let mut w = JsonWriter::default();
+    let mut w = JsonWriter::new();
     w.object(body);
     w.out
 }

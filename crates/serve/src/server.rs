@@ -476,6 +476,10 @@ fn worker_loop(conn_rx: &Mutex<mpsc::Receiver<TcpStream>>, shared: &Shared) {
     }
 }
 
+/// Serves one connection until it closes. One [`Request`] and one output
+/// buffer live as long as the connection, so a steady-state request
+/// allocates only its reply body; a buffer one message grew past 64 KiB is
+/// released after it.
 fn serve_connection(conn: TcpStream, shared: &Shared) {
     let _ = conn.set_nodelay(true);
     // Short read timeout: the idle wait below ticks on it, so an idle
@@ -486,6 +490,8 @@ fn serve_connection(conn: TcpStream, shared: &Shared) {
     const IDLE_TICKS_MAX: u32 = 60; // ≈30 s quiet → hang up
     let _ = conn.set_read_timeout(Some(IDLE_TICK));
     let mut reader = BufReader::new(conn);
+    let mut req = Request::default();
+    let mut out = Vec::new();
     loop {
         // Wait for the next request head between requests, watching the
         // stop flag. Timeouts *inside* a request still map to Disconnected.
@@ -512,21 +518,25 @@ fn serve_connection(conn: TcpStream, shared: &Shared) {
                 Err(_) => return,
             }
         }
-        match http::read_request(&mut reader) {
-            Ok(None) => return,
-            Ok(Some(req)) => {
+        out.clear();
+        match http::read_request_into(&mut reader, &mut req) {
+            Ok(false) => return,
+            Ok(true) => {
                 let close = req.wants_close() || shared.stop.load(Ordering::SeqCst);
                 let t0 = Instant::now();
                 let resp = dispatch(&req, shared);
                 shared.hists.request_seconds.observe(t0.elapsed().as_secs_f64());
                 shared.counters.count_status(resp.status);
+                resp.write_into(&mut out, close);
                 // Once the server is stopping, every worker hangs up after its reply.
-                if resp.write_to(reader.get_mut(), close).is_err()
+                if http::send(reader.get_mut(), &out).is_err()
                     || close
                     || shared.stop.load(Ordering::SeqCst)
                 {
                     return;
                 }
+                http::release_if_large(&mut out);
+                http::release_if_large(&mut req.body);
             }
             Err(HttpError::Disconnected) => return,
             Err(e) => {
@@ -537,7 +547,8 @@ fn serve_connection(conn: TcpStream, shared: &Shared) {
                 };
                 let resp = Response::error(status, &e.to_string());
                 shared.counters.count_status(resp.status);
-                let _ = resp.write_to(reader.get_mut(), true);
+                resp.write_into(&mut out, true);
+                let _ = http::send(reader.get_mut(), &out);
                 return;
             }
         }

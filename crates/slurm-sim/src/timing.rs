@@ -8,7 +8,7 @@
 //! that does all four on its own thread reads exactly its own numbers. An
 //! [`arm`] window is process-wide instead — `sd-serve` holds one for its
 //! whole life, and each worker that calls the engine folds its share into
-//! the engine's total with [`take`] and [`accumulate`]. `run_scenario
+//! the engine's total with [`take_into`]. `run_scenario
 //! --timing` prints the report and [`collapsed`] renders it as folded
 //! stacks. It attributes a pass's wall time to `earliest_start`, the
 //! backfill trials, the quota checks and the node bookkeeping of each job
@@ -222,26 +222,23 @@ pub fn reset() {
     });
 }
 
-/// The calling thread's [`report`], after which its counters are zeroed:
-/// the share a thread hands over to a total kept elsewhere.
-pub fn take() -> Vec<FnTiming> {
-    let rows = report();
-    reset();
-    rows
-}
-
-/// Adds index-aligned [`report`] rows into `total`; an empty `total`
-/// becomes `rows`. Panics if the rows are not aligned.
-pub fn accumulate(total: &mut Vec<FnTiming>, rows: Vec<FnTiming>) {
+/// Adds the calling thread's counters into `total` and zeroes them: the
+/// share a thread hands over to a total kept elsewhere, folded in place. An
+/// empty `total` becomes the thread's [`report`]; otherwise it must hold
+/// index-aligned [`report`] rows (panics if not).
+pub fn take_into(total: &mut Vec<FnTiming>) {
     if total.is_empty() {
-        *total = rows;
+        *total = report();
+        reset();
         return;
     }
-    for (t, r) in total.iter_mut().zip(rows) {
-        assert_eq!(t.name, r.name, "accumulate over unlike snapshots");
-        t.count += r.count;
-        t.total_secs += r.total_secs;
-    }
+    assert_eq!(total.len(), PROBES, "take_into over unlike rows");
+    LOCAL.with(|l| {
+        for ((t, calls), nanos) in total.iter_mut().zip(&l.calls).zip(&l.nanos) {
+            t.count += calls.replace(0);
+            t.total_secs += nanos.replace(0) as f64 / 1e9;
+        }
+    });
 }
 
 #[cfg(test)]
@@ -284,12 +281,12 @@ mod tests {
         enable();
         drop(scope(Probe::QuotaCheck));
         let mut total = Vec::new();
-        accumulate(&mut total, take());
+        take_into(&mut total);
         drop(scope(Probe::QuotaCheck));
         count(Probe::TrialMemoHit);
         disable();
-        accumulate(&mut total, take());
-        assert!(report().iter().all(|r| r.count == 0), "take zeroes the thread");
+        take_into(&mut total);
+        assert!(report().iter().all(|r| r.count == 0), "take_into zeroes the thread");
         let n = |name| total.iter().find(|r| r.name == name).unwrap().count;
         assert_eq!((n("quota_check"), n("trial_memo_hit")), (2, 1));
     }
