@@ -1,11 +1,15 @@
-//! CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`), table-driven.
+//! CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`), slicing-by-16.
 //!
 //! The workspace is dependency-free, so the checksum lives here rather than
-//! pulling `crc32fast`. One table lookup per byte is plenty for WAL records
-//! that are tens of bytes each.
+//! pulling `crc32fast`. It covers WAL records of tens of bytes and checkpoint
+//! images of half a megabyte (510 KB at 4 000 jobs), so it folds 16 bytes
+//! per step through sixteen table lookups instead of one lookup per byte.
 
-const fn make_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k][b]` is the
+/// CRC contribution of byte `b` followed by `k` zero bytes, so sixteen
+/// lookups, one per byte of a block, XOR into the block's whole effect.
+const fn make_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -14,13 +18,23 @@ const fn make_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = make_table();
+static TABLES: [[u32; 256]; 16] = make_tables();
 
 /// Incremental CRC-32 over multiple slices (a frame checksums the sequence
 /// number and the payload without concatenating them first).
@@ -32,10 +46,20 @@ impl Crc32 {
         Crc32(0xFFFF_FFFF)
     }
 
+    /// Folds 16 bytes per step: the state is XORed into the block's first
+    /// four bytes, then byte `k` looks up row `15 - k`. The tail of fewer
+    /// than 16 bytes goes through row 0 one byte at a time.
     pub fn update(&mut self, data: &[u8]) {
         let mut c = self.0;
-        for &b in data {
-            c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let (blocks, rest) = data.as_chunks::<16>();
+        for mut block in blocks.iter().copied() {
+            for (b, s) in block.iter_mut().zip(c.to_le_bytes()) {
+                *b ^= s;
+            }
+            c = block.iter().zip(TABLES.iter().rev()).fold(0, |acc, (&b, row)| acc ^ row[b as usize]);
+        }
+        for &b in rest {
+            c = TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         self.0 = c;
     }
@@ -90,6 +114,78 @@ mod tests {
                 assert_ne!(crc32(&data), base, "flip at {byte}.{bit} undetected");
                 data[byte] ^= 1 << bit;
             }
+        }
+    }
+
+    /// Table-free CRC-32: one shift and conditional XOR per bit.
+    fn bitwise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// Deterministic pseudo-random bytes (xorshift64).
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// Every remainder 0..16 after 0–5 whole 16-byte blocks.
+    #[test]
+    fn matches_the_bitwise_reference_at_every_short_length() {
+        let data = noise(80);
+        for len in 0..=data.len() {
+            assert_eq!(crc32(&data[..len]), bitwise(&data[..len]), "length {len}");
+        }
+    }
+
+    #[test]
+    fn matches_the_bitwise_reference_over_a_mebibyte() {
+        let data = noise(1 << 20);
+        let want = bitwise(&data);
+        assert_eq!(crc32(&data), want);
+        let mut inc = Crc32::new();
+        for piece in data.chunks(4099) {
+            inc.update(piece);
+        }
+        assert_eq!(inc.finish(), want);
+    }
+
+    proptest::proptest! {
+        /// Random lengths at random alignments, one-shot and split at 1–4
+        /// points, so block boundaries fall inside the incremental state.
+        #[test]
+        fn matches_the_bitwise_reference_at_any_offset_and_split(
+            buf in proptest::collection::vec(proptest::any::<u8>(), 4096 + 16),
+            start in 0usize..16,
+            len in 0usize..=4096,
+            cuts in proptest::collection::vec(0usize..=4096, 1..=4),
+        ) {
+            let data = &buf[start..start + len];
+            let want = bitwise(data);
+            proptest::prop_assert_eq!(crc32(data), want);
+            let mut at: Vec<usize> = cuts.iter().map(|c| c % (len + 1)).collect();
+            at.sort_unstable();
+            let mut inc = Crc32::new();
+            let mut from = 0;
+            for to in at {
+                inc.update(&data[from..to]);
+                from = to;
+            }
+            inc.update(&data[from..]);
+            proptest::prop_assert_eq!(inc.finish(), want, "cut at {:?}", cuts);
         }
     }
 }

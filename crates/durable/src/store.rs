@@ -28,7 +28,7 @@
 
 use crate::checkpoint::{self, CHECKPOINT_FILE};
 use crate::storage::{FsStorage, Storage};
-use crate::wal::{encode_frame, scan_bytes, ScanOutcome, WalRecord};
+use crate::wal::{encode_frame, scan_bytes, ScanOutcome, WalRecord, MAX_RECORD_LEN};
 use std::fmt::Display;
 use std::io;
 use std::path::Path;
@@ -151,9 +151,15 @@ impl DurableStore {
     }
 
     /// Append one record; call *before* applying its effect. On `Err` the
-    /// log is as it was before the call (see the module docs).
+    /// log is as it was before the call (see the module docs). A payload
+    /// longer than the scan accepts is refused before anything is written:
+    /// acked, it would cut the log at recovery and lose every later record.
     pub fn append(&mut self, seq: u64, payload: &[u8]) -> io::Result<()> {
         let len = self.log_len()?;
+        if payload.len() > MAX_RECORD_LEN as usize {
+            let e = format!("record of {} bytes exceeds the {MAX_RECORD_LEN}-byte limit", payload.len());
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, e));
+        }
         self.buf.clear();
         encode_frame(&mut self.buf, seq, payload);
         let written = self.storage.append(&self.buf).and_then(|()| match self.policy {
@@ -370,6 +376,29 @@ mod tests {
         let (_store, rec) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
         let seqs: Vec<u64> = rec.records.iter().map(|r| r.seq).collect();
         assert_eq!((seqs, rec.next_seq), (vec![3, 4], 5));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The scan stops at a frame longer than `MAX_RECORD_LEN`, so acking
+    /// one would lose it and every record after it at the next open.
+    #[test]
+    fn an_oversize_record_is_refused_not_acked() {
+        let dir = tmp_dir("oversize");
+        {
+            let (mut store, _) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
+            store.append(1, b"one").unwrap();
+            let bytes = store.wal_bytes();
+            let oversize = vec![0u8; MAX_RECORD_LEN as usize + 1];
+            let err = store.append(2, &oversize).expect_err("an oversize record must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert_eq!((store.wal_bytes(), store.wal_records_written()), (bytes, 1), "nothing written");
+            store.append(2, b"two").unwrap();
+        }
+        let (_store, rec) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
+        let payloads: Vec<&[u8]> = rec.records.iter().map(|r| r.payload.as_slice()).collect();
+        assert_eq!(payloads, [b"one".as_slice(), b"two"]);
+        assert!(!rec.torn_tail);
+        assert_eq!(rec.next_seq, 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
