@@ -58,40 +58,71 @@ pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// 2⁵³: every integer of smaller magnitude is exact in an `f64`.
+const EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+/// `|v|` as an integer when `v` is integral and below 2⁵³ in magnitude:
+/// then its digits are exactly what `f64`'s `Display` prints. The `as`
+/// casts saturate and send NaN to 0, so the round trip compares equal only
+/// for such a value.
+#[inline]
+fn exact_int(v: f64) -> Option<u64> {
+    let a = v.abs();
+    let n = a as u64;
+    (a < EXACT_INT && n as f64 == a).then_some(n)
+}
+
 /// Appends `v` as a JSON number — the one JSON number rule, shared by the
 /// service's wire JSON and the campaign exports. NaN and the infinities are
-/// not JSON and print `null`; a finite integral value below 1e15 in
-/// magnitude prints as integer digits (`-0.0` as `0`); any other value
-/// prints by `f64`'s shortest-roundtrip `Display`, so parsing the text gives
-/// `v` back bit for bit.
+/// not JSON and print `null`; any other value prints by `f64`'s
+/// shortest-roundtrip `Display`, so parsing the text gives `v` back bit for
+/// bit — except `-0.0`, which prints `0`. An integral value below 2⁵³ in
+/// magnitude takes the digit loop, which prints the same digits.
 #[inline]
 pub fn push_json_num(out: &mut String, v: f64) {
-    if !v.is_finite() {
-        out.push_str("null");
-    } else if v == v.trunc() && v.abs() < 1e15 {
+    if let Some(n) = exact_int(v) {
         if v < 0.0 {
             out.push('-');
         }
-        push_u64(out, v.abs() as u64);
+        push_u64(out, n);
+    } else if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Appends `v` exactly as `f64`'s `Display` prints it — the Prometheus
+/// exposition's number rule (`-0.0` keeps its sign, `-0`; NaN is `NaN`).
+/// An integral value below 2⁵³ in magnitude takes the digit loop.
+#[inline]
+pub fn push_f64(out: &mut String, v: f64) {
+    if let Some(n) = exact_int(v) {
+        if v.is_sign_negative() {
+            out.push('-');
+        }
+        push_u64(out, n);
     } else {
         let _ = write!(out, "{v}");
     }
 }
 
-/// Appends the decimal digits of `n`.
-#[inline]
-pub fn push_u64(out: &mut String, mut n: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
+/// Appends the decimal digits of `n`, two at a time: each pair is a
+/// two-byte slice of one static table, copied with one `push_str`.
+pub fn push_u64(out: &mut String, n: u64) {
+    const PAIRS: &str = "00010203040506070809101112131415161718192021222324\
+                         25262728293031323334353637383940414243444546474849\
+                         50515253545556575859606162636465666768697071727374\
+                         75767778798081828384858687888990919293949596979899";
+    if n < 10 {
+        out.push(char::from(b'0' + n as u8));
+        return;
     }
-    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+    if n >= 100 {
+        push_u64(out, n / 100);
+    }
+    let at = (n % 100) as usize * 2;
+    out.push_str(&PAIRS[at..at + 2]);
 }
 
 #[cfg(test)]
@@ -124,5 +155,22 @@ mod tests {
         assert_eq!(num(-0.0), "0");
         assert_eq!(num(f64::NAN), "null", "NaN is not valid JSON");
         assert_eq!(num(f64::INFINITY), "null");
+        // Either side of 2⁵³, where the digit loop hands over to `Display`.
+        assert_eq!(num(9_007_199_254_740_991.0), "9007199254740991");
+        assert_eq!(num(-9_007_199_254_740_992.0), "-9007199254740992");
+        assert_eq!(num(1e21), "1000000000000000000000");
+        let exposition = |v: f64| {
+            let mut out = String::new();
+            push_f64(&mut out, v);
+            out
+        };
+        for v in [-0.0, 0.0, 7.0, 1e15, 1.5, f64::NAN, f64::NEG_INFINITY, 5e-324] {
+            assert_eq!(exposition(v), format!("{v}"));
+        }
+        for n in [0, 7, 10, 99, 100, 101, 1_000, 65_536, u64::MAX] {
+            let mut out = String::new();
+            push_u64(&mut out, n);
+            assert_eq!(out, n.to_string());
+        }
     }
 }

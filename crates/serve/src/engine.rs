@@ -358,9 +358,10 @@ impl Durability {
 /// so a read folds only the outcomes completed since the previous read.
 /// Folding is the same additions in the same order as one pass over the
 /// whole list, so every sum — and every mean derived from it — is
-/// bit-identical to a from-scratch recompute. Derived state: starts empty
-/// on every boot (the first read after a recovery folds everything once)
-/// and is never serialised.
+/// bit-identical to a from-scratch recompute. The same cursor indexes each
+/// folded outcome by its job, so a finished job's status is one lookup.
+/// Derived state: starts empty on every boot (the first read after a
+/// recovery folds everything once) and is never serialised.
 struct OutcomeFold {
     /// Outcomes already folded: `outcomes()[..seen]`.
     seen: usize,
@@ -368,6 +369,9 @@ struct OutcomeFold {
     response: Mean,
     wait: Mean,
     wait_hist: sched_metrics::Histogram,
+    /// `by_job[id]`: where job `id`'s outcome sits in `outcomes()`, once
+    /// folded.
+    by_job: Vec<Option<usize>>,
 }
 
 impl OutcomeFold {
@@ -378,17 +382,30 @@ impl OutcomeFold {
             response: Mean::default(),
             wait: Mean::default(),
             wait_hist: sched_metrics::Histogram::wait_seconds(),
+            by_job: Vec::new(),
         }
     }
 
     fn catch_up(&mut self, outcomes: &[slurm_sim::JobOutcome]) {
-        for o in &outcomes[self.seen..] {
+        for (i, o) in outcomes.iter().enumerate().skip(self.seen) {
             self.slowdown.add(o.slowdown());
             self.response.add(o.response() as f64);
             self.wait.add(o.wait() as f64);
             self.wait_hist.observe(o.wait() as f64);
+            let id = o.id.0 as usize;
+            if self.by_job.len() <= id {
+                self.by_job.resize(id + 1, None);
+            }
+            self.by_job[id] = Some(i);
         }
         self.seen = outcomes.len();
+    }
+
+    /// Job `id`'s outcome, after folding any new ones.
+    fn outcome<'o>(&mut self, outcomes: &'o [slurm_sim::JobOutcome], id: u64) -> Option<&'o slurm_sim::JobOutcome> {
+        self.catch_up(outcomes);
+        let at = (*self.by_job.get(id as usize)?)?;
+        outcomes.get(at)
     }
 }
 
@@ -706,10 +723,12 @@ impl Engine {
     /// The pending-queue length and its first `limit` entries.
     pub fn queue(&self, limit: usize) -> (usize, Vec<QueueView>) {
         let queue = &self.ctl.state.queue;
-        let head = queue
-            .prefix(limit)
-            .map(|e| QueueView { id: e.job.0, req_nodes: e.req_nodes, req_time: e.req_time })
-            .collect();
+        let mut head = Vec::with_capacity(limit.min(queue.len()));
+        head.extend(
+            queue
+                .prefix(limit)
+                .map(|e| QueueView { id: e.job.0, req_nodes: e.req_nodes, req_time: e.req_time }),
+        );
         (queue.len(), head)
     }
 
@@ -788,17 +807,17 @@ impl Engine {
         }
     }
 
-    /// One job's status.
-    pub fn job_view(&self, id: u64) -> Result<JobView, EngineError> {
+    /// One job's status; a finished job's outcome is found through the
+    /// fold's index, which this advances.
+    pub fn job_view(&mut self, id: u64) -> Result<JobView, EngineError> {
         if id == 0 || id as usize > self.ctl.state.job_count() {
             return Err(EngineError::NoSuchJob(id));
         }
         let job = self.ctl.state.job(cluster::JobId(id));
         let run = job.running();
-        // Only a finished job has an outcome; for any other state the scan
-        // over every outcome would come back empty.
+        // Only a finished job has an outcome.
         let done = match job.state {
-            JobState::Done => self.ctl.state.outcomes().iter().find(|o| o.id.0 == id),
+            JobState::Done => self.fold.outcome(self.ctl.state.outcomes(), id),
             _ => None,
         };
         Ok(JobView {
@@ -818,7 +837,7 @@ impl Engine {
     }
 
     /// The job's status plus every decision about it still in the ring.
-    pub fn explain(&self, id: u64) -> Result<ExplainView, EngineError> {
+    pub fn explain(&mut self, id: u64) -> Result<ExplainView, EngineError> {
         let job = self.job_view(id)?;
         let (tracing, events, overwritten) = match &self.trace {
             None => (false, Vec::new(), 0),
@@ -1265,7 +1284,7 @@ mod tests {
         }
         e.advance(150).unwrap();
         e.cancel(4).unwrap();
-        let view = |id: u64| {
+        let mut view = |id: u64| {
             let v = e.job_view(id).unwrap();
             (v.state, v.start, v.end)
         };
@@ -1273,6 +1292,48 @@ mod tests {
         assert_eq!(view(2), ("running", Some(100), None));
         assert_eq!(view(3), ("pending", None, None));
         assert_eq!(view(4), ("cancelled", None, None));
+    }
+
+    /// Every id's status, each finished job's start and end read by a scan
+    /// over every outcome: the reference the fold's index must equal.
+    fn assert_job_views_match_the_scan(e: &mut Engine, step: &str) {
+        for id in 1..=e.ctl.state.job_count() as u64 {
+            let done = e.ctl.state.outcomes().iter().find(|o| o.id.0 == id).cloned();
+            let mut want = e.job_view(id).unwrap();
+            if want.state == "done" {
+                let o = done.unwrap_or_else(|| panic!("{step}: job {id} is done without an outcome"));
+                (want.start, want.end) = (Some(o.start.secs()), Some(o.end.secs()));
+            } else {
+                assert!(done.is_none() && want.end.is_none(), "{step}: job {id}");
+            }
+            assert_eq!(e.job_view(id).unwrap(), want, "{step}: job {id}");
+        }
+    }
+
+    #[test]
+    fn a_finished_jobs_outcome_is_found_by_index_across_recovery() {
+        let dir = tmp_dir("by-job");
+        let (mut e, _) = recover_engine(&dir);
+        for i in 0..12u64 {
+            e.submit(request(16 + 8 * (i % 4), 70 + 37 * i, i * 5)).unwrap();
+        }
+        for to in [60, 200, 450] {
+            e.advance(to).unwrap();
+            assert_job_views_match_the_scan(&mut e, "live");
+        }
+        e.cancel(12).unwrap();
+        assert_job_views_match_the_scan(&mut e, "after a cancel");
+        let before: Vec<JobView> = (1..=12).map(|id| e.job_view(id).unwrap()).collect();
+        drop(e); // crash: no shutdown checkpoint
+
+        let (mut e, _) = recover_engine(&dir);
+        assert_eq!(e.fold.by_job.len(), 0, "the index is derived state: it restarts empty");
+        let after: Vec<JobView> = (1..=12).map(|id| e.job_view(id).unwrap()).collect();
+        assert_eq!(after, before, "a recovered engine answers as before the crash");
+        assert_job_views_match_the_scan(&mut e, "after recovery");
+        e.drain().unwrap();
+        assert_job_views_match_the_scan(&mut e, "drained");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! reader's buffer, so a steady-state exchange allocates only the bodies it
 //! hands over (DESIGN.md §10).
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Upper bound on the request line + headers (bytes).
 pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -363,7 +363,10 @@ impl Response {
 }
 
 /// Client side: reads one response (status + headers + sized body). The
-/// head is parsed in place, so the body is the one allocation.
+/// head is parsed in place, so the body is the one allocation. The body
+/// buffer starts at the announced length up to [`MAX_BODY_BYTES`] and
+/// grows only with bytes that arrive, so a forged `content-length` cannot
+/// make it allocate more; no byte is zero-filled before it is read into.
 pub fn read_response(r: &mut impl BufRead) -> Result<(u16, Vec<u8>), HttpError> {
     const HEAD: &str = "response head";
     let mut budget = MAX_HEAD_BYTES;
@@ -392,8 +395,13 @@ pub fn read_response(r: &mut impl BufRead) -> Result<(u16, Vec<u8>), HttpError> 
     if content_length > MAX_RESPONSE_BYTES {
         return Err(HttpError::TooLarge("response body"));
     }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body).map_err(|_| HttpError::Disconnected)?;
+    let mut body = Vec::with_capacity(content_length.min(MAX_BODY_BYTES));
+    r.take(content_length as u64)
+        .read_to_end(&mut body)
+        .map_err(|_| HttpError::Disconnected)?;
+    if body.len() < content_length {
+        return Err(HttpError::Disconnected);
+    }
     Ok((status, body))
 }
 
@@ -597,6 +605,29 @@ mod tests {
             read_response(&mut Cursor::new(head.into_bytes())).unwrap_err(),
             HttpError::TooLarge("response body")
         );
+    }
+
+    #[test]
+    fn a_response_body_grows_only_with_the_bytes_that_arrive() {
+        // Announced, then cut short: a disconnect, however much was announced.
+        for len in [10, MAX_RESPONSE_BYTES] {
+            let wire = format!("HTTP/1.1 200 OK\r\ncontent-length: {len}\r\n\r\nabc");
+            let err = read_response(&mut Cursor::new(wire.into_bytes())).unwrap_err();
+            assert_eq!(err, HttpError::Disconnected, "{len}");
+        }
+        // Seven bytes per read: each body arrives whole, in a buffer of its
+        // size, and the reader stops at its end, where the next reply starts.
+        let bodies = ["b".repeat(10_000), "{}".to_string(), String::new()];
+        let wire: String = bodies
+            .iter()
+            .map(|b| format!("HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n{b}", b.len()))
+            .collect();
+        let mut r = std::io::BufReader::with_capacity(7, Cursor::new(wire.into_bytes()));
+        for body in &bodies {
+            let (status, got) = read_response(&mut r).unwrap();
+            assert_eq!((status, got.len(), got.capacity()), (200, body.len(), body.len()));
+            assert!(got == body.as_bytes());
+        }
     }
 
     #[test]

@@ -10,19 +10,23 @@
 //!   [`crate::proto::encode_result`], and [`Json::render`] walks the tree
 //!   through the same writer. Numbers and strings go through
 //!   [`sd_obs::push_json_num`] and [`sd_obs::push_json_str`], the rules the
-//!   campaign exports and the log sink share.
+//!   campaign exports and the log sink share; an integer below 2⁵³ goes
+//!   straight to its digits, and a static key is written as it stands,
+//!   never scanned for escapes.
 //! * **Objects preserve insertion order** (a `Vec` of pairs, not a map), so
 //!   every encoder in [`crate::proto`] renders byte-identically run to run.
-//! * **Numbers are `f64` parsed with `str::parse`** and rendered as integer
-//!   digits when integral (below 1e15) or with Rust's shortest-roundtrip
-//!   `Display`, so `parse(render(x)) == x` bit-for-bit — the virtual-clock
-//!   equivalence test moves `energy_joules` through the wire and still
-//!   compares with `==`.
+//! * **Numbers are `f64`**, rendered as integer digits when integral (below
+//!   2⁵³) or with Rust's shortest-roundtrip `Display`, so
+//!   `parse(render(x)) == x` bit-for-bit — the virtual-clock equivalence
+//!   test moves `energy_joules` through the wire and still compares with
+//!   `==`. The parser reads an integer token of at most 15 digits with a
+//!   digit loop (exact: every such integer is below 2⁵³) and hands any
+//!   other number to `str::parse`; both give the same bits. As RFC 8259
+//!   §6 demands, a leading zero (`01`, `-01`, `00`) is an error.
 //! * **The parser never panics** on arbitrary bytes (fuzz corpus test); it
 //!   reports a byte offset instead, and recursion is depth-limited.
 
 use sd_obs::{push_json_num, push_json_str, push_u64};
-use std::fmt::Write as _;
 
 /// Maximum nesting depth accepted by [`Json::parse`].
 pub(crate) const MAX_DEPTH: usize = 64;
@@ -123,7 +127,7 @@ impl Json {
     /// Deterministic text form (insertion order, shortest-roundtrip floats,
     /// non-finite numbers as `null`).
     pub fn render(&self) -> String {
-        let mut w = JsonWriter::new();
+        let mut w = JsonWriter::new(SMALL_BODY);
         self.write(&mut w);
         w.out
     }
@@ -137,7 +141,7 @@ impl Json {
             Json::Arr(items) => w.array(|w| items.iter().for_each(|v| v.write(w))),
             Json::Obj(fields) => w.object(|w| {
                 for (k, v) in fields {
-                    w.key(k);
+                    w.key_escaped(k);
                     v.write(w);
                 }
             }),
@@ -149,6 +153,7 @@ impl Json {
     /// Parses one JSON document; trailing non-whitespace is an error.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -224,12 +229,14 @@ pub(crate) struct JsonWriter {
     comma: bool,
 }
 
+/// What a job status, a submit body, an ack or an error needs, so those
+/// never grow their buffer.
+const SMALL_BODY: usize = 256;
+
 impl JsonWriter {
-    /// A writer whose buffer starts at the size a job status, a submit body,
-    /// an ack or an error needs, so those never grow it.
-    fn new() -> JsonWriter {
+    fn new(capacity: usize) -> JsonWriter {
         JsonWriter {
-            out: String::with_capacity(256),
+            out: String::with_capacity(capacity),
             comma: false,
         }
     }
@@ -265,8 +272,28 @@ impl JsonWriter {
         self.nest("[", ']', body)
     }
 
-    /// A member's key; its value is the next thing written.
-    pub(crate) fn key(&mut self, k: &str) -> &mut Self {
+    /// A member's key, a static name with nothing to escape, written as it
+    /// stands; its value is the next thing written.
+    pub(crate) fn key(&mut self, k: &'static str) -> &mut Self {
+        debug_assert!(needs_no_escape(k), "{k:?}");
+        self.out.push_str(if self.comma { ",\"" } else { "\"" });
+        self.out.push_str(k);
+        self.out.push_str("\":");
+        self.comma = false;
+        self
+    }
+
+    /// A member's key written from `quoted`, the key's JSON text and its
+    /// colon (`"now":`), with one copy.
+    pub(crate) fn quoted_key(&mut self, quoted: &'static str) -> &mut Self {
+        self.sep();
+        self.out.push_str(quoted);
+        self.comma = false;
+        self
+    }
+
+    /// A member's key that may need escapes.
+    pub(crate) fn key_escaped(&mut self, k: &str) -> &mut Self {
         self.sep();
         push_json_str(&mut self.out, k);
         self.out.push(':');
@@ -278,6 +305,19 @@ impl JsonWriter {
         self.sep();
         push_json_num(&mut self.out, v);
         self
+    }
+
+    /// An integer, through the digit loop when `n` is exact as an `f64`
+    /// (below 2⁵³, the same digits) and as [`num`](Self::num) of `n as f64`
+    /// otherwise, so the text is always that of the `f64` a [`Json`] holds.
+    pub(crate) fn int(&mut self, n: u64) -> &mut Self {
+        if n < MAX_U64 {
+            self.sep();
+            push_u64(&mut self.out, n);
+            self
+        } else {
+            self.num(n as f64)
+        }
     }
 
     pub(crate) fn str(&mut self, s: &str) -> &mut Self {
@@ -294,37 +334,56 @@ impl JsonWriter {
         self.raw("null")
     }
 
-    /// One member: `k` and the scalar `v`.
-    pub(crate) fn field(&mut self, k: &str, v: impl Scalar) -> &mut Self {
+    /// One member: the static key `k` and the scalar `v`.
+    pub(crate) fn field(&mut self, k: &'static str, v: impl Scalar) -> &mut Self {
         self.key(k);
         v.write(self);
         self
     }
 }
 
+/// Whether `s` is its own JSON string text: no quote, backslash or control
+/// character, so writing it between quotes needs no escape.
+pub fn needs_no_escape(s: &str) -> bool {
+    s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\')
+}
+
 /// The text of the object whose members `body` writes.
 pub(crate) fn write_object(body: impl FnOnce(&mut JsonWriter)) -> String {
-    let mut w = JsonWriter::new();
+    write_object_sized(SMALL_BODY, body)
+}
+
+/// [`write_object`] into a buffer that starts at `capacity` bytes: a big
+/// reply passes its size, so it is written without growing.
+pub(crate) fn write_object_sized(capacity: usize, body: impl FnOnce(&mut JsonWriter)) -> String {
+    let mut w = JsonWriter::new(capacity);
     w.object(body);
     w.out
 }
 
-/// A value [`JsonWriter::field`] writes: a number (through `f64`, as
-/// [`Json::from`] stores it), a string, a bool, or `None` as `null`.
+/// A value [`JsonWriter::field`] writes: a number (an integer through
+/// [`JsonWriter::int`], the text of the `f64` [`Json::from`] stores), a
+/// string, a bool, or `None` as `null`.
 pub(crate) trait Scalar {
     fn write(self, w: &mut JsonWriter);
 }
 
-macro_rules! scalar_as_f64 {
+impl Scalar for f64 {
+    fn write(self, w: &mut JsonWriter) {
+        w.num(self);
+    }
+}
+
+macro_rules! scalar_as_int {
     ($($t:ty),*) => {$(
         impl Scalar for $t {
             fn write(self, w: &mut JsonWriter) {
-                w.num(self as f64);
+                w.int(self as u64);
             }
         }
     )*};
 }
-scalar_as_f64!(f64, u64, u32, usize);
+scalar_as_int!(u64, u32, usize);
 
 impl Scalar for bool {
     fn write(self, w: &mut JsonWriter) {
@@ -349,21 +408,10 @@ impl<T: Scalar> Scalar for Option<T> {
     }
 }
 
-/// `/metrics`' number rule: exactly the bytes of `f64`'s `Display`. An
-/// integral value below 2⁵³ in magnitude takes the digit loop, which
-/// prints the same (`-0.0` keeps its sign, `-0`, as `Display` does).
-pub(crate) fn push_f64(out: &mut String, v: f64) {
-    if v == v.trunc() && v.abs() < 9_007_199_254_740_992.0 {
-        if v.is_sign_negative() {
-            out.push('-');
-        }
-        push_u64(out, v.abs() as u64);
-    } else {
-        let _ = write!(out, "{v}");
-    }
-}
-
 struct Parser<'a> {
+    /// The document; a cut at an ASCII delimiter is a character boundary,
+    /// so a token's text is sliced from it with no UTF-8 check.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -446,7 +494,10 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
+        // Eight members before the first regrowth: the wire's objects have
+        // up to seven (a `/v1/stats` tenant row), and starting at four
+        // (what `Vec::new` does) cost a `/v1/stats` parse ≈ 10 %.
+        let mut fields = Vec::with_capacity(8);
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -474,6 +525,16 @@ impl<'a> Parser<'a> {
 
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
+        // Fast path: no escape before the closing quote — one exact copy.
+        let from = self.pos;
+        let plain = self.bytes[from..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+            .map(|n| from + n);
+        if let Some(end) = plain.filter(|&end| self.bytes[end] == b'"') {
+            self.pos = end + 1;
+            return Ok(self.text[from..end].to_owned());
+        }
         let mut out = String::new();
         loop {
             let start = self.pos;
@@ -560,15 +621,33 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
         let digits_from = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        // Wrapping: the value is used only when there are at most 15 digits.
+        let mut int = 0u64;
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            int = int.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
             self.pos += 1;
         }
-        if self.pos == digits_from {
+        let digits = self.pos - digits_from;
+        if digits == 0 {
             return Err(self.err("number has no digits"));
+        }
+        if digits > 1 && self.bytes[digits_from] == b'0' {
+            return Err(JsonError {
+                pos: digits_from,
+                msg: "leading zero in a number".into(),
+            });
+        }
+        let integer = !matches!(self.peek(), Some(b'.' | b'e' | b'E'));
+        if integer && digits <= 15 {
+            // Below 10¹⁵ < 2⁵³, so `int` is exact as an `f64`: these are the
+            // bits `str::parse` gives, `-0` included.
+            let v = int as f64;
+            return Ok(Json::Num(if negative { -v } else { v }));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -593,8 +672,7 @@ impl<'a> Parser<'a> {
                 return Err(self.err("exponent with no digits"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("number is not ASCII"))?;
+        let text = &self.text[start..self.pos];
         let v: f64 = text
             .parse()
             .map_err(|_| self.err(format!("unparsable number `{text}`")))?;
@@ -650,9 +728,21 @@ mod tests {
     fn rejects_malformed_without_panicking() {
         for bad in [
             "", "{", "[1,", "{\"a\"}", "tru", "1.", "-", "\"\\x\"", "\"\u{1}\"",
-            "01a", "{\"a\":1,}", "[]]", "nullx", "\"\\ud800\"", "1e", "--1",
+            "01a", "{\"a\":1,}", "[]]", "nullx", "\"\\ud800\"", "1e", "--1", "01", "-01", "00",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn a_leading_zero_is_refused_at_its_offset() {
+        for (text, pos) in [("01", 0), ("-01", 1), ("00", 0), ("[1, 007]", 4), ("-00.5", 1), ("01e2", 0)] {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!((err.pos, err.msg.as_str()), (pos, "leading zero in a number"), "{text}");
+        }
+        for (text, v) in [("0", 0.0), ("-0", -0.0), ("0.5", 0.5), ("0e1", 0.0), ("-0.0", -0.0), ("10", 10.0)] {
+            let got = Json::parse(text).unwrap().as_f64().unwrap();
+            assert_eq!(got.to_bits(), f64::to_bits(v), "{text}");
         }
     }
 
@@ -704,7 +794,7 @@ mod tests {
     fn assert_number_rules(v: f64) {
         assert_eq!(Json::Num(v).render(), old_render_num(v), "JSON {v:?}");
         let mut metrics = String::new();
-        push_f64(&mut metrics, v);
+        sd_obs::push_f64(&mut metrics, v);
         assert_eq!(metrics, format!("{v}"), "/metrics {v:?}");
     }
 
@@ -745,6 +835,13 @@ mod tests {
             let mut s = String::new();
             push_u64(&mut s, bits);
             proptest::prop_assert_eq!(s, bits.to_string());
+            // An integer field prints the text of the `f64` it would be.
+            for n in [bits, bits >> 11, small.unsigned_abs(), MAX_U64 - 1, MAX_U64, MAX_U64 + 1] {
+                let (mut int, mut num) = (JsonWriter::new(0), JsonWriter::new(0));
+                int.int(n);
+                num.num(n as f64);
+                proptest::prop_assert_eq!(int.out, num.out, "{}", n);
+            }
         }
     }
 

@@ -18,9 +18,8 @@
 //! result stays wall-clock-free).
 
 use crate::engine::{ClockMode, Snapshot, TenantSnap};
-use crate::json::{self, push_f64, JsonWriter};
-use sd_obs::push_u64;
-use std::fmt::Write as _;
+use crate::json::{self, JsonWriter};
+use sd_obs::{push_f64, push_u64};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One reported number of a `T` (the [`Snapshot`] or one [`TenantSnap`]).
@@ -35,52 +34,63 @@ pub struct Row<T> {
     /// `None` leaves the number out of both views (the WAL rows without
     /// `--wal`).
     pub read: fn(&T) -> Option<f64>,
+    /// `key` as JSON member text, quotes and colon included (`"now":`).
+    json_key: &'static str,
+    /// The `# HELP` and `# TYPE` lines.
+    head: &'static str,
 }
 
-impl<T> Row<T> {
-    const fn counter(key: &'static str, series: &'static str, help: &'static str, read: fn(&T) -> Option<f64>) -> Row<T> {
-        Row { key, series, kind: "counter", help, read }
-    }
-
-    const fn gauge(key: &'static str, series: &'static str, help: &'static str, read: fn(&T) -> Option<f64>) -> Row<T> {
-        Row { key, series, kind: "gauge", help, read }
-    }
+/// `row!(counter|gauge, key, series, help, read)`: a [`Row`] whose JSON key
+/// and exposition head are joined at compile time, so a view writes each
+/// with one copy. Keys need no JSON escape (`tests/prop_wire.rs` checks).
+macro_rules! row {
+    ($kind:ident, $key:literal, $series:literal, $help:literal, $read:expr) => {
+        Row {
+            key: $key,
+            series: $series,
+            kind: stringify!($kind),
+            help: $help,
+            read: $read,
+            json_key: concat!("\"", $key, "\":"),
+            head: concat!("# HELP ", $series, " ", $help, "\n# TYPE ", $series, " ", stringify!($kind), "\n"),
+        }
+    };
 }
 
-pub const NOW: Row<Snapshot> = Row::gauge("now", "sd_serve_sim_now_seconds", "Virtual clock position.", |s| Some(s.now as f64));
-pub const SUBMITTED: Row<Snapshot> = Row::counter("submitted", "sd_serve_jobs_submitted_total", "Jobs accepted over the API.", |s| Some(s.submitted as f64));
-pub(crate) const JOBS_TOTAL: Row<Snapshot> = Row::gauge("jobs_total", "sd_serve_jobs_total", "Jobs known to the simulator.", |s| Some(s.jobs_total as f64));
-pub const PENDING: Row<Snapshot> = Row::gauge("pending", "sd_serve_jobs_pending", "Jobs waiting in the queue.", |s| Some(s.pending as f64));
-pub const RUNNING: Row<Snapshot> = Row::gauge("running", "sd_serve_jobs_running", "Jobs currently executing.", |s| Some(s.running as f64));
-pub const COMPLETED: Row<Snapshot> = Row::counter("completed", "sd_serve_jobs_completed_total", "Jobs that finished.", |s| Some(s.completed as f64));
-const CANCELLED: Row<Snapshot> = Row::counter("cancelled", "sd_serve_jobs_cancelled_total", "Jobs withdrawn.", |s| Some(s.stats.cancelled as f64));
-const QUOTA_SKIPPED: Row<Snapshot> = Row::counter("quota_skipped", "sd_serve_quota_skipped_total", "Backfill trials skipped by tenant quotas.", |s| Some(s.stats.quota_skipped as f64));
-const STARTED_STATIC: Row<Snapshot> = Row::counter("started_static", "sd_serve_started_static_total", "Exclusive whole-node starts.", |s| Some(s.stats.started_static as f64));
-pub(crate) const STARTED_MALLEABLE: Row<Snapshot> = Row::counter("started_malleable", "sd_serve_started_malleable_total", "Malleable co-scheduled starts.", |s| Some(s.stats.started_malleable as f64));
-const UNIQUE_MATES: Row<Snapshot> = Row::counter("unique_mates", "sd_serve_unique_mates_total", "Distinct jobs shrunk as mates.", |s| Some(s.stats.unique_mates as f64));
-const SHRINK_EVENTS: Row<Snapshot> = Row::counter("shrink_events", "sd_serve_shrink_events_total", "Mate shrink operations.", |s| Some(s.stats.shrink_events as f64));
-const EXPAND_EVENTS: Row<Snapshot> = Row::counter("expand_events", "sd_serve_expand_events_total", "Expand-back operations.", |s| Some(s.stats.expand_events as f64));
-const RELOCATIONS: Row<Snapshot> = Row::counter("relocations", "sd_serve_relocations_total", "Shrunk borrowers moved to idle nodes.", |s| Some(s.stats.relocations as f64));
-pub const SCHED_PASSES: Row<Snapshot> = Row::counter("sched_passes", "sd_serve_sched_passes_total", "Scheduling passes executed.", |s| Some(s.stats.sched_passes as f64));
-pub const PASSES_SKIPPED: Row<Snapshot> = Row::counter("passes_skipped", "sd_serve_sched_passes_skipped_total", "Passes skipped by no-op gating.", |s| Some(s.stats.passes_skipped as f64));
-const EVENTS_DISPATCHED: Row<Snapshot> = Row::counter("events_dispatched", "sd_serve_events_dispatched_total", "Simulation events dispatched.", |s| Some(s.stats.events_dispatched as f64));
-const EVENTS_OUTSTANDING: Row<Snapshot> = Row::gauge("events_outstanding", "sd_serve_events_outstanding", "Events still scheduled.", |s| Some(s.events_outstanding as f64));
-const PEAK_PROFILE_LEN: Row<Snapshot> = Row::gauge("peak_profile_len", "sd_serve_peak_profile_len", "Largest availability-profile length seen.", |s| Some(s.stats.peak_profile_len as f64));
-pub const BUSY_CORES: Row<Snapshot> = Row::gauge("busy_cores", "sd_serve_busy_cores", "Cores currently allocated.", |s| Some(s.busy_cores as f64));
-pub const EMPTY_NODES: Row<Snapshot> = Row::gauge("empty_nodes", "sd_serve_empty_nodes", "Completely idle nodes.", |s| Some(f64::from(s.empty_nodes)));
-pub const NODES: Row<Snapshot> = Row::gauge("nodes", "sd_serve_cluster_nodes", "Machine size in nodes.", |s| Some(f64::from(s.nodes)));
-pub const CORES_PER_NODE: Row<Snapshot> = Row::gauge("cores_per_node", "sd_serve_cores_per_node", "Cores per node.", |s| Some(f64::from(s.cores_per_node)));
-pub(crate) const ENERGY_JOULES: Row<Snapshot> = Row::counter("energy_joules", "sd_serve_energy_joules_total", "Energy integral over the makespan window.", |s| Some(s.energy_joules));
-const MEAN_SLOWDOWN: Row<Snapshot> = Row::gauge("mean_slowdown", "sd_serve_mean_slowdown", "Mean slowdown of completed jobs.", |s| Some(s.mean_slowdown));
-const MEAN_RESPONSE: Row<Snapshot> = Row::gauge("mean_response", "sd_serve_mean_response_seconds", "Mean response time of completed jobs.", |s| Some(s.mean_response));
-const MEAN_WAIT: Row<Snapshot> = Row::gauge("mean_wait", "sd_serve_mean_wait_seconds", "Mean submit-to-start wait of completed jobs.", |s| Some(s.mean_wait));
-const MAKESPAN: Row<Snapshot> = Row::gauge("makespan", "sd_serve_makespan_seconds", "First submit to last end, so far.", |s| Some(s.makespan as f64));
-const WAL_RECORDS_WRITTEN: Row<Snapshot> = Row::counter("wal_records_written", "sd_serve_wal_records_written_total", "Commands appended to the write-ahead log since boot.", |s| s.wal.as_ref().map(|w| w.records_written as f64));
-const WAL_RECORDS_REPLAYED: Row<Snapshot> = Row::counter("wal_records_replayed", "sd_serve_wal_records_replayed_total", "WAL records replayed during boot recovery.", |s| s.wal.as_ref().map(|w| w.records_replayed as f64));
-pub const CHECKPOINTS_WRITTEN: Row<Snapshot> = Row::counter("checkpoints_written", "sd_serve_checkpoints_written_total", "Checkpoints installed since boot.", |s| s.wal.as_ref().map(|w| w.checkpoints_written as f64));
-const RECOVERY_SECONDS: Row<Snapshot> = Row::gauge("recovery_seconds", "sd_serve_recovery_duration_seconds", "Wall time of boot recovery (restore + replay).", |s| s.wal.as_ref().map(|w| w.recovery_seconds));
-pub const WAL_BYTES: Row<Snapshot> = Row::gauge("wal_bytes", "sd_serve_wal_bytes", "Current on-disk size of the write-ahead log.", |s| s.wal.as_ref().map(|w| w.wal_bytes as f64));
-pub const WAL_SEGMENT_AGE: Row<Snapshot> = Row::gauge("wal_segment_age_seconds", "sd_serve_wal_segment_age_seconds", "Age of the oldest un-checkpointed WAL record.", |s| s.wal.as_ref().map(|w| w.wal_segment_age_seconds));
+pub const NOW: Row<Snapshot> = row!(gauge, "now", "sd_serve_sim_now_seconds", "Virtual clock position.", |s| Some(s.now as f64));
+pub const SUBMITTED: Row<Snapshot> = row!(counter, "submitted", "sd_serve_jobs_submitted_total", "Jobs accepted over the API.", |s| Some(s.submitted as f64));
+pub(crate) const JOBS_TOTAL: Row<Snapshot> = row!(gauge, "jobs_total", "sd_serve_jobs_total", "Jobs known to the simulator.", |s| Some(s.jobs_total as f64));
+pub const PENDING: Row<Snapshot> = row!(gauge, "pending", "sd_serve_jobs_pending", "Jobs waiting in the queue.", |s| Some(s.pending as f64));
+pub const RUNNING: Row<Snapshot> = row!(gauge, "running", "sd_serve_jobs_running", "Jobs currently executing.", |s| Some(s.running as f64));
+pub const COMPLETED: Row<Snapshot> = row!(counter, "completed", "sd_serve_jobs_completed_total", "Jobs that finished.", |s| Some(s.completed as f64));
+const CANCELLED: Row<Snapshot> = row!(counter, "cancelled", "sd_serve_jobs_cancelled_total", "Jobs withdrawn.", |s| Some(s.stats.cancelled as f64));
+const QUOTA_SKIPPED: Row<Snapshot> = row!(counter, "quota_skipped", "sd_serve_quota_skipped_total", "Backfill trials skipped by tenant quotas.", |s| Some(s.stats.quota_skipped as f64));
+const STARTED_STATIC: Row<Snapshot> = row!(counter, "started_static", "sd_serve_started_static_total", "Exclusive whole-node starts.", |s| Some(s.stats.started_static as f64));
+pub(crate) const STARTED_MALLEABLE: Row<Snapshot> = row!(counter, "started_malleable", "sd_serve_started_malleable_total", "Malleable co-scheduled starts.", |s| Some(s.stats.started_malleable as f64));
+const UNIQUE_MATES: Row<Snapshot> = row!(counter, "unique_mates", "sd_serve_unique_mates_total", "Distinct jobs shrunk as mates.", |s| Some(s.stats.unique_mates as f64));
+const SHRINK_EVENTS: Row<Snapshot> = row!(counter, "shrink_events", "sd_serve_shrink_events_total", "Mate shrink operations.", |s| Some(s.stats.shrink_events as f64));
+const EXPAND_EVENTS: Row<Snapshot> = row!(counter, "expand_events", "sd_serve_expand_events_total", "Expand-back operations.", |s| Some(s.stats.expand_events as f64));
+const RELOCATIONS: Row<Snapshot> = row!(counter, "relocations", "sd_serve_relocations_total", "Shrunk borrowers moved to idle nodes.", |s| Some(s.stats.relocations as f64));
+pub const SCHED_PASSES: Row<Snapshot> = row!(counter, "sched_passes", "sd_serve_sched_passes_total", "Scheduling passes executed.", |s| Some(s.stats.sched_passes as f64));
+pub const PASSES_SKIPPED: Row<Snapshot> = row!(counter, "passes_skipped", "sd_serve_sched_passes_skipped_total", "Passes skipped by no-op gating.", |s| Some(s.stats.passes_skipped as f64));
+const EVENTS_DISPATCHED: Row<Snapshot> = row!(counter, "events_dispatched", "sd_serve_events_dispatched_total", "Simulation events dispatched.", |s| Some(s.stats.events_dispatched as f64));
+const EVENTS_OUTSTANDING: Row<Snapshot> = row!(gauge, "events_outstanding", "sd_serve_events_outstanding", "Events still scheduled.", |s| Some(s.events_outstanding as f64));
+const PEAK_PROFILE_LEN: Row<Snapshot> = row!(gauge, "peak_profile_len", "sd_serve_peak_profile_len", "Largest availability-profile length seen.", |s| Some(s.stats.peak_profile_len as f64));
+pub const BUSY_CORES: Row<Snapshot> = row!(gauge, "busy_cores", "sd_serve_busy_cores", "Cores currently allocated.", |s| Some(s.busy_cores as f64));
+pub const EMPTY_NODES: Row<Snapshot> = row!(gauge, "empty_nodes", "sd_serve_empty_nodes", "Completely idle nodes.", |s| Some(f64::from(s.empty_nodes)));
+pub const NODES: Row<Snapshot> = row!(gauge, "nodes", "sd_serve_cluster_nodes", "Machine size in nodes.", |s| Some(f64::from(s.nodes)));
+pub const CORES_PER_NODE: Row<Snapshot> = row!(gauge, "cores_per_node", "sd_serve_cores_per_node", "Cores per node.", |s| Some(f64::from(s.cores_per_node)));
+pub(crate) const ENERGY_JOULES: Row<Snapshot> = row!(counter, "energy_joules", "sd_serve_energy_joules_total", "Energy integral over the makespan window.", |s| Some(s.energy_joules));
+const MEAN_SLOWDOWN: Row<Snapshot> = row!(gauge, "mean_slowdown", "sd_serve_mean_slowdown", "Mean slowdown of completed jobs.", |s| Some(s.mean_slowdown));
+const MEAN_RESPONSE: Row<Snapshot> = row!(gauge, "mean_response", "sd_serve_mean_response_seconds", "Mean response time of completed jobs.", |s| Some(s.mean_response));
+const MEAN_WAIT: Row<Snapshot> = row!(gauge, "mean_wait", "sd_serve_mean_wait_seconds", "Mean submit-to-start wait of completed jobs.", |s| Some(s.mean_wait));
+const MAKESPAN: Row<Snapshot> = row!(gauge, "makespan", "sd_serve_makespan_seconds", "First submit to last end, so far.", |s| Some(s.makespan as f64));
+const WAL_RECORDS_WRITTEN: Row<Snapshot> = row!(counter, "wal_records_written", "sd_serve_wal_records_written_total", "Commands appended to the write-ahead log since boot.", |s| s.wal.as_ref().map(|w| w.records_written as f64));
+const WAL_RECORDS_REPLAYED: Row<Snapshot> = row!(counter, "wal_records_replayed", "sd_serve_wal_records_replayed_total", "WAL records replayed during boot recovery.", |s| s.wal.as_ref().map(|w| w.records_replayed as f64));
+pub const CHECKPOINTS_WRITTEN: Row<Snapshot> = row!(counter, "checkpoints_written", "sd_serve_checkpoints_written_total", "Checkpoints installed since boot.", |s| s.wal.as_ref().map(|w| w.checkpoints_written as f64));
+const RECOVERY_SECONDS: Row<Snapshot> = row!(gauge, "recovery_seconds", "sd_serve_recovery_duration_seconds", "Wall time of boot recovery (restore + replay).", |s| s.wal.as_ref().map(|w| w.recovery_seconds));
+pub const WAL_BYTES: Row<Snapshot> = row!(gauge, "wal_bytes", "sd_serve_wal_bytes", "Current on-disk size of the write-ahead log.", |s| s.wal.as_ref().map(|w| w.wal_bytes as f64));
+pub const WAL_SEGMENT_AGE: Row<Snapshot> = row!(gauge, "wal_segment_age_seconds", "sd_serve_wal_segment_age_seconds", "Age of the oldest un-checkpointed WAL record.", |s| s.wal.as_ref().map(|w| w.wal_segment_age_seconds));
 
 /// Every snapshot number, in `/v1/stats` and `/metrics` order.
 pub static ROWS: [Row<Snapshot>; 34] = [
@@ -95,12 +105,12 @@ pub static ROWS: [Row<Snapshot>; 34] = [
 /// The `GET /v1/cluster` body.
 pub(crate) static CLUSTER: [Row<Snapshot>; 5] = [NODES, CORES_PER_NODE, BUSY_CORES, EMPTY_NODES, RUNNING];
 
-pub const TENANT_SUBMITTED: Row<TenantSnap> = Row::counter("submitted", "sd_serve_tenant_submitted_total", "Jobs accepted per tenant.", |t| Some(t.submitted as f64));
-pub const TENANT_RATE_LIMITED: Row<TenantSnap> = Row::counter("rate_limited", "sd_serve_tenant_rate_limited_total", "Submissions refused by the per-tenant rate limit.", |t| Some(t.rate_limited as f64));
-const TENANT_STARTED: Row<TenantSnap> = Row::counter("started", "sd_serve_tenant_started_total", "Jobs started per tenant.", |t| Some(t.started as f64));
-pub const TENANT_COMPLETED: Row<TenantSnap> = Row::counter("completed", "sd_serve_tenant_completed_total", "Jobs completed per tenant.", |t| Some(t.completed as f64));
-const TENANT_QUOTA_SKIPPED: Row<TenantSnap> = Row::counter("quota_skipped", "sd_serve_tenant_quota_skipped_total", "Backfill trials skipped by this tenant's quota.", |t| Some(t.quota_skipped as f64));
-pub const TENANT_RUNNING_WIDTH: Row<TenantSnap> = Row::gauge("running_width", "sd_serve_tenant_running_width", "Requested nodes currently running per tenant.", |t| Some(t.running_width as f64));
+pub const TENANT_SUBMITTED: Row<TenantSnap> = row!(counter, "submitted", "sd_serve_tenant_submitted_total", "Jobs accepted per tenant.", |t| Some(t.submitted as f64));
+pub const TENANT_RATE_LIMITED: Row<TenantSnap> = row!(counter, "rate_limited", "sd_serve_tenant_rate_limited_total", "Submissions refused by the per-tenant rate limit.", |t| Some(t.rate_limited as f64));
+const TENANT_STARTED: Row<TenantSnap> = row!(counter, "started", "sd_serve_tenant_started_total", "Jobs started per tenant.", |t| Some(t.started as f64));
+pub const TENANT_COMPLETED: Row<TenantSnap> = row!(counter, "completed", "sd_serve_tenant_completed_total", "Jobs completed per tenant.", |t| Some(t.completed as f64));
+const TENANT_QUOTA_SKIPPED: Row<TenantSnap> = row!(counter, "quota_skipped", "sd_serve_tenant_quota_skipped_total", "Backfill trials skipped by this tenant's quota.", |t| Some(t.quota_skipped as f64));
+pub const TENANT_RUNNING_WIDTH: Row<TenantSnap> = row!(gauge, "running_width", "sd_serve_tenant_running_width", "Requested nodes currently running per tenant.", |t| Some(t.running_width as f64));
 
 /// Every per-tenant number, in `/v1/stats` and `/metrics` order; `/metrics`
 /// labels each sample `{tenant="…"}`.
@@ -113,15 +123,31 @@ pub static TENANT_ROWS: [Row<TenantSnap>; 6] = [
 pub(crate) fn fields<T>(w: &mut JsonWriter, rows: &[Row<T>], v: &T) {
     for r in rows {
         if let Some(x) = (r.read)(v) {
-            w.field(r.key, x);
+            w.quoted_key(r.json_key).num(x);
         }
     }
 }
 
+/// Room for one number's text when sizing a body: the digits of the
+/// service's counts and instants (a fractional mean takes more, and there
+/// are three), so a body's estimate is a little above its size.
+const NUM_BYTES: usize = 8;
+
+/// Room for `rows`' members in a JSON object.
+fn json_bytes<T>(rows: &[Row<T>]) -> usize {
+    rows.iter().map(|r| r.json_key.len() + 1 + NUM_BYTES).sum()
+}
+
+/// Room for the `GET /v1/stats` body of `snap`.
+fn stats_bytes(snap: &Snapshot) -> usize {
+    let tenant = r#"{"tenant":},"#.len() + NUM_BYTES + json_bytes(&TENANT_ROWS);
+    128 + json_bytes(&ROWS) + snap.tenants.len() * tenant
+}
+
 /// The `GET /v1/stats` body: scheduler and clock, every row, then one
-/// object per tenant.
+/// object per tenant. Its buffer starts at the body's size.
 pub(crate) fn stats_json(snap: &Snapshot) -> String {
-    json::write_object(|w| {
+    json::write_object_sized(stats_bytes(snap), |w| {
         w.field("scheduler", snap.scheduler).key("clock");
         match snap.clock {
             ClockMode::Virtual => w.str("virtual"),
@@ -183,6 +209,13 @@ pub(crate) const DURATION_BOUNDS_S: [f64; 14] = [
     0.025, 0.05, 0.1, 1.0,
 ];
 
+/// [`DURATION_BOUNDS_S`] as `f64`'s `Display` prints them, for the `le`
+/// labels: written out once instead of formatted on every render.
+const DURATION_LE: [&str; 14] = [
+    "0.00001", "0.000025", "0.00005", "0.0001", "0.00025", "0.0005", "0.001", "0.0025", "0.005",
+    "0.01", "0.025", "0.05", "0.1", "1",
+];
+
 /// A fixed-bucket histogram writable from any thread (relaxed atomics):
 /// `sched_metrics::Histogram`'s bucket rule over lock-free storage, which
 /// `&mut self` counters cannot give the HTTP workers and the engine.
@@ -234,19 +267,33 @@ pub struct ServeHistograms {
     pub(crate) pass_seconds: AtomicHistogram,
 }
 
-/// Escapes a label value per the exposition format: backslash, double
-/// quote and newline must be backslash-escaped inside `label="..."`.
-pub(crate) fn escape_label(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
+/// Appends a label value escaped per the exposition format: backslash,
+/// double quote and newline must be backslash-escaped inside `label="..."`.
+/// Runs that need no escape are copied with one `push_str`.
+fn push_label(out: &mut String, v: &str) {
+    let mut plain = 0;
+    for (i, b) in v.bytes().enumerate() {
+        let escaped = match b {
+            b'\\' => "\\\\",
+            b'"' => "\\\"",
+            b'\n' => "\\n",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so each cut falls on a character
+        // boundary.
+        out.push_str(&v[plain..i]);
+        out.push_str(escaped);
+        plain = i + 1;
     }
-    out
+    out.push_str(&v[plain..]);
+}
+
+/// One labelled sample: `prefix`, the label `value` escaped, `suffix`
+/// (which closes the label set), a space and `v`.
+fn labelled(out: &mut String, prefix: &str, value: &str, suffix: &str, v: f64) {
+    out.push_str(prefix);
+    push_label(out, value);
+    line(out, &[suffix], v);
 }
 
 fn header(out: &mut String, name: &str, help: &str, kind: &str) {
@@ -274,19 +321,27 @@ fn sample(out: &mut String, name: &str, help: &str, kind: &str, v: f64) {
 
 /// One histogram exposition block: cumulative `_bucket{le=...}` samples,
 /// `_sum`, `_count`. `counts` holds per-bucket counts with the `+Inf`
-/// overflow bucket appended after `bounds`.
-fn histogram(out: &mut String, name: &str, help: &str, bounds: &[f64], counts: &[u64], sum: f64) {
-    debug_assert_eq!(counts.len(), bounds.len() + 1);
+/// overflow bucket last; `le(out, i)` writes bucket `i`'s bound.
+fn histogram(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    counts: impl ExactSizeIterator<Item = u64>,
+    sum: f64,
+    le: impl Fn(&mut String, usize),
+) {
     header(out, name, help, "histogram");
+    let buckets = counts.len();
     let mut cum = 0u64;
-    for (i, &c) in counts.iter().enumerate() {
+    for (i, c) in counts.enumerate() {
         cum += c;
         out.push_str(name);
-        match bounds.get(i) {
-            Some(b) => {
-                let _ = write!(out, "_bucket{{le=\"{b}\"}}");
-            }
-            None => out.push_str("_bucket{le=\"+Inf\"}"),
+        if i + 1 < buckets {
+            out.push_str("_bucket{le=\"");
+            le(out, i);
+            out.push_str("\"}");
+        } else {
+            out.push_str("_bucket{le=\"+Inf\"}");
         }
         line(out, &[], cum as f64);
     }
@@ -295,23 +350,42 @@ fn histogram(out: &mut String, name: &str, help: &str, bounds: &[f64], counts: &
 }
 
 fn atomic_histogram(out: &mut String, name: &str, help: &str, h: &AtomicHistogram) {
-    histogram(out, name, help, &DURATION_BOUNDS_S, &h.counts(), h.sum_secs());
+    let counts = h.buckets.iter().map(|b| b.load(Ordering::Relaxed));
+    histogram(out, name, help, counts, h.sum_secs(), |out, i| out.push_str(DURATION_LE[i]));
+}
+
+/// Room for one labelled sample of a hand-written block, label value
+/// aside: series, label name, quotes, the number and the newline.
+const LINE_BYTES: usize = 64;
+
+/// Room for the exposition of `snap` with `slos`: every row's head and
+/// samples, two lines per probe, four per SLO, and 5 KiB for the fixed
+/// blocks (HTTP counters and the three histograms).
+fn exposition_bytes(snap: &Snapshot, slos: &[sd_obs::SloStatus]) -> usize {
+    let sample = |series: &str| series.len() + 2 + NUM_BYTES;
+    let rows: usize = ROWS.iter().map(|r| r.head.len() + sample(r.series)).sum();
+    let tenant_heads: usize = TENANT_ROWS.iter().map(|r| r.head.len()).sum();
+    let tenant: usize = TENANT_ROWS.iter().map(|r| sample(r.series) + r#"{tenant=""}"#.len() + NUM_BYTES).sum();
+    let probes: usize = snap.timing.iter().map(|f| 2 * (LINE_BYTES + f.name.len())).sum();
+    let slo_lines: usize = slos.iter().map(|s| 4 * (LINE_BYTES + s.name.len())).sum();
+    5 * 1024 + rows + tenant_heads + snap.tenants.len() * tenant + probes + slo_lines
 }
 
 /// Renders the full exposition. Deterministic order (the wall-clock
 /// histogram and timing values are the only non-deterministic numbers).
 /// `slos` carries the burn-rate engine's current view (empty without
-/// `--slo`).
+/// `--slo`). The buffer starts at the text's size.
 pub fn render(
     snap: &Snapshot,
     http: &HttpCounters,
     hists: &ServeHistograms,
     slos: &[sd_obs::SloStatus],
 ) -> String {
-    let mut out = String::with_capacity(4096 + 1024 * snap.tenants.len());
+    let mut out = String::with_capacity(exposition_bytes(snap, slos));
     for r in &ROWS {
         if let Some(v) = (r.read)(snap) {
-            sample(&mut out, r.series, r.help, r.kind, v);
+            out.push_str(r.head);
+            line(&mut out, &[r.series], v);
         }
     }
 
@@ -342,40 +416,41 @@ pub fn render(
         "Wall time of one scheduler pass.",
         &hists.pass_seconds,
     );
+    let wait = &snap.wait_hist;
+    debug_assert_eq!(wait.counts().len(), wait.bounds().len() + 1);
     histogram(
         &mut out,
         "sd_serve_job_wait_seconds",
         "Virtual submit-to-start wait of started jobs.",
-        snap.wait_hist.bounds(),
-        snap.wait_hist.counts(),
-        snap.wait_hist.sum(),
+        wait.counts().iter().copied(),
+        wait.sum(),
+        |out, i| push_f64(out, wait.bounds()[i]),
     );
 
     // The engine's per-function timing probes, folded from every worker that
     // called it (armed by `sd_serve` for its whole life), as labelled counters.
     header(&mut out, "sd_serve_timing_seconds_total", "Wall seconds attributed to instrumented hot functions.", "counter");
     for f in &snap.timing {
-        line(&mut out, &["sd_serve_timing_seconds_total{function=\"", &escape_label(f.name), "\"}"], f.total_secs);
+        labelled(&mut out, "sd_serve_timing_seconds_total{function=\"", f.name, "\"}", f.total_secs);
     }
     header(&mut out, "sd_serve_timing_calls_total", "Invocations of instrumented hot functions.", "counter");
     for f in &snap.timing {
-        line(&mut out, &["sd_serve_timing_calls_total{function=\"", &escape_label(f.name), "\"}"], f.count as f64);
+        labelled(&mut out, "sd_serve_timing_calls_total{function=\"", f.name, "\"}", f.count as f64);
     }
 
     if !slos.is_empty() {
         header(&mut out, "sd_serve_slo_error_budget_remaining", "Fraction of the SLO error budget left (1 = untouched, <= 0 = exhausted).", "gauge");
         for s in slos {
-            line(&mut out, &["sd_serve_slo_error_budget_remaining{slo=\"", &escape_label(&s.name), "\"}"], s.budget_remaining);
+            labelled(&mut out, "sd_serve_slo_error_budget_remaining{slo=\"", &s.name, "\"}", s.budget_remaining);
         }
         header(&mut out, "sd_serve_slo_burn_rate", "Error-budget burn rate by evaluation window (1 = exactly on budget).", "gauge");
         for s in slos {
-            let slo = escape_label(&s.name);
-            line(&mut out, &["sd_serve_slo_burn_rate{slo=\"", &slo, "\",window=\"fast\"}"], s.burn_fast);
-            line(&mut out, &["sd_serve_slo_burn_rate{slo=\"", &slo, "\",window=\"slow\"}"], s.burn_slow);
+            labelled(&mut out, "sd_serve_slo_burn_rate{slo=\"", &s.name, "\",window=\"fast\"}", s.burn_fast);
+            labelled(&mut out, "sd_serve_slo_burn_rate{slo=\"", &s.name, "\",window=\"slow\"}", s.burn_slow);
         }
         header(&mut out, "sd_serve_slo_breached", "Whether the SLO is currently breached (budget exhausted or both windows page-level burning).", "gauge");
         for s in slos {
-            line(&mut out, &["sd_serve_slo_breached{slo=\"", &escape_label(&s.name), "\"}"], f64::from(u8::from(s.breached)));
+            labelled(&mut out, "sd_serve_slo_breached{slo=\"", &s.name, "\"}", f64::from(u8::from(s.breached)));
         }
     }
 
@@ -388,7 +463,7 @@ pub fn render(
 
     if !snap.tenants.is_empty() {
         for r in &TENANT_ROWS {
-            header(&mut out, r.series, r.help, r.kind);
+            out.push_str(r.head);
             for t in &snap.tenants {
                 if let Some(v) = (r.read)(t) {
                     out.push_str(r.series);
@@ -493,6 +568,9 @@ mod tests {
         }
         assert_eq!(atomic.counts(), plain.counts());
         assert_eq!(atomic.counts()[0], 2, "a value equal to a bound is in that bound's bucket");
+        for (b, le) in DURATION_BOUNDS_S.iter().zip(DURATION_LE) {
+            assert_eq!(format!("{b}"), le, "the label is the bound's `Display`");
+        }
         // Buckets are cumulative: every later bucket ≥ the first one.
         let counts: Vec<u64> = text
             .lines()
@@ -586,10 +664,51 @@ mod tests {
         assert!(text.contains("sd_serve_slo_breached{slo=\"submit_availability\"} 1"), "{text}");
     }
 
+    /// Both big bodies are written into the buffer they start with: it
+    /// never regrows, and it is less than twice the text.
+    #[test]
+    fn big_bodies_start_at_their_size() {
+        let mut s = snap();
+        s.tenants = (0..97)
+            .map(|t| crate::engine::TenantSnap { tenant: t, submitted: 40 + t, completed: 3 * t, ..Default::default() })
+            .collect();
+        s.timing = (0..12)
+            .map(|i| slurm_sim::timing::FnTiming { name: ["sched_pass", "backfill_trial", "job_start"][i % 3], count: 1_000_000 + i as u64, total_secs: 1.0 / (i + 3) as f64 })
+            .collect();
+        let slos = [sd_obs::SloStatus {
+            name: "submit_latency".into(),
+            kind: sd_obs::SloKind::Availability,
+            objective: 0.999,
+            threshold: 0.0,
+            good: 0,
+            total: 0,
+            bad_fraction: 0.0,
+            budget_remaining: 0.123_456_789,
+            burn_fast: 12.345_678_9,
+            burn_slow: 0.000_123_456,
+            fast_window: 300,
+            slow_window: 3600,
+            breached: false,
+        }];
+        let text = render(&s, &HttpCounters::default(), &ServeHistograms::default(), &slos);
+        assert_eq!(text.capacity(), exposition_bytes(&s, &slos));
+        let body = stats_json(&s);
+        assert_eq!(body.capacity(), stats_bytes(&s));
+        for (what, len, capacity) in [("/metrics", text.len(), text.capacity()), ("/v1/stats", body.len(), body.capacity())] {
+            assert!(len <= capacity && capacity < 2 * len, "{what}: {len} bytes in {capacity}");
+        }
+    }
+
     #[test]
     fn label_values_are_escaped() {
-        assert_eq!(escape_label("plain"), "plain");
-        assert_eq!(escape_label("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let label = |v: &str| {
+            let mut out = String::from("x");
+            push_label(&mut out, v);
+            out
+        };
+        assert_eq!(label("plain"), "xplain");
+        assert_eq!(label("a\"b\\c\nd"), "xa\\\"b\\\\c\\nd");
+        assert_eq!(label("é\n\"ü"), "xé\\n\\\"ü");
     }
 
     #[test]

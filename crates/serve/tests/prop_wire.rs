@@ -6,10 +6,14 @@
 //!   numbers), and `render` is injective enough to be stable.
 //! * Protocol: `SubmitRequest` and `SimResult` survive the full
 //!   encode → render → parse → decode pipeline unchanged.
+//! * Exactness of the fast paths: an integer token parses to the bits
+//!   `str::parse::<f64>` gives; the JSON and `/metrics` number rules print
+//!   the bytes of their references; every row key is its own JSON text.
 
 use proptest::prelude::*;
 use sd_serve::http::{read_request, Request};
-use sd_serve::json::Json;
+use sd_serve::json::{needs_no_escape, Json};
+use sd_serve::metrics::{ROWS, TENANT_ROWS};
 use sd_serve::proto::{decode_result, encode_result, SubmitRequest};
 use std::io::Cursor;
 
@@ -190,5 +194,83 @@ proptest! {
         let text = encode_result(&r).render();
         let back = decode_result(&Json::parse(&text).unwrap()).unwrap();
         prop_assert_eq!(back, r);
+    }
+}
+
+// ----- exactness of the fast paths -----
+
+/// The JSON number rule as written before the digit loop (the reference
+/// `json.rs`'s unit tests keep too).
+fn old_render_num(v: f64) -> String {
+    if !v.is_finite() {
+        "null".into()
+    } else if v == v.trunc() && v.abs() < 1e15 {
+        format!("{}", v as i64)
+    } else {
+        format!("{v}")
+    }
+}
+
+/// An integer token of 1–20 digits with no leading zero, signed or not;
+/// `-0` among them.
+fn integer_token(rng: &mut proptest::TestRng) -> String {
+    let sign = if rng.below(2) == 0 { "-" } else { "" };
+    let len = 1 + rng.below(20);
+    let first = if len == 1 { rng.below(10) } else { 1 + rng.below(9) };
+    let rest = token(rng, b"0123456789", len - 1);
+    format!("{sign}{first}{rest}")
+}
+
+/// An `f64` drawn where the number rules switch paths: around 10¹⁵ and
+/// 2⁵³ (a few ulps either side, integral or not), ±0, subnormals, and
+/// plain fractions.
+fn edge_f64(rng: &mut proptest::TestRng) -> f64 {
+    let near = |rng: &mut proptest::TestRng, at: f64| {
+        let ulps = rng.below(64) as i64 - 32;
+        f64::from_bits((at.to_bits() as i64 + ulps) as u64)
+    };
+    let v = match rng.below(6) {
+        0 => near(rng, 1e15),
+        1 => near(rng, 9_007_199_254_740_992.0),
+        2 => [0.0, -0.0][rng.below(2)],
+        3 => f64::from_bits(1 + rng.below(1 << 40) as u64),
+        4 => rng.below(1 << 30) as f64 + rng.below(1000) as f64 / 1000.0,
+        _ => (rng.below(1 << 53) as u64) as f64 * [1.0, 0.5, 2.0, 1024.0][rng.below(4)],
+    };
+    if rng.below(2) == 0 { -v } else { v }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn integer_tokens_parse_to_the_bits_str_parse_gives(seed in any::<u64>()) {
+        let mut rng = proptest::TestRng::new(seed);
+        let text = integer_token(&mut rng);
+        let want: f64 = text.parse().unwrap();
+        let got = Json::parse(&text).unwrap().as_f64().unwrap();
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "{}", text);
+    }
+
+    #[test]
+    fn numbers_print_the_bytes_of_their_references(seed in any::<u64>()) {
+        let mut rng = proptest::TestRng::new(seed);
+        let v = edge_f64(&mut rng);
+        let mut json = String::new();
+        sd_obs::push_json_num(&mut json, v);
+        prop_assert_eq!(&json, &old_render_num(v), "JSON {:?}", v);
+        prop_assert_eq!(&Json::Num(v).render(), &json, "JSON {:?}", v);
+        let mut metrics = String::new();
+        sd_obs::push_f64(&mut metrics, v);
+        prop_assert_eq!(metrics, format!("{v}"), "/metrics {:?}", v);
+    }
+}
+
+#[test]
+fn every_row_key_is_its_own_json_text() {
+    let keys = ROWS.iter().map(|r| r.key).chain(TENANT_ROWS.iter().map(|r| r.key));
+    for key in keys {
+        assert!(needs_no_escape(key), "{key:?} needs an escape");
+        assert_eq!(Json::Str(key.into()).render(), format!("\"{key}\""));
     }
 }

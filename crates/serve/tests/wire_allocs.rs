@@ -4,8 +4,11 @@
 //! A connection keeps its `Request` and output buffer, heads are parsed in
 //! place, and `Client` renders into a kept buffer, so a read allocates only
 //! its reply body: once on the worker (the body it renders) and once inside
-//! `Client::request` (the body it returns). A submit's worker-side count is
-//! pinned exactly, so a new allocation on that path shows up here.
+//! `Client::request` (the body it returns). A submit's and each big read's
+//! worker-side counts are pinned exactly, so a new allocation on those
+//! paths shows up here — a body that outgrows its first buffer among them.
+//! The tally also keeps each thread's largest request, which shows that a
+//! forged `content-length` buys no allocation of its size.
 //!
 //! One test function on purpose: the worker's tally is found as the one
 //! thread other than the client's that allocated during a request, which
@@ -15,6 +18,7 @@
 use drom::SharingFactor;
 use sd_serve::client::Client;
 use sd_serve::engine::{ClockMode, Engine};
+use sd_serve::http::{self, HttpError};
 use sd_serve::proto::SubmitRequest;
 use sd_serve::server::{self, ServerConfig};
 use slurm_sim::{IdealModel, SimState, SlurmConfig, StaticBackfill};
@@ -25,6 +29,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// Threads past this many share the last tally.
 const SLOTS: usize = 64;
 static TALLIES: [AtomicU64; SLOTS] = [const { AtomicU64::new(0) }; SLOTS];
+/// Per thread, the largest size an allocation asked for.
+static LARGEST: [AtomicUsize; SLOTS] = [const { AtomicUsize::new(0) }; SLOTS];
 static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
@@ -46,23 +52,25 @@ fn slot() -> usize {
     .unwrap_or(SLOTS - 1)
 }
 
-fn tally() {
-    TALLIES[slot()].fetch_add(1, Ordering::Relaxed);
+fn tally(size: usize) {
+    let slot = slot();
+    TALLIES[slot].fetch_add(1, Ordering::Relaxed);
+    LARGEST[slot].fetch_max(size, Ordering::Relaxed);
 }
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tally();
+        tally(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        tally();
+        tally(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        tally();
+        tally(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -103,7 +111,7 @@ fn submit(at: u64) -> sd_serve::Json {
         submit: Some(at),
         malleable: None,
         trace_id: None,
-        tenant: None,
+        tenant: Some(at % TENANTS),
         project: None,
     }
     .encode()
@@ -129,6 +137,15 @@ fn steady(client: &mut Client, method: &str, path: &str, body: impl Fn(u64) -> O
 
 #[test]
 fn a_steady_state_read_allocates_only_its_reply_body() {
+    // A reply that announces 256 MiB and then ends: a disconnect, and the
+    // body buffer never asked for more than a request body's cap.
+    let forged = format!("HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n{{\"a\":", 256 << 20);
+    let mut reader = std::io::Cursor::new(forged.into_bytes());
+    LARGEST[slot()].store(0, Ordering::Relaxed);
+    assert_eq!(http::read_response(&mut reader), Err(HttpError::Disconnected));
+    let largest = LARGEST[slot()].load(Ordering::Relaxed);
+    assert!(largest <= http::MAX_BODY_BYTES, "a forged length allocated {largest} bytes");
+
     let mut spec = cluster::ClusterSpec::ricc();
     spec.nodes = 8;
     let state = SimState::new_online(spec, SlurmConfig::default(), Box::new(IdealModel), SharingFactor::HALF);
@@ -146,11 +163,21 @@ fn a_steady_state_read_allocates_only_its_reply_body() {
     let submits = steady(&mut client, "POST", "/v1/jobs", |i| Some(submit(i)), 33);
     let (_, median) = submits[submits.len() / 2];
     assert_eq!(median, SUBMIT_ALLOCS, "POST /v1/jobs worker-side allocations: {submits:?}");
+    // Four jobs done (job 3 among them), four running, the rest queued.
+    client.advance(150).unwrap();
 
     for path in ["/healthz", "/v1/jobs/3"] {
         for (in_client, on_worker) in steady(&mut client, "GET", path, |_| None, 32) {
             assert!(in_client <= 1, "GET {path}: {in_client} allocations in Client::request");
             assert!(on_worker <= 1, "GET {path}: {on_worker} allocations on the worker");
+        }
+    }
+
+    // The big replies: each body starts at its size, so neither end grows it.
+    for (path, pinned) in [("/v1/stats", STATS_ALLOCS), ("/metrics", METRICS_ALLOCS), ("/v1/queue", QUEUE_ALLOCS)] {
+        for (in_client, on_worker) in steady(&mut client, "GET", path, |_| None, 16) {
+            assert_eq!(in_client, 1, "GET {path}: allocations in Client::request");
+            assert_eq!(on_worker, pinned, "GET {path}: allocations on the worker");
         }
     }
 
@@ -161,4 +188,18 @@ fn a_steady_state_read_allocates_only_its_reply_body() {
 /// What one steady-state `POST /v1/jobs` allocates on the worker: the
 /// body's JSON tree and the decoded request, the job the engine admits, and
 /// the ack.
-const SUBMIT_ALLOCS: u64 = 11;
+const SUBMIT_ALLOCS: u64 = 10;
+
+/// The tenants the submits cycle through; the warm-up has met them all.
+const TENANTS: u64 = 4;
+
+/// What one steady-state `GET /v1/stats` allocates on the worker: the
+/// snapshot's copies (the tenant rows, built through a `BTreeMap`, the wait
+/// histogram and the probe table) and the body.
+const STATS_ALLOCS: u64 = 7;
+
+/// `GET /metrics`: the snapshot's and the body.
+const METRICS_ALLOCS: u64 = 7;
+
+/// `GET /v1/queue`: the queue head and the body.
+const QUEUE_ALLOCS: u64 = 2;
