@@ -19,7 +19,7 @@ mod slo;
 
 pub use crate::log::{
     attach_json_sink, flush_sink, log_emit, log_enabled, read_since, ring_head, set_ring_level,
-    set_stderr_level, set_virtual_now, Level, LogRecord, LogRing, LogTail,
+    set_stderr_level, Level, LogRecord, LogRing, LogTail,
 };
 pub use crate::slo::{good_within, SloKind, SloSpec, SloStatus, SloTracker, KNOWN_KEYS};
 use std::fmt::Write as _;

@@ -15,7 +15,7 @@
 use crate::push_json_str;
 use sd_trace::ring::SeqRing;
 use std::io::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::SystemTime;
 
@@ -71,7 +71,8 @@ pub struct LogRecord {
     pub seq: u64,
     /// Wall-clock microseconds since the Unix epoch at emit time.
     pub wall_micros: u64,
-    /// Virtual-clock seconds at emit time (0 until [`set_virtual_now`]).
+    /// The emitting engine's virtual clock (seconds) at emit time; 0 on a
+    /// record no engine emitted.
     pub virt_secs: u64,
     pub level: Level,
     pub target: String,
@@ -245,7 +246,6 @@ pub(crate) struct Logger {
     ring: LogRing,
     ring_level: AtomicU8,
     stderr_level: AtomicU8,
-    virt_secs: AtomicU64,
     sink_armed: AtomicBool,
     sink: Mutex<Option<std::io::BufWriter<std::fs::File>>>,
 }
@@ -260,7 +260,6 @@ pub(crate) fn logger() -> &'static Logger {
         ring: LogRing::new(DEFAULT_RING),
         ring_level: AtomicU8::new(Level::Info as u8),
         stderr_level: AtomicU8::new(Level::Info as u8),
-        virt_secs: AtomicU64::new(0),
         sink_armed: AtomicBool::new(false),
         sink: Mutex::new(None),
     })
@@ -275,11 +274,6 @@ pub fn set_ring_level(l: Level) {
 /// matching the chattiness of the `eprintln!` sites this replaced).
 pub fn set_stderr_level(l: Level) {
     logger().stderr_level.store(l as u8, Ordering::Relaxed);
-}
-
-/// Publishes the engine's virtual clock so records carry both timelines.
-pub fn set_virtual_now(secs: u64) {
-    logger().virt_secs.store(secs, Ordering::Relaxed);
 }
 
 /// Is anything listening at this level? One relaxed load per sink — the
@@ -325,12 +319,12 @@ fn write_json_line(w: &mut impl std::io::Write, rec: &LogRecord) -> std::io::Res
     w.write_all(line.as_bytes())
 }
 
-/// Emit one record to every armed sink. Call through [`log_event!`](crate::log_event!), which
-/// performs the level check before paying for formatting.
-pub fn log_emit(level: Level, target: &str, message: &str, fields: &[(&str, String)]) {
+/// Emit one record, stamped with virtual instant `virt`, to every armed sink.
+/// Call through [`log_event!`](crate::log_event!), which performs the level
+/// check before paying for formatting.
+pub fn log_emit(level: Level, virt: u64, target: &str, message: &str, fields: &[(&str, String)]) {
     let lg = logger();
     let wall = wall_micros_now();
-    let virt = lg.virt_secs.load(Ordering::Relaxed);
     let to_ring = level as u8 <= lg.ring_level.load(Ordering::Relaxed);
     if to_ring {
         lg.ring.push(level, wall, virt, target, message, fields);
@@ -375,22 +369,31 @@ pub fn ring_head() -> u64 {
 /// use sd_obs::log_event;
 /// log_event!(Info, "engine", "pass {} done", 7; started = 3, queue = 12);
 /// log_event!(Warn, "wal", "append failed");
+/// let virtual_now = 3600;
+/// log_event!(Debug @ virtual_now, "engine", "clock advanced"; to = 3600);
 /// ```
 ///
-/// The level is an identifier (`Error | Warn | Info | Debug | Trace`);
-/// everything after the target up to `;` is a `format!` argument list; the
+/// The level is an identifier (`Error | Warn | Info | Debug | Trace`),
+/// optionally followed by `@ secs`: the emitting engine's virtual instant,
+/// which the record carries (0 without it). Each engine stamps its own
+/// records, so engines sharing the process never stamp each other's.
+/// Everything after the target up to `;` is a `format!` argument list; the
 /// optional `; key = value, …` tail becomes structured fields (values
-/// through `Display`). Costs one relaxed atomic load when the level is off.
+/// through `Display`). Costs one relaxed atomic load when the level is off;
+/// `secs` is evaluated only when it is on.
 #[macro_export]
 macro_rules! log_event {
-    ($lvl:ident, $target:expr, $($fmt:expr),+ $(,)? $(; $($k:ident = $v:expr),+ $(,)?)?) => {{
+    ($lvl:ident, $target:expr, $($fmt:expr),+ $(,)? $(; $($k:ident = $v:expr),+ $(,)?)?) => {
+        $crate::log_event!($lvl @ 0, $target, $($fmt),+ $(; $($k = $v),+)?)
+    };
+    ($lvl:ident @ $virt:expr, $target:expr, $($fmt:expr),+ $(,)? $(; $($k:ident = $v:expr),+ $(,)?)?) => {{
         let __lvl = $crate::Level::$lvl;
         if $crate::log_enabled(__lvl) {
             let __msg = format!($($fmt),+);
             let __fields: &[(&str, String)] = &[
                 $($( (stringify!($k), format!("{}", $v)) ),+)?
             ];
-            $crate::log_emit(__lvl, $target, &__msg, __fields);
+            $crate::log_emit(__lvl, $virt, $target, &__msg, __fields);
         }
     }};
 }

@@ -321,11 +321,11 @@ impl Durability {
     }
 
     /// Appends one record; on `Err` the log and the seq are as they were, and
-    /// the caller refuses the command.
-    fn append(&mut self, cmd: &WalCmd) -> Result<(), EngineError> {
+    /// the caller refuses the command. `now` stamps the log record of a failure.
+    fn append(&mut self, cmd: &WalCmd, now: u64) -> Result<(), EngineError> {
         let seq = self.next_seq;
         if let Err(e) = self.store.append(seq, &cmd.encode()) {
-            sd_obs::log_event!(Error, "wal", "append failed ({e}); command refused"; seq = seq);
+            sd_obs::log_event!(Error @ now, "wal", "append failed ({e}); command refused"; seq = seq);
             return Err(EngineError::Storage(e.to_string()));
         }
         self.next_seq += 1;
@@ -338,17 +338,20 @@ impl Durability {
     /// loses nothing — the log is truncated only once the image is in, so the
     /// old checkpoint plus the log still recover everything — and the next
     /// budget retries it. A pending tick stays pending then: logged after an
-    /// image that already holds it, it replays as a no-op.
-    fn install(&mut self, payload: &[u8]) {
+    /// image that already holds it, it replays as a no-op. `now` stamps the
+    /// log record.
+    fn install(&mut self, payload: &[u8], now: u64) {
         // Seqs start at 1, so `next_seq - 1` is the last logged (= applied)
         // record; 0 = "nothing beyond the checkpoint".
         let applied = self.next_seq - 1;
         match self.store.install_checkpoint(applied, payload) {
             Ok(()) => {
-                sd_obs::log_event!(Debug, "wal", "checkpoint installed"; applied = applied);
+                sd_obs::log_event!(Debug @ now, "wal", "checkpoint installed"; applied = applied);
                 self.unlogged_floor = None;
             }
-            Err(e) => sd_obs::log_event!(Error, "wal", "checkpoint failed ({e}); will retry"; applied = applied),
+            Err(e) => {
+                sd_obs::log_event!(Error @ now, "wal", "checkpoint failed ({e}); will retry"; applied = applied)
+            }
         }
         self.records_since_checkpoint = 0;
     }
@@ -370,11 +373,14 @@ struct OutcomeFold {
     wait: Mean,
     wait_hist: sched_metrics::Histogram,
     /// `by_job[id]`: where job `id`'s outcome sits in `outcomes()`, once
-    /// folded.
-    by_job: Vec<Option<usize>>,
+    /// folded, else [`OutcomeFold::UNFOLDED`] — 4 bytes per job ever served.
+    by_job: Vec<u32>,
 }
 
 impl OutcomeFold {
+    /// A `by_job` entry whose job has no folded outcome.
+    const UNFOLDED: u32 = u32::MAX;
+
     fn new() -> OutcomeFold {
         OutcomeFold {
             seen: 0,
@@ -394,9 +400,10 @@ impl OutcomeFold {
             self.wait_hist.observe(o.wait() as f64);
             let id = o.id.0 as usize;
             if self.by_job.len() <= id {
-                self.by_job.resize(id + 1, None);
+                self.by_job.resize(id + 1, Self::UNFOLDED);
             }
-            self.by_job[id] = Some(i);
+            let at = u32::try_from(i).ok().filter(|&at| at != Self::UNFOLDED);
+            self.by_job[id] = at.expect("an outcome index fits below the sentinel");
         }
         self.seen = outcomes.len();
     }
@@ -404,8 +411,11 @@ impl OutcomeFold {
     /// Job `id`'s outcome, after folding any new ones.
     fn outcome<'o>(&mut self, outcomes: &'o [slurm_sim::JobOutcome], id: u64) -> Option<&'o slurm_sim::JobOutcome> {
         self.catch_up(outcomes);
-        let at = (*self.by_job.get(id as usize)?)?;
-        outcomes.get(at)
+        let at = *self.by_job.get(usize::try_from(id).ok()?)?;
+        if at == Self::UNFOLDED {
+            return None;
+        }
+        outcomes.get(at as usize)
     }
 }
 
@@ -483,8 +493,8 @@ impl Engine {
     /// returns. A replayed record is therefore neither logged twice nor
     /// throttled (a 429 was never logged), and refusals that were logged
     /// replay to the same refusals. Replayed commands also emit the live
-    /// methods' debug log events; their virtual time is the one published
-    /// before recovery, not the record's.
+    /// methods' debug log events, each stamped with the recovering engine's
+    /// virtual instant as that record replays.
     ///
     /// Replay runs on the virtual clock, since every instant is in the log;
     /// [`Engine::with_clock`] sets the mode the session then serves in.
@@ -539,7 +549,7 @@ impl Engine {
         };
         // Collapse the replayed log so a crash during this session never
         // replays the previous session's records on top of them again.
-        d.install(&engine.checkpoint_payload());
+        d.install(&engine.checkpoint_payload(), engine.virtual_now().secs());
         d.recovery_seconds = t0.elapsed().as_secs_f64();
         let status = d.status();
         engine.dur = Some(d);
@@ -598,10 +608,9 @@ impl Engine {
         self.ctl.into_result()
     }
 
-    /// Ends a call: folds the caller's probe counters in, publishes the virtual instant.
+    /// Ends a call: folds the caller's probe counters in.
     pub(crate) fn settle(&mut self) {
         timing::take_into(&mut self.probes);
-        sd_obs::set_virtual_now(self.virtual_now().secs());
     }
 
     /// Answers one command with the method of the same name.
@@ -654,7 +663,7 @@ impl Engine {
                     Ok(id) => {
                         self.submitted += 1;
                         self.tenant_wire.entry(tenant).or_default().submitted += 1;
-                        sd_obs::log_event!(Debug, "engine", "submit accepted";
+                        sd_obs::log_event!(Debug @ self.virtual_now().secs(), "engine", "submit accepted";
                             id = id.0, tenant = tenant, submit = submit);
                         Ok(SubmitAck { id: id.0, submit })
                     }
@@ -666,7 +675,7 @@ impl Engine {
             }
         };
         if let Err(e) = &ack {
-            sd_obs::log_event!(Debug, "engine", "submit refused: {e}"; tenant = tenant);
+            sd_obs::log_event!(Debug @ self.virtual_now().secs(), "engine", "submit refused: {e}"; tenant = tenant);
         }
         self.maybe_checkpoint();
         ack
@@ -704,7 +713,7 @@ impl Engine {
         self.floor = self.floor.max(SimTime(to));
         let moved = before != (self.floor, self.ctl.state.stats.events_dispatched);
         if !tick {
-            sd_obs::log_event!(Debug, "engine", "clock advanced"; to = to);
+            sd_obs::log_event!(Debug @ self.virtual_now().secs(), "engine", "clock advanced"; to = to);
         } else if let Some(d) = self.dur.as_mut().filter(|_| moved) {
             d.unlogged_floor = Some(self.floor.secs());
         }
@@ -764,12 +773,13 @@ impl Engine {
     /// — the log is a total order of effects — and an `Err` refuses it: the
     /// command is not applied, and a tick whose frame failed stays pending.
     fn log(&mut self, cmd: &WalCmd) -> Result<(), EngineError> {
+        let now = self.virtual_now().secs();
         let Some(d) = self.dur.as_mut() else { return Ok(()) };
         if let Some(floor) = d.unlogged_floor {
-            d.append(&WalCmd::Advance(floor))?;
+            d.append(&WalCmd::Advance(floor), now)?;
             d.unlogged_floor = None;
         }
-        d.append(cmd)
+        d.append(cmd, now)
     }
 
     /// Serialises the full durable image: engine counters + the canonical
@@ -792,7 +802,7 @@ impl Engine {
     /// the record counter. No-op without `--wal`.
     fn checkpoint_now(&mut self) {
         let Some(mut d) = self.dur.take() else { return };
-        d.install(&self.checkpoint_payload());
+        d.install(&self.checkpoint_payload(), self.virtual_now().secs());
         self.dur = Some(d);
     }
 
@@ -1334,6 +1344,40 @@ mod tests {
         e.drain().unwrap();
         assert_job_views_match_the_scan(&mut e, "drained");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_outcome_index_finds_nothing_past_its_end_or_for_an_unfolded_job() {
+        let outcome = |id| slurm_sim::JobOutcome {
+            id: cluster::JobId(id),
+            submit: SimTime(0),
+            start: SimTime(id),
+            end: SimTime(10 * id),
+            nodes: 1,
+            procs: 8,
+            req_time: 100,
+            static_runtime: 50,
+            malleable_backfilled: false,
+            was_mate: false,
+            app: None,
+            tenant: 0,
+        };
+        let mut fold = OutcomeFold::new();
+        let mut outcomes = vec![outcome(3), outcome(1)];
+        let found = |fold: &mut OutcomeFold, outcomes: &[slurm_sim::JobOutcome], id| {
+            fold.outcome(outcomes, id).map(|o| o.id.0)
+        };
+        assert_eq!(found(&mut fold, &outcomes, 3), Some(3));
+        assert_eq!(found(&mut fold, &outcomes, 1), Some(1));
+        assert_eq!(fold.by_job.len(), 4);
+        for past_the_end in [4, 1 << 40, u64::MAX] {
+            assert_eq!(found(&mut fold, &outcomes, past_the_end), None, "id {past_the_end}");
+        }
+        assert_eq!(found(&mut fold, &outcomes, 0), None, "ids start at 1");
+        assert_eq!(found(&mut fold, &outcomes, 2), None, "job 2 has not finished");
+        outcomes.push(outcome(2));
+        assert_eq!(found(&mut fold, &outcomes, 2), Some(2), "a read folds the new outcome first");
+        assert_eq!(fold.by_job, [OutcomeFold::UNFOLDED, 1, 2, 0]);
     }
 
     #[test]

@@ -191,12 +191,16 @@ impl RunningJob {
 }
 
 /// Lifecycle of a job inside the simulator.
+///
+/// The running state is boxed: only the few hundred jobs executing at once
+/// use it, so a pending, done or cancelled job does not pay its 168 bytes
+/// (`tests/memory_budget.rs` pins a [`Job`] at 80).
 #[derive(Debug, Clone)]
 pub enum JobState {
     /// Submitted, waiting in the queue.
     Pending,
     /// Executing.
-    Running(RunningJob),
+    Running(Box<RunningJob>),
     /// Finished; outcome recorded.
     Done,
     /// Withdrawn while pending (online `scancel`); no outcome recorded.

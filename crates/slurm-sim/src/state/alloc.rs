@@ -21,7 +21,7 @@ impl SimState {
             .launch(&nodes, id, full, spec.malleable)
             .expect("empty nodes accept a full-width launch");
         let cores = vec![full; nodes.len()];
-        let mut run = RunningJob::new(self.now, nodes, cores, full, spec.req_time);
+        let mut run = Box::new(RunningJob::new(self.now, nodes, cores, full, spec.req_time));
         run.rate = 1.0;
         self.release_group(&run.nodes, Some(run.req_end));
         self.job_mut(id).state = JobState::Running(run);
@@ -195,7 +195,7 @@ impl SimState {
         let (nodes_sorted, cores_sorted): (Vec<NodeId>, Vec<u32>) = paired.into_iter().unzip();
 
         let mut run =
-            RunningJob::new(self.now, nodes_sorted, cores_sorted, full, new_spec.req_time);
+            Box::new(RunningJob::new(self.now, nodes_sorted, cores_sorted, full, new_spec.req_time));
         run.mates = mates.to_vec();
         run.malleable_backfilled = true;
         run.req_end = new_req_end;
@@ -358,7 +358,7 @@ impl SimState {
         });
         self.tenant_finish(&spec, true);
         self.last_end = self.last_end.max(now);
-        self.release_running(id, &spec, run);
+        self.release_running(id, &spec, &run);
         self.trace
             .emit(self.now.secs(), sd_trace::TraceKind::Completed { job: id.0 });
     }
@@ -368,7 +368,7 @@ impl SimState {
     /// beneficiary expansion, settles DROM masks, partner links, the release
     /// map and the energy meter. The caller has already replaced the job's
     /// state and handled outcome/last-end bookkeeping.
-    pub(super) fn release_running(&mut self, id: JobId, spec: &JobSpec, run: RunningJob) {
+    pub(super) fn release_running(&mut self, id: JobId, spec: &JobSpec, run: &RunningJob) {
         self.running -= 1;
         self.slowdown.sub(spec, run.armed_end);
         self.shrunk.remove(&id);

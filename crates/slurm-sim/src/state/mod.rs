@@ -343,7 +343,8 @@ impl SimState {
             dirty: DirtyFlags::default(),
             scratch: PassScratch::default(),
             events: EventQueue::with_capacity(jobs * 2),
-            outcomes: Vec::new(),
+            // One outcome per job at most: sized once, never doubled.
+            outcomes: Vec::with_capacity(jobs),
             meter,
             weighted_busy: 0.0,
             rate_model,

@@ -104,7 +104,7 @@ impl SimState {
                 // makespan window must cover it even when the cancellation
                 // is the session's last activity.
                 self.last_end = self.last_end.max(now);
-                self.release_running(id, &spec, run);
+                self.release_running(id, &spec, &run);
                 self.stats.cancelled += 1;
                 self.trace
                     .emit(self.now.secs(), sd_trace::TraceKind::Cancelled { job: id.0 });

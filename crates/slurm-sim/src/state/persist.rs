@@ -303,7 +303,7 @@ impl Persist for JobState {
             1 => {
                 let start = r.get()?;
                 let width = r.r.len(NodeId::MIN + <u32 as Persist>::MIN)?;
-                JobState::Running(RunningJob {
+                JobState::Running(Box::new(RunningJob {
                     start,
                     nodes: r.get_n(width)?,
                     cores: r.get_n(width)?,
@@ -319,7 +319,7 @@ impl Persist for JobState {
                     ever_shrunk: r.get()?,
                     malleable_backfilled: r.get()?,
                     energy_weight: r.get()?,
-                })
+                }))
             }
             2 => JobState::Done,
             3 => JobState::Cancelled,
