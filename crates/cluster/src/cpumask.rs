@@ -96,6 +96,7 @@ impl CpuMask {
     }
 
     /// Number of cores set.
+    #[inline]
     pub fn count(&self) -> usize {
         self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
@@ -146,6 +147,7 @@ impl CpuMask {
 
     /// Raw bitset words (64 cores per word, ascending; exactly as many as
     /// the width needs), for persistence.
+    #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words[..self.ncores.div_ceil(BITS)]
     }

@@ -25,25 +25,14 @@ impl std::fmt::Display for NodeId {
 /// Errors from placement operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AllocError {
-    /// More cores requested than a node has.
-    Insufficient { node: NodeId, free: u32, want: u32 },
-    /// The node is already occupied.
-    AlreadyPlaced { node: NodeId },
     /// Nothing to remove: the node is idle, or the job is not on it.
     NotPlaced { node: NodeId },
-    /// Core count must be ≥ 1.
-    ZeroCores,
 }
 
 impl std::fmt::Display for AllocError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            AllocError::Insufficient { node, free, want } => {
-                write!(f, "{node}: want {want} cores, only {free} free")
-            }
-            AllocError::AlreadyPlaced { node } => write!(f, "{node} is already occupied"),
             AllocError::NotPlaced { node } => write!(f, "nothing to remove from {node}"),
-            AllocError::ZeroCores => write!(f, "zero cores requested"),
         }
     }
 }

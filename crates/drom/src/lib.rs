@@ -25,6 +25,6 @@ pub mod node;
 pub mod registry;
 mod sharing;
 
-pub use node::{NodeRecord, NodeTable, NodeUpdate, Resident};
+pub use node::{NodeRecord, NodeTable, NodeUpdate, Resident, Vacated};
 pub use registry::{DromHandle, ProcessEntry};
 pub use sharing::SharingFactor;

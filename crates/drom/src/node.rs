@@ -45,6 +45,15 @@ impl NodeUpdate {
     }
 }
 
+/// What [`NodeTable::vacate`] did to one node.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Vacated {
+    /// The co-resident that took the freed cores, with its grown mask.
+    pub expanded: Option<NodeUpdate>,
+    /// The node's release before and after.
+    pub release: (Option<SimTime>, Option<SimTime>),
+}
+
 /// One job resident on a node (every field is plain data, so this is also
 /// the persisted form).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,8 +76,8 @@ pub struct NodeRecord {
     len: u8,
     slots: [Resident; MAX_RESIDENTS],
     /// When the node is predicted to empty: the latest requested end of
-    /// its residents, `None` when idle. The simulator, which knows the
-    /// requested ends, sets it ([`NodeTable::set_release`]).
+    /// its residents, `None` when idle. Set by the mutation that visits the
+    /// node, from the requested ends the simulator passes in.
     release: Option<SimTime>,
 }
 
@@ -89,6 +98,7 @@ impl NodeRecord {
     }
 
     /// The residents, in arrival order.
+    #[inline]
     pub fn residents(&self) -> &[Resident] {
         &self.slots[..self.len as usize]
     }
@@ -128,10 +138,14 @@ impl NodeRecord {
     }
 
     /// Removes `job`, keeping the others in arrival order.
+    #[inline]
     fn take(&mut self, job: JobId) -> Option<Resident> {
         let i = self.residents().iter().position(|r| r.job == job)?;
         let gone = self.slots[i];
-        self.slots.copy_within(i + 1..self.len as usize, i);
+        // Two slots at most: only a first of two has one to shift down.
+        if i + 1 < self.len as usize {
+            self.slots[i] = self.slots[i + 1];
+        }
         self.len -= 1;
         Some(gone)
     }
@@ -226,7 +240,7 @@ impl NodeTable {
         &self.records
     }
 
-    /// The next handle [`NodeTable::launch`] or [`NodeTable::co_launch`]
+    /// The next handle [`NodeTable::launch_idle`] or [`NodeTable::co_launch`]
     /// registers with DROM.
     pub fn next_handle(&self) -> u64 {
         self.next_handle
@@ -257,22 +271,10 @@ impl NodeTable {
             .flat_map(|(i, &w)| bits(w).map(move |b| NodeId((i * 64 + b) as u32)))
     }
 
-    /// The first `n` idle nodes (ascending id) in O(n), or `None` when
-    /// fewer than `n` are idle — the static placement test.
-    pub fn take_empty_nodes(&self, n: u32) -> Option<Vec<NodeId>> {
-        if self.idle_count < n {
-            return None;
-        }
-        // Sized up front: the word walk has no useful size hint.
-        let mut first = Vec::with_capacity(n as usize);
-        first.extend(self.empty_nodes().take(n as usize));
-        Some(first)
-    }
-
-    /// Sets `node`'s predicted release and returns the one it replaces.
-    #[inline]
-    pub fn set_release(&mut self, node: NodeId, when: Option<SimTime>) -> Option<SimTime> {
-        std::mem::replace(&mut self.records[node.0 as usize].release, when)
+    /// Sets `node`'s predicted release (a restore's; every mutation sets
+    /// the releases of the nodes it visits).
+    pub fn set_release(&mut self, node: NodeId, when: Option<SimTime>) {
+        self.records[node.0 as usize].release = when;
     }
 
     /// Mask of cores not held by any resident of `node`.
@@ -284,53 +286,44 @@ impl NodeTable {
         self.spec.cores() as usize
     }
 
-    /// Launches `job` on `cores` cores of each idle node in `nodes`,
-    /// registering it with DROM on each node when `malleable` so it can be
-    /// reconfigured later. All-or-nothing: refused (and nothing touched)
-    /// when a node is busy or `cores` is 0 or wider than a node.
-    ///
-    /// Returns the mask, the same on every node: the lowest `cores` cores
-    /// (the whole node at full width).
-    pub fn launch(
+    /// Launches `job` on the lowest `cores` cores of each of the first `k`
+    /// idle nodes (ascending id), one visit per node: it leaves the idle
+    /// index and gets its resident (registered with DROM when `malleable`,
+    /// handles in node order) and its release. Returns the nodes taken, or
+    /// `None` (nothing touched) when fewer than `k` nodes are idle or
+    /// `cores` is 0 or wider than a node.
+    pub fn launch_idle(
         &mut self,
-        nodes: &[NodeId],
+        k: u32,
         job: JobId,
         cores: u32,
         malleable: bool,
-    ) -> Result<CpuMask, AllocError> {
-        if cores == 0 {
-            return Err(AllocError::ZeroCores);
-        }
-        let width = self.spec.cores();
-        for &node in nodes {
-            if !self.is_idle(node) {
-                return Err(AllocError::AlreadyPlaced { node });
-            }
-            if cores > width {
-                return Err(AllocError::Insufficient { node, free: width, want: cores });
-            }
+        release: SimTime,
+    ) -> Option<Vec<NodeId>> {
+        if cores == 0 || cores > self.spec.cores() || self.idle_count < k {
+            return None;
         }
         let mask = CpuMask::range(self.width(), 0, cores as usize);
-        for &n in nodes {
+        let (mut taken, mut word) = (Vec::with_capacity(k as usize), 0);
+        for _ in 0..k {
+            while self.idle[word] == 0 {
+                word += 1;
+            }
+            let n = NodeId((word * 64) as u32 + self.idle[word].trailing_zeros());
+            self.idle[word] &= self.idle[word] - 1;
             let handle = malleable.then(|| {
                 self.next_handle += 1;
                 DromHandle(self.next_handle - 1)
             });
-            let (word, bit) = idle_bit(n);
-            self.idle[word] &= !bit;
             let record = &mut self.records[n.0 as usize];
-            debug_assert!(record.is_empty(), "{n} idle but not empty");
-            record.push(Resident {
-                job,
-                mask,
-                malleable,
-                handle,
-                lender: None,
-            });
+            debug_assert!(record.is_empty() && record.release.is_none(), "{n} idle but held");
+            record.push(Resident { job, mask, malleable, handle, lender: None });
+            record.release = Some(release);
+            taken.push(n);
         }
-        self.idle_count -= nodes.len() as u32;
-        self.busy_cores += u64::from(cores) * nodes.len() as u64;
-        Ok(mask)
+        self.idle_count -= k;
+        self.busy_cores += u64::from(cores) * u64::from(k);
+        Some(taken)
     }
 
     /// Co-launches `new_job` on `node` by shrinking the resident `mate`
@@ -340,9 +333,10 @@ impl NodeTable {
     /// free.
     ///
     /// `mate_ranks` is the mate's MPI-rank count on this node (shrink
-    /// floor). Returns the mate's shrunken mask and the new job's, or
-    /// `None` (nothing touched) when the mate is absent, rigid or already
-    /// sharing the node, or nothing can be freed.
+    /// floor); the node releases at `release` once the pair shares it,
+    /// set in the same visit. Returns the mate's shrunken mask and the new
+    /// job's, or `None` (nothing touched) when the mate is absent, rigid or
+    /// already sharing the node, or nothing can be freed.
     pub fn co_launch(
         &mut self,
         node: NodeId,
@@ -350,6 +344,7 @@ impl NodeTable {
         mate: JobId,
         sharing: SharingFactor,
         mate_ranks: u32,
+        release: SimTime,
     ) -> Option<[NodeUpdate; 2]> {
         let width = self.width();
         let record = &mut self.records[node.0 as usize];
@@ -383,6 +378,7 @@ impl NodeTable {
             handle: Some(handle),
             lender: Some(mate),
         });
+        record.release = Some(release);
         // The mate's cores change hands; the node's free ones become busy.
         self.busy_cores += free.count() as u64;
         Some([
@@ -400,14 +396,21 @@ impl NodeTable {
     /// Removes `job` from `node`, applying the paper's end-of-job rules:
     /// the co-resident takes the freed cores when it lent them (rule 2) or
     /// is malleable (rule 3), and its grown mask is returned; otherwise the
-    /// cores become free, and an emptied node turns idle. Refused (nothing
-    /// touched) when `job` is not there. The node's release is the
-    /// caller's to update.
+    /// cores become free, and an emptied node turns idle. In the same visit
+    /// the node's release becomes the latest `release_of` its residents
+    /// left — `None`, with no call, when it empties. Refused (nothing
+    /// touched) when `job` is not there.
     ///
-    /// `#[inline]` across the crate boundary: it runs once per node of
-    /// every ending job, and the call cost a third of its time.
+    /// `#[inline]` across the crate boundary, and so are the record
+    /// helpers and `CpuMask::count` it calls: it runs once per node of
+    /// every ending job, and those calls cost more than half its time.
     #[inline]
-    pub fn finish(&mut self, node: NodeId, job: JobId) -> Result<Option<NodeUpdate>, AllocError> {
+    pub fn vacate(
+        &mut self,
+        node: NodeId,
+        job: JobId,
+        release_of: impl Fn(JobId) -> SimTime,
+    ) -> Result<Vacated, AllocError> {
         let record = &mut self.records[node.0 as usize];
         let ended = record.take(job).ok_or(AllocError::NotPlaced { node })?;
         let cores = ended.mask.count() as u32;
@@ -429,7 +432,12 @@ impl NodeTable {
             self.idle[word] |= bit;
             self.idle_count += 1;
         }
-        Ok(expanded)
+        let release = record.residents().iter().map(|r| release_of(r.job)).max();
+        let was = std::mem::replace(&mut record.release, release);
+        Ok(Vacated {
+            expanded,
+            release: (was, release),
+        })
     }
 
     /// Checks every record, and that the idle index and busy-core count
@@ -567,40 +575,44 @@ mod tests {
         t.validate().expect("records and counters agree");
     }
 
+    /// Each job's requested end: the instant its nodes release at.
+    fn end_of(job: JobId) -> SimTime {
+        SimTime(100 * job.0)
+    }
+
     #[test]
     fn exclusive_launch_gets_full_node() {
         let mut t = table();
-        let mask = t.launch(&[N0], JobId(1), 48, true).unwrap();
-        assert_eq!(mask.count(), 48);
+        assert_eq!(t.launch_idle(1, JobId(1), 48, true, end_of(JobId(1))), Some(vec![N0]));
+        assert_eq!(t.record(N0).cores_of(JobId(1)), Some(48));
+        assert_eq!(t.record(N0).release(), Some(end_of(JobId(1))));
         assert_eq!(t.processes_on(N0).count(), 1);
         assert!(t.free_mask(N0).is_empty());
         assert_eq!(t.busy_cores(), 48);
         valid(&t);
     }
 
-    /// A busy node, a zero-core or an over-wide request is refused whole:
-    /// no node of the group is touched.
+    /// Too few idle nodes, a zero-core or an over-wide request is refused
+    /// whole: no node is touched.
     #[test]
     fn launch_fails_without_room() {
         let mut t = NodeTable::new(2, ClusterSpec::marenostrum4(2).node);
-        t.launch(&[N0], JobId(1), 48, false).unwrap();
-        let busy = AllocError::AlreadyPlaced { node: N0 };
-        assert_eq!(t.launch(&[N0], JobId(2), 1, false), Err(busy.clone()));
-        assert_eq!(t.launch(&[NodeId(1), N0], JobId(2), 1, false), Err(busy));
-        assert_eq!(t.launch(&[NodeId(1)], JobId(2), 0, false), Err(AllocError::ZeroCores));
-        let wide = AllocError::Insufficient { node: NodeId(1), free: 48, want: 49 };
-        assert_eq!(t.launch(&[NodeId(1)], JobId(2), 49, false), Err(wide));
-        assert_eq!(t.take_empty_nodes(2), None, "one node is idle");
-        assert_eq!(t.take_empty_nodes(1), Some(vec![NodeId(1)]));
-        assert!(t.record(NodeId(1)).is_empty() && t.is_idle(NodeId(1)));
+        let end = end_of(JobId(1));
+        assert_eq!(t.launch_idle(1, JobId(1), 48, false, end), Some(vec![N0]));
+        assert_eq!(t.launch_idle(2, JobId(2), 1, false, end), None, "one node is idle");
+        assert_eq!(t.launch_idle(1, JobId(2), 0, false, end), None);
+        assert_eq!(t.launch_idle(1, JobId(2), 49, false, end), None);
+        let spare = t.record(NodeId(1));
+        assert!(spare.is_empty() && spare.release().is_none() && t.is_idle(NodeId(1)));
+        assert_eq!(t.launch_idle(1, JobId(2), 1, false, end), Some(vec![NodeId(1)]));
         valid(&t);
     }
 
     #[test]
     fn co_launch_splits_socket_wise() {
         let mut t = table();
-        t.launch(&[N0], JobId(1), 48, true).unwrap();
-        let ups = t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 2).unwrap();
+        t.launch_idle(1, JobId(1), 48, true, end_of(JobId(1))).unwrap();
+        let ups = t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 2, end_of(JobId(2))).unwrap();
         assert_eq!(ups[0].job, JobId(1));
         assert_eq!(ups[0].cores(), 24);
         assert_eq!(ups[1].job, JobId(2));
@@ -626,16 +638,19 @@ mod tests {
     #[test]
     fn co_launch_rejects_static_mate() {
         let mut t = table();
-        t.launch(&[N0], JobId(1), 48, false).unwrap();
-        assert!(t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 1).is_none());
+        t.launch_idle(1, JobId(1), 48, false, end_of(JobId(1))).unwrap();
+        assert!(t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 1, end_of(JobId(2))).is_none());
     }
 
     #[test]
     fn new_job_end_returns_cores_to_owner() {
         let mut t = table();
-        t.launch(&[N0], JobId(1), 48, true).unwrap();
-        t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 2).unwrap();
-        let up = t.finish(N0, JobId(2)).unwrap().unwrap();
+        t.launch_idle(1, JobId(1), 48, true, end_of(JobId(1))).unwrap();
+        t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 2, end_of(JobId(2))).unwrap();
+        assert_eq!(t.record(N0).release(), Some(end_of(JobId(2))));
+        let left = t.vacate(N0, JobId(2), end_of).unwrap();
+        assert_eq!(left.release, (Some(end_of(JobId(2))), Some(end_of(JobId(1)))));
+        let up = left.expanded.unwrap();
         assert_eq!(up.job, JobId(1));
         assert_eq!(up.cores(), 48, "owner expanded back to the full node");
         assert_eq!(t.record(N0).residents().len(), 1);
@@ -646,10 +661,12 @@ mod tests {
     #[test]
     fn owner_end_redistributes_to_new_job() {
         let mut t = table();
-        t.launch(&[N0], JobId(1), 48, true).unwrap();
-        t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 2).unwrap();
+        t.launch_idle(1, JobId(1), 48, true, end_of(JobId(1))).unwrap();
+        t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 2, end_of(JobId(2))).unwrap();
         // Owner (mate) finishes before the co-scheduled job.
-        let up = t.finish(N0, JobId(1)).unwrap().unwrap();
+        let left = t.vacate(N0, JobId(1), end_of).unwrap();
+        assert_eq!(t.record(N0).release(), Some(end_of(JobId(2))));
+        let up = left.expanded.unwrap();
         assert_eq!(up.job, JobId(2));
         assert_eq!(up.cores(), 48, "survivor takes the whole node");
         valid(&t);
@@ -658,8 +675,12 @@ mod tests {
     #[test]
     fn plain_finish_frees_cores() {
         let mut t = table();
-        t.launch(&[N0], JobId(1), 24, false).unwrap();
-        assert_eq!(t.finish(N0, JobId(1)), Ok(None), "a rigid job's cores free up");
+        t.launch_idle(1, JobId(1), 24, false, end_of(JobId(1))).unwrap();
+        let freed = Vacated {
+            expanded: None,
+            release: (Some(end_of(JobId(1))), None),
+        };
+        assert_eq!(t.vacate(N0, JobId(1), end_of), Ok(freed), "a rigid job's cores free up");
         assert!(t.record(N0).is_empty());
         assert_eq!(t.free_mask(N0).count(), 48);
         assert!(t.is_idle(N0) && t.busy_cores() == 0);
@@ -670,15 +691,15 @@ mod tests {
     fn finish_unknown_job_is_noop() {
         let mut t = table();
         let absent = AllocError::NotPlaced { node: N0 };
-        assert_eq!(t.finish(N0, JobId(77)), Err(absent));
+        assert_eq!(t.vacate(N0, JobId(77), end_of), Err(absent));
         valid(&t);
     }
 
     #[test]
     fn co_launch_absorbs_already_free_cores() {
         let mut t = table();
-        t.launch(&[N0], JobId(1), 24, true).unwrap(); // half the node busy
-        let ups = t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 2).unwrap();
+        t.launch_idle(1, JobId(1), 24, true, end_of(JobId(1))).unwrap(); // half the node busy
+        let ups = t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 2, end_of(JobId(2))).unwrap();
         // Mate keeps 12, new job gets 12 freed + 24 already free = 36.
         assert_eq!(ups[0].cores(), 12);
         assert_eq!(ups[1].cores(), 36);
@@ -690,8 +711,8 @@ mod tests {
     #[test]
     fn rank_floor_respected_in_co_launch() {
         let mut t = table();
-        t.launch(&[N0], JobId(1), 48, true).unwrap();
-        let ups = t.co_launch(N0, JobId(2), JobId(1), SharingFactor::new(0.9), 40).unwrap();
+        t.launch_idle(1, JobId(1), 48, true, end_of(JobId(1))).unwrap();
+        let ups = t.co_launch(N0, JobId(2), JobId(1), SharingFactor::new(0.9), 40, end_of(JobId(2))).unwrap();
         assert_eq!(ups[0].cores(), 40, "mate floor = its 40 ranks");
         assert_eq!(ups[1].cores(), 8);
     }
@@ -699,13 +720,13 @@ mod tests {
     #[test]
     fn third_resident_is_refused() {
         let mut t = table();
-        t.launch(&[N0], JobId(1), 48, true).unwrap();
-        t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 2).unwrap();
+        t.launch_idle(1, JobId(1), 48, true, end_of(JobId(1))).unwrap();
+        t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 2, end_of(JobId(2))).unwrap();
         // The borrower is malleable, but the node already holds a mate and
         // its borrower: a third job is refused and nothing moves.
         let before = *t.record(N0);
         for mate in [JobId(1), JobId(2)] {
-            assert!(t.co_launch(N0, JobId(3), mate, SharingFactor::HALF, 2).is_none());
+            assert!(t.co_launch(N0, JobId(3), mate, SharingFactor::HALF, 2, end_of(JobId(3))).is_none());
         }
         assert_eq!(t.record(N0).residents(), before.residents());
         assert_eq!(t.next_handle(), 2);
@@ -731,8 +752,8 @@ mod tests {
     #[test]
     fn restore_cross_checks_the_three_sections() {
         let mut t = table();
-        t.launch(&[N0], JobId(1), 48, true).unwrap();
-        t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 2).unwrap();
+        t.launch_idle(1, JobId(1), 48, true, end_of(JobId(1))).unwrap();
+        t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 2, end_of(JobId(2))).unwrap();
         let spec = ClusterSpec::marenostrum4(1).node;
         let restore =
             |(occ, procs, res): (_, _, _)| NodeTable::restore(spec.clone(), occ, procs, 2, res);

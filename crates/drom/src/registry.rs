@@ -59,8 +59,11 @@ mod tests {
     use crate::node::Resident;
     use crate::SharingFactor;
     use cluster::ClusterSpec;
+    use simkit::SimTime;
 
     const N0: NodeId = NodeId(0);
+    /// Every job's requested end.
+    const END: SimTime = SimTime(100);
 
     /// Two 16-core nodes (2 × 8).
     fn table() -> NodeTable {
@@ -70,14 +73,14 @@ mod tests {
     #[test]
     fn attach_detach_lifecycle() {
         let mut t = table();
-        t.launch(&[N0], JobId(1), 16, true).unwrap();
+        t.launch_idle(1, JobId(1), 16, true, END).unwrap();
         let e = t.find(JobId(1), N0).expect("a malleable launch registers");
         assert_eq!((e.handle, e.current.count()), (DromHandle(0), 16));
         assert_eq!(t.processes_on(N0).count(), 1);
-        t.finish(N0, JobId(1)).unwrap();
+        t.vacate(N0, JobId(1), |_| END).unwrap();
         assert!(t.find(JobId(1), N0).is_none(), "finishing deregisters");
         // A rigid job never registers, and handles keep counting up.
-        t.launch(&[N0], JobId(2), 16, false).unwrap();
+        t.launch_idle(1, JobId(2), 16, false, END).unwrap();
         assert_eq!(t.processes_on(N0).count(), 0);
         assert_eq!(t.next_handle(), 1);
     }
@@ -85,8 +88,8 @@ mod tests {
     #[test]
     fn pending_masks_apply_at_malleability_point() {
         let mut t = table();
-        t.launch(&[N0], JobId(1), 16, true).unwrap();
-        let [kept, given] = t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 1).unwrap();
+        t.launch_idle(1, JobId(1), 16, true, END).unwrap();
+        let [kept, given] = t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 1, END).unwrap();
         // The shrink reached the mate's malleability point before
         // `co_launch` returned: it runs with its new mask, nothing staged.
         assert_eq!(t.find(JobId(1), N0).unwrap().current, kept.new_mask);
@@ -102,8 +105,8 @@ mod tests {
     #[test]
     fn poll_node_applies_all_pending() {
         let mut t = table();
-        t.launch(&[N0], JobId(1), 16, true).unwrap();
-        t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 1).unwrap();
+        t.launch_idle(1, JobId(1), 16, true, END).unwrap();
+        t.co_launch(N0, JobId(2), JobId(1), SharingFactor::HALF, 1, END).unwrap();
         // Both masks of the node changed in one mutation; neither is left
         // staged, and together they still cover the whole node, disjointly.
         let entries: Vec<ProcessEntry> = t.processes_on(N0).collect();
@@ -116,12 +119,12 @@ mod tests {
     #[test]
     fn set_mask_on_unknown_handle_is_false() {
         let mut t = table();
-        t.launch(&[N0], JobId(1), 16, true).unwrap();
+        t.launch_idle(1, JobId(1), 16, true, END).unwrap();
         let before: Vec<ProcessEntry> = t.processes_on(N0).collect();
         // A mask change aimed at a process that is not registered is
         // refused: no mask moves and no handle is spent.
-        assert!(t.co_launch(N0, JobId(2), JobId(99), SharingFactor::HALF, 1).is_none());
-        assert!(t.finish(N0, JobId(99)).is_err());
+        assert!(t.co_launch(N0, JobId(2), JobId(99), SharingFactor::HALF, 1, END).is_none());
+        assert!(t.vacate(N0, JobId(99), |_| END).is_err());
         assert!(t.find(JobId(99), N0).is_none());
         assert_eq!(t.processes_on(N0).collect::<Vec<_>>(), before);
         assert_eq!(t.next_handle(), 1);
@@ -131,7 +134,7 @@ mod tests {
     #[test]
     fn find_by_job_and_node() {
         let mut t = table();
-        t.launch(&[N0, NodeId(1)], JobId(1), 4, true).unwrap();
+        t.launch_idle(2, JobId(1), 4, true, END).unwrap();
         assert!(t.find(JobId(1), NodeId(1)).is_some());
         assert!(t.find(JobId(2), N0).is_none());
         let all: Vec<(NodeId, DromHandle)> = t.processes().map(|e| (e.node, e.handle)).collect();

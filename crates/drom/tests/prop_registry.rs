@@ -1,15 +1,17 @@
 //! Model-based property test: the node table against plain references,
-//! under arbitrary launch / co-launch / finish streams. After every
+//! under arbitrary launch / co-launch / vacate streams. After every
 //! operation the DROM view and a handle → entry map hold the same entries
 //! in the same per-node registration order, every entry runs with its
 //! resident's mask, the idle bitset answers every query like a
 //! `BTreeSet<NodeId>` of the nodes without residents, the busy-core count
-//! is the model's sum, and the table's checkpoint sections restore an
-//! equal table.
+//! is the model's sum, every node releases at the latest requested end of
+//! its residents (`None` when idle), and the table's checkpoint sections
+//! restore an equal table.
 
 use cluster::{ClusterSpec, JobId, NodeId};
 use drom::{DromHandle, NodeTable, ProcessEntry, Resident, SharingFactor};
 use proptest::prelude::*;
+use simkit::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Three idle-index words, the last one partly used.
@@ -19,26 +21,30 @@ const WIDTH: u32 = 16;
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// One all-or-nothing launch over `nodes`.
+    /// One all-or-nothing launch on the first `k` idle nodes.
     Launch {
-        nodes: Vec<u32>,
+        k: u32,
         cores: u32,
         malleable: bool,
+        end: u64,
     },
     /// `at` selects a busy node, `pick` the mate among its residents.
-    CoLaunch { at: usize, pick: usize, ranks: u32 },
+    CoLaunch { at: usize, pick: usize, ranks: u32, end: u64 },
     /// `at` selects a busy node, `pick` the resident that ends.
     Finish { at: usize, pick: usize },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (prop::collection::vec(0u32..NODES, 1..40), 0u32..18, any::<bool>())
-            .prop_map(|(nodes, cores, malleable)| Op::Launch { nodes, cores, malleable }),
-        (any::<usize>(), 0usize..4, 1u32..12).prop_map(|(at, pick, ranks)| Op::CoLaunch {
-            at,
-            pick,
-            ranks
+        (1u32..40, 0u32..18, any::<bool>(), 0u64..50)
+            .prop_map(|(k, cores, malleable, end)| Op::Launch { k, cores, malleable, end }),
+        (any::<usize>(), 0usize..4, 1u32..12, 0u64..50).prop_map(|(at, pick, ranks, end)| {
+            Op::CoLaunch {
+                at,
+                pick,
+                ranks,
+                end,
+            }
         }),
         (any::<usize>(), 0usize..4).prop_map(|(at, pick)| Op::Finish { at, pick }),
     ]
@@ -54,12 +60,14 @@ struct Arrival {
 
 /// The reference: every registered process by handle (handles ascend with
 /// registration, so handle order *is* registration order), each node's
-/// residents in arrival order, and each node's busy cores.
+/// residents in arrival order, each node's busy cores, and each job's
+/// requested end, by id.
 struct Model {
     entries: BTreeMap<u64, (JobId, NodeId)>,
     residents: Vec<Vec<Arrival>>,
     cores: Vec<u32>,
     next_handle: u64,
+    ends: Vec<SimTime>,
 }
 
 impl Model {
@@ -69,7 +77,17 @@ impl Model {
             residents: vec![Vec::new(); NODES as usize],
             cores: vec![0; NODES as usize],
             next_handle: 0,
+            ends: vec![SimTime(0)],
         }
+    }
+
+    fn end_of(&self, job: JobId) -> SimTime {
+        self.ends[job.0 as usize]
+    }
+
+    /// The latest requested end among `node`'s residents, `None` when idle.
+    fn release(&self, node: NodeId) -> Option<SimTime> {
+        self.residents[node.0 as usize].iter().map(|a| self.end_of(a.job)).max()
     }
 
     fn on(&self, node: NodeId) -> Vec<(DromHandle, JobId)> {
@@ -110,7 +128,11 @@ fn check_counters(t: &NodeTable, model: &Model) -> Result<(), TestCaseError> {
     prop_assert_eq!(t.busy_cores(), model.cores.iter().map(|&c| u64::from(c)).sum::<u64>());
     for n in [0, 1, 63, 64, 65, reference.len(), reference.len() + 1] {
         let expect = reference.get(..n).map(<[NodeId]>::to_vec);
-        prop_assert_eq!(t.take_empty_nodes(n as u32), expect);
+        let probe = t.clone().launch_idle(n as u32, JobId(u64::MAX), 1, false, SimTime(0));
+        prop_assert_eq!(probe, expect);
+    }
+    for n in (0..NODES).map(NodeId) {
+        prop_assert_eq!(t.record(n).release(), model.release(n), "release of {}", n);
     }
     Ok(())
 }
@@ -141,27 +163,27 @@ proptest! {
         let mut next_job = 1;
         for op in ops {
             match op {
-                Op::Launch { mut nodes, cores, malleable } => {
-                    nodes.sort_unstable();
-                    nodes.dedup();
-                    let ids: Vec<NodeId> = nodes.iter().map(|&n| NodeId(n)).collect();
+                Op::Launch { k, cores, malleable, end } => {
                     let job = JobId(next_job);
                     next_job += 1;
-                    let fits = (1..=WIDTH).contains(&cores)
-                        && nodes.iter().all(|&n| model.residents[n as usize].is_empty());
-                    let launched = t.launch(&ids, job, cores, malleable);
-                    prop_assert_eq!(launched.is_ok(), fits);
-                    if fits {
+                    model.ends.push(SimTime(end));
+                    let first: Vec<NodeId> = model.idle().into_iter().take(k as usize).collect();
+                    let fits = (1..=WIDTH).contains(&cores) && first.len() == k as usize;
+                    let launched = t.launch_idle(k, job, cores, malleable, SimTime(end));
+                    prop_assert_eq!(launched.is_some(), fits);
+                    if let Some(ids) = launched {
+                        prop_assert_eq!(&ids, &first);
                         for n in ids {
                             model.arrive(n, Arrival { job, malleable, lender: None });
                             model.cores[n.0 as usize] = cores;
                         }
                     }
                 }
-                Op::CoLaunch { at, pick, ranks } => {
+                Op::CoLaunch { at, pick, ranks, end } => {
                     let Some(n) = model.busy(at) else { continue };
                     let job = JobId(next_job);
                     next_job += 1;
+                    model.ends.push(SimTime(end));
                     let here = &model.residents[n.0 as usize];
                     let mate = here[pick % here.len()];
                     // A lone malleable mate lends when it can free a core
@@ -171,7 +193,8 @@ proptest! {
                     let lends = mate.malleable
                         && here.len() == 1
                         && (keep < mate_cores || mate_cores < WIDTH);
-                    let ups = t.co_launch(n, job, mate.job, SharingFactor::HALF, ranks);
+                    let pair = model.end_of(mate.job).max(SimTime(end));
+                    let ups = t.co_launch(n, job, mate.job, SharingFactor::HALF, ranks, pair);
                     prop_assert_eq!(ups.is_some(), lends);
                     if lends {
                         let lender = Some(mate.job);
@@ -181,9 +204,11 @@ proptest! {
                 }
                 Op::Finish { at, pick } => {
                     let Some(n) = model.busy(at) else {
-                        prop_assert!(t.finish(NodeId(at as u32 % NODES), JobId(0)).is_err());
+                        let idle = NodeId(at as u32 % NODES);
+                        prop_assert!(t.vacate(idle, JobId(0), |j| model.end_of(j)).is_err());
                         continue;
                     };
+                    let was = model.release(n);
                     let here = &mut model.residents[n.0 as usize];
                     let ended = here.remove(pick % here.len());
                     model.entries.retain(|_, e| *e != (ended.job, n));
@@ -191,11 +216,17 @@ proptest! {
                     // lent them; otherwise they free up.
                     let heir = here.first().filter(|o| o.malleable || ended.lender == Some(o.job));
                     let cores = t.record(n).cores_of(ended.job).unwrap();
-                    let expanded = t.finish(n, ended.job).map_err(|e| TestCaseError::fail(e.to_string()))?;
-                    prop_assert_eq!(expanded.map(|u| u.job), heir.map(|o| o.job));
+                    let heir = heir.map(|o| o.job);
+                    let left = t
+                        .vacate(n, ended.job, |j| model.end_of(j))
+                        .map_err(|e| TestCaseError::fail(e.to_string()))?;
+                    prop_assert_eq!(left.expanded.map(|u| u.job), heir);
                     if heir.is_none() {
                         model.cores[n.0 as usize] -= cores;
                     }
+                    // The release set in the visit: the latest requested end
+                    // of whoever is left, `None` once the node is empty.
+                    prop_assert_eq!(left.release, (was, model.release(n)));
                 }
             }
             check_counters(&t, &model)?;
@@ -211,9 +242,12 @@ proptest! {
                 }
             }
             let (occ, procs, res) = sections(&t);
-            let rebuilt = NodeTable::restore(node_spec.clone(), occ, procs, t.next_handle(), res)
+            let mut rebuilt = NodeTable::restore(node_spec.clone(), occ, procs, t.next_handle(), res)
                 .map_err(TestCaseError::fail)?;
             prop_assert_eq!(sections(&rebuilt), sections(&t));
+            for n in (0..NODES).map(NodeId) {
+                rebuilt.set_release(n, t.record(n).release());
+            }
             check_counters(&rebuilt, &model)?;
         }
 
@@ -232,7 +266,7 @@ proptest! {
         for n in (0..NODES).map(NodeId) {
             while let Some(r) = t.record(n).residents().first() {
                 let job = r.job;
-                t.finish(n, job).map_err(|e| TestCaseError::fail(e.to_string()))?;
+                t.vacate(n, job, |j| model.end_of(j)).map_err(|e| TestCaseError::fail(e.to_string()))?;
             }
         }
         prop_assert_eq!(t.busy_cores(), 0);

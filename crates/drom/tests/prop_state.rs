@@ -1,11 +1,13 @@
 //! Model-based property test of the node table's idle index: random
-//! launch / finish sequences on one-resident nodes never break the table's
-//! invariants, and the idle bitset answers every query exactly like a
-//! `BTreeSet<NodeId>` reference kept beside it.
+//! launch / vacate sequences on one-resident nodes never break the table's
+//! invariants, the idle bitset answers every query exactly like a
+//! `BTreeSet<NodeId>` reference kept beside it, and every node releases at
+//! its resident's requested end (`None` when idle).
 
 use cluster::{ClusterSpec, JobId, NodeId};
 use drom::{NodeTable, ProcessEntry, Resident};
 use proptest::prelude::*;
+use simkit::SimTime;
 use std::collections::BTreeSet;
 
 /// Three index words, the last one partly used.
@@ -15,10 +17,12 @@ const WIDTH: u32 = 8;
 
 #[derive(Debug, Clone)]
 enum Op {
+    /// One all-or-nothing launch on the first `k` idle nodes.
     Place {
-        nodes: Vec<u32>,
+        k: u32,
         cores: u32,
         malleable: bool,
+        end: u64,
     },
     Remove {
         node: u32,
@@ -27,24 +31,23 @@ enum Op {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (
-            prop::collection::vec(0u32..NODES, 1..40),
-            0u32..10,
-            any::<bool>()
-        )
-            .prop_map(|(nodes, cores, malleable)| Op::Place {
-                nodes,
+        (1u32..40, 0u32..10, any::<bool>(), 0u64..50).prop_map(|(k, cores, malleable, end)| {
+            Op::Place {
+                k,
                 cores,
-                malleable
-            }),
+                malleable,
+                end,
+            }
+        }),
         (0u32..NODES).prop_map(|node| Op::Remove { node }),
     ]
 }
 
 /// The reference: each node's resident job and its cores (0 when idle),
-/// and from that the idle set.
+/// and from that the idle set; each job's requested end, by id.
 struct Model {
     held: Vec<(JobId, u32)>,
+    ends: Vec<SimTime>,
 }
 
 impl Model {
@@ -53,6 +56,16 @@ impl Model {
             .filter(|&n| self.held[n as usize].1 == 0)
             .map(NodeId)
             .collect()
+    }
+
+    fn end_of(&self, job: JobId) -> SimTime {
+        self.ends[job.0 as usize]
+    }
+
+    /// A node releases at its resident's requested end, `None` when idle.
+    fn release(&self, node: NodeId) -> Option<SimTime> {
+        let (job, cores) = self.held[node.0 as usize];
+        (cores > 0).then(|| self.end_of(job))
     }
 }
 
@@ -70,12 +83,16 @@ fn check_against_model(t: &NodeTable, model: &Model) -> Result<(), TestCaseError
     // "First n idle" at the edges, across each word boundary, and past the end.
     for n in [0, 1, 63, 64, 65, reference.len(), reference.len() + 1] {
         let expect = reference.get(..n).map(<[NodeId]>::to_vec);
-        prop_assert_eq!(t.take_empty_nodes(n as u32), expect);
+        let probe = t.clone().launch_idle(n as u32, JobId(u64::MAX), 1, false, SimTime(0));
+        prop_assert_eq!(probe, expect);
+    }
+    for n in (0..NODES).map(NodeId) {
+        prop_assert_eq!(t.record(n).release(), model.release(n), "release of {}", n);
     }
     Ok(())
 }
 
-/// The table rebuilt from its three checkpoint sections.
+/// The table rebuilt from its three checkpoint sections, then its releases.
 fn rebuild(t: &NodeTable) -> Result<NodeTable, TestCaseError> {
     let res: Vec<Vec<Resident>> = t.records().iter().map(|r| r.residents().to_vec()).collect();
     let occ = res
@@ -83,8 +100,12 @@ fn rebuild(t: &NodeTable) -> Result<NodeTable, TestCaseError> {
         .map(|rs| rs.iter().map(|r| (r.job, r.mask.count() as u32)).collect())
         .collect();
     let procs: Vec<ProcessEntry> = t.processes().collect();
-    NodeTable::restore(ClusterSpec::ricc().node, occ, procs, t.next_handle(), res)
-        .map_err(TestCaseError::fail)
+    let mut re = NodeTable::restore(ClusterSpec::ricc().node, occ, procs, t.next_handle(), res)
+        .map_err(TestCaseError::fail)?;
+    for (n, rec) in t.records().iter().enumerate() {
+        re.set_release(NodeId(n as u32), rec.release());
+    }
+    Ok(re)
 }
 
 proptest! {
@@ -93,33 +114,36 @@ proptest! {
         ops in prop::collection::vec(arb_op(), 1..200),
     ) {
         let mut t = NodeTable::new(NODES, ClusterSpec::ricc().node);
-        let mut model = Model { held: vec![(JobId(0), 0); NODES as usize] };
+        let mut model = Model { held: vec![(JobId(0), 0); NODES as usize], ends: vec![SimTime(0)] };
         check_against_model(&t, &model)?;
         let mut next_job = 1;
         for op in ops {
             match op {
-                Op::Place { mut nodes, cores, malleable } => {
-                    nodes.sort_unstable();
-                    nodes.dedup();
-                    let ids: Vec<NodeId> = nodes.iter().map(|&n| NodeId(n)).collect();
+                Op::Place { k, cores, malleable, end } => {
                     let job = JobId(next_job);
                     next_job += 1;
-                    // All-or-nothing: accepted exactly when every node is
-                    // idle and the width is 1..=8.
-                    let fits = (1..=WIDTH).contains(&cores)
-                        && nodes.iter().all(|&n| model.held[n as usize].1 == 0);
-                    prop_assert_eq!(t.launch(&ids, job, cores, malleable).is_ok(), fits);
-                    if fits {
-                        nodes.iter().for_each(|&n| model.held[n as usize] = (job, cores));
+                    model.ends.push(SimTime(end));
+                    // All-or-nothing: accepted exactly when `k` nodes are
+                    // idle and the width is 1..=8; it takes the first `k`.
+                    let first: Vec<NodeId> = model.idle().into_iter().take(k as usize).collect();
+                    let fits = (1..=WIDTH).contains(&cores) && first.len() == k as usize;
+                    let launched = t.launch_idle(k, job, cores, malleable, SimTime(end));
+                    prop_assert_eq!(launched.is_some(), fits);
+                    if let Some(ids) = launched {
+                        prop_assert_eq!(&ids, &first);
+                        ids.iter().for_each(|&n| model.held[n.0 as usize] = (job, cores));
                     }
                 }
                 Op::Remove { node } => {
+                    let was = model.release(NodeId(node));
                     let (job, cores) = std::mem::replace(&mut model.held[node as usize], (JobId(0), 0));
-                    // A lone resident leaves no heir: its cores free up.
-                    let ended = t.finish(NodeId(node), job);
+                    // A lone resident leaves no heir: its cores free up, and
+                    // the node releases at nothing.
+                    let ended = t.vacate(NodeId(node), job, |j| model.end_of(j));
                     prop_assert_eq!(ended.is_ok(), cores > 0);
-                    if let Ok(heir) = ended {
-                        prop_assert!(heir.is_none());
+                    if let Ok(left) = ended {
+                        prop_assert!(left.expanded.is_none());
+                        prop_assert_eq!(left.release, (was, None));
                     }
                 }
             }
@@ -131,7 +155,7 @@ proptest! {
         for (n, held) in model.held.iter_mut().enumerate() {
             if held.1 > 0 {
                 let (job, _) = std::mem::replace(held, (JobId(0), 0));
-                t.finish(NodeId(n as u32), job).unwrap();
+                t.vacate(NodeId(n as u32), job, |j| model.ends[j.0 as usize]).unwrap();
             }
         }
         prop_assert_eq!(t.busy_cores(), 0);

@@ -1,4 +1,4 @@
-//! Cancellable, deterministic event queue.
+//! Deterministic event queue.
 //!
 //! A thin wrapper over `BinaryHeap` that guarantees **stable FIFO order for
 //! simultaneous events** via a monotonically increasing sequence number. This
@@ -6,18 +6,14 @@
 //! identical schedules: ties at the same instant are broken by insertion
 //! order, never by heap internals.
 //!
-//! Cancellation is *lazy*: [`EventQueue::cancel`] marks a token; stale events
-//! are skipped by [`EventQueue::pop`]. This is the standard approach for
-//! re-arming job-end events when malleability changes a job's completion
-//! time, and it keeps push/pop at `O(log n)`.
+//! There is no cancellation: a user that re-arms an event (the simulator,
+//! when malleability moves a job's end) tags the payload with a generation
+//! and drops a stale one when it pops, which keeps push/pop at `O(log n)`
+//! with nothing else to consult.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Opaque handle used to cancel a scheduled event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventToken(u64);
 
 /// An event scheduled at a given instant.
 #[derive(Debug, Clone)]
@@ -56,8 +52,6 @@ impl<E> Ord for ScheduledEvent<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,
     next_seq: u64,
-    cancelled: std::collections::HashSet<u64>,
-    live: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -68,86 +62,44 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            cancelled: std::collections::HashSet::new(),
-            live: 0,
-        }
+        Self::with_capacity(0)
     }
 
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
             next_seq: 0,
-            cancelled: std::collections::HashSet::new(),
-            live: 0,
         }
     }
 
-    /// Number of live (non-cancelled) events.
+    /// Number of scheduled events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.is_empty()
     }
 
-    /// Schedules `payload` at `time`; returns a token usable with [`cancel`].
-    ///
-    /// [`cancel`]: EventQueue::cancel
-    pub fn push(&mut self, time: SimTime, payload: E) -> EventToken {
+    /// Schedules `payload` at `time`, after every event already scheduled
+    /// for the same instant.
+    pub fn push(&mut self, time: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(ScheduledEvent { time, payload, seq });
-        self.live += 1;
-        EventToken(seq)
     }
 
-    /// Cancels a previously scheduled event. Returns `true` if the token was
-    /// still pending (i.e. not yet popped or cancelled).
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        if token.0 >= self.next_seq {
-            return false;
-        }
-        if self.cancelled.insert(token.0) {
-            // The event may have already been popped; `pop` removes tokens it
-            // skips, so a still-present entry means it was genuinely pending.
-            // We cannot cheaply confirm presence, so treat double-cancel as
-            // the only failure mode and fix `live` lazily in `pop`.
-            self.live = self.live.saturating_sub(1);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Next event instant, skipping cancelled entries, without popping.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skip_cancelled();
+    /// Next event instant, without popping.
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)
     }
 
-    /// Pops the earliest live event.
+    /// Pops the earliest event (FIFO among equal instants).
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        self.skip_cancelled();
-        let ev = self.heap.pop()?;
-        self.live = self.live.saturating_sub(1);
-        Some(ev)
+        self.heap.pop()
     }
 
-    fn skip_cancelled(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            if self.cancelled.remove(&top.seq) {
-                self.heap.pop();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Snapshot for persistence: every live entry as `(time, payload, seq)`
+    /// Snapshot for persistence: every entry as `(time, payload, seq)`
     /// in ascending `(time, seq)` order, plus the next sequence number.
     /// Sequence numbers are part of the snapshot because they break FIFO
     /// ties — restoring without them would reorder simultaneous events.
@@ -155,35 +107,28 @@ impl<E> EventQueue<E> {
     where
         E: Clone,
     {
-        let mut live: Vec<(SimTime, E, u64)> = self
+        let mut entries: Vec<(SimTime, E, u64)> = self
             .heap
             .iter()
-            .filter(|e| !self.cancelled.contains(&e.seq))
             .map(|e| (e.time, e.payload.clone(), e.seq))
             .collect();
-        live.sort_by_key(|a| (a.0, a.2));
-        (live, self.next_seq)
+        entries.sort_by_key(|a| (a.0, a.2));
+        (entries, self.next_seq)
     }
 
     /// Rebuilds a queue from a [`snapshot`](EventQueue::snapshot),
     /// preserving sequence numbers so tie order survives the round trip.
     pub fn from_snapshot(entries: Vec<(SimTime, E, u64)>, next_seq: u64) -> Self {
-        let live = entries.len();
         let heap: BinaryHeap<ScheduledEvent<E>> = entries
             .into_iter()
             .map(|(time, payload, seq)| ScheduledEvent { time, payload, seq })
             .collect();
-        EventQueue {
-            heap,
-            next_seq,
-            cancelled: std::collections::HashSet::new(),
-            live,
-        }
+        EventQueue { heap, next_seq }
     }
 
-    /// Drains every live event in order (mostly for tests / teardown).
+    /// Drains every event in order (mostly for tests / teardown).
     pub fn drain_sorted(&mut self) -> Vec<ScheduledEvent<E>> {
-        let mut out = Vec::with_capacity(self.live);
+        let mut out = Vec::with_capacity(self.heap.len());
         while let Some(ev) = self.pop() {
             out.push(ev);
         }
@@ -216,34 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_skips_event() {
-        let mut q = EventQueue::new();
-        let t1 = q.push(SimTime(1), "a");
-        q.push(SimTime(2), "b");
-        assert!(q.cancel(t1));
-        assert!(!q.cancel(t1), "double cancel reports false");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().payload, "b");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_unknown_token_is_noop() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventToken(42)));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled_head() {
-        let mut q = EventQueue::new();
-        let t = q.push(SimTime(1), "dead");
-        q.push(SimTime(7), "live");
-        q.cancel(t);
-        assert_eq!(q.peek_time(), Some(SimTime(7)));
-        assert_eq!(q.pop().unwrap().payload, "live");
-    }
-
-    #[test]
     fn interleaved_push_pop_preserves_order() {
         let mut q = EventQueue::new();
         q.push(SimTime(10), 1);
@@ -260,12 +177,13 @@ mod tests {
     fn len_tracks_live_events() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        let a = q.push(SimTime(1), ());
+        q.push(SimTime(1), ());
         q.push(SimTime(2), ());
         assert_eq!(q.len(), 2);
-        q.cancel(a);
+        assert_eq!(q.peek_time(), Some(SimTime(1)));
+        q.pop();
         assert_eq!(q.len(), 1);
         q.pop();
-        assert!(q.is_empty());
+        assert!(q.is_empty() && q.pop().is_none());
     }
 }

@@ -21,32 +21,6 @@ proptest! {
         prop_assert_eq!(drained.len(), times.len());
     }
 
-    /// Cancelling an arbitrary subset removes exactly those events.
-    #[test]
-    fn cancel_removes_exactly_the_cancelled(
-        times in prop::collection::vec(0u64..100, 1..100),
-        cancel_mask in prop::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let mut q = EventQueue::new();
-        let tokens: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (i, q.push(SimTime(t), i)))
-            .collect();
-        let mut cancelled = std::collections::HashSet::new();
-        for (i, tok) in &tokens {
-            if *cancel_mask.get(*i % cancel_mask.len()).unwrap_or(&false) {
-                prop_assert!(q.cancel(*tok));
-                cancelled.insert(*i);
-            }
-        }
-        let drained = q.drain_sorted();
-        prop_assert_eq!(drained.len(), times.len() - cancelled.len());
-        for ev in drained {
-            prop_assert!(!cancelled.contains(&ev.payload));
-        }
-    }
-
     /// Interleaved push/pop maintains the heap invariant (next pop is the
     /// global minimum of the live set).
     #[test]

@@ -36,8 +36,8 @@ impl ReleaseMap {
     }
 
     /// [`ReleaseMap::retally`] over a whole allocation's `(old, new)`
-    /// release moves, in one pass (the caller takes each old instant from
-    /// the node's record as it sets the new one). Consecutive nodes making
+    /// release moves, in one pass (the node table hands over each old
+    /// instant as it sets the new one). Consecutive nodes making
     /// the same move — a whole-job start or end moves every node the same
     /// way — are retallied once, and `moved(old, new, nodes)` hears each
     /// such run once (the simulator patches its availability profile with
@@ -125,6 +125,12 @@ pub(crate) struct Slot {
     pub seg: usize,
     /// The first step at or after `start + duration`, or the profile's length.
     pub end: usize,
+}
+
+/// Where `t` sits in a profile's steps, from `binary_search`: `(false, i)`
+/// on step `i`, `(true, i)` when a step at `t` would be inserted at `i`.
+fn boundary(found: Result<usize, usize>) -> (bool, usize) {
+    found.map_or_else(|i| (true, i), |i| (false, i))
 }
 
 /// An empty placeholder (no domain). Only used as the resting value of
@@ -334,10 +340,6 @@ impl Profile {
         let end = start.after(duration.max(1));
         let t0 = self.times[0];
         // Instants at/before the domain start are clamped to step 0.
-        let boundary = |found: Result<usize, usize>| match found {
-            Ok(i) => (false, i),
-            Err(i) => (true, i),
-        };
         let s = if start <= t0 {
             (false, 0)
         } else {
@@ -350,7 +352,7 @@ impl Profile {
         } else {
             boundary(self.times.binary_search(&end))
         };
-        self.splice_and_subtract(start, end, s, e, nodes);
+        self.splice_and_add(start, end, s, e, -i64::from(nodes));
     }
 
     /// [`Profile::reserve`] of the window [`Profile::earliest_slot`] found,
@@ -380,23 +382,23 @@ impl Profile {
         } else {
             (e_idx > 0 && (e_idx == n || times[e_idx] != end), e_idx)
         };
-        self.splice_and_subtract(start, end, (ins_start, seg + ins_start as usize), e, nodes);
+        self.splice_and_add(start, end, (ins_start, seg + ins_start as usize), e, -i64::from(nodes));
     }
 
-    /// Subtracts `nodes` over `[start, end)`, given where each boundary
+    /// Adds `delta` over `[start, end)`, given where each boundary
     /// sits in the current arrays — `(insert a step, index)`, the index
     /// being `binary_search`'s, or `usize::MAX` for an end at `SimTime::MAX`.
     ///
     /// Hot path: both split points are spliced in with a single tail shift
     /// per vector (instead of two independent `Vec::insert` memmoves), then
-    /// the subtraction touches only the window's segments.
-    fn splice_and_subtract(
+    /// the add touches only the window's segments.
+    fn splice_and_add(
         &mut self,
         start: SimTime,
         end: SimTime,
         (ins_start, s_idx): (bool, usize),
         (ins_end, e_idx): (bool, usize),
-        nodes: u32,
+        delta: i64,
     ) {
         // Materialise the splits — at most one tail shift per vector — and
         // derive the final half-open window of indices to subtract over.
@@ -440,7 +442,7 @@ impl Profile {
             (false, false) => s_idx..e_idx.min(self.times.len()),
         };
         for f in &mut self.free[window] {
-            *f -= nodes as i64;
+            *f += delta;
         }
     }
 
@@ -457,20 +459,19 @@ impl Profile {
             return;
         }
         let k = self.times.partition_point(|&t| t <= now);
-        debug_assert!(k >= 1);
         // Free *now* is unchanged (nothing happened, time only passed);
-        // everything the collapsed steps promised is overdue.
-        let base = self.free[0];
-        let overdue_level = self.free[k - 1];
-        self.times.drain(..k);
-        self.free.drain(..k);
+        // everything the collapsed steps promised is overdue. The `k`
+        // collapsed steps become `now` and, unless a step is already
+        // there, `now + 1`: one splice per vector.
+        let (base, overdue) = (self.free[0], self.free[k - 1]);
         let bump = now.after(1);
-        if overdue_level > base && self.times.first() != Some(&bump) {
-            self.times.insert(0, bump);
-            self.free.insert(0, overdue_level);
+        if overdue > base && self.times.get(k) != Some(&bump) {
+            self.times.splice(..k, [now, bump]);
+            self.free.splice(..k, [base, overdue]);
+        } else {
+            self.times.splice(..k, [now]);
+            self.free.splice(..k, [base]);
         }
-        self.times.insert(0, now);
-        self.free.insert(0, base);
     }
 
     /// Applies one node's predicted-release change (`old` → `new`, `None` =
@@ -482,10 +483,10 @@ impl Profile {
     }
 
     /// [`Profile::patch_release`] for `count` nodes making the *same*
-    /// transition at once — a whole-job start or completion touches every
-    /// allocated node identically, so the simulator groups them into one
-    /// O(len) patch instead of one per node (full-Curie jobs span dozens of
-    /// nodes).
+    /// transition at once: one patch per job start or end, not per node.
+    /// The nodes stop counting as free at `lose` (`now` when they were
+    /// empty, their release otherwise) and count again at `gain`, so the
+    /// profile moves over `[min(lose, gain), max(lose, gain))` only.
     pub(crate) fn patch_release_many(
         &mut self,
         now: SimTime,
@@ -493,40 +494,39 @@ impl Profile {
         new: Option<SimTime>,
         count: u32,
     ) {
-        let count = count as i64;
         self.advance_to(now);
-        let eff = |w: SimTime| if w <= now { now.after(1) } else { w };
-        match old {
-            // The nodes were empty: they contributed to free from `now` on.
-            None => self.add_from(now, -count),
-            Some(w) => self.add_from(eff(w), -count),
+        // An overdue release shows at `now + 1`, as `Profile::build` has it.
+        let shown = |w: Option<SimTime>| w.map_or(now, |w| w.max(now.after(1)));
+        let (lose, gain, count) = (shown(old), shown(new), i64::from(count));
+        match lose.cmp(&gain) {
+            std::cmp::Ordering::Less => self.add_between(lose, gain, -count),
+            std::cmp::Ordering::Greater => self.add_between(gain, lose, count),
+            std::cmp::Ordering::Equal => {}
         }
-        match new {
-            None => self.add_from(now, count),
-            Some(w) => self.add_from(eff(w), count),
-        }
-        self.compact();
     }
 
-    /// Adds `delta` free nodes over `[t, ∞)` (from the origin if `t` is
-    /// before it), materialising a step at `t` when there is none.
-    fn add_from(&mut self, t: SimTime, delta: i64) {
-        let from = match self.times.binary_search(&t) {
-            Ok(i) | Err(i @ 0) => i,
-            Err(i) => {
-                self.times.insert(i, t);
-                self.free.insert(i, self.free[i - 1]);
-                i
+    /// Adds `delta` free nodes over `[a, b)`, `times[0] <= a < b`, keeping
+    /// the profile canonical (no two adjacent steps equal, as
+    /// [`Profile::build`] leaves it): every step inside the range moves by
+    /// the same `delta`, so only the two boundaries can change shape. A
+    /// boundary with no step is split in; a boundary step the add levels
+    /// with the one before it is merged away.
+    fn add_between(&mut self, a: SimTime, b: SimTime, delta: i64) {
+        let (split_a, ia) = boundary(self.times.binary_search(&a));
+        let (split_b, ib) = boundary(self.times.binary_search(&b));
+        self.splice_and_add(a, b, (split_a, ia), (split_b, ib), delta);
+        // `b`'s step first (shifted by a split at `a`), so `ia` still holds.
+        for (split, i) in [(split_b, ib + usize::from(split_a)), (split_a, ia)] {
+            if !split && i > 0 && self.free[i] == self.free[i - 1] {
+                self.times.remove(i);
+                self.free.remove(i);
             }
-        };
-        for f in &mut self.free[from..] {
-            *f += delta;
         }
     }
 
-    /// Removes redundant step points (equal adjacent values) so the
-    /// representation stays canonical — patched profiles compare equal
-    /// (`PartialEq`) to freshly built ones.
+    /// Removes redundant step points (equal adjacent values), leaving the
+    /// canonical form [`Profile::build`] gives. Reservations can leave such
+    /// points, so the `self_check` oracle compares pass profiles compacted.
     pub(crate) fn compact(&mut self) {
         let mut w = 1;
         for r in 1..self.times.len() {
@@ -781,6 +781,54 @@ mod tests {
                     &slotted, &searched,
                     "({} nodes, {} s, after {:?}) landed elsewhere", nodes, duration, after
                 );
+            }
+        }
+
+
+        /// One `patch_release_many` of `k` nodes equals `k` single-node
+        /// `patch_release` calls, and both equal `Profile::build` on the
+        /// moved tally, under arbitrary moves of `k` nodes that share a
+        /// release: from idle or from an instant already in the tally
+        /// (overdue ones included), to idle, to a step already there, to
+        /// an instant at or before `now` (shown at `now + 1`), to `now + 1`
+        /// itself, or to a later instant — so `Some → Some` runs both ways.
+        #[test]
+        fn patch_many_equals_single_patches_and_rebuild(
+            moves in proptest::collection::vec(
+                (0usize..1000, 0u32..1000, 0u8..6, 0u64..400, 0u64..40),
+                1..60,
+            ),
+        ) {
+            const NODES: u32 = 24;
+            let (mut rm, mut idle, mut now) = (ReleaseMap::default(), NODES, SimTime(50));
+            let mut cached = Profile::flat(now, NODES);
+            for &(pick, k_raw, to, raw, dt) in &moves {
+                now = now.after(dt);
+                let mut from: Vec<(Option<SimTime>, u32)> = vec![(None, idle)];
+                from.extend(rm.counts.iter().map(|(&t, &c)| (Some(t), c)));
+                from.retain(|&(_, c)| c > 0);
+                let (old, have) = from[pick % from.len()];
+                let k = 1 + k_raw % have;
+                let keys: Vec<SimTime> = rm.counts.keys().copied().collect();
+                let new = match to {
+                    0 => None,
+                    1 if !keys.is_empty() => Some(keys[raw as usize % keys.len()]),
+                    2 => Some(SimTime(now.secs() - raw % now.secs())),
+                    3 => Some(now.after(1)),
+                    _ => Some(now.after(1 + raw)),
+                };
+                let mut many = cached.clone();
+                many.patch_release_many(now, old, new, k);
+                let mut single = cached.clone();
+                for _ in 0..k {
+                    single.patch_release(now, old, new);
+                }
+                rm.retally(old, new, k);
+                idle = idle + if new.is_none() { k } else { 0 } - if old.is_none() { k } else { 0 };
+                let built = Profile::build(now, idle, &rm);
+                proptest::prop_assert_eq!(&many, &built, "{} nodes {:?} -> {:?} at {:?}", k, old, new, now);
+                proptest::prop_assert_eq!(&single, &built);
+                cached = many;
             }
         }
 

@@ -13,17 +13,15 @@ impl SimState {
         let _t = timing::scope(Probe::JobStart);
         let spec = self.job(id).spec.clone();
         debug_assert!(self.job(id).is_pending(), "start of non-pending {id}");
-        let Some(nodes) = self.cluster.take_empty_nodes(spec.req_nodes) else {
+        let (full, req_end) = (self.spec.node.cores(), self.now.after(spec.req_time));
+        let launched = self.cluster.launch_idle(spec.req_nodes, id, full, spec.malleable, req_end);
+        let Some(nodes) = launched else {
             return false;
         };
-        let full = self.spec.node.cores();
-        self.cluster
-            .launch(&nodes, id, full, spec.malleable)
-            .expect("empty nodes accept a full-width launch");
+        self.move_releases(None, Some(req_end), spec.req_nodes);
         let cores = vec![full; nodes.len()];
         let mut run = Box::new(RunningJob::new(self.now, nodes, cores, full, spec.req_time));
         run.rate = 1.0;
-        self.release_group(&run.nodes, Some(run.req_end));
         self.job_mut(id).state = JobState::Running(run);
         self.running += 1;
         self.arm_end(id);
@@ -120,27 +118,27 @@ impl SimState {
         let mut new_cores: Vec<u32> = Vec::with_capacity(new_spec.req_nodes as usize);
 
         for &m in mates {
-            let shared = new_nodes.len();
-            let mate_end = {
+            let (mate_end, pair_end, shared) = {
                 let Job { spec, state } = &mut self.jobs[(m.0 - 1) as usize];
                 let JobState::Running(run) = state else {
                     unreachable!("eligible mates run");
                 };
                 let (sharing, ranks) = (self.sharing, spec.ranks_per_node);
+                // The mate ran alone on these nodes; they now release when
+                // the later of the pair does.
+                let pair_end = run.req_end.max(new_req_end);
                 for (i, &n) in run.nodes.iter().enumerate() {
                     let [kept, given] = self
                         .cluster
-                        .co_launch(n, new_id, m, sharing, ranks)
+                        .co_launch(n, new_id, m, sharing, ranks, pair_end)
                         .ok_or(CoScheduleError::NoFreedCores(m))?;
                     run.cores[i] = kept.cores();
                     new_nodes.push(n);
                     new_cores.push(given.cores());
                 }
-                run.req_end
+                (run.req_end, pair_end, run.nodes.len() as u32)
             };
-            // The mate ran alone on these nodes; they now release when the
-            // later of the pair does.
-            self.release_group(&new_nodes[shared..], Some(mate_end.max(new_req_end)));
+            self.move_releases(Some(mate_end), Some(pair_end), shared);
             // Re-rate the mate. Its requested end (wall-clock limit) stays
             // fixed: SLURM never extends a job's time limit on shrink — the
             // stretch eats the job's own over-request slack, and §3.2.4's
@@ -177,14 +175,11 @@ impl SimState {
         // Optional free nodes: the new job takes the same per-node width as
         // on the shared nodes (keeps the allocation balanced, constraint 3).
         if free_nodes > 0 {
-            let idle: Vec<NodeId> = self
+            let idle = self
                 .cluster
-                .take_empty_nodes(free_nodes)
+                .launch_idle(free_nodes, new_id, plan_freed, true, new_req_end)
                 .expect("checked empty count above");
-            self.cluster
-                .launch(&idle, new_id, plan_freed, true)
-                .expect("idle nodes accept the launch");
-            self.release_group(&idle, Some(new_req_end));
+            self.move_releases(None, Some(new_req_end), free_nodes);
             new_nodes.extend_from_slice(&idle);
             new_cores.resize(new_nodes.len(), plan_freed);
         }
@@ -280,17 +275,14 @@ impl SimState {
         }
 
         // Take the idle nodes at full width (ascending, like every
-        // allocation: `take_empty_nodes` walks the idle index upwards).
+        // allocation: `launch_idle` walks the idle index upwards).
         let full = self.spec.node.cores();
+        let req_end = self.job(id).running().unwrap().req_end;
         let new_nodes = self
             .cluster
-            .take_empty_nodes(width)
+            .launch_idle(width, id, full, true, req_end)
             .expect("checked empty count above");
-        self.cluster
-            .launch(&new_nodes, id, full, true)
-            .expect("empty nodes accept a full-width launch");
-        let req_end = self.job(id).running().unwrap().req_end;
-        self.release_group(&new_nodes, Some(req_end));
+        self.move_releases(None, Some(req_end), width);
         {
             let run = self.jobs[(id.0 - 1) as usize].running_mut().unwrap();
             run.cores.fill(full); // same width, now full everywhere
@@ -393,17 +385,18 @@ impl SimState {
         }
     }
 
-    /// Takes `id` off every node of `alloc` in one pass: the table frees
-    /// its cores, the co-resident that takes them has its per-node count
-    /// updated, and each node's predicted release becomes that of whoever
-    /// is left on it — nobody, after an exclusive end. Returns the jobs
-    /// that expanded, in the order they were first met.
+    /// Takes `id` off every node of `alloc`, one visit per node: the table
+    /// frees its cores and sets the node's release to that of whoever is
+    /// left on it — nobody, after an exclusive end — and the co-resident
+    /// that takes the cores has its per-node count updated. Returns the
+    /// jobs that expanded, in the order they were first met.
     fn leave(&mut self, id: JobId, alloc: &[NodeId]) -> Vec<JobId> {
         let mut touched: Vec<JobId> = Vec::new();
         let Self { cluster, jobs, releases, avail, now, .. } = self;
         let updates = alloc.iter().map(|&n| {
-            let expanded = cluster.finish(n, id);
-            if let Some(up) = expanded.expect("a running job occupies its nodes") {
+            let req_end = |j: JobId| jobs[(j.0 - 1) as usize].running().expect("residents run").req_end;
+            let left = cluster.vacate(n, id, req_end).expect("a running job occupies its nodes");
+            if let Some(up) = left.expanded {
                 let other = jobs[(up.job.0 - 1) as usize]
                     .running_mut()
                     .expect("beneficiary is running");
@@ -413,10 +406,7 @@ impl SimState {
                     touched.push(up.job);
                 }
             }
-            let left = cluster.record(n).residents().iter();
-            let left = left.filter_map(|r| jobs[(r.job.0 - 1) as usize].running());
-            let release = left.map(|r| r.req_end).max();
-            (cluster.set_release(n, release), release)
+            left.release
         });
         releases.set_releases(updates, |old, new, count| {
             avail.patch_release_many(*now, old, new, count)
@@ -539,15 +529,14 @@ impl SimState {
         self.events.push(when, Event::End { job: id, gen });
     }
 
-    /// Sets every node of `group`'s predicted release to `when` — an
-    /// exclusive start moves the whole group from idle at once — and patches
-    /// the cached availability with each distinct move.
-    fn release_group(&mut self, group: &[NodeId], when: Option<SimTime>) {
-        let Self { cluster, releases, avail, now, .. } = self;
-        let updates = group.iter().map(|&n| (cluster.set_release(n, when), when));
-        releases.set_releases(updates, |old, new, count| {
-            avail.patch_release_many(*now, old, new, count)
-        });
+    /// Tallies `nodes` nodes whose release moved from `old` to `new` (the
+    /// node table set each in its visit) and patches the cached
+    /// availability once for all of them.
+    fn move_releases(&mut self, old: Option<SimTime>, new: Option<SimTime>, nodes: u32) {
+        if old != new {
+            self.releases.retally(old, new, nodes);
+            self.avail.patch_release_many(self.now, old, new, nodes);
+        }
     }
 
     /// Re-evaluates whether `id` belongs in the shrunk-borrower index.

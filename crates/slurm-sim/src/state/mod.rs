@@ -15,8 +15,8 @@
 //! node's residents, their core masks and DROM handles, and its predicted
 //! release, plus the idle index and busy-core count), per-job running state
 //! (the work integrator), the release tally used by backfill profiles, and
-//! the energy meter. A start or an end makes one pass over its nodes'
-//! records. `cfg.self_check` re-validates the table after each mutation.
+//! the energy meter. A start or an end visits each node once and patches
+//! the availability once; `cfg.self_check` re-validates after each mutation.
 
 use crate::config::SlurmConfig;
 use crate::job::{Job, JobOutcome, JobSpec, JobState, RunningJob};
