@@ -5,9 +5,9 @@
 //!
 //! * [`SimTime`] — integer simulation time in seconds (matching the Standard
 //!   Workload Format resolution) with saturating arithmetic,
-//! * [`EventQueue`] — a binary-heap event queue with stable FIFO ordering for
-//!   simultaneous events, the property that makes whole-simulation runs
-//!   bit-reproducible,
+//! * [`EventQueue`] — an event queue (a sorted run beside a binary heap)
+//!   with stable FIFO ordering for simultaneous events, the property that
+//!   makes whole-simulation runs bit-reproducible,
 //! * [`DetRng`] — seedable, forkable deterministic random streams,
 //! * [`Mean`] — the running-sum mean every reported average folds through.
 //!

@@ -39,8 +39,7 @@ impl<S: Scheduler> Controller<S> {
                 break;
             }
             let mut changed = false;
-            while self.state.events.peek_time() == Some(t) {
-                let ev = self.state.events.pop().expect("peeked event exists");
+            while let Some(ev) = self.state.events.pop_at(t) {
                 self.state.now = t;
                 changed |= self.state.dispatch(ev.payload);
             }

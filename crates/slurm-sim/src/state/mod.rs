@@ -342,7 +342,9 @@ impl SimState {
             avail: Profile::flat(SimTime::ZERO, nodes),
             dirty: DirtyFlags::default(),
             scratch: PassScratch::default(),
-            events: EventQueue::with_capacity(jobs * 2),
+            // One submit per job, all in the queue's sorted run; ends live
+            // in its heap, which holds about one per running job.
+            events: EventQueue::with_capacity(jobs),
             // One outcome per job at most: sized once, never doubled.
             outcomes: Vec::with_capacity(jobs),
             meter,

@@ -88,10 +88,11 @@ const JOB_STATE_BYTES: usize = 16;
 /// build.
 const SCALE: f64 = 0.02;
 
-/// Peak live heap of the replay per job, the trace excluded: 252 B measured.
-/// It was 434 B with the running state inline in every `Job`, and 284 B with
-/// it boxed but the outcome list grown by doubling instead of sized up front.
-const PEAK_BYTES_PER_JOB: usize = 280;
+/// Peak live heap of the replay per job, the trace excluded: 239 B measured.
+/// It was 434 B with the running state inline in every `Job`, 284 B with it
+/// boxed but the outcome list grown by doubling instead of sized up front,
+/// and 252 B with two event slots reserved per job instead of one.
+const PEAK_BYTES_PER_JOB: usize = 267;
 
 #[test]
 fn a_job_pays_for_running_state_only_while_it_runs() {
