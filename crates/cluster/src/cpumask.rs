@@ -167,11 +167,24 @@ impl CpuMask {
     }
 
     /// The lowest `n` set cores as a new mask (used when shrinking a task to
-    /// a core budget while keeping placement stable).
+    /// a core budget while keeping placement stable), a word at a time.
     pub fn take_lowest(&self, n: usize) -> CpuMask {
         let mut out = CpuMask::empty(self.ncores);
-        for c in self.iter().take(n) {
-            out.set(c);
+        let mut left = n;
+        for (o, &w) in out.words.iter_mut().zip(&self.words) {
+            let ones = w.count_ones() as usize;
+            if ones <= left {
+                *o = w;
+                left -= ones;
+            } else {
+                // Clear the lowest `left` bits; what they were is the answer.
+                let mut high = w;
+                for _ in 0..left {
+                    high &= high - 1;
+                }
+                *o = w & !high;
+                break;
+            }
         }
         out
     }

@@ -13,17 +13,20 @@
 //! split is always the two lowest-penalty candidates of the buckets). For
 //! `m ≥ 3` a bounded depth-first search over a sorted copy is used.
 //!
-//! The integer constraint is evaluated first ([`select_mates`]): every
-//! candidate list is a subset of the simulator's mate pool, so when the
-//! pool's weights alone cannot satisfy Eq. 3 nothing is filtered, scored or
-//! sorted.
+//! The integer constraint is evaluated twice ([`select_mates`]), both times
+//! by [`weights_cover`]. First on the simulator's mate pool: every candidate
+//! list is a subset of it, so when the pool's weights alone cannot satisfy
+//! Eq. 3 nothing is filtered, scored or cut. Then on the whole filtered and
+//! scored list, before the `nm` cut: the pick works on a subset of that list,
+//! so when it cannot satisfy Eq. 3 neither the cut nor the pick runs.
 
 use crate::config::SdPolicyConfig;
 use crate::penalty::{mate_penalty, shrink_increase};
-use cluster::JobId;
-use slurm_sim::{timing::{self, Probe}, SimState};
+use cluster::{cpumask::bits as bits_of, JobId};
+use slurm_sim::{timing::{self, Probe}, weights_cover, SimState};
 use std::cell::RefCell;
 use std::cmp::Ordering;
+use std::ops::RangeInclusive;
 
 /// Candidate-list cap, the paper's `nm`: only the `nm` lowest-penalty mates
 /// are considered.
@@ -61,7 +64,8 @@ pub struct Selection {
 
 /// Mate selection for a `target`-node job needing `mall_wall` seconds of
 /// co-residency (paper Listing 2): first Eq. 3 on the pool's weights; only
-/// if that can hold, the candidate scan and the minimum-PI pick.
+/// if that can hold, the candidate scan; only if Eq. 3 can hold on the
+/// scored candidates, the `nm` cut and the minimum-PI pick.
 pub fn select_mates(
     st: &SimState,
     target: u32,
@@ -74,8 +78,30 @@ pub fn select_mates(
         return None;
     }
     let _scan = timing::scope(Probe::MateScan);
-    let candidates = collect_candidates(st, mall_wall, cutoff, cfg);
-    pick_mates(&candidates, target, free_nodes_available, cfg)
+    CANDIDATES.with_borrow_mut(|candidates| {
+        scan_candidates(st, mall_wall, cutoff, candidates);
+        if !candidates_coverable(candidates, target, free_nodes_available, cfg) {
+            timing::count(Probe::MateScanRefused);
+            if st.cfg.self_check {
+                keep_cheapest(candidates, CANDIDATE_CAP);
+                assert_eq!(
+                    pick_mates(candidates, target, free_nodes_available, cfg),
+                    None,
+                    "Eq. 3 refused a scan whose pick succeeds at {:?}",
+                    st.now
+                );
+            }
+            return None;
+        }
+        keep_cheapest(candidates, CANDIDATE_CAP);
+        pick_mates(candidates, target, free_nodes_available, cfg)
+    })
+}
+
+thread_local! {
+    /// [`select_mates`]'s candidate list, kept between scans so a scan
+    /// allocates nothing.
+    static CANDIDATES: RefCell<Vec<Candidate>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Whether the mate pool's weights admit any solution of Eq. 3 for
@@ -88,8 +114,62 @@ pub fn weights_coverable(
     free_nodes_available: u32,
     cfg: &SdPolicyConfig,
 ) -> bool {
-    let free = usable_free(target, free_nodes_available, cfg);
-    (target - free..=target).any(|need| st.mate_weights_cover(need, cfg.max_mates))
+    needs(target, free_nodes_available, cfg)
+        .any(|need| st.mate_weights_cover(need, cfg.max_mates))
+}
+
+/// Two bitsets over weights (seen once, seen twice) and the `(weight,
+/// count)` pairs read off them.
+type WeightScratch = (Vec<u64>, Vec<(u32, u32)>);
+
+thread_local! {
+    /// [`candidates_coverable`]'s scratch, kept between calls so the check
+    /// allocates nothing.
+    static WEIGHTS: RefCell<WeightScratch> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// Whether any ≤ `max_mates` of `candidates` admit a solution of Eq. 3 for
+/// `target`, over every idle-node top-up [`pick_mates`] would try. Any cut
+/// of the list is a subset of it, so `false` means no pick on the list or
+/// on its cut succeeds (exact for `max_mates ≤ 2`, a necessary bound
+/// beyond, as [`weights_cover`] is).
+///
+/// The pairs are built by bucket, not by sorting: a weight beyond the
+/// bitsets is above every need, takes part in no solution and is left out,
+/// and a count stops at 2, the most [`weights_cover`] reads.
+fn candidates_coverable(
+    candidates: &[Candidate],
+    target: u32,
+    free_nodes_available: u32,
+    cfg: &SdPolicyConfig,
+) -> bool {
+    let mut needs = needs(target, free_nodes_available, cfg);
+    let words = *needs.end() as usize / 64 + 1;
+    WEIGHTS.with_borrow_mut(|(bits, pairs)| {
+        bits.clear();
+        bits.resize(2 * words, 0);
+        let (once, twice) = bits.split_at_mut(words);
+        for c in candidates {
+            let (i, bit) = (c.weight as usize / 64, 1 << (c.weight % 64));
+            if i < words {
+                twice[i] |= once[i] & bit;
+                once[i] |= bit;
+            }
+        }
+        pairs.clear();
+        for (i, (&once, &twice)) in once.iter().zip(&*twice).enumerate() {
+            for b in bits_of(once) {
+                pairs.push(((i * 64 + b) as u32, 1 + (twice >> b & 1) as u32));
+            }
+        }
+        needs.any(|need| weights_cover(pairs, need, cfg.max_mates))
+    })
+}
+
+/// The weights the mates must cover (Eq. 3), one per idle-node top-up
+/// [`pick_mates`] would try.
+fn needs(target: u32, free_nodes_available: u32, cfg: &SdPolicyConfig) -> RangeInclusive<u32> {
+    target - usable_free(target, free_nodes_available, cfg)..=target
 }
 
 /// Idle nodes that may count toward `target` (Eq. 3): none unless
@@ -123,6 +203,17 @@ pub fn collect_candidates(
     cutoff: f64,
     _cfg: &SdPolicyConfig,
 ) -> Vec<Candidate> {
+    let mut out = Vec::with_capacity(CANDIDATE_CAP);
+    scan_candidates(st, mall_wall, cutoff, &mut out);
+    keep_cheapest(&mut out, CANDIDATE_CAP);
+    out
+}
+
+/// [`collect_candidates`] before the `nm` cap: every scanned candidate
+/// that passes the filters, scored, in pool order, replaces `out`'s
+/// contents.
+fn scan_candidates(st: &SimState, mall_wall: u64, cutoff: f64, out: &mut Vec<Candidate>) {
+    out.clear();
     let now = st.now;
     let new_end = now.after(mall_wall);
     // Index prune: the release map's last instant is the latest requested
@@ -130,17 +221,16 @@ pub fn collect_candidates(
     // that falls short of the new job's end, the finish-inside constraint
     // rejects every candidate — skip the scan-and-score entirely.
     if st.latest_running_req_end().is_none_or(|latest| latest < new_end) {
-        return Vec::new();
+        return;
     }
     let full = st.spec().node.cores();
-    let mut out: Vec<Candidate> = Vec::with_capacity(CANDIDATE_CAP);
     // The pool is sorted by base penalty ((wait+req)/req); the full Eq. 4
     // penalty adds increase/req, so pool order is a good (not perfect)
-    // visiting order. We scan a bounded multiple of the cap, score exactly,
-    // then keep the cap's worth of cheapest — the set the paper's
-    // sort-then-truncate keeps. The pool entries carry every filter/score
-    // input (denormalised at insertion), so the scan never touches the job
-    // table.
+    // visiting order. We scan a bounded multiple of the cap and score
+    // exactly; the caller keeps the cap's worth of cheapest — the set the
+    // paper's sort-then-truncate keeps. The pool entries carry every
+    // filter/score input (denormalised at insertion), so the scan never
+    // touches the job table.
     let scan_limit = CANDIDATE_CAP * 4;
     // The Eq. 6 stretch is a function of `(ranks_per_node, mall_wall)` only
     // (`None`: nothing can be freed): recomputed when an entry's ranks
@@ -174,8 +264,6 @@ pub fn collect_candidates(
             penalty: p,
         });
     }
-    keep_cheapest(&mut out, CANDIDATE_CAP);
-    out
 }
 
 /// Truncates `cands` to its `nm` cheapest by [`by_cost`] — the same set a
@@ -560,6 +648,46 @@ mod tests {
             proptest::prop_assert_eq!(bits(&got), bits(&want));
             top.sort_by(by_cost);
             proptest::prop_assert_eq!(top, sorted, "top-nm is the sort's prefix");
+        }
+    }
+
+    proptest::proptest! {
+        /// The Eq. 3 check on a whole scored list never refuses a list on
+        /// whose `nm` cut the pick finds a selection; for `m ≤ 2` it refuses
+        /// exactly the lists on which an uncut pick finds nothing. Lists run
+        /// shorter and longer than `nm`, with weights repeated; `scale`
+        /// spreads weights and targets over several bitset words.
+        #[test]
+        fn eq3_refusal_never_refuses_a_pickable_list(
+            raw in proptest::collection::vec((1u32..9, 0u32..6), 0..40),
+            scale in 1u32..20,
+            nm in 1usize..16,
+            target in 1u32..14,
+            free_available in 0u32..4,
+            max_mates in 0usize..4,
+            include_free in 0u8..2,
+        ) {
+            let cands: Vec<Candidate> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(w, p))| cand(i as u64 + 1, w * scale, p as f64 * 0.3))
+                .collect();
+            let target = target * scale;
+            let cfg = SdPolicyConfig {
+                max_mates,
+                include_free_nodes: include_free == 1,
+                ..cfg()
+            };
+            let coverable = candidates_coverable(&cands, target, free_available, &cfg);
+            let mut cut = cands.clone();
+            keep_cheapest(&mut cut, nm);
+            if !coverable {
+                proptest::prop_assert_eq!(pick_mates(&cut, target, free_available, &cfg), None);
+            }
+            if max_mates <= 2 {
+                let uncut = pick_mates(&cands, target, free_available, &cfg);
+                proptest::prop_assert_eq!(coverable, uncut.is_some());
+            }
         }
     }
 

@@ -82,6 +82,7 @@ sd_serve_timing_seconds_total{function="backfill_trial"} 0
 sd_serve_timing_seconds_total{function="job_start"} 0
 sd_serve_timing_seconds_total{function="job_end"} 0
 sd_serve_timing_seconds_total{function="mate_scan"} 0
+sd_serve_timing_seconds_total{function="mate_scan_refused"} 0
 sd_serve_timing_seconds_total{function="cutoff"} 0
 sd_serve_timing_seconds_total{function="quota_check"} 0
 sd_serve_timing_seconds_total{function="fair_share_sort"} 0
@@ -92,6 +93,7 @@ sd_serve_timing_calls_total{function="backfill_trial"} 0
 sd_serve_timing_calls_total{function="job_start"} 0
 sd_serve_timing_calls_total{function="job_end"} 0
 sd_serve_timing_calls_total{function="mate_scan"} 0
+sd_serve_timing_calls_total{function="mate_scan_refused"} 0
 sd_serve_timing_calls_total{function="cutoff"} 0
 sd_serve_timing_calls_total{function="quota_check"} 0
 sd_serve_timing_calls_total{function="fair_share_sort"} 0

@@ -45,7 +45,9 @@ pub use queue::{PendingQueue, QueueEntry};
 pub use rate::{AppAwareModel, IdealModel, RateInputs, RateModel, WorstCaseModel};
 pub use reservation::{Profile, ReleaseMap};
 pub use result::SimResult;
-pub use state::{CoScheduleError, DirtyFlags, Event, MateEntry, SimState, SimStats, SubmitError};
+pub use state::{
+    weights_cover, CoScheduleError, DirtyFlags, Event, MateEntry, SimState, SimStats, SubmitError,
+};
 pub use tenant::{QueuePolicy, Quota, Tenant, TenantRegistry, TenantUsage, NO_TENANT_SLOT};
 // Decision tracing (DESIGN.md §12) — re-exported so downstream crates can
 // attach rings and decode events without a direct `sd-trace` dependency.

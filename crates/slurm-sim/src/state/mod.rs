@@ -30,6 +30,7 @@ use drom::{NodeTable, SharingFactor};
 use simkit::{DetRng, EventQueue, SimTime};
 use std::collections::BTreeSet;
 use weights::PoolWeights;
+pub use weights::weights_cover;
 use workload::{AppModel, AppTrace};
 
 /// Simulation events.

@@ -43,41 +43,50 @@ impl PoolWeights {
     }
 
     /// Can between one and `max_mates` pool entries have weights summing to
-    /// exactly `need`? Exact for `max_mates ≤ 2`; for more mates only the
-    /// necessary "some weight fits" bound is checked, so a `true` is then a
-    /// maybe — a `false` is always final.
+    /// exactly `need`? See [`weights_cover`].
     pub(super) fn covers(&self, need: u32, max_mates: usize) -> bool {
-        let w = &self.0;
-        if max_mates == 0 || w.is_empty() {
-            return false;
-        }
-        if max_mates > 2 {
-            return w[0].0 <= need;
-        }
-        if w.binary_search_by_key(&need, |&(w, _)| w).is_ok() {
-            return true;
-        }
-        if max_mates == 1 {
-            return false;
-        }
-        // Two-pointer walk over the ascending weights for a pair.
-        let (mut lo, mut hi) = (0, w.len() - 1);
-        while lo <= hi {
-            let sum = w[lo].0 as u64 + w[hi].0 as u64;
-            if sum < need as u64 {
-                lo += 1;
-            } else if sum > need as u64 {
-                if hi == 0 {
-                    break;
-                }
-                hi -= 1;
-            } else {
-                // The same weight twice needs two entries of it.
-                return lo < hi || w[lo].1 >= 2;
-            }
-        }
-        false
+        weights_cover(&self.0, need, max_mates)
     }
+}
+
+/// Eq. 3 over a weight multiset: can between one and `max_mates` of its
+/// items have weights summing to exactly `need`? `weights` holds
+/// `(weight, count)` pairs, ascending by weight, every count ≥ 1. Exact for
+/// `max_mates ≤ 2`; for more mates only the necessary "some weight fits"
+/// bound is checked, so a `true` is then a maybe — a `false` is always
+/// final. The one answer to this question: the mate pool's index and the
+/// policy's check of a scored candidate list both ask it here.
+pub fn weights_cover(weights: &[(u32, u32)], need: u32, max_mates: usize) -> bool {
+    let w = weights;
+    if max_mates == 0 || w.is_empty() {
+        return false;
+    }
+    if max_mates > 2 {
+        return w[0].0 <= need;
+    }
+    if w.binary_search_by_key(&need, |&(w, _)| w).is_ok() {
+        return true;
+    }
+    if max_mates == 1 {
+        return false;
+    }
+    // Two-pointer walk over the ascending weights for a pair.
+    let (mut lo, mut hi) = (0, w.len() - 1);
+    while lo <= hi {
+        let sum = w[lo].0 as u64 + w[hi].0 as u64;
+        if sum < need as u64 {
+            lo += 1;
+        } else if sum > need as u64 {
+            if hi == 0 {
+                break;
+            }
+            hi -= 1;
+        } else {
+            // The same weight twice needs two entries of it.
+            return lo < hi || w[lo].1 >= 2;
+        }
+    }
+    false
 }
 
 #[cfg(test)]

@@ -42,6 +42,10 @@ pub enum Probe {
     /// SD-Policy mate scans that actually ran (candidate collection + mate
     /// pick together); trials pruned by the pool weight index never get here.
     MateScan,
+    /// Mate scans whose scored candidates cannot meet Eq. 3, so the `nm` cut
+    /// and the pick never ran: a subset of `mate_scan`'s calls. A count, fed
+    /// through [`count`], like `trial_memo_hit`.
+    MateScanRefused,
     /// The MAX_SLOWDOWN cut-off resolved once per pass.
     Cutoff,
     /// Per-entry tenant quota admission checks.
@@ -68,6 +72,7 @@ pub(crate) const TABLE: [(&str, &[&str]); PROBES] = [
     ("job_start", &["sd", "sched_pass", "backfill_trial"]),
     ("job_end", &["sd", "dispatch"]),
     ("mate_scan", &["sd", "sched_pass", "backfill_trial"]),
+    ("mate_scan_refused", &["sd", "sched_pass", "backfill_trial", "mate_scan"]),
     ("cutoff", &["sd", "sched_pass", "backfill_trial"]),
     ("quota_check", &["sd", "sched_pass"]),
     ("fair_share_sort", &["sd", "sched_pass"]),

@@ -11,7 +11,7 @@
 //! and every pass it ran the gated controller either ran or skipped.
 
 use sd_sched::prelude::*;
-use sd_sched::slurm_sim::{AppAwareModel, BackfillMode, DirtyFlags};
+use sd_sched::slurm_sim::{timing, AppAwareModel, BackfillMode, DirtyFlags};
 use PaperWorkload::{W1Cirne, W2CirneIdeal, W3Ricc, W4Curie, W5RealRun};
 
 /// The ungated reference: runs every pass the controller offers.
@@ -211,6 +211,11 @@ fn single_tenant_fair_share_is_bit_identical_to_untenanted() {
 /// `select_mates` half (it never asks the hook for an est), EASY both. W5
 /// rides along because its co-schedules turn over fastest: with the memo's
 /// clear-on-start removed, it is the W5 cells whose oracle fires.
+///
+/// It also arms the oracle of the Eq. 3 check on the scored candidates:
+/// every scan that check refuses recomputes the `nm` cut and the pick and
+/// asserts that it finds nothing. The `mate_scan_refused` count, read on
+/// this thread, shows that each cell refused scans, so the oracle ran.
 #[test]
 fn self_check_validates_profile_cache_end_to_end() {
     for (w, scale, seed) in [(W3Ricc, 0.02, 7), (W5RealRun, W5RealRun.default_ci_scale(), 42)] {
@@ -221,7 +226,16 @@ fn self_check_validates_profile_cache_end_to_end() {
                 let cell = format!("{w:?} easy={easy} include_free_nodes={include_free_nodes}");
                 let policy = SdPolicy::new(SdPolicyConfig { include_free_nodes, ..SdPolicyConfig::default() });
                 let mut ctl = controller(w, scale, seed, cfg, policy);
+                timing::reset();
+                timing::enable();
                 ctl.step_until(None);
+                timing::disable();
+                let refused = timing::report()
+                    .into_iter()
+                    .find(|r| r.name == "mate_scan_refused")
+                    .expect("the probe exists")
+                    .count;
+                assert!(refused > 0, "{cell}: the Eq. 3 refusal's oracle never ran");
                 let hits = ctl.scheduler.memo_hits();
                 assert!(hits.mates > 0, "{cell}: the mates memo never hit");
                 assert_eq!(hits.est > 0, easy, "{cell}: {} est memo hits", hits.est);
