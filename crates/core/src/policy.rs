@@ -23,7 +23,9 @@ use crate::mates::select_mates;
 use crate::penalty::malleable_wall_time;
 use cluster::JobId;
 use simkit::SimTime;
-use slurm_sim::{backfill_pass, timing::{self, Probe}, DirtyFlags, Profile, Scheduler, SimState};
+use slurm_sim::{
+    backfill_pass, timing::{self, Probe}, DirtyFlags, Scheduler, SimState, StaticEst,
+};
 
 /// Maximum flexible (malleable) trials per scheduling pass; bounds scheduler
 /// latency on deep queues, like SLURM's `bf_max_job_start`.
@@ -104,9 +106,11 @@ impl SdPolicy {
     }
 
     /// The malleable trial for one job that failed the static trial.
-    /// Returns `true` when the job was started through co-scheduling.
+    /// Returns the idle nodes the co-schedule took when the job was started
+    /// through it, `None` otherwise; the pass applies that delta to its
+    /// profile.
     ///
-    /// `est_static_start` is `None` when the pass did not need the job's
+    /// `est` is [`StaticEst::Lazy`] when the pass did not need the job's
     /// est for its own bookkeeping (EASY non-head); it is resolved here,
     /// *only* for jobs that actually reach a trial — the cheap disqualifiers
     /// (trial budget, non-malleable) come first. An infeasible est
@@ -121,26 +125,25 @@ impl SdPolicy {
         &mut self,
         st: &mut SimState,
         id: JobId,
-        est_static_start: Option<SimTime>,
-        profile: &mut Profile,
-    ) -> bool {
+        est: StaticEst<'_>,
+    ) -> Option<u32> {
         if self.trials_this_pass >= MAX_TRIALS_PER_PASS {
-            return false;
+            return None;
         }
         let (malleable, req_time, req_nodes, ranks) = {
             let s = &st.job(id).spec;
             (s.malleable, s.req_time, s.req_nodes, s.ranks_per_node)
         };
         if !malleable {
-            return false;
+            return None;
         }
         if starts(st) != self.memo_epoch {
             self.clear_memo(starts(st));
         }
         let shape = (req_nodes, req_time, ranks);
-        let est_static_start = match est_static_start {
-            Some(e) => e,
-            None => {
+        let est_static_start = match est {
+            StaticEst::Known(e) => e,
+            StaticEst::Lazy(profile) => {
                 let e = match self.est_memo.iter().find(|(s, _)| *s == shape) {
                     Some(&(_, e)) => {
                         self.memo_hits.est += 1;
@@ -162,7 +165,7 @@ impl SdPolicy {
                     }
                 };
                 if e == SimTime::MAX {
-                    return false;
+                    return None;
                 }
                 debug_assert!(e > st.now, "the static trial already failed");
                 e
@@ -176,7 +179,7 @@ impl SdPolicy {
         let full = st.spec().node.cores();
         let freed = st.sharing().freed_cores(full, ranks);
         if freed == 0 {
-            return false;
+            return None;
         }
         let plan_rate = freed as f64 / full as f64;
         let mall_wall = malleable_wall_time(req_time, plan_rate);
@@ -186,7 +189,7 @@ impl SdPolicy {
         let static_end = est_static_start.after(req_time);
         let mall_end = st.now.after(mall_wall);
         if static_end <= mall_end {
-            return false;
+            return None;
         }
 
         // The DynAVGSD cut-off latches here, at the pass's first trial to
@@ -205,27 +208,19 @@ impl SdPolicy {
                     st.now
                 );
             }
-            return false;
+            return None;
         }
         let Some(selection) = select_mates(st, req_nodes, mall_wall, cutoff, &self.cfg) else {
             self.no_mates_memo.push(shape);
-            return false;
+            return None;
         };
-        if st
-            .co_schedule(id, &selection.mates, selection.free_nodes)
-            .is_err()
-        {
-            return false;
-        }
-        // In-place pass-profile delta: a malleable start changes
-        // availability only through the idle nodes it took — the shared
-        // mate nodes keep their predicted release because the finish-inside
-        // constraint caps the borrower's requested end at the mates'.
-        if selection.free_nodes > 0 {
-            let req_end = st.job(id).running().expect("just started").req_end;
-            profile.reserve(st.now, req_end.since(st.now), selection.free_nodes);
-        }
-        true
+        // A malleable start changes availability only through the idle
+        // nodes it took — the shared mate nodes keep their predicted
+        // release because the finish-inside constraint caps the borrower's
+        // requested end at the mates'.
+        st.co_schedule(id, &selection.mates, selection.free_nodes)
+            .ok()
+            .map(|()| selection.free_nodes)
     }
 }
 
@@ -240,9 +235,7 @@ impl Scheduler for SdPolicy {
         self.pass_cutoff = None; // refresh DynAVGSD feedback per pass
         self.trials_this_pass = 0;
         self.clear_memo(starts(st));
-        let mut profile = backfill_pass(st, |st, id, est, profile| {
-            self.try_malleable(st, id, est, profile)
-        });
+        let mut profile = backfill_pass(st, |st, id, est| self.try_malleable(st, id, est));
         // Expand side, the resource manager's other half: idle whole nodes
         // that no pending job is counting on (per the end-of-pass profile,
         // reservations included) host shrunk borrowers at full width
@@ -626,10 +619,11 @@ mod tests {
         let mut jobs = vec![job(1, 0, 10_000, 1, 10_000)];
         jobs.extend((2..42).map(|id| job(id, 10, 100, 3, 100)));
         let mut ctl = controller_at_10(jobs, 3, BackfillMode::Easy);
-        let mut profile = Profile::flat(SimTime(10), 2);
+        let profile = slurm_sim::Profile::flat(SimTime(10), 2);
         let mut policy = SdPolicy::default();
         for id in 2..42 {
-            assert!(!policy.try_malleable(&mut ctl.state, JobId(id), None, &mut profile));
+            let est = StaticEst::Lazy(&profile);
+            assert_eq!(policy.try_malleable(&mut ctl.state, JobId(id), est), None);
         }
         assert_eq!(policy.memo_hits(), MemoHits { est: 39, mates: 0 });
         assert_eq!(policy.trials_this_pass, 0);

@@ -9,7 +9,8 @@
 //! every job; EASY: queue head only).
 
 use crate::config::BackfillMode;
-use crate::reservation::Profile;
+use crate::queue::QueueEntry;
+use crate::reservation::{Profile, Slot};
 use crate::state::{DirtyFlags, SimState};
 use crate::timing::{self, Probe};
 use cluster::JobId;
@@ -51,29 +52,71 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
     }
 }
 
-/// Outcome of the flexible hook for one job.
-pub(crate) type FlexStarted = bool;
+/// The static start a flexible hook weighs a malleable start against.
+#[derive(Debug, Clone, Copy)]
+pub enum StaticEst<'a> {
+    /// The pass needed it anyway: a conservative reservation or the EASY
+    /// head's.
+    Known(SimTime),
+    /// An EASY non-head job, which reserves nothing: the pass profile, for
+    /// the hook to resolve the est from only if it mounts a trial (and to
+    /// bail on `SimTime::MAX`: an impossible job is never trialled).
+    Lazy(&'a Profile),
+}
 
-/// Runs one backfill pass. `flexible(st, job, est_static_start, profile)`
-/// may start `job` by other means (malleable co-scheduling) and must return
-/// whether it did.
+/// One job a recorded pass swept: the entry the replay compares today's
+/// with, and the slot its sweep found (`start == SimTime::MAX`: never fits).
+#[derive(Debug, Clone, Copy)]
+struct PlanStep {
+    entry: QueueEntry,
+    slot: Slot,
+}
+
+/// The last conservative pass that changed nothing but its own
+/// reservations. Each of its sweeps was a pure function of `base` and the
+/// reservations before it, so a later pass whose availability is still
+/// `base` beyond the origin, and whose prefix reaches the same jobs, finds
+/// the same slots without sweeping.
+#[derive(Debug, Default)]
+pub(crate) struct PassPlan {
+    /// Whether the fields below describe such a pass.
+    valid: bool,
+    /// The cached availability the pass started from.
+    base: Profile,
+    /// Every job it swept, in order; quota-blocked entries are not swept.
+    steps: Vec<PlanStep>,
+    /// The pass profile after the last sweep.
+    end: Profile,
+}
+
+/// The `self_check` oracle's list: reservations made for still-waiting
+/// jobs this pass, replayed on top of a rebuilt profile. (Started jobs are
+/// reflected in the release map, so they must NOT be replayed.)
+type WaitingResv = Vec<(SimTime, u64, u32)>;
+
+/// Runs one backfill pass. `flexible(st, job, est)` may start `job` by
+/// other means (malleable co-scheduling); it returns `Some(idle)`, the idle
+/// whole nodes that start took, or `None` when it started nothing.
 ///
-/// `est_static_start` is `Some` when the pass needed the job's earliest
-/// static start anyway (conservative reservations, the EASY head); it is
-/// `None` for EASY non-head jobs, where the est is only needed *if* the
-/// hook actually mounts a malleable trial — the hook resolves it lazily
-/// from the profile (and must bail on `SimTime::MAX`: an impossible job is
-/// never trialled). This laziness is what keeps deep EASY passes (full
-/// Curie: `bf_max_job_test = 200`) from paying an O(profile) walk per
-/// examined job; the common case is one O(1) [`Profile::can_start_now`]
-/// probe.
+/// `est` is [`StaticEst::Known`] when the pass needed the job's earliest
+/// static start anyway (conservative reservations, the EASY head), and
+/// [`StaticEst::Lazy`] for EASY non-head jobs, where the est is only needed
+/// *if* the hook actually mounts a malleable trial. This laziness is what
+/// keeps deep EASY passes (full Curie: `bf_max_job_test = 200`) from paying
+/// an O(profile) walk per examined job; the common case is one O(1)
+/// [`Profile::can_start_now`] probe.
 ///
-/// On a `true` return the pass profile must account for the taken idle
-/// nodes: the hook itself applies the in-place [`Profile::reserve`] delta
-/// (shared mate nodes keep their release — the finish-inside constraint
-/// caps the borrower's requested end at the mates'). Under
-/// `cfg.self_check` the result is compared with a rebuild from the release
-/// map plus a replay of this pass's reservations.
+/// The hook never writes the pass profile: on a start, the pass subtracts
+/// the taken idle nodes until the job's requested end (shared mate nodes
+/// keep their release — the finish-inside constraint caps the borrower's
+/// requested end at the mates'). Under `cfg.self_check` the result is
+/// compared with a rebuild from the release map plus a replay of this
+/// pass's reservations.
+///
+/// A conservative pass that starts nothing records its sweeps as a plan;
+/// the next conservative pass replays them instead of sweeping while the
+/// availability and its prefix still match (DESIGN.md §9). EASY passes
+/// neither record nor replay.
 ///
 /// Returns the end-of-pass availability (current starts and the waiting
 /// jobs' reservations applied) so callers can make further
@@ -83,29 +126,44 @@ pub(crate) type FlexStarted = bool;
 /// reuses its allocations.
 pub fn backfill_pass<F>(st: &mut SimState, mut flexible: F) -> Profile
 where
-    F: FnMut(&mut SimState, JobId, Option<SimTime>, &mut Profile) -> FlexStarted,
+    F: FnMut(&mut SimState, JobId, StaticEst<'_>) -> Option<u32>,
 {
-    let mut profile = st.take_pass_profile();
     if st.queue.is_empty() {
+        let profile = st.take_pass_profile();
         st.stats.peak_profile_len = st.stats.peak_profile_len.max(profile.len());
         return profile;
     }
     let depth = st.cfg.backfill_depth;
     let mode = st.cfg.backfill_mode;
-    // Reservations made for still-waiting jobs this pass: what the
-    // `self_check` oracle replays on top of a rebuilt profile. (Started
-    // jobs are reflected in the release map, so they must NOT be replayed.)
     let self_check = st.cfg.self_check;
-    let mut waiting_resv = Vec::new();
     let mut head_reserved = false;
 
     let mut prefix = st.take_prefix_scratch();
     // FIFO prefix, or the fair-share reorder under `QueuePolicy::FairShare`.
     st.fill_pass_prefix(depth, &mut prefix);
+    let starts = started(st);
+    let mut plan = match mode {
+        BackfillMode::Conservative => Some(st.take_pass_plan()),
+        BackfillMode::Easy => None,
+    };
+    // `replayed`: the plan's base still holds, so an idle pass keeps it.
+    // `at_end`: the plan was replayed whole, so the profile is its `end`.
+    let (mut profile, mut waiting_resv, from, replayed, at_end) = match plan.as_deref_mut() {
+        Some(plan) if plan.valid && plan.base.same_beyond_origin(st.availability()) => {
+            let (profile, resv, from, at_end) = replay(st, &prefix, plan, &mut flexible);
+            (profile, resv, from, true, at_end)
+        }
+        Some(plan) => {
+            plan.steps.clear();
+            (st.take_pass_profile(), WaitingResv::new(), 0, false, false)
+        }
+        None => (st.take_pass_profile(), WaitingResv::new(), 0, false, false),
+    };
+    let mut steps = plan.as_deref_mut().map(|p| &mut p.steps);
     // Dimensions come from the queue entries (cached at submit): the hot
     // loop reads this sequential buffer, no job-table dereference. The
     // buffer is owned (taken from the scratch), so `st` stays mutable.
-    for &entry in &prefix {
+    for &entry in &prefix[from..] {
         let id = entry.job;
         let (req_nodes, req_time) = (entry.req_nodes, entry.req_time);
         // Quota enforcement happens before the trial: a start that would
@@ -141,6 +199,9 @@ where
         // hook computes one itself only if it mounts a trial.
         let slot = if reserve_wanted {
             let slot = profile.earliest_slot(req_nodes, req_time, st.now);
+            if let Some(steps) = steps.as_deref_mut() {
+                steps.push(PlanStep { entry, slot });
+            }
             if slot.start == SimTime::MAX {
                 st.trace.emit(
                     st.now.secs(),
@@ -153,13 +214,13 @@ where
         } else {
             None
         };
-        // The hook changes the profile only when it starts the job, and then
-        // no reservation follows — so `slot` is still valid below.
-        if flexible(st, id, slot.map(|s| s.start), &mut profile) {
-            // The hook applied the in-place delta.
-            if self_check {
-                assert_delta_equals_rebuild(st, &profile, &waiting_resv);
-            }
+        let est = match slot {
+            Some(slot) => StaticEst::Known(slot.start),
+            None => StaticEst::Lazy(&profile),
+        };
+        // A start means no reservation follows, so `slot` is still valid below.
+        if let Some(idle) = flexible(st, id, est) {
+            take_idle(st, id, idle, &mut profile, self_check.then_some(&waiting_resv));
             continue;
         }
         match slot {
@@ -185,7 +246,160 @@ where
     }
     st.stats.peak_profile_len = st.stats.peak_profile_len.max(profile.len());
     st.recycle_prefix_scratch(prefix);
+    if let Some(mut plan) = plan {
+        // Only a pass that started nothing records: a job started
+        // mid-pass can end before the next pass and restore the
+        // availability exactly, leaving later slots made on a profile that
+        // no longer exists. Without starts the availability is still the
+        // one the pass began from.
+        plan.valid = started(st) == starts;
+        if plan.valid {
+            if !replayed {
+                plan.base.clone_from(st.availability());
+            }
+            if !at_end {
+                plan.end.clone_from(&profile);
+            }
+        }
+        st.recycle_pass_plan(plan);
+    }
     profile
+}
+
+/// Jobs started so far, by either path.
+fn started(st: &SimState) -> u64 {
+    st.stats.started_static + st.stats.started_malleable
+}
+
+/// The in-place pass-profile delta of a malleable start: it changes
+/// availability only through the `idle` whole nodes it took, until its
+/// requested end. `oracle`: the pass's reservations under `self_check`.
+fn take_idle(
+    st: &SimState,
+    id: JobId,
+    idle: u32,
+    profile: &mut Profile,
+    oracle: Option<&WaitingResv>,
+) {
+    if idle > 0 {
+        let req_end = st.job(id).running().expect("just started").req_end;
+        profile.reserve(st.now, req_end.since(st.now), idle);
+    }
+    if let Some(waiting_resv) = oracle {
+        assert_delta_equals_rebuild(st, profile, waiting_resv);
+    }
+}
+
+/// Replays `plan` over today's `prefix`; called only while the
+/// availability equals the plan's base beyond its origin. Step `k` then
+/// sees the recorded step-`k` profile with only `times[0]` moved inside
+/// `[old now, times[1])`, where no recorded slot starts: `can_start_now`
+/// stays false and `earliest_slot` finds the recorded slot. So a replayed
+/// step sweeps nothing and splices nothing; the quota check, the flexible
+/// hook and the trace events run as in a fresh pass.
+///
+/// The replay stops at the first entry a fresh pass would sweep that is
+/// not the next recorded one (a new job, a cancel, a quota result), before
+/// its quota check, or once the hook starts a job. It builds the pass
+/// profile from the base and the reservations replayed so far — from
+/// `end` when that is every step — and returns it with the oracle's list,
+/// the index today's loop goes on from, and whether it replayed the whole
+/// plan and the whole prefix (the plan's `end` then needs no new copy).
+/// Under `cfg.self_check` a shadow profile swept the old way checks every
+/// replayed slot and the built profile.
+#[inline(never)]
+fn replay<F>(
+    st: &mut SimState,
+    prefix: &[QueueEntry],
+    plan: &mut PassPlan,
+    flexible: &mut F,
+) -> (Profile, WaitingResv, usize, bool)
+where
+    F: FnMut(&mut SimState, JobId, StaticEst<'_>) -> Option<u32>,
+{
+    let mut shadow = st.cfg.self_check.then(|| st.availability().clone());
+    let mut k = 0;
+    for (i, &entry) in prefix.iter().enumerate() {
+        let recorded = plan.steps.get(k).is_some_and(|s| s.entry == entry);
+        // A recorded job that is blocked now, or one a fresh pass sweeps
+        // that the plan does not hold next: today's loop takes over here.
+        if recorded == st.quota_would_block(&entry) {
+            let (profile, resv) = materialise(st, plan, k, shadow);
+            return (profile, resv, i, false);
+        }
+        if st.quota_blocks(&entry) {
+            continue; // blocked now as when the plan was recorded
+        }
+        let _trial = timing::scope(Probe::BackfillTrial);
+        timing::count(Probe::SweepReplayed);
+        let slot = plan.steps[k].slot;
+        let (req_nodes, req_time) = (entry.req_nodes, entry.req_time);
+        if let Some(shadow) = &shadow {
+            assert!(
+                !shadow.can_start_now(req_nodes, req_time, st.now),
+                "replayed {entry:?} could start at {:?}",
+                st.now
+            );
+            let fresh = shadow.earliest_slot(req_nodes, req_time, st.now);
+            assert_eq!(fresh, slot, "replayed slot of {entry:?} is stale at {:?}", st.now);
+        }
+        if slot.start == SimTime::MAX {
+            st.trace.emit(
+                st.now.secs(),
+                TraceKind::BackfillRejected { job: entry.job.0, reason: RejectReason::NeverFits },
+            );
+            k += 1;
+            continue;
+        }
+        if let Some(idle) = flexible(st, entry.job, StaticEst::Known(slot.start)) {
+            let (mut profile, resv) = materialise(st, plan, k, shadow);
+            take_idle(st, entry.job, idle, &mut profile, st.cfg.self_check.then_some(&resv));
+            return (profile, resv, i + 1, false);
+        }
+        if let Some(shadow) = &mut shadow {
+            shadow.reserve_slot(slot, req_time, req_nodes);
+        }
+        k += 1;
+        st.trace.emit(
+            st.now.secs(),
+            TraceKind::EasyReserved { job: entry.job.0, est: slot.start.secs() },
+        );
+    }
+    let at_end = k == plan.steps.len();
+    let (profile, resv) = materialise(st, plan, k, shadow);
+    (profile, resv, prefix.len(), at_end)
+}
+
+/// The pass profile after the plan's first `k` steps, which become the
+/// whole plan: `end` when that is every step, else the base plus the first
+/// `k` reservations, spliced at their recorded slots; advanced to `now`
+/// either way. Under `self_check` it must equal the shadow swept the old
+/// way, and the first `k` reservations are returned for the pass's oracle.
+fn materialise(
+    st: &mut SimState,
+    plan: &mut PassPlan,
+    k: usize,
+    shadow: Option<Profile>,
+) -> (Profile, WaitingResv) {
+    let mut profile = st.take_pass_buffer();
+    let reserved = plan.steps[..k].iter().filter(|s| s.slot.start != SimTime::MAX);
+    if k == plan.steps.len() {
+        profile.clone_from(&plan.end);
+        profile.advance_to(st.now);
+    } else {
+        profile.clone_from(&plan.base);
+        profile.advance_to(st.now);
+        for s in reserved.clone() {
+            profile.reserve_slot(s.slot, s.entry.req_time, s.entry.req_nodes);
+        }
+    }
+    let mut resv = WaitingResv::new();
+    if let Some(shadow) = shadow {
+        assert_eq!(profile, shadow, "replayed pass profile diverged at {:?}", st.now);
+        resv.extend(reserved.map(|s| (s.slot.start, s.entry.req_time, s.entry.req_nodes)));
+    }
+    plan.steps.truncate(k);
+    (profile, resv)
 }
 
 /// The `self_check` oracle for the pass profile's in-place deltas — the
@@ -220,7 +434,7 @@ pub struct StaticBackfill;
 
 impl Scheduler for StaticBackfill {
     fn schedule(&mut self, st: &mut SimState) {
-        let profile = backfill_pass(st, |_, _, _: Option<SimTime>, _| false);
+        let profile = backfill_pass(st, |_, _, _| None);
         st.recycle_pass_profile(profile);
     }
 
@@ -405,6 +619,96 @@ mod tests {
         assert_eq!(st.queue.len(), 1, "blocked job stays pending");
     }
 
+    /// Dispatches every event up to `t` without running a pass.
+    fn dispatch_until(st: &mut SimState, t: u64) {
+        while let Some(at) = st.events.peek_time().filter(|&at| at <= SimTime(t)) {
+            let ev = st.events.pop().unwrap();
+            st.now = at;
+            st.dispatch(ev.payload);
+        }
+    }
+
+    /// The calling thread's count for the probe named `name`.
+    fn calls(name: &str) -> u64 {
+        timing::report().into_iter().find(|r| r.name == name).unwrap().count
+    }
+
+    fn start_of(st: &SimState, id: u64) -> SimTime {
+        st.outcomes().iter().find(|o| o.id == JobId(id)).unwrap().start
+    }
+
+    #[test]
+    fn a_pass_that_starts_a_job_leaves_no_plan() {
+        // L holds 2 of 4 nodes until 1000. At 10 the short X starts on one
+        // of the other two, and A and B (3 nodes each) reserve 1000 and
+        // 1100 on a profile with X's step at 60 in it. X ends at 60, which
+        // restores the availability the pass at 10 began from exactly; a
+        // plan recorded at 10 would now replay slots spliced for a profile
+        // that no longer exists (the shadow oracle, or `reserve_slot`'s
+        // stale-slot check, panics on them). The submit-only pass at 70
+        // must sweep afresh, and record: the next one replays A, B and C.
+        let mut st = state(
+            vec![
+                job(1, 0, 1000, 2, 1000),  // L
+                job(2, 10, 50, 1, 50),     // X
+                job(3, 10, 100, 3, 100),   // A
+                job(4, 10, 100, 3, 100),   // B
+                job(5, 70, 100, 4, 100),   // C
+                job(6, 80, 100, 4, 100),   // D
+            ],
+            BackfillMode::Conservative,
+        );
+        timing::reset();
+        timing::enable();
+        for t in [0, 10, 70] {
+            dispatch_until(&mut st, t);
+            StaticBackfill.schedule(&mut st);
+        }
+        assert_eq!(calls("sweep_replayed"), 0, "the pass at 10 started X");
+        dispatch_until(&mut st, 80);
+        StaticBackfill.schedule(&mut st);
+        assert_eq!(calls("sweep_replayed"), 3, "A, B and C replayed at 80");
+        timing::disable();
+        run_all(&mut st, &mut StaticBackfill);
+        let starts: Vec<u64> = (1..=6).map(|id| start_of(&st, id).secs()).collect();
+        assert_eq!(starts, [0, 10, 1000, 1100, 1200, 1300]);
+    }
+
+    #[test]
+    fn a_submit_only_pass_after_an_idle_pass_sweeps_only_the_new_job() {
+        // L holds the machine until 1000; A and B reserve behind it at 10.
+        // C's submit at 20 changes nothing the pass at 10 swept, so the pass
+        // at 20 replays A and B and sweeps C alone. `self_check` is off: its
+        // shadow oracle sweeps every replayed job again.
+        let mut st = state(
+            vec![
+                job(1, 0, 1000, 4, 1000),
+                job(2, 10, 100, 2, 100),
+                job(3, 10, 100, 2, 100),
+                job(4, 20, 100, 4, 100),
+            ],
+            BackfillMode::Conservative,
+        );
+        st.cfg.self_check = false;
+        timing::reset();
+        timing::enable();
+        for t in [0, 10] {
+            dispatch_until(&mut st, t);
+            StaticBackfill.schedule(&mut st);
+        }
+        let sweeps = calls("earliest_start");
+        assert_eq!((sweeps, calls("sweep_replayed")), (2, 0));
+        dispatch_until(&mut st, 20);
+        StaticBackfill.schedule(&mut st);
+        assert_eq!(calls("earliest_start"), sweeps + 1, "only C swept");
+        assert_eq!(calls("sweep_replayed"), 2);
+        assert_eq!(calls("backfill_trial"), 1 + 2 + 3, "every examined job is a trial");
+        timing::disable();
+        run_all(&mut st, &mut StaticBackfill);
+        let starts: Vec<u64> = (1..=4).map(|id| start_of(&st, id).secs()).collect();
+        assert_eq!(starts, [0, 1000, 1000, 1100]);
+    }
+
     #[test]
     fn flexible_hook_sees_waiting_jobs() {
         let mut st = state(
@@ -418,9 +722,13 @@ mod tests {
                 st.now = t;
                 st.dispatch(ev.payload);
             }
-            backfill_pass(&mut st, |_st, id, est, _p| {
+            backfill_pass(&mut st, |_st, id, est| {
+                let est = match est {
+                    StaticEst::Known(t) => Some(t),
+                    StaticEst::Lazy(_) => None,
+                };
                 seen.push((id, est));
-                false
+                None
             });
         }
         assert!(

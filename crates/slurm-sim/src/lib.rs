@@ -37,7 +37,7 @@ pub mod state;
 pub mod tenant;
 pub mod timing;
 
-pub use backfill::{backfill_pass, Scheduler, StaticBackfill};
+pub use backfill::{backfill_pass, Scheduler, StaticBackfill, StaticEst};
 pub use config::{BackfillMode, SlurmConfig};
 pub use controller::{run_trace, Controller};
 pub use job::{Job, JobOutcome, JobSpec, JobState, RunningJob};

@@ -117,7 +117,7 @@ pub struct Profile {
 
 /// A window [`Profile::earliest_slot`] found, with the indices its sweep
 /// walked to. Valid only until the profile next changes.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Slot {
     /// The earliest start (`SimTime::MAX` if the job never fits).
     pub start: SimTime,
@@ -179,6 +179,14 @@ impl Profile {
 
     pub fn now(&self) -> SimTime {
         self.times[0]
+    }
+
+    /// Whether both profiles hold the same steps after their origins:
+    /// `free` and `times[1..]` equal, `times[0]` free to differ. A profile
+    /// advanced to a later `now` short of its first step differs from
+    /// itself only there, and so does every profile reserved from it.
+    pub(crate) fn same_beyond_origin(&self, other: &Profile) -> bool {
+        self.free == other.free && self.times.get(1..) == other.times.get(1..)
     }
 
     /// Index of the segment holding `t` (clamped to the profile's domain).

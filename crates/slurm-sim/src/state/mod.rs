@@ -18,6 +18,7 @@
 //! the energy meter. A start or an end visits each node once and patches
 //! the availability once; `cfg.self_check` re-validates after each mutation.
 
+use crate::backfill::PassPlan;
 use crate::config::SlurmConfig;
 use crate::job::{Job, JobOutcome, JobSpec, JobState, RunningJob};
 use crate::queue::{PendingQueue, QueueEntry};
@@ -87,11 +88,13 @@ pub struct DirtyFlags {
 
 /// Reusable buffers for the scheduling pass: the pass availability and the
 /// per-pass vectors live here between passes so the hot loop never
-/// allocates.
+/// allocates. The conservative pass plan rides along: it is scratch too —
+/// never checkpointed, empty after a restore.
 #[derive(Debug, Default)]
 struct PassScratch {
     profile: Profile,
     prefix: Vec<crate::queue::QueueEntry>,
+    plan: Option<Box<PassPlan>>,
 }
 
 /// One mate-pool entry: the per-candidate inputs of Eq. 4 and the paper's

@@ -9,9 +9,25 @@ impl SimState {
     /// Takes the reusable pass-availability buffer, filled with a copy of
     /// the cached availability (no BTreeMap walk, allocations reused).
     pub(crate) fn take_pass_profile(&mut self) -> Profile {
-        let mut p = std::mem::take(&mut self.scratch.profile);
+        let mut p = self.take_pass_buffer();
         p.clone_from(self.availability());
         p
+    }
+
+    /// The reusable pass-availability buffer with whatever the last pass
+    /// left in it: only its allocations are of use.
+    pub(crate) fn take_pass_buffer(&mut self) -> Profile {
+        std::mem::take(&mut self.scratch.profile)
+    }
+
+    /// Takes the conservative pass plan (allocated on first use only: the
+    /// box goes back through [`SimState::recycle_pass_plan`]).
+    pub(crate) fn take_pass_plan(&mut self) -> Box<PassPlan> {
+        self.scratch.plan.take().unwrap_or_default()
+    }
+
+    pub(crate) fn recycle_pass_plan(&mut self, plan: Box<PassPlan>) {
+        self.scratch.plan = Some(plan);
     }
 
     /// Returns a pass availability for reuse by the next pass.
@@ -56,6 +72,17 @@ impl SimState {
                 prefix.truncate(depth);
             }
         }
+    }
+
+    /// What [`SimState::quota_blocks`] would answer, without counting or
+    /// tracing a skip.
+    pub(crate) fn quota_would_block(&self, e: &QueueEntry) -> bool {
+        e.tslot != NO_TENANT_SLOT
+            && self.tenant_usage[e.tslot as usize].would_exceed(
+                &self.cfg.tenants.get(e.tslot).quota,
+                e.req_nodes,
+                e.req_time,
+            )
     }
 
     /// Whether starting this entry now would exceed its tenant's quota.

@@ -56,9 +56,12 @@ pub enum Probe {
     /// an `earliest_start` sweep or a mate scan. Work, not time: fed through
     /// [`count`], so its `total_secs` stays zero.
     TrialMemoHit,
+    /// Conservative sweeps a pass took from the previous idle pass's plan
+    /// instead of running `earliest_start`: a count, like `trial_memo_hit`.
+    SweepReplayed,
 }
 
-const PROBES: usize = Probe::TrialMemoHit as usize + 1;
+const PROBES: usize = Probe::SweepReplayed as usize + 1;
 
 /// Each [`Probe`]'s name and the frames it nominally runs under, root-first,
 /// for [`collapsed`]. "Nominal" because probes measure inclusive wall time
@@ -77,6 +80,7 @@ pub(crate) const TABLE: [(&str, &[&str]); PROBES] = [
     ("quota_check", &["sd", "sched_pass"]),
     ("fair_share_sort", &["sd", "sched_pass"]),
     ("trial_memo_hit", &["sd", "sched_pass", "backfill_trial"]),
+    ("sweep_replayed", &["sd", "sched_pass", "backfill_trial"]),
 ];
 
 /// The calling thread's switch and counters: plain cells, no atomics.

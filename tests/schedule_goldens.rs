@@ -216,6 +216,9 @@ fn single_tenant_fair_share_is_bit_identical_to_untenanted() {
 /// every scan that check refuses recomputes the `nm` cut and the pick and
 /// asserts that it finds nothing. The `mate_scan_refused` count, read on
 /// this thread, shows that each cell refused scans, so the oracle ran.
+/// Likewise the pass plan's shadow oracle: every replayed step sweeps a
+/// shadow profile afresh and asserts the recorded slot, and
+/// `sweep_replayed` shows that each conservative cell replayed steps.
 #[test]
 fn self_check_validates_profile_cache_end_to_end() {
     for (w, scale, seed) in [(W3Ricc, 0.02, 7), (W5RealRun, W5RealRun.default_ci_scale(), 42)] {
@@ -230,12 +233,16 @@ fn self_check_validates_profile_cache_end_to_end() {
                 timing::enable();
                 ctl.step_until(None);
                 timing::disable();
-                let refused = timing::report()
-                    .into_iter()
-                    .find(|r| r.name == "mate_scan_refused")
-                    .expect("the probe exists")
-                    .count;
-                assert!(refused > 0, "{cell}: the Eq. 3 refusal's oracle never ran");
+                let count = |name: &str| {
+                    timing::report()
+                        .into_iter()
+                        .find(|r| r.name == name)
+                        .expect("the probe exists")
+                        .count
+                };
+                assert!(count("mate_scan_refused") > 0, "{cell}: the Eq. 3 refusal's oracle never ran");
+                let replayed = count("sweep_replayed");
+                assert_eq!(replayed > 0, !easy, "{cell}: {replayed} sweeps replayed");
                 let hits = ctl.scheduler.memo_hits();
                 assert!(hits.mates > 0, "{cell}: the mates memo never hit");
                 assert_eq!(hits.est > 0, easy, "{cell}: {} est memo hits", hits.est);
