@@ -88,6 +88,7 @@ sd_serve_timing_seconds_total{function="quota_check"} 0
 sd_serve_timing_seconds_total{function="fair_share_sort"} 0
 sd_serve_timing_seconds_total{function="trial_memo_hit"} 0
 sd_serve_timing_seconds_total{function="sweep_replayed"} 0
+sd_serve_timing_seconds_total{function="tail_skipped"} 0
 sd_serve_timing_calls_total{function="sched_pass"} 0
 sd_serve_timing_calls_total{function="earliest_start"} 0
 sd_serve_timing_calls_total{function="backfill_trial"} 0
@@ -100,6 +101,7 @@ sd_serve_timing_calls_total{function="quota_check"} 0
 sd_serve_timing_calls_total{function="fair_share_sort"} 0
 sd_serve_timing_calls_total{function="trial_memo_hit"} 0
 sd_serve_timing_calls_total{function="sweep_replayed"} 0
+sd_serve_timing_calls_total{function="tail_skipped"} 0
 sd_serve_wal_records_written_total 21
 sd_serve_wal_records_replayed_total 0
 sd_serve_checkpoints_written_total 1

@@ -9,9 +9,10 @@
 //! every job; EASY: queue head only).
 
 use crate::config::BackfillMode;
-use crate::queue::QueueEntry;
+use crate::queue::{PendingQueue, QueueEntry};
 use crate::reservation::{Profile, Slot};
 use crate::state::{DirtyFlags, SimState};
+use crate::tenant::{QueuePolicy, NO_TENANT_SLOT};
 use crate::timing::{self, Probe};
 use cluster::JobId;
 use sd_trace::{RejectReason, TraceKind};
@@ -72,26 +73,107 @@ struct PlanStep {
     slot: Slot,
 }
 
-/// The last conservative pass that changed nothing but its own
-/// reservations. Each of its sweeps was a pure function of `base` and the
-/// reservations before it, so a later pass whose availability is still
-/// `base` beyond the origin, and whose prefix reaches the same jobs, finds
-/// the same slots without sweeping.
+/// The last run of non-head `NoFitNow` failures a static EASY pass saw after
+/// its last start: the FIFO sequence numbers `[first, end)`, holding `count`
+/// live entries and none tenanted, and what they failed against — the
+/// availability's version, the queue's edit count and the head's
+/// reservation. While all three hold, the next pass skips the run
+/// (DESIGN.md §9).
+#[derive(Debug, Clone, Copy)]
+struct TailRun {
+    first: usize,
+    end: usize,
+    count: usize,
+    version: u64,
+    edits: u64,
+    head: (JobId, SimTime),
+}
+
+/// What a pass leaves the next one: the last conservative pass that
+/// changed nothing but its own reservations, and a static EASY pass's
+/// failing tail. Each sweep of the conservative pass was a pure function
+/// of the availability and the reservations before it, so a later pass
+/// whose availability has the same version, and whose queue reaches the
+/// same jobs, finds the same slots without sweeping.
 #[derive(Debug, Default)]
 pub(crate) struct PassPlan {
-    /// Whether the fields below describe such a pass.
+    /// Whether the conservative fields below describe such a pass.
     valid: bool,
-    /// The cached availability the pass started from.
-    base: Profile,
+    /// The availability's version the pass ran at.
+    version: u64,
     /// Every job it swept, in order; quota-blocked entries are not swept.
     steps: Vec<PlanStep>,
     /// The pass profile after the last sweep.
     end: Profile,
+    /// The static EASY pass's failing tail, if it had one.
+    tail: Option<TailRun>,
+}
+
+/// The order a pass examines pending jobs in: the FIFO queue itself, read
+/// in place by sequence number, or fair share's sorted scratch, by index.
+/// Either way an entry comes with its position, which [`Walk::unread`]
+/// steps back over.
+enum Walk {
+    /// The next sequence number to look at, and how many entries the depth
+    /// still allows.
+    Fifo { next: usize, left: usize },
+    Sorted { entries: Vec<QueueEntry>, next: usize },
+}
+
+impl Walk {
+    fn new(st: &mut SimState, depth: usize) -> Walk {
+        match st.cfg.queue_policy {
+            QueuePolicy::Fifo => Walk::Fifo { next: 0, left: depth },
+            QueuePolicy::FairShare { half_life } => {
+                let mut entries = st.take_prefix_scratch();
+                st.fill_fair_share_prefix(half_life, depth, &mut entries);
+                Walk::Sorted { entries, next: 0 }
+            }
+        }
+    }
+
+    #[inline]
+    fn next(&mut self, queue: &PendingQueue) -> Option<(usize, QueueEntry)> {
+        match self {
+            Walk::Fifo { next, left } => {
+                if *left == 0 {
+                    return None;
+                }
+                let (seq, entry) = queue.next_live(*next)?;
+                *next = seq + 1;
+                *left -= 1;
+                Some((seq, entry))
+            }
+            Walk::Sorted { entries, next } => {
+                let entry = *entries.get(*next)?;
+                *next += 1;
+                Some((*next - 1, entry))
+            }
+        }
+    }
+
+    /// Steps back over the entry at `pos`, the last one read.
+    fn unread(&mut self, pos: usize) {
+        match self {
+            Walk::Fifo { next, left } => {
+                *next = pos;
+                *left += 1;
+            }
+            Walk::Sorted { next, .. } => *next = pos,
+        }
+    }
+
+    /// Hands the sorted scratch back.
+    fn finish(self, st: &mut SimState) {
+        if let Walk::Sorted { entries, .. } = self {
+            st.recycle_prefix_scratch(entries);
+        }
+    }
 }
 
 /// The `self_check` oracle's list: reservations made for still-waiting
 /// jobs this pass, replayed on top of a rebuilt profile. (Started jobs are
-/// reflected in the release map, so they must NOT be replayed.)
+/// reflected in the node releases, so they must NOT be replayed.)
 type WaitingResv = Vec<(SimTime, u64, u32)>;
 
 /// Runs one backfill pass. `flexible(st, job, est)` may start `job` by
@@ -110,13 +192,16 @@ type WaitingResv = Vec<(SimTime, u64, u32)>;
 /// the taken idle nodes until the job's requested end (shared mate nodes
 /// keep their release — the finish-inside constraint caps the borrower's
 /// requested end at the mates'). Under `cfg.self_check` the result is
-/// compared with a rebuild from the release map plus a replay of this
+/// compared with a rebuild from the node releases plus a replay of this
 /// pass's reservations.
 ///
-/// A conservative pass that starts nothing records its sweeps as a plan;
-/// the next conservative pass replays them instead of sweeping while the
-/// availability and its prefix still match (DESIGN.md §9). EASY passes
-/// neither record nor replay.
+/// A FIFO queue is walked in place; fair share walks its sorted copy. A
+/// conservative pass that starts nothing records its sweeps as a plan; the
+/// next conservative pass replays them instead of sweeping while the
+/// availability's version and the queue still match (DESIGN.md §9).
+/// EASY passes neither record nor replay, and this pass never skips:
+/// [`StaticBackfill`] runs the one that also skips its last pass's proven
+/// failures.
 ///
 /// Returns the end-of-pass availability (current starts and the waiting
 /// jobs' reservations applied) so callers can make further
@@ -124,7 +209,17 @@ type WaitingResv = Vec<(SimTime, u64, u32)>;
 /// it to take only nodes no pending job is counting on. Callers should hand
 /// the buffer back via [`SimState::recycle_pass_profile`] so the next pass
 /// reuses its allocations.
-pub fn backfill_pass<F>(st: &mut SimState, mut flexible: F) -> Profile
+pub fn backfill_pass<F>(st: &mut SimState, flexible: F) -> Profile
+where
+    F: FnMut(&mut SimState, JobId, StaticEst<'_>) -> Option<u32>,
+{
+    pass::<F, false>(st, flexible)
+}
+
+/// [`backfill_pass`]; with `SKIP`, a static EASY pass over a FIFO queue
+/// also records its failing tail and skips the last pass's, and `flexible`
+/// must never start a job.
+fn pass<F, const SKIP: bool>(st: &mut SimState, mut flexible: F) -> Profile
 where
     F: FnMut(&mut SimState, JobId, StaticEst<'_>) -> Option<u32>,
 {
@@ -136,34 +231,60 @@ where
     let depth = st.cfg.backfill_depth;
     let mode = st.cfg.backfill_mode;
     let self_check = st.cfg.self_check;
+    let tail_skips = SKIP
+        && mode == BackfillMode::Easy
+        && matches!(st.cfg.queue_policy, QueuePolicy::Fifo);
     let mut head_reserved = false;
 
-    let mut prefix = st.take_prefix_scratch();
-    // FIFO prefix, or the fair-share reorder under `QueuePolicy::FairShare`.
-    st.fill_pass_prefix(depth, &mut prefix);
+    let mut walk = Walk::new(st, depth);
     let starts = started(st);
-    let mut plan = match mode {
-        BackfillMode::Conservative => Some(st.take_pass_plan()),
-        BackfillMode::Easy => None,
-    };
-    // `replayed`: the plan's base still holds, so an idle pass keeps it.
+    let mut plan = (mode == BackfillMode::Conservative || tail_skips).then(|| st.take_pass_plan());
     // `at_end`: the plan was replayed whole, so the profile is its `end`.
-    let (mut profile, mut waiting_resv, from, replayed, at_end) = match plan.as_deref_mut() {
-        Some(plan) if plan.valid && plan.base.same_beyond_origin(st.availability()) => {
-            let (profile, resv, from, at_end) = replay(st, &prefix, plan, &mut flexible);
-            (profile, resv, from, true, at_end)
+    let (mut profile, mut waiting_resv, at_end) = match plan.as_deref_mut() {
+        Some(plan) if mode == BackfillMode::Conservative => {
+            if plan.valid && plan.version == st.availability_version() {
+                replay(st, &mut walk, plan, &mut flexible)
+            } else {
+                plan.steps.clear();
+                (st.take_pass_profile(), WaitingResv::new(), false)
+            }
         }
-        Some(plan) => {
-            plan.steps.clear();
-            (st.take_pass_profile(), WaitingResv::new(), 0, false, false)
-        }
-        None => (st.take_pass_profile(), WaitingResv::new(), 0, false, false),
+        _ => (st.take_pass_profile(), WaitingResv::new(), false),
     };
-    let mut steps = plan.as_deref_mut().map(|p| &mut p.steps);
+    let tail = match plan.as_deref_mut() {
+        Some(plan) if tail_skips => plan.tail.take(),
+        _ => None,
+    };
+    let mut steps = match plan.as_deref_mut() {
+        Some(plan) if mode == BackfillMode::Conservative => Some(&mut plan.steps),
+        _ => None,
+    };
+    // The skip's state: the last pass's tail, where it may apply (its
+    // first sequence number; `usize::MAX` when it cannot), the head this
+    // pass reserved, and the run of failures it is in.
+    let mut skip_at = usize::MAX;
+    let mut head = None;
+    let mut run: Option<OpenRun> = None;
+    let mut examined = 0;
+    let now_at = (st.availability_version(), st.queue.edits());
+    if let Some(t) = tail.filter(|t| (t.version, t.edits) == now_at) {
+        skip_at = t.first;
+    }
     // Dimensions come from the queue entries (cached at submit): the hot
-    // loop reads this sequential buffer, no job-table dereference. The
-    // buffer is owned (taken from the scratch), so `st` stays mutable.
-    for &entry in &prefix[from..] {
+    // loop reads them sequentially, no job-table dereference.
+    while let Some((seq, entry)) = walk.next(&st.queue) {
+        if SKIP {
+            examined += 1;
+            if seq == skip_at {
+                let t = tail.expect("a tail sets skip_at");
+                if skip_tail(st, &profile, &mut walk, &t, head) {
+                    let skipped = (t.first, t.end, t.count);
+                    run = Some(extend_run(run, skipped, examined, st.queue.edits()));
+                    examined += t.count - 1;
+                    continue;
+                }
+            }
+        }
         let id = entry.job;
         let (req_nodes, req_time) = (entry.req_nodes, entry.req_time);
         // Quota enforcement happens before the trial: a start that would
@@ -230,40 +351,146 @@ where
                     waiting_resv.push((slot.start, req_time, req_nodes));
                 }
                 head_reserved = true;
+                if SKIP {
+                    head = Some((id, slot.start));
+                }
                 st.trace.emit(
                     st.now.secs(),
                     TraceKind::EasyReserved { job: id.0, est: slot.start.secs() },
                 );
             }
-            None => st.trace.emit(
-                st.now.secs(),
-                TraceKind::BackfillRejected { job: id.0, reason: RejectReason::NoFitNow },
-            ),
+            None => {
+                st.trace.emit(
+                    st.now.secs(),
+                    TraceKind::BackfillRejected { job: id.0, reason: RejectReason::NoFitNow },
+                );
+                if tail_skips && entry.tslot == NO_TENANT_SLOT {
+                    run = Some(extend_run(run, (seq, seq + 1, 1), examined, st.queue.edits()));
+                }
+            }
         }
     }
     if self_check {
         assert_delta_equals_rebuild(st, &profile, &waiting_resv);
     }
     st.stats.peak_profile_len = st.stats.peak_profile_len.max(profile.len());
-    st.recycle_prefix_scratch(prefix);
+    walk.finish(st);
     if let Some(mut plan) = plan {
-        // Only a pass that started nothing records: a job started
-        // mid-pass can end before the next pass and restore the
-        // availability exactly, leaving later slots made on a profile that
-        // no longer exists. Without starts the availability is still the
-        // one the pass began from.
-        plan.valid = started(st) == starts;
-        if plan.valid {
-            if !replayed {
-                plan.base.clone_from(st.availability());
+        if mode == BackfillMode::Conservative {
+            // Only a pass that started nothing records: a job started
+            // mid-pass can end before the next pass and restore the
+            // availability exactly, leaving later slots made on a profile
+            // that no longer exists. Without starts the availability is
+            // still the one the pass began from.
+            plan.valid = started(st) == starts;
+            if plan.valid {
+                plan.version = st.availability_version();
+                if !at_end {
+                    plan.end.clone_from(&profile);
+                }
             }
-            if !at_end {
-                plan.end.clone_from(&profile);
-            }
+        } else {
+            plan.tail = record_tail(st, run, head);
         }
         st.recycle_pass_plan(plan);
     }
     profile
+}
+
+/// A run of failures a pass is in: entries `[first, end)` of the queue,
+/// `count` of them, the last its `last`-th examined entry, seen with the
+/// queue's edit count at `edits`.
+#[derive(Debug, Clone, Copy)]
+struct OpenRun {
+    first: usize,
+    end: usize,
+    count: usize,
+    last: usize,
+    edits: u64,
+}
+
+/// `run` extended by `count` failures in `[first, end)`, the first of them
+/// the pass's `at`-th examined entry, seen at the queue's `edits`; a run
+/// they do not directly follow is replaced.
+fn extend_run(
+    run: Option<OpenRun>,
+    (first, end, count): (usize, usize, usize),
+    at: usize,
+    edits: u64,
+) -> OpenRun {
+    let last = at + count - 1;
+    match run {
+        Some(r) if r.last + 1 == at => OpenRun { end, count: r.count + count, last, edits, ..r },
+        _ => OpenRun { first, end, count, last, edits },
+    }
+}
+
+/// The tail a static EASY pass leaves: its last run of failures, unless a
+/// start followed it (the queue's edits moved).
+fn record_tail(
+    st: &mut SimState,
+    run: Option<OpenRun>,
+    head: Option<(JobId, SimTime)>,
+) -> Option<TailRun> {
+    let r = run.filter(|r| r.edits == st.queue.edits())?;
+    Some(TailRun {
+        first: r.first,
+        end: r.end,
+        count: r.count,
+        version: st.availability_version(),
+        edits: r.edits,
+        head: head?,
+    })
+}
+
+/// Skips the last pass's failing tail `t`, whose first entry the walk just
+/// read, if it is still proven failing: the availability's version and
+/// the queue's edits are those it failed at, and the same head holds the
+/// same reservation. The pass profile at the run is then the old one with
+/// only its origin moved short of its next step, and no window of the
+/// run's can fit where it did not (DESIGN.md §9). Each skipped entry is
+/// still a `backfill_trial`, and with a trace ring it still emits its
+/// `NoFitNow`; under `cfg.self_check` each is re-proven failing.
+#[inline(never)]
+fn skip_tail(
+    st: &mut SimState,
+    profile: &Profile,
+    walk: &mut Walk,
+    t: &TailRun,
+    head: Option<(JobId, SimTime)>,
+) -> bool {
+    let Walk::Fifo { next, left } = walk else {
+        return false;
+    };
+    if (st.availability_version(), st.queue.edits(), head) != (t.version, t.edits, Some(t.head))
+        || *left + 1 < t.count
+    {
+        return false;
+    }
+    if st.trace.active() || st.cfg.self_check {
+        let mut seq = t.first;
+        for _ in 0..t.count {
+            let (at, e) = st.queue.next_live(seq).expect("the run's entries are queued");
+            assert!(at < t.end && e.tslot == NO_TENANT_SLOT, "skipped {e:?} outside the run");
+            if st.cfg.self_check {
+                assert!(
+                    !profile.can_start_now(e.req_nodes, e.req_time, st.now),
+                    "skipped {e:?} could start at {:?}",
+                    st.now
+                );
+            }
+            st.trace.emit(
+                st.now.secs(),
+                TraceKind::BackfillRejected { job: e.job.0, reason: RejectReason::NoFitNow },
+            );
+            seq = at + 1;
+        }
+    }
+    timing::count_many(Probe::BackfillTrial, t.count as u64);
+    timing::count_many(Probe::TailSkipped, t.count as u64);
+    *next = t.end;
+    *left -= t.count - 1;
+    true
 }
 
 /// Jobs started so far, by either path.
@@ -290,42 +517,43 @@ fn take_idle(
     }
 }
 
-/// Replays `plan` over today's `prefix`; called only while the
-/// availability equals the plan's base beyond its origin. Step `k` then
-/// sees the recorded step-`k` profile with only `times[0]` moved inside
-/// `[old now, times[1])`, where no recorded slot starts: `can_start_now`
-/// stays false and `earliest_slot` finds the recorded slot. So a replayed
-/// step sweeps nothing and splices nothing; the quota check, the flexible
-/// hook and the trace events run as in a fresh pass.
+/// Replays `plan` over today's walk; called only while the availability
+/// has the plan's version, so it equals the plan's beyond the origin.
+/// Step `k` then sees the recorded step-`k` profile with only `times[0]`
+/// moved inside `[old now, times[1])`, where no recorded slot starts:
+/// `can_start_now` stays false and `earliest_slot` finds the recorded slot.
+/// So a replayed step sweeps nothing and splices nothing; the quota check,
+/// the flexible hook and the trace events run as in a fresh pass.
 ///
 /// The replay stops at the first entry a fresh pass would sweep that is
-/// not the next recorded one (a new job, a cancel, a quota result), before
-/// its quota check, or once the hook starts a job. It builds the pass
-/// profile from the base and the reservations replayed so far — from
-/// `end` when that is every step — and returns it with the oracle's list,
-/// the index today's loop goes on from, and whether it replayed the whole
-/// plan and the whole prefix (the plan's `end` then needs no new copy).
-/// Under `cfg.self_check` a shadow profile swept the old way checks every
+/// not the next recorded one (a new job, a cancel, a quota result), handing
+/// it back to the walk before its quota check, or once the hook starts a
+/// job. It builds the pass profile from the availability and the
+/// reservations replayed so far — from `end` when that is every step — and
+/// returns it with the oracle's list and whether it replayed the whole plan
+/// and the whole queue (the plan's `end` then needs no new copy). Under
+/// `cfg.self_check` a shadow profile swept the old way checks every
 /// replayed slot and the built profile.
 #[inline(never)]
 fn replay<F>(
     st: &mut SimState,
-    prefix: &[QueueEntry],
+    walk: &mut Walk,
     plan: &mut PassPlan,
     flexible: &mut F,
-) -> (Profile, WaitingResv, usize, bool)
+) -> (Profile, WaitingResv, bool)
 where
     F: FnMut(&mut SimState, JobId, StaticEst<'_>) -> Option<u32>,
 {
     let mut shadow = st.cfg.self_check.then(|| st.availability().clone());
     let mut k = 0;
-    for (i, &entry) in prefix.iter().enumerate() {
+    while let Some((pos, entry)) = walk.next(&st.queue) {
         let recorded = plan.steps.get(k).is_some_and(|s| s.entry == entry);
         // A recorded job that is blocked now, or one a fresh pass sweeps
         // that the plan does not hold next: today's loop takes over here.
         if recorded == st.quota_would_block(&entry) {
-            let (profile, resv) = materialise(st, plan, k, shadow);
-            return (profile, resv, i, false);
+            walk.unread(pos);
+            let (profile, resv) = materialise(st, plan, k, None, shadow);
+            return (profile, resv, false);
         }
         if st.quota_blocks(&entry) {
             continue; // blocked now as when the plan was recorded
@@ -352,9 +580,10 @@ where
             continue;
         }
         if let Some(idle) = flexible(st, entry.job, StaticEst::Known(slot.start)) {
-            let (mut profile, resv) = materialise(st, plan, k, shadow);
+            let started = Some((entry.job, idle));
+            let (mut profile, resv) = materialise(st, plan, k, started, shadow);
             take_idle(st, entry.job, idle, &mut profile, st.cfg.self_check.then_some(&resv));
-            return (profile, resv, i + 1, false);
+            return (profile, resv, false);
         }
         if let Some(shadow) = &mut shadow {
             shadow.reserve_slot(slot, req_time, req_nodes);
@@ -366,29 +595,38 @@ where
         );
     }
     let at_end = k == plan.steps.len();
-    let (profile, resv) = materialise(st, plan, k, shadow);
-    (profile, resv, prefix.len(), at_end)
+    let (profile, resv) = materialise(st, plan, k, None, shadow);
+    (profile, resv, at_end)
 }
 
 /// The pass profile after the plan's first `k` steps, which become the
-/// whole plan: `end` when that is every step, else the base plus the first
-/// `k` reservations, spliced at their recorded slots; advanced to `now`
-/// either way. Under `self_check` it must equal the shadow swept the old
-/// way, and the first `k` reservations are returned for the pass's oracle.
+/// whole plan: `end` when that is every step, else the availability plus
+/// the first `k` reservations, spliced at their recorded slots; advanced
+/// to `now` either way. The availability is the one the plan swept unless
+/// the hook just `started` a job at step `k`, taking `idle` idle nodes
+/// until its requested end: that window is given back first, which
+/// restores the plan's availability exactly (both are canonical). Under
+/// `self_check` the profile must equal the shadow swept the old way, and
+/// the first `k` reservations are returned for the pass's oracle.
 fn materialise(
     st: &mut SimState,
     plan: &mut PassPlan,
     k: usize,
+    started: Option<(JobId, u32)>,
     shadow: Option<Profile>,
 ) -> (Profile, WaitingResv) {
     let mut profile = st.take_pass_buffer();
     let reserved = plan.steps[..k].iter().filter(|s| s.slot.start != SimTime::MAX);
     if k == plan.steps.len() {
+        debug_assert!(started.is_none(), "a start ends the replay at a recorded step");
         profile.clone_from(&plan.end);
         profile.advance_to(st.now);
     } else {
-        profile.clone_from(&plan.base);
-        profile.advance_to(st.now);
+        profile.clone_from(st.availability());
+        if let Some((id, idle @ 1..)) = started {
+            let req_end = st.job(id).running().expect("just started").req_end;
+            profile.patch_release_many(st.now, Some(req_end), None, idle);
+        }
         for s in reserved.clone() {
             profile.reserve_slot(s.slot, s.entry.req_time, s.entry.req_nodes);
         }
@@ -405,7 +643,7 @@ fn materialise(
 /// The `self_check` oracle for the pass profile's in-place deltas — the
 /// flexible hook's after each malleable start, and every slot-placed
 /// reservation at the end of the pass: the pass profile must equal the
-/// availability rebuilt from the release map with the waiting jobs'
+/// availability rebuilt from the node releases with the waiting jobs'
 /// reservations replayed on top through the searching [`Profile::reserve`].
 /// Reservations leave redundant step points, so both sides are compared
 /// compacted.
@@ -433,8 +671,11 @@ fn assert_delta_equals_rebuild(
 pub struct StaticBackfill;
 
 impl Scheduler for StaticBackfill {
+    /// [`backfill_pass`] that also skips the last pass's proven failures:
+    /// no job starts but by the static trial, so each is proven on the
+    /// profile alone.
     fn schedule(&mut self, st: &mut SimState) {
-        let profile = backfill_pass(st, |_, _, _| None);
+        let profile = pass::<_, true>(st, |_, _, _| None);
         st.recycle_pass_profile(profile);
     }
 

@@ -10,7 +10,8 @@
 //! * `backfill` — the shared backfill pass and the **static-backfill
 //!   baseline** every experiment normalises against,
 //! * `reservation` — the availability profile ("map of job reservations in
-//!   time", §3.1) and the incrementally maintained release map,
+//!   time", §3.1), the release tally it is built from and the
+//!   incrementally maintained availability cache,
 //! * [`rate`] — pluggable malleable-runtime models (paper Eq. 5/6 and the
 //!   app-behaviour model for the real-run reproduction),
 //! * [`tenant`] — multi-tenant identities, quotas and the fair-share queue

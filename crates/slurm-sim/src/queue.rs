@@ -4,15 +4,16 @@
 //! queue preserves that order exactly and supports the scheduler's pattern
 //! of examining a bounded prefix and removing started jobs mid-scan.
 //!
-//! Removal used to be an O(n) scan + O(n) shift; with ~100 K-job traces the
-//! scheduler removes every started job from a deep queue, so the queue now
-//! keeps an id → slot index for O(1) removal. Removed slots become
-//! tombstones (`None`) that are drained from the front eagerly and compacted
-//! away once they outnumber live entries, so iteration stays O(live)
-//! amortised and FIFO order is never disturbed.
+//! Every entry keeps the sequence number it was pushed at — its slot — and
+//! an id → slot index makes removal O(1). A removed slot becomes a tombstone
+//! (`None`), so a pass can walk the queue in place by sequence number
+//! ([`PendingQueue::next_live`]) while it starts and removes jobs: nothing
+//! moves mid-walk. Tombstones are compacted away at the next push once they
+//! outnumber live entries, which keeps a walk O(live) amortised; FIFO order
+//! is never disturbed.
 
 use cluster::JobId;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// One queued job with the dimensions the backfill loop needs, cached at
 /// submit time so a scheduling pass reads them sequentially from the queue
@@ -34,13 +35,18 @@ pub struct QueueEntry {
 /// (amortised) removal by id.
 #[derive(Debug, Default, Clone)]
 pub struct PendingQueue {
-    /// Slots in arrival order; `None` marks a removed (tombstoned) job.
-    slots: VecDeque<Option<QueueEntry>>,
-    /// Sequence number of `slots[0]` (sequences grow monotonically).
-    head_seq: u64,
-    /// job → its slot sequence number. Only point lookups — never iterated —
+    /// Entries by sequence number, in arrival order; `None` marks a removed
+    /// (tombstoned) job.
+    slots: Vec<Option<QueueEntry>>,
+    /// `slots[..front]` are all tombstones: the head is the first live slot
+    /// at or after it.
+    front: usize,
+    /// job → its sequence number. Only point lookups — never iterated —
     /// so the hash map cannot introduce nondeterminism.
-    index: HashMap<JobId, u64>,
+    index: HashMap<JobId, usize>,
+    /// Removals and compactions so far: while it holds still, every
+    /// sequence number names the entry it named before.
+    edits: u64,
 }
 
 impl PendingQueue {
@@ -56,12 +62,15 @@ impl PendingQueue {
         self.index.is_empty()
     }
 
-    /// Enqueues a newly submitted job at the tail.
+    /// Enqueues a newly submitted job at the tail. Compacts first when
+    /// tombstones dominate; a push never happens inside a pass.
     pub fn push(&mut self, job: JobId, req_nodes: u32, req_time: u64, tslot: u32) {
         debug_assert!(!self.index.contains_key(&job), "{job} queued twice");
-        self.index
-            .insert(job, self.head_seq + self.slots.len() as u64);
-        self.slots.push_back(Some(QueueEntry {
+        if self.slots.len() > 2 * self.index.len().max(8) {
+            self.compact();
+        }
+        self.index.insert(job, self.slots.len());
+        self.slots.push(Some(QueueEntry {
             job,
             req_nodes,
             req_time,
@@ -71,47 +80,63 @@ impl PendingQueue {
 
     /// Head of the queue (highest priority pending job).
     pub fn head(&self) -> Option<JobId> {
-        // Leading tombstones are drained on removal, so the front is live.
-        self.slots.front().copied().flatten().map(|e| e.job)
+        // Leading tombstones are skipped on removal, so the front is live.
+        self.slots.get(self.front).copied().flatten().map(|e| e.job)
     }
 
     /// The first `n` entries in priority order (allocation-free iterator).
     pub fn prefix(&self, n: usize) -> impl Iterator<Item = QueueEntry> + '_ {
-        self.slots.iter().copied().flatten().take(n)
+        self.slots[self.front..].iter().copied().flatten().take(n)
     }
 
-    /// Removes a job that was started (scan-safe: by value, O(1) amortised).
+    /// The first live entry at sequence number `seq` or later, with its
+    /// sequence number: one step of an in-place walk.
+    #[inline]
+    pub(crate) fn next_live(&self, seq: usize) -> Option<(usize, QueueEntry)> {
+        let mut seq = seq.max(self.front);
+        while let Some(&slot) = self.slots.get(seq) {
+            if let Some(e) = slot {
+                return Some((seq, e));
+            }
+            seq += 1;
+        }
+        None
+    }
+
+    /// How many removals and compactions the queue has seen: equal counts
+    /// mean every sequence number still names the same entry.
+    pub(crate) fn edits(&self) -> u64 {
+        self.edits
+    }
+
+    /// Removes a job that was started (walk-safe: no slot moves, O(1)
+    /// amortised).
     pub fn remove(&mut self, job: JobId) -> bool {
         let Some(seq) = self.index.remove(&job) else {
             return false;
         };
-        let slot = (seq - self.head_seq) as usize;
-        debug_assert_eq!(self.slots[slot].map(|e| e.job), Some(job));
-        self.slots[slot] = None;
-        while let Some(None) = self.slots.front() {
-            self.slots.pop_front();
-            self.head_seq += 1;
-        }
-        // Keep iteration O(live): compact once tombstones dominate.
-        if self.slots.len() > 2 * self.index.len().max(8) {
-            self.compact();
+        debug_assert_eq!(self.slots[seq].map(|e| e.job), Some(job));
+        self.slots[seq] = None;
+        self.edits += 1;
+        while let Some(None) = self.slots.get(self.front) {
+            self.front += 1;
         }
         true
     }
 
     pub fn iter(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.slots.iter().copied().flatten().map(|e| e.job)
+        self.prefix(usize::MAX).map(|e| e.job)
     }
 
-    /// Rebuilds the slot ring without tombstones (order preserved).
+    /// Rebuilds the slots without tombstones (order preserved); every live
+    /// entry gets a new sequence number.
     fn compact(&mut self) {
-        self.head_seq = 0;
-        let live: VecDeque<Option<QueueEntry>> =
-            self.slots.iter().copied().flatten().map(Some).collect();
-        self.slots = live;
-        for (i, slot) in self.slots.iter().enumerate() {
+        self.slots.retain(Option::is_some);
+        self.front = 0;
+        self.edits += 1;
+        for (seq, slot) in self.slots.iter().enumerate() {
             let job = slot.expect("compacted slots are live").job;
-            self.index.insert(job, i as u64);
+            self.index.insert(job, seq);
         }
     }
 }
@@ -167,6 +192,34 @@ mod tests {
         q.remove(JobId(3));
         assert!(q.is_empty());
         assert_eq!(q.head(), None);
+    }
+
+    #[test]
+    fn a_walk_in_place_survives_removals_and_compaction_waits_for_a_push() {
+        let mut q = PendingQueue::new();
+        for i in 0..20 {
+            q.push(JobId(i), 1, 100, u32::MAX);
+        }
+        // Walk every entry, removing each even one as it is read.
+        let (mut seen, mut seq) = (Vec::new(), 0);
+        while let Some((at, e)) = q.next_live(seq) {
+            seen.push(e.job.0);
+            if e.job.0 % 2 == 0 {
+                q.remove(e.job);
+            }
+            seq = at + 1;
+        }
+        assert_eq!(seen, (0..20).collect::<Vec<_>>());
+        assert_eq!(q.edits(), 10, "one edit per removal, no compaction");
+        assert_eq!(q.next_live(0).map(|(at, e)| (at, e.job)), Some((1, JobId(1))));
+        for i in (1..20).step_by(2).take(6) {
+            q.remove(JobId(i));
+        }
+        // 20 slots for 4 live entries: the next push compacts, renumbering.
+        q.push(JobId(20), 1, 100, u32::MAX);
+        assert_eq!(q.edits(), 17);
+        assert_eq!(q.next_live(0).map(|(at, e)| (at, e.job)), Some((0, JobId(13))));
+        assert_eq!(q.iter().map(|j| j.0).collect::<Vec<_>>(), [13, 15, 17, 19, 20]);
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! Resource-availability bookkeeping for backfill.
 //!
-//! Two pieces:
+//! Three pieces:
 //!
-//! * [`ReleaseMap`] — incrementally maintained map from *predicted node
-//!   release instants* (based on requested times) to node counts. Each
-//!   node's own instant is in its `drom::NodeRecord`; this is their tally,
-//!   updated in `O(log n)` at every placement/end/reconfiguration so a
-//!   scheduling pass never scans the whole machine.
+//! * [`ReleaseMap`] — a tally from *predicted node release instants*
+//!   (based on requested times) to node counts, counted from the node
+//!   table's per-node releases: what [`Profile::build`] reads, so the
+//!   validation oracle never depends on the cache it checks.
 //! * [`Profile`] — the per-pass step function of free whole nodes over
 //!   future time ("the map of jobs reservations in time", paper §3.1). Both
 //!   backfill variants and SD-Policy's `static_end` estimate query it via
 //!   [`Profile::earliest_start`]; conservative mode also writes reservations
 //!   back into it.
+//! * `Availability` — the simulator's cached profile, patched at every
+//!   release change, with a version that says when its steps may have
+//!   moved.
 
 use crate::timing::{self, Probe};
 use drom::NodeRecord;
@@ -33,36 +35,6 @@ impl ReleaseMap {
             rm.retally(None, rec.release(), 1);
         }
         rm
-    }
-
-    /// [`ReleaseMap::retally`] over a whole allocation's `(old, new)`
-    /// release moves, in one pass (the node table hands over each old
-    /// instant as it sets the new one). Consecutive nodes making
-    /// the same move — a whole-job start or end moves every node the same
-    /// way — are retallied once, and `moved(old, new, nodes)` hears each
-    /// such run once (the simulator patches its availability profile with
-    /// it).
-    pub(crate) fn set_releases(
-        &mut self,
-        updates: impl IntoIterator<Item = (Option<SimTime>, Option<SimTime>)>,
-        mut moved: impl FnMut(Option<SimTime>, Option<SimTime>, u32),
-    ) {
-        let mut run: (Option<SimTime>, Option<SimTime>, u32) = (None, None, 0);
-        for (old, when) in updates {
-            if old == when {
-                continue;
-            }
-            if run.2 > 0 && (run.0, run.1) != (old, when) {
-                self.retally(run.0, run.1, run.2);
-                moved(run.0, run.1, run.2);
-                run.2 = 0;
-            }
-            run = (old, when, run.2 + 1);
-        }
-        if run.2 > 0 {
-            self.retally(run.0, run.1, run.2);
-            moved(run.0, run.1, run.2);
-        }
     }
 
     /// Moves `nodes` nodes from release instant `old` to `new` (`None` =
@@ -102,6 +74,32 @@ impl ReleaseMap {
     /// simulator keeps them and treats them as "releasing imminently").
     pub(crate) fn overdue(&self, now: SimTime) -> u32 {
         self.counts.range(..=now).map(|(_, &c)| c).sum()
+    }
+}
+
+/// Groups a whole allocation's `(old, new)` release moves into runs (the
+/// node table hands over each old instant as it sets the new one):
+/// consecutive nodes making the same move — a whole-job start or end moves
+/// every node the same way — are heard once, as `moved(old, new, nodes)`,
+/// and nodes whose release did not move are not heard at all. The
+/// simulator patches its availability profile once per run.
+pub(crate) fn group_release_moves(
+    updates: impl IntoIterator<Item = (Option<SimTime>, Option<SimTime>)>,
+    mut moved: impl FnMut(Option<SimTime>, Option<SimTime>, u32),
+) {
+    let mut run: (Option<SimTime>, Option<SimTime>, u32) = (None, None, 0);
+    for (old, when) in updates {
+        if old == when {
+            continue;
+        }
+        if run.2 > 0 && (run.0, run.1) != (old, when) {
+            moved(run.0, run.1, run.2);
+            run.2 = 0;
+        }
+        run = (old, when, run.2 + 1);
+    }
+    if run.2 > 0 {
+        moved(run.0, run.1, run.2);
     }
 }
 
@@ -179,14 +177,6 @@ impl Profile {
 
     pub fn now(&self) -> SimTime {
         self.times[0]
-    }
-
-    /// Whether both profiles hold the same steps after their origins:
-    /// `free` and `times[1..]` equal, `times[0]` free to differ. A profile
-    /// advanced to a later `now` short of its first step differs from
-    /// itself only there, and so does every profile reserved from it.
-    pub(crate) fn same_beyond_origin(&self, other: &Profile) -> bool {
-        self.free == other.free && self.times.get(1..) == other.times.get(1..)
     }
 
     /// Index of the segment holding `t` (clamped to the profile's domain).
@@ -495,13 +485,14 @@ impl Profile {
     /// The nodes stop counting as free at `lose` (`now` when they were
     /// empty, their release otherwise) and count again at `gain`, so the
     /// profile moves over `[min(lose, gain), max(lose, gain))` only.
+    /// Returns whether the steps changed (two overdue instants show alike).
     pub(crate) fn patch_release_many(
         &mut self,
         now: SimTime,
         old: Option<SimTime>,
         new: Option<SimTime>,
         count: u32,
-    ) {
+    ) -> bool {
         self.advance_to(now);
         // An overdue release shows at `now + 1`, as `Profile::build` has it.
         let shown = |w: Option<SimTime>| w.map_or(now, |w| w.max(now.after(1)));
@@ -509,8 +500,14 @@ impl Profile {
         match lose.cmp(&gain) {
             std::cmp::Ordering::Less => self.add_between(lose, gain, -count),
             std::cmp::Ordering::Greater => self.add_between(gain, lose, count),
-            std::cmp::Ordering::Equal => {}
+            std::cmp::Ordering::Equal => return false,
         }
+        true
+    }
+
+    /// Whether advancing to `now` collapses a step other than the origin.
+    fn crossed_by(&self, now: SimTime) -> bool {
+        self.times.get(1).is_some_and(|&t| t <= now)
     }
 
     /// Adds `delta` free nodes over `[a, b)`, `times[0] <= a < b`, keeping
@@ -564,6 +561,112 @@ impl Profile {
     }
 }
 
+/// The cached availability: [`Profile::build`] of the node table's
+/// releases, kept by patching at every release change instead of
+/// rebuilding, and versioned. Every patch that changes a step and every
+/// advance that collapses one moves the profile to a fresh version, with
+/// one exception: a patch that exactly undoes the one before it, with no
+/// advance across a step between them and both its instants still ahead
+/// of `now`, returns to the version before that one — a borrower that
+/// moved onto idle nodes and ended early leaves the profile as it found
+/// it. So two reads at equal versions hold the same steps beyond the
+/// origin: only `times[0]` can differ, and it moved short of `times[1]`.
+#[derive(Debug, Clone)]
+pub(crate) struct Availability {
+    profile: Profile,
+    /// The version the profile is at.
+    version: u64,
+    /// The last version handed out; a new one is always fresh.
+    issued: u64,
+    /// The last patch, while no advance crossed a step since it.
+    undo: Undo,
+}
+
+/// A patch as `(old, new)` release keys (`u64::MAX` for an empty node)
+/// and its node count — 0 when there is none to undo — with the version
+/// before it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Undo {
+    old: u64,
+    new: u64,
+    count: u32,
+    back_to: u64,
+}
+
+impl Availability {
+    pub(crate) fn new(profile: Profile) -> Availability {
+        Availability { profile, version: 0, issued: 0, undo: Undo::default() }
+    }
+
+    /// Moves to a version never used before.
+    fn fresh(&mut self) {
+        self.issued += 1;
+        self.version = self.issued;
+    }
+
+    /// Advances to `now`; a collapsed step is a fresh version and leaves
+    /// nothing to undo.
+    fn advance(&mut self, now: SimTime) {
+        if self.profile.crossed_by(now) {
+            self.fresh();
+            self.undo = Undo::default();
+        }
+        self.profile.advance_to(now);
+    }
+
+    /// The profile advanced to `now`.
+    #[inline]
+    pub(crate) fn at(&mut self, now: SimTime) -> &Profile {
+        self.advance(now);
+        &self.profile
+    }
+
+    /// The profile as last advanced or patched (its origin may lag `now`).
+    pub(crate) fn profile(&self) -> &Profile {
+        &self.profile
+    }
+
+    /// The version: see the type's docs.
+    pub(crate) fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// [`Profile::patch_release_many`], advancing to `now` first.
+    pub(crate) fn patch(
+        &mut self,
+        now: SimTime,
+        old: Option<SimTime>,
+        new: Option<SimTime>,
+        count: u32,
+    ) {
+        self.advance(now);
+        if !self.profile.patch_release_many(now, old, new, count) {
+            return;
+        }
+        // Instants ahead of `now` show where they are, as they did when the
+        // patch being undone was made (an overdue one shows at `now + 1`).
+        let ahead = old.is_none_or(|w| w > now) && new.is_none_or(|w| w > now);
+        let key = |w: Option<SimTime>| w.map_or(u64::MAX, SimTime::secs);
+        let (old, new) = (key(old), key(new));
+        let last = self.undo;
+        if ahead && (last.old, last.new, last.count) == (new, old, count) {
+            self.version = last.back_to;
+            self.undo = Undo::default();
+        } else {
+            self.undo = Undo { old, new, count, back_to: self.version };
+            self.fresh();
+        }
+    }
+
+    /// The latest predicted release as the profile shows it — an overdue
+    /// one at `now + 1` — or `None` when every node is empty: the profile's
+    /// last step beyond its origin, since every step is a release.
+    pub(crate) fn last_release(&self, now: SimTime) -> Option<SimTime> {
+        let times = &self.profile.times;
+        (times.len() > 1).then(|| times[times.len() - 1].max(now.after(1)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,6 +678,48 @@ mod tests {
             rm.retally(None, Some(SimTime(t)), nodes);
         }
         rm
+    }
+
+    #[test]
+    fn availability_versions_move_with_the_steps_and_come_back_on_an_undo() {
+        let t = |s| Some(SimTime(s));
+        let fresh = || Availability::new(Profile::build(SimTime(0), 4, &tally(&[(100, 2)])));
+        let mut avail = fresh();
+        let v0 = avail.version();
+        // A patch and its exact inverse, both instants ahead of `now`: the
+        // profile and the version are back.
+        let mut before = avail.at(SimTime(10)).clone();
+        avail.patch(SimTime(10), None, t(400), 1);
+        let v1 = avail.version();
+        assert_ne!(v1, v0);
+        avail.patch(SimTime(20), t(400), None, 1);
+        assert_eq!(avail.version(), v0);
+        before.advance_to(SimTime(20));
+        assert_eq!(avail.profile(), &before);
+        // A version undone is never handed out again.
+        avail.patch(SimTime(20), None, t(500), 1);
+        let v2 = avail.version();
+        assert!(![v0, v1].contains(&v2));
+        // An advance that collapses a step moves the version and leaves
+        // nothing to undo.
+        avail.at(SimTime(150));
+        let v3 = avail.version();
+        assert!(![v0, v1, v2].contains(&v3));
+        avail.patch(SimTime(150), t(500), None, 1);
+        assert!(![v0, v1, v2, v3].contains(&avail.version()));
+        // Two overdue instants show alike at `now + 1`: nothing moved.
+        let v4 = avail.version();
+        avail.patch(SimTime(150), t(100), t(120), 2);
+        assert_eq!(avail.version(), v4);
+        // No undo of an inverse whose instant is overdue by then: the nodes
+        // moved 100 → 300 (the step at 100 went with them) and come back
+        // at 150, where 100 shows at 151.
+        let mut avail = fresh();
+        avail.patch(SimTime(10), t(100), t(300), 2);
+        let v1 = avail.version();
+        avail.patch(SimTime(150), t(300), t(100), 2);
+        assert!(![v0, v1].contains(&avail.version()));
+        assert_eq!(avail.profile(), &Profile::build(SimTime(150), 4, &tally(&[(100, 2)])));
     }
 
     #[test]
@@ -610,7 +755,10 @@ mod tests {
             one.retally(old, new, u32::from(old != new));
         }
         let mut moved = Vec::new();
-        batch.set_releases(updates, |old, new, nodes| moved.push((old, new, nodes)));
+        group_release_moves(updates, |old, new, nodes| {
+            batch.retally(old, new, nodes);
+            moved.push((old, new, nodes));
+        });
         assert_eq!(
             moved,
             vec![(t(100), t(200), 2), (t(50), t(200), 1), (t(50), None, 1), (None, t(200), 1)]

@@ -392,7 +392,7 @@ impl SimState {
     /// jobs that expanded, in the order they were first met.
     fn leave(&mut self, id: JobId, alloc: &[NodeId]) -> Vec<JobId> {
         let mut touched: Vec<JobId> = Vec::new();
-        let Self { cluster, jobs, releases, avail, now, .. } = self;
+        let Self { cluster, jobs, avail, now, .. } = self;
         let updates = alloc.iter().map(|&n| {
             let req_end = |j: JobId| jobs[(j.0 - 1) as usize].running().expect("residents run").req_end;
             let left = cluster.vacate(n, id, req_end).expect("a running job occupies its nodes");
@@ -408,9 +408,7 @@ impl SimState {
             }
             left.release
         });
-        releases.set_releases(updates, |old, new, count| {
-            avail.patch_release_many(*now, old, new, count)
-        });
+        group_release_moves(updates, |old, new, count| avail.patch(*now, old, new, count));
         touched
     }
 
@@ -529,13 +527,12 @@ impl SimState {
         self.events.push(when, Event::End { job: id, gen });
     }
 
-    /// Tallies `nodes` nodes whose release moved from `old` to `new` (the
-    /// node table set each in its visit) and patches the cached
-    /// availability once for all of them.
+    /// Patches the cached availability once for `nodes` nodes whose
+    /// release moved from `old` to `new` (the node table set each in its
+    /// visit).
     fn move_releases(&mut self, old: Option<SimTime>, new: Option<SimTime>, nodes: u32) {
         if old != new {
-            self.releases.retally(old, new, nodes);
-            self.avail.patch_release_many(self.now, old, new, nodes);
+            self.avail.patch(self.now, old, new, nodes);
         }
     }
 

@@ -14,17 +14,18 @@
 //! Every operation keeps four structures consistent: the node table (each
 //! node's residents, their core masks and DROM handles, and its predicted
 //! release, plus the idle index and busy-core count), per-job running state
-//! (the work integrator), the release tally used by backfill profiles, and
-//! the energy meter. A start or an end visits each node once and patches
-//! the availability once; `cfg.self_check` re-validates after each mutation.
+//! (the work integrator), the cached availability profile backfill reads,
+//! and the energy meter. A start or an end visits each node once and
+//! patches the availability once; `cfg.self_check` re-validates after each
+//! mutation against a profile counted afresh from the node table.
 
 use crate::backfill::PassPlan;
 use crate::config::SlurmConfig;
 use crate::job::{Job, JobOutcome, JobSpec, JobState, RunningJob};
 use crate::queue::{PendingQueue, QueueEntry};
 use crate::rate::{RateInputs, RateModel};
-use crate::reservation::{Profile, ReleaseMap};
-use crate::tenant::{fair_share_sort, QueuePolicy, TenantUsage, NO_TENANT_SLOT};
+use crate::reservation::{group_release_moves, Availability, Profile, ReleaseMap};
+use crate::tenant::{fair_share_sort, TenantUsage, NO_TENANT_SLOT};
 use crate::timing::{self, Probe};
 use cluster::{ClusterSpec, EnergyMeter, JobId, NodeId};
 use drom::{NodeTable, SharingFactor};
@@ -190,11 +191,10 @@ pub struct SimState {
     shrunk: BTreeSet<JobId>,
     /// DynAVGSD's sum over the running jobs' armed ends.
     slowdown: SlowdownSum,
-    releases: ReleaseMap,
-    /// Cached availability, patched on every release change. It always
-    /// equals `Profile::build(now', empty, releases)` for the instant `now'`
-    /// it was last advanced to.
-    avail: Profile,
+    /// Cached availability, patched on every release change: the one
+    /// tally of the nodes' releases. It always equals
+    /// [`SimState::build_profile`] at the instant it was last advanced to.
+    avail: Availability,
     dirty: DirtyFlags,
     scratch: PassScratch,
     pub events: EventQueue<Event>,
@@ -342,8 +342,7 @@ impl SimState {
             pool_weights: PoolWeights::default(),
             shrunk: BTreeSet::new(),
             slowdown: SlowdownSum::default(),
-            releases: ReleaseMap::default(),
-            avail: Profile::flat(SimTime::ZERO, nodes),
+            avail: Availability::new(Profile::flat(SimTime::ZERO, nodes)),
             dirty: DirtyFlags::default(),
             scratch: PassScratch::default(),
             // One submit per job, all in the queue's sorted run; ends live
@@ -452,30 +451,38 @@ impl SimState {
         self.pool_weights.covers(need, max_mates)
     }
 
-    /// Availability profile at `now`, rebuilt from scratch (requested-time
-    /// based). This is the *slow path*: passes use the cached
-    /// [`SimState::availability`]; the rebuild is the validation oracle
-    /// (`self_check`, [`SimState::deep_validate`], tests) and what a restore
-    /// starts from.
+    /// Availability profile at `now`, counted afresh from the node table's
+    /// releases (requested-time based). This is the *slow path*, O(nodes):
+    /// passes use the cached [`SimState::availability`]; the rebuild is the
+    /// validation oracle (`self_check`, [`SimState::deep_validate`], tests),
+    /// independent of the cache it checks, and what a restore starts from.
     pub(crate) fn build_profile(&self) -> Profile {
-        Profile::build(self.now, self.cluster.empty_node_count(), &self.releases)
+        let releases = ReleaseMap::recount(self.cluster.records());
+        Profile::build(self.now, self.cluster.empty_node_count(), &releases)
     }
 
     /// The incrementally maintained availability, advanced to `now`. It
     /// equals `SimState::build_profile` by construction (asserted under
     /// `self_check` and by property tests).
     pub fn availability(&mut self) -> &Profile {
-        self.avail.advance_to(self.now);
-        &self.avail
+        self.avail.at(self.now)
+    }
+
+    /// The availability's version, advanced to `now`: equal versions mean
+    /// equal steps beyond the origin (DESIGN.md §9).
+    pub(crate) fn availability_version(&mut self) -> u64 {
+        self.avail.at(self.now);
+        self.avail.version()
     }
 
     /// The latest requested end among the running jobs; `None` when idle.
     /// A node releases at the latest `req_end` of its residents, so this is
-    /// the release map's last instant. Lets the policy prune malleable
-    /// trials whose finish-inside constraint no running job can satisfy,
-    /// without scanning the job table.
+    /// the availability's last step — where an overdue one shows, at
+    /// `now + 1`. Lets the policy prune malleable trials whose
+    /// finish-inside constraint no running job can satisfy, without
+    /// scanning the job table.
     pub fn latest_running_req_end(&self) -> Option<SimTime> {
-        self.releases.last()
+        self.avail.last_release(self.now)
     }
 
     /// What changed since the flags were last taken (the controller clears
@@ -605,9 +612,6 @@ impl SimState {
                 return Err(format!("{n}: release {release:?}, residents end at {ends:?}"));
             }
         }
-        if self.releases != ReleaseMap::recount(self.cluster.records()) {
-            return Err("release tally out of sync with the node releases".into());
-        }
         for e in &self.mate_pool {
             if !self.is_eligible_mate(e.id) {
                 return Err(format!("{} in mate pool but ineligible", e.id));
@@ -657,7 +661,7 @@ impl SimState {
                 }
             }
         }
-        let mut cached = self.avail.clone();
+        let mut cached = self.avail.profile().clone();
         cached.advance_to(self.now);
         if cached != self.build_profile() {
             return Err("cached availability diverged from rebuild".into());
@@ -893,6 +897,24 @@ mod tests {
         let p = st.build_profile();
         assert_eq!(p.free_at(SimTime(0)), 2);
         assert_eq!(p.free_at(SimTime(500)), 4, "released at requested end");
+    }
+
+    #[test]
+    fn latest_running_req_end_is_the_availability_last_step() {
+        let mut st = small_state(vec![job(1, 0, 500, 2, 500), job(2, 0, 300, 1, 300)]);
+        drain_submits(&mut st);
+        assert_eq!(st.latest_running_req_end(), None, "no releases: idle machine");
+        st.start_static(JobId(1));
+        st.start_static(JobId(2));
+        let tally = ReleaseMap::recount(st.cluster.records());
+        assert_eq!(st.latest_running_req_end(), Some(SimTime(500)));
+        assert_eq!(tally.last(), Some(SimTime(500)), "the latest future release");
+        // Past both requested ends with neither end dispatched: every
+        // release is overdue and shows at `now + 1`, advanced or not.
+        st.now = SimTime(700);
+        assert_eq!(st.latest_running_req_end(), Some(SimTime(701)));
+        st.availability();
+        assert_eq!(st.latest_running_req_end(), Some(SimTime(701)));
     }
 
     #[test]
@@ -1243,7 +1265,7 @@ mod tests {
     // Tenant accounting
     // ------------------------------------------------------------------
 
-    use crate::tenant::{Quota, Tenant, TenantRegistry};
+    use crate::tenant::{QueuePolicy, Quota, Tenant, TenantRegistry};
 
     fn tjob(id: u64, submit: u64, run: u64, nodes: u64, req: u64, user: i64) -> swf::SwfJob {
         let mut sj = job(id, submit, run, nodes, req);
@@ -1350,7 +1372,7 @@ mod tests {
         drain_submits(&mut st);
         assert!(st.start_static(JobId(1)));
         let mut prefix = Vec::new();
-        st.fill_pass_prefix(10, &mut prefix);
+        st.fill_fair_share_prefix(0, 10, &mut prefix);
         assert_eq!(
             prefix.iter().map(|e| e.job.0).collect::<Vec<_>>(),
             vec![3, 2],
@@ -1364,7 +1386,7 @@ mod tests {
         st2.cfg.queue_policy = QueuePolicy::FairShare { half_life: 3600 };
         drain_submits(&mut st2);
         let mut p2 = Vec::new();
-        st2.fill_pass_prefix(10, &mut p2);
+        st2.fill_fair_share_prefix(3600, 10, &mut p2);
         assert_eq!(
             p2.iter().map(|e| e.job.0).collect::<Vec<_>>(),
             vec![1, 2],

@@ -45,33 +45,34 @@ impl SimState {
         self.scratch.prefix = v;
     }
 
-    /// Fills `prefix` with the entries a scheduling pass examines: the FIFO
-    /// prefix under [`QueuePolicy::Fifo`] (today's behaviour), or the whole
-    /// queue reordered by usage-decayed fair-share priority and truncated to
-    /// `depth`. The reorder is a stable sort on `usage/weight`, so ties —
-    /// including the entire queue under a single tenant — keep FIFO order.
-    pub(crate) fn fill_pass_prefix(&mut self, depth: usize, prefix: &mut Vec<QueueEntry>) {
-        match self.cfg.queue_policy {
-            QueuePolicy::Fifo => prefix.extend(self.queue.prefix(depth)),
-            QueuePolicy::FairShare { half_life } => {
-                let _t = timing::scope(Probe::FairShareSort);
-                prefix.extend(self.queue.prefix(usize::MAX));
-                let now = self.now;
-                for u in &mut self.tenant_usage {
-                    u.decay_to(now, half_life);
-                }
-                let usage = &self.tenant_usage;
-                let registry = &self.cfg.tenants;
-                fair_share_sort(prefix, |slot| {
-                    if slot == NO_TENANT_SLOT {
-                        0.0
-                    } else {
-                        usage[slot as usize].usage / registry.get(slot).weight
-                    }
-                });
-                prefix.truncate(depth);
-            }
+    /// Fills `prefix` with the entries a fair-share pass examines: the
+    /// whole queue reordered by usage-decayed fair-share priority (usage
+    /// halving every `half_life` seconds) and truncated to `depth`. The
+    /// reorder is a stable sort on `usage/weight`, so ties — including the
+    /// entire queue under a single tenant — keep FIFO order. (A FIFO pass
+    /// walks the queue in place instead.)
+    pub(crate) fn fill_fair_share_prefix(
+        &mut self,
+        half_life: u64,
+        depth: usize,
+        prefix: &mut Vec<QueueEntry>,
+    ) {
+        let _t = timing::scope(Probe::FairShareSort);
+        prefix.extend(self.queue.prefix(usize::MAX));
+        let now = self.now;
+        for u in &mut self.tenant_usage {
+            u.decay_to(now, half_life);
         }
+        let usage = &self.tenant_usage;
+        let registry = &self.cfg.tenants;
+        fair_share_sort(prefix, |slot| {
+            if slot == NO_TENANT_SLOT {
+                0.0
+            } else {
+                usage[slot as usize].usage / registry.get(slot).weight
+            }
+        });
+        prefix.truncate(depth);
     }
 
     /// What [`SimState::quota_blocks`] would answer, without counting or

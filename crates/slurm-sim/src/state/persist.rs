@@ -4,8 +4,8 @@
 //! [`SimState::checkpoint_bytes`] captures every order-sensitive primary
 //! structure field-for-field (floats via `to_bits`, so the round trip is
 //! bit-exact); [`SimState::restore`] rebuilds the derived indices (the
-//! running count, the shrunk set, the release tally, the availability
-//! cache, pass scratch) canonically and re-validates the whole state.
+//! running count, the shrunk set, the availability cache, pass scratch)
+//! canonically and re-validates the whole state.
 //! Configuration that the caller re-supplies on restart (cluster spec,
 //! scheduler config, rate model, sharing factor) is *not* serialized — a
 //! small fingerprint guards against restoring a checkpoint under a
@@ -518,7 +518,7 @@ impl SimState {
         let node = st.spec.node.clone();
         st.cluster = NodeTable::restore(node, occupancy, processes, next_handle, residents)?;
 
-        // Each node's release, then their tally.
+        // Each node's release.
         let releases: Vec<Option<SimTime>> = r.get()?;
         if releases.len() != nodes as usize {
             return Err(format!(
@@ -529,7 +529,6 @@ impl SimState {
         for (i, when) in releases.into_iter().enumerate() {
             st.cluster.set_release(NodeId(i as u32), when);
         }
-        st.releases = ReleaseMap::recount(st.cluster.records());
 
         st.stats = r.get()?;
         st.dirty = r.get()?;
@@ -564,7 +563,7 @@ impl SimState {
         // Availability cache: rebuilt canonically at `now` — equal (by the
         // incremental-maintenance invariant) to the advanced cache the
         // uninterrupted run would hold.
-        st.avail = st.build_profile();
+        st.avail = Availability::new(st.build_profile());
         st.scratch = PassScratch::default();
 
         // The meter was constructed by `new_online` with a fresh start; the

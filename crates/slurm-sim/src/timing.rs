@@ -31,13 +31,13 @@ pub enum Probe {
     /// flexible/malleable fallback together).
     BackfillTrial,
     /// One per job start attempted (`start_static`, `co_schedule`): idle-node
-    /// pick, per-node placement + DROM launch, release map, indexes. Fires
-    /// *inside* a backfill trial, so `backfill_trial` minus this is what the
+    /// pick, per-node placement + DROM launch, availability patch, indexes.
+    /// Fires *inside* a backfill trial, so `backfill_trial` minus this is what the
     /// scheduler itself spent deciding.
     JobStart,
     /// One per job completion, dispatched from the event loop outside any
     /// pass: per-node removal + DROM teardown, beneficiary expansion,
-    /// release map.
+    /// availability patch.
     JobEnd,
     /// SD-Policy mate scans that actually ran (candidate collection + mate
     /// pick together); trials pruned by the pool weight index never get here.
@@ -59,9 +59,13 @@ pub enum Probe {
     /// Conservative sweeps a pass took from the previous idle pass's plan
     /// instead of running `earliest_start`: a count, like `trial_memo_hit`.
     SweepReplayed,
+    /// Static EASY trials a pass skipped because the previous pass proved
+    /// them failing on an availability that has not changed since: a count
+    /// (a subset of `backfill_trial`'s calls, which it adds in bulk).
+    TailSkipped,
 }
 
-const PROBES: usize = Probe::SweepReplayed as usize + 1;
+const PROBES: usize = Probe::TailSkipped as usize + 1;
 
 /// Each [`Probe`]'s name and the frames it nominally runs under, root-first,
 /// for [`collapsed`]. "Nominal" because probes measure inclusive wall time
@@ -81,6 +85,7 @@ pub(crate) const TABLE: [(&str, &[&str]); PROBES] = [
     ("fair_share_sort", &["sd", "sched_pass"]),
     ("trial_memo_hit", &["sd", "sched_pass", "backfill_trial"]),
     ("sweep_replayed", &["sd", "sched_pass", "backfill_trial"]),
+    ("tail_skipped", &["sd", "sched_pass", "backfill_trial"]),
 ];
 
 /// The calling thread's switch and counters: plain cells, no atomics.
@@ -142,17 +147,17 @@ pub struct TimedScope {
 impl Drop for TimedScope {
     fn drop(&mut self) {
         if let Some((start, probe)) = self.armed.take() {
-            record(probe, start.elapsed().as_nanos() as u64);
+            record(probe, 1, start.elapsed().as_nanos() as u64);
         }
     }
 }
 
-/// Adds one call and `nanos` wall nanoseconds to the calling thread's
+/// Adds `calls` calls and `nanos` wall nanoseconds to the calling thread's
 /// counters for `probe`.
-fn record(probe: Probe, nanos: u64) {
+fn record(probe: Probe, calls: u64, nanos: u64) {
     LOCAL.with(|l| {
         let i = probe as usize;
-        l.calls[i].set(l.calls[i].get() + 1);
+        l.calls[i].set(l.calls[i].get() + calls);
         l.nanos[i].set(l.nanos[i].get() + nanos);
     });
 }
@@ -167,8 +172,14 @@ pub fn scope(probe: Probe) -> TimedScope {
 /// Counts one occurrence of `probe` without reading the clock (no-op unless
 /// enabled) — for events too frequent and too short to time.
 pub fn count(probe: Probe) {
+    count_many(probe, 1);
+}
+
+/// Counts `n` occurrences of `probe` at once, without reading the clock
+/// (no-op unless enabled): work a caller proved it need not repeat.
+pub fn count_many(probe: Probe, n: u64) {
     if enabled() {
-        record(probe, 0);
+        record(probe, n, 0);
     }
 }
 

@@ -91,9 +91,12 @@ const JOB_STATE_BYTES: usize = 16;
 /// few percent through layout alone (`EventQueue` padded by 32 bytes:
 /// `serve_live` ×0.979), so a change here says why in its review. It is a
 /// multiple of 16 (the DynAVGSD sum is an `i128`): the conservative pass
-/// plan's 8-byte box took it from 976 to 992.
+/// plan's 8-byte box took it from 976 to 992. The release tally left it
+/// (−24) and the queue's walk in place, its edit count and the cached
+/// availability's version with its one-patch undo came in: 1 008
+/// (served pairs in `bench-history/pr52.json`).
 #[cfg(target_arch = "x86_64")]
-const SIM_STATE_BYTES: usize = 992;
+const SIM_STATE_BYTES: usize = 1008;
 
 /// W4 (Curie) at its default scale: ≈ 4 K jobs, under a second in a debug
 /// build.
