@@ -26,7 +26,8 @@ use sched_metrics::{
     campaign_csv, campaign_json, daily_csv, heatmap_csv, tenant_csv, tenant_summaries,
     CampaignDeltas, CampaignRow, DailySeries, Heatmap, HeatmapSpec, RatioHeatmap, Summary, Table,
 };
-use sd_bench::{sweep_with, CliArgs, CliError};
+use sd_bench::{sweep_with, thread_cap};
+use sd_scenario::cli::{self, Flag};
 use sd_scenario::{
     baseline_point, builtin_scenarios, execute, execute_traced, expand, find_builtin, run_key,
     Campaign, PolicyKindDecl, RunPoint, Scenario, ScenarioOutcome, SourceKind,
@@ -34,41 +35,74 @@ use sd_scenario::{
 use slurm_sim::timing::{self, FnTiming};
 use std::collections::HashMap;
 
-const USAGE: &str = "run_scenario — execute a declarative scenario campaign
+/// What the command line asks for.
+#[derive(Default)]
+struct Cli {
+    scenario: Option<String>,
+    campaign: Option<String>,
+    list: bool,
+    timing: bool,
+    trace: Option<String>,
+    flame: Option<String>,
+    log_level: Option<sd_obs::Level>,
+    log_json: Option<String>,
+    /// `--scale`, or 1 with `--full`; `None` keeps each scenario's own.
+    scale: Option<f64>,
+    full: bool,
+    /// `--seed` as given; `None` keeps each scenario's own.
+    seed: Option<u64>,
+    threads: Option<usize>,
+    out: Option<String>,
+}
 
-  --scenario <name|path>  built-in scenario name or a scenario file
-  --campaign <path>       run every scenario named by a .campaign file
-  --list                  list the built-in scenarios and exit
-  --timing                print a wall-time/scheduler-work table plus the
-                          per-function hot-path attribution (earliest_start,
-                          backfill trials, job starts and ends, quota checks,
-                          fair-share sorts) to stderr (per-run wall is noisy
-                          unless --threads 1)
-  --trace <path>          record every scheduler decision of the first run
-                          point and write it as Chrome trace-event JSON
-                          (open in Perfetto / chrome://tracing); prints a
-                          decision-mix + wait-decomposition summary to stderr
-  --flame <path>          profile the campaign and write a collapsed-stack
-                          (flamegraph.pl / inferno / speedscope) file
-                          attributing scheduler wall time per hot function
-  --log-level <lvl>       stderr log verbosity: error|warn|info|debug|trace
-                          (default info)
-  --log-json <path>       mirror every emitted log record to a JSON-lines file
-  --scale <f64>           workload/system scale (default: the scenario's, else
-                          the workload's CI size; the real-run workload is
-                          fixed-size)
-  --full                  paper-scale run (scale = 1.0)
-  --seed <u64>            base RNG seed (default: the scenario's)
-  --threads <n>           cap parallel sweep threads (default: all cores)
-  --out <path>            write the runs to this file: CSV if it ends in
-                          .csv, JSON otherwise
-  --help, -h              show this help";
+const TITLE: &str = "run_scenario — execute a declarative scenario campaign";
 
-/// The common flags this binary honours.
-const COMMON: [&str; 5] = ["--scale", "--full", "--seed", "--threads", "--out"];
+const FLAGS: &[Flag<Cli>] = &[
+    Flag::value("--scenario", "<name|path>", "built-in scenario name or a scenario file",
+        |c, v| v.parse().map(|s| c.scenario = Some(s))),
+    Flag::value("--campaign", "<path>", "run every scenario named by a .campaign file",
+        |c, v| v.parse().map(|p| c.campaign = Some(p))),
+    Flag::switch("--list", "list the built-in scenarios and exit", |c| c.list = true),
+    Flag::switch("--timing",
+        "print a wall-time/scheduler-work table plus the\n\
+         per-function hot-path attribution (earliest_start,\n\
+         backfill trials, job starts and ends, quota checks,\n\
+         fair-share sorts) to stderr (per-run wall is noisy\n\
+         unless --threads 1)",
+        |c| c.timing = true),
+    Flag::value("--trace", "<path>",
+        "record every scheduler decision of the first run\n\
+         point and write it as Chrome trace-event JSON\n\
+         (open in Perfetto / chrome://tracing); prints a\n\
+         decision-mix + wait-decomposition summary to stderr",
+        |c, v| v.parse().map(|p| c.trace = Some(p))),
+    Flag::value("--flame", "<path>",
+        "profile the campaign and write a collapsed-stack\n\
+         (flamegraph.pl / inferno / speedscope) file\n\
+         attributing scheduler wall time per hot function",
+        |c, v| v.parse().map(|p| c.flame = Some(p))),
+    Flag::value("--log-level", "<lvl>",
+        "stderr log verbosity: error|warn|info|debug|trace\n(default info)",
+        |c, v| v.level().map(|l| c.log_level = Some(l))),
+    Flag::value("--log-json", "<path>", "mirror every emitted log record to a JSON-lines file",
+        |c, v| v.parse().map(|p| c.log_json = Some(p))),
+    Flag::value("--scale", "<f64>",
+        "workload/system scale (default: the scenario's, else\n\
+         the workload's CI size; the real-run workload is\n\
+         fixed-size)",
+        |c, v| v.scenario_key("scale").map(|s| c.scale = s.scale)),
+    Flag::switch("--full", "paper-scale run (scale = 1.0)", |c| c.full = true),
+    Flag::value("--seed", "<u64>", "base RNG seed (default: the scenario's)",
+        |c, v| v.scenario_key("seed").map(|s| c.seed = Some(s.seed))),
+    Flag::value("--threads", "<n>", "cap parallel sweep threads (default: all cores)",
+        |c, v| thread_cap(v).map(|n| c.threads = Some(n))),
+    Flag::value("--out", "<path>",
+        "write the runs to this file: CSV if it ends in\n.csv, JSON otherwise",
+        |c, v| v.parse().map(|p| c.out = Some(p))),
+];
 
 fn fail(msg: &str) -> ! {
-    eprintln!("{msg}\n\n{USAGE}");
+    eprintln!("{msg}\n\n{}", cli::usage(TITLE, FLAGS));
     std::process::exit(2);
 }
 
@@ -91,84 +125,25 @@ fn timed<R>(profiled: bool, run: impl FnOnce() -> R) -> (R, f64, Vec<FnTiming>) 
     (r, wall, rows)
 }
 
-struct ScenarioCli {
-    scenario: Option<String>,
-    campaign: Option<String>,
-    list: bool,
-    timing: bool,
-    trace: Option<String>,
-    flame: Option<String>,
-    common: CliArgs,
-}
-
-fn parse_cli() -> ScenarioCli {
-    let mut scenario = None;
-    let mut campaign = None;
-    let mut list = false;
-    let mut timing = false;
-    let mut trace = None;
-    let mut flame = None;
-    let mut rest = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scenario" => match it.next() {
-                Some(v) => scenario = Some(v),
-                None => fail("--scenario needs a value"),
-            },
-            "--campaign" => match it.next() {
-                Some(v) => campaign = Some(v),
-                None => fail("--campaign needs a path"),
-            },
-            "--list" => list = true,
-            "--timing" => timing = true,
-            "--trace" => match it.next() {
-                Some(v) => trace = Some(v),
-                None => fail("--trace needs an output path"),
-            },
-            "--flame" => match it.next() {
-                Some(v) => flame = Some(v),
-                None => fail("--flame needs an output path"),
-            },
-            "--log-level" => match it.next().as_deref().map(sd_obs::Level::parse) {
-                Some(Some(l)) => {
-                    sd_obs::set_stderr_level(l);
-                    sd_obs::set_ring_level(l);
-                }
-                Some(None) => fail("--log-level must be error|warn|info|debug|trace"),
-                None => fail("--log-level needs a value"),
-            },
-            "--log-json" => match it.next() {
-                Some(v) => {
-                    let p = std::path::PathBuf::from(&v);
-                    sd_obs::attach_json_sink(&p)
-                        .unwrap_or_else(|e| fail(&format!("--log-json {v}: {e}")));
-                }
-                None => fail("--log-json needs a path"),
-            },
-            _ => rest.push(a),
-        }
-    }
-    let common = match CliArgs::parse(rest, &COMMON) {
-        Ok(c) => c,
-        Err(CliError::Help) => {
-            println!("{USAGE}");
-            std::process::exit(0);
-        }
-        Err(CliError::Bad(msg)) => fail(&msg),
-    };
-    if scenario.is_some() && campaign.is_some() {
+/// Parses the command line and applies its logging flags: a refusal exits 2.
+fn parse_cli() -> Cli {
+    let mut cli = Cli::default();
+    cli::parse_args(TITLE, FLAGS, &mut cli, fail);
+    if cli.scenario.is_some() && cli.campaign.is_some() {
         fail("--scenario and --campaign are mutually exclusive");
     }
-    ScenarioCli {
-        scenario,
-        campaign,
-        list,
-        timing,
-        trace,
-        flame,
-        common,
+    if cli.full {
+        cli.scale = Some(1.0);
     }
+    if let Some(level) = cli.log_level {
+        sd_obs::set_stderr_level(level);
+        sd_obs::set_ring_level(level);
+    }
+    if let Some(path) = &cli.log_json {
+        sd_obs::attach_json_sink(std::path::Path::new(path))
+            .unwrap_or_else(|e| fail(&format!("--log-json {path}: {e}")));
+    }
+    cli
 }
 
 fn list_builtins() {
@@ -230,13 +205,13 @@ fn main() {
     // CLI overrides pin the base values; a [sweep] over the same axis
     // still wins (expansion only reads the base when the axis is unswept).
     for scenario in &mut scenarios {
-        if let Some(seed) = cli.common.seed {
+        if let Some(seed) = cli.seed {
             scenario.seed = seed;
         }
         // The real-run workload is fixed-size: a campaign-wide `--scale`
         // leaves it alone, as the file format does.
         if scenario.workload.source != SourceKind::RealRun {
-            scenario.scale = cli.common.effective_scale().or(scenario.scale);
+            scenario.scale = cli.scale.or(scenario.scale);
         }
     }
 
@@ -299,7 +274,7 @@ fn main() {
         }
         None => &work,
     };
-    results.extend(sweep_with(swept, cli.common.threads, |p| timed(profiled, || execute(p))));
+    results.extend(sweep_with(swept, cli.threads, |p| timed(profiled, || execute(p))));
     let mut outcomes: Vec<ScenarioOutcome> = Vec::with_capacity(results.len());
     let mut walls: Vec<f64> = Vec::with_capacity(results.len());
     // Every run's probe rows, summed in run order.
@@ -519,7 +494,7 @@ fn main() {
         println!("{}", st.render());
     }
 
-    if let Some(out) = &cli.common.out {
+    if let Some(out) = &cli.out {
         let as_json = !out.ends_with(".csv");
         let payload = if as_json {
             campaign_json(&rows)

@@ -11,54 +11,42 @@
 //! file errors. The report is deterministic for a given expectation file.
 
 use sd_bench::validate::{evaluate, parse_expectations, report};
-use sd_bench::{CliArgs, CliError};
+use sd_bench::thread_cap;
+use sd_scenario::cli::{self, Flag};
 use sd_scenario::Vocab;
 
-const USAGE: &str = "sd_validate — check the paper's directional expectations
+struct Cli {
+    file: String,
+    /// `--claim`s, in order: only these are evaluated.
+    only: Vec<String>,
+    list: bool,
+    threads: Option<usize>,
+}
 
-  --file <path>     expectation file (default: scenarios/expectations.exp)
-  --claim <name>    only evaluate this claim (repeatable)
-  --list            list the claims and exit without running
-  --threads <n>     cap parallel run threads (default: all cores)
-  --help, -h        show this help";
+const TITLE: &str = "sd_validate — check the paper's directional expectations";
 
-/// The common flags this binary honours: a claim fixes its own workload,
-/// scale and seed panel, so only the thread cap applies.
-const COMMON: [&str; 1] = ["--threads"];
+/// A claim fixes its own workload, scale and seed panel, so of the flags
+/// `run_scenario` takes only the thread cap applies.
+const FLAGS: &[Flag<Cli>] = &[
+    Flag::value("--file", "<path>", "expectation file (default: scenarios/expectations.exp)",
+        |c, v| v.parse().map(|p| c.file = p)),
+    Flag::value("--claim", "<name>", "only evaluate this claim (repeatable)",
+        |c, v| v.parse().map(|n| c.only.push(n))),
+    Flag::switch("--list", "list the claims and exit without running", |c| c.list = true),
+    Flag::value("--threads", "<n>", "cap parallel run threads (default: all cores)",
+        |c, v| thread_cap(v).map(|n| c.threads = Some(n))),
+];
 
 fn fail(msg: &str) -> ! {
-    eprintln!("{msg}\n\n{USAGE}");
+    eprintln!("{msg}\n\n{}", cli::usage(TITLE, FLAGS));
     std::process::exit(2);
 }
 
 fn main() {
-    let mut file = "scenarios/expectations.exp".to_string();
-    let mut only: Vec<String> = Vec::new();
-    let mut list = false;
-    let mut rest = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--file" => match it.next() {
-                Some(v) => file = v,
-                None => fail("--file needs a path"),
-            },
-            "--claim" => match it.next() {
-                Some(v) => only.push(v),
-                None => fail("--claim needs a name"),
-            },
-            "--list" => list = true,
-            _ => rest.push(a),
-        }
-    }
-    let common = match CliArgs::parse(rest, &COMMON) {
-        Ok(c) => c,
-        Err(CliError::Help) => {
-            println!("{USAGE}");
-            std::process::exit(0);
-        }
-        Err(CliError::Bad(msg)) => fail(&msg),
-    };
+    let file = "scenarios/expectations.exp".to_string();
+    let mut cli = Cli { file, only: Vec::new(), list: false, threads: None };
+    cli::parse_args(TITLE, FLAGS, &mut cli, fail);
+    let Cli { file, only, list, threads } = cli;
 
     let text = std::fs::read_to_string(&file)
         .unwrap_or_else(|e| fail(&format!("reading {file}: {e}")));
@@ -95,7 +83,7 @@ fn main() {
         if claims.len() == 1 { "" } else { "s" },
         runs
     );
-    let results = evaluate(&claims, common.threads).unwrap_or_else(|e| fail(&e));
+    let results = evaluate(&claims, threads).unwrap_or_else(|e| fail(&e));
     println!("{}", report(&results));
     let failed: Vec<&str> = results
         .iter()

@@ -6,14 +6,11 @@
 //! checks the paper's claims against the static baseline. This library
 //! holds what they share:
 //!
-//! * `runner` — the parallel, order-preserving worker pool,
-//! * `cli` — the parser for the flags both accept, each binary naming
-//!   the ones it honours,
+//! * `runner` — the parallel, order-preserving worker pool and the
+//!   `--threads` cap both binaries give it,
 //! * [`validate`] — the paper-expectations harness behind `sd_validate`.
 
-mod cli;
 mod runner;
 pub mod validate;
 
-pub use cli::{CliArgs, CliError};
-pub use runner::sweep_with;
+pub use runner::{sweep_with, thread_cap};

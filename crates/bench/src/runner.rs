@@ -1,5 +1,14 @@
 //! The worker pool under every campaign: a parallel, order-preserving map.
 
+use sd_scenario::cli::Value;
+
+/// `--threads`' value: a cap of at least 1 on the pool's threads, named
+/// `bad thread count: <value>` when it is not a number.
+pub fn thread_cap(v: &Value) -> Result<usize, String> {
+    v.text.parse::<usize>().map_err(|_| format!("bad thread count: {}", v.text))?;
+    v.at_least_1()
+}
+
 /// Generic fan-out over scoped threads: applies `run` to every item and
 /// returns results in input order. `threads = None` uses the machine's
 /// available parallelism; the scenario campaign runner and the claim

@@ -237,3 +237,56 @@ fn timing_counts_each_run_alone_whatever_the_thread_count() {
     };
     assert_eq!(calls(1), calls(4));
 }
+
+#[test]
+fn both_binaries_refuse_alike_and_their_help_lists_every_flag() {
+    let scenario: (&str, &[&str], &[&str]) = (
+        env!("CARGO_BIN_EXE_run_scenario"),
+        &[
+            "--scenario", "--campaign", "--trace", "--flame", "--log-level", "--log-json",
+            "--scale", "--seed", "--threads", "--out",
+        ],
+        &["--list", "--timing", "--full"],
+    );
+    let validate: (&str, &[&str], &[&str]) =
+        (env!("CARGO_BIN_EXE_sd_validate"), &["--file", "--claim", "--threads"], &["--list"]);
+    // Exit code and first stderr line.
+    let refusal = |bin: &str, args: &str| {
+        let out = run(bin, args);
+        let stderr = String::from_utf8_lossy(&out.stderr).lines().next().unwrap_or("").to_string();
+        (out.status.code(), stderr)
+    };
+    let unknown = |flag: &str| (Some(2), format!("unknown flag: {flag}"));
+    for (bin, values, switches) in [scenario, validate] {
+        assert_eq!(refusal(bin, "--bogus"), unknown("--bogus"), "{bin}");
+        assert_eq!(refusal(bin, "--bogus --help"), unknown("--bogus"), "{bin}");
+        for flag in values {
+            assert_eq!(refusal(bin, flag), (Some(2), format!("{flag} needs a value")), "{bin}");
+        }
+        // A switch is accepted: the refusal is of what follows it.
+        for flag in switches {
+            assert_eq!(refusal(bin, &format!("{flag} --bogus")), unknown("--bogus"), "{bin}");
+        }
+        let mut want: Vec<(String, bool)> = (values.iter().map(|f| (f.to_string(), true)))
+            .chain(switches.iter().map(|f| (f.to_string(), false)))
+            .collect();
+        want.push(("--help".to_string(), false));
+        want.sort();
+        for args in ["--help", "-h"] {
+            let out = run(bin, args);
+            assert_eq!(out.status.code(), Some(0), "{bin} {args}");
+            // Each usage row: the flag, and a `<hint>` when it takes a value.
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let mut got: Vec<(String, bool)> = (stdout.lines())
+                .filter(|l| l.starts_with("  -"))
+                .map(|l| {
+                    let mut words = l.split_whitespace();
+                    let flag = words.next().unwrap().trim_end_matches(',');
+                    (flag.to_string(), words.next().is_some_and(|w| w.starts_with('<')))
+                })
+                .collect();
+            got.sort();
+            assert_eq!(got, want, "{bin} {args}");
+        }
+    }
+}

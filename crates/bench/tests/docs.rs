@@ -103,7 +103,7 @@ fn section_9_indexes_name_structures_that_exist() {
 
 #[test]
 fn readme_and_design_do_not_grow() {
-    for (doc, text, budget) in [("README.md", README, 400), ("DESIGN.md", DESIGN, 1385)] {
+    for (doc, text, budget) in [("README.md", README, 400), ("DESIGN.md", DESIGN, 1384)] {
         let lines = text.lines().count();
         assert!(lines <= budget, "{doc} has {lines} lines, budget {budget}");
     }

@@ -18,7 +18,9 @@
 //!   (the paper's workloads, figures and tables, the ablation study, and
 //!   bursty / diurnal / mixed-malleability / oversubscription / tenant-mix
 //!   studies),
-//! * `campaign` — `.campaign` files naming several scenarios to run as one.
+//! * `campaign` — `.campaign` files naming several scenarios to run as one,
+//! * [`cli`] — the binaries' command-line flags as rows: one parser, one
+//!   usage renderer, and the value rules their rows share.
 //!
 //! ```
 //! use sd_scenario::{expand, execute, Scenario};
@@ -44,6 +46,7 @@
 //! ```
 
 mod campaign;
+pub mod cli;
 pub mod compile;
 pub mod format;
 mod registry;

@@ -81,16 +81,6 @@ impl Histogram {
         }
     }
 
-    pub fn merge(&mut self, other: &Histogram) {
-        debug_assert_eq!(self.bounds, other.bounds, "merging unlike histograms");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-
     pub fn is_empty(&self) -> bool {
         self.count == 0
     }
@@ -243,19 +233,6 @@ mod tests {
         assert_eq!(h.quantile(0.5), 0.0);
         assert!(h.percentiles().is_none());
         assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn merge_adds_everything() {
-        let mut a = Histogram::new(vec![1.0, 2.0]);
-        let mut b = Histogram::new(vec![1.0, 2.0]);
-        a.observe(0.5);
-        b.observe(1.5);
-        b.observe(9.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.counts(), &[1, 1, 1]);
-        assert_eq!(a.max(), 9.0);
     }
 
     #[test]

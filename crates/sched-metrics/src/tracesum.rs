@@ -9,22 +9,6 @@ use crate::table::Table;
 use sd_trace::{TraceEvent, TraceKind};
 use std::collections::HashMap;
 
-/// Stable order for the decision-mix table (every kind a ring can hold).
-pub(crate) const KIND_NAMES: [&str; 12] = [
-    "pass_begin",
-    "pass_end",
-    "submitted",
-    "started",
-    "easy_reserved",
-    "backfill_rejected",
-    "quota_skipped",
-    "shrunk",
-    "expanded",
-    "relocated",
-    "cancelled",
-    "completed",
-];
-
 /// Where a started job's queue wait went, summed over jobs whose dominant
 /// pre-start signal was each cause. All values in virtual seconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -59,7 +43,7 @@ pub struct TraceSummary {
     pub passes: u64,
     /// Jobs started during passes (sum of `pass_end.started`).
     pub(crate) started_in_passes: u64,
-    /// `(kind name, count)` in [`KIND_NAMES`] order, zero-count kinds kept.
+    /// `(kind name, count)` in [`sd_trace::NAMES`] order, zero-count kinds kept.
     pub(crate) decision_mix: Vec<(&'static str, u64)>,
     pub wait: WaitDecomposition,
 }
@@ -119,7 +103,7 @@ pub fn summarize(events: &[TraceEvent]) -> TraceSummary {
         }
     }
 
-    let decision_mix = KIND_NAMES
+    let decision_mix = sd_trace::NAMES
         .iter()
         .map(|&k| (k, counts.get(k).copied().unwrap_or(0)))
         .collect();

@@ -9,139 +9,119 @@
 //! the end-state `/v1/stats` deltas. `--min-rate` / `--expect-completed`
 //! turn the report into assertions (non-zero exit) for CI.
 
+use sd_scenario::cli::{self, Flag};
 use sd_scenario::{Scenario, SourceKind};
 use sd_serve::loadgen::{self, LoadgenOptions};
 use sd_serve::metrics::{sample_value, COMPLETED, PENDING, SUBMITTED};
 use sd_serve::soak::{self, SoakOptions};
 use workload::PaperWorkload;
 
-const USAGE: &str = "sd-loadgen — drive live traffic through sd-serve
+struct Cli {
+    addr: Option<String>,
+    workload: PaperWorkload,
+    /// `--scale` and `--seed`, read as the `.scn` keys they stand for.
+    gen: Scenario,
+    swf_path: Option<String>,
+    jobs_cap: Option<usize>,
+    opts: LoadgenOptions,
+    min_rate: Option<f64>,
+    expect_completed: Option<u64>,
+    latency_out: Option<String>,
+    soak_cycles: Option<u32>,
+    soak_wal: Option<std::path::PathBuf>,
+    server_bin: Option<std::path::PathBuf>,
+    slo_gate: bool,
+}
 
-  --addr <host:port>       service address (required unless --soak)
-  --workload <w1|w2|w3|w4> synthetic workload to replay (default w3)
-  --scale <f64>            workload scale (default 0.05)
-  --seed <u64>             generator seed (default 42)
-  --swf <path>             replay an SWF file instead of a generator
-  --jobs <n>               cap the number of submissions
-  --tenants <n>            submit under n round-robin tenant identities
-                           (default: carry each record's own SWF user/group)
-  --rate <r>               target submissions per wall second (default: flat out)
-  --no-timestamps          submit without virtual timestamps (realtime servers)
-  --no-drain               skip the final /v1/drain
-  --shutdown               stop the server afterwards, print its final result
-  --min-rate <r>           fail (exit 1) if achieved rate falls below r
-  --expect-completed <n>   fail (exit 1) unless exactly n jobs completed
-  --latency-out <csv>      write the request-latency histogram (ms buckets) to a file
-  --max-retries <n>        transport-failure retries per request, with capped
-                           exponential backoff + jitter (default 0 = fail fast)
-  --slo-gate               after the run, fetch /v1/slo and exit 3 if any
-                           declared objective is breached (the server must be
-                           started with --slo; incompatible with --shutdown)
-  --soak <cycles>          chaos mode: spawn sd-serve with --wal, kill -9 it
-                           <cycles> times mid-traffic, restart + resync each
-                           time, and fail unless the recovered /v1/result is
-                           bit-identical to an uninterrupted reference run
-  --soak-wal <dir>         WAL directory for --soak (default: a fresh
-                           directory under the system temp dir; wiped first)
-  --server-bin <path>      sd-serve binary for --soak (default: the sd-serve
-                           next to this executable)
-  --help, -h               this text";
+const TITLE: &str = "sd-loadgen — drive live traffic through sd-serve";
+
+const FLAGS: &[Flag<Cli>] = &[
+    Flag::value("--addr", "<host:port>", "service address (required unless --soak)",
+        |c, v| v.parse().map(|a| c.addr = Some(a))),
+    Flag::value("--workload", "<w1|w2|w3|w4>", "synthetic workload to replay (default w3)", |c, v| {
+        let w = PaperWorkload::by_short(v.text);
+        let unknown = || format!("unknown --workload {} (w1|w2|w3|w4)", v.text);
+        w.map(|w| c.workload = w).ok_or_else(unknown)
+    }),
+    Flag::value("--scale", "<f64>", "workload scale (default 0.05)",
+        |c, v| v.key(&mut c.gen, "scenario", "scale")),
+    Flag::value("--seed", "<u64>", "generator seed (default 42)",
+        |c, v| v.key(&mut c.gen, "scenario", "seed")),
+    Flag::value("--swf", "<path>", "replay an SWF file instead of a generator",
+        |c, v| v.parse().map(|p| c.swf_path = Some(p))),
+    Flag::value("--jobs", "<n>", "cap the number of submissions",
+        |c, v| v.parse().map(|n| c.jobs_cap = Some(n))),
+    Flag::value("--tenants", "<n>",
+        "submit under n round-robin tenant identities\n\
+         (default: carry each record's own SWF user/group)",
+        |c, v| v.at_least_1().map(|n| c.opts.tenants = Some(n))),
+    Flag::value("--rate", "<r>", "target submissions per wall second (default: flat out)",
+        |c, v| v.positive().map(|r| c.opts.rate = Some(r))),
+    Flag::switch("--no-timestamps", "submit without virtual timestamps (realtime servers)",
+        |c| c.opts.virtual_timestamps = false),
+    Flag::switch("--no-drain", "skip the final /v1/drain", |c| c.opts.drain = false),
+    Flag::switch("--shutdown", "stop the server afterwards, print its final result",
+        |c| c.opts.shutdown = true),
+    Flag::value("--min-rate", "<r>", "fail (exit 1) if achieved rate falls below r",
+        |c, v| v.parse().map(|r| c.min_rate = Some(r))),
+    Flag::value("--expect-completed", "<n>", "fail (exit 1) unless exactly n jobs completed",
+        |c, v| v.parse().map(|n| c.expect_completed = Some(n))),
+    Flag::value("--latency-out", "<csv>",
+        "write the request-latency histogram (ms buckets) to a file",
+        |c, v| v.parse().map(|p| c.latency_out = Some(p))),
+    Flag::value("--max-retries", "<n>",
+        "transport-failure retries per request, with capped\n\
+         exponential backoff + jitter (default 0 = fail fast)",
+        |c, v| v.parse().map(|n| c.opts.max_retries = n)),
+    Flag::switch("--slo-gate",
+        "after the run, fetch /v1/slo and exit 3 if any\n\
+         declared objective is breached (the server must be\n\
+         started with --slo; incompatible with --shutdown)",
+        |c| c.slo_gate = true),
+    Flag::value("--soak", "<cycles>",
+        "chaos mode: spawn sd-serve with --wal, kill -9 it\n\
+         <cycles> times mid-traffic, restart + resync each\n\
+         time, and fail unless the recovered /v1/result is\n\
+         bit-identical to an uninterrupted reference run",
+        |c, v| v.at_least_1().map(|n| c.soak_cycles = Some(n))),
+    Flag::value("--soak-wal", "<dir>",
+        "WAL directory for --soak (default: a fresh\n\
+         directory under the system temp dir; wiped first)",
+        |c, v| v.parse().map(|d| c.soak_wal = Some(d))),
+    Flag::value("--server-bin", "<path>",
+        "sd-serve binary for --soak (default: the sd-serve\n\
+         next to this executable)",
+        |c, v| v.parse().map(|p| c.server_bin = Some(p))),
+];
 
 fn fail(msg: &str) -> ! {
-    println!("{msg}\n\n{USAGE}");
+    println!("{msg}\n\n{}", cli::usage(TITLE, FLAGS));
     std::process::exit(2);
 }
 
 fn main() {
-    let mut addr: Option<String> = None;
-    let mut workload = PaperWorkload::W3Ricc;
-    // `--scale` and `--seed` are read as the `.scn` keys they stand for.
     let mut gen = Scenario::new("sd-loadgen", SourceKind::Ricc);
     gen.scale = Some(0.05);
-    let mut swf_path: Option<String> = None;
-    let mut jobs_cap: Option<usize> = None;
-    let mut opts = LoadgenOptions::default();
-    let mut min_rate: Option<f64> = None;
-    let mut expect_completed: Option<u64> = None;
-    let mut latency_out: Option<String> = None;
-    let mut soak_cycles: Option<u32> = None;
-    let mut soak_wal: Option<std::path::PathBuf> = None;
-    let mut server_bin: Option<std::path::PathBuf> = None;
-    let mut slo_gate = false;
-
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
-        };
-        match a.as_str() {
-            "--addr" => addr = Some(value("--addr")),
-            "--workload" => {
-                let v = value("--workload");
-                workload = PaperWorkload::by_short(&v)
-                    .unwrap_or_else(|| fail(&format!("unknown --workload {v} (w1|w2|w3|w4)")));
-            }
-            "--scale" => {
-                let v = value("--scale");
-                gen.set_flag("--scale", "scenario", "scale", &v).unwrap_or_else(|e| fail(&e));
-            }
-            "--seed" => {
-                let v = value("--seed");
-                gen.set_flag("--seed", "scenario", "seed", &v).unwrap_or_else(|e| fail(&e));
-            }
-            "--swf" => swf_path = Some(value("--swf")),
-            "--jobs" => jobs_cap = Some(value("--jobs").parse().unwrap_or_else(|_| fail("bad --jobs"))),
-            "--tenants" => {
-                let n: u32 = value("--tenants").parse().unwrap_or_else(|_| fail("bad --tenants"));
-                if n == 0 {
-                    fail("--tenants must be at least 1");
-                }
-                opts.tenants = Some(n);
-            }
-            "--rate" => {
-                let r: f64 = value("--rate").parse().unwrap_or_else(|_| fail("bad --rate"));
-                if r <= 0.0 || r.is_nan() {
-                    fail("--rate must be > 0");
-                }
-                opts.rate = Some(r);
-            }
-            "--no-timestamps" => opts.virtual_timestamps = false,
-            "--no-drain" => opts.drain = false,
-            "--shutdown" => opts.shutdown = true,
-            "--min-rate" => {
-                min_rate = Some(value("--min-rate").parse().unwrap_or_else(|_| fail("bad --min-rate")))
-            }
-            "--expect-completed" => {
-                expect_completed = Some(
-                    value("--expect-completed")
-                        .parse()
-                        .unwrap_or_else(|_| fail("bad --expect-completed")),
-                )
-            }
-            "--latency-out" => latency_out = Some(value("--latency-out")),
-            "--max-retries" => {
-                opts.max_retries = value("--max-retries")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --max-retries"));
-            }
-            "--slo-gate" => slo_gate = true,
-            "--soak" => {
-                let n: u32 = value("--soak").parse().unwrap_or_else(|_| fail("bad --soak"));
-                if n == 0 {
-                    fail("--soak must be at least 1 cycle");
-                }
-                soak_cycles = Some(n);
-            }
-            "--soak-wal" => soak_wal = Some(value("--soak-wal").into()),
-            "--server-bin" => server_bin = Some(value("--server-bin").into()),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => fail(&format!("unknown flag: {other}")),
-        }
-    }
+    let mut cli = Cli {
+        addr: None,
+        workload: PaperWorkload::W3Ricc,
+        gen,
+        swf_path: None,
+        jobs_cap: None,
+        opts: LoadgenOptions::default(),
+        min_rate: None,
+        expect_completed: None,
+        latency_out: None,
+        soak_cycles: None,
+        soak_wal: None,
+        server_bin: None,
+        slo_gate: false,
+    };
+    cli::parse_args(TITLE, FLAGS, &mut cli, fail);
+    let Cli {
+        addr, workload, gen, swf_path, jobs_cap, opts, min_rate, expect_completed, latency_out,
+        soak_cycles, soak_wal, server_bin, slo_gate,
+    } = cli;
     let mut jobs: Vec<swf::SwfJob> = match &swf_path {
         Some(path) => {
             let (trace, _skipped) = swf::parse_file(std::path::Path::new(path))

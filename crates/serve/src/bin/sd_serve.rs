@@ -15,58 +15,19 @@ use cluster::ClusterSpec;
 use drom::SharingFactor;
 use sd_durable::FsyncPolicy;
 use sd_scenario::compile::{build_policy, preset_spec};
+use sd_scenario::cli::{self, Flag, Value};
 use sd_scenario::{ClusterPreset, Scenario, SourceKind, Vocab};
 use sd_serve::engine::{ClockMode, Engine};
 use sd_serve::server::{self, ServerConfig};
 use slurm_sim::{SimState, SlurmConfig};
 use workload::PaperWorkload;
 
-const USAGE: &str = "sd-serve — online scheduling service (HTTP/JSON)
-
-  --port <n>             TCP port (default 0 = ephemeral; printed when bound)
-  --workers <n>          HTTP worker threads (default 4)
-  --mode <virtual|realtime>   clock mode (default virtual)
-  --compression <x>      realtime: simulated seconds per wall second (default 60)
-  --cluster <w1|w2|w3|w4|ricc|curie|mn4|mn4_real_run>  machine preset (default w3)
-  --scale <f64>          machine scale for w* presets, > 0 (default 0.05)
-  --nodes <n>            override the node count (at least 1)
-  --policy <sd|static>   scheduler (default sd)
-  --maxsd <x|inf|dyn>    SD-Policy cut-off, x > 1 (default dyn)
-  --model <ideal|worst_case|app_aware>  runtime model (default ideal)
-  --sharing <f64>        sharing factor in [0,1) (default 0.5)
-  --malleable-fraction <f64>  fraction of draw-decided malleable jobs (default 1)
-                         (these eight are read as the `.scn` keys they stand
-                         for: a value a scenario file may not hold exits 2)
-  --tenant-rate <id=rps> per-tenant submit rate limit in submissions per wall
-                         second (repeatable; unlisted tenants are unlimited)
-  --trace                enable decision tracing (GET /v1/trace, /v1/explain/{id})
-  --trace-capacity <n>   trace ring size in events (default 65536; power of two)
-  --wal <dir>            crash tolerance: write-ahead log + checkpoints in
-                         <dir>; on restart the service recovers the exact
-                         pre-crash state before accepting traffic
-  --checkpoint-every <n> records between checkpoints (default 256)
-  --wal-fsync <always|checkpoint|never>  fsync policy for WAL appends
-                         (default checkpoint; checkpoints always fsync)
-  --log-level <error|warn|info|debug|trace>  structured-log verbosity for
-                         the in-memory ring, GET /v1/logs and the stderr
-                         echo (default info)
-  --log-json <path>      also write every retained log record as one JSON
-                         line to <path>
-  --slo <key=value>      declare a service-level objective (repeatable):
-                         p99_wait_seconds=<s>, pass_duration_p95=<s>,
-                         submit_availability=<fraction>; enables GET /v1/slo
-                         and the sd_serve_slo_* burn-rate gauges
-  --help, -h             this text";
-
-fn fail(msg: &str) -> ! {
-    println!("{msg}\n\n{USAGE}");
-    std::process::exit(2);
-}
-
 struct Cli {
     port: u16,
     workers: usize,
-    mode: ClockMode,
+    /// `--mode realtime`; its clock runs at `compression`.
+    realtime: bool,
+    compression: f64,
     /// The `w1..w4` machine, used unless `machine.cluster.preset` names one.
     workload: PaperWorkload,
     /// What the machine and policy flags set, each through its row of
@@ -84,9 +45,107 @@ struct Cli {
     slos: Vec<sd_obs::SloSpec>,
 }
 
-/// Sets the key `flag` stands for, or exits 2 with the row's message.
-fn set(s: &mut Scenario, flag: &str, section: &str, name: &str, value: &str) {
-    s.set_flag(flag, section, name, value).unwrap_or_else(|e| fail(&e));
+const TITLE: &str = "sd-serve — online scheduling service (HTTP/JSON)";
+
+const FLAGS: &[Flag<Cli>] = &[
+    Flag::value("--port", "<n>", "TCP port (default 0 = ephemeral; printed when bound)",
+        |c, v| v.parse().map(|n| c.port = n)),
+    Flag::value("--workers", "<n>", "HTTP worker threads (default 4)",
+        |c, v| v.at_least_1().map(|n| c.workers = n)),
+    Flag::value("--mode", "<virtual|realtime>", "clock mode (default virtual)", |c, v| {
+        c.realtime = match v.text {
+            "virtual" => false,
+            "realtime" => true,
+            m => return Err(format!("--mode must be virtual or realtime, got {m}")),
+        };
+        Ok(())
+    }),
+    Flag::value("--compression", "<x>", "realtime: simulated seconds per wall second (default 60)",
+        |c, v| v.positive().map(|x| c.compression = x)),
+    Flag::value("--cluster", "<w1|w2|w3|w4|ricc|curie|mn4|mn4_real_run>",
+        "machine preset (default w3)", |c, v| match PaperWorkload::by_short(v.text) {
+            Some(w) => {
+                (c.workload, c.machine.cluster.preset) = (w, ClusterPreset::Auto);
+                Ok(())
+            }
+            None => (v.key(&mut c.machine, "cluster", "preset"))
+                .map_err(|e| format!("{e}, or a workload's machine (w1|w2|w3|w4)")),
+        }),
+    Flag::value("--scale", "<f64>", "machine scale for w* presets, > 0 (default 0.05)",
+        |c, v| v.key(&mut c.machine, "scenario", "scale")),
+    Flag::value("--nodes", "<n>", "override the node count (at least 1)",
+        |c, v| v.key(&mut c.machine, "cluster", "nodes")),
+    Flag::value("--policy", "<sd|static>", "scheduler (default sd)",
+        |c, v| v.key(&mut c.machine, "policy", "kind")),
+    Flag::value("--maxsd", "<x|inf|dyn>", "SD-Policy cut-off, x > 1 (default dyn)",
+        |c, v| v.key(&mut c.machine, "policy", "maxsd")),
+    Flag::value("--model", "<ideal|worst_case|app_aware>", "runtime model (default ideal)",
+        |c, v| v.key(&mut c.machine, "policy", "model")),
+    Flag::value("--sharing", "<f64>", "sharing factor in [0,1) (default 0.5)",
+        |c, v| v.key(&mut c.machine, "policy", "sharing")),
+    Flag::value("--malleable-fraction", "<f64>",
+        "fraction of draw-decided malleable jobs (default 1)\n\
+         (these eight are read as the `.scn` keys they stand\n\
+         for: a value a scenario file may not hold exits 2)",
+        |c, v| v.key(&mut c.machine, "slurm", "malleable_fraction")),
+    Flag::value("--tenant-rate", "<id=rps>",
+        "per-tenant submit rate limit in submissions per wall\n\
+         second (repeatable; unlisted tenants are unlimited)", |c, v| {
+            let Some((id, rate)) = v.text.split_once('=') else {
+                return Err(format!("--tenant-rate wants <id=rps>, got {}", v.text));
+            };
+            let id = Value { flag: "--tenant-rate id", text: id }.parse()?;
+            let rate = Value { flag: "--tenant-rate rps", text: rate }.positive()?;
+            c.tenant_rates.push((id, rate));
+            Ok(())
+        }),
+    Flag::switch("--trace", "enable decision tracing (GET /v1/trace, /v1/explain/{id})",
+        |c| c.trace = true),
+    Flag::value("--trace-capacity", "<n>",
+        "trace ring size in events (default 65536; power of two)",
+        |c, v| v.at_least_1().map(|n| c.trace_capacity = n)),
+    Flag::value("--wal", "<dir>",
+        "crash tolerance: write-ahead log + checkpoints in\n\
+         <dir>; on restart the service recovers the exact\n\
+         pre-crash state before accepting traffic",
+        |c, v| v.parse().map(|d| c.wal = Some(d))),
+    Flag::value("--checkpoint-every", "<n>", "records between checkpoints (default 256)",
+        |c, v| v.at_least_1().map(|n| c.checkpoint_every = n)),
+    Flag::value("--wal-fsync", "<always|checkpoint|never>",
+        "fsync policy for WAL appends\n(default checkpoint; checkpoints always fsync)", |c, v| {
+            c.wal_fsync = match v.text {
+                "always" => FsyncPolicy::Always,
+                "checkpoint" => FsyncPolicy::Checkpoint,
+                "never" => FsyncPolicy::Never,
+                p => return Err(format!("{} must be always, checkpoint or never, got {p}", v.flag)),
+            };
+            Ok(())
+        }),
+    Flag::value("--log-level", "<error|warn|info|debug|trace>",
+        "structured-log verbosity for\n\
+         the in-memory ring, GET /v1/logs and the stderr\n\
+         echo (default info)",
+        |c, v| v.level().map(|l| c.log_level = l)),
+    Flag::value("--log-json", "<path>",
+        "also write every retained log record as one JSON\nline to <path>",
+        |c, v| v.parse().map(|p| c.log_json = Some(p))),
+    Flag::value("--slo", "<key=value>",
+        "declare a service-level objective (repeatable):\n\
+         p99_wait_seconds=<s>, pass_duration_p95=<s>,\n\
+         submit_availability=<fraction>; enables GET /v1/slo\n\
+         and the sd_serve_slo_* burn-rate gauges", |c, v| {
+            let Some((key, val)) = v.text.split_once('=') else {
+                return Err(format!("--slo wants <key=value>, got {}", v.text));
+            };
+            let val = Value { flag: "--slo value", text: val }.parse()?;
+            c.slos.push(sd_obs::SloSpec::parse(key, val).map_err(|e| format!("bad --slo: {e}"))?);
+            Ok(())
+        }),
+];
+
+fn fail(msg: &str) -> ! {
+    println!("{msg}\n\n{}", cli::usage(TITLE, FLAGS));
+    std::process::exit(2);
 }
 
 fn parse_cli() -> Cli {
@@ -95,7 +154,8 @@ fn parse_cli() -> Cli {
     let mut cli = Cli {
         port: 0,
         workers: 4,
-        mode: ClockMode::Virtual,
+        realtime: false,
+        compression: 60.0,
         workload: PaperWorkload::W3Ricc,
         machine,
         tenant_rates: Vec::new(),
@@ -108,123 +168,7 @@ fn parse_cli() -> Cli {
         log_json: None,
         slos: Vec::new(),
     };
-    let mut compression: f64 = 60.0;
-    let mut realtime = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
-        };
-        match a.as_str() {
-            "--port" => cli.port = value("--port").parse().unwrap_or_else(|_| fail("bad --port")),
-            "--workers" => {
-                cli.workers = value("--workers").parse().unwrap_or_else(|_| fail("bad --workers"));
-                if cli.workers == 0 {
-                    fail("--workers must be at least 1");
-                }
-            }
-            "--mode" => match value("--mode").as_str() {
-                "virtual" => realtime = false,
-                "realtime" => realtime = true,
-                v => fail(&format!("--mode must be virtual or realtime, got {v}")),
-            },
-            "--compression" => {
-                let v = value("--compression").parse().ok();
-                compression = v
-                    .filter(|c: &f64| *c > 0.0 && c.is_finite())
-                    .unwrap_or_else(|| fail("--compression must be a finite number > 0"));
-            }
-            "--cluster" => {
-                let v = value("--cluster");
-                let s = &mut cli.machine;
-                match PaperWorkload::by_short(&v) {
-                    Some(w) => (cli.workload, s.cluster.preset) = (w, ClusterPreset::Auto),
-                    None => s.set_flag("--cluster", "cluster", "preset", &v).unwrap_or_else(|e| {
-                        fail(&format!("{e}, or a workload's machine (w1|w2|w3|w4)"))
-                    }),
-                }
-            }
-            "--scale" => set(&mut cli.machine, "--scale", "scenario", "scale", &value("--scale")),
-            "--nodes" => set(&mut cli.machine, "--nodes", "cluster", "nodes", &value("--nodes")),
-            "--policy" => set(&mut cli.machine, "--policy", "policy", "kind", &value("--policy")),
-            "--maxsd" => set(&mut cli.machine, "--maxsd", "policy", "maxsd", &value("--maxsd")),
-            "--model" => set(&mut cli.machine, "--model", "policy", "model", &value("--model")),
-            "--sharing" => {
-                set(&mut cli.machine, "--sharing", "policy", "sharing", &value("--sharing"))
-            }
-            "--malleable-fraction" => {
-                let v = value("--malleable-fraction");
-                set(&mut cli.machine, "--malleable-fraction", "slurm", "malleable_fraction", &v)
-            }
-            "--tenant-rate" => {
-                let v = value("--tenant-rate");
-                let Some((id, rate)) = v.split_once('=') else {
-                    fail(&format!("--tenant-rate wants <id=rps>, got {v}"));
-                };
-                let id: u64 = id.parse().unwrap_or_else(|_| fail("bad --tenant-rate id"));
-                let rate: f64 = rate.parse().unwrap_or_else(|_| fail("bad --tenant-rate rps"));
-                if rate <= 0.0 || rate.is_nan() {
-                    fail("--tenant-rate rps must be > 0");
-                }
-                cli.tenant_rates.push((id, rate));
-            }
-            "--trace" => cli.trace = true,
-            "--trace-capacity" => {
-                cli.trace_capacity = value("--trace-capacity")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --trace-capacity"));
-                if cli.trace_capacity == 0 {
-                    fail("--trace-capacity must be at least 1");
-                }
-            }
-            "--wal" => cli.wal = Some(value("--wal").into()),
-            "--checkpoint-every" => {
-                cli.checkpoint_every = value("--checkpoint-every")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --checkpoint-every"));
-                if cli.checkpoint_every == 0 {
-                    fail("--checkpoint-every must be at least 1");
-                }
-            }
-            "--wal-fsync" => {
-                let v = value("--wal-fsync");
-                cli.wal_fsync = match v.as_str() {
-                    "always" => FsyncPolicy::Always,
-                    "checkpoint" => FsyncPolicy::Checkpoint,
-                    "never" => FsyncPolicy::Never,
-                    _ => fail(&format!(
-                        "--wal-fsync must be always, checkpoint or never, got {v}"
-                    )),
-                };
-            }
-            "--log-level" => {
-                let v = value("--log-level");
-                cli.log_level = sd_obs::Level::parse(&v).unwrap_or_else(|| {
-                    fail(&format!("--log-level must be error|warn|info|debug|trace, got {v}"))
-                });
-            }
-            "--log-json" => cli.log_json = Some(value("--log-json").into()),
-            "--slo" => {
-                let v = value("--slo");
-                let Some((key, val)) = v.split_once('=') else {
-                    fail(&format!("--slo wants <key=value>, got {v}"));
-                };
-                let val: f64 = val.parse().unwrap_or_else(|_| fail("bad --slo value"));
-                let spec = sd_obs::SloSpec::parse(key, val)
-                    .unwrap_or_else(|e| fail(&format!("bad --slo: {e}")));
-                cli.slos.push(spec);
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => fail(&format!("unknown flag: {other}")),
-        }
-    }
-    if realtime {
-        cli.mode = ClockMode::Realtime { compression };
-    }
+    cli::parse_args(TITLE, FLAGS, &mut cli, fail);
     cli
 }
 
@@ -242,6 +186,11 @@ fn cluster_spec(cli: &Cli) -> ClusterSpec {
 
 fn main() {
     let cli = parse_cli();
+    let mode = if cli.realtime {
+        ClockMode::Realtime { compression: cli.compression }
+    } else {
+        ClockMode::Virtual
+    };
     // Logging first: everything below (recovery included) emits into the
     // ring and the stderr echo at the configured verbosity.
     sd_obs::set_ring_level(cli.log_level);
@@ -311,7 +260,7 @@ fn main() {
     let ring = cli
         .trace
         .then(|| std::sync::Arc::new(slurm_sim::TraceRing::new(cli.trace_capacity)));
-    let mut engine = engine.with_clock(cli.mode).with_histograms(hists.clone());
+    let mut engine = engine.with_clock(mode).with_histograms(hists.clone());
     if let Some(r) = &ring {
         engine = engine.with_trace(r.clone());
         sd_obs::log_event!(Info, "serve", "decision tracing on";
@@ -344,7 +293,7 @@ fn main() {
         spec.nodes,
         spec.node.cores(),
         policy.kind.word(),
-        cli.mode,
+        mode,
         cli.workers,
     );
     if !cli.slos.is_empty() {

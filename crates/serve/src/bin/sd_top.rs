@@ -12,22 +12,35 @@
 //! VT100-ish emulator. Snapshot numbers are read by their
 //! [`sd_serve::metrics`] rows' keys.
 
+use sd_scenario::cli::{self, Flag};
 use sd_serve::client::Client;
 use sd_serve::json::Json;
 use sd_serve::metrics;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "sd-top — live dashboard for sd-serve
+struct Cli {
+    addr: String,
+    interval: Duration,
+    frames: Option<u64>,
+    once: bool,
+}
 
-  --addr <host:port>   service address (default 127.0.0.1:8080)
-  --interval <ms>      refresh period in milliseconds (default 1000)
-  --frames <n>         exit after n frames (default: run until interrupted)
-  --once               plain single frame without screen control (= --frames 1)
-  --help, -h           this text";
+const TITLE: &str = "sd-top — live dashboard for sd-serve";
+
+const FLAGS: &[Flag<Cli>] = &[
+    Flag::value("--addr", "<host:port>", "service address (default 127.0.0.1:8080)",
+        |c, v| v.parse().map(|a| c.addr = a)),
+    Flag::value("--interval", "<ms>", "refresh period in milliseconds (default 1000)",
+        |c, v| v.parse().map(|ms: u64| c.interval = Duration::from_millis(ms.max(100)))),
+    Flag::value("--frames", "<n>", "exit after n frames (default: run until interrupted)",
+        |c, v| v.parse().map(|n| c.frames = Some(n))),
+    Flag::switch("--once", "plain single frame without screen control (= --frames 1)",
+        |c| c.once = true),
+];
 
 fn fail(msg: &str) -> ! {
-    println!("{msg}\n\n{USAGE}");
+    println!("{msg}\n\n{}", cli::usage(TITLE, FLAGS));
     std::process::exit(2);
 }
 
@@ -73,40 +86,14 @@ struct Prev {
 }
 
 fn main() {
-    let mut addr = "127.0.0.1:8080".to_string();
-    let mut interval = Duration::from_millis(1000);
-    let mut frames: Option<u64> = None;
-    let mut once = false;
-
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
-        };
-        match a.as_str() {
-            "--addr" => addr = value("--addr"),
-            "--interval" => {
-                let ms: u64 = value("--interval")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --interval"));
-                interval = Duration::from_millis(ms.max(100));
-            }
-            "--frames" => {
-                frames = Some(
-                    value("--frames")
-                        .parse()
-                        .unwrap_or_else(|_| fail("bad --frames")),
-                )
-            }
-            "--once" => once = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            other => fail(&format!("unknown flag {other}")),
-        }
-    }
+    let mut cli = Cli {
+        addr: "127.0.0.1:8080".to_string(),
+        interval: Duration::from_millis(1000),
+        frames: None,
+        once: false,
+    };
+    cli::parse_args(TITLE, FLAGS, &mut cli, fail);
+    let Cli { addr, interval, mut frames, once } = cli;
     if once {
         frames = Some(1);
     }

@@ -145,3 +145,64 @@ fn accepted_flags_build_the_same_machine() {
     }
     assert!(wrong.is_empty(), "{wrong:#?}");
 }
+
+/// The flags a usage lists, in order, each with whether it takes a value
+/// (a `<hint>` follows it).
+fn listed(usage: &str) -> Vec<(String, bool)> {
+    let rows = usage.lines().filter(|l| l.starts_with("  -"));
+    rows.map(|l| {
+        let mut words = l.split_whitespace();
+        let flag = words.next().expect("a flag").trim_end_matches(',');
+        (flag.to_string(), words.next().is_some_and(|w| w.starts_with('<')))
+    })
+    .collect()
+}
+
+#[test]
+fn every_service_binary_refuses_alike_and_its_help_lists_every_flag() {
+    let serve: (&str, &[&str], &[&str]) = (
+        env!("CARGO_BIN_EXE_sd_serve"),
+        &[
+            "--port", "--workers", "--mode", "--compression", "--cluster", "--scale", "--nodes",
+            "--policy", "--maxsd", "--model", "--sharing", "--malleable-fraction",
+            "--tenant-rate", "--trace-capacity", "--wal", "--checkpoint-every", "--wal-fsync",
+            "--log-level", "--log-json", "--slo",
+        ],
+        &["--trace"],
+    );
+    let loadgen: (&str, &[&str], &[&str]) = (
+        env!("CARGO_BIN_EXE_sd_loadgen"),
+        &[
+            "--addr", "--workload", "--scale", "--seed", "--swf", "--jobs", "--tenants", "--rate",
+            "--min-rate", "--expect-completed", "--latency-out", "--max-retries", "--soak",
+            "--soak-wal", "--server-bin",
+        ],
+        &["--no-timestamps", "--no-drain", "--shutdown", "--slo-gate"],
+    );
+    let top: (&str, &[&str], &[&str]) =
+        (env!("CARGO_BIN_EXE_sd_top"), &["--addr", "--interval", "--frames"], &["--once"]);
+    let unknown = |flag: &str| (Some(2), format!("unknown flag: {flag}"));
+    for (bin, values, switches) in [serve, loadgen, top] {
+        assert_eq!(refusal(bin, &["--bogus"]), unknown("--bogus"), "{bin}");
+        assert_eq!(refusal(bin, &["--bogus", "--help"]), unknown("--bogus"), "{bin}");
+        for flag in values {
+            assert_eq!(refusal(bin, &[flag]), (Some(2), format!("{flag} needs a value")), "{bin}");
+        }
+        // A switch is accepted: the refusal is of what follows it.
+        for flag in switches {
+            assert_eq!(refusal(bin, &[flag, "--bogus"]), unknown("--bogus"), "{bin} {flag}");
+        }
+        let mut want: Vec<(String, bool)> = (values.iter().map(|f| (f.to_string(), true)))
+            .chain(switches.iter().map(|f| (f.to_string(), false)))
+            .collect();
+        want.push(("--help".to_string(), false));
+        want.sort();
+        for help in [&["--help"][..], &["-h"], &["--help", "--bogus"]] {
+            let out = Command::new(bin).args(help).output().expect("run");
+            assert_eq!(out.status.code(), Some(0), "{bin} {help:?}");
+            let mut got = listed(&String::from_utf8_lossy(&out.stdout));
+            got.sort();
+            assert_eq!(got, want, "{bin} {help:?}");
+        }
+    }
+}

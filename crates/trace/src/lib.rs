@@ -119,22 +119,44 @@ impl fmt::Display for FieldVal {
     }
 }
 
+/// Every [`TraceKind`]'s stable snake-case name, in tag order: a kind's
+/// index here is the tag it is packed under in the ring.
+pub const NAMES: [&str; 12] = [
+    "pass_begin",
+    "pass_end",
+    "submitted",
+    "started",
+    "easy_reserved",
+    "backfill_rejected",
+    "quota_skipped",
+    "shrunk",
+    "expanded",
+    "relocated",
+    "cancelled",
+    "completed",
+];
+
 impl TraceKind {
     /// Stable snake-case event name used by every rendering.
     pub fn name(&self) -> &'static str {
+        NAMES[self.tag() as usize]
+    }
+
+    /// The kind's index in [`NAMES`], and its tag in the ring.
+    fn tag(&self) -> u8 {
         match self {
-            TraceKind::PassBegin { .. } => "pass_begin",
-            TraceKind::PassEnd { .. } => "pass_end",
-            TraceKind::Submitted { .. } => "submitted",
-            TraceKind::Started { .. } => "started",
-            TraceKind::EasyReserved { .. } => "easy_reserved",
-            TraceKind::BackfillRejected { .. } => "backfill_rejected",
-            TraceKind::QuotaSkipped { .. } => "quota_skipped",
-            TraceKind::Shrunk { .. } => "shrunk",
-            TraceKind::Expanded { .. } => "expanded",
-            TraceKind::Relocated { .. } => "relocated",
-            TraceKind::Cancelled { .. } => "cancelled",
-            TraceKind::Completed { .. } => "completed",
+            TraceKind::PassBegin { .. } => 0,
+            TraceKind::PassEnd { .. } => 1,
+            TraceKind::Submitted { .. } => 2,
+            TraceKind::Started { .. } => 3,
+            TraceKind::EasyReserved { .. } => 4,
+            TraceKind::BackfillRejected { .. } => 5,
+            TraceKind::QuotaSkipped { .. } => 6,
+            TraceKind::Shrunk { .. } => 7,
+            TraceKind::Expanded { .. } => 8,
+            TraceKind::Relocated { .. } => 9,
+            TraceKind::Cancelled { .. } => 10,
+            TraceKind::Completed { .. } => 11,
         }
     }
 
@@ -218,26 +240,24 @@ impl TraceKind {
     /// Pack into `(w1, w2, w3)`: tag in `w1[0..8]`, 32-bit aux payload in
     /// `w1[32..64]`, two full-width words after that.
     fn encode(&self) -> (u64, u64, u64) {
-        fn w1(tag: u8, aux: u32) -> u64 {
-            tag as u64 | (aux as u64) << 32
-        }
-        match *self {
-            TraceKind::PassBegin { pass, wall_ns } => (w1(0, 0), pass, wall_ns),
-            TraceKind::PassEnd { pass, wall_ns, started } => (w1(1, started), pass, wall_ns),
-            TraceKind::Submitted { job } => (w1(2, 0), job, 0),
+        let (aux, w2, w3): (u32, u64, u64) = match *self {
+            TraceKind::PassBegin { pass, wall_ns } => (0, pass, wall_ns),
+            TraceKind::PassEnd { pass, wall_ns, started } => (started, pass, wall_ns),
+            TraceKind::Submitted { job } => (0, job, 0),
             TraceKind::Started { job, malleable, nodes, wait } => {
                 debug_assert!(nodes < 1 << 31);
-                (w1(3, nodes | (malleable as u32) << 31), job, wait)
+                (nodes | (malleable as u32) << 31, job, wait)
             }
-            TraceKind::EasyReserved { job, est } => (w1(4, 0), job, est),
-            TraceKind::BackfillRejected { job, reason } => (w1(5, reason.code()), job, 0),
-            TraceKind::QuotaSkipped { job, tenant } => (w1(6, 0), job, tenant),
-            TraceKind::Shrunk { mate, borrower } => (w1(7, 0), mate, borrower),
-            TraceKind::Expanded { job, nodes } => (w1(8, nodes), job, 0),
-            TraceKind::Relocated { job, nodes } => (w1(9, nodes), job, 0),
-            TraceKind::Cancelled { job } => (w1(10, 0), job, 0),
-            TraceKind::Completed { job } => (w1(11, 0), job, 0),
-        }
+            TraceKind::EasyReserved { job, est } => (0, job, est),
+            TraceKind::BackfillRejected { job, reason } => (reason.code(), job, 0),
+            TraceKind::QuotaSkipped { job, tenant } => (0, job, tenant),
+            TraceKind::Shrunk { mate, borrower } => (0, mate, borrower),
+            TraceKind::Expanded { job, nodes } => (nodes, job, 0),
+            TraceKind::Relocated { job, nodes } => (nodes, job, 0),
+            TraceKind::Cancelled { job } => (0, job, 0),
+            TraceKind::Completed { job } => (0, job, 0),
+        };
+        (self.tag() as u64 | (aux as u64) << 32, w2, w3)
     }
 
     fn decode(w1: u64, w2: u64, w3: u64) -> TraceKind {
